@@ -1,8 +1,8 @@
 //! # plexus-bench — experiment harnesses
 //!
 //! One module per paper result; the `src/bin/*` binaries print the tables
-//! and figures, and `benches/` holds Criterion microbenchmarks of the
-//! mechanisms themselves.
+//! and figures. Host-time cost of the mechanisms themselves is measured
+//! by `perf/` (`plexus-perf --trace 1`, the layer kernels).
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]

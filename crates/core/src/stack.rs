@@ -320,7 +320,13 @@ impl StackShared {
             frag_offset: 0,
         };
         let mtu = self.nic.profile().mtu;
-        let frags = ip::fragment(&hdr, &req.payload, mtu);
+        // A payload that fits goes out as the one datagram `ip::fragment`
+        // would return, without the `Vec` around it.
+        let (whole, frags) = if req.payload.total_len() + ip::IP_HDR_LEN <= mtu {
+            (Some(ip::encapsulate(&hdr, req.payload.share())), Vec::new())
+        } else {
+            (None, ip::fragment(&hdr, &req.payload, mtu))
+        };
         let broadcast = req.dst == Ipv4Addr::BROADCAST;
         // Next hop: on-subnet destinations directly, everything else via
         // the gateway (if any).
@@ -340,7 +346,7 @@ impl StackShared {
                 }
             }
         };
-        for frag in frags {
+        for frag in whole.into_iter().chain(frags) {
             let Some(next_hop) = next_hop else {
                 self.raise_eth_send(ctx, MacAddr::BROADCAST, EtherType::IPV4, frag);
                 continue;

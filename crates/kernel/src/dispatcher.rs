@@ -24,8 +24,9 @@
 
 use std::any::Any;
 use std::cell::{Cell, RefCell};
-use std::collections::{BTreeMap, HashMap, HashSet};
+use std::collections::{BTreeMap, HashMap};
 use std::fmt;
+use std::hash::{BuildHasherDefault, Hash, Hasher};
 use std::marker::PhantomData;
 use std::rc::Rc;
 
@@ -440,16 +441,83 @@ struct Entry<T> {
     removed: Cell<bool>,
 }
 
+/// Schema fields a bucket key has room for: the width of the widest
+/// [`key_schema`] (`TcpRecv`'s; `bucket_keys_fit_every_schema` pins it).
+/// A guard over a wider schema would stay unindexed.
+const KEY_WIDTH: usize = 3;
+
+/// Most entry lists one raise merges: a bucket per live field mask (the
+/// non-zero masks over `KEY_WIDTH` fields) plus the unindexed list.
+const MAX_LISTS: usize = 1 << KEY_WIDTH;
+
 /// Hash key of one demux bucket: which schema fields are bound (`mask`,
-/// bit `i` = schema field `i`) and their values, in schema order.
-#[derive(Clone, Debug, PartialEq, Eq, Hash)]
+/// bit `i` = schema field `i`) and their values (`vals[i]`, 0 where
+/// unbound). Fixed width, so a probe builds it on the stack.
+#[derive(Clone, Copy, PartialEq, Eq)]
 struct BucketKey {
     mask: u8,
-    vals: Vec<u64>,
+    vals: [u64; KEY_WIDTH],
 }
 
-/// Per-table demultiplexing index over the installed verified guards whose
-/// acceptance is statically bounded ([`DemuxKey::extract`]).
+impl Hash for BucketKey {
+    fn hash<H: Hasher>(&self, state: &mut H) {
+        state.write_u8(self.mask);
+        for v in self.vals {
+            state.write_u64(v);
+        }
+    }
+}
+
+/// Multiply-rotate hasher for [`BucketKey`]s (the `FxHasher` recipe).
+/// Unseeded, so table growth — and with it every allocation count — is
+/// the same in every process. The keys are field values of guards the
+/// verifier admitted, at most [`plexus_filter::MAX_ENUMERATED_KEYS`] per
+/// handler; packet contents only ever look keys up.
+#[derive(Default)]
+struct KeyHasher(u64);
+
+impl Hasher for KeyHasher {
+    fn write(&mut self, bytes: &[u8]) {
+        for b in bytes {
+            self.write_u64(u64::from(*b));
+        }
+    }
+
+    fn write_u8(&mut self, v: u8) {
+        self.write_u64(u64::from(v));
+    }
+
+    fn write_u64(&mut self, v: u64) {
+        self.0 = (self.0.rotate_left(5) ^ v).wrapping_mul(0x517c_c1b7_2722_0a95);
+    }
+
+    fn finish(&self) -> u64 {
+        self.0
+    }
+}
+
+/// An id-sorted (= install-ordered) list of entries.
+type EntryList<T> = Vec<Rc<Entry<T>>>;
+
+/// Position of the entry `id` in an id-sorted list.
+fn find_id<T>(list: &[Rc<Entry<T>>], id: HandlerId) -> Option<usize> {
+    list.binary_search_by_key(&id.0, |e| e.id.0).ok()
+}
+
+/// Removes the entry `id` from an id-sorted list, if present.
+fn remove_id<T>(list: &mut EntryList<T>, id: HandlerId) {
+    if let Some(at) = find_id(list, id) {
+        list.remove(at);
+    }
+}
+
+/// One immutable generation of an event table: the live entries and the
+/// demultiplexing index over those whose verified guards have a
+/// statically bounded acceptance ([`DemuxKey::extract`]).
+///
+/// A raise clones the `Rc` of the current generation and walks it
+/// undisturbed; install and uninstall go through `Rc::make_mut`, in place
+/// when no raise holds the generation and copy-on-write when one does.
 ///
 /// Soundness: a bucket only ever *narrows* the candidate set. An indexed
 /// entry appears under every key its guard may accept (the enumerated
@@ -457,7 +525,11 @@ struct BucketKey {
 /// buckets has a guard that provably rejects the packet; candidates still
 /// run their full guard. Entries whose guards are not indexable carry no
 /// key and are always evaluated.
-struct DemuxState<T> {
+struct Gen<T> {
+    /// Every live entry, in install order.
+    entries: EntryList<T>,
+    /// The entries that occupy no bucket; an indexed raise visits them all.
+    unindexed: EntryList<T>,
     /// Monomorphized schema-field reader, taken from the first indexed
     /// guard (all guards of one event kind share `read_field_key`).
     read: Option<fn(&T, FieldKey) -> Option<u64>>,
@@ -466,20 +538,42 @@ struct DemuxState<T> {
     /// Live indexed entries per field mask — the masks the probe must
     /// try. `BTreeMap` so probe order is deterministic.
     mask_counts: BTreeMap<u8, usize>,
-    /// `(mask, values) -> handler ids`, in install order per bucket.
-    buckets: HashMap<BucketKey, Vec<HandlerId>>,
-    /// Total live indexed entries.
-    indexed: usize,
+    /// `(mask, values) -> entries`, in install order per bucket. An entry
+    /// sits under exactly one mask, and one probe reads at most one
+    /// bucket per mask, so no raise meets an entry twice.
+    buckets: HashMap<BucketKey, EntryList<T>, BuildHasherDefault<KeyHasher>>,
 }
 
-impl<T> Default for DemuxState<T> {
-    fn default() -> DemuxState<T> {
-        DemuxState {
+impl<T> Gen<T> {
+    /// Live entries that occupy buckets.
+    fn indexed(&self) -> usize {
+        self.entries.len() - self.unindexed.len()
+    }
+}
+
+impl<T> Default for Gen<T> {
+    fn default() -> Gen<T> {
+        Gen {
+            entries: Vec::new(),
+            unindexed: Vec::new(),
             read: None,
             schema: None,
             mask_counts: BTreeMap::new(),
-            buckets: HashMap::new(),
-            indexed: 0,
+            buckets: HashMap::default(),
+        }
+    }
+}
+
+// Not derived: that would ask for `T: Clone`.
+impl<T> Clone for Gen<T> {
+    fn clone(&self) -> Gen<T> {
+        Gen {
+            entries: self.entries.clone(),
+            unindexed: self.unindexed.clone(),
+            read: self.read,
+            schema: self.schema,
+            mask_counts: self.mask_counts.clone(),
+            buckets: self.buckets.clone(),
         }
     }
 }
@@ -487,17 +581,17 @@ impl<T> Default for DemuxState<T> {
 /// Enumerates the bucket keys a key spec occupies: the bound-field mask
 /// and the cross product of its `In` sets, in schema order. Bounded by
 /// [`plexus_filter::MAX_ENUMERATED_KEYS`] at extraction time.
-fn enumerate_keys(spec: &KeySpec) -> (u8, Vec<Vec<u64>>) {
+fn enumerate_keys(spec: &KeySpec) -> (u8, Vec<[u64; KEY_WIDTH]>) {
     let mut mask = 0u8;
-    let mut combos: Vec<Vec<u64>> = vec![Vec::new()];
+    let mut combos = vec![[0u64; KEY_WIDTH]];
     for (i, field) in spec.fields().iter().enumerate() {
         if let FieldSpec::In(vals) = field {
             mask |= 1 << i;
             let mut next = Vec::with_capacity(combos.len() * vals.len());
             for combo in &combos {
                 for v in vals {
-                    let mut c = combo.clone();
-                    c.push(*v);
+                    let mut c = *combo;
+                    c[i] = *v;
                     next.push(c);
                 }
             }
@@ -507,10 +601,44 @@ fn enumerate_keys(spec: &KeySpec) -> (u8, Vec<Vec<u64>>) {
     (mask, combos)
 }
 
+/// Walks id-sorted entry lists as one, by ascending [`HandlerId`].
+struct MergeWalk<'g, T> {
+    lists: [&'g [Rc<Entry<T>>]; MAX_LISTS],
+    len: usize,
+}
+
+impl<'g, T> MergeWalk<'g, T> {
+    fn new() -> MergeWalk<'g, T> {
+        MergeWalk {
+            lists: [&[]; MAX_LISTS],
+            len: 0,
+        }
+    }
+
+    fn push(&mut self, list: &'g [Rc<Entry<T>>]) {
+        self.lists[self.len] = list;
+        self.len += 1;
+    }
+}
+
+impl<'g, T> Iterator for MergeWalk<'g, T> {
+    type Item = &'g Entry<T>;
+
+    fn next(&mut self) -> Option<&'g Entry<T>> {
+        let lists = &mut self.lists[..self.len];
+        let next = lists
+            .iter_mut()
+            .filter(|l| !l.is_empty())
+            .min_by_key(|l| l[0].id.0)?;
+        let (entry, rest) = next.split_first()?;
+        *next = rest;
+        Some(entry)
+    }
+}
+
 struct Table<T> {
     name: String,
-    entries: RefCell<Vec<Rc<Entry<T>>>>,
-    demux: RefCell<DemuxState<T>>,
+    gen: RefCell<Rc<Gen<T>>>,
 }
 
 /// Type-erased view of a [`Table`] for graph introspection.
@@ -526,13 +654,9 @@ impl<T> TableInfo for Table<T> {
     }
 
     fn live_counts(&self) -> (usize, usize) {
-        let entries = self.entries.borrow();
-        let live = entries.iter().filter(|e| !e.removed.get()).count();
-        let guarded = entries
-            .iter()
-            .filter(|e| !e.removed.get() && e.guard.is_some())
-            .count();
-        (live, guarded)
+        let gen = self.gen.borrow();
+        let guarded = gen.entries.iter().filter(|e| e.guard.is_some()).count();
+        (gen.entries.len(), guarded)
     }
 }
 
@@ -685,8 +809,7 @@ impl Dispatcher {
         let index = tables.len();
         let table = Rc::new(Table::<T> {
             name: name.to_string(),
-            entries: RefCell::new(Vec::new()),
-            demux: RefCell::new(DemuxState::default()),
+            gen: RefCell::new(Rc::default()),
         });
         tables.push((table.clone() as Rc<dyn Any>, table as Rc<dyn TableInfo>));
         names.insert(name.to_string(), index);
@@ -809,44 +932,31 @@ impl Dispatcher {
         let id = HandlerId(self.next_handler.get());
         self.next_handler.set(id.0 + 1);
         let table = self.table(event);
+        let mut slot = table.gen.borrow_mut();
+        let gen = Rc::make_mut(&mut slot);
 
         // Index the entry if its guard carries an extractable key. The
         // entry's stored `key` stays `None` unless the index actually
-        // accepted it — the raise path's skip test relies on "has a key"
+        // accepts it — the raise path's skip test relies on "has a key"
         // implying "is in the buckets".
         let (key, read) = match &guard {
             Some(Guard::Verified(vg)) => (vg.key().cloned(), Some(vg.read)),
             _ => (None, None),
         };
-        let key = key.and_then(|spec| {
-            let mut demux = table.demux.borrow_mut();
-            let schema = key_schema(spec.kind());
-            if demux.schema.get_or_insert(schema) != &schema {
-                // A guard of a different event kind on the same table
-                // (possible only with an exotic `Packet` impl): leave it
-                // on the linear path rather than mix schemas.
-                return None;
-            }
-            let (mask, combos) = enumerate_keys(&spec);
-            if mask == 0 {
-                return None;
-            }
-            if demux.read.is_none() {
-                demux.read = read;
-            }
-            *demux.mask_counts.entry(mask).or_insert(0) += 1;
-            for vals in combos {
-                demux
-                    .buckets
-                    .entry(BucketKey { mask, vals })
-                    .or_default()
-                    .push(id);
-            }
-            demux.indexed += 1;
-            Some(spec)
-        });
-
-        table.entries.borrow_mut().push(Rc::new(Entry {
+        let (key, slots) = key
+            .and_then(|spec| {
+                let schema = key_schema(spec.kind());
+                if schema.len() > KEY_WIDTH || *gen.schema.get_or_insert(schema) != schema {
+                    // Wider than a bucket key, or a guard of a different
+                    // event kind on the same table (possible only with an
+                    // exotic `Packet` impl): leave it on the linear path.
+                    return None;
+                }
+                let (mask, combos) = enumerate_keys(&spec);
+                (mask != 0).then_some((spec, (mask, combos)))
+            })
+            .unzip();
+        let entry = Rc::new(Entry {
             id,
             guard,
             handler,
@@ -855,70 +965,78 @@ impl Dispatcher {
             owner: Rc::from(owner),
             key,
             removed: Cell::new(false),
-        }));
+        });
+        match slots {
+            Some((mask, combos)) => {
+                gen.read = gen.read.or(read);
+                *gen.mask_counts.entry(mask).or_insert(0) += 1;
+                for vals in combos {
+                    gen.buckets
+                        .entry(BucketKey { mask, vals })
+                        .or_default()
+                        .push(entry.clone());
+                }
+            }
+            None => gen.unindexed.push(entry.clone()),
+        }
+        gen.entries.push(entry);
         id
     }
 
-    /// Removes a handler (and its demux-index buckets). Returns `false` if
-    /// it was not installed (or was already removed). Safe to call from
-    /// inside a handler.
+    /// Removes a handler (and its demux-index buckets) and releases it:
+    /// its closure, guard program and owner label are dropped here, or
+    /// when the last raise still walking an older generation returns.
+    /// Returns `false` if it was not installed (or was already removed).
+    /// Safe to call from inside a handler.
     pub fn uninstall<T: 'static>(&self, event: Event<T>, id: HandlerId) -> bool {
         let table = self.table(event);
-        let mut found: Option<Option<KeySpec>> = None;
-        {
-            let entries = table.entries.borrow();
-            for e in entries.iter() {
-                if e.id == id && !e.removed.get() {
-                    e.removed.set(true);
-                    found = Some(e.key.clone());
-                    break;
-                }
-            }
-        }
-        let Some(key) = found else {
+        let mut slot = table.gen.borrow_mut();
+        let Some(at) = find_id(&slot.entries, id) else {
             return false;
         };
-        if let Some(spec) = key {
-            let mut demux = table.demux.borrow_mut();
-            let (mask, combos) = enumerate_keys(&spec);
-            for vals in combos {
-                let bk = BucketKey { mask, vals };
-                if let Some(ids) = demux.buckets.get_mut(&bk) {
-                    ids.retain(|x| *x != id);
-                    if ids.is_empty() {
-                        demux.buckets.remove(&bk);
+        let gen = Rc::make_mut(&mut slot);
+        let entry = gen.entries.remove(at);
+        // A raise in flight holds the generation that still lists the
+        // entry; the flag is what makes it skip the entry from here on.
+        entry.removed.set(true);
+        match &entry.key {
+            Some(spec) => {
+                let (mask, combos) = enumerate_keys(spec);
+                for vals in combos {
+                    let bk = BucketKey { mask, vals };
+                    if let Some(bucket) = gen.buckets.get_mut(&bk) {
+                        remove_id(bucket, id);
+                        if bucket.is_empty() {
+                            gen.buckets.remove(&bk);
+                        }
+                    }
+                }
+                if let Some(count) = gen.mask_counts.get_mut(&mask) {
+                    *count -= 1;
+                    if *count == 0 {
+                        gen.mask_counts.remove(&mask);
                     }
                 }
             }
-            if let Some(count) = demux.mask_counts.get_mut(&mask) {
-                *count -= 1;
-                if *count == 0 {
-                    demux.mask_counts.remove(&mask);
-                }
-            }
-            demux.indexed -= 1;
+            None => remove_id(&mut gen.unindexed, id),
         }
+        // Release the table before the entry: what its closure captured
+        // may call back into the dispatcher as it drops.
+        drop(slot);
+        drop(entry);
         true
     }
 
     /// Number of live handlers installed on `event`.
     pub fn handler_count<T: 'static>(&self, event: Event<T>) -> usize {
-        self.table(event)
-            .entries
-            .borrow()
-            .iter()
-            .filter(|e| !e.removed.get())
-            .count()
+        self.table(event).gen.borrow().entries.len()
     }
 
     /// Whether the installed handler is certified ephemeral.
     pub fn is_ephemeral<T: 'static>(&self, event: Event<T>, id: HandlerId) -> Option<bool> {
-        self.table(event)
-            .entries
-            .borrow()
-            .iter()
-            .find(|e| e.id == id && !e.removed.get())
-            .map(|e| e.ephemeral)
+        let table = self.table(event);
+        let gen = table.gen.borrow();
+        find_id(&gen.entries, id).map(|at| gen.entries[at].ephemeral)
     }
 
     /// Raises `event` with `arg`: evaluates each live handler's guard and
@@ -952,13 +1070,17 @@ impl Dispatcher {
     fn raise_on_table<T: 'static>(
         &self,
         ctx: &mut RaiseCtx<'_>,
-        table: &Rc<Table<T>>,
+        table: &Table<T>,
         arg: &T,
         charge_fixed: bool,
     ) -> RaiseOutcome {
-        let model = ctx.lease.model().clone();
+        // The charges a raise makes, read once.
+        let model = ctx.lease.model();
+        let (raise_cost, probe_cost) = (model.dispatch_raise, model.demux_probe);
+        let (guard_cost, handler_cost) = (model.guard_eval, model.dispatch_handler);
+        let thread_cost = model.thread_spawn + model.context_switch;
         if charge_fixed {
-            ctx.lease.charge(model.dispatch_raise);
+            ctx.lease.charge(raise_cost);
         }
 
         // Flight recorder, if the raising CPU carries one. Held as an
@@ -969,107 +1091,92 @@ impl Dispatcher {
             r.count(Scope::Event, lbl, "raises", 1);
         }
 
-        // Snapshot the entry list so handlers can install/uninstall without
-        // aliasing the `RefCell` borrow; entries removed mid-raise are
-        // skipped via their `removed` flag.
-        let entries: Vec<Rc<Entry<T>>> = table.entries.borrow().iter().cloned().collect();
+        // Hold the current generation for the whole raise: handlers may
+        // install (seen from the next raise on) and uninstall (skipped from
+        // then on via the `removed` flag) without disturbing the walk.
+        let gen = table.gen.borrow().clone();
 
         let mut outcome = RaiseOutcome::default();
         let mut stats = self.stats.get();
         stats.raises = stats.raises.saturating_add(1);
 
-        // Demux fast path: one hash probe selects the indexed candidates.
-        // The borrow is dropped before the walk — handlers may install
-        // mid-raise, which needs `demux` mutably.
-        let mut candidates: Option<HashSet<HandlerId>> = None;
-        let mut read_fn: Option<fn(&T, FieldKey) -> Option<u64>> = None;
-        if self.demux_enabled.get() {
-            let demux = table.demux.borrow();
-            if demux.indexed > 0 {
-                // The probe costs one keyed lookup — the index replaces N
-                // guard runs with it. Charged and counted as its own
-                // `demux_probe`, not a guard evaluation. In a batch only
-                // the first raise pays it: the bucket walk stays warm in
-                // cache for the rest.
-                if charge_fixed {
-                    ctx.lease.charge(model.demux_probe);
-                    stats.demux_probes = stats.demux_probes.saturating_add(1);
-                    if let (Some(r), Some(lbl)) = (&rec, ev_label) {
-                        r.count(Scope::Event, lbl, "demux.probes", 1);
-                    }
-                }
-                read_fn = demux.read;
-                let read = demux.read.expect("indexed entries carry a reader");
-                let schema = demux.schema.expect("indexed entries carry a schema");
-                let mut selected = HashSet::new();
-                for (&mask, _) in demux.mask_counts.iter() {
-                    let mut vals = Vec::new();
-                    let mut readable = true;
-                    for (i, key) in schema.iter().enumerate() {
-                        if mask & (1 << i) != 0 {
-                            match read(arg, *key) {
-                                Some(v) => vals.push(v),
-                                None => {
-                                    // Guards under this mask load this
-                                    // field; a failed load rejects in
-                                    // eval, so none can match.
-                                    readable = false;
-                                    break;
-                                }
-                            }
-                        }
-                    }
-                    if !readable {
-                        continue;
-                    }
-                    if let Some(ids) = demux.buckets.get(&BucketKey { mask, vals }) {
-                        selected.extend(ids.iter().copied());
-                    }
-                }
-                candidates = Some(selected);
-            }
-        }
-        let probed = candidates.is_some();
+        // Demux fast path: one keyed lookup per live field mask selects
+        // the indexed candidates; the walk then merges those buckets with
+        // the unindexed entries and never touches the rest.
+        let index = (self.demux_enabled.get() && gen.indexed() > 0).then(|| {
+            (
+                gen.read.expect("indexed entries carry a reader"),
+                gen.schema.expect("indexed entries carry a schema"),
+            )
+        });
         let mut avoided: u64 = 0;
         let mut saw_guard = false;
+        let mut walk = MergeWalk::new();
+        if let Some((read, schema)) = index {
+            // The probe costs one keyed lookup — the index replaces N
+            // guard runs with it. Charged and counted as its own
+            // `demux_probe`, not a guard evaluation. In a batch only
+            // the first raise pays it: the bucket walk stays warm in
+            // cache for the rest.
+            if charge_fixed {
+                ctx.lease.charge(probe_cost);
+                stats.demux_probes = stats.demux_probes.saturating_add(1);
+                if let (Some(r), Some(lbl)) = (&rec, ev_label) {
+                    r.count(Scope::Event, lbl, "demux.probes", 1);
+                }
+            }
+            walk.push(&gen.unindexed);
+            let mut selected = 0;
+            for &mask in gen.mask_counts.keys() {
+                let mut vals = [0u64; KEY_WIDTH];
+                // Guards under this mask load each bound field; a failed
+                // load rejects in eval, so none of them can match.
+                let readable = schema.iter().enumerate().all(|(i, key)| {
+                    mask & (1 << i) == 0 || read(arg, *key).map(|v| vals[i] = v).is_some()
+                });
+                if !readable {
+                    continue;
+                }
+                if let Some(bucket) = gen.buckets.get(&BucketKey { mask, vals }) {
+                    selected += bucket.len();
+                    walk.push(bucket);
+                }
+            }
+            // Every indexed entry outside the probed buckets provably
+            // rejects: counted here, never visited.
+            avoided = (gen.indexed() - selected) as u64;
+            outcome.rejected = avoided as u32;
+        } else {
+            walk.push(&gen.entries);
+        }
 
-        for entry in entries {
+        for entry in walk {
             if entry.removed.get() {
                 continue;
             }
             if entry.guard.is_some() {
                 saw_guard = true;
             }
-            // Indexed entries the probe did not select (or whose live
-            // `NotIn` port sets exclude the packet) are skipped without
-            // evaluating the guard: the index proves the guard rejects, so
-            // the outcome is identical to the linear scan — minus the
-            // eval, its charge, and its trace record.
-            if let (Some(selected), Some(spec)) = (&candidates, &entry.key) {
-                let mut skip = !selected.contains(&entry.id);
-                if !skip {
-                    if let Some(read) = read_fn {
-                        let schema = key_schema(spec.kind());
-                        for (i, field) in spec.fields().iter().enumerate() {
-                            if let FieldSpec::NotIn(sets) = field {
-                                // Live membership, mirroring JInSet's
-                                // u16-truncated semantics: a member (or an
-                                // unreadable field) cannot reach accept.
-                                let member = match read(arg, schema[i]) {
-                                    None => true,
-                                    Some(v) => u16::try_from(v)
-                                        .map(|p| sets.iter().any(|s| s.contains(p)))
-                                        .unwrap_or(false),
-                                };
-                                if member {
-                                    skip = true;
-                                    break;
-                                }
-                            }
-                        }
+            // A candidate whose live `NotIn` port sets exclude the packet
+            // is skipped without evaluating the guard: the outcome is
+            // identical to the linear scan — minus the eval, its charge,
+            // and its trace record.
+            if let (Some((read, schema)), Some(spec)) = (index, &entry.key) {
+                let excluded = spec.fields().iter().enumerate().any(|(i, field)| {
+                    let FieldSpec::NotIn(sets) = field else {
+                        return false;
+                    };
+                    // Live membership, mirroring JInSet's u16-truncated
+                    // semantics: a member (or an unreadable field) cannot
+                    // reach accept.
+                    match read(arg, schema[i]) {
+                        None => true,
+                        Some(v) => u16::try_from(v)
+                            .map(|p| sets.iter().any(|s| s.contains(p)))
+                            .unwrap_or(false),
                     }
-                }
-                if skip {
+                });
+                if excluded {
                     outcome.rejected += 1;
                     avoided += 1;
                     continue;
@@ -1077,7 +1184,7 @@ impl Dispatcher {
             }
             if let Some(guard) = &entry.guard {
                 stats.guard_evals = stats.guard_evals.saturating_add(1);
-                ctx.lease.charge(model.guard_eval);
+                ctx.lease.charge(guard_cost);
                 let (matched, kind) = match guard {
                     Guard::Closure(f) => (f(arg), GuardKind::Closure),
                     Guard::Verified(vg) => {
@@ -1123,9 +1230,9 @@ impl Dispatcher {
                 }
             }
             if entry.mode == HandlerMode::Thread {
-                ctx.lease.charge(model.thread_spawn + model.context_switch);
+                ctx.lease.charge(thread_cost);
             }
-            ctx.lease.charge(model.dispatch_handler);
+            ctx.lease.charge(handler_cost);
             stats.invocations = stats.invocations.saturating_add(1);
             outcome.invoked += 1;
 
@@ -1163,7 +1270,7 @@ impl Dispatcher {
                 }
             }
         }
-        if probed {
+        if index.is_some() {
             stats.demux_hits = stats.demux_hits.saturating_add(1);
             stats.demux_skipped = stats.demux_skipped.saturating_add(avoided);
             if let (Some(r), Some(lbl)) = (&rec, ev_label) {
@@ -2083,6 +2190,136 @@ mod tests {
         };
         assert_eq!(d.raise(&mut ctx, ev, &UdpArg { dst_port: 53 }).invoked, 1);
         assert_eq!(d.raise(&mut ctx, ev, &UdpArg { dst_port: 53 }).invoked, 2);
+    }
+
+    #[test]
+    fn bucket_keys_fit_every_schema() {
+        use plexus_filter::EventKind::{EthRecv, IpRecv, TcpRecv, UdpRecv};
+        for kind in [EthRecv, IpRecv, UdpRecv, TcpRecv] {
+            assert!(
+                key_schema(kind).len() <= KEY_WIDTH,
+                "{kind}: widen KEY_WIDTH, or its guards go unindexed"
+            );
+        }
+    }
+
+    #[test]
+    fn mid_raise_uninstall_of_an_unselected_entry_still_counts_as_rejected() {
+        // The one count the index decides by arithmetic: the port-80 entry
+        // is indexed and not selected by a port-53 packet, so the raise has
+        // counted it as rejected before the first handler runs — even
+        // though that handler then uninstalls it. The linear walk finds it
+        // removed and passes over it uncounted.
+        let run = |demux: bool| {
+            let (mut engine, cpu) = ctx_parts();
+            let d = Dispatcher::new();
+            d.set_demux_enabled(demux);
+            let ev = d.define_event::<UdpArg>("Udp.MidRaiseCount");
+            let victim: Rc<Cell<Option<HandlerId>>> = Rc::new(Cell::new(None));
+            let (d2, v) = (d.clone(), victim.clone());
+            d.install(
+                ev,
+                HandlerSpec::new(move |_, _: &UdpArg| {
+                    d2.uninstall(ev, v.get().expect("set before the raise"));
+                })
+                .guard(Guard::verified(port_program(53))),
+            );
+            victim.set(Some(d.install(
+                ev,
+                HandlerSpec::new(|_, _: &UdpArg| {}).guard(Guard::verified(port_program(80))),
+            )));
+            let mut lease = cpu.begin(SimTime::ZERO);
+            let mut ctx = RaiseCtx {
+                engine: &mut engine,
+                lease: &mut lease,
+            };
+            let first = d.raise(&mut ctx, ev, &UdpArg { dst_port: 53 });
+            assert_eq!(first.invoked, 1);
+            assert_eq!(d.handler_count(ev), 1);
+            // From the next raise on the two regimes agree again.
+            assert_eq!(d.raise(&mut ctx, ev, &UdpArg { dst_port: 53 }).rejected, 0);
+            (first.rejected, d.stats().demux_skipped)
+        };
+        assert_eq!(run(true), (1, 1));
+        assert_eq!(run(false), (0, 0));
+    }
+
+    #[test]
+    fn uninstall_releases_the_entry() {
+        let (mut engine, cpu) = ctx_parts();
+        let d = Dispatcher::new();
+        let ev = d.define_event::<UdpArg>("Udp.Released");
+        let captured = Rc::new(());
+        let mut ids = Vec::new();
+        // One indexed, one unindexed: both kinds of list must let go.
+        for guard in [Some(Guard::verified(port_program(53))), None] {
+            let c = captured.clone();
+            ids.push(
+                d.install(
+                    ev,
+                    HandlerSpec::ephemeral(Ephemeral::certify(
+                        move |_: &mut RaiseCtx, _: &UdpArg| {
+                            let _ = &c;
+                        },
+                    ))
+                    .guard_opt(guard)
+                    .interrupt(),
+                ),
+            );
+        }
+        assert_eq!(Rc::strong_count(&captured), 3);
+        let mut lease = cpu.begin(SimTime::ZERO);
+        let mut ctx = RaiseCtx {
+            engine: &mut engine,
+            lease: &mut lease,
+        };
+        d.raise(&mut ctx, ev, &UdpArg { dst_port: 53 });
+        for (left, id) in [(1, ids[0]), (0, ids[1])] {
+            assert!(d.uninstall(ev, id));
+            assert_eq!(Rc::strong_count(&captured), 1 + left, "closure dropped");
+            assert_eq!(d.handler_count(ev), left);
+            assert_eq!(d.is_ephemeral(ev, id), None);
+            assert_eq!(d.event_summary()[0].handlers, left);
+        }
+        assert_eq!(d.event_summary()[0].guarded, 0);
+        assert_eq!(d.raise(&mut ctx, ev, &UdpArg { dst_port: 53 }).invoked, 0);
+    }
+
+    #[test]
+    fn a_handler_uninstalled_mid_raise_is_released_when_the_raise_returns() {
+        let (mut engine, cpu) = ctx_parts();
+        let d = Dispatcher::new();
+        let ev = d.define_event::<u32>("SelfReleasing");
+        let captured = Rc::new(());
+        let observed = Rc::new(Cell::new(0));
+        let id_cell: Rc<Cell<Option<HandlerId>>> = Rc::new(Cell::new(None));
+        let (d2, idc, c, o) = (
+            d.clone(),
+            id_cell.clone(),
+            captured.clone(),
+            observed.clone(),
+        );
+        id_cell.set(Some(d.install(
+            ev,
+            HandlerSpec::new(move |_, _| {
+                d2.uninstall(ev, idc.get().expect("id set before raise"));
+                // Still running: the raise keeps its generation alive.
+                o.set(Rc::strong_count(&c));
+            }),
+        )));
+        let mut lease = cpu.begin(SimTime::ZERO);
+        let mut ctx = RaiseCtx {
+            engine: &mut engine,
+            lease: &mut lease,
+        };
+        d.raise(&mut ctx, ev, &0);
+        assert_eq!(observed.get(), 2, "alive while its own raise walks");
+        assert_eq!(
+            Rc::strong_count(&captured),
+            1,
+            "dropped with the old generation"
+        );
+        assert_eq!(d.handler_count(ev), 0);
     }
 
     #[test]

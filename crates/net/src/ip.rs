@@ -25,6 +25,9 @@ pub mod proto {
 /// Length of an IPv4 header without options.
 pub const IP_HDR_LEN: usize = 20;
 
+/// Length of the largest legal IPv4 header (IHL 15).
+const MAX_IP_HDR_LEN: usize = 60;
+
 /// Default initial TTL.
 pub const DEFAULT_TTL: u8 = 64;
 
@@ -263,12 +266,14 @@ impl Reassembler {
     /// `(header, payload)`. Fragments are held until their group completes,
     /// at which point the reassembled `(header, payload)` is returned.
     pub fn offer(&mut self, dgram: &Mbuf, now_ns: u64) -> Option<(IpHeader, Mbuf)> {
-        // Only the header is inspected up front: copy at most the largest
-        // legal IP header instead of flattening the whole datagram (the
-        // receive path offers every packet, so this runs per arrival).
-        let mut bytes = Vec::with_capacity(60);
-        dgram.copy_into(0, dgram.total_len().min(60), &mut bytes);
-        let v: IpView = plexus_kernel::view::view(&bytes)?;
+        // Only the header is inspected up front: peek at most the largest
+        // legal IP header into a stack buffer instead of flattening the
+        // datagram (the receive path offers every packet, so this runs
+        // per arrival).
+        let mut bytes = [0u8; MAX_IP_HDR_LEN];
+        let peek = dgram.total_len().min(MAX_IP_HDR_LEN);
+        dgram.read_at(0, &mut bytes[..peek]);
+        let v: IpView = plexus_kernel::view::view(&bytes[..peek])?;
         if !v.checksum_ok() || v.version() != 4 {
             return None;
         }
@@ -511,7 +516,7 @@ mod tests {
 
     #[test]
     fn offer_fast_path_allocates_no_clusters() {
-        // The pre-parse header peek is a bounded stack-of-the-Vec copy and
+        // The pre-parse header peek is a bounded copy into a stack buffer and
         // the non-fragment result is a range view sharing the input's
         // storage — offering a whole datagram must not touch the cluster
         // pool. This pins the removal of the old full `to_vec()` flatten.

@@ -743,6 +743,266 @@ mod demux_equivalence {
             );
         }
     }
+
+    // -----------------------------------------------------------------------
+    // Generation swap: random interleavings of install / uninstall / raise on
+    // one table — installs and uninstalls issued from inside handlers
+    // mid-raise included — run on an indexed dispatcher, on the linear
+    // reference, and on a plain `Vec` model of the live handlers.
+    // -----------------------------------------------------------------------
+
+    use plexus::kernel::dispatcher::{Event, HandlerId, RaiseOutcome};
+
+    /// What a handler does to its own table when it runs.
+    #[derive(Debug, Clone)]
+    enum Action {
+        /// Installs one more (action-free) handler, the first time only.
+        Install(GuardKind),
+        /// Uninstalls the `n`-th handler ever installed (mod how many).
+        Uninstall(usize),
+    }
+
+    #[derive(Debug, Clone)]
+    enum Step {
+        Install(GuardKind, Vec<Action>),
+        Uninstall(usize),
+        Raise(u16, u16),
+        Mutate(bool, u16),
+    }
+
+    fn action() -> impl Strategy<Value = Action> {
+        prop_oneof![
+            guard_kind().prop_map(Action::Install),
+            (0usize..64).prop_map(Action::Uninstall),
+        ]
+    }
+
+    fn step() -> impl Strategy<Value = Step> {
+        let install = || {
+            (guard_kind(), proptest::collection::vec(action(), 0..3))
+                .prop_map(|(k, a)| Step::Install(k, a))
+        };
+        let raise = || (0u16..8, 0u16..8).prop_map(|(s, d)| Step::Raise(s, d));
+        // Installs and raises listed twice: the arms are picked uniformly.
+        prop_oneof![
+            install(),
+            install(),
+            (0usize..64).prop_map(Step::Uninstall),
+            raise(),
+            raise(),
+            (any::<bool>(), 0u16..8).prop_map(|(i, p)| Step::Mutate(i, p)),
+        ]
+    }
+
+    /// One dispatcher under the script. Handlers are numbered in install
+    /// order ("slots"), mid-raise installs included.
+    struct Rig {
+        d: Rc<Dispatcher>,
+        ev: Event<Dgram>,
+        shared: PortSet,
+        slots: RefCell<Vec<HandlerId>>,
+        log: RefCell<Vec<usize>>,
+    }
+
+    impl Rig {
+        fn new(demux: bool, shared: &PortSet) -> Rc<Rig> {
+            let d = Dispatcher::new();
+            d.set_demux_enabled(demux);
+            let ev = d.define_event::<Dgram>("Udp.Swap");
+            Rc::new(Rig {
+                d,
+                ev,
+                shared: shared.clone(),
+                slots: RefCell::new(Vec::new()),
+                log: RefCell::new(Vec::new()),
+            })
+        }
+
+        fn install(self: &Rc<Self>, kind: &GuardKind, actions: Vec<Action>) {
+            let slot = self.slots.borrow().len();
+            let rig = self.clone();
+            let fired = std::cell::Cell::new(false);
+            let id = self.d.install(
+                self.ev,
+                HandlerSpec::new(move |_, _: &Dgram| {
+                    rig.log.borrow_mut().push(slot);
+                    for a in &actions {
+                        match a {
+                            Action::Install(kind) if !fired.get() => rig.install(kind, Vec::new()),
+                            Action::Install(_) => {}
+                            Action::Uninstall(n) => {
+                                rig.uninstall(*n);
+                            }
+                        }
+                    }
+                    fired.set(true);
+                })
+                .guard_opt(build_guard(kind, &self.shared)),
+            );
+            self.slots.borrow_mut().push(id);
+        }
+
+        fn uninstall(&self, n: usize) -> bool {
+            let slots = self.slots.borrow();
+            !slots.is_empty() && self.d.uninstall(self.ev, slots[n % slots.len()])
+        }
+    }
+
+    /// The model's handler: what the dispatcher should remember of a slot.
+    struct ModelHandler {
+        kind: GuardKind,
+        actions: Vec<Action>,
+        fired: bool,
+        live: bool,
+    }
+
+    impl ModelHandler {
+        fn accepts(&self, src: u16, dst: u16, shared: &PortSet) -> bool {
+            match &self.kind {
+                GuardKind::None => true,
+                GuardKind::Closure(p) | GuardKind::EqDst(p) => dst == *p,
+                GuardKind::OneOfDst(ports) => ports.contains(&dst),
+                GuardKind::NotInShared => !shared.contains(dst),
+                GuardKind::EqSrc(p) => src == *p,
+            }
+        }
+
+        /// Whether the guard hashes into the demux index (an `In` set on
+        /// the one schema field of `UdpRecv`, the destination port).
+        fn indexed(&self) -> bool {
+            matches!(self.kind, GuardKind::EqDst(_) | GuardKind::OneOfDst(_))
+        }
+    }
+
+    #[derive(Default)]
+    struct Model {
+        slots: Vec<ModelHandler>,
+        log: Vec<usize>,
+    }
+
+    impl Model {
+        fn install(&mut self, kind: GuardKind, actions: Vec<Action>) {
+            self.slots.push(ModelHandler {
+                kind,
+                actions,
+                fired: false,
+                live: true,
+            });
+        }
+
+        fn uninstall(&mut self, n: usize) -> bool {
+            if self.slots.is_empty() {
+                return false;
+            }
+            let n = n % self.slots.len();
+            std::mem::replace(&mut self.slots[n].live, false)
+        }
+
+        /// `(live, guarded)`, as `event_summary` reports them.
+        fn counts(&self) -> (usize, usize) {
+            let live = self.slots.iter().filter(|h| h.live);
+            let guarded = live.clone().filter(|h| !matches!(h.kind, GuardKind::None));
+            (live.count(), guarded.count())
+        }
+
+        /// Raises over the handlers live *now*, in install order. Returns
+        /// the outcome of the linear walk and of the indexed one: they
+        /// differ only by the indexed, unselected entries an earlier
+        /// handler of this raise uninstalled, which the index has already
+        /// counted as rejected and the linear walk passes over uncounted.
+        fn raise(&mut self, src: u16, dst: u16, shared: &PortSet) -> (RaiseOutcome, RaiseOutcome) {
+            let snapshot: Vec<usize> = (0..self.slots.len())
+                .filter(|&s| self.slots[s].live)
+                .collect();
+            let probed = snapshot.iter().any(|&s| self.slots[s].indexed());
+            let mut out = RaiseOutcome::default();
+            let mut counted_by_index = 0;
+            for s in snapshot {
+                let h = &self.slots[s];
+                if !h.live {
+                    if probed && h.indexed() && !h.accepts(src, dst, shared) {
+                        counted_by_index += 1;
+                    }
+                    continue;
+                }
+                if !h.accepts(src, dst, shared) {
+                    out.rejected += 1;
+                    continue;
+                }
+                out.invoked += 1;
+                self.log.push(s);
+                let first = !std::mem::replace(&mut self.slots[s].fired, true);
+                for a in self.slots[s].actions.clone() {
+                    match a {
+                        Action::Install(kind) if first => self.install(kind, Vec::new()),
+                        Action::Install(_) => {}
+                        Action::Uninstall(n) => {
+                            self.uninstall(n);
+                        }
+                    }
+                }
+            }
+            let indexed = RaiseOutcome {
+                rejected: out.rejected + counted_by_index,
+                ..out
+            };
+            (out, indexed)
+        }
+    }
+
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(256))]
+
+        #[test]
+        fn install_uninstall_raise_interleavings_match_the_model(
+            steps in proptest::collection::vec(step(), 1..40),
+        ) {
+            let shared = PortSet::new();
+            let indexed = Rig::new(true, &shared);
+            let linear = Rig::new(false, &shared);
+            let mut model = Model::default();
+            let cpu = Cpu::new(CostModel::alpha_3000_400());
+            let mut engine = Engine::new();
+
+            for step in steps {
+                match step {
+                    Step::Install(kind, actions) => {
+                        indexed.install(&kind, actions.clone());
+                        linear.install(&kind, actions.clone());
+                        model.install(kind, actions);
+                    }
+                    Step::Uninstall(n) => {
+                        let expect = model.uninstall(n);
+                        prop_assert_eq!(indexed.uninstall(n), expect);
+                        prop_assert_eq!(linear.uninstall(n), expect);
+                    }
+                    Step::Raise(src_port, dst_port) => {
+                        let pkt = Dgram { src_port, dst_port };
+                        let mut lease = cpu.begin(SimTime::ZERO);
+                        let mut ctx = RaiseCtx { engine: &mut engine, lease: &mut lease };
+                        let (want_lin, want_idx) = model.raise(src_port, dst_port, &shared);
+                        prop_assert_eq!(linear.d.raise(&mut ctx, linear.ev, &pkt), want_lin);
+                        prop_assert_eq!(indexed.d.raise(&mut ctx, indexed.ev, &pkt), want_idx);
+                    }
+                    Step::Mutate(insert, port) => {
+                        if insert {
+                            shared.insert(port);
+                        } else {
+                            shared.remove(port);
+                        }
+                    }
+                }
+                prop_assert_eq!(&*linear.log.borrow(), &model.log, "linear order");
+                prop_assert_eq!(&*indexed.log.borrow(), &model.log, "indexed order");
+                let (live, guarded) = model.counts();
+                for rig in [&indexed, &linear] {
+                    prop_assert_eq!(rig.d.handler_count(rig.ev), live);
+                    let summary = rig.d.event_summary();
+                    prop_assert_eq!((summary[0].handlers, summary[0].guarded), (live, guarded));
+                }
+            }
+        }
+    }
 }
 
 // ---------------------------------------------------------------------------
