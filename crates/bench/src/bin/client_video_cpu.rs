@@ -35,6 +35,11 @@ fn main() {
             &rows
         )
     );
+    println!("Paper: \"the CPU utilization between the two operating systems was");
+    println!("similar\" because the framebuffer (10x slower than RAM) dominates —");
+    println!("the benefits of a customized protocol are masked when application");
+    println!("processing dwarfs protocol processing.");
+
     let mut report = BenchReport::new("client_video_cpu");
     report.scalar("spin/client_cpu", spin.utilization * 100.0, "percent");
     report.scalar("dunix/client_cpu", dunix.utilization * 100.0, "percent");
@@ -47,9 +52,4 @@ fn main() {
     report.count("spin/frames", spin.frames);
     report.count("dunix/frames", dunix.frames);
     report::emit(&report);
-
-    println!("Paper: \"the CPU utilization between the two operating systems was");
-    println!("similar\" because the framebuffer (10x slower than RAM) dominates —");
-    println!("the benefits of a customized protocol are masked when application");
-    println!("processing dwarfs protocol processing.");
 }

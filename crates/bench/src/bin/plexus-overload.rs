@@ -13,12 +13,12 @@ use plexus_bench::overload::{
 use plexus_bench::report::{self, BenchReport};
 use plexus_bench::table;
 use plexus_bench::udp_rtt::Link;
+use plexus_trace::timeline::percentile;
 
 fn percentile_us(samples_ns: &[u64], q: f64) -> f64 {
     let mut v = samples_ns.to_vec();
     v.sort_unstable();
-    let rank = ((q / 100.0) * v.len() as f64).ceil() as usize;
-    v[rank.clamp(1, v.len()) - 1] as f64 / 1000.0
+    percentile(&v, q) as f64 / 1000.0
 }
 
 fn add_point(report: &mut BenchReport, w: Workload, m: RxMode, p: &LoadPoint) {

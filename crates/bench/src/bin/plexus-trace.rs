@@ -1,141 +1,402 @@
-//! `plexus-trace` — replay a scenario with the flight recorder on and
-//! dump both exporters.
+//! `plexus-trace` — the observability CLI: replay a scenario once with
+//! the flight recorder and the live tier on, and emit whichever artifacts
+//! `--emit` names, all folded from that one run.
 //!
-//! Mirrors `plexus-verify`: a small CLI over the library crates. Given a
-//! scenario name (the `examples/` prefix is accepted and stripped, so
-//! `plexus-trace examples/udp_rtt` works), it rebuilds that scenario's
-//! world with a [`plexus_trace::Recorder`] installed, runs it on the
-//! simulated clock, and writes two files:
+//! | kind       | file                              | what                                   |
+//! |------------|-----------------------------------|----------------------------------------|
+//! | `trace`    | `<scenario>.trace.json`           | Chrome `trace_event` JSON (Perfetto)   |
+//! | `stats`    | `<scenario>.stats.json`           | counters and latency histograms        |
+//! | `profile`  | `<scenario>.profile.json`         | cycle attribution, span trees, waterfall |
+//! | `folded`   | `<scenario>.folded`               | folded stacks for `flamegraph.pl`      |
+//! | `timeline` | `<scenario>.timeline.json`        | fixed simulated-time windows           |
+//! | `journeys` | `<scenario>.journeys.json`        | cross-machine per-hop ledgers          |
+//! | `bench`    | `BENCH_timeline_<scenario>.json`  | worst-window metrics for `plexus-bench-diff` |
+//! | `health`   | `HEALTH_<scenario>.json`          | per-window SLO verdicts                |
 //!
-//! * `<scenario>.trace.json` — Chrome `trace_event` format; load it in
-//!   `chrome://tracing` or <https://ui.perfetto.dev>.
-//! * `<scenario>.stats.json` — counters (per guard/handler/domain) and
-//!   latency histograms.
+//! Every timestamp comes from the simulated clock, so every file is
+//! byte-identical across runs. Scenarios come from the registry in
+//! [`plexus_bench::scenarios`]; the `examples/` prefix is accepted and
+//! stripped, so `plexus-trace examples/udp_rtt` works.
 //!
-//! Because every timestamp comes from the simulated clock, running the
-//! same scenario twice produces byte-identical files.
-//!
-//! The scenario list is the shared registry in
-//! [`plexus_bench::scenarios`], the same one `plexus-profile` and
-//! `plexus-timeline` use.
-//!
-//! Usage:
+//! Exit code: 2 on a usage or internal error, 1 when `health` was emitted
+//! and any sealed window breached its SLO, 0 otherwise. The threshold
+//! flags override the scenario's declared SLO field by field, which is how
+//! CI proves the health gate can fail.
 //!
 //! ```text
-//! plexus-trace [-o DIR] [--stdout] SCENARIO...
+//! plexus-trace [-o DIR] [--stdout] [--emit KIND,...] [--window NS]
+//!              [--p99-ceiling-ns N] [--drop-ppm N] [--goodput-floor N]
+//!              [--skip-head N] SCENARIO...
 //! plexus-trace --list
 //! ```
 
+use std::cell::LazyCell;
+use std::collections::BTreeSet;
 use std::fs;
 use std::path::PathBuf;
 use std::process::ExitCode;
 
-use plexus_bench::scenarios;
+use plexus_bench::report::BenchReport;
+use plexus_bench::scenarios::{self, Scenario};
 use plexus_trace::export::{chrome_trace, stats_json};
+use plexus_trace::flame::folded;
+use plexus_trace::journey::{self, journeys_json, Journeys};
 use plexus_trace::json;
+use plexus_trace::live::{LiveReport, Slo};
+use plexus_trace::profile::{pingpong_waterfall, profile_json, Profile};
+use plexus_trace::timeline::{self, timeline_json, Timeline};
+
+/// Every `--emit` kind, in the order artifacts are written.
+const KINDS: [&str; 8] = [
+    "trace", "stats", "profile", "folded", "timeline", "journeys", "bench", "health",
+];
 
 fn usage() {
-    eprintln!("usage: plexus-trace [-o DIR] [--stdout] SCENARIO...");
+    eprintln!("usage: plexus-trace [-o DIR] [--stdout] [--emit KIND,...] [--window NS]");
+    eprintln!("                    [--p99-ceiling-ns N] [--drop-ppm N] [--goodput-floor N]");
+    eprintln!("                    [--skip-head N] SCENARIO...");
     eprintln!("       plexus-trace --list");
     eprintln!();
+    eprintln!("  -o DIR              write artifacts under DIR (default: .)");
+    eprintln!("  --stdout            print the artifacts instead of writing them");
+    eprintln!(
+        "  --emit KIND,...     default trace,stats; any of {}",
+        KINDS.join(",")
+    );
+    eprintln!("  --window NS         timeline window width (default: the scenario's)");
+    eprintln!("  --p99-ceiling-ns N  breach any window whose p99 exceeds N ns");
+    eprintln!("  --drop-ppm N        breach any window dropping more than N per million arrivals");
+    eprintln!("  --goodput-floor N   breach any online-sealed window completing fewer than N");
+    eprintln!("  --skip-head N       exempt the first N windows from the goodput floor");
+    eprintln!();
+    eprintln!("exit code: 2 usage/internal error, 1 SLO breach (with --emit health), else 0");
+    eprintln!();
     eprintln!("scenarios:");
-    for s in scenarios::SCENARIOS {
-        eprintln!("  {:<18} {}", s.name, s.help);
+    scenario_lines().for_each(|line| eprintln!("  {line}"));
+}
+
+fn scenario_lines() -> impl Iterator<Item = String> {
+    let line = |s: &Scenario| format!("{:<18} {}", s.name, s.help);
+    scenarios::SCENARIOS.iter().map(line)
+}
+
+struct Opts {
+    out_dir: PathBuf,
+    to_stdout: bool,
+    emit: Vec<&'static str>,
+    window_ns: Option<u64>,
+    p99_ceiling_ns: Option<u64>,
+    drop_ppm: Option<u64>,
+    goodput_floor: Option<u64>,
+    skip_head: Option<u64>,
+    scenarios: Vec<String>,
+}
+
+fn parse(mut args: impl Iterator<Item = String>) -> Result<Opts, String> {
+    let mut opts = Opts {
+        out_dir: PathBuf::from("."),
+        to_stdout: false,
+        emit: vec!["trace", "stats"],
+        window_ns: None,
+        p99_ceiling_ns: None,
+        drop_ppm: None,
+        goodput_floor: None,
+        skip_head: None,
+        scenarios: Vec::new(),
+    };
+    while let Some(arg) = args.next() {
+        let mut value = || args.next().ok_or(format!("{arg} needs a value"));
+        let number = |v: String| {
+            v.parse::<u64>()
+                .map_err(|_| format!("{arg} needs a non-negative integer, got {v:?}"))
+        };
+        match arg.as_str() {
+            "--stdout" => opts.to_stdout = true,
+            "-o" | "--out" => opts.out_dir = PathBuf::from(value()?),
+            "--emit" => {
+                opts.emit.clear();
+                for kind in value()?.split(',') {
+                    let known = KINDS.iter().find(|k| **k == kind);
+                    opts.emit
+                        .push(known.ok_or(format!("unknown --emit kind {kind:?}"))?);
+                }
+            }
+            "--window" => match number(value()?)? {
+                0 => return Err(String::from("--window needs a positive nanosecond count")),
+                ns => opts.window_ns = Some(ns),
+            },
+            "--p99-ceiling-ns" => opts.p99_ceiling_ns = Some(number(value()?)?),
+            "--drop-ppm" => opts.drop_ppm = Some(number(value()?)?),
+            "--goodput-floor" => opts.goodput_floor = Some(number(value()?)?),
+            "--skip-head" => opts.skip_head = Some(number(value()?)?),
+            flag if flag.starts_with('-') => return Err(format!("unknown flag {flag}")),
+            _ => opts.scenarios.push(arg),
+        }
     }
+    if opts.scenarios.is_empty() {
+        return Err(String::from("no scenario named"));
+    }
+    Ok(opts)
+}
+
+/// Replays `scenario` once and folds every requested artifact from that one
+/// recorder, returning `(file name, body)` pairs in [`KINDS`] order and
+/// whether a sealed window breached the SLO (known only with `health`).
+/// The folds that several kinds share are built lazily, at most once.
+fn observe(scenario: &Scenario, opts: &Opts) -> Result<(Vec<(String, String)>, bool), String> {
+    let name = scenario.name;
+    // The scenario's declared SLO with the CLI's overrides applied.
+    let base = scenario.slo.clone().unwrap_or_else(Slo::none);
+    let slo = Slo {
+        p99_ceiling_ns: opts.p99_ceiling_ns.or(base.p99_ceiling_ns),
+        drop_ppm_ceiling: opts.drop_ppm.or(base.drop_ppm_ceiling),
+        goodput_floor: opts.goodput_floor.or(base.goodput_floor),
+        skip_head: opts.skip_head.unwrap_or(base.skip_head),
+    };
+    let rec = scenario.run_with_slo(Some(slo.clone()));
+    eprintln!("{name}: {} records", rec.recorded());
+    if rec.overwritten() > 0 {
+        eprintln!(
+            "{name}: WARNING: ring (capacity {}) wrapped — {} records overwritten: stats carry \
+             trace.truncated.records, early timeline windows UNDER-REPORT, and orphan packets \
+             are EXCLUDED from profile aggregates and journeys (rerun with a larger ring)",
+            scenario.ring,
+            rec.overwritten()
+        );
+    }
+    let profile = LazyCell::new(|| Profile::build(&rec));
+    let journeys = LazyCell::new(|| journey::build(&profile));
+    let window_ns = opts.window_ns.unwrap_or(scenario.window_ns);
+    let timeline = LazyCell::new(|| timeline::build(&rec, window_ns));
+
+    let mut files = Vec::new();
+    let mut breached = false;
+    for kind in KINDS.iter().filter(|k| opts.emit.contains(k)) {
+        let (file, body) = match *kind {
+            "trace" => (format!("{name}.trace.json"), chrome_trace(&rec) + "\n"),
+            "stats" => (format!("{name}.stats.json"), stats_json(&rec) + "\n"),
+            "profile" => {
+                let waterfall = scenario
+                    .app_domain
+                    .map(|domain| pingpong_waterfall(&profile, domain))
+                    .transpose()
+                    .map_err(|e| format!("{name}: no waterfall: {e}"))?;
+                let body = profile_json(&profile, waterfall.as_ref(), scenario.detail);
+                (format!("{name}.profile.json"), body)
+            }
+            "folded" => (format!("{name}.folded"), folded(&profile)),
+            "timeline" => (format!("{name}.timeline.json"), timeline_json(&timeline)),
+            "journeys" => {
+                let body = journeys_json(&journeys, scenario.detail);
+                (format!("{name}.journeys.json"), body)
+            }
+            "bench" => {
+                let body = worst_window_report(name, &timeline, &journeys).to_json() + "\n";
+                (format!("BENCH_timeline_{name}.json"), body)
+            }
+            "health" => {
+                let rep = rec.live_report().expect("scenarios enable the live tier");
+                verdict_table(name, &rep);
+                breached = !rep.breaches.is_empty();
+                (format!("HEALTH_{name}.json"), health_json(name, &rep, &slo))
+            }
+            _ => unreachable!("every kind in KINDS has an arm"),
+        };
+        if file.ends_with(".json") {
+            json::validate(&body)
+                .map_err(|e| format!("{name}: internal error: emitted {kind} JSON invalid: {e}"))?;
+        }
+        files.push((file, body));
+    }
+    Ok((files, breached))
+}
+
+/// The worst-window metrics `plexus-bench-diff` gates: a transient
+/// regression fails CI even when the run-wide mean is unchanged, and the
+/// window *index* is exact, so a transient that merely moves still fails.
+fn worst_window_report(name: &str, tl: &Timeline, journeys: &Journeys) -> BenchReport {
+    let mut report = BenchReport::new(&format!("timeline_{name}"));
+    if let Some(w) = tl.worst_p99_window() {
+        report.scalar_windowed("worst_p99_us", w.p99_ns as f64 / 1000.0, "us", w.index);
+    }
+    if let Some(w) = tl.worst_drop_window() {
+        let drops = w.drop_count() as f64;
+        report.scalar_windowed("worst_window_drops", drops, "drops", w.index);
+    }
+    report.count("windows", tl.windows.len() as u64);
+    let completions = tl.windows.iter().map(|w| w.completions).sum();
+    report.count("completions", completions);
+    report.count("drops", tl.windows.iter().map(|w| w.drop_count()).sum());
+    report.count("journeys", journeys.journeys.len() as u64);
+    report.count("truncated_records", tl.truncated_records);
+    report.count("orphan_packets", journeys.orphan_packets);
+    report.count("journeys_truncated", journeys.journeys_truncated);
+    report
+}
+
+/// The breach kinds window `index` triggered, in seal order.
+fn breach_kinds(rep: &LiveReport, index: u64) -> Vec<&'static str> {
+    let of_window = rep.breaches.iter().filter(|b| b.window == index);
+    of_window.map(|b| b.kind.name()).collect()
+}
+
+/// Renders the health verdict as deterministic JSON (schema
+/// `plexus.health.v1`).
+fn health_json(scenario: &str, rep: &LiveReport, slo: &Slo) -> String {
+    let opt = |v: Option<u64>| v.map_or(String::from("null"), |n| n.to_string());
+    let breached: BTreeSet<u64> = rep.breaches.iter().map(|b| b.window).collect();
+    let mut out = String::from("{\n  \"schema\": \"plexus.health.v1\",\n");
+    out.push_str(&format!("  \"scenario\": \"{scenario}\",\n"));
+    out.push_str(&format!("  \"window_ns\": {},\n", rep.window_ns));
+    out.push_str(&format!(
+        "  \"slo\": {{\"p99_ceiling_ns\": {}, \"drop_ppm_ceiling\": {}, \
+         \"goodput_floor\": {}, \"skip_head\": {}}},\n",
+        opt(slo.p99_ceiling_ns),
+        opt(slo.drop_ppm_ceiling),
+        opt(slo.goodput_floor),
+        slo.skip_head
+    ));
+    out.push_str(&format!("  \"windows_total\": {},\n", rep.windows.len()));
+    let online = rep.windows_sealed_online;
+    out.push_str(&format!("  \"windows_sealed_online\": {online},\n"));
+    out.push_str(&format!("  \"windows_breached\": {},\n", breached.len()));
+    out.push_str(&format!("  \"late_records\": {},\n", rep.late_records));
+    out.push_str("  \"breaches\": [");
+    for (i, b) in rep.breaches.iter().enumerate() {
+        out.push_str(if i > 0 { "," } else { "" });
+        out.push_str(&format!(
+            "\n    {{\"window\": {}, \"kind\": \"{}\", \"value\": {}, \"limit\": {}}}",
+            b.window,
+            b.kind.name(),
+            b.value,
+            b.limit
+        ));
+    }
+    let close = |empty: bool, tail| {
+        if empty {
+            format!("]{tail}")
+        } else {
+            format!("\n  ]{tail}")
+        }
+    };
+    out.push_str(&close(rep.breaches.is_empty(), ",\n"));
+    out.push_str("  \"verdicts\": [");
+    for (i, w) in rep.windows.iter().enumerate() {
+        out.push_str(if i > 0 { "," } else { "" });
+        let kinds: Vec<String> = breach_kinds(rep, w.index)
+            .iter()
+            .map(|k| format!("\"{k}\""))
+            .collect();
+        let verdict = if kinds.is_empty() {
+            String::from("\"pass\"")
+        } else {
+            format!("[{}]", kinds.join(", "))
+        };
+        out.push_str(&format!(
+            "\n    {{\"window\": {}, \"arrivals\": {}, \"completions\": {}, \
+             \"p99_ns\": {}, \"drops\": {}, \"verdict\": {verdict}}}",
+            w.index,
+            w.arrivals,
+            w.completions,
+            w.p99_ns,
+            w.drop_count()
+        ));
+    }
+    out.push_str(&close(rep.windows.is_empty(), "\n}\n"));
+    out
+}
+
+/// The per-window verdict table on stderr, then the one-line tally.
+fn verdict_table(name: &str, rep: &LiveReport) {
+    eprintln!(
+        "{name}: {:>6} {:>10} {:>12} {:>12} {:>8}  verdict",
+        "window", "arrivals", "completions", "p99_ns", "drops"
+    );
+    for w in &rep.windows {
+        let kinds = breach_kinds(rep, w.index);
+        let verdict = if kinds.is_empty() {
+            String::from("pass")
+        } else {
+            format!("BREACH {}", kinds.join("+"))
+        };
+        eprintln!(
+            "{name}: {:>6} {:>10} {:>12} {:>12} {:>8}  {verdict}",
+            w.index,
+            w.arrivals,
+            w.completions,
+            w.p99_ns,
+            w.drop_count()
+        );
+    }
+    let breached: BTreeSet<u64> = rep.breaches.iter().map(|b| b.window).collect();
+    eprintln!(
+        "{name}: {} windows ({} online), {} breached, {} breaches total",
+        rep.windows.len(),
+        rep.windows_sealed_online,
+        breached.len(),
+        rep.breaches.len()
+    );
 }
 
 fn main() -> ExitCode {
-    let mut out_dir = PathBuf::from(".");
-    let mut to_stdout = false;
-    let mut names: Vec<String> = Vec::new();
-    let mut args = std::env::args().skip(1);
-    while let Some(arg) = args.next() {
-        match arg.as_str() {
-            "--list" => {
-                for s in scenarios::SCENARIOS {
-                    println!("{:<18} {}", s.name, s.help);
-                }
-                return ExitCode::SUCCESS;
-            }
-            "--stdout" => to_stdout = true,
-            "-o" | "--out" => {
-                let Some(dir) = args.next() else {
-                    eprintln!("-o needs a directory");
-                    return ExitCode::FAILURE;
-                };
-                out_dir = PathBuf::from(dir);
-            }
-            "-h" | "--help" => {
-                usage();
-                return ExitCode::SUCCESS;
-            }
-            other => names.push(other.to_string()),
-        }
-    }
-    if names.is_empty() {
+    let args: Vec<String> = std::env::args().skip(1).collect();
+    if args.iter().any(|a| a == "-h" || a == "--help") {
         usage();
-        return ExitCode::FAILURE;
+        return ExitCode::SUCCESS;
     }
-
+    if args.iter().any(|a| a == "--list") {
+        scenario_lines().for_each(|line| println!("{line}"));
+        return ExitCode::SUCCESS;
+    }
+    let opts = match parse(args.into_iter()) {
+        Ok(opts) => opts,
+        Err(e) => {
+            eprintln!("plexus-trace: {e}");
+            usage();
+            return ExitCode::from(2);
+        }
+    };
     let mut failed = false;
-    for raw in &names {
+    let mut breached = false;
+    for raw in &opts.scenarios {
         let Some(scenario) = scenarios::find(raw) else {
             eprintln!("unknown scenario: {raw} (try --list)");
             failed = true;
             continue;
         };
-        let name = scenario.name;
-        let recorder = scenario.run();
-        if recorder.overwritten() > 0 {
-            eprintln!(
-                "{name}: WARNING: ring (capacity {}) wrapped — {} records overwritten; \
-                 the stats JSON carries a trace.truncated.records counter",
-                scenario.ring,
-                recorder.overwritten()
-            );
-        }
-        let trace = chrome_trace(&recorder);
-        let stats = stats_json(&recorder);
-        for (kind, body) in [("trace", &trace), ("stats", &stats)] {
-            if let Err(e) = json::validate(body) {
-                eprintln!("{name}: internal error: emitted {kind} JSON invalid: {e}");
+        let files = match observe(scenario, &opts) {
+            Ok((files, breach)) => {
+                breached |= breach;
+                files
+            }
+            Err(e) => {
+                eprintln!("{e}");
                 failed = true;
+                continue;
             }
+        };
+        if opts.to_stdout {
+            files.iter().for_each(|(_, body)| print!("{body}"));
+            continue;
         }
-        if to_stdout {
-            println!("{trace}");
-            println!("{stats}");
-        } else {
-            if let Err(e) = fs::create_dir_all(&out_dir) {
-                eprintln!("cannot create {}: {e}", out_dir.display());
-                return ExitCode::FAILURE;
-            }
-            let trace_path = out_dir.join(format!("{name}.trace.json"));
-            let stats_path = out_dir.join(format!("{name}.stats.json"));
-            let write = |path: &PathBuf, body: &str| {
-                let mut b = body.to_string();
-                b.push('\n');
-                fs::write(path, b)
-            };
-            match (write(&trace_path, &trace), write(&stats_path, &stats)) {
-                (Ok(()), Ok(())) => {
-                    eprintln!(
-                        "{name}: {} events -> {} + {}",
-                        recorder.recorded(),
-                        trace_path.display(),
-                        stats_path.display()
-                    );
-                }
-                (a, b) => {
-                    if let Err(e) = a.and(b) {
-                        eprintln!("{name}: write failed: {e}");
-                        failed = true;
-                    }
-                }
+        let written = fs::create_dir_all(&opts.out_dir).and_then(|()| {
+            files
+                .iter()
+                .try_for_each(|(file, body)| fs::write(opts.out_dir.join(file), body))
+        });
+        let names: Vec<&str> = files.iter().map(|(file, _)| file.as_str()).collect();
+        let (name, dir) = (scenario.name, opts.out_dir.display());
+        match written {
+            Ok(()) => eprintln!("{name}: -> {dir}: {}", names.join(" ")),
+            Err(e) => {
+                eprintln!("{name}: write to {dir} failed: {e}");
+                failed = true;
             }
         }
     }
     if failed {
+        ExitCode::from(2)
+    } else if breached {
         ExitCode::FAILURE
     } else {
         ExitCode::SUCCESS

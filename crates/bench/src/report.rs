@@ -14,6 +14,7 @@ use std::io;
 use std::path::PathBuf;
 
 use plexus_trace::json;
+use plexus_trace::timeline::percentile;
 
 /// Quotes and escapes `s` as a JSON string literal.
 fn q(s: &str) -> String {
@@ -48,13 +49,6 @@ pub struct BenchReport {
     name: String,
     metrics: Vec<Metric>,
     counts: Vec<(String, u64)>,
-}
-
-/// Nearest-rank percentile over a sorted slice.
-fn percentile(sorted_ns: &[u64], q: f64) -> u64 {
-    let n = sorted_ns.len();
-    let rank = ((q / 100.0) * n as f64).ceil() as usize;
-    sorted_ns[rank.clamp(1, n) - 1]
 }
 
 impl BenchReport {
@@ -229,14 +223,5 @@ mod tests {
         assert!(a.contains("\"tol_pct\": 2.0"), "default tolerance stamped");
         r.tol("cpu", 5.0);
         assert!(r.to_json().contains("\"tol_pct\": 5.0"));
-    }
-
-    #[test]
-    fn percentiles_use_nearest_rank() {
-        let samples: Vec<u64> = (1..=100).collect();
-        assert_eq!(percentile(&samples, 50.0), 50);
-        assert_eq!(percentile(&samples, 99.0), 99);
-        assert_eq!(percentile(&samples, 100.0), 100);
-        assert_eq!(percentile(&[7], 99.0), 7);
     }
 }

@@ -1,13 +1,13 @@
-//! One shared scenario registry for the observability CLIs.
+//! The scenario registry behind `plexus-trace`, the observability CLI.
 //!
-//! `plexus-trace`, `plexus-profile`, and `plexus-timeline` all replay the
-//! same deterministic worlds; before this registry each binary kept its
-//! own private scenario list and they drifted (different ring sizes,
-//! different subsets, duplicated help text). A [`Scenario`] bundles
-//! everything any of the CLIs needs: the run function, the
-//! flight-recorder ring capacity that captures the run without
-//! overwrites, the profile detail cap, the app domain that delimits
-//! ping-pong rounds, and the timeline window width.
+//! A [`Scenario`] is one deterministic world plus everything an artifact
+//! of it needs: the run function, the flight-recorder ring capacity that
+//! captures the run without overwrites, the profile detail cap, the app
+//! domain that delimits ping-pong rounds, the timeline window width, and
+//! the declared SLO. `plexus-trace` replays a scenario once
+//! ([`Scenario::run_with_slo`]) and folds every artifact it is asked for
+//! (`--emit`) from that one recorder; the integration tests replay the
+//! same registry entries, so the CLI and the tests cannot drift apart.
 
 use std::rc::Rc;
 
@@ -25,7 +25,7 @@ use crate::video_cpu::{video_server_utilization_traced, VideoSystem};
 /// simulated clock, so any exporter over the recorder is byte-identical
 /// across runs.
 pub struct Scenario {
-    /// Registry key (what the CLIs take on the command line).
+    /// Registry key (what `plexus-trace` takes on the command line).
     pub name: &'static str,
     /// One line of help shown by `--list`.
     pub help: &'static str,
@@ -42,7 +42,7 @@ pub struct Scenario {
     /// scenario folds into tens of windows, not thousands.
     pub window_ns: u64,
     /// The scenario's service-level objectives, evaluated per sealed live
-    /// window by `plexus-health` (`None`: the scenario has no declared
+    /// window by `plexus-trace --emit health` (`None`: no declared
     /// health envelope — every window passes). Thresholds are calibrated
     /// against the committed goldens with headroom; a deliberately
     /// *breaching* envelope documents a known-bad configuration (the
@@ -55,8 +55,8 @@ impl Scenario {
     /// Replays the scenario with a fresh recorder installed across the
     /// whole world and returns the recorder. The live tier runs alongside
     /// with the scenario's window width and declared SLO, and its summary
-    /// counters are flushed into the registry, so every exporter built on
-    /// `run()` sees `trace.live.*` health.
+    /// counters are flushed into the registry, so every exporter sees
+    /// `trace.live.*` health.
     pub fn run(&self) -> Rc<Recorder> {
         self.run_with_slo(self.slo.clone())
     }
@@ -134,7 +134,7 @@ fn run_tx_fanout(rec: &Rc<Recorder>) {
     );
 }
 
-/// Every scenario the observability CLIs can replay.
+/// Every scenario `plexus-trace` can replay.
 pub const SCENARIOS: &[Scenario] = &[
     Scenario {
         name: "udp_rtt",
@@ -259,7 +259,7 @@ pub const SCENARIOS: &[Scenario] = &[
 ];
 
 /// Looks up a scenario by name, accepting `examples/<name>` and
-/// `<name>.rs` spellings like the CLIs always have.
+/// `<name>.rs` spellings.
 pub fn find(raw: &str) -> Option<&'static Scenario> {
     let name = raw.trim_start_matches("examples/").trim_end_matches(".rs");
     SCENARIOS.iter().find(|s| s.name == name)

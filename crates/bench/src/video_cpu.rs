@@ -68,7 +68,7 @@ pub fn video_server_utilization(
 }
 
 /// [`video_server_utilization`] with a flight recorder attached to every
-/// CPU, NIC, and the engine, so `plexus-profile` can attribute the
+/// CPU, NIC, and the engine, so `plexus-trace` can attribute the
 /// server's cycles per layer and domain.
 pub fn video_server_utilization_traced(
     system: VideoSystem,

@@ -628,7 +628,7 @@ impl PlexusStack {
                 // work begins inside the drained interrupt).
                 let rec = lease.recorder_handle();
                 if let Some(rec) = &rec {
-                    rec.packet_arrival_hop(
+                    rec.packet_arrival(
                         lease.now().as_nanos(),
                         s.nic.profile().name,
                         &host,

@@ -13,6 +13,7 @@ use plexus_net::udp::UdpConfig;
 use plexus_sim::nic::NicProfile;
 use plexus_sim::time::SimDuration;
 use plexus_sim::World;
+use plexus_trace::{CounterKey, Recorder, Scope, TraceEvent};
 
 fn ip(last: u8) -> Ipv4Addr {
     Ipv4Addr::new(10, 0, 0, last)
@@ -986,8 +987,10 @@ fn udp_redirect_conflicts_with_existing_binding() {
 }
 
 #[test]
-fn dispatcher_trace_shows_the_packet_walk() {
+fn recorder_shows_the_packet_walk() {
     let (mut world, client, server) = two_plexus(true);
+    let rec = Recorder::new(256);
+    world.install_recorder(&rec);
     seed_arp_both(&client, &server);
     let cext = client.link_extension(&ext_spec("C")).unwrap();
     let sext = server.link_extension(&ext_spec("S")).unwrap();
@@ -1009,22 +1012,40 @@ fn dispatcher_trace_shows_the_packet_walk() {
             AppHandler::interrupt(|_, _| {}),
         )
         .unwrap();
-    server.dispatcher().enable_trace(16);
     cep.send(world.engine_mut(), ip(2), 7, b"traced").unwrap();
     world.run();
-    let trace = server.dispatcher().trace();
-    let names: Vec<&str> = trace.iter().map(|t| t.event.as_str()).collect();
-    // Entries land in completion order, so the nested raises (upper
-    // layers) appear before the layer that raised them: the packet's walk
-    // through Figure 1's graph, read bottom-up.
+    // Only the server receives a frame, so the handler entries recorded
+    // under a packet are its walk up Figure 1's graph, in raise order.
+    let walk: Vec<String> = rec
+        .events()
+        .iter()
+        .filter(|r| r.packet.is_some())
+        .filter_map(|r| match r.event {
+            TraceEvent::HandlerEnter { event, .. } => Some(rec.name(event)),
+            _ => None,
+        })
+        .collect();
     assert_eq!(
-        names,
-        vec!["Udp.PacketRecv", "Ip.PacketRecv", "Ethernet.PacketRecv"],
-        "trace: {trace:?}"
+        walk,
+        vec!["Ethernet.PacketRecv", "Ip.PacketRecv", "Udp.PacketRecv"]
     );
-    // The Ip raise saw the ICMP and TCP guards reject; Ethernet saw ARP's.
-    assert_eq!(trace[1].rejected, 2);
-    assert_eq!(trace[2].rejected, 1);
+    // A handler that did not run was either rejected by its guard or never
+    // evaluated because the demux index ruled it out; the raise counts
+    // both. Ip turned away ICMP and TCP, Ethernet turned away ARP.
+    let turned_away = |event: &str| {
+        let get = |scope, metric| {
+            rec.registry().get(CounterKey {
+                scope,
+                label: rec.intern(event),
+                metric,
+            })
+        };
+        get(Scope::Guard, "verified.rejects")
+            + get(Scope::Guard, "closure.rejects")
+            + get(Scope::Event, "demux.avoided")
+    };
+    assert_eq!(turned_away("Ip.PacketRecv"), 2);
+    assert_eq!(turned_away("Ethernet.PacketRecv"), 1);
 }
 
 #[test]

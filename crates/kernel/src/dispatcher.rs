@@ -400,20 +400,6 @@ impl fmt::Display for DispatchStats {
     }
 }
 
-/// One record in the dispatcher's event trace (see
-/// [`Dispatcher::enable_trace`]).
-#[derive(Clone, Debug, PartialEq, Eq)]
-pub struct TraceEntry {
-    /// The raised event's name.
-    pub event: String,
-    /// Simulated instant of the raise (nanoseconds).
-    pub at_ns: u64,
-    /// Handlers invoked.
-    pub invoked: u32,
-    /// Guards that rejected the argument.
-    pub rejected: u32,
-}
-
 /// Result of a single raise.
 #[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
 pub struct RaiseOutcome {
@@ -683,15 +669,9 @@ pub struct Dispatcher {
     names: RefCell<HashMap<String, usize>>,
     next_handler: Cell<u64>,
     stats: Cell<DispatchStats>,
-    trace: RefCell<Option<TraceRing>>,
     demux_enabled: Cell<bool>,
     compiled_guards: Cell<bool>,
     interrupt_cycle_budget: Cell<u32>,
-}
-
-struct TraceRing {
-    capacity: usize,
-    entries: std::collections::VecDeque<TraceEntry>,
 }
 
 thread_local! {
@@ -712,7 +692,6 @@ impl Dispatcher {
             names: RefCell::new(HashMap::new()),
             next_handler: Cell::new(1),
             stats: Cell::new(DispatchStats::default()),
-            trace: RefCell::new(None),
             demux_enabled: Cell::new(true),
             compiled_guards: Cell::new(true),
             interrupt_cycle_budget: Cell::new(DEFAULT_INTERRUPT_CYCLE_BUDGET),
@@ -763,34 +742,6 @@ impl Dispatcher {
     /// Whether verified guards run on the compiled tier.
     pub fn compiled_guards(&self) -> bool {
         self.compiled_guards.get()
-    }
-
-    /// Turns on event tracing with a bounded ring of `capacity` entries
-    /// (oldest entries fall off). Tracing is the kernel-side observability
-    /// tool extensions cannot get any other way — they cannot snoop events
-    /// they are not installed on.
-    pub fn enable_trace(&self, capacity: usize) {
-        *self.trace.borrow_mut() = Some(TraceRing {
-            capacity: capacity.max(1),
-            entries: std::collections::VecDeque::new(),
-        });
-    }
-
-    /// Stops tracing and discards the ring.
-    pub fn disable_trace(&self) {
-        *self.trace.borrow_mut() = None;
-    }
-
-    /// A snapshot of the trace ring, oldest first. Entries are recorded as
-    /// each raise *completes*, so a nested raise (a handler re-raising a
-    /// higher-layer event) appears before its parent — read bottom-up for
-    /// a packet's walk through the graph. Empty when tracing is off.
-    pub fn trace(&self) -> Vec<TraceEntry> {
-        self.trace
-            .borrow()
-            .as_ref()
-            .map(|t| t.entries.iter().cloned().collect())
-            .unwrap_or_default()
     }
 
     /// Defines a new event with argument type `T` and returns its handle.
@@ -1286,17 +1237,6 @@ impl Dispatcher {
             }
         }
         self.stats.set(stats);
-        if let Some(ring) = self.trace.borrow_mut().as_mut() {
-            if ring.entries.len() == ring.capacity {
-                ring.entries.pop_front();
-            }
-            ring.entries.push_back(TraceEntry {
-                event: table.name.clone(),
-                at_ns: ctx.lease.now().as_nanos(),
-                invoked: outcome.invoked,
-                rejected: outcome.rejected,
-            });
-        }
         outcome
     }
 }
@@ -2337,67 +2277,6 @@ mod tests {
         let d2 = Dispatcher::new();
         let ev = d1.define_event::<u32>("Foreign");
         d2.handler_count(ev);
-    }
-}
-
-#[cfg(test)]
-mod trace_tests {
-    use super::*;
-    use plexus_sim::cpu::{CostModel, Cpu};
-    use plexus_sim::time::SimTime;
-
-    fn ctx_parts() -> (Engine, Rc<Cpu>) {
-        (Engine::new(), Cpu::new(CostModel::alpha_3000_400()))
-    }
-
-    #[test]
-    fn trace_records_raises_in_order() {
-        let (mut engine, cpu) = ctx_parts();
-        let d = Dispatcher::new();
-        let a = d.define_event::<u32>("Alpha");
-        let b = d.define_event::<u32>("Beta");
-        d.install(
-            a,
-            HandlerSpec::new(|_, _| {}).guard(Guard::closure(|x: &u32| *x > 0)),
-        );
-        d.install(b, HandlerSpec::new(|_, _: &u32| {}));
-        d.enable_trace(8);
-        let mut lease = cpu.begin(SimTime::ZERO);
-        let mut ctx = RaiseCtx {
-            engine: &mut engine,
-            lease: &mut lease,
-        };
-        d.raise(&mut ctx, a, &5);
-        d.raise(&mut ctx, a, &0);
-        d.raise(&mut ctx, b, &1);
-        let trace = d.trace();
-        assert_eq!(trace.len(), 3);
-        assert_eq!(trace[0].event, "Alpha");
-        assert_eq!(trace[0].invoked, 1);
-        assert_eq!(trace[1].invoked, 0);
-        assert_eq!(trace[1].rejected, 1);
-        assert_eq!(trace[2].event, "Beta");
-        assert!(trace[2].at_ns >= trace[0].at_ns, "monotone timestamps");
-    }
-
-    #[test]
-    fn trace_ring_is_bounded() {
-        let (mut engine, cpu) = ctx_parts();
-        let d = Dispatcher::new();
-        let ev = d.define_event::<u32>("Flood");
-        d.install(ev, HandlerSpec::new(|_, _: &u32| {}));
-        d.enable_trace(4);
-        let mut lease = cpu.begin(SimTime::ZERO);
-        let mut ctx = RaiseCtx {
-            engine: &mut engine,
-            lease: &mut lease,
-        };
-        for i in 0..10u32 {
-            d.raise(&mut ctx, ev, &i);
-        }
-        assert_eq!(d.trace().len(), 4, "oldest entries fell off");
-        d.disable_trace();
-        assert!(d.trace().is_empty());
     }
 }
 

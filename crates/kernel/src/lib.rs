@@ -39,7 +39,7 @@ pub mod vm;
 pub use capability::Cap;
 pub use dispatcher::{
     Dispatcher, Event, EventSummary, Guard, HandlerId, HandlerMode, InstallError, RaiseCtx,
-    TraceEntry, VerifiedGuard, DEFAULT_INTERRUPT_CYCLE_BUDGET,
+    VerifiedGuard, DEFAULT_INTERRUPT_CYCLE_BUDGET,
 };
 pub use domain::{Domain, ExtensionSpec, Interface, LinkError, LinkedExtension, Nameserver};
 pub use ephemeral::Ephemeral;

@@ -599,7 +599,7 @@ pub type RxHandler = Box<dyn Fn(&mut Engine, Frame)>;
 /// "busy" until then, so frames arriving in the meantime queue on the
 /// ring instead of raising their own interrupts.
 ///
-/// Per-frame recorder bookkeeping ([`Recorder::packet_arrival_hop`] /
+/// Per-frame recorder bookkeeping ([`Recorder::packet_arrival`] /
 /// `packet_done`) is the glue's responsibility in this mode, because only
 /// the glue knows when each frame's CPU work actually starts.
 pub type RxBatchHandler = Box<dyn Fn(&mut Engine, Vec<RxFrame>) -> SimTime>;
@@ -960,7 +960,7 @@ impl Nic {
                 .saturating_since(base)
                 .as_nanos()
                 .min(wait.as_nanos());
-            rec.packet_tx_hop(
+            rec.packet_tx(
                 ready_at.as_nanos(),
                 self.profile.name,
                 &self.host.borrow(),
@@ -1023,14 +1023,14 @@ impl Nic {
                 // is one interrupt per frame with nothing ever queued.
                 let rec = self.recorder.borrow().clone();
                 if let Some(rec) = &rec {
-                    rec.rx_interrupt_hop(
+                    rec.rx_interrupt(
                         engine.now().as_nanos(),
                         self.profile.name,
                         &self.host.borrow(),
                         1,
                         0,
                     );
-                    rec.packet_arrival_hop(
+                    rec.packet_arrival(
                         engine.now().as_nanos(),
                         self.profile.name,
                         &self.host.borrow(),
@@ -1055,7 +1055,7 @@ impl Nic {
                 // vocabulary instead of surfacing as an orphaned record.
                 let rec = self.recorder.borrow().clone();
                 if let Some(rec) = &rec {
-                    rec.packet_arrival_hop(
+                    rec.packet_arrival(
                         engine.now().as_nanos(),
                         self.profile.name,
                         &self.host.borrow(),
@@ -1100,7 +1100,7 @@ impl Nic {
                 // attributed, not orphaned.
                 let rec = self.recorder.borrow().clone();
                 if let Some(rec) = &rec {
-                    rec.packet_arrival_hop(
+                    rec.packet_arrival(
                         now.as_nanos(),
                         self.profile.name,
                         &self.host.borrow(),
@@ -1177,7 +1177,7 @@ impl Nic {
             rec.record_latency(hist, frames.len() as u64);
             // Ring record for the windowed timeline: how many frames this
             // interrupt drained, and how many were still queued behind it.
-            rec.rx_interrupt_hop(
+            rec.rx_interrupt(
                 engine.now().as_nanos(),
                 self.profile.name,
                 &self.host.borrow(),

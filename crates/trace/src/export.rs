@@ -23,7 +23,7 @@ fn ts_us(ns: u64) -> String {
 pub fn chrome_trace(rec: &Recorder) -> String {
     let mut out = String::from("{\"displayTimeUnit\": \"ns\", \"traceEvents\": [");
     let mut first = true;
-    for r in rec.events() {
+    for r in rec.ring().iter() {
         let tid = r.packet.map_or(0, |p| p + 1);
         let (name, cat, ph, args) = match r.event {
             TraceEvent::PacketArrival { nic, host, bytes } => (
@@ -216,7 +216,7 @@ pub fn stats_json(rec: &Recorder) -> String {
 
     let mut out = String::from("{\n");
     out.push_str(&format!("  \"events_recorded\": {},\n", rec.recorded()));
-    out.push_str(&format!("  \"events_retained\": {},\n", rec.events().len()));
+    out.push_str(&format!("  \"events_retained\": {},\n", rec.ring().len()));
     out.push_str(&format!(
         "  \"events_overwritten\": {},\n",
         rec.overwritten()
@@ -253,12 +253,22 @@ mod tests {
 
     fn populated() -> std::rc::Rc<Recorder> {
         let rec = Recorder::new(64);
-        rec.packet_arrival(1_000, "Ethernet", 60);
+        rec.packet_arrival(1_000, "Ethernet", "", 60, None);
         let ev = rec.intern("udp_recv");
         let dom = rec.intern("rtt-extension");
         rec.guard_eval(1_300, ev, GuardKind::Verified, true);
         let span = rec.handler_enter(1_600, ev, dom);
-        rec.packet_tx(4_000, "Ethernet", 60, 0, 500, 1_000);
+        rec.packet_tx(
+            4_000,
+            "Ethernet",
+            "",
+            60,
+            0,
+            0,
+            500,
+            1_000,
+            rec.current_journey(),
+        );
         rec.handler_exit(5_600, ev, dom, span);
         rec.crossing(6_000, CrossDir::KernelToUser, 8);
         rec.packet_done();

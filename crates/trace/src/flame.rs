@@ -37,7 +37,7 @@ mod tests {
         let ev = rec.intern("Udp.PacketRecv");
         let dom = rec.intern("udp");
         for i in 0..2u64 {
-            rec.packet_arrival(i * 1_000, "Ethernet", 60);
+            rec.packet_arrival(i * 1_000, "Ethernet", "", 60, None);
             let s = rec.handler_enter(i * 1_000 + 100, ev, dom);
             rec.handler_exit(i * 1_000 + 400, ev, dom, s);
             rec.packet_done();

@@ -498,20 +498,20 @@ mod tests {
         // Origin send (no packet in flight): journey 0 allocated here.
         let j = rec.tx_journey();
         assert_eq!(j, 0);
-        rec.packet_tx_journey(1_000, "eth0", 60, 10, 500, 90, Some(j));
+        rec.packet_tx(1_000, "eth0", "", 60, 0, 10, 500, 90, Some(j));
 
         // Hop 1 on machine "fwd": arrives exactly at 1_000+10+500+90.
         let ev = rec.intern("Udp.PacketRecv");
         let dom = rec.intern("fwd-ext");
-        rec.packet_arrival_hop(1_600, "eth0", "fwd", 60, Some(j));
+        rec.packet_arrival(1_600, "eth0", "fwd", 60, Some(j));
         let span = rec.handler_enter(1_700, ev, dom);
         // Forwarding tx inherits the journey.
-        rec.packet_tx(2_000, "eth0", 60, 0, 500, 100);
+        rec.packet_tx(2_000, "eth0", "", 60, 0, 0, 500, 100, rec.current_journey());
         rec.handler_exit(2_200, ev, dom, span);
         rec.packet_done();
 
         // Hop 2 on machine "backend": arrives at 2_000+0+500+100.
-        rec.packet_arrival_hop(2_600, "eth0", "backend", 60, Some(j));
+        rec.packet_arrival(2_600, "eth0", "backend", 60, Some(j));
         let span = rec.handler_enter(2_700, ev, dom);
         rec.handler_exit(3_000, ev, dom, span);
         rec.packet_done();
@@ -551,7 +551,7 @@ mod tests {
     fn filtered_broadcast_copies_stay_off_the_chain() {
         let rec = two_hop();
         // A third arrival of the same journey that the MAC filter shed.
-        rec.packet_arrival_hop(2_600, "eth0", "bystander", 60, Some(0));
+        rec.packet_arrival(2_600, "eth0", "bystander", 60, Some(0));
         rec.packet_drop(2_600, "ether", "mac_filter");
         rec.packet_done();
         let js = build(&Profile::build(&rec));
@@ -565,9 +565,9 @@ mod tests {
     fn coalesced_style_delayed_arrival_becomes_queue_wait() {
         let rec = Recorder::new(64);
         let j = rec.tx_journey();
-        rec.packet_tx_journey(1_000, "eth0", 60, 0, 500, 100, Some(j));
+        rec.packet_tx(1_000, "eth0", "", 60, 0, 0, 500, 100, Some(j));
         // Arrival record 400 ns after the wire arrival (rx-ring wait).
-        rec.packet_arrival_hop(2_000, "eth0", "dut", 60, Some(j));
+        rec.packet_arrival(2_000, "eth0", "dut", 60, Some(j));
         rec.packet_done();
         let js = build(&Profile::build(&rec));
         let jo = &js.journeys[0];
@@ -582,8 +582,8 @@ mod tests {
         let rec = Recorder::new(64);
         let j = rec.tx_journey();
         // Origin send waited 150 ns, 100 of them behind its own tx ring.
-        rec.packet_tx_queued(1_000, "eth0", 60, 100, 150, 500, 100, Some(j));
-        rec.packet_arrival_hop(1_750, "eth0", "dut", 60, Some(j));
+        rec.packet_tx(1_000, "eth0", "", 60, 100, 150, 500, 100, Some(j));
+        rec.packet_arrival(1_750, "eth0", "dut", 60, Some(j));
         rec.packet_done();
         let js = build(&Profile::build(&rec));
         let jo = &js.journeys[0];
@@ -604,7 +604,7 @@ mod tests {
         let dom = rec.intern("kernel");
         for i in 0..4u64 {
             let t = 1_000 * (i + 1);
-            let (_, j) = rec.packet_arrival_hop(t, "eth0", "dut", 60, None);
+            let (_, j) = rec.packet_arrival(t, "eth0", "dut", 60, None);
             assert_eq!(j, i);
             let span = rec.handler_enter(t + 100, ev, dom);
             rec.handler_exit(t + 200, ev, dom, span);

@@ -40,7 +40,7 @@
 //! * **SLO health** — a declarative [`Slo`] (p99 ceiling, drop-rate
 //!   ceiling, goodput floor) evaluated per sealed window; breaches
 //!   accumulate in the report and in `trace.live.slo_breaches`, which is
-//!   what the `plexus-health` CLI turns into a CI exit code.
+//!   what `plexus-trace --emit health` turns into a CI exit code.
 
 use std::cell::RefCell;
 use std::collections::{BTreeMap, BTreeSet};
@@ -49,7 +49,7 @@ use std::fmt;
 use crate::json::escape;
 use crate::recorder::{Interner, Label};
 use crate::registry::{CounterKey, Registry, Scope};
-use crate::timeline::{percentile, window_json, Timeline, Window};
+use crate::timeline::{window_json, Pending, Timeline, Window};
 use crate::{TraceEvent, TraceRecord};
 
 /// Windows are sealed this many full windows behind the watermark, so a
@@ -229,32 +229,6 @@ struct ScopeAgg {
     layers: BTreeMap<Label, LayerCounters>,
 }
 
-struct LiveWin {
-    w: Window,
-    /// Drops keyed by interned labels; resolved to strings at report time
-    /// (the hot path never touches the interner for a drop).
-    drops: BTreeMap<(Label, Label), u64>,
-    /// Latency samples of the still-open window; freed at seal.
-    samples: Vec<u64>,
-    sealed: bool,
-    online: bool,
-}
-
-impl LiveWin {
-    fn new(index: u64) -> LiveWin {
-        LiveWin {
-            w: Window {
-                index,
-                ..Window::default()
-            },
-            drops: BTreeMap::new(),
-            samples: Vec::new(),
-            sealed: false,
-            online: false,
-        }
-    }
-}
-
 /// Scratch buffer for a journey not (yet) selected for retention.
 #[derive(Debug, Default)]
 struct JourneyBuf {
@@ -282,7 +256,10 @@ pub struct LiveAgg {
     cfg: LiveConfig,
     empty: Label,
     live_label: Label,
-    wins: Vec<LiveWin>,
+    /// Every window so far with its accumulator: the open ones still
+    /// buffer latency samples, and all of them keep drops by label until
+    /// report time.
+    wins: Vec<(Window, Pending)>,
     /// Max non-transmit timestamp seen (transmits are future-stamped).
     watermark: u64,
     /// Index of the first unsealed window.
@@ -400,7 +377,7 @@ impl LiveAgg {
 
     fn ensure_windows(&mut self, idx: usize) {
         while self.wins.len() <= idx {
-            self.wins.push(LiveWin::new(self.wins.len() as u64));
+            self.wins.push(Pending::open(self.wins.len() as u64));
         }
     }
 
@@ -420,7 +397,10 @@ impl LiveAgg {
     pub(crate) fn feed(&mut self, r: &TraceRecord, reg: &Registry, interner: &RefCell<Interner>) {
         let idx = (r.at_ns / self.cfg.window_ns) as usize;
         self.ensure_windows(idx);
-        if self.wins[idx].sealed {
+        let (window, pending) = &mut self.wins[idx];
+        let late = pending.sealed();
+        window.update(&r.event, pending);
+        if late {
             // Counts still fold (the window struct is retained); the
             // percentiles are already fixed. The lag makes this a
             // shouldn't-happen — the counter is the tripwire.
@@ -428,29 +408,16 @@ impl LiveAgg {
             self.live_count(reg, "late_records", 1);
         }
 
+        // The window is folded; what follows is the per-machine roll-up.
         match r.event {
             TraceEvent::PacketArrival { host, bytes, .. } => {
-                let w = &mut self.wins[idx].w;
-                w.arrivals += 1;
-                w.arrival_bytes += u64::from(bytes);
                 self.current_machine = (host != self.empty).then_some(host);
                 self.bump_scope(self.current_machine, |c| {
                     c.arrivals += 1;
                     c.arrival_bytes += u64::from(bytes);
                 });
             }
-            TraceEvent::PacketTx {
-                host,
-                bytes,
-                queue_ns,
-                wait_ns,
-                ..
-            } => {
-                let w = &mut self.wins[idx].w;
-                w.tx_frames += 1;
-                w.tx_bytes += u64::from(bytes);
-                w.tx_wait_max_ns = w.tx_wait_max_ns.max(wait_ns);
-                w.tx_queue_max_ns = w.tx_queue_max_ns.max(queue_ns);
+            TraceEvent::PacketTx { host, bytes, .. } => {
                 let machine = self.machine_or_current(host);
                 self.bump_scope(machine, |c| {
                     c.tx_frames += 1;
@@ -458,33 +425,16 @@ impl LiveAgg {
                 });
             }
             TraceEvent::LatencySample { ns, .. } => {
-                let win = &mut self.wins[idx];
-                win.w.completions += 1;
-                if !win.sealed {
-                    win.samples.push(ns);
-                }
                 self.bump_scope(self.current_machine, |c| c.completions += 1);
                 if let Some(j) = r.journey {
                     self.note_worst(idx as u64, j, ns, reg);
                 }
             }
-            TraceEvent::RxInterrupt {
-                host,
-                frames,
-                ring_after,
-                ..
-            } => {
-                let w = &mut self.wins[idx].w;
-                w.interrupts += 1;
-                w.interrupt_frames += u64::from(frames);
-                w.rx_ring_highwater = w
-                    .rx_ring_highwater
-                    .max(u64::from(frames) + u64::from(ring_after));
+            TraceEvent::RxInterrupt { host, .. } => {
                 let machine = self.machine_or_current(host);
                 self.bump_scope(machine, |c| c.interrupts += 1);
             }
-            TraceEvent::Drop { layer, reason } => {
-                *self.wins[idx].drops.entry((layer, reason)).or_insert(0) += 1;
+            TraceEvent::Drop { layer, .. } => {
                 let machine = self.current_machine;
                 let layer = self.layer_label(layer, interner);
                 self.bump_scope(machine, |c| c.drops += 1);
@@ -619,23 +569,16 @@ impl LiveAgg {
                 delta,
             );
         };
-        let win = &mut self.wins[idx];
-        debug_assert!(!win.sealed, "window sealed twice");
-        win.sealed = true;
-        win.online = online;
-        win.samples.sort_unstable();
-        win.w.p50_ns = percentile(&win.samples, 50.0);
-        win.w.p99_ns = percentile(&win.samples, 99.0);
-        win.samples = Vec::new();
+        let (w, pending) = &mut self.wins[idx];
+        w.seal(pending);
         if online {
             self.windows_sealed_online += 1;
         }
         count("windows_sealed", 1);
 
-        let drop_count: u64 = win.drops.values().sum();
+        let drop_count = pending.drop_count();
         let mut breaches = Vec::new();
         if let Some(slo) = &slo {
-            let w = &win.w;
             if let Some(ceil) = slo.p99_ceiling_ns {
                 if w.completions > 0 && w.p99_ns > ceil {
                     breaches.push(Breach {
@@ -678,9 +621,9 @@ impl LiveAgg {
         }
         if let Some(hook) = self.on_seal.as_mut() {
             hook(&SealedWindow {
-                index: win.w.index,
+                index: w.index,
                 online,
-                window: &win.w,
+                window: w,
                 drop_count,
                 breaches: &breaches,
             });
@@ -703,13 +646,9 @@ impl LiveAgg {
         let windows: Vec<Window> = self
             .wins
             .iter()
-            .map(|lw| {
-                let mut w = lw.w.clone();
-                w.drops = lw
-                    .drops
-                    .iter()
-                    .map(|(&(l, r), &n)| ((names.get(l).to_owned(), names.get(r).to_owned()), n))
-                    .collect();
+            .map(|(w, pending)| {
+                let mut w = w.clone();
+                w.drops = pending.drops(|l| names.get(l).to_owned());
                 w
             })
             .collect();
@@ -1060,14 +999,14 @@ mod tests {
     fn live_windows_match_the_posthoc_timeline_fold() {
         let rec = Recorder::new(256);
         rec.enable_live(LiveConfig::new(1_000));
-        rec.packet_arrival_hop(500, "eth0", "client", 60, None);
+        rec.packet_arrival(500, "eth0", "client", 60, None);
         rec.packet_drop(600, "ip", "no_route");
         rec.packet_done();
         let hist = rec.intern("rtt");
         rec.sample(1_500, hist, 42);
         rec.sample(3_500, hist, 100);
-        rec.rx_interrupt_hop(3_700, "eth0", "client", 4, 2);
-        rec.packet_tx_hop(5_200, "eth0", "client", 60, 10, 20, 30, 40, None);
+        rec.rx_interrupt(3_700, "eth0", "client", 4, 2);
+        rec.packet_tx(5_200, "eth0", "client", 60, 10, 20, 30, 40, None);
         rec.sample(9_999, hist, 7);
 
         let live = rec.live_report().expect("live enabled");
@@ -1108,11 +1047,11 @@ mod tests {
         let rec = Recorder::new(256);
         rec.enable_live(LiveConfig::new(10_000));
         // Origin tx from engine context: unattributed.
-        rec.packet_tx(100, "eth0", 60, 0, 10, 10);
+        rec.packet_tx(100, "eth0", "", 60, 0, 0, 10, 10, None);
         // Two machines with distinct traffic.
         for (host, n) in [("client", 2u64), ("server", 3u64)] {
             for i in 0..n {
-                rec.packet_arrival_hop(200 + i, "eth0", host, 60, None);
+                rec.packet_arrival(200 + i, "eth0", host, 60, None);
                 let ev = rec.intern("Udp.PacketRecv");
                 let dom = rec.intern("kernel");
                 let span = rec.handler_enter(300 + i, ev, dom);
@@ -1150,7 +1089,7 @@ mod tests {
         rec.enable_live(cfg);
         let hist = rec.intern("rtt");
         for i in 0..6u64 {
-            let (_, j) = rec.packet_arrival_hop(100 + i * 10, "eth0", "m", 60, None);
+            let (_, j) = rec.packet_arrival(100 + i * 10, "eth0", "m", 60, None);
             assert_eq!(j, i);
             // Journey 5 completes the slowest sample in window 0.
             rec.sample(200 + i * 10, hist, if i == 5 { 900 } else { 10 + i });
@@ -1191,7 +1130,7 @@ mod tests {
         // (1 drop / 1 arrival = 1M ppm). Window 2: goodput breach (no
         // completions, past skip_head). Advance watermark to seal them.
         rec.sample(500, hist, 200);
-        rec.packet_arrival(1_200, "eth0", 60);
+        rec.packet_arrival(1_200, "eth0", "", 60, None);
         rec.packet_drop(1_300, "ip", "no_route");
         rec.packet_done();
         rec.sample(5_000, hist, 50);
@@ -1218,12 +1157,12 @@ mod tests {
                 ..Slo::none()
             });
             rec.enable_live(cfg);
-            rec.packet_arrival_hop(500, "eth0", "client", 60, None);
+            rec.packet_arrival(500, "eth0", "client", 60, None);
             rec.packet_drop(600, "weird \"layer\"", "no_route");
             rec.packet_done();
             let hist = rec.intern("rtt");
             rec.sample(1_500, hist, 42);
-            rec.packet_tx_hop(2_000, "eth0", "client", 60, 0, 0, 10, 10, None);
+            rec.packet_tx(2_000, "eth0", "client", 60, 0, 0, 10, 10, None);
             rec.sample(5_500, hist, 7);
             live_json(&rec.live_report().unwrap(), 8)
         };
@@ -1239,7 +1178,7 @@ mod tests {
     fn live_window_bytes_match_timeline_window_bytes() {
         let rec = Recorder::new(256);
         rec.enable_live(LiveConfig::new(1_000));
-        rec.packet_arrival_hop(100, "eth0", "m", 60, None);
+        rec.packet_arrival(100, "eth0", "m", 60, None);
         rec.packet_drop(200, "ip", "no_route");
         rec.packet_done();
         let hist = rec.intern("rtt");

@@ -32,6 +32,7 @@
 use std::collections::BTreeMap;
 
 use crate::json::escape;
+use crate::timeline::percentile;
 use crate::{Recorder, TraceEvent, TraceRecord};
 
 /// An attribution target: which layer, protection domain, and handler
@@ -269,16 +270,6 @@ pub fn layer_of(event_name: &str) -> String {
         .to_ascii_lowercase()
 }
 
-/// Nearest-rank percentile over a sorted slice (`q` in percent).
-fn percentile(sorted: &[u64], q: f64) -> u64 {
-    if sorted.is_empty() {
-        return 0;
-    }
-    let n = sorted.len();
-    let rank = ((q / 100.0) * n as f64).ceil() as usize;
-    sorted[rank.clamp(1, n) - 1]
-}
-
 fn resolve_tx(rec: &Recorder, r: &TraceRecord) -> Option<TxRecord> {
     if let TraceEvent::PacketTx {
         nic,
@@ -310,17 +301,17 @@ fn resolve_tx(rec: &Recorder, r: &TraceRecord) -> Option<TxRecord> {
 impl Profile {
     /// Folds the recorder's retained ring into a profile.
     pub fn build(rec: &Recorder) -> Profile {
-        let records = rec.events();
+        let ring = rec.ring();
         let mut truncation = TruncationReport {
-            dropped_records: rec.overwritten(),
-            first_retained_seq: records.first().map_or(0, |r| r.seq),
+            dropped_records: ring.overwritten(),
+            first_retained_seq: ring.iter().next().map_or(0, |r| r.seq),
             ..TruncationReport::default()
         };
 
         let mut by_packet: BTreeMap<u64, Vec<TraceRecord>> = BTreeMap::new();
         let mut unattributed_txs = Vec::new();
         let mut drops: BTreeMap<(String, String), u64> = BTreeMap::new();
-        for r in &records {
+        for r in ring.iter() {
             match r.packet {
                 Some(p) => by_packet.entry(p).or_default().push(*r),
                 None => match r.event {
@@ -1080,7 +1071,7 @@ mod tests {
     /// Two nested handlers with a guard eval between arrival and entry.
     fn nested() -> std::rc::Rc<Recorder> {
         let rec = Recorder::new(64);
-        rec.packet_arrival(1_000, "Ethernet", 60);
+        rec.packet_arrival(1_000, "Ethernet", "", 60, None);
         let eth = rec.intern("Ethernet.PacketRecv");
         let udp = rec.intern("Udp.PacketRecv");
         let kernel = rec.intern("ip");
@@ -1088,7 +1079,17 @@ mod tests {
         rec.guard_eval(1_300, eth, GuardKind::Verified, true);
         let outer = rec.handler_enter(1_500, eth, kernel);
         let inner = rec.handler_enter(2_000, udp, app);
-        rec.packet_tx(4_000, "Ethernet", 60, 100, 500, 1_000);
+        rec.packet_tx(
+            4_000,
+            "Ethernet",
+            "",
+            60,
+            0,
+            100,
+            500,
+            1_000,
+            rec.current_journey(),
+        );
         rec.handler_exit(5_000, udp, app, inner);
         rec.handler_exit(6_000, eth, kernel, outer);
         rec.packet_done();
@@ -1156,11 +1157,11 @@ mod tests {
         let rec = Recorder::new(5);
         let ev = rec.intern("Udp.PacketRecv");
         let dom = rec.intern("udp");
-        rec.packet_arrival(100, "Ethernet", 60);
+        rec.packet_arrival(100, "Ethernet", "", 60, None);
         let s0 = rec.handler_enter(200, ev, dom);
         rec.handler_exit(900, ev, dom, s0);
         rec.packet_done();
-        rec.packet_arrival(1_000, "Ethernet", 60);
+        rec.packet_arrival(1_000, "Ethernet", "", 60, None);
         let s1 = rec.handler_enter(1_100, ev, dom);
         rec.handler_exit(1_900, ev, dom, s1);
         rec.packet_done();
@@ -1187,7 +1188,7 @@ mod tests {
         let rec = Recorder::new(64);
         let ev = rec.intern("Udp.PacketRecv");
         let dom = rec.intern("udp");
-        rec.packet_arrival(100, "Ethernet", 60);
+        rec.packet_arrival(100, "Ethernet", "", 60, None);
         rec.handler_enter(200, ev, dom);
         rec.packet_drop(700, "udp", "no_port");
         rec.packet_done();
@@ -1218,7 +1219,7 @@ mod tests {
         let ev = rec.intern("Udp.PacketRecv");
         let dom = rec.intern("udp");
         for i in 0..3 {
-            rec.packet_arrival(i * 1_000, "Ethernet", 60);
+            rec.packet_arrival(i * 1_000, "Ethernet", "", 60, None);
             let s = rec.handler_enter(i * 1_000 + 100, ev, dom);
             rec.handler_exit(i * 1_000 + 200, ev, dom, s);
             rec.packet_done();

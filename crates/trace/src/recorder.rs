@@ -1,6 +1,6 @@
 //! The recorder: interner + ring + registry + packet-ID generator.
 
-use std::cell::{Cell, RefCell};
+use std::cell::{Cell, Ref, RefCell};
 use std::collections::HashMap;
 use std::rc::Rc;
 
@@ -134,6 +134,12 @@ impl Recorder {
         self.ring.borrow().snapshot()
     }
 
+    /// The ring borrowed in place, for the exporters' one walk
+    /// ([`Ring::iter`]). Nothing may record while the borrow is held.
+    pub(crate) fn ring(&self) -> Ref<'_, Ring> {
+        self.ring.borrow()
+    }
+
     /// Records overwritten because the ring filled.
     pub fn overwritten(&self) -> u64 {
         self.ring.borrow().overwritten()
@@ -193,19 +199,13 @@ impl Recorder {
 
     // --- instrumentation entry points -----------------------------------
 
-    /// A frame arrived at a NIC: assigns the next per-packet ID, marks it
-    /// current (subsequent records are attributed to it until
-    /// [`Recorder::packet_done`]), and records the arrival.
-    pub fn packet_arrival(&self, at_ns: u64, nic: &str, bytes: usize) -> u64 {
-        self.packet_arrival_hop(at_ns, nic, "", bytes, None).0
-    }
-
-    /// Like [`Recorder::packet_arrival`], but with the receiving machine's
-    /// name and the journey tag the frame carried across the wire (`None`
-    /// for a frame whose transmit predates the recorder — a fresh journey
-    /// is allocated). Returns `(packet_id, journey_id)`. Subsequent
+    /// A frame arrived at a NIC on machine `host` (empty for a NIC built
+    /// outside a `World`): assigns the next per-packet ID and records the
+    /// arrival under the journey tag the frame carried across the wire
+    /// (`None` for a frame whose transmit predates the recorder — a fresh
+    /// journey is allocated). Returns `(packet_id, journey_id)`; subsequent
     /// records are tagged with both until [`Recorder::packet_done`].
-    pub fn packet_arrival_hop(
+    pub fn packet_arrival(
         &self,
         at_ns: u64,
         nic: &str,
@@ -380,69 +380,21 @@ impl Recorder {
         self.count(Scope::Drop, reason, "count", 1);
     }
 
-    /// A frame was handed to a NIC's transmitter at `at_ns` (the instant
-    /// the driver's CPU work finished); the wire costs follow as explicit
-    /// durations. Attributed to the packet currently in flight, if any —
-    /// for a forwarded or echoed frame that is the packet being answered.
+    /// A frame was handed to the transmitter of `nic` on machine `host` at
+    /// `at_ns` (the instant the driver's CPU work finished); the wire costs
+    /// follow as explicit durations. `queue_ns <= wait_ns` is the share of
+    /// the wait spent behind the NIC's own tx backlog (ring/doorbell queue)
+    /// before the wire was even contended; the journey pass attributes it
+    /// to a `tx_queue` segment instead of folding it into medium wait.
+    /// `journey` is explicit so an origin send (no journey in flight)
+    /// records the freshly allocated journey its delivery will inherit
+    /// ([`Recorder::tx_journey`]). NIC names repeat across machines, so the
+    /// host is what lets the live tier's per-machine scopes attribute a
+    /// transmit to the right endpoint. Attributed to the packet currently
+    /// in flight, if any — for a forwarded or echoed frame that is the
+    /// packet being answered.
     #[allow(clippy::too_many_arguments)]
     pub fn packet_tx(
-        &self,
-        at_ns: u64,
-        nic: &str,
-        bytes: usize,
-        wait_ns: u64,
-        ser_ns: u64,
-        prop_ns: u64,
-    ) {
-        let journey = self.current_journey.get();
-        self.packet_tx_journey(at_ns, nic, bytes, wait_ns, ser_ns, prop_ns, journey);
-    }
-
-    /// [`Recorder::packet_tx`] with an explicit journey tag, used by the
-    /// NIC so an origin send (no journey in flight) records the freshly
-    /// allocated journey its delivery will inherit.
-    #[allow(clippy::too_many_arguments)]
-    pub fn packet_tx_journey(
-        &self,
-        at_ns: u64,
-        nic: &str,
-        bytes: usize,
-        wait_ns: u64,
-        ser_ns: u64,
-        prop_ns: u64,
-        journey: Option<u64>,
-    ) {
-        self.packet_tx_queued(at_ns, nic, bytes, 0, wait_ns, ser_ns, prop_ns, journey);
-    }
-
-    /// [`Recorder::packet_tx_journey`] with the transmit-queue share of
-    /// the wait made explicit: `queue_ns <= wait_ns` is the time the frame
-    /// sat behind the NIC's own tx backlog (ring/doorbell queue) before
-    /// the wire was even contended. The journey pass attributes it to a
-    /// `tx_queue` segment instead of folding it into medium wait.
-    #[allow(clippy::too_many_arguments)]
-    pub fn packet_tx_queued(
-        &self,
-        at_ns: u64,
-        nic: &str,
-        bytes: usize,
-        queue_ns: u64,
-        wait_ns: u64,
-        ser_ns: u64,
-        prop_ns: u64,
-        journey: Option<u64>,
-    ) {
-        self.packet_tx_hop(
-            at_ns, nic, "", bytes, queue_ns, wait_ns, ser_ns, prop_ns, journey,
-        );
-    }
-
-    /// [`Recorder::packet_tx_queued`] with the transmitting machine's name
-    /// — what `sim::nic` calls. NIC names repeat across machines, so the
-    /// host is what lets the live tier's per-machine scopes attribute a
-    /// transmit to the right endpoint.
-    #[allow(clippy::too_many_arguments)]
-    pub fn packet_tx_hop(
         &self,
         at_ns: u64,
         nic: &str,
@@ -478,16 +430,11 @@ impl Recorder {
         }
     }
 
-    /// A receive interrupt delivered `frames` frames, leaving `ring_after`
-    /// queued. Ring record only — the coalescing counters are kept by the
-    /// NIC; the per-frame path records `frames == 1, ring_after == 0`.
-    pub fn rx_interrupt(&self, at_ns: u64, nic: &str, frames: usize, ring_after: usize) {
-        self.rx_interrupt_hop(at_ns, nic, "", frames, ring_after);
-    }
-
-    /// [`Recorder::rx_interrupt`] with the interrupted machine's name, so
-    /// the live tier can attribute interrupt load per machine.
-    pub fn rx_interrupt_hop(
+    /// A receive interrupt on machine `host` delivered `frames` frames,
+    /// leaving `ring_after` queued. Ring record only — the coalescing
+    /// counters are kept by the NIC; the per-frame path records
+    /// `frames == 1, ring_after == 0`.
+    pub fn rx_interrupt(
         &self,
         at_ns: u64,
         nic: &str,
@@ -548,7 +495,7 @@ mod tests {
     #[test]
     fn packet_ids_are_sequential_and_attributed() {
         let rec = Recorder::new(32);
-        let p0 = rec.packet_arrival(100, "Ethernet", 60);
+        let (p0, _) = rec.packet_arrival(100, "Ethernet", "", 60, None);
         let ev = rec.intern("eth_recv");
         let dom = rec.intern("kernel");
         let span = rec.handler_enter(150, ev, dom);
@@ -557,7 +504,7 @@ mod tests {
         rec.handler_exit(170, ev, dom, 1);
         rec.handler_exit(180, ev, dom, span);
         rec.packet_done();
-        let p1 = rec.packet_arrival(900, "Ethernet", 61);
+        let (p1, _) = rec.packet_arrival(900, "Ethernet", "", 61, None);
         rec.packet_done();
         assert_eq!((p0, p1), (0, 1));
         let evs = rec.events();

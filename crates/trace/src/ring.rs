@@ -64,12 +64,15 @@ impl Ring {
         }
     }
 
+    /// The retained records in place, oldest first — what every exporter
+    /// walks, so none of them copies the ring to read it.
+    pub(crate) fn iter(&self) -> impl Iterator<Item = &TraceRecord> {
+        self.buf[self.head..].iter().chain(&self.buf[..self.head])
+    }
+
     /// Snapshot of the retained records, oldest first.
     pub fn snapshot(&self) -> Vec<TraceRecord> {
-        let mut out = Vec::with_capacity(self.buf.len());
-        out.extend_from_slice(&self.buf[self.head..]);
-        out.extend_from_slice(&self.buf[..self.head]);
-        out
+        self.iter().copied().collect()
     }
 }
 

@@ -1,6 +1,6 @@
 //! Windowed time-series telemetry over the flight-recorder ring.
 //!
-//! [`build`] folds the retained [`TraceRecord`] stream into fixed
+//! [`build`] folds the retained [`crate::TraceRecord`] stream into fixed
 //! simulated-time windows (default width [`DEFAULT_WINDOW_NS`]) and emits
 //! per-window goodput, drop counts by reason, rx-ring highwater,
 //! interrupt rate, and nearest-rank p50/p99 latency. Whole-run aggregates
@@ -20,7 +20,7 @@
 use std::collections::BTreeMap;
 
 use crate::json::escape;
-use crate::{Recorder, TraceEvent};
+use crate::{Label, Recorder, TraceEvent};
 
 /// Default window width: 10 ms of simulated time.
 pub const DEFAULT_WINDOW_NS: u64 = 10_000_000;
@@ -62,10 +62,105 @@ pub struct Window {
     pub drops: BTreeMap<(String, String), u64>,
 }
 
+/// What a window holds only while it accumulates: the raw material of
+/// the fields [`Window::update`] cannot maintain incrementally.
+#[derive(Debug)]
+pub(crate) struct Pending {
+    /// Latency samples, reduced to p50/p99 by [`Window::seal`] — `None`
+    /// from then on, so a late sample cannot grow a freed buffer.
+    samples: Option<Vec<u64>>,
+    /// Drops keyed by interned labels (the record path never touches the
+    /// interner); [`Pending::drops`] resolves them for a report.
+    drops: BTreeMap<(Label, Label), u64>,
+}
+
+impl Pending {
+    /// An empty window `index`, open for [`Window::update`].
+    pub(crate) fn open(index: u64) -> (Window, Pending) {
+        let window = Window {
+            index,
+            ..Window::default()
+        };
+        let pending = Pending {
+            samples: Some(Vec::new()),
+            drops: BTreeMap::new(),
+        };
+        (window, pending)
+    }
+
+    /// Whether [`Window::seal`] has fixed this window's percentiles.
+    pub(crate) fn sealed(&self) -> bool {
+        self.samples.is_none()
+    }
+
+    pub(crate) fn drop_count(&self) -> u64 {
+        self.drops.values().sum()
+    }
+
+    /// The drops as the `(layer, reason) -> count` map [`Window::drops`]
+    /// reports, with labels resolved through `name`.
+    pub(crate) fn drops(&self, name: impl Fn(Label) -> String) -> BTreeMap<(String, String), u64> {
+        self.drops
+            .iter()
+            .map(|(&(layer, reason), &n)| ((name(layer), name(reason)), n))
+            .collect()
+    }
+}
+
 impl Window {
     /// Total drops in this window across all `(layer, reason)` keys.
     pub fn drop_count(&self) -> u64 {
         self.drops.values().sum()
+    }
+
+    /// Folds one record's event into this window — the one per-event
+    /// update, called by the post-hoc [`build`] and by the live tier's
+    /// feed, which is why the two agree window for window.
+    pub(crate) fn update(&mut self, event: &TraceEvent, pending: &mut Pending) {
+        match *event {
+            TraceEvent::PacketArrival { bytes, .. } => {
+                self.arrivals += 1;
+                self.arrival_bytes += u64::from(bytes);
+            }
+            TraceEvent::PacketTx {
+                bytes,
+                queue_ns,
+                wait_ns,
+                ..
+            } => {
+                self.tx_frames += 1;
+                self.tx_bytes += u64::from(bytes);
+                self.tx_wait_max_ns = self.tx_wait_max_ns.max(wait_ns);
+                self.tx_queue_max_ns = self.tx_queue_max_ns.max(queue_ns);
+            }
+            TraceEvent::LatencySample { ns, .. } => {
+                self.completions += 1;
+                if let Some(samples) = pending.samples.as_mut() {
+                    samples.push(ns);
+                }
+            }
+            TraceEvent::RxInterrupt {
+                frames, ring_after, ..
+            } => {
+                self.interrupts += 1;
+                self.interrupt_frames += u64::from(frames);
+                self.rx_ring_highwater = self
+                    .rx_ring_highwater
+                    .max(u64::from(frames) + u64::from(ring_after));
+            }
+            TraceEvent::Drop { layer, reason } => {
+                *pending.drops.entry((layer, reason)).or_insert(0) += 1;
+            }
+            _ => {}
+        }
+    }
+
+    /// Fixes the percentiles from the samples seen so far and frees them.
+    pub(crate) fn seal(&mut self, pending: &mut Pending) {
+        let mut samples = pending.samples.take().expect("window sealed twice");
+        samples.sort_unstable();
+        self.p50_ns = percentile(&samples, 50.0);
+        self.p99_ns = percentile(&samples, 99.0);
     }
 }
 
@@ -105,9 +200,10 @@ impl Timeline {
     }
 }
 
-/// Nearest-rank percentile over a sorted slice (`q` in percent). Shared
-/// with the live tier so its per-window percentiles are value-identical.
-pub(crate) fn percentile(sorted: &[u64], q: f64) -> u64 {
+/// Nearest-rank percentile over a sorted slice (`q` in percent; 0 for an
+/// empty slice) — the one definition behind every p50/p99 in the
+/// timelines, the profiles and the bench reports.
+pub fn percentile(sorted: &[u64], q: f64) -> u64 {
     if sorted.is_empty() {
         return 0;
     }
@@ -123,67 +219,27 @@ pub(crate) fn percentile(sorted: &[u64], q: f64) -> u64 {
 /// Panics if `window_ns` is zero.
 pub fn build(rec: &Recorder, window_ns: u64) -> Timeline {
     assert!(window_ns > 0, "window width must be positive");
-    let records = rec.events();
+    let ring = rec.ring();
     // Transmit records are stamped at their (possibly future) handover
     // instant, so the ring is not sorted by timestamp: take the max.
-    let last_ns = records.iter().map(|r| r.at_ns).max().unwrap_or(0);
-    let n_windows = if records.is_empty() {
-        0
-    } else {
-        (last_ns / window_ns + 1) as usize
-    };
-    let mut windows: Vec<Window> = (0..n_windows)
-        .map(|i| Window {
-            index: i as u64,
-            ..Window::default()
+    let n_windows = ring
+        .iter()
+        .map(|r| r.at_ns)
+        .max()
+        .map_or(0, |last_ns| (last_ns / window_ns + 1) as usize);
+    let mut open: Vec<(Window, Pending)> = (0..n_windows as u64).map(Pending::open).collect();
+    for r in ring.iter() {
+        let (w, pending) = &mut open[(r.at_ns / window_ns) as usize];
+        w.update(&r.event, pending);
+    }
+    let windows = open
+        .into_iter()
+        .map(|(mut w, mut pending)| {
+            w.seal(&mut pending);
+            w.drops = pending.drops(|l| rec.name(l));
+            w
         })
         .collect();
-    let mut samples: Vec<Vec<u64>> = vec![Vec::new(); n_windows];
-
-    for r in &records {
-        let w = &mut windows[(r.at_ns / window_ns) as usize];
-        match r.event {
-            TraceEvent::PacketArrival { bytes, .. } => {
-                w.arrivals += 1;
-                w.arrival_bytes += u64::from(bytes);
-            }
-            TraceEvent::PacketTx {
-                bytes,
-                queue_ns,
-                wait_ns,
-                ..
-            } => {
-                w.tx_frames += 1;
-                w.tx_bytes += u64::from(bytes);
-                w.tx_wait_max_ns = w.tx_wait_max_ns.max(wait_ns);
-                w.tx_queue_max_ns = w.tx_queue_max_ns.max(queue_ns);
-            }
-            TraceEvent::LatencySample { ns, .. } => {
-                w.completions += 1;
-                samples[(r.at_ns / window_ns) as usize].push(ns);
-            }
-            TraceEvent::RxInterrupt {
-                frames, ring_after, ..
-            } => {
-                w.interrupts += 1;
-                w.interrupt_frames += u64::from(frames);
-                w.rx_ring_highwater = w
-                    .rx_ring_highwater
-                    .max(u64::from(frames) + u64::from(ring_after));
-            }
-            TraceEvent::Drop { layer, reason } => {
-                *w.drops
-                    .entry((rec.name(layer), rec.name(reason)))
-                    .or_insert(0) += 1;
-            }
-            _ => {}
-        }
-    }
-    for (w, mut obs) in windows.iter_mut().zip(samples) {
-        obs.sort_unstable();
-        w.p50_ns = percentile(&obs, 50.0);
-        w.p99_ns = percentile(&obs, 99.0);
-    }
 
     Timeline {
         window_ns,
@@ -273,17 +329,27 @@ mod tests {
     use crate::json::validate;
 
     #[test]
+    fn percentiles_use_nearest_rank() {
+        let samples: Vec<u64> = (1..=100).collect();
+        assert_eq!(percentile(&samples, 50.0), 50);
+        assert_eq!(percentile(&samples, 99.0), 99);
+        assert_eq!(percentile(&samples, 100.0), 100);
+        assert_eq!(percentile(&[7], 99.0), 7);
+        assert_eq!(percentile(&[], 99.0), 0);
+    }
+
+    #[test]
     fn windows_are_dense_and_events_land_in_the_right_one() {
         let rec = Recorder::new(64);
-        rec.packet_arrival(500, "Ethernet", 60);
+        rec.packet_arrival(500, "Ethernet", "", 60, None);
         rec.packet_done();
-        rec.packet_arrival(1_500, "Ethernet", 40);
+        rec.packet_arrival(1_500, "Ethernet", "", 40, None);
         rec.packet_drop(1_600, "ip", "no_route");
         rec.packet_done();
         let hist = rec.intern("rtt");
         rec.sample(3_500, hist, 42);
         rec.sample(3_600, hist, 100);
-        rec.rx_interrupt(3_700, "Ethernet", 4, 2);
+        rec.rx_interrupt(3_700, "Ethernet", "", 4, 2);
 
         let t = build(&rec, 1_000);
         assert_eq!(t.windows.len(), 4, "dense through the last record");
@@ -311,10 +377,10 @@ mod tests {
     #[test]
     fn future_stamped_tx_records_extend_the_window_range() {
         let rec = Recorder::new(64);
-        rec.packet_arrival(500, "Ethernet", 60);
+        rec.packet_arrival(500, "Ethernet", "", 60, None);
         // A queued transmit whose handover instant postdates every other
         // record: the window range must still cover it.
-        rec.packet_tx(2_500, "Ethernet", 60, 0, 0, 0);
+        rec.packet_tx(2_500, "Ethernet", "", 60, 0, 0, 0, 0, rec.current_journey());
         rec.packet_done();
         let t = build(&rec, 1_000);
         assert_eq!(t.windows.len(), 3);
@@ -335,7 +401,7 @@ mod tests {
     fn timeline_json_is_valid_and_deterministic() {
         let make = || {
             let rec = Recorder::new(64);
-            rec.packet_arrival(500, "Ethernet", 60);
+            rec.packet_arrival(500, "Ethernet", "", 60, None);
             rec.packet_drop(700, "udp", "no_port");
             rec.packet_done();
             let hist = rec.intern("rtt");

@@ -33,7 +33,7 @@ fn label(i: usize) -> &'static str {
 fn populate(rec: &Recorder, steps: &[(usize, usize, u64)]) {
     let mut at = 0u64;
     let mut open: Vec<(plexus_trace::Label, plexus_trace::Label, u64)> = Vec::new();
-    rec.packet_arrival(at, "Ethernet", 60);
+    rec.packet_arrival(at, "Ethernet", "", 60, None);
     for &(kind, which, dt) in steps {
         at += dt;
         let ev = rec.intern(label(which));
@@ -52,7 +52,7 @@ fn populate(rec: &Recorder, steps: &[(usize, usize, u64)]) {
             3 => rec.packet_drop(at, label(which), label(which + 2)),
             4 => rec.crossing(at, CrossDir::UserToKernel, which),
             5 => rec.sample(at, ev, dt),
-            6 => rec.rx_interrupt(at, "Ethernet", which + 1, which),
+            6 => rec.rx_interrupt(at, "Ethernet", "", which + 1, which),
             _ => rec.timer_fire(at),
         }
     }

@@ -1,9 +1,9 @@
 //! Scenario-level guarantees of the streaming telemetry tier (DESIGN.md
-//! §17): on a truncation-free run the live windows are *value-identical*
+//! §10): on a truncation-free run the live windows are *value-identical*
 //! to the post-hoc timeline fold; on a ring-wrap run the live tier keeps
 //! full-fidelity windows and sampled journeys while the post-hoc
 //! exporters report truncation; and the per-scenario SLO gate that
-//! `plexus-health` exposes actually flips on a tightened threshold.
+//! `plexus-trace --emit health` exposes actually flips on a tightened threshold.
 
 use std::rc::Rc;
 
@@ -140,7 +140,7 @@ fn declared_slos_pass_and_tightened_slos_breach() {
     assert!(live.windows_sealed_online > 0);
 
     // A deliberately absurd ceiling flips every completing window — the
-    // negative path `plexus-health`'s CI gate relies on.
+    // negative path the CI health gate relies on.
     let tightened = Slo {
         p99_ceiling_ns: Some(1),
         ..scenario.slo.clone().unwrap_or_else(Slo::none)
