@@ -10,39 +10,24 @@ use plexus_apps::httpd::{httpd_extension_spec, HttpGet, Httpd};
 use plexus_apps::video::{
     video_extension_spec, DunixVideoServer, PlexusVideoClient, PlexusVideoServer, VideoConfig,
 };
+use plexus_baseline::MonolithicStack;
 use plexus_core::{PlexusStack, StackConfig};
-use plexus_net::ether::MacAddr;
+use plexus_net::testbed::Testbed;
 use plexus_sim::disk::Disk;
 use plexus_sim::framebuffer::Framebuffer;
-use plexus_sim::nic::NicProfile;
+use plexus_sim::nic::{Link, NicProfile};
 use plexus_sim::time::{SimDuration, SimTime};
-use plexus_sim::World;
 
-fn ip(last: u8) -> Ipv4Addr {
-    Ipv4Addr::new(10, 0, 0, last)
+/// Plexus on both hosts of a private Ethernet segment, ARP seeded.
+fn plexus_pair(names: [&str; 2]) -> (Testbed, Rc<PlexusStack>, Rc<PlexusStack>) {
+    let tb = Testbed::new(&Link::ethernet(), 0, &names);
+    let [a, b] = [0, 1].map(|k| PlexusStack::attach_host(&tb.hosts[k], StackConfig::interrupt));
+    (tb, a, b)
 }
 
 #[test]
 fn active_messages_ping_pong_at_interrupt_level() {
-    let mut world = World::new();
-    let a = world.add_machine("a");
-    let b = world.add_machine("b");
-    let (_m, nics) = world.connect(
-        &[&a, &b],
-        NicProfile::ethernet_lance(),
-        SimDuration::from_micros(1),
-        true,
-    );
-    let sa = PlexusStack::attach(
-        &a,
-        &nics[0],
-        StackConfig::interrupt(ip(1), MacAddr::local(1)),
-    );
-    let sb = PlexusStack::attach(
-        &b,
-        &nics[1],
-        StackConfig::interrupt(ip(2), MacAddr::local(2)),
-    );
+    let (Testbed { mut world, .. }, sa, sb) = plexus_pair(["a", "b"]);
 
     let ext_a = sa.link_extension(&am_extension_spec("AM-A")).unwrap();
     let ext_b = sb.link_extension(&am_extension_spec("AM-B")).unwrap();
@@ -62,7 +47,7 @@ fn active_messages_ping_pong_at_interrupt_level() {
     });
 
     let t0 = world.engine().now().as_nanos();
-    am_a.send(world.engine_mut(), MacAddr::local(2), 1, 41, b"payload")
+    am_a.send(world.engine_mut(), sb.mac(), 1, 41, b"payload")
         .unwrap();
     world.run();
 
@@ -81,25 +66,7 @@ fn active_messages_ping_pong_at_interrupt_level() {
 #[test]
 fn steady_state_active_messages_allocate_no_fresh_clusters() {
     use plexus_net::mbuf::{cluster_pool_stats, reset_cluster_pool};
-    let mut world = World::new();
-    let a = world.add_machine("a");
-    let b = world.add_machine("b");
-    let (_m, nics) = world.connect(
-        &[&a, &b],
-        NicProfile::ethernet_lance(),
-        SimDuration::from_micros(1),
-        true,
-    );
-    let sa = PlexusStack::attach(
-        &a,
-        &nics[0],
-        StackConfig::interrupt(ip(1), MacAddr::local(1)),
-    );
-    let sb = PlexusStack::attach(
-        &b,
-        &nics[1],
-        StackConfig::interrupt(ip(2), MacAddr::local(2)),
-    );
+    let (Testbed { mut world, .. }, sa, sb) = plexus_pair(["a", "b"]);
     let ext_a = sa.link_extension(&am_extension_spec("AM-A")).unwrap();
     let ext_b = sb.link_extension(&am_extension_spec("AM-B")).unwrap();
     let am_a = Rc::new(ActiveMessages::install(&sa, &ext_a).unwrap());
@@ -122,13 +89,13 @@ fn steady_state_active_messages_allocate_no_fresh_clusters() {
 
     reset_cluster_pool();
     for _ in 0..4 {
-        am_a.send(world.engine_mut(), MacAddr::local(2), 1, 7, &want)
+        am_a.send(world.engine_mut(), sb.mac(), 1, 7, &want)
             .unwrap();
         world.run();
     }
     let before = cluster_pool_stats();
     for _ in 0..32 {
-        am_a.send(world.engine_mut(), MacAddr::local(2), 1, 7, &want)
+        am_a.send(world.engine_mut(), sb.mac(), 1, 7, &want)
             .unwrap();
         world.run();
     }
@@ -143,27 +110,7 @@ fn steady_state_active_messages_allocate_no_fresh_clusters() {
 
 #[test]
 fn httpd_serves_documents_over_plexus_tcp() {
-    let mut world = World::new();
-    let c = world.add_machine("client");
-    let s = world.add_machine("server");
-    let (_m, nics) = world.connect(
-        &[&c, &s],
-        NicProfile::ethernet_lance(),
-        SimDuration::from_micros(1),
-        true,
-    );
-    let client = PlexusStack::attach(
-        &c,
-        &nics[0],
-        StackConfig::interrupt(ip(1), MacAddr::local(1)),
-    );
-    let server = PlexusStack::attach(
-        &s,
-        &nics[1],
-        StackConfig::interrupt(ip(2), MacAddr::local(2)),
-    );
-    client.seed_arp(server.ip(), server.mac());
-    server.seed_arp(client.ip(), client.mac());
+    let (Testbed { mut world, .. }, client, server) = plexus_pair(["client", "server"]);
 
     let sext = server
         .link_extension(&httpd_extension_spec("httpd"))
@@ -182,7 +129,7 @@ fn httpd_serves_documents_over_plexus_tcp() {
         &client,
         &cext,
         world.engine_mut(),
-        (ip(2), 80),
+        (server.ip(), 80),
         "/index.html",
     )
     .unwrap();
@@ -193,58 +140,45 @@ fn httpd_serves_documents_over_plexus_tcp() {
     assert_eq!(httpd.stats().ok, 1);
 
     // A missing document 404s.
-    let get2 = HttpGet::start(&client, &cext, world.engine_mut(), (ip(2), 80), "/missing").unwrap();
+    let get2 = HttpGet::start(
+        &client,
+        &cext,
+        world.engine_mut(),
+        (server.ip(), 80),
+        "/missing",
+    )
+    .unwrap();
     world.run_for(SimDuration::from_secs(10));
     assert_eq!(get2.result().expect("response").0, 404);
     assert_eq!(httpd.stats().not_found, 1);
 }
 
-/// Builds a T3 video world: one server with a disk and N clients.
-fn video_world(n_clients: usize) -> (World, Vec<Ipv4Addr>) {
-    let mut world = World::new();
-    let server = world.add_machine("video-server");
-    server.set_disk(Disk::video_era());
-    let mut machines = vec![server];
-    let mut addrs = Vec::new();
-    for i in 0..n_clients {
-        let m = world.add_machine(&format!("client-{i}"));
-        m.set_framebuffer(Framebuffer::new());
-        addrs.push(ip(10 + i as u8));
-        machines.push(m);
+/// Builds a T3 video world: one server with a disk (host 0) and N
+/// clients with framebuffers.
+fn video_world(n_clients: usize) -> Testbed {
+    let clients: Vec<String> = (0..n_clients).map(|i| format!("client-{i}")).collect();
+    let mut names = vec!["video-server"];
+    names.extend(clients.iter().map(String::as_str));
+    let tb = Testbed::new(&Link::t3(), 0, &names);
+    tb.hosts[0].machine.set_disk(Disk::video_era());
+    for client in &tb.hosts[1..] {
+        client.machine.set_framebuffer(Framebuffer::new());
     }
-    let refs: Vec<&Rc<plexus_sim::Machine>> = machines.iter().collect();
-    world.connect(
-        &refs,
-        NicProfile::dec_t3(),
-        SimDuration::from_micros(2),
-        false,
-    );
-    (world, addrs)
+    tb
 }
 
 #[test]
 fn plexus_video_server_streams_to_clients() {
     let n = 3;
-    let (mut world, addrs) = video_world(n);
-    let machines: Vec<_> = world.machines().to_vec();
-    let server_stack = PlexusStack::attach(
-        &machines[0],
-        &machines[0].nic(0),
-        StackConfig::interrupt(ip(1), MacAddr::local(1)),
-    );
+    let mut tb = video_world(n);
+    let (server_host, client_hosts) = tb.hosts.split_first().unwrap();
+    let server_stack = PlexusStack::attach_host(server_host, StackConfig::interrupt);
     let sext = server_stack
         .link_extension(&video_extension_spec("video-server"))
         .unwrap();
     let mut clients = Vec::new();
-    for (i, addr) in addrs.iter().enumerate() {
-        let m = &machines[i + 1];
-        let st = PlexusStack::attach(
-            m,
-            &m.nic(0),
-            StackConfig::interrupt(*addr, MacAddr::local(10 + i as u8)),
-        );
-        st.seed_arp(ip(1), MacAddr::local(1));
-        server_stack.seed_arp(*addr, MacAddr::local(10 + i as u8));
+    for host in client_hosts {
+        let st = PlexusStack::attach_host(host, StackConfig::interrupt);
         let ext = st.link_extension(&video_extension_spec("viewer")).unwrap();
         let client = PlexusVideoClient::start(&st, &ext, VideoConfig::default()).unwrap();
         clients.push((st, client));
@@ -255,13 +189,13 @@ fn plexus_video_server_streams_to_clients() {
     let server = PlexusVideoServer::start(
         &server_stack,
         &sext,
-        world.engine_mut(),
-        addrs.clone(),
+        tb.world.engine_mut(),
+        client_hosts.iter().map(|c| c.ip).collect(),
         cfg,
         until,
     )
     .unwrap();
-    world.run_for(SimDuration::from_secs(2));
+    tb.world.run_for(SimDuration::from_secs(2));
 
     // ~30 frames in 1 s to each of the 3 clients.
     assert!(
@@ -282,56 +216,30 @@ fn plexus_video_server_streams_to_clients() {
 fn dunix_video_server_uses_more_cpu_than_plexus() {
     let n = 10;
     let run = |plexus: bool| -> f64 {
-        let (mut world, addrs) = video_world(n);
-        let machines: Vec<_> = world.machines().to_vec();
-        let server_machine = machines[0].clone();
+        let mut tb = video_world(n);
+        let (server, clients) = tb.hosts.split_first().unwrap();
         let until = SimTime::ZERO + SimDuration::from_secs(1);
         let cfg = VideoConfig::default();
         // Sinks on the clients so the frames are absorbed (baseline stack
         // works for both server types as a sink).
-        for (i, addr) in addrs.iter().enumerate() {
-            let m = &machines[i + 1];
-            let st = plexus_baseline::MonolithicStack::attach(
-                m,
-                &m.nic(0),
-                *addr,
-                MacAddr::local(10 + i as u8),
-            );
-            st.seed_arp(ip(1), MacAddr::local(1));
-            std::mem::forget(st);
-        }
-        let busy0 = server_machine.cpu().busy();
+        let _sinks: Vec<_> = clients.iter().map(MonolithicStack::attach_host).collect();
+        let addrs: Vec<Ipv4Addr> = clients.iter().map(|c| c.ip).collect();
+        let cpu = server.machine.cpu().clone();
+        let busy0 = cpu.busy();
         if plexus {
-            let st = PlexusStack::attach(
-                &server_machine,
-                &server_machine.nic(0),
-                StackConfig::interrupt(ip(1), MacAddr::local(1)),
-            );
-            for (i, addr) in addrs.iter().enumerate() {
-                st.seed_arp(*addr, MacAddr::local(10 + i as u8));
-            }
+            let st = PlexusStack::attach_host(server, StackConfig::interrupt);
             let ext = st.link_extension(&video_extension_spec("vs")).unwrap();
             let _srv =
-                PlexusVideoServer::start(&st, &ext, world.engine_mut(), addrs.clone(), cfg, until)
+                PlexusVideoServer::start(&st, &ext, tb.world.engine_mut(), addrs, cfg, until)
                     .unwrap();
-            world.run_for(SimDuration::from_secs(1));
+            tb.world.run_for(SimDuration::from_secs(1));
         } else {
-            let st = plexus_baseline::MonolithicStack::attach(
-                &server_machine,
-                &server_machine.nic(0),
-                ip(1),
-                MacAddr::local(1),
-            );
-            for (i, addr) in addrs.iter().enumerate() {
-                st.seed_arp(*addr, MacAddr::local(10 + i as u8));
-            }
-            let _srv = DunixVideoServer::start(&st, world.engine_mut(), addrs.clone(), cfg, until)
-                .unwrap();
-            world.run_for(SimDuration::from_secs(1));
+            let st = MonolithicStack::attach_host(server);
+            let _srv =
+                DunixVideoServer::start(&st, tb.world.engine_mut(), addrs, cfg, until).unwrap();
+            tb.world.run_for(SimDuration::from_secs(1));
         }
-        server_machine
-            .cpu()
-            .utilization(busy0, SimDuration::from_secs(1))
+        cpu.utilization(busy0, SimDuration::from_secs(1))
     };
     let plexus_util = run(true);
     let dunix_util = run(false);
@@ -347,49 +255,15 @@ mod reliable_protocol {
     use plexus_apps::reliable::{
         reliable_extension_spec, ReliableConfig, ReliableReceiver, ReliableSender,
     };
-    use plexus_sim::nic::{FaultInjector, Medium};
-
-    fn lossy_pair(
-        drop_prob: f64,
-        seed: u64,
-    ) -> (
-        plexus_sim::World,
-        Rc<PlexusStack>,
-        Rc<PlexusStack>,
-        Rc<Medium>,
-    ) {
-        let mut world = plexus_sim::World::new();
-        let a = world.add_machine("a");
-        let b = world.add_machine("b");
-        let (medium, nics) = world.connect(
-            &[&a, &b],
-            NicProfile::ethernet_lance(),
-            SimDuration::from_micros(1),
-            true,
-        );
-        medium.set_faults(FaultInjector::new(drop_prob, 0.0, seed));
-        let sa = PlexusStack::attach(
-            &a,
-            &nics[0],
-            StackConfig::interrupt(ip(1), MacAddr::local(1)),
-        );
-        let sb = PlexusStack::attach(
-            &b,
-            &nics[1],
-            StackConfig::interrupt(ip(2), MacAddr::local(2)),
-        );
-        sa.seed_arp(ip(2), MacAddr::local(2));
-        sb.seed_arp(ip(1), MacAddr::local(1));
-        (world, sa, sb, medium)
-    }
+    use plexus_sim::nic::FaultInjector;
 
     #[test]
     fn delivers_in_order_over_a_clean_link() {
-        let (mut world, sa, sb, _m) = lossy_pair(0.0, 1);
+        let (Testbed { mut world, .. }, sa, sb) = plexus_pair(["a", "b"]);
         let aext = sa.link_extension(&reliable_extension_spec("tx")).unwrap();
         let bext = sb.link_extension(&reliable_extension_spec("rx")).unwrap();
         let rx = ReliableReceiver::new(&sb, &bext, 7100).unwrap();
-        let tx = ReliableSender::new(&sa, &aext, 7101, (ip(2), 7100), ReliableConfig::default())
+        let tx = ReliableSender::new(&sa, &aext, 7101, (sb.ip(), 7100), ReliableConfig::default())
             .unwrap();
         for i in 0..10u8 {
             tx.send(world.engine_mut(), &[i; 16]);
@@ -407,11 +281,18 @@ mod reliable_protocol {
 
     #[test]
     fn survives_a_lossy_link_with_retransmission() {
-        let (mut world, sa, sb, medium) = lossy_pair(0.25, 42);
+        let (
+            Testbed {
+                mut world, medium, ..
+            },
+            sa,
+            sb,
+        ) = plexus_pair(["a", "b"]);
+        medium.set_faults(FaultInjector::new(0.25, 0.0, 42));
         let aext = sa.link_extension(&reliable_extension_spec("tx")).unwrap();
         let bext = sb.link_extension(&reliable_extension_spec("rx")).unwrap();
         let rx = ReliableReceiver::new(&sb, &bext, 7100).unwrap();
-        let tx = ReliableSender::new(&sa, &aext, 7101, (ip(2), 7100), ReliableConfig::default())
+        let tx = ReliableSender::new(&sa, &aext, 7101, (sb.ip(), 7100), ReliableConfig::default())
             .unwrap();
         let messages: Vec<Vec<u8>> = (0..30u8).map(|i| vec![i ^ 0x5A; 64]).collect();
         for m in &messages {
@@ -429,13 +310,20 @@ mod reliable_protocol {
     #[test]
     fn gives_up_after_bounded_retries_when_peer_is_gone() {
         // 100% loss: the datagram can never arrive.
-        let (mut world, sa, _sb, _m) = lossy_pair(1.0, 7);
+        let (
+            Testbed {
+                mut world, medium, ..
+            },
+            sa,
+            sb,
+        ) = plexus_pair(["a", "b"]);
+        medium.set_faults(FaultInjector::new(1.0, 0.0, 7));
         let aext = sa.link_extension(&reliable_extension_spec("tx")).unwrap();
         let tx = ReliableSender::new(
             &sa,
             &aext,
             7101,
-            (ip(2), 7100),
+            (sb.ip(), 7100),
             ReliableConfig {
                 retry_timeout: SimDuration::from_millis(1),
                 max_retries: 4,
@@ -457,36 +345,11 @@ mod transaction_protocol {
         transaction_extension_spec, TransactionClient, TransactionServer,
     };
     use plexus_core::TcpCallbacks;
-    use plexus_sim::nic::{FaultInjector, Medium};
-
-    fn pair() -> (World, Rc<PlexusStack>, Rc<PlexusStack>) {
-        let mut world = World::new();
-        let a = world.add_machine("a");
-        let b = world.add_machine("b");
-        let (_m, nics) = world.connect(
-            &[&a, &b],
-            NicProfile::ethernet_lance(),
-            SimDuration::from_micros(1),
-            true,
-        );
-        let sa = PlexusStack::attach(
-            &a,
-            &nics[0],
-            StackConfig::interrupt(ip(1), MacAddr::local(1)),
-        );
-        let sb = PlexusStack::attach(
-            &b,
-            &nics[1],
-            StackConfig::interrupt(ip(2), MacAddr::local(2)),
-        );
-        sa.seed_arp(ip(2), MacAddr::local(2));
-        sb.seed_arp(ip(1), MacAddr::local(1));
-        (world, sa, sb)
-    }
+    use plexus_sim::nic::FaultInjector;
 
     #[test]
     fn one_round_trip_transactions() {
-        let (mut world, client, server) = pair();
+        let (Testbed { mut world, .. }, client, server) = plexus_pair(["a", "b"]);
         let cext = client
             .link_extension(&transaction_extension_spec("txn-c"))
             .unwrap();
@@ -499,7 +362,7 @@ mod transaction_protocol {
             out
         })
         .unwrap();
-        let cli = TransactionClient::install(&client, &cext, 9998, (ip(2), 9999)).unwrap();
+        let cli = TransactionClient::install(&client, &cext, 9998, (server.ip(), 9999)).unwrap();
 
         let t0 = world.engine().now().as_nanos();
         let call = cli.call(world.engine_mut(), b"get-balance");
@@ -519,28 +382,14 @@ mod transaction_protocol {
 
     #[test]
     fn transactions_survive_loss_with_idempotent_retry() {
-        let mut world = World::new();
-        let a = world.add_machine("a");
-        let b = world.add_machine("b");
-        let (medium, nics): (Rc<Medium>, _) = world.connect(
-            &[&a, &b],
-            NicProfile::ethernet_lance(),
-            SimDuration::from_micros(1),
-            true,
-        );
+        let (
+            Testbed {
+                mut world, medium, ..
+            },
+            client,
+            server,
+        ) = plexus_pair(["a", "b"]);
         medium.set_faults(FaultInjector::new(0.3, 0.0, 99));
-        let client = PlexusStack::attach(
-            &a,
-            &nics[0],
-            StackConfig::interrupt(ip(1), MacAddr::local(1)),
-        );
-        let server = PlexusStack::attach(
-            &b,
-            &nics[1],
-            StackConfig::interrupt(ip(2), MacAddr::local(2)),
-        );
-        client.seed_arp(ip(2), MacAddr::local(2));
-        server.seed_arp(ip(1), MacAddr::local(1));
         let cext = client
             .link_extension(&transaction_extension_spec("txn-c"))
             .unwrap();
@@ -548,7 +397,7 @@ mod transaction_protocol {
             .link_extension(&transaction_extension_spec("txn-s"))
             .unwrap();
         let _srv = TransactionServer::install(&server, &sext, 9999, |req| req.to_vec()).unwrap();
-        let cli = TransactionClient::install(&client, &cext, 9998, (ip(2), 9999)).unwrap();
+        let cli = TransactionClient::install(&client, &cext, 9998, (server.ip(), 9999)).unwrap();
         let mut calls = Vec::new();
         for i in 0..20u8 {
             calls.push((i, cli.call(world.engine_mut(), &[i; 8])));
@@ -568,7 +417,7 @@ mod transaction_protocol {
     fn transaction_beats_full_tcp_for_small_exchanges() {
         // §1.1's claim, quantified: the same request/response as one
         // transaction vs. a full TCP connect + transfer + close.
-        let (mut world, client, server) = pair();
+        let (Testbed { mut world, .. }, client, server) = plexus_pair(["a", "b"]);
         let cext = client
             .link_extension(&transaction_extension_spec("txn-c"))
             .unwrap();
@@ -576,7 +425,7 @@ mod transaction_protocol {
             .link_extension(&transaction_extension_spec("txn-s"))
             .unwrap();
         let _srv = TransactionServer::install(&server, &sext, 9999, |req| req.to_vec()).unwrap();
-        let cli = TransactionClient::install(&client, &cext, 9998, (ip(2), 9999)).unwrap();
+        let cli = TransactionClient::install(&client, &cext, 9998, (server.ip(), 9999)).unwrap();
         let t0 = world.engine().now().as_nanos();
         let call = cli.call(world.engine_mut(), b"tiny");
         world.run_for(SimDuration::from_secs(1));
@@ -599,7 +448,7 @@ mod transaction_protocol {
         let t1 = world.engine().now().as_nanos();
         let conn = client
             .tcp()
-            .connect(&cext, world.engine_mut(), (ip(2), 8000))
+            .connect(&cext, world.engine_mut(), (server.ip(), 8000))
             .unwrap();
         let d = done.clone();
         conn.set_callbacks(TcpCallbacks {
@@ -622,7 +471,7 @@ mod transaction_protocol {
     #[test]
     fn steady_state_transactions_allocate_no_fresh_clusters() {
         use plexus_net::mbuf::{cluster_pool_stats, reset_cluster_pool};
-        let (mut world, client, server) = pair();
+        let (Testbed { mut world, .. }, client, server) = plexus_pair(["a", "b"]);
         let cext = client
             .link_extension(&transaction_extension_spec("txn-c"))
             .unwrap();
@@ -630,7 +479,7 @@ mod transaction_protocol {
             .link_extension(&transaction_extension_spec("txn-s"))
             .unwrap();
         let _srv = TransactionServer::install(&server, &sext, 9999, |req| req.to_vec()).unwrap();
-        let cli = TransactionClient::install(&client, &cext, 9998, (ip(2), 9999)).unwrap();
+        let cli = TransactionClient::install(&client, &cext, 9998, (server.ip(), 9999)).unwrap();
 
         reset_cluster_pool();
         // Warmup: populate the free lists and grow the parse scratch.

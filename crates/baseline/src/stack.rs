@@ -25,6 +25,7 @@ use plexus_net::ether::{self, EtherType, EtherView, MacAddr, ETHER_HDR_LEN};
 use plexus_net::icmp::{IcmpMessage, IcmpType};
 use plexus_net::ip::{self, IpHeader, Reassembler};
 use plexus_net::mbuf::Mbuf;
+use plexus_net::testbed::Host;
 use plexus_net::udp::{self, UdpConfig};
 use plexus_sim::nic::{DriverConfig, Nic};
 use plexus_sim::{Cpu, CpuLease, Engine, Machine};
@@ -190,10 +191,9 @@ impl BaselineShared {
         lease.charge(model.eth_proc);
         let mut frame = packet.share();
         ether::write_header(frame.prepend(ETHER_HDR_LEN), dst, self.mac, ethertype);
-        let bytes = frame.to_vec();
-        lease.charge(self.nic.profile().tx_cpu_cost(bytes.len()));
+        lease.charge(self.nic.profile().tx_cpu_cost(frame.total_len()));
         let ready = lease.now();
-        self.nic.transmit_frame(engine, ready, bytes);
+        self.nic.transmit(engine, ready, &frame);
     }
 
     /// Wakes the process blocked on `sock` (or queues the message).
@@ -237,6 +237,16 @@ pub struct MonolithicStack {
 }
 
 impl MonolithicStack {
+    /// [`MonolithicStack::attach`] on a [`plexus_net::Testbed`] host, with
+    /// the ARP cache seeded with every other host on the segment.
+    pub fn attach_host(host: &Host) -> Rc<MonolithicStack> {
+        let stack = MonolithicStack::attach(&host.machine, &host.nic, host.ip, host.mac);
+        for &(ip, mac) in &host.peers {
+            stack.seed_arp(ip, mac);
+        }
+        stack
+    }
+
     /// Attaches the monolithic kernel stack to `machine`'s `nic`.
     pub fn attach(
         machine: &Rc<Machine>,

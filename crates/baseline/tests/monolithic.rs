@@ -2,40 +2,29 @@
 //! user-level splice forwarder.
 
 use std::cell::{Cell, RefCell};
-use std::net::Ipv4Addr;
 use std::rc::Rc;
 
 use plexus_baseline::{MonolithicStack, SocketCallbacks, UserSplice};
 use plexus_kernel::vm::AddressSpace;
-use plexus_net::ether::MacAddr;
-use plexus_sim::nic::NicProfile;
+use plexus_net::testbed::Testbed;
+use plexus_sim::nic::Link;
 use plexus_sim::time::SimDuration;
 use plexus_sim::World;
 
-fn ip(last: u8) -> Ipv4Addr {
-    Ipv4Addr::new(10, 0, 0, last)
-}
-
-fn two_machines() -> (World, Rc<MonolithicStack>, Rc<MonolithicStack>) {
-    let mut world = World::new();
-    let a = world.add_machine("a");
-    let b = world.add_machine("b");
-    let (_m, nics) = world.connect(
-        &[&a, &b],
-        NicProfile::ethernet_lance(),
-        SimDuration::from_micros(1),
-        true,
-    );
-    let sa = MonolithicStack::attach(&a, &nics[0], ip(1), MacAddr::local(1));
-    let sb = MonolithicStack::attach(&b, &nics[1], ip(2), MacAddr::local(2));
-    sa.seed_arp(sb.ip(), sb.mac());
-    sb.seed_arp(sa.ip(), sa.mac());
-    (world, sa, sb)
+/// The monolithic stack on each of `names`, all on one `link` segment
+/// with the ARP mesh seeded.
+fn monolithic_lan<const N: usize>(
+    link: &Link,
+    names: [&str; N],
+) -> (World, [Rc<MonolithicStack>; N]) {
+    let tb = Testbed::new(link, 0, &names);
+    let stacks = std::array::from_fn(|k| MonolithicStack::attach_host(&tb.hosts[k]));
+    (tb.world, stacks)
 }
 
 #[test]
 fn udp_ping_pong_round_trip_is_slower_than_plexus_target() {
-    let (mut world, client, server) = two_machines();
+    let (mut world, [client, server]) = monolithic_lan(&Link::ethernet(), ["a", "b"]);
     let cproc = AddressSpace::new("client-proc");
     let sproc = AddressSpace::new("server-proc");
 
@@ -54,7 +43,7 @@ fn udp_ping_pong_round_trip_is_slower_than_plexus_target() {
     });
 
     let t0 = world.engine().now().as_nanos();
-    csock.sendto(world.engine_mut(), ip(2), 7, b"12345678");
+    csock.sendto(world.engine_mut(), server.ip(), 7, b"12345678");
     world.run();
 
     let rtt_us = (reply_at.get().expect("reply") - t0) as f64 / 1000.0;
@@ -72,13 +61,13 @@ fn udp_ping_pong_round_trip_is_slower_than_plexus_target() {
 
 #[test]
 fn backlogged_datagrams_deliver_when_process_blocks() {
-    let (mut world, client, server) = two_machines();
+    let (mut world, [client, server]) = monolithic_lan(&Link::ethernet(), ["a", "b"]);
     let cproc = AddressSpace::new("c");
     let sproc = AddressSpace::new("s");
     let ssock = Rc::new(server.udp_socket(&sproc, 7, true).unwrap());
     let csock = csock_helper(&client, &cproc);
     // Send before the server process blocks in recvfrom.
-    csock.sendto(world.engine_mut(), ip(2), 7, b"early");
+    csock.sendto(world.engine_mut(), server.ip(), 7, b"early");
     world.run();
     let got = Rc::new(RefCell::new(Vec::new()));
     let g = got.clone();
@@ -98,7 +87,7 @@ fn csock_helper(
 
 #[test]
 fn port_collision_returns_none() {
-    let (_world, _c, server) = two_machines();
+    let (_world, [_c, server]) = monolithic_lan(&Link::ethernet(), ["a", "b"]);
     let p = AddressSpace::new("p");
     let _a = server.udp_socket(&p, 9, true).expect("first bind");
     assert!(server.udp_socket(&p, 9, true).is_none());
@@ -106,15 +95,15 @@ fn port_collision_returns_none() {
 
 #[test]
 fn icmp_echo_is_answered_in_kernel() {
-    let (mut world, client, server) = two_machines();
-    client.ping(world.engine_mut(), ip(2), 1, 1, b"hello");
+    let (mut world, [client, server]) = monolithic_lan(&Link::ethernet(), ["a", "b"]);
+    client.ping(world.engine_mut(), server.ip(), 1, 1, b"hello");
     world.run();
     assert_eq!(server.stats().icmp_echoes, 1);
 }
 
 #[test]
 fn tcp_connect_transfer_close() {
-    let (mut world, client, server) = two_machines();
+    let (mut world, [client, server]) = monolithic_lan(&Link::ethernet(), ["a", "b"]);
     let cproc = AddressSpace::new("c");
     let sproc = AddressSpace::new("s");
 
@@ -134,7 +123,7 @@ fn tcp_connect_transfer_close() {
     let closed = Rc::new(Cell::new(false));
     let conn = client
         .tcp()
-        .connect(world.engine_mut(), &cproc, (ip(2), 80));
+        .connect(world.engine_mut(), &cproc, (server.ip(), 80));
     let (g, cl) = (got.clone(), closed.clone());
     conn.set_callbacks(SocketCallbacks {
         on_connected: Some(Rc::new(|eng, user, sock| {
@@ -155,7 +144,7 @@ fn tcp_connect_transfer_close() {
 
 #[test]
 fn tcp_bulk_transfer_is_intact() {
-    let (mut world, client, server) = two_machines();
+    let (mut world, [client, server]) = monolithic_lan(&Link::ethernet(), ["a", "b"]);
     let cproc = AddressSpace::new("c");
     let sproc = AddressSpace::new("s");
     let received = Rc::new(RefCell::new(Vec::new()));
@@ -172,7 +161,7 @@ fn tcp_bulk_transfer_is_intact() {
     let data: Vec<u8> = (0u32..80_000).map(|x| (x % 249) as u8).collect();
     let conn = client
         .tcp()
-        .connect(world.engine_mut(), &cproc, (ip(2), 5001));
+        .connect(world.engine_mut(), &cproc, (server.ip(), 5001));
     let payload = data.clone();
     conn.set_callbacks(SocketCallbacks {
         on_connected: Some(Rc::new(move |eng, user, sock| {
@@ -188,23 +177,8 @@ fn tcp_bulk_transfer_is_intact() {
 #[test]
 fn user_splice_forwards_but_breaks_end_to_end() {
     // client -> forwarder(splice, port 8080) -> backend(port 80).
-    let mut world = World::new();
-    let mc = world.add_machine("client");
-    let mf = world.add_machine("fwd");
-    let ms = world.add_machine("backend");
-    let (_m, nics) = world.connect(
-        &[&mc, &mf, &ms],
-        NicProfile::ethernet_lance(),
-        SimDuration::from_micros(1),
-        true,
-    );
-    let client = MonolithicStack::attach(&mc, &nics[0], ip(1), MacAddr::local(1));
-    let fwd = MonolithicStack::attach(&mf, &nics[1], ip(2), MacAddr::local(2));
-    let backend = MonolithicStack::attach(&ms, &nics[2], ip(3), MacAddr::local(3));
-    for (a, b) in [(&client, &fwd), (&client, &backend), (&fwd, &backend)] {
-        a.seed_arp(b.ip(), b.mac());
-        b.seed_arp(a.ip(), a.mac());
-    }
+    let (mut world, [client, fwd, backend]) =
+        monolithic_lan(&Link::ethernet(), ["client", "fwd", "backend"]);
 
     let bproc = AddressSpace::new("backend-proc");
     backend.tcp().listen(&bproc, 80, |_eng, _user, sock| {
@@ -218,13 +192,13 @@ fn user_splice_forwards_but_breaks_end_to_end() {
         });
     });
 
-    let splice = UserSplice::start(&fwd, world.engine_mut(), 8080, (ip(3), 80));
+    let splice = UserSplice::start(&fwd, world.engine_mut(), 8080, (backend.ip(), 80));
 
     let cproc = AddressSpace::new("client-proc");
     let got = Rc::new(RefCell::new(Vec::new()));
     let conn = client
         .tcp()
-        .connect(world.engine_mut(), &cproc, (ip(2), 8080));
+        .connect(world.engine_mut(), &cproc, (fwd.ip(), 8080));
     let g = got.clone();
     conn.set_callbacks(SocketCallbacks {
         on_connected: Some(Rc::new(|eng, user, sock| sock.send_in(eng, user, b"ping"))),
@@ -238,12 +212,12 @@ fn user_splice_forwards_but_breaks_end_to_end() {
     assert_eq!(splice.pair_count(), 1);
     // The end-to-end break: the client's TCP peer is the forwarder, and
     // the backend's TCP peer is also the forwarder — never each other.
-    assert_eq!(conn.remote().0, ip(2));
+    assert_eq!(conn.remote().0, fwd.ip());
 }
 
 #[test]
 fn checksum_disabled_udp_socket_skips_verification() {
-    let (mut world, client, server) = two_machines();
+    let (mut world, [client, server]) = monolithic_lan(&Link::ethernet(), ["a", "b"]);
     let cproc = AddressSpace::new("c");
     let sproc = AddressSpace::new("s");
     // Both ends opt out of the UDP checksum (§1.1's media-traffic knob,
@@ -255,17 +229,17 @@ fn checksum_disabled_udp_socket_skips_verification() {
         g.borrow_mut().push(msg.data);
     });
     let csock = Rc::new(client.udp_socket(&cproc, 2000, false).unwrap());
-    csock.sendto(world.engine_mut(), ip(2), 7, b"no integrity");
+    csock.sendto(world.engine_mut(), server.ip(), 7, b"no integrity");
     world.run();
     assert_eq!(*got.borrow(), vec![b"no integrity".to_vec()]);
 }
 
 #[test]
 fn udp_to_unbound_port_is_counted() {
-    let (mut world, client, server) = two_machines();
+    let (mut world, [client, server]) = monolithic_lan(&Link::ethernet(), ["a", "b"]);
     let cproc = AddressSpace::new("c");
     let csock = Rc::new(client.udp_socket(&cproc, 2000, true).unwrap());
-    csock.sendto(world.engine_mut(), ip(2), 4444, b"anyone there?");
+    csock.sendto(world.engine_mut(), server.ip(), 4444, b"anyone there?");
     world.run();
     assert_eq!(server.stats().udp_no_socket, 1);
     assert_eq!(server.stats().udp_delivered, 0);
@@ -278,19 +252,7 @@ fn wakeups_coalesce_under_tcp_bursts() {
     // the number of recv-side traps is well below the segment count. Use
     // the PIO ATM profile, where the receive CPU is the bottleneck and
     // segments genuinely queue behind the woken process.
-    let mut world = World::new();
-    let a = world.add_machine("a");
-    let b = world.add_machine("b");
-    let (_m, nics) = world.connect(
-        &[&a, &b],
-        NicProfile::fore_atm_tca100(),
-        SimDuration::from_micros(10),
-        false,
-    );
-    let client = MonolithicStack::attach(&a, &nics[0], ip(1), MacAddr::local(1));
-    let server = MonolithicStack::attach(&b, &nics[1], ip(2), MacAddr::local(2));
-    client.seed_arp(server.ip(), server.mac());
-    server.seed_arp(client.ip(), client.mac());
+    let (mut world, [client, server]) = monolithic_lan(&Link::atm(), ["a", "b"]);
     let cproc = AddressSpace::new("send");
     let sproc = AddressSpace::new("recv");
     let received = Rc::new(Cell::new(0usize));
@@ -307,7 +269,7 @@ fn wakeups_coalesce_under_tcp_bursts() {
     let total = 200 * 1460;
     let conn = client
         .tcp()
-        .connect(world.engine_mut(), &cproc, (ip(2), 5001));
+        .connect(world.engine_mut(), &cproc, (server.ip(), 5001));
     conn.set_callbacks(SocketCallbacks {
         on_connected: Some(Rc::new(move |eng, user, sock| {
             sock.send_in(eng, user, &vec![3u8; total]);
@@ -328,23 +290,8 @@ fn wakeups_coalesce_under_tcp_bursts() {
 fn splice_handles_multiple_concurrent_clients() {
     // Several clients through one splice port: each gets its own pair of
     // spliced sockets and its own bytes back.
-    let mut world = World::new();
-    let mc = world.add_machine("clients");
-    let mf = world.add_machine("fwd");
-    let ms = world.add_machine("backend");
-    let (_m, nics) = world.connect(
-        &[&mc, &mf, &ms],
-        NicProfile::ethernet_lance(),
-        SimDuration::from_micros(1),
-        true,
-    );
-    let client = MonolithicStack::attach(&mc, &nics[0], ip(1), MacAddr::local(1));
-    let fwd = MonolithicStack::attach(&mf, &nics[1], ip(2), MacAddr::local(2));
-    let backend = MonolithicStack::attach(&ms, &nics[2], ip(3), MacAddr::local(3));
-    for (a, b) in [(&client, &fwd), (&client, &backend), (&fwd, &backend)] {
-        a.seed_arp(b.ip(), b.mac());
-        b.seed_arp(a.ip(), a.mac());
-    }
+    let (mut world, [client, fwd, backend]) =
+        monolithic_lan(&Link::ethernet(), ["clients", "fwd", "backend"]);
     let bproc = AddressSpace::new("svc");
     backend.tcp().listen(&bproc, 80, |_eng, _user, sock| {
         sock.set_callbacks(SocketCallbacks {
@@ -355,7 +302,7 @@ fn splice_handles_multiple_concurrent_clients() {
             ..Default::default()
         });
     });
-    let splice = UserSplice::start(&fwd, world.engine_mut(), 8080, (ip(3), 80));
+    let splice = UserSplice::start(&fwd, world.engine_mut(), 8080, (backend.ip(), 80));
 
     const N: usize = 8;
     let cproc = AddressSpace::new("cli");
@@ -363,7 +310,7 @@ fn splice_handles_multiple_concurrent_clients() {
     for i in 0..N {
         let conn = client
             .tcp()
-            .connect(world.engine_mut(), &cproc, (ip(2), 8080));
+            .connect(world.engine_mut(), &cproc, (fwd.ip(), 8080));
         let res = results.clone();
         let body = vec![i as u8 + 1; 24];
         let b2 = body.clone();

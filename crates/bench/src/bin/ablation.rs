@@ -10,7 +10,7 @@
 
 use plexus_bench::report::{self, BenchReport};
 use plexus_bench::table;
-use plexus_bench::udp_rtt::{udp_rtt_us_with_model, Link, System};
+use plexus_bench::udp_rtt::{mean_us, Link, System, UdpRtt};
 use plexus_sim::cpu::CostModel;
 use plexus_sim::time::SimDuration;
 
@@ -19,8 +19,15 @@ fn main() {
     let link = Link::ethernet();
     let base = CostModel::alpha_3000_400();
 
-    let base_plexus = udp_rtt_us_with_model(System::PlexusInterrupt, &link, 8, ROUNDS, &base);
-    let base_dunix = udp_rtt_us_with_model(System::Dunix, &link, 8, ROUNDS, &base);
+    let rtt_us = |system, model: &CostModel| {
+        let cell = UdpRtt {
+            model: model.clone(),
+            ..UdpRtt::new(system, &link, 8, ROUNDS)
+        };
+        mean_us(&cell.run())
+    };
+    let base_plexus = rtt_us(System::PlexusInterrupt, &base);
+    let base_dunix = rtt_us(System::Dunix, &base);
 
     println!("Ablation: Ethernet UDP RTT with one structural cost zeroed at a time");
     println!();
@@ -53,8 +60,8 @@ fn main() {
     for (name, zero) in knobs {
         let mut m = base.clone();
         zero(&mut m);
-        let p = udp_rtt_us_with_model(System::PlexusInterrupt, &link, 8, ROUNDS, &m);
-        let d = udp_rtt_us_with_model(System::Dunix, &link, 8, ROUNDS, &m);
+        let p = rtt_us(System::PlexusInterrupt, &m);
+        let d = rtt_us(System::Dunix, &m);
         let key = name.replace([' ', '(', ')'], "_");
         report.latency_us(&format!("zeroed_{key}/plexus_interrupt"), p);
         report.latency_us(&format!("zeroed_{key}/dunix"), d);

@@ -8,38 +8,21 @@
 //! Run with `cargo run -p plexus-bench --bin am_latency`.
 
 use std::cell::{Cell, RefCell};
-use std::net::Ipv4Addr;
 use std::rc::Rc;
 
 use plexus_apps::active_messages::{am_extension_spec, ActiveMessages};
 use plexus_bench::report::{self, BenchReport};
 use plexus_bench::table;
-use plexus_bench::udp_rtt::{udp_rtt_us, Link, System};
+use plexus_bench::udp_rtt::{mean_us, Link, System, UdpRtt};
 use plexus_core::{PlexusStack, StackConfig};
-use plexus_net::ether::MacAddr;
-use plexus_sim::World;
+use plexus_net::testbed::Testbed;
 
 fn am_rtt_us(rounds: u32) -> f64 {
-    let link = Link::ethernet();
-    let mut world = World::new();
-    let a = world.add_machine("a");
-    let b = world.add_machine("b");
-    let (_m, nics) = world.connect(
-        &[&a, &b],
-        link.profile.clone(),
-        link.propagation,
-        link.half_duplex,
-    );
-    let sa = PlexusStack::attach(
-        &a,
-        &nics[0],
-        StackConfig::interrupt(Ipv4Addr::new(10, 0, 0, 1), MacAddr::local(1)),
-    );
-    let sb = PlexusStack::attach(
-        &b,
-        &nics[1],
-        StackConfig::interrupt(Ipv4Addr::new(10, 0, 0, 2), MacAddr::local(2)),
-    );
+    let Testbed {
+        mut world, hosts, ..
+    } = Testbed::new(&Link::ethernet(), 0, &["a", "b"]);
+    let sa = PlexusStack::attach_host(&hosts[0], StackConfig::interrupt);
+    let sb = PlexusStack::attach_host(&hosts[1], StackConfig::interrupt);
     let ea = sa.link_extension(&am_extension_spec("am-a")).unwrap();
     let eb = sb.link_extension(&am_extension_spec("am-b")).unwrap();
     let am_a = Rc::new(ActiveMessages::install(&sa, &ea).unwrap());
@@ -73,11 +56,11 @@ fn am_rtt_us(rounds: u32) -> f64 {
     });
 
     sent_at.set(world.engine().now().as_nanos());
-    am_a.send(world.engine_mut(), MacAddr::local(2), 1, 7, &[0u8; 8])
+    am_a.send(world.engine_mut(), hosts[1].mac, 1, 7, &[0u8; 8])
         .unwrap();
     world.run();
-    let v = rtts.borrow();
-    v.iter().sum::<u64>() as f64 / v.len() as f64 / 1000.0
+    let rtts = rtts.borrow();
+    mean_us(&rtts)
 }
 
 fn main() {
@@ -86,8 +69,9 @@ fn main() {
     println!();
 
     let am = am_rtt_us(ROUNDS);
-    let udp_int = udp_rtt_us(System::PlexusInterrupt, &Link::ethernet(), 8, ROUNDS);
-    let udp_thr = udp_rtt_us(System::PlexusThread, &Link::ethernet(), 8, ROUNDS);
+    let udp_us = |system| mean_us(&UdpRtt::new(system, &Link::ethernet(), 8, ROUNDS).run());
+    let udp_int = udp_us(System::PlexusInterrupt);
+    let udp_thr = udp_us(System::PlexusThread);
 
     let rows = vec![
         vec![

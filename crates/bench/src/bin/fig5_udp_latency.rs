@@ -8,7 +8,7 @@
 
 use plexus_bench::report::{self, BenchReport};
 use plexus_bench::table;
-use plexus_bench::udp_rtt::{udp_rtt_samples_ns, udp_rtt_us, Link, System};
+use plexus_bench::udp_rtt::{mean_us, Link, System, UdpRtt};
 
 fn metric_key(device: &str, system: System) -> String {
     let sys = match system {
@@ -43,8 +43,8 @@ fn main() {
     let mut rows = Vec::new();
     for (name, link) in &links {
         for sys in &systems {
-            let samples = udp_rtt_samples_ns(*sys, link, PAYLOAD, ROUNDS);
-            let us = samples.iter().sum::<u64>() as f64 / samples.len() as f64 / 1000.0;
+            let samples = UdpRtt::new(*sys, link, PAYLOAD, ROUNDS).run();
+            let us = mean_us(&samples);
             report.latency_from_ns(&metric_key(name, *sys), &samples);
             rows.push(vec![
                 name.to_string(),
@@ -68,7 +68,7 @@ fn main() {
     ];
     let mut rows = Vec::new();
     for (name, link) in &fast {
-        let us = udp_rtt_us(System::PlexusInterrupt, link, PAYLOAD, ROUNDS);
+        let us = mean_us(&UdpRtt::new(System::PlexusInterrupt, link, PAYLOAD, ROUNDS).run());
         report.latency_us(&metric_key(name, System::PlexusInterrupt), us);
         rows.push(vec![
             name.to_string(),

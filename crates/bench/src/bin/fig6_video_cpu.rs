@@ -9,7 +9,7 @@
 use plexus_apps::video::VideoConfig;
 use plexus_bench::report::{self, BenchReport};
 use plexus_bench::table;
-use plexus_bench::video_cpu::{video_server_utilization, VideoSystem};
+use plexus_bench::video_cpu::{VideoCpu, VideoSystem};
 
 fn main() {
     let cfg = VideoConfig::default();
@@ -24,8 +24,8 @@ fn main() {
     let mut report = BenchReport::new("fig6_video_cpu");
     let mut rows = Vec::new();
     for streams in [1usize, 2, 4, 6, 8, 10, 12, 15, 18, 21, 24, 27, 30] {
-        let spin = video_server_utilization(VideoSystem::Spin, streams, cfg, SECONDS);
-        let dunix = video_server_utilization(VideoSystem::Dunix, streams, cfg, SECONDS);
+        let spin = VideoCpu::new(VideoSystem::Spin, streams, SECONDS).run();
+        let dunix = VideoCpu::new(VideoSystem::Dunix, streams, SECONDS).run();
         report.scalar(
             &format!("streams_{streams:02}/spin_cpu"),
             spin.utilization * 100.0,

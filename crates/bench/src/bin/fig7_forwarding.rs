@@ -7,7 +7,7 @@
 //!
 //! Run with `cargo run -p plexus-bench --bin fig7_forwarding`.
 
-use plexus_bench::fwd_latency::{forwarding_rtt_us, FwdSystem};
+use plexus_bench::fwd_latency::{FwdLatency, FwdSystem};
 use plexus_bench::report::{self, BenchReport};
 use plexus_bench::table;
 use plexus_bench::udp_rtt::Link;
@@ -28,7 +28,7 @@ fn main() {
         let mut row = vec![payload.to_string()];
         let mut direct_us = 0.0;
         for sys in &systems {
-            let us = forwarding_rtt_us(*sys, &link, payload, ROUNDS);
+            let us = FwdLatency::new(*sys, &link, payload, ROUNDS).run();
             if *sys == FwdSystem::Direct {
                 direct_us = us;
             }
@@ -40,8 +40,8 @@ fn main() {
             report.latency_us(&format!("payload_{payload:04}/{sys_key}"), us);
             row.push(format!("{us:.0}"));
         }
-        let plexus = forwarding_rtt_us(FwdSystem::Plexus, &link, payload, ROUNDS);
-        let splice = forwarding_rtt_us(FwdSystem::DunixSplice, &link, payload, ROUNDS);
+        let plexus = FwdLatency::new(FwdSystem::Plexus, &link, payload, ROUNDS).run();
+        let splice = FwdLatency::new(FwdSystem::DunixSplice, &link, payload, ROUNDS).run();
         row.push(format!("{:.0}", plexus - direct_us));
         row.push(format!("{:.0}", splice - direct_us));
         rows.push(row);

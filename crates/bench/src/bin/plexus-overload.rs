@@ -8,12 +8,26 @@
 //! Run with `cargo run -p plexus-bench --bin plexus-overload`.
 
 use plexus_bench::overload::{
-    sweep, sweep_tx, LoadPoint, RxMode, TxMode, Workload, FANOUT, MEASURE, PAYLOAD,
+    LoadPoint, Overload, RxMode, TxMode, Workload, FACTORS, FANOUT, MEASURE, PAYLOAD,
 };
 use plexus_bench::report::{self, BenchReport};
 use plexus_bench::table;
 use plexus_bench::udp_rtt::Link;
 use plexus_trace::timeline::percentile;
+
+/// Runs the standard [`FACTORS`] sweep for one workload and rx/tx path.
+fn sweep(workload: Workload, rx: RxMode, tx: TxMode, link: &Link) -> Vec<LoadPoint> {
+    FACTORS
+        .iter()
+        .map(|&offered| {
+            Overload {
+                tx,
+                ..Overload::new(workload, rx, link, offered)
+            }
+            .run()
+        })
+        .collect()
+}
 
 fn percentile_us(samples_ns: &[u64], q: f64) -> f64 {
     let mut v = samples_ns.to_vec();
@@ -129,7 +143,7 @@ fn tx_main() {
                 TxMode::Doorbell => "scatter-gather, doorbell-batched",
             };
             println!("{what} — {how}:");
-            let points = sweep_tx(workload, RxMode::Coalesced, tx, &link);
+            let points = sweep(workload, RxMode::Coalesced, tx, &link);
             println!("{}", render_tx(&points));
             for p in &points {
                 let key = format!("{}.{}.{}", workload.key(), tx.key(), p.label());
@@ -178,7 +192,7 @@ fn main() {
                 RxMode::Coalesced => "rx ring + coalescing",
             };
             println!("{what} — {how}:");
-            let points = sweep(workload, mode, &link);
+            let points = sweep(workload, mode, TxMode::default(), &link);
             println!("{}", render(&points));
             for p in &points {
                 add_point(&mut report, workload, mode, p);

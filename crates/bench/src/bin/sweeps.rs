@@ -8,23 +8,20 @@
 //!    endpoint is a guard on `Udp.PacketRecv`, so this is the
 //!    packet-filter scaling question (Mogul/Rashid/Accetta, the paper's
 //!    \[MRA87\]) asked of the Plexus dispatcher in simulated time — and
-//!    the hash index's answer: a flat line. Emits
-//!    `results/BENCH_guard_scaling.json` for CI.
+//!    the hash index's answer: a flat line.
 //!
 //! Run with `cargo run -p plexus-bench --bin sweeps`.
 
-use std::cell::RefCell;
-use std::net::Ipv4Addr;
+use std::cell::{Cell, OnceCell};
 use std::rc::Rc;
 
 use plexus_bench::report::{self, BenchReport};
 use plexus_bench::table;
-use plexus_bench::udp_rtt::{udp_rtt_us, Link, System};
-use plexus_core::{AppHandler, PlexusStack, StackConfig, UdpRecv};
+use plexus_bench::udp_rtt::{mean_us, Link, System, UdpRtt};
+use plexus_core::{AppHandler, PlexusStack, StackConfig, UdpEndpoint, UdpRecv};
 use plexus_kernel::domain::ExtensionSpec;
-use plexus_net::ether::MacAddr;
+use plexus_net::testbed::Testbed;
 use plexus_net::udp::UdpConfig;
-use plexus_sim::World;
 
 fn main() {
     let mut report = BenchReport::new("sweeps");
@@ -48,7 +45,7 @@ fn payload_sweep(report: &mut BenchReport) {
     for (name, link) in &links {
         let mut row = vec![name.to_string()];
         for size in sizes {
-            let us = udp_rtt_us(System::PlexusInterrupt, link, size, ROUNDS);
+            let us = mean_us(&UdpRtt::new(System::PlexusInterrupt, link, size, ROUNDS).run());
             let dev = name.to_lowercase().replace(' ', "_");
             report.latency_us(&format!("payload_sweep/{dev}/{size:04}"), us);
             row.push(format!("{us:.0}"));
@@ -73,33 +70,15 @@ fn payload_sweep(report: &mut BenchReport) {
 /// the guard tier on both hosts; simulated time charges the same static
 /// cycle model either way, so the RTT must not depend on it.
 fn rtt_with_endpoints(extra: usize, demux: bool, compiled: bool) -> f64 {
-    let ip = |last: u8| Ipv4Addr::new(10, 0, 0, last);
-    let link = Link::ethernet();
-    let mut world = World::new();
-    let a = world.add_machine("client");
-    let b = world.add_machine("server");
-    let (_m, nics) = world.connect(
-        &[&a, &b],
-        link.profile.clone(),
-        link.propagation,
-        link.half_duplex,
-    );
-    let client = PlexusStack::attach(
-        &a,
-        &nics[0],
-        StackConfig::interrupt(ip(1), MacAddr::local(1)),
-    );
-    let server = PlexusStack::attach(
-        &b,
-        &nics[1],
-        StackConfig::interrupt(ip(2), MacAddr::local(2)),
-    );
-    client.dispatcher().set_demux_enabled(demux);
-    server.dispatcher().set_demux_enabled(demux);
-    client.dispatcher().set_compiled_guards(compiled);
-    server.dispatcher().set_compiled_guards(compiled);
-    client.seed_arp(ip(2), MacAddr::local(2));
-    server.seed_arp(ip(1), MacAddr::local(1));
+    let Testbed {
+        mut world, hosts, ..
+    } = Testbed::new(&Link::ethernet(), 0, &["client", "server"]);
+    let client = PlexusStack::attach_host(&hosts[0], StackConfig::interrupt);
+    let server = PlexusStack::attach_host(&hosts[1], StackConfig::interrupt);
+    for stack in [&client, &server] {
+        stack.dispatcher().set_demux_enabled(demux);
+        stack.dispatcher().set_compiled_guards(compiled);
+    }
     let spec = ExtensionSpec::typesafe("sweep", &["UDP.Bind", "UDP.Send"]);
     let cext = client.link_extension(&spec).unwrap();
     let sext = server.link_extension(&spec).unwrap();
@@ -118,7 +97,7 @@ fn rtt_with_endpoints(extra: usize, demux: bool, compiled: bool) -> f64 {
             .unwrap();
     }
 
-    let echo_slot: Rc<RefCell<Option<Rc<plexus_core::UdpEndpoint>>>> = Rc::new(RefCell::new(None));
+    let echo_slot: Rc<OnceCell<Rc<UdpEndpoint>>> = Rc::default();
     let es = echo_slot.clone();
     let sep = server
         .udp()
@@ -127,14 +106,14 @@ fn rtt_with_endpoints(extra: usize, demux: bool, compiled: bool) -> f64 {
             7,
             UdpConfig::default(),
             AppHandler::interrupt(move |ctx, ev: &UdpRecv| {
-                let ep = es.borrow().clone().unwrap();
+                let ep = es.get().expect("endpoint installed");
                 let _ = ep.send_mbuf_in(ctx, ev.src, ev.src_port, ev.payload.share());
             }),
         )
         .unwrap();
-    *echo_slot.borrow_mut() = Some(sep);
+    let _ = echo_slot.set(sep);
 
-    let done: Rc<std::cell::Cell<Option<u64>>> = Rc::new(std::cell::Cell::new(None));
+    let done: Rc<Cell<Option<u64>>> = Rc::default();
     let d = done.clone();
     let cep = client
         .udp()
@@ -148,7 +127,8 @@ fn rtt_with_endpoints(extra: usize, demux: bool, compiled: bool) -> f64 {
         )
         .unwrap();
     let t0 = world.engine().now().as_nanos();
-    cep.send(world.engine_mut(), ip(2), 7, &[0u8; 8]).unwrap();
+    cep.send(world.engine_mut(), hosts[1].ip, 7, &[0u8; 8])
+        .unwrap();
     world.run();
     (done.get().expect("reply") - t0) as f64 / 1000.0
 }
@@ -157,7 +137,6 @@ fn guard_scaling(report: &mut BenchReport) {
     println!("Guard scaling: Ethernet UDP RTT vs. guards on the server's Udp.PacketRecv");
     println!("(MRA87's packet-filter scaling question, linear walk vs. hash demux)");
     println!();
-    let mut scaling = BenchReport::new("guard_scaling");
     let mut rows = Vec::new();
     let mut base_linear = 0.0;
     let mut base_indexed = 0.0;
@@ -186,7 +165,6 @@ fn guard_scaling(report: &mut BenchReport) {
         ] {
             let name = format!("guard_scaling/{mode}/guards_{guards:03}");
             report.latency_us(&name, us);
-            scaling.latency_us(&name, us);
         }
         rows.push(vec![
             guards.to_string(),
@@ -214,9 +192,4 @@ fn guard_scaling(report: &mut BenchReport) {
     println!("(DESIGN.md §11). Compiled and interpreted guard tiers land on");
     println!("identical simulated RTTs: the tier only changes host time");
     println!("(DESIGN.md §18).");
-    // Always materialize the golden, even under `--json` (CI validates it).
-    match scaling.write() {
-        Ok(path) => eprintln!("guard-scaling report: {}", path.display()),
-        Err(e) => eprintln!("could not write BENCH_guard_scaling.json: {e}"),
-    }
 }

@@ -8,19 +8,16 @@
 //! bandwidth of the framebuffer hardware" — with >90 % of client time in
 //! the display path. This harness reproduces both halves of that claim.
 
-use std::net::Ipv4Addr;
-
 use plexus_apps::video::{
     video_extension_spec, DunixVideoClient, PlexusVideoClient, PlexusVideoServer, VideoConfig,
 };
 use plexus_baseline::MonolithicStack;
 use plexus_core::{PlexusStack, StackConfig};
-use plexus_net::ether::MacAddr;
+use plexus_net::testbed::Testbed;
 use plexus_sim::disk::Disk;
 use plexus_sim::framebuffer::Framebuffer;
-use plexus_sim::nic::NicProfile;
+use plexus_sim::nic::Link;
 use plexus_sim::time::{SimDuration, SimTime};
-use plexus_sim::World;
 
 /// Which client implementation receives the stream.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
@@ -58,27 +55,16 @@ pub struct ClientSample {
 /// Figure 6's experiment; here it is just the source).
 pub fn video_client_utilization(system: ClientSystem, seconds: u64) -> ClientSample {
     let cfg = VideoConfig::default();
-    let server_ip = Ipv4Addr::new(10, 0, 3, 1);
-    let client_ip = Ipv4Addr::new(10, 0, 3, 2);
-
-    let mut world = World::new();
-    let server_m = world.add_machine("server");
-    server_m.set_disk(Disk::video_era());
-    let client_m = world.add_machine("client");
+    let Testbed {
+        mut world, hosts, ..
+    } = Testbed::new(&Link::t3(), 3, &["server", "client"]);
+    let (server_host, client_host) = (&hosts[0], &hosts[1]);
+    server_host.machine.set_disk(Disk::video_era());
+    let client_m = &client_host.machine;
     client_m.set_framebuffer(Framebuffer::new());
-    let (_m, nics) = world.connect(
-        &[&server_m, &client_m],
-        NicProfile::dec_t3(),
-        SimDuration::from_micros(2),
-        false,
-    );
+    let client_ip = client_host.ip;
 
-    let server = PlexusStack::attach(
-        &server_m,
-        &nics[0],
-        StackConfig::interrupt(server_ip, MacAddr::local(1)),
-    );
-    server.seed_arp(client_ip, MacAddr::local(2));
+    let server = PlexusStack::attach_host(server_host, StackConfig::interrupt);
     let sext = server
         .link_extension(&video_extension_spec("server"))
         .unwrap();
@@ -88,12 +74,7 @@ pub fn video_client_utilization(system: ClientSystem, seconds: u64) -> ClientSam
     let until = SimTime::ZERO + SimDuration::from_secs(seconds);
     let frames = match system {
         ClientSystem::Spin => {
-            let stack = PlexusStack::attach(
-                &client_m,
-                &nics[1],
-                StackConfig::interrupt(client_ip, MacAddr::local(2)),
-            );
-            stack.seed_arp(server_ip, MacAddr::local(1));
+            let stack = PlexusStack::attach_host(client_host, StackConfig::interrupt);
             let ext = stack
                 .link_extension(&video_extension_spec("viewer"))
                 .unwrap();
@@ -111,8 +92,7 @@ pub fn video_client_utilization(system: ClientSystem, seconds: u64) -> ClientSam
             viewer.stats().frames
         }
         ClientSystem::Dunix => {
-            let stack = MonolithicStack::attach(&client_m, &nics[1], client_ip, MacAddr::local(2));
-            stack.seed_arp(server_ip, MacAddr::local(1));
+            let stack = MonolithicStack::attach_host(client_host);
             let viewer = DunixVideoClient::start(&stack, world.engine_mut(), cfg).unwrap();
             let _srv = PlexusVideoServer::start(
                 &server,

@@ -16,11 +16,10 @@ use std::rc::Rc;
 use plexus_apps::httpd::{httpd_extension_spec, DunixHttpd, HttpGet, Httpd};
 use plexus_baseline::MonolithicStack;
 use plexus_core::{PlexusStack, StackConfig};
-use plexus_net::ether::MacAddr;
+use plexus_net::testbed::Testbed;
+use plexus_sim::nic::Link;
 use plexus_sim::time::SimDuration;
 use plexus_sim::World;
-
-use crate::udp_rtt::Link;
 
 /// The server's OS structure.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
@@ -41,61 +40,45 @@ impl HttpSystem {
     }
 }
 
-fn ip(last: u8) -> Ipv4Addr {
-    Ipv4Addr::new(10, 0, 4, last)
-}
-
 /// Measures the complete GET latency (connect → response body → close
 /// observed) in microseconds for a document of `body_bytes`.
 pub fn http_get_latency_us(system: HttpSystem, link: &Link, body_bytes: usize) -> f64 {
-    let mut world = World::new();
-    let c = world.add_machine("client");
-    let s = world.add_machine("server");
-    let (_m, nics) = world.connect(
-        &[&c, &s],
-        link.profile.clone(),
-        link.propagation,
-        link.half_duplex,
-    );
-    let client = PlexusStack::attach(
-        &c,
-        &nics[0],
-        StackConfig::interrupt(ip(1), MacAddr::local(1)),
-    );
-    client.seed_arp(ip(2), MacAddr::local(2));
+    let Testbed {
+        mut world, hosts, ..
+    } = Testbed::new(link, 4, &["client", "server"]);
+    let client = PlexusStack::attach_host(&hosts[0], StackConfig::interrupt);
 
     let mut docs = HashMap::new();
     docs.insert("/doc".to_string(), vec![b'x'; body_bytes]);
 
     match system {
         HttpSystem::Plexus => {
-            let server = PlexusStack::attach(
-                &s,
-                &nics[1],
-                StackConfig::interrupt(ip(2), MacAddr::local(2)),
-            );
-            server.seed_arp(ip(1), MacAddr::local(1));
+            let server = PlexusStack::attach_host(&hosts[1], StackConfig::interrupt);
             let ext = server
                 .link_extension(&httpd_extension_spec("httpd"))
                 .unwrap();
             let _srv = Httpd::serve(&server, &ext, 80, docs).unwrap();
-            run_get(&mut world, &client, body_bytes)
+            run_get(&mut world, &client, hosts[1].ip, body_bytes)
         }
         HttpSystem::Dunix => {
-            let server = MonolithicStack::attach(&s, &nics[1], ip(2), MacAddr::local(2));
-            server.seed_arp(ip(1), MacAddr::local(1));
+            let server = MonolithicStack::attach_host(&hosts[1]);
             let _srv = DunixHttpd::serve(&server, 80, docs);
-            run_get(&mut world, &client, body_bytes)
+            run_get(&mut world, &client, hosts[1].ip, body_bytes)
         }
     }
 }
 
-fn run_get(world: &mut World, client: &Rc<PlexusStack>, body_bytes: usize) -> f64 {
+fn run_get(
+    world: &mut World,
+    client: &Rc<PlexusStack>,
+    server: Ipv4Addr,
+    body_bytes: usize,
+) -> f64 {
     let cext = client
         .link_extension(&httpd_extension_spec("client"))
         .unwrap();
     let t0 = world.engine().now().as_nanos();
-    let get = HttpGet::start(client, &cext, world.engine_mut(), (ip(2), 80), "/doc").unwrap();
+    let get = HttpGet::start(client, &cext, world.engine_mut(), (server, 80), "/doc").unwrap();
     world.run_for(SimDuration::from_secs(30));
     let (status, body) = get.result().expect("HTTP response arrived");
     assert_eq!(status, 200);

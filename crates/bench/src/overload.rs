@@ -20,23 +20,21 @@
 //! line rate; each point reports goodput, latency percentiles, and a
 //! drop-cause breakdown taken from the NIC counters.
 
-use std::cell::{Cell, RefCell};
-use std::net::Ipv4Addr;
+use std::cell::{Cell, OnceCell, RefCell};
 use std::rc::Rc;
 
 use plexus_apps::forward::{forwarder_extension_spec, InKernelForwarder};
-use plexus_core::{AppHandler, PlexusStack, StackConfig, UdpRecv};
+use plexus_core::{AppHandler, PlexusStack, StackConfig, UdpEndpoint, UdpRecv};
 use plexus_kernel::domain::ExtensionSpec;
-use plexus_net::ether::MacAddr;
 use plexus_net::ip::{encapsulate as ip_encapsulate, proto, IpHeader};
 use plexus_net::mbuf::Mbuf;
+use plexus_net::testbed::{Host, Testbed};
 use plexus_net::udp::UdpConfig;
 use plexus_sim::engine::Engine;
-use plexus_sim::nic::{DriverConfig, Nic, NicStats};
+use plexus_sim::nic::{DriverConfig, Link, Nic, NicStats};
 use plexus_sim::time::{SimDuration, SimTime};
 use plexus_sim::World;
-
-use crate::udp_rtt::Link;
+use plexus_trace::Recorder;
 
 /// Which receive path the device under test runs.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
@@ -171,9 +169,6 @@ impl LoadPoint {
     }
 }
 
-const GEN: u8 = 1;
-const DUT: u8 = 2;
-const BACKEND: u8 = 3;
 const PORT: u16 = 7;
 const GEN_PORT: u16 = 2000;
 /// Offset of the UDP payload inside the frame (eth + ip + udp headers).
@@ -186,21 +181,11 @@ pub const WARMUP: SimDuration = SimDuration::from_micros(20_000);
 /// Length of the measurement window.
 pub const MEASURE: SimDuration = SimDuration::from_micros(200_000);
 
-fn ip(last: u8) -> Ipv4Addr {
-    Ipv4Addr::new(10, 0, 9, last)
-}
-
-/// Builds a complete wire frame: Ethernet + IPv4 + UDP (checksum
-/// disabled so the payload can carry a varying timestamp without a
-/// per-frame checksum pass), `payload` zero bytes. Public so integration
-/// tests can offer raw line-rate bursts to a stack.
-pub fn build_frame(
-    src_mac: MacAddr,
-    dst_mac: MacAddr,
-    src_ip: Ipv4Addr,
-    dst_ip: Ipv4Addr,
-    payload: usize,
-) -> Vec<u8> {
+/// Builds a complete wire frame from `src` to `dst`: Ethernet + IPv4 +
+/// UDP (checksum disabled so the payload can carry a varying timestamp
+/// without a per-frame checksum pass), `payload` zero bytes. Public so
+/// integration tests can offer raw line-rate bursts to a stack.
+pub fn build_frame(src: &Host, dst: &Host, payload: usize) -> Vec<u8> {
     assert!(payload >= 8, "payload must hold a send timestamp");
     let mut udp = Mbuf::from_payload(64, &vec![0u8; payload]);
     let hdr = udp.prepend(8);
@@ -209,11 +194,11 @@ pub fn build_frame(
     hdr[2..4].copy_from_slice(&PORT.to_be_bytes());
     hdr[4..6].copy_from_slice(&udp_len.to_be_bytes());
     hdr[6..8].copy_from_slice(&0u16.to_be_bytes()); // Checksum disabled.
-    let dgram = ip_encapsulate(&IpHeader::simple(src_ip, dst_ip, proto::UDP, 1), udp);
+    let dgram = ip_encapsulate(&IpHeader::simple(src.ip, dst.ip, proto::UDP, 1), udp);
     let mut frame = dgram;
     let eth = frame.prepend(14);
-    eth[0..6].copy_from_slice(&dst_mac.0);
-    eth[6..12].copy_from_slice(&src_mac.0);
+    eth[0..6].copy_from_slice(&dst.mac.0);
+    eth[6..12].copy_from_slice(&src.mac.0);
     eth[12..14].copy_from_slice(&0x0800u16.to_be_bytes());
     frame.to_vec()
 }
@@ -275,7 +260,7 @@ fn schedule_send(engine: &mut Engine, gen: Rc<Gen>, k: u64) {
         if gen.meter.in_window(now.as_nanos()) {
             gen.meter.sent.set(gen.meter.sent.get() + 1);
         }
-        gen.nic.transmit_frame(engine, now, frame);
+        gen.nic.transmit(engine, now, &frame[..]);
         schedule_send(engine, gen, k + 1);
     });
 }
@@ -304,36 +289,34 @@ fn start_generator(
     schedule_send(world.engine_mut(), gen, 0);
 }
 
-/// Installs a raw sink on `nic`: frames addressed to `mac` score a
+/// Installs a raw sink on `host`'s NIC: frames addressed to it score a
 /// completion against the timestamp embedded in their payload. Charges no
 /// CPU — the sink machine is not under test. With a recorder, every
 /// completion lands as an `overload.latency_ns` sample (feeding the
 /// windowed timeline) and frames for other hosts are recorded as
 /// `not_for_me` drops so journey reconstruction classifies the broadcast
 /// copies as filtered dead ends instead of live hops.
-fn install_sink(
-    nic: &Rc<Nic>,
-    mac: MacAddr,
-    meter: &Rc<Meter>,
-    recorder: Option<&Rc<plexus_trace::Recorder>>,
-) {
+fn install_sink(host: &Host, meter: &Rc<Meter>, recorder: Option<&Rc<Recorder>>) {
+    let mac = host.mac;
     let meter = meter.clone();
     let rec = recorder.cloned();
     let hist = rec.as_ref().map(|r| r.intern("overload.latency_ns"));
-    nic.attach(DriverConfig::per_frame(move |engine, frame| {
-        let now_ns = engine.now().as_nanos();
-        if frame.len() < PAYLOAD_OFF + 8 || frame[0..6] != mac.0 {
-            if let Some(rec) = &rec {
-                rec.packet_drop(now_ns, "sink", "not_for_me");
+    host.nic
+        .attach(DriverConfig::per_frame(move |engine, frame| {
+            let now_ns = engine.now().as_nanos();
+            if frame.len() < PAYLOAD_OFF + 8 || frame[0..6] != mac.0 {
+                if let Some(rec) = &rec {
+                    rec.packet_drop(now_ns, "sink", "not_for_me");
+                }
+                return;
             }
-            return;
-        }
-        let sent_ns = u64::from_be_bytes(frame[PAYLOAD_OFF..PAYLOAD_OFF + 8].try_into().unwrap());
-        if let (Some(rec), Some(hist)) = (&rec, hist) {
-            rec.sample(now_ns, hist, now_ns - sent_ns);
-        }
-        meter.complete(now_ns, sent_ns);
-    }));
+            let sent_ns =
+                u64::from_be_bytes(frame[PAYLOAD_OFF..PAYLOAD_OFF + 8].try_into().unwrap());
+            if let (Some(rec), Some(hist)) = (&rec, hist) {
+                rec.sample(now_ns, hist, now_ns - sent_ns);
+            }
+            meter.complete(now_ns, sent_ns);
+        }));
 }
 
 fn stats_delta(at_end: NicStats, at_warmup: NicStats) -> NicStats {
@@ -354,184 +337,154 @@ fn stats_delta(at_end: NicStats, at_warmup: NicStats) -> NicStats {
     }
 }
 
-/// Runs one load point. Deterministic: everything derives from the
-/// simulated clock.
-pub fn run_point(workload: Workload, mode: RxMode, link: &Link, offered: (u64, u64)) -> LoadPoint {
-    run_point_traced(workload, mode, link, offered, None)
+/// One offered-load point: a workload, the DUT's receive and transmit
+/// paths, the segment, and the offered load as a fraction of line rate.
+pub struct Overload<'a> {
+    /// The traffic pattern.
+    pub workload: Workload,
+    /// The DUT's receive path.
+    pub rx: RxMode,
+    /// The DUT's transmit path (default: scatter-gather, per frame).
+    pub tx: TxMode,
+    /// The segment generator, DUT and backend sit on.
+    pub link: &'a Link,
+    /// Offered load `num/den` as a multiple of line rate.
+    pub offered: (u64, u64),
+    /// Flight recorder installed across the whole world, so
+    /// `plexus-trace` can attribute the DUT's cycles under overload and
+    /// the determinism tests can compare event streams.
+    pub recorder: Option<&'a Rc<Recorder>>,
 }
 
-/// [`run_point`] with a flight recorder installed across the whole world,
-/// so `plexus-trace` can attribute the DUT's cycles under overload and
-/// the determinism tests can compare event streams.
-pub fn run_point_traced(
-    workload: Workload,
-    mode: RxMode,
-    link: &Link,
-    offered: (u64, u64),
-    recorder: Option<&Rc<plexus_trace::Recorder>>,
-) -> LoadPoint {
-    run_point_tx_traced(workload, mode, TxMode::default(), link, offered, recorder)
-}
-
-/// [`run_point`] selecting the DUT's transmit path too.
-pub fn run_point_tx(
-    workload: Workload,
-    mode: RxMode,
-    tx: TxMode,
-    link: &Link,
-    offered: (u64, u64),
-) -> LoadPoint {
-    run_point_tx_traced(workload, mode, tx, link, offered, None)
-}
-
-/// The full matrix: workload x rx path x tx path, optionally traced.
-pub fn run_point_tx_traced(
-    workload: Workload,
-    mode: RxMode,
-    tx: TxMode,
-    link: &Link,
-    offered: (u64, u64),
-    recorder: Option<&Rc<plexus_trace::Recorder>>,
-) -> LoadPoint {
-    let mut world = World::new();
-    let gen_machine = world.add_machine("generator");
-    let dut_machine = world.add_machine("dut");
-    let mut machines = vec![&gen_machine, &dut_machine];
-    let backend_machine = world.add_machine("backend");
-    if workload == Workload::UdpForward {
-        machines.push(&backend_machine);
-    }
-    let (_m, nics) = world.connect(
-        &machines,
-        link.profile.clone(),
-        link.propagation,
-        link.half_duplex,
-    );
-    let gen_nic = nics[0].clone();
-    let dut_nic = nics[1].clone();
-    if let Some(rec) = recorder {
-        world.install_recorder(rec);
-    }
-
-    let cfg = StackConfig::interrupt(ip(DUT), MacAddr::local(DUT));
-    let cfg = match mode {
-        RxMode::PerPacket => cfg,
-        RxMode::Coalesced => cfg.coalesced(),
-    };
-    let cfg = match tx {
-        TxMode::PerFrame => cfg,
-        TxMode::Flattened => cfg.flattened_tx(),
-        TxMode::Doorbell => cfg.doorbell_tx(),
-    };
-    let dut = PlexusStack::attach(&dut_machine, &dut_nic, cfg);
-    dut.seed_arp(ip(GEN), MacAddr::local(GEN));
-
-    let warmup_ns = WARMUP.as_nanos();
-    let end_ns = (WARMUP + MEASURE).as_nanos();
-    let meter = Meter::new((warmup_ns, end_ns));
-
-    match workload {
-        Workload::UdpEcho | Workload::UdpFanout => {
-            let spec = ExtensionSpec::typesafe("overload-echo", &["UDP.Bind", "UDP.Send"]);
-            let ext = dut.link_extension(&spec).unwrap();
-            let slot: Rc<RefCell<Option<Rc<plexus_core::UdpEndpoint>>>> =
-                Rc::new(RefCell::new(None));
-            let s = slot.clone();
-            let copies = if workload == Workload::UdpFanout {
-                FANOUT
-            } else {
-                1
-            };
-            let echo = move |ctx: &mut plexus_kernel::RaiseCtx<'_>, ev: &UdpRecv| {
-                let ep = s.borrow().clone().expect("endpoint installed");
-                for _ in 0..copies {
-                    let _ = ep.send_mbuf_in(ctx, ev.src, ev.src_port, ev.payload.share());
-                }
-            };
-            let ep = dut
-                .udp()
-                .bind(
-                    &ext,
-                    PORT,
-                    UdpConfig::default(),
-                    AppHandler::interrupt(echo),
-                )
-                .unwrap();
-            *slot.borrow_mut() = Some(ep);
-            install_sink(&gen_nic, MacAddr::local(GEN), &meter, recorder);
-        }
-        Workload::UdpForward => {
-            let ext = dut
-                .link_extension(&forwarder_extension_spec("overload-fwd"))
-                .unwrap();
-            InKernelForwarder::udp(&dut, &ext, PORT, ip(BACKEND)).unwrap();
-            dut.seed_arp(ip(BACKEND), MacAddr::local(BACKEND));
-            install_sink(&nics[2], MacAddr::local(BACKEND), &meter, recorder);
+impl<'a> Overload<'a> {
+    /// The point on the stack's default transmit path, untraced.
+    pub fn new(workload: Workload, rx: RxMode, link: &'a Link, offered: (u64, u64)) -> Self {
+        Overload {
+            workload,
+            rx,
+            tx: TxMode::default(),
+            link,
+            offered,
+            recorder: None,
         }
     }
 
-    let template = build_frame(
-        MacAddr::local(GEN),
-        MacAddr::local(DUT),
-        ip(GEN),
-        ip(DUT),
-        PAYLOAD,
-    );
-    start_generator(&mut world, &gen_nic, template, offered, &meter);
+    /// Runs the point. Deterministic: everything derives from the
+    /// simulated clock.
+    pub fn run(&self) -> LoadPoint {
+        let Overload {
+            workload,
+            recorder,
+            offered,
+            ..
+        } = *self;
+        let names: &[&str] = if workload == Workload::UdpForward {
+            &["generator", "dut", "backend"]
+        } else {
+            &["generator", "dut"]
+        };
+        let mut tb = Testbed::new(self.link, 9, names).traced(recorder);
+        let (gen, dut_host) = (&tb.hosts[0], &tb.hosts[1]);
+        let gen_nic = gen.nic.clone();
+        let dut_nic = dut_host.nic.clone();
 
-    // Snapshot NIC counters when the window opens so warmup traffic does
-    // not pollute the drop breakdown.
-    let warmup_gen: Rc<Cell<NicStats>> = Rc::new(Cell::new(NicStats::default()));
-    let warmup_dut: Rc<Cell<NicStats>> = Rc::new(Cell::new(NicStats::default()));
-    {
-        let (g, d) = (warmup_gen.clone(), warmup_dut.clone());
-        let (gn, dn) = (gen_nic.clone(), dut_nic.clone());
-        world
-            .engine_mut()
-            .schedule_at(SimTime::ZERO + WARMUP, move |_| {
-                g.set(gn.stats());
-                d.set(dn.stats());
-            });
+        let dut = PlexusStack::attach_host(dut_host, |ip, mac| {
+            let cfg = StackConfig::interrupt(ip, mac);
+            let cfg = match self.rx {
+                RxMode::PerPacket => cfg,
+                RxMode::Coalesced => cfg.coalesced(),
+            };
+            match self.tx {
+                TxMode::PerFrame => cfg,
+                TxMode::Flattened => cfg.flattened_tx(),
+                TxMode::Doorbell => cfg.doorbell_tx(),
+            }
+        });
+
+        let warmup_ns = WARMUP.as_nanos();
+        let end_ns = (WARMUP + MEASURE).as_nanos();
+        let meter = Meter::new((warmup_ns, end_ns));
+
+        match workload {
+            Workload::UdpEcho | Workload::UdpFanout => {
+                let spec = ExtensionSpec::typesafe("overload-echo", &["UDP.Bind", "UDP.Send"]);
+                let ext = dut.link_extension(&spec).unwrap();
+                let slot: Rc<OnceCell<Rc<UdpEndpoint>>> = Rc::default();
+                let s = slot.clone();
+                let copies = if workload == Workload::UdpFanout {
+                    FANOUT
+                } else {
+                    1
+                };
+                let echo = move |ctx: &mut plexus_kernel::RaiseCtx<'_>, ev: &UdpRecv| {
+                    let ep = s.get().expect("endpoint installed");
+                    for _ in 0..copies {
+                        let _ = ep.send_mbuf_in(ctx, ev.src, ev.src_port, ev.payload.share());
+                    }
+                };
+                let ep = dut
+                    .udp()
+                    .bind(
+                        &ext,
+                        PORT,
+                        UdpConfig::default(),
+                        AppHandler::interrupt(echo),
+                    )
+                    .unwrap();
+                let _ = slot.set(ep);
+                install_sink(gen, &meter, recorder);
+            }
+            Workload::UdpForward => {
+                let ext = dut
+                    .link_extension(&forwarder_extension_spec("overload-fwd"))
+                    .unwrap();
+                let backend = &tb.hosts[2];
+                InKernelForwarder::udp(&dut, &ext, PORT, backend.ip).unwrap();
+                install_sink(backend, &meter, recorder);
+            }
+        }
+
+        let template = build_frame(gen, dut_host, PAYLOAD);
+        start_generator(&mut tb.world, &gen_nic, template, offered, &meter);
+
+        // Snapshot NIC counters when the window opens so warmup traffic does
+        // not pollute the drop breakdown.
+        let warmup_gen: Rc<Cell<NicStats>> = Rc::new(Cell::new(NicStats::default()));
+        let warmup_dut: Rc<Cell<NicStats>> = Rc::new(Cell::new(NicStats::default()));
+        {
+            let (g, d) = (warmup_gen.clone(), warmup_dut.clone());
+            let (gn, dn) = (gen_nic.clone(), dut_nic.clone());
+            tb.world
+                .engine_mut()
+                .schedule_at(SimTime::ZERO + WARMUP, move |_| {
+                    g.set(gn.stats());
+                    d.set(dn.stats());
+                });
+        }
+
+        tb.world.run_for(WARMUP + MEASURE);
+
+        let gen_stats = stats_delta(gen_nic.stats(), warmup_gen.get());
+        let dut_stats = stats_delta(dut_nic.stats(), warmup_dut.get());
+        let latency_ns = meter.latency_ns.borrow().clone();
+        let completed = meter.completed.get();
+        LoadPoint {
+            offered,
+            sent: meter.sent.get(),
+            completed,
+            goodput_pps: completed as f64 / (MEASURE.as_nanos() as f64 / 1e9),
+            latency_ns,
+            gen_tx_ring_drops: gen_stats.tx_ring_drops,
+            rx_ring_drops: dut_stats.rx_ring_drops,
+            rx_no_handler: dut_stats.rx_no_handler,
+            rx_interrupts: dut_stats.rx_interrupts,
+            rx_frames: dut_stats.rx_frames,
+            rx_ring_highwater: dut_stats.rx_ring_highwater,
+            dut_tx_frames: dut_stats.tx_frames,
+            dut_tx_ring_drops: dut_stats.tx_ring_drops,
+            tx_doorbells: dut_stats.tx_doorbells,
+        }
     }
-
-    world.run_for(WARMUP + MEASURE);
-
-    let gen_stats = stats_delta(gen_nic.stats(), warmup_gen.get());
-    let dut_stats = stats_delta(dut_nic.stats(), warmup_dut.get());
-    let latency_ns = meter.latency_ns.borrow().clone();
-    let completed = meter.completed.get();
-    LoadPoint {
-        offered,
-        sent: meter.sent.get(),
-        completed,
-        goodput_pps: completed as f64 / (MEASURE.as_nanos() as f64 / 1e9),
-        latency_ns,
-        gen_tx_ring_drops: gen_stats.tx_ring_drops,
-        rx_ring_drops: dut_stats.rx_ring_drops,
-        rx_no_handler: dut_stats.rx_no_handler,
-        rx_interrupts: dut_stats.rx_interrupts,
-        rx_frames: dut_stats.rx_frames,
-        rx_ring_highwater: dut_stats.rx_ring_highwater,
-        dut_tx_frames: dut_stats.tx_frames,
-        dut_tx_ring_drops: dut_stats.tx_ring_drops,
-        tx_doorbells: dut_stats.tx_doorbells,
-    }
-}
-
-/// Runs the standard [`FACTORS`] sweep for one workload/mode pair.
-pub fn sweep(workload: Workload, mode: RxMode, link: &Link) -> Vec<LoadPoint> {
-    FACTORS
-        .iter()
-        .map(|&f| run_point(workload, mode, link, f))
-        .collect()
-}
-
-/// [`sweep`] over a chosen transmit path.
-pub fn sweep_tx(workload: Workload, mode: RxMode, tx: TxMode, link: &Link) -> Vec<LoadPoint> {
-    FACTORS
-        .iter()
-        .map(|&f| run_point_tx(workload, mode, tx, link, f))
-        .collect()
 }
 
 #[cfg(test)]
@@ -551,8 +504,8 @@ mod tests {
         // and neither may collapse between 1x and 4x (receive livelock).
         let link = Link::t3();
         let load = (2u64, 1u64);
-        let pp = run_point(Workload::UdpEcho, RxMode::PerPacket, &link, load);
-        let co = run_point(Workload::UdpEcho, RxMode::Coalesced, &link, load);
+        let pp = Overload::new(Workload::UdpEcho, RxMode::PerPacket, &link, load).run();
+        let co = Overload::new(Workload::UdpEcho, RxMode::Coalesced, &link, load).run();
         assert!(
             co.goodput_pps > pp.goodput_pps,
             "coalesced goodput {:.0} <= per-packet {:.0} at 2x",
@@ -571,8 +524,8 @@ mod tests {
     fn goodput_does_not_collapse_at_4x() {
         let link = Link::t3();
         for mode in [RxMode::PerPacket, RxMode::Coalesced] {
-            let g1 = run_point(Workload::UdpEcho, mode, &link, (1, 1));
-            let g4 = run_point(Workload::UdpEcho, mode, &link, (4, 1));
+            let g1 = Overload::new(Workload::UdpEcho, mode, &link, (1, 1)).run();
+            let g4 = Overload::new(Workload::UdpEcho, mode, &link, (4, 1)).run();
             assert!(
                 g4.goodput_pps >= g1.goodput_pps * 0.95,
                 "{mode:?}: goodput 4x {:.0} collapsed below 1x {:.0}",
@@ -585,7 +538,7 @@ mod tests {
     #[test]
     fn coalesced_overload_sheds_at_the_ring_and_batches_interrupts() {
         let link = Link::t3();
-        let p = run_point(Workload::UdpEcho, RxMode::Coalesced, &link, (2, 1));
+        let p = Overload::new(Workload::UdpEcho, RxMode::Coalesced, &link, (2, 1)).run();
         assert!(p.rx_ring_drops > 0, "overload must shed at the rx ring");
         assert!(
             p.frames_per_interrupt() > 1.5,
@@ -601,8 +554,8 @@ mod tests {
     #[test]
     fn forwarder_workload_completes_and_orders_like_echo() {
         let link = Link::t3();
-        let pp = run_point(Workload::UdpForward, RxMode::PerPacket, &link, (2, 1));
-        let co = run_point(Workload::UdpForward, RxMode::Coalesced, &link, (2, 1));
+        let pp = Overload::new(Workload::UdpForward, RxMode::PerPacket, &link, (2, 1)).run();
+        let co = Overload::new(Workload::UdpForward, RxMode::Coalesced, &link, (2, 1)).run();
         assert!(pp.completed > 0 && co.completed > 0);
         assert!(co.goodput_pps > pp.goodput_pps);
         assert!(p99(&co.latency_ns) < p99(&pp.latency_ns));
@@ -611,7 +564,7 @@ mod tests {
     #[test]
     fn light_load_completes_everything_offered() {
         let link = Link::t3();
-        let p = run_point(Workload::UdpEcho, RxMode::Coalesced, &link, (1, 20));
+        let p = Overload::new(Workload::UdpEcho, RxMode::Coalesced, &link, (1, 20)).run();
         // At a tenth of line rate nothing should shed anywhere.
         assert_eq!(p.gen_tx_ring_drops, 0);
         assert_eq!(p.rx_ring_drops, 0);

@@ -11,15 +11,15 @@
 
 use std::rc::Rc;
 
-use plexus_apps::video::VideoConfig;
+use plexus_sim::nic::Link;
 use plexus_trace::live::{LiveConfig, Slo};
 use plexus_trace::timeline::DEFAULT_WINDOW_NS;
 use plexus_trace::Recorder;
 
-use crate::fwd_latency::plexus_fwd_traced;
-use crate::overload::{run_point_traced, run_point_tx_traced, RxMode, TxMode, Workload};
-use crate::udp_rtt::{udp_rtt_traced, Link};
-use crate::video_cpu::{video_server_utilization_traced, VideoSystem};
+use crate::fwd_latency::{FwdLatency, FwdSystem};
+use crate::overload::{Overload, RxMode, TxMode, Workload};
+use crate::udp_rtt::{System, UdpRtt};
+use crate::video_cpu::{VideoCpu, VideoSystem};
 
 /// One replayable scenario. Every run derives all timestamps from the
 /// simulated clock, so any exporter over the recorder is byte-identical
@@ -76,62 +76,80 @@ impl Scenario {
     }
 }
 
+fn udp_rtt(system: System, rec: &Rc<Recorder>) {
+    UdpRtt {
+        recorder: Some(rec),
+        ..UdpRtt::new(system, &Link::ethernet(), 8, 20)
+    }
+    .run();
+}
+
 fn run_udp_rtt(rec: &Rc<Recorder>) {
-    udp_rtt_traced(true, &Link::ethernet(), 8, 20, rec);
+    udp_rtt(System::PlexusInterrupt, rec);
 }
 
 fn run_udp_rtt_thread(rec: &Rc<Recorder>) {
-    udp_rtt_traced(false, &Link::ethernet(), 8, 20, rec);
+    udp_rtt(System::PlexusThread, rec);
 }
 
 fn run_fig6_video(rec: &Rc<Recorder>) {
-    video_server_utilization_traced(VideoSystem::Spin, 15, VideoConfig::default(), 1, Some(rec));
+    VideoCpu {
+        recorder: Some(rec),
+        ..VideoCpu::new(VideoSystem::Spin, 15, 1)
+    }
+    .run();
 }
 
 fn run_fig7_forwarding(rec: &Rc<Recorder>) {
-    plexus_fwd_traced(&Link::ethernet(), 64, 5, Some(rec));
+    FwdLatency {
+        recorder: Some(rec),
+        ..FwdLatency::new(FwdSystem::Plexus, &Link::ethernet(), 64, 5)
+    }
+    .run();
 }
 
 fn run_overload(rec: &Rc<Recorder>) {
-    run_point_traced(
-        Workload::UdpEcho,
-        RxMode::PerPacket,
-        &Link::t3(),
-        (1, 4),
-        Some(rec),
-    );
+    Overload {
+        recorder: Some(rec),
+        ..Overload::new(Workload::UdpEcho, RxMode::PerPacket, &Link::t3(), (1, 4))
+    }
+    .run();
 }
 
 fn run_overload_coalesced(rec: &Rc<Recorder>) {
-    run_point_traced(
-        Workload::UdpEcho,
-        RxMode::Coalesced,
-        &Link::t3(),
-        (1, 4),
-        Some(rec),
-    );
+    Overload {
+        recorder: Some(rec),
+        ..Overload::new(Workload::UdpEcho, RxMode::Coalesced, &Link::t3(), (1, 4))
+    }
+    .run();
 }
 
 fn run_tx_overload(rec: &Rc<Recorder>) {
-    run_point_tx_traced(
-        Workload::UdpEcho,
-        RxMode::Coalesced,
-        TxMode::Doorbell,
-        &Link::gigabit(),
-        (4, 1),
-        Some(rec),
-    );
+    Overload {
+        tx: TxMode::Doorbell,
+        recorder: Some(rec),
+        ..Overload::new(
+            Workload::UdpEcho,
+            RxMode::Coalesced,
+            &Link::gigabit(),
+            (4, 1),
+        )
+    }
+    .run();
 }
 
 fn run_tx_fanout(rec: &Rc<Recorder>) {
-    run_point_tx_traced(
-        Workload::UdpFanout,
-        RxMode::Coalesced,
-        TxMode::Doorbell,
-        &Link::gigabit(),
-        (1, 1),
-        Some(rec),
-    );
+    Overload {
+        tx: TxMode::Doorbell,
+        recorder: Some(rec),
+        ..Overload::new(
+            Workload::UdpFanout,
+            RxMode::Coalesced,
+            &Link::gigabit(),
+            (1, 1),
+        )
+    }
+    .run();
 }
 
 /// Every scenario `plexus-trace` can replay.

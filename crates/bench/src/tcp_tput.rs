@@ -7,19 +7,15 @@
 //! (paper: 27.9 vs 33 Mb/s).
 
 use std::cell::Cell;
-use std::net::Ipv4Addr;
 use std::rc::Rc;
 
 use plexus_baseline::{MonolithicStack, SocketCallbacks};
 use plexus_core::{PlexusStack, StackConfig, TcpCallbacks};
 use plexus_kernel::domain::ExtensionSpec;
 use plexus_kernel::vm::AddressSpace;
-use plexus_net::ether::MacAddr;
-use plexus_sim::nic::DriverConfig;
+use plexus_net::testbed::Testbed;
+use plexus_sim::nic::{DriverConfig, Link};
 use plexus_sim::time::SimDuration;
-use plexus_sim::World;
-
-use crate::udp_rtt::Link;
 
 /// The system under test (TCP throughput compares two).
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
@@ -40,10 +36,6 @@ impl TputSystem {
     }
 }
 
-fn ip(last: u8) -> Ipv4Addr {
-    Ipv4Addr::new(10, 0, 0, last)
-}
-
 /// Measures one bulk transfer of `bytes` and returns Mb/s of application
 /// payload delivered (timed from first byte sent to last byte received).
 pub fn tcp_throughput_mbps(system: TputSystem, link: &Link, bytes: usize) -> f64 {
@@ -58,27 +50,11 @@ pub fn tcp_throughput_mbps(system: TputSystem, link: &Link, bytes: usize) -> f64
 const WRITE_CHUNK: usize = 16 * 1024;
 
 fn plexus_tput(link: &Link, bytes: usize) -> f64 {
-    let mut world = World::new();
-    let a = world.add_machine("sender");
-    let b = world.add_machine("receiver");
-    let (_m, nics) = world.connect(
-        &[&a, &b],
-        link.profile.clone(),
-        link.propagation,
-        link.half_duplex,
-    );
-    let sender = PlexusStack::attach(
-        &a,
-        &nics[0],
-        StackConfig::interrupt(ip(1), MacAddr::local(1)),
-    );
-    let receiver = PlexusStack::attach(
-        &b,
-        &nics[1],
-        StackConfig::interrupt(ip(2), MacAddr::local(2)),
-    );
-    sender.seed_arp(ip(2), MacAddr::local(2));
-    receiver.seed_arp(ip(1), MacAddr::local(1));
+    let Testbed {
+        mut world, hosts, ..
+    } = Testbed::new(link, 0, &["sender", "receiver"]);
+    let sender = PlexusStack::attach_host(&hosts[0], StackConfig::interrupt);
+    let receiver = PlexusStack::attach_host(&hosts[1], StackConfig::interrupt);
     let spec = ExtensionSpec::typesafe("ttcp", &["TCP.Listen", "TCP.Connect", "TCP.Send"]);
     let sext = sender.link_extension(&spec).unwrap();
     let rext = receiver.link_extension(&spec).unwrap();
@@ -106,7 +82,7 @@ fn plexus_tput(link: &Link, bytes: usize) -> f64 {
     let start_at = Rc::new(Cell::new(0u64));
     let conn = sender
         .tcp()
-        .connect(&sext, world.engine_mut(), (ip(2), 5001))
+        .connect(&sext, world.engine_mut(), (receiver.ip(), 5001))
         .unwrap();
     let st = start_at.clone();
     conn.set_callbacks(TcpCallbacks {
@@ -129,19 +105,11 @@ fn plexus_tput(link: &Link, bytes: usize) -> f64 {
 }
 
 fn dunix_tput(link: &Link, bytes: usize) -> f64 {
-    let mut world = World::new();
-    let a = world.add_machine("sender");
-    let b = world.add_machine("receiver");
-    let (_m, nics) = world.connect(
-        &[&a, &b],
-        link.profile.clone(),
-        link.propagation,
-        link.half_duplex,
-    );
-    let sender = MonolithicStack::attach(&a, &nics[0], ip(1), MacAddr::local(1));
-    let receiver = MonolithicStack::attach(&b, &nics[1], ip(2), MacAddr::local(2));
-    sender.seed_arp(ip(2), MacAddr::local(2));
-    receiver.seed_arp(ip(1), MacAddr::local(1));
+    let Testbed {
+        mut world, hosts, ..
+    } = Testbed::new(link, 0, &["sender", "receiver"]);
+    let sender = MonolithicStack::attach_host(&hosts[0]);
+    let receiver = MonolithicStack::attach_host(&hosts[1]);
     let sproc = AddressSpace::new("ttcp-send");
     let rproc = AddressSpace::new("ttcp-recv");
 
@@ -165,7 +133,7 @@ fn dunix_tput(link: &Link, bytes: usize) -> f64 {
     let start_at = Rc::new(Cell::new(0u64));
     let conn = sender
         .tcp()
-        .connect(world.engine_mut(), &sproc, (ip(2), 5001));
+        .connect(world.engine_mut(), &sproc, (receiver.ip(), 5001));
     let st = start_at.clone();
     conn.set_callbacks(SocketCallbacks {
         on_connected: Some(Rc::new(move |eng, user, sock| {
@@ -196,21 +164,20 @@ fn dunix_tput(link: &Link, bytes: usize) -> f64 {
 /// stream MTU-sized frames with only interrupt + driver costs and measure
 /// delivered bandwidth.
 pub fn raw_driver_mbps(link: &Link, bytes: usize) -> f64 {
-    let mut world = World::new();
-    let a = world.add_machine("sender");
-    let b = world.add_machine("receiver");
     // This harness pre-queues the whole transfer at t=0 (no transport to
     // pace it), so give the adapter an unbounded ring.
-    let mut profile = link.profile.clone();
-    profile.tx_ring_frames = usize::MAX;
-    let (_m, nics) = world.connect(&[&a, &b], profile, link.propagation, link.half_duplex);
+    let mut unbounded = link.clone();
+    unbounded.profile.tx_ring_frames = usize::MAX;
+    let Testbed {
+        mut world, hosts, ..
+    } = Testbed::new(&unbounded, 0, &["sender", "receiver"]);
     let frame = link.profile.mtu.min(4096);
     let frames = bytes.div_ceil(frame);
 
     let received = Rc::new(Cell::new(0usize));
     let done_at = Rc::new(Cell::new(0u64));
-    let rx_nic = nics[1].clone();
-    let rx_cpu = b.cpu().clone();
+    let rx_nic = hosts[1].nic.clone();
+    let rx_cpu = hosts[1].machine.cpu().clone();
     let (recvd, done) = (received.clone(), done_at.clone());
     let rn = rx_nic.clone();
     rx_nic.attach(DriverConfig::per_frame(move |engine, f| {
@@ -228,13 +195,13 @@ pub fn raw_driver_mbps(link: &Link, bytes: usize) -> f64 {
     // Sender: a loop that queues the next frame as soon as the CPU is free
     // (stop-and-go on CPU, not on ACKs — "reliable" pacing is approximated
     // by never outrunning the receiver more than the wire allows).
-    let tx_cpu = a.cpu().clone();
-    let tx_nic = nics[0].clone();
+    let tx_cpu = hosts[0].machine.cpu();
+    let tx_nic = &hosts[0].nic;
     for _ in 0..frames {
         let mut lease = tx_cpu.begin(world.engine().now());
         lease.charge(tx_nic.profile().tx_cpu_cost(frame));
         let at = lease.finish();
-        tx_nic.transmit_frame(world.engine_mut(), at, vec![0u8; frame]);
+        tx_nic.transmit(world.engine_mut(), at, &vec![0u8; frame][..]);
     }
     world.run();
     let elapsed_ns = done_at.get();

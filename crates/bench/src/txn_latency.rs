@@ -12,18 +12,15 @@
 //! * **UDP** — the connectionless floor (no reliability).
 
 use std::cell::Cell;
-use std::cell::RefCell;
-use std::net::Ipv4Addr;
 use std::rc::Rc;
 
 use plexus_apps::transaction::{transaction_extension_spec, TransactionClient, TransactionServer};
-use plexus_core::{AppHandler, PlexusStack, StackConfig, TcpCallbacks, UdpRecv};
-use plexus_net::ether::MacAddr;
-use plexus_net::udp::UdpConfig;
+use plexus_core::{PlexusStack, StackConfig, TcpCallbacks};
+use plexus_net::testbed::Testbed;
+use plexus_sim::nic::Link;
 use plexus_sim::time::SimDuration;
-use plexus_sim::World;
 
-use crate::udp_rtt::{udp_rtt_us, Link, System};
+use crate::udp_rtt::{mean_us, System, UdpRtt};
 
 /// The exchange discipline measured.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
@@ -47,47 +44,28 @@ impl TxnSystem {
     }
 }
 
-fn ip(last: u8) -> Ipv4Addr {
-    Ipv4Addr::new(10, 0, 5, last)
-}
-
 /// Mean latency (µs) of one complete `payload`-byte request/response
 /// exchange, over `rounds` serial exchanges.
 pub fn txn_latency_us(system: TxnSystem, link: &Link, payload: usize, rounds: u32) -> f64 {
     match system {
-        TxnSystem::Udp => udp_rtt_us(System::PlexusInterrupt, link, payload, rounds),
+        TxnSystem::Udp => {
+            mean_us(&UdpRtt::new(System::PlexusInterrupt, link, payload, rounds).run())
+        }
         TxnSystem::TcpSpecial => special_txn(link, payload, rounds),
         TxnSystem::TcpStandard => tcp_exchange(link, payload, rounds),
     }
 }
 
-fn pair(link: &Link) -> (World, Rc<PlexusStack>, Rc<PlexusStack>) {
-    let mut world = World::new();
-    let a = world.add_machine("client");
-    let b = world.add_machine("server");
-    let (_m, nics) = world.connect(
-        &[&a, &b],
-        link.profile.clone(),
-        link.propagation,
-        link.half_duplex,
-    );
-    let client = PlexusStack::attach(
-        &a,
-        &nics[0],
-        StackConfig::interrupt(ip(1), MacAddr::local(1)),
-    );
-    let server = PlexusStack::attach(
-        &b,
-        &nics[1],
-        StackConfig::interrupt(ip(2), MacAddr::local(2)),
-    );
-    client.seed_arp(ip(2), MacAddr::local(2));
-    server.seed_arp(ip(1), MacAddr::local(1));
-    (world, client, server)
+/// A client and a server host, an interrupt-mode Plexus stack on each.
+fn client_server(link: &Link) -> (Testbed, Rc<PlexusStack>, Rc<PlexusStack>) {
+    let tb = Testbed::new(link, 5, &["client", "server"]);
+    let client = PlexusStack::attach_host(&tb.hosts[0], StackConfig::interrupt);
+    let server = PlexusStack::attach_host(&tb.hosts[1], StackConfig::interrupt);
+    (tb, client, server)
 }
 
 fn special_txn(link: &Link, payload: usize, rounds: u32) -> f64 {
-    let (mut world, client, server) = pair(link);
+    let (Testbed { mut world, .. }, client, server) = client_server(link);
     let cext = client
         .link_extension(&transaction_extension_spec("txn-c"))
         .unwrap();
@@ -95,7 +73,7 @@ fn special_txn(link: &Link, payload: usize, rounds: u32) -> f64 {
         .link_extension(&transaction_extension_spec("txn-s"))
         .unwrap();
     let _srv = TransactionServer::install(&server, &sext, 9999, |req| req.to_vec()).unwrap();
-    let cli = TransactionClient::install(&client, &cext, 9998, (ip(2), 9999)).unwrap();
+    let cli = TransactionClient::install(&client, &cext, 9998, (server.ip(), 9999)).unwrap();
     let mut total_ns = 0u64;
     let req = vec![0x33u8; payload];
     for _ in 0..rounds {
@@ -109,7 +87,7 @@ fn special_txn(link: &Link, payload: usize, rounds: u32) -> f64 {
 }
 
 fn tcp_exchange(link: &Link, payload: usize, rounds: u32) -> f64 {
-    let (mut world, client, server) = pair(link);
+    let (Testbed { mut world, .. }, client, server) = client_server(link);
     let spec = plexus_kernel::domain::ExtensionSpec::typesafe("x", &["TCP.Listen", "TCP.Connect"]);
     let cext = client.link_extension(&spec).unwrap();
     let sext = server.link_extension(&spec).unwrap();
@@ -134,7 +112,7 @@ fn tcp_exchange(link: &Link, payload: usize, rounds: u32) -> f64 {
         let t0 = world.engine().now().as_nanos();
         let conn = client
             .tcp()
-            .connect(&cext, world.engine_mut(), (ip(2), 8000))
+            .connect(&cext, world.engine_mut(), (server.ip(), 8000))
             .unwrap();
         let (d, g, req2) = (done.clone(), got.clone(), req.clone());
         conn.set_callbacks(TcpCallbacks {
@@ -154,10 +132,6 @@ fn tcp_exchange(link: &Link, payload: usize, rounds: u32) -> f64 {
     }
     total_ns as f64 / rounds as f64 / 1000.0
 }
-
-/// Guard against dead code in the UDP arm's shared import.
-#[allow(dead_code)]
-fn _udp_type_check(_: &RefCell<Vec<UdpRecv>>, _: UdpConfig, _: AppHandler<UdpRecv>) {}
 
 #[cfg(test)]
 mod tests {

@@ -6,17 +6,16 @@
 //! DIGITAL UNIX, because the in-kernel extension moves frames from disk to
 //! network without user/kernel copies or per-send traps.
 
-use std::net::Ipv4Addr;
 use std::rc::Rc;
 
 use plexus_apps::video::{video_extension_spec, DunixVideoServer, PlexusVideoServer, VideoConfig};
 use plexus_baseline::MonolithicStack;
 use plexus_core::{PlexusStack, StackConfig};
-use plexus_net::ether::MacAddr;
+use plexus_net::testbed::Testbed;
 use plexus_sim::disk::Disk;
-use plexus_sim::nic::NicProfile;
+use plexus_sim::nic::Link;
 use plexus_sim::time::{SimDuration, SimTime};
-use plexus_sim::World;
+use plexus_trace::Recorder;
 
 /// Which server implementation to run.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
@@ -37,10 +36,6 @@ impl VideoSystem {
     }
 }
 
-fn ip(last: u8) -> Ipv4Addr {
-    Ipv4Addr::new(10, 0, 1, last)
-}
-
 /// One Figure 6 sample point.
 #[derive(Clone, Copy, Debug)]
 pub struct VideoSample {
@@ -56,117 +51,95 @@ pub struct VideoSample {
     pub delivered_fraction: f64,
 }
 
-/// Runs the video server for `seconds` of simulated time with `streams`
-/// clients and returns the server's CPU utilization.
-pub fn video_server_utilization(
-    system: VideoSystem,
-    streams: usize,
-    config: VideoConfig,
-    seconds: u64,
-) -> VideoSample {
-    video_server_utilization_traced(system, streams, config, seconds, None)
+/// One Figure 6 point: a video server streaming the default
+/// [`VideoConfig`] to `streams` clients over the T3 for `seconds` of
+/// simulated time.
+pub struct VideoCpu<'a> {
+    /// The server implementation.
+    pub system: VideoSystem,
+    /// Number of client streams.
+    pub streams: usize,
+    /// Simulated seconds to run.
+    pub seconds: u64,
+    /// Flight recorder attached to every CPU, NIC, and the engine, so
+    /// `plexus-trace` can attribute the server's cycles per layer and
+    /// domain.
+    pub recorder: Option<&'a Rc<Recorder>>,
 }
 
-/// [`video_server_utilization`] with a flight recorder attached to every
-/// CPU, NIC, and the engine, so `plexus-trace` can attribute the
-/// server's cycles per layer and domain.
-pub fn video_server_utilization_traced(
-    system: VideoSystem,
-    streams: usize,
-    config: VideoConfig,
-    seconds: u64,
-    recorder: Option<&Rc<plexus_trace::Recorder>>,
-) -> VideoSample {
-    let mut world = World::new();
-    let server_machine = world.add_machine("video-server");
-    server_machine.set_disk(Disk::video_era());
-    let mut machines = vec![server_machine.clone()];
-    let mut addrs = Vec::new();
-    for i in 0..streams {
-        let m = world.add_machine(&format!("client-{i}"));
-        addrs.push(ip(10 + i as u8));
-        machines.push(m);
-    }
-    let refs: Vec<&Rc<plexus_sim::Machine>> = machines.iter().collect();
-    world.connect(
-        &refs,
-        NicProfile::dec_t3(),
-        SimDuration::from_micros(2),
-        false,
-    );
-    if let Some(rec) = recorder {
-        world.install_recorder(rec);
-    }
-
-    // Client sinks: the monolithic stack absorbs the frames; no process is
-    // blocked, so datagrams land in the socket backlog at no extra cost —
-    // we are measuring the *server's* CPU, as the paper does.
-    for (i, addr) in addrs.iter().enumerate() {
-        let m = &machines[i + 1];
-        let sink = MonolithicStack::attach(m, &m.nic(0), *addr, MacAddr::local(100 + i as u8));
-        sink.seed_arp(ip(1), MacAddr::local(1));
-        std::mem::forget(sink);
-    }
-
-    let until = SimTime::ZERO + SimDuration::from_secs(seconds);
-    let busy0 = server_machine.cpu().busy();
-    match system {
-        VideoSystem::Spin => {
-            let stack = PlexusStack::attach(
-                &server_machine,
-                &server_machine.nic(0),
-                StackConfig::interrupt(ip(1), MacAddr::local(1)),
-            );
-            for (i, addr) in addrs.iter().enumerate() {
-                stack.seed_arp(*addr, MacAddr::local(100 + i as u8));
-            }
-            let ext = stack
-                .link_extension(&video_extension_spec("video-server"))
-                .expect("video extension links");
-            let _server = PlexusVideoServer::start(
-                &stack,
-                &ext,
-                world.engine_mut(),
-                addrs.clone(),
-                config,
-                until,
-            )
-            .expect("server starts");
-            world.run_for(SimDuration::from_secs(seconds));
-        }
-        VideoSystem::Dunix => {
-            let stack = MonolithicStack::attach(
-                &server_machine,
-                &server_machine.nic(0),
-                ip(1),
-                MacAddr::local(1),
-            );
-            for (i, addr) in addrs.iter().enumerate() {
-                stack.seed_arp(*addr, MacAddr::local(100 + i as u8));
-            }
-            let _server =
-                DunixVideoServer::start(&stack, world.engine_mut(), addrs.clone(), config, until)
-                    .expect("server starts");
-            world.run_for(SimDuration::from_secs(seconds));
+impl VideoCpu<'_> {
+    /// The point, untraced.
+    pub fn new(system: VideoSystem, streams: usize, seconds: u64) -> Self {
+        VideoCpu {
+            system,
+            streams,
+            seconds,
+            recorder: None,
         }
     }
-    let utilization = server_machine
-        .cpu()
-        .utilization(busy0, SimDuration::from_secs(seconds));
-    let stream_bps = config.frame_bytes as f64 * 8.0 * config.fps as f64;
-    let offered_load = stream_bps * streams as f64 / NicProfile::dec_t3().bits_per_sec as f64;
-    let nic_stats = server_machine.nic(0).stats();
-    let attempted = nic_stats.tx_frames + nic_stats.tx_ring_drops;
-    let delivered_fraction = if attempted == 0 {
-        1.0
-    } else {
-        nic_stats.tx_frames as f64 / attempted as f64
-    };
-    VideoSample {
-        streams,
-        utilization,
-        offered_load,
-        delivered_fraction,
+
+    /// Runs the server and returns its CPU utilization.
+    pub fn run(&self) -> VideoSample {
+        let VideoCpu {
+            streams, seconds, ..
+        } = *self;
+        let config = VideoConfig::default();
+        let clients: Vec<String> = (0..streams).map(|i| format!("client-{i}")).collect();
+        let mut names = vec!["video-server"];
+        names.extend(clients.iter().map(String::as_str));
+        let mut tb = Testbed::new(&Link::t3(), 1, &names).traced(self.recorder);
+        let (server, clients) = tb.hosts.split_first().expect("the server is host 1");
+        server.machine.set_disk(Disk::video_era());
+
+        // Client sinks: the monolithic stack absorbs the frames; no process
+        // is blocked, so datagrams land in the socket backlog at no extra
+        // cost — we are measuring the *server's* CPU, as the paper does.
+        let _sinks: Vec<_> = clients.iter().map(MonolithicStack::attach_host).collect();
+        let addrs: Vec<_> = clients.iter().map(|c| c.ip).collect();
+
+        let span = SimDuration::from_secs(seconds);
+        let until = SimTime::ZERO + span;
+        let cpu = server.machine.cpu().clone();
+        let nic = server.nic.clone();
+        let busy0 = cpu.busy();
+        match self.system {
+            VideoSystem::Spin => {
+                let stack = PlexusStack::attach_host(server, StackConfig::interrupt);
+                let ext = stack
+                    .link_extension(&video_extension_spec("video-server"))
+                    .expect("video extension links");
+                let _server = PlexusVideoServer::start(
+                    &stack,
+                    &ext,
+                    tb.world.engine_mut(),
+                    addrs,
+                    config,
+                    until,
+                )
+                .expect("server starts");
+                tb.world.run_for(span);
+            }
+            VideoSystem::Dunix => {
+                let stack = MonolithicStack::attach_host(server);
+                let _server =
+                    DunixVideoServer::start(&stack, tb.world.engine_mut(), addrs, config, until)
+                        .expect("server starts");
+                tb.world.run_for(span);
+            }
+        }
+        let stream_bps = config.frame_bytes as f64 * 8.0 * config.fps as f64;
+        let nic_stats = nic.stats();
+        let attempted = nic_stats.tx_frames + nic_stats.tx_ring_drops;
+        VideoSample {
+            streams,
+            utilization: cpu.utilization(busy0, span),
+            offered_load: stream_bps * streams as f64 / nic.profile().bits_per_sec as f64,
+            delivered_fraction: if attempted == 0 {
+                1.0
+            } else {
+                nic_stats.tx_frames as f64 / attempted as f64
+            },
+        }
     }
 }
 
@@ -176,8 +149,7 @@ mod tests {
 
     #[test]
     fn fifteen_streams_saturate_the_t3() {
-        let cfg = VideoConfig::default();
-        let s = video_server_utilization(VideoSystem::Spin, 15, cfg, 1);
+        let s = VideoCpu::new(VideoSystem::Spin, 15, 1).run();
         assert!(
             (0.9..1.15).contains(&s.offered_load),
             "15 streams should offer ~line rate: {}",
@@ -187,9 +159,8 @@ mod tests {
 
     #[test]
     fn spin_uses_about_half_the_cpu_of_dunix_at_saturation() {
-        let cfg = VideoConfig::default();
-        let spin = video_server_utilization(VideoSystem::Spin, 15, cfg, 1);
-        let dunix = video_server_utilization(VideoSystem::Dunix, 15, cfg, 1);
+        let spin = VideoCpu::new(VideoSystem::Spin, 15, 1).run();
+        let dunix = VideoCpu::new(VideoSystem::Dunix, 15, 1).run();
         let ratio = dunix.utilization / spin.utilization;
         assert!(
             (1.6..3.0).contains(&ratio),
@@ -201,9 +172,8 @@ mod tests {
 
     #[test]
     fn utilization_grows_with_stream_count() {
-        let cfg = VideoConfig::default();
-        let five = video_server_utilization(VideoSystem::Spin, 5, cfg, 1);
-        let fifteen = video_server_utilization(VideoSystem::Spin, 15, cfg, 1);
+        let five = VideoCpu::new(VideoSystem::Spin, 5, 1).run();
+        let fifteen = VideoCpu::new(VideoSystem::Spin, 15, 1).run();
         assert!(fifteen.utilization > five.utilization * 2.0);
     }
 }

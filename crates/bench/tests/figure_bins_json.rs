@@ -7,11 +7,8 @@ use std::process::Command;
 use plexus_trace::json::{self, Value};
 
 fn last_line_is_the_report(exe: &str) {
-    // `sweeps` rewrites results/BENCH_guard_scaling.json relative to its
-    // working directory even with --json; keep that out of the source tree.
     let out = Command::new(exe)
         .arg("--json")
-        .current_dir(env!("CARGO_TARGET_TMPDIR"))
         .output()
         .expect("bench binary runs");
     assert!(out.status.success(), "{exe} failed: {:?}", out.status);

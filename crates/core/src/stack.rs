@@ -47,6 +47,7 @@ use plexus_net::ether::{EtherType, EtherView, MacAddr, ETHER_HDR_LEN};
 use plexus_net::icmp::{IcmpMessage, IcmpType};
 use plexus_net::ip::{self, IpHeader, Reassembler};
 use plexus_net::mbuf::Mbuf;
+use plexus_net::testbed::Host;
 
 use crate::guards;
 use crate::tcp_manager::TcpManager;
@@ -567,6 +568,22 @@ impl PlexusStack {
         })
     }
 
+    /// [`PlexusStack::attach`] on a [`plexus_net::Testbed`] host: `config`
+    /// builds the configuration from the host's addresses
+    /// ([`StackConfig::interrupt`], [`StackConfig::thread`], or a closure
+    /// refining one), and the ARP cache is seeded with every other host
+    /// on the segment.
+    pub fn attach_host(
+        host: &Host,
+        config: impl FnOnce(Ipv4Addr, MacAddr) -> StackConfig,
+    ) -> Rc<PlexusStack> {
+        let stack = PlexusStack::attach(&host.machine, &host.nic, config(host.ip, host.mac));
+        for &(ip, mac) in &host.peers {
+            stack.seed_arp(ip, mac);
+        }
+        stack
+    }
+
     /// The device receive interrupt: charge driver + interrupt costs, MAC
     /// filter, then raise `Ethernet.PacketRecv`. Returns the driver
     /// binding for [`plexus_sim::nic::Nic::attach`].
@@ -695,7 +712,7 @@ impl PlexusStack {
             let ready = ctx.lease.now();
             if s.tx_flatten {
                 let bytes = frame.to_vec();
-                s.nic.transmit_frame(ctx.engine, ready, bytes);
+                s.nic.transmit(ctx.engine, ready, &bytes[..]);
             } else {
                 s.nic.transmit(ctx.engine, ready, &frame);
             }
@@ -891,11 +908,6 @@ impl PlexusStack {
     /// any symbol outside that domain (§2).
     pub fn link_extension(&self, spec: &ExtensionSpec) -> Result<LinkedExtension, PlexusError> {
         Ok(self.shared.ext_domain.link(spec)?)
-    }
-
-    /// Unlinks an extension (managers revoke its endpoints separately).
-    pub fn unlink_extension(&self, name: &str) -> bool {
-        self.shared.ext_domain.unlink(name)
     }
 
     /// Unloads an extension completely: every endpoint, listener, and raw

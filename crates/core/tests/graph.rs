@@ -9,52 +9,40 @@ use std::rc::Rc;
 use plexus_core::{AppHandler, PlexusError, PlexusStack, SourcePolicy, StackConfig, TcpCallbacks};
 use plexus_kernel::domain::{ExtensionSpec, LinkError};
 use plexus_net::ether::{EtherType, MacAddr};
+use plexus_net::testbed::{Host, Testbed};
 use plexus_net::udp::UdpConfig;
-use plexus_sim::nic::NicProfile;
+use plexus_sim::nic::Link;
 use plexus_sim::time::SimDuration;
 use plexus_sim::World;
 use plexus_trace::{CounterKey, Recorder, Scope, TraceEvent};
-
-fn ip(last: u8) -> Ipv4Addr {
-    Ipv4Addr::new(10, 0, 0, last)
-}
 
 fn ext_spec(name: &str) -> ExtensionSpec {
     ExtensionSpec::typesafe(name, &["UDP.Bind", "UDP.Send", "Mbuf.Alloc"])
 }
 
-/// Two machines on a private Ethernet segment, Plexus on both.
-fn two_plexus(mode_interrupt: bool) -> (World, Rc<PlexusStack>, Rc<PlexusStack>) {
-    let mut world = World::new();
-    let a = world.add_machine("alpha-a");
-    let b = world.add_machine("alpha-b");
-    let (_m, nics) = world.connect(
-        &[&a, &b],
-        NicProfile::ethernet_lance(),
-        SimDuration::from_micros(1),
-        true,
-    );
-    let cfg = |ipa, maca| {
-        if mode_interrupt {
-            StackConfig::interrupt(ipa, maca)
-        } else {
-            StackConfig::thread(ipa, maca)
-        }
-    };
-    let sa = PlexusStack::attach(&a, &nics[0], cfg(ip(1), MacAddr::local(1)));
-    let sb = PlexusStack::attach(&b, &nics[1], cfg(ip(2), MacAddr::local(2)));
-    (world, sa, sb)
+/// Plexus on each of `names`, all on one private Ethernet segment with
+/// the ARP mesh seeded.
+fn plexus_lan<const N: usize>(
+    names: [&str; N],
+    config: fn(Ipv4Addr, MacAddr) -> StackConfig,
+) -> (World, [Rc<PlexusStack>; N]) {
+    let tb = Testbed::new(&Link::ethernet(), 0, &names);
+    let stacks = std::array::from_fn(|k| PlexusStack::attach_host(&tb.hosts[k], config));
+    (tb.world, stacks)
 }
 
-fn seed_arp_both(sa: &PlexusStack, sb: &PlexusStack) {
-    sa.seed_arp(sb.ip(), sb.mac());
-    sb.seed_arp(sa.ip(), sa.mac());
+/// Plexus on `host` with a cold ARP cache, for the tests of ARP itself.
+fn attach_cold(host: &Host) -> Rc<PlexusStack> {
+    PlexusStack::attach(
+        &host.machine,
+        &host.nic,
+        StackConfig::interrupt(host.ip, host.mac),
+    )
 }
 
 #[test]
 fn udp_ping_pong_round_trip() {
-    let (mut world, client, server) = two_plexus(true);
-    seed_arp_both(&client, &server);
+    let (mut world, [client, server]) = plexus_lan(["alpha-a", "alpha-b"], StackConfig::interrupt);
 
     let cext = client.link_extension(&ext_spec("PingClient")).unwrap();
     let sext = server.link_extension(&ext_spec("PingServer")).unwrap();
@@ -95,7 +83,8 @@ fn udp_ping_pong_round_trip() {
         .expect("client bind");
 
     let t0 = world.engine().now();
-    cep.send(world.engine_mut(), ip(2), 7, b"12345678").unwrap();
+    cep.send(world.engine_mut(), server.ip(), 7, b"12345678")
+        .unwrap();
     world.run();
 
     let arrived = reply_at.get().expect("reply came back");
@@ -111,8 +100,14 @@ fn udp_ping_pong_round_trip() {
 #[test]
 fn thread_mode_is_slower_than_interrupt_mode() {
     let rtt = |interrupt: bool| -> u64 {
-        let (mut world, client, server) = two_plexus(interrupt);
-        seed_arp_both(&client, &server);
+        let (mut world, [client, server]) = plexus_lan(
+            ["alpha-a", "alpha-b"],
+            if interrupt {
+                StackConfig::interrupt
+            } else {
+                StackConfig::thread
+            },
+        );
         let cext = client.link_extension(&ext_spec("C")).unwrap();
         let sext = server.link_extension(&ext_spec("S")).unwrap();
         let ep_slot: Rc<RefCell<Option<Rc<plexus_core::UdpEndpoint>>>> =
@@ -147,7 +142,7 @@ fn thread_mode_is_slower_than_interrupt_mode() {
             .udp()
             .bind(&cext, 2000, UdpConfig::default(), handler)
             .unwrap();
-        cep.send(world.engine_mut(), ip(2), 7, b"x").unwrap();
+        cep.send(world.engine_mut(), server.ip(), 7, b"x").unwrap();
         world.run();
         done.get().expect("reply")
     };
@@ -161,8 +156,7 @@ fn thread_mode_is_slower_than_interrupt_mode() {
 
 #[test]
 fn endpoints_cannot_snoop_each_other() {
-    let (mut world, client, server) = two_plexus(true);
-    seed_arp_both(&client, &server);
+    let (mut world, [client, server]) = plexus_lan(["alpha-a", "alpha-b"], StackConfig::interrupt);
     let sext = server.link_extension(&ext_spec("S")).unwrap();
     let cext = client.link_extension(&ext_spec("C")).unwrap();
 
@@ -202,7 +196,7 @@ fn endpoints_cannot_snoop_each_other() {
         )
         .unwrap();
     for _ in 0..3 {
-        cep.send(world.engine_mut(), ip(2), 5000, b"for A only")
+        cep.send(world.engine_mut(), server.ip(), 5000, b"for A only")
             .unwrap();
         world.run();
     }
@@ -219,7 +213,7 @@ fn endpoints_cannot_snoop_each_other() {
 
 #[test]
 fn port_collisions_are_refused() {
-    let (_world, _client, server) = two_plexus(true);
+    let (_world, [_client, server]) = plexus_lan(["alpha-a", "alpha-b"], StackConfig::interrupt);
     let ext = server.link_extension(&ext_spec("S")).unwrap();
     server
         .udp()
@@ -244,8 +238,7 @@ fn port_collisions_are_refused() {
 
 #[test]
 fn spoofed_source_is_rejected_under_verify_policy() {
-    let (mut world, client, server) = two_plexus(true);
-    seed_arp_both(&client, &server);
+    let (mut world, [client, server]) = plexus_lan(["alpha-a", "alpha-b"], StackConfig::interrupt);
     let ext = client.link_extension(&ext_spec("C")).unwrap();
     let ep = client
         .udp()
@@ -260,8 +253,8 @@ fn spoofed_source_is_rejected_under_verify_policy() {
     let err = ep
         .send_verified(
             world.engine_mut(),
-            ip(99),
-            ip(2),
+            Ipv4Addr::new(10, 0, 0, 99),
+            server.ip(),
             7,
             b"x",
             SourcePolicy::Verify,
@@ -272,8 +265,8 @@ fn spoofed_source_is_rejected_under_verify_policy() {
     // ...claiming our own succeeds.
     ep.send_verified(
         world.engine_mut(),
-        ip(1),
-        ip(2),
+        client.ip(),
+        server.ip(),
         7,
         b"x",
         SourcePolicy::Verify,
@@ -283,7 +276,7 @@ fn spoofed_source_is_rejected_under_verify_policy() {
 
 #[test]
 fn linking_rejects_out_of_domain_imports() {
-    let (_world, _client, server) = two_plexus(true);
+    let (_world, [_client, server]) = plexus_lan(["alpha-a", "alpha-b"], StackConfig::interrupt);
     let rogue = ExtensionSpec::typesafe("Rogue", &["UDP.Bind", "VM.MapKernelMemory"]);
     match server.link_extension(&rogue) {
         Err(PlexusError::Link(LinkError::Unresolved(syms))) => {
@@ -295,7 +288,7 @@ fn linking_rejects_out_of_domain_imports() {
 
 #[test]
 fn raw_ether_attach_cannot_claim_system_protocols() {
-    let (_world, _client, server) = two_plexus(true);
+    let (_world, [_client, server]) = plexus_lan(["alpha-a", "alpha-b"], StackConfig::interrupt);
     let ext = server.link_extension(&ext_spec("AM")).unwrap();
     for taken in [EtherType::IPV4, EtherType::ARP] {
         let err = server
@@ -315,9 +308,8 @@ fn raw_ether_attach_cannot_claim_system_protocols() {
 
 #[test]
 fn icmp_echo_round_trip() {
-    let (mut world, client, server) = two_plexus(true);
-    seed_arp_both(&client, &server);
-    client.ping(world.engine_mut(), ip(2), 77, 1, b"ping!");
+    let (mut world, [client, server]) = plexus_lan(["alpha-a", "alpha-b"], StackConfig::interrupt);
+    client.ping(world.engine_mut(), server.ip(), 77, 1, b"ping!");
     world.run();
     assert_eq!(server.stats().icmp_echoes, 1);
     // The reply made it back up our IP layer.
@@ -326,8 +318,10 @@ fn icmp_echo_round_trip() {
 
 #[test]
 fn arp_resolves_on_demand_and_queued_sends_drain() {
-    let (mut world, client, server) = two_plexus(true);
     // No ARP seeding: the first datagram must trigger a request/reply.
+    let mut tb = Testbed::new(&Link::ethernet(), 0, &["alpha-a", "alpha-b"]);
+    let (client, server) = (attach_cold(&tb.hosts[0]), attach_cold(&tb.hosts[1]));
+    let world = &mut tb.world;
     let cext = client.link_extension(&ext_spec("C")).unwrap();
     let sext = server.link_extension(&ext_spec("S")).unwrap();
     let got = Rc::new(Cell::new(0u32));
@@ -352,7 +346,7 @@ fn arp_resolves_on_demand_and_queued_sends_drain() {
             AppHandler::interrupt(|_, _| {}),
         )
         .unwrap();
-    cep.send(world.engine_mut(), ip(2), 7, b"needs arp")
+    cep.send(world.engine_mut(), server.ip(), 7, b"needs arp")
         .unwrap();
     world.run();
     assert_eq!(got.get(), 1, "datagram parked on ARP then delivered");
@@ -362,8 +356,7 @@ fn arp_resolves_on_demand_and_queued_sends_drain() {
 
 #[test]
 fn large_udp_datagrams_fragment_and_reassemble() {
-    let (mut world, client, server) = two_plexus(true);
-    seed_arp_both(&client, &server);
+    let (mut world, [client, server]) = plexus_lan(["alpha-a", "alpha-b"], StackConfig::interrupt);
     let cext = client.link_extension(&ext_spec("C")).unwrap();
     let sext = server.link_extension(&ext_spec("S")).unwrap();
     let data: Vec<u8> = (0u32..4000).map(|x| (x % 241) as u8).collect();
@@ -389,15 +382,14 @@ fn large_udp_datagrams_fragment_and_reassemble() {
             AppHandler::interrupt(|_, _| {}),
         )
         .unwrap();
-    cep.send(world.engine_mut(), ip(2), 7, &data).unwrap();
+    cep.send(world.engine_mut(), server.ip(), 7, &data).unwrap();
     world.run();
     assert_eq!(*got.borrow(), data, "4000 B > Ethernet MTU must reassemble");
 }
 
 #[test]
 fn closed_endpoint_stops_receiving_and_frees_port() {
-    let (mut world, client, server) = two_plexus(true);
-    seed_arp_both(&client, &server);
+    let (mut world, [client, server]) = plexus_lan(["alpha-a", "alpha-b"], StackConfig::interrupt);
     let cext = client.link_extension(&ext_spec("C")).unwrap();
     let sext = server.link_extension(&ext_spec("S")).unwrap();
     let hits = Rc::new(Cell::new(0u32));
@@ -422,13 +414,17 @@ fn closed_endpoint_stops_receiving_and_frees_port() {
             AppHandler::interrupt(|_, _| {}),
         )
         .unwrap();
-    cep.send(world.engine_mut(), ip(2), 7, b"one").unwrap();
+    cep.send(world.engine_mut(), server.ip(), 7, b"one")
+        .unwrap();
     world.run();
     sep.close();
-    cep.send(world.engine_mut(), ip(2), 7, b"two").unwrap();
+    cep.send(world.engine_mut(), server.ip(), 7, b"two")
+        .unwrap();
     world.run();
     assert_eq!(hits.get(), 1, "no delivery after close");
-    assert!(sep.send(world.engine_mut(), ip(1), 2000, b"x").is_err());
+    assert!(sep
+        .send(world.engine_mut(), client.ip(), 2000, b"x")
+        .is_err());
     // The port is free again (runtime adaptation).
     server
         .udp()
@@ -443,8 +439,7 @@ fn closed_endpoint_stops_receiving_and_frees_port() {
 
 #[test]
 fn checksum_disabled_udp_is_a_special_implementation() {
-    let (mut world, client, server) = two_plexus(true);
-    seed_arp_both(&client, &server);
+    let (mut world, [client, server]) = plexus_lan(["alpha-a", "alpha-b"], StackConfig::interrupt);
     let cext = client.link_extension(&ext_spec("C")).unwrap();
     let sext = server.link_extension(&ext_spec("S")).unwrap();
     let nocheck = UdpConfig { checksum: false };
@@ -466,7 +461,7 @@ fn checksum_disabled_udp_is_a_special_implementation() {
         .udp()
         .bind(&cext, 2000, nocheck, AppHandler::interrupt(|_, _| {}))
         .unwrap();
-    cep.send(world.engine_mut(), ip(2), 7001, b"video-ish")
+    cep.send(world.engine_mut(), server.ip(), 7001, b"video-ish")
         .unwrap();
     world.run();
     assert_eq!(got.get(), 1);
@@ -479,8 +474,7 @@ fn checksum_disabled_udp_is_a_special_implementation() {
 
 #[test]
 fn tcp_connect_transfer_close_end_to_end() {
-    let (mut world, client, server) = two_plexus(true);
-    seed_arp_both(&client, &server);
+    let (mut world, [client, server]) = plexus_lan(["alpha-a", "alpha-b"], StackConfig::interrupt);
     let cext = client.link_extension(&ext_spec("C")).unwrap();
     let sext = server.link_extension(&ext_spec("S")).unwrap();
 
@@ -506,7 +500,7 @@ fn tcp_connect_transfer_close_end_to_end() {
     let closed = Rc::new(Cell::new(false));
     let conn = client
         .tcp()
-        .connect(&cext, world.engine_mut(), (ip(2), 80))
+        .connect(&cext, world.engine_mut(), (server.ip(), 80))
         .unwrap();
     let (g, c0, cl) = (got.clone(), connected.clone(), closed.clone());
     conn.set_callbacks(TcpCallbacks {
@@ -531,8 +525,7 @@ fn tcp_connect_transfer_close_end_to_end() {
 
 #[test]
 fn tcp_bulk_transfer_is_intact() {
-    let (mut world, client, server) = two_plexus(true);
-    seed_arp_both(&client, &server);
+    let (mut world, [client, server]) = plexus_lan(["alpha-a", "alpha-b"], StackConfig::interrupt);
     let cext = client.link_extension(&ext_spec("C")).unwrap();
     let sext = server.link_extension(&ext_spec("S")).unwrap();
     let received: Rc<RefCell<Vec<u8>>> = Rc::new(RefCell::new(Vec::new()));
@@ -552,7 +545,7 @@ fn tcp_bulk_transfer_is_intact() {
     let data: Vec<u8> = (0u32..100_000).map(|x| (x % 253) as u8).collect();
     let conn = client
         .tcp()
-        .connect(&cext, world.engine_mut(), (ip(2), 5001))
+        .connect(&cext, world.engine_mut(), (server.ip(), 5001))
         .unwrap();
     let payload = data.clone();
     conn.set_callbacks(TcpCallbacks {
@@ -569,40 +562,13 @@ fn tcp_bulk_transfer_is_intact() {
 #[test]
 fn udp_redirect_forwards_to_secondary_host() {
     // client -> forwarder (redirects port 7777) -> server.
-    let mut world = World::new();
-    let mc = world.add_machine("client");
-    let mf = world.add_machine("forwarder");
-    let ms = world.add_machine("server");
-    let (_m, nics) = world.connect(
-        &[&mc, &mf, &ms],
-        NicProfile::ethernet_lance(),
-        SimDuration::from_micros(1),
-        true,
-    );
-    let client = PlexusStack::attach(
-        &mc,
-        &nics[0],
-        StackConfig::interrupt(ip(1), MacAddr::local(1)),
-    );
-    let fwd = PlexusStack::attach(
-        &mf,
-        &nics[1],
-        StackConfig::interrupt(ip(2), MacAddr::local(2)),
-    );
-    let server = PlexusStack::attach(
-        &ms,
-        &nics[2],
-        StackConfig::interrupt(ip(3), MacAddr::local(3)),
-    );
-    for (a, b) in [(&client, &fwd), (&client, &server), (&fwd, &server)] {
-        a.seed_arp(b.ip(), b.mac());
-        b.seed_arp(a.ip(), a.mac());
-    }
+    let (mut world, [client, fwd, server]) =
+        plexus_lan(["client", "forwarder", "server"], StackConfig::interrupt);
     let fext = fwd.link_extension(&ext_spec("Fwd")).unwrap();
     let sext = server.link_extension(&ext_spec("S")).unwrap();
     let cext = client.link_extension(&ext_spec("C")).unwrap();
 
-    fwd.udp().redirect(&fext, 7777, ip(3)).unwrap();
+    fwd.udp().redirect(&fext, 7777, server.ip()).unwrap();
     type Received = Vec<(Ipv4Addr, Vec<u8>)>;
     let got: Rc<RefCell<Received>> = Rc::new(RefCell::new(Vec::new()));
     let g = got.clone();
@@ -627,12 +593,16 @@ fn udp_redirect_forwards_to_secondary_host() {
         )
         .unwrap();
     // Client sends to the FORWARDER's address.
-    cep.send(world.engine_mut(), ip(2), 7777, b"balance me")
+    cep.send(world.engine_mut(), fwd.ip(), 7777, b"balance me")
         .unwrap();
     world.run();
     let got = got.borrow();
     assert_eq!(got.len(), 1, "datagram reached the secondary host");
-    assert_eq!(got[0].0, ip(1), "original source preserved end-to-end");
+    assert_eq!(
+        got[0].0,
+        client.ip(),
+        "original source preserved end-to-end"
+    );
     assert_eq!(got[0].1, b"balance me");
 }
 
@@ -641,42 +611,15 @@ fn tcp_redirect_preserves_end_to_end_semantics() {
     // The paper's §5.2 argument: the in-kernel forwarder redirects
     // *control* packets too, so connection establishment and teardown work
     // end-to-end between client and server.
-    let mut world = World::new();
-    let mc = world.add_machine("client");
-    let mf = world.add_machine("forwarder");
-    let ms = world.add_machine("server");
-    let (_m, nics) = world.connect(
-        &[&mc, &mf, &ms],
-        NicProfile::ethernet_lance(),
-        SimDuration::from_micros(1),
-        true,
-    );
-    let client = PlexusStack::attach(
-        &mc,
-        &nics[0],
-        StackConfig::interrupt(ip(1), MacAddr::local(1)),
-    );
-    let fwd = PlexusStack::attach(
-        &mf,
-        &nics[1],
-        StackConfig::interrupt(ip(2), MacAddr::local(2)),
-    );
-    let server = PlexusStack::attach(
-        &ms,
-        &nics[2],
-        StackConfig::interrupt(ip(3), MacAddr::local(3)),
-    );
-    for (a, b) in [(&client, &fwd), (&client, &server), (&fwd, &server)] {
-        a.seed_arp(b.ip(), b.mac());
-        b.seed_arp(a.ip(), a.mac());
-    }
+    let (mut world, [client, fwd, server]) =
+        plexus_lan(["client", "forwarder", "server"], StackConfig::interrupt);
     let fext = fwd.link_extension(&ext_spec("Fwd")).unwrap();
     let sext = server.link_extension(&ext_spec("S")).unwrap();
     let cext = client.link_extension(&ext_spec("C")).unwrap();
 
     // DSR-style: the server answers on the forwarder's address.
-    fwd.tcp().redirect(&fext, 8080, ip(3)).unwrap();
-    server.add_ip_alias(ip(2));
+    fwd.tcp().redirect(&fext, 8080, server.ip()).unwrap();
+    server.add_ip_alias(fwd.ip());
     server
         .tcp()
         .listen(&sext, 8080, |_, conn| {
@@ -695,7 +638,7 @@ fn tcp_redirect_preserves_end_to_end_semantics() {
     // Client connects to the FORWARDER.
     let conn = client
         .tcp()
-        .connect(&cext, world.engine_mut(), (ip(2), 8080))
+        .connect(&cext, world.engine_mut(), (fwd.ip(), 8080))
         .unwrap();
     let g = got.clone();
     conn.set_callbacks(TcpCallbacks {
@@ -716,8 +659,7 @@ fn tcp_redirect_preserves_end_to_end_semantics() {
 
 #[test]
 fn special_tcp_implementation_coexists_with_standard() {
-    let (mut world, client, server) = two_plexus(true);
-    seed_arp_both(&client, &server);
+    let (mut world, [client, server]) = plexus_lan(["alpha-a", "alpha-b"], StackConfig::interrupt);
     let cext = client.link_extension(&ext_spec("C")).unwrap();
     let sext = server.link_extension(&ext_spec("S")).unwrap();
 
@@ -751,7 +693,7 @@ fn special_tcp_implementation_coexists_with_standard() {
     // A standard connection works.
     let conn = client
         .tcp()
-        .connect(&cext, world.engine_mut(), (ip(2), 80))
+        .connect(&cext, world.engine_mut(), (server.ip(), 80))
         .unwrap();
     conn.set_callbacks(TcpCallbacks {
         on_connected: Some(Rc::new(|ctx, conn| conn.send_in(ctx, b"std"))),
@@ -766,7 +708,7 @@ fn special_tcp_implementation_coexists_with_standard() {
     let mid = server.tcp().segments_in();
     let conn2 = client
         .tcp()
-        .connect(&cext, world.engine_mut(), (ip(2), 9999))
+        .connect(&cext, world.engine_mut(), (server.ip(), 9999))
         .unwrap();
     world.run_for(SimDuration::from_secs(2));
     assert!(raw_segments.get() > 0, "special implementation saw the SYN");
@@ -780,25 +722,15 @@ fn special_tcp_implementation_coexists_with_standard() {
 
 #[test]
 fn ephemeral_time_limit_terminates_runaway_extension() {
-    let mut world = World::new();
-    let a = world.add_machine("a");
-    let b = world.add_machine("b");
-    let (_m, nics) = world.connect(
-        &[&a, &b],
-        NicProfile::ethernet_lance(),
-        SimDuration::from_micros(1),
-        true,
-    );
-    let mut cfg = StackConfig::interrupt(ip(1), MacAddr::local(1));
-    cfg.ext_time_limit = Some(SimDuration::from_micros(50));
-    let sa = PlexusStack::attach(&a, &nics[0], cfg);
-    let sb = PlexusStack::attach(
-        &b,
-        &nics[1],
-        StackConfig::interrupt(ip(2), MacAddr::local(2)),
-    );
-    sa.seed_arp(sb.ip(), sb.mac());
-    sb.seed_arp(sa.ip(), sa.mac());
+    let Testbed {
+        mut world, hosts, ..
+    } = Testbed::new(&Link::ethernet(), 0, &["a", "b"]);
+    let sa = PlexusStack::attach_host(&hosts[0], |ip, mac| {
+        let mut cfg = StackConfig::interrupt(ip, mac);
+        cfg.ext_time_limit = Some(SimDuration::from_micros(50));
+        cfg
+    });
+    let sb = PlexusStack::attach_host(&hosts[1], StackConfig::interrupt);
     let aext = sa.link_extension(&ext_spec("Runaway")).unwrap();
     let bext = sb.link_extension(&ext_spec("C")).unwrap();
 
@@ -822,7 +754,8 @@ fn ephemeral_time_limit_terminates_runaway_extension() {
             AppHandler::interrupt(|_, _| {}),
         )
         .unwrap();
-    cep.send(world.engine_mut(), ip(1), 7, b"trigger").unwrap();
+    cep.send(world.engine_mut(), sa.ip(), 7, b"trigger")
+        .unwrap();
     world.run();
     assert_eq!(
         sa.dispatcher().stats().terminations,
@@ -830,7 +763,7 @@ fn ephemeral_time_limit_terminates_runaway_extension() {
         "over-budget ephemeral handler must be terminated"
     );
     // The CPU only lost the 50 us allotment, not 10 ms.
-    assert!(a.cpu().busy() < SimDuration::from_millis(1));
+    assert!(hosts[0].machine.cpu().busy() < SimDuration::from_millis(1));
 }
 
 #[test]
@@ -838,33 +771,7 @@ fn mac_filter_discards_foreign_frames_unless_promiscuous() {
     // Three machines on one segment; A sends to B; C must filter the frame
     // at the driver (no promiscuous snooping), and the filter is a
     // privileged stack operation, not an extension API.
-    let mut world = World::new();
-    let a = world.add_machine("a");
-    let b = world.add_machine("b");
-    let c = world.add_machine("c");
-    let (_m, nics) = world.connect(
-        &[&a, &b, &c],
-        NicProfile::ethernet_lance(),
-        SimDuration::from_micros(1),
-        true,
-    );
-    let sa = PlexusStack::attach(
-        &a,
-        &nics[0],
-        StackConfig::interrupt(ip(1), MacAddr::local(1)),
-    );
-    let sb = PlexusStack::attach(
-        &b,
-        &nics[1],
-        StackConfig::interrupt(ip(2), MacAddr::local(2)),
-    );
-    let sc = PlexusStack::attach(
-        &c,
-        &nics[2],
-        StackConfig::interrupt(ip(3), MacAddr::local(3)),
-    );
-    sa.seed_arp(ip(2), MacAddr::local(2));
-    sb.seed_arp(ip(1), MacAddr::local(1));
+    let (mut world, [sa, sb, sc]) = plexus_lan(["a", "b", "c"], StackConfig::interrupt);
 
     let aext = sa.link_extension(&ext_spec("A")).unwrap();
     let bext = sb.link_extension(&ext_spec("B")).unwrap();
@@ -892,7 +799,8 @@ fn mac_filter_discards_foreign_frames_unless_promiscuous() {
             AppHandler::interrupt(|_, _| {}),
         )
         .unwrap();
-    aep.send(world.engine_mut(), ip(2), 7, b"unicast").unwrap();
+    aep.send(world.engine_mut(), sb.ip(), 7, b"unicast")
+        .unwrap();
     world.run();
     // C heard the frames on the shared wire but filtered them all.
     assert_eq!(sc.stats().eth_rx, 0);
@@ -904,7 +812,8 @@ fn mac_filter_discards_foreign_frames_unless_promiscuous() {
     // With the (privileged) promiscuous switch, C's driver accepts them —
     // but they die at C's IP layer, which is not their destination.
     sc.set_promiscuous(true);
-    aep.send(world.engine_mut(), ip(2), 7, b"unicast2").unwrap();
+    aep.send(world.engine_mut(), sb.ip(), 7, b"unicast2")
+        .unwrap();
     world.run();
     assert!(sc.stats().eth_rx > 0, "promiscuous driver accepts");
     assert!(sc.stats().ip_dropped > 0, "but IP drops foreign datagrams");
@@ -912,7 +821,7 @@ fn mac_filter_discards_foreign_frames_unless_promiscuous() {
 
 #[test]
 fn detach_ether_stops_delivery_at_runtime() {
-    let (mut world, client, server) = two_plexus(true);
+    let (mut world, [client, server]) = plexus_lan(["alpha-a", "alpha-b"], StackConfig::interrupt);
     let ext = server.link_extension(&ext_spec("AM")).unwrap();
     let hits = Rc::new(Cell::new(0u32));
     let h = hits.clone();
@@ -951,15 +860,14 @@ fn detach_ether_stops_delivery_at_runtime() {
 
 #[test]
 fn tcp_listen_conflicts_are_refused_and_unlisten_frees() {
-    let (world, client, server) = two_plexus(true);
-    seed_arp_both(&client, &server);
+    let (world, [client, server]) = plexus_lan(["alpha-a", "alpha-b"], StackConfig::interrupt);
     let ext = server.link_extension(&ext_spec("S")).unwrap();
     server.tcp().listen(&ext, 80, |_, _| {}).unwrap();
     let err = server.tcp().listen(&ext, 80, |_, _| {}).unwrap_err();
     assert_eq!(err, PlexusError::PortInUse(80));
     // claim_special and redirect also respect the reservation.
     assert!(server.tcp().claim_special(&ext, &[80], |_, _| {}).is_err());
-    assert!(server.tcp().redirect(&ext, 80, ip(1)).is_err());
+    assert!(server.tcp().redirect(&ext, 80, client.ip()).is_err());
     assert!(server.tcp().unlisten(80));
     assert!(!server.tcp().unlisten(80));
     server
@@ -971,7 +879,7 @@ fn tcp_listen_conflicts_are_refused_and_unlisten_frees() {
 
 #[test]
 fn udp_redirect_conflicts_with_existing_binding() {
-    let (_world, _client, server) = two_plexus(true);
+    let (_world, [client, server]) = plexus_lan(["alpha-a", "alpha-b"], StackConfig::interrupt);
     let ext = server.link_extension(&ext_spec("S")).unwrap();
     server
         .udp()
@@ -982,16 +890,15 @@ fn udp_redirect_conflicts_with_existing_binding() {
             AppHandler::interrupt(|_, _| {}),
         )
         .unwrap();
-    let err = server.udp().redirect(&ext, 9000, ip(1)).unwrap_err();
+    let err = server.udp().redirect(&ext, 9000, client.ip()).unwrap_err();
     assert_eq!(err, PlexusError::PortInUse(9000));
 }
 
 #[test]
 fn recorder_shows_the_packet_walk() {
-    let (mut world, client, server) = two_plexus(true);
+    let (mut world, [client, server]) = plexus_lan(["alpha-a", "alpha-b"], StackConfig::interrupt);
     let rec = Recorder::new(256);
     world.install_recorder(&rec);
-    seed_arp_both(&client, &server);
     let cext = client.link_extension(&ext_spec("C")).unwrap();
     let sext = server.link_extension(&ext_spec("S")).unwrap();
     server
@@ -1012,7 +919,8 @@ fn recorder_shows_the_packet_walk() {
             AppHandler::interrupt(|_, _| {}),
         )
         .unwrap();
-    cep.send(world.engine_mut(), ip(2), 7, b"traced").unwrap();
+    cep.send(world.engine_mut(), server.ip(), 7, b"traced")
+        .unwrap();
     world.run();
     // Only the server receives a frame, so the handler entries recorded
     // under a packet are its walk up Figure 1's graph, in raise order.
@@ -1050,8 +958,7 @@ fn recorder_shows_the_packet_walk() {
 
 #[test]
 fn udp_to_unbound_port_elicits_port_unreachable() {
-    let (mut world, client, server) = two_plexus(true);
-    seed_arp_both(&client, &server);
+    let (mut world, [client, server]) = plexus_lan(["alpha-a", "alpha-b"], StackConfig::interrupt);
     let cext = client.link_extension(&ext_spec("C")).unwrap();
     let cep = client
         .udp()
@@ -1062,7 +969,7 @@ fn udp_to_unbound_port_elicits_port_unreachable() {
             AppHandler::interrupt(|_, _| {}),
         )
         .unwrap();
-    cep.send(world.engine_mut(), ip(2), 4444, b"anyone?")
+    cep.send(world.engine_mut(), server.ip(), 4444, b"anyone?")
         .unwrap();
     world.run();
     assert_eq!(server.udp().unreachable_sent(), 1);
@@ -1073,26 +980,13 @@ fn udp_to_unbound_port_elicits_port_unreachable() {
 #[test]
 fn unanswered_arp_is_retried_then_abandoned() {
     // A lossy segment that eats every frame: ARP can never resolve.
-    let mut world = World::new();
-    let a = world.add_machine("a");
-    let b = world.add_machine("b");
-    let (medium, nics) = world.connect(
-        &[&a, &b],
-        NicProfile::ethernet_lance(),
-        SimDuration::from_micros(1),
-        true,
-    );
+    let Testbed {
+        mut world,
+        medium,
+        hosts,
+    } = Testbed::new(&Link::ethernet(), 0, &["a", "b"]);
     medium.set_faults(plexus_sim::nic::FaultInjector::new(1.0, 0.0, 5));
-    let sa = PlexusStack::attach(
-        &a,
-        &nics[0],
-        StackConfig::interrupt(ip(1), MacAddr::local(1)),
-    );
-    let _sb = PlexusStack::attach(
-        &b,
-        &nics[1],
-        StackConfig::interrupt(ip(2), MacAddr::local(2)),
-    );
+    let (sa, _sb) = (attach_cold(&hosts[0]), attach_cold(&hosts[1]));
     let ext = sa.link_extension(&ext_spec("C")).unwrap();
     let ep = sa
         .udp()
@@ -1103,7 +997,8 @@ fn unanswered_arp_is_retried_then_abandoned() {
             AppHandler::interrupt(|_, _| {}),
         )
         .unwrap();
-    ep.send(world.engine_mut(), ip(2), 7, b"stranded").unwrap();
+    ep.send(world.engine_mut(), hosts[1].ip, 7, b"stranded")
+        .unwrap();
     world.run();
     assert_eq!(
         sa.stats().arp_failures,
@@ -1112,12 +1007,12 @@ fn unanswered_arp_is_retried_then_abandoned() {
     );
     // The original request plus two retries were broadcast (the medium
     // counts them as transmitted before eating them).
-    assert_eq!(nics[0].stats().tx_frames, 3);
+    assert_eq!(hosts[0].nic.stats().tx_frames, 3);
 }
 
 #[test]
 fn graph_description_reflects_installed_extensions() {
-    let (_world, _client, server) = two_plexus(true);
+    let (_world, [_client, server]) = plexus_lan(["alpha-a", "alpha-b"], StackConfig::interrupt);
     let ext = server.link_extension(&ext_spec("S")).unwrap();
     let before = server.graph_description();
     assert!(before.contains("Ethernet.PacketRecv"));
@@ -1157,8 +1052,7 @@ fn fifty_concurrent_tcp_connections_multiplex_cleanly() {
     // One server port, fifty simultaneous client connections: the
     // per-connection guards must demultiplex every segment to its own
     // connection, and all transfers must complete intact.
-    let (mut world, client, server) = two_plexus(true);
-    seed_arp_both(&client, &server);
+    let (mut world, [client, server]) = plexus_lan(["alpha-a", "alpha-b"], StackConfig::interrupt);
     let cext = client.link_extension(&ext_spec("C")).unwrap();
     let sext = server.link_extension(&ext_spec("S")).unwrap();
 
@@ -1185,7 +1079,7 @@ fn fifty_concurrent_tcp_connections_multiplex_cleanly() {
     for i in 0..N {
         let conn = client
             .tcp()
-            .connect(&cext, world.engine_mut(), (ip(2), 80))
+            .connect(&cext, world.engine_mut(), (server.ip(), 80))
             .unwrap();
         let payload = vec![i as u8; 32];
         let res = results.clone();
@@ -1222,25 +1116,12 @@ fn wire_capture_shows_the_whole_exchange() {
     use plexus_kernel::view::view;
     use plexus_net::ether::EtherView;
 
-    let mut world = World::new();
-    let a = world.add_machine("a");
-    let b = world.add_machine("b");
-    let (medium, nics) = world.connect(
-        &[&a, &b],
-        NicProfile::ethernet_lance(),
-        SimDuration::from_micros(1),
-        true,
-    );
-    let sa = PlexusStack::attach(
-        &a,
-        &nics[0],
-        StackConfig::interrupt(ip(1), MacAddr::local(1)),
-    );
-    let sb = PlexusStack::attach(
-        &b,
-        &nics[1],
-        StackConfig::interrupt(ip(2), MacAddr::local(2)),
-    );
+    let Testbed {
+        mut world,
+        medium,
+        hosts,
+    } = Testbed::new(&Link::ethernet(), 0, &["a", "b"]);
+    let (sa, sb) = (attach_cold(&hosts[0]), attach_cold(&hosts[1]));
     let aext = sa.link_extension(&ext_spec("C")).unwrap();
     let bext = sb.link_extension(&ext_spec("S")).unwrap();
     let slot: Rc<RefCell<Option<Rc<plexus_core::UdpEndpoint>>>> = Rc::new(RefCell::new(None));
@@ -1269,7 +1150,8 @@ fn wire_capture_shows_the_whole_exchange() {
         .unwrap();
 
     medium.start_capture();
-    aep.send(world.engine_mut(), ip(2), 7, b"ping").unwrap();
+    aep.send(world.engine_mut(), hosts[1].ip, 7, b"ping")
+        .unwrap();
     world.run();
     let cap = medium.stop_capture();
 
@@ -1293,8 +1175,7 @@ fn wire_capture_shows_the_whole_exchange() {
 
 #[test]
 fn unloading_an_extension_tears_down_everything_it_installed() {
-    let (mut world, client, server) = two_plexus(true);
-    seed_arp_both(&client, &server);
+    let (mut world, [client, server]) = plexus_lan(["alpha-a", "alpha-b"], StackConfig::interrupt);
     let cext = client.link_extension(&ext_spec("C")).unwrap();
     // One extension installs a UDP endpoint, a TCP listener, and a raw
     // Ethernet handler.
@@ -1338,7 +1219,8 @@ fn unloading_an_extension_tears_down_everything_it_installed() {
             AppHandler::interrupt(|_, _| {}),
         )
         .unwrap();
-    cep.send(world.engine_mut(), ip(2), 7, b"one").unwrap();
+    cep.send(world.engine_mut(), server.ip(), 7, b"one")
+        .unwrap();
     client
         .send_ether(
             world.engine_mut(),
@@ -1355,7 +1237,8 @@ fn unloading_an_extension_tears_down_everything_it_installed() {
     // resources are reusable by the next application.
     assert!(server.unload_extension("KitchenSink"));
     assert!(!server.unload_extension("KitchenSink"), "idempotent");
-    cep.send(world.engine_mut(), ip(2), 7, b"two").unwrap();
+    cep.send(world.engine_mut(), server.ip(), 7, b"two")
+        .unwrap();
     client
         .send_ether(
             world.engine_mut(),

@@ -8,8 +8,9 @@ use std::rc::Rc;
 use plexus_core::{AppHandler, IpRouter, PlexusStack, StackConfig, TcpCallbacks, UdpRecv};
 use plexus_kernel::domain::ExtensionSpec;
 use plexus_net::ether::MacAddr;
+use plexus_net::testbed::Testbed;
 use plexus_net::udp::UdpConfig;
-use plexus_sim::nic::{Medium, Nic, NicProfile};
+use plexus_sim::nic::{Link, Medium, Nic, NicProfile};
 use plexus_sim::time::SimDuration;
 use plexus_sim::World;
 
@@ -259,9 +260,8 @@ fn ttl_expiry_generates_time_exceeded() {
         MacAddr::local(1),
         plexus_net::ether::EtherType::IPV4,
     );
-    let bytes = dgram.to_vec();
     let at = t.world.engine().now();
-    t.nic_a.transmit_frame(t.world.engine_mut(), at, bytes);
+    t.nic_a.transmit(t.world.engine_mut(), at, &dgram);
     t.world.run();
 
     assert_eq!(t.router.stats().ttl_expired, 1);
@@ -270,26 +270,12 @@ fn ttl_expiry_generates_time_exceeded() {
 
 #[test]
 fn off_subnet_without_gateway_is_counted_as_no_route() {
-    let mut world = World::new();
-    let a = world.add_machine("a");
-    let b = world.add_machine("b");
-    let (_m, nics) = world.connect(
-        &[&a, &b],
-        NicProfile::ethernet_lance(),
-        SimDuration::from_micros(1),
-        true,
-    );
-    // No gateway configured.
-    let sa = PlexusStack::attach(
-        &a,
-        &nics[0],
-        StackConfig::interrupt(net1(2), MacAddr::local(1)),
-    );
-    let _sb = PlexusStack::attach(
-        &b,
-        &nics[1],
-        StackConfig::interrupt(net1(3), MacAddr::local(2)),
-    );
+    // One subnet, no gateway configured.
+    let Testbed {
+        mut world, hosts, ..
+    } = Testbed::new(&Link::ethernet(), 1, &["a", "b"]);
+    let sa = PlexusStack::attach_host(&hosts[0], StackConfig::interrupt);
+    let _sb = PlexusStack::attach_host(&hosts[1], StackConfig::interrupt);
     let ext = sa.link_extension(&spec()).unwrap();
     let ep = sa
         .udp()

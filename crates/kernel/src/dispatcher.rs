@@ -376,6 +376,46 @@ pub struct DispatchStats {
     pub demux_skipped: u64,
 }
 
+impl DispatchStats {
+    /// Adds one raise's tally to the running totals (saturating).
+    fn absorb(&mut self, d: &DispatchStats) {
+        for (total, delta) in [
+            (&mut self.raises, d.raises),
+            (&mut self.invocations, d.invocations),
+            (&mut self.guard_evals, d.guard_evals),
+            (&mut self.guard_rejects, d.guard_rejects),
+            (&mut self.verified_guard_evals, d.verified_guard_evals),
+            (&mut self.compiled_guard_evals, d.compiled_guard_evals),
+            (&mut self.verified_guard_rejects, d.verified_guard_rejects),
+            (&mut self.terminations, d.terminations),
+            (&mut self.demux_probes, d.demux_probes),
+            (&mut self.demux_hits, d.demux_hits),
+            (&mut self.demux_fallbacks, d.demux_fallbacks),
+            (&mut self.demux_skipped, d.demux_skipped),
+        ] {
+            *total = total.saturating_add(delta);
+        }
+    }
+
+    /// The part of one raise's tally the recorder keeps per event, by
+    /// `Scope::Event` metric name. (Guard evaluations, invocations and
+    /// terminations reach the registry through their own trace records.)
+    /// `demux.avoided` is reported by every indexed raise, zero included.
+    fn event_counters(&self) -> [(&'static str, Option<u64>); 5] {
+        let nonzero = |v: u64| (v > 0).then_some(v);
+        [
+            ("raises", nonzero(self.raises)),
+            ("demux.probes", nonzero(self.demux_probes)),
+            ("demux.hits", nonzero(self.demux_hits)),
+            (
+                "demux.avoided",
+                nonzero(self.demux_hits).map(|_| self.demux_skipped),
+            ),
+            ("demux.fallbacks", nonzero(self.demux_fallbacks)),
+        ]
+    }
+}
+
 impl fmt::Display for DispatchStats {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
         write!(
@@ -671,7 +711,6 @@ pub struct Dispatcher {
     stats: Cell<DispatchStats>,
     demux_enabled: Cell<bool>,
     compiled_guards: Cell<bool>,
-    interrupt_cycle_budget: Cell<u32>,
 }
 
 thread_local! {
@@ -694,25 +733,12 @@ impl Dispatcher {
             stats: Cell::new(DispatchStats::default()),
             demux_enabled: Cell::new(true),
             compiled_guards: Cell::new(true),
-            interrupt_cycle_budget: Cell::new(DEFAULT_INTERRUPT_CYCLE_BUDGET),
         })
     }
 
     /// Operation counters.
     pub fn stats(&self) -> DispatchStats {
         self.stats.get()
-    }
-
-    /// Sets the per-event cycle budget interrupt-mode installs must fit
-    /// (default [`DEFAULT_INTERRUPT_CYCLE_BUDGET`]). Applies to installs
-    /// from this point on; already-admitted handlers are unaffected.
-    pub fn set_interrupt_cycle_budget(&self, cycles: u32) {
-        self.interrupt_cycle_budget.set(cycles);
-    }
-
-    /// The current per-event interrupt cycle budget.
-    pub fn interrupt_cycle_budget(&self) -> u32 {
-        self.interrupt_cycle_budget.get()
     }
 
     /// Enables or disables the hash-demultiplexing fast path (on by
@@ -848,7 +874,7 @@ impl Dispatcher {
                 Some(Guard::Closure(_)) => return Err(InstallError::ClosureGuardInterrupt),
                 Some(Guard::Verified(vg)) => {
                     let bound = vg.program().static_bound();
-                    let budget = self.interrupt_cycle_budget.get();
+                    let budget = DEFAULT_INTERRUPT_CYCLE_BUDGET;
                     if bound > budget {
                         return Err(InstallError::GuardOverBudget { bound, budget });
                     }
@@ -1038,9 +1064,6 @@ impl Dispatcher {
         // owned handle because the handler call below reborrows `ctx`.
         let rec = ctx.lease.recorder_handle();
         let ev_label = rec.as_ref().map(|r| r.intern(&table.name));
-        if let (Some(r), Some(lbl)) = (&rec, ev_label) {
-            r.count(Scope::Event, lbl, "raises", 1);
-        }
 
         // Hold the current generation for the whole raise: handlers may
         // install (seen from the next raise on) and uninstall (skipped from
@@ -1048,8 +1071,13 @@ impl Dispatcher {
         let gen = table.gen.borrow().clone();
 
         let mut outcome = RaiseOutcome::default();
-        let mut stats = self.stats.get();
-        stats.raises = stats.raises.saturating_add(1);
+        // This raise's own counts: added to the dispatcher's totals and
+        // the recorder's per-event counters once, when the walk is done
+        // (a handler that re-raises tallies its own raise).
+        let mut tally = DispatchStats {
+            raises: 1,
+            ..DispatchStats::default()
+        };
 
         // Demux fast path: one keyed lookup per live field mask selects
         // the indexed candidates; the walk then merges those buckets with
@@ -1060,7 +1088,6 @@ impl Dispatcher {
                 gen.schema.expect("indexed entries carry a schema"),
             )
         });
-        let mut avoided: u64 = 0;
         let mut saw_guard = false;
         let mut walk = MergeWalk::new();
         if let Some((read, schema)) = index {
@@ -1071,10 +1098,7 @@ impl Dispatcher {
             // cache for the rest.
             if charge_fixed {
                 ctx.lease.charge(probe_cost);
-                stats.demux_probes = stats.demux_probes.saturating_add(1);
-                if let (Some(r), Some(lbl)) = (&rec, ev_label) {
-                    r.count(Scope::Event, lbl, "demux.probes", 1);
-                }
+                tally.demux_probes = 1;
             }
             walk.push(&gen.unindexed);
             let mut selected = 0;
@@ -1095,8 +1119,8 @@ impl Dispatcher {
             }
             // Every indexed entry outside the probed buckets provably
             // rejects: counted here, never visited.
-            avoided = (gen.indexed() - selected) as u64;
-            outcome.rejected = avoided as u32;
+            tally.demux_skipped = (gen.indexed() - selected) as u64;
+            outcome.rejected = tally.demux_skipped as u32;
         } else {
             walk.push(&gen.entries);
         }
@@ -1129,17 +1153,17 @@ impl Dispatcher {
                 });
                 if excluded {
                     outcome.rejected += 1;
-                    avoided += 1;
+                    tally.demux_skipped += 1;
                     continue;
                 }
             }
             if let Some(guard) = &entry.guard {
-                stats.guard_evals = stats.guard_evals.saturating_add(1);
+                tally.guard_evals += 1;
                 ctx.lease.charge(guard_cost);
                 let (matched, kind) = match guard {
                     Guard::Closure(f) => (f(arg), GuardKind::Closure),
                     Guard::Verified(vg) => {
-                        stats.verified_guard_evals = stats.verified_guard_evals.saturating_add(1);
+                        tally.verified_guard_evals += 1;
                         // Tier selection: the compiled closure chain by
                         // default, the reference interpreter on opt-out.
                         // Identical verdicts, state effects, and metered
@@ -1148,8 +1172,7 @@ impl Dispatcher {
                         let compiled = self.compiled_guards.get();
                         let now_ns = ctx.lease.now().as_nanos();
                         let (matched, measured) = if compiled {
-                            stats.compiled_guard_evals =
-                                stats.compiled_guard_evals.saturating_add(1);
+                            tally.compiled_guard_evals += 1;
                             vg.matches_compiled(arg, now_ns)
                         } else {
                             vg.matches(arg, now_ns)
@@ -1171,10 +1194,9 @@ impl Dispatcher {
                     r.guard_eval(ctx.lease.now().as_nanos(), lbl, kind, matched);
                 }
                 if !matched {
-                    stats.guard_rejects = stats.guard_rejects.saturating_add(1);
+                    tally.guard_rejects += 1;
                     if guard.is_verified() {
-                        stats.verified_guard_rejects =
-                            stats.verified_guard_rejects.saturating_add(1);
+                        tally.verified_guard_rejects += 1;
                     }
                     outcome.rejected += 1;
                     continue;
@@ -1184,7 +1206,7 @@ impl Dispatcher {
                 ctx.lease.charge(thread_cost);
             }
             ctx.lease.charge(handler_cost);
-            stats.invocations = stats.invocations.saturating_add(1);
+            tally.invocations += 1;
             outcome.invoked += 1;
 
             let owner_label = rec.as_ref().map(|r| r.intern(&entry.owner));
@@ -1194,10 +1216,7 @@ impl Dispatcher {
             }
 
             let mark = ctx.lease.mark();
-            // Persist stats before calling out: the handler may re-raise.
-            self.stats.set(stats);
             (entry.handler)(ctx, arg);
-            stats = self.stats.get();
 
             let mut terminated = false;
             if let HandlerMode::Interrupt {
@@ -1207,7 +1226,7 @@ impl Dispatcher {
                 let used = ctx.lease.mark() - mark;
                 if used > limit {
                     ctx.lease.rollback_to(mark, limit);
-                    stats.terminations = stats.terminations.saturating_add(1);
+                    tally.terminations += 1;
                     outcome.terminated += 1;
                     terminated = true;
                 }
@@ -1222,21 +1241,24 @@ impl Dispatcher {
             }
         }
         if index.is_some() {
-            stats.demux_hits = stats.demux_hits.saturating_add(1);
-            stats.demux_skipped = stats.demux_skipped.saturating_add(avoided);
-            if let (Some(r), Some(lbl)) = (&rec, ev_label) {
-                r.count(Scope::Event, lbl, "demux.hits", 1);
-                r.count(Scope::Event, lbl, "demux.avoided", avoided);
-                // Per-raise distribution of guard evals the index saved.
-                r.record_latency(r.intern("demux.avoided"), avoided);
-            }
+            tally.demux_hits = 1;
         } else if saw_guard && self.demux_enabled.get() {
-            stats.demux_fallbacks = stats.demux_fallbacks.saturating_add(1);
-            if let (Some(r), Some(lbl)) = (&rec, ev_label) {
-                r.count(Scope::Event, lbl, "demux.fallbacks", 1);
+            tally.demux_fallbacks = 1;
+        }
+        let mut stats = self.stats.get();
+        stats.absorb(&tally);
+        self.stats.set(stats);
+        if let (Some(r), Some(lbl)) = (&rec, ev_label) {
+            for (metric, delta) in tally.event_counters() {
+                if let Some(delta) = delta {
+                    r.count(Scope::Event, lbl, metric, delta);
+                }
+            }
+            if index.is_some() {
+                // Per-raise distribution of guard evals the index saved.
+                r.record_latency(r.intern("demux.avoided"), tally.demux_skipped);
             }
         }
-        self.stats.set(stats);
         outcome
     }
 }
@@ -1735,14 +1757,13 @@ mod tests {
         // The same guard is fine in thread mode (no interrupt budget)...
         d.install(
             ev,
-            HandlerSpec::new(|_, _: &UdpArg| {}).guard(Guard::verified(vp.clone())),
+            HandlerSpec::new(|_, _: &UdpArg| {}).guard(Guard::verified(vp)),
         );
-        // ...and admits at interrupt level once the budget covers it.
-        d.set_interrupt_cycle_budget(bound);
+        // ...and a guard inside the budget admits at interrupt level.
         d.install(
             ev,
             HandlerSpec::ephemeral(Ephemeral::certify(|_: &mut RaiseCtx, _: &UdpArg| {}))
-                .guard(Guard::verified(vp))
+                .guard(Guard::verified(port_program(53)))
                 .interrupt(),
         );
         assert_eq!(d.handler_count(ev), 2);
@@ -1753,11 +1774,10 @@ mod tests {
     fn install_panics_on_over_budget_guard() {
         let d = Dispatcher::new();
         let ev = d.define_event::<UdpArg>("Udp.Strict.Budget");
-        d.set_interrupt_cycle_budget(2);
         d.install(
             ev,
             HandlerSpec::ephemeral(Ephemeral::certify(|_: &mut RaiseCtx, _: &UdpArg| {}))
-                .guard(Guard::verified(port_program(53)))
+                .guard(Guard::verified(expensive_program()))
                 .interrupt(),
         );
     }

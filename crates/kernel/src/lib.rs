@@ -9,8 +9,6 @@
 //! * [`domain`] — logical protection domains, compiler-signed extension
 //!   specs, and safe dynamic linking/unlinking (the "install" problem).
 //! * [`ephemeral`] — the `EPHEMERAL` certification discipline (§3.3).
-//! * [`capability`] — typesafe, revocable handles to kernel resources.
-//! * [`thread`] — simulated kernel threads and wait queues.
 //! * [`vm`] — address spaces and user/kernel boundary costs (used by the
 //!   monolithic baseline).
 //! * [`view`](mod@view) — the `VIEW` operator: safe zero-copy casting of packet
@@ -28,21 +26,17 @@
 /// name one crate for events, guards, and verification).
 pub use plexus_filter as filter;
 
-pub mod capability;
 pub mod dispatcher;
 pub mod domain;
 pub mod ephemeral;
-pub mod thread;
 pub mod view;
 pub mod vm;
 
-pub use capability::Cap;
 pub use dispatcher::{
     Dispatcher, Event, EventSummary, Guard, HandlerId, HandlerMode, InstallError, RaiseCtx,
     VerifiedGuard, DEFAULT_INTERRUPT_CYCLE_BUDGET,
 };
 pub use domain::{Domain, ExtensionSpec, Interface, LinkError, LinkedExtension, Nameserver};
 pub use ephemeral::Ephemeral;
-pub use thread::{Scheduler, WaitQueue};
 pub use view::{view, view_at, WireView};
 pub use vm::AddressSpace;

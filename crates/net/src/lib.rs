@@ -11,9 +11,11 @@
 //!   wire protocols; headers are accessed through the kernel's `VIEW`
 //!   framework (zero-copy typed views, §3.2).
 //! * [`http`] — a minimal HTTP/1.0 for the §7 demonstration.
+//! * [`testbed`] — the one world builder: a LAN of named hosts with a
+//!   fixed address plan, which either stack attaches to.
 //!
-//! Everything here is pure protocol logic — no simulator dependencies —
-//! which is what lets the same code run under both OS structures.
+//! The protocol modules are pure protocol logic, which is what lets the
+//! same code run under both OS structures.
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
@@ -26,7 +28,11 @@ pub mod icmp;
 pub mod ip;
 pub mod mbuf;
 pub mod tcp;
+pub mod testbed;
+#[cfg(test)]
+mod testbed_tests;
 pub mod udp;
 
 pub use ether::{EtherType, MacAddr};
 pub use mbuf::Mbuf;
+pub use testbed::{Host, Testbed};

@@ -18,8 +18,6 @@
 use std::cell::RefCell;
 use std::rc::Rc;
 
-use plexus_trace::{Recorder, Scope};
-
 /// Bytes of storage in a small mbuf cluster.
 pub const MLEN: usize = 128;
 
@@ -118,16 +116,6 @@ struct Pool {
     small: Vec<Rc<Vec<u8>>>,
     large: Vec<Rc<Vec<u8>>>,
     stats: PoolStats,
-    recorder: Option<Rc<Recorder>>,
-}
-
-impl Pool {
-    fn count(&self, metric: &'static str, delta: u64) {
-        if let Some(rec) = &self.recorder {
-            let label = rec.intern("mbuf-pool");
-            rec.count(Scope::App, label, metric, delta);
-        }
-    }
 }
 
 thread_local! {
@@ -136,7 +124,6 @@ thread_local! {
         small: Vec::new(),
         large: Vec::new(),
         stats: PoolStats::default(),
-        recorder: None,
     });
 }
 
@@ -155,19 +142,14 @@ pub fn set_cluster_pool_enabled(on: bool) -> bool {
     })
 }
 
-/// Whether the cluster pool is enabled.
-pub fn cluster_pool_enabled() -> bool {
-    POOL.with(|p| p.borrow().enabled)
-}
-
 /// Snapshot of the pool counters.
 pub fn cluster_pool_stats() -> PoolStats {
     POOL.with(|p| p.borrow().stats)
 }
 
-/// Clears the free lists and zeroes the counters (leaves enablement and
-/// any installed recorder as-is). Benchmarks call this between phases so
-/// "allocations after warmup" is well-defined.
+/// Clears the free lists and zeroes the counters (leaves enablement
+/// as-is). Benchmarks call this between phases so "allocations after
+/// warmup" is well-defined.
 pub fn reset_cluster_pool() {
     POOL.with(|p| {
         let mut p = p.borrow_mut();
@@ -175,13 +157,6 @@ pub fn reset_cluster_pool() {
         p.large.clear();
         p.stats = PoolStats::default();
     })
-}
-
-/// Mirrors the pool counters into `recorder`'s registry as they change
-/// (`Scope::App`, label `mbuf-pool`, metrics `cluster.alloc` /
-/// `cluster.reuse` / `cluster.recycled`). Pass `None` to detach.
-pub fn set_cluster_pool_recorder(recorder: Option<Rc<Recorder>>) {
-    POOL.with(|p| p.borrow_mut().recorder = recorder)
 }
 
 /// Rounds a requested cluster size up to its pool size class. Requests
@@ -215,7 +190,6 @@ fn new_cluster(min: usize) -> Rc<Vec<u8>> {
                 .expect("pooled cluster is uniquely held")
                 .fill(0);
             p.stats.reused += 1;
-            p.count("cluster.reuse", 1);
             Some(cluster)
         } else {
             None
@@ -229,7 +203,6 @@ fn new_cluster(min: usize) -> Rc<Vec<u8>> {
     POOL.with(|p| {
         let mut p = p.borrow_mut();
         p.stats.allocated += 1;
-        p.count("cluster.alloc", 1);
     });
     Rc::new(vec![0u8; size])
 }
@@ -263,7 +236,6 @@ fn retire_cluster(cluster: Rc<Vec<u8>>) {
             return;
         }
         p.stats.recycled += 1;
-        p.count("cluster.recycled", 1);
         match cluster.len() {
             MLEN => p.small.push(cluster),
             _ => p.large.push(cluster),

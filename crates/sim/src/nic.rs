@@ -473,6 +473,72 @@ impl NicProfile {
     }
 }
 
+/// One LAN segment's device configuration: the argument triple of
+/// [`crate::World::connect`].
+#[derive(Clone, Debug)]
+pub struct Link {
+    /// Device model.
+    pub profile: NicProfile,
+    /// One-way propagation (includes any switch hop).
+    pub propagation: SimDuration,
+    /// Shared-segment (half-duplex) medium.
+    pub half_duplex: bool,
+}
+
+impl Link {
+    /// The paper's private Ethernet segment.
+    pub fn ethernet() -> Link {
+        Link {
+            profile: NicProfile::ethernet_lance(),
+            propagation: SimDuration::from_micros(1),
+            half_duplex: true,
+        }
+    }
+
+    /// The paper's Fore ATM through a ForeRunner switch.
+    pub fn atm() -> Link {
+        Link {
+            profile: NicProfile::fore_atm_tca100(),
+            propagation: SimDuration::from_micros(10),
+            half_duplex: false,
+        }
+    }
+
+    /// The paper's T3 adapters connected back-to-back.
+    pub fn t3() -> Link {
+        Link {
+            profile: NicProfile::dec_t3(),
+            propagation: SimDuration::from_micros(2),
+            half_duplex: false,
+        }
+    }
+
+    /// Ethernet with the "faster device driver" of §4.1.
+    pub fn ethernet_fast() -> Link {
+        Link {
+            profile: NicProfile::ethernet_fast_driver(),
+            ..Link::ethernet()
+        }
+    }
+
+    /// ATM with the "faster device driver" of §4.1.
+    pub fn atm_fast() -> Link {
+        Link {
+            profile: NicProfile::fore_atm_fast_driver(),
+            ..Link::atm()
+        }
+    }
+
+    /// 1 Gb/s switched Ethernet with checksum and segmentation offload.
+    pub fn gigabit() -> Link {
+        Link {
+            profile: NicProfile::gigabit(),
+            propagation: SimDuration::from_micros(1),
+            half_duplex: false,
+        }
+    }
+}
+
 /// Fault injection knobs for a [`Medium`]. Deterministic: seeded RNG.
 pub struct FaultInjector {
     drop_prob: f64,
@@ -899,10 +965,9 @@ impl Nic {
         self.transmit_frame(engine, ready_at, frame)
     }
 
-    /// [`Nic::transmit`] for callers that already hold raw wire bytes
-    /// (traffic generators, replay tools, the flatten-comparison tests).
-    /// No checksum offload happens here — the bytes go out verbatim.
-    pub fn transmit_frame(&self, engine: &mut Engine, ready_at: SimTime, frame: Frame) -> SimTime {
+    /// The tail of [`Nic::transmit`]: the gathered wire image goes out
+    /// verbatim.
+    fn transmit_frame(&self, engine: &mut Engine, ready_at: SimTime, frame: Frame) -> SimTime {
         let mut stats = self.stats.get();
         if frame.len() > self.profile.mtu + 64 {
             // Allow a little slack for link headers over the payload MTU.

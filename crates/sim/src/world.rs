@@ -127,6 +127,8 @@ impl World {
 
     /// Creates a medium, attaches one NIC per machine, and returns the NICs
     /// in machine order. `half_duplex` models a shared Ethernet segment.
+    /// The new NICs carry the recorder of an earlier
+    /// [`World::install_recorder`], if there was one.
     pub fn connect(
         &mut self,
         machines: &[&Rc<Machine>],
@@ -136,11 +138,13 @@ impl World {
     ) -> (Rc<Medium>, Vec<Rc<Nic>>) {
         assert!(machines.len() >= 2, "a medium needs at least two machines");
         let medium = Medium::new(propagation, half_duplex);
+        let recorder = self.engine.recorder().cloned();
         let nics: Vec<Rc<Nic>> = machines
             .iter()
             .map(|m| {
                 let nic = Nic::new(profile.clone(), &medium);
                 nic.set_host(m.name());
+                nic.set_recorder(recorder.clone());
                 m.nics.borrow_mut().push(nic.clone());
                 nic
             })
@@ -150,9 +154,9 @@ impl World {
 
     /// Installs a flight recorder across the whole world: the engine
     /// (timer fires), every machine's CPU (leases carry it into the
-    /// dispatcher and protocol code), and every attached NIC (packet
-    /// arrival IDs, adapter drops). Connect machines *before* calling
-    /// this, or install on late NICs by hand.
+    /// dispatcher and protocol code), and every NIC (packet arrival IDs,
+    /// adapter drops) — those attached already, and those a later
+    /// [`World::connect`] creates. Add machines *before* calling this.
     pub fn install_recorder(&mut self, recorder: &Rc<plexus_trace::Recorder>) {
         self.engine.set_recorder(Some(recorder.clone()));
         for m in &self.machines {
@@ -225,9 +229,28 @@ mod tests {
             assert_eq!(f, vec![9, 9, 9]);
             g.set(true);
         }));
-        nics[0].transmit_frame(world.engine_mut(), SimTime::ZERO, vec![9, 9, 9]);
+        nics[0].transmit(world.engine_mut(), SimTime::ZERO, &[9u8, 9, 9][..]);
         world.run();
         assert!(got.get());
+    }
+
+    #[test]
+    fn nics_connected_after_install_recorder_are_traced() {
+        let mut world = World::new();
+        let a = world.add_machine("a");
+        let b = world.add_machine("b");
+        let recorder = plexus_trace::Recorder::new(64);
+        world.install_recorder(&recorder);
+        let (_m, nics) = world.connect(&[&a, &b], NicProfile::dec_t3(), SimDuration::ZERO, false);
+        nics[1].attach(DriverConfig::per_frame(|_, _| {}));
+        nics[0].transmit(world.engine_mut(), SimTime::ZERO, &[9u8, 9, 9][..]);
+        world.run();
+        let arrivals = recorder
+            .events()
+            .iter()
+            .filter(|r| matches!(r.event, plexus_trace::TraceEvent::PacketArrival { .. }))
+            .count();
+        assert_eq!(arrivals, 1, "the late NIC records its arrival");
     }
 
     #[test]

@@ -85,11 +85,6 @@ impl Recorder {
         *self.live.borrow_mut() = Some(LiveAgg::new(config, empty, live_label));
     }
 
-    /// Whether [`Recorder::enable_live`] was called.
-    pub fn live_enabled(&self) -> bool {
-        self.live.borrow().is_some()
-    }
-
     /// Installs a callback invoked once per sealed window (watermark
     /// seals during the run, then the rest at [`Recorder::live_report`]).
     /// The callback must not record into this recorder — the live tier is

@@ -10,36 +10,19 @@
 //! Run with `cargo run --example active_messages`.
 
 use std::cell::{Cell, RefCell};
-use std::net::Ipv4Addr;
 use std::rc::Rc;
 
 use plexus::apps::active_messages::{am_extension_spec, ActiveMessages};
 use plexus::core::{PlexusStack, StackConfig};
-use plexus::net::ether::MacAddr;
-use plexus::sim::nic::NicProfile;
-use plexus::sim::time::SimDuration;
-use plexus::sim::World;
+use plexus::net::Testbed;
+use plexus::sim::nic::Link;
 
 fn main() {
-    let mut world = World::new();
-    let a = world.add_machine("node-a");
-    let b = world.add_machine("node-b");
-    let (_seg, nics) = world.connect(
-        &[&a, &b],
-        NicProfile::ethernet_lance(),
-        SimDuration::from_micros(1),
-        true,
-    );
-    let sa = PlexusStack::attach(
-        &a,
-        &nics[0],
-        StackConfig::interrupt(Ipv4Addr::new(10, 0, 0, 1), MacAddr::local(1)),
-    );
-    let sb = PlexusStack::attach(
-        &b,
-        &nics[1],
-        StackConfig::interrupt(Ipv4Addr::new(10, 0, 0, 2), MacAddr::local(2)),
-    );
+    let Testbed {
+        mut world, hosts, ..
+    } = Testbed::new(&Link::ethernet(), 0, &["node-a", "node-b"]);
+    let sa = PlexusStack::attach_host(&hosts[0], StackConfig::interrupt);
+    let sb = PlexusStack::attach_host(&hosts[1], StackConfig::interrupt);
 
     let ext_a = sa.link_extension(&am_extension_spec("am-a")).unwrap();
     let ext_b = sb.link_extension(&am_extension_spec("am-b")).unwrap();
@@ -71,7 +54,7 @@ fn main() {
     });
 
     sent_at.set(world.engine().now().as_nanos());
-    am_a.send(world.engine_mut(), MacAddr::local(2), INCR, 0, &[])
+    am_a.send(world.engine_mut(), sb.mac(), INCR, 0, &[])
         .unwrap();
     world.run();
 

@@ -10,22 +10,21 @@
 //! Run with `cargo run --example forwarder`.
 
 use std::cell::Cell;
-use std::net::Ipv4Addr;
 use std::rc::Rc;
 
 use plexus::apps::forward::{forwarder_extension_spec, InKernelForwarder};
 use plexus::baseline::{MonolithicStack, SocketCallbacks, UserSplice};
 use plexus::core::{PlexusStack, StackConfig, TcpCallbacks};
 use plexus::kernel::vm::AddressSpace;
-use plexus::net::ether::MacAddr;
-use plexus::sim::nic::NicProfile;
+use plexus::net::Testbed;
+use plexus::sim::nic::Link;
 use plexus::sim::time::SimDuration;
-use plexus::sim::World;
 
 const PORT: u16 = 8080;
 
-fn ip(last: u8) -> Ipv4Addr {
-    Ipv4Addr::new(10, 0, 2, last)
+/// Client, forwarder and backend on one Ethernet segment (10.0.2.0/24).
+fn three_hosts() -> Testbed {
+    Testbed::new(&Link::ethernet(), 2, &["client", "forwarder", "backend"])
 }
 
 fn main() {
@@ -44,35 +43,11 @@ fn main() {
 
 /// Plexus: DSR-style in-kernel redirection; one TCP connection end-to-end.
 fn plexus_redirect() -> f64 {
-    let mut world = World::new();
-    let mc = world.add_machine("client");
-    let mf = world.add_machine("forwarder");
-    let mb = world.add_machine("backend");
-    let (_m, nics) = world.connect(
-        &[&mc, &mf, &mb],
-        NicProfile::ethernet_lance(),
-        SimDuration::from_micros(1),
-        true,
-    );
-    let client = PlexusStack::attach(
-        &mc,
-        &nics[0],
-        StackConfig::interrupt(ip(1), MacAddr::local(1)),
-    );
-    let fwd = PlexusStack::attach(
-        &mf,
-        &nics[1],
-        StackConfig::interrupt(ip(2), MacAddr::local(2)),
-    );
-    let backend = PlexusStack::attach(
-        &mb,
-        &nics[2],
-        StackConfig::interrupt(ip(3), MacAddr::local(3)),
-    );
-    for (a, b) in [(&client, &fwd), (&client, &backend), (&fwd, &backend)] {
-        a.seed_arp(b.ip(), b.mac());
-        b.seed_arp(a.ip(), a.mac());
-    }
+    let Testbed {
+        mut world, hosts, ..
+    } = three_hosts();
+    let [client, fwd, backend] =
+        [0, 1, 2].map(|k| PlexusStack::attach_host(&hosts[k], StackConfig::interrupt));
 
     let fext = fwd.link_extension(&forwarder_extension_spec("lb")).unwrap();
     InKernelForwarder::tcp(&fwd, &fext, PORT, backend.ip()).unwrap();
@@ -100,7 +75,7 @@ fn plexus_redirect() -> f64 {
     // The client connects to the FORWARDER's address; the backend answers.
     let conn = client
         .tcp()
-        .connect(&cext, world.engine_mut(), (ip(2), PORT))
+        .connect(&cext, world.engine_mut(), (fwd.ip(), PORT))
         .unwrap();
     let (s2, r2) = (sent_at.clone(), rtt_ns.clone());
     conn.set_callbacks(TcpCallbacks {
@@ -124,23 +99,10 @@ fn plexus_redirect() -> f64 {
 
 /// DIGITAL UNIX: the user-level splice — two connections, double copies.
 fn user_splice() -> f64 {
-    let mut world = World::new();
-    let mc = world.add_machine("client");
-    let mf = world.add_machine("forwarder");
-    let mb = world.add_machine("backend");
-    let (_m, nics) = world.connect(
-        &[&mc, &mf, &mb],
-        NicProfile::ethernet_lance(),
-        SimDuration::from_micros(1),
-        true,
-    );
-    let client = MonolithicStack::attach(&mc, &nics[0], ip(1), MacAddr::local(1));
-    let fwd = MonolithicStack::attach(&mf, &nics[1], ip(2), MacAddr::local(2));
-    let backend = MonolithicStack::attach(&mb, &nics[2], ip(3), MacAddr::local(3));
-    for (a, b) in [(&client, &fwd), (&client, &backend), (&fwd, &backend)] {
-        a.seed_arp(b.ip(), b.mac());
-        b.seed_arp(a.ip(), a.mac());
-    }
+    let Testbed {
+        mut world, hosts, ..
+    } = three_hosts();
+    let [client, fwd, backend] = [0, 1, 2].map(|k| MonolithicStack::attach_host(&hosts[k]));
 
     let bproc = AddressSpace::new("svc");
     backend.tcp().listen(&bproc, PORT, |_, _, sock| {
@@ -153,14 +115,14 @@ fn user_splice() -> f64 {
         });
     });
 
-    let splice = UserSplice::start(&fwd, world.engine_mut(), PORT, (ip(3), PORT));
+    let splice = UserSplice::start(&fwd, world.engine_mut(), PORT, (backend.ip(), PORT));
 
     let cproc = AddressSpace::new("cli");
     let sent_at = Rc::new(Cell::new(0u64));
     let rtt_ns = Rc::new(Cell::new(0u64));
     let conn = client
         .tcp()
-        .connect(world.engine_mut(), &cproc, (ip(2), PORT));
+        .connect(world.engine_mut(), &cproc, (fwd.ip(), PORT));
     let (s2, r2) = (sent_at.clone(), rtt_ns.clone());
     conn.set_callbacks(SocketCallbacks {
         on_connected: Some(Rc::new(move |eng, user, sock| {

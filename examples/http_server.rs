@@ -7,37 +7,19 @@
 //! Run with `cargo run --example http_server`.
 
 use std::collections::HashMap;
-use std::net::Ipv4Addr;
 
 use plexus::apps::httpd::{httpd_extension_spec, HttpGet, Httpd};
 use plexus::core::{PlexusStack, StackConfig};
-use plexus::net::ether::MacAddr;
-use plexus::sim::nic::NicProfile;
+use plexus::net::Testbed;
+use plexus::sim::nic::Link;
 use plexus::sim::time::SimDuration;
-use plexus::sim::World;
 
 fn main() {
-    let mut world = World::new();
-    let c = world.add_machine("browser");
-    let s = world.add_machine("www-spin");
-    let (_seg, nics) = world.connect(
-        &[&c, &s],
-        NicProfile::ethernet_lance(),
-        SimDuration::from_micros(1),
-        true,
-    );
-    let client = PlexusStack::attach(
-        &c,
-        &nics[0],
-        StackConfig::interrupt(Ipv4Addr::new(10, 0, 0, 1), MacAddr::local(1)),
-    );
-    let server = PlexusStack::attach(
-        &s,
-        &nics[1],
-        StackConfig::interrupt(Ipv4Addr::new(10, 0, 0, 2), MacAddr::local(2)),
-    );
-    client.seed_arp(server.ip(), server.mac());
-    server.seed_arp(client.ip(), client.mac());
+    let Testbed {
+        mut world, hosts, ..
+    } = Testbed::new(&Link::ethernet(), 0, &["browser", "www-spin"]);
+    let client = PlexusStack::attach_host(&hosts[0], StackConfig::interrupt);
+    let server = PlexusStack::attach_host(&hosts[1], StackConfig::interrupt);
 
     // The site, served by an extension linked into the server's kernel.
     let mut docs = HashMap::new();

@@ -4,43 +4,24 @@
 //!
 //! Run with `cargo run --example quickstart`.
 
-use std::cell::Cell;
-use std::net::Ipv4Addr;
+use std::cell::{Cell, OnceCell};
 use std::rc::Rc;
 
-use plexus::core::{AppHandler, PlexusStack, StackConfig, UdpRecv};
+use plexus::core::{AppHandler, PlexusStack, StackConfig, UdpEndpoint, UdpRecv};
 use plexus::kernel::domain::ExtensionSpec;
-use plexus::net::ether::MacAddr;
 use plexus::net::udp::UdpConfig;
-use plexus::sim::nic::NicProfile;
-use plexus::sim::time::SimDuration;
-use plexus::sim::World;
+use plexus::net::Testbed;
+use plexus::sim::nic::Link;
 
 fn main() {
-    // 1. Build the world: two machines on a private Ethernet segment.
-    let mut world = World::new();
-    let alpha_a = world.add_machine("alpha-a");
-    let alpha_b = world.add_machine("alpha-b");
-    let (_segment, nics) = world.connect(
-        &[&alpha_a, &alpha_b],
-        NicProfile::ethernet_lance(),
-        SimDuration::from_micros(1),
-        true, // Shared (half-duplex) segment, as in the paper's testbed.
-    );
+    // 1. Build the world: two machines on a private (shared, half-duplex)
+    //    Ethernet segment, as in the paper's testbed. Host k is 10.0.0.k.
+    let mut lan = Testbed::new(&Link::ethernet(), 0, &["alpha-a", "alpha-b"]);
 
-    // 2. Attach a Plexus protocol graph to each machine.
-    let client_ip = Ipv4Addr::new(10, 0, 0, 1);
-    let server_ip = Ipv4Addr::new(10, 0, 0, 2);
-    let client = PlexusStack::attach(
-        &alpha_a,
-        &nics[0],
-        StackConfig::interrupt(client_ip, MacAddr::local(1)),
-    );
-    let server = PlexusStack::attach(
-        &alpha_b,
-        &nics[1],
-        StackConfig::interrupt(server_ip, MacAddr::local(2)),
-    );
+    // 2. Attach a Plexus protocol graph to each machine; each one knows
+    //    the other's MAC.
+    let client = PlexusStack::attach_host(&lan.hosts[0], StackConfig::interrupt);
+    let server = PlexusStack::attach_host(&lan.hosts[1], StackConfig::interrupt);
 
     // 3. Dynamically link an application extension into each kernel. The
     //    linker rejects any extension importing symbols outside the public
@@ -55,8 +36,7 @@ fn main() {
 
     // 4. Server: an interrupt-level (EPHEMERAL) handler that echoes each
     //    datagram straight back — no user/kernel crossings anywhere.
-    let echo_slot: Rc<std::cell::RefCell<Option<Rc<plexus::core::UdpEndpoint>>>> =
-        Rc::new(std::cell::RefCell::new(None));
+    let echo_slot: Rc<OnceCell<Rc<UdpEndpoint>>> = Rc::default();
     let slot = echo_slot.clone();
     let echo_ep = server
         .udp()
@@ -65,13 +45,13 @@ fn main() {
             7,
             UdpConfig::default(),
             AppHandler::interrupt(move |ctx, ev: &UdpRecv| {
-                let ep = slot.borrow().clone().expect("endpoint ready");
+                let ep = slot.get().expect("endpoint ready");
                 ep.send_in(ctx, ev.src, ev.src_port, &ev.payload.to_vec())
                     .expect("echo");
             }),
         )
         .expect("bind port 7");
-    *echo_slot.borrow_mut() = Some(echo_ep);
+    let _ = echo_slot.set(echo_ep);
 
     // 5. Client: send a ping and measure the simulated round-trip time.
     let reply_at: Rc<Cell<Option<u64>>> = Rc::new(Cell::new(None));
@@ -94,14 +74,11 @@ fn main() {
         )
         .expect("bind port 2000");
 
-    client.seed_arp(server_ip, MacAddr::local(2));
-    server.seed_arp(client_ip, MacAddr::local(1));
-
-    let t0 = world.engine().now().as_nanos();
+    let t0 = lan.world.engine().now().as_nanos();
     client_ep
-        .send(world.engine_mut(), server_ip, 7, b"12345678")
+        .send(lan.world.engine_mut(), server.ip(), 7, b"12345678")
         .expect("send ping");
-    world.run();
+    lan.world.run();
 
     let rtt_ns = reply_at.get().expect("the echo came back") - t0;
     println!(

@@ -10,42 +10,25 @@
 //!
 //! Run with `cargo run --example reliable_link`.
 
-use std::net::Ipv4Addr;
-
 use plexus::apps::reliable::{
     reliable_extension_spec, ReliableConfig, ReliableReceiver, ReliableSender,
 };
 use plexus::core::{PlexusStack, StackConfig};
-use plexus::net::ether::MacAddr;
-use plexus::sim::nic::{FaultInjector, NicProfile};
+use plexus::net::Testbed;
+use plexus::sim::nic::{FaultInjector, Link};
 use plexus::sim::time::SimDuration;
-use plexus::sim::World;
 
 fn main() {
-    let mut world = World::new();
-    let a = world.add_machine("sender");
-    let b = world.add_machine("receiver");
-    let (medium, nics) = world.connect(
-        &[&a, &b],
-        NicProfile::ethernet_lance(),
-        SimDuration::from_micros(1),
-        true,
-    );
+    let Testbed {
+        mut world,
+        medium,
+        hosts,
+    } = Testbed::new(&Link::ethernet(), 0, &["sender", "receiver"]);
     // A 20%-loss segment, deterministic (seeded) so every run replays.
     medium.set_faults(FaultInjector::new(0.2, 0.0, 2024));
 
-    let sa = PlexusStack::attach(
-        &a,
-        &nics[0],
-        StackConfig::interrupt(Ipv4Addr::new(10, 0, 0, 1), MacAddr::local(1)),
-    );
-    let sb = PlexusStack::attach(
-        &b,
-        &nics[1],
-        StackConfig::interrupt(Ipv4Addr::new(10, 0, 0, 2), MacAddr::local(2)),
-    );
-    sa.seed_arp(sb.ip(), sb.mac());
-    sb.seed_arp(sa.ip(), sa.mac());
+    let sa = PlexusStack::attach_host(&hosts[0], StackConfig::interrupt);
+    let sb = PlexusStack::attach_host(&hosts[1], StackConfig::interrupt);
 
     let aext = sa.link_extension(&reliable_extension_spec("tx")).unwrap();
     let bext = sb.link_extension(&reliable_extension_spec("rx")).unwrap();

@@ -5,27 +5,19 @@
 //!
 //! Run with `cargo run --example video_server`.
 
-use std::net::Ipv4Addr;
-use std::rc::Rc;
-
 use plexus::apps::video::{
     video_extension_spec, DunixVideoServer, PlexusVideoClient, PlexusVideoServer, VideoConfig,
 };
 use plexus::baseline::MonolithicStack;
 use plexus::core::{PlexusStack, StackConfig};
-use plexus::net::ether::MacAddr;
+use plexus::net::Testbed;
 use plexus::sim::disk::Disk;
 use plexus::sim::framebuffer::Framebuffer;
-use plexus::sim::nic::NicProfile;
+use plexus::sim::nic::Link;
 use plexus::sim::time::{SimDuration, SimTime};
-use plexus::sim::World;
 
 const STREAMS: usize = 15; // The paper's saturation point on the T3.
 const SECONDS: u64 = 1;
-
-fn client_ip(i: usize) -> Ipv4Addr {
-    Ipv4Addr::new(10, 0, 1, 10 + i as u8)
-}
 
 fn main() {
     let cfg = VideoConfig::default();
@@ -41,24 +33,14 @@ fn main() {
 
     // --- Plexus: the in-kernel multicast extension -----------------------
     {
-        let (mut world, server_machine, addrs) = build_world();
-        let stack = PlexusStack::attach(
-            &server_machine,
-            &server_machine.nic(0),
-            StackConfig::interrupt(Ipv4Addr::new(10, 0, 1, 1), MacAddr::local(1)),
-        );
+        let mut tb = build_world();
+        let (server_host, clients) = tb.hosts.split_first().unwrap();
+        let stack = PlexusStack::attach_host(server_host, StackConfig::interrupt);
         // Plexus viewers on every client machine: checksum pass, decompress
         // pass, framebuffer blit — all in-kernel.
         let mut viewers = Vec::new();
-        let client_machines: Vec<_> = world.machines().iter().skip(1).cloned().collect();
-        for (i, m) in client_machines.iter().enumerate() {
-            let cst = PlexusStack::attach(
-                m,
-                &m.nic(0),
-                StackConfig::interrupt(client_ip(i), MacAddr::local(10 + i as u8)),
-            );
-            cst.seed_arp(Ipv4Addr::new(10, 0, 1, 1), MacAddr::local(1));
-            stack.seed_arp(client_ip(i), MacAddr::local(10 + i as u8));
+        for host in clients {
+            let cst = PlexusStack::attach_host(host, StackConfig::interrupt);
             let ext = cst.link_extension(&video_extension_spec("viewer")).unwrap();
             let viewer = PlexusVideoClient::start(&cst, &ext, cfg).unwrap();
             viewers.push((cst, viewer));
@@ -67,20 +49,19 @@ fn main() {
         let ext = stack
             .link_extension(&video_extension_spec("video-server"))
             .unwrap();
-        let busy0 = server_machine.cpu().busy();
+        let cpu = server_host.machine.cpu().clone();
+        let busy0 = cpu.busy();
         let server = PlexusVideoServer::start(
             &stack,
             &ext,
-            world.engine_mut(),
-            addrs.clone(),
+            tb.world.engine_mut(),
+            clients.iter().map(|c| c.ip).collect(),
             cfg,
             SimTime::ZERO + SimDuration::from_secs(SECONDS),
         )
         .unwrap();
-        world.run_for(SimDuration::from_secs(SECONDS));
-        let util = server_machine
-            .cpu()
-            .utilization(busy0, SimDuration::from_secs(SECONDS));
+        tb.world.run_for(SimDuration::from_secs(SECONDS));
+        let util = cpu.utilization(busy0, SimDuration::from_secs(SECONDS));
         println!(
             "Plexus (SPIN)  : {:5} frame-datagrams sent, server CPU {:.1}%",
             server.frames_sent(),
@@ -92,34 +73,22 @@ fn main() {
 
     // --- DIGITAL UNIX: the user-level socket server ----------------------
     {
-        let (mut world, server_machine, addrs) = build_world();
-        let stack = MonolithicStack::attach(
-            &server_machine,
-            &server_machine.nic(0),
-            Ipv4Addr::new(10, 0, 1, 1),
-            MacAddr::local(1),
-        );
-        let client_machines: Vec<_> = world.machines().iter().skip(1).cloned().collect();
-        for (i, m) in client_machines.iter().enumerate() {
-            let sink =
-                MonolithicStack::attach(m, &m.nic(0), client_ip(i), MacAddr::local(10 + i as u8));
-            sink.seed_arp(Ipv4Addr::new(10, 0, 1, 1), MacAddr::local(1));
-            stack.seed_arp(client_ip(i), MacAddr::local(10 + i as u8));
-            std::mem::forget(sink);
-        }
-        let busy0 = server_machine.cpu().busy();
+        let mut tb = build_world();
+        let (server_host, clients) = tb.hosts.split_first().unwrap();
+        let stack = MonolithicStack::attach_host(server_host);
+        let _sinks: Vec<_> = clients.iter().map(MonolithicStack::attach_host).collect();
+        let cpu = server_host.machine.cpu().clone();
+        let busy0 = cpu.busy();
         let server = DunixVideoServer::start(
             &stack,
-            world.engine_mut(),
-            addrs.clone(),
+            tb.world.engine_mut(),
+            clients.iter().map(|c| c.ip).collect(),
             cfg,
             SimTime::ZERO + SimDuration::from_secs(SECONDS),
         )
         .unwrap();
-        world.run_for(SimDuration::from_secs(SECONDS));
-        let util = server_machine
-            .cpu()
-            .utilization(busy0, SimDuration::from_secs(SECONDS));
+        tb.world.run_for(SimDuration::from_secs(SECONDS));
+        let util = cpu.utilization(busy0, SimDuration::from_secs(SECONDS));
         println!(
             "DIGITAL UNIX   : {:5} frame-datagrams sent, server CPU {:.1}%",
             server.frames_sent(),
@@ -132,24 +101,16 @@ fn main() {
     println!("but SPIN consumes only half as much of the processor.");
 }
 
-fn build_world() -> (World, Rc<plexus::sim::Machine>, Vec<Ipv4Addr>) {
-    let mut world = World::new();
-    let server = world.add_machine("video-server");
-    server.set_disk(Disk::video_era());
-    let mut machines = vec![server.clone()];
-    let mut addrs = Vec::new();
-    for i in 0..STREAMS {
-        let m = world.add_machine(&format!("client-{i}"));
-        m.set_framebuffer(Framebuffer::new());
-        addrs.push(client_ip(i));
-        machines.push(m);
+/// The video server (host 0, with a disk) and `STREAMS` clients with
+/// framebuffers, on the T3.
+fn build_world() -> Testbed {
+    let clients: Vec<String> = (0..STREAMS).map(|i| format!("client-{i}")).collect();
+    let mut names = vec!["video-server"];
+    names.extend(clients.iter().map(String::as_str));
+    let tb = Testbed::new(&Link::t3(), 1, &names);
+    tb.hosts[0].machine.set_disk(Disk::video_era());
+    for client in &tb.hosts[1..] {
+        client.machine.set_framebuffer(Framebuffer::new());
     }
-    let refs: Vec<&Rc<plexus::sim::Machine>> = machines.iter().collect();
-    world.connect(
-        &refs,
-        NicProfile::dec_t3(),
-        SimDuration::from_micros(2),
-        false,
-    );
-    (world, server, addrs)
+    tb
 }

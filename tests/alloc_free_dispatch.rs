@@ -6,8 +6,7 @@
 //! every `#[test]` runs on a thread of its own, so the counts here are
 //! exact under cargo's parallel runner.
 
-use std::cell::{Cell, RefCell};
-use std::net::Ipv4Addr;
+use std::cell::{Cell, OnceCell};
 use std::rc::Rc;
 
 use plexus::core::{AppHandler, PlexusStack, StackConfig, UdpEndpoint, UdpRecv};
@@ -15,14 +14,13 @@ use plexus::kernel::dispatcher::{Dispatcher, Event, Guard, HandlerSpec, RaiseCtx
 use plexus::kernel::domain::ExtensionSpec;
 use plexus::kernel::ephemeral::Ephemeral;
 use plexus::kernel::filter::{conjunction, verify, EventKind, Field, Operand, Packet, Test};
-use plexus::net::ether::MacAddr;
 use plexus::net::udp::UdpConfig;
+use plexus::net::Testbed;
 use plexus::sim::cpu::{CostModel, Cpu};
-use plexus::sim::nic::DriverConfig;
+use plexus::sim::nic::{DriverConfig, Link};
 use plexus::sim::time::SimTime;
-use plexus::sim::{Engine, World};
+use plexus::sim::Engine;
 use plexus_bench::overload::{build_frame, PAYLOAD};
-use plexus_bench::udp_rtt::Link;
 
 #[allow(dead_code)]
 #[path = "../perf/src/alloc.rs"]
@@ -134,70 +132,45 @@ fn raises_after_churn_allocate_nothing() {
     assert_raises_are_alloc_free(&d, ev, 64);
 }
 
-const GEN: u8 = 1;
-const DUT: u8 = 2;
-
-fn ip(last: u8) -> Ipv4Addr {
-    Ipv4Addr::new(10, 0, 42, last)
-}
-
 /// Heap calls of one run in which a bare-NIC generator bounces `datagrams`
 /// UDP datagrams off a one-endpoint echo stack, and the echoes it saw.
 fn echo_run(datagrams: u64) -> (u64, u64) {
     // The cluster pool is per thread: start every run equally cold.
     plexus::net::mbuf::reset_cluster_pool();
-    let mut world = World::new();
-    let gen_machine = world.add_machine("generator");
-    let dut_machine = world.add_machine("dut");
-    let link = Link::t3();
-    let (_medium, nics) = world.connect(
-        &[&gen_machine, &dut_machine],
-        link.profile.clone(),
-        link.propagation,
-        link.half_duplex,
-    );
-    let (gen_nic, dut_nic) = (nics[0].clone(), nics[1].clone());
+    let Testbed {
+        mut world, hosts, ..
+    } = Testbed::new(&Link::t3(), 42, &["generator", "dut"]);
+    let gen_nic = &hosts[0].nic;
 
-    let stack = PlexusStack::attach(
-        &dut_machine,
-        &dut_nic,
-        StackConfig::interrupt(ip(DUT), MacAddr::local(DUT)),
-    );
-    stack.seed_arp(ip(GEN), MacAddr::local(GEN));
+    let stack = PlexusStack::attach_host(&hosts[1], StackConfig::interrupt);
     let spec = ExtensionSpec::typesafe("alloc-gate", &["UDP.Bind", "UDP.Send"]);
     let ext = stack.link_extension(&spec).unwrap();
-    let slot: Rc<RefCell<Option<Rc<UdpEndpoint>>>> = Rc::new(RefCell::new(None));
+    let slot: Rc<OnceCell<Rc<UdpEndpoint>>> = Rc::default();
     let sl = slot.clone();
     let echo = move |ctx: &mut RaiseCtx<'_>, ev: &UdpRecv| {
-        let ep = sl.borrow().clone().expect("endpoint installed");
+        let ep = sl.get().expect("endpoint installed");
         let _ = ep.send_mbuf_in(ctx, ev.src, ev.src_port, ev.payload.share());
     };
     let ep = stack
         .udp()
         .bind(&ext, 7, UdpConfig::default(), AppHandler::interrupt(echo))
         .unwrap();
-    *slot.borrow_mut() = Some(ep);
+    let _ = slot.set(ep);
 
     // Closed loop: the generator sends the next datagram when the echo of
     // the last one arrives, so the engine's queue stays a few events deep.
-    let frame = build_frame(
-        MacAddr::local(GEN),
-        MacAddr::local(DUT),
-        ip(GEN),
-        ip(DUT),
-        PAYLOAD,
-    );
+    let frame = build_frame(&hosts[0], &hosts[1], PAYLOAD);
     let echoes = Rc::new(Cell::new(0u64));
-    let (seen, nic, next) = (echoes.clone(), Rc::downgrade(&gen_nic), frame.clone());
+    let (seen, nic, next) = (echoes.clone(), Rc::downgrade(gen_nic), frame.clone());
     gen_nic.attach(DriverConfig::per_frame(move |engine, _| {
         seen.set(seen.get() + 1);
         if seen.get() < datagrams {
             let now = engine.now();
             let nic = nic.upgrade().expect("the world outlives its run");
-            nic.transmit_frame(engine, now, next.clone());
+            nic.transmit(engine, now, &next[..]);
         }
     }));
-    gen_nic.transmit_frame(world.engine_mut(), SimTime::ZERO, frame);
+    gen_nic.transmit(world.engine_mut(), SimTime::ZERO, &frame[..]);
     let allocs = allocs_during(|| world.run());
     (allocs, echoes.get())
 }

@@ -15,31 +15,23 @@
 //!    behavior — same completions, same latencies, same trace bytes;
 //! 4. a steady-state UDP echo allocates no cluster storage after warmup.
 
-use std::cell::{Cell, RefCell};
-use std::net::Ipv4Addr;
+use std::cell::{Cell, OnceCell, RefCell};
 use std::rc::Rc;
 
 use plexus::core::{AppHandler, PlexusStack, StackConfig, UdpEndpoint, UdpRecv};
 use plexus::kernel::domain::ExtensionSpec;
-use plexus::net::ether::MacAddr;
 use plexus::net::mbuf::{cluster_pool_stats, reset_cluster_pool, set_cluster_pool_enabled};
 use plexus::net::udp::UdpConfig;
-use plexus::sim::nic::{DriverConfig, Nic};
+use plexus::net::Testbed;
+use plexus::sim::nic::{DriverConfig, Link, Nic};
 use plexus::sim::time::{SimDuration, SimTime};
 use plexus::sim::World;
 use plexus::trace::export::{chrome_trace, stats_json};
 use plexus::trace::{json, Recorder};
-use plexus_bench::overload::{build_frame, run_point_traced, LoadPoint, RxMode, Workload, PAYLOAD};
-use plexus_bench::udp_rtt::Link;
+use plexus_bench::overload::{build_frame, LoadPoint, Overload, RxMode, Workload, PAYLOAD};
 
-const GEN: u8 = 1;
-const DUT: u8 = 2;
 /// Ethernet (14) + IPv4 (20) + UDP (8) headers precede the payload.
 const PAYLOAD_OFF: usize = 42;
-
-fn ip(last: u8) -> Ipv4Addr {
-    Ipv4Addr::new(10, 0, 42, last)
-}
 
 /// Builds a generator→stack world, binds a UDP receiver on port 7 that
 /// logs every delivered payload, and returns the pieces the tests drive.
@@ -47,42 +39,32 @@ struct EchoWorld {
     world: World,
     gen_nic: Rc<Nic>,
     dut_nic: Rc<Nic>,
+    /// A generator→DUT frame like the overload generator's.
+    template: Vec<u8>,
     seen: Rc<RefCell<Vec<Vec<u8>>>>,
     /// Keeps the stack (and its handlers) alive for the run.
     _stack: Rc<PlexusStack>,
 }
 
 fn echo_world(mode: RxMode, echo_back: bool) -> EchoWorld {
-    let mut world = World::new();
-    let gen_machine = world.add_machine("generator");
-    let dut_machine = world.add_machine("dut");
-    let link = Link::t3();
-    let (_m, nics) = world.connect(
-        &[&gen_machine, &dut_machine],
-        link.profile.clone(),
-        link.propagation,
-        link.half_duplex,
-    );
-    let gen_nic = nics[0].clone();
-    let dut_nic = nics[1].clone();
-
-    let cfg = StackConfig::interrupt(ip(DUT), MacAddr::local(DUT));
-    let cfg = match mode {
-        RxMode::PerPacket => cfg,
-        RxMode::Coalesced => cfg.coalesced(),
-    };
-    let stack = PlexusStack::attach(&dut_machine, &dut_nic, cfg);
-    stack.seed_arp(ip(GEN), MacAddr::local(GEN));
+    let Testbed { world, hosts, .. } = Testbed::new(&Link::t3(), 42, &["generator", "dut"]);
+    let stack = PlexusStack::attach_host(&hosts[1], |ip, mac| {
+        let cfg = StackConfig::interrupt(ip, mac);
+        match mode {
+            RxMode::PerPacket => cfg,
+            RxMode::Coalesced => cfg.coalesced(),
+        }
+    });
 
     let spec = ExtensionSpec::typesafe("coalesce-test", &["UDP.Bind", "UDP.Send"]);
     let ext = stack.link_extension(&spec).unwrap();
     let seen: Rc<RefCell<Vec<Vec<u8>>>> = Rc::new(RefCell::new(Vec::new()));
-    let slot: Rc<RefCell<Option<Rc<UdpEndpoint>>>> = Rc::new(RefCell::new(None));
+    let slot: Rc<OnceCell<Rc<UdpEndpoint>>> = Rc::default();
     let (s, sl) = (seen.clone(), slot.clone());
     let recv = move |ctx: &mut plexus::kernel::RaiseCtx<'_>, ev: &UdpRecv| {
         s.borrow_mut().push(ev.payload.to_vec());
         if echo_back {
-            let ep = sl.borrow().clone().expect("endpoint installed");
+            let ep = sl.get().expect("endpoint installed");
             let _ = ep.send_mbuf_in(ctx, ev.src, ev.src_port, ev.payload.share());
         }
     };
@@ -90,27 +72,22 @@ fn echo_world(mode: RxMode, echo_back: bool) -> EchoWorld {
         .udp()
         .bind(&ext, 7, UdpConfig::default(), AppHandler::interrupt(recv))
         .unwrap();
-    *slot.borrow_mut() = Some(ep);
+    let _ = slot.set(ep);
 
     EchoWorld {
         world,
-        gen_nic,
-        dut_nic,
+        gen_nic: hosts[0].nic.clone(),
+        dut_nic: hosts[1].nic.clone(),
+        template: build_frame(&hosts[0], &hosts[1], PAYLOAD),
         seen,
         _stack: stack,
     }
 }
 
-/// A frame like the overload generator's, with the payload's first eight
-/// bytes carrying `k` so deliveries are distinguishable.
-fn numbered_frame(k: u64) -> Vec<u8> {
-    let mut f = build_frame(
-        MacAddr::local(GEN),
-        MacAddr::local(DUT),
-        ip(GEN),
-        ip(DUT),
-        PAYLOAD,
-    );
+/// `template` with the payload's first eight bytes carrying `k`, so
+/// deliveries are distinguishable.
+fn numbered(template: &[u8], k: u64) -> Vec<u8> {
+    let mut f = template.to_vec();
     f[PAYLOAD_OFF..PAYLOAD_OFF + 8].copy_from_slice(&k.to_be_bytes());
     f
 }
@@ -119,13 +96,13 @@ fn numbered_frame(k: u64) -> Vec<u8> {
 /// payloads the app saw plus the interrupt count the NIC charged.
 fn run_burst(mode: RxMode, n: u64) -> (Vec<Vec<u8>>, u64) {
     let mut ew = echo_world(mode, false);
-    let gn = ew.gen_nic.clone();
+    let (gn, template) = (ew.gen_nic.clone(), ew.template.clone());
     ew.world
         .engine_mut()
         .schedule_at(SimTime::ZERO, move |engine| {
             for k in 0..n {
                 let now = engine.now();
-                gn.transmit_frame(engine, now, numbered_frame(k));
+                gn.transmit(engine, now, &numbered(&template, k)[..]);
             }
         });
     ew.world.run_for(SimDuration::from_micros(100_000));
@@ -167,13 +144,11 @@ fn coalesced_burst_delivers_identically_in_fewer_interrupts() {
 
 fn traced_overload_point(ring: usize) -> (Rc<Recorder>, LoadPoint) {
     let recorder = Recorder::new(ring);
-    let point = run_point_traced(
-        Workload::UdpEcho,
-        RxMode::Coalesced,
-        &Link::t3(),
-        (1, 2),
-        Some(&recorder),
-    );
+    let point = Overload {
+        recorder: Some(&recorder),
+        ..Overload::new(Workload::UdpEcho, RxMode::Coalesced, &Link::t3(), (1, 2))
+    }
+    .run();
     (recorder, point)
 }
 
@@ -234,28 +209,24 @@ fn steady_state_echo_allocates_no_clusters_after_warmup() {
     let replies = Rc::new(Cell::new(0u64));
     {
         let r = replies.clone();
-        let mac = MacAddr::local(GEN);
+        // Frames addressed to the generator: the template's source MAC.
+        let mac: [u8; 6] = ew.template[6..12].try_into().unwrap();
         ew.gen_nic.attach(DriverConfig::per_frame(move |_, frame| {
-            if frame.len() >= PAYLOAD_OFF && frame[0..6] == mac.0 {
+            if frame.len() >= PAYLOAD_OFF && frame[0..6] == mac {
                 r.set(r.get() + 1);
             }
         }));
     }
 
     // Offer frames at a quarter of line rate for ~110 ms.
-    let interval_ns = ew
-        .gen_nic
-        .profile()
-        .serialize(numbered_frame(0).len())
-        .as_nanos()
-        * 4;
+    let interval_ns = ew.gen_nic.profile().serialize(ew.template.len()).as_nanos() * 4;
     const FRAMES: u64 = 2000;
     for k in 0..FRAMES {
-        let gn = ew.gen_nic.clone();
+        let (gn, frame) = (ew.gen_nic.clone(), numbered(&ew.template, k));
         let at = SimTime::ZERO + SimDuration::from_nanos(k * interval_ns);
         ew.world.engine_mut().schedule_at(at, move |engine| {
             let now = engine.now();
-            gn.transmit_frame(engine, now, numbered_frame(k));
+            gn.transmit(engine, now, &frame[..]);
         });
     }
 

@@ -14,36 +14,30 @@ use plexus::kernel::domain::ExtensionSpec;
 use plexus::kernel::vm::AddressSpace;
 use plexus::net::ether::MacAddr;
 use plexus::net::udp::UdpConfig;
-use plexus::sim::nic::NicProfile;
+use plexus::net::Testbed;
+use plexus::sim::nic::{Link, NicProfile};
 use plexus::sim::time::SimDuration;
 use plexus::sim::World;
 
-fn ip(last: u8) -> Ipv4Addr {
-    Ipv4Addr::new(10, 7, 0, last)
-}
-
+/// A Plexus host and a DIGITAL UNIX host on one Ethernet segment, each
+/// knowing the other's MAC.
 fn mixed_pair() -> (World, Rc<PlexusStack>, Rc<MonolithicStack>) {
-    let mut world = World::new();
-    let a = world.add_machine("spin-host");
-    let b = world.add_machine("dunix-host");
-    let (_m, nics) = world.connect(
-        &[&a, &b],
-        NicProfile::ethernet_lance(),
-        SimDuration::from_micros(1),
-        true,
-    );
-    let plexus = PlexusStack::attach(
-        &a,
-        &nics[0],
-        StackConfig::interrupt(ip(1), MacAddr::local(1)),
-    );
-    let dunix = MonolithicStack::attach(&b, &nics[1], ip(2), MacAddr::local(2));
-    (world, plexus, dunix)
+    let tb = Testbed::new(&Link::ethernet(), 7, &["spin-host", "dunix-host"]);
+    let plexus = PlexusStack::attach_host(&tb.hosts[0], StackConfig::interrupt);
+    let dunix = MonolithicStack::attach_host(&tb.hosts[1]);
+    (tb.world, plexus, dunix)
 }
 
 #[test]
 fn udp_flows_both_ways_between_the_systems() {
-    let (mut world, plexus, dunix) = mixed_pair();
+    // ARP between the two implementations must also interoperate: both
+    // caches start cold here on purpose.
+    let Testbed {
+        mut world, hosts, ..
+    } = Testbed::new(&Link::ethernet(), 7, &["spin-host", "dunix-host"]);
+    let (a, b) = (&hosts[0], &hosts[1]);
+    let plexus = PlexusStack::attach(&a.machine, &a.nic, StackConfig::interrupt(a.ip, a.mac));
+    let dunix = MonolithicStack::attach(&b.machine, &b.nic, b.ip, b.mac);
     let ext = plexus
         .link_extension(&ExtensionSpec::typesafe(
             "interop",
@@ -75,9 +69,8 @@ fn udp_flows_both_ways_between_the_systems() {
         )
         .unwrap();
 
-    // ARP between the two implementations must also interoperate: no
-    // seeding here on purpose.
-    pep.send(world.engine_mut(), ip(2), 7, b"abcdef").unwrap();
+    pep.send(world.engine_mut(), dunix.ip(), 7, b"abcdef")
+        .unwrap();
     world.run();
     assert_eq!(*got.borrow(), b"fedcba", "reply crossed OS structures");
 }
@@ -85,8 +78,6 @@ fn udp_flows_both_ways_between_the_systems() {
 #[test]
 fn plexus_client_talks_tcp_to_dunix_server() {
     let (mut world, plexus, dunix) = mixed_pair();
-    plexus.seed_arp(ip(2), MacAddr::local(2));
-    dunix.seed_arp(ip(1), MacAddr::local(1));
     let ext = plexus
         .link_extension(&ExtensionSpec::typesafe(
             "interop",
@@ -110,7 +101,7 @@ fn plexus_client_talks_tcp_to_dunix_server() {
     let got: Rc<RefCell<Vec<u8>>> = Rc::new(RefCell::new(Vec::new()));
     let conn = plexus
         .tcp()
-        .connect(&ext, world.engine_mut(), (ip(2), 80))
+        .connect(&ext, world.engine_mut(), (dunix.ip(), 80))
         .unwrap();
     let g = got.clone();
     conn.set_callbacks(TcpCallbacks {
@@ -127,8 +118,6 @@ fn plexus_client_talks_tcp_to_dunix_server() {
 #[test]
 fn dunix_client_talks_tcp_to_plexus_httpd() {
     let (mut world, plexus, dunix) = mixed_pair();
-    plexus.seed_arp(ip(2), MacAddr::local(2));
-    dunix.seed_arp(ip(1), MacAddr::local(1));
     let ext = plexus
         .link_extension(&ExtensionSpec::typesafe(
             "httpd",
@@ -142,7 +131,9 @@ fn dunix_client_talks_tcp_to_plexus_httpd() {
     let dproc = AddressSpace::new("browser");
     let got: Rc<RefCell<Vec<u8>>> = Rc::new(RefCell::new(Vec::new()));
     let done = Rc::new(Cell::new(false));
-    let conn = dunix.tcp().connect(world.engine_mut(), &dproc, (ip(1), 80));
+    let conn = dunix
+        .tcp()
+        .connect(world.engine_mut(), &dproc, (plexus.ip(), 80));
     let (g, d) = (got.clone(), done.clone());
     conn.set_callbacks(SocketCallbacks {
         on_connected: Some(Rc::new(|eng, user, sock| {
@@ -168,13 +159,56 @@ fn dunix_client_talks_tcp_to_plexus_httpd() {
 #[test]
 fn icmp_ping_crosses_system_boundaries() {
     let (mut world, plexus, dunix) = mixed_pair();
-    plexus.seed_arp(ip(2), MacAddr::local(2));
-    dunix.seed_arp(ip(1), MacAddr::local(1));
-    plexus.ping(world.engine_mut(), ip(2), 1, 1, b"x");
-    dunix.ping(world.engine_mut(), ip(1), 2, 1, b"y");
+    plexus.ping(world.engine_mut(), dunix.ip(), 1, 1, b"x");
+    dunix.ping(world.engine_mut(), plexus.ip(), 2, 1, b"y");
     world.run();
     assert_eq!(dunix.stats().icmp_echoes, 1, "DUNIX answered SPIN's ping");
     assert_eq!(plexus.stats().icmp_echoes, 1, "SPIN answered DUNIX's ping");
+}
+
+#[test]
+fn a_mixed_lan_is_a_full_arp_mesh() {
+    // Plexus, DIGITAL UNIX, Plexus on one segment. `attach_host` seeds
+    // every cache from the testbed's one address plan whichever stack a
+    // host runs, so everyone reaches everyone and no ARP frame is needed.
+    use plexus::kernel::view::view;
+    use plexus::net::ether::{EtherType, EtherView};
+
+    let Testbed {
+        mut world,
+        medium,
+        hosts,
+    } = Testbed::new(&Link::ethernet(), 7, &["spin-a", "dunix", "spin-b"]);
+    let spin_a = PlexusStack::attach_host(&hosts[0], StackConfig::interrupt);
+    let dunix = MonolithicStack::attach_host(&hosts[1]);
+    let spin_b = PlexusStack::attach_host(&hosts[2], StackConfig::thread);
+
+    medium.start_capture();
+    for dst in [dunix.ip(), spin_b.ip()] {
+        spin_a.ping(world.engine_mut(), dst, 1, 1, b"a");
+    }
+    for dst in [spin_a.ip(), spin_b.ip()] {
+        dunix.ping(world.engine_mut(), dst, 2, 1, b"d");
+    }
+    for dst in [spin_a.ip(), dunix.ip()] {
+        spin_b.ping(world.engine_mut(), dst, 3, 1, b"b");
+    }
+    world.run();
+
+    let frames = medium.stop_capture();
+    assert_eq!(frames.len(), 12, "six echo requests, six replies");
+    for f in &frames {
+        let eth = view::<EtherView>(&f.bytes).expect("ethernet frame");
+        assert_eq!(eth.ethertype(), EtherType::IPV4, "no ARP on the wire");
+    }
+    for answered in [
+        spin_a.stats().icmp_echoes,
+        dunix.stats().icmp_echoes,
+        spin_b.stats().icmp_echoes,
+    ] {
+        assert_eq!(answered, 2, "each host answered both of the others");
+    }
+    assert_eq!(spin_a.stats().arp_queued + spin_b.stats().arp_queued, 0);
 }
 
 #[test]

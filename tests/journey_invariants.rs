@@ -24,9 +24,9 @@ use plexus::trace::journey::{self, Journeys};
 use plexus::trace::profile::Profile;
 use plexus::trace::timeline;
 use plexus::trace::{Recorder, TraceEvent};
-use plexus_bench::fwd_latency::plexus_fwd_traced;
-use plexus_bench::overload::{run_point_traced, RxMode, Workload};
-use plexus_bench::udp_rtt::{udp_rtt_traced, Link};
+use plexus_bench::fwd_latency::{FwdLatency, FwdSystem};
+use plexus_bench::overload::{Overload, RxMode, Workload};
+use plexus_bench::udp_rtt::{Link, System, UdpRtt};
 
 const ROUNDS: u32 = 20;
 
@@ -102,15 +102,12 @@ fn check_journeys(js: &Journeys, machines: &[&str], label: &str) {
 
 #[test]
 fn udp_rtt_journeys_telescope_in_both_delivery_modes() {
-    for interrupt in [true, false] {
-        let recorder = Recorder::new(1 << 16);
-        udp_rtt_traced(interrupt, &Link::ethernet(), 8, ROUNDS, &recorder);
+    for (system, label) in [
+        (System::PlexusInterrupt, "udp_rtt"),
+        (System::PlexusThread, "udp_rtt_thread"),
+    ] {
+        let recorder = traced_udp_rtt(system);
         let js = journey::build(&Profile::build(&recorder));
-        let label = if interrupt {
-            "udp_rtt"
-        } else {
-            "udp_rtt_thread"
-        };
         check_journeys(&js, &["client", "server"], label);
         // One journey per round: the pong handler breaks the chain, so
         // each request/reply pair is its own ledger with hops on both
@@ -130,7 +127,11 @@ fn udp_rtt_journeys_telescope_in_both_delivery_modes() {
 #[test]
 fn fig7_forwarding_journeys_cross_three_machines() {
     let recorder = Recorder::new(1 << 16);
-    plexus_fwd_traced(&Link::ethernet(), 64, 5, Some(&recorder));
+    FwdLatency {
+        recorder: Some(&recorder),
+        ..FwdLatency::new(FwdSystem::Plexus, &Link::ethernet(), 64, 5)
+    }
+    .run();
     let js = journey::build(&Profile::build(&recorder));
     let machines = ["client", "fwd", "backend"];
     check_journeys(&js, &machines, "fig7_forwarding");
@@ -156,13 +157,11 @@ fn overload_journeys_telescope_on_both_rx_paths() {
         (RxMode::Coalesced, "overload_coalesced"),
     ] {
         let recorder = Recorder::new(1 << 18);
-        run_point_traced(
-            Workload::UdpEcho,
-            mode,
-            &Link::t3(),
-            (1, 4),
-            Some(&recorder),
-        );
+        Overload {
+            recorder: Some(&recorder),
+            ..Overload::new(Workload::UdpEcho, mode, &Link::t3(), (1, 4))
+        }
+        .run();
         let js = journey::build(&Profile::build(&recorder));
         check_journeys(&js, &["generator", "dut", "backend"], label);
         // Echo traffic: every journey's first hop lands on the DUT.
@@ -173,15 +172,19 @@ fn overload_journeys_telescope_on_both_rx_paths() {
     }
 }
 
-fn traced_udp_rtt() -> Rc<Recorder> {
+fn traced_udp_rtt(system: System) -> Rc<Recorder> {
     let recorder = Recorder::new(1 << 16);
-    udp_rtt_traced(true, &Link::ethernet(), 8, ROUNDS, &recorder);
+    UdpRtt {
+        recorder: Some(&recorder),
+        ..UdpRtt::new(system, &Link::ethernet(), 8, ROUNDS)
+    }
+    .run();
     recorder
 }
 
 #[test]
 fn timeline_windows_conserve_event_counts() {
-    let recorder = traced_udp_rtt();
+    let recorder = traced_udp_rtt(System::PlexusInterrupt);
     let t = timeline::build(&recorder, 1_000_000);
     assert_eq!(t.truncated_records, 0);
     for (i, w) in t.windows.iter().enumerate() {
@@ -224,7 +227,7 @@ fn timeline_windows_conserve_event_counts() {
 
 #[test]
 fn window_width_only_rebuckets_never_loses() {
-    let recorder = traced_udp_rtt();
+    let recorder = traced_udp_rtt(System::PlexusInterrupt);
     let coarse = timeline::build(&recorder, 10_000_000);
     let fine = timeline::build(&recorder, 100_000);
     for get in [

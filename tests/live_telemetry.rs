@@ -13,7 +13,7 @@ use plexus::trace::profile::Profile;
 use plexus::trace::timeline;
 use plexus::trace::{json, Recorder};
 use plexus_bench::scenarios;
-use plexus_bench::udp_rtt::{udp_rtt_traced, Link};
+use plexus_bench::udp_rtt::{Link, System, UdpRtt};
 
 const WINDOW_NS: u64 = 1_000_000;
 
@@ -26,7 +26,11 @@ fn traced_with_ring(ring: usize) -> Rc<Recorder> {
     let mut cfg = LiveConfig::new(WINDOW_NS);
     cfg.sample_every = 2;
     rec.enable_live(cfg);
-    udp_rtt_traced(true, &Link::ethernet(), 8, 20, &rec);
+    UdpRtt {
+        recorder: Some(&rec),
+        ..UdpRtt::new(System::PlexusInterrupt, &Link::ethernet(), 8, 20)
+    }
+    .run();
     rec
 }
 

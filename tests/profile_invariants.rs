@@ -15,13 +15,22 @@ use std::rc::Rc;
 use plexus::trace::flame::folded;
 use plexus::trace::profile::{pingpong_waterfall, profile_json, Profile, Slice};
 use plexus::trace::{json, Recorder};
-use plexus_bench::udp_rtt::{udp_rtt_traced, Link};
+use plexus_bench::udp_rtt::{Link, System, UdpRtt};
 
 const ROUNDS: u32 = 20;
 
 fn traced_run(interrupt: bool) -> (Vec<u64>, Rc<Recorder>) {
     let recorder = Recorder::new(1 << 16);
-    let rtts = udp_rtt_traced(interrupt, &Link::ethernet(), 8, ROUNDS, &recorder);
+    let system = if interrupt {
+        System::PlexusInterrupt
+    } else {
+        System::PlexusThread
+    };
+    let rtts = UdpRtt {
+        recorder: Some(&recorder),
+        ..UdpRtt::new(system, &Link::ethernet(), 8, ROUNDS)
+    }
+    .run();
     (rtts, recorder)
 }
 

@@ -417,29 +417,16 @@ proptest! {
         let run = |payloads: &[Vec<u8>]| -> (u64, u64, Vec<Vec<u8>>) {
             use plexus::core::{AppHandler, PlexusStack, StackConfig, UdpRecv};
             use plexus::kernel::domain::ExtensionSpec;
-            use plexus::net::ether::MacAddr;
-            use plexus::sim::nic::{FaultInjector, NicProfile};
-            use plexus::sim::time::SimDuration;
-            use plexus::sim::World;
+            use plexus::net::Testbed;
+            use plexus::sim::nic::{FaultInjector, Link};
             use std::cell::RefCell;
             use std::rc::Rc;
 
-            let a_ip = Ipv4Addr::new(10, 5, 0, 1);
-            let b_ip = Ipv4Addr::new(10, 5, 0, 2);
-            let mut world = World::new();
-            let a = world.add_machine("a");
-            let b = world.add_machine("b");
-            let (medium, nics) = world.connect(
-                &[&a, &b],
-                NicProfile::ethernet_lance(),
-                SimDuration::from_micros(1),
-                true,
-            );
+            let Testbed { mut world, medium, hosts } = Testbed::new(&Link::ethernet(), 5, &["a", "b"]);
             medium.set_faults(FaultInjector::new(drop_prob, 0.0, seed));
-            let sa = PlexusStack::attach(&a, &nics[0], StackConfig::interrupt(a_ip, MacAddr::local(1)));
-            let sb = PlexusStack::attach(&b, &nics[1], StackConfig::interrupt(b_ip, MacAddr::local(2)));
-            sa.seed_arp(b_ip, MacAddr::local(2));
-            sb.seed_arp(a_ip, MacAddr::local(1));
+            let sa = PlexusStack::attach_host(&hosts[0], StackConfig::interrupt);
+            let sb = PlexusStack::attach_host(&hosts[1], StackConfig::interrupt);
+            let b_ip = sb.ip();
             let spec = ExtensionSpec::typesafe("det", &["UDP.Bind", "UDP.Send"]);
             let aext = sa.link_extension(&spec).unwrap();
             let bext = sb.link_extension(&spec).unwrap();

@@ -12,13 +12,22 @@ use plexus::trace::journey::{self, journeys_json};
 use plexus::trace::profile::{pingpong_waterfall, profile_json, Profile};
 use plexus::trace::timeline::{self, timeline_json};
 use plexus::trace::{json, CounterKey, Recorder, Scope, TraceEvent};
-use plexus_bench::udp_rtt::{udp_rtt_traced, udp_rtt_traced_tier, Link};
+use plexus_bench::udp_rtt::{Link, System, UdpRtt};
 
 const ROUNDS: u32 = 10;
 
 fn traced_run(interrupt: bool) -> (Rc<Recorder>, Vec<u64>) {
     let recorder = Recorder::new(1 << 16);
-    let samples = udp_rtt_traced(interrupt, &Link::ethernet(), 8, ROUNDS, &recorder);
+    let system = if interrupt {
+        System::PlexusInterrupt
+    } else {
+        System::PlexusThread
+    };
+    let samples = UdpRtt {
+        recorder: Some(&recorder),
+        ..UdpRtt::new(system, &Link::ethernet(), 8, ROUNDS)
+    }
+    .run();
     (recorder, samples)
 }
 
@@ -184,7 +193,12 @@ fn guard_tier_opt_out_leaves_traces_byte_identical() {
     // per-tier counters may differ.
     let run = |compiled: bool| {
         let recorder = Recorder::new(1 << 16);
-        let samples = udp_rtt_traced_tier(true, &Link::ethernet(), 8, ROUNDS, &recorder, compiled);
+        let samples = UdpRtt {
+            recorder: Some(&recorder),
+            compiled,
+            ..UdpRtt::new(System::PlexusInterrupt, &Link::ethernet(), 8, ROUNDS)
+        }
+        .run();
         (recorder, samples)
     };
     let (comp, samples_comp) = run(true);

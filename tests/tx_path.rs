@@ -25,83 +25,79 @@
 // recursion limit.
 #![recursion_limit = "256"]
 
-use std::cell::RefCell;
+use std::cell::OnceCell;
 use std::net::Ipv4Addr;
 use std::rc::Rc;
 
 use plexus::core::{AppHandler, PlexusStack, StackConfig, UdpEndpoint, UdpRecv};
 use plexus::kernel::domain::ExtensionSpec;
 use plexus::net::checksum::{verify_checksum, Checksum};
-use plexus::net::ether::MacAddr;
 use plexus::net::ip::proto;
 use plexus::net::mbuf::{cluster_pool_stats, reset_cluster_pool};
 use plexus::net::udp::UdpConfig;
-use plexus::sim::nic::{Medium, Nic, NicProfile, NicStats};
+use plexus::net::Testbed;
+use plexus::sim::nic::{Link, NicProfile, NicStats};
 use plexus::sim::time::{SimDuration, SimTime};
-use plexus::sim::World;
-use plexus_bench::overload::{build_frame, run_point_tx, RxMode, TxMode, Workload};
-use plexus_bench::udp_rtt::Link;
+use plexus_bench::overload::{build_frame, Overload, RxMode, TxMode, Workload};
 use proptest::prelude::*;
 
-const GEN: u8 = 1;
-const DUT: u8 = 2;
+const GEN: usize = 0;
+const DUT: usize = 1;
 /// Ethernet (14) + IPv4 (20) + UDP (8) headers precede the payload.
 const PAYLOAD_OFF: usize = 42;
 
-fn ip(last: u8) -> Ipv4Addr {
-    Ipv4Addr::new(10, 0, 77, last)
-}
-
 struct TxWorld {
-    world: World,
-    medium: Rc<Medium>,
-    gen_nic: Rc<Nic>,
-    dut_nic: Rc<Nic>,
+    tb: Testbed,
     /// Keeps the stack (and its handlers) alive for the run.
     _stack: Rc<PlexusStack>,
+}
+
+impl TxWorld {
+    /// Schedules one `payload`-byte generator→DUT datagram at `at`, its
+    /// first eight payload bytes carrying `k`.
+    fn offer(&mut self, at: SimDuration, payload: usize, k: u64) {
+        let hosts = &self.tb.hosts;
+        let gn = hosts[GEN].nic.clone();
+        let mut frame = build_frame(&hosts[GEN], &hosts[DUT], payload);
+        frame[PAYLOAD_OFF..PAYLOAD_OFF + 8].copy_from_slice(&k.to_be_bytes());
+        self.tb
+            .world
+            .engine_mut()
+            .schedule_at(SimTime::ZERO + at, move |engine| {
+                let now = engine.now();
+                gn.transmit(engine, now, &frame[..]);
+            });
+    }
 }
 
 /// Builds a generator→DUT world on `profile`; the DUT binds UDP port 7
 /// and echoes every datagram back to its sender, re-sharing the received
 /// chain (so multi-cluster payloads exercise the gather path).
 fn tx_world(profile: NicProfile, shape: impl FnOnce(StackConfig) -> StackConfig) -> TxWorld {
-    let mut world = World::new();
-    let gen_machine = world.add_machine("generator");
-    let dut_machine = world.add_machine("dut");
-    let (medium, nics) = world.connect(
-        &[&gen_machine, &dut_machine],
+    let link = Link {
         profile,
-        SimDuration::from_micros(1),
-        false,
-    );
-    let gen_nic = nics[0].clone();
-    let dut_nic = nics[1].clone();
-
-    let cfg = shape(StackConfig::interrupt(ip(DUT), MacAddr::local(DUT)));
-    let stack = PlexusStack::attach(&dut_machine, &dut_nic, cfg);
-    stack.seed_arp(ip(GEN), MacAddr::local(GEN));
+        ..Link::gigabit()
+    };
+    let tb = Testbed::new(&link, 77, &["generator", "dut"]);
+    let stack = PlexusStack::attach_host(&tb.hosts[DUT], |ip, mac| {
+        shape(StackConfig::interrupt(ip, mac))
+    });
 
     let spec = ExtensionSpec::typesafe("txpath-test", &["UDP.Bind", "UDP.Send"]);
     let ext = stack.link_extension(&spec).unwrap();
-    let slot: Rc<RefCell<Option<Rc<UdpEndpoint>>>> = Rc::new(RefCell::new(None));
+    let slot: Rc<OnceCell<Rc<UdpEndpoint>>> = Rc::default();
     let sl = slot.clone();
     let recv = move |ctx: &mut plexus::kernel::RaiseCtx<'_>, ev: &UdpRecv| {
-        let ep = sl.borrow().clone().expect("endpoint installed");
+        let ep = sl.get().expect("endpoint installed");
         let _ = ep.send_mbuf_in(ctx, ev.src, ev.src_port, ev.payload.share());
     };
     let ep = stack
         .udp()
         .bind(&ext, 7, UdpConfig::default(), AppHandler::interrupt(recv))
         .unwrap();
-    *slot.borrow_mut() = Some(ep);
+    let _ = slot.set(ep);
 
-    TxWorld {
-        world,
-        medium,
-        gen_nic,
-        dut_nic,
-        _stack: stack,
-    }
+    TxWorld { tb, _stack: stack }
 }
 
 /// Echoes one datagram per entry of `payload_lens` (spaced far enough
@@ -113,38 +109,28 @@ fn run_echoes(
     payload_lens: &[usize],
 ) -> (Vec<Vec<u8>>, NicStats) {
     let mut tw = tx_world(profile, shape);
-    tw.medium.start_capture();
+    tw.tb.medium.start_capture();
     for (k, &len) in payload_lens.iter().enumerate() {
-        let gn = tw.gen_nic.clone();
-        let mut frame = build_frame(
-            MacAddr::local(GEN),
-            MacAddr::local(DUT),
-            ip(GEN),
-            ip(DUT),
-            len.max(8),
-        );
         // Distinguishable payloads, so identical captures prove ordering.
-        frame[PAYLOAD_OFF..PAYLOAD_OFF + 8].copy_from_slice(&(k as u64).to_be_bytes());
-        let at = SimDuration::from_micros(200 * k as u64);
-        tw.world
-            .engine_mut()
-            .schedule_at(SimTime::ZERO + at, move |engine| {
-                let now = engine.now();
-                gn.transmit_frame(engine, now, frame);
-            });
+        tw.offer(
+            SimDuration::from_micros(200 * k as u64),
+            len.max(8),
+            k as u64,
+        );
     }
-    tw.world.run_for(SimDuration::from_micros(
+    tw.tb.world.run_for(SimDuration::from_micros(
         200 * payload_lens.len() as u64 + 10_000,
     ));
-    let dut_mac = MacAddr::local(DUT).0;
+    let dut_mac = tw.tb.hosts[DUT].mac.0;
     let dut_frames: Vec<Vec<u8>> = tw
+        .tb
         .medium
         .stop_capture()
         .into_iter()
         .filter(|c| c.bytes[6..12] == dut_mac)
         .map(|c| c.bytes)
         .collect();
-    (dut_frames, tw.dut_nic.stats())
+    (dut_frames, tw.tb.hosts[DUT].nic.stats())
 }
 
 // SG vs flatten: the wire cannot tell them apart. Same frames, same
@@ -222,13 +208,16 @@ fn offloaded_checksums_verify_and_match_software() {
     assert_eq!(hw_stats.tx_csum_offloads, lens.len() as u64);
     assert_eq!(sw_stats.tx_csum_offloads, 0);
     for frame in &hw {
-        // Ethernet 14 + IPv4 20 = transport region offset.
+        // Ethernet 14 + IPv4 20 = transport region offset; the IPv4
+        // header ends with the source and destination addresses.
+        let addr = |at: usize| Ipv4Addr::from(<[u8; 4]>::try_from(&frame[at..at + 4]).unwrap());
+        let (src, dst) = (addr(26), addr(30));
         let udp = &frame[34..];
         let udp_len = u16::from_be_bytes([udp[4], udp[5]]) as usize;
         let check = u16::from_be_bytes([udp[6], udp[7]]);
         assert_ne!(check, 0, "echoes carry a real checksum");
         assert!(
-            verify_checksum(&udp[..udp_len], udp_pseudo(ip(DUT), ip(GEN), udp_len)),
+            verify_checksum(&udp[..udp_len], udp_pseudo(src, dst, udp_len)),
             "offloaded checksum failed verification"
         );
     }
@@ -241,34 +230,27 @@ fn steady_state_echo_send_path_allocates_no_fresh_clusters() {
     let mut tw = tx_world(NicProfile::gigabit(), |c| c.doorbell_tx());
     reset_cluster_pool();
     let send = |tw: &mut TxWorld, base: u64, n: u64| {
-        for k in 0..n {
-            let gn = tw.gen_nic.clone();
-            let frame = build_frame(
-                MacAddr::local(GEN),
-                MacAddr::local(DUT),
-                ip(GEN),
-                ip(DUT),
-                512,
-            );
-            let at = SimDuration::from_micros(200 * (base + k));
-            tw.world
-                .engine_mut()
-                .schedule_at(SimTime::ZERO + at, move |engine| {
-                    let now = engine.now();
-                    gn.transmit_frame(engine, now, frame);
-                });
+        for k in base..base + n {
+            tw.offer(SimDuration::from_micros(200 * k), 512, 0);
         }
     };
     send(&mut tw, 0, 8);
-    tw.world.run_for(SimDuration::from_micros(200 * 8 + 5_000));
+    tw.tb
+        .world
+        .run_for(SimDuration::from_micros(200 * 8 + 5_000));
     let before = cluster_pool_stats();
 
     send(&mut tw, 100, 32);
-    tw.world
+    tw.tb
+        .world
         .run_for(SimDuration::from_micros(200 * 140 + 5_000));
     let after = cluster_pool_stats();
 
-    assert_eq!(tw.dut_nic.stats().tx_frames, 40, "echoes went missing");
+    assert_eq!(
+        tw.tb.hosts[DUT].nic.stats().tx_frames,
+        40,
+        "echoes went missing"
+    );
     assert_eq!(
         after.allocated + after.unpooled,
         before.allocated + before.unpooled,
@@ -284,22 +266,17 @@ fn steady_state_echo_send_path_allocates_no_fresh_clusters() {
 #[test]
 fn doorbell_sg_beats_flattened_tx_by_a_quarter_at_4x_load() {
     let link = Link::gigabit();
-    let flat = run_point_tx(
-        Workload::UdpEcho,
-        RxMode::Coalesced,
-        TxMode::Flattened,
-        &link,
-        (4, 1),
-    );
-    let sgdb = run_point_tx(
-        Workload::UdpEcho,
-        RxMode::Coalesced,
-        TxMode::Doorbell,
-        &link,
-        (4, 1),
-    );
+    let point = |tx| {
+        Overload {
+            tx,
+            ..Overload::new(Workload::UdpEcho, RxMode::Coalesced, &link, (4, 1))
+        }
+        .run()
+    };
+    let flat = point(TxMode::Flattened);
+    let sgdb = point(TxMode::Doorbell);
     assert!(
-        sgdb.goodput_pps as f64 >= 1.25 * flat.goodput_pps as f64,
+        sgdb.goodput_pps >= 1.25 * flat.goodput_pps,
         "doorbell SG {} pps vs flattened {} pps — under the 25% bar",
         sgdb.goodput_pps,
         flat.goodput_pps
