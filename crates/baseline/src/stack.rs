@@ -20,17 +20,16 @@ use std::collections::{HashMap, VecDeque};
 use std::net::Ipv4Addr;
 use std::rc::Rc;
 
-use plexus_net::arp::{ArpCache, ArpPacket, Resolution};
-use plexus_net::ether::{self, EtherType, EtherView, MacAddr, ETHER_HDR_LEN};
-use plexus_net::icmp::{IcmpMessage, IcmpType};
-use plexus_net::ip::{self, IpHeader, Reassembler};
+use plexus_net::arp::ArpCache;
+use plexus_net::ether::{self, EtherType, Frame, MacAddr, ETHER_HDR_LEN};
+use plexus_net::icmp::{self, IcmpMessage};
+use plexus_net::ip::{self, Hop, IpHeader, Reassembler, RouteTable, Verdict};
 use plexus_net::mbuf::Mbuf;
 use plexus_net::testbed::Host;
 use plexus_net::udp::{self, UdpConfig};
 use plexus_sim::nic::{DriverConfig, Nic};
 use plexus_sim::{Cpu, CpuLease, Engine, Machine};
 
-use plexus_kernel::view::view;
 use plexus_kernel::vm::AddressSpace;
 
 use crate::tcp_socket::TcpLayer;
@@ -85,13 +84,11 @@ pub(crate) struct BaselineShared {
     pub(crate) ip: Ipv4Addr,
     pub(crate) mac: MacAddr,
     arp: RefCell<ArpCache>,
-    arp_pending: RefCell<HashMap<Ipv4Addr, Vec<Mbuf>>>,
     reasm: RefCell<Reassembler>,
-    ip_ident: Cell<u16>,
+    ip_ident: ip::Ident,
     udp_socks: RefCell<HashMap<u16, Rc<UdpSocketInner>>>,
     pub(crate) stats: Cell<BaselineStats>,
-    prefix_len: Cell<u8>,
-    gateway: Cell<Option<Ipv4Addr>>,
+    routes: RefCell<RouteTable>,
 }
 
 impl BaselineShared {
@@ -101,14 +98,9 @@ impl BaselineShared {
         self.stats.set(s);
     }
 
-    fn next_ident(&self) -> u16 {
-        let id = self.ip_ident.get();
-        self.ip_ident.set(id.wrapping_add(1));
-        id
-    }
-
-    /// Kernel IP output path: fragment, ARP, driver TX. Direct procedure
-    /// calls — no dispatcher — charging the same protocol costs as Plexus.
+    /// Kernel IP output path: header, next hop, fragments, ARP, driver TX.
+    /// Direct procedure calls — no dispatcher — over the same protocol
+    /// routines, charging the same protocol costs, as Plexus.
     pub(crate) fn ip_output(
         self: &Rc<Self>,
         engine: &mut Engine,
@@ -120,61 +112,25 @@ impl BaselineShared {
         let model = lease.model().clone();
         lease.charge(model.ip_proc);
         self.bump(|s| s.ip_tx += 1);
-        let hdr = IpHeader {
-            src: self.ip,
-            dst,
-            protocol,
-            ident: self.next_ident(),
-            ttl: ip::DEFAULT_TTL,
-            more_fragments: false,
-            frag_offset: 0,
+        let hdr = IpHeader::simple(self.ip, dst, protocol, self.ip_ident.take());
+        let Some(hop) = self.routes.borrow().hop(dst) else {
+            return; // No route; silently dropped, as sendto would EHOSTUNREACH.
         };
-        let frags = ip::fragment(&hdr, payload, self.nic.profile().mtu);
-        // Route: on-subnet directly, off-subnet via the gateway.
-        let next_hop = if dst == Ipv4Addr::BROADCAST {
-            dst
-        } else {
-            let plen = self.prefix_len.get();
-            let mask = if plen == 0 {
-                0
-            } else {
-                u32::MAX << (32 - plen)
-            };
-            if (u32::from(dst) & mask) == (u32::from(self.ip) & mask) {
-                dst
-            } else {
-                match self.gateway.get() {
-                    Some(gw) => gw,
-                    None => return, // No route; silently dropped, as sendto would EHOSTUNREACH.
-                }
-            }
-        };
-        for frag in frags {
-            if dst == Ipv4Addr::BROADCAST {
-                self.eth_output(engine, lease, MacAddr::BROADCAST, EtherType::IPV4, frag);
+        for dgram in ip::datagrams(&hdr, payload, self.nic.profile().mtu) {
+            let Hop::Via(hop) = hop else {
+                let frame = Frame {
+                    dst: MacAddr::BROADCAST,
+                    ethertype: EtherType::IPV4,
+                    packet: dgram,
+                };
+                self.eth_output(engine, lease, &frame);
                 continue;
-            }
+            };
             lease.charge(model.arp_lookup);
-            let res = self
-                .arp
-                .borrow_mut()
-                .resolve(next_hop, lease.now().as_nanos());
-            match res {
-                Resolution::Known(mac) => {
-                    self.eth_output(engine, lease, mac, EtherType::IPV4, frag);
-                }
-                Resolution::NeedsRequest(first) => {
-                    self.arp_pending
-                        .borrow_mut()
-                        .entry(next_hop)
-                        .or_default()
-                        .push(frag);
-                    if first {
-                        let req = ArpPacket::request(self.mac, self.ip, next_hop);
-                        let m = Mbuf::from_payload(ETHER_HDR_LEN, &req.to_bytes());
-                        self.eth_output(engine, lease, MacAddr::BROADCAST, EtherType::ARP, m);
-                    }
-                }
+            let now = lease.now().as_nanos();
+            let resolved = self.arp.borrow_mut().resolve(hop, now, dgram);
+            if let Some(frame) = resolved.frame() {
+                self.eth_output(engine, lease, frame);
             }
         }
     }
@@ -183,14 +139,17 @@ impl BaselineShared {
         self: &Rc<Self>,
         engine: &mut Engine,
         lease: &mut CpuLease,
-        dst: MacAddr,
-        ethertype: EtherType,
-        packet: Mbuf,
+        out: &Frame,
     ) {
         let model = lease.model().clone();
         lease.charge(model.eth_proc);
-        let mut frame = packet.share();
-        ether::write_header(frame.prepend(ETHER_HDR_LEN), dst, self.mac, ethertype);
+        let mut frame = out.packet.share();
+        ether::write_header(
+            frame.prepend(ETHER_HDR_LEN),
+            out.dst,
+            self.mac,
+            out.ethertype,
+        );
         lease.charge(self.nic.profile().tx_cpu_cost(frame.total_len()));
         let ready = lease.now();
         self.nic.transmit(engine, ready, &frame);
@@ -259,14 +218,12 @@ impl MonolithicStack {
             nic: nic.clone(),
             ip: ip_addr,
             mac,
-            arp: RefCell::new(ArpCache::new()),
-            arp_pending: RefCell::new(HashMap::new()),
+            arp: RefCell::new(ArpCache::new(ip_addr, mac)),
             reasm: RefCell::new(Reassembler::new()),
-            ip_ident: Cell::new(1),
+            ip_ident: ip::Ident::starting_at(1),
             udp_socks: RefCell::new(HashMap::new()),
             stats: Cell::new(BaselineStats::default()),
-            prefix_len: Cell::new(24),
-            gateway: Cell::new(None),
+            routes: RefCell::new(RouteTable::host(ip_addr, 24)),
         });
         let tcp = TcpLayer::new(&shared);
         let stack = Rc::new(MonolithicStack {
@@ -282,21 +239,20 @@ impl MonolithicStack {
             let model = lease.model().clone();
             lease.charge(model.interrupt_entry);
             lease.charge(s.nic.profile().rx_cpu_cost(frame.len()));
-            let Some(v) = view::<EtherView>(&frame) else {
+            let Some(v) = ether::accept(&frame, s.mac, false) else {
                 lease.charge(model.interrupt_exit);
                 return;
             };
-            let dst = v.dst();
-            if dst != s.mac && !dst.is_broadcast() {
-                lease.charge(model.interrupt_exit);
-                return;
-            }
             s.bump(|st| st.eth_rx += 1);
             let ethertype = v.ethertype();
             lease.charge(model.eth_proc);
             match ethertype {
                 EtherType::ARP => {
-                    Self::arp_input(&s, engine, &mut lease, &frame[ETHER_HDR_LEN..]);
+                    let now = lease.now().as_nanos();
+                    let input = s.arp.borrow_mut().input(&frame[ETHER_HDR_LEN..], now);
+                    for out in input.into_iter().flat_map(|i| i.frames()) {
+                        s.eth_output(engine, &mut lease, &out);
+                    }
                 }
                 EtherType::IPV4 => {
                     // The netisr/softirq hop: the interrupt handler queues
@@ -314,25 +270,6 @@ impl MonolithicStack {
         stack
     }
 
-    fn arp_input(s: &Rc<BaselineShared>, engine: &mut Engine, lease: &mut CpuLease, bytes: &[u8]) {
-        let Some(pkt) = ArpPacket::parse(bytes) else {
-            return;
-        };
-        let now = lease.now().as_nanos();
-        let satisfied = s.arp.borrow_mut().learn(pkt.sender_ip, pkt.sender_mac, now);
-        if satisfied {
-            let parked = s.arp_pending.borrow_mut().remove(&pkt.sender_ip);
-            for frag in parked.into_iter().flatten() {
-                s.eth_output(engine, lease, pkt.sender_mac, EtherType::IPV4, frag);
-            }
-        }
-        if pkt.op == plexus_net::arp::ArpOp::Request && pkt.target_ip == s.ip {
-            let reply = ArpPacket::reply_to(&pkt, s.mac, s.ip);
-            let m = Mbuf::from_payload(ETHER_HDR_LEN, &reply.to_bytes());
-            s.eth_output(engine, lease, pkt.sender_mac, EtherType::ARP, m);
-        }
-    }
-
     fn ip_input(
         s: &Rc<BaselineShared>,
         tcp: &Rc<TcpLayer>,
@@ -343,21 +280,18 @@ impl MonolithicStack {
         let model = lease.model().clone();
         lease.charge(model.ip_proc);
         let now = lease.now().as_nanos();
-        let offered = {
-            let mut reasm = s.reasm.borrow_mut();
-            reasm.expire(now);
-            reasm.offer(&pkt, now)
-        };
-        let Some((hdr, payload)) = offered else {
-            if pkt.total_len() >= ip::IP_HDR_LEN {
+        let verdict = s
+            .reasm
+            .borrow_mut()
+            .input(&pkt, now, |dst| dst == s.ip || dst == Ipv4Addr::BROADCAST);
+        let (hdr, payload) = match verdict {
+            Verdict::Deliver(hdr, payload) => (hdr, payload),
+            Verdict::Runt => return,
+            Verdict::NotLocal | Verdict::BadOrFragment => {
                 s.bump(|st| st.ip_dropped += 1);
+                return;
             }
-            return;
         };
-        if hdr.dst != s.ip && hdr.dst != Ipv4Addr::BROADCAST {
-            s.bump(|st| st.ip_dropped += 1);
-            return;
-        }
         s.bump(|st| st.ip_rx += 1);
         match hdr.protocol {
             ip::proto::ICMP => Self::icmp_input(s, engine, lease, &hdr, &payload),
@@ -377,15 +311,10 @@ impl MonolithicStack {
         let model = lease.model().clone();
         let bytes = payload.to_vec();
         lease.charge(model.checksum(bytes.len()));
-        let Some(msg) = IcmpMessage::parse(&bytes) else {
-            return;
-        };
-        if msg.kind == IcmpType::EchoRequest {
+        if let Some(reply) = icmp::echo_response(&bytes) {
             s.bump(|st| st.icmp_echoes += 1);
-            let reply = IcmpMessage::echo_reply(&msg);
-            let m = Mbuf::from_payload(64, &reply.to_bytes());
-            lease.charge(model.checksum(m.total_len()));
-            s.ip_output(engine, lease, hdr.src, ip::proto::ICMP, &m);
+            lease.charge(model.checksum(reply.total_len()));
+            s.ip_output(engine, lease, hdr.src, ip::proto::ICMP, &reply);
         }
     }
 
@@ -459,8 +388,9 @@ impl MonolithicStack {
     /// Configures the default gateway (and subnet prefix) so off-subnet
     /// destinations route through an IP router (see `plexus-core`).
     pub fn set_gateway(&self, gateway: Ipv4Addr, prefix_len: u8) {
-        self.shared.gateway.set(Some(gateway));
-        self.shared.prefix_len.set(prefix_len);
+        let mut routes = RouteTable::host(self.shared.ip, prefix_len);
+        routes.set_default(gateway);
+        *self.shared.routes.borrow_mut() = routes;
     }
 
     /// Sends an ICMP echo request from the kernel (diagnostics).

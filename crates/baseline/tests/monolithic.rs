@@ -334,3 +334,69 @@ fn splice_handles_multiple_concurrent_clients() {
         );
     }
 }
+
+/// Two monolithic hosts with *cold* ARP caches; `b` collects what arrives
+/// on UDP port 7, `a` holds a socket to send from.
+fn cold_pair() -> (
+    Testbed,
+    plexus_baseline::UdpSocket,
+    Rc<RefCell<Vec<Vec<u8>>>>,
+) {
+    let mut tb = Testbed::new(&Link::ethernet(), 0, &["a", "b"]);
+    let [a, b] = [0, 1].map(|k| {
+        let h = &tb.hosts[k];
+        MonolithicStack::attach(&h.machine, &h.nic, h.ip, h.mac)
+    });
+    let got = Rc::new(RefCell::new(Vec::new()));
+    let g = got.clone();
+    let sink = b.udp_socket(&AddressSpace::new("sink"), 7, true).unwrap();
+    sink.recv_loop(tb.world.engine_mut(), move |_, _, msg| {
+        g.borrow_mut().push(msg.data);
+    });
+    let sock = a.udp_socket(&AddressSpace::new("src"), 2000, true).unwrap();
+    (tb, sock, got)
+}
+
+#[test]
+fn a_lost_arp_reply_does_not_strand_the_queue() {
+    // The monolithic stack has no ARP retry timer: a who-has the segment
+    // ate must not leave every later send to that hop parked forever
+    // behind a question nobody is asking.
+    use plexus_sim::nic::FaultInjector;
+    let (mut tb, sock, got) = cold_pair();
+    let dst = tb.hosts[1].ip;
+    tb.medium.set_faults(FaultInjector::new(1.0, 0.0, 5));
+    sock.sendto(tb.world.engine_mut(), dst, 7, b"first");
+    tb.world.run();
+    assert_eq!(tb.hosts[0].nic.stats().tx_frames, 1, "the who-has, lost");
+
+    tb.medium.set_faults(FaultInjector::none());
+    tb.world.run_for(SimDuration::from_secs(4));
+    sock.sendto(tb.world.engine_mut(), dst, 7, b"second");
+    tb.world.run();
+    assert_eq!(
+        tb.hosts[0].nic.stats().tx_frames,
+        3,
+        "asked again, then sent what was parked behind the new question"
+    );
+    assert_eq!(
+        *got.borrow(),
+        vec![b"second".to_vec()],
+        "the stale datagram was dropped, the fresh one delivered"
+    );
+}
+
+#[test]
+fn the_arp_queue_is_bounded() {
+    use plexus_net::arp::MAX_PARKED_PER_HOP;
+    // A burst to one cold hop, all sent before the is-at can come back:
+    // the cache parks up to its cap and refuses the rest.
+    let (mut tb, sock, got) = cold_pair();
+    let dst = tb.hosts[1].ip;
+    for k in 0..MAX_PARKED_PER_HOP + 9 {
+        sock.sendto(tb.world.engine_mut(), dst, 7, &[k as u8]);
+    }
+    tb.world.run();
+    let want: Vec<Vec<u8>> = (0..MAX_PARKED_PER_HOP).map(|k| vec![k as u8]).collect();
+    assert_eq!(*got.borrow(), want, "the first cap's worth, in order");
+}

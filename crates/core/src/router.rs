@@ -13,17 +13,16 @@
 //! * per-interface ARP with packet parking.
 //!
 //! Hosts reach other subnets by configuring a gateway
-//! ([`crate::StackConfig::gateway`]).
+//! ([`crate::StackConfig::with_gateway`]).
 
 use std::cell::{Cell, RefCell};
-use std::collections::HashMap;
 use std::net::Ipv4Addr;
 use std::rc::Rc;
 
 use plexus_kernel::view::view;
-use plexus_net::arp::{ArpCache, ArpPacket, Resolution};
-use plexus_net::ether::{self, EtherType, EtherView, MacAddr, ETHER_HDR_LEN};
-use plexus_net::icmp::IcmpMessage;
+use plexus_net::arp::ArpCache;
+use plexus_net::ether::{self, EtherType, Frame, MacAddr, ETHER_HDR_LEN};
+use plexus_net::icmp::{self, IcmpMessage};
 use plexus_net::ip::{self, IpHeader, IpView, RouteTable};
 use plexus_net::mbuf::Mbuf;
 use plexus_sim::nic::{DriverConfig, Nic};
@@ -35,8 +34,6 @@ struct RouterIf {
     ip: Ipv4Addr,
     mac: MacAddr,
     arp: RefCell<ArpCache>,
-    /// Datagrams parked awaiting ARP resolution, keyed by next hop.
-    pending: RefCell<HashMap<Ipv4Addr, Vec<Mbuf>>>,
 }
 
 /// Router statistics.
@@ -62,7 +59,7 @@ pub struct IpRouter {
     interfaces: Vec<Rc<RouterIf>>,
     routes: RefCell<RouteTable>,
     stats: Cell<RouterStats>,
-    ident: Cell<u16>,
+    ident: ip::Ident,
 }
 
 impl IpRouter {
@@ -88,8 +85,7 @@ impl IpRouter {
                     nic: nic.clone(),
                     ip: *ip_addr,
                     mac: *mac,
-                    arp: RefCell::new(ArpCache::new()),
-                    pending: RefCell::new(HashMap::new()),
+                    arp: RefCell::new(ArpCache::new(*ip_addr, *mac)),
                 })
             })
             .collect();
@@ -98,15 +94,15 @@ impl IpRouter {
             interfaces: ifs,
             routes: RefCell::new(routes),
             stats: Cell::new(RouterStats::default()),
-            ident: Cell::new(0x4000),
+            ident: ip::Ident::starting_at(0x4000),
         });
-        for (idx, riface) in router.interfaces.iter().enumerate() {
+        for riface in &router.interfaces {
             let r = router.clone();
             let iface = riface.clone();
             riface
                 .nic
                 .attach(DriverConfig::per_frame(move |engine, frame| {
-                    r.rx(engine, idx, &iface, frame);
+                    r.rx(engine, &iface, frame);
                 }));
         }
         router
@@ -141,106 +137,55 @@ impl IpRouter {
         self.stats.set(s);
     }
 
-    fn next_ident(&self) -> u16 {
-        let id = self.ident.get();
-        self.ident.set(id.wrapping_add(1));
-        id
-    }
-
     fn is_my_ip(&self, ip_addr: Ipv4Addr) -> bool {
         self.interfaces.iter().any(|i| i.ip == ip_addr)
     }
 
-    fn rx(self: &Rc<Self>, engine: &mut Engine, idx: usize, iface: &Rc<RouterIf>, frame: Vec<u8>) {
+    fn rx(self: &Rc<Self>, engine: &mut Engine, iface: &Rc<RouterIf>, frame: Vec<u8>) {
         let mut lease = self.machine.cpu().begin(engine.now());
         let model = lease.model().clone();
         lease.charge(model.interrupt_entry);
         lease.charge(iface.nic.profile().rx_cpu_cost(frame.len()));
-        let Some(v) = view::<EtherView>(&frame) else {
-            lease.charge(model.interrupt_exit);
-            return;
-        };
-        if v.dst() != iface.mac && !v.dst().is_broadcast() {
-            lease.charge(model.interrupt_exit);
-            return;
-        }
-        match v.ethertype() {
-            EtherType::ARP => self.arp_input(engine, &mut lease, iface, &frame[ETHER_HDR_LEN..]),
-            EtherType::IPV4 => {
-                lease.charge(model.eth_proc);
-                self.ip_input(engine, &mut lease, idx, &frame[ETHER_HDR_LEN..]);
+        if let Some(v) = ether::accept(&frame, iface.mac, false) {
+            match v.ethertype() {
+                EtherType::ARP => {
+                    let now = lease.now().as_nanos();
+                    let input = iface.arp.borrow_mut().input(&frame[ETHER_HDR_LEN..], now);
+                    for out in input.into_iter().flat_map(|i| i.frames()) {
+                        self.transmit(engine, &mut lease, iface, &out);
+                    }
+                }
+                EtherType::IPV4 => {
+                    lease.charge(model.eth_proc);
+                    self.ip_input(engine, &mut lease, &frame[ETHER_HDR_LEN..]);
+                }
+                _ => {}
             }
-            _ => {}
         }
         lease.charge(model.interrupt_exit);
     }
 
-    fn arp_input(
-        self: &Rc<Self>,
-        engine: &mut Engine,
-        lease: &mut CpuLease,
-        iface: &Rc<RouterIf>,
-        bytes: &[u8],
-    ) {
-        let Some(pkt) = ArpPacket::parse(bytes) else {
-            return;
-        };
-        let now = lease.now().as_nanos();
-        let satisfied = iface
-            .arp
-            .borrow_mut()
-            .learn(pkt.sender_ip, pkt.sender_mac, now);
-        if satisfied {
-            let parked = iface.pending.borrow_mut().remove(&pkt.sender_ip);
-            for dgram in parked.into_iter().flatten() {
-                self.transmit(engine, lease, iface, pkt.sender_mac, dgram);
-            }
-        }
-        if pkt.op == plexus_net::arp::ArpOp::Request && pkt.target_ip == iface.ip {
-            let reply = ArpPacket::reply_to(&pkt, iface.mac, iface.ip);
-            let m = Mbuf::from_payload(ETHER_HDR_LEN, &reply.to_bytes());
-            self.transmit_raw(engine, lease, iface, pkt.sender_mac, EtherType::ARP, m);
-        }
-    }
-
-    fn ip_input(
-        self: &Rc<Self>,
-        engine: &mut Engine,
-        lease: &mut CpuLease,
-        in_idx: usize,
-        bytes: &[u8],
-    ) {
+    fn ip_input(self: &Rc<Self>, engine: &mut Engine, lease: &mut CpuLease, bytes: &[u8]) {
         let model = lease.model().clone();
         lease.charge(model.ip_proc);
         let Some(v) = view::<IpView>(bytes) else {
             return;
         };
-        if !v.checksum_ok() || v.version() != 4 {
+        let hlen = v.header_len();
+        let total = v.total_len().min(bytes.len());
+        if !v.checksum_ok() || v.version() != 4 || hlen > total {
             self.bump(|s| s.bad_header += 1);
             return;
         }
         let (src, dst, ttl) = (v.src(), v.dst(), v.ttl());
-        let hlen = v.header_len();
-        let total = v.total_len().min(bytes.len());
 
         // Addressed to the router itself: answer pings, drop the rest.
         if self.is_my_ip(dst) {
             if v.protocol() == ip::proto::ICMP && !v.is_fragment() {
-                if let Some(msg) = IcmpMessage::parse(&bytes[hlen..total]) {
-                    if msg.kind == plexus_net::icmp::IcmpType::EchoRequest {
-                        self.bump(|s| s.echoes += 1);
-                        let reply = IcmpMessage::echo_reply(&msg);
-                        let m = Mbuf::from_payload(64, &reply.to_bytes());
-                        lease.charge(model.checksum(m.total_len()));
-                        self.route_and_send(
-                            engine,
-                            lease,
-                            self.iface_for_reply(src),
-                            src,
-                            ip::proto::ICMP,
-                            &m,
-                        );
-                    }
+                if let Some(reply) = icmp::echo_response(&bytes[hlen..total]) {
+                    self.bump(|s| s.echoes += 1);
+                    lease.charge(model.checksum(reply.total_len()));
+                    self.originate(engine, lease, src, ip::proto::ICMP, &reply);
                 }
             }
             return;
@@ -258,30 +203,20 @@ impl IpRouter {
             };
             let m = Mbuf::from_payload(64, &te.to_bytes());
             lease.charge(model.checksum(m.total_len()));
-            self.route_and_send(
-                engine,
-                lease,
-                self.iface_for_reply(src),
-                src,
-                ip::proto::ICMP,
-                &m,
-            );
+            self.originate(engine, lease, src, ip::proto::ICMP, &m);
             return;
         }
 
-        let Some(route) = self.routes.borrow().lookup(dst) else {
+        let Some((out_idx, next_hop)) = self.routes.borrow().next_hop(dst) else {
             self.bump(|s| s.no_route += 1);
             return;
         };
-        let out = &self.interfaces[route.iface];
-        let next_hop = route.gateway.unwrap_or(dst);
         self.bump(|s| s.forwarded += 1);
-        let _ = in_idx;
 
         // Rebuild the datagram with TTL-1 (the header checksum is
         // recomputed by `encapsulate`; a real router would fix it
         // incrementally — the CPU cost model charges `ip_proc` either way).
-        let payload_bytes = &bytes[hlen..total];
+        let payload = Mbuf::from_payload(ETHER_HDR_LEN, &bytes[hlen..total]);
         let hdr = IpHeader {
             src,
             dst,
@@ -291,56 +226,40 @@ impl IpRouter {
             more_fragments: v.more_fragments(),
             frag_offset: v.frag_offset(),
         };
-        let egress_mtu = out.nic.profile().mtu;
-        if payload_bytes.len() + ip::IP_HDR_LEN > egress_mtu {
-            // Re-fragment for the smaller egress link. (Fragments of
-            // fragments keep the original offsets, which `fragment`
-            // handles via `hdr.frag_offset`.)
+        // A smaller egress link re-fragments. (Fragments of fragments keep
+        // the original offsets, which `fragment` handles via
+        // `hdr.frag_offset`.)
+        let egress_mtu = self.interfaces[out_idx].nic.profile().mtu;
+        if payload.total_len() + ip::IP_HDR_LEN > egress_mtu {
             self.bump(|s| s.refragmented += 1);
-            let frags = ip::fragment(&hdr, &Mbuf::from_payload(0, payload_bytes), egress_mtu);
-            for frag in frags {
-                self.resolve_and_send(engine, lease, route.iface, next_hop, frag);
-            }
-        } else {
-            let dgram = ip::encapsulate(&hdr, Mbuf::from_payload(ETHER_HDR_LEN, payload_bytes));
-            self.resolve_and_send(engine, lease, route.iface, next_hop, dgram);
+        }
+        for dgram in ip::datagrams(&hdr, &payload, egress_mtu) {
+            self.link_output(engine, lease, out_idx, next_hop, dgram);
         }
     }
 
-    /// Picks the interface whose subnet contains `dst` (for ICMP replies).
-    fn iface_for_reply(&self, dst: Ipv4Addr) -> usize {
-        self.routes
-            .borrow()
-            .lookup(dst)
-            .map(|r| r.iface)
-            .unwrap_or(0)
-    }
-
-    /// Builds and sends a router-originated datagram (ICMP) out `iface`.
-    fn route_and_send(
+    /// Builds and sends a router-originated datagram (ICMP) toward `dst`,
+    /// from the address of the interface it leaves by.
+    fn originate(
         self: &Rc<Self>,
         engine: &mut Engine,
         lease: &mut CpuLease,
-        iface_idx: usize,
         dst: Ipv4Addr,
         protocol: u8,
         payload: &Mbuf,
     ) {
         let model = lease.model().clone();
         lease.charge(model.ip_proc);
-        let src = self.interfaces[iface_idx].ip;
-        let hdr = IpHeader::simple(src, dst, protocol, self.next_ident());
-        let next_hop = self
-            .routes
-            .borrow()
-            .lookup(dst)
-            .and_then(|r| r.gateway)
-            .unwrap_or(dst);
+        let (out_idx, next_hop) = self.routes.borrow().next_hop(dst).unwrap_or((0, dst));
+        let src = self.interfaces[out_idx].ip;
+        let hdr = IpHeader::simple(src, dst, protocol, self.ident.take());
         let dgram = ip::encapsulate(&hdr, payload.share());
-        self.resolve_and_send(engine, lease, iface_idx, next_hop, dgram);
+        self.link_output(engine, lease, out_idx, next_hop, dgram);
     }
 
-    fn resolve_and_send(
+    /// Sends one datagram to `next_hop` out interface `iface_idx`: an ARP
+    /// lookup, then whatever the cache says goes on the wire now.
+    fn link_output(
         self: &Rc<Self>,
         engine: &mut Engine,
         lease: &mut CpuLease,
@@ -351,25 +270,10 @@ impl IpRouter {
         let model = lease.model().clone();
         let iface = &self.interfaces[iface_idx];
         lease.charge(model.arp_lookup);
-        let res = iface
-            .arp
-            .borrow_mut()
-            .resolve(next_hop, lease.now().as_nanos());
-        match res {
-            Resolution::Known(mac) => self.transmit(engine, lease, iface, mac, dgram),
-            Resolution::NeedsRequest(first) => {
-                iface
-                    .pending
-                    .borrow_mut()
-                    .entry(next_hop)
-                    .or_default()
-                    .push(dgram);
-                if first {
-                    let req = ArpPacket::request(iface.mac, iface.ip, next_hop);
-                    let m = Mbuf::from_payload(ETHER_HDR_LEN, &req.to_bytes());
-                    self.transmit_raw(engine, lease, iface, MacAddr::BROADCAST, EtherType::ARP, m);
-                }
-            }
+        let now = lease.now().as_nanos();
+        let resolved = iface.arp.borrow_mut().resolve(next_hop, now, dgram);
+        if let Some(frame) = resolved.frame() {
+            self.transmit(engine, lease, iface, frame);
         }
     }
 
@@ -378,25 +282,17 @@ impl IpRouter {
         engine: &mut Engine,
         lease: &mut CpuLease,
         iface: &Rc<RouterIf>,
-        dst: MacAddr,
-        dgram: Mbuf,
-    ) {
-        self.transmit_raw(engine, lease, iface, dst, EtherType::IPV4, dgram);
-    }
-
-    fn transmit_raw(
-        self: &Rc<Self>,
-        engine: &mut Engine,
-        lease: &mut CpuLease,
-        iface: &Rc<RouterIf>,
-        dst: MacAddr,
-        ethertype: EtherType,
-        packet: Mbuf,
+        out: &Frame,
     ) {
         let model = lease.model().clone();
         lease.charge(model.eth_proc);
-        let mut frame = packet.share();
-        ether::write_header(frame.prepend(ETHER_HDR_LEN), dst, iface.mac, ethertype);
+        let mut frame = out.packet.share();
+        ether::write_header(
+            frame.prepend(ETHER_HDR_LEN),
+            out.dst,
+            iface.mac,
+            out.ethertype,
+        );
         lease.charge(iface.nic.tx_cpu_charge(lease.now(), frame.total_len()));
         let ready = lease.now();
         iface.nic.transmit(engine, ready, &frame);

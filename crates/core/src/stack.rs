@@ -34,26 +34,26 @@ use std::net::Ipv4Addr;
 use std::rc::Rc;
 
 use plexus_filter::{Field, FieldKey, Policy};
-use plexus_kernel::dispatcher::{Dispatcher, Event, Guard, HandlerId, HandlerSpec, RaiseCtx};
+use plexus_kernel::dispatcher::{
+    Dispatcher, Event, EventBatch, Guard, HandlerId, HandlerSpec, RaiseCtx,
+};
 use plexus_kernel::domain::{Domain, ExtensionSpec, Interface, LinkedExtension};
 use plexus_kernel::ephemeral::Ephemeral;
-use plexus_kernel::view::view;
 use plexus_sim::nic::{DriverConfig, Nic};
 use plexus_sim::time::SimDuration;
-use plexus_sim::{Cpu, Engine, Machine};
+use plexus_sim::{Cpu, CpuLease, Engine, Machine};
 
-use plexus_net::arp::{ArpCache, ArpPacket, Resolution};
-use plexus_net::ether::{EtherType, EtherView, MacAddr, ETHER_HDR_LEN};
-use plexus_net::icmp::{IcmpMessage, IcmpType};
-use plexus_net::ip::{self, IpHeader, Reassembler};
+use plexus_net::arp::{ArpCache, Resolve};
+use plexus_net::ether::{self, EtherType, Frame, MacAddr, ETHER_HDR_LEN};
+use plexus_net::icmp::{self, IcmpMessage};
+use plexus_net::ip::{self, Hop, IpHeader, Reassembler, RouteTable, Verdict};
 use plexus_net::mbuf::Mbuf;
 use plexus_net::testbed::Host;
 
 use crate::guards;
 use crate::tcp_manager::TcpManager;
 use crate::types::{
-    mac_to_u64, AppHandler, DispatchMode, EthRecv, EthSendReq, IpRecv, IpSendReq, PlexusError,
-    TcpRecv, UdpRecv,
+    mac_to_u64, AppHandler, DispatchMode, EthRecv, IpRecv, IpSendReq, PlexusError, TcpRecv, UdpRecv,
 };
 use crate::udp_manager::UdpManager;
 
@@ -69,12 +69,10 @@ pub struct StackConfig {
     /// Optional per-handler time limit for interrupt-level extension
     /// handlers (§3.3's termination allotment).
     pub ext_time_limit: Option<SimDuration>,
-    /// Local subnet prefix length (default /24); destinations outside it
-    /// go via the gateway.
-    pub prefix_len: u8,
-    /// Default gateway for off-subnet destinations (see
+    /// Where sends go: the attached /24, plus a default route once
+    /// [`StackConfig::with_gateway`] names one (see
     /// [`crate::router::IpRouter`]).
-    pub gateway: Option<Ipv4Addr>,
+    pub routes: RouteTable,
     /// Use the NIC's batched receive path (rx ring + interrupt
     /// coalescing) instead of one interrupt per frame. Off by default:
     /// the per-frame path is the paper's configuration and the one the
@@ -102,17 +100,16 @@ impl StackConfig {
             mac,
             mode: DispatchMode::Interrupt,
             ext_time_limit: None,
-            prefix_len: 24,
-            gateway: None,
+            routes: RouteTable::host(ip, 24),
             coalesce: false,
             tx_doorbell: false,
             tx_flatten: false,
         }
     }
 
-    /// Sets the default gateway (and keeps the /24 prefix).
+    /// Sends off-subnet destinations via `gateway`.
     pub fn with_gateway(mut self, gateway: Ipv4Addr) -> StackConfig {
-        self.gateway = Some(gateway);
+        self.routes.set_default(gateway);
         self
     }
 
@@ -162,7 +159,7 @@ pub struct StackStats {
     pub arp_replies: u64,
     /// Sends queued waiting on ARP resolution.
     pub arp_queued: u64,
-    /// Sends dropped: destination off-subnet and no gateway configured.
+    /// Sends dropped: no route to the destination.
     pub no_route: u64,
     /// ARP resolutions abandoned after retries; their parked packets were
     /// dropped.
@@ -173,7 +170,7 @@ pub struct StackStats {
 /// the stack and its managers; extensions never see them — §3.1).
 pub(crate) struct StackEvents {
     pub(crate) eth_recv: Event<EthRecv>,
-    pub(crate) eth_send: Event<EthSendReq>,
+    pub(crate) eth_send: Event<Frame>,
     pub(crate) ip_recv: Event<IpRecv>,
     pub(crate) ip_send: Event<IpSendReq>,
     pub(crate) udp_recv: Event<UdpRecv>,
@@ -192,16 +189,14 @@ pub(crate) struct StackShared {
     pub(crate) ip: Ipv4Addr,
     pub(crate) mac: MacAddr,
     pub(crate) ext_time_limit: Option<SimDuration>,
-    prefix_len: u8,
-    gateway: Option<Ipv4Addr>,
+    routes: RouteTable,
     pub(crate) events: StackEvents,
     arp: RefCell<ArpCache>,
-    arp_pending: RefCell<HashMap<Ipv4Addr, Vec<Mbuf>>>,
     /// Additional local addresses (e.g. a load-balancer VIP a backend
     /// accepts after DSR-style redirection, §5.2).
     ip_aliases: RefCell<HashSet<Ipv4Addr>>,
     reasm: RefCell<Reassembler>,
-    ip_ident: Cell<u16>,
+    ip_ident: ip::Ident,
     pub(crate) stats: Cell<StackStats>,
     ext_domain: Rc<Domain>,
     /// Per-extension teardown actions, run when the extension unloads
@@ -299,108 +294,119 @@ impl StackShared {
             .push(Box::new(f));
     }
 
-    fn next_ident(&self) -> u16 {
-        let id = self.ip_ident.get();
-        self.ip_ident.set(id.wrapping_add(1));
-        id
-    }
-
-    /// The full IP send path: fragment, resolve the next hop, hand frames
-    /// to `Ethernet.PacketSend`. Runs on the caller's CPU lease.
-    pub(crate) fn ip_output(self: &Rc<Self>, ctx: &mut RaiseCtx<'_>, req: &IpSendReq) {
-        let model = ctx.lease.model().clone();
-        ctx.lease.charge(model.ip_proc);
-        self.bump(|s| s.ip_tx += 1);
-        let hdr = IpHeader {
-            src: req.src,
-            dst: req.dst,
-            protocol: req.protocol,
-            ident: self.next_ident(),
-            ttl: ip::DEFAULT_TTL,
-            more_fragments: false,
-            frag_offset: 0,
-        };
-        let mtu = self.nic.profile().mtu;
-        // A payload that fits goes out as the one datagram `ip::fragment`
-        // would return, without the `Vec` around it.
-        let (whole, frags) = if req.payload.total_len() + ip::IP_HDR_LEN <= mtu {
-            (Some(ip::encapsulate(&hdr, req.payload.share())), Vec::new())
+    /// One received frame, on the interrupt's lease: pay `rx_cost`, apply
+    /// the MAC filter, raise `Ethernet.PacketRecv` through `batch`. `stamp`
+    /// is the NIC's host name and the frame's journey when this glue must
+    /// stamp the packet ID itself — in coalesced mode the NIC cannot, since
+    /// only the glue knows when each frame's CPU work begins inside the
+    /// drained interrupt.
+    fn rx_frame(
+        &self,
+        engine: &mut Engine,
+        lease: &mut CpuLease,
+        batch: &mut EventBatch<'_, EthRecv>,
+        frame: &[u8],
+        rx_cost: SimDuration,
+        stamp: Option<(&str, Option<u64>)>,
+    ) {
+        let stamped = stamp.and_then(|(host, journey)| {
+            let rec = lease.recorder_handle()?;
+            let at = lease.now().as_nanos();
+            rec.packet_arrival(at, self.nic.profile().name, host, frame.len(), journey);
+            Some(rec)
+        });
+        lease.charge(rx_cost);
+        if ether::accept(frame, self.mac, self.promiscuous.get()).is_some() {
+            self.bump(|st| st.eth_rx += 1);
+            let mut mbuf = Mbuf::from_wire(frame);
+            mbuf.pkthdr_mut().rcvif = Some(0);
+            mbuf.pkthdr_mut().packet_id = lease.recorder().and_then(|r| r.current_packet());
+            mbuf.pkthdr_mut().journey_id = lease.recorder().and_then(|r| r.current_journey());
+            batch.raise(&mut RaiseCtx { engine, lease }, &EthRecv { mbuf });
         } else {
-            (None, ip::fragment(&hdr, &req.payload, mtu))
-        };
-        let broadcast = req.dst == Ipv4Addr::BROADCAST;
-        // Next hop: on-subnet destinations directly, everything else via
-        // the gateway (if any).
-        let next_hop = if broadcast {
-            None
-        } else if self.on_subnet(req.dst) {
-            Some(req.dst)
-        } else {
-            match self.gateway {
-                Some(gw) => Some(gw),
-                None => {
-                    self.bump(|s| s.no_route += 1);
-                    if let Some(rec) = ctx.lease.recorder() {
-                        rec.packet_drop(ctx.lease.now().as_nanos(), "ip", "no_route");
-                    }
-                    return;
-                }
-            }
-        };
-        for frag in whole.into_iter().chain(frags) {
-            let Some(next_hop) = next_hop else {
-                self.raise_eth_send(ctx, MacAddr::BROADCAST, EtherType::IPV4, frag);
-                continue;
-            };
-            ctx.lease.charge(model.arp_lookup);
-            let resolution = self
-                .arp
-                .borrow_mut()
-                .resolve(next_hop, ctx.lease.now().as_nanos());
-            match resolution {
-                Resolution::Known(mac) => {
-                    self.raise_eth_send(ctx, mac, EtherType::IPV4, frag);
-                }
-                Resolution::NeedsRequest(first) => {
-                    self.bump(|s| s.arp_queued += 1);
-                    self.arp_pending
-                        .borrow_mut()
-                        .entry(next_hop)
-                        .or_default()
-                        .push(frag);
-                    if first {
-                        let arp = ArpPacket::request(self.mac, self.ip, next_hop);
-                        let m = Mbuf::from_payload(ETHER_HDR_LEN, &arp.to_bytes());
-                        self.raise_eth_send(ctx, MacAddr::BROADCAST, EtherType::ARP, m);
-                        self.schedule_arp_retry(ctx.engine, next_hop, 1);
-                    }
-                }
-            }
+            self.bump(|st| st.eth_filtered += 1);
+            Self::record_drop(lease, "ether", "mac_filter");
+        }
+        if let Some(rec) = stamped {
+            rec.packet_done();
         }
     }
 
-    /// Retries an unanswered ARP request twice at one-second intervals,
-    /// then drops whatever was parked on the resolution — lost ARP replies
-    /// must not strand packets (and their senders) forever.
-    fn schedule_arp_retry(self: &Rc<Self>, engine: &mut Engine, next_hop: Ipv4Addr, attempt: u32) {
+    /// Records a drop at `layer` for `reason`, if a recorder is installed.
+    fn record_drop(lease: &CpuLease, layer: &str, reason: &str) {
+        if let Some(rec) = lease.recorder() {
+            rec.packet_drop(lease.now().as_nanos(), layer, reason);
+        }
+    }
+
+    /// The full IP send path: header, next hop, fragments, each handed to
+    /// [`StackShared::link_output`]. Runs on the caller's CPU lease.
+    pub(crate) fn ip_output(self: &Rc<Self>, ctx: &mut RaiseCtx<'_>, req: &IpSendReq) {
+        let ip_proc = ctx.lease.model().ip_proc;
+        ctx.lease.charge(ip_proc);
+        self.bump(|s| s.ip_tx += 1);
+        let hdr = IpHeader::simple(req.src, req.dst, req.protocol, self.ip_ident.take());
+        let Some(hop) = self.routes.hop(req.dst) else {
+            self.bump(|s| s.no_route += 1);
+            Self::record_drop(ctx.lease, "ip", "no_route");
+            return;
+        };
+        for dgram in ip::datagrams(&hdr, &req.payload, self.nic.profile().mtu) {
+            self.link_output(ctx, hop, dgram);
+        }
+    }
+
+    /// Sends one datagram to `hop`: an ARP lookup, then whatever the cache
+    /// says goes on the wire now (the datagram, or the who-has it is parked
+    /// behind) through `Ethernet.PacketSend`.
+    pub(crate) fn link_output(self: &Rc<Self>, ctx: &mut RaiseCtx<'_>, hop: Hop, dgram: Mbuf) {
+        let Hop::Via(hop) = hop else {
+            let frame = Frame {
+                dst: MacAddr::BROADCAST,
+                ethertype: EtherType::IPV4,
+                packet: dgram,
+            };
+            self.raise_eth_send(ctx, &frame);
+            return;
+        };
+        let arp_lookup = ctx.lease.model().arp_lookup;
+        ctx.lease.charge(arp_lookup);
+        let now = ctx.lease.now().as_nanos();
+        let resolved = self.arp.borrow_mut().resolve(hop, now, dgram);
+        if let Some(frame) = resolved.frame() {
+            self.raise_eth_send(ctx, frame);
+        }
+        match resolved {
+            Resolve::Send(_) => {}
+            Resolve::ParkedAsk(_) => {
+                self.bump(|s| s.arp_queued += 1);
+                self.schedule_arp_retry(ctx.engine, hop, now, 1);
+            }
+            Resolve::ParkedQuiet => self.bump(|s| s.arp_queued += 1),
+            Resolve::Refused => Self::record_drop(ctx.lease, "arp", "arp_queue_full"),
+        }
+    }
+
+    /// Repeats the who-has first sent at `asked_ns` twice at one-second
+    /// intervals, then abandons the resolution — lost ARP replies must not
+    /// strand packets (and their senders) forever.
+    fn schedule_arp_retry(
+        self: &Rc<Self>,
+        engine: &mut Engine,
+        hop: Ipv4Addr,
+        asked_ns: u64,
+        attempt: u32,
+    ) {
         let me = self.clone();
         engine.schedule_in(SimDuration::from_secs(1), move |eng| {
-            let still_pending = me.arp_pending.borrow().contains_key(&next_hop);
-            if !still_pending {
-                return; // Resolved in the meantime.
+            if me.arp.borrow().asked_at(hop) != Some(asked_ns) {
+                return; // Answered, or abandoned and asked afresh, in the meantime.
             }
             if attempt >= 3 {
-                let dropped = me
-                    .arp_pending
-                    .borrow_mut()
-                    .remove(&next_hop)
-                    .map(|v| v.len())
-                    .unwrap_or(0);
-                if dropped > 0 {
-                    me.bump(|s| s.arp_failures += 1);
-                    if let Some(rec) = eng.recorder() {
-                        rec.packet_drop(eng.now().as_nanos(), "arp", "resolution_failed");
-                    }
+                me.arp.borrow_mut().abandon(hop);
+                me.bump(|s| s.arp_failures += 1);
+                if let Some(rec) = eng.recorder() {
+                    rec.packet_drop(eng.now().as_nanos(), "arp", "resolution_failed");
                 }
                 return;
             }
@@ -409,22 +415,11 @@ impl StackShared {
                 engine: eng,
                 lease: &mut lease,
             };
-            let arp = ArpPacket::request(me.mac, me.ip, next_hop);
-            let m = Mbuf::from_payload(ETHER_HDR_LEN, &arp.to_bytes());
-            me.raise_eth_send(&mut ctx, MacAddr::BROADCAST, EtherType::ARP, m);
+            let request = me.arp.borrow().request(hop);
+            me.raise_eth_send(&mut ctx, &request);
             let eng = ctx.engine;
-            me.schedule_arp_retry(eng, next_hop, attempt + 1);
+            me.schedule_arp_retry(eng, hop, asked_ns, attempt + 1);
         });
-    }
-
-    /// True if `dst` is on this host's subnet.
-    fn on_subnet(&self, dst: Ipv4Addr) -> bool {
-        let mask = if self.prefix_len == 0 {
-            0
-        } else {
-            u32::MAX << (32 - self.prefix_len)
-        };
-        (u32::from(dst) & mask) == (u32::from(self.ip) & mask)
     }
 
     /// True if `dst` is one of this host's addresses (or broadcast).
@@ -432,46 +427,8 @@ impl StackShared {
         dst == self.ip || dst == Ipv4Addr::BROADCAST || self.ip_aliases.borrow().contains(&dst)
     }
 
-    /// Resolves `ip` to a MAC, broadcasting an ARP request (and returning
-    /// `None`) when unknown. Callers that cannot park the packet simply
-    /// drop it; transports recover by retransmission.
-    pub(crate) fn resolve_or_request(
-        self: &Rc<Self>,
-        ctx: &mut RaiseCtx<'_>,
-        ip_addr: Ipv4Addr,
-    ) -> Option<MacAddr> {
-        let model = ctx.lease.model().clone();
-        ctx.lease.charge(model.arp_lookup);
-        let res = self
-            .arp
-            .borrow_mut()
-            .resolve(ip_addr, ctx.lease.now().as_nanos());
-        match res {
-            Resolution::Known(mac) => Some(mac),
-            Resolution::NeedsRequest(first) => {
-                if first {
-                    let arp = ArpPacket::request(self.mac, self.ip, ip_addr);
-                    let m = Mbuf::from_payload(ETHER_HDR_LEN, &arp.to_bytes());
-                    self.raise_eth_send(ctx, MacAddr::BROADCAST, EtherType::ARP, m);
-                }
-                None
-            }
-        }
-    }
-
-    pub(crate) fn raise_eth_send(
-        self: &Rc<Self>,
-        ctx: &mut RaiseCtx<'_>,
-        dst: MacAddr,
-        ethertype: EtherType,
-        packet: Mbuf,
-    ) {
-        let req = EthSendReq {
-            dst,
-            ethertype,
-            packet,
-        };
-        self.dispatcher.raise(ctx, self.events.eth_send, &req);
+    pub(crate) fn raise_eth_send(self: &Rc<Self>, ctx: &mut RaiseCtx<'_>, frame: &Frame) {
+        self.dispatcher.raise(ctx, self.events.eth_send, frame);
     }
 
     /// Raises `Ip.PacketSend` — the entry point managers use after stamping
@@ -527,14 +484,12 @@ impl PlexusStack {
             ip: config.ip,
             mac: config.mac,
             ext_time_limit: config.ext_time_limit,
-            prefix_len: config.prefix_len,
-            gateway: config.gateway,
+            routes: config.routes,
             events,
-            arp: RefCell::new(ArpCache::new()),
-            arp_pending: RefCell::new(HashMap::new()),
+            arp: RefCell::new(ArpCache::new(config.ip, config.mac)),
             ip_aliases: RefCell::new(HashSet::new()),
             reasm: RefCell::new(Reassembler::new()),
-            ip_ident: Cell::new(1),
+            ip_ident: ip::Ident::starting_at(1),
             stats: Cell::new(StackStats::default()),
             ext_domain,
             ext_cleanup: RefCell::new(HashMap::new()),
@@ -584,41 +539,18 @@ impl PlexusStack {
         stack
     }
 
-    /// The device receive interrupt: charge driver + interrupt costs, MAC
-    /// filter, then raise `Ethernet.PacketRecv`. Returns the driver
-    /// binding for [`plexus_sim::nic::Nic::attach`].
+    /// The device receive interrupt: charge driver + interrupt costs, then
+    /// [`StackShared::rx_frame`]. Returns the driver binding for
+    /// [`plexus_sim::nic::Nic::attach`].
     fn driver_glue(shared: &Rc<StackShared>) -> DriverConfig {
         let s = shared.clone();
         DriverConfig::per_frame(move |engine, frame| {
             let mut lease = s.cpu.begin(engine.now());
             let model = lease.model().clone();
             lease.charge(model.interrupt_entry);
-            lease.charge(s.nic.profile().rx_cpu_cost(frame.len()));
-            let accept = match view::<EtherView>(&frame) {
-                Some(v) => {
-                    let dst = v.dst();
-                    dst == s.mac || dst.is_broadcast() || s.promiscuous.get()
-                }
-                None => false,
-            };
-            if accept {
-                s.bump(|st| st.eth_rx += 1);
-                let mut mbuf = Mbuf::from_wire(&frame);
-                mbuf.pkthdr_mut().rcvif = Some(0);
-                mbuf.pkthdr_mut().packet_id = lease.recorder().and_then(|r| r.current_packet());
-                mbuf.pkthdr_mut().journey_id = lease.recorder().and_then(|r| r.current_journey());
-                let arg = EthRecv { mbuf };
-                let mut ctx = RaiseCtx {
-                    engine,
-                    lease: &mut lease,
-                };
-                s.dispatcher.raise(&mut ctx, s.events.eth_recv, &arg);
-            } else {
-                s.bump(|st| st.eth_filtered += 1);
-                if let Some(rec) = lease.recorder() {
-                    rec.packet_drop(lease.now().as_nanos(), "ether", "mac_filter");
-                }
-            }
+            let rx_cost = s.nic.profile().rx_cpu_cost(frame.len());
+            let mut batch = s.dispatcher.batch(s.events.eth_recv);
+            s.rx_frame(engine, &mut lease, &mut batch, &frame, rx_cost, None);
             lease.charge(model.interrupt_exit);
         })
     }
@@ -627,10 +559,9 @@ impl PlexusStack {
     /// `interrupt_exit` pair covers the whole drained batch, the first
     /// frame pays the full driver cost and later frames only the
     /// amortized `rx_per_frame`, and `Ethernet.PacketRecv` is raised
-    /// through a warm [`plexus_kernel::dispatcher::EventBatch`]. Each
-    /// frame still gets its own packet ID, MAC-filter verdict, and trace
-    /// records — batching amortizes fixed costs, never dispatch
-    /// semantics.
+    /// through one warm [`EventBatch`]. Each frame still gets its own
+    /// packet ID, MAC-filter verdict, and trace records — batching
+    /// amortizes fixed costs, never dispatch semantics.
     fn driver_glue_coalesced(shared: &Rc<StackShared>) -> DriverConfig {
         let s = shared.clone();
         DriverConfig::coalesced(move |engine, frames| {
@@ -640,53 +571,12 @@ impl PlexusStack {
             let host = s.nic.host();
             let mut batch = s.dispatcher.batch(s.events.eth_recv);
             for (i, frame) in frames.iter().enumerate() {
-                // In batch mode the glue stamps per-frame packet IDs (the
-                // NIC cannot: only the glue knows when each frame's CPU
-                // work begins inside the drained interrupt).
-                let rec = lease.recorder_handle();
-                if let Some(rec) = &rec {
-                    rec.packet_arrival(
-                        lease.now().as_nanos(),
-                        s.nic.profile().name,
-                        &host,
-                        frame.bytes.len(),
-                        frame.journey,
-                    );
-                }
-                lease.charge(
-                    s.nic
-                        .profile()
-                        .rx_cpu_cost_coalesced(frame.bytes.len(), i == 0),
-                );
-                let accept = match view::<EtherView>(&frame.bytes) {
-                    Some(v) => {
-                        let dst = v.dst();
-                        dst == s.mac || dst.is_broadcast() || s.promiscuous.get()
-                    }
-                    None => false,
-                };
-                if accept {
-                    s.bump(|st| st.eth_rx += 1);
-                    let mut mbuf = Mbuf::from_wire(&frame.bytes);
-                    mbuf.pkthdr_mut().rcvif = Some(0);
-                    mbuf.pkthdr_mut().packet_id = lease.recorder().and_then(|r| r.current_packet());
-                    mbuf.pkthdr_mut().journey_id =
-                        lease.recorder().and_then(|r| r.current_journey());
-                    let arg = EthRecv { mbuf };
-                    let mut ctx = RaiseCtx {
-                        engine: &mut *engine,
-                        lease: &mut lease,
-                    };
-                    batch.raise(&mut ctx, &arg);
-                } else {
-                    s.bump(|st| st.eth_filtered += 1);
-                    if let Some(rec) = lease.recorder() {
-                        rec.packet_drop(lease.now().as_nanos(), "ether", "mac_filter");
-                    }
-                }
-                if let Some(rec) = &rec {
-                    rec.packet_done();
-                }
+                let rx_cost = s
+                    .nic
+                    .profile()
+                    .rx_cpu_cost_coalesced(frame.bytes.len(), i == 0);
+                let stamp = Some((host.as_str(), frame.journey));
+                s.rx_frame(engine, &mut lease, &mut batch, &frame.bytes, rx_cost, stamp);
             }
             lease.charge(model.interrupt_exit);
             lease.now()
@@ -701,12 +591,12 @@ impl PlexusStack {
     /// legacy copy-to-contiguous behavior for A/B comparisons.
     fn install_eth_output(shared: &Rc<StackShared>) {
         let s = shared.clone();
-        shared.install_send(shared.events.eth_send, move |ctx, req: &EthSendReq| {
+        shared.install_send(shared.events.eth_send, move |ctx, req: &Frame| {
             let model = ctx.lease.model().clone();
             ctx.lease.charge(model.eth_proc);
             let mut frame = req.packet.share();
             let hdr = frame.prepend(ETHER_HDR_LEN);
-            plexus_net::ether::write_header(hdr, req.dst, s.mac, req.ethertype);
+            ether::write_header(hdr, req.dst, s.mac, req.ethertype);
             let len = frame.total_len();
             ctx.lease.charge(s.nic.tx_cpu_charge(ctx.lease.now(), len));
             let ready = ctx.lease.now();
@@ -734,23 +624,16 @@ impl PlexusStack {
                 let model = ctx.lease.model().clone();
                 ctx.lease.charge(model.eth_proc);
                 let bytes = ev.mbuf.to_vec();
-                let Some(pkt) = ArpPacket::parse(&bytes[ETHER_HDR_LEN..]) else {
+                let now = ctx.lease.now().as_nanos();
+                let input = s.arp.borrow_mut().input(&bytes[ETHER_HDR_LEN..], now);
+                let Some(input) = input else {
                     return;
                 };
-                let now = ctx.lease.now().as_nanos();
-                let satisfied = s.arp.borrow_mut().learn(pkt.sender_ip, pkt.sender_mac, now);
-                if satisfied {
-                    // Drain datagrams parked on this resolution.
-                    let parked = s.arp_pending.borrow_mut().remove(&pkt.sender_ip);
-                    for frag in parked.into_iter().flatten() {
-                        s.raise_eth_send(ctx, pkt.sender_mac, EtherType::IPV4, frag);
-                    }
-                }
-                if pkt.op == plexus_net::arp::ArpOp::Request && pkt.target_ip == s.ip {
+                if input.reply.is_some() {
                     s.bump(|st| st.arp_replies += 1);
-                    let reply = ArpPacket::reply_to(&pkt, s.mac, s.ip);
-                    let m = Mbuf::from_payload(ETHER_HDR_LEN, &reply.to_bytes());
-                    s.raise_eth_send(ctx, pkt.sender_mac, EtherType::ARP, m);
+                }
+                for frame in input.frames() {
+                    s.raise_eth_send(ctx, &frame);
                 }
             },
             "arp",
@@ -776,32 +659,28 @@ impl PlexusStack {
                 let mut pkt = ev.mbuf.share();
                 pkt.trim_front(ETHER_HDR_LEN);
                 let now = ctx.lease.now().as_nanos();
-                let offered = s.reasm.borrow_mut().offer(&pkt, now);
-                let Some((hdr, payload)) = offered else {
-                    // Bad checksum/version, or a fragment still waiting.
-                    if pkt.total_len() >= ip::IP_HDR_LEN {
-                        s.bump(|st| st.ip_dropped += 1);
-                        if let Some(rec) = ctx.lease.recorder() {
-                            rec.packet_drop(ctx.lease.now().as_nanos(), "ip", "bad_or_fragment");
-                        }
+                let verdict = s
+                    .reasm
+                    .borrow_mut()
+                    .input(&pkt, now, |dst| s.is_local_ip(dst));
+                let reason = match verdict {
+                    Verdict::Deliver(hdr, payload) => {
+                        s.bump(|st| st.ip_rx += 1);
+                        let arg = IpRecv {
+                            src: hdr.src,
+                            dst: hdr.dst,
+                            protocol: hdr.protocol,
+                            payload,
+                        };
+                        s.dispatcher.raise(ctx, s.events.ip_recv, &arg);
+                        return;
                     }
-                    return;
+                    Verdict::Runt => return,
+                    Verdict::NotLocal => "not_local",
+                    Verdict::BadOrFragment => "bad_or_fragment",
                 };
-                if !s.is_local_ip(hdr.dst) {
-                    s.bump(|st| st.ip_dropped += 1);
-                    if let Some(rec) = ctx.lease.recorder() {
-                        rec.packet_drop(ctx.lease.now().as_nanos(), "ip", "not_local");
-                    }
-                    return;
-                }
-                s.bump(|st| st.ip_rx += 1);
-                let arg = IpRecv {
-                    src: hdr.src,
-                    dst: hdr.dst,
-                    protocol: hdr.protocol,
-                    payload,
-                };
-                s.dispatcher.raise(ctx, s.events.ip_recv, &arg);
+                s.bump(|st| st.ip_dropped += 1);
+                StackShared::record_drop(ctx.lease, "ip", reason);
             },
             "ip",
         );
@@ -827,24 +706,20 @@ impl PlexusStack {
                 let model = ctx.lease.model().clone();
                 let bytes = ev.payload.to_vec();
                 ctx.lease.charge(model.checksum(bytes.len()));
-                let Some(msg) = IcmpMessage::parse(&bytes) else {
+                let Some(payload) = icmp::echo_response(&bytes) else {
                     return;
                 };
-                if msg.kind == IcmpType::EchoRequest {
-                    s.bump(|st| st.icmp_echoes += 1);
-                    let reply = IcmpMessage::echo_reply(&msg);
-                    let payload = Mbuf::from_payload(64, &reply.to_bytes());
-                    ctx.lease.charge(model.checksum(payload.total_len()));
-                    s.raise_ip_send(
-                        ctx,
-                        IpSendReq {
-                            src: s.ip,
-                            dst: ev.src,
-                            protocol: ip::proto::ICMP,
-                            payload,
-                        },
-                    );
-                }
+                s.bump(|st| st.icmp_echoes += 1);
+                ctx.lease.charge(model.checksum(payload.total_len()));
+                s.raise_ip_send(
+                    ctx,
+                    IpSendReq {
+                        src: s.ip,
+                        dst: ev.src,
+                        protocol: ip::proto::ICMP,
+                        payload,
+                    },
+                );
             },
             "icmp",
         );
@@ -1007,8 +882,12 @@ impl PlexusStack {
                 "EtherType belongs to the system protocol stack",
             ));
         }
-        let m = Mbuf::from_payload(ETHER_HDR_LEN, payload);
-        self.shared.raise_eth_send(ctx, dst, ethertype, m);
+        let frame = Frame {
+            dst,
+            ethertype,
+            packet: Mbuf::from_payload(ETHER_HDR_LEN, payload),
+        };
+        self.shared.raise_eth_send(ctx, &frame);
         Ok(())
     }
 

@@ -19,8 +19,7 @@ use std::rc::Rc;
 use plexus_filter::{conjunction, EventKind, Field, FieldKey, Operand, Policy, PortSet, Test};
 use plexus_kernel::dispatcher::{HandlerId, RaiseCtx};
 use plexus_kernel::domain::LinkedExtension;
-use plexus_net::ether::EtherType;
-use plexus_net::ip::{encapsulate as ip_encapsulate, proto, IpHeader};
+use plexus_net::ip::{self, encapsulate as ip_encapsulate, proto, Hop, IpHeader};
 use plexus_net::tcp::{Actions, Tcb, TcpFlags, TcpSegment, TcpState, TCP_HDR_LEN};
 use plexus_sim::engine::TimerHandle;
 use plexus_sim::time::SimDuration;
@@ -348,6 +347,9 @@ impl TcpManager {
             &policy,
             guards::TRANSPORT_GUARD_CYCLES,
         );
+        // Redirected datagrams are re-originated here, in their own ident
+        // space, clear of the host's.
+        let ident = ip::Ident::starting_at(0x8000);
         Ok(self.shared.install_layer(
             self.shared.events.ip_recv,
             Some(guard.guard()),
@@ -355,29 +357,14 @@ impl TcpManager {
                 let model = ctx.lease.model().clone();
                 ctx.lease.charge(model.proc_call);
                 // Rebuild the datagram with its original addressing and
-                // hand it to the target's link address. If ARP has not
-                // resolved yet the packet is dropped; TCP retransmits.
-                let hdr = IpHeader::simple(ev.src, ev.dst, proto::TCP, next_redirect_ident());
+                // hand it to the target's link address.
+                let hdr = IpHeader::simple(ev.src, ev.dst, proto::TCP, ident.take());
                 let dgram = ip_encapsulate(&hdr, ev.payload.share());
-                if let Some(mac) = shared.resolve_or_request(ctx, new_dst) {
-                    shared.raise_eth_send(ctx, mac, EtherType::IPV4, dgram);
-                }
+                shared.link_output(ctx, Hop::Via(new_dst), dgram);
             },
             ext.name(),
         ))
     }
-}
-
-thread_local! {
-    static REDIRECT_IDENT: Cell<u16> = const { Cell::new(0x8000) };
-}
-
-fn next_redirect_ident() -> u16 {
-    REDIRECT_IDENT.with(|c| {
-        let v = c.get();
-        c.set(v.wrapping_add(1));
-        v
-    })
 }
 
 fn now_ns(ctx: &RaiseCtx<'_>) -> u64 {

@@ -8,7 +8,7 @@ use plexus_kernel::dispatcher::RaiseCtx;
 use plexus_kernel::domain::LinkError;
 use plexus_kernel::ephemeral::Ephemeral;
 use plexus_kernel::view::view;
-use plexus_net::ether::{EtherType, EtherView, MacAddr};
+use plexus_net::ether::{EtherView, MacAddr};
 use plexus_net::mbuf::Mbuf;
 
 /// Argument of `Ethernet.PacketRecv`: a whole received frame. Guards use
@@ -22,15 +22,7 @@ pub struct EthRecv {
 
 /// Argument of `Ethernet.PacketSend`: a network-layer packet plus the link
 /// addressing the sender resolved.
-#[derive(Debug)]
-pub struct EthSendReq {
-    /// Destination MAC.
-    pub dst: MacAddr,
-    /// EtherType for the payload.
-    pub ethertype: EtherType,
-    /// The network-layer packet (header space available for prepend).
-    pub packet: Mbuf,
-}
+pub use plexus_net::ether::Frame as EthSendReq;
 
 /// Argument of `Ip.PacketRecv`: a validated (and, if needed, reassembled)
 /// IP payload.

@@ -1011,6 +1011,189 @@ fn unanswered_arp_is_retried_then_abandoned() {
 }
 
 #[test]
+fn a_failed_resolution_is_asked_again() {
+    // The world of `unanswered_arp_is_retried_then_abandoned`, then the
+    // segment heals: the abandoned hop must not stay a black hole.
+    let Testbed {
+        mut world,
+        medium,
+        hosts,
+    } = Testbed::new(&Link::ethernet(), 0, &["a", "b"]);
+    medium.set_faults(plexus_sim::nic::FaultInjector::new(1.0, 0.0, 5));
+    let (sa, sb) = (attach_cold(&hosts[0]), attach_cold(&hosts[1]));
+    let (aext, bext) = (
+        sa.link_extension(&ext_spec("C")).unwrap(),
+        sb.link_extension(&ext_spec("S")).unwrap(),
+    );
+    let got: Rc<RefCell<Vec<Vec<u8>>>> = Rc::new(RefCell::new(Vec::new()));
+    let g = got.clone();
+    sb.udp()
+        .bind(
+            &bext,
+            7,
+            UdpConfig::default(),
+            AppHandler::interrupt(move |_, ev: &plexus_core::UdpRecv| {
+                g.borrow_mut().push(ev.payload.to_vec());
+            }),
+        )
+        .unwrap();
+    let ep = sa
+        .udp()
+        .bind(
+            &aext,
+            2000,
+            UdpConfig::default(),
+            AppHandler::interrupt(|_, _| {}),
+        )
+        .unwrap();
+    ep.send(world.engine_mut(), hosts[1].ip, 7, b"stranded")
+        .unwrap();
+    world.run();
+    assert_eq!(sa.stats().arp_failures, 1);
+    assert_eq!(hosts[0].nic.stats().tx_frames, 3);
+
+    medium.set_faults(plexus_sim::nic::FaultInjector::none());
+    ep.send(world.engine_mut(), hosts[1].ip, 7, b"second try")
+        .unwrap();
+    world.run();
+    assert_eq!(
+        hosts[0].nic.stats().tx_frames,
+        5,
+        "a fourth who-has, then the datagram it was parked behind"
+    );
+    assert_eq!(*got.borrow(), vec![b"second try".to_vec()]);
+    assert_eq!(sa.stats().arp_failures, 1, "nothing new was abandoned");
+}
+
+#[test]
+fn the_arp_queue_is_bounded_and_overflow_is_a_named_drop() {
+    use plexus_net::arp::MAX_PARKED_PER_HOP;
+
+    // Every frame is lost while a burst far larger than the cap is sent to
+    // one cold hop: the cache parks up to its cap, refuses the rest as
+    // `arp_queue_full`, and what it parked goes out when the segment heals
+    // before the retries run out.
+    let Testbed {
+        mut world,
+        medium,
+        hosts,
+    } = Testbed::new(&Link::ethernet(), 0, &["a", "b"]);
+    let rec = Recorder::new(4096);
+    world.install_recorder(&rec);
+    medium.set_faults(plexus_sim::nic::FaultInjector::new(1.0, 0.0, 5));
+    let (sa, sb) = (attach_cold(&hosts[0]), attach_cold(&hosts[1]));
+    let (aext, bext) = (
+        sa.link_extension(&ext_spec("C")).unwrap(),
+        sb.link_extension(&ext_spec("S")).unwrap(),
+    );
+    let got = Rc::new(Cell::new(0usize));
+    let g = got.clone();
+    sb.udp()
+        .bind(
+            &bext,
+            7,
+            UdpConfig::default(),
+            AppHandler::interrupt(move |_, _| g.set(g.get() + 1)),
+        )
+        .unwrap();
+    let ep = sa
+        .udp()
+        .bind(
+            &aext,
+            2000,
+            UdpConfig::default(),
+            AppHandler::interrupt(|_, _| {}),
+        )
+        .unwrap();
+    let burst = MAX_PARKED_PER_HOP + 9;
+    for _ in 0..burst {
+        ep.send(world.engine_mut(), hosts[1].ip, 7, b"flood")
+            .unwrap();
+    }
+    world.run_for(SimDuration::from_millis(500));
+    assert_eq!(sa.stats().arp_queued, MAX_PARKED_PER_HOP as u64);
+    let refused = rec.registry().get(CounterKey {
+        scope: Scope::Drop,
+        label: rec.intern("arp_queue_full"),
+        metric: "count",
+    });
+    assert_eq!(refused, 9, "every datagram past the cap is a named drop");
+    assert_eq!(hosts[0].nic.stats().tx_frames, 1, "one who-has, no storm");
+
+    medium.set_faults(plexus_sim::nic::FaultInjector::none());
+    world.run();
+    assert_eq!(got.get(), MAX_PARKED_PER_HOP, "the first retry got through");
+    assert_eq!(sa.stats().arp_failures, 0);
+}
+
+#[test]
+fn a_stale_fragment_group_expires_instead_of_splicing() {
+    use plexus_net::ip::{self, IpHeader};
+    use plexus_net::mbuf::Mbuf;
+
+    // Hand-built fragments from a bare NIC: the head of one datagram,
+    // then — 31 s later, past the reassembly timeout — the tail of another
+    // that reuses its ident. Nothing calls `expire` for the stack; the
+    // stale head must be gone anyway, or the receiver delivers a chimera.
+    let Testbed {
+        mut world, hosts, ..
+    } = Testbed::new(&Link::ethernet(), 0, &["a", "b"]);
+    let sb = attach_cold(&hosts[1]);
+    let bext = sb.link_extension(&ext_spec("S")).unwrap();
+    let got: Rc<RefCell<Vec<Vec<u8>>>> = Rc::new(RefCell::new(Vec::new()));
+    let g = got.clone();
+    let nocheck = UdpConfig { checksum: false };
+    sb.udp()
+        .bind(
+            &bext,
+            7001,
+            nocheck,
+            AppHandler::interrupt(move |_, ev: &plexus_core::UdpRecv| {
+                g.borrow_mut().push(ev.payload.to_vec());
+            }),
+        )
+        .unwrap();
+    let (a, b) = (&hosts[0], &hosts[1]);
+    let frames = |fill: u8| -> Vec<Mbuf> {
+        let udp = plexus_net::udp::encapsulate(
+            a.ip,
+            b.ip,
+            2000,
+            7001,
+            nocheck,
+            Mbuf::from_payload(64, &[fill; 3000]),
+        );
+        let hdr = IpHeader::simple(a.ip, b.ip, ip::proto::UDP, 7);
+        ip::fragment(&hdr, &udp, 1500)
+            .into_iter()
+            .map(|mut f| {
+                let link = f.prepend(14);
+                plexus_net::ether::write_header(link, b.mac, a.mac, EtherType::IPV4);
+                f
+            })
+            .collect()
+    };
+    let (old, new) = (frames(0xAA), frames(0xBB));
+    let send = |world: &mut World, f: &Mbuf| {
+        let at = world.engine().now();
+        a.nic.transmit(world.engine_mut(), at, f);
+    };
+    send(&mut world, &old[0]);
+    world.run_for(SimDuration::from_secs(31));
+    for f in &new[1..] {
+        send(&mut world, f);
+    }
+    world.run();
+    assert!(
+        got.borrow().is_empty(),
+        "old head + new tail is no datagram"
+    );
+    send(&mut world, &new[0]);
+    world.run();
+    assert_eq!(*got.borrow(), vec![vec![0xBB; 3000]]);
+}
+
+#[test]
 fn graph_description_reflects_installed_extensions() {
     let (_world, [_client, server]) = plexus_lan(["alpha-a", "alpha-b"], StackConfig::interrupt);
     let ext = server.link_extension(&ext_spec("S")).unwrap();

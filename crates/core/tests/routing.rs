@@ -291,3 +291,149 @@ fn off_subnet_without_gateway_is_counted_as_no_route() {
     world.run();
     assert_eq!(sa.stats().no_route, 1);
 }
+
+/// [`build`]'s topology with segment 2 exposed for fault injection, host-a
+/// already knowing the router's MAC (so only the *router's* resolution of
+/// host-b is cold), and host-b collecting what arrives on UDP port 7.
+struct ColdFarSide {
+    world: World,
+    seg2: Rc<Medium>,
+    host_b: Rc<PlexusStack>,
+    send: Rc<plexus_core::UdpEndpoint>,
+    got: Rc<RefCell<Vec<Vec<u8>>>>,
+    router: Rc<IpRouter>,
+}
+
+fn cold_far_side() -> ColdFarSide {
+    let mut world = World::new();
+    let [ma, mr, mb] = ["host-a", "router", "host-b"].map(|n| world.add_machine(n));
+    let seg1 = Medium::new(SimDuration::from_micros(1), true);
+    let seg2 = Medium::new(SimDuration::from_micros(1), true);
+    let [nic_a, nic_r1] = [&seg1, &seg1].map(|m| Nic::new(NicProfile::ethernet_lance(), m));
+    let [nic_r2, nic_b] = [&seg2, &seg2].map(|m| Nic::new(NicProfile::ethernet_lance(), m));
+    let host_a = PlexusStack::attach(
+        &ma,
+        &nic_a,
+        StackConfig::interrupt(net1(2), MacAddr::local(1)).with_gateway(net1(1)),
+    );
+    host_a.seed_arp(net1(1), MacAddr::local(101));
+    let host_b = PlexusStack::attach(
+        &mb,
+        &nic_b,
+        StackConfig::interrupt(net2(2), MacAddr::local(2)).with_gateway(net2(1)),
+    );
+    let router = IpRouter::attach(
+        &mr,
+        &[
+            (nic_r1, net1(1), MacAddr::local(101)),
+            (nic_r2, net2(1), MacAddr::local(102)),
+        ],
+    );
+    let got = Rc::new(RefCell::new(Vec::new()));
+    let g = got.clone();
+    host_b
+        .udp()
+        .bind(
+            &host_b.link_extension(&spec()).unwrap(),
+            7,
+            UdpConfig::default(),
+            AppHandler::interrupt(move |_, ev: &UdpRecv| g.borrow_mut().push(ev.payload.to_vec())),
+        )
+        .unwrap();
+    let send = host_a
+        .udp()
+        .bind(
+            &host_a.link_extension(&spec()).unwrap(),
+            2000,
+            UdpConfig::default(),
+            AppHandler::interrupt(|_, _| {}),
+        )
+        .unwrap();
+    ColdFarSide {
+        world,
+        seg2,
+        host_b,
+        send,
+        got,
+        router,
+    }
+}
+
+#[test]
+fn a_lost_arp_reply_does_not_strand_the_routers_queue() {
+    // The router has no ARP retry timer: one who-has eaten by the far
+    // segment must not park every later datagram for that hop forever.
+    use plexus_sim::nic::FaultInjector;
+    let mut t = cold_far_side();
+    t.seg2.set_faults(FaultInjector::new(1.0, 0.0, 5));
+    t.send
+        .send(t.world.engine_mut(), net2(2), 7, b"first")
+        .unwrap();
+    t.world.run();
+    assert!(t.got.borrow().is_empty());
+
+    t.seg2.set_faults(FaultInjector::none());
+    t.world.run_for(SimDuration::from_secs(4));
+    t.send
+        .send(t.world.engine_mut(), net2(2), 7, b"second")
+        .unwrap();
+    t.world.run();
+    assert_eq!(
+        *t.got.borrow(),
+        vec![b"second".to_vec()],
+        "asked again: the stale datagram dropped, the fresh one forwarded"
+    );
+    assert_eq!(t.router.stats().forwarded, 2);
+}
+
+#[test]
+fn the_routers_arp_queue_is_bounded() {
+    use plexus_net::arp::MAX_PARKED_PER_HOP;
+    use plexus_sim::nic::FaultInjector;
+    // While the far segment eats the router's who-has, a burst well past
+    // the cap arrives for one hop. Then the hop itself speaks (its own
+    // who-has for the gateway teaches the router its MAC): exactly the
+    // cap's worth comes out, oldest first.
+    let mut t = cold_far_side();
+    t.seg2.set_faults(FaultInjector::new(1.0, 0.0, 5));
+    for k in 0..MAX_PARKED_PER_HOP + 9 {
+        t.send
+            .send(t.world.engine_mut(), net2(2), 7, &[k as u8])
+            .unwrap();
+    }
+    t.world.run();
+    t.seg2.set_faults(FaultInjector::none());
+    t.host_b.ping(t.world.engine_mut(), net2(1), 1, 1, b"hello");
+    t.world.run();
+    let want: Vec<Vec<u8>> = (0..MAX_PARKED_PER_HOP).map(|k| vec![k as u8]).collect();
+    assert_eq!(*t.got.borrow(), want);
+    assert_eq!(t.router.stats().echoes, 1);
+}
+
+#[test]
+fn a_header_longer_than_its_datagram_is_a_bad_header() {
+    // IHL says 60 bytes, total length says 20: the router must count it,
+    // not index past the end of the datagram.
+    use plexus_net::checksum::checksum;
+    let mut t = build(NicProfile::ethernet_lance(), NicProfile::ethernet_lance());
+    let mut frame = vec![0u8; 14 + 20];
+    plexus_net::ether::write_header(
+        &mut frame,
+        MacAddr::local(101),
+        MacAddr::local(1),
+        plexus_net::ether::EtherType::IPV4,
+    );
+    let ip = &mut frame[14..];
+    ip[0] = 0x4F; // Version 4, IHL 15.
+    ip[3] = 20; // Total length.
+    ip[8] = 64;
+    ip[9] = plexus_net::ip::proto::ICMP;
+    ip[12..16].copy_from_slice(&net1(2).octets());
+    ip[16..20].copy_from_slice(&net1(1).octets());
+    let sum = checksum(ip);
+    ip[10..12].copy_from_slice(&sum.to_be_bytes());
+    let at = t.world.engine().now();
+    t.nic_a.transmit(t.world.engine_mut(), at, &frame[..]);
+    t.world.run();
+    assert_eq!(t.router.stats().bad_header, 1);
+}

@@ -6,7 +6,9 @@
 
 use std::fmt;
 
-use plexus_kernel::view::{be16, put_be16, WireView};
+use plexus_kernel::view::{be16, put_be16, view, WireView};
+
+use crate::mbuf::Mbuf;
 
 /// A 48-bit IEEE MAC address.
 #[derive(Clone, Copy, PartialEq, Eq, Hash, PartialOrd, Ord)]
@@ -97,10 +99,30 @@ pub fn write_header(buf: &mut [u8], dst: MacAddr, src: MacAddr, ethertype: Ether
     put_be16(buf, 12, ethertype.0);
 }
 
+/// The receive-side MAC filter: the frame's header, if it parses and the
+/// frame is addressed to `mac` or to everyone (or `promiscuous` is set).
+#[inline]
+pub fn accept(frame: &[u8], mac: MacAddr, promiscuous: bool) -> Option<EtherView<'_>> {
+    let v: EtherView = view(frame)?;
+    let dst = v.dst();
+    (dst == mac || dst.is_broadcast() || promiscuous).then_some(v)
+}
+
+/// A network-layer packet with the link addressing resolved for it: what
+/// the shared ARP/IP routines hand a stack to put on the wire.
+#[derive(Debug)]
+pub struct Frame {
+    /// Destination MAC.
+    pub dst: MacAddr,
+    /// EtherType of `packet`.
+    pub ethertype: EtherType,
+    /// The packet, with room for the link header in front.
+    pub packet: Mbuf,
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
-    use plexus_kernel::view::view;
 
     #[test]
     fn header_round_trips() {
@@ -121,6 +143,25 @@ mod tests {
     fn short_frame_is_not_viewable() {
         let buf = [0u8; ETHER_HDR_LEN - 1];
         assert!(view::<EtherView>(&buf).is_none());
+    }
+
+    #[test]
+    fn accept_is_the_mac_filter() {
+        let mut buf = [0u8; ETHER_HDR_LEN];
+        let me = MacAddr::local(1);
+        write_header(&mut buf, me, MacAddr::local(2), EtherType::IPV4);
+        assert!(accept(&buf, me, false).is_some(), "unicast to me");
+        assert!(accept(&buf, MacAddr::local(3), false).is_none(), "foreign");
+        assert!(
+            accept(&buf, MacAddr::local(3), true).is_some(),
+            "promiscuous"
+        );
+        write_header(&mut buf, MacAddr::BROADCAST, me, EtherType::ARP);
+        assert!(
+            accept(&buf, MacAddr::local(3), false).is_some(),
+            "broadcast"
+        );
+        assert!(accept(&buf[..13], me, true).is_none(), "runt never passes");
     }
 
     #[test]

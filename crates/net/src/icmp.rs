@@ -1,12 +1,13 @@
 //! ICMP: echo, destination unreachable, time exceeded.
 //!
 //! A leaf of the IP node in Figure 1's protocol graph. The Plexus ICMP
-//! handler answers echo requests in-kernel; the baseline does the same in
-//! its monolithic input path.
+//! handler, the router and the baseline's monolithic input path all answer
+//! echo requests in-kernel through [`echo_response`].
 
 use plexus_kernel::view::{be16, put_be16, WireView};
 
 use crate::checksum::checksum;
+use crate::mbuf::Mbuf;
 
 /// ICMP header length (for the message types we implement).
 pub const ICMP_HDR_LEN: usize = 8;
@@ -124,6 +125,14 @@ impl IcmpMessage {
     }
 }
 
+/// The echo responder: the reply to send back to the source when `bytes`
+/// is a valid echo request, nothing for any other message.
+pub fn echo_response(bytes: &[u8]) -> Option<Mbuf> {
+    let msg = IcmpMessage::parse(bytes)?;
+    (msg.kind == IcmpType::EchoRequest)
+        .then(|| Mbuf::from_payload(64, &IcmpMessage::echo_reply(&msg).to_bytes()))
+}
+
 struct IcmpRawView<'a>(&'a [u8]);
 
 impl<'a> WireView<'a> for IcmpRawView<'a> {
@@ -148,6 +157,21 @@ mod tests {
         assert_eq!(rep.ident, 0xBEEF);
         assert_eq!(rep.seq, 3);
         assert_eq!(rep.payload, b"abcdefgh");
+    }
+
+    #[test]
+    fn only_a_valid_echo_request_gets_a_response() {
+        let req = IcmpMessage::echo_request(7, 9, b"payload").to_bytes();
+        let reply = echo_response(&req).expect("echo request answered");
+        let parsed = IcmpMessage::parse(&reply.to_vec()).expect("reply checksums");
+        assert_eq!(parsed.kind, IcmpType::EchoReply);
+        assert_eq!((parsed.ident, parsed.seq), (7, 9));
+        assert_eq!(parsed.payload, b"payload");
+        assert!(echo_response(&reply.to_vec()).is_none(), "replies are not");
+        let mut bad = req.clone();
+        bad[9] ^= 1;
+        assert!(echo_response(&bad).is_none(), "nor corrupt requests");
+        assert!(echo_response(&IcmpMessage::unreachable(3, &[0x45; 28]).to_bytes()).is_none());
     }
 
     #[test]

@@ -1,9 +1,12 @@
 //! IPv4: header handling, fragmentation/reassembly, and routing.
 //!
-//! The middle of Figure 1's protocol graph. Both the Plexus graph and the
-//! monolithic baseline call into this module, mirroring the paper's "same
-//! TCP/IP implementation" methodology.
+//! The middle of Figure 1's protocol graph. The Plexus graph, the in-kernel
+//! router and the monolithic baseline all send through [`RouteTable::hop`] /
+//! [`datagrams`] and receive through [`Reassembler::input`], mirroring the
+//! paper's "same TCP/IP implementation" methodology: what differs between
+//! them is what they charge and count around these calls.
 
+use std::cell::Cell;
 use std::collections::HashMap;
 use std::net::Ipv4Addr;
 
@@ -210,6 +213,37 @@ pub fn fragment(hdr: &IpHeader, payload: &Mbuf, mtu: usize) -> Vec<Mbuf> {
     out
 }
 
+/// The datagrams `payload` leaves as under `hdr` on an `mtu`-byte link: the
+/// one whole datagram when it fits (no `Vec` is built around it), its
+/// [`fragment`]s otherwise.
+#[inline]
+pub fn datagrams(hdr: &IpHeader, payload: &Mbuf, mtu: usize) -> impl Iterator<Item = Mbuf> {
+    let (whole, frags) = if payload.total_len() + IP_HDR_LEN <= mtu {
+        (Some(encapsulate(hdr, payload.share())), Vec::new())
+    } else {
+        (None, fragment(hdr, payload, mtu))
+    };
+    whole.into_iter().chain(frags)
+}
+
+/// A sender's identification counter: one value per datagram, wrapping.
+pub struct Ident(Cell<u16>);
+
+impl Ident {
+    /// A counter whose first datagram gets `first`.
+    pub fn starting_at(first: u16) -> Ident {
+        Ident(Cell::new(first))
+    }
+
+    /// Takes the next identification value.
+    #[inline]
+    pub fn take(&self) -> u16 {
+        let id = self.0.get();
+        self.0.set(id.wrapping_add(1));
+        id
+    }
+}
+
 /// Key identifying a fragment group.
 #[derive(Clone, Copy, PartialEq, Eq, Hash, Debug)]
 struct FragKey {
@@ -226,6 +260,20 @@ struct FragGroup {
     total: Option<usize>,
     /// Arrival time of the first fragment, for expiry.
     born_ns: u64,
+}
+
+/// What [`Reassembler::input`] made of one received datagram. Each stack
+/// maps the verdicts to its own counters and drop reasons.
+#[derive(Debug)]
+pub enum Verdict {
+    /// A whole (if needed, reassembled) datagram for a local address.
+    Deliver(IpHeader, Mbuf),
+    /// Valid, but addressed to someone else.
+    NotLocal,
+    /// A bad header, or a fragment now held until its group completes.
+    BadOrFragment,
+    /// Shorter than an IP header.
+    Runt,
 }
 
 /// Reassembles fragmented datagrams; incomplete groups expire.
@@ -294,6 +342,9 @@ impl Reassembler {
         if !v.is_fragment() {
             return Some((hdr, dgram.range(hlen, data_len)));
         }
+        // Stale groups go before this fragment can join one, so a reused
+        // ident never splices into a datagram abandoned long ago.
+        self.expire(now_ns);
         let key = FragKey {
             src: hdr.src,
             dst: hdr.dst,
@@ -336,7 +387,25 @@ impl Reassembler {
         Some((hdr, Mbuf::from_payload(0, &data)))
     }
 
+    /// The receive side of IP for a host: [`Reassembler::offer`], then the
+    /// local-address check (`is_local` is asked about a whole datagram's
+    /// destination).
+    pub fn input(
+        &mut self,
+        dgram: &Mbuf,
+        now_ns: u64,
+        is_local: impl FnOnce(Ipv4Addr) -> bool,
+    ) -> Verdict {
+        match self.offer(dgram, now_ns) {
+            Some((hdr, payload)) if is_local(hdr.dst) => Verdict::Deliver(hdr, payload),
+            Some(_) => Verdict::NotLocal,
+            None if dgram.total_len() >= IP_HDR_LEN => Verdict::BadOrFragment,
+            None => Verdict::Runt,
+        }
+    }
+
     /// Drops groups older than the timeout. Returns how many were dropped.
+    /// [`Reassembler::offer`] does this itself whenever a fragment arrives.
     pub fn expire(&mut self, now_ns: u64) -> usize {
         let timeout = self.timeout_ns;
         let before = self.groups.len();
@@ -361,8 +430,17 @@ pub struct Route {
     pub gateway: Option<Ipv4Addr>,
 }
 
+/// Where a host's datagram goes at the link layer.
+#[derive(Clone, Copy, Debug, PartialEq, Eq)]
+pub enum Hop {
+    /// To everyone on the segment; nothing to resolve.
+    Broadcast,
+    /// To this on-link address (the destination itself, or a gateway).
+    Via(Ipv4Addr),
+}
+
 /// Longest-prefix-match routing table.
-#[derive(Default)]
+#[derive(Clone, Debug, Default)]
 pub struct RouteTable {
     routes: Vec<Route>,
 }
@@ -371,6 +449,19 @@ impl RouteTable {
     /// Creates an empty table.
     pub fn new() -> RouteTable {
         RouteTable::default()
+    }
+
+    /// A single-homed host's table: the `prefix_len`-bit network `ip` is
+    /// on, directly attached to interface 0.
+    pub fn host(ip: Ipv4Addr, prefix_len: u8) -> RouteTable {
+        let mut table = RouteTable::new();
+        table.add(ip, prefix_len, 0, None);
+        table
+    }
+
+    /// Adds the default route via `gateway` on interface 0.
+    pub fn set_default(&mut self, gateway: Ipv4Addr) {
+        self.add(Ipv4Addr::UNSPECIFIED, 0, 0, Some(gateway));
     }
 
     /// Adds a route.
@@ -409,6 +500,23 @@ impl RouteTable {
             })
             .max_by_key(|r| r.prefix_len)
             .copied()
+    }
+
+    /// The interface and on-link address `dst` is reached through: the
+    /// matching route's gateway, or `dst` itself on an attached network.
+    pub fn next_hop(&self, dst: Ipv4Addr) -> Option<(usize, Ipv4Addr)> {
+        self.lookup(dst)
+            .map(|r| (r.iface, r.gateway.unwrap_or(dst)))
+    }
+
+    /// [`RouteTable::next_hop`] for a host's own sends, where the limited
+    /// broadcast address needs no route.
+    #[inline]
+    pub fn hop(&self, dst: Ipv4Addr) -> Option<Hop> {
+        if dst == Ipv4Addr::BROADCAST {
+            return Some(Hop::Broadcast);
+        }
+        self.next_hop(dst).map(|(_, via)| Hop::Via(via))
     }
 }
 
@@ -570,6 +678,103 @@ mod tests {
         let r = rt.lookup(Ipv4Addr::new(8, 8, 8, 8)).expect("default");
         assert_eq!(r.iface, 0);
         assert_eq!(r.gateway, Some(addr(254)));
+    }
+
+    #[test]
+    fn a_host_table_picks_the_next_hop() {
+        let gw = addr(254);
+        let mut rt = RouteTable::host(addr(1), 24);
+        // Connected: the destination is its own next hop.
+        assert_eq!(rt.hop(addr(7)), Some(Hop::Via(addr(7))));
+        // No default route yet: off-subnet has nowhere to go.
+        let far = Ipv4Addr::new(10, 0, 9, 9);
+        assert_eq!(rt.hop(far), None);
+        assert_eq!(rt.next_hop(far), None);
+        // The limited broadcast never needs a route.
+        assert_eq!(rt.hop(Ipv4Addr::BROADCAST), Some(Hop::Broadcast));
+        rt.set_default(gw);
+        assert_eq!(rt.hop(far), Some(Hop::Via(gw)));
+        assert_eq!(rt.hop(addr(7)), Some(Hop::Via(addr(7))), "connected wins");
+        assert_eq!(rt.next_hop(far), Some((0, gw)));
+    }
+
+    #[test]
+    fn datagrams_are_the_whole_or_the_fragments() {
+        let hdr = IpHeader::simple(addr(1), addr(2), proto::UDP, 7);
+        let small = Mbuf::from_payload(64, &[9u8; 100]);
+        let one: Vec<Mbuf> = datagrams(&hdr, &small, 1500).collect();
+        assert_eq!(one.len(), 1);
+        assert_eq!(one[0].to_vec(), fragment(&hdr, &small, 1500)[0].to_vec());
+        let big = Mbuf::from_payload(0, &[3u8; 4000]);
+        let many: Vec<Vec<u8>> = datagrams(&hdr, &big, 1500).map(|m| m.to_vec()).collect();
+        let want: Vec<Vec<u8>> = fragment(&hdr, &big, 1500)
+            .iter()
+            .map(|m| m.to_vec())
+            .collect();
+        assert_eq!(many, want);
+        assert_eq!(many.len(), 3);
+    }
+
+    #[test]
+    fn ident_counts_and_wraps() {
+        let id = Ident::starting_at(0xFFFF);
+        assert_eq!((id.take(), id.take(), id.take()), (0xFFFF, 0, 1));
+    }
+
+    #[test]
+    fn input_names_its_verdicts() {
+        let mut r = Reassembler::new();
+        let mine = |dst| dst == addr(2);
+        let hdr = IpHeader::simple(addr(1), addr(2), proto::UDP, 1);
+        let whole = encapsulate(&hdr, Mbuf::from_payload(64, b"hello"));
+        match r.input(&whole, 0, mine) {
+            Verdict::Deliver(h, p) => {
+                assert_eq!((h.src, h.dst), (addr(1), addr(2)));
+                assert_eq!(p.to_vec(), b"hello");
+            }
+            other => panic!("expected delivery, got {other:?}"),
+        }
+        assert!(matches!(r.input(&whole, 0, |_| false), Verdict::NotLocal));
+        let mut corrupt = whole.share();
+        corrupt.write_at(8, &[0]); // TTL no longer matches the checksum.
+        assert!(matches!(r.input(&corrupt, 0, mine), Verdict::BadOrFragment));
+        let runt = Mbuf::from_payload(0, &[0x45; IP_HDR_LEN - 1]);
+        assert!(matches!(r.input(&runt, 0, mine), Verdict::Runt));
+        // Fragments are held, then the completing one delivers the whole;
+        // the local check sees only the reassembled datagram.
+        let data = vec![7u8; 3000];
+        let frags = fragment(&hdr, &Mbuf::from_payload(0, &data), 1500);
+        let mut asked = 0;
+        for f in &frags[..frags.len() - 1] {
+            let v = r.input(f, 0, |_| {
+                asked += 1;
+                true
+            });
+            assert!(matches!(v, Verdict::BadOrFragment));
+        }
+        assert_eq!(asked, 0);
+        match r.input(&frags[frags.len() - 1], 0, mine) {
+            Verdict::Deliver(_, p) => assert_eq!(p.to_vec(), data),
+            other => panic!("expected the reassembled datagram, got {other:?}"),
+        }
+    }
+
+    #[test]
+    fn a_stale_group_never_joins_a_later_datagram() {
+        // Two datagrams reuse one ident 31 s apart; the head of the first
+        // and the tail of the second must not splice into a chimera.
+        let hdr = IpHeader::simple(addr(1), addr(2), proto::UDP, 5);
+        let old = fragment(&hdr, &Mbuf::from_payload(0, &[0xAA; 3000]), 1500);
+        let new = fragment(&hdr, &Mbuf::from_payload(0, &[0xBB; 3000]), 1500);
+        let mut r = Reassembler::new();
+        assert!(r.offer(&old[0], 0).is_none());
+        let later = 31_000_000_000;
+        for f in &new[1..] {
+            assert!(r.offer(f, later).is_none(), "the old head is gone");
+        }
+        assert_eq!((r.pending(), r.expired()), (1, 1));
+        let (_, payload) = r.offer(&new[0], later).expect("now complete");
+        assert_eq!(payload.to_vec(), vec![0xBB; 3000]);
     }
 
     #[test]

@@ -14,8 +14,18 @@
 //! * [`testbed`] — the one world builder: a LAN of named hosts with a
 //!   fixed address plan, which either stack attaches to.
 //!
-//! The protocol modules are pure protocol logic, which is what lets the
-//! same code run under both OS structures.
+//! The protocol modules are pure protocol logic — state and a timestamp in,
+//! an outcome out, no engine and no CPU lease — which is what lets the same
+//! code run under both OS structures. That holds below the transports as
+//! it does for [`tcp::Tcb`]: the receive MAC filter ([`ether::accept`]),
+//! ARP resolve-or-park and input ([`arp::ArpCache`], which owns the parked
+//! datagrams, bounds them and abandons unanswered resolutions), next-hop
+//! choice ([`ip::RouteTable::hop`]), whole-or-fragments
+//! ([`ip::datagrams`]), reassembly plus the local-address check
+//! ([`ip::Reassembler::input`]) and the echo responder
+//! ([`icmp::echo_response`]) each exist once here. A stack supplies only
+//! structure: which costs it charges around these calls, its counters and
+//! drop reasons, and how an [`ether::Frame`] reaches the wire.
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]

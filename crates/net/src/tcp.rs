@@ -119,29 +119,39 @@ pub struct TcpSegment {
 }
 
 impl TcpSegment {
+    /// Header length on the wire: a SYN carrying an MSS value adds the
+    /// kind-2 option (RFC 793 §3.1).
+    fn header_len(&self) -> usize {
+        match self.mss {
+            Some(_) if self.flags.syn => TCP_HDR_LEN + 4,
+            _ => TCP_HDR_LEN,
+        }
+    }
+
+    /// Stores every header field but the checksum into `b`, which is
+    /// exactly [`TcpSegment::header_len`] zeroed bytes.
+    fn write_header(&self, b: &mut [u8]) {
+        put_be16(b, 0, self.src_port);
+        put_be16(b, 2, self.dst_port);
+        put_be32(b, 4, self.seq);
+        put_be32(b, 8, self.ack);
+        b[12] = ((b.len() / 4) as u8) << 4;
+        b[13] = self.flags.to_wire();
+        put_be16(b, 14, self.window);
+        if b.len() > TCP_HDR_LEN {
+            b[TCP_HDR_LEN] = 2; // Kind: MSS.
+            b[TCP_HDR_LEN + 1] = 4; // Length.
+            put_be16(b, TCP_HDR_LEN + 2, self.mss.expect("room only for an MSS"));
+        }
+    }
+
     /// Serializes with a pseudo-header checksum for `src`→`dst`. A SYN
     /// carrying an MSS value emits the kind-2 option (RFC 793 §3.1).
     pub fn to_bytes(&self, src: Ipv4Addr, dst: Ipv4Addr) -> Vec<u8> {
-        let opt_len = if self.mss.is_some() && self.flags.syn {
-            4
-        } else {
-            0
-        };
-        let hdr_len = TCP_HDR_LEN + opt_len;
+        let hdr_len = self.header_len();
         let len = hdr_len + self.payload.len();
         let mut b = vec![0u8; len];
-        put_be16(&mut b, 0, self.src_port);
-        put_be16(&mut b, 2, self.dst_port);
-        put_be32(&mut b, 4, self.seq);
-        put_be32(&mut b, 8, self.ack);
-        b[12] = ((hdr_len / 4) as u8) << 4;
-        b[13] = self.flags.to_wire();
-        put_be16(&mut b, 14, self.window);
-        if opt_len > 0 {
-            b[TCP_HDR_LEN] = 2; // Kind: MSS.
-            b[TCP_HDR_LEN + 1] = 4; // Length.
-            put_be16(&mut b, TCP_HDR_LEN + 2, self.mss.expect("checked"));
-        }
+        self.write_header(&mut b[..hdr_len]);
         b[hdr_len..].copy_from_slice(&self.payload);
         let mut c = Checksum::new();
         c.add(&src.octets())
@@ -160,27 +170,10 @@ impl TcpSegment {
     /// `Mbuf::from_payload` would cost, and the checksum streams over the
     /// mbuf chain in place.
     pub fn to_mbuf(&self, src: Ipv4Addr, dst: Ipv4Addr, leading: usize) -> Mbuf {
-        let opt_len = if self.mss.is_some() && self.flags.syn {
-            4
-        } else {
-            0
-        };
-        let hdr_len = TCP_HDR_LEN + opt_len;
+        let hdr_len = self.header_len();
         let len = hdr_len + self.payload.len();
         let mut m = Mbuf::from_payload(leading + hdr_len, &self.payload);
-        let b = m.prepend(hdr_len);
-        put_be16(b, 0, self.src_port);
-        put_be16(b, 2, self.dst_port);
-        put_be32(b, 4, self.seq);
-        put_be32(b, 8, self.ack);
-        b[12] = ((hdr_len / 4) as u8) << 4;
-        b[13] = self.flags.to_wire();
-        put_be16(b, 14, self.window);
-        if opt_len > 0 {
-            b[TCP_HDR_LEN] = 2; // Kind: MSS.
-            b[TCP_HDR_LEN + 1] = 4; // Length.
-            put_be16(b, TCP_HDR_LEN + 2, self.mss.expect("checked"));
-        }
+        self.write_header(m.prepend(hdr_len));
         let mut c = Checksum::new();
         c.add(&src.octets())
             .add(&dst.octets())
@@ -200,27 +193,10 @@ impl TcpSegment {
     /// stamped in the packet header for the adapter to fill during the DMA
     /// gather. Unlike UDP, a computed zero stays zero on the wire.
     pub fn to_mbuf_offload(&self, src: Ipv4Addr, dst: Ipv4Addr, leading: usize) -> Mbuf {
-        let opt_len = if self.mss.is_some() && self.flags.syn {
-            4
-        } else {
-            0
-        };
-        let hdr_len = TCP_HDR_LEN + opt_len;
+        let hdr_len = self.header_len();
         let len = hdr_len + self.payload.len();
         let mut m = Mbuf::from_payload(leading + hdr_len, &self.payload);
-        let b = m.prepend(hdr_len);
-        put_be16(b, 0, self.src_port);
-        put_be16(b, 2, self.dst_port);
-        put_be32(b, 4, self.seq);
-        put_be32(b, 8, self.ack);
-        b[12] = ((hdr_len / 4) as u8) << 4;
-        b[13] = self.flags.to_wire();
-        put_be16(b, 14, self.window);
-        if opt_len > 0 {
-            b[TCP_HDR_LEN] = 2; // Kind: MSS.
-            b[TCP_HDR_LEN + 1] = 4; // Length.
-            put_be16(b, TCP_HDR_LEN + 2, self.mss.expect("checked"));
-        }
+        self.write_header(m.prepend(hdr_len));
         m.stamp_pkthdr();
         let mut c = Checksum::new();
         c.add(&src.octets())

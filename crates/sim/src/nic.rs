@@ -657,7 +657,7 @@ impl Medium {
 }
 
 /// Receive callback: invoked (via the engine) when a frame arrives.
-pub type RxHandler = Box<dyn Fn(&mut Engine, Frame)>;
+pub type RxHandler = Rc<dyn Fn(&mut Engine, Frame)>;
 
 /// Batched receive callback (coalesced mode): one interrupt hands the
 /// driver every frame drained from the rx ring. Returns the instant the
@@ -668,9 +668,10 @@ pub type RxHandler = Box<dyn Fn(&mut Engine, Frame)>;
 /// Per-frame recorder bookkeeping ([`Recorder::packet_arrival`] /
 /// `packet_done`) is the glue's responsibility in this mode, because only
 /// the glue knows when each frame's CPU work actually starts.
-pub type RxBatchHandler = Box<dyn Fn(&mut Engine, Vec<RxFrame>) -> SimTime>;
+pub type RxBatchHandler = Rc<dyn Fn(&mut Engine, Vec<RxFrame>) -> SimTime>;
 
 /// How a driver wants frames handed up from the adapter.
+#[derive(Clone)]
 pub enum RxDispatch {
     /// Transmit-only attachment: arriving frames count as unhandled.
     None,
@@ -714,7 +715,7 @@ impl DriverConfig {
         F: Fn(&mut Engine, Frame) + 'static,
     {
         DriverConfig {
-            rx: RxDispatch::PerFrame(Box::new(handler)),
+            rx: RxDispatch::PerFrame(Rc::new(handler)),
             tx: TxSubmit::PerFrame,
         }
     }
@@ -725,7 +726,7 @@ impl DriverConfig {
         F: Fn(&mut Engine, Vec<RxFrame>) -> SimTime + 'static,
     {
         DriverConfig {
-            rx: RxDispatch::Coalesced(Box::new(handler)),
+            rx: RxDispatch::Coalesced(Rc::new(handler)),
             tx: TxSubmit::PerFrame,
         }
     }
@@ -796,8 +797,9 @@ pub struct Nic {
     /// When the open doorbell closes: the coalesced completion interrupt
     /// fires `tx_coalesce` after the batch's last frame leaves the wire.
     tx_doorbell_until: Cell<SimTime>,
-    rx_handler: RefCell<Option<RxHandler>>,
-    rx_batch_handler: RefCell<Option<RxBatchHandler>>,
+    /// The bound receive dispatch. Cloned out for each call, so a handler
+    /// that rebinds the NIC doesn't alias the borrow.
+    rx: RefCell<RxDispatch>,
     rx_ring: RefCell<VecDeque<RxFrame>>,
     host: RefCell<String>,
     rx_busy_until: Cell<SimTime>,
@@ -818,8 +820,7 @@ impl Nic {
             tx_submit: Cell::new(TxSubmit::PerFrame),
             tx_doorbell_count: Cell::new(0),
             tx_doorbell_until: Cell::new(SimTime::ZERO),
-            rx_handler: RefCell::new(None),
-            rx_batch_handler: RefCell::new(None),
+            rx: RefCell::new(RxDispatch::None),
             rx_ring: RefCell::new(VecDeque::new()),
             host: RefCell::new(String::new()),
             rx_busy_until: Cell::new(SimTime::ZERO),
@@ -872,20 +873,7 @@ impl Nic {
     /// replacing any previous binding. This is the one entry point for
     /// driver configuration.
     pub fn attach(&self, config: DriverConfig) {
-        match config.rx {
-            RxDispatch::None => {
-                *self.rx_handler.borrow_mut() = None;
-                *self.rx_batch_handler.borrow_mut() = None;
-            }
-            RxDispatch::PerFrame(h) => {
-                *self.rx_handler.borrow_mut() = Some(h);
-                *self.rx_batch_handler.borrow_mut() = None;
-            }
-            RxDispatch::Coalesced(h) => {
-                *self.rx_batch_handler.borrow_mut() = Some(h);
-                *self.rx_handler.borrow_mut() = None;
-            }
-        }
+        *self.rx.borrow_mut() = config.rx;
         self.tx_submit.set(config.tx);
         self.tx_doorbell_count.set(0);
     }
@@ -1067,72 +1055,60 @@ impl Nic {
         end
     }
 
+    /// A frame reached the host but nobody will process it: it still gets
+    /// a packet ID, so the drop lands in the recorder's per-packet
+    /// vocabulary instead of surfacing as an orphaned record.
+    fn drop_unprocessed(&self, now: SimTime, len: usize, journey: Option<u64>, reason: &str) {
+        if let Some(rec) = self.recorder.borrow().as_ref() {
+            let name = self.profile.name;
+            rec.packet_arrival(now.as_nanos(), name, &self.host.borrow(), len, journey);
+            rec.packet_drop(now.as_nanos(), name, reason);
+            rec.packet_done();
+        }
+    }
+
     fn deliver(self: Rc<Self>, engine: &mut Engine, frame: Frame, journey: Option<u64>) {
-        if self.rx_batch_handler.borrow().is_some() {
+        if matches!(*self.rx.borrow(), RxDispatch::Coalesced(_)) {
             self.deliver_coalesced(engine, frame, journey);
             return;
         }
+        let rx = self.rx.borrow().clone();
+        let RxDispatch::PerFrame(h) = rx else {
+            let mut stats = self.stats.get();
+            stats.rx_no_handler += 1;
+            self.stats.set(stats);
+            self.drop_unprocessed(engine.now(), frame.len(), journey, "rx_no_handler");
+            return;
+        };
         let mut stats = self.stats.get();
-        // Take the handler out while it runs so a handler that reinstalls
-        // itself doesn't alias the `RefCell` borrow.
-        let handler = self.rx_handler.borrow_mut().take();
-        match handler {
-            Some(h) => {
-                stats.rx_frames += 1;
-                stats.rx_bytes += frame.len() as u64;
-                stats.rx_interrupts += 1;
-                self.stats.set(stats);
-                // Assign the per-packet ID here, at the moment the frame
-                // reaches the host: everything the rx chain records until
-                // it returns is attributed to this packet. Per-frame mode
-                // is one interrupt per frame with nothing ever queued.
-                let rec = self.recorder.borrow().clone();
-                if let Some(rec) = &rec {
-                    rec.rx_interrupt(
-                        engine.now().as_nanos(),
-                        self.profile.name,
-                        &self.host.borrow(),
-                        1,
-                        0,
-                    );
-                    rec.packet_arrival(
-                        engine.now().as_nanos(),
-                        self.profile.name,
-                        &self.host.borrow(),
-                        frame.len(),
-                        journey,
-                    );
-                }
-                h(engine, frame);
-                if let Some(rec) = &rec {
-                    rec.packet_done();
-                }
-                let mut slot = self.rx_handler.borrow_mut();
-                if slot.is_none() {
-                    *slot = Some(h);
-                }
-            }
-            None => {
-                stats.rx_no_handler += 1;
-                self.stats.set(stats);
-                // Stamp a packet ID even though nobody will process the
-                // frame: the drop then lands in the recorder's per-packet
-                // vocabulary instead of surfacing as an orphaned record.
-                let rec = self.recorder.borrow().clone();
-                if let Some(rec) = &rec {
-                    rec.packet_arrival(
-                        engine.now().as_nanos(),
-                        self.profile.name,
-                        &self.host.borrow(),
-                        frame.len(),
-                        journey,
-                    );
-                }
-                self.record_drop(engine.now(), "rx_no_handler");
-                if let Some(rec) = &rec {
-                    rec.packet_done();
-                }
-            }
+        stats.rx_frames += 1;
+        stats.rx_bytes += frame.len() as u64;
+        stats.rx_interrupts += 1;
+        self.stats.set(stats);
+        // Assign the per-packet ID here, at the moment the frame reaches
+        // the host: everything the rx chain records until it returns is
+        // attributed to this packet. Per-frame mode is one interrupt per
+        // frame with nothing ever queued.
+        let rec = self.recorder.borrow().clone();
+        if let Some(rec) = &rec {
+            rec.rx_interrupt(
+                engine.now().as_nanos(),
+                self.profile.name,
+                &self.host.borrow(),
+                1,
+                0,
+            );
+            rec.packet_arrival(
+                engine.now().as_nanos(),
+                self.profile.name,
+                &self.host.borrow(),
+                frame.len(),
+                journey,
+            );
+        }
+        h(engine, frame);
+        if let Some(rec) = &rec {
+            rec.packet_done();
         }
     }
 
@@ -1161,20 +1137,7 @@ impl Nic {
                 let mut stats = self.stats.get();
                 stats.rx_ring_drops += 1;
                 self.stats.set(stats);
-                // Shed frames still get a packet ID so the drop is
-                // attributed, not orphaned.
-                let rec = self.recorder.borrow().clone();
-                if let Some(rec) = &rec {
-                    rec.packet_arrival(
-                        now.as_nanos(),
-                        self.profile.name,
-                        &self.host.borrow(),
-                        frame.len(),
-                        journey,
-                    );
-                    rec.packet_drop(now.as_nanos(), self.profile.name, "rx_ring_drop");
-                    rec.packet_done();
-                }
+                self.drop_unprocessed(now, frame.len(), journey, "rx_ring_drop");
                 return;
             }
             ring.push_back(RxFrame {
@@ -1250,21 +1213,18 @@ impl Nic {
                 self.rx_ring.borrow().len(),
             );
         }
-        let handler = self.rx_batch_handler.borrow_mut().take();
-        let Some(h) = handler else {
-            // Mode switched away mid-flight; count the frames as unhandled.
+        let rx = self.rx.borrow().clone();
+        let RxDispatch::Coalesced(h) = rx else {
+            // Mode switched away mid-flight; the frames are unhandled.
             let mut stats = self.stats.get();
             stats.rx_no_handler += frames.len() as u64;
             self.stats.set(stats);
+            for f in &frames {
+                self.drop_unprocessed(engine.now(), f.bytes.len(), f.journey, "rx_no_handler");
+            }
             return;
         };
         let done = h(engine, frames).max(engine.now());
-        {
-            let mut slot = self.rx_batch_handler.borrow_mut();
-            if slot.is_none() {
-                *slot = Some(h);
-            }
-        }
         self.rx_busy_until.set(done);
         if !self.rx_ring.borrow().is_empty() && !self.rx_drain_pending.get() {
             self.rx_drain_pending.set(true);
@@ -1674,6 +1634,39 @@ mod coalesce_tests {
         assert!(arrival.packet.is_some());
         assert_eq!(drop.packet, arrival.packet, "drop attributed to the frame");
         assert_eq!(rec.current_packet(), None, "packet closed after the drop");
+    }
+
+    #[test]
+    fn frames_queued_for_a_driver_that_detached_are_recorded_drops() {
+        // A coalesced driver is busy while two more frames queue on the
+        // ring, then detaches before the drain: the stranded frames are
+        // counted *and* recorded, each under its own packet ID.
+        let (a, b) = pair(NicProfile::dec_t3());
+        let rec = Recorder::new(256);
+        b.set_recorder(Some(rec.clone()));
+        b.attach(DriverConfig::coalesced(|eng, _| {
+            eng.now() + SimDuration::from_millis(1)
+        }));
+        let mut engine = Engine::new();
+        for _ in 0..3 {
+            a.transmit_frame(&mut engine, SimTime::ZERO, vec![0u8; 64]);
+        }
+        engine.run_for(SimDuration::from_micros(500));
+        assert_eq!(b.stats().rx_interrupts, 1, "two frames wait on the ring");
+        b.attach(DriverConfig::tx_only());
+        engine.run();
+        assert_eq!(b.stats().rx_no_handler, 2);
+        let events = rec.events();
+        let dropped: Vec<_> = events
+            .iter()
+            .filter(|r| {
+                matches!(&r.event, TraceEvent::Drop { reason, .. }
+                    if rec.name(*reason) == "rx_no_handler")
+            })
+            .map(|r| r.packet.expect("drop stamped with a packet ID"))
+            .collect();
+        assert_eq!(dropped.len(), 2);
+        assert_ne!(dropped[0], dropped[1]);
     }
 }
 

@@ -283,3 +283,130 @@ fn dunix_host_routes_through_the_plexus_router() {
     assert_eq!(*got.borrow(), b"mixed routed");
     assert_eq!(router.stats().forwarded, 2);
 }
+
+#[test]
+fn the_same_protocol_code_puts_the_same_frames_on_the_wire() {
+    // The paper's methodology (§4) as an executable claim: whichever OS
+    // structure runs it, the exchange is the same protocol code. A cold-ARP
+    // ping and then one fragmented ping, captured off the wire, are
+    // byte-identical between a Plexus pair and a DIGITAL UNIX pair, and —
+    // modulo addresses, idents and the TTL the router spends — identical on
+    // both segments of Plexus -> in-kernel router -> DIGITAL UNIX.
+    use plexus::core::IpRouter;
+    use plexus::kernel::view::view;
+    use plexus::net::ether::{EtherType, EtherView, ETHER_HDR_LEN};
+    use plexus::net::Host;
+    use plexus::sim::nic::{CapturedFrame, Medium, Nic};
+    use plexus::sim::Engine;
+
+    type Ping = Box<dyn Fn(&mut Engine, Ipv4Addr, &[u8])>;
+    fn plexus_cold(h: &Host, gateway: Option<Ipv4Addr>) -> Ping {
+        let cfg = StackConfig::interrupt(h.ip, h.mac);
+        let cfg = gateway.map_or(cfg.clone(), |gw| cfg.with_gateway(gw));
+        let s = PlexusStack::attach(&h.machine, &h.nic, cfg);
+        Box::new(move |eng, dst, data| s.ping(eng, dst, 9, 1, data))
+    }
+    fn dunix_cold(h: &Host, gateway: Option<Ipv4Addr>) -> Ping {
+        let s = MonolithicStack::attach(&h.machine, &h.nic, h.ip, h.mac);
+        if let Some(gw) = gateway {
+            s.set_gateway(gw, 24);
+        }
+        Box::new(move |eng, dst, data| s.ping(eng, dst, 9, 1, data))
+    }
+    // Who-has, is-at, echo, reply; then three fragments each way.
+    fn exchange(world: &mut World, ping: &Ping, dst: Ipv4Addr) {
+        let big: Vec<u8> = (0u32..4000).map(|x| (x % 251) as u8).collect();
+        for data in [&b"cold"[..], &big] {
+            ping(world.engine_mut(), dst, data);
+            world.run();
+        }
+    }
+    fn pair(attach: fn(&Host, Option<Ipv4Addr>) -> Ping) -> Vec<Vec<u8>> {
+        let mut tb = Testbed::new(&Link::ethernet(), 3, &["a", "b"]);
+        let ping = attach(&tb.hosts[0], None);
+        let _responder = attach(&tb.hosts[1], None);
+        tb.medium.start_capture();
+        exchange(&mut tb.world, &ping, tb.hosts[1].ip);
+        bytes_of(tb.medium.stop_capture())
+    }
+    fn bytes_of(cap: Vec<CapturedFrame>) -> Vec<Vec<u8>> {
+        cap.into_iter().map(|f| f.bytes).collect()
+    }
+    // Blanks what legitimately differs between topologies: link and
+    // network addresses (broadcast stays broadcast), IP ident, TTL and the
+    // header checksum over them. Everything else must match.
+    fn normalized(frames: &[Vec<u8>]) -> Vec<Vec<u8>> {
+        frames
+            .iter()
+            .map(|f| {
+                let mut f = f.clone();
+                let eth = view::<EtherView>(&f).expect("ethernet frame");
+                let (ethertype, broadcast) = (eth.ethertype(), eth.dst().is_broadcast());
+                f[..12].fill(0);
+                if broadcast {
+                    f[..6].fill(0xFF);
+                }
+                let body = &mut f[ETHER_HDR_LEN..];
+                match ethertype {
+                    EtherType::ARP => body[8..28].fill(0),
+                    EtherType::IPV4 => {
+                        body[4..6].fill(0);
+                        body[8] = 0;
+                        body[10..20].fill(0);
+                    }
+                    other => panic!("unexpected {other:?}"),
+                }
+                f
+            })
+            .collect()
+    }
+
+    let plexus_pair = pair(plexus_cold);
+    let dunix_pair = pair(dunix_cold);
+    assert_eq!(plexus_pair.len(), 10, "2 ARP + 2 echo + 3 + 3 fragments");
+    assert_eq!(plexus_pair, dunix_pair, "same bytes under either structure");
+
+    // Plexus 10.8.1.2 -- router -- 10.8.2.2 DIGITAL UNIX.
+    let (net1, net2) = (
+        |last| Ipv4Addr::new(10, 8, 1, last),
+        |last| Ipv4Addr::new(10, 8, 2, last),
+    );
+    let mut world = World::new();
+    let [seg1, seg2] = [(); 2].map(|_| Medium::new(SimDuration::from_micros(1), true));
+    let mut host = |name: &str, seg: &Rc<Medium>, ip: Ipv4Addr, mac: u8| Host {
+        machine: world.add_machine(name),
+        nic: Nic::new(NicProfile::ethernet_lance(), seg),
+        ip,
+        mac: MacAddr::local(mac),
+        peers: Vec::new(),
+    };
+    let (a, b) = (
+        host("plexus-host", &seg1, net1(2), 1),
+        host("dunix-host", &seg2, net2(2), 2),
+    );
+    let ping = plexus_cold(&a, Some(net1(1)));
+    let _responder = dunix_cold(&b, Some(net2(1)));
+    let _router = IpRouter::attach(
+        &world.add_machine("router"),
+        &[
+            (
+                Nic::new(NicProfile::ethernet_lance(), &seg1),
+                net1(1),
+                MacAddr::local(101),
+            ),
+            (
+                Nic::new(NicProfile::ethernet_lance(), &seg2),
+                net2(1),
+                MacAddr::local(102),
+            ),
+        ],
+    );
+    seg1.start_capture();
+    seg2.start_capture();
+    exchange(&mut world, &ping, b.ip);
+    let want = normalized(&plexus_pair);
+    for (segment, medium) in [("near", &seg1), ("far", &seg2)] {
+        let got = normalized(&bytes_of(medium.stop_capture()));
+        assert_eq!(got, want, "{segment} segment of the routed path");
+    }
+}
