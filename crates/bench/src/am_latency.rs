@@ -4,16 +4,14 @@
 //! Compares the round trip of an 8-byte active message (raw Ethernet,
 //! ephemeral handler in the receive interrupt) against the full UDP path
 //! at interrupt level and at thread level.
-//!
-//! Run with `cargo run -p plexus-bench --bin am_latency`.
 
 use std::cell::{Cell, RefCell};
 use std::rc::Rc;
 
+use crate::report::BenchReport;
+use crate::table;
+use crate::udp_rtt::{mean_us, Link, System, UdpRtt};
 use plexus_apps::active_messages::{am_extension_spec, ActiveMessages};
-use plexus_bench::report::{self, BenchReport};
-use plexus_bench::table;
-use plexus_bench::udp_rtt::{mean_us, Link, System, UdpRtt};
 use plexus_core::{PlexusStack, StackConfig};
 use plexus_net::testbed::Testbed;
 
@@ -63,10 +61,12 @@ fn am_rtt_us(rounds: u32) -> f64 {
     mean_us(&rtts)
 }
 
-fn main() {
+/// The §3.3 table: active messages vs. the UDP path at both levels.
+pub(crate) fn figure(out: &mut String, report: &mut BenchReport) {
     const ROUNDS: u32 = 100;
-    println!("Section 3.3: interrupt-level active messages vs. the UDP path (Ethernet, 8 B)");
-    println!();
+    out.push_str(
+        "Section 3.3: interrupt-level active messages vs. the UDP path (Ethernet, 8 B)\n\n",
+    );
 
     let am = am_rtt_us(ROUNDS);
     let udp_us = |system| mean_us(&UdpRtt::new(system, &Link::ethernet(), 8, ROUNDS).run());
@@ -81,14 +81,14 @@ fn main() {
         vec!["UDP (interrupt)".to_string(), format!("{udp_int:.0}")],
         vec!["UDP (thread)".to_string(), format!("{udp_thr:.0}")],
     ];
-    println!("{}", table::render(&["protocol", "RTT (us)"], &rows));
-    println!("Claim: protocols needing little per-packet work run fastest at");
-    println!("interrupt level; skipping IP/UDP processing shaves the rest.");
+    table::render(out, &["protocol", "RTT (us)"], &rows);
+    out.push_str(
+        "Claim: protocols needing little per-packet work run fastest at\n\
+         interrupt level; skipping IP/UDP processing shaves the rest.\n",
+    );
 
-    let mut report = BenchReport::new("am_latency");
     report.latency_us("ethernet/active_messages", am);
     report.latency_us("ethernet/udp_interrupt", udp_int);
     report.latency_us("ethernet/udp_thread", udp_thr);
     report.count("rounds_per_cell", u64::from(ROUNDS));
-    report::emit(&report);
 }

@@ -10,7 +10,7 @@
 //! | `folded`   | `<scenario>.folded`               | folded stacks for `flamegraph.pl`      |
 //! | `timeline` | `<scenario>.timeline.json`        | fixed simulated-time windows           |
 //! | `journeys` | `<scenario>.journeys.json`        | cross-machine per-hop ledgers          |
-//! | `bench`    | `BENCH_timeline_<scenario>.json`  | worst-window metrics for `plexus-bench-diff` |
+//! | `bench`    | `BENCH_timeline_<scenario>.json`  | worst-window metrics                   |
 //! | `health`   | `HEALTH_<scenario>.json`          | per-window SLO verdicts                |
 //!
 //! Every timestamp comes from the simulated clock, so every file is
@@ -30,26 +30,13 @@
 //! plexus-trace --list
 //! ```
 
-use std::cell::LazyCell;
 use std::collections::BTreeSet;
 use std::fs;
 use std::path::PathBuf;
 use std::process::ExitCode;
 
-use plexus_bench::report::BenchReport;
-use plexus_bench::scenarios::{self, Scenario};
-use plexus_trace::export::{chrome_trace, stats_json};
-use plexus_trace::flame::folded;
-use plexus_trace::journey::{self, journeys_json, Journeys};
-use plexus_trace::json;
+use plexus_bench::scenarios::{self, Scenario, KINDS};
 use plexus_trace::live::{LiveReport, Slo};
-use plexus_trace::profile::{pingpong_waterfall, profile_json, Profile};
-use plexus_trace::timeline::{self, timeline_json, Timeline};
-
-/// Every `--emit` kind, in the order artifacts are written.
-const KINDS: [&str; 8] = [
-    "trace", "stats", "profile", "folded", "timeline", "journeys", "bench", "health",
-];
 
 fn usage() {
     eprintln!("usage: plexus-trace [-o DIR] [--stdout] [--emit KIND,...] [--window NS]");
@@ -139,171 +126,34 @@ fn parse(mut args: impl Iterator<Item = String>) -> Result<Opts, String> {
     Ok(opts)
 }
 
-/// Replays `scenario` once and folds every requested artifact from that one
-/// recorder, returning `(file name, body)` pairs in [`KINDS`] order and
-/// whether a sealed window breached the SLO (known only with `health`).
-/// The folds that several kinds share are built lazily, at most once.
+/// Replays `scenario` once with the CLI's overrides applied to its
+/// declared SLO, reports what the recorder held, and returns the
+/// `(file name, body)` pairs and whether a sealed window breached (known
+/// only with `health`).
 fn observe(scenario: &Scenario, opts: &Opts) -> Result<(Vec<(String, String)>, bool), String> {
     let name = scenario.name;
-    // The scenario's declared SLO with the CLI's overrides applied.
-    let base = scenario.slo.clone().unwrap_or_else(Slo::none);
+    let base = scenario.declared_slo();
     let slo = Slo {
         p99_ceiling_ns: opts.p99_ceiling_ns.or(base.p99_ceiling_ns),
         drop_ppm_ceiling: opts.drop_ppm.or(base.drop_ppm_ceiling),
         goodput_floor: opts.goodput_floor.or(base.goodput_floor),
         skip_head: opts.skip_head.unwrap_or(base.skip_head),
     };
-    let rec = scenario.run_with_slo(Some(slo.clone()));
-    eprintln!("{name}: {} records", rec.recorded());
-    if rec.overwritten() > 0 {
+    let seen = scenario.observe(&opts.emit, opts.window_ns, &slo)?;
+    eprintln!("{name}: {} records", seen.recorded);
+    if seen.overwritten > 0 {
         eprintln!(
             "{name}: WARNING: ring (capacity {}) wrapped — {} records overwritten: stats carry \
              trace.truncated.records, early timeline windows UNDER-REPORT, and orphan packets \
              are EXCLUDED from profile aggregates and journeys (rerun with a larger ring)",
-            scenario.ring,
-            rec.overwritten()
+            scenario.ring, seen.overwritten
         );
     }
-    let profile = LazyCell::new(|| Profile::build(&rec));
-    let journeys = LazyCell::new(|| journey::build(&profile));
-    let window_ns = opts.window_ns.unwrap_or(scenario.window_ns);
-    let timeline = LazyCell::new(|| timeline::build(&rec, window_ns));
-
-    let mut files = Vec::new();
-    let mut breached = false;
-    for kind in KINDS.iter().filter(|k| opts.emit.contains(k)) {
-        let (file, body) = match *kind {
-            "trace" => (format!("{name}.trace.json"), chrome_trace(&rec) + "\n"),
-            "stats" => (format!("{name}.stats.json"), stats_json(&rec) + "\n"),
-            "profile" => {
-                let waterfall = scenario
-                    .app_domain
-                    .map(|domain| pingpong_waterfall(&profile, domain))
-                    .transpose()
-                    .map_err(|e| format!("{name}: no waterfall: {e}"))?;
-                let body = profile_json(&profile, waterfall.as_ref(), scenario.detail);
-                (format!("{name}.profile.json"), body)
-            }
-            "folded" => (format!("{name}.folded"), folded(&profile)),
-            "timeline" => (format!("{name}.timeline.json"), timeline_json(&timeline)),
-            "journeys" => {
-                let body = journeys_json(&journeys, scenario.detail);
-                (format!("{name}.journeys.json"), body)
-            }
-            "bench" => {
-                let body = worst_window_report(name, &timeline, &journeys).to_json() + "\n";
-                (format!("BENCH_timeline_{name}.json"), body)
-            }
-            "health" => {
-                let rep = rec.live_report().expect("scenarios enable the live tier");
-                verdict_table(name, &rep);
-                breached = !rep.breaches.is_empty();
-                (format!("HEALTH_{name}.json"), health_json(name, &rep, &slo))
-            }
-            _ => unreachable!("every kind in KINDS has an arm"),
-        };
-        if file.ends_with(".json") {
-            json::validate(&body)
-                .map_err(|e| format!("{name}: internal error: emitted {kind} JSON invalid: {e}"))?;
-        }
-        files.push((file, body));
+    if let Some(rep) = &seen.health {
+        verdict_table(name, rep);
     }
-    Ok((files, breached))
-}
-
-/// The worst-window metrics `plexus-bench-diff` gates: a transient
-/// regression fails CI even when the run-wide mean is unchanged, and the
-/// window *index* is exact, so a transient that merely moves still fails.
-fn worst_window_report(name: &str, tl: &Timeline, journeys: &Journeys) -> BenchReport {
-    let mut report = BenchReport::new(&format!("timeline_{name}"));
-    if let Some(w) = tl.worst_p99_window() {
-        report.scalar_windowed("worst_p99_us", w.p99_ns as f64 / 1000.0, "us", w.index);
-    }
-    if let Some(w) = tl.worst_drop_window() {
-        let drops = w.drop_count() as f64;
-        report.scalar_windowed("worst_window_drops", drops, "drops", w.index);
-    }
-    report.count("windows", tl.windows.len() as u64);
-    let completions = tl.windows.iter().map(|w| w.completions).sum();
-    report.count("completions", completions);
-    report.count("drops", tl.windows.iter().map(|w| w.drop_count()).sum());
-    report.count("journeys", journeys.journeys.len() as u64);
-    report.count("truncated_records", tl.truncated_records);
-    report.count("orphan_packets", journeys.orphan_packets);
-    report.count("journeys_truncated", journeys.journeys_truncated);
-    report
-}
-
-/// The breach kinds window `index` triggered, in seal order.
-fn breach_kinds(rep: &LiveReport, index: u64) -> Vec<&'static str> {
-    let of_window = rep.breaches.iter().filter(|b| b.window == index);
-    of_window.map(|b| b.kind.name()).collect()
-}
-
-/// Renders the health verdict as deterministic JSON (schema
-/// `plexus.health.v1`).
-fn health_json(scenario: &str, rep: &LiveReport, slo: &Slo) -> String {
-    let opt = |v: Option<u64>| v.map_or(String::from("null"), |n| n.to_string());
-    let breached: BTreeSet<u64> = rep.breaches.iter().map(|b| b.window).collect();
-    let mut out = String::from("{\n  \"schema\": \"plexus.health.v1\",\n");
-    out.push_str(&format!("  \"scenario\": \"{scenario}\",\n"));
-    out.push_str(&format!("  \"window_ns\": {},\n", rep.window_ns));
-    out.push_str(&format!(
-        "  \"slo\": {{\"p99_ceiling_ns\": {}, \"drop_ppm_ceiling\": {}, \
-         \"goodput_floor\": {}, \"skip_head\": {}}},\n",
-        opt(slo.p99_ceiling_ns),
-        opt(slo.drop_ppm_ceiling),
-        opt(slo.goodput_floor),
-        slo.skip_head
-    ));
-    out.push_str(&format!("  \"windows_total\": {},\n", rep.windows.len()));
-    let online = rep.windows_sealed_online;
-    out.push_str(&format!("  \"windows_sealed_online\": {online},\n"));
-    out.push_str(&format!("  \"windows_breached\": {},\n", breached.len()));
-    out.push_str(&format!("  \"late_records\": {},\n", rep.late_records));
-    out.push_str("  \"breaches\": [");
-    for (i, b) in rep.breaches.iter().enumerate() {
-        out.push_str(if i > 0 { "," } else { "" });
-        out.push_str(&format!(
-            "\n    {{\"window\": {}, \"kind\": \"{}\", \"value\": {}, \"limit\": {}}}",
-            b.window,
-            b.kind.name(),
-            b.value,
-            b.limit
-        ));
-    }
-    let close = |empty: bool, tail| {
-        if empty {
-            format!("]{tail}")
-        } else {
-            format!("\n  ]{tail}")
-        }
-    };
-    out.push_str(&close(rep.breaches.is_empty(), ",\n"));
-    out.push_str("  \"verdicts\": [");
-    for (i, w) in rep.windows.iter().enumerate() {
-        out.push_str(if i > 0 { "," } else { "" });
-        let kinds: Vec<String> = breach_kinds(rep, w.index)
-            .iter()
-            .map(|k| format!("\"{k}\""))
-            .collect();
-        let verdict = if kinds.is_empty() {
-            String::from("\"pass\"")
-        } else {
-            format!("[{}]", kinds.join(", "))
-        };
-        out.push_str(&format!(
-            "\n    {{\"window\": {}, \"arrivals\": {}, \"completions\": {}, \
-             \"p99_ns\": {}, \"drops\": {}, \"verdict\": {verdict}}}",
-            w.index,
-            w.arrivals,
-            w.completions,
-            w.p99_ns,
-            w.drop_count()
-        ));
-    }
-    out.push_str(&close(rep.windows.is_empty(), "\n}\n"));
-    out
+    let breached = seen.health.is_some_and(|rep| !rep.breaches.is_empty());
+    Ok((seen.files, breached))
 }
 
 /// The per-window verdict table on stderr, then the one-line tally.
@@ -313,7 +163,7 @@ fn verdict_table(name: &str, rep: &LiveReport) {
         "window", "arrivals", "completions", "p99_ns", "drops"
     );
     for w in &rep.windows {
-        let kinds = breach_kinds(rep, w.index);
+        let kinds = rep.breach_kinds(w.index);
         let verdict = if kinds.is_empty() {
             String::from("pass")
         } else {

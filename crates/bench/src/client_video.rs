@@ -19,6 +19,9 @@ use plexus_sim::framebuffer::Framebuffer;
 use plexus_sim::nic::Link;
 use plexus_sim::time::{SimDuration, SimTime};
 
+use crate::report::BenchReport;
+use crate::table;
+
 /// Which client implementation receives the stream.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
 pub enum ClientSystem {
@@ -131,6 +134,52 @@ pub fn video_client_utilization(system: ClientSystem, seconds: u64) -> ClientSam
         display_share,
         frames,
     }
+}
+
+/// §5.1's client-side claim as a figure: the video viewer is
+/// framebuffer-bound, so SPIN and DIGITAL UNIX client CPU utilizations are
+/// *similar* — unlike the server, where the structure gap is ~2×.
+pub(crate) fn figure(out: &mut String, report: &mut BenchReport) {
+    const SECONDS: u64 = 1;
+    out.push_str("Section 5.1 (client): viewer CPU for one 30 fps stream over T3\n\n");
+    let spin = video_client_utilization(ClientSystem::Spin, SECONDS);
+    let dunix = video_client_utilization(ClientSystem::Dunix, SECONDS);
+    let rows = vec![
+        vec![
+            ClientSystem::Spin.label().to_string(),
+            format!("{}", spin.frames),
+            format!("{:.1}", spin.utilization * 100.0),
+            format!("{:.0}", spin.display_share * 100.0),
+        ],
+        vec![
+            ClientSystem::Dunix.label().to_string(),
+            format!("{}", dunix.frames),
+            format!("{:.1}", dunix.utilization * 100.0),
+            format!("{:.0}", dunix.display_share * 100.0),
+        ],
+    ];
+    table::render(
+        out,
+        &["system", "frames", "client CPU (%)", "display share (%)"],
+        &rows,
+    );
+    out.push_str(
+        "Paper: \"the CPU utilization between the two operating systems was\n\
+         similar\" because the framebuffer (10x slower than RAM) dominates —\n\
+         the benefits of a customized protocol are masked when application\n\
+         processing dwarfs protocol processing.\n",
+    );
+
+    report.scalar("spin/client_cpu", spin.utilization * 100.0, "percent");
+    report.scalar("dunix/client_cpu", dunix.utilization * 100.0, "percent");
+    report.scalar("spin/display_share", spin.display_share * 100.0, "percent");
+    report.scalar(
+        "dunix/display_share",
+        dunix.display_share * 100.0,
+        "percent",
+    );
+    report.count("spin/frames", spin.frames);
+    report.count("dunix/frames", dunix.frames);
 }
 
 #[cfg(test)]

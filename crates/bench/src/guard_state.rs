@@ -17,17 +17,14 @@
 //!
 //! Both implement byte-identical refill semantics, so they accept and
 //! drop exactly the same packets; the difference is purely *where* the
-//! decision runs and what the kernel can prove about it. Emits
-//! `results/BENCH_guard_state.json` for the CI regression gate.
-//!
-//! Run with `cargo run -p plexus-bench --bin guard_state`.
+//! decision runs and what the kernel can prove about it.
 
 use std::cell::{Cell, RefCell};
 use std::collections::HashMap;
 use std::rc::Rc;
 
-use plexus_bench::report::{self, BenchReport};
-use plexus_bench::table;
+use crate::report::BenchReport;
+use crate::table;
 use plexus_kernel::dispatcher::{Dispatcher, Guard, HandlerSpec, RaiseCtx};
 use plexus_kernel::filter::{
     conjunction_stateful, verify, EventKind, Field, MapKind, Operand, Packet, StateMap, Test,
@@ -201,14 +198,18 @@ fn run(flows: u32, guard_based: bool, compiled: bool) -> RunResult {
     }
 }
 
-fn main() {
-    println!("Per-flow rate limiting: verified guard map vs. handler-kept table");
-    println!(
+/// The guard-map vs. handler-table comparison at 1, 64 and 4096 flows.
+pub(crate) fn figure(out: &mut String, report: &mut BenchReport) {
+    outln!(
+        out,
+        "Per-flow rate limiting: verified guard map vs. handler-kept table"
+    );
+    outln!(
+        out,
         "({BURST}-packet bursts per flow, {TOKENS}-token buckets, +{REFILL_PER_MS}/ms refill)"
     );
-    println!();
+    outln!(out);
 
-    let mut report = BenchReport::new("guard_state");
     let mut rows = Vec::new();
     for flows in [1u32, 64, 4096] {
         let guard = run(flows, true, true);
@@ -262,25 +263,24 @@ fn main() {
             ),
         ]);
     }
-    println!(
-        "{}",
-        table::render(
-            &[
-                "flows",
-                "packets",
-                "accepted",
-                "dropped",
-                "guard ns/pkt",
-                "handler ns/pkt",
-                "delta"
-            ],
-            &rows
-        )
+    table::render(
+        out,
+        &[
+            "flows",
+            "packets",
+            "accepted",
+            "dropped",
+            "guard ns/pkt",
+            "handler ns/pkt",
+            "delta",
+        ],
+        &rows,
     );
-    println!("Both guard tiers (compiled and interpreted) agree packet for packet");
-    println!("on verdicts and simulated cycles. Over-rate packets die in the guard, never");
-    println!("paying handler dispatch or the table work — and the guard's state is");
-    println!("a verified bounded map the kernel admitted against a static cycle");
-    println!("bound, not an unbounded heap table (DESIGN.md §14).");
-    report::emit(&report);
+    out.push_str(
+        "Both guard tiers (compiled and interpreted) agree packet for packet\n\
+         on verdicts and simulated cycles. Over-rate packets die in the guard, never\n\
+         paying handler dispatch or the table work — and the guard's state is\n\
+         a verified bounded map the kernel admitted against a static cycle\n\
+         bound, not an unbounded heap table (DESIGN.md §14).\n",
+    );
 }

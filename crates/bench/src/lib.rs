@@ -1,21 +1,38 @@
 //! # plexus-bench — experiment harnesses
 //!
-//! One module per paper result; the `src/bin/*` binaries print the tables
-//! and figures. Host-time cost of the mechanisms themselves is measured
-//! by `perf/` (`plexus-perf --trace 1`, the layer kernels).
+//! One module per paper result. [`figures::FIGURES`] names every figure
+//! and table `plexus-bench` regenerates; [`scenarios::SCENARIOS`] names
+//! every world `plexus-trace` replays under the flight recorder. Host-time
+//! cost of the mechanisms themselves is measured by `perf/`
+//! (`plexus-perf --trace 1`, the layer kernels).
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
 
-pub mod client_video;
-pub mod diff;
+/// `println!` into the `String` a figure returns as its human tables.
+macro_rules! outln {
+    ($out:expr) => {
+        $out.push('\n')
+    };
+    ($out:expr, $($arg:tt)*) => {{
+        $out.push_str(&format!($($arg)*));
+        $out.push('\n');
+    }};
+}
+
+mod am_latency;
+mod client_video;
+pub mod figures;
 pub mod fwd_latency;
-pub mod http_latency;
+mod guard_eval;
+mod guard_state;
+mod http_latency;
 pub mod overload;
 pub mod report;
 pub mod scenarios;
-pub mod table;
-pub mod tcp_tput;
-pub mod txn_latency;
+mod sweeps;
+mod table;
+mod tcp_tput;
+mod txn_latency;
 pub mod udp_rtt;
-pub mod video_cpu;
+mod video_cpu;

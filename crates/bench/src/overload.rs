@@ -34,7 +34,11 @@ use plexus_sim::engine::Engine;
 use plexus_sim::nic::{DriverConfig, Link, Nic, NicStats};
 use plexus_sim::time::{SimDuration, SimTime};
 use plexus_sim::World;
+use plexus_trace::timeline::percentile;
 use plexus_trace::Recorder;
+
+use crate::report::BenchReport;
+use crate::table;
 
 /// Which receive path the device under test runs.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
@@ -485,6 +489,181 @@ impl<'a> Overload<'a> {
             tx_doorbells: dut_stats.tx_doorbells,
         }
     }
+}
+
+/// Runs the standard [`FACTORS`] sweep for one workload and rx/tx path.
+fn sweep(workload: Workload, rx: RxMode, tx: TxMode, link: &Link) -> Vec<LoadPoint> {
+    FACTORS
+        .iter()
+        .map(|&offered| {
+            Overload {
+                tx,
+                ..Overload::new(workload, rx, link, offered)
+            }
+            .run()
+        })
+        .collect()
+}
+
+fn percentile_us(samples_ns: &[u64], q: f64) -> f64 {
+    let mut v = samples_ns.to_vec();
+    v.sort_unstable();
+    percentile(&v, q) as f64 / 1000.0
+}
+
+fn add_point(report: &mut BenchReport, key: &str, p: &LoadPoint) {
+    report.latency_from_ns(&format!("{key}/latency"), &p.latency_ns);
+    report.scalar(&format!("{key}/goodput"), p.goodput_pps, "pps");
+    report.count(&format!("{key}/sent"), p.sent);
+    report.count(&format!("{key}/completed"), p.completed);
+    report.count(&format!("{key}/gen_tx_ring_drops"), p.gen_tx_ring_drops);
+    report.count(&format!("{key}/rx_ring_drops"), p.rx_ring_drops);
+    report.count(&format!("{key}/rx_no_handler"), p.rx_no_handler);
+    report.count(&format!("{key}/rx_interrupts"), p.rx_interrupts);
+    report.count(&format!("{key}/rx_frames"), p.rx_frames);
+    report.count(&format!("{key}/rx_ring_highwater"), p.rx_ring_highwater);
+    report.count(&format!("{key}/dut_tx_frames"), p.dut_tx_frames);
+    report.count(&format!("{key}/dut_tx_ring_drops"), p.dut_tx_ring_drops);
+    report.count(&format!("{key}/tx_doorbells"), p.tx_doorbells);
+}
+
+/// The load/offered/goodput/p50/p99 columns every sweep table starts
+/// with, followed by the `tail` columns the caller picks per point.
+fn sweep_table(
+    out: &mut String,
+    points: &[LoadPoint],
+    tail: &[&str],
+    cells: impl Fn(&LoadPoint) -> Vec<String>,
+) {
+    let rows: Vec<Vec<String>> = points
+        .iter()
+        .map(|p| {
+            let mut row = vec![
+                p.label(),
+                p.sent.to_string(),
+                format!("{:.0}", p.goodput_pps),
+                format!("{:.0}", percentile_us(&p.latency_ns, 50.0)),
+                format!("{:.0}", percentile_us(&p.latency_ns, 99.0)),
+            ];
+            row.extend(cells(p));
+            row
+        })
+        .collect();
+    let mut headers = vec!["load", "offered", "goodput/s", "p50 (us)", "p99 (us)"];
+    headers.extend_from_slice(tail);
+    table::render(out, &headers, &rows);
+}
+
+/// The receive-overload sweep: open-loop UDP load from 0.1x to 4x of T3
+/// line rate against the per-packet and coalesced receive paths, for the
+/// echo server and the §5.2 in-kernel forwarder. Per load point: goodput,
+/// latency percentiles and the drop-cause breakdown.
+pub(crate) fn rx_figure(out: &mut String, report: &mut BenchReport) {
+    let link = Link::t3();
+    outln!(
+        out,
+        "Overload sweep: {} B UDP payload over {}, {} ms window per point",
+        PAYLOAD,
+        link.profile.name,
+        MEASURE.as_micros() / 1000
+    );
+    outln!(out);
+
+    for workload in [Workload::UdpEcho, Workload::UdpForward] {
+        let what = match workload {
+            Workload::UdpEcho => "UDP echo (round trip at generator)",
+            Workload::UdpForward => "UDP forwarder (one-way at backend)",
+            Workload::UdpFanout => unreachable!(),
+        };
+        for mode in [RxMode::PerPacket, RxMode::Coalesced] {
+            let how = match mode {
+                RxMode::PerPacket => "per-packet interrupts",
+                RxMode::Coalesced => "rx ring + coalescing",
+            };
+            outln!(out, "{what} — {how}:");
+            let points = sweep(workload, mode, TxMode::default(), &link);
+            let tail = ["tx shed", "rx shed", "frm/irq", "ring hi"];
+            sweep_table(out, &points, &tail, |p| {
+                vec![
+                    p.gen_tx_ring_drops.to_string(),
+                    p.rx_ring_drops.to_string(),
+                    format!("{:.1}", p.frames_per_interrupt()),
+                    p.rx_ring_highwater.to_string(),
+                ]
+            });
+            for p in &points {
+                let key = format!("{}.{}.{}", workload.key(), mode.key(), p.label());
+                add_point(report, &key, p);
+            }
+        }
+    }
+    out.push_str(
+        "The per-packet path pays the full driver fixed cost and interrupt\n\
+         entry/exit per frame and queues its backlog on the CPU without bound:\n\
+         past saturation the p99 stretches toward the whole measurement window.\n\
+         The coalesced path amortizes those costs across each drained batch and\n\
+         sheds overload at the bounded rx ring, so goodput rises and the p99\n\
+         stays within ring-depth service times.\n",
+    );
+
+    report.count("payload_bytes", PAYLOAD as u64);
+    report.count("measure_window_us", MEASURE.as_micros());
+}
+
+/// The transmit-path sweep: the same offered loads over the gigabit
+/// profile against the flattened per-frame and the scatter-gather
+/// doorbell-batched transmit paths, for an echo storm and a 4-way fan-out.
+pub(crate) fn tx_figure(out: &mut String, report: &mut BenchReport) {
+    let link = Link::gigabit();
+    outln!(
+        out,
+        "Transmit-path sweep: {} B UDP payload over {}, {} ms window per point",
+        PAYLOAD,
+        link.profile.name,
+        MEASURE.as_micros() / 1000
+    );
+    outln!(out);
+
+    for workload in [Workload::UdpEcho, Workload::UdpFanout] {
+        let what = match workload {
+            Workload::UdpEcho => "UDP echo storm (round trip at generator)".to_string(),
+            Workload::UdpFanout => format!("UDP fan-out x{FANOUT} (each copy scored)"),
+            Workload::UdpForward => unreachable!(),
+        };
+        for tx in [TxMode::Flattened, TxMode::Doorbell] {
+            let how = match tx {
+                TxMode::Flattened => "flatten + per-frame submit",
+                TxMode::PerFrame => "scatter-gather, per-frame submit",
+                TxMode::Doorbell => "scatter-gather, doorbell-batched",
+            };
+            outln!(out, "{what} — {how}:");
+            let points = sweep(workload, RxMode::Coalesced, tx, &link);
+            sweep_table(out, &points, &["dut tx", "doorbells", "rx shed"], |p| {
+                vec![
+                    p.dut_tx_frames.to_string(),
+                    p.tx_doorbells.to_string(),
+                    p.rx_ring_drops.to_string(),
+                ]
+            });
+            for p in &points {
+                let key = format!("{}.{}.{}", workload.key(), tx.key(), p.label());
+                add_point(report, &key, p);
+            }
+        }
+    }
+    out.push_str(
+        "Both configurations put identical bytes on the wire; the difference is\n\
+         where the transmit CPU goes. The flattened path copies every chain into\n\
+         a contiguous buffer and pays the full driver fixed cost per frame. The\n\
+         doorbell path serializes the chain in place and, while the adapter is\n\
+         draining, queues follow-up frames for the cost of a descriptor write —\n\
+         one fixed charge per doorbell instead of per frame — so the saturated\n\
+         goodput ceiling sits well above the per-frame path's.\n",
+    );
+
+    report.count("payload_bytes", PAYLOAD as u64);
+    report.count("measure_window_us", MEASURE.as_micros());
+    report.count("fanout_copies", FANOUT as u64);
 }
 
 #[cfg(test)]

@@ -4,20 +4,29 @@
 //! of it needs: the run function, the flight-recorder ring capacity that
 //! captures the run without overwrites, the profile detail cap, the app
 //! domain that delimits ping-pong rounds, the timeline window width, and
-//! the declared SLO. `plexus-trace` replays a scenario once
-//! ([`Scenario::run_with_slo`]) and folds every artifact it is asked for
-//! (`--emit`) from that one recorder; the integration tests replay the
-//! same registry entries, so the CLI and the tests cannot drift apart.
+//! the declared SLO. [`Scenario::observe`] replays a scenario once and
+//! folds every artifact kind it is asked for from that one recorder; it is
+//! what `plexus-trace --emit` calls and what
+//! `crates/bench/tests/goldens.rs` calls, so the CLI and the golden gate
+//! fold exactly the same thing.
 
+use std::cell::LazyCell;
+use std::collections::BTreeSet;
 use std::rc::Rc;
 
 use plexus_sim::nic::Link;
-use plexus_trace::live::{LiveConfig, Slo};
-use plexus_trace::timeline::DEFAULT_WINDOW_NS;
+use plexus_trace::export::{chrome_trace, stats_json};
+use plexus_trace::flame::folded;
+use plexus_trace::journey::{self, journeys_json, Journeys};
+use plexus_trace::json;
+use plexus_trace::live::{LiveConfig, LiveReport, Slo};
+use plexus_trace::profile::{pingpong_waterfall, profile_json, Profile};
+use plexus_trace::timeline::{self, timeline_json, Timeline, DEFAULT_WINDOW_NS};
 use plexus_trace::Recorder;
 
 use crate::fwd_latency::{FwdLatency, FwdSystem};
 use crate::overload::{Overload, RxMode, TxMode, Workload};
+use crate::report::BenchReport;
 use crate::udp_rtt::{System, UdpRtt};
 use crate::video_cpu::{VideoCpu, VideoSystem};
 
@@ -42,7 +51,7 @@ pub struct Scenario {
     /// scenario folds into tens of windows, not thousands.
     pub window_ns: u64,
     /// The scenario's service-level objectives, evaluated per sealed live
-    /// window by `plexus-trace --emit health` (`None`: no declared
+    /// window by the `health` kind (`None`: no declared
     /// health envelope — every window passes). Thresholds are calibrated
     /// against the committed goldens with headroom; a deliberately
     /// *breaching* envelope documents a known-bad configuration (the
@@ -74,6 +83,99 @@ impl Scenario {
         recorder.live_report();
         recorder
     }
+
+    /// The declared SLO, or one with no thresholds.
+    pub fn declared_slo(&self) -> Slo {
+        self.slo.clone().unwrap_or_else(Slo::none)
+    }
+
+    /// Replays the scenario once, judged against `slo`, and folds every
+    /// kind in `emit` from that one recorder; `window_ns` overrides the
+    /// scenario's timeline window. The folds that several kinds share are
+    /// built lazily, at most once.
+    pub fn observe(
+        &self,
+        emit: &[&str],
+        window_ns: Option<u64>,
+        slo: &Slo,
+    ) -> Result<Observation, String> {
+        let name = self.name;
+        let rec = self.run_with_slo(Some(slo.clone()));
+        let profile = LazyCell::new(|| Profile::build(&rec));
+        let journeys = LazyCell::new(|| journey::build(&profile));
+        let window_ns = window_ns.unwrap_or(self.window_ns);
+        let timeline = LazyCell::new(|| timeline::build(&rec, window_ns));
+
+        let mut files = Vec::new();
+        let mut health = None;
+        for kind in KINDS.iter().filter(|k| emit.contains(k)) {
+            let body = match *kind {
+                "trace" => chrome_trace(&rec) + "\n",
+                "stats" => stats_json(&rec) + "\n",
+                "profile" => {
+                    let waterfall = self
+                        .app_domain
+                        .map(|domain| pingpong_waterfall(&profile, domain))
+                        .transpose()
+                        .map_err(|e| format!("{name}: no waterfall: {e}"))?;
+                    profile_json(&profile, waterfall.as_ref(), self.detail)
+                }
+                "folded" => folded(&profile),
+                "timeline" => timeline_json(&timeline),
+                "journeys" => journeys_json(&journeys, self.detail),
+                "bench" => worst_window_report(name, &timeline, &journeys).to_json() + "\n",
+                "health" => {
+                    let rep = rec.live_report().expect("scenarios enable the live tier");
+                    let body = health_json(name, &rep, slo);
+                    health = Some(rep);
+                    body
+                }
+                _ => unreachable!("every kind in KINDS has an arm"),
+            };
+            let file = artifact_file(name, kind);
+            if file.ends_with(".json") {
+                json::validate(&body).map_err(|e| {
+                    format!("{name}: internal error: emitted {kind} JSON invalid: {e}")
+                })?;
+            }
+            files.push((file, body));
+        }
+        Ok(Observation {
+            recorded: rec.recorded(),
+            overwritten: rec.overwritten(),
+            files,
+            health,
+        })
+    }
+}
+
+/// Every artifact kind [`Scenario::observe`] can fold, in the order the
+/// artifacts are produced.
+pub const KINDS: [&str; 8] = [
+    "trace", "stats", "profile", "folded", "timeline", "journeys", "bench", "health",
+];
+
+/// The file name of `scenario`'s artifact of `kind` (one of [`KINDS`]).
+pub fn artifact_file(scenario: &str, kind: &str) -> String {
+    match kind {
+        "folded" => format!("{scenario}.folded"),
+        "bench" => format!("BENCH_timeline_{scenario}.json"),
+        "health" => format!("HEALTH_{scenario}.json"),
+        _ => format!("{scenario}.{kind}.json"),
+    }
+}
+
+/// What one replay produced.
+pub struct Observation {
+    /// Records the recorder captured.
+    pub recorded: u64,
+    /// Records the ring overwrote (non-zero: the artifacts under-report).
+    pub overwritten: u64,
+    /// `(file name, body)` per requested kind, in [`KINDS`] order.
+    pub files: Vec<(String, String)>,
+    /// The live report the `health` verdict was rendered from (`None`
+    /// unless `health` was requested).
+    pub health: Option<LiveReport>,
 }
 
 fn udp_rtt(system: System, rec: &Rc<Recorder>) {
@@ -150,6 +252,96 @@ fn run_tx_fanout(rec: &Rc<Recorder>) {
         )
     }
     .run();
+}
+
+/// The worst-window metrics of the `bench` kind: a transient regression
+/// changes the file even when the run-wide mean is unchanged, and the
+/// window *index* is part of it, so a transient that merely moves does too.
+fn worst_window_report(name: &str, tl: &Timeline, journeys: &Journeys) -> BenchReport {
+    let mut report = BenchReport::new(&format!("timeline_{name}"));
+    if let Some(w) = tl.worst_p99_window() {
+        report.scalar_windowed("worst_p99_us", w.p99_ns as f64 / 1000.0, "us", w.index);
+    }
+    if let Some(w) = tl.worst_drop_window() {
+        let drops = w.drop_count() as f64;
+        report.scalar_windowed("worst_window_drops", drops, "drops", w.index);
+    }
+    report.count("windows", tl.windows.len() as u64);
+    let completions = tl.windows.iter().map(|w| w.completions).sum();
+    report.count("completions", completions);
+    report.count("drops", tl.windows.iter().map(|w| w.drop_count()).sum());
+    report.count("journeys", journeys.journeys.len() as u64);
+    report.count("truncated_records", tl.truncated_records);
+    report.count("orphan_packets", journeys.orphan_packets);
+    report.count("journeys_truncated", journeys.journeys_truncated);
+    report
+}
+
+/// Renders the health verdict as deterministic JSON (schema
+/// `plexus.health.v1`).
+fn health_json(scenario: &str, rep: &LiveReport, slo: &Slo) -> String {
+    let opt = |v: Option<u64>| v.map_or(String::from("null"), |n| n.to_string());
+    let breached: BTreeSet<u64> = rep.breaches.iter().map(|b| b.window).collect();
+    let mut out = String::from("{\n  \"schema\": \"plexus.health.v1\",\n");
+    out.push_str(&format!("  \"scenario\": \"{scenario}\",\n"));
+    out.push_str(&format!("  \"window_ns\": {},\n", rep.window_ns));
+    out.push_str(&format!(
+        "  \"slo\": {{\"p99_ceiling_ns\": {}, \"drop_ppm_ceiling\": {}, \
+         \"goodput_floor\": {}, \"skip_head\": {}}},\n",
+        opt(slo.p99_ceiling_ns),
+        opt(slo.drop_ppm_ceiling),
+        opt(slo.goodput_floor),
+        slo.skip_head
+    ));
+    out.push_str(&format!("  \"windows_total\": {},\n", rep.windows.len()));
+    let online = rep.windows_sealed_online;
+    out.push_str(&format!("  \"windows_sealed_online\": {online},\n"));
+    out.push_str(&format!("  \"windows_breached\": {},\n", breached.len()));
+    out.push_str(&format!("  \"late_records\": {},\n", rep.late_records));
+    out.push_str("  \"breaches\": [");
+    for (i, b) in rep.breaches.iter().enumerate() {
+        out.push_str(if i > 0 { "," } else { "" });
+        out.push_str(&format!(
+            "\n    {{\"window\": {}, \"kind\": \"{}\", \"value\": {}, \"limit\": {}}}",
+            b.window,
+            b.kind.name(),
+            b.value,
+            b.limit
+        ));
+    }
+    let close = |empty: bool, tail| {
+        if empty {
+            format!("]{tail}")
+        } else {
+            format!("\n  ]{tail}")
+        }
+    };
+    out.push_str(&close(rep.breaches.is_empty(), ",\n"));
+    out.push_str("  \"verdicts\": [");
+    for (i, w) in rep.windows.iter().enumerate() {
+        out.push_str(if i > 0 { "," } else { "" });
+        let kinds: Vec<String> = rep
+            .breach_kinds(w.index)
+            .iter()
+            .map(|k| format!("\"{k}\""))
+            .collect();
+        let verdict = if kinds.is_empty() {
+            String::from("\"pass\"")
+        } else {
+            format!("[{}]", kinds.join(", "))
+        };
+        out.push_str(&format!(
+            "\n    {{\"window\": {}, \"arrivals\": {}, \"completions\": {}, \
+             \"p99_ns\": {}, \"drops\": {}, \"verdict\": {verdict}}}",
+            w.index,
+            w.arrivals,
+            w.completions,
+            w.p99_ns,
+            w.drop_count()
+        ));
+    }
+    out.push_str(&close(rep.windows.is_empty(), "\n}\n"));
+    out
 }
 
 /// Every scenario `plexus-trace` can replay.

@@ -9,58 +9,49 @@
 //!    packet-filter scaling question (Mogul/Rashid/Accetta, the paper's
 //!    \[MRA87\]) asked of the Plexus dispatcher in simulated time — and
 //!    the hash index's answer: a flat line.
-//!
-//! Run with `cargo run -p plexus-bench --bin sweeps`.
 
 use std::cell::{Cell, OnceCell};
 use std::rc::Rc;
 
-use plexus_bench::report::{self, BenchReport};
-use plexus_bench::table;
-use plexus_bench::udp_rtt::{mean_us, Link, System, UdpRtt};
+use crate::report::BenchReport;
+use crate::table;
+use crate::udp_rtt::{device_key, mean_us, paper_links, Link, System, UdpRtt};
 use plexus_core::{AppHandler, PlexusStack, StackConfig, UdpEndpoint, UdpRecv};
 use plexus_kernel::domain::ExtensionSpec;
 use plexus_net::testbed::Testbed;
 use plexus_net::udp::UdpConfig;
 
-fn main() {
-    let mut report = BenchReport::new("sweeps");
-    payload_sweep(&mut report);
-    println!();
-    guard_scaling(&mut report);
-    report::emit(&report);
+/// Both sweeps, payload first.
+pub(crate) fn figure(out: &mut String, report: &mut BenchReport) {
+    payload_sweep(out, report);
+    outln!(out);
+    guard_scaling(out, report);
 }
 
-fn payload_sweep(report: &mut BenchReport) {
+fn payload_sweep(out: &mut String, report: &mut BenchReport) {
     const ROUNDS: u32 = 20;
-    println!("Payload sweep: Plexus (interrupt) UDP RTT vs. payload size");
-    println!();
-    let links = [
-        ("Ethernet", Link::ethernet()),
-        ("Fore ATM", Link::atm()),
-        ("DEC T3", Link::t3()),
-    ];
+    out.push_str("Payload sweep: Plexus (interrupt) UDP RTT vs. payload size\n\n");
     let sizes = [8usize, 64, 256, 1024, 1400];
     let mut rows = Vec::new();
-    for (name, link) in &links {
+    for (name, link) in &paper_links() {
         let mut row = vec![name.to_string()];
         for size in sizes {
             let us = mean_us(&UdpRtt::new(System::PlexusInterrupt, link, size, ROUNDS).run());
-            let dev = name.to_lowercase().replace(' ', "_");
+            let dev = device_key(name);
             report.latency_us(&format!("payload_sweep/{dev}/{size:04}"), us);
             row.push(format!("{us:.0}"));
         }
         rows.push(row);
     }
-    println!(
-        "{}",
-        table::render(
-            &["device", "8 B", "64 B", "256 B", "1024 B", "1400 B"],
-            &rows
-        )
+    table::render(
+        out,
+        &["device", "8 B", "64 B", "256 B", "1024 B", "1400 B"],
+        &rows,
     );
-    println!("Ethernet grows fastest (10 Mb/s wire dominates); ATM pays PIO per byte;");
-    println!("T3 DMA is nearly flat until serialization shows.");
+    out.push_str(
+        "Ethernet grows fastest (10 Mb/s wire dominates); ATM pays PIO per byte;\n\
+         T3 DMA is nearly flat until serialization shows.\n",
+    );
 }
 
 /// RTT with `extra` additional endpoints bound on the echo server: each is
@@ -133,10 +124,11 @@ fn rtt_with_endpoints(extra: usize, demux: bool, compiled: bool) -> f64 {
     (done.get().expect("reply") - t0) as f64 / 1000.0
 }
 
-fn guard_scaling(report: &mut BenchReport) {
-    println!("Guard scaling: Ethernet UDP RTT vs. guards on the server's Udp.PacketRecv");
-    println!("(MRA87's packet-filter scaling question, linear walk vs. hash demux)");
-    println!();
+fn guard_scaling(out: &mut String, report: &mut BenchReport) {
+    out.push_str(
+        "Guard scaling: Ethernet UDP RTT vs. guards on the server's Udp.PacketRecv\n\
+         (MRA87's packet-filter scaling question, linear walk vs. hash demux)\n\n",
+    );
     let mut rows = Vec::new();
     let mut base_linear = 0.0;
     let mut base_indexed = 0.0;
@@ -174,22 +166,22 @@ fn guard_scaling(report: &mut BenchReport) {
             format!("{:+.1}", indexed - base_indexed),
         ]);
     }
-    println!(
-        "{}",
-        table::render(
-            &[
-                "guards",
-                "linear RTT (us)",
-                "delta",
-                "indexed RTT (us)",
-                "delta"
-            ],
-            &rows
-        )
+    table::render(
+        out,
+        &[
+            "guards",
+            "linear RTT (us)",
+            "delta",
+            "indexed RTT (us)",
+            "delta",
+        ],
+        &rows,
     );
-    println!("The linear walk grows at ~0.3 us per guard; the hash index probes");
-    println!("once per raise and stays flat no matter how many endpoints bind");
-    println!("(DESIGN.md §11). Compiled and interpreted guard tiers land on");
-    println!("identical simulated RTTs: the tier only changes host time");
-    println!("(DESIGN.md §18).");
+    out.push_str(
+        "The linear walk grows at ~0.3 us per guard; the hash index probes\n\
+         once per raise and stays flat no matter how many endpoints bind\n\
+         (DESIGN.md §11). Compiled and interpreted guard tiers land on\n\
+         identical simulated RTTs: the tier only changes host time\n\
+         (DESIGN.md §18).\n",
+    );
 }

@@ -1,7 +1,8 @@
 //! Plain-text table printing for experiment output.
 
-/// Renders rows as an aligned text table with a header rule.
-pub fn render(headers: &[&str], rows: &[Vec<String>]) -> String {
+/// Appends rows to `out` as an aligned text table with a header rule,
+/// followed by a blank line.
+pub fn render(out: &mut String, headers: &[&str], rows: &[Vec<String>]) {
     let mut widths: Vec<usize> = headers.iter().map(|h| h.len()).collect();
     for row in rows {
         for (i, cell) in row.iter().enumerate() {
@@ -10,7 +11,6 @@ pub fn render(headers: &[&str], rows: &[Vec<String>]) -> String {
             }
         }
     }
-    let mut out = String::new();
     let fmt_row = |cells: &[String], widths: &[usize]| -> String {
         cells
             .iter()
@@ -28,7 +28,7 @@ pub fn render(headers: &[&str], rows: &[Vec<String>]) -> String {
         out.push_str(&fmt_row(row, &widths));
         out.push('\n');
     }
-    out
+    out.push('\n');
 }
 
 #[cfg(test)]
@@ -37,7 +37,9 @@ mod tests {
 
     #[test]
     fn renders_aligned_columns() {
-        let s = render(
+        let mut s = String::new();
+        render(
+            &mut s,
             &["name", "us"],
             &[
                 vec!["ethernet".into(), "565".into()],
@@ -45,7 +47,7 @@ mod tests {
             ],
         );
         let lines: Vec<&str> = s.lines().collect();
-        assert_eq!(lines.len(), 4);
+        assert_eq!(lines.len(), 5, "header, rule, two rows, blank line");
         assert!(lines[0].contains("name"));
         assert!(lines[2].ends_with("565"));
         assert!(lines[3].ends_with("300"));

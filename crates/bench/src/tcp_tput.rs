@@ -17,6 +17,10 @@ use plexus_net::testbed::Testbed;
 use plexus_sim::nic::{DriverConfig, Link};
 use plexus_sim::time::SimDuration;
 
+use crate::report::BenchReport;
+use crate::table;
+use crate::udp_rtt::device_key;
+
 /// The system under test (TCP throughput compares two).
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
 pub enum TputSystem {
@@ -24,16 +28,6 @@ pub enum TputSystem {
     Plexus,
     /// The monolithic baseline.
     Dunix,
-}
-
-impl TputSystem {
-    /// Label used in tables.
-    pub fn label(&self) -> &'static str {
-        match self {
-            TputSystem::Plexus => "Plexus",
-            TputSystem::Dunix => "DIGITAL UNIX",
-        }
-    }
 }
 
 /// Measures one bulk transfer of `bytes` and returns Mb/s of application
@@ -207,6 +201,89 @@ pub fn raw_driver_mbps(link: &Link, bytes: usize) -> f64 {
     let elapsed_ns = done_at.get();
     assert!(elapsed_ns > 0, "nothing delivered");
     bytes as f64 * 8.0 / (elapsed_ns as f64 / 1e9) / 1e6
+}
+
+/// §4.2's throughput table, plus the ~53 Mb/s ATM driver-to-driver PIO
+/// ceiling and the gigabit TSO ablation. T3 has no paper value (a DMA bug
+/// blocked the measurement); we report our number for completeness.
+pub(crate) fn figure(out: &mut String, report: &mut BenchReport) {
+    const BYTES: usize = 4_000_000;
+
+    outln!(
+        out,
+        "Section 4.2: TCP throughput, {} MB transfer",
+        BYTES / 1_000_000
+    );
+    outln!(out);
+
+    let links = [
+        ("Ethernet", Link::ethernet(), "8.9 / 8.9"),
+        ("Fore ATM", Link::atm(), "33 / 27.9"),
+        ("DEC T3", Link::t3(), "n/a (DMA bug)"),
+    ];
+
+    let mut rows = Vec::new();
+    for (name, link, paper) in &links {
+        let plexus = tcp_throughput_mbps(TputSystem::Plexus, link, BYTES);
+        let dunix = tcp_throughput_mbps(TputSystem::Dunix, link, BYTES);
+        let dev = device_key(name);
+        report.scalar(&format!("{dev}/plexus"), plexus, "mbit_s");
+        report.scalar(&format!("{dev}/dunix"), dunix, "mbit_s");
+        rows.push(vec![
+            name.to_string(),
+            format!("{plexus:.1}"),
+            format!("{dunix:.1}"),
+            paper.to_string(),
+        ]);
+    }
+    table::render(
+        out,
+        &[
+            "device",
+            "Plexus (Mb/s)",
+            "DIGITAL UNIX (Mb/s)",
+            "paper P/D",
+        ],
+        &rows,
+    );
+
+    let atm_raw = raw_driver_mbps(&Link::atm(), BYTES);
+    outln!(
+        out,
+        "ATM driver-to-driver ceiling (PIO-limited): {atm_raw:.1} Mb/s (paper: ~53 Mb/s)"
+    );
+
+    // Beyond the paper: segmentation + checksum offload on the gigabit
+    // profile. With TSO the transport hands the driver super-segments
+    // (tso_segs * MSS) and the adapter checksums during the DMA gather;
+    // without, every wire segment pays its own tcp_proc + software
+    // checksum pass and the sending CPU becomes the bottleneck.
+    const GIGA_BYTES: usize = 16_000_000;
+    let giga = Link::gigabit();
+    let mut no_offload = Link::gigabit();
+    no_offload.profile.tso_segs = 1;
+    no_offload.profile.checksum_offload = false;
+    let tso = tcp_throughput_mbps(TputSystem::Plexus, &giga, GIGA_BYTES);
+    let plain = tcp_throughput_mbps(TputSystem::Plexus, &no_offload, GIGA_BYTES);
+    outln!(out);
+    outln!(
+        out,
+        "Gigabit Ethernet, {} MB transfer (Plexus only):",
+        GIGA_BYTES / 1_000_000
+    );
+    table::render(
+        out,
+        &["configuration", "Plexus (Mb/s)"],
+        &[
+            vec!["TSO + checksum offload".to_string(), format!("{tso:.1}")],
+            vec!["no offload".to_string(), format!("{plain:.1}")],
+        ],
+    );
+    report.scalar("gigabit/plexus_tso", tso, "mbit_s");
+    report.scalar("gigabit/plexus_no_offload", plain, "mbit_s");
+
+    report.scalar("fore_atm/raw_driver_ceiling", atm_raw, "mbit_s");
+    report.count("transfer_bytes", BYTES as u64);
 }
 
 #[cfg(test)]

@@ -143,8 +143,7 @@ impl IpRouter {
 
     fn rx(self: &Rc<Self>, engine: &mut Engine, iface: &Rc<RouterIf>, frame: Vec<u8>) {
         let mut lease = self.machine.cpu().begin(engine.now());
-        let model = lease.model().clone();
-        lease.charge(model.interrupt_entry);
+        lease.charge(lease.model().interrupt_entry);
         lease.charge(iface.nic.profile().rx_cpu_cost(frame.len()));
         if let Some(v) = ether::accept(&frame, iface.mac, false) {
             match v.ethertype() {
@@ -156,18 +155,17 @@ impl IpRouter {
                     }
                 }
                 EtherType::IPV4 => {
-                    lease.charge(model.eth_proc);
+                    lease.charge(lease.model().eth_proc);
                     self.ip_input(engine, &mut lease, &frame[ETHER_HDR_LEN..]);
                 }
                 _ => {}
             }
         }
-        lease.charge(model.interrupt_exit);
+        lease.charge(lease.model().interrupt_exit);
     }
 
     fn ip_input(self: &Rc<Self>, engine: &mut Engine, lease: &mut CpuLease, bytes: &[u8]) {
-        let model = lease.model().clone();
-        lease.charge(model.ip_proc);
+        lease.charge(lease.model().ip_proc);
         let Some(v) = view::<IpView>(bytes) else {
             return;
         };
@@ -184,7 +182,7 @@ impl IpRouter {
             if v.protocol() == ip::proto::ICMP && !v.is_fragment() {
                 if let Some(reply) = icmp::echo_response(&bytes[hlen..total]) {
                     self.bump(|s| s.echoes += 1);
-                    lease.charge(model.checksum(reply.total_len()));
+                    lease.charge(lease.model().checksum(reply.total_len()));
                     self.originate(engine, lease, src, ip::proto::ICMP, &reply);
                 }
             }
@@ -202,7 +200,7 @@ impl IpRouter {
                 payload: bytes[..total.min(28)].to_vec(),
             };
             let m = Mbuf::from_payload(64, &te.to_bytes());
-            lease.charge(model.checksum(m.total_len()));
+            lease.charge(lease.model().checksum(m.total_len()));
             self.originate(engine, lease, src, ip::proto::ICMP, &m);
             return;
         }
@@ -248,8 +246,7 @@ impl IpRouter {
         protocol: u8,
         payload: &Mbuf,
     ) {
-        let model = lease.model().clone();
-        lease.charge(model.ip_proc);
+        lease.charge(lease.model().ip_proc);
         let (out_idx, next_hop) = self.routes.borrow().next_hop(dst).unwrap_or((0, dst));
         let src = self.interfaces[out_idx].ip;
         let hdr = IpHeader::simple(src, dst, protocol, self.ident.take());
@@ -267,9 +264,8 @@ impl IpRouter {
         next_hop: Ipv4Addr,
         dgram: Mbuf,
     ) {
-        let model = lease.model().clone();
         let iface = &self.interfaces[iface_idx];
-        lease.charge(model.arp_lookup);
+        lease.charge(lease.model().arp_lookup);
         let now = lease.now().as_nanos();
         let resolved = iface.arp.borrow_mut().resolve(next_hop, now, dgram);
         if let Some(frame) = resolved.frame() {
@@ -284,8 +280,7 @@ impl IpRouter {
         iface: &Rc<RouterIf>,
         out: &Frame,
     ) {
-        let model = lease.model().clone();
-        lease.charge(model.eth_proc);
+        lease.charge(lease.model().eth_proc);
         let mut frame = out.packet.share();
         ether::write_header(
             frame.prepend(ETHER_HDR_LEN),

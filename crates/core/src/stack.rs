@@ -546,12 +546,11 @@ impl PlexusStack {
         let s = shared.clone();
         DriverConfig::per_frame(move |engine, frame| {
             let mut lease = s.cpu.begin(engine.now());
-            let model = lease.model().clone();
-            lease.charge(model.interrupt_entry);
+            lease.charge(lease.model().interrupt_entry);
             let rx_cost = s.nic.profile().rx_cpu_cost(frame.len());
             let mut batch = s.dispatcher.batch(s.events.eth_recv);
             s.rx_frame(engine, &mut lease, &mut batch, &frame, rx_cost, None);
-            lease.charge(model.interrupt_exit);
+            lease.charge(lease.model().interrupt_exit);
         })
     }
 
@@ -566,8 +565,7 @@ impl PlexusStack {
         let s = shared.clone();
         DriverConfig::coalesced(move |engine, frames| {
             let mut lease = s.cpu.begin(engine.now());
-            let model = lease.model().clone();
-            lease.charge(model.interrupt_entry);
+            lease.charge(lease.model().interrupt_entry);
             let host = s.nic.host();
             let mut batch = s.dispatcher.batch(s.events.eth_recv);
             for (i, frame) in frames.iter().enumerate() {
@@ -578,7 +576,7 @@ impl PlexusStack {
                 let stamp = Some((host.as_str(), frame.journey));
                 s.rx_frame(engine, &mut lease, &mut batch, &frame.bytes, rx_cost, stamp);
             }
-            lease.charge(model.interrupt_exit);
+            lease.charge(lease.model().interrupt_exit);
             lease.now()
         })
     }
@@ -592,8 +590,7 @@ impl PlexusStack {
     fn install_eth_output(shared: &Rc<StackShared>) {
         let s = shared.clone();
         shared.install_send(shared.events.eth_send, move |ctx, req: &Frame| {
-            let model = ctx.lease.model().clone();
-            ctx.lease.charge(model.eth_proc);
+            ctx.lease.charge(ctx.lease.model().eth_proc);
             let mut frame = req.packet.share();
             let hdr = frame.prepend(ETHER_HDR_LEN);
             ether::write_header(hdr, req.dst, s.mac, req.ethertype);
@@ -621,8 +618,7 @@ impl PlexusStack {
             shared.events.eth_recv,
             Some(guard),
             move |ctx, ev: &EthRecv| {
-                let model = ctx.lease.model().clone();
-                ctx.lease.charge(model.eth_proc);
+                ctx.lease.charge(ctx.lease.model().eth_proc);
                 let bytes = ev.mbuf.to_vec();
                 let now = ctx.lease.now().as_nanos();
                 let input = s.arp.borrow_mut().input(&bytes[ETHER_HDR_LEN..], now);
@@ -654,8 +650,7 @@ impl PlexusStack {
             shared.events.eth_recv,
             Some(guard),
             move |ctx, ev: &EthRecv| {
-                let model = ctx.lease.model().clone();
-                ctx.lease.charge(model.ip_proc);
+                ctx.lease.charge(ctx.lease.model().ip_proc);
                 let mut pkt = ev.mbuf.share();
                 pkt.trim_front(ETHER_HDR_LEN);
                 let now = ctx.lease.now().as_nanos();
@@ -703,14 +698,14 @@ impl PlexusStack {
             shared.events.ip_recv,
             Some(guard),
             move |ctx, ev: &IpRecv| {
-                let model = ctx.lease.model().clone();
                 let bytes = ev.payload.to_vec();
-                ctx.lease.charge(model.checksum(bytes.len()));
+                ctx.lease.charge(ctx.lease.model().checksum(bytes.len()));
                 let Some(payload) = icmp::echo_response(&bytes) else {
                     return;
                 };
                 s.bump(|st| st.icmp_echoes += 1);
-                ctx.lease.charge(model.checksum(payload.total_len()));
+                ctx.lease
+                    .charge(ctx.lease.model().checksum(payload.total_len()));
                 s.raise_ip_send(
                     ctx,
                     IpSendReq {
@@ -913,8 +908,7 @@ impl PlexusStack {
         let msg = IcmpMessage::echo_request(ident, seq, data);
         let payload = Mbuf::from_payload(64, &msg.to_bytes());
         let mut lease = self.shared.cpu.begin(engine.now());
-        let model = lease.model().clone();
-        lease.charge(model.checksum(payload.total_len()));
+        lease.charge(lease.model().checksum(payload.total_len()));
         let mut ctx = RaiseCtx {
             engine,
             lease: &mut lease,

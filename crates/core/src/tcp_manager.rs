@@ -108,10 +108,10 @@ impl TcpManager {
             shared.events.ip_recv,
             Some(guard.guard()),
             move |ctx, ev: &IpRecv| {
-                let model = ctx.lease.model().clone();
-                ctx.lease.charge(model.tcp_proc);
+                ctx.lease.charge(ctx.lease.model().tcp_proc);
                 if !s.csum_offload {
-                    ctx.lease.charge(model.checksum(ev.payload.total_len()));
+                    ctx.lease
+                        .charge(ctx.lease.model().checksum(ev.payload.total_len()));
                 }
                 let mut bytes = scratch.borrow_mut();
                 bytes.clear();
@@ -354,8 +354,7 @@ impl TcpManager {
             self.shared.events.ip_recv,
             Some(guard.guard()),
             move |ctx, ev: &IpRecv| {
-                let model = ctx.lease.model().clone();
-                ctx.lease.charge(model.proc_call);
+                ctx.lease.charge(ctx.lease.model().proc_call);
                 // Rebuild the datagram with its original addressing and
                 // hand it to the target's link address.
                 let hdr = IpHeader::simple(ev.src, ev.dst, proto::TCP, ident.take());
@@ -513,7 +512,6 @@ impl TcpConn {
     /// Applies the state machine's outputs: transmit segments, fire
     /// callbacks, rearm timers, tear down on close.
     fn process_actions(self: &Rc<Self>, ctx: &mut RaiseCtx<'_>, actions: Actions) {
-        let model = ctx.lease.model().clone();
         let (_, rip, _) = self.key;
         let shared = self.manager.shared.clone();
         let mss = self.tcb.borrow().mss;
@@ -522,7 +520,7 @@ impl TcpConn {
             // offload the state machine hands down up to gso_segs * mss
             // bytes here, and the resegmentation below models the
             // adapter-assisted split, not another trip through TCP.
-            ctx.lease.charge(model.tcp_proc);
+            ctx.lease.charge(ctx.lease.model().tcp_proc);
             let len = seg.payload.len();
             let nchunks = if len > mss { len.div_ceil(mss) } else { 1 };
             for i in 0..nchunks {
@@ -549,8 +547,8 @@ impl TcpConn {
                 let payload = if shared.csum_offload {
                     wire.to_mbuf_offload(self.local_ip, rip, 64)
                 } else {
-                    ctx.lease
-                        .charge(model.checksum(wire.payload.len() + TCP_HDR_LEN));
+                    let covered = wire.payload.len() + TCP_HDR_LEN;
+                    ctx.lease.charge(ctx.lease.model().checksum(covered));
                     wire.to_mbuf(self.local_ip, rip, 64)
                 };
                 shared.raise_ip_send(

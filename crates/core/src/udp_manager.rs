@@ -94,10 +94,10 @@ impl UdpManager {
             shared.events.ip_recv,
             Some(guard.guard()),
             move |ctx, ev: &IpRecv| {
-                let model = ctx.lease.model().clone();
-                ctx.lease.charge(model.udp_proc);
+                ctx.lease.charge(ctx.lease.model().udp_proc);
                 if !s.csum_offload {
-                    ctx.lease.charge(model.checksum(ev.payload.total_len()));
+                    ctx.lease
+                        .charge(ctx.lease.model().checksum(ev.payload.total_len()));
                 }
                 let Some(dgram) =
                     udp::decapsulate(ev.src, ev.dst, UdpConfig::default(), &ev.payload)
@@ -121,9 +121,9 @@ impl UdpManager {
                     let mut quoted = ev.payload.to_vec();
                     quoted.truncate(28);
                     let msg = plexus_net::icmp::IcmpMessage::unreachable(3, &quoted);
-                    let model = ctx.lease.model().clone();
                     let reply = Mbuf::from_payload(64, &msg.to_bytes());
-                    ctx.lease.charge(model.checksum(reply.total_len()));
+                    ctx.lease
+                        .charge(ctx.lease.model().checksum(reply.total_len()));
                     s.raise_ip_send(
                         ctx,
                         IpSendReq {
@@ -299,10 +299,9 @@ impl UdpManager {
             self.shared.events.ip_recv,
             Some(guard.guard()),
             move |ctx, ev: &IpRecv| {
-                let model = ctx.lease.model().clone();
                 // Header rewrite + incremental checksum fix: a handful of
                 // loads/stores, modeled as one procedure call.
-                ctx.lease.charge(model.proc_call);
+                ctx.lease.charge(ctx.lease.model().proc_call);
                 let mut fixed = ev.payload.share();
                 fix_udp_checksum_for_dst(&mut fixed, old_dst, new_dst);
                 shared.raise_ip_send(
@@ -359,10 +358,10 @@ fn wrap_special_udp(
 ) -> AppHandler<IpRecv> {
     let adapt =
         move |ctx: &mut RaiseCtx<'_>, ev: &IpRecv, inner: &dyn Fn(&mut RaiseCtx<'_>, &UdpRecv)| {
-            let model = ctx.lease.model().clone();
-            ctx.lease.charge(model.udp_proc);
+            ctx.lease.charge(ctx.lease.model().udp_proc);
             if config.checksum && !csum_offload {
-                ctx.lease.charge(model.checksum(ev.payload.total_len()));
+                ctx.lease
+                    .charge(ctx.lease.model().checksum(ev.payload.total_len()));
             }
             let Some(dgram) = udp::decapsulate(ev.src, ev.dst, config, &ev.payload) else {
                 return;
@@ -432,16 +431,15 @@ impl UdpEndpoint {
             return Err(PlexusError::Revoked);
         }
         let shared = &self.manager.shared;
-        let model = ctx.lease.model().clone();
-        ctx.lease.charge(model.udp_proc);
+        ctx.lease.charge(ctx.lease.model().udp_proc);
         let dgram = if self.config.checksum && shared.csum_offload {
             // The NIC fills the checksum during the DMA gather: stamp the
             // deferred-checksum descriptor and skip the software pass.
             udp::encapsulate_offload(shared.ip, dst, self.port, dst_port, payload)
         } else {
             if self.config.checksum {
-                ctx.lease
-                    .charge(model.checksum(payload.total_len() + UDP_HDR_LEN));
+                let covered = payload.total_len() + UDP_HDR_LEN;
+                ctx.lease.charge(ctx.lease.model().checksum(covered));
             }
             udp::encapsulate(shared.ip, dst, self.port, dst_port, self.config, payload)
         };

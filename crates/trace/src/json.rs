@@ -1,7 +1,7 @@
 //! Minimal JSON utilities: string escaping for the exporters, a
-//! well-formedness validator, and a small document parser so tools like
-//! `plexus-bench-diff` can read reports back without a JSON dependency
-//! (the workspace is offline).
+//! well-formedness validator, and a small document parser so tests and
+//! tools can read reports back without a JSON dependency (the workspace is
+//! offline).
 
 /// Escapes `s` for inclusion inside a JSON string literal (no surrounding
 /// quotes added).

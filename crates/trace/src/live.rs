@@ -820,6 +820,12 @@ impl LiveReport {
             truncated_records: 0,
         }
     }
+
+    /// The breach kinds window `index` triggered, in seal order.
+    pub fn breach_kinds(&self, index: u64) -> Vec<&'static str> {
+        let of_window = self.breaches.iter().filter(|b| b.window == index);
+        of_window.map(|b| b.kind.name()).collect()
+    }
 }
 
 fn scope_json(out: &mut String, name: &str, view: &ScopeView) {
