@@ -14,10 +14,9 @@ use std::net::Ipv4Addr;
 use std::rc::Rc;
 
 use plexus_filter::{
-    conjunction, verify_with_policy, DemuxKey, EventKind, Field, FilterProgram, KeySpec, Operand,
-    Packet, Policy, PortSet, Test, VerifiedProgram, Width,
+    conjunction, verify_with_policy, EventKind, Field, FilterProgram, Operand, Policy, PortSet,
+    Test, VerifiedProgram, Width,
 };
-use plexus_kernel::dispatcher::Guard;
 use plexus_net::ether::{EtherType, MacAddr};
 
 use crate::types::mac_to_u64;
@@ -95,51 +94,14 @@ pub(crate) fn ether_type_program(
     conjunction(EventKind::EthRecv, &tests, vec![])
 }
 
-/// A verified guard plus everything the dispatcher learned about it
-/// statically: the one product every manager-built guard comes in.
-///
-/// Managers used to hand the dispatcher a bare [`Guard`] and had no view
-/// of whether their filter was demux-indexable; now verification and key
-/// extraction happen in one place, and the manager never matches on guard
-/// kind — it calls [`GuardSpec::guard`] and installs.
-pub(crate) struct GuardSpec {
-    program: Rc<VerifiedProgram>,
-    key: Option<KeySpec>,
-}
-
-impl GuardSpec {
-    /// The verified program.
-    #[allow(dead_code)]
-    pub(crate) fn program(&self) -> &Rc<VerifiedProgram> {
-        &self.program
-    }
-
-    /// The demux key the dispatcher will index this guard under, if its
-    /// accept condition is an extractable field conjunction. Exercised by
-    /// the indexability tests; production code lets the dispatcher do its
-    /// own extraction at install time.
-    #[allow(dead_code)]
-    pub(crate) fn key(&self) -> Option<&KeySpec> {
-        self.key.as_ref()
-    }
-
-    /// Wraps the program as a dispatcher guard for event argument `T`.
-    pub(crate) fn guard<T: Packet + 'static>(&self) -> Guard<T> {
-        Guard::verified(self.program.clone())
-    }
-}
-
-/// Verifies a manager-built program against `policy` and packages it with
-/// its demux key. The managers are trusted code building guards from
-/// their own bindings, so a verification failure here is a manager bug,
-/// not a packet-time condition — it panics with the full report.
-pub(crate) fn build(program: FilterProgram, policy: &Policy) -> GuardSpec {
+/// Verifies a manager-built program against `policy`; the site installs
+/// the result as `Guard::verified(vp)`. The managers are trusted code
+/// building guards from their own bindings, so a verification failure
+/// here is a manager bug, not a packet-time condition — it panics with
+/// the full report.
+pub(crate) fn build(program: FilterProgram, policy: &Policy) -> Rc<VerifiedProgram> {
     match verify_with_policy(&program, policy) {
-        Ok(vp) => {
-            let vp = Rc::new(vp);
-            let key = DemuxKey::extract(&vp);
-            GuardSpec { program: vp, key }
-        }
+        Ok(vp) => Rc::new(vp),
         Err(report) => panic!("manager-built guard failed verification:\n{report}"),
     }
 }
@@ -155,15 +117,15 @@ pub(crate) fn build_bounded(
     program: FilterProgram,
     policy: &Policy,
     declared_max_cycles: u32,
-) -> GuardSpec {
-    let spec = build(program, policy);
-    let bound = spec.program.static_bound();
+) -> Rc<VerifiedProgram> {
+    let vp = build(program, policy);
+    let bound = vp.static_bound();
     assert!(
         bound <= declared_max_cycles,
         "manager-built guard's static worst-case bound is {bound} cycles, \
          over its site's declared ceiling of {declared_max_cycles}"
     );
-    spec
+    vp
 }
 
 #[cfg(test)]
@@ -172,14 +134,17 @@ mod tests {
 
     /// The satellite claim behind the demux index: every guard shape the
     /// managers build — EtherType demux, transport node with a NotInSet
-    /// port carve-out, and pinned-port bindings — extracts a demux key, so
+    /// port carve-out, and pinned-port bindings — verifies to a demux key, so
     /// all manager installs land on the hash path without any manager
     /// knowing the index exists.
     #[test]
     fn manager_guard_shapes_are_demux_indexable() {
         let ether = build(ether_type_program(EtherType::IPV4, None), &Policy::new());
-        assert!(ether.key().is_some(), "EtherType demux guard must index");
-        assert_eq!(ether.program().program().kind, EventKind::EthRecv);
+        assert!(
+            ether.demux_key().is_some(),
+            "EtherType demux guard must index"
+        );
+        assert_eq!(ether.program().kind, EventKind::EthRecv);
 
         let udp_standard = build(
             transport_over_ip(
@@ -194,7 +159,7 @@ mod tests {
             &Policy::new(),
         );
         assert!(
-            udp_standard.key().is_some(),
+            udp_standard.demux_key().is_some(),
             "UDP standard node (proto + NotInSet) must index"
         );
 
@@ -209,7 +174,7 @@ mod tests {
             &Policy::new(),
         );
         assert!(
-            special_bind.key().is_some(),
+            special_bind.demux_key().is_some(),
             "special binding (proto + local dst + pinned port) must index"
         );
     }
@@ -305,7 +270,7 @@ mod tests {
     /// dispatcher's default tier selection picks them.
     #[test]
     fn manager_guard_shapes_compile_with_fused_tests() {
-        let shapes: Vec<(&str, GuardSpec)> = vec![
+        let shapes: Vec<(&str, Rc<VerifiedProgram>)> = vec![
             (
                 "ether demux",
                 build(ether_type_program(EtherType::IPV4, None), &Policy::new()),
@@ -345,8 +310,8 @@ mod tests {
                 ),
             ),
         ];
-        for (name, spec) in &shapes {
-            let stats = spec.program().compiled().stats();
+        for (name, vp) in &shapes {
+            let stats = vp.compiled().stats();
             assert!(stats.thunks > 0, "{name}: compiled tier missing");
             assert!(
                 stats.fused_loads > 0,
@@ -357,7 +322,7 @@ mod tests {
                 "{name}: no constants folded ({stats:?})"
             );
             assert!(
-                stats.thunks < spec.program().program().insns.len() as u32,
+                stats.thunks < vp.program().insns.len() as u32,
                 "{name}: fusion should shorten the chain ({stats:?})"
             );
         }

@@ -29,7 +29,7 @@
 //! [`DispatchMode`] — the two Plexus bars of Figure 5.
 
 use std::cell::{Cell, RefCell};
-use std::collections::{HashMap, HashSet};
+use std::collections::{BTreeMap, HashSet};
 use std::net::Ipv4Addr;
 use std::rc::Rc;
 
@@ -177,8 +177,12 @@ pub(crate) struct StackEvents {
     pub(crate) tcp_recv: Event<TcpRecv>,
 }
 
-/// Teardown actions queued for one extension, run when it unloads.
-type CleanupActions = Vec<Box<dyn Fn()>>;
+/// A teardown action an extension's unload will run, unless the extension
+/// undoes the install itself first.
+struct Cleanup {
+    ext: String,
+    undo: Box<dyn Fn()>,
+}
 
 /// Shared stack state, reachable from every installed handler.
 pub(crate) struct StackShared {
@@ -199,10 +203,12 @@ pub(crate) struct StackShared {
     ip_ident: ip::Ident,
     pub(crate) stats: Cell<StackStats>,
     ext_domain: Rc<Domain>,
-    /// Per-extension teardown actions, run when the extension unloads
-    /// (runtime adaptation: extensions "come and go with their
-    /// corresponding applications").
-    ext_cleanup: RefCell<HashMap<String, CleanupActions>>,
+    /// Teardown actions for the extensions' live installs, each keyed by
+    /// the handler it undoes and run when its extension unloads (runtime
+    /// adaptation: extensions "come and go with their corresponding
+    /// applications"). An explicit close retracts its entry, so the
+    /// registry holds only what extensions still hold.
+    ext_cleanup: RefCell<BTreeMap<HandlerId, Cleanup>>,
     /// True while the NIC rx glue should deliver (promiscuous snooping is
     /// structurally impossible: the filter runs before any extension code).
     promiscuous: Cell<bool>,
@@ -285,13 +291,25 @@ impl StackShared {
             .install(event, spec.guard_opt(guard).owner(owner))
     }
 
-    /// Registers a teardown action to run when extension `ext` unloads.
-    pub(crate) fn register_cleanup<F: Fn() + 'static>(&self, ext: &LinkedExtension, f: F) {
-        self.ext_cleanup
-            .borrow_mut()
-            .entry(ext.name().to_string())
-            .or_default()
-            .push(Box::new(f));
+    /// Registers `undo`, which uninstalls handler `id`, to run when
+    /// extension `ext` unloads.
+    pub(crate) fn register_cleanup<F: Fn() + 'static>(
+        &self,
+        ext: &LinkedExtension,
+        id: HandlerId,
+        undo: F,
+    ) {
+        let cleanup = Cleanup {
+            ext: ext.name().to_string(),
+            undo: Box::new(undo),
+        };
+        self.ext_cleanup.borrow_mut().insert(id, cleanup);
+    }
+
+    /// Forgets the teardown action for handler `id`: its owner undid the
+    /// install itself.
+    pub(crate) fn retract_cleanup(&self, id: HandlerId) {
+        self.ext_cleanup.borrow_mut().remove(&id);
     }
 
     /// One received frame, on the interrupt's lease: pay `rx_cost`, apply
@@ -492,7 +510,7 @@ impl PlexusStack {
             ip_ident: ip::Ident::starting_at(1),
             stats: Cell::new(StackStats::default()),
             ext_domain,
-            ext_cleanup: RefCell::new(HashMap::new()),
+            ext_cleanup: RefCell::new(BTreeMap::new()),
             promiscuous: Cell::new(false),
             csum_offload: nic.profile().checksum_offload && !config.tx_flatten,
             tx_flatten: config.tx_flatten,
@@ -608,12 +626,11 @@ impl PlexusStack {
 
     fn install_arp(shared: &Rc<StackShared>) {
         let s = shared.clone();
-        let guard = guards::build_bounded(
+        let guard = Guard::verified(guards::build_bounded(
             guards::ether_type_program(EtherType::ARP, None),
             &Policy::new(),
             guards::ETHER_GUARD_CYCLES,
-        )
-        .guard();
+        ));
         shared.install_layer(
             shared.events.eth_recv,
             Some(guard),
@@ -640,12 +657,11 @@ impl PlexusStack {
     /// `Ip.PacketRecv`; plus the `Ip.PacketSend` output handler.
     fn install_ip(shared: &Rc<StackShared>) {
         let s = shared.clone();
-        let guard = guards::build_bounded(
+        let guard = Guard::verified(guards::build_bounded(
             guards::ether_type_program(EtherType::IPV4, None),
             &Policy::new(),
             guards::ETHER_GUARD_CYCLES,
-        )
-        .guard();
+        ));
         shared.install_layer(
             shared.events.eth_recv,
             Some(guard),
@@ -688,12 +704,11 @@ impl PlexusStack {
 
     fn install_icmp(shared: &Rc<StackShared>) {
         let s = shared.clone();
-        let guard = guards::build_bounded(
+        let guard = Guard::verified(guards::build_bounded(
             guards::transport_over_ip(ip::proto::ICMP, None, None, vec![]),
             &Policy::new(),
             guards::TRANSPORT_GUARD_CYCLES,
-        )
-        .guard();
+        ));
         shared.install_layer(
             shared.events.ip_recv,
             Some(guard),
@@ -785,9 +800,16 @@ impl PlexusStack {
     /// the full "extensions come and go with their corresponding
     /// applications" lifecycle. Returns whether the extension was linked.
     pub fn unload_extension(&self, name: &str) -> bool {
-        let actions = self.shared.ext_cleanup.borrow_mut().remove(name);
-        for f in actions.into_iter().flatten() {
-            f();
+        // Take the extension's actions out before running any: each one
+        // closes through the public path, which retracts its own entry.
+        let mine: Vec<_> = self
+            .shared
+            .ext_cleanup
+            .borrow_mut()
+            .extract_if(.., |_, cleanup| cleanup.ext == name)
+            .collect();
+        for (_, cleanup) in &mine {
+            (cleanup.undo)();
         }
         self.shared.ext_domain.unlink(name)
     }
@@ -817,12 +839,11 @@ impl PlexusStack {
                 FieldKey::Field(Field::EthDst),
                 [mac_to_u64(my_mac), mac_to_u64(MacAddr::BROADCAST)],
             );
-        let guard = guards::build_bounded(
+        let guard = Guard::verified(guards::build_bounded(
             guards::ether_type_program(ethertype, Some(my_mac)),
             &policy,
             guards::ETHER_GUARD_CYCLES,
-        )
-        .guard();
+        ));
         let id = self.shared.install_app(
             self.shared.events.eth_recv,
             Some(guard),
@@ -830,7 +851,7 @@ impl PlexusStack {
             ext.name(),
         );
         let shared = self.shared.clone();
-        self.shared.register_cleanup(ext, move || {
+        self.shared.register_cleanup(ext, id, move || {
             shared.dispatcher.uninstall(shared.events.eth_recv, id);
         });
         Ok(id)
@@ -839,9 +860,14 @@ impl PlexusStack {
     /// Detaches a raw Ethernet extension (runtime adaptation: extensions
     /// "come and go with their corresponding applications").
     pub fn detach_ether(&self, id: HandlerId) -> bool {
-        self.shared
+        let detached = self
+            .shared
             .dispatcher
-            .uninstall(self.shared.events.eth_recv, id)
+            .uninstall(self.shared.events.eth_recv, id);
+        if detached {
+            self.shared.retract_cleanup(id);
+        }
+        detached
     }
 
     /// Sends a raw Ethernet frame on behalf of an extension. The manager

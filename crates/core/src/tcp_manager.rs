@@ -17,7 +17,7 @@ use std::net::Ipv4Addr;
 use std::rc::Rc;
 
 use plexus_filter::{conjunction, EventKind, Field, FieldKey, Operand, Policy, PortSet, Test};
-use plexus_kernel::dispatcher::{HandlerId, RaiseCtx};
+use plexus_kernel::dispatcher::{Guard, HandlerId, RaiseCtx};
 use plexus_kernel::domain::LinkedExtension;
 use plexus_net::ip::{self, encapsulate as ip_encapsulate, proto, Hop, IpHeader};
 use plexus_net::tcp::{Actions, Tcb, TcpFlags, TcpSegment, TcpState, TCP_HDR_LEN};
@@ -106,7 +106,7 @@ impl TcpManager {
         let scratch = std::cell::RefCell::new(Vec::new());
         shared.install_layer(
             shared.events.ip_recv,
-            Some(guard.guard()),
+            Some(Guard::verified(guard)),
             move |ctx, ev: &IpRecv| {
                 ctx.lease.charge(ctx.lease.model().tcp_proc);
                 if !s.csum_offload {
@@ -200,7 +200,7 @@ impl TcpManager {
         let accept_cb = on_accept.clone();
         let handler = self.shared.install_layer(
             self.shared.events.tcp_recv,
-            Some(guard.guard()),
+            Some(Guard::verified(guard)),
             move |ctx, ev: &TcpRecv| {
                 let key = (port, ev.src, ev.segment.src_port);
                 if mgr2.conns.borrow().contains_key(&key) {
@@ -227,7 +227,7 @@ impl TcpManager {
             .borrow_mut()
             .insert(port, Rc::new(ListenerState { handler }));
         let mgr = self.clone();
-        self.shared.register_cleanup(ext, move || {
+        self.shared.register_cleanup(ext, handler, move || {
             mgr.unlisten(port);
         });
         Ok(())
@@ -236,6 +236,7 @@ impl TcpManager {
     /// Stops listening on `port` (existing connections continue).
     pub fn unlisten(&self, port: u16) -> bool {
         if let Some(l) = self.listeners.borrow_mut().remove(&port) {
+            self.shared.retract_cleanup(l.handler);
             self.shared
                 .dispatcher
                 .uninstall(self.shared.events.tcp_recv, l.handler);
@@ -309,7 +310,7 @@ impl TcpManager {
         );
         Ok(self.shared.install_layer(
             self.shared.events.ip_recv,
-            Some(guard.guard()),
+            Some(Guard::verified(guard)),
             handler,
             ext.name(),
         ))
@@ -352,7 +353,7 @@ impl TcpManager {
         let ident = ip::Ident::starting_at(0x8000);
         Ok(self.shared.install_layer(
             self.shared.events.ip_recv,
-            Some(guard.guard()),
+            Some(Guard::verified(guard)),
             move |ctx, ev: &IpRecv| {
                 ctx.lease.charge(ctx.lease.model().proc_call);
                 // Rebuild the datagram with its original addressing and
@@ -434,7 +435,7 @@ impl TcpConn {
         let c = conn.clone();
         let id = mgr.shared.install_layer(
             mgr.shared.events.tcp_recv,
-            Some(guard.guard()),
+            Some(Guard::verified(guard)),
             move |ctx, ev: &TcpRecv| {
                 let actions = c.tcb.borrow_mut().on_segment(
                     &ev.segment,

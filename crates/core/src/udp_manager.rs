@@ -25,7 +25,7 @@ use std::net::Ipv4Addr;
 use std::rc::Rc;
 
 use plexus_filter::{conjunction, EventKind, Field, FieldKey, Operand, Policy, PortSet, Test};
-use plexus_kernel::dispatcher::{HandlerId, RaiseCtx};
+use plexus_kernel::dispatcher::{Guard, HandlerId, RaiseCtx};
 use plexus_kernel::domain::LinkedExtension;
 use plexus_net::checksum::incremental_update;
 use plexus_net::ip::proto;
@@ -92,7 +92,7 @@ impl UdpManager {
         let m = mgr.clone();
         shared.install_layer(
             shared.events.ip_recv,
-            Some(guard.guard()),
+            Some(Guard::verified(guard)),
             move |ctx, ev: &IpRecv| {
                 ctx.lease.charge(ctx.lease.model().udp_proc);
                 if !s.csum_offload {
@@ -215,7 +215,7 @@ impl UdpManager {
             );
             self.shared.install_app(
                 self.shared.events.udp_recv,
-                Some(guard.guard()),
+                Some(Guard::verified(guard)),
                 handler,
                 ext.name(),
             )
@@ -245,7 +245,7 @@ impl UdpManager {
             let wrapped = wrap_special_udp(config, self.shared.csum_offload, handler);
             self.shared.install_app(
                 self.shared.events.ip_recv,
-                Some(guard.guard()),
+                Some(Guard::verified(guard)),
                 wrapped,
                 ext.name(),
             )
@@ -264,7 +264,8 @@ impl UdpManager {
         // handle (the dispatcher side is what actually receives), and
         // `close` is idempotent if the app already closed it.
         let ep = endpoint.clone();
-        self.shared.register_cleanup(ext, move || ep.close());
+        self.shared
+            .register_cleanup(ext, handler_id, move || ep.close());
         Ok(endpoint)
     }
 
@@ -297,7 +298,7 @@ impl UdpManager {
         let old_dst = self.shared.ip;
         Ok(self.shared.install_layer(
             self.shared.events.ip_recv,
-            Some(guard.guard()),
+            Some(Guard::verified(guard)),
             move |ctx, ev: &IpRecv| {
                 // Header rewrite + incremental checksum fix: a handful of
                 // loads/stores, modeled as one procedure call.
@@ -501,6 +502,7 @@ impl UdpEndpoint {
             return;
         }
         let shared = &self.manager.shared;
+        shared.retract_cleanup(self.handler_id);
         if self.standard {
             shared
                 .dispatcher

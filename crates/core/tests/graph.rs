@@ -1449,3 +1449,23 @@ fn unloading_an_extension_tears_down_everything_it_installed() {
         .listen(&next, 80, |_, _| {})
         .expect("port 80 reusable");
 }
+
+#[test]
+fn unloading_an_extension_leaves_what_it_already_gave_up_to_its_next_owner() {
+    let (world, [_, server]) = plexus_lan(["alpha-a", "alpha-b"], StackConfig::interrupt);
+    let a = server.link_extension(&ext_spec("A")).unwrap();
+    let b = server.link_extension(&ext_spec("B")).unwrap();
+
+    // A listens on 80 and stops; B takes the port over.
+    server.tcp().listen(&a, 80, |_, _| {}).unwrap();
+    assert!(server.tcp().unlisten(80));
+    server.tcp().listen(&b, 80, |_, _| {}).unwrap();
+
+    // Unloading A undoes only what A still holds — nothing.
+    assert!(server.unload_extension("A"));
+    assert!(
+        server.tcp().unlisten(80),
+        "B's listener survived A's unload"
+    );
+    let _ = world;
+}

@@ -54,8 +54,8 @@ pub use ir::{
 };
 pub use state::{MapKind, StateMap, MAX_STATE_BYTES};
 pub use verify::{
-    key_schema, verify, verify_with_policy, DemuxKey, FieldKey, FieldSpec, FilterReport, KeySpec,
-    Policy, VerifiedProgram, VerifyError, MAX_ENUMERATED_KEYS,
+    key_schema, verify, verify_with_policy, FieldKey, FieldSpec, FilterReport, KeySpec, Policy,
+    VerifiedProgram, VerifyError, MAX_ENUMERATED_KEYS,
 };
 
 #[cfg(test)]
@@ -417,7 +417,7 @@ mod tests {
     #[test]
     fn demux_key_extracts_eq_conjunction() {
         let vp = verify(&port_guard(53)).unwrap();
-        let spec = DemuxKey::extract(&vp).expect("eq guard is indexable");
+        let spec = vp.demux_key().expect("eq guard is indexable");
         assert_eq!(spec.kind(), EventKind::UdpRecv);
         assert_eq!(spec.fields().len(), 1);
         match &spec.fields()[0] {
@@ -436,7 +436,8 @@ mod tests {
             )],
             Vec::new(),
         );
-        let spec = DemuxKey::extract(&verify(&prog).unwrap()).expect("indexable");
+        let vp = verify(&prog).unwrap();
+        let spec = vp.demux_key().expect("indexable");
         match &spec.fields()[0] {
             FieldSpec::In(vals) => {
                 assert_eq!(vals.iter().copied().collect::<Vec<_>>(), [53, 67, 68])
@@ -464,7 +465,8 @@ mod tests {
             ],
             vec![special.clone()],
         );
-        let spec = DemuxKey::extract(&verify(&prog).unwrap()).expect("indexable via proto");
+        let vp = verify(&prog).unwrap();
+        let spec = vp.demux_key().expect("indexable via proto");
         assert_eq!(spec.fields().len(), 2);
         assert!(matches!(&spec.fields()[0], FieldSpec::In(v) if v.contains(&17)));
         match &spec.fields()[1] {
@@ -479,10 +481,54 @@ mod tests {
     }
 
     #[test]
+    fn demux_key_keeps_a_not_in_fact_only_if_every_accept_proves_it() {
+        // proto == 17, then: port 53 accepts outright; any other port
+        // accepts if it is outside the set. Only the second accept proves
+        // "port not in set", so the key must not claim it — port 53 may
+        // well be in the set and still be accepted.
+        let port = Reg(1);
+        let insns = vec![
+            Insn::Ld {
+                dst: Reg(0),
+                field: Field::IpProto,
+            },
+            Insn::Jne {
+                a: Reg(0),
+                b: Src::Imm(17),
+                off: 4,
+            },
+            Insn::LdPay {
+                dst: port,
+                off: 2,
+                width: Width::W16,
+            },
+            Insn::Jeq {
+                a: port,
+                b: Src::Imm(53),
+                off: 3,
+            },
+            Insn::JInSet {
+                a: port,
+                set: 0,
+                off: 1,
+            },
+            Insn::Accept,
+            Insn::Reject,
+            Insn::Accept,
+        ];
+        let mut prog = FilterProgram::new(EventKind::IpRecv, insns);
+        prog.sets = vec![PortSet::new()];
+        let vp = verify(&prog).unwrap();
+        let spec = vp.demux_key().expect("indexable via proto");
+        assert!(matches!(&spec.fields()[0], FieldSpec::In(v) if v.contains(&17)));
+        assert!(matches!(&spec.fields()[1], FieldSpec::Any));
+    }
+
+    #[test]
     fn demux_key_absent_for_unconstrained_guard() {
         // Accept-all over UdpRecv: no In field -> no key.
         let wide_open = FilterProgram::new(EventKind::UdpRecv, vec![Insn::Accept]);
-        assert!(DemuxKey::extract(&verify(&wide_open).unwrap()).is_none());
+        assert!(verify(&wide_open).unwrap().demux_key().is_none());
 
         // A guard that only constrains a non-schema field (payload length)
         // is likewise not indexable.
@@ -491,13 +537,13 @@ mod tests {
             &[Test::eq(Operand::Field(Field::UdpPayloadLen), 8)],
             Vec::new(),
         );
-        assert!(DemuxKey::extract(&verify(&by_len).unwrap()).is_none());
+        assert!(verify(&by_len).unwrap().demux_key().is_none());
     }
 
     #[test]
     fn demux_key_absent_for_never_accepting_guard() {
         let prog = FilterProgram::new(EventKind::UdpRecv, vec![Insn::Reject]);
-        assert!(DemuxKey::extract(&verify(&prog).unwrap()).is_none());
+        assert!(verify(&prog).unwrap().demux_key().is_none());
     }
 
     #[test]
@@ -515,7 +561,8 @@ mod tests {
             ],
             Vec::new(),
         );
-        let spec = DemuxKey::extract(&verify(&prog).unwrap()).expect("still indexable");
+        let vp = verify(&prog).unwrap();
+        let spec = vp.demux_key().expect("still indexable");
         assert!(matches!(&spec.fields()[0], FieldSpec::In(v) if v.len() == 9));
         assert!(
             matches!(&spec.fields()[1], FieldSpec::Any),

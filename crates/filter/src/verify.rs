@@ -349,6 +349,7 @@ pub struct VerifiedProgram {
     static_bound: u32,
     state_bytes: u32,
     lints: Vec<Lint>,
+    key: Option<KeySpec>,
 }
 
 impl VerifiedProgram {
@@ -397,6 +398,13 @@ impl VerifiedProgram {
     pub fn compiled(&self) -> &crate::compile::CompiledProgram {
         &self.compiled
     }
+
+    /// The demux key verification proved (see [`KeySpec`]), or `None`
+    /// when the value-set analysis bounds no schema field — the
+    /// dispatcher then keeps the guard on its linear-scan path.
+    pub fn demux_key(&self) -> Option<&KeySpec> {
+        self.key.as_ref()
+    }
 }
 
 /// Verifies `program` with no policy constraints.
@@ -432,8 +440,9 @@ pub fn verify_with_policy(
 
     let structural_ok = check_structure(program, &mut report);
     let mut abs = absint::Analysis::default();
+    let mut accepts = Vec::new();
     if structural_ok {
-        analyze(program, policy, &mut report);
+        accepts = analyze(program, policy, &mut report);
         // Interval pass: static cycle bound, bounded-state proofs, lints.
         abs = absint::analyze(program);
         report.errors.append(&mut abs.errors);
@@ -446,6 +455,7 @@ pub fn verify_with_policy(
         // compiled closure chain observe (and mutate) identical state.
         let program = program.clone();
         let compiled = std::rc::Rc::new(crate::compile::compile(&program));
+        let key = demux_key(&program, &accepts);
         Ok(VerifiedProgram {
             program,
             compiled,
@@ -453,6 +463,7 @@ pub fn verify_with_policy(
             static_bound: abs.bound,
             state_bytes: abs.state_bytes,
             lints: abs.lints,
+            key,
         })
     } else {
         Err(report)
@@ -687,7 +698,7 @@ fn refine_filter(state: &mut State, key: FieldKey, pred: impl Fn(u64) -> bool) -
 /// time `pc` is visited, every predecessor has already contributed its
 /// state). Detects undefined reads, unreachable instructions, missing
 /// terminators, and policy violations. Returns the abstract state at each
-/// reachable `Accept` (the raw material for [`DemuxKey::extract`]).
+/// reachable `Accept` (the raw material for [`demux_key`]).
 fn analyze(program: &FilterProgram, policy: &Policy, report: &mut FilterReport) -> Vec<State> {
     let len = program.insns.len();
     let mut states: Vec<Option<State>> = vec![None; len];
@@ -973,97 +984,88 @@ impl KeySpec {
     }
 }
 
-/// The demux key extraction pass (see [`KeySpec`]).
-pub struct DemuxKey;
-
-impl DemuxKey {
-    /// Extracts a demux key from a verified guard, or `None` when the
-    /// analysis cannot bound any schema field (the dispatcher then keeps
-    /// the guard on its linear-scan path).
-    ///
-    /// Per schema field, across the abstract states at every reachable
-    /// `Accept`:
-    ///
-    /// * if every accept proves `field ∈ S_i`, the spec is
-    ///   `In(S_1 ∪ ... ∪ S_n)` — a sound over-approximation;
-    /// * otherwise, if every accept proves `field ∉ set` for some common
-    ///   shared sets, the spec is `NotIn` of those sets;
-    /// * otherwise `Any`.
-    ///
-    /// A guard with no `In` field yields `None`: it would hash nowhere.
-    pub fn extract(vp: &VerifiedProgram) -> Option<KeySpec> {
-        let program = vp.program();
-        let mut report = FilterReport::default();
-        let accepts = analyze(program, &Policy::new(), &mut report);
-        debug_assert!(report.is_clean(), "verified program re-analysis failed");
-        if accepts.is_empty() {
-            // The guard provably never accepts; nothing to index.
-            return None;
-        }
-
-        let mut fields: Vec<FieldSpec> = Vec::new();
-        for key in key_schema(program.kind) {
-            let mut union: Option<BTreeSet<u64>> = Some(BTreeSet::new());
-            for st in &accepts {
-                match (&mut union, st.field_set(*key)) {
-                    (Some(u), ValSet::In(vals)) => u.extend(vals),
-                    _ => union = None,
-                }
-            }
-            if let Some(vals) = union {
-                fields.push(FieldSpec::In(vals));
-                continue;
-            }
-
-            let mut common: Option<BTreeSet<SetId>> = None;
-            for st in &accepts {
-                let theirs = st.notin.get(key).cloned().unwrap_or_default();
-                common = Some(match common {
-                    None => theirs,
-                    Some(cur) => cur.intersection(&theirs).copied().collect(),
-                });
-            }
-            let sets: Vec<PortSet> = common
-                .unwrap_or_default()
-                .iter()
-                .filter_map(|id| program.sets.get(*id as usize).cloned())
-                .collect();
-            if sets.is_empty() {
-                fields.push(FieldSpec::Any);
-            } else {
-                fields.push(FieldSpec::NotIn(sets));
-            }
-        }
-
-        // Bound the guard's bucket footprint: while the cross product of
-        // `In` sizes exceeds the cap, widen the largest `In` to `Any`.
-        loop {
-            let product = fields
-                .iter()
-                .map(|f| match f {
-                    FieldSpec::In(v) => v.len(),
-                    _ => 1,
-                })
-                .try_fold(1usize, usize::checked_mul)
-                .unwrap_or(usize::MAX);
-            if product <= MAX_ENUMERATED_KEYS {
-                break;
-            }
-            let widest = fields
-                .iter()
-                .enumerate()
-                .filter_map(|(i, f)| match f {
-                    FieldSpec::In(v) => Some((v.len(), i)),
-                    _ => None,
-                })
-                .max()?;
-            fields[widest.1] = FieldSpec::Any;
-        }
-
-        let spec = KeySpec {
-            kind: program.kind,
-            fields,
-        };
-        spec.is_indexable().then_some(spec)
+/// Folds the abstract states at every reachable `Accept` into the guard's
+/// demux key, or `None` when no schema field is bounded. The accept
+/// states do not depend on the policy (it is only *checked* at `Accept`),
+/// so neither does the key.
+///
+/// Per schema field, across the accept states:
+///
+/// * if every accept proves `field ∈ S_i`, the spec is
+///   `In(S_1 ∪ ... ∪ S_n)` — a sound over-approximation;
+/// * otherwise, if every accept proves `field ∉ set` for some common
+///   shared sets, the spec is `NotIn` of those sets;
+/// * otherwise `Any`.
+///
+/// A guard with no `In` field yields `None`: it would hash nowhere.
+fn demux_key(program: &FilterProgram, accepts: &[State]) -> Option<KeySpec> {
+    if accepts.is_empty() {
+        // The guard provably never accepts; nothing to index.
+        return None;
     }
+
+    let mut fields: Vec<FieldSpec> = Vec::new();
+    for key in key_schema(program.kind) {
+        let mut union: Option<BTreeSet<u64>> = Some(BTreeSet::new());
+        for st in accepts {
+            match (&mut union, st.fields.get(key)) {
+                (Some(u), Some(ValSet::In(vals))) => u.extend(vals),
+                _ => union = None,
+            }
+        }
+        if let Some(vals) = union {
+            fields.push(FieldSpec::In(vals));
+            continue;
+        }
+
+        let mut common: Option<BTreeSet<SetId>> = None;
+        for st in accepts {
+            let theirs = st.notin.get(key).cloned().unwrap_or_default();
+            common = Some(match common {
+                None => theirs,
+                Some(cur) => cur.intersection(&theirs).copied().collect(),
+            });
+        }
+        let sets: Vec<PortSet> = common
+            .unwrap_or_default()
+            .iter()
+            .filter_map(|id| program.sets.get(*id as usize).cloned())
+            .collect();
+        if sets.is_empty() {
+            fields.push(FieldSpec::Any);
+        } else {
+            fields.push(FieldSpec::NotIn(sets));
+        }
+    }
+
+    // Bound the guard's bucket footprint: while the cross product of
+    // `In` sizes exceeds the cap, widen the largest `In` to `Any`.
+    loop {
+        let product = fields
+            .iter()
+            .map(|f| match f {
+                FieldSpec::In(v) => v.len(),
+                _ => 1,
+            })
+            .try_fold(1usize, usize::checked_mul)
+            .unwrap_or(usize::MAX);
+        if product <= MAX_ENUMERATED_KEYS {
+            break;
+        }
+        let widest = fields
+            .iter()
+            .enumerate()
+            .filter_map(|(i, f)| match f {
+                FieldSpec::In(v) => Some((v.len(), i)),
+                _ => None,
+            })
+            .max()?;
+        fields[widest.1] = FieldSpec::Any;
+    }
+
+    let spec = KeySpec {
+        kind: program.kind,
+        fields,
+    };
+    spec.is_indexable().then_some(spec)
 }

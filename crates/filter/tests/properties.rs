@@ -13,8 +13,9 @@
 use std::panic::{catch_unwind, AssertUnwindSafe};
 
 use plexus_filter::{
-    conjunction, eval, eval_metered, eval_unchecked, verify, EventKind, Field, FilterProgram, Insn,
-    Operand, Packet, Reg, Src, Test, VerifyError, Width,
+    conjunction, eval, eval_metered, eval_unchecked, key_schema, read_field_key, verify,
+    verify_with_policy, EventKind, Field, FieldKey, FieldSpec, FilterProgram, Insn, Operand,
+    Packet, Policy, PortSet, Reg, Src, Test, VerifyError, Width,
 };
 use proptest::prelude::*;
 
@@ -155,6 +156,143 @@ fn decode_insn(raw: (u8, u8, u16, u64)) -> Insn {
         7 => Insn::Accept,
         _ => Insn::Reject,
     }
+}
+
+/// The live contents of port set #0 in every [`decision_dag`] program.
+const SET_PORTS: [u16; 3] = [1, 3, 5];
+
+/// One raw decision node: (load selector, test selector, jump target, imm).
+type RawNode = (u8, u8, u8, u64);
+
+/// Where a decision node's taken edge goes.
+#[derive(PartialEq)]
+enum To {
+    Node(usize),
+    Accept,
+    Reject,
+}
+
+/// The conditional jump `test` selects, over `a` and `imm`.
+fn decision_jump(test: u8, a: Reg, imm: u64, off: u16) -> Insn {
+    let b = Src::Imm(imm % 8);
+    match test % 8 {
+        0 | 1 => Insn::Jeq { a, b, off },
+        2 | 3 => Insn::Jne { a, b, off },
+        4 => Insn::Jlt { a, b, off },
+        5 => Insn::Jgt { a, b, off },
+        _ => Insn::JInSet { a, set: 0, off },
+    }
+}
+
+/// An arbitrary forward decision DAG over `kind` — the shape the key is a
+/// fact *about*, far wider than the builder's conjunctions. Each node
+/// loads a field (three times in four one of the kind's key-schema
+/// fields), sometimes clobbers the register, then tests it with an
+/// arbitrary comparison or a port-set membership. The taken edge goes to
+/// any later node, to an `Accept` of its own or to the shared `Reject`;
+/// the other edge falls through to the next node, and the last node into
+/// the terminator `tail_accepts` names. `pinned` puts `schema[0] == value`
+/// in front of it all, which makes keyed programs common and two-field
+/// (`In` + `NotIn`) keys possible. Disjunctions, joins, several accept
+/// states, ranges and re-tested fields all arise; the instruction soup
+/// above almost never verifies to a key (0 of 512 cases), which is why
+/// the key's properties have a generator of their own.
+fn decision_dag(
+    kind: EventKind,
+    pinned: Option<u64>,
+    raw: &[RawNode],
+    tail_accepts: bool,
+) -> FilterProgram {
+    let fields = fields_of(kind);
+    let schema = key_schema(kind);
+    let load = |dst: Reg, key: FieldKey| match key {
+        FieldKey::Field(field) => Insn::Ld { dst, field },
+        FieldKey::Pay(off, width) => Insn::LdPay { dst, off, width },
+    };
+
+    // First the nodes, each jump a placeholder: its target's index is
+    // known only once every node and terminator has its place.
+    let mut insns = Vec::new();
+    let mut starts = Vec::new();
+    let mut jumps = Vec::new();
+    if let Some(value) = pinned {
+        insns.push(load(Reg(0), schema[0]));
+        jumps.push((insns.len(), 2, Reg(0), value, To::Reject));
+        insns.push(Insn::Reject);
+    }
+    for (i, &(sel, test, target, imm)) in raw.iter().enumerate() {
+        starts.push(insns.len());
+        let dst = Reg((sel >> 3) % 2);
+        insns.push(if sel % 4 != 0 {
+            load(dst, schema[(imm >> 8) as usize % schema.len()])
+        } else {
+            Insn::Ld {
+                dst,
+                field: fields[(imm >> 8) as usize % fields.len()],
+            }
+        });
+        if sel % 8 == 7 {
+            insns.push(Insn::And {
+                dst,
+                src: Src::Imm(imm >> 16),
+            });
+        }
+        // Usually the register just loaded; now and then the other one.
+        let a = if (test >> 4) % 4 == 0 {
+            Reg(1 - dst.0)
+        } else {
+            dst
+        };
+        let later = raw.len() - i - 1;
+        let to = match target as usize % (later + 2) {
+            // Half the edges bail out, so conjunction-like chains — the
+            // programs that verify to a key — are common, not the rule.
+            _ if target >= 128 => To::Reject,
+            k if k < later => To::Node(i + 1 + k),
+            k if k == later => To::Accept,
+            _ => To::Reject,
+        };
+        jumps.push((insns.len(), test, a, imm, to));
+        insns.push(Insn::Reject);
+    }
+
+    // Then the terminators: the one the last node falls into, an `Accept`
+    // per accepting edge, and the shared `Reject` if it is not there yet.
+    let tail = insns.len();
+    insns.push(if tail_accepts {
+        Insn::Accept
+    } else {
+        Insn::Reject
+    });
+    let accepting = jumps.iter().filter(|j| j.4 == To::Accept).count();
+    let rejecting = jumps.iter().any(|j| j.4 == To::Reject);
+    let reject_at = if tail_accepts {
+        tail + 1 + accepting
+    } else {
+        tail
+    };
+    for (at, test, a, imm, to) in jumps {
+        let target = match to {
+            To::Node(k) => starts[k],
+            To::Reject => reject_at,
+            To::Accept => {
+                insns.push(Insn::Accept);
+                insns.len() - 1
+            }
+        };
+        insns[at] = decision_jump(test, a, imm, (target - at - 1) as u16);
+    }
+    if tail_accepts && rejecting {
+        insns.push(Insn::Reject);
+    }
+
+    let mut prog = FilterProgram::new(kind, insns);
+    let set = PortSet::new();
+    for port in SET_PORTS {
+        set.insert(port);
+    }
+    prog.sets = vec![set];
+    prog
 }
 
 proptest! {
@@ -324,5 +462,87 @@ proptest! {
         let pkt = TestPacket { kind, base, head };
         let faulted = catch_unwind(AssertUnwindSafe(|| eval_unchecked(&prog, &pkt))).is_err();
         prop_assert!(faulted, "unchecked interpreter should fault on the absent field");
+    }
+}
+
+proptest! {
+    // Four times the cases of the block above: about a third of the
+    // generated DAGs verify to a key, and the properties are about those.
+    #![proptest_config(ProptestConfig::with_cases(2048))]
+
+    // `KeySpec`'s soundness invariant on whatever shape the verifier lets
+    // through: a packet the guard accepts satisfies the key field by field
+    // — each `In` field's value lies in the set, each `NotIn` field's
+    // value is a member of none of the named sets. The demux index skips
+    // guards on the strength of exactly this.
+    #[test]
+    fn accepted_packets_satisfy_the_demux_key(
+        kind_i in 0usize..4,
+        pinned in any::<u64>().prop_map(|v| (v % 2 == 0).then_some(v >> 1)),
+        raw_nodes in prop::collection::vec((any::<u8>(), any::<u8>(), any::<u8>(), any::<u64>()), 1..6),
+        tail_accepts in any::<bool>(),
+        base in any::<u64>(),
+        head in prop::collection::vec(any::<u8>(), 0..80),
+    ) {
+        let kind = KINDS[kind_i];
+        let Ok(vp) = verify(&decision_dag(kind, pinned, &raw_nodes, tail_accepts)) else {
+            return Ok(());
+        };
+        let Some(key) = vp.demux_key() else {
+            return Ok(());
+        };
+        prop_assert_eq!(key.kind(), kind);
+        // Eight consecutive bases walk every typed field through all of
+        // its eight values, so a one-field key is hit by some packet.
+        for step in 0..8 {
+            let pkt = TestPacket { kind, base: base.wrapping_add(step), head: head.clone() };
+            if !eval(&vp, &pkt) {
+                continue;
+            }
+            for (field, spec) in key_schema(kind).iter().zip(key.fields()) {
+                let seen = read_field_key(&pkt, *field);
+                match spec {
+                    FieldSpec::Any => {}
+                    FieldSpec::In(vals) => prop_assert!(
+                        seen.is_some_and(|v| vals.contains(&v)),
+                        "accepted with {field} = {seen:?}, outside the key's {vals:?}"
+                    ),
+                    // Membership as `JInSet` decides it: a value wider
+                    // than a port is a member of nothing.
+                    FieldSpec::NotIn(sets) => prop_assert!(
+                        seen.is_some_and(|v| {
+                            u16::try_from(v).map_or(true, |p| !sets.iter().any(|s| s.contains(p)))
+                        }),
+                        "accepted with {field} = {seen:?}, inside a set the key excludes"
+                    ),
+                }
+            }
+        }
+    }
+
+    // The key is a fact about the program, not about who asked: whenever
+    // a program verifies both bare and under a policy, the two keys are
+    // the same (the policy is only checked at `Accept`, never folded in).
+    #[test]
+    fn the_demux_key_does_not_depend_on_the_policy(
+        kind_i in 0usize..4,
+        pinned in any::<u64>().prop_map(|v| (v % 2 == 0).then_some(v >> 1)),
+        raw_nodes in prop::collection::vec((any::<u8>(), any::<u8>(), any::<u8>(), any::<u64>()), 1..6),
+        tail_accepts in any::<bool>(),
+        raw_policy in prop::collection::vec((any::<u8>(), any::<u8>()), 0..3),
+    ) {
+        let kind = KINDS[kind_i];
+        let prog = decision_dag(kind, pinned, &raw_nodes, tail_accepts);
+        let fields = fields_of(kind);
+        let policy = raw_policy.iter().fold(Policy::new(), |policy, &(f, mask)| {
+            let allowed = (0..8u64).filter(|v| mask & (1 << v) != 0);
+            policy.require_in(FieldKey::Field(fields[f as usize % fields.len()]), allowed)
+        });
+        if let (Ok(bare), Ok(checked)) = (verify(&prog), verify_with_policy(&prog, &policy)) {
+            prop_assert_eq!(
+                format!("{:?}", bare.demux_key()),
+                format!("{:?}", checked.demux_key())
+            );
+        }
     }
 }

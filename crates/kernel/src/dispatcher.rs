@@ -30,7 +30,7 @@ use std::hash::{BuildHasherDefault, Hash, Hasher};
 use std::marker::PhantomData;
 use std::rc::Rc;
 
-use plexus_filter::{key_schema, DemuxKey, FieldKey, FieldSpec, KeySpec, Packet, VerifiedProgram};
+use plexus_filter::{key_schema, FieldKey, FieldSpec, KeySpec, Packet, VerifiedProgram};
 use plexus_sim::engine::Engine;
 use plexus_sim::time::SimDuration;
 use plexus_sim::CpuLease;
@@ -54,10 +54,6 @@ pub struct VerifiedGuard<T> {
     /// metered cycles as `eval`, via the fused closure chain the verifier
     /// built at install time.
     eval_compiled: fn(&VerifiedProgram, &T, u64) -> (bool, u32),
-    /// Extracted demux key, when the program's acceptance is statically
-    /// bounded over its event kind's key schema (see
-    /// [`plexus_filter::DemuxKey`]).
-    key: Option<KeySpec>,
     /// Monomorphized schema-field reader for the demux probe; mirrors
     /// `eval`'s load semantics.
     read: fn(&T, FieldKey) -> Option<u64>,
@@ -66,12 +62,10 @@ pub struct VerifiedGuard<T> {
 impl<T: Packet + 'static> VerifiedGuard<T> {
     /// Binds a verified program to the event argument type `T`.
     pub fn new(program: Rc<VerifiedProgram>) -> VerifiedGuard<T> {
-        let key = DemuxKey::extract(&program);
         VerifiedGuard {
             program,
             eval: |p, arg, now| plexus_filter::eval_metered(p, arg, now),
             eval_compiled: |p, arg, now| p.compiled().eval(arg, now),
-            key,
             read: |arg, k| plexus_filter::read_field_key(arg, k),
         }
     }
@@ -98,9 +92,9 @@ impl<T> VerifiedGuard<T> {
         &self.program
     }
 
-    /// The extracted demux key, if the guard is indexable.
+    /// The demux key the verifier proved, if the guard is indexable.
     pub fn key(&self) -> Option<&KeySpec> {
-        self.key.as_ref()
+        self.program.demux_key()
     }
 }
 
@@ -258,7 +252,7 @@ pub enum HandlerMode {
 }
 
 /// Identifies an installed handler, for later uninstall.
-#[derive(Clone, Copy, Debug, PartialEq, Eq, Hash)]
+#[derive(Clone, Copy, Debug, PartialEq, Eq, PartialOrd, Ord, Hash)]
 pub struct HandlerId(u64);
 
 /// Default per-event cycle budget for interrupt-mode installs, in the
@@ -460,11 +454,20 @@ struct Entry<T> {
     /// Owning domain (extension or kernel subsystem) for per-domain
     /// accounting in the flight recorder.
     owner: Rc<str>,
-    /// The guard's demux key — `Some` iff this entry occupies hash buckets
-    /// in the table's index (so the raise path may skip it when the index
-    /// does not select it).
-    key: Option<KeySpec>,
+    /// Whether this entry occupies hash buckets in the table's index (so
+    /// the raise path may skip it when the index does not select it).
+    indexed: bool,
     removed: Cell<bool>,
+}
+
+impl<T> Entry<T> {
+    /// The guard's demux key, when this entry occupies buckets under it.
+    fn key(&self) -> Option<&KeySpec> {
+        match &self.guard {
+            Some(Guard::Verified(vg)) if self.indexed => vg.key(),
+            _ => None,
+        }
+    }
 }
 
 /// Schema fields a bucket key has room for: the width of the widest
@@ -539,7 +542,7 @@ fn remove_id<T>(list: &mut EntryList<T>, id: HandlerId) {
 
 /// One immutable generation of an event table: the live entries and the
 /// demultiplexing index over those whose verified guards have a
-/// statically bounded acceptance ([`DemuxKey::extract`]).
+/// statically bounded acceptance ([`VerifiedProgram::demux_key`]).
 ///
 /// A raise clones the `Rc` of the current generation and walks it
 /// undisturbed; install and uninstall go through `Rc::make_mut`, in place
@@ -606,7 +609,7 @@ impl<T> Clone for Gen<T> {
 
 /// Enumerates the bucket keys a key spec occupies: the bound-field mask
 /// and the cross product of its `In` sets, in schema order. Bounded by
-/// [`plexus_filter::MAX_ENUMERATED_KEYS`] at extraction time.
+/// [`plexus_filter::MAX_ENUMERATED_KEYS`] at verification time.
 fn enumerate_keys(spec: &KeySpec) -> (u8, Vec<[u64; KEY_WIDTH]>) {
     let mut mask = 0u8;
     let mut combos = vec![[0u64; KEY_WIDTH]];
@@ -912,27 +915,24 @@ impl Dispatcher {
         let mut slot = table.gen.borrow_mut();
         let gen = Rc::make_mut(&mut slot);
 
-        // Index the entry if its guard carries an extractable key. The
-        // entry's stored `key` stays `None` unless the index actually
-        // accepts it — the raise path's skip test relies on "has a key"
-        // implying "is in the buckets".
+        // Index the entry if its guard carries a demux key. `indexed` is
+        // set only when the index actually accepts it — the raise path's
+        // skip test relies on "has a key" implying "is in the buckets".
         let (key, read) = match &guard {
-            Some(Guard::Verified(vg)) => (vg.key().cloned(), Some(vg.read)),
+            Some(Guard::Verified(vg)) => (vg.key(), Some(vg.read)),
             _ => (None, None),
         };
-        let (key, slots) = key
-            .and_then(|spec| {
-                let schema = key_schema(spec.kind());
-                if schema.len() > KEY_WIDTH || *gen.schema.get_or_insert(schema) != schema {
-                    // Wider than a bucket key, or a guard of a different
-                    // event kind on the same table (possible only with an
-                    // exotic `Packet` impl): leave it on the linear path.
-                    return None;
-                }
-                let (mask, combos) = enumerate_keys(&spec);
-                (mask != 0).then_some((spec, (mask, combos)))
-            })
-            .unzip();
+        let slots = key.and_then(|spec| {
+            let schema = key_schema(spec.kind());
+            if schema.len() > KEY_WIDTH || *gen.schema.get_or_insert(schema) != schema {
+                // Wider than a bucket key, or a guard of a different
+                // event kind on the same table (possible only with an
+                // exotic `Packet` impl): leave it on the linear path.
+                return None;
+            }
+            let (mask, combos) = enumerate_keys(spec);
+            (mask != 0).then_some((mask, combos))
+        });
         let entry = Rc::new(Entry {
             id,
             guard,
@@ -940,7 +940,7 @@ impl Dispatcher {
             mode,
             ephemeral,
             owner: Rc::from(owner),
-            key,
+            indexed: slots.is_some(),
             removed: Cell::new(false),
         });
         match slots {
@@ -976,7 +976,7 @@ impl Dispatcher {
         // A raise in flight holds the generation that still lists the
         // entry; the flag is what makes it skip the entry from here on.
         entry.removed.set(true);
-        match &entry.key {
+        match entry.key() {
             Some(spec) => {
                 let (mask, combos) = enumerate_keys(spec);
                 for vals in combos {
@@ -1136,7 +1136,7 @@ impl Dispatcher {
             // is skipped without evaluating the guard: the outcome is
             // identical to the linear scan — minus the eval, its charge,
             // and its trace record.
-            if let (Some((read, schema)), Some(spec)) = (index, &entry.key) {
+            if let (Some((read, schema)), Some(spec)) = (index, entry.key()) {
                 let excluded = spec.fields().iter().enumerate().any(|(i, field)| {
                     let FieldSpec::NotIn(sets) = field else {
                         return false;
