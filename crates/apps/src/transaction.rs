@@ -80,15 +80,8 @@ impl TransactionServer {
                 // slimmer per-packet work of the transaction discipline.
                 ctx.lease.charge(model.tcp_proc / 2);
                 ctx.lease.charge(model.checksum(ev.payload.total_len()));
-                let total = ev.payload.total_len();
                 let mut scratch = scratch.borrow_mut();
-                let bytes: &[u8] = if ev.payload.head().len() == total {
-                    ev.payload.head()
-                } else {
-                    scratch.clear();
-                    ev.payload.copy_into(0, total, &mut scratch);
-                    &scratch
-                };
+                let bytes = ev.payload.contiguous(&mut scratch);
                 let Some(seg) = TcpSegment::parse(ev.src, ev.dst, bytes) else {
                     return;
                 };
@@ -193,15 +186,8 @@ impl TransactionClient {
                 let model = ctx.lease.model().clone();
                 ctx.lease.charge(model.tcp_proc / 2);
                 ctx.lease.charge(model.checksum(ev.payload.total_len()));
-                let total = ev.payload.total_len();
                 let mut scratch = scratch.borrow_mut();
-                let bytes: &[u8] = if ev.payload.head().len() == total {
-                    ev.payload.head()
-                } else {
-                    scratch.clear();
-                    ev.payload.copy_into(0, total, &mut scratch);
-                    &scratch
-                };
+                let bytes = ev.payload.contiguous(&mut scratch);
                 let Some(seg) = TcpSegment::parse(ev.src, ev.dst, bytes) else {
                     return;
                 };

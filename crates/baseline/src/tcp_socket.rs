@@ -114,6 +114,7 @@ impl TcpLayer {
             process: process.clone(),
             key,
             tcb: RefCell::new(tcb),
+            rx_buf: RefCell::new(Vec::new()),
             callbacks: RefCell::new(SocketCallbacks::default()),
             timer: RefCell::new(None),
             gone: Cell::new(false),
@@ -181,6 +182,8 @@ pub struct TcpSocket {
     process: Rc<AddressSpace>,
     key: ConnKey,
     tcb: RefCell<Tcb>,
+    /// This side of the receive hand-off ([`Tcb::swap_received`]).
+    rx_buf: RefCell<Vec<u8>>,
     callbacks: RefCell<SocketCallbacks>,
     timer: RefCell<Option<TimerHandle>>,
     gone: Cell<bool>,
@@ -272,11 +275,18 @@ impl TcpSocket {
         if actions.connected {
             self.user_callback(engine, lease, UserEvent::Connected);
         }
-        if actions.data_available {
-            let data = self.tcb.borrow_mut().take_received();
-            if !data.is_empty() {
-                self.deliver_data(engine, lease, data);
+        if actions.out_of_window {
+            if let Some(rec) = lease.recorder() {
+                rec.packet_drop(lease.now().as_nanos(), "tcp", "tcp_out_of_window");
             }
+        }
+        if actions.data_available {
+            let mut data = self.rx_buf.take();
+            self.tcb.borrow_mut().swap_received(&mut data);
+            if !data.is_empty() {
+                self.deliver_data(engine, lease, &data);
+            }
+            self.rx_buf.replace(data);
         }
         if actions.peer_fin {
             self.user_callback(engine, lease, UserEvent::PeerClose);
@@ -293,10 +303,10 @@ impl TcpSocket {
     /// wakeup is already queued (the process has not run yet), the bytes
     /// ride along with it — one boundary crossing drains the whole buffer,
     /// like `soreceive` after a burst of segments.
-    fn deliver_data(self: &Rc<Self>, engine: &mut Engine, lease: &mut CpuLease, data: Vec<u8>) {
+    fn deliver_data(self: &Rc<Self>, engine: &mut Engine, lease: &mut CpuLease, data: &[u8]) {
         let model = lease.model().clone();
         lease.charge(model.socket_layer);
-        self.pending_data.borrow_mut().extend_from_slice(&data);
+        self.pending_data.borrow_mut().extend_from_slice(data);
         if self.wakeup_queued.replace(true) {
             return;
         }

@@ -351,7 +351,7 @@ impl StackShared {
     }
 
     /// Records a drop at `layer` for `reason`, if a recorder is installed.
-    fn record_drop(lease: &CpuLease, layer: &str, reason: &str) {
+    pub(crate) fn record_drop(lease: &CpuLease, layer: &str, reason: &str) {
         if let Some(rec) = lease.recorder() {
             rec.packet_drop(lease.now().as_nanos(), layer, reason);
         }

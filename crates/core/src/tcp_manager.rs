@@ -20,7 +20,7 @@ use plexus_filter::{conjunction, EventKind, Field, FieldKey, Operand, Policy, Po
 use plexus_kernel::dispatcher::{Guard, HandlerId, RaiseCtx};
 use plexus_kernel::domain::LinkedExtension;
 use plexus_net::ip::{self, encapsulate as ip_encapsulate, proto, Hop, IpHeader};
-use plexus_net::tcp::{Actions, Tcb, TcpFlags, TcpSegment, TcpState, TCP_HDR_LEN};
+use plexus_net::tcp::{Actions, Tcb, TcpSegment, TcpState, TCP_HDR_LEN};
 use plexus_sim::engine::TimerHandle;
 use plexus_sim::time::SimDuration;
 use plexus_sim::Engine;
@@ -102,7 +102,7 @@ impl TcpManager {
         let s = shared.clone();
         let m = mgr.clone();
         // Scratch buffer reused across segments: parsing needs contiguous
-        // bytes, but the allocation should not recur per packet.
+        // bytes, and a frame that spans clusters is copied here to get them.
         let scratch = std::cell::RefCell::new(Vec::new());
         shared.install_layer(
             shared.events.ip_recv,
@@ -113,13 +113,15 @@ impl TcpManager {
                     ctx.lease
                         .charge(ctx.lease.model().checksum(ev.payload.total_len()));
                 }
-                let mut bytes = scratch.borrow_mut();
-                bytes.clear();
-                ev.payload.copy_into(0, ev.payload.total_len(), &mut bytes);
-                let Some(segment) = TcpSegment::parse(ev.src, ev.dst, &bytes) else {
+                // The scratch borrow ends with this statement, ahead of the
+                // raise below.
+                let Some(segment) = TcpSegment::parse(
+                    ev.src,
+                    ev.dst,
+                    ev.payload.contiguous(&mut scratch.borrow_mut()),
+                ) else {
                     return;
                 };
-                drop(bytes);
                 m.segments_in.set(m.segments_in.get() + 1);
                 let arg = TcpRecv {
                     src: ev.src,
@@ -195,9 +197,7 @@ impl TcpManager {
             &policy,
             guards::TRANSPORT_GUARD_CYCLES,
         );
-        let on_accept: ConnCallback = Rc::new(on_accept);
         let mgr2 = self.clone();
-        let accept_cb = on_accept.clone();
         let handler = self.shared.install_layer(
             self.shared.events.tcp_recv,
             Some(Guard::verified(guard)),
@@ -212,7 +212,7 @@ impl TcpManager {
                 let conn = TcpConn::register(&mgr2, key, ev.dst, tcb);
                 // Let the application attach callbacks before the handshake
                 // proceeds.
-                (accept_cb)(ctx, &conn);
+                on_accept(ctx, &conn);
                 let actions = conn.tcb.borrow_mut().on_segment(
                     &ev.segment,
                     (ev.src, ev.segment.src_port),
@@ -222,7 +222,6 @@ impl TcpManager {
             },
             ext.name(),
         );
-        let _ = on_accept;
         self.listeners
             .borrow_mut()
             .insert(port, Rc::new(ListenerState { handler }));
@@ -380,6 +379,8 @@ pub struct TcpConn {
     /// alias, preserving end-to-end addressing (§5.2).
     local_ip: Ipv4Addr,
     tcb: RefCell<Tcb>,
+    /// This side of the receive hand-off ([`Tcb::swap_received`]).
+    rx_buf: RefCell<Vec<u8>>,
     callbacks: RefCell<TcpCallbacks>,
     timer: RefCell<Option<TimerHandle>>,
     handler: Cell<Option<HandlerId>>,
@@ -405,6 +406,7 @@ impl TcpConn {
             key,
             local_ip,
             tcb: RefCell::new(tcb),
+            rx_buf: RefCell::new(Vec::new()),
             callbacks: RefCell::new(TcpCallbacks::default()),
             timer: RefCell::new(None),
             handler: Cell::new(None),
@@ -523,35 +525,15 @@ impl TcpConn {
             // adapter-assisted split, not another trip through TCP.
             ctx.lease.charge(ctx.lease.model().tcp_proc);
             let len = seg.payload.len();
-            let nchunks = if len > mss { len.div_ceil(mss) } else { 1 };
-            for i in 0..nchunks {
-                let off = i * mss;
-                let sub;
-                let wire = if nchunks == 1 {
-                    seg
-                } else {
-                    let end = (off + mss).min(len);
-                    sub = TcpSegment {
-                        src_port: seg.src_port,
-                        dst_port: seg.dst_port,
-                        seq: seg.seq.wrapping_add(off as u32),
-                        ack: seg.ack,
-                        // Interior chunks are plain ACKs; the final chunk
-                        // keeps the original flags (PSH/FIN ride on it).
-                        flags: if end == len { seg.flags } else { TcpFlags::ACK },
-                        window: seg.window,
-                        mss: None,
-                        payload: seg.payload[off..end].to_vec(),
-                    };
-                    &sub
-                };
-                let payload = if shared.csum_offload {
-                    wire.to_mbuf_offload(self.local_ip, rip, 64)
-                } else {
-                    let covered = wire.payload.len() + TCP_HDR_LEN;
-                    ctx.lease.charge(ctx.lease.model().checksum(covered));
-                    wire.to_mbuf(self.local_ip, rip, 64)
-                };
+            // A segment without payload is still one wire segment.
+            for off in (0..len.max(1)).step_by(mss) {
+                let end = (off + mss).min(len);
+                if !shared.csum_offload {
+                    ctx.lease
+                        .charge(ctx.lease.model().checksum(end - off + TCP_HDR_LEN));
+                }
+                let payload =
+                    seg.chunk_to_mbuf(off..end, self.local_ip, rip, 64, shared.csum_offload);
                 shared.raise_ip_send(
                     ctx,
                     IpSendReq {
@@ -569,14 +551,21 @@ impl TcpConn {
                 cb(ctx, self);
             }
         }
+        if actions.out_of_window {
+            StackShared::record_drop(ctx.lease, "tcp", "tcp_out_of_window");
+        }
         if actions.data_available {
-            let data = self.tcb.borrow_mut().take_received();
+            // The buffer goes back when the callback returns, so the next
+            // delivery reuses its allocation (and the TCB the one it got).
+            let mut data = self.rx_buf.take();
+            self.tcb.borrow_mut().swap_received(&mut data);
             if !data.is_empty() {
                 let cb = self.callbacks.borrow().on_data.clone();
                 if let Some(cb) = cb {
                     cb(ctx, self, &data);
                 }
             }
+            self.rx_buf.replace(data);
         }
         if actions.peer_fin {
             let cb = self.callbacks.borrow().on_peer_close.clone();

@@ -543,6 +543,21 @@ impl Mbuf {
         }
     }
 
+    /// The whole packet as one slice, for parsers that need contiguous
+    /// bytes: the head in place when it is the whole packet (the common
+    /// single-cluster frame), otherwise the chain copied into `scratch`,
+    /// whose old contents are discarded. A caller that keeps `scratch`
+    /// across packets allocates nothing per packet either way.
+    pub fn contiguous<'a>(&'a self, scratch: &'a mut Vec<u8>) -> &'a [u8] {
+        let total = self.total_len();
+        if self.head().len() == total {
+            return self.head();
+        }
+        scratch.clear();
+        self.copy_into(0, total, scratch);
+        scratch
+    }
+
     /// Writes `data` at offset `off`, copy-on-write on shared clusters.
     /// Returns `false` if the range is out of bounds.
     pub fn write_at(&mut self, mut off: usize, data: &[u8]) -> bool {
@@ -670,6 +685,22 @@ mod tests {
         assert_eq!(m.total_len(), 256);
         assert_eq!(m.to_vec(), data);
         assert_eq!(m.pkthdr().unwrap().len, 256);
+    }
+
+    #[test]
+    fn contiguous_borrows_a_single_cluster_and_copies_a_chain() {
+        let mut scratch = vec![0xFF; 8];
+        let small = Mbuf::from_payload(LEADING_SPACE, &[1, 2, 3]);
+        assert_eq!(small.contiguous(&mut scratch), &[1, 2, 3]);
+        assert_eq!(scratch, [0xFF; 8], "a one-cluster packet is read in place");
+
+        let data: Vec<u8> = (0..5000u32).map(|i| i as u8).collect();
+        let big = Mbuf::from_payload(LEADING_SPACE, &data);
+        assert_eq!(big.contiguous(&mut scratch), &data[..]);
+        assert_eq!(
+            scratch, data,
+            "a chain lands in the scratch, replacing what was there"
+        );
     }
 
     #[test]

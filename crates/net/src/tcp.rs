@@ -11,7 +11,7 @@
 //!
 //! Time is a bare `u64` of nanoseconds supplied by the caller.
 
-use std::collections::BTreeMap;
+use std::collections::{BTreeMap, VecDeque};
 use std::net::Ipv4Addr;
 
 use plexus_kernel::view::{be16, be32, put_be16, put_be32, WireView};
@@ -26,6 +26,11 @@ pub const TCP_HDR_LEN: usize = 20;
 
 /// Default maximum segment size (Ethernet-friendly).
 pub const DEFAULT_MSS: usize = 1460;
+
+/// Smallest MSS a peer can talk us down to. The option field can carry 0,
+/// and every size derived from the MSS (segment payloads, the congestion
+/// window, the offload split) must stay non-zero.
+pub const MIN_MSS: usize = 64;
 
 /// Default receive window.
 pub const DEFAULT_WINDOW: u16 = 65535;
@@ -170,45 +175,62 @@ impl TcpSegment {
     /// `Mbuf::from_payload` would cost, and the checksum streams over the
     /// mbuf chain in place.
     pub fn to_mbuf(&self, src: Ipv4Addr, dst: Ipv4Addr, leading: usize) -> Mbuf {
-        let hdr_len = self.header_len();
-        let len = hdr_len + self.payload.len();
-        let mut m = Mbuf::from_payload(leading + hdr_len, &self.payload);
-        self.write_header(m.prepend(hdr_len));
-        let mut c = Checksum::new();
-        c.add(&src.octets())
-            .add(&dst.octets())
-            .add_u16(proto::TCP as u16)
-            .add_u16(len as u16);
-        for seg in m.segments() {
-            c.add(seg);
-        }
-        let sum = c.finish();
-        m.write_at(16, &sum.to_be_bytes());
-        m
+        self.chunk_to_mbuf(0..self.payload.len(), src, dst, leading, false)
     }
 
-    /// [`TcpSegment::to_mbuf`] with the checksum deferred to a NIC that
-    /// advertises checksum offload: the field stays zero and a
-    /// [`CsumOffload`] descriptor (pseudo-header partial included) is
-    /// stamped in the packet header for the adapter to fill during the DMA
-    /// gather. Unlike UDP, a computed zero stays zero on the wire.
-    pub fn to_mbuf_offload(&self, src: Ipv4Addr, dst: Ipv4Addr, leading: usize) -> Mbuf {
-        let hdr_len = self.header_len();
-        let len = hdr_len + self.payload.len();
-        let mut m = Mbuf::from_payload(leading + hdr_len, &self.payload);
-        self.write_header(m.prepend(hdr_len));
-        m.stamp_pkthdr();
+    /// [`TcpSegment::to_mbuf`] for the payload bytes in `range` alone: the
+    /// wire segment a segmentation-offload split makes of that part of a
+    /// super-segment, built from a slice of it. The sequence number moves
+    /// up by `range.start`; chunks short of the end are plain ACKs and the
+    /// final one keeps the flags (FIN rides on it).
+    ///
+    /// With `offload` the checksum is deferred to a NIC that advertises
+    /// checksum offload: the field stays zero and a [`CsumOffload`]
+    /// descriptor (pseudo-header partial included) is stamped in the packet
+    /// header for the adapter to fill during the DMA gather. Unlike UDP, a
+    /// computed zero stays zero on the wire.
+    pub fn chunk_to_mbuf(
+        &self,
+        range: std::ops::Range<usize>,
+        src: Ipv4Addr,
+        dst: Ipv4Addr,
+        leading: usize,
+        offload: bool,
+    ) -> Mbuf {
+        let whole = range.len() == self.payload.len();
+        let last = range.end == self.payload.len();
+        let header = TcpSegment {
+            seq: self.seq.wrapping_add(range.start as u32),
+            flags: if last { self.flags } else { TcpFlags::ACK },
+            // Options stay with an unsplit segment: a SYN is never split.
+            mss: self.mss.filter(|_| whole),
+            payload: Vec::new(),
+            ..*self
+        };
+        let hdr_len = header.header_len();
+        let len = hdr_len + range.len();
+        let mut m = Mbuf::from_payload(leading + hdr_len, &self.payload[range]);
+        header.write_header(m.prepend(hdr_len));
         let mut c = Checksum::new();
         c.add(&src.octets())
             .add(&dst.octets())
             .add_u16(proto::TCP as u16)
             .add_u16(len as u16);
-        m.pkthdr_mut().csum = Some(CsumOffload {
-            start_from_end: len,
-            field_from_end: len - 16,
-            pseudo: c.partial(),
-            zero_to_ones: false,
-        });
+        if offload {
+            m.stamp_pkthdr();
+            m.pkthdr_mut().csum = Some(CsumOffload {
+                start_from_end: len,
+                field_from_end: len - 16,
+                pseudo: c.partial(),
+                zero_to_ones: false,
+            });
+        } else {
+            for seg in m.segments() {
+                c.add(seg);
+            }
+            let sum = c.finish();
+            m.write_at(16, &sum.to_be_bytes());
+        }
         m
     }
 
@@ -319,7 +341,7 @@ pub struct Actions {
     pub segments: Vec<TcpSegment>,
     /// The connection just reached `Established`.
     pub connected: bool,
-    /// New in-order data is available via [`Tcb::take_received`].
+    /// New in-order data is available via [`Tcb::swap_received`].
     pub data_available: bool,
     /// The connection fully closed (reached `Closed`).
     pub closed: bool,
@@ -328,6 +350,9 @@ pub struct Actions {
     /// The peer finished sending (its FIN was consumed); no more data will
     /// arrive. The application may close its side in response.
     pub peer_fin: bool,
+    /// Payload bytes beyond the advertised receive window were refused
+    /// (and acknowledged, RFC 793 §3.3); the owner records the drop.
+    pub out_of_window: bool,
 }
 
 impl Actions {
@@ -338,6 +363,7 @@ impl Actions {
         self.closed |= other.closed;
         self.reset |= other.reset;
         self.peer_fin |= other.peer_fin;
+        self.out_of_window |= other.out_of_window;
     }
 }
 
@@ -358,17 +384,27 @@ pub struct Tcb {
     snd_una: u32,
     snd_nxt: u32,
     snd_wnd: u32,
-    /// Unacked + unsent bytes; `send_buf[0]` is sequence `snd_una`
-    /// (+1 while our SYN is unacked).
-    send_buf: Vec<u8>,
+    /// Unacked + unsent bytes, a ring trimmed at the front by each ACK; its
+    /// first byte is sequence `snd_una` (+1 while our SYN is unacked).
+    send_q: VecDeque<u8>,
     fin_pending: bool,
     fin_seq: Option<u32>,
 
     // Receive sequence space.
     rcv_nxt: u32,
     rcv_wnd: u16,
+    /// In-order bytes the owner has not collected yet
+    /// ([`Tcb::swap_received`]).
     recv_ready: Vec<u8>,
-    ooo: BTreeMap<u32, Vec<u8>>,
+    /// `rcv_nxt` unwrapped: sequence numbers consumed since the peer's SYN.
+    /// 64 bits wide, so it orders the reassembly map where the 32-bit
+    /// sequence space wraps.
+    rcv_off: u64,
+    /// Out-of-order runs keyed by unwrapped sequence (`rcv_off` + the run's
+    /// distance ahead of `rcv_nxt`). Runs neither overlap nor touch, and all
+    /// lie inside the advertised window, so they hold at most a window of
+    /// bytes.
+    ooo: BTreeMap<u64, Vec<u8>>,
     peer_fin_seq: Option<u32>,
 
     // Congestion control.
@@ -407,12 +443,13 @@ impl Tcb {
             snd_una: iss,
             snd_nxt: iss,
             snd_wnd: DEFAULT_WINDOW as u32,
-            send_buf: Vec::new(),
+            send_q: VecDeque::new(),
             fin_pending: false,
             fin_seq: None,
             rcv_nxt: 0,
             rcv_wnd: DEFAULT_WINDOW,
             recv_ready: Vec::new(),
+            rcv_off: 0,
             ooo: BTreeMap::new(),
             peer_fin_seq: None,
             cwnd: 2 * DEFAULT_MSS,
@@ -472,7 +509,7 @@ impl Tcb {
 
     /// Bytes buffered but not yet acknowledged (or not yet sent).
     pub fn unacked_len(&self) -> usize {
-        self.send_buf.len()
+        self.send_q.len()
     }
 
     /// The next instant [`Tcb::on_timer`] should be called, if any.
@@ -483,9 +520,28 @@ impl Tcb {
         }
     }
 
-    /// Drains data received in order.
-    pub fn take_received(&mut self) -> Vec<u8> {
-        std::mem::take(&mut self.recv_ready)
+    /// Hands over the data received in order by swapping buffers: `buf`
+    /// comes back holding it, and what `buf` held is discarded while its
+    /// allocation stays here for the segments to come. An owner that passes
+    /// the same buffer every time regrows nothing per segment, nor does the
+    /// TCB.
+    pub fn swap_received(&mut self, buf: &mut Vec<u8>) {
+        buf.clear();
+        std::mem::swap(&mut self.recv_ready, buf);
+    }
+
+    /// Copies `len` queued bytes that start `off` bytes past `snd_una`.
+    fn queued(&self, off: usize, len: usize) -> Vec<u8> {
+        let (front, back) = self.send_q.as_slices();
+        let mut out = Vec::with_capacity(len);
+        if off < front.len() {
+            let n = len.min(front.len() - off);
+            out.extend_from_slice(&front[off..off + n]);
+            out.extend_from_slice(&back[..len - n]);
+        } else {
+            out.extend_from_slice(&back[off - front.len()..][..len]);
+        }
+        out
     }
 
     fn make_segment(&self, seq: u32, flags: TcpFlags, payload: Vec<u8>) -> TcpSegment {
@@ -506,7 +562,7 @@ impl Tcb {
     }
 
     /// The window we advertise: buffer capacity minus data the application
-    /// has not yet drained with [`Tcb::take_received`]. A non-draining
+    /// has not yet drained with [`Tcb::swap_received`]. A non-draining
     /// receiver closes the window and flow-controls the sender.
     fn advertised_window(&self) -> u16 {
         (self.rcv_wnd as usize).saturating_sub(self.recv_ready.len()) as u16
@@ -520,7 +576,7 @@ impl Tcb {
         self.timer_deadline = None;
     }
 
-    /// Offset of `snd_una` into `send_buf` sequence space: while our SYN is
+    /// Offset of `snd_una` into `send_q` sequence space: while our SYN is
     /// unacked, sequence `snd_una` is the SYN itself, not data.
     fn syn_in_flight(&self) -> bool {
         matches!(self.state, TcpState::SynSent | TcpState::SynRcvd)
@@ -540,6 +596,14 @@ impl Tcb {
         self.gso_segs
     }
 
+    /// Takes the smaller of our MSS and the one in the peer's SYN, floored
+    /// at [`MIN_MSS`].
+    fn adopt_peer_mss(&mut self, syn: &TcpSegment) {
+        if let Some(peer_mss) = syn.mss {
+            self.mss = self.mss.min((peer_mss as usize).max(MIN_MSS));
+        }
+    }
+
     /// Largest payload a single emitted segment may carry: the wire MSS
     /// scaled by the GSO factor.
     fn chunk_cap(&self) -> usize {
@@ -556,7 +620,7 @@ impl Tcb {
             "send in state {:?}",
             self.state
         );
-        self.send_buf.extend_from_slice(data);
+        self.send_q.extend(data);
         self.pump_output(now_ns)
     }
 
@@ -593,15 +657,14 @@ impl Tcb {
         let wnd = self.snd_wnd.min(self.cwnd as u32);
         loop {
             let in_flight = self.snd_nxt.wrapping_sub(self.snd_una);
-            let sent_off = in_flight as usize; // Bytes of send_buf already in flight.
-            let remaining = self.send_buf.len().saturating_sub(sent_off);
+            let sent_off = in_flight as usize; // Bytes of send_q already in flight.
+            let remaining = self.send_q.len().saturating_sub(sent_off);
             let room = wnd.saturating_sub(in_flight) as usize;
             let chunk = remaining.min(room).min(self.chunk_cap());
             if chunk == 0 {
                 break;
             }
-            let payload = self.send_buf[sent_off..sent_off + chunk].to_vec();
-            let seg = self.make_segment(self.snd_nxt, TcpFlags::ACK, payload);
+            let seg = self.make_segment(self.snd_nxt, TcpFlags::ACK, self.queued(sent_off, chunk));
             if self.rtt_sample.is_none() {
                 self.rtt_sample = Some((self.snd_nxt, now_ns));
             }
@@ -609,7 +672,7 @@ impl Tcb {
             a.segments.push(seg);
         }
         // FIN once everything queued has been handed to the network.
-        let all_sent = self.snd_nxt.wrapping_sub(self.snd_una) as usize >= self.send_buf.len();
+        let all_sent = self.snd_nxt.wrapping_sub(self.snd_una) as usize >= self.send_q.len();
         if self.fin_pending && all_sent && self.fin_seq.is_none() {
             let seg = self.make_segment(self.snd_nxt, TcpFlags::FIN_ACK, Vec::new());
             self.fin_seq = Some(self.snd_nxt);
@@ -623,7 +686,7 @@ impl Tcb {
         // persist timer running.
         let in_flight = self.snd_nxt.wrapping_sub(self.snd_una);
         if in_flight == 0
-            && !self.send_buf.is_empty()
+            && !self.send_q.is_empty()
             && self.snd_wnd.min(self.cwnd as u32) == 0
             && self.timer_deadline.is_none()
         {
@@ -656,9 +719,8 @@ impl Tcb {
         // update cannot be lost forever (RFC 1122 §4.2.2.17).
         let flight = self.snd_nxt.wrapping_sub(self.snd_una) as usize;
         if flight == 0 && !self.syn_in_flight() {
-            if !self.send_buf.is_empty() && self.snd_wnd == 0 {
-                let probe =
-                    self.make_segment(self.snd_una, TcpFlags::ACK, self.send_buf[..1].to_vec());
+            if !self.send_q.is_empty() && self.snd_wnd == 0 {
+                let probe = self.make_segment(self.snd_una, TcpFlags::ACK, self.queued(0, 1));
                 self.snd_nxt = self.snd_una.wrapping_add(1);
                 self.rto_ns = (self.rto_ns * 2).min(MAX_RTO_NS);
                 a.segments.push(probe);
@@ -691,12 +753,11 @@ impl Tcb {
                     }
                 }
                 let chunk = self
-                    .send_buf
+                    .send_q
                     .len()
                     .min(self.chunk_cap())
                     .min(self.snd_nxt.wrapping_sub(self.snd_una) as usize);
-                let payload = self.send_buf[..chunk].to_vec();
-                self.make_segment(self.snd_una, TcpFlags::ACK, payload)
+                self.make_segment(self.snd_una, TcpFlags::ACK, self.queued(0, chunk))
             }
         }
     }
@@ -720,9 +781,7 @@ impl Tcb {
             TcpState::Listen => {
                 if seg.flags.syn {
                     self.remote = Some(peer);
-                    if let Some(peer_mss) = seg.mss {
-                        self.mss = self.mss.min(peer_mss as usize);
-                    }
+                    self.adopt_peer_mss(seg);
                     self.rcv_nxt = seg.seq.wrapping_add(1);
                     self.snd_nxt = self.iss.wrapping_add(1);
                     self.snd_wnd = seg.window as u32;
@@ -734,9 +793,7 @@ impl Tcb {
             }
             TcpState::SynSent => {
                 if seg.flags.syn && seg.flags.ack && seg.ack == self.snd_nxt {
-                    if let Some(peer_mss) = seg.mss {
-                        self.mss = self.mss.min(peer_mss as usize);
-                    }
+                    self.adopt_peer_mss(seg);
                     self.rcv_nxt = seg.seq.wrapping_add(1);
                     self.snd_una = seg.ack;
                     self.snd_wnd = seg.window as u32;
@@ -791,8 +848,9 @@ impl Tcb {
                         a.merge(self.on_fin_acked());
                     }
                 }
-                let acked = acked.min(self.send_buf.len());
-                self.send_buf.drain(..acked);
+                // On the ring this drops the acked bytes alone: what is
+                // still queued stays where it is.
+                self.send_q.drain(..acked.min(self.send_q.len()));
                 self.snd_una = ack;
                 self.dup_acks = 0;
                 // RTT sampling (Karn-compliant: sample only set on fresh data).
@@ -835,7 +893,7 @@ impl Tcb {
         // --- Payload processing ---------------------------------------------
         let had_payload_or_fin = !seg.payload.is_empty() || seg.flags.fin;
         if !seg.payload.is_empty() {
-            self.ingest_payload(seg.seq, &seg.payload);
+            a.out_of_window = self.ingest_payload(seg.seq, &seg.payload);
             if !self.recv_ready.is_empty() {
                 a.data_available = true;
             }
@@ -848,6 +906,7 @@ impl Tcb {
         if let Some(fin_seq) = self.peer_fin_seq {
             if fin_seq == self.rcv_nxt {
                 self.rcv_nxt = self.rcv_nxt.wrapping_add(1);
+                self.rcv_off += 1;
                 self.peer_fin_seq = None;
                 a.merge(self.on_peer_fin(now_ns));
             }
@@ -863,31 +922,76 @@ impl Tcb {
         a
     }
 
-    fn ingest_payload(&mut self, seq: u32, payload: &[u8]) {
-        // Stash, then drain everything now contiguous.
-        if seq_le(seq, self.rcv_nxt) {
-            let skip = self.rcv_nxt.wrapping_sub(seq) as usize;
-            if skip < payload.len() {
-                self.recv_ready.extend_from_slice(&payload[skip..]);
-                self.rcv_nxt = self.rcv_nxt.wrapping_add((payload.len() - skip) as u32);
-            }
-        } else {
-            self.ooo.insert(seq, payload.to_vec());
-        }
-        while let Some((&seq, _)) = self.ooo.iter().next() {
-            // BTreeMap ordering is numeric, not modular; fine for our
-            // simulated transfers, which stay far from wraparound.
-            if seq_le(seq, self.rcv_nxt) {
-                let data = self.ooo.remove(&seq).expect("key just seen");
-                let skip = self.rcv_nxt.wrapping_sub(seq) as usize;
-                if skip < data.len() {
-                    self.recv_ready.extend_from_slice(&data[skip..]);
-                    self.rcv_nxt = self.rcv_nxt.wrapping_add((data.len() - skip) as u32);
+    /// Takes in the part of `payload` that lies inside the advertised
+    /// window `[rcv_nxt, rcv_nxt + window)`: in-order bytes go to
+    /// `recv_ready` along with every stashed run they reach, bytes ahead of
+    /// a hole are stashed. Returns whether bytes beyond the window were
+    /// refused; bytes below `rcv_nxt` are duplicates, dropped silently.
+    fn ingest_payload(&mut self, seq: u32, payload: &[u8]) -> bool {
+        let window = self.advertised_window() as usize;
+        // Where the segment starts relative to `rcv_nxt`, signed: modular
+        // arithmetic, so it holds across sequence wraparound.
+        let ahead = seq.wrapping_sub(self.rcv_nxt) as i32;
+        if ahead <= 0 {
+            let skip = ahead.unsigned_abs() as usize;
+            let Some(fresh) = payload.get(skip..).filter(|f| !f.is_empty()) else {
+                return false;
+            };
+            let take = fresh.len().min(window);
+            self.deliver(&fresh[..take]);
+            // Stashed runs the new bytes reach (or cover) are now in order.
+            while let Some(entry) = self.ooo.first_entry() {
+                if *entry.key() > self.rcv_off {
+                    break;
                 }
-            } else {
+                let (at, run) = entry.remove_entry();
+                if let Some(rest) = run.get((self.rcv_off - at) as usize..) {
+                    self.deliver(rest);
+                }
+            }
+            take < fresh.len()
+        } else {
+            let ahead = ahead as usize;
+            if ahead >= window {
+                return true;
+            }
+            let take = payload.len().min(window - ahead);
+            self.stash(self.rcv_off + ahead as u64, &payload[..take]);
+            take < payload.len()
+        }
+    }
+
+    /// Appends in-order bytes to `recv_ready` and advances `rcv_nxt`.
+    fn deliver(&mut self, bytes: &[u8]) {
+        self.recv_ready.extend_from_slice(bytes);
+        self.rcv_nxt = self.rcv_nxt.wrapping_add(bytes.len() as u32);
+        self.rcv_off += bytes.len() as u64;
+    }
+
+    /// Merges `data`, which starts at unwrapped sequence `at` past a hole,
+    /// into the reassembly map: it extends the run that reaches `at` (or starts
+    /// one) and swallows every later run it reaches, so runs stay disjoint.
+    fn stash(&mut self, at: u64, data: &[u8]) {
+        let end = |at: u64, run: &Vec<u8>| at + run.len() as u64;
+        let (key, mut run) = match self.ooo.range_mut(..=at).next_back() {
+            Some((&k, v)) if end(k, v) >= at => (k, std::mem::take(v)),
+            _ => (at, Vec::new()),
+        };
+        let held = (end(key, &run) - at) as usize;
+        if let Some(fresh) = data.get(held..) {
+            run.extend_from_slice(fresh);
+        }
+        while let Some((&k, _)) = self.ooo.range(key + 1..).next() {
+            let reach = end(key, &run);
+            if k > reach {
                 break;
             }
+            let next = self.ooo.remove(&k).expect("key just seen");
+            if let Some(rest) = next.get((reach - k) as usize..) {
+                run.extend_from_slice(rest);
+            }
         }
+        self.ooo.insert(key, run);
     }
 
     fn on_fin_acked(&mut self) -> Actions {
@@ -940,6 +1044,16 @@ impl Tcb {
         }
         let srtt = self.srtt_ns.expect("just set");
         self.rto_ns = (srtt + 4 * self.rttvar_ns).clamp(200_000_000, MAX_RTO_NS);
+    }
+}
+
+#[cfg(test)]
+impl Tcb {
+    /// [`Tcb::swap_received`] into a fresh buffer.
+    fn take_received(&mut self) -> Vec<u8> {
+        let mut got = Vec::new();
+        self.swap_received(&mut got);
+        got
     }
 }
 
@@ -1124,7 +1238,7 @@ mod tests {
             payload: (0u16..777).map(|x| (x * 5) as u8).collect(),
         };
         let sw = seg.to_mbuf(ip(1), ip(2), 64);
-        let mut hw = seg.to_mbuf_offload(ip(1), ip(2), 64);
+        let mut hw = seg.chunk_to_mbuf(0..seg.payload.len(), ip(1), ip(2), 64, true);
         let req = hw.pkthdr().unwrap().csum.expect("offload stamped");
         let mut wire = hw.to_vec();
         assert_eq!(&wire[16..18], &[0, 0], "field deferred to the NIC");
@@ -1293,6 +1407,8 @@ mod tests {
             start_cwnd + acks * client.mss,
             "one MSS per ACK during slow start"
         );
+        // The application reads, so the window has room for the rest.
+        server.take_received();
         exchange(&mut client, &mut server, 30, None);
     }
 
@@ -1505,6 +1621,40 @@ mod extension_tests {
     }
 
     #[test]
+    fn a_peer_mss_of_zero_is_floored_in_both_roles() {
+        // The SYN a hostile client sends, as the parser hands it over.
+        let (_, acts) = Tcb::connect((ip(1), 4000), (ip(2), 80), 100, 0);
+        let mut syn = acts.segments[0].clone();
+        syn.mss = Some(0);
+        let wire = syn.to_bytes(ip(1), ip(2));
+        let syn = TcpSegment::parse(ip(1), ip(2), &wire).unwrap();
+        assert_eq!(syn.mss, Some(0), "the wire format carries it");
+        let mut server = Tcb::listen((ip(2), 80), 9000);
+        let sa = server.on_segment(&syn, (ip(1), 4000), 0);
+        assert_eq!(server.mss, MIN_MSS);
+        assert_eq!(sa.segments[0].mss, Some(MIN_MSS as u16));
+
+        // The same from a hostile server's SYN-ACK.
+        let (mut client, acts) = Tcb::connect((ip(1), 4000), (ip(2), 80), 100, 0);
+        let mut victim = Tcb::listen((ip(2), 80), 9000);
+        let mut synack = victim
+            .on_segment(&acts.segments[0], (ip(1), 4000), 0)
+            .segments[0]
+            .clone();
+        synack.mss = Some(0);
+        client.on_segment(&synack, (ip(2), 80), 0);
+        assert_eq!(client.mss, MIN_MSS);
+
+        // Data still moves, in MIN_MSS pieces.
+        let acts = client.send(&[7u8; 200], 0);
+        assert!(!acts.segments.is_empty());
+        assert!(acts
+            .segments
+            .iter()
+            .all(|s| !s.payload.is_empty() && s.payload.len() <= MIN_MSS));
+    }
+
+    #[test]
     fn receiver_window_shrinks_until_app_drains() {
         let mut server = Tcb::listen((ip(2), 80), 9000);
         let (mut client, acts) = Tcb::connect((ip(1), 4000), (ip(2), 80), 100, 0);
@@ -1698,5 +1848,299 @@ mod robustness_tests {
         // The same segment again (a spurious retransmission).
         server.on_segment(seg, (ip(1), 4000), 20);
         assert!(server.take_received().is_empty(), "no double delivery");
+    }
+}
+
+#[cfg(test)]
+mod buffer_tests {
+    use super::*;
+
+    const CLIENT: (Ipv4Addr, u16) = (Ipv4Addr::new(10, 12, 0, 1), 4000);
+    const SERVER: (Ipv4Addr, u16) = (Ipv4Addr::new(10, 12, 0, 2), 80);
+
+    fn established_pair(client_iss: u32, server_iss: u32) -> (Tcb, Tcb) {
+        let mut server = Tcb::listen(SERVER, server_iss);
+        let (mut client, acts) = Tcb::connect(CLIENT, SERVER, client_iss, 0);
+        let sa = server.on_segment(&acts.segments[0], CLIENT, 0);
+        let ca = client.on_segment(&sa.segments[0], SERVER, 0);
+        for seg in &ca.segments {
+            server.on_segment(seg, CLIENT, 0);
+        }
+        assert_eq!(client.state(), TcpState::Established);
+        assert_eq!(server.state(), TcpState::Established);
+        (client, server)
+    }
+
+    /// A data segment from the client carrying `stream[off..off + len]`,
+    /// where `stream[0]` has sequence number `isn + 1`.
+    fn data_seg(isn: u32, stream: &[u8], off: usize, len: usize) -> TcpSegment {
+        TcpSegment {
+            src_port: CLIENT.1,
+            dst_port: SERVER.1,
+            seq: isn.wrapping_add(1).wrapping_add(off as u32),
+            ack: 0,
+            flags: TcpFlags::default(),
+            window: DEFAULT_WINDOW,
+            mss: None,
+            payload: stream[off..off + len].to_vec(),
+        }
+    }
+
+    fn stashed(t: &Tcb) -> usize {
+        t.ooo.values().map(Vec::len).sum()
+    }
+
+    /// Runs are disjoint, do not touch, lie past `rcv_nxt` and inside the
+    /// window.
+    fn assert_reassembly_invariants(t: &Tcb) {
+        let mut reach = t.rcv_off;
+        for (&at, run) in &t.ooo {
+            assert!(at > reach, "run at {at} touches or overlaps {reach}");
+            assert!(!run.is_empty());
+            reach = at + run.len() as u64;
+        }
+        assert!(reach <= t.rcv_off + u64::from(t.advertised_window()));
+        assert!(stashed(t) + t.recv_ready.len() <= t.rcv_wnd as usize);
+    }
+
+    #[test]
+    fn reassembly_crosses_sequence_wraparound() {
+        // Data starts 2000 below 2^32: the second segment straddles the
+        // wrap and the third lies past it.
+        let isn = u32::MAX - 2000;
+        let (mut client, mut server) = established_pair(isn, 9000);
+        client.cwnd = 64 * 1024;
+        let data: Vec<u8> = (0..3 * DEFAULT_MSS).map(|i| (i % 251) as u8).collect();
+        let segs = client.send(&data, 0).segments;
+        assert_eq!(segs.len(), 3);
+        assert!(segs[1].seq > segs[2].seq, "the flight wraps");
+        // Both sides of the wrap are stashed behind the missing head.
+        for seg in &segs[1..] {
+            let a = server.on_segment(seg, CLIENT, 10);
+            assert!(!a.data_available && !a.out_of_window);
+            assert_reassembly_invariants(&server);
+        }
+        assert_eq!(server.ooo.len(), 1, "adjacent runs coalesce");
+        // Filling the hole delivers everything at once.
+        let a = server.on_segment(&segs[0], CLIENT, 20);
+        assert!(a.data_available);
+        let got = server.take_received();
+        assert_eq!(
+            got.len(),
+            data.len(),
+            "delivered bytes after the hole fills"
+        );
+        assert_eq!(got, data);
+        assert_eq!(
+            a.segments[0].ack,
+            segs[2].seq.wrapping_add(DEFAULT_MSS as u32)
+        );
+        assert!(server.ooo.is_empty(), "no stale entry stays behind");
+    }
+
+    #[test]
+    fn bytes_beyond_the_window_are_refused_and_still_acked() {
+        let isn = 100;
+        let (_client, mut server) = established_pair(isn, 9000);
+        let stream = vec![0x5Au8; 3 * DEFAULT_WINDOW as usize];
+        let window = DEFAULT_WINDOW as usize;
+        // Wholly beyond the right edge, near and far.
+        for off in [window, window + 1, 2 * window, (1 << 31) - 2000] {
+            let seg = TcpSegment {
+                seq: isn.wrapping_add(1).wrapping_add(off as u32),
+                ..data_seg(isn, &stream, 0, 1000)
+            };
+            let a = server.on_segment(&seg, CLIENT, 10);
+            assert!(a.out_of_window, "offset {off} is outside the window");
+            assert!(!a.data_available);
+            assert_eq!(
+                a.segments.len(),
+                1,
+                "RFC 793: an unacceptable segment is ACKed"
+            );
+            assert_eq!(a.segments[0].ack, isn.wrapping_add(1));
+            assert_eq!(stashed(&server), 0);
+        }
+        // Straddling the right edge: the part inside is kept.
+        let a = server.on_segment(&data_seg(isn, &stream, window - 300, 1000), CLIENT, 20);
+        assert!(a.out_of_window);
+        assert_eq!(stashed(&server), 300);
+        assert_reassembly_invariants(&server);
+        // A plain duplicate of old data is no refusal.
+        server.on_segment(&data_seg(isn, &stream, 0, 500), CLIENT, 30);
+        assert_eq!(server.take_received().len(), 500);
+        let a = server.on_segment(&data_seg(isn, &stream, 0, 500), CLIENT, 40);
+        assert!(!a.out_of_window && !a.data_available);
+    }
+
+    #[test]
+    fn a_closed_window_refuses_in_order_data() {
+        let isn = 100;
+        let (_client, mut server) = established_pair(isn, 9000);
+        let window = DEFAULT_WINDOW as usize;
+        let stream = vec![7u8; window + 100];
+        // The application never reads: the window closes.
+        let mut off = 0;
+        while off < window {
+            let len = DEFAULT_MSS.min(window - off);
+            let a = server.on_segment(&data_seg(isn, &stream, off, len), CLIENT, 10);
+            assert!(!a.out_of_window);
+            off += len;
+        }
+        let a = server.on_segment(&data_seg(isn, &stream, window, 100), CLIENT, 20);
+        assert!(a.out_of_window, "no room: the probe's byte is refused");
+        assert_eq!(a.segments[0].window, 0);
+        assert_eq!(a.segments[0].ack, isn.wrapping_add(1 + window as u32));
+        // Reading reopens it.
+        assert_eq!(server.take_received().len(), window);
+        let a = server.on_segment(&data_seg(isn, &stream, window, 100), CLIENT, 30);
+        assert!(!a.out_of_window && a.data_available);
+    }
+
+    #[test]
+    fn overlapping_stashes_coalesce_and_stay_inside_the_window() {
+        // Overlapping, duplicated, shuffled pieces of one stream, starting
+        // just below the wrap, with the first byte withheld until the end:
+        // whatever the order, the stash never exceeds the window and the
+        // stream comes out whole.
+        let isn = u32::MAX - 10_000;
+        let window = DEFAULT_WINDOW as usize;
+        let stream: Vec<u8> = (0..window + 5000).map(|i| (i * 7 % 253) as u8).collect();
+        for seed in 1..=8u64 {
+            let (_client, mut server) = established_pair(isn, 9000);
+            let mut state = seed.wrapping_mul(0x9E37_79B9_7F4A_7C15);
+            let mut next = |n: usize| {
+                state = state
+                    .wrapping_mul(6364136223846793005)
+                    .wrapping_add(1442695040888963407);
+                (state >> 33) as usize % n
+            };
+            let mut refused = false;
+            for _ in 0..400 {
+                let off = 1 + next(stream.len() - 1);
+                let len = (1 + next(3000)).min(stream.len() - off);
+                let a = server.on_segment(&data_seg(isn, &stream, off, len), CLIENT, 10);
+                refused |= a.out_of_window;
+                assert!(!a.data_available, "byte 0 is still missing");
+                assert_reassembly_invariants(&server);
+            }
+            assert!(refused, "pieces past the window were offered");
+            // Fill in order what is still missing; everything stashed is
+            // picked up on the way.
+            let mut got = Vec::new();
+            while got.len() < stream.len() {
+                let off = got.len();
+                let len = 1000.min(stream.len() - off);
+                server.on_segment(&data_seg(isn, &stream, off, len), CLIENT, 20);
+                assert_reassembly_invariants(&server);
+                got.extend(server.take_received());
+            }
+            assert_eq!(got, stream, "seed {seed}");
+            assert!(server.ooo.is_empty());
+        }
+    }
+
+    #[test]
+    fn receive_hand_off_swaps_buffers_instead_of_regrowing_them() {
+        let isn = 100;
+        let (_client, mut server) = established_pair(isn, 9000);
+        let stream: Vec<u8> = (0..20 * DEFAULT_MSS).map(|i| i as u8).collect();
+        let mut buf = Vec::new();
+        let mut got = Vec::new();
+        let mut capacities = Vec::new();
+        for k in 0..20 {
+            server.on_segment(
+                &data_seg(isn, &stream, k * DEFAULT_MSS, DEFAULT_MSS),
+                CLIENT,
+                10,
+            );
+            server.swap_received(&mut buf);
+            got.extend_from_slice(&buf);
+            capacities.push((buf.capacity(), server.recv_ready.capacity()));
+        }
+        assert_eq!(got, stream);
+        // After the first two segments each side holds an allocation that
+        // fits a segment, and they only trade places.
+        for pair in &capacities[2..] {
+            assert!(
+                pair.0 >= DEFAULT_MSS && pair.1 >= DEFAULT_MSS,
+                "{capacities:?}"
+            );
+        }
+    }
+
+    #[test]
+    fn send_queue_reads_survive_ring_wrap() {
+        // Sends and ACKs interleave so that the ring's head passes its
+        // physical end; the retransmission and the fresh segments must
+        // still read the right bytes.
+        let (mut client, mut server) = established_pair(100, 9000);
+        client.cwnd = 1 << 20;
+        let stream: Vec<u8> = (0..200_000u32).map(|i| (i % 241) as u8).collect();
+        let mut got = Vec::new();
+        let mut now = 0;
+        for piece in stream.chunks(7001) {
+            let mut to_server = client.send(piece, now).segments;
+            while !to_server.is_empty() {
+                let mut to_client = Vec::new();
+                for seg in to_server.drain(..) {
+                    to_client.extend(server.on_segment(&seg, CLIENT, now).segments);
+                    got.extend(server.take_received());
+                }
+                for seg in &to_client {
+                    to_server.extend(client.on_segment(seg, SERVER, now).segments);
+                }
+                now += 1000;
+            }
+        }
+        assert_eq!(client.unacked_len(), 0);
+        assert_eq!(got, stream);
+        // And a retransmission read from a wrapped ring.
+        let (front, back) = {
+            client.send(&stream[..50_000], now);
+            client.send_q.as_slices()
+        };
+        assert!(!back.is_empty() || front.len() == 50_000);
+        let head = client.retransmit_head();
+        assert_eq!(head.payload, &stream[..DEFAULT_MSS]);
+        assert_eq!(client.queued(49_000, 1000), &stream[49_000..50_000]);
+    }
+
+    /// Complexity guard: acknowledging a long queue MSS by MSS is linear in
+    /// the bytes acknowledged. A queue that moves what is still queued on
+    /// every ACK (32 MB, ~23 000 times) takes tens of seconds here; the ring
+    /// takes tens of milliseconds. The bound is 50x from either.
+    #[test]
+    fn acking_a_32mb_queue_mss_by_mss_is_linear() {
+        const QUEUED: usize = 32 << 20;
+        let isn = 1000;
+        let (mut client, server) = established_pair(isn, 9000);
+        let started = std::time::Instant::now();
+        client.send(&vec![0x11u8; QUEUED], 0);
+        let mut ack = TcpSegment {
+            src_port: SERVER.1,
+            dst_port: CLIENT.1,
+            seq: server.snd_nxt,
+            ack: isn.wrapping_add(1),
+            flags: TcpFlags::ACK,
+            window: DEFAULT_WINDOW,
+            mss: None,
+            payload: Vec::new(),
+        };
+        let mut acks = 0u32;
+        while client.unacked_len() > 0 {
+            // Acknowledge one more MSS of what is in flight.
+            let step = DEFAULT_MSS.min(client.unacked_len()) as u32;
+            ack.ack = ack.ack.wrapping_add(step);
+            client.on_segment(&ack, SERVER, u64::from(acks) * 1000);
+            acks += 1;
+        }
+        let elapsed = started.elapsed();
+        assert!(acks as usize >= QUEUED / DEFAULT_MSS);
+        assert!(
+            elapsed < std::time::Duration::from_secs(5),
+            "{acks} ACKs over a {QUEUED}-byte queue took {elapsed:?}: \
+             per-ACK work must not grow with what is queued"
+        );
     }
 }

@@ -1,26 +1,34 @@
 //! Tier-1 allocation gate (DESIGN.md §9): a raise allocates nothing, an
 //! echoed datagram and a bind + close pair allocate exactly what is pinned
-//! below, and rebinding leaves no heap behind.
+//! below, rebinding leaves no heap behind, and a flood of out-of-window TCP
+//! segments leaves none either, on both stacks.
 //!
 //! The counting allocator is `perf/`'s, mounted by path so that it stays
 //! the one `unsafe` block in the tree. Its counters are thread-local and
 //! every `#[test]` runs on a thread of its own, so the counts here are
 //! exact under cargo's parallel runner.
 
-use std::cell::{Cell, OnceCell};
+use std::cell::{Cell, OnceCell, RefCell};
 use std::rc::Rc;
 
-use plexus::core::{AppHandler, PlexusStack, StackConfig, UdpEndpoint, UdpRecv};
+use plexus::baseline::{MonolithicStack, SocketCallbacks};
+use plexus::core::{AppHandler, PlexusStack, StackConfig, TcpCallbacks, UdpEndpoint, UdpRecv};
 use plexus::kernel::dispatcher::{Dispatcher, Event, Guard, HandlerSpec, RaiseCtx};
 use plexus::kernel::domain::ExtensionSpec;
 use plexus::kernel::ephemeral::Ephemeral;
 use plexus::kernel::filter::{conjunction, verify, EventKind, Field, Operand, Packet, Test};
+use plexus::kernel::vm::AddressSpace;
+use plexus::net::ether::{self, EtherType};
+use plexus::net::ip::{self, IpHeader};
+use plexus::net::tcp::{TcpFlags, TcpSegment};
+use plexus::net::testbed::Host;
 use plexus::net::udp::UdpConfig;
 use plexus::net::Testbed;
 use plexus::sim::cpu::{CostModel, Cpu};
 use plexus::sim::nic::{DriverConfig, Link};
-use plexus::sim::time::SimTime;
-use plexus::sim::Engine;
+use plexus::sim::time::{SimDuration, SimTime};
+use plexus::sim::{Engine, World};
+use plexus::trace::{CounterKey, Recorder, Scope};
 use plexus_bench::overload::{build_frame, PAYLOAD};
 
 #[allow(dead_code)]
@@ -238,4 +246,229 @@ fn rebinding_under_one_extension_leaves_no_heap_behind() {
         live_after_1000, live_after_10,
         "a closed endpoint must leave nothing in the extension's cleanup registry"
     );
+}
+
+// ---------------------------------------------------------------------------
+// Out-of-window TCP flood (ROADMAP 5a, TCP half), on both stacks.
+// ---------------------------------------------------------------------------
+
+const TCP_PORT: u16 = 80;
+
+/// Where a server puts the stream it receives.
+type Sink = Rc<RefCell<Vec<u8>>>;
+
+/// Builds a connected client and server of one stack kind on `hosts[0]` and
+/// `hosts[1]`.
+type Pair = fn(&mut World, &[Host], &Sink) -> Client;
+
+/// An application write on the client's connection.
+type Write = Box<dyn Fn(&mut World, &[u8])>;
+
+/// The client's side of one established connection, whichever stack runs it.
+struct Client {
+    port: u16,
+    send: Write,
+    close: Box<dyn Fn(&mut World)>,
+}
+
+/// A client and a server on the Plexus stack; the server appends what it
+/// receives to `sink` and closes when its peer has.
+fn plexus_pair(world: &mut World, hosts: &[Host], sink: &Sink) -> Client {
+    let client = PlexusStack::attach_host(&hosts[0], StackConfig::interrupt);
+    let server = PlexusStack::attach_host(&hosts[1], StackConfig::interrupt);
+    let spec = ExtensionSpec::typesafe("flood", &["TCP.Listen", "TCP.Connect", "TCP.Send"]);
+    let (cext, sext) = (
+        client.link_extension(&spec).unwrap(),
+        server.link_extension(&spec).unwrap(),
+    );
+    let sink = sink.clone();
+    server
+        .tcp()
+        .listen(&sext, TCP_PORT, move |_, conn| {
+            let sink = sink.clone();
+            conn.set_callbacks(TcpCallbacks {
+                on_data: Some(Rc::new(move |_, _, data| {
+                    sink.borrow_mut().extend_from_slice(data)
+                })),
+                on_peer_close: Some(Rc::new(|ctx, conn| conn.close_in(ctx))),
+                ..Default::default()
+            });
+        })
+        .unwrap();
+    let conn = client
+        .tcp()
+        .connect(&cext, world.engine_mut(), (hosts[1].ip, TCP_PORT))
+        .unwrap();
+    let closer = conn.clone();
+    Client {
+        port: conn.local_port(),
+        send: Box::new(move |world, data| conn.send(world.engine_mut(), data)),
+        close: Box::new(move |world| closer.close(world.engine_mut())),
+    }
+}
+
+/// [`plexus_pair`] on the monolithic baseline.
+fn baseline_pair(world: &mut World, hosts: &[Host], sink: &Sink) -> Client {
+    let client = MonolithicStack::attach_host(&hosts[0]);
+    let server = MonolithicStack::attach_host(&hosts[1]);
+    let sink = sink.clone();
+    server
+        .tcp()
+        .listen(&AddressSpace::new("sink"), TCP_PORT, move |_, _, sock| {
+            let sink = sink.clone();
+            sock.set_callbacks(SocketCallbacks {
+                on_data: Some(Rc::new(move |_, _, _, data| {
+                    sink.borrow_mut().extend_from_slice(data)
+                })),
+                on_peer_close: Some(Rc::new(|eng, user, sock| sock.close_in(eng, user))),
+                ..Default::default()
+            });
+        });
+    let sock = client.tcp().connect(
+        world.engine_mut(),
+        &AddressSpace::new("source"),
+        (hosts[1].ip, TCP_PORT),
+    );
+    let closer = sock.clone();
+    Client {
+        port: sock.local_port(),
+        send: Box::new(move |world, data| sock.send(world.engine_mut(), data)),
+        close: Box::new(move |world| closer.close(world.engine_mut())),
+    }
+}
+
+/// Half a stream crosses an established connection; a bare NIC then floods
+/// the server with segments that carry the connection's 4-tuple and
+/// sequence numbers far past its window; the other half follows.
+fn flood_is_refused(pair: Pair) {
+    const WARM_UP: u32 = 100; // More than a window's worth of flood bytes.
+    const FLOOD: u32 = 2000;
+    plexus::net::mbuf::reset_cluster_pool();
+    let rec = Recorder::new(1024);
+    let Testbed {
+        mut world, hosts, ..
+    } = Testbed::new(&Link::ethernet(), 9, &["client", "server", "raw"]).traced(Some(&rec));
+    let received = Sink::default();
+    let client = pair(&mut world, &hosts, &received);
+    let stream: Vec<u8> = (0..200_000u32).map(|i| (i % 239) as u8).collect();
+    let (first, second) = stream.split_at(stream.len() / 2);
+    (client.send)(&mut world, first);
+    world.run();
+    assert_eq!(*received.borrow(), first);
+
+    let (victim, server, raw) = (&hosts[0], &hosts[1], &hosts[2]);
+    let flood = |world: &mut World, range: std::ops::Range<u32>| {
+        for k in range {
+            let seg = TcpSegment {
+                src_port: client.port,
+                dst_port: TCP_PORT,
+                // Both stacks draw their first ISS below 2^16: this is
+                // hundreds of megabytes ahead of the stream, and moves.
+                seq: 0x1000_0000 + k * 1009,
+                ack: 0,
+                flags: TcpFlags::default(),
+                window: 0,
+                mss: None,
+                payload: vec![0xEE; 1000],
+            };
+            let hdr = IpHeader::simple(victim.ip, server.ip, ip::proto::TCP, k as u16);
+            let mut frame = ip::encapsulate(&hdr, seg.to_mbuf(victim.ip, server.ip, 64));
+            ether::write_header(frame.prepend(14), server.mac, raw.mac, EtherType::IPV4);
+            let at = world.engine().now();
+            raw.nic.transmit(world.engine_mut(), at, &frame);
+            world.run_for(SimDuration::from_millis(2));
+        }
+        world.run();
+    };
+    flood(&mut world, 0..WARM_UP);
+    let live_warm = alloc::snapshot().2;
+    flood(&mut world, WARM_UP..WARM_UP + FLOOD);
+    let grown = alloc::snapshot().2 - live_warm;
+    assert_eq!(
+        grown, 0,
+        "{FLOOD} refused segments left {grown} bytes of heap behind"
+    );
+    let refused = rec.registry().get(CounterKey {
+        scope: Scope::Drop,
+        label: rec.intern("tcp_out_of_window"),
+        metric: "count",
+    });
+    assert_eq!(
+        refused,
+        u64::from(WARM_UP + FLOOD),
+        "every flood segment is a named drop"
+    );
+
+    (client.send)(&mut world, second);
+    (client.close)(&mut world);
+    world.run();
+    assert!(
+        *received.borrow() == stream,
+        "the stream arrived byte-exact"
+    );
+}
+
+/// A bare NIC sends the listener a SYN whose MSS option is 0, under the
+/// client's address so the SYN-ACK goes out on the wire; the listener
+/// answers without panicking and the real connection is not disturbed.
+fn a_zero_mss_syn_is_survived(pair: Pair) {
+    plexus::net::mbuf::reset_cluster_pool();
+    let Testbed {
+        mut world, hosts, ..
+    } = Testbed::new(&Link::ethernet(), 9, &["client", "server", "raw"]);
+    let received = Sink::default();
+    let client = pair(&mut world, &hosts, &received);
+    world.run();
+
+    let (victim, server, raw) = (&hosts[0], &hosts[1], &hosts[2]);
+    // The SYN, then a RST: nothing else ends a half-open connection whose
+    // SYN-ACK nobody answers, and the world must go idle again.
+    let segs = [(TcpFlags::SYN, 7, Some(0)), (TcpFlags::RST, 8, None)];
+    for (k, (flags, seq, mss)) in segs.into_iter().enumerate() {
+        let seg = TcpSegment {
+            src_port: client.port.wrapping_add(1),
+            dst_port: TCP_PORT,
+            seq,
+            ack: 0,
+            flags,
+            window: 65535,
+            mss,
+            payload: Vec::new(),
+        };
+        let hdr = IpHeader::simple(victim.ip, server.ip, ip::proto::TCP, k as u16);
+        let mut frame = ip::encapsulate(&hdr, seg.to_mbuf(victim.ip, server.ip, 64));
+        ether::write_header(frame.prepend(14), server.mac, raw.mac, EtherType::IPV4);
+        let at = world.engine().now();
+        raw.nic.transmit(world.engine_mut(), at, &frame);
+        world.run_for(SimDuration::from_millis(50));
+    }
+
+    let stream: Vec<u8> = (0..50_000u32).map(|i| (i % 239) as u8).collect();
+    (client.send)(&mut world, &stream);
+    (client.close)(&mut world);
+    world.run();
+    assert!(
+        *received.borrow() == stream,
+        "the stream arrived byte-exact"
+    );
+}
+
+#[test]
+fn a_syn_with_mss_zero_does_not_panic_plexus() {
+    a_zero_mss_syn_is_survived(plexus_pair);
+}
+
+#[test]
+fn a_syn_with_mss_zero_does_not_panic_the_baseline() {
+    a_zero_mss_syn_is_survived(baseline_pair);
+}
+
+#[test]
+fn an_out_of_window_flood_leaves_no_heap_behind_on_plexus() {
+    flood_is_refused(plexus_pair);
+}
+
+#[test]
+fn an_out_of_window_flood_leaves_no_heap_behind_on_the_baseline() {
+    flood_is_refused(baseline_pair);
 }

@@ -318,48 +318,97 @@ proptest! {
 // TCP state machine: data survives arbitrary loss patterns.
 // ---------------------------------------------------------------------------
 
+/// What the wire does to one segment.
+#[derive(Debug, Clone, Copy, PartialEq)]
+enum Fate {
+    Pass,
+    Drop,
+    Duplicate,
+    /// Overtaken: delivered after the rest of its flight.
+    Hold,
+}
+
+fn fate() -> impl Strategy<Value = Fate> {
+    proptest::sample::select(vec![
+        Fate::Pass,
+        Fate::Pass,
+        Fate::Drop,
+        Fate::Duplicate,
+        Fate::Hold,
+    ])
+}
+
+/// An initial sequence number: anywhere, or so close below 2^32 that the
+/// transfer crosses the wrap.
+fn iss() -> impl Strategy<Value = u32> {
+    prop_oneof![any::<u32>(), (0u32..40_000).prop_map(|k| u32::MAX - k),]
+}
+
+/// Applies the next fates to one flight of segments. `budget` bounds the
+/// impairments so that the run terminates.
+fn impair(
+    flight: Vec<TcpSegment>,
+    fates: &mut impl Iterator<Item = Fate>,
+    budget: &mut u32,
+) -> Vec<TcpSegment> {
+    let (mut out, mut late) = (Vec::new(), Vec::new());
+    for seg in flight {
+        let fate = match fates.next() {
+            Some(f) if f != Fate::Pass && *budget > 0 => {
+                *budget -= 1;
+                f
+            }
+            _ => Fate::Pass,
+        };
+        match fate {
+            Fate::Pass => out.push(seg),
+            Fate::Drop => {}
+            Fate::Duplicate => out.extend([seg.clone(), seg]),
+            Fate::Hold => late.push(seg),
+        }
+    }
+    out.extend(late);
+    out
+}
+
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(24))]
 
     #[test]
     fn tcp_delivers_exactly_once_despite_losses(
         data_len in 1usize..30_000,
-        drops in proptest::collection::vec(any::<bool>(), 64),
+        client_iss in iss(),
+        server_iss in iss(),
+        fates in proptest::collection::vec(fate(), 64),
     ) {
         let a = Ipv4Addr::new(10, 3, 0, 1);
         let b = Ipv4Addr::new(10, 3, 0, 2);
         let data: Vec<u8> = (0..data_len).map(|i| (i * 31 % 251) as u8).collect();
 
-        let mut server = Tcb::listen((b, 80), 9000);
-        let (mut client, syn) = Tcb::connect((a, 4000), (b, 80), 100, 0);
+        let mut server = Tcb::listen((b, 80), server_iss);
+        let (mut client, syn) = Tcb::connect((a, 4000), (b, 80), client_iss, 0);
         let mut to_server: Vec<_> = syn.segments;
         let mut to_client: Vec<TcpSegment> = Vec::new();
         let mut received = Vec::new();
+        let mut rx = Vec::new();
         let mut now: u64 = 0;
         let mut sent_data = false;
-        let mut drop_iter = drops.iter().cycle();
-        let mut drop_budget = 24; // Bounded losses so the run terminates.
+        let mut fates = fates.iter().copied().cycle();
+        let mut budget = 24;
 
         for _round in 0..10_000 {
             let mut progressed = false;
-            for seg in std::mem::take(&mut to_server) {
+            for seg in impair(std::mem::take(&mut to_server), &mut fates, &mut budget) {
                 progressed = true;
-                if drop_budget > 0 && *drop_iter.next().unwrap() {
-                    drop_budget -= 1;
-                    continue;
-                }
                 let acts = server.on_segment(&seg, (a, 4000), now);
                 if acts.data_available {
-                    received.extend(server.take_received());
+                    server.swap_received(&mut rx);
+                    received.extend_from_slice(&rx);
                 }
                 to_client.extend(acts.segments);
             }
-            for seg in std::mem::take(&mut to_client) {
+            for seg in impair(std::mem::take(&mut to_client), &mut fates, &mut budget) {
                 progressed = true;
-                if drop_budget > 0 && *drop_iter.next().unwrap() {
-                    drop_budget -= 1;
-                    continue;
-                }
                 let acts = client.on_segment(&seg, (b, 80), now);
                 if acts.connected && !sent_data {
                     sent_data = true;
