@@ -280,10 +280,15 @@ impl MonolithicStack {
         let model = lease.model().clone();
         lease.charge(model.ip_proc);
         let now = lease.now().as_nanos();
-        let verdict = s
-            .reasm
-            .borrow_mut()
-            .input(&pkt, now, |dst| dst == s.ip || dst == Ipv4Addr::BROADCAST);
+        let mut reasm = s.reasm.borrow_mut();
+        let evicted = reasm.evicted();
+        let verdict = reasm.input(&pkt, now, |dst| dst == s.ip || dst == Ipv4Addr::BROADCAST);
+        for _ in evicted..reasm.evicted() {
+            if let Some(rec) = lease.recorder() {
+                rec.packet_drop(now, "ip", "ip_reassembly_full");
+            }
+        }
+        drop(reasm);
         let (hdr, payload) = match verdict {
             Verdict::Deliver(hdr, payload) => (hdr, payload),
             Verdict::Runt => return,

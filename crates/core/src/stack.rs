@@ -591,7 +591,7 @@ impl PlexusStack {
                     .nic
                     .profile()
                     .rx_cpu_cost_coalesced(frame.bytes.len(), i == 0);
-                let stamp = Some((host.as_str(), frame.journey));
+                let stamp = Some((&*host, frame.journey));
                 s.rx_frame(engine, &mut lease, &mut batch, &frame.bytes, rx_cost, stamp);
             }
             lease.charge(lease.model().interrupt_exit);
@@ -670,10 +670,13 @@ impl PlexusStack {
                 let mut pkt = ev.mbuf.share();
                 pkt.trim_front(ETHER_HDR_LEN);
                 let now = ctx.lease.now().as_nanos();
-                let verdict = s
-                    .reasm
-                    .borrow_mut()
-                    .input(&pkt, now, |dst| s.is_local_ip(dst));
+                let mut reasm = s.reasm.borrow_mut();
+                let evicted = reasm.evicted();
+                let verdict = reasm.input(&pkt, now, |dst| s.is_local_ip(dst));
+                for _ in evicted..reasm.evicted() {
+                    StackShared::record_drop(ctx.lease, "ip", "ip_reassembly_full");
+                }
+                drop(reasm);
                 let reason = match verdict {
                     Verdict::Deliver(hdr, payload) => {
                         s.bump(|st| st.ip_rx += 1);

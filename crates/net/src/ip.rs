@@ -7,7 +7,7 @@
 //! them is what they charge and count around these calls.
 
 use std::cell::Cell;
-use std::collections::HashMap;
+use std::collections::VecDeque;
 use std::net::Ipv4Addr;
 
 use plexus_kernel::view::{be16, be32, put_be16, WireView};
@@ -245,7 +245,7 @@ impl Ident {
 }
 
 /// Key identifying a fragment group.
-#[derive(Clone, Copy, PartialEq, Eq, Hash, Debug)]
+#[derive(Clone, Copy, PartialEq, Eq, Debug)]
 struct FragKey {
     src: Ipv4Addr,
     dst: Ipv4Addr,
@@ -254,13 +254,44 @@ struct FragKey {
 }
 
 struct FragGroup {
-    /// Received `(offset, bytes)` pieces.
+    key: FragKey,
+    /// Received `(offset, bytes)` pieces in offset order, each one adding
+    /// bytes the pieces before it (in arrival order) did not cover.
     pieces: Vec<(usize, Vec<u8>)>,
     /// Total length, known once the last fragment arrives.
     total: Option<usize>,
     /// Arrival time of the first fragment, for expiry.
     born_ns: u64,
 }
+
+impl FragGroup {
+    /// End of the contiguous run of held bytes that starts at or before
+    /// `from` (`from` itself when a hole begins there).
+    fn covered_from(&self, from: usize) -> usize {
+        let mut covered = from;
+        for (o, d) in &self.pieces {
+            if *o > covered {
+                break;
+            }
+            covered = covered.max(o + d.len());
+        }
+        covered
+    }
+
+    /// Payload bytes held.
+    fn bytes(&self) -> usize {
+        self.pieces.iter().map(|(_, d)| d.len()).sum()
+    }
+}
+
+/// Most incomplete groups a [`Reassembler`] holds: a fragment that would
+/// start one more evicts the oldest.
+pub const MAX_FRAG_GROUPS: usize = 64;
+
+/// Most fragment payload bytes a [`Reassembler`] holds across all groups
+/// (four datagrams of the largest legal size); a fragment that would
+/// exceed it evicts the oldest groups until it fits.
+pub const MAX_FRAG_BYTES: usize = 256 * 1024;
 
 /// What [`Reassembler::input`] made of one received datagram. Each stack
 /// maps the verdicts to its own counters and drop reasons.
@@ -276,12 +307,19 @@ pub enum Verdict {
     Runt,
 }
 
-/// Reassembles fragmented datagrams; incomplete groups expire.
+/// Reassembles fragmented datagrams. What it holds is bounded: incomplete
+/// groups expire, a fragment that adds nothing to its group is ignored, and
+/// [`MAX_FRAG_GROUPS`] / [`MAX_FRAG_BYTES`] evict the oldest group first.
 pub struct Reassembler {
-    groups: HashMap<FragKey, FragGroup>,
+    /// Incomplete groups in the order their first fragments arrived: few
+    /// enough to search, and the front is the one to evict.
+    groups: VecDeque<FragGroup>,
     /// Lifetime of an incomplete group, in nanoseconds (default 30 s).
     pub timeout_ns: u64,
     expired: u64,
+    evicted: u64,
+    /// Payload bytes held across all groups.
+    held: usize,
 }
 
 impl Default for Reassembler {
@@ -294,9 +332,11 @@ impl Reassembler {
     /// Creates an empty reassembler with the default 30 s timeout.
     pub fn new() -> Reassembler {
         Reassembler {
-            groups: HashMap::new(),
+            groups: VecDeque::new(),
             timeout_ns: 30_000_000_000,
             expired: 0,
+            evicted: 0,
+            held: 0,
         }
     }
 
@@ -308,6 +348,21 @@ impl Reassembler {
     /// Groups dropped by expiry so far.
     pub fn expired(&self) -> u64 {
         self.expired
+    }
+
+    /// Groups dropped to stay under [`MAX_FRAG_GROUPS`] and
+    /// [`MAX_FRAG_BYTES`] so far. A stack reads it around
+    /// [`Reassembler::input`] to name the drop (`ip_reassembly_full`).
+    pub fn evicted(&self) -> u64 {
+        self.evicted
+    }
+
+    /// Drops the group that has been held longest.
+    fn evict_oldest(&mut self) {
+        if let Some(group) = self.groups.pop_front() {
+            self.held -= group.bytes();
+            self.evicted += 1;
+        }
     }
 
     /// Offers one datagram. Non-fragments pass straight through as
@@ -351,39 +406,58 @@ impl Reassembler {
             ident: hdr.ident,
             protocol: hdr.protocol,
         };
-        let group = self.groups.entry(key).or_insert_with(|| FragGroup {
-            pieces: Vec::new(),
-            total: None,
-            born_ns: now_ns,
-        });
         let off = v.frag_offset();
-        let mut piece = Vec::with_capacity(data_len);
-        dgram.copy_into(hlen, data_len, &mut piece);
-        group.pieces.push((off, piece));
+        let end = off + data_len;
+        // A piece its group already covers (a duplicate) is not held again;
+        // one that adds bytes, or starts a group, first makes room for itself
+        // (if that evicts its own group, it starts the next one).
+        let mut at = self.groups.iter().position(|g| g.key == key);
+        let adds = at.is_none_or(|i| self.groups[i].covered_from(off) < end);
+        while adds
+            && (self.held + data_len > MAX_FRAG_BYTES
+                || (at.is_none() && self.groups.len() >= MAX_FRAG_GROUPS))
+        {
+            self.evict_oldest();
+            at = at.and_then(|i| i.checked_sub(1));
+        }
+        let at = at.unwrap_or_else(|| {
+            self.groups.push_back(FragGroup {
+                key,
+                pieces: Vec::new(),
+                total: None,
+                born_ns: now_ns,
+            });
+            self.groups.len() - 1
+        });
+        let group = &mut self.groups[at];
         if !v.more_fragments() {
-            group.total = Some(off + data_len);
+            group.total = Some(end);
+        }
+        if adds {
+            let mut piece = Vec::with_capacity(data_len);
+            dgram.copy_into(hlen, data_len, &mut piece);
+            let slot = group.pieces.partition_point(|(o, _)| *o <= off);
+            group.pieces.insert(slot, (off, piece));
+            self.held += data_len;
         }
         // Check completeness: contiguous coverage of [0, total).
         let total = group.total?;
-        let mut pieces: Vec<&(usize, Vec<u8>)> = group.pieces.iter().collect();
-        pieces.sort_by_key(|(o, _)| *o);
-        let mut covered = 0;
-        for (o, d) in &pieces {
-            if *o > covered {
-                return None; // Hole remains.
-            }
-            covered = covered.max(o + d.len());
+        if group.covered_from(0) < total {
+            return None; // Hole remains.
         }
-        if covered < total {
-            return None;
-        }
-        // Complete: splice the payload together (overlaps take the later
-        // bytes, matching BSD behaviour closely enough for our traffic).
+        // Complete: splice the payload together (overlaps take the bytes of
+        // the piece at the greater offset, and nothing lands past `total`,
+        // wherever a hostile piece claimed to reach).
+        let group = self.groups.remove(at)?;
+        self.held -= group.bytes();
         let mut data = vec![0u8; total];
-        for (o, d) in &pieces {
-            data[*o..*o + d.len()].copy_from_slice(d);
+        for (o, d) in &group.pieces {
+            let Some(room) = data.get_mut(*o..) else {
+                continue;
+            };
+            let n = d.len().min(room.len());
+            room[..n].copy_from_slice(&d[..n]);
         }
-        self.groups.remove(&key);
         Some((hdr, Mbuf::from_payload(0, &data)))
     }
 
@@ -409,8 +483,14 @@ impl Reassembler {
     pub fn expire(&mut self, now_ns: u64) -> usize {
         let timeout = self.timeout_ns;
         let before = self.groups.len();
-        self.groups
-            .retain(|_, g| now_ns.saturating_sub(g.born_ns) < timeout);
+        let held = &mut self.held;
+        self.groups.retain(|g| {
+            let live = now_ns.saturating_sub(g.born_ns) < timeout;
+            if !live {
+                *held -= g.bytes();
+            }
+            live
+        });
         let dropped = before - self.groups.len();
         self.expired += dropped as u64;
         dropped
@@ -775,6 +855,61 @@ mod tests {
         assert_eq!((r.pending(), r.expired()), (1, 1));
         let (_, payload) = r.offer(&new[0], later).expect("now complete");
         assert_eq!(payload.to_vec(), vec![0xBB; 3000]);
+    }
+
+    /// One fragment of datagram `ident` from host 1 to host 2.
+    fn piece(ident: u16, frag_offset: usize, more_fragments: bool, data: &[u8]) -> Mbuf {
+        let hdr = IpHeader {
+            more_fragments,
+            frag_offset,
+            ..IpHeader::simple(addr(1), addr(2), proto::UDP, ident)
+        };
+        encapsulate(&hdr, Mbuf::from_payload(64, data))
+    }
+
+    #[test]
+    fn what_a_reassembler_holds_is_bounded() {
+        let mut r = Reassembler::new();
+        // A duplicate, or a piece inside what is held, adds nothing.
+        for _ in 0..100 {
+            assert!(r.offer(&piece(1, 0, true, &[1; 800]), 0).is_none());
+            assert!(r.offer(&piece(1, 80, true, &[1; 80]), 0).is_none());
+        }
+        assert_eq!((r.pending(), r.held, r.evicted()), (1, 800, 0));
+        // One group too many evicts the oldest, which was ident 1's.
+        for ident in 2..=MAX_FRAG_GROUPS as u16 + 1 {
+            assert!(r.offer(&piece(ident, 0, true, &[2; 8]), 0).is_none());
+        }
+        assert_eq!((r.pending(), r.evicted()), (MAX_FRAG_GROUPS, 1));
+        assert_eq!(r.held, 8 * MAX_FRAG_GROUPS);
+        assert!(r.offer(&piece(1, 800, false, &[1; 8]), 0).is_none());
+        assert_eq!(r.evicted(), 2, "ident 1 started over, without its head");
+        // Bytes are capped across groups, oldest out first; the newest
+        // group is whole once its tail arrives.
+        let big = vec![3u8; 60_000];
+        for ident in 100..110 {
+            assert!(r.offer(&piece(ident, 0, true, &big), 0).is_none());
+            assert!(r.held <= MAX_FRAG_BYTES);
+        }
+        assert!(r.pending() <= MAX_FRAG_BYTES / big.len());
+        let (_, whole) = r.offer(&piece(109, 60_000, false, &[4; 8]), 0).unwrap();
+        assert_eq!(whole.total_len(), 60_008);
+        // Expiry returns the bytes as eviction does.
+        r.expire(r.timeout_ns);
+        assert_eq!((r.pending(), r.held), (0, 0));
+    }
+
+    #[test]
+    fn a_piece_reaching_past_the_total_is_clipped() {
+        // The tail says the datagram ends at byte 16; a head that claims 32
+        // and a piece wholly past the end must not be written (or indexed)
+        // beyond it.
+        let mut r = Reassembler::new();
+        assert!(r.offer(&piece(9, 0, true, &[0xAA; 32]), 0).is_none());
+        assert!(r.offer(&piece(9, 40, true, &[0xCC; 8]), 0).is_none());
+        let (_, whole) = r.offer(&piece(9, 8, false, &[0xBB; 8]), 0).unwrap();
+        assert_eq!(whole.to_vec(), [0xAA; 16], "the head had those bytes first");
+        assert_eq!((r.pending(), r.held), (0, 0));
     }
 
     #[test]

@@ -8,8 +8,11 @@
 //! *trimmed* off without moving payload bytes.
 //!
 //! Sharing and read-only semantics (§3.4): clusters are reference-counted
-//! (`Rc<Vec<u8>>`), so [`Mbuf::share`] is cheap and multiple graph nodes can
-//! view the same packet. Handlers receive `&Mbuf` and cannot mutate through
+//! (`Rc<Vec<u8>>`), so [`Mbuf::share`] is cheap — reference-count bumps, no
+//! data copy and, in the steady state, no heap call: the chain's segment
+//! vector comes from the same thread-local pool that recycles clusters —
+//! and multiple graph nodes can view the same packet. Handlers receive
+//! `&Mbuf` and cannot mutate through
 //! it; a handler that wants to modify data must hold its own `Mbuf` and
 //! write through [`Mbuf::write_at`]/[`Mbuf::head_mut`], which perform an
 //! explicit copy-on-write when the cluster is shared — the Rust rendering
@@ -107,15 +110,34 @@ pub struct PoolStats {
     pub unpooled: u64,
 }
 
-/// Upper bound on retained clusters per size class; beyond this, retired
-/// clusters fall back to the heap so an overload burst cannot pin memory.
+/// Upper bound on retained clusters per size class, and on retained chain
+/// vectors; beyond this, retired storage falls back to the heap so an
+/// overload burst cannot pin memory.
 const POOL_CAP: usize = 1024;
+
+/// Segment slots in a chain vector the pool hands out or takes back: room
+/// for a three-cluster payload (a 4 KB frame) and a header mbuf chained in
+/// front. A chain that outgrew this frees its vector at drop, so the pool
+/// retains at most `POOL_CAP * CHAIN_SLOTS` segment slots.
+const CHAIN_SLOTS: usize = 4;
 
 struct Pool {
     enabled: bool,
     small: Vec<Rc<Vec<u8>>>,
     large: Vec<Rc<Vec<u8>>>,
+    /// Retired chain vectors: empty, capacity `CHAIN_SLOTS`.
+    chains: Vec<Vec<Segment>>,
     stats: PoolStats,
+}
+
+impl Pool {
+    /// Frees everything retained, the free lists' own storage included, so
+    /// that every run after a reset pays the same warm-up.
+    fn clear(&mut self) {
+        self.small = Vec::new();
+        self.large = Vec::new();
+        self.chains = Vec::new();
+    }
 }
 
 thread_local! {
@@ -123,20 +145,20 @@ thread_local! {
         enabled: true,
         small: Vec::new(),
         large: Vec::new(),
+        chains: Vec::new(),
         stats: PoolStats::default(),
     });
 }
 
-/// Enables or disables the cluster pool (default: enabled). Disabling
-/// drops the free lists. Returns the previous setting.
+/// Enables or disables the pool of clusters and chain vectors (default:
+/// enabled). Disabling drops the free lists. Returns the previous setting.
 pub fn set_cluster_pool_enabled(on: bool) -> bool {
     POOL.with(|p| {
         let mut p = p.borrow_mut();
         let was = p.enabled;
         p.enabled = on;
         if !on {
-            p.small.clear();
-            p.large.clear();
+            p.clear();
         }
         was
     })
@@ -153,8 +175,7 @@ pub fn cluster_pool_stats() -> PoolStats {
 pub fn reset_cluster_pool() {
     POOL.with(|p| {
         let mut p = p.borrow_mut();
-        p.small.clear();
-        p.large.clear();
+        p.clear();
         p.stats = PoolStats::default();
     })
 }
@@ -243,17 +264,43 @@ fn retire_cluster(cluster: Rc<Vec<u8>>) {
     })
 }
 
+/// An empty chain vector: a recycled one when the pool has it, otherwise a
+/// fresh one with `CHAIN_SLOTS` of room, so a header mbuf chained in front
+/// later does not regrow it.
+fn new_chain() -> Vec<Segment> {
+    POOL.with(|p| p.borrow_mut().chains.pop())
+        .unwrap_or_else(|| Vec::with_capacity(CHAIN_SLOTS))
+}
+
+/// Retires a chain vector's clusters and offers the emptied vector back to
+/// the pool, which keeps it unless it outgrew what [`new_chain`] hands out.
+fn retire_chain(mut chain: Vec<Segment>) {
+    for seg in chain.drain(..) {
+        retire_cluster(seg.cluster);
+    }
+    if chain.capacity() > CHAIN_SLOTS {
+        return;
+    }
+    POOL.with(|p| {
+        let mut p = p.borrow_mut();
+        if p.enabled && p.chains.len() < POOL_CAP {
+            p.chains.push(chain);
+        }
+    })
+}
+
 impl Mbuf {
     /// An empty packet with a packet header and `LEADING_SPACE` bytes of
     /// room to prepend into.
     pub fn empty() -> Mbuf {
-        let cluster = new_cluster(MLEN);
+        let mut segments = new_chain();
+        segments.push(Segment {
+            off: LEADING_SPACE,
+            len: 0,
+            cluster: new_cluster(MLEN),
+        });
         Mbuf {
-            segments: vec![Segment {
-                off: LEADING_SPACE,
-                len: 0,
-                cluster,
-            }],
+            segments,
             pkthdr: Some(PktHdr::default()),
         }
     }
@@ -261,7 +308,7 @@ impl Mbuf {
     /// Builds a packet holding `payload`, with `leading` bytes of prepend
     /// room before it. Large payloads span multiple clusters.
     pub fn from_payload(leading: usize, payload: &[u8]) -> Mbuf {
-        let mut segments = Vec::new();
+        let mut segments = new_chain();
         let first_capacity = MCLBYTES.max(leading + 1) - leading;
         let first_len = payload.len().min(first_capacity);
         let mut cluster = new_cluster(leading + first_len);
@@ -361,8 +408,10 @@ impl Mbuf {
     /// (no data copy; reference counts bump). The shared copy gets its own
     /// packet header.
     pub fn share(&self) -> Mbuf {
+        let mut segments = new_chain();
+        segments.extend_from_slice(&self.segments);
         Mbuf {
-            segments: self.segments.clone(),
+            segments,
             pkthdr: self.pkthdr.clone(),
         }
     }
@@ -454,7 +503,7 @@ impl Mbuf {
         if n > self.total_len() {
             return false;
         }
-        if self.segments.first().map(|s| s.len >= n).unwrap_or(false) {
+        if self.head().len() >= n {
             return true;
         }
         // Gather the first n bytes into a fresh head cluster, keeping the
@@ -590,7 +639,7 @@ impl Mbuf {
     /// Panics if the range is out of bounds.
     pub fn range(&self, mut off: usize, mut len: usize) -> Mbuf {
         assert!(off + len <= self.total_len(), "range out of bounds");
-        let mut segments = Vec::new();
+        let mut segments = new_chain();
         for s in &self.segments {
             if len == 0 {
                 break;
@@ -648,13 +697,12 @@ impl plexus_sim::nic::TxBuf for Mbuf {
 }
 
 impl Drop for Mbuf {
-    /// Offers the chain's clusters back to the free-list pool. A cluster
-    /// is recycled only when this mbuf held the last reference; clusters
-    /// still shared with a live mbuf are left to that holder.
+    /// Offers the chain's clusters, then its emptied vector, back to the
+    /// free-list pool. A cluster is recycled only when this mbuf held the
+    /// last reference; clusters still shared with a live mbuf are left to
+    /// that holder.
     fn drop(&mut self) {
-        for seg in self.segments.drain(..) {
-            retire_cluster(seg.cluster);
-        }
+        retire_chain(std::mem::take(&mut self.segments));
     }
 }
 
@@ -944,6 +992,52 @@ mod tests {
         }
         assert_eq!(allocs(), before, "steady-state churn must recycle");
         assert!(cluster_pool_stats().reused >= 100);
+    }
+
+    /// Chain vectors the pool holds.
+    fn retained_chains() -> usize {
+        POOL.with(|p| p.borrow().chains.len())
+    }
+
+    #[test]
+    fn a_chain_vector_is_recycled_unless_it_outgrew_its_slots() {
+        reset_cluster_pool();
+        let data: Vec<u8> = (0..65_536u32).map(|i| (i % 251) as u8).collect();
+        let big = Mbuf::from_payload(0, &data);
+        assert_eq!(big.segment_count(), 32);
+        assert_eq!(big.to_vec(), data);
+        drop(big);
+        assert_eq!(retained_chains(), 0, "a 32-slot vector goes to the heap");
+        assert_eq!(cluster_pool_stats().recycled, 32, "its clusters do not");
+
+        let small = Mbuf::from_payload(LEADING_SPACE, &[7u8; 3000]);
+        let shared = small.share();
+        assert_eq!(small.segment_count(), 2);
+        drop(small);
+        assert_eq!(retained_chains(), 1);
+        // The next chain is built in the recycled vector and holds exactly
+        // its own segments: nothing of the previous tenant's shows.
+        let fresh = Mbuf::from_payload(LEADING_SPACE, &[1, 2, 3]);
+        assert_eq!(retained_chains(), 0);
+        assert_eq!(fresh.segment_count(), 1);
+        assert_eq!(fresh.to_vec(), [1, 2, 3]);
+        assert_eq!(shared.to_vec(), [7u8; 3000]);
+        let part = shared.range(2900, 100);
+        assert_eq!((part.segment_count(), part.to_vec()), (1, vec![7u8; 100]));
+    }
+
+    #[test]
+    fn a_disabled_pool_retains_no_chain_vector() {
+        reset_cluster_pool();
+        drop(Mbuf::from_payload(0, &[1u8; 16]));
+        assert_eq!(retained_chains(), 1);
+        let was = set_cluster_pool_enabled(false);
+        assert_eq!(retained_chains(), 0, "disabling drops the free lists");
+        let m = Mbuf::from_payload(0, &[1u8; 16]);
+        drop(m.share());
+        drop(m);
+        assert_eq!(retained_chains(), 0);
+        set_cluster_pool_enabled(was);
     }
 
     #[test]

@@ -161,11 +161,13 @@ pub fn decapsulate(
     config: UdpConfig,
     packet: &Mbuf,
 ) -> Option<UdpDatagram> {
-    // Only the 8-byte header needs to be contiguous; the checksum walks
-    // the mbuf chain in place rather than flattening the datagram.
-    let mut hdr_bytes = Vec::with_capacity(UDP_HDR_LEN);
-    packet.copy_into(0, packet.total_len().min(UDP_HDR_LEN), &mut hdr_bytes);
-    let v: UdpView = plexus_kernel::view::view(&hdr_bytes)?;
+    // Only the 8-byte header needs to be contiguous: peek it into a stack
+    // buffer; the checksum walks the mbuf chain in place rather than
+    // flattening the datagram.
+    let mut hdr_bytes = [0u8; UDP_HDR_LEN];
+    let peek = packet.total_len().min(UDP_HDR_LEN);
+    packet.read_at(0, &mut hdr_bytes[..peek]);
+    let v: UdpView = plexus_kernel::view::view(&hdr_bytes[..peek])?;
     let udp_len = v.len();
     if udp_len < UDP_HDR_LEN || udp_len > packet.total_len() {
         return None;

@@ -801,7 +801,7 @@ pub struct Nic {
     /// that rebinds the NIC doesn't alias the borrow.
     rx: RefCell<RxDispatch>,
     rx_ring: RefCell<VecDeque<RxFrame>>,
-    host: RefCell<String>,
+    host: RefCell<Rc<str>>,
     rx_busy_until: Cell<SimTime>,
     rx_drain_pending: Cell<bool>,
     stats: Cell<NicStats>,
@@ -822,7 +822,7 @@ impl Nic {
             tx_doorbell_until: Cell::new(SimTime::ZERO),
             rx: RefCell::new(RxDispatch::None),
             rx_ring: RefCell::new(VecDeque::new()),
-            host: RefCell::new(String::new()),
+            host: RefCell::new(Rc::from("")),
             rx_busy_until: Cell::new(SimTime::ZERO),
             rx_drain_pending: Cell::new(false),
             stats: Cell::new(NicStats::default()),
@@ -847,11 +847,12 @@ impl Nic {
     /// this on connect). The name rides into every arrival record so
     /// post-hoc journey reconstruction can label hops by machine.
     pub fn set_host(&self, host: &str) {
-        host.clone_into(&mut self.host.borrow_mut());
+        *self.host.borrow_mut() = Rc::from(host);
     }
 
-    /// The owning machine's name (empty when unattached).
-    pub fn host(&self) -> String {
+    /// The owning machine's name (empty when unattached). A handle on the
+    /// one copy: the receive glue asks per interrupt.
+    pub fn host(&self) -> Rc<str> {
         self.host.borrow().clone()
     }
 
@@ -937,6 +938,15 @@ impl Nic {
         ready_at: SimTime,
         chain: &B,
     ) -> SimTime {
+        if chain.total_len() > self.profile.mtu + 64 {
+            // A little slack for link headers over the payload MTU. Checked
+            // before the gather, so a refused chain is never copied.
+            let mut stats = self.stats.get();
+            stats.tx_oversize += 1;
+            self.stats.set(stats);
+            self.record_drop(engine.now(), "tx_oversize");
+            return ready_at;
+        }
         // The gather happens on the adapter: this buffer models the byte
         // stream the DMA engine assembles on the wire, not a host-side
         // flatten (it costs no simulated CPU time and no mbuf clusters).
@@ -953,17 +963,10 @@ impl Nic {
         self.transmit_frame(engine, ready_at, frame)
     }
 
-    /// The tail of [`Nic::transmit`]: the gathered wire image goes out
-    /// verbatim.
+    /// The tail of [`Nic::transmit`]: the gathered wire image, already
+    /// known to fit the MTU, goes out verbatim.
     fn transmit_frame(&self, engine: &mut Engine, ready_at: SimTime, frame: Frame) -> SimTime {
         let mut stats = self.stats.get();
-        if frame.len() > self.profile.mtu + 64 {
-            // Allow a little slack for link headers over the payload MTU.
-            stats.tx_oversize += 1;
-            self.stats.set(stats);
-            self.record_drop(engine.now(), "tx_oversize");
-            return ready_at;
-        }
         let backlog_until = self.tx_free_at.get();
         let mut start = backlog_until.max(ready_at).max(engine.now());
         if self.medium.half_duplex {
@@ -1040,18 +1043,22 @@ impl Nic {
             }
         };
         let arrival = end + self.medium.propagation;
-        let members: Vec<Rc<Nic>> = self
-            .medium
-            .members
-            .borrow()
+        // One buffer per frame on a two-NIC link: the last peer takes the
+        // wire image itself, only the peers before it get copies.
+        let members = self.medium.members.borrow();
+        let mut peers = members
             .iter()
             .filter_map(Weak::upgrade)
-            .filter(|n| n.id != self.id)
-            .collect();
-        for peer in members {
-            let frame = frame.clone();
-            engine.schedule_at(arrival, move |eng| peer.deliver(eng, frame, journey));
+            .filter(|n| n.id != self.id);
+        let Some(mut peer) = peers.next() else {
+            return end;
+        };
+        for next in peers {
+            let copy = frame.clone();
+            engine.schedule_at(arrival, move |eng| peer.deliver(eng, copy, journey));
+            peer = next;
         }
+        engine.schedule_at(arrival, move |eng| peer.deliver(eng, frame, journey));
         end
     }
 
@@ -1358,7 +1365,7 @@ mod tests {
             panic!("oversize frame must not be delivered")
         }));
         let mut engine = Engine::new();
-        a.transmit_frame(&mut engine, SimTime::ZERO, vec![0u8; 4000]);
+        a.transmit(&mut engine, SimTime::ZERO, &[0u8; 4000][..]);
         engine.run();
         assert_eq!(a.stats().tx_oversize, 1);
         assert_eq!(a.stats().tx_frames, 0);

@@ -1,31 +1,42 @@
-//! Tier-1 allocation gate (DESIGN.md §9): a raise allocates nothing, an
-//! echoed datagram and a bind + close pair allocate exactly what is pinned
-//! below, rebinding leaves no heap behind, and a flood of out-of-window TCP
-//! segments leaves none either, on both stacks.
+//! Tier-1 allocation gate (DESIGN.md §9, §13): a raise allocates nothing; a
+//! datagram echoed by the Plexus stack or the baseline, or forwarded by the
+//! router, and a bind + close pair allocate exactly what is pinned below; an
+//! oversize transmit allocates nothing; rebinding leaves no heap behind, and
+//! neither does a flood of out-of-window TCP segments or of IP fragments
+//! that never complete, on both stacks.
 //!
-//! The counting allocator is `perf/`'s, mounted by path so that it stays
-//! the one `unsafe` block in the tree. Its counters are thread-local and
-//! every `#[test]` runs on a thread of its own, so the counts here are
-//! exact under cargo's parallel runner.
+//! The counting allocator is `perf/`'s, mounted by path. Its counters are
+//! thread-local and every `#[test]` runs on a thread of its own, so the
+//! counts here are exact under cargo's parallel runner. [`Ledger`] wraps it
+//! to capture a backtrace per heap call while `print_echo_allocation_ledger`
+//! holds its window open; outside that window it only forwards.
 
+use std::alloc::{GlobalAlloc, Layout};
+use std::any::Any;
+use std::backtrace::Backtrace;
 use std::cell::{Cell, OnceCell, RefCell};
+use std::collections::BTreeMap;
+use std::net::Ipv4Addr;
 use std::rc::Rc;
 
 use plexus::baseline::{MonolithicStack, SocketCallbacks};
-use plexus::core::{AppHandler, PlexusStack, StackConfig, TcpCallbacks, UdpEndpoint, UdpRecv};
+use plexus::core::{
+    AppHandler, IpRouter, PlexusStack, StackConfig, TcpCallbacks, UdpEndpoint, UdpRecv,
+};
 use plexus::kernel::dispatcher::{Dispatcher, Event, Guard, HandlerSpec, RaiseCtx};
 use plexus::kernel::domain::ExtensionSpec;
 use plexus::kernel::ephemeral::Ephemeral;
 use plexus::kernel::filter::{conjunction, verify, EventKind, Field, Operand, Packet, Test};
 use plexus::kernel::vm::AddressSpace;
-use plexus::net::ether::{self, EtherType};
+use plexus::net::ether::{self, EtherType, MacAddr};
 use plexus::net::ip::{self, IpHeader};
+use plexus::net::mbuf::Mbuf;
 use plexus::net::tcp::{TcpFlags, TcpSegment};
 use plexus::net::testbed::Host;
-use plexus::net::udp::UdpConfig;
+use plexus::net::udp::{self, UdpConfig};
 use plexus::net::Testbed;
 use plexus::sim::cpu::{CostModel, Cpu};
-use plexus::sim::nic::{DriverConfig, Link};
+use plexus::sim::nic::{DriverConfig, Link, Medium, Nic};
 use plexus::sim::time::{SimDuration, SimTime};
 use plexus::sim::{Engine, World};
 use plexus::trace::{CounterKey, Recorder, Scope};
@@ -35,8 +46,56 @@ use plexus_bench::overload::{build_frame, PAYLOAD};
 #[path = "../perf/src/alloc.rs"]
 mod alloc;
 
+thread_local! {
+    /// Whether this thread's heap calls are being written to `TRACES`.
+    static LEDGER_OPEN: Cell<bool> = const { Cell::new(false) };
+    /// Set while a trace is being taken: capturing one allocates.
+    static IN_LEDGER: Cell<bool> = const { Cell::new(false) };
+    static TRACES: RefCell<Vec<Backtrace>> = const { RefCell::new(Vec::new()) };
+}
+
+/// `alloc::Counting`, plus the call stack of every `alloc`/`realloc` made
+/// while the calling thread's ledger window is open.
+struct Ledger;
+
+impl Ledger {
+    fn note(&self) {
+        if !LEDGER_OPEN.get() || IN_LEDGER.replace(true) {
+            return;
+        }
+        TRACES.with_borrow_mut(|t| t.push(Backtrace::force_capture()));
+        IN_LEDGER.set(false);
+    }
+}
+
+// SAFETY: every method forwards its arguments unchanged to `Counting`, which
+// upholds `GlobalAlloc`'s contract; `note` only reads and writes this
+// thread's cells, and the heap calls it makes itself re-enter here with
+// `IN_LEDGER` set and are forwarded without a second `note`.
+unsafe impl GlobalAlloc for Ledger {
+    unsafe fn alloc(&self, l: Layout) -> *mut u8 {
+        self.note();
+        // SAFETY: the caller's obligations are passed through verbatim.
+        unsafe { alloc::Counting.alloc(l) }
+    }
+    unsafe fn alloc_zeroed(&self, l: Layout) -> *mut u8 {
+        self.note();
+        // SAFETY: as above.
+        unsafe { alloc::Counting.alloc_zeroed(l) }
+    }
+    unsafe fn dealloc(&self, p: *mut u8, l: Layout) {
+        // SAFETY: `p` came from this allocator, i.e. from `Counting`, with layout `l`.
+        unsafe { alloc::Counting.dealloc(p, l) }
+    }
+    unsafe fn realloc(&self, p: *mut u8, l: Layout, new: usize) -> *mut u8 {
+        self.note();
+        // SAFETY: as for `dealloc`; `new` is the caller's checked size.
+        unsafe { alloc::Counting.realloc(p, l, new) }
+    }
+}
+
 #[global_allocator]
-static GLOBAL: alloc::Counting = alloc::Counting;
+static GLOBAL: Ledger = Ledger;
 
 /// Heap `alloc` + `realloc` calls this thread makes inside `f`.
 fn allocs_during(f: impl FnOnce()) -> u64 {
@@ -141,16 +200,22 @@ fn raises_after_churn_allocate_nothing() {
     assert_raises_are_alloc_free(&d, ev, 64);
 }
 
-/// Heap calls of one run in which a bare-NIC generator bounces `datagrams`
-/// UDP datagrams off a one-endpoint echo stack, and the echoes it saw.
-fn echo_run(datagrams: u64) -> (u64, u64) {
-    // The cluster pool is per thread: start every run equally cold.
-    plexus::net::mbuf::reset_cluster_pool();
-    let Testbed {
-        mut world, hosts, ..
-    } = Testbed::new(&Link::t3(), 42, &["generator", "dut"]);
-    let gen_nic = &hosts[0].nic;
+/// A world with a device under test between two bare NICs (or in front of
+/// one): `tx` offers it `frame`, and `rx` hears what it makes of it.
+struct Loop {
+    world: World,
+    tx: Rc<Nic>,
+    rx: Rc<Nic>,
+    frame: Vec<u8>,
+    _dut: Box<dyn Any>,
+}
 
+/// Builds a [`Loop`].
+type Dut = fn() -> Loop;
+
+/// A one-endpoint Plexus stack echoing `ev.payload.share()` to a bare NIC.
+fn plexus_echo() -> Loop {
+    let Testbed { world, hosts, .. } = Testbed::new(&Link::t3(), 42, &["generator", "dut"]);
     let stack = PlexusStack::attach_host(&hosts[1], StackConfig::interrupt);
     let spec = ExtensionSpec::typesafe("alloc-gate", &["UDP.Bind", "UDP.Send"]);
     let ext = stack.link_extension(&spec).unwrap();
@@ -165,39 +230,226 @@ fn echo_run(datagrams: u64) -> (u64, u64) {
         .bind(&ext, 7, UdpConfig::default(), AppHandler::interrupt(echo))
         .unwrap();
     let _ = slot.set(ep);
+    Loop {
+        world,
+        tx: hosts[0].nic.clone(),
+        rx: hosts[0].nic.clone(),
+        frame: build_frame(&hosts[0], &hosts[1], PAYLOAD),
+        _dut: Box::new(stack),
+    }
+}
 
-    // Closed loop: the generator sends the next datagram when the echo of
-    // the last one arrives, so the engine's queue stays a few events deep.
-    let frame = build_frame(&hosts[0], &hosts[1], PAYLOAD);
-    let echoes = Rc::new(Cell::new(0u64));
-    let (seen, nic, next) = (echoes.clone(), Rc::downgrade(gen_nic), frame.clone());
-    gen_nic.attach(DriverConfig::per_frame(move |engine, _| {
+/// [`plexus_echo`] on the monolithic baseline: a process in a `recvfrom` /
+/// `sendto` loop.
+fn baseline_echo() -> Loop {
+    let Testbed {
+        mut world, hosts, ..
+    } = Testbed::new(&Link::t3(), 42, &["generator", "dut"]);
+    let stack = MonolithicStack::attach_host(&hosts[1]);
+    let process = AddressSpace::new("echo");
+    let sock = Rc::new(stack.udp_socket(&process, 7, true).unwrap());
+    let reply = sock.clone();
+    sock.recv_loop(world.engine_mut(), move |eng, user, msg| {
+        reply.sendto_in(eng, user, msg.src, msg.src_port, &msg.data);
+    });
+    Loop {
+        world,
+        tx: hosts[0].nic.clone(),
+        rx: hosts[0].nic.clone(),
+        frame: build_frame(&hosts[0], &hosts[1], PAYLOAD),
+        _dut: Box::new((stack, sock)),
+    }
+}
+
+/// The in-kernel router between two T3 segments, a bare NIC on each: what
+/// the generator sends to the sink's address comes out on the other side.
+fn router_forward() -> Loop {
+    let mut world = World::new();
+    let machine = world.add_machine("router");
+    let link = Link::t3();
+    let segment = || Medium::new(link.propagation, link.half_duplex);
+    let (near, far) = (segment(), segment());
+    let nic = |medium| Nic::new(link.profile.clone(), medium);
+    let (tx, rx) = (nic(&near), nic(&far));
+    let (gen_ip, gen_mac) = (Ipv4Addr::new(10, 0, 1, 2), MacAddr::local(1));
+    let (sink_ip, sink_mac) = (Ipv4Addr::new(10, 0, 2, 2), MacAddr::local(2));
+    let (near_ip, near_mac) = (Ipv4Addr::new(10, 0, 1, 1), MacAddr::local(101));
+    let (far_ip, far_mac) = (Ipv4Addr::new(10, 0, 2, 1), MacAddr::local(102));
+    let router = IpRouter::attach(
+        &machine,
+        &[
+            (nic(&near), near_ip, near_mac),
+            (nic(&far), far_ip, far_mac),
+        ],
+    );
+    router.seed_arp(1, sink_ip, sink_mac);
+
+    let payload = Mbuf::from_payload(64, &[0u8; PAYLOAD]);
+    let dgram = udp::encapsulate(gen_ip, sink_ip, 2000, 7, UdpConfig::default(), payload);
+    let hdr = IpHeader::simple(gen_ip, sink_ip, ip::proto::UDP, 1);
+    let mut frame = ip::encapsulate(&hdr, dgram);
+    ether::write_header(frame.prepend(14), near_mac, gen_mac, EtherType::IPV4);
+    Loop {
+        world,
+        tx,
+        rx,
+        frame: frame.to_vec(),
+        _dut: Box::new(router),
+    }
+}
+
+/// Runs `datagrams` frames through a device under test in a closed loop:
+/// `tx` sends the next one when `rx` hears what became of the last, so the
+/// engine's queue stays a few events deep. `heard` is told the count after
+/// each. Returns the run's heap calls and the frames `rx` heard.
+fn closed_loop(dut: Dut, datagrams: u64, heard: impl Fn(u64) + 'static) -> (u64, u64) {
+    // The cluster pool is per thread: start every run equally cold.
+    plexus::net::mbuf::reset_cluster_pool();
+    let Loop {
+        mut world,
+        tx,
+        rx,
+        frame,
+        _dut,
+    } = dut();
+    let count = Rc::new(Cell::new(0u64));
+    let (seen, nic, next) = (count.clone(), Rc::downgrade(&tx), frame.clone());
+    rx.attach(DriverConfig::per_frame(move |engine, _| {
         seen.set(seen.get() + 1);
+        heard(seen.get());
         if seen.get() < datagrams {
             let now = engine.now();
             let nic = nic.upgrade().expect("the world outlives its run");
             nic.transmit(engine, now, &next[..]);
         }
     }));
-    gen_nic.transmit(world.engine_mut(), SimTime::ZERO, &frame[..]);
+    tx.transmit(world.engine_mut(), SimTime::ZERO, &frame[..]);
     let allocs = allocs_during(|| world.run());
-    (allocs, echoes.get())
+    (allocs, count.get())
 }
+
+/// Asserts that one more datagram through `dut` costs exactly `per_datagram`
+/// heap calls. The difference between two runs cancels warm-up (pool fill,
+/// table growth); what is left is the steady state.
+fn assert_pinned(dut: Dut, per_datagram: u64) {
+    const N: u64 = 500;
+    let (short, heard) = closed_loop(dut, N, |_| {});
+    assert_eq!(heard, N, "every datagram came back");
+    let (long, heard) = closed_loop(dut, 2 * N, |_| {});
+    assert_eq!(heard, 2 * N);
+    assert_eq!(long - short, per_datagram * N);
+}
+
+// What is pinned below is, per datagram, the two wire images (one `Vec` per
+// `Nic::transmit`, generator to DUT and DUT to the other side) and the two
+// boxed arrival events that carry them: mbuf chains, header prepends and
+// the shares between layers come out of the pool. A new per-packet `Vec`
+// anywhere on the path moves these numbers; lower them when one is removed.
 
 #[test]
 fn an_echoed_datagram_allocates_exactly_the_pinned_count() {
-    // The difference between two runs cancels warm-up (pool fill, table
-    // growth); what is left is the steady state, per datagram: generator
-    // NIC tx, wire, DUT rx interrupt, five raises, the endpoint's echo,
-    // DUT tx, wire, generator rx. A new per-packet `Vec` anywhere on that
-    // path moves this number; lower it when one is removed.
-    const PER_DATAGRAM: u64 = 19;
-    const N: u64 = 500;
-    let (short, echoes) = echo_run(N);
-    assert_eq!(echoes, N, "every datagram was echoed");
-    let (long, echoes) = echo_run(2 * N);
-    assert_eq!(echoes, 2 * N);
-    assert_eq!(long - short, PER_DATAGRAM * N);
+    // Generator NIC tx, wire, DUT rx interrupt, five raises, the endpoint's
+    // echo, DUT tx, wire, generator rx.
+    assert_pinned(plexus_echo, 4);
+}
+
+#[test]
+fn a_datagram_echoed_by_the_baseline_allocates_exactly_the_pinned_count() {
+    // The same four, the process's wake-up event and its copy-out `Vec`.
+    assert_pinned(baseline_echo, 6);
+}
+
+#[test]
+fn a_forwarded_datagram_allocates_exactly_the_pinned_count() {
+    assert_pinned(router_forward, 4);
+}
+
+/// The ledger behind the pins (ROADMAP item 4): heap calls per datagram over
+/// a steady-state window of each loop, by the first frame of the call stack
+/// that lies in this tree. Reproduce with
+/// `cargo test --release --test alloc_free_dispatch -- --ignored --nocapture`
+/// (a debug build adds file and line).
+#[test]
+#[ignore = "prints a report; resolving a few hundred backtraces takes seconds"]
+fn print_echo_allocation_ledger() {
+    const WARM_UP: u64 = 200;
+    const WINDOW: u64 = 64;
+    let loops: [(&str, Dut); 3] = [
+        ("Plexus echo", plexus_echo),
+        ("baseline echo", baseline_echo),
+        ("router forward", router_forward),
+    ];
+    for (name, dut) in loops {
+        closed_loop(dut, WARM_UP + WINDOW + 1, |heard| {
+            LEDGER_OPEN.set((WARM_UP..WARM_UP + WINDOW).contains(&heard));
+        });
+        let traces = TRACES.take();
+        assert!(!traces.is_empty(), "the window saw the loop run");
+        let mut sites: BTreeMap<String, u64> = BTreeMap::new();
+        for trace in &traces {
+            *sites.entry(first_frame_in_tree(trace)).or_default() += 1;
+        }
+        let per_datagram = |calls: u64| calls as f64 / WINDOW as f64;
+        println!(
+            "{name}: {:.2} heap calls per datagram, over {WINDOW}",
+            per_datagram(traces.len() as u64)
+        );
+        let mut sites: Vec<_> = sites.into_iter().collect();
+        sites.sort_by_key(|(_, calls)| std::cmp::Reverse(*calls));
+        for (site, calls) in sites {
+            println!("{:8.2}  {site}", per_datagram(calls));
+        }
+    }
+}
+
+/// The innermost frame of `trace` whose symbol is this workspace's (the
+/// allocator wrapper aside), with its source position where the build has
+/// one.
+fn first_frame_in_tree(trace: &Backtrace) -> String {
+    let text = trace.to_string();
+    let mut lines = text.lines().map(str::trim);
+    while let Some(line) = lines.next() {
+        // "<n>: <symbol>", then perhaps "at <file>:<line>:<column>".
+        let symbol = line.split_once(": ").map_or("", |(_, symbol)| symbol);
+        let ours = symbol.contains("plexus") || symbol.starts_with("alloc_free_dispatch::");
+        if ours && !symbol.contains("Ledger") {
+            let at = lines.next().filter(|l| l.starts_with("at "));
+            return format!("{symbol} {}", at.unwrap_or_default());
+        }
+    }
+    "(no frame of this tree)".to_string()
+}
+
+#[test]
+fn an_oversize_transmit_allocates_nothing() {
+    // A 64 KB chain nobody segmented, on a 4470-byte MTU: the adapter
+    // refuses it by its length, before gathering a wire image of it.
+    let rec = Recorder::new(64);
+    let Testbed {
+        mut world, hosts, ..
+    } = Testbed::new(&Link::t3(), 42, &["sender", "receiver"]).traced(Some(&rec));
+    hosts[1].nic.attach(DriverConfig::per_frame(|_, _| {
+        panic!("an oversize frame must not be delivered")
+    }));
+    let chain = Mbuf::from_payload(0, &vec![0xAB; 65_536]);
+    let ready = SimTime::ZERO + SimDuration::from_micros(5);
+    // The first refusal interns the recorder's labels; the second is pure.
+    hosts[0].nic.transmit(world.engine_mut(), ready, &chain);
+    let mut done = None;
+    let allocs = allocs_during(|| {
+        done = Some(hosts[0].nic.transmit(world.engine_mut(), ready, &chain));
+    });
+    world.run();
+    assert_eq!(allocs, 0, "a refused chain is not copied");
+    assert_eq!(done, Some(ready), "the adapter is free again at once");
+    let stats = hosts[0].nic.stats();
+    assert_eq!((stats.tx_oversize, stats.tx_frames), (2, 0));
+    let refused = rec.registry().get(CounterKey {
+        scope: Scope::Drop,
+        label: rec.intern("tx_oversize"),
+        metric: "count",
+    });
+    assert_eq!(refused, 2, "each a named drop");
 }
 
 /// A stack with one linked extension, and a closure that binds and closes
@@ -471,4 +723,118 @@ fn an_out_of_window_flood_leaves_no_heap_behind_on_plexus() {
 #[test]
 fn an_out_of_window_flood_leaves_no_heap_behind_on_the_baseline() {
     flood_is_refused(baseline_pair);
+}
+
+// ---------------------------------------------------------------------------
+// IP fragment flood (ROADMAP 5a, reassembler half), on both stacks.
+// ---------------------------------------------------------------------------
+
+const UDP_PORT: u16 = 9;
+
+/// Builds a UDP sender on `hosts[0]` and, on `hosts[1]`, a receiver of the
+/// same stack kind that appends what arrives on [`UDP_PORT`] to the sink.
+type UdpPair = fn(&mut World, &[Host], &Sink) -> Write;
+
+fn plexus_udp_pair(_: &mut World, hosts: &[Host], sink: &Sink) -> Write {
+    let client = PlexusStack::attach_host(&hosts[0], StackConfig::interrupt);
+    let server = PlexusStack::attach_host(&hosts[1], StackConfig::interrupt);
+    let spec = ExtensionSpec::typesafe("frag-flood", &["UDP.Bind", "UDP.Send"]);
+    let sink = sink.clone();
+    let keep =
+        move |_: &mut RaiseCtx<'_>, ev: &UdpRecv| sink.borrow_mut().extend(ev.payload.to_vec());
+    let bind = |stack: &PlexusStack, port, handler| {
+        let ext = stack.link_extension(&spec).unwrap();
+        let config = UdpConfig::default();
+        stack.udp().bind(&ext, port, config, handler).unwrap()
+    };
+    bind(&server, UDP_PORT, AppHandler::interrupt(keep));
+    let ignore = |_: &mut RaiseCtx<'_>, _: &UdpRecv| {};
+    let from = bind(&client, 2000, AppHandler::interrupt(ignore));
+    let to = hosts[1].ip;
+    Box::new(move |world, data| from.send(world.engine_mut(), to, UDP_PORT, data).unwrap())
+}
+
+fn baseline_udp_pair(world: &mut World, hosts: &[Host], sink: &Sink) -> Write {
+    let client = MonolithicStack::attach_host(&hosts[0]);
+    let server = MonolithicStack::attach_host(&hosts[1]);
+    let listener = server
+        .udp_socket(&AddressSpace::new("sink"), UDP_PORT, true)
+        .unwrap();
+    let sink = sink.clone();
+    listener.recv_loop(world.engine_mut(), move |_, _, msg| {
+        sink.borrow_mut().extend(msg.data)
+    });
+    let from = client
+        .udp_socket(&AddressSpace::new("source"), 2000, true)
+        .unwrap();
+    let to = hosts[1].ip;
+    Box::new(move |world, data| from.sendto(world.engine_mut(), to, UDP_PORT, data))
+}
+
+/// A bare NIC sends the receiver the first fragment of one datagram after
+/// another, each twice and none ever completed; then a real datagram that
+/// needs reassembling crosses.
+fn a_fragment_flood_is_bounded(pair: UdpPair) {
+    const WARM_UP: u16 = 200; // More groups than a reassembler holds.
+    const FLOOD: u16 = 1000;
+    plexus::net::mbuf::reset_cluster_pool();
+    let rec = Recorder::new(1024);
+    let Testbed {
+        mut world, hosts, ..
+    } = Testbed::new(&Link::ethernet(), 9, &["client", "server", "raw"]).traced(Some(&rec));
+    let received = Sink::default();
+    let send = pair(&mut world, &hosts, &received);
+
+    let (server, raw) = (&hosts[1], &hosts[2]);
+    let mtu = server.nic.profile().mtu;
+    let flood = |world: &mut World, idents: std::ops::Range<u16>| {
+        for ident in idents {
+            let hdr = IpHeader::simple(raw.ip, server.ip, ip::proto::UDP, ident);
+            let whole = Mbuf::from_payload(0, &[0xEE; 3000]);
+            let mut head = ip::fragment(&hdr, &whole, mtu).swap_remove(0);
+            ether::write_header(head.prepend(14), server.mac, raw.mac, EtherType::IPV4);
+            for _ in 0..2 {
+                let at = world.engine().now();
+                raw.nic.transmit(world.engine_mut(), at, &head);
+                world.run_for(SimDuration::from_millis(2));
+            }
+        }
+        world.run();
+    };
+    flood(&mut world, 0..WARM_UP);
+    let live_warm = alloc::snapshot().2;
+    flood(&mut world, WARM_UP..WARM_UP + FLOOD);
+    let grown = alloc::snapshot().2 - live_warm;
+    assert_eq!(
+        grown, 0,
+        "{FLOOD} abandoned datagrams left {grown} bytes of heap behind"
+    );
+    let evicted = rec.registry().get(CounterKey {
+        scope: Scope::Drop,
+        label: rec.intern("ip_reassembly_full"),
+        metric: "count",
+    });
+    assert_eq!(
+        evicted,
+        u64::from(WARM_UP + FLOOD) - ip::MAX_FRAG_GROUPS as u64,
+        "every group pushed out is a named drop"
+    );
+
+    let datagram: Vec<u8> = (0..4000u32).map(|i| (i % 239) as u8).collect();
+    send(&mut world, &datagram);
+    world.run();
+    assert!(
+        *received.borrow() == datagram,
+        "a fragmented datagram still reassembles byte-exact"
+    );
+}
+
+#[test]
+fn a_fragment_flood_leaves_no_heap_behind_on_plexus() {
+    a_fragment_flood_is_bounded(plexus_udp_pair);
+}
+
+#[test]
+fn a_fragment_flood_leaves_no_heap_behind_on_the_baseline() {
+    a_fragment_flood_is_bounded(baseline_udp_pair);
 }
