@@ -104,6 +104,14 @@ impl Scenario {
         let profile = LazyCell::new(|| Profile::build(&rec));
         let journeys = LazyCell::new(|| journey::build(&profile));
         let window_ns = window_ns.unwrap_or(self.window_ns);
+        let narrowest = timeline::min_window_ns(&rec);
+        if window_ns < narrowest {
+            return Err(format!(
+                "{name}: a {window_ns} ns window would fold this run into more than {} windows; \
+                 the smallest accepted width is {narrowest} ns",
+                timeline::MAX_WINDOWS
+            ));
+        }
         let timeline = LazyCell::new(|| timeline::build(&rec, window_ns));
 
         let mut files = Vec::new();
@@ -259,10 +267,10 @@ fn run_tx_fanout(rec: &Rc<Recorder>) {
 /// window *index* is part of it, so a transient that merely moves does too.
 fn worst_window_report(name: &str, tl: &Timeline, journeys: &Journeys) -> BenchReport {
     let mut report = BenchReport::new(&format!("timeline_{name}"));
-    if let Some(w) = tl.worst_p99_window() {
+    if let Some(w) = timeline::worst_p99_window(&tl.windows) {
         report.scalar_windowed("worst_p99_us", w.p99_ns as f64 / 1000.0, "us", w.index);
     }
-    if let Some(w) = tl.worst_drop_window() {
+    if let Some(w) = timeline::worst_drop_window(&tl.windows) {
         let drops = w.drop_count() as f64;
         report.scalar_windowed("worst_window_drops", drops, "drops", w.index);
     }

@@ -93,4 +93,21 @@ fn exit_codes_separate_breaches_from_errors() {
         let out = plexus_trace(usage_error);
         assert_eq!(out.status.code(), Some(2), "{usage_error:?}");
     }
+
+    // A window width that would need a dense window per nanosecond of the
+    // run is refused — it used to abort on a multi-gigabyte allocation —
+    // and the message names the smallest width that is accepted.
+    let narrow = plexus_trace(&["--stdout", "--emit", "timeline", "--window", "1", "udp_rtt"]);
+    assert_eq!(narrow.status.code(), Some(2));
+    let stderr = String::from_utf8_lossy(&narrow.stderr);
+    let accepted: u64 = stderr
+        .split("smallest accepted width is ")
+        .nth(1)
+        .and_then(|rest| rest.split(' ').next()?.parse().ok())
+        .unwrap_or_else(|| panic!("no width named in {stderr:?}"));
+    let below = (accepted - 1).to_string();
+    let refused = plexus_trace(&[
+        "--stdout", "--emit", "timeline", "--window", &below, "udp_rtt",
+    ]);
+    assert_eq!(refused.status.code(), Some(2), "{below} ns must be refused");
 }

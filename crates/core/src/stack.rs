@@ -314,8 +314,8 @@ impl StackShared {
 
     /// One received frame, on the interrupt's lease: pay `rx_cost`, apply
     /// the MAC filter, raise `Ethernet.PacketRecv` through `batch`. `stamp`
-    /// is the NIC's host name and the frame's journey when this glue must
-    /// stamp the packet ID itself — in coalesced mode the NIC cannot, since
+    /// is the frame's journey when this glue must stamp the packet ID
+    /// itself — in coalesced mode the NIC cannot, since
     /// only the glue knows when each frame's CPU work begins inside the
     /// drained interrupt.
     fn rx_frame(
@@ -325,12 +325,12 @@ impl StackShared {
         batch: &mut EventBatch<'_, EthRecv>,
         frame: &[u8],
         rx_cost: SimDuration,
-        stamp: Option<(&str, Option<u64>)>,
+        stamp: Option<Option<u64>>,
     ) {
-        let stamped = stamp.and_then(|(host, journey)| {
+        let stamped = stamp.and_then(|journey| {
             let rec = lease.recorder_handle()?;
             let at = lease.now().as_nanos();
-            rec.packet_arrival(at, self.nic.profile().name, host, frame.len(), journey);
+            self.nic.record_arrival(&rec, at, frame.len(), journey);
             Some(rec)
         });
         lease.charge(rx_cost);
@@ -584,14 +584,13 @@ impl PlexusStack {
         DriverConfig::coalesced(move |engine, frames| {
             let mut lease = s.cpu.begin(engine.now());
             lease.charge(lease.model().interrupt_entry);
-            let host = s.nic.host();
             let mut batch = s.dispatcher.batch(s.events.eth_recv);
             for (i, frame) in frames.iter().enumerate() {
                 let rx_cost = s
                     .nic
                     .profile()
                     .rx_cpu_cost_coalesced(frame.bytes.len(), i == 0);
-                let stamp = Some((&*host, frame.journey));
+                let stamp = Some(frame.journey);
                 s.rx_frame(engine, &mut lease, &mut batch, &frame.bytes, rx_cost, stamp);
             }
             lease.charge(lease.model().interrupt_exit);

@@ -929,7 +929,7 @@ fn recorder_shows_the_packet_walk() {
         .iter()
         .filter(|r| r.packet.is_some())
         .filter_map(|r| match r.event {
-            TraceEvent::HandlerEnter { event, .. } => Some(rec.name(event)),
+            TraceEvent::HandlerEnter { event, .. } => Some(rec.name(event).to_string()),
             _ => None,
         })
         .collect();

@@ -34,7 +34,7 @@ use plexus_filter::{key_schema, FieldKey, FieldSpec, KeySpec, Packet, VerifiedPr
 use plexus_sim::engine::Engine;
 use plexus_sim::time::SimDuration;
 use plexus_sim::CpuLease;
-use plexus_trace::{GuardKind, Scope};
+use plexus_trace::{GuardKind, Name, Scope};
 
 use crate::ephemeral::Ephemeral;
 
@@ -453,7 +453,7 @@ struct Entry<T> {
     ephemeral: bool,
     /// Owning domain (extension or kernel subsystem) for per-domain
     /// accounting in the flight recorder.
-    owner: Rc<str>,
+    owner: Name,
     /// Whether this entry occupies hash buckets in the table's index (so
     /// the raise path may skip it when the index does not select it).
     indexed: bool,
@@ -666,7 +666,7 @@ impl<'g, T> Iterator for MergeWalk<'g, T> {
 }
 
 struct Table<T> {
-    name: String,
+    name: Name,
     gen: RefCell<Rc<Gen<T>>>,
 }
 
@@ -679,7 +679,7 @@ trait TableInfo {
 
 impl<T> TableInfo for Table<T> {
     fn event_name(&self) -> &str {
-        &self.name
+        self.name.as_str()
     }
 
     fn live_counts(&self) -> (usize, usize) {
@@ -714,6 +714,8 @@ pub struct Dispatcher {
     stats: Cell<DispatchStats>,
     demux_enabled: Cell<bool>,
     compiled_guards: Cell<bool>,
+    /// The histogram of guard evals the index saved per raise.
+    demux_avoided: Name,
 }
 
 thread_local! {
@@ -736,6 +738,7 @@ impl Dispatcher {
             stats: Cell::new(DispatchStats::default()),
             demux_enabled: Cell::new(true),
             compiled_guards: Cell::new(true),
+            demux_avoided: Name::new("demux.avoided"),
         })
     }
 
@@ -788,7 +791,7 @@ impl Dispatcher {
         let mut tables = self.tables.borrow_mut();
         let index = tables.len();
         let table = Rc::new(Table::<T> {
-            name: name.to_string(),
+            name: Name::new(name.to_string()),
             gen: RefCell::new(Rc::default()),
         });
         tables.push((table.clone() as Rc<dyn Any>, table as Rc<dyn TableInfo>));
@@ -802,7 +805,7 @@ impl Dispatcher {
 
     /// The name an event was defined with.
     pub fn event_name<T: 'static>(&self, event: Event<T>) -> String {
-        self.table(event).name.clone()
+        self.table(event).name.as_str().to_string()
     }
 
     fn table<T: 'static>(&self, event: Event<T>) -> Rc<Table<T>> {
@@ -939,7 +942,7 @@ impl Dispatcher {
             handler,
             mode,
             ephemeral,
-            owner: Rc::from(owner),
+            owner: Name::new(owner.to_string()),
             indexed: slots.is_some(),
             removed: Cell::new(false),
         });
@@ -1062,8 +1065,10 @@ impl Dispatcher {
 
         // Flight recorder, if the raising CPU carries one. Held as an
         // owned handle because the handler call below reborrows `ctx`.
+        // The table and each entry remember their labels in it, so a
+        // recorded raise hashes no string.
         let rec = ctx.lease.recorder_handle();
-        let ev_label = rec.as_ref().map(|r| r.intern(&table.name));
+        let ev_label = rec.as_ref().map(|r| table.name.label(r));
 
         // Hold the current generation for the whole raise: handlers may
         // install (seen from the next raise on) and uninstall (skipped from
@@ -1209,7 +1214,7 @@ impl Dispatcher {
             tally.invocations += 1;
             outcome.invoked += 1;
 
-            let owner_label = rec.as_ref().map(|r| r.intern(&entry.owner));
+            let owner_label = rec.as_ref().map(|r| entry.owner.label(r));
             let mut span = 0u64;
             if let (Some(r), Some(lbl), Some(owner)) = (&rec, ev_label, owner_label) {
                 span = r.handler_enter(ctx.lease.now().as_nanos(), lbl, owner);
@@ -1256,7 +1261,7 @@ impl Dispatcher {
             }
             if index.is_some() {
                 // Per-raise distribution of guard evals the index saved.
-                r.record_latency(r.intern("demux.avoided"), tally.demux_skipped);
+                r.record_latency(self.demux_avoided.label(r), tally.demux_skipped);
             }
         }
         outcome

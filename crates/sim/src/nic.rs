@@ -26,7 +26,7 @@ use std::cell::{Cell, RefCell};
 use std::collections::VecDeque;
 use std::rc::{Rc, Weak};
 
-use plexus_trace::{Recorder, Scope};
+use plexus_trace::{Label, Name, Recorder, Scope};
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
 
@@ -801,7 +801,12 @@ pub struct Nic {
     /// that rebinds the NIC doesn't alias the borrow.
     rx: RefCell<RxDispatch>,
     rx_ring: RefCell<VecDeque<RxFrame>>,
-    host: RefCell<Rc<str>>,
+    /// The names this NIC records under, each with its label in the
+    /// installed recorder: the device's, the owning machine's (empty when
+    /// unattached), and the batch-size histogram's.
+    name: Name,
+    host: RefCell<Name>,
+    rx_batch_hist: Name,
     rx_busy_until: Cell<SimTime>,
     rx_drain_pending: Cell<bool>,
     stats: Cell<NicStats>,
@@ -814,6 +819,9 @@ impl Nic {
     pub fn new(profile: NicProfile, medium: &Rc<Medium>) -> Rc<Nic> {
         let id = medium.members.borrow().len();
         let nic = Rc::new(Nic {
+            name: Name::new(profile.name),
+            host: RefCell::new(Name::new("")),
+            rx_batch_hist: Name::new("nic.rx_frames_per_interrupt"),
             profile,
             medium: medium.clone(),
             tx_free_at: Cell::new(SimTime::ZERO),
@@ -822,7 +830,6 @@ impl Nic {
             tx_doorbell_until: Cell::new(SimTime::ZERO),
             rx: RefCell::new(RxDispatch::None),
             rx_ring: RefCell::new(VecDeque::new()),
-            host: RefCell::new(Rc::from("")),
             rx_busy_until: Cell::new(SimTime::ZERO),
             rx_drain_pending: Cell::new(false),
             stats: Cell::new(NicStats::default()),
@@ -847,13 +854,20 @@ impl Nic {
     /// this on connect). The name rides into every arrival record so
     /// post-hoc journey reconstruction can label hops by machine.
     pub fn set_host(&self, host: &str) {
-        *self.host.borrow_mut() = Rc::from(host);
+        *self.host.borrow_mut() = Name::new(host.to_string());
     }
 
-    /// The owning machine's name (empty when unattached). A handle on the
-    /// one copy: the receive glue asks per interrupt.
-    pub fn host(&self) -> Rc<str> {
-        self.host.borrow().clone()
+    /// This NIC's and its machine's labels in `rec`.
+    fn labels(&self, rec: &Recorder) -> (Label, Label) {
+        (self.name.label(rec), self.host.borrow().label(rec))
+    }
+
+    /// Records the arrival of a `len`-byte frame on this NIC, as
+    /// [`Recorder::packet_arrival`] — for the coalesced receive glue, which
+    /// stamps each frame of a batch when its CPU work starts.
+    pub fn record_arrival(&self, rec: &Recorder, at_ns: u64, len: usize, journey: Option<u64>) {
+        let (nic, host) = self.labels(rec);
+        rec.packet_arrival(at_ns, nic, host, len, journey);
     }
 
     /// Installs (or removes) a flight recorder. On delivery the NIC
@@ -1016,10 +1030,11 @@ impl Nic {
                 .saturating_since(base)
                 .as_nanos()
                 .min(wait.as_nanos());
+            let (nic, host) = self.labels(rec);
             rec.packet_tx(
                 ready_at.as_nanos(),
-                self.profile.name,
-                &self.host.borrow(),
+                nic,
+                host,
                 frame.len(),
                 queue,
                 wait.as_nanos(),
@@ -1067,9 +1082,8 @@ impl Nic {
     /// vocabulary instead of surfacing as an orphaned record.
     fn drop_unprocessed(&self, now: SimTime, len: usize, journey: Option<u64>, reason: &str) {
         if let Some(rec) = self.recorder.borrow().as_ref() {
-            let name = self.profile.name;
-            rec.packet_arrival(now.as_nanos(), name, &self.host.borrow(), len, journey);
-            rec.packet_drop(now.as_nanos(), name, reason);
+            self.record_arrival(rec, now.as_nanos(), len, journey);
+            rec.packet_drop(now.as_nanos(), self.profile.name, reason);
             rec.packet_done();
         }
     }
@@ -1098,20 +1112,9 @@ impl Nic {
         // frame with nothing ever queued.
         let rec = self.recorder.borrow().clone();
         if let Some(rec) = &rec {
-            rec.rx_interrupt(
-                engine.now().as_nanos(),
-                self.profile.name,
-                &self.host.borrow(),
-                1,
-                0,
-            );
-            rec.packet_arrival(
-                engine.now().as_nanos(),
-                self.profile.name,
-                &self.host.borrow(),
-                frame.len(),
-                journey,
-            );
+            let (nic, host) = self.labels(rec);
+            rec.rx_interrupt(engine.now().as_nanos(), nic, host, 1, 0);
+            rec.packet_arrival(engine.now().as_nanos(), nic, host, frame.len(), journey);
         }
         h(engine, frame);
         if let Some(rec) = &rec {
@@ -1161,8 +1164,12 @@ impl Nic {
             // Exported as a counter that only ever grows up to the
             // high-water mark, so its value *is* the high-water mark.
             if let Some(rec) = self.recorder.borrow().as_ref() {
-                let nic = rec.intern(self.profile.name);
-                rec.count(Scope::Packet, nic, "rx.ring_highwater", delta);
+                rec.count(
+                    Scope::Packet,
+                    self.name.label(rec),
+                    "rx.ring_highwater",
+                    delta,
+                );
             }
         } else {
             self.stats.set(stats);
@@ -1198,7 +1205,7 @@ impl Nic {
         stats.rx_bytes += frames.iter().map(|f| f.bytes.len() as u64).sum::<u64>();
         self.stats.set(stats);
         if let Some(rec) = self.recorder.borrow().as_ref() {
-            let nic = rec.intern(self.profile.name);
+            let (nic, host) = self.labels(rec);
             rec.count(Scope::Packet, nic, "rx.interrupts", 1);
             if frames.len() > 1 {
                 rec.count(
@@ -1208,14 +1215,13 @@ impl Nic {
                     frames.len() as u64 - 1,
                 );
             }
-            let hist = rec.intern("nic.rx_frames_per_interrupt");
-            rec.record_latency(hist, frames.len() as u64);
+            rec.record_latency(self.rx_batch_hist.label(rec), frames.len() as u64);
             // Ring record for the windowed timeline: how many frames this
             // interrupt drained, and how many were still queued behind it.
             rec.rx_interrupt(
                 engine.now().as_nanos(),
-                self.profile.name,
-                &self.host.borrow(),
+                nic,
+                host,
                 frames.len(),
                 self.rx_ring.borrow().len(),
             );
@@ -1575,7 +1581,7 @@ mod coalesce_tests {
             .iter()
             .filter(|r| {
                 matches!(&r.event, TraceEvent::Drop { reason, .. }
-                    if rec.name(*reason) == "rx_ring_drop")
+                    if &*rec.name(*reason) == "rx_ring_drop")
             })
             .map(|r| r.packet)
             .collect();
@@ -1635,7 +1641,7 @@ mod coalesce_tests {
             .iter()
             .find(|r| {
                 matches!(&r.event, TraceEvent::Drop { reason, .. }
-                    if rec.name(*reason) == "rx_no_handler")
+                    if &*rec.name(*reason) == "rx_no_handler")
             })
             .expect("drop recorded");
         assert!(arrival.packet.is_some());
@@ -1668,7 +1674,7 @@ mod coalesce_tests {
             .iter()
             .filter(|r| {
                 matches!(&r.event, TraceEvent::Drop { reason, .. }
-                    if rec.name(*reason) == "rx_no_handler")
+                    if &*rec.name(*reason) == "rx_no_handler")
             })
             .map(|r| r.packet.expect("drop stamped with a packet ID"))
             .collect();

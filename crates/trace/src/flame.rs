@@ -8,20 +8,24 @@
 
 use std::collections::BTreeMap;
 
+use crate::json::put;
 use crate::profile::{Profile, Triple};
 
-/// Renders the profile as folded stacks, sorted by triple so the output
-/// is byte-deterministic.
+/// Renders the profile as folded stacks, sorted by the triples' names so
+/// the output is byte-deterministic.
 pub fn folded(p: &Profile) -> String {
     let mut sums: BTreeMap<Triple, u64> = BTreeMap::new();
     for pkt in p.packets.iter().filter(|p| !p.orphan) {
         for s in &pkt.slices {
-            *sums.entry(s.at.clone()).or_insert(0) += s.ns();
+            *sums.entry(s.at).or_insert(0) += s.ns();
         }
     }
+    let mut rows: Vec<(Triple, u64)> = sums.into_iter().collect();
+    rows.sort_by(|a, b| p.by_name(&a.0, &b.0));
     let mut out = String::new();
-    for (t, ns) in sums {
-        out.push_str(&format!("{};{};{} {}\n", t.layer, t.domain, t.handler, ns));
+    for (t, ns) in rows {
+        let [layer, domain, handler] = p.triple_names(&t);
+        put!(out, "{layer};{domain};{handler} {ns}\n");
     }
     out
 }
@@ -37,7 +41,7 @@ mod tests {
         let ev = rec.intern("Udp.PacketRecv");
         let dom = rec.intern("udp");
         for i in 0..2u64 {
-            rec.packet_arrival(i * 1_000, "Ethernet", "", 60, None);
+            rec.packet_arrival(i * 1_000, rec.intern("Ethernet"), rec.intern(""), 60, None);
             let s = rec.handler_enter(i * 1_000 + 100, ev, dom);
             rec.handler_exit(i * 1_000 + 400, ev, dom, s);
             rec.packet_done();

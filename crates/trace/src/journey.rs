@@ -25,10 +25,12 @@
 //! end-to-end time exactly, in the style of
 //! [`crate::profile::pingpong_waterfall`].
 
-use std::collections::{BTreeMap, BTreeSet};
+use std::collections::HashMap;
 
-use crate::json::escape;
-use crate::profile::{PacketProfile, Profile, Segment, TxRecord};
+use crate::json::{escaped, or_null, put};
+use crate::profile::{add, segments_json, PacketProfile, Profile, Segment, TxRecord};
+use crate::recorder::Interner;
+use crate::Label;
 
 /// One hop on a journey's critical-path chain.
 #[derive(Clone, Debug, PartialEq, Eq)]
@@ -92,10 +94,13 @@ pub struct Journeys {
     /// ledger could be built. Post-hoc analysis lost these — the live
     /// tier's retained samples are where to look for them.
     pub journeys_truncated: u64,
+    /// Every segment name with its time summed over *all* journeys and
+    /// the number of journeys that have it, in first-seen order.
+    pub segment_totals: Vec<(Segment, u64)>,
 }
 
-/// A transmit that can parent a hop: the resolved record plus where it
-/// came from.
+/// A transmit that can parent a hop: the record plus where it came from.
+#[derive(Clone, Copy)]
 struct TxCand<'a> {
     tx: &'a TxRecord,
     /// `(packet, index in that packet's txs)`; `None` for a transmit
@@ -109,129 +114,119 @@ impl TxCand<'_> {
     }
 }
 
-fn machine_of(p: &PacketProfile) -> String {
-    p.host
-        .clone()
-        .or_else(|| p.nic.clone())
-        .unwrap_or_else(|| String::from("?"))
-}
-
 /// A hop that arrived but was discarded without running any handler —
 /// a broadcast copy the MAC filter (or an overflowing rx ring) shed.
 fn is_filtered(p: &PacketProfile) -> bool {
     p.spans.is_empty() && p.txs.is_empty() && !p.drops.is_empty()
 }
 
-/// Appends `ns` to the segment named `name`, merging consecutive equal
-/// names (keeps first-seen order otherwise).
-fn push_segment(segments: &mut Vec<Segment>, name: String, ns: u64) {
-    match segments.iter_mut().find(|s| s.name == name) {
-        Some(s) => s.ns += ns,
-        None => segments.push(Segment { name, ns }),
-    }
+/// What a chain segment is, by symbol: slices and wire phases merge on
+/// these, and a name is rendered once per distinct key of a run.
+#[derive(Clone, Copy, PartialEq, Eq, Hash)]
+enum SegKey {
+    /// `{src}.tx_queue`
+    TxQueue(Label),
+    /// `{src}->{dst}.wire.{phase}`
+    Wire(Label, Label, &'static str),
+    /// `{machine}.rx_queue`
+    RxQueue(Label),
+    /// `{machine}.{layer}.{domain}`
+    Processing(Label, Label, Label),
 }
 
-/// Groups `slices[..=upto]` of a hop into `{machine}.{layer}.{domain}`
-/// segments, first-seen order, appended to `segments`.
-fn hop_processing_segments(
-    segments: &mut Vec<Segment>,
-    p: &PacketProfile,
-    machine: &str,
-    upto: usize,
-) {
-    for s in &p.slices[..=upto] {
-        push_segment(
-            segments,
-            format!("{machine}.{}.{}", s.at.layer, s.at.domain),
-            s.ns(),
-        );
+impl SegKey {
+    fn name(self, names: &Interner) -> String {
+        let n = |l| names.get(l);
+        match self {
+            SegKey::TxQueue(src) => format!("{}.tx_queue", n(src)),
+            SegKey::Wire(src, dst, phase) => format!("{}->{}.wire.{phase}", n(src), n(dst)),
+            SegKey::RxQueue(machine) => format!("{}.rx_queue", n(machine)),
+            SegKey::Processing(machine, layer, domain) => {
+                format!("{}.{}.{}", n(machine), n(layer), n(domain))
+            }
+        }
     }
-}
-
-/// Index of the slice produced by the `k`-th (0-based) `PacketTx` record
-/// of this hop. Tx records and the `driver/tx` slices they produce appear
-/// in the same order, so counting is exact.
-fn nth_tx_slice_idx(p: &PacketProfile, k: usize) -> Option<usize> {
-    p.slices
-        .iter()
-        .enumerate()
-        .filter(|(_, s)| s.at.layer == "driver" && s.at.handler == "tx")
-        .map(|(i, _)| i)
-        .nth(k)
 }
 
 /// Reconstructs every journey from a built profile.
 pub fn build(profile: &Profile) -> Journeys {
-    let by_id: BTreeMap<u64, &PacketProfile> =
-        profile.packets.iter().map(|p| (p.packet, p)).collect();
+    // The profile's names plus the two stand-ins a chain needs, so a
+    // machine is a plain label throughout.
+    let mut names = profile.names.clone();
+    let (unknown, origin_label) = (names.intern("?"), names.intern("origin"));
+    let machine_of = |p: &PacketProfile| p.host.or(p.nic).unwrap_or(unknown);
+    let packets = &profile.packets;
+    // `packets` is in packet-ID order, which is what makes an ID an index.
+    let by_id = |id: u64| packets.binary_search_by_key(&id, |p| p.packet).ok();
 
+    // Intact hops grouped by journey (one sort, then runs of equal
+    // journey), each group in arrival order.
     let mut orphans = 0u64;
-    let mut orphan_journeys: BTreeSet<u64> = BTreeSet::new();
-    let mut hops_by_journey: BTreeMap<u64, Vec<&PacketProfile>> = BTreeMap::new();
-    for p in &profile.packets {
-        match p.journey {
-            Some(j) if !p.orphan => {
-                hops_by_journey.entry(j).or_default().push(p);
-            }
-            _ => {
-                orphans += 1;
-                if let Some(j) = p.journey {
-                    orphan_journeys.insert(j);
-                }
-            }
+    let mut orphan_journeys: Vec<u64> = Vec::new();
+    let mut hops: Vec<&PacketProfile> = Vec::with_capacity(packets.len());
+    for p in packets {
+        if p.journey.is_some() && !p.orphan {
+            hops.push(p);
+        } else {
+            orphans += 1;
+            orphan_journeys.extend(p.journey);
         }
     }
+    hops.sort_unstable_by_key(|p| (p.journey, p.first_ns, p.packet));
     // A journey is *truncated* when wraparound left it nothing but
     // orphaned hops: its tag is known, its ledger is not.
+    orphan_journeys.sort_unstable();
+    orphan_journeys.dedup();
     let journeys_truncated = orphan_journeys
         .iter()
-        .filter(|j| !hops_by_journey.contains_key(j))
+        .filter(|&&j| hops.binary_search_by_key(&Some(j), |p| p.journey).is_err())
         .count() as u64;
 
-    // Candidate parent transmits per journey: engine/timer-context sends
-    // first, then per-packet transmits in packet order. A transmit's
-    // journey tag names the chain its *delivery* joins, which may differ
-    // from the journey of the packet being processed when it was sent
-    // (that is exactly what `journey_break` arranges).
-    let mut txs_by_journey: BTreeMap<u64, Vec<TxCand<'_>>> = BTreeMap::new();
-    for tx in &profile.unattributed_txs {
-        if let Some(j) = tx.journey {
-            txs_by_journey
-                .entry(j)
-                .or_default()
-                .push(TxCand { tx, source: None });
-        }
-    }
-    for p in &profile.packets {
-        for (i, tx) in p.txs.iter().enumerate() {
-            if let Some(j) = tx.journey {
-                txs_by_journey.entry(j).or_default().push(TxCand {
-                    tx,
-                    source: Some((p.packet, i)),
-                });
-            }
-        }
-    }
+    // Candidate parent transmits grouped the same way: engine/timer-
+    // context sends first, then per-packet transmits in packet order. A
+    // transmit's journey tag names the chain its *delivery* joins, which
+    // may differ from the journey of the packet being processed when it
+    // was sent (that is exactly what `journey_break` arranges).
+    let unattributed = profile.unattributed_txs.iter().map(|tx| (tx, None));
+    let attributed = packets.iter().flat_map(|p| {
+        let source = move |(i, tx)| (tx, Some((p.packet, i)));
+        p.txs.iter().enumerate().map(source)
+    });
+    let mut txs: Vec<TxCand<'_>> = unattributed
+        .chain(attributed)
+        .filter(|(tx, _)| tx.journey.is_some())
+        .map(|(tx, source)| TxCand { tx, source })
+        .collect();
+    txs.sort_by_key(|c| c.tx.journey);
 
-    let mut journeys = Vec::with_capacity(hops_by_journey.len());
-    for (jid, mut hops) in hops_by_journey {
-        hops.sort_by_key(|p| (p.first_ns, p.packet));
-        let cands = txs_by_journey.get(&jid).map_or(&[][..], Vec::as_slice);
+    let mut journeys = Vec::new();
+    let mut chain: Vec<(&PacketProfile, Option<usize>)> = Vec::new();
+    let mut keyed: Vec<(SegKey, u64)> = Vec::new();
+    // Where each key's name sits in `segment_totals`: rendered the first
+    // time the key is seen. Two keys that read the same share a slot, as
+    // they would have shared a segment merged by name.
+    let mut slot_of: HashMap<SegKey, usize> = HashMap::new();
+    let mut segment_totals: Vec<(Segment, u64)> = Vec::new();
+    let mut slots: Vec<(usize, u64)> = Vec::new();
+    for hops in hops.chunk_by(|a, b| a.journey == b.journey) {
+        let journey = hops[0].journey;
+        let jid = journey.expect("hops carry a journey");
+        let cands = &txs[txs.partition_point(|c| c.tx.journey < journey)..];
+        let cands = &cands[..cands.partition_point(|c| c.tx.journey == journey)];
 
         // The parent transmit of a hop: exact wire-telescoping match
         // first; otherwise the latest handover whose wire arrival does
         // not postdate the hop's arrival record (rx-ring queueing delays
         // the record past the wire arrival on the coalesced path).
-        let parent_of = |hop: &PacketProfile| -> Option<&TxCand<'_>> {
-            let not_self = |c: &&TxCand<'_>| c.source.map(|(p, _)| p) != Some(hop.packet);
-            cands
-                .iter()
-                .filter(not_self)
+        let parent_of = |hop: &PacketProfile| -> Option<TxCand<'_>> {
+            let others = || {
+                let not_self = move |c: &TxCand<'_>| c.source.map(|(p, _)| p) != Some(hop.packet);
+                cands.iter().copied().filter(not_self)
+            };
+            others()
                 .find(|c| c.wire_arrival() == hop.first_ns)
                 .or_else(|| {
-                    cands
-                        .iter()
-                        .filter(not_self)
+                    others()
                         .filter(|c| c.wire_arrival() <= hop.first_ns)
                         .max_by_key(|c| c.wire_arrival())
                 })
@@ -240,30 +235,24 @@ pub fn build(profile: &Profile) -> Journeys {
         // The chain ends at the latest hop that actually ran (falling
         // back to the latest filtered hop for journeys that died on
         // arrival), and is walked backwards via parent transmits.
-        let end = hops
-            .iter()
-            .filter(|p| !is_filtered(p))
+        let ran = hops.iter().filter(|p| !is_filtered(p));
+        let end = *ran
             .max_by_key(|p| (p.last_ns, p.first_ns, p.packet))
             .or_else(|| hops.iter().max_by_key(|p| (p.last_ns, p.packet)))
             .expect("journey group is non-empty");
 
-        let mut chain: Vec<(&PacketProfile, Option<usize>)> = vec![(end, None)];
-        let mut origin: Option<&TxCand<'_>> = None;
-        let mut visited: BTreeSet<u64> = BTreeSet::new();
-        visited.insert(end.packet);
-        loop {
-            let (head, _) = chain[0];
-            let Some(parent) = parent_of(head) else { break };
-            match parent.source {
-                Some((pkt, tx_idx))
-                    if by_id
-                        .get(&pkt)
-                        .is_some_and(|p| p.journey == Some(jid) && !p.orphan)
-                        && visited.insert(pkt) =>
-                {
-                    chain.insert(0, (by_id[&pkt], Some(tx_idx)));
-                }
-                _ => {
+        chain.clear();
+        chain.push((end, None));
+        let mut origin: Option<TxCand<'_>> = None;
+        while let Some(parent) = parent_of(chain.last().expect("chain starts at its end").0) {
+            let on_chain = |pkt| chain.iter().any(|(p, _)| p.packet == pkt);
+            let sender = parent
+                .source
+                .and_then(|(pkt, tx_idx)| Some((&packets[by_id(pkt)?], tx_idx)))
+                .filter(|(p, _)| p.journey == journey && !p.orphan && !on_chain(p.packet));
+            match sender {
+                Some((p, tx_idx)) => chain.push((p, Some(tx_idx))),
+                None => {
                     // Sent from another journey's window (a broken chain's
                     // origin) or from engine/timer context: the journey
                     // starts here.
@@ -272,25 +261,26 @@ pub fn build(profile: &Profile) -> Journeys {
                 }
             }
         }
+        chain.reverse();
 
         let start_ns = origin.map_or(chain[0].0.first_ns, |c| c.tx.at_ns);
         let end_ns = end.last_ns;
-        let origin_machine = origin.and_then(|c| {
-            c.source
-                .map(|(pkt, _)| machine_of(by_id[&pkt]))
-                .or_else(|| c.tx.host.clone())
-        });
+        let sender_of = |c: &TxCand<'_>| {
+            let (pkt, _) = c.source?;
+            Some(machine_of(&packets[by_id(pkt)?]))
+        };
+        let origin_machine = origin.and_then(|c| sender_of(&c).or(c.tx.host));
 
         // Stitch the segments hop by hop. Each iteration appends the wire
         // phases that delivered hop `i`, its rx-queue wait, and its
         // processing slices up to the handover that continues the chain —
         // so consecutive pieces share their boundary instants and the
         // total telescopes to `end_ns - start_ns` with nothing left over.
-        let mut segments: Vec<Segment> = Vec::new();
-        let mut chain_hops: Vec<ChainHop> = Vec::new();
+        keyed.clear();
+        let mut chain_hops: Vec<ChainHop> = Vec::with_capacity(chain.len());
         let mut overlap_total = 0u64;
         for i in 0..chain.len() {
-            let (hop, _) = chain[i];
+            let (hop, own_tx_idx) = chain[i];
             let machine = machine_of(hop);
 
             // Wire phases into this hop (from the origin transmit or the
@@ -299,52 +289,60 @@ pub fn build(profile: &Profile) -> Journeys {
                 origin
             } else {
                 let (prev, prev_tx_idx) = chain[i - 1];
-                prev_tx_idx.and_then(|k| cands.iter().find(|c| c.source == Some((prev.packet, k))))
+                let handover = prev_tx_idx.map(|k| (prev.packet, k));
+                (cands.iter().copied()).find(|c| handover.is_some() && c.source == handover)
             };
             let mut queue_wait = 0;
             if let Some(c) = incoming {
                 // An engine/timer-context send is named after its machine
                 // when the NIC knows one, "origin" otherwise.
-                let src = c.source.map_or_else(
-                    || c.tx.host.clone().unwrap_or_else(|| String::from("origin")),
-                    |(p, _)| machine_of(by_id[&p]),
-                );
-                let wire = format!("{src}->{machine}.wire");
+                let src = sender_of(&c).unwrap_or(c.tx.host.unwrap_or(origin_label));
                 // The tx-ring/doorbell share of the wait is the sender's
                 // queue, not the medium's: surface it as its own hop
                 // segment so a backlogged transmit path is visible.
                 let queue = c.tx.queue_ns.min(c.tx.wait_ns);
                 if queue > 0 {
-                    push_segment(&mut segments, format!("{src}.tx_queue"), queue);
+                    add(&mut keyed, SegKey::TxQueue(src), queue);
                 }
-                push_segment(&mut segments, format!("{wire}.wait"), c.tx.wait_ns - queue);
-                push_segment(&mut segments, format!("{wire}.serialize"), c.tx.ser_ns);
-                push_segment(&mut segments, format!("{wire}.propagate"), c.tx.prop_ns);
+                let wire = |phase| SegKey::Wire(src, machine, phase);
+                add(&mut keyed, wire("wait"), c.tx.wait_ns - queue);
+                add(&mut keyed, wire("serialize"), c.tx.ser_ns);
+                add(&mut keyed, wire("propagate"), c.tx.prop_ns);
                 queue_wait = hop.first_ns.saturating_sub(c.wire_arrival());
                 if queue_wait > 0 {
-                    push_segment(&mut segments, format!("{machine}.rx_queue"), queue_wait);
+                    add(&mut keyed, SegKey::RxQueue(machine), queue_wait);
                 }
             }
 
             // Processing on this hop: up to the chain-continuing handover
-            // for inner hops, the whole window for the final one.
-            let own_tx_idx = chain[i].1;
+            // for inner hops, the whole window for the final one. Tx
+            // records and the `driver/tx` slices they produce appear in
+            // the same order, so the `k`-th of one is the `k`-th of the
+            // other.
             let (tx_ns, overlap, upto) = match own_tx_idx {
                 Some(k) => {
                     let tx = &hop.txs[k];
-                    let upto = nth_tx_slice_idx(hop, k);
+                    let tx_slices = hop
+                        .slices
+                        .iter()
+                        .enumerate()
+                        .filter(|(_, s)| profile.is_tx(s));
+                    let upto = tx_slices.map(|(at, _)| at + 1).nth(k);
                     (Some(tx.at_ns), hop.last_ns.saturating_sub(tx.at_ns), upto)
                 }
-                None => (None, 0, hop.slices.len().checked_sub(1)),
+                None => (None, 0, Some(hop.slices.len())),
             };
-            if let Some(upto) = upto {
-                hop_processing_segments(&mut segments, hop, &machine, upto);
+            for s in &hop.slices[..upto.unwrap_or(0)] {
+                let key = SegKey::Processing(machine, s.at.layer, s.at.domain);
+                add(&mut keyed, key, s.ns());
             }
             overlap_total += overlap;
             chain_hops.push(ChainHop {
                 packet: hop.packet,
-                machine,
-                nic: hop.nic.clone().unwrap_or_default(),
+                machine: names.get(machine).to_owned(),
+                nic: hop
+                    .nic
+                    .map_or_else(String::new, |nic| names.get(nic).to_owned()),
                 arrival_ns: hop.first_ns,
                 queue_wait_ns: queue_wait,
                 tx_ns,
@@ -352,19 +350,39 @@ pub fn build(profile: &Profile) -> Journeys {
             });
         }
 
-        let on_chain: BTreeSet<u64> = chain.iter().map(|&(p, _)| p.packet).collect();
-        let filtered = hops
-            .iter()
-            .filter(|p| is_filtered(p) && !on_chain.contains(&p.packet))
-            .count() as u64;
-        let branches = hops.len() as u64 - filtered - on_chain.len() as u64;
+        slots.clear();
+        for &(key, ns) in &keyed {
+            let slot = *slot_of.entry(key).or_insert_with(|| {
+                let name = key.name(&names);
+                let known = segment_totals.iter().position(|(s, _)| *s.name == name);
+                known.unwrap_or_else(|| {
+                    let name = name.into();
+                    segment_totals.push((Segment { name, ns: 0 }, 0));
+                    segment_totals.len() - 1
+                })
+            });
+            add(&mut slots, slot, ns);
+        }
+        let segment = |&(slot, ns): &(usize, u64)| {
+            let (total, journeys) = &mut segment_totals[slot];
+            total.ns += ns;
+            *journeys += 1;
+            let name = total.name.clone();
+            Segment { name, ns }
+        };
+        let segments = slots.iter().map(segment).collect();
+
+        let off_chain = |p: &PacketProfile| !chain.iter().any(|(c, _)| c.packet == p.packet);
+        let shed = hops.iter().filter(|p| is_filtered(p) && off_chain(p));
+        let filtered = shed.count() as u64;
+        let branches = hops.len() as u64 - filtered - chain.len() as u64;
 
         journeys.push(Journey {
             journey: jid,
             start_ns,
             end_ns,
             end_to_end_ns: end_ns - start_ns,
-            origin_machine,
+            origin_machine: origin_machine.map(|m| names.get(m).to_owned()),
             chain: chain_hops,
             segments,
             branch_hops: branches,
@@ -377,6 +395,7 @@ pub fn build(profile: &Profile) -> Journeys {
         journeys,
         orphan_packets: orphans,
         journeys_truncated,
+        segment_totals,
     }
 }
 
@@ -386,94 +405,77 @@ pub fn build(profile: &Profile) -> Journeys {
 /// the per-segment aggregate covers every journey.
 pub fn journeys_json(j: &Journeys, max_detail: usize) -> String {
     let mut out = String::from("{\n  \"schema\": \"plexus.journey.v1\",\n");
-    out.push_str(&format!("  \"journeys_total\": {},\n", j.journeys.len()));
+    put!(out, "  \"journeys_total\": {},\n", j.journeys.len());
     let detailed = j.journeys.len().min(max_detail);
-    out.push_str(&format!("  \"journeys_detailed\": {detailed},\n"));
-    out.push_str(&format!(
+    put!(out, "  \"journeys_detailed\": {detailed},\n");
+    put!(
+        out,
         "  \"orphan_packets_excluded\": {},\n",
         j.orphan_packets
-    ));
-    out.push_str(&format!(
-        "  \"journeys_truncated\": {},\n",
-        j.journeys_truncated
-    ));
+    );
+    put!(out, "  \"journeys_truncated\": {},\n", j.journeys_truncated);
 
-    // Per-segment aggregate across *all* journeys, first-seen order.
-    let mut agg: Vec<(String, u64, u64)> = Vec::new();
-    for journey in &j.journeys {
-        for s in &journey.segments {
-            match agg.iter_mut().find(|(n, _, _)| *n == s.name) {
-                Some((_, total, count)) => {
-                    *total += s.ns;
-                    *count += 1;
-                }
-                None => agg.push((s.name.clone(), s.ns, 1)),
-            }
-        }
-    }
     out.push_str("  \"segments\": [");
-    for (i, (name, total, count)) in agg.iter().enumerate() {
-        if i > 0 {
-            out.push(',');
-        }
-        out.push_str(&format!(
-            "\n    {{\"name\": \"{}\", \"total_ns\": {total}, \"journeys\": {count}, \
-             \"mean_ns\": {}}}",
-            escape(name),
-            total / count.max(&1)
-        ));
+    for (i, (total, count)) in j.segment_totals.iter().enumerate() {
+        let (sep, name) = (if i > 0 { "," } else { "" }, escaped(&total.name));
+        let (total_ns, mean_ns) = (total.ns, total.ns / count.max(&1));
+        put!(
+            out,
+            "{sep}\n    {{\"name\": \"{name}\", \"total_ns\": {total_ns}, \
+             \"journeys\": {count}, \"mean_ns\": {mean_ns}}}"
+        );
     }
-    out.push_str(if agg.is_empty() { "],\n" } else { "\n  ],\n" });
+    let close = if j.segment_totals.is_empty() {
+        "],\n"
+    } else {
+        "\n  ],\n"
+    };
+    out.push_str(close);
 
     out.push_str("  \"journeys\": [");
     for (i, journey) in j.journeys.iter().take(detailed).enumerate() {
-        if i > 0 {
-            out.push(',');
-        }
-        out.push_str(&format!(
-            "\n    {{\"journey\": {}, \"start_ns\": {}, \"end_ns\": {}, \
-             \"end_to_end_ns\": {}, \"origin_machine\": {}, \"branch_hops\": {}, \
-             \"filtered_hops\": {}, \"overlap_ns\": {}, \"chain\": [",
+        let (sep, id, end_to_end_ns) = (
+            if i > 0 { "," } else { "" },
             journey.journey,
-            journey.start_ns,
-            journey.end_ns,
             journey.end_to_end_ns,
-            journey
-                .origin_machine
-                .as_ref()
-                .map_or(String::from("null"), |m| format!("\"{}\"", escape(m))),
+        );
+        let (start_ns, end_ns) = (journey.start_ns, journey.end_ns);
+        put!(
+            out,
+            "{sep}\n    {{\"journey\": {id}, \"start_ns\": {start_ns}, \"end_ns\": {end_ns}, \
+             \"end_to_end_ns\": {end_to_end_ns}, \"origin_machine\": "
+        );
+        match &journey.origin_machine {
+            Some(machine) => put!(out, "\"{}\"", escaped(machine)),
+            None => out.push_str("null"),
+        }
+        let (branch, filtered, overlap) = (
             journey.branch_hops,
             journey.filtered_hops,
-            journey.overlap_ns
-        ));
+            journey.overlap_ns,
+        );
+        put!(
+            out,
+            ", \"branch_hops\": {branch}, \"filtered_hops\": {filtered}, \
+             \"overlap_ns\": {overlap}, \"chain\": ["
+        );
         for (k, h) in journey.chain.iter().enumerate() {
-            if k > 0 {
-                out.push_str(", ");
-            }
-            out.push_str(&format!(
-                "{{\"packet\": {}, \"machine\": \"{}\", \"nic\": \"{}\", \
-                 \"arrival_ns\": {}, \"queue_wait_ns\": {}, \"tx_ns\": {}, \
-                 \"overlap_ns\": {}}}",
-                h.packet,
-                escape(&h.machine),
-                escape(&h.nic),
-                h.arrival_ns,
-                h.queue_wait_ns,
-                h.tx_ns.map_or(String::from("null"), |t| t.to_string()),
-                h.overlap_ns
-            ));
+            let (sep, machine, nic) = (
+                if k > 0 { ", " } else { "" },
+                escaped(&h.machine),
+                escaped(&h.nic),
+            );
+            let (packet, arrival_ns, queue_wait_ns) = (h.packet, h.arrival_ns, h.queue_wait_ns);
+            let (tx_ns, overlap_ns) = (or_null(h.tx_ns), h.overlap_ns);
+            put!(
+                out,
+                "{sep}{{\"packet\": {packet}, \"machine\": \"{machine}\", \"nic\": \"{nic}\", \
+                 \"arrival_ns\": {arrival_ns}, \"queue_wait_ns\": {queue_wait_ns}, \
+                 \"tx_ns\": {tx_ns}, \"overlap_ns\": {overlap_ns}}}"
+            );
         }
         out.push_str("], \"segments\": [");
-        for (k, s) in journey.segments.iter().enumerate() {
-            if k > 0 {
-                out.push_str(", ");
-            }
-            out.push_str(&format!(
-                "{{\"name\": \"{}\", \"ns\": {}}}",
-                escape(&s.name),
-                s.ns
-            ));
-        }
+        segments_json(&mut out, &journey.segments);
         out.push_str("]}");
     }
     out.push_str(if detailed == 0 {
@@ -498,20 +500,46 @@ mod tests {
         // Origin send (no packet in flight): journey 0 allocated here.
         let j = rec.tx_journey();
         assert_eq!(j, 0);
-        rec.packet_tx(1_000, "eth0", "", 60, 0, 10, 500, 90, Some(j));
+        rec.packet_tx(
+            1_000,
+            rec.intern("eth0"),
+            rec.intern(""),
+            60,
+            0,
+            10,
+            500,
+            90,
+            Some(j),
+        );
 
         // Hop 1 on machine "fwd": arrives exactly at 1_000+10+500+90.
         let ev = rec.intern("Udp.PacketRecv");
         let dom = rec.intern("fwd-ext");
-        rec.packet_arrival(1_600, "eth0", "fwd", 60, Some(j));
+        rec.packet_arrival(1_600, rec.intern("eth0"), rec.intern("fwd"), 60, Some(j));
         let span = rec.handler_enter(1_700, ev, dom);
         // Forwarding tx inherits the journey.
-        rec.packet_tx(2_000, "eth0", "", 60, 0, 0, 500, 100, rec.current_journey());
+        rec.packet_tx(
+            2_000,
+            rec.intern("eth0"),
+            rec.intern(""),
+            60,
+            0,
+            0,
+            500,
+            100,
+            rec.current_journey(),
+        );
         rec.handler_exit(2_200, ev, dom, span);
         rec.packet_done();
 
         // Hop 2 on machine "backend": arrives at 2_000+0+500+100.
-        rec.packet_arrival(2_600, "eth0", "backend", 60, Some(j));
+        rec.packet_arrival(
+            2_600,
+            rec.intern("eth0"),
+            rec.intern("backend"),
+            60,
+            Some(j),
+        );
         let span = rec.handler_enter(2_700, ev, dom);
         rec.handler_exit(3_000, ev, dom, span);
         rec.packet_done();
@@ -540,7 +568,7 @@ mod tests {
         assert!(j
             .segments
             .iter()
-            .any(|s| s.name == "fwd->backend.wire.serialize"));
+            .any(|s| &*s.name == "fwd->backend.wire.serialize"));
         assert!(j
             .segments
             .iter()
@@ -551,7 +579,13 @@ mod tests {
     fn filtered_broadcast_copies_stay_off_the_chain() {
         let rec = two_hop();
         // A third arrival of the same journey that the MAC filter shed.
-        rec.packet_arrival(2_600, "eth0", "bystander", 60, Some(0));
+        rec.packet_arrival(
+            2_600,
+            rec.intern("eth0"),
+            rec.intern("bystander"),
+            60,
+            Some(0),
+        );
         rec.packet_drop(2_600, "ether", "mac_filter");
         rec.packet_done();
         let js = build(&Profile::build(&rec));
@@ -565,16 +599,26 @@ mod tests {
     fn coalesced_style_delayed_arrival_becomes_queue_wait() {
         let rec = Recorder::new(64);
         let j = rec.tx_journey();
-        rec.packet_tx(1_000, "eth0", "", 60, 0, 0, 500, 100, Some(j));
+        rec.packet_tx(
+            1_000,
+            rec.intern("eth0"),
+            rec.intern(""),
+            60,
+            0,
+            0,
+            500,
+            100,
+            Some(j),
+        );
         // Arrival record 400 ns after the wire arrival (rx-ring wait).
-        rec.packet_arrival(2_000, "eth0", "dut", 60, Some(j));
+        rec.packet_arrival(2_000, rec.intern("eth0"), rec.intern("dut"), 60, Some(j));
         rec.packet_done();
         let js = build(&Profile::build(&rec));
         let jo = &js.journeys[0];
         assert_eq!(jo.chain[0].queue_wait_ns, 400);
         let sum: u64 = jo.segments.iter().map(|s| s.ns).sum();
         assert_eq!(sum, jo.end_to_end_ns);
-        assert!(jo.segments.iter().any(|s| s.name == "dut.rx_queue"));
+        assert!(jo.segments.iter().any(|s| &*s.name == "dut.rx_queue"));
     }
 
     #[test]
@@ -582,12 +626,22 @@ mod tests {
         let rec = Recorder::new(64);
         let j = rec.tx_journey();
         // Origin send waited 150 ns, 100 of them behind its own tx ring.
-        rec.packet_tx(1_000, "eth0", "", 60, 100, 150, 500, 100, Some(j));
-        rec.packet_arrival(1_750, "eth0", "dut", 60, Some(j));
+        rec.packet_tx(
+            1_000,
+            rec.intern("eth0"),
+            rec.intern(""),
+            60,
+            100,
+            150,
+            500,
+            100,
+            Some(j),
+        );
+        rec.packet_arrival(1_750, rec.intern("eth0"), rec.intern("dut"), 60, Some(j));
         rec.packet_done();
         let js = build(&Profile::build(&rec));
         let jo = &js.journeys[0];
-        let get = |name: &str| jo.segments.iter().find(|s| s.name == name).map(|s| s.ns);
+        let get = |name: &str| jo.segments.iter().find(|s| &*s.name == name).map(|s| s.ns);
         assert_eq!(get("origin.tx_queue"), Some(100));
         assert_eq!(get("origin->dut.wire.wait"), Some(50));
         let sum: u64 = jo.segments.iter().map(|s| s.ns).sum();
@@ -604,7 +658,7 @@ mod tests {
         let dom = rec.intern("kernel");
         for i in 0..4u64 {
             let t = 1_000 * (i + 1);
-            let (_, j) = rec.packet_arrival(t, "eth0", "dut", 60, None);
+            let (_, j) = rec.packet_arrival(t, rec.intern("eth0"), rec.intern("dut"), 60, None);
             assert_eq!(j, i);
             let span = rec.handler_enter(t + 100, ev, dom);
             rec.handler_exit(t + 200, ev, dom, span);

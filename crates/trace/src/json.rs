@@ -3,22 +3,87 @@
 //! tools can read reports back without a JSON dependency (the workspace is
 //! offline).
 
+use std::fmt;
+
+/// `write!` into a `String`, which cannot fail: every exporter renders
+/// straight into its one output buffer with this.
+macro_rules! put {
+    ($out:expr, $($arg:tt)*) => {{
+        use std::fmt::Write as _;
+        let _ = write!($out, $($arg)*);
+    }};
+}
+pub(crate) use put;
+
+/// Writes `s` as it reads inside a JSON string literal (no surrounding
+/// quotes): the runs that need no escape are copied whole, the escapes go
+/// between them. `out` is an exporter's buffer itself, or a formatter.
+pub(crate) fn escape_into(out: &mut impl fmt::Write, s: &str) -> fmt::Result {
+    let mut clean = 0;
+    for (i, b) in s.bytes().enumerate() {
+        let esc = match b {
+            b'"' => "\\\"",
+            b'\\' => "\\\\",
+            b'\n' => "\\n",
+            b'\r' => "\\r",
+            b'\t' => "\\t",
+            // No short form: `\u00` and two hex digits, written below.
+            0..=0x1f => "\\u00",
+            _ => continue,
+        };
+        out.write_str(&s[clean..i])?;
+        out.write_str(esc)?;
+        if esc.len() > 2 {
+            write!(out, "{b:02x}")?;
+        }
+        clean = i + 1;
+    }
+    out.write_str(&s[clean..])
+}
+
+/// [`escape_into`] as a `Display`, for a name inside a `put!`.
+pub(crate) fn escaped(s: &str) -> impl fmt::Display + '_ {
+    fmt::from_fn(move |f| escape_into(f, s))
+}
+
+/// An optional number as JSON: its digits, or `null`.
+pub(crate) fn or_null(n: Option<u64>) -> impl fmt::Display {
+    fmt::from_fn(move |f| match n {
+        Some(n) => write!(f, "{n}"),
+        None => f.write_str("null"),
+    })
+}
+
+/// Numbers as the inside of a JSON array: `1, 2, 3`.
+pub(crate) fn joined(ns: &[u64]) -> impl fmt::Display + '_ {
+    fmt::from_fn(move |f| {
+        let sep = |i| if i > 0 { ", " } else { "" };
+        ns.iter()
+            .enumerate()
+            .try_for_each(|(i, n)| write!(f, "{}{n}", sep(i)))
+    })
+}
+
+/// `n` in decimal without the formatter, for the one exporter that writes
+/// a record per ring slot.
+pub(crate) fn push_u64(out: &mut String, mut n: u64) {
+    let mut digits = [0u8; 20];
+    let mut at = digits.len();
+    loop {
+        at -= 1;
+        digits[at] = b'0' + (n % 10) as u8;
+        n /= 10;
+        if n == 0 {
+            break;
+        }
+    }
+    out.extend(digits[at..].iter().map(|&d| char::from(d)));
+}
+
 /// Escapes `s` for inclusion inside a JSON string literal (no surrounding
 /// quotes added).
 pub fn escape(s: &str) -> String {
-    let mut out = String::with_capacity(s.len());
-    for c in s.chars() {
-        match c {
-            '"' => out.push_str("\\\""),
-            '\\' => out.push_str("\\\\"),
-            '\n' => out.push_str("\\n"),
-            '\r' => out.push_str("\\r"),
-            '\t' => out.push_str("\\t"),
-            c if (c as u32) < 0x20 => out.push_str(&format!("\\u{:04x}", c as u32)),
-            c => out.push(c),
-        }
-    }
-    out
+    escaped(s).to_string()
 }
 
 /// A parsed JSON value. Object members keep their document order (our

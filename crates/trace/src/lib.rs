@@ -42,7 +42,7 @@ mod recorder;
 mod registry;
 mod ring;
 
-pub use recorder::{Label, Recorder};
+pub use recorder::{Label, Name, Recorder};
 pub use registry::{CounterKey, Histogram, Registry, Scope};
 pub use ring::Ring;
 

@@ -20,10 +20,10 @@
 //!   the timeline computes, but sealed online: a window closes once the
 //!   watermark (max non-transmit timestamp seen) is a full lag window past
 //!   its end, at which point its percentiles are fixed, its latency-sample
-//!   buffer is freed, its SLO verdict is evaluated, and the seal callback
-//!   fires. Transmit records are future-stamped, so they never advance the
-//!   watermark; the one-window lag absorbs the bounded timestamp skew of
-//!   cross-machine CPU leases. Records that still land behind a sealed
+//!   buffer is freed and its SLO verdict is evaluated. Transmit records
+//!   are future-stamped, so they never advance the watermark; the
+//!   one-window lag absorbs the bounded timestamp skew of cross-machine
+//!   CPU leases. Records that still land behind a sealed
 //!   window are folded into the counts and counted as `late_records`
 //!   (percentiles stay as sealed).
 //! * **Per-machine scopes** — a world → machine → layer roll-up replacing
@@ -31,8 +31,8 @@
 //!   and drops per machine, handler/guard/drop counts per layer under each
 //!   machine. Records outside any machine attribution land in an explicit
 //!   `unattributed` scope, so `world == Σ machines + unattributed` holds
-//!   exactly. The aggregator state is `Send` (owned maps, `Copy` keys, a
-//!   `Send` callback), ready for the parallel-engine refactor.
+//!   exactly. The aggregator state is `Send` (owned maps, `Copy` keys),
+//!   ready for the parallel-engine refactor.
 //! * **Tail sampling** — journey record chains are retained for a
 //!   deterministic 1-in-N of journey IDs plus the running worst latency
 //!   sample per window, with bounded scratch buffers for undecided
@@ -44,12 +44,11 @@
 
 use std::cell::RefCell;
 use std::collections::{BTreeMap, BTreeSet};
-use std::fmt;
 
-use crate::json::escape;
+use crate::json::{escaped, joined, or_null, put};
 use crate::recorder::{Interner, Label};
 use crate::registry::{CounterKey, Registry, Scope};
-use crate::timeline::{window_json, Pending, Timeline, Window};
+use crate::timeline::{windows_json, worst_windows_json, Pending, Window};
 use crate::{TraceEvent, TraceRecord};
 
 /// Windows are sealed this many full windows behind the watermark, so a
@@ -156,27 +155,6 @@ pub struct Breach {
     pub limit: u64,
 }
 
-/// What the seal callback sees for one freshly sealed window.
-pub struct SealedWindow<'a> {
-    /// The window's index.
-    pub index: u64,
-    /// `true` when sealed by the advancing watermark during the run,
-    /// `false` when sealed at [`crate::Recorder::live_report`] (trailing
-    /// windows are partial).
-    pub online: bool,
-    /// The sealed aggregates. The `drops` map is resolved only at report
-    /// time; use `drop_count` here.
-    pub window: &'a Window,
-    /// Total drops in this window.
-    pub drop_count: u64,
-    /// SLO breaches this window triggered (empty without an SLO).
-    pub breaches: &'a [Breach],
-}
-
-/// Sealed-window callback. `Send` so aggregator state stays shippable to a
-/// worker thread; must not re-enter the owning recorder.
-pub type SealHook = Box<dyn FnMut(&SealedWindow<'_>) + Send>;
-
 /// Flat counters kept at every scope level (world, machine, unattributed).
 #[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
 pub struct ScopeCounters {
@@ -211,8 +189,7 @@ impl ScopeCounters {
 }
 
 /// Per-layer counters under one machine scope. Layers are the lowercased
-/// dot-prefix of event names ([`crate::profile::layer_of`]), the same
-/// vocabulary the profiler charges.
+/// dot-prefix of event names, the same vocabulary the profiler charges.
 #[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
 pub struct LayerCounters {
     /// Handler invocations in this layer.
@@ -252,6 +229,7 @@ struct Retained {
 /// The live tier's aggregator state. Owned by the recorder; all state is
 /// `Send`-capable (owned maps, `Copy` keys) so a future parallel engine
 /// can run one per worker and merge.
+#[derive(Debug)]
 pub struct LiveAgg {
     cfg: LiveConfig,
     empty: Label,
@@ -270,9 +248,6 @@ pub struct LiveAgg {
     world: ScopeAgg,
     machines: BTreeMap<Label, ScopeAgg>,
     unattributed: ScopeAgg,
-    /// Event label → layer label, so layer derivation does string work
-    /// once per distinct event name, not once per record.
-    layer_cache: BTreeMap<Label, Label>,
     scratch: BTreeMap<u64, JourneyBuf>,
     retained: BTreeMap<u64, Retained>,
     /// window index → (worst sample ns, journey holding it).
@@ -280,20 +255,16 @@ pub struct LiveAgg {
     scratch_evicted: u64,
     sampled_records_dropped: u64,
     breaches: Vec<Breach>,
-    on_seal: Option<SealHook>,
 }
 
-impl fmt::Debug for LiveAgg {
-    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        f.debug_struct("LiveAgg")
-            .field("cfg", &self.cfg)
-            .field("windows", &self.wins.len())
-            .field("watermark", &self.watermark)
-            .field("sealed_upto", &self.sealed_upto)
-            .field("machines", &self.machines.len())
-            .field("retained", &self.retained.len())
-            .finish_non_exhaustive()
-    }
+/// Bumps one of the live tier's own `trace.live.*` health counters.
+fn live_count(reg: &Registry, live: Label, metric: &'static str, delta: u64) {
+    let key = CounterKey {
+        scope: Scope::Trace,
+        label: live,
+        metric,
+    };
+    reg.add(key, delta);
 }
 
 impl LiveAgg {
@@ -314,19 +285,13 @@ impl LiveAgg {
             world: ScopeAgg::default(),
             machines: BTreeMap::new(),
             unattributed: ScopeAgg::default(),
-            layer_cache: BTreeMap::new(),
             scratch: BTreeMap::new(),
             retained: BTreeMap::new(),
             worst_by_window: BTreeMap::new(),
             scratch_evicted: 0,
             sampled_records_dropped: 0,
             breaches: Vec::new(),
-            on_seal: None,
         }
-    }
-
-    pub(crate) fn on_seal(&mut self, hook: SealHook) {
-        self.on_seal = Some(hook);
     }
 
     /// The packet attribution window closed; subsequent records are
@@ -352,21 +317,6 @@ impl LiveAgg {
         f(scope.layers.entry(layer).or_default());
     }
 
-    /// Layer label of an event label, via the cache (string work happens
-    /// once per distinct event name).
-    fn layer_label(&mut self, raw: Label, interner: &RefCell<Interner>) -> Label {
-        if let Some(&l) = self.layer_cache.get(&raw) {
-            return l;
-        }
-        let layer = {
-            let names = interner.borrow();
-            crate::profile::layer_of(names.get(raw))
-        };
-        let l = interner.borrow_mut().intern(&layer);
-        self.layer_cache.insert(raw, l);
-        l
-    }
-
     fn machine_or_current(&self, host: Label) -> Option<Label> {
         if host == self.empty {
             self.current_machine
@@ -381,19 +331,9 @@ impl LiveAgg {
         }
     }
 
-    fn live_count(&self, reg: &Registry, metric: &'static str, delta: u64) {
-        reg.add(
-            CounterKey {
-                scope: Scope::Trace,
-                label: self.live_label,
-                metric,
-            },
-            delta,
-        );
-    }
-
     /// Folds one just-pushed record into the aggregators. Called from the
-    /// recorder's push path; never interns, never touches the ring.
+    /// recorder's push path; interns only the layer of an event name seen
+    /// for the first time, never touches the ring.
     pub(crate) fn feed(&mut self, r: &TraceRecord, reg: &Registry, interner: &RefCell<Interner>) {
         let idx = (r.at_ns / self.cfg.window_ns) as usize;
         self.ensure_windows(idx);
@@ -405,7 +345,7 @@ impl LiveAgg {
             // percentiles are already fixed. The lag makes this a
             // shouldn't-happen — the counter is the tripwire.
             self.late_records += 1;
-            self.live_count(reg, "late_records", 1);
+            live_count(reg, self.live_label, "late_records", 1);
         }
 
         // The window is folded; what follows is the per-machine roll-up.
@@ -436,18 +376,18 @@ impl LiveAgg {
             }
             TraceEvent::Drop { layer, .. } => {
                 let machine = self.current_machine;
-                let layer = self.layer_label(layer, interner);
+                let layer = interner.borrow_mut().layer(layer);
                 self.bump_scope(machine, |c| c.drops += 1);
                 self.bump_layer(machine, layer, |l| l.drops += 1);
             }
             TraceEvent::HandlerEnter { event, .. } => {
                 let machine = self.current_machine;
-                let layer = self.layer_label(event, interner);
+                let layer = interner.borrow_mut().layer(event);
                 self.bump_layer(machine, layer, |l| l.handlers += 1);
             }
             TraceEvent::GuardEval { event, .. } => {
                 let machine = self.current_machine;
-                let layer = self.layer_label(event, interner);
+                let layer = interner.borrow_mut().layer(event);
                 self.bump_layer(machine, layer, |l| l.guard_evals += 1);
             }
             TraceEvent::HandlerExit { .. }
@@ -523,7 +463,7 @@ impl LiveAgg {
                 max_sample_ns: 0,
             },
         );
-        self.live_count(reg, "journeys_sampled", 1);
+        live_count(reg, self.live_label, "journeys_sampled", 1);
     }
 
     /// A latency sample completed for journey `j`: keep it if it is the
@@ -558,17 +498,7 @@ impl LiveAgg {
 
     fn seal(&mut self, idx: usize, online: bool, reg: &Registry) {
         let slo = self.cfg.slo.clone();
-        let live_label = self.live_label;
-        let count = |metric: &'static str, delta: u64| {
-            reg.add(
-                CounterKey {
-                    scope: Scope::Trace,
-                    label: live_label,
-                    metric,
-                },
-                delta,
-            );
-        };
+        let count = |metric, delta| live_count(reg, self.live_label, metric, delta);
         let (w, pending) = &mut self.wins[idx];
         w.seal(pending);
         if online {
@@ -578,15 +508,18 @@ impl LiveAgg {
 
         let drop_count = pending.drop_count();
         let mut breaches = Vec::new();
+        let mut breach = |kind, value, limit| {
+            breaches.push(Breach {
+                window: w.index,
+                kind,
+                value,
+                limit,
+            });
+        };
         if let Some(slo) = &slo {
             if let Some(ceil) = slo.p99_ceiling_ns {
                 if w.completions > 0 && w.p99_ns > ceil {
-                    breaches.push(Breach {
-                        window: w.index,
-                        kind: BreachKind::P99Ceiling,
-                        value: w.p99_ns,
-                        limit: ceil,
-                    });
+                    breach(BreachKind::P99Ceiling, w.p99_ns, ceil);
                 }
             }
             if let Some(ceil) = slo.drop_ppm_ceiling {
@@ -597,36 +530,17 @@ impl LiveAgg {
                     .checked_div(w.arrivals)
                     .unwrap_or(if drop_count > 0 { 1_000_000 } else { 0 });
                 if ppm > ceil {
-                    breaches.push(Breach {
-                        window: w.index,
-                        kind: BreachKind::DropRate,
-                        value: ppm,
-                        limit: ceil,
-                    });
+                    breach(BreachKind::DropRate, ppm, ceil);
                 }
             }
             if let Some(floor) = slo.goodput_floor {
                 if online && w.index >= slo.skip_head && w.completions < floor {
-                    breaches.push(Breach {
-                        window: w.index,
-                        kind: BreachKind::GoodputFloor,
-                        value: w.completions,
-                        limit: floor,
-                    });
+                    breach(BreachKind::GoodputFloor, w.completions, floor);
                 }
             }
         }
         if !breaches.is_empty() {
             count("slo_breaches", breaches.len() as u64);
-        }
-        if let Some(hook) = self.on_seal.as_mut() {
-            hook(&SealedWindow {
-                index: w.index,
-                online,
-                window: w,
-                drop_count,
-                breaches: &breaches,
-            });
         }
         self.breaches.extend(breaches);
     }
@@ -648,7 +562,7 @@ impl LiveAgg {
             .iter()
             .map(|(w, pending)| {
                 let mut w = w.clone();
-                w.drops = pending.drops(|l| names.get(l).to_owned());
+                w.drops = pending.drops(&names);
                 w
             })
             .collect();
@@ -811,16 +725,6 @@ pub struct LiveReport {
 }
 
 impl LiveReport {
-    /// The windows as a [`Timeline`] (no truncation by construction), for
-    /// the worst-window accessors.
-    pub fn timeline(&self) -> Timeline {
-        Timeline {
-            window_ns: self.window_ns,
-            windows: self.windows.clone(),
-            truncated_records: 0,
-        }
-    }
-
     /// The breach kinds window `index` triggered, in seal order.
     pub fn breach_kinds(&self, index: u64) -> Vec<&'static str> {
         let of_window = self.breaches.iter().filter(|b| b.window == index);
@@ -829,31 +733,23 @@ impl LiveReport {
 }
 
 fn scope_json(out: &mut String, name: &str, view: &ScopeView) {
-    let c = &view.counters;
-    out.push_str(&format!(
-        "{{\"name\": \"{}\", \"arrivals\": {}, \"arrival_bytes\": {}, \
-         \"tx_frames\": {}, \"tx_bytes\": {}, \"completions\": {}, \
-         \"interrupts\": {}, \"drops\": {}, \"layers\": [",
-        escape(name),
-        c.arrivals,
-        c.arrival_bytes,
-        c.tx_frames,
-        c.tx_bytes,
-        c.completions,
-        c.interrupts,
-        c.drops
-    ));
+    let (name, c) = (escaped(name), &view.counters);
+    let (arrivals, arrival_bytes, completions) = (c.arrivals, c.arrival_bytes, c.completions);
+    let (tx_frames, tx_bytes, interrupts, drops) = (c.tx_frames, c.tx_bytes, c.interrupts, c.drops);
+    put!(
+        out,
+        "{{\"name\": \"{name}\", \"arrivals\": {arrivals}, \"arrival_bytes\": {arrival_bytes}, \
+         \"tx_frames\": {tx_frames}, \"tx_bytes\": {tx_bytes}, \"completions\": {completions}, \
+         \"interrupts\": {interrupts}, \"drops\": {drops}, \"layers\": ["
+    );
     for (i, (layer, l)) in view.layers.iter().enumerate() {
-        if i > 0 {
-            out.push_str(", ");
-        }
-        out.push_str(&format!(
-            "{{\"layer\": \"{}\", \"handlers\": {}, \"guard_evals\": {}, \"drops\": {}}}",
-            escape(layer),
-            l.handlers,
-            l.guard_evals,
-            l.drops
-        ));
+        let (sep, layer) = (if i > 0 { ", " } else { "" }, escaped(layer));
+        let (handlers, guard_evals, drops) = (l.handlers, l.guard_evals, l.drops);
+        put!(
+            out,
+            "{sep}{{\"layer\": \"{layer}\", \"handlers\": {handlers}, \
+             \"guard_evals\": {guard_evals}, \"drops\": {drops}}}"
+        );
     }
     out.push_str("]}");
 }
@@ -863,32 +759,21 @@ fn scope_json(out: &mut String, name: &str, view: &ScopeView) {
 /// timeline's on a truncation-free run; sampled-journey detail is emitted
 /// for the first `max_detail` journeys only (the cap is stated).
 pub fn live_json(rep: &LiveReport, max_detail: usize) -> String {
-    let t = rep.timeline();
     let mut out = String::from("{\n  \"schema\": \"plexus.live.v1\",\n");
-    out.push_str(&format!("  \"window_ns\": {},\n", rep.window_ns));
-    out.push_str(&format!(
+    put!(out, "  \"window_ns\": {},\n", rep.window_ns);
+    put!(
+        out,
         "  \"windows_sealed_online\": {},\n",
         rep.windows_sealed_online
-    ));
-    out.push_str(&format!("  \"late_records\": {},\n", rep.late_records));
-    out.push_str(&format!(
-        "  \"worst_p99_window\": {},\n",
-        t.worst_p99_window()
-            .map_or(String::from("null"), |w| w.index.to_string())
-    ));
-    out.push_str(&format!(
-        "  \"worst_drop_window\": {},\n",
-        t.worst_drop_window()
-            .map_or(String::from("null"), |w| w.index.to_string())
-    ));
+    );
+    put!(out, "  \"late_records\": {},\n", rep.late_records);
+    worst_windows_json(&mut out, &rep.windows);
 
     out.push_str("  \"scopes\": {\"world\": ");
     scope_json(&mut out, "world", &rep.world);
     out.push_str(", \"machines\": [");
     for (i, (name, view)) in rep.machines.iter().enumerate() {
-        if i > 0 {
-            out.push_str(", ");
-        }
+        out.push_str(if i > 0 { ", " } else { "" });
         scope_json(&mut out, name, view);
     }
     out.push_str("], \"unattributed\": ");
@@ -896,46 +781,41 @@ pub fn live_json(rep: &LiveReport, max_detail: usize) -> String {
     out.push_str("},\n");
 
     let detailed = rep.sampled.len().min(max_detail);
-    out.push_str(&format!(
+    put!(
+        out,
         "  \"sampled_journeys_total\": {},\n",
         rep.sampled.len()
-    ));
-    out.push_str(&format!("  \"sampled_journeys_detailed\": {detailed},\n"));
-    out.push_str(&format!(
-        "  \"scratch_evicted\": {},\n  \"sampled_records_dropped\": {},\n",
-        rep.scratch_evicted, rep.sampled_records_dropped
-    ));
+    );
+    put!(out, "  \"sampled_journeys_detailed\": {detailed},\n");
+    put!(out, "  \"scratch_evicted\": {},\n", rep.scratch_evicted);
+    put!(
+        out,
+        "  \"sampled_records_dropped\": {},\n",
+        rep.sampled_records_dropped
+    );
     out.push_str("  \"sampled_journeys\": [");
     for (i, j) in rep.sampled.iter().take(detailed).enumerate() {
-        if i > 0 {
-            out.push(',');
-        }
-        out.push_str(&format!(
-            "\n    {{\"journey\": {}, \"nth\": {}, \"worst_windows\": [{}], \
-             \"max_sample_ns\": {}, \"records_dropped\": {}, \"records\": [",
-            j.journey,
-            j.nth,
-            j.worst_windows
-                .iter()
-                .map(u64::to_string)
-                .collect::<Vec<_>>()
-                .join(", "),
-            j.max_sample_ns,
+        let (sep, worst_windows) = (if i > 0 { "," } else { "" }, joined(&j.worst_windows));
+        let (journey, nth, max_sample_ns) = (j.journey, j.nth, j.max_sample_ns);
+        put!(
+            out,
+            "{sep}\n    {{\"journey\": {journey}, \"nth\": {nth}, \
+             \"worst_windows\": [{worst_windows}], \"max_sample_ns\": {max_sample_ns}, \
+             \"records_dropped\": {}, \"records\": [",
             j.records_dropped
-        ));
+        );
         for (k, r) in j.records.iter().enumerate() {
-            if k > 0 {
-                out.push_str(", ");
-            }
-            out.push_str(&format!(
-                "{{\"at_ns\": {}, \"packet\": {}, \"kind\": \"{}\", \"label\": \"{}\", \
-                 \"detail\": {}}}",
-                r.at_ns,
-                r.packet.map_or(String::from("null"), |p| p.to_string()),
-                r.kind,
-                escape(&r.label),
-                r.detail
-            ));
+            let (sep, packet, label) = (
+                if k > 0 { ", " } else { "" },
+                or_null(r.packet),
+                escaped(&r.label),
+            );
+            let (at_ns, kind, detail) = (r.at_ns, r.kind, r.detail);
+            put!(
+                out,
+                "{sep}{{\"at_ns\": {at_ns}, \"packet\": {packet}, \"kind\": \"{kind}\", \
+                 \"label\": \"{label}\", \"detail\": {detail}}}"
+            );
         }
         out.push_str("]}");
     }
@@ -943,46 +823,30 @@ pub fn live_json(rep: &LiveReport, max_detail: usize) -> String {
 
     match &rep.slo {
         Some(slo) => {
-            let opt = |v: Option<u64>| v.map_or(String::from("null"), |n| n.to_string());
-            out.push_str(&format!(
-                "  \"slo\": {{\"p99_ceiling_ns\": {}, \"drop_ppm_ceiling\": {}, \
-                 \"goodput_floor\": {}, \"skip_head\": {}}},\n",
-                opt(slo.p99_ceiling_ns),
-                opt(slo.drop_ppm_ceiling),
-                opt(slo.goodput_floor),
+            let [p99, drop_ppm, goodput] =
+                [slo.p99_ceiling_ns, slo.drop_ppm_ceiling, slo.goodput_floor].map(or_null);
+            put!(
+                out,
+                "  \"slo\": {{\"p99_ceiling_ns\": {p99}, \"drop_ppm_ceiling\": {drop_ppm}, \
+                 \"goodput_floor\": {goodput}, \"skip_head\": {}}},\n",
                 slo.skip_head
-            ));
+            );
         }
         None => out.push_str("  \"slo\": null,\n"),
     }
     out.push_str("  \"breaches\": [");
     for (i, b) in rep.breaches.iter().enumerate() {
-        if i > 0 {
-            out.push_str(", ");
-        }
-        out.push_str(&format!(
-            "{{\"window\": {}, \"kind\": \"{}\", \"value\": {}, \"limit\": {}}}",
-            b.window,
-            b.kind.name(),
-            b.value,
-            b.limit
-        ));
+        let (sep, kind) = (if i > 0 { ", " } else { "" }, b.kind.name());
+        let (window, value, limit) = (b.window, b.value, b.limit);
+        put!(
+            out,
+            "{sep}{{\"window\": {window}, \"kind\": \"{kind}\", \"value\": {value}, \
+             \"limit\": {limit}}}"
+        );
     }
     out.push_str("],\n");
 
-    out.push_str("  \"windows\": [");
-    for (i, w) in rep.windows.iter().enumerate() {
-        if i > 0 {
-            out.push(',');
-        }
-        out.push_str("\n    ");
-        out.push_str(&window_json(w, rep.window_ns));
-    }
-    out.push_str(if rep.windows.is_empty() {
-        "]\n}\n"
-    } else {
-        "\n  ]\n}\n"
-    });
+    windows_json(&mut out, &rep.windows, rep.window_ns);
     out
 }
 
@@ -1005,14 +869,24 @@ mod tests {
     fn live_windows_match_the_posthoc_timeline_fold() {
         let rec = Recorder::new(256);
         rec.enable_live(LiveConfig::new(1_000));
-        rec.packet_arrival(500, "eth0", "client", 60, None);
+        rec.packet_arrival(500, rec.intern("eth0"), rec.intern("client"), 60, None);
         rec.packet_drop(600, "ip", "no_route");
         rec.packet_done();
         let hist = rec.intern("rtt");
         rec.sample(1_500, hist, 42);
         rec.sample(3_500, hist, 100);
-        rec.rx_interrupt(3_700, "eth0", "client", 4, 2);
-        rec.packet_tx(5_200, "eth0", "client", 60, 10, 20, 30, 40, None);
+        rec.rx_interrupt(3_700, rec.intern("eth0"), rec.intern("client"), 4, 2);
+        rec.packet_tx(
+            5_200,
+            rec.intern("eth0"),
+            rec.intern("client"),
+            60,
+            10,
+            20,
+            30,
+            40,
+            None,
+        );
         rec.sample(9_999, hist, 7);
 
         let live = rec.live_report().expect("live enabled");
@@ -1026,38 +900,25 @@ mod tests {
     }
 
     #[test]
-    fn seal_callback_fires_in_window_order_with_final_percentiles() {
-        let rec = Recorder::new(256);
-        rec.enable_live(LiveConfig::new(1_000));
-        let seen = std::sync::Arc::new(std::sync::Mutex::new(Vec::new()));
-        let sink = seen.clone();
-        rec.on_live_seal(Box::new(move |sw| {
-            sink.lock()
-                .unwrap()
-                .push((sw.index, sw.online, sw.window.p99_ns));
-        }));
-        let hist = rec.intern("rtt");
-        rec.sample(100, hist, 55);
-        rec.sample(4_500, hist, 99); // watermark in window 4: seals 0..=2
-        let early: Vec<_> = seen.lock().unwrap().clone();
-        assert_eq!(early, vec![(0, true, 55), (1, true, 0), (2, true, 0)]);
-        rec.live_report();
-        let all: Vec<_> = seen.lock().unwrap().clone();
-        assert_eq!(all.len(), 5, "finish seals the lagging tail");
-        assert_eq!(all[3], (3, false, 0));
-        assert_eq!(all[4], (4, false, 99));
-    }
-
-    #[test]
     fn scopes_roll_up_world_equals_machines_plus_unattributed() {
         let rec = Recorder::new(256);
         rec.enable_live(LiveConfig::new(10_000));
         // Origin tx from engine context: unattributed.
-        rec.packet_tx(100, "eth0", "", 60, 0, 0, 10, 10, None);
+        rec.packet_tx(
+            100,
+            rec.intern("eth0"),
+            rec.intern(""),
+            60,
+            0,
+            0,
+            10,
+            10,
+            None,
+        );
         // Two machines with distinct traffic.
         for (host, n) in [("client", 2u64), ("server", 3u64)] {
             for i in 0..n {
-                rec.packet_arrival(200 + i, "eth0", host, 60, None);
+                rec.packet_arrival(200 + i, rec.intern("eth0"), rec.intern(host), 60, None);
                 let ev = rec.intern("Udp.PacketRecv");
                 let dom = rec.intern("kernel");
                 let span = rec.handler_enter(300 + i, ev, dom);
@@ -1095,7 +956,8 @@ mod tests {
         rec.enable_live(cfg);
         let hist = rec.intern("rtt");
         for i in 0..6u64 {
-            let (_, j) = rec.packet_arrival(100 + i * 10, "eth0", "m", 60, None);
+            let (_, j) =
+                rec.packet_arrival(100 + i * 10, rec.intern("eth0"), rec.intern("m"), 60, None);
             assert_eq!(j, i);
             // Journey 5 completes the slowest sample in window 0.
             rec.sample(200 + i * 10, hist, if i == 5 { 900 } else { 10 + i });
@@ -1136,7 +998,7 @@ mod tests {
         // (1 drop / 1 arrival = 1M ppm). Window 2: goodput breach (no
         // completions, past skip_head). Advance watermark to seal them.
         rec.sample(500, hist, 200);
-        rec.packet_arrival(1_200, "eth0", "", 60, None);
+        rec.packet_arrival(1_200, rec.intern("eth0"), rec.intern(""), 60, None);
         rec.packet_drop(1_300, "ip", "no_route");
         rec.packet_done();
         rec.sample(5_000, hist, 50);
@@ -1163,12 +1025,22 @@ mod tests {
                 ..Slo::none()
             });
             rec.enable_live(cfg);
-            rec.packet_arrival(500, "eth0", "client", 60, None);
+            rec.packet_arrival(500, rec.intern("eth0"), rec.intern("client"), 60, None);
             rec.packet_drop(600, "weird \"layer\"", "no_route");
             rec.packet_done();
             let hist = rec.intern("rtt");
             rec.sample(1_500, hist, 42);
-            rec.packet_tx(2_000, "eth0", "client", 60, 0, 0, 10, 10, None);
+            rec.packet_tx(
+                2_000,
+                rec.intern("eth0"),
+                rec.intern("client"),
+                60,
+                0,
+                0,
+                10,
+                10,
+                None,
+            );
             rec.sample(5_500, hist, 7);
             live_json(&rec.live_report().unwrap(), 8)
         };
@@ -1184,15 +1056,16 @@ mod tests {
     fn live_window_bytes_match_timeline_window_bytes() {
         let rec = Recorder::new(256);
         rec.enable_live(LiveConfig::new(1_000));
-        rec.packet_arrival(100, "eth0", "m", 60, None);
+        rec.packet_arrival(100, rec.intern("eth0"), rec.intern("m"), 60, None);
         rec.packet_drop(200, "ip", "no_route");
         rec.packet_done();
         let hist = rec.intern("rtt");
         rec.sample(2_500, hist, 77);
         let rep = rec.live_report().unwrap();
         let tl = timeline::build(&rec, 1_000);
-        let live_windows: Vec<String> = rep.windows.iter().map(|w| window_json(w, 1_000)).collect();
-        let tl_windows: Vec<String> = tl.windows.iter().map(|w| window_json(w, 1_000)).collect();
+        let (mut live_windows, mut tl_windows) = (String::new(), String::new());
+        windows_json(&mut live_windows, &rep.windows, 1_000);
+        windows_json(&mut tl_windows, &tl.windows, 1_000);
         assert_eq!(live_windows, tl_windows);
     }
 

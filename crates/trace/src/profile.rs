@@ -23,34 +23,44 @@
 //! whose partner is missing are counted instead of producing negative or
 //! unbounded durations.
 //!
+//! A profile names things by [`Label`]: the fold compares and copies
+//! symbols, and looks a name up ([`Profile::name`]) only where bytes are
+//! written. It owns its name table — the recorder's plus the layers and
+//! structural steps the rule adds — so its consumers need no recorder.
+//! Sorted output is sorted by resolved name, never by label.
+//!
 //! On top of the per-packet profiles sit [`Profile::aggregate`]
 //! (mean/p50/p99 per attribution triple across packets) and
 //! [`pingpong_waterfall`], which stitches request/reply packet pairs plus
 //! the [`TraceEvent::PacketTx`] wire phases into per-round latency
 //! waterfalls whose segments sum to the measured RTT exactly.
 
+use std::cmp::Ordering;
 use std::collections::BTreeMap;
+use std::rc::Rc;
 
-use crate::json::escape;
+use crate::json::{escaped, joined, put};
+use crate::recorder::Interner;
 use crate::timeline::percentile;
-use crate::{Recorder, TraceEvent, TraceRecord};
+use crate::{CrossDir, Label, Recorder, TraceEvent, TraceRecord};
 
 /// An attribution target: which layer, protection domain, and handler
-/// (or structural step) owns a slice of simulated time.
-#[derive(Clone, Debug, PartialEq, Eq, PartialOrd, Ord)]
+/// (or structural step) owns a slice of simulated time. Its derived order
+/// is label order — good for a map key, not for output.
+#[derive(Clone, Copy, Debug, PartialEq, Eq, PartialOrd, Ord)]
 pub struct Triple {
     /// Protocol layer, derived from the event-name prefix (`Ethernet.*`
     /// → `ethernet`), or a structural pseudo-layer (`driver`, `boundary`,
     /// `engine`).
-    pub layer: String,
+    pub layer: Label,
     /// Owning protection domain (`kernel` for dispatch/guard work).
-    pub domain: String,
+    pub domain: Label,
     /// Handler (event name) or step (`guard`, `dispatch`, `tx`, ...).
-    pub handler: String,
+    pub handler: Label,
 }
 
 /// One attributed interval of a packet's processing window.
-#[derive(Clone, Debug, PartialEq, Eq)]
+#[derive(Clone, Copy, Debug, PartialEq, Eq)]
 pub struct Slice {
     /// Interval start (exclusive bound of the previous slice).
     pub start_ns: u64,
@@ -74,11 +84,11 @@ pub struct Span {
     /// Span-correlation ID from the enter/exit records.
     pub span: u64,
     /// Event (table) name the handler was installed on.
-    pub event: String,
+    pub event: Label,
     /// Owning protection domain.
-    pub domain: String,
+    pub domain: Label,
     /// Layer derived from the event name.
-    pub layer: String,
+    pub layer: Label,
     /// Handler entry timestamp.
     pub enter_ns: u64,
     /// Handler exit timestamp (synthesized at the packet's last record
@@ -106,25 +116,18 @@ impl Span {
         self.self_ns = self.total_ns.saturating_sub(self.child_ns);
         self
     }
-
-    fn visit<'a>(&'a self, f: &mut impl FnMut(&'a Span)) {
-        f(self);
-        for c in &self.children {
-            c.visit(f);
-        }
-    }
 }
 
-/// A resolved [`TraceEvent::PacketTx`] record.
-#[derive(Clone, Debug, PartialEq, Eq)]
+/// A [`TraceEvent::PacketTx`] record.
+#[derive(Clone, Copy, Debug, PartialEq, Eq)]
 pub struct TxRecord {
     /// Instant the driver finished its CPU work and handed the frame over.
     pub at_ns: u64,
     /// Transmitting NIC name.
-    pub nic: String,
+    pub nic: Label,
     /// Name of the machine that owns the transmitting NIC (`None` for NICs
     /// built outside a `World`).
-    pub host: Option<String>,
+    pub host: Option<Label>,
     /// Frame length.
     pub bytes: u32,
     /// The share of `wait_ns` spent behind this NIC's own tx backlog
@@ -156,9 +159,9 @@ pub struct PacketProfile {
     pub journey: Option<u64>,
     /// Machine that received the frame (None for orphans or NICs built
     /// outside a `World`).
-    pub host: Option<String>,
+    pub host: Option<Label>,
     /// Arriving NIC (None for orphans whose arrival record was lost).
-    pub nic: Option<String>,
+    pub nic: Option<Label>,
     /// Frame length at arrival (0 for orphans).
     pub bytes: u32,
     /// First retained record timestamp (the arrival, unless orphaned).
@@ -172,7 +175,7 @@ pub struct PacketProfile {
     /// Frames this packet's chain handed to a transmitter.
     pub txs: Vec<TxRecord>,
     /// Drops recorded during the window, as `(layer, reason)`.
-    pub drops: Vec<(String, String)>,
+    pub drops: Vec<(Label, Label)>,
     /// True when ring wraparound ate the packet's arrival — durations for
     /// this packet are untrustworthy and it is excluded from aggregates.
     pub orphan: bool,
@@ -184,17 +187,16 @@ impl PacketProfile {
         self.slices.iter().map(Slice::ns).sum()
     }
 
-    /// Entry timestamps of spans owned by `domain`, in record order.
-    pub fn enters_of_domain(&self, domain: &str) -> Vec<u64> {
-        let mut out = Vec::new();
-        for s in &self.spans {
-            s.visit(&mut |sp| {
-                if sp.domain == domain {
-                    out.push(sp.enter_ns);
-                }
-            });
+    /// Entry timestamp of the first span owned by `domain`, in record
+    /// order (`None` matches none).
+    fn first_enter_of(&self, domain: Option<Label>) -> Option<u64> {
+        fn first(spans: &[Span], domain: Label) -> Option<u64> {
+            let enter = |s: &Span| (s.domain == domain).then_some(s.enter_ns);
+            spans
+                .iter()
+                .find_map(|s| enter(s).or_else(|| first(&s.children, domain)))
         }
-        out
+        first(&self.spans, domain?)
     }
 }
 
@@ -257,35 +259,54 @@ pub struct Profile {
     /// chain — the video server's frame pushes are all of this kind).
     pub unattributed_txs: Vec<TxRecord>,
     /// Drops recorded outside any packet window, as
-    /// `(layer, reason, count)` sorted by layer then reason.
-    pub unattributed_drops: Vec<(String, String, u64)>,
+    /// `(layer, reason, count)` sorted by layer name then reason name.
+    pub unattributed_drops: Vec<(Label, Label, u64)>,
+    /// The recorder's name table plus the names the fold added.
+    pub(crate) names: Interner,
+    steps: Steps,
 }
 
-/// Lowercased event-name prefix: `"Ethernet.PacketRecv"` → `"ethernet"`.
-pub fn layer_of(event_name: &str) -> String {
-    event_name
-        .split('.')
-        .next()
-        .unwrap_or(event_name)
-        .to_ascii_lowercase()
+/// Labels of the structural layers, domain and steps the gap rule
+/// charges, interned once per build.
+#[derive(Clone, Copy, Debug, PartialEq, Eq)]
+struct Steps {
+    kernel: Label,
+    guard: Label,
+    dispatch: Label,
+    boundary: Label,
+    crossings: [Label; 2],
+    driver: Label,
+    tx: Label,
+    engine: Label,
+    timer: Label,
+    tail: Label,
+    /// The label of `""` (an unnamed host), if the recorder ever saw it.
+    unnamed: Option<Label>,
 }
 
-fn resolve_tx(rec: &Recorder, r: &TraceRecord) -> Option<TxRecord> {
-    if let TraceEvent::PacketTx {
-        nic,
-        host,
-        bytes,
-        queue_ns,
-        wait_ns,
-        ser_ns,
-        prop_ns,
-    } = r.event
-    {
-        let host = rec.name(host);
+impl Steps {
+    /// `host`, unless it is the empty name.
+    fn named(&self, host: Label) -> Option<Label> {
+        (Some(host) != self.unnamed).then_some(host)
+    }
+
+    fn tx_record(&self, r: &TraceRecord) -> Option<TxRecord> {
+        let TraceEvent::PacketTx {
+            nic,
+            host,
+            bytes,
+            queue_ns,
+            wait_ns,
+            ser_ns,
+            prop_ns,
+        } = r.event
+        else {
+            return None;
+        };
         Some(TxRecord {
             at_ns: r.at_ns,
-            nic: rec.name(nic),
-            host: if host.is_empty() { None } else { Some(host) },
+            nic,
+            host: self.named(host),
             bytes,
             queue_ns,
             wait_ns,
@@ -293,177 +314,258 @@ fn resolve_tx(rec: &Recorder, r: &TraceRecord) -> Option<TxRecord> {
             prop_ns,
             journey: r.journey,
         })
-    } else {
-        None
     }
+}
+
+/// What [`Profile::build`]'s walk keeps while it is inside a packet's run.
+#[derive(Default)]
+struct Walk {
+    /// The packet the walk is inside, if any: the last of `packets`.
+    inside: Option<u64>,
+    /// That packet's open spans, innermost last.
+    stack: Vec<Span>,
+    /// That packet's slices so far, in a buffer every packet reuses: a
+    /// closed packet takes an exact-size copy, one allocation.
+    slices: Vec<Slice>,
+}
+
+/// Pushes onto a list that holds an item or two at most, asking for that
+/// much room, not for a growth step.
+fn push_exact<T>(list: &mut Vec<T>, item: T) {
+    list.reserve_exact(1);
+    list.push(item);
+}
+
+/// Charges the gap from the last slice's end (or the packet's
+/// `first_ns`) to `end_ns` to `(layer, domain, handler)`.
+fn charge(slices: &mut Vec<Slice>, first_ns: u64, end_ns: u64, to: (Label, Label, Label)) {
+    let (start_ns, (layer, domain, handler)) = (slices.last().map_or(first_ns, |s| s.end_ns), to);
+    let at = Triple {
+        layer,
+        domain,
+        handler,
+    };
+    slices.push(Slice {
+        start_ns,
+        end_ns,
+        at,
+    });
+}
+
+/// Hangs a finished span on its parent, or on its packet's roots.
+fn hang(stack: &mut [Span], roots: &mut Vec<Span>, sp: Span) {
+    push_exact(stack.last_mut().map_or(roots, |p| &mut p.children), sp);
 }
 
 impl Profile {
-    /// Folds the recorder's retained ring into a profile.
+    /// Folds the recorder's retained ring into a profile, in one walk.
+    /// A packet's records are one contiguous run of the ring (the
+    /// recorder changes packet only at an arrival, which takes the next
+    /// ID), so nothing is copied or grouped first.
     pub fn build(rec: &Recorder) -> Profile {
         let ring = rec.ring();
-        let mut truncation = TruncationReport {
-            dropped_records: ring.overwritten(),
-            first_retained_seq: ring.iter().next().map_or(0, |r| r.seq),
-            ..TruncationReport::default()
+        let mut names = rec.names().clone();
+        let unnamed = names.lookup("");
+        let mut step = |name| names.intern(name);
+        let steps = Steps {
+            kernel: step("kernel"),
+            guard: step("guard"),
+            dispatch: step("dispatch"),
+            boundary: step("boundary"),
+            crossings: [CrossDir::UserToKernel, CrossDir::KernelToUser].map(|d| step(d.name())),
+            driver: step("driver"),
+            tx: step("tx"),
+            engine: step("engine"),
+            timer: step("timer"),
+            tail: step("tail"),
+            unnamed,
+        };
+        let mut profile = Profile {
+            packets: Vec::new(),
+            truncation: TruncationReport {
+                dropped_records: ring.overwritten(),
+                first_retained_seq: ring.iter().next().map_or(0, |r| r.seq),
+                ..TruncationReport::default()
+            },
+            unattributed_txs: Vec::new(),
+            unattributed_drops: Vec::new(),
+            names,
+            steps,
         };
 
-        let mut by_packet: BTreeMap<u64, Vec<TraceRecord>> = BTreeMap::new();
-        let mut unattributed_txs = Vec::new();
-        let mut drops: BTreeMap<(String, String), u64> = BTreeMap::new();
+        let mut walk = Walk::default();
+        let mut drops: BTreeMap<(Label, Label), u64> = BTreeMap::new();
         for r in ring.iter() {
-            match r.packet {
-                Some(p) => by_packet.entry(p).or_default().push(*r),
-                None => match r.event {
-                    TraceEvent::PacketTx { .. } => {
-                        unattributed_txs.push(resolve_tx(rec, r).expect("matched PacketTx"));
-                    }
-                    TraceEvent::Drop { layer, reason } => {
-                        *drops
-                            .entry((rec.name(layer), rec.name(reason)))
-                            .or_insert(0) += 1;
-                    }
-                    _ => {}
-                },
+            if walk.inside != r.packet {
+                profile.close_packet(&mut walk);
+                walk.inside = r.packet;
+                if profile.open_packet(r) {
+                    continue;
+                }
+            }
+            match (r.packet, r.event) {
+                (Some(_), _) => profile.record(&mut walk, r),
+                (None, TraceEvent::PacketTx { .. }) => {
+                    profile.unattributed_txs.extend(steps.tx_record(r));
+                }
+                (None, TraceEvent::Drop { layer, reason }) => {
+                    *drops.entry((layer, reason)).or_insert(0) += 1;
+                }
+                (None, _) => {}
             }
         }
+        profile.close_packet(&mut walk);
 
-        let mut packets = Vec::with_capacity(by_packet.len());
-        for (id, recs) in by_packet {
-            let p = build_packet(rec, id, &recs, &mut truncation);
-            if p.orphan {
-                truncation.orphan_packets.push(id);
-            }
-            packets.push(p);
-        }
-        Profile {
-            packets,
-            truncation,
-            unattributed_txs,
-            unattributed_drops: drops
-                .into_iter()
-                .map(|((layer, reason), n)| (layer, reason, n))
-                .collect(),
-        }
+        let mut drops: Vec<_> = drops.into_iter().map(|((l, r), n)| (l, r, n)).collect();
+        drops.sort_by_key(|&(layer, reason, _)| (profile.name(layer), profile.name(reason)));
+        profile.unattributed_drops = drops;
+        profile
     }
 
-    /// Per-triple statistics over the non-orphan packets, in triple order.
+    /// The string behind a label found anywhere in this profile.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `label` came from neither this profile nor the recorder
+    /// it was built from.
+    pub fn name(&self, label: Label) -> &str {
+        self.names.get(label)
+    }
+
+    /// A triple's names, `[layer, domain, handler]`: what it is written
+    /// as, and what sorted output is sorted by.
+    pub fn triple_names(&self, t: &Triple) -> [&str; 3] {
+        [t.layer, t.domain, t.handler].map(|l| self.name(l))
+    }
+
+    pub(crate) fn by_name(&self, a: &Triple, b: &Triple) -> Ordering {
+        self.triple_names(a).cmp(&self.triple_names(b))
+    }
+
+    /// Whether `s` is the slice a `PacketTx` record closed.
+    pub(crate) fn is_tx(&self, s: &Slice) -> bool {
+        s.at.layer == self.steps.driver && s.at.handler == self.steps.tx
+    }
+
+    /// Per-triple statistics over the non-orphan packets, sorted by the
+    /// triples' names.
     pub fn aggregate(&self) -> Vec<TripleStat> {
         // Per-packet sums first, so the percentiles describe "ns this
         // triple cost *a packet*", matching Figure 5's per-RTT bars.
-        let mut sums: BTreeMap<Triple, Vec<u64>> = BTreeMap::new();
-        let mut counts: BTreeMap<Triple, u64> = BTreeMap::new();
-        for p in self.packets.iter().filter(|p| !p.orphan) {
-            let mut per_packet: BTreeMap<&Triple, u64> = BTreeMap::new();
+        #[derive(Default)]
+        struct Acc {
+            per_packet: Vec<u64>,
+            slices: u64,
+            /// The packet being summed (by position) and its sum so far.
+            open: Option<(usize, u64)>,
+        }
+        let mut accs: BTreeMap<Triple, Acc> = BTreeMap::new();
+        for (i, p) in self.packets.iter().enumerate().filter(|(_, p)| !p.orphan) {
             for s in &p.slices {
-                *per_packet.entry(&s.at).or_insert(0) += s.ns();
-                *counts.entry(s.at.clone()).or_insert(0) += 1;
-            }
-            for (t, ns) in per_packet {
-                sums.entry(t.clone()).or_default().push(ns);
+                let acc = accs.entry(s.at).or_default();
+                acc.slices += 1;
+                match &mut acc.open {
+                    Some((at, sum)) if *at == i => *sum += s.ns(),
+                    open => {
+                        let done = open.replace((i, s.ns()));
+                        acc.per_packet.extend(done.map(|(_, sum)| sum));
+                    }
+                }
             }
         }
-        sums.into_iter()
-            .map(|(at, mut per_packet)| {
-                per_packet.sort_unstable();
-                let total: u64 = per_packet.iter().sum();
-                let n = per_packet.len() as u64;
+        let mut stats: Vec<TripleStat> = accs
+            .into_iter()
+            .map(|(at, mut acc)| {
+                acc.per_packet.extend(acc.open.map(|(_, sum)| sum));
+                acc.per_packet.sort_unstable();
+                let total: u64 = acc.per_packet.iter().sum();
+                let n = acc.per_packet.len() as u64;
                 TripleStat {
-                    slices: counts.get(&at).copied().unwrap_or(0),
+                    at,
                     total_ns: total,
+                    slices: acc.slices,
                     packets: n,
                     mean_ns: total / n.max(1),
-                    p50_ns: percentile(&per_packet, 50.0),
-                    p99_ns: percentile(&per_packet, 99.0),
-                    at,
+                    p50_ns: percentile(&acc.per_packet, 50.0),
+                    p99_ns: percentile(&acc.per_packet, 99.0),
                 }
             })
-            .collect()
-    }
-}
-
-/// Builds one packet's profile from its record stream (already in
-/// sequence order).
-fn build_packet(
-    rec: &Recorder,
-    id: u64,
-    recs: &[TraceRecord],
-    truncation: &mut TruncationReport,
-) -> PacketProfile {
-    let first = &recs[0];
-    let (nic, host, bytes, orphan) = match first.event {
-        TraceEvent::PacketArrival { nic, host, bytes } => {
-            let host = rec.name(host);
-            let host = if host.is_empty() { None } else { Some(host) };
-            (Some(rec.name(nic)), host, bytes, false)
-        }
-        // Wraparound ate the arrival: keep what we can see, but flag it.
-        _ => (None, None, 0, true),
-    };
-    // Orphans recover their journey tag from whichever record survived —
-    // every record of a hop carries the same journey in its envelope.
-    let journey = if orphan {
-        recs.iter().find_map(|r| r.journey)
-    } else {
-        first.journey
-    };
-
-    let mut spans: Vec<Span> = Vec::new(); // finished roots
-    let mut stack: Vec<Span> = Vec::new(); // open spans, innermost last
-    let mut slices: Vec<Slice> = Vec::new();
-    let mut txs: Vec<TxRecord> = Vec::new();
-    let mut drops: Vec<(String, String)> = Vec::new();
-    let mut prev_ns = first.at_ns;
-    let last_ns = recs.last().expect("non-empty packet stream").at_ns;
-
-    fn close_span(stack: &mut [Span], spans: &mut Vec<Span>, sp: Span) {
-        match stack.last_mut() {
-            Some(parent) => parent.children.push(sp),
-            None => spans.push(sp),
-        }
+            .collect();
+        stats.sort_by(|a, b| self.by_name(&a.at, &b.at));
+        stats
     }
 
-    for r in recs.iter().skip(if orphan { 0 } else { 1 }) {
-        let cur_domain = || {
-            stack
-                .last()
-                .map_or_else(|| String::from("kernel"), |s| s.domain.clone())
+    /// Starts the packet whose run of records `first` begins. Returns
+    /// whether `first` is its arrival, which the packet's header holds
+    /// and no slice charges.
+    fn open_packet(&mut self, first: &TraceRecord) -> bool {
+        let Some(packet) = first.packet else {
+            return false;
         };
-        let at = match r.event {
-            TraceEvent::GuardEval { event, .. } => Some(Triple {
-                layer: layer_of(&rec.name(event)),
-                domain: String::from("kernel"),
-                handler: String::from("guard"),
-            }),
+        let arrival = match first.event {
+            TraceEvent::PacketArrival { nic, host, bytes } => Some((nic, host, bytes)),
+            // Wraparound ate the arrival: keep what we can see, but flag it.
+            _ => None,
+        };
+        if arrival.is_none() {
+            self.truncation.orphan_packets.push(packet);
+        }
+        self.packets.push(PacketProfile {
+            packet,
+            journey: first.journey,
+            host: arrival.and_then(|a| self.steps.named(a.1)),
+            nic: arrival.map(|a| a.0),
+            bytes: arrival.map_or(0, |a| a.2),
+            first_ns: first.at_ns,
+            last_ns: first.at_ns,
+            spans: Vec::new(),
+            slices: Vec::new(),
+            txs: Vec::new(),
+            drops: Vec::new(),
+            orphan: arrival.is_none(),
+        });
+        arrival.is_some()
+    }
+
+    /// Attributes one record of the open packet.
+    fn record(&mut self, walk: &mut Walk, r: &TraceRecord) {
+        let (steps, kernel) = (self.steps, self.steps.kernel);
+        let Walk { stack, slices, .. } = walk;
+        let open = self.packets.last_mut().expect("a packet is open");
+        if open.orphan {
+            // Orphans recover their journey tag from whichever record
+            // survived — every record of a hop carries the same journey.
+            open.journey = open.journey.or(r.journey);
+        }
+        open.last_ns = r.at_ns;
+        let cur_domain = stack.last().map_or(kernel, |s| s.domain);
+        // Who the gap this record closes is charged to, as
+        // `(layer, domain, handler)`.
+        let charged = match r.event {
+            TraceEvent::GuardEval { event, .. } => {
+                Some((self.names.layer(event), kernel, steps.guard))
+            }
             TraceEvent::HandlerEnter {
                 event,
                 domain,
                 span,
             } => {
-                let event_name = rec.name(event);
+                let layer = self.names.layer(event);
                 // A top-level entry follows pure kernel dispatch work
                 // (thread spawn, context switch, handler lookup). A
                 // *nested* entry's gap is dominated by the enclosing
                 // handler's own body — it ran up to the point of calling
                 // raise() — so the parent is charged, keeping extension
                 // time attributed to the extension's domain.
-                let triple = match stack.last() {
-                    Some(parent) => Triple {
-                        layer: parent.layer.clone(),
-                        domain: parent.domain.clone(),
-                        handler: parent.event.clone(),
-                    },
-                    None => Triple {
-                        layer: layer_of(&event_name),
-                        domain: String::from("kernel"),
-                        handler: String::from("dispatch"),
-                    },
+                let charged = match stack.last() {
+                    Some(parent) => (parent.layer, parent.domain, parent.event),
+                    None => (layer, kernel, steps.dispatch),
                 };
                 stack.push(Span {
                     span,
-                    layer: layer_of(&event_name),
-                    event: event_name,
-                    domain: rec.name(domain),
+                    event,
+                    domain,
+                    layer,
                     enter_ns: r.at_ns,
                     exit_ns: r.at_ns,
                     total_ns: 0,
@@ -472,132 +574,83 @@ fn build_packet(
                     complete: false,
                     children: Vec::new(),
                 });
-                Some(triple)
+                Some(charged)
             }
             TraceEvent::HandlerExit {
                 event,
                 domain,
                 span,
             } => {
-                let event_name = rec.name(event);
-                let triple = Triple {
-                    layer: layer_of(&event_name),
-                    domain: rec.name(domain),
-                    handler: event_name,
-                };
                 match stack.iter().rposition(|s| s.span == span) {
+                    // Anything still open above the match lost its own
+                    // exit — close it here rather than leak or nest
+                    // wrongly.
                     Some(pos) => {
-                        // Anything still open above the match lost its own
-                        // exit — close it here rather than leak or nest
-                        // wrongly.
-                        while stack.len() > pos + 1 {
+                        while stack.len() > pos {
                             let sp = stack.pop().expect("len checked");
-                            truncation.unmatched_enters += 1;
-                            let sp = sp.finalize(r.at_ns, false);
-                            close_span(&mut stack, &mut spans, sp);
+                            let matched = stack.len() == pos;
+                            self.truncation.unmatched_enters += u64::from(!matched);
+                            hang(stack, &mut open.spans, sp.finalize(r.at_ns, matched));
                         }
-                        let sp = stack.pop().expect("pos in range");
-                        let sp = sp.finalize(r.at_ns, true);
-                        close_span(&mut stack, &mut spans, sp);
                     }
-                    None => truncation.unmatched_exits += 1,
+                    None => self.truncation.unmatched_exits += 1,
                 }
-                Some(triple)
+                Some((self.names.layer(event), domain, event))
             }
             TraceEvent::Drop { layer, reason } => {
-                let l = rec.name(layer);
-                let re = rec.name(reason);
-                drops.push((l.clone(), re.clone()));
-                Some(Triple {
-                    layer: l,
-                    domain: cur_domain(),
-                    handler: re,
-                })
+                push_exact(&mut open.drops, (layer, reason));
+                Some((layer, cur_domain, reason))
             }
-            TraceEvent::Crossing { dir, .. } => Some(Triple {
-                layer: String::from("boundary"),
-                domain: cur_domain(),
-                handler: String::from(dir.name()),
-            }),
+            TraceEvent::Crossing { dir, .. } => {
+                Some((steps.boundary, cur_domain, steps.crossings[dir as usize]))
+            }
             TraceEvent::PacketTx { .. } => {
-                txs.push(resolve_tx(rec, r).expect("matched PacketTx"));
-                Some(Triple {
-                    layer: String::from("driver"),
-                    domain: cur_domain(),
-                    handler: String::from("tx"),
-                })
+                let tx = steps.tx_record(r).expect("matched PacketTx");
+                push_exact(&mut open.txs, tx);
+                Some((steps.driver, cur_domain, steps.tx))
             }
-            TraceEvent::TimerFire => Some(Triple {
-                layer: String::from("engine"),
-                domain: cur_domain(),
-                handler: String::from("timer"),
-            }),
+            TraceEvent::TimerFire => Some((steps.engine, cur_domain, steps.timer)),
             // Observability events are attribution-neutral: they carry no
             // CPU work of their own (samples share their neighbor's
             // timestamp; interrupts are charged by the driver glue), so
             // they produce no slice and leave the gap to the next
             // structural record.
             TraceEvent::RxInterrupt { .. } | TraceEvent::LatencySample { .. } => None,
-            // A second arrival can't appear mid-packet (arrivals assign a
-            // fresh ID); if the stream is orphaned it may *start* with
-            // arbitrary records, attributed to the driver.
-            TraceEvent::PacketArrival { .. } => Some(Triple {
-                layer: String::from("driver"),
-                domain: String::from("kernel"),
-                handler: String::from("arrival"),
-            }),
+            // An arrival takes a fresh ID, so it opens a run and never
+            // lands inside one.
+            TraceEvent::PacketArrival { .. } => unreachable!("an arrival inside a packet's run"),
         };
-        if let Some(at) = at {
-            slices.push(Slice {
-                start_ns: prev_ns,
-                end_ns: r.at_ns,
-                at,
-            });
-            prev_ns = r.at_ns;
+        if let Some(to) = charged {
+            charge(slices, open.first_ns, r.at_ns, to);
         }
     }
 
-    // A trailing attribution-neutral record (latency sample, rx
-    // interrupt) can leave the gap to the window's end uncharged; close
-    // it against the innermost open domain so slices still tile
-    // `[first_ns, last_ns]`.
-    if prev_ns < last_ns {
-        slices.push(Slice {
-            start_ns: prev_ns,
-            end_ns: last_ns,
-            at: Triple {
-                layer: String::from("engine"),
-                domain: stack
-                    .last()
-                    .map_or_else(|| String::from("kernel"), |s| s.domain.clone()),
-                handler: String::from("tail"),
-            },
-        });
-    }
-
-    // Enters whose exits never made the ring: close at the window's end.
-    while let Some(sp) = stack.pop() {
-        truncation.unmatched_enters += 1;
-        let sp = sp.finalize(last_ns, false);
-        match stack.last_mut() {
-            Some(parent) => parent.children.push(sp),
-            None => spans.push(sp),
+    /// Ends the run of the packet the walk is inside, if it is in one.
+    fn close_packet(&mut self, walk: &mut Walk) {
+        let Walk {
+            inside,
+            stack,
+            slices,
+        } = walk;
+        let (Some(_), Some(open)) = (inside, self.packets.last_mut()) else {
+            return;
+        };
+        // A trailing attribution-neutral record (latency sample, rx
+        // interrupt) can leave the gap to the window's end uncharged; close
+        // it against the innermost open domain so slices still tile
+        // `[first_ns, last_ns]`.
+        if slices.last().map_or(open.first_ns, |s| s.end_ns) < open.last_ns {
+            let domain = stack.last().map_or(self.steps.kernel, |s| s.domain);
+            let tail = (self.steps.engine, domain, self.steps.tail);
+            charge(slices, open.first_ns, open.last_ns, tail);
         }
-    }
-
-    PacketProfile {
-        packet: id,
-        journey,
-        host,
-        nic,
-        bytes,
-        first_ns: first.at_ns,
-        last_ns,
-        spans,
-        slices,
-        txs,
-        drops,
-        orphan,
+        // Enters whose exits never made the ring: close at the window's end.
+        while let Some(sp) = stack.pop() {
+            self.truncation.unmatched_enters += 1;
+            hang(stack, &mut open.spans, sp.finalize(open.last_ns, false));
+        }
+        open.slices = slices.to_vec();
+        slices.clear();
     }
 }
 
@@ -607,8 +660,8 @@ fn build_packet(
 #[derive(Clone, Debug, PartialEq, Eq)]
 pub struct Segment {
     /// Segment name (`client.send`, `server.udp`, `reply.wire.serialize`,
-    /// ...).
-    pub name: String,
+    /// ...). Shared, not copied, by every journey that has the segment.
+    pub name: Rc<str>,
     /// Simulated nanoseconds.
     pub ns: u64,
 }
@@ -657,32 +710,28 @@ pub struct Waterfall {
     pub segment_stats: Vec<SegmentStat>,
 }
 
-/// Sums `slices[0..=idx]` grouped by layer, in first-seen order.
-fn layer_sums(slices: &[Slice], upto: usize, prefix: &str) -> Vec<Segment> {
-    let mut out: Vec<Segment> = Vec::new();
-    for s in &slices[..=upto] {
-        let name = format!("{prefix}.{}", s.at.layer);
-        match out.iter_mut().find(|seg| seg.name == name) {
-            Some(seg) => seg.ns += s.ns(),
-            None => out.push(Segment { name, ns: s.ns() }),
-        }
+fn segment(name: &str, ns: u64) -> Segment {
+    let name = name.into();
+    Segment { name, ns }
+}
+
+/// Adds `ns` to `key`'s entry, keeping first-seen order.
+pub(crate) fn add<K: PartialEq>(sums: &mut Vec<(K, u64)>, key: K, ns: u64) {
+    match sums.iter_mut().find(|(k, _)| *k == key) {
+        Some((_, sum)) => *sum += ns,
+        None => sums.push((key, ns)),
     }
-    out
 }
 
-/// Index of the first slice produced by a `PacketTx` record.
-fn tx_slice_idx(p: &PacketProfile) -> Option<usize> {
-    p.slices
+/// Sums `slices` grouped by layer, in first-seen order, as
+/// `{prefix}.{layer}` segments.
+fn layer_sums(profile: &Profile, slices: &[Slice], prefix: &str) -> Vec<Segment> {
+    let mut sums: Vec<(Label, u64)> = Vec::new();
+    slices
         .iter()
-        .position(|s| s.at.layer == "driver" && s.at.handler == "tx")
-}
-
-/// Index of the last slice ending at the app handler's entry timestamp.
-/// Slices tile contiguously, so everything up to this index covers
-/// exactly `[first_ns, enter_ns]` (later zero-length slices at the same
-/// timestamp contribute nothing).
-fn app_enter_slice_idx(p: &PacketProfile, enter_ns: u64) -> Option<usize> {
-    p.slices.iter().rposition(|s| s.end_ns == enter_ns)
+        .for_each(|s| add(&mut sums, s.at.layer, s.ns()));
+    let named = |(layer, ns)| segment(&format!("{prefix}.{}", profile.name(layer)), ns);
+    sums.into_iter().map(named).collect()
 }
 
 /// Builds per-round waterfalls for a serial ping-pong scenario
@@ -714,6 +763,8 @@ pub fn pingpong_waterfall(profile: &Profile, app_domain: &str) -> Result<Waterfa
             p.packet
         ));
     }
+    // `None` (a domain the run never named) matches no span below.
+    let app = profile.names.lookup(app_domain);
 
     let rounds_n = packets.len() / 2;
     let mut rounds = Vec::with_capacity(rounds_n);
@@ -730,67 +781,50 @@ pub fn pingpong_waterfall(profile: &Profile, app_domain: &str) -> Result<Waterfa
                 .unattributed_txs
                 .first()
                 .ok_or("no unattributed tx for the initial send")?;
-            (0u64, tx.clone())
+            (0u64, *tx)
         } else {
             let prev = &packets[2 * k - 1];
-            let enter = *prev
-                .enters_of_domain(app_domain)
-                .first()
+            let enter = prev
+                .first_enter_of(app)
                 .ok_or_else(|| format!("packet {}: no {app_domain} handler", prev.packet))?;
             let tx = prev
                 .txs
                 .first()
                 .ok_or_else(|| format!("packet {}: no tx record", prev.packet))?;
-            (enter, tx.clone())
+            (enter, *tx)
         };
 
         let server_tx = req
             .txs
             .first()
             .ok_or_else(|| format!("packet {}: no reply tx record", req.packet))?;
-        let reply_enter = *rep
-            .enters_of_domain(app_domain)
-            .first()
+        let reply_enter = rep
+            .first_enter_of(app)
             .ok_or_else(|| format!("packet {}: no {app_domain} handler", rep.packet))?;
 
         let mut segments = vec![
-            Segment {
-                name: String::from("client.send"),
-                ns: client_tx.at_ns - send_start,
-            },
-            Segment {
-                name: String::from("request.wire.wait"),
-                ns: client_tx.wait_ns,
-            },
-            Segment {
-                name: String::from("request.wire.serialize"),
-                ns: client_tx.ser_ns,
-            },
-            Segment {
-                name: String::from("request.wire.propagate"),
-                ns: client_tx.prop_ns,
-            },
+            segment("client.send", client_tx.at_ns - send_start),
+            segment("request.wire.wait", client_tx.wait_ns),
+            segment("request.wire.serialize", client_tx.ser_ns),
+            segment("request.wire.propagate", client_tx.prop_ns),
         ];
-        let srv_upto =
-            tx_slice_idx(req).ok_or_else(|| format!("packet {}: no tx slice", req.packet))?;
-        segments.extend(layer_sums(&req.slices, srv_upto, "server"));
+        let srv_upto = (req.slices.iter())
+            .position(|s| profile.is_tx(s))
+            .ok_or_else(|| format!("packet {}: no tx slice", req.packet))?;
+        segments.extend(layer_sums(profile, &req.slices[..=srv_upto], "server"));
         segments.extend([
-            Segment {
-                name: String::from("reply.wire.wait"),
-                ns: server_tx.wait_ns,
-            },
-            Segment {
-                name: String::from("reply.wire.serialize"),
-                ns: server_tx.ser_ns,
-            },
-            Segment {
-                name: String::from("reply.wire.propagate"),
-                ns: server_tx.prop_ns,
-            },
+            segment("reply.wire.wait", server_tx.wait_ns),
+            segment("reply.wire.serialize", server_tx.ser_ns),
+            segment("reply.wire.propagate", server_tx.prop_ns),
         ]);
-        let cli_upto = app_enter_slice_idx(rep, reply_enter)
+        // The last slice ending at the app handler's entry: slices tile
+        // contiguously, so everything up to it covers exactly
+        // `[first_ns, enter_ns]` (later zero-length slices at the same
+        // timestamp contribute nothing).
+        let cli_upto = (rep.slices.iter())
+            .rposition(|s| s.end_ns == reply_enter)
             .ok_or_else(|| format!("packet {}: no app dispatch slice", rep.packet))?;
-        segments.extend(layer_sums(&rep.slices, cli_upto, "client"));
+        segments.extend(layer_sums(profile, &rep.slices[..=cli_upto], "client"));
 
         let overlap = (req.last_ns - server_tx.at_ns)
             + if k == 0 {
@@ -809,33 +843,23 @@ pub fn pingpong_waterfall(profile: &Profile, app_domain: &str) -> Result<Waterfa
 
     // Per-segment aggregates, in first-seen order; a segment absent from a
     // round contributes zero (layer mixes can differ between rounds).
-    let mut names: Vec<String> = Vec::new();
-    for r in &rounds {
-        for s in &r.segments {
-            if !names.contains(&s.name) {
-                names.push(s.name.clone());
-            }
-        }
+    let mut totals: Vec<(Rc<str>, u64)> = Vec::new();
+    for s in rounds.iter().flat_map(|r| &r.segments) {
+        add(&mut totals, s.name.clone(), s.ns);
     }
-    let segment_stats = names
+    let segment_stats = totals
         .into_iter()
-        .map(|name| {
-            let mut per_round: Vec<u64> = rounds
-                .iter()
-                .map(|r| {
-                    r.segments
-                        .iter()
-                        .filter(|s| s.name == name)
-                        .map(|s| s.ns)
-                        .sum()
-                })
-                .collect();
+        .map(|(name, total_ns)| {
+            let in_round = |r: &RoundProfile| {
+                let named = r.segments.iter().filter(|s| s.name == name);
+                named.map(|s| s.ns).sum()
+            };
+            let mut per_round: Vec<u64> = rounds.iter().map(in_round).collect();
             per_round.sort_unstable();
-            let total: u64 = per_round.iter().sum();
             SegmentStat {
-                name,
-                total_ns: total,
-                mean_ns: total / (per_round.len() as u64).max(1),
+                name: name.to_string(),
+                total_ns,
+                mean_ns: total_ns / (per_round.len() as u64).max(1),
                 p50_ns: percentile(&per_round, 50.0),
                 p99_ns: percentile(&per_round, 99.0),
             }
@@ -851,70 +875,59 @@ pub fn pingpong_waterfall(profile: &Profile, app_domain: &str) -> Result<Waterfa
 
 // --- JSON export --------------------------------------------------------
 
-fn span_json(s: &Span, out: &mut String) {
-    out.push_str(&format!(
-        "{{\"span\": {}, \"event\": \"{}\", \"domain\": \"{}\", \"layer\": \"{}\", \
-         \"enter_ns\": {}, \"exit_ns\": {}, \"total_ns\": {}, \"self_ns\": {}, \
-         \"child_ns\": {}, \"complete\": {}, \"children\": [",
-        s.span,
-        escape(&s.event),
-        escape(&s.domain),
-        escape(&s.layer),
-        s.enter_ns,
-        s.exit_ns,
-        s.total_ns,
-        s.self_ns,
-        s.child_ns,
-        s.complete
-    ));
+fn span_json(p: &Profile, s: &Span, out: &mut String) {
+    let [event, domain, layer] = [s.event, s.domain, s.layer].map(|l| escaped(p.name(l)));
+    let (span, enter_ns, exit_ns, total_ns) = (s.span, s.enter_ns, s.exit_ns, s.total_ns);
+    let (self_ns, child_ns, complete) = (s.self_ns, s.child_ns, s.complete);
+    put!(
+        out,
+        "{{\"span\": {span}, \"event\": \"{event}\", \"domain\": \"{domain}\", \
+         \"layer\": \"{layer}\", \"enter_ns\": {enter_ns}, \"exit_ns\": {exit_ns}, \
+         \"total_ns\": {total_ns}, \"self_ns\": {self_ns}, \"child_ns\": {child_ns}, \
+         \"complete\": {complete}, \"children\": ["
+    );
     for (i, c) in s.children.iter().enumerate() {
-        if i > 0 {
-            out.push_str(", ");
-        }
-        span_json(c, out);
+        out.push_str(if i > 0 { ", " } else { "" });
+        span_json(p, c, out);
     }
     out.push_str("]}");
 }
 
+/// Appends `{"name": .., "ns": ..}` objects, comma-separated — the one
+/// segment list the round waterfalls and the journeys both write.
+pub(crate) fn segments_json(out: &mut String, segments: &[Segment]) {
+    for (i, Segment { name, ns }) in segments.iter().enumerate() {
+        let (sep, name) = (if i > 0 { ", " } else { "" }, escaped(name));
+        put!(out, "{sep}{{\"name\": \"{name}\", \"ns\": {ns}}}");
+    }
+}
+
 fn waterfall_json(w: &Waterfall, out: &mut String) {
-    out.push_str(&format!(
+    put!(
+        out,
         "{{\"app_domain\": \"{}\", \"rounds\": [",
-        escape(&w.app_domain)
-    ));
+        escaped(&w.app_domain)
+    );
     for (i, r) in w.rounds.iter().enumerate() {
-        if i > 0 {
-            out.push_str(", ");
-        }
-        out.push_str(&format!(
-            "\n    {{\"round\": {}, \"rtt_ns\": {}, \"overlap_ns\": {}, \"segments\": [",
-            r.round, r.rtt_ns, r.overlap_ns
-        ));
-        for (j, s) in r.segments.iter().enumerate() {
-            if j > 0 {
-                out.push_str(", ");
-            }
-            out.push_str(&format!(
-                "{{\"name\": \"{}\", \"ns\": {}}}",
-                escape(&s.name),
-                s.ns
-            ));
-        }
+        let sep = if i > 0 { ", " } else { "" };
+        let (round, rtt_ns, overlap_ns) = (r.round, r.rtt_ns, r.overlap_ns);
+        put!(
+            out,
+            "{sep}\n    {{\"round\": {round}, \"rtt_ns\": {rtt_ns}, \"overlap_ns\": {overlap_ns}, \
+             \"segments\": ["
+        );
+        segments_json(out, &r.segments);
         out.push_str("]}");
     }
     out.push_str("], \"segments\": [");
     for (i, s) in w.segment_stats.iter().enumerate() {
-        if i > 0 {
-            out.push_str(", ");
-        }
-        out.push_str(&format!(
-            "\n    {{\"name\": \"{}\", \"total_ns\": {}, \"mean_ns\": {}, \
-             \"p50_ns\": {}, \"p99_ns\": {}}}",
-            escape(&s.name),
-            s.total_ns,
-            s.mean_ns,
-            s.p50_ns,
-            s.p99_ns
-        ));
+        let (sep, name) = (if i > 0 { ", " } else { "" }, escaped(&s.name));
+        let (total_ns, mean_ns, p50_ns, p99_ns) = (s.total_ns, s.mean_ns, s.p50_ns, s.p99_ns);
+        put!(
+            out,
+            "{sep}\n    {{\"name\": \"{name}\", \"total_ns\": {total_ns}, \"mean_ns\": {mean_ns}, \
+             \"p50_ns\": {p50_ns}, \"p99_ns\": {p99_ns}}}"
+        );
     }
     out.push_str("]}");
 }
@@ -933,74 +946,59 @@ pub fn profile_json(
 ) -> String {
     let t = &p.truncation;
     let mut out = String::from("{\n  \"schema\": \"plexus.profile.v1\",\n");
-    out.push_str(&format!(
+    put!(
+        out,
         "  \"truncation\": {{\"dropped_records\": {}, \"first_retained_seq\": {}, \
          \"orphan_packets\": [{}], \"unmatched_enters\": {}, \"unmatched_exits\": {}}},\n",
         t.dropped_records,
         t.first_retained_seq,
-        t.orphan_packets
-            .iter()
-            .map(|p| p.to_string())
-            .collect::<Vec<_>>()
-            .join(", "),
+        joined(&t.orphan_packets),
         t.unmatched_enters,
         t.unmatched_exits
-    ));
-    out.push_str(&format!("  \"packets_total\": {},\n", p.packets.len()));
+    );
+    put!(out, "  \"packets_total\": {},\n", p.packets.len());
     let detailed = p.packets.len().min(max_packet_detail);
-    out.push_str(&format!("  \"packets_detailed\": {detailed},\n"));
+    put!(out, "  \"packets_detailed\": {detailed},\n");
 
     // Work that ran outside any packet window (timer- or engine-driven
     // sends and sheds) — for push-style scenarios like the video server
     // this is where nearly everything lands.
-    let (frames, bytes, wait, ser, prop) =
-        p.unattributed_txs
-            .iter()
-            .fold((0u64, 0u64, 0u64, 0u64, 0u64), |(f, b, w, s, pr), tx| {
-                (
-                    f + 1,
-                    b + u64::from(tx.bytes),
-                    w + tx.wait_ns,
-                    s + tx.ser_ns,
-                    pr + tx.prop_ns,
-                )
-            });
-    out.push_str(&format!(
-        "  \"unattributed_tx\": {{\"frames\": {frames}, \"bytes\": {bytes}, \
-         \"wait_ns\": {wait}, \"ser_ns\": {ser}, \"prop_ns\": {prop}}},\n"
-    ));
+    let txs = &p.unattributed_txs;
+    let sum = |of: fn(&TxRecord) -> u64| txs.iter().map(of).sum::<u64>();
+    put!(
+        out,
+        "  \"unattributed_tx\": {{\"frames\": {}, \"bytes\": {}, \"wait_ns\": {}, \
+         \"ser_ns\": {}, \"prop_ns\": {}}},\n",
+        txs.len(),
+        sum(|tx| tx.bytes.into()),
+        sum(|tx| tx.wait_ns),
+        sum(|tx| tx.ser_ns),
+        sum(|tx| tx.prop_ns)
+    );
     out.push_str("  \"unattributed_drops\": [");
-    for (i, (layer, reason, n)) in p.unattributed_drops.iter().enumerate() {
-        if i > 0 {
-            out.push_str(", ");
-        }
-        out.push_str(&format!(
-            "{{\"layer\": \"{}\", \"reason\": \"{}\", \"count\": {n}}}",
-            escape(layer),
-            escape(reason)
-        ));
+    for (i, &(layer, reason, n)) in p.unattributed_drops.iter().enumerate() {
+        let sep = if i > 0 { ", " } else { "" };
+        let (layer, reason) = (escaped(p.name(layer)), escaped(p.name(reason)));
+        put!(
+            out,
+            "{sep}{{\"layer\": \"{layer}\", \"reason\": \"{reason}\", \"count\": {n}}}"
+        );
     }
     out.push_str("],\n");
 
     out.push_str("  \"aggregate\": [");
     for (i, s) in p.aggregate().iter().enumerate() {
-        if i > 0 {
-            out.push(',');
-        }
-        out.push_str(&format!(
-            "\n    {{\"layer\": \"{}\", \"domain\": \"{}\", \"handler\": \"{}\", \
-             \"total_ns\": {}, \"slices\": {}, \"packets\": {}, \"mean_ns\": {}, \
-             \"p50_ns\": {}, \"p99_ns\": {}}}",
-            escape(&s.at.layer),
-            escape(&s.at.domain),
-            escape(&s.at.handler),
-            s.total_ns,
-            s.slices,
-            s.packets,
-            s.mean_ns,
-            s.p50_ns,
-            s.p99_ns
-        ));
+        let sep = if i > 0 { "," } else { "" };
+        let [layer, domain, handler] = p.triple_names(&s.at).map(escaped);
+        let (total_ns, slices, packets) = (s.total_ns, s.slices, s.packets);
+        let (mean_ns, p50_ns, p99_ns) = (s.mean_ns, s.p50_ns, s.p99_ns);
+        put!(
+            out,
+            "{sep}\n    {{\"layer\": \"{layer}\", \"domain\": \"{domain}\", \
+             \"handler\": \"{handler}\", \"total_ns\": {total_ns}, \"slices\": {slices}, \
+             \"packets\": {packets}, \"mean_ns\": {mean_ns}, \"p50_ns\": {p50_ns}, \
+             \"p99_ns\": {p99_ns}}}"
+        );
     }
     out.push_str("\n  ],\n");
 
@@ -1012,49 +1010,46 @@ pub fn profile_json(
 
     out.push_str("  \"packets\": [");
     for (i, pkt) in p.packets.iter().take(detailed).enumerate() {
-        if i > 0 {
-            out.push(',');
+        let sep = if i > 0 { "," } else { "" };
+        put!(out, "{sep}\n    {{\"packet\": {}, \"nic\": ", pkt.packet);
+        match pkt.nic {
+            Some(nic) => put!(out, "\"{}\"", escaped(p.name(nic))),
+            None => out.push_str("null"),
         }
-        out.push_str(&format!(
-            "\n    {{\"packet\": {}, \"nic\": {}, \"bytes\": {}, \"first_ns\": {}, \
-             \"last_ns\": {}, \"attributed_ns\": {}, \"orphan\": {}, \"drops\": [{}], \
-             \"spans\": [",
-            pkt.packet,
-            match &pkt.nic {
-                Some(n) => format!("\"{}\"", escape(n)),
-                None => String::from("null"),
-            },
-            pkt.bytes,
-            pkt.first_ns,
-            pkt.last_ns,
-            pkt.attributed_ns(),
-            pkt.orphan,
-            pkt.drops
-                .iter()
-                .map(|(l, r)| format!("[\"{}\", \"{}\"]", escape(l), escape(r)))
-                .collect::<Vec<_>>()
-                .join(", ")
-        ));
+        let (bytes, first_ns, last_ns) = (pkt.bytes, pkt.first_ns, pkt.last_ns);
+        let (attributed_ns, orphan) = (pkt.attributed_ns(), pkt.orphan);
+        put!(
+            out,
+            ", \"bytes\": {bytes}, \"first_ns\": {first_ns}, \"last_ns\": {last_ns}, \
+             \"attributed_ns\": {attributed_ns}, \"orphan\": {orphan}, \"drops\": ["
+        );
+        for (j, &(layer, reason)) in pkt.drops.iter().enumerate() {
+            let sep = if j > 0 { ", " } else { "" };
+            let (layer, reason) = (escaped(p.name(layer)), escaped(p.name(reason)));
+            put!(out, "{sep}[\"{layer}\", \"{reason}\"]");
+        }
+        out.push_str("], \"spans\": [");
         for (j, s) in pkt.spans.iter().enumerate() {
-            if j > 0 {
-                out.push_str(", ");
-            }
-            span_json(s, &mut out);
+            out.push_str(if j > 0 { ", " } else { "" });
+            span_json(p, s, &mut out);
         }
         out.push_str("], \"slices\": [");
-        for (j, s) in pkt.slices.iter().enumerate() {
-            if j > 0 {
-                out.push_str(", ");
-            }
-            out.push_str(&format!(
-                "{{\"start_ns\": {}, \"end_ns\": {}, \"layer\": \"{}\", \
-                 \"domain\": \"{}\", \"handler\": \"{}\"}}",
-                s.start_ns,
-                s.end_ns,
-                escape(&s.at.layer),
-                escape(&s.at.domain),
-                escape(&s.at.handler)
-            ));
+        for (
+            j,
+            Slice {
+                start_ns,
+                end_ns,
+                at,
+            },
+        ) in pkt.slices.iter().enumerate()
+        {
+            let sep = if j > 0 { ", " } else { "" };
+            let [layer, domain, handler] = p.triple_names(at).map(escaped);
+            put!(
+                out,
+                "{sep}{{\"start_ns\": {start_ns}, \"end_ns\": {end_ns}, \"layer\": \"{layer}\", \
+                 \"domain\": \"{domain}\", \"handler\": \"{handler}\"}}"
+            );
         }
         out.push_str("]}");
     }
@@ -1071,7 +1066,7 @@ mod tests {
     /// Two nested handlers with a guard eval between arrival and entry.
     fn nested() -> std::rc::Rc<Recorder> {
         let rec = Recorder::new(64);
-        rec.packet_arrival(1_000, "Ethernet", "", 60, None);
+        rec.packet_arrival(1_000, rec.intern("Ethernet"), rec.intern(""), 60, None);
         let eth = rec.intern("Ethernet.PacketRecv");
         let udp = rec.intern("Udp.PacketRecv");
         let kernel = rec.intern("ip");
@@ -1081,8 +1076,8 @@ mod tests {
         let inner = rec.handler_enter(2_000, udp, app);
         rec.packet_tx(
             4_000,
-            "Ethernet",
-            "",
+            rec.intern("Ethernet"),
+            rec.intern(""),
             60,
             0,
             100,
@@ -1117,12 +1112,12 @@ mod tests {
         let pkt = &p.packets[0];
         assert_eq!(pkt.spans.len(), 1, "one root span");
         let root = &pkt.spans[0];
-        assert_eq!(root.event, "Ethernet.PacketRecv");
-        assert_eq!(root.layer, "ethernet");
+        assert_eq!(p.name(root.event), "Ethernet.PacketRecv");
+        assert_eq!(p.name(root.layer), "ethernet");
         assert_eq!(root.total_ns, 4_500);
         assert_eq!(root.children.len(), 1);
         let child = &root.children[0];
-        assert_eq!(child.domain, "echo-ext");
+        assert_eq!(p.name(child.domain), "echo-ext");
         assert_eq!(child.total_ns, 3_000);
         assert_eq!(root.child_ns, 3_000);
         assert_eq!(root.self_ns, 1_500);
@@ -1134,20 +1129,18 @@ mod tests {
         let rec = nested();
         let p = Profile::build(&rec);
         let s = &p.packets[0].slices;
+        let names = |s: &Slice| p.triple_names(&s.at);
         // arrival -> guard eval: guard work at ethernet.
-        assert_eq!(s[0].at.handler, "guard");
-        assert_eq!(s[0].at.layer, "ethernet");
+        assert_eq!(names(&s[0]), ["ethernet", "kernel", "guard"]);
         assert_eq!(s[0].ns(), 300);
         // guard -> enter: dispatch.
-        assert_eq!(s[1].at.handler, "dispatch");
+        assert_eq!(names(&s[1])[2], "dispatch");
         // tx gap runs under the innermost open domain.
-        let tx = s.iter().find(|s| s.at.handler == "tx").unwrap();
-        assert_eq!(tx.at.layer, "driver");
-        assert_eq!(tx.at.domain, "echo-ext");
+        let tx = s.iter().find(|s| names(s)[2] == "tx").unwrap();
+        assert_eq!(names(tx), ["driver", "echo-ext", "tx"]);
         // exits charge the handler's own (tail) time to its domain.
-        let udp_exit = s.iter().find(|s| s.at.handler == "Udp.PacketRecv").unwrap();
-        assert_eq!(udp_exit.at.domain, "echo-ext");
-        assert_eq!(udp_exit.at.layer, "udp");
+        let udp_exit = s.iter().find(|s| names(s)[2] == "Udp.PacketRecv").unwrap();
+        assert_eq!(names(udp_exit)[..2], ["udp", "echo-ext"]);
     }
 
     #[test]
@@ -1157,11 +1150,11 @@ mod tests {
         let rec = Recorder::new(5);
         let ev = rec.intern("Udp.PacketRecv");
         let dom = rec.intern("udp");
-        rec.packet_arrival(100, "Ethernet", "", 60, None);
+        rec.packet_arrival(100, rec.intern("Ethernet"), rec.intern(""), 60, None);
         let s0 = rec.handler_enter(200, ev, dom);
         rec.handler_exit(900, ev, dom, s0);
         rec.packet_done();
-        rec.packet_arrival(1_000, "Ethernet", "", 60, None);
+        rec.packet_arrival(1_000, rec.intern("Ethernet"), rec.intern(""), 60, None);
         let s1 = rec.handler_enter(1_100, ev, dom);
         rec.handler_exit(1_900, ev, dom, s1);
         rec.packet_done();
@@ -1188,7 +1181,7 @@ mod tests {
         let rec = Recorder::new(64);
         let ev = rec.intern("Udp.PacketRecv");
         let dom = rec.intern("udp");
-        rec.packet_arrival(100, "Ethernet", "", 60, None);
+        rec.packet_arrival(100, rec.intern("Ethernet"), rec.intern(""), 60, None);
         rec.handler_enter(200, ev, dom);
         rec.packet_drop(700, "udp", "no_port");
         rec.packet_done();
@@ -1219,7 +1212,7 @@ mod tests {
         let ev = rec.intern("Udp.PacketRecv");
         let dom = rec.intern("udp");
         for i in 0..3 {
-            rec.packet_arrival(i * 1_000, "Ethernet", "", 60, None);
+            rec.packet_arrival(i * 1_000, rec.intern("Ethernet"), rec.intern(""), 60, None);
             let s = rec.handler_enter(i * 1_000 + 100, ev, dom);
             rec.handler_exit(i * 1_000 + 200, ev, dom, s);
             rec.packet_done();

@@ -1,23 +1,30 @@
 //! The recorder: interner + ring + registry + packet-ID generator.
 
+use std::borrow::Cow;
 use std::cell::{Cell, Ref, RefCell};
 use std::collections::HashMap;
 use std::rc::Rc;
+use std::sync::atomic::{AtomicU64, Ordering};
 
-use crate::live::{LiveAgg, LiveConfig, LiveReport, SealHook};
+use crate::live::{LiveAgg, LiveConfig, LiveReport};
 use crate::registry::{CounterKey, Registry, Scope};
 use crate::ring::Ring;
 use crate::{CrossDir, GuardKind, TraceEvent, TraceRecord};
 
 /// A handle to an interned string. `Copy`, so trace records carrying names
-/// stay allocation-free; resolve back with [`Recorder::name`].
+/// stay allocation-free; resolve back with [`Recorder::name`] (a label
+/// read out of a `Profile` with the profile's own `name`).
 #[derive(Clone, Copy, Debug, PartialEq, Eq, PartialOrd, Ord, Hash)]
 pub struct Label(pub(crate) u32);
 
-#[derive(Debug, Default)]
+/// The name table: every fold works on [`Label`]s and comes back here
+/// only when it writes bytes.
+#[derive(Clone, Debug, Default, PartialEq, Eq)]
 pub(crate) struct Interner {
     names: Vec<String>,
     index: HashMap<String, u32>,
+    /// Event label → layer label, filled by [`Interner::layer`].
+    layers: Vec<Option<Label>>,
 }
 
 impl Interner {
@@ -34,7 +41,72 @@ impl Interner {
     pub(crate) fn get(&self, label: Label) -> &str {
         &self.names[label.0 as usize]
     }
+
+    /// The label `s` already has, if it was ever interned.
+    pub(crate) fn lookup(&self, s: &str) -> Option<Label> {
+        self.index.get(s).copied().map(Label)
+    }
+
+    /// The layer of an event name — its lowercased dot-prefix,
+    /// `"Ethernet.PacketRecv"` → `"ethernet"` — as a label; string work
+    /// once per distinct event name, not once per record.
+    pub(crate) fn layer(&mut self, event: Label) -> Label {
+        let at = event.0 as usize;
+        if let Some(Some(layer)) = self.layers.get(at) {
+            return *layer;
+        }
+        let name = self.get(event);
+        let prefix = name.split('.').next().unwrap_or(name).to_ascii_lowercase();
+        let layer = self.intern(&prefix);
+        if self.layers.len() <= at {
+            self.layers.resize(at + 1, None);
+        }
+        self.layers[at] = Some(layer);
+        layer
+    }
 }
+
+/// A name that instrumented code records on every packet — an event
+/// table's, a handler owner's, a NIC's — with its [`Label`] in the
+/// recorder that asked last, so the steady state is a compare, not a
+/// string hash. Looked up on first use and whenever a different recorder
+/// asks: a replaced recorder never sees another's label.
+#[derive(Debug, Default)]
+pub struct Name {
+    text: Cow<'static, str>,
+    label: Cell<Option<(u64, Label)>>,
+}
+
+impl Name {
+    /// Wraps `text` (a literal is borrowed, not copied); no recorder is
+    /// touched until [`Name::label`].
+    pub fn new(text: impl Into<Cow<'static, str>>) -> Name {
+        Name {
+            text: text.into(),
+            label: Cell::new(None),
+        }
+    }
+
+    /// The name itself.
+    pub fn as_str(&self) -> &str {
+        &self.text
+    }
+
+    /// This name's label in `rec`.
+    pub fn label(&self, rec: &Recorder) -> Label {
+        match self.label.get() {
+            Some((id, label)) if id == rec.id => label,
+            _ => {
+                let label = rec.intern(&self.text);
+                self.label.set(Some((rec.id, label)));
+                label
+            }
+        }
+    }
+}
+
+/// Source of [`Recorder::id`]s; a plain counter, it publishes no data.
+static NEXT_RECORDER_ID: AtomicU64 = AtomicU64::new(0);
 
 /// The flight recorder: a bounded event ring plus a metrics [`Registry`],
 /// stamped entirely from the simulated clock.
@@ -45,6 +117,8 @@ impl Interner {
 /// installed the hot path pays a single `Option` test.
 #[derive(Debug)]
 pub struct Recorder {
+    /// What a [`Name`] remembers its label by.
+    id: u64,
     ring: RefCell<Ring>,
     registry: Registry,
     interner: RefCell<Interner>,
@@ -55,12 +129,17 @@ pub struct Recorder {
     current_packet: Cell<Option<u64>>,
     current_journey: Cell<Option<u64>>,
     live: RefCell<Option<LiveAgg>>,
+    /// The names the entry points below record themselves.
+    engine: Name,
+    terminated: Name,
+    crossings: [Name; 2],
 }
 
 impl Recorder {
     /// Creates a recorder whose ring retains `capacity` records.
     pub fn new(capacity: usize) -> Rc<Recorder> {
         Rc::new(Recorder {
+            id: NEXT_RECORDER_ID.fetch_add(1, Ordering::Relaxed),
             ring: RefCell::new(Ring::new(capacity)),
             registry: Registry::default(),
             interner: RefCell::new(Interner::default()),
@@ -71,6 +150,10 @@ impl Recorder {
             current_packet: Cell::new(None),
             current_journey: Cell::new(None),
             live: RefCell::new(None),
+            engine: Name::new("engine"),
+            terminated: Name::new("handler_terminated"),
+            crossings: [CrossDir::UserToKernel, CrossDir::KernelToUser]
+                .map(|d| Name::new(d.name())),
         })
     }
 
@@ -83,16 +166,6 @@ impl Recorder {
         let empty = self.intern("");
         let live_label = self.intern("live");
         *self.live.borrow_mut() = Some(LiveAgg::new(config, empty, live_label));
-    }
-
-    /// Installs a callback invoked once per sealed window (watermark
-    /// seals during the run, then the rest at [`Recorder::live_report`]).
-    /// The callback must not record into this recorder — the live tier is
-    /// borrowed for the duration of the call.
-    pub fn on_live_seal(&self, hook: SealHook) {
-        if let Some(live) = self.live.borrow_mut().as_mut() {
-            live.on_seal(hook);
-        }
     }
 
     /// Seals every remaining window and returns the live tier's report
@@ -110,13 +183,19 @@ impl Recorder {
         self.interner.borrow_mut().intern(s)
     }
 
-    /// Resolves an interned label back to its string.
+    /// Resolves an interned label back to its string, borrowed from the
+    /// name table: nothing may intern while the borrow is held.
     ///
     /// # Panics
     ///
     /// Panics if `label` did not come from this recorder.
-    pub fn name(&self, label: Label) -> String {
-        self.interner.borrow().names[label.0 as usize].clone()
+    pub fn name(&self, label: Label) -> Ref<'_, str> {
+        Ref::map(self.names(), |names| names.get(label))
+    }
+
+    /// The name table borrowed once, for a fold's whole walk.
+    pub(crate) fn names(&self) -> Ref<'_, Interner> {
+        self.interner.borrow()
     }
 
     /// The metrics registry.
@@ -203,8 +282,8 @@ impl Recorder {
     pub fn packet_arrival(
         &self,
         at_ns: u64,
-        nic: &str,
-        host: &str,
+        nic: Label,
+        host: Label,
         bytes: usize,
         journey: Option<u64>,
     ) -> (u64, u64) {
@@ -213,8 +292,6 @@ impl Recorder {
         self.current_packet.set(Some(id));
         let journey = journey.unwrap_or_else(|| self.alloc_journey());
         self.current_journey.set(Some(journey));
-        let nic = self.intern(nic);
-        let host = self.intern(host);
         self.push(
             at_ns,
             TraceEvent::PacketArrival {
@@ -355,7 +432,7 @@ impl Recorder {
 
     /// An over-budget ephemeral handler was terminated (§3.3).
     pub fn handler_terminated(&self, at_ns: u64, event: Label, domain: Label) {
-        let reason = self.intern("handler_terminated");
+        let reason = self.terminated.label(self);
         self.push(
             at_ns,
             TraceEvent::Drop {
@@ -392,8 +469,8 @@ impl Recorder {
     pub fn packet_tx(
         &self,
         at_ns: u64,
-        nic: &str,
-        host: &str,
+        nic: Label,
+        host: Label,
         bytes: usize,
         queue_ns: u64,
         wait_ns: u64,
@@ -402,8 +479,6 @@ impl Recorder {
         journey: Option<u64>,
     ) {
         debug_assert!(queue_ns <= wait_ns, "queue wait is a share of the wait");
-        let nic = self.intern(nic);
-        let host = self.intern(host);
         self.push_with_journey(
             at_ns,
             TraceEvent::PacketTx {
@@ -432,13 +507,11 @@ impl Recorder {
     pub fn rx_interrupt(
         &self,
         at_ns: u64,
-        nic: &str,
-        host: &str,
+        nic: Label,
+        host: Label,
         frames: usize,
         ring_after: usize,
     ) {
-        let nic = self.intern(nic);
-        let host = self.intern(host);
         self.push(
             at_ns,
             TraceEvent::RxInterrupt {
@@ -453,7 +526,7 @@ impl Recorder {
     /// A cancelable engine timer fired.
     pub fn timer_fire(&self, at_ns: u64) {
         self.push(at_ns, TraceEvent::TimerFire);
-        let label = self.intern("engine");
+        let label = self.engine.label(self);
         self.count(Scope::Timer, label, "fires", 1);
     }
 
@@ -466,7 +539,7 @@ impl Recorder {
                 bytes: bytes as u32,
             },
         );
-        let label = self.intern(dir.name());
+        let label = self.crossings[dir as usize].label(self);
         self.count(Scope::Crossing, label, "count", 1);
         self.count(Scope::Crossing, label, "bytes", bytes as u64);
     }
@@ -483,14 +556,14 @@ mod tests {
         let b = rec.intern("ip_recv");
         assert_ne!(a, b);
         assert_eq!(rec.intern("udp_recv"), a);
-        assert_eq!(rec.name(a), "udp_recv");
-        assert_eq!(rec.name(b), "ip_recv");
+        assert_eq!(&*rec.name(a), "udp_recv");
+        assert_eq!(&*rec.name(b), "ip_recv");
     }
 
     #[test]
     fn packet_ids_are_sequential_and_attributed() {
         let rec = Recorder::new(32);
-        let (p0, _) = rec.packet_arrival(100, "Ethernet", "", 60, None);
+        let (p0, _) = rec.packet_arrival(100, rec.intern("Ethernet"), rec.intern(""), 60, None);
         let ev = rec.intern("eth_recv");
         let dom = rec.intern("kernel");
         let span = rec.handler_enter(150, ev, dom);
@@ -499,7 +572,7 @@ mod tests {
         rec.handler_exit(170, ev, dom, 1);
         rec.handler_exit(180, ev, dom, span);
         rec.packet_done();
-        let (p1, _) = rec.packet_arrival(900, "Ethernet", "", 61, None);
+        let (p1, _) = rec.packet_arrival(900, rec.intern("Ethernet"), rec.intern(""), 61, None);
         rec.packet_done();
         assert_eq!((p0, p1), (0, 1));
         let evs = rec.events();

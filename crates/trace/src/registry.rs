@@ -56,7 +56,7 @@ impl Scope {
 /// Key of one counter: `(scope, interned label, static metric name)`.
 ///
 /// `Copy`, so steady-state increments do no allocation — the only
-/// allocation a counter ever causes is the `BTreeMap` node on first touch.
+/// allocation a counter ever causes is its table slot on first touch.
 #[derive(Clone, Copy, Debug, PartialEq, Eq, PartialOrd, Ord)]
 pub struct CounterKey {
     /// Namespace of the label.
@@ -172,34 +172,43 @@ impl Histogram {
 
 /// Deterministic store of counters and histograms.
 ///
-/// `BTreeMap` keyed by `Copy` keys: iteration order is fixed by key order,
-/// never by insertion hash, so exports are reproducible.
+/// Counters sit in a table indexed by label, each label holding the few
+/// keys recorded under it: an increment is an index and a short scan,
+/// with no string ordered against another. Snapshots are sorted by key,
+/// never by insertion, so exports are reproducible.
 #[derive(Debug, Default)]
 pub struct Registry {
-    counters: RefCell<BTreeMap<CounterKey, u64>>,
+    counters: RefCell<Vec<Vec<(CounterKey, u64)>>>,
     hists: RefCell<BTreeMap<Label, Histogram>>,
 }
 
 impl Registry {
     /// Adds `delta` to a counter (saturating).
     pub fn add(&self, key: CounterKey, delta: u64) {
-        let mut map = self.counters.borrow_mut();
-        let slot = map.entry(key).or_insert(0);
-        *slot = slot.saturating_add(delta);
+        let mut by_label = self.counters.borrow_mut();
+        let at = key.label.0 as usize;
+        if by_label.len() <= at {
+            by_label.resize_with(at + 1, Vec::new);
+        }
+        match by_label[at].iter_mut().find(|(k, _)| *k == key) {
+            Some((_, n)) => *n = n.saturating_add(delta),
+            None => by_label[at].push((key, delta)),
+        }
     }
 
     /// Current value of a counter (0 if never touched).
     pub fn get(&self, key: CounterKey) -> u64 {
-        self.counters.borrow().get(&key).copied().unwrap_or(0)
+        let by_label = self.counters.borrow();
+        let of_label = by_label.get(key.label.0 as usize);
+        let found = of_label.and_then(|l| l.iter().find(|(k, _)| *k == key));
+        found.map_or(0, |&(_, n)| n)
     }
 
     /// Snapshot of every counter, in key order.
     pub fn counters(&self) -> Vec<(CounterKey, u64)> {
-        self.counters
-            .borrow()
-            .iter()
-            .map(|(k, v)| (*k, *v))
-            .collect()
+        let mut all: Vec<_> = self.counters.borrow().iter().flatten().copied().collect();
+        all.sort();
+        all
     }
 
     /// Records a value into the named histogram.

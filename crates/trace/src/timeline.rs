@@ -19,7 +19,8 @@
 
 use std::collections::BTreeMap;
 
-use crate::json::escape;
+use crate::json::{escaped, or_null, put};
+use crate::recorder::Interner;
 use crate::{Label, Recorder, TraceEvent};
 
 /// Default window width: 10 ms of simulated time.
@@ -98,8 +99,9 @@ impl Pending {
     }
 
     /// The drops as the `(layer, reason) -> count` map [`Window::drops`]
-    /// reports, with labels resolved through `name`.
-    pub(crate) fn drops(&self, name: impl Fn(Label) -> String) -> BTreeMap<(String, String), u64> {
+    /// reports, with labels resolved through `names`.
+    pub(crate) fn drops(&self, names: &Interner) -> BTreeMap<(String, String), u64> {
+        let name = |l| names.get(l).to_owned();
         self.drops
             .iter()
             .map(|(&(layer, reason), &n)| ((name(layer), name(reason)), n))
@@ -176,28 +178,18 @@ pub struct Timeline {
     pub truncated_records: u64,
 }
 
-impl Timeline {
-    /// Index of the window with the highest p99 latency (ties go to the
-    /// earliest window), or `None` when no window completed a sample.
-    pub fn worst_p99_window(&self) -> Option<&Window> {
-        self.windows
-            .iter()
-            .filter(|w| w.completions > 0)
-            .max_by(|a, b| a.p99_ns.cmp(&b.p99_ns).then(b.index.cmp(&a.index)))
-    }
+/// The window with the highest p99 latency (ties go to the earliest
+/// window), or `None` when no window completed a sample.
+pub fn worst_p99_window(windows: &[Window]) -> Option<&Window> {
+    let sampled = windows.iter().filter(|w| w.completions > 0);
+    sampled.max_by(|a, b| a.p99_ns.cmp(&b.p99_ns).then(b.index.cmp(&a.index)))
+}
 
-    /// Index of the window with the most drops (ties go to the earliest
-    /// window), or `None` when nothing was dropped.
-    pub fn worst_drop_window(&self) -> Option<&Window> {
-        self.windows
-            .iter()
-            .filter(|w| w.drop_count() > 0)
-            .max_by(|a, b| {
-                a.drop_count()
-                    .cmp(&b.drop_count())
-                    .then(b.index.cmp(&a.index))
-            })
-    }
+/// The window with the most drops (ties go to the earliest window), or
+/// `None` when nothing was dropped.
+pub fn worst_drop_window(windows: &[Window]) -> Option<&Window> {
+    let dropping = windows.iter().filter(|w| w.drop_count() > 0);
+    dropping.max_by_key(|w| (w.drop_count(), std::cmp::Reverse(w.index)))
 }
 
 /// Nearest-rank percentile over a sorted slice (`q` in percent; 0 for an
@@ -212,31 +204,49 @@ pub fn percentile(sorted: &[u64], q: f64) -> u64 {
     sorted[rank.clamp(1, n) - 1]
 }
 
+/// The most windows one fold spans. Windows are dense from time zero, so
+/// a width that needs more is refused rather than allocated.
+pub const MAX_WINDOWS: u64 = 1 << 20;
+
+/// The last timestamp in the ring. Transmit records are stamped at their
+/// (possibly future) handover instant, so the ring is not sorted by
+/// timestamp: take the max.
+fn last_ns(rec: &Recorder) -> Option<u64> {
+    rec.ring().iter().map(|r| r.at_ns).max()
+}
+
+/// The narrowest window [`build`] accepts for `rec`'s retained ring: the
+/// one that spreads it over exactly [`MAX_WINDOWS`].
+pub fn min_window_ns(rec: &Recorder) -> u64 {
+    last_ns(rec).unwrap_or(0) / MAX_WINDOWS + 1
+}
+
 /// Folds the recorder's retained ring into fixed `window_ns`-wide windows.
 ///
 /// # Panics
 ///
-/// Panics if `window_ns` is zero.
+/// Panics if `window_ns` is zero or narrower than [`min_window_ns`].
 pub fn build(rec: &Recorder, window_ns: u64) -> Timeline {
     assert!(window_ns > 0, "window width must be positive");
+    let n_windows = last_ns(rec).map_or(0, |last_ns| last_ns / window_ns + 1);
+    // (The message's walk over the ring happens only on failure.)
+    assert!(
+        n_windows <= MAX_WINDOWS,
+        "window width {window_ns} ns is below {} ns",
+        min_window_ns(rec)
+    );
     let ring = rec.ring();
-    // Transmit records are stamped at their (possibly future) handover
-    // instant, so the ring is not sorted by timestamp: take the max.
-    let n_windows = ring
-        .iter()
-        .map(|r| r.at_ns)
-        .max()
-        .map_or(0, |last_ns| (last_ns / window_ns + 1) as usize);
-    let mut open: Vec<(Window, Pending)> = (0..n_windows as u64).map(Pending::open).collect();
+    let mut open: Vec<(Window, Pending)> = (0..n_windows).map(Pending::open).collect();
     for r in ring.iter() {
         let (w, pending) = &mut open[(r.at_ns / window_ns) as usize];
         w.update(&r.event, pending);
     }
+    let names = rec.names();
     let windows = open
         .into_iter()
         .map(|(mut w, mut pending)| {
             w.seal(&mut pending);
-            w.drops = pending.drops(|l| rec.name(l));
+            w.drops = pending.drops(&names);
             w
         })
         .collect();
@@ -253,74 +263,68 @@ pub fn build(rec: &Recorder, window_ns: u64) -> Timeline {
 /// from time zero.
 pub fn timeline_json(t: &Timeline) -> String {
     let mut out = String::from("{\n  \"schema\": \"plexus.timeline.v1\",\n");
-    out.push_str(&format!("  \"window_ns\": {},\n", t.window_ns));
-    out.push_str(&format!(
-        "  \"truncated_records\": {},\n",
-        t.truncated_records
-    ));
-    out.push_str(&format!(
-        "  \"worst_p99_window\": {},\n",
-        t.worst_p99_window()
-            .map_or(String::from("null"), |w| w.index.to_string())
-    ));
-    out.push_str(&format!(
-        "  \"worst_drop_window\": {},\n",
-        t.worst_drop_window()
-            .map_or(String::from("null"), |w| w.index.to_string())
-    ));
+    put!(out, "  \"window_ns\": {},\n", t.window_ns);
+    put!(out, "  \"truncated_records\": {},\n", t.truncated_records);
+    worst_windows_json(&mut out, &t.windows);
+    windows_json(&mut out, &t.windows, t.window_ns);
+    out
+}
+
+/// The `worst_p99_window` / `worst_drop_window` lines the timeline and
+/// the live document share.
+pub(crate) fn worst_windows_json(out: &mut String, windows: &[Window]) {
+    let worst_p99 = or_null(worst_p99_window(windows).map(|w| w.index));
+    put!(out, "  \"worst_p99_window\": {worst_p99},\n");
+    let worst_drop = or_null(worst_drop_window(windows).map(|w| w.index));
+    put!(out, "  \"worst_drop_window\": {worst_drop},\n");
+}
+
+/// The closing `windows` array of both documents, one window per line.
+pub(crate) fn windows_json(out: &mut String, windows: &[Window], window_ns: u64) {
     out.push_str("  \"windows\": [");
-    for (i, w) in t.windows.iter().enumerate() {
-        if i > 0 {
-            out.push(',');
-        }
-        out.push_str("\n    ");
-        out.push_str(&window_json(w, t.window_ns));
+    for (i, w) in windows.iter().enumerate() {
+        out.push_str(if i > 0 { ",\n    " } else { "\n    " });
+        window_json(out, w, window_ns);
     }
-    out.push_str(if t.windows.is_empty() {
+    out.push_str(if windows.is_empty() {
         "]\n}\n"
     } else {
         "\n  ]\n}\n"
     });
-    out
 }
 
-/// One window as a JSON object — shared by [`timeline_json`] and the live
-/// tier's `plexus.live.v1` emitter, so value-identical windows are also
-/// byte-identical on the wire.
-pub fn window_json(w: &Window, window_ns: u64) -> String {
-    let mut out = format!(
-        "{{\"index\": {}, \"start_ns\": {}, \"arrivals\": {}, \
-         \"arrival_bytes\": {}, \"tx_frames\": {}, \"tx_bytes\": {}, \
-         \"tx_wait_max_ns\": {}, \"tx_queue_max_ns\": {}, \"completions\": {}, \
-         \"p50_ns\": {}, \"p99_ns\": {}, \"interrupts\": {}, \
-         \"interrupt_frames\": {}, \"rx_ring_highwater\": {}, \"drops\": [",
-        w.index,
-        w.index * window_ns,
-        w.arrivals,
-        w.arrival_bytes,
-        w.tx_frames,
-        w.tx_bytes,
-        w.tx_wait_max_ns,
-        w.tx_queue_max_ns,
-        w.completions,
-        w.p50_ns,
-        w.p99_ns,
-        w.interrupts,
-        w.interrupt_frames,
-        w.rx_ring_highwater
+/// Appends one window as a JSON object — shared by [`timeline_json`] and
+/// the live tier's `plexus.live.v1` emitter, so value-identical windows
+/// are also byte-identical on the wire.
+pub fn window_json(out: &mut String, w: &Window, window_ns: u64) {
+    let (index, start_ns, arrivals, arrival_bytes) =
+        (w.index, w.index * window_ns, w.arrivals, w.arrival_bytes);
+    let (tx_frames, tx_bytes, tx_wait, tx_queue) =
+        (w.tx_frames, w.tx_bytes, w.tx_wait_max_ns, w.tx_queue_max_ns);
+    let (completions, p50_ns, p99_ns, interrupts) =
+        (w.completions, w.p50_ns, w.p99_ns, w.interrupts);
+    let (interrupt_frames, highwater) = (w.interrupt_frames, w.rx_ring_highwater);
+    put!(
+        out,
+        "{{\"index\": {index}, \"start_ns\": {start_ns}, \"arrivals\": {arrivals}, \
+         \"arrival_bytes\": {arrival_bytes}, \"tx_frames\": {tx_frames}, \"tx_bytes\": {tx_bytes}, \
+         \"tx_wait_max_ns\": {tx_wait}, \"tx_queue_max_ns\": {tx_queue}, \
+         \"completions\": {completions}, \"p50_ns\": {p50_ns}, \"p99_ns\": {p99_ns}, \
+         \"interrupts\": {interrupts}, \"interrupt_frames\": {interrupt_frames}, \
+         \"rx_ring_highwater\": {highwater}, \"drops\": ["
     );
     for (j, ((layer, reason), n)) in w.drops.iter().enumerate() {
-        if j > 0 {
-            out.push_str(", ");
-        }
-        out.push_str(&format!(
-            "{{\"layer\": \"{}\", \"reason\": \"{}\", \"count\": {n}}}",
-            escape(layer),
-            escape(reason)
-        ));
+        let (sep, layer, reason) = (
+            if j > 0 { ", " } else { "" },
+            escaped(layer),
+            escaped(reason),
+        );
+        put!(
+            out,
+            "{sep}{{\"layer\": \"{layer}\", \"reason\": \"{reason}\", \"count\": {n}}}"
+        );
     }
     out.push_str("]}");
-    out
 }
 
 #[cfg(test)]
@@ -341,15 +345,15 @@ mod tests {
     #[test]
     fn windows_are_dense_and_events_land_in_the_right_one() {
         let rec = Recorder::new(64);
-        rec.packet_arrival(500, "Ethernet", "", 60, None);
+        rec.packet_arrival(500, rec.intern("Ethernet"), rec.intern(""), 60, None);
         rec.packet_done();
-        rec.packet_arrival(1_500, "Ethernet", "", 40, None);
+        rec.packet_arrival(1_500, rec.intern("Ethernet"), rec.intern(""), 40, None);
         rec.packet_drop(1_600, "ip", "no_route");
         rec.packet_done();
         let hist = rec.intern("rtt");
         rec.sample(3_500, hist, 42);
         rec.sample(3_600, hist, 100);
-        rec.rx_interrupt(3_700, "Ethernet", "", 4, 2);
+        rec.rx_interrupt(3_700, rec.intern("Ethernet"), rec.intern(""), 4, 2);
 
         let t = build(&rec, 1_000);
         assert_eq!(t.windows.len(), 4, "dense through the last record");
@@ -370,21 +374,55 @@ mod tests {
         assert_eq!(w3.p99_ns, 100);
         assert_eq!(w3.interrupts, 1);
         assert_eq!(w3.rx_ring_highwater, 6);
-        assert_eq!(t.worst_p99_window().unwrap().index, 3);
-        assert_eq!(t.worst_drop_window().unwrap().index, 1);
+        assert_eq!(worst_p99_window(&t.windows).unwrap().index, 3);
+        assert_eq!(worst_drop_window(&t.windows).unwrap().index, 1);
     }
 
     #[test]
     fn future_stamped_tx_records_extend_the_window_range() {
         let rec = Recorder::new(64);
-        rec.packet_arrival(500, "Ethernet", "", 60, None);
+        rec.packet_arrival(500, rec.intern("Ethernet"), rec.intern(""), 60, None);
         // A queued transmit whose handover instant postdates every other
         // record: the window range must still cover it.
-        rec.packet_tx(2_500, "Ethernet", "", 60, 0, 0, 0, 0, rec.current_journey());
+        rec.packet_tx(
+            2_500,
+            rec.intern("Ethernet"),
+            rec.intern(""),
+            60,
+            0,
+            0,
+            0,
+            0,
+            rec.current_journey(),
+        );
         rec.packet_done();
         let t = build(&rec, 1_000);
         assert_eq!(t.windows.len(), 3);
         assert_eq!(t.windows[2].tx_frames, 1);
+    }
+
+    #[test]
+    fn the_narrowest_window_spreads_the_run_over_max_windows() {
+        let rec = Recorder::new(8);
+        assert_eq!(min_window_ns(&rec), 1, "an empty ring folds at any width");
+        let hist = rec.intern("rtt");
+        rec.sample(3 * MAX_WINDOWS - 1, hist, 7);
+        assert_eq!(min_window_ns(&rec), 3);
+        assert_eq!(
+            (3 * MAX_WINDOWS - 1) / 3 + 1,
+            MAX_WINDOWS,
+            "exactly the cap"
+        );
+        rec.sample(3 * MAX_WINDOWS, hist, 7);
+        assert_eq!(min_window_ns(&rec), 4);
+    }
+
+    #[test]
+    #[should_panic(expected = "below 4 ns")]
+    fn a_window_narrower_than_that_is_refused_not_allocated() {
+        let rec = Recorder::new(8);
+        rec.sample(3 * MAX_WINDOWS, rec.intern("rtt"), 7);
+        build(&rec, 3);
     }
 
     #[test]
@@ -394,14 +432,14 @@ mod tests {
         rec.sample(100, hist, 7);
         rec.sample(1_100, hist, 7);
         let t = build(&rec, 1_000);
-        assert_eq!(t.worst_p99_window().unwrap().index, 0);
+        assert_eq!(worst_p99_window(&t.windows).unwrap().index, 0);
     }
 
     #[test]
     fn timeline_json_is_valid_and_deterministic() {
         let make = || {
             let rec = Recorder::new(64);
-            rec.packet_arrival(500, "Ethernet", "", 60, None);
+            rec.packet_arrival(500, rec.intern("Ethernet"), rec.intern(""), 60, None);
             rec.packet_drop(700, "udp", "no_port");
             rec.packet_done();
             let hist = rec.intern("rtt");

@@ -3,14 +3,18 @@
 //! (chrome trace, stats, profile JSON, folded stacks) must stay
 //! well-formed and internally consistent — including saturating-counter
 //! extremes, log2-histogram edge buckets, interned-label reuse, and the
-//! empty recorder.
+//! empty recorder — and every name must read back as it was recorded.
+//! One hand-built recorder pins all seven artifacts by bytes.
+
+use std::rc::Rc;
 
 use plexus_trace::export::{chrome_trace, stats_json};
 use plexus_trace::flame::folded;
+use plexus_trace::journey::{self, journeys_json};
 use plexus_trace::json::{self, Value};
-use plexus_trace::live::{live_json, LiveConfig};
-use plexus_trace::profile::{profile_json, Profile, Slice};
-use plexus_trace::{timeline, CrossDir, GuardKind, Recorder, Scope};
+use plexus_trace::live::{live_json, LiveConfig, Slo};
+use plexus_trace::profile::{pingpong_waterfall, profile_json, Profile, Slice};
+use plexus_trace::{timeline, CrossDir, GuardKind, Label, Recorder, Scope, TraceEvent};
 use proptest::prelude::*;
 
 /// A small closed label vocabulary (the vendored proptest has no string
@@ -22,23 +26,41 @@ const LABELS: &[&str] = &[
     "kernel",
     "weird \"quoted\" name",
     "tab\there",
+    "back\\slash",
+    "ctl\u{1}\u{1f}",
+    "nön-äscii ✓",
 ];
 
 fn label(i: usize) -> &'static str {
     LABELS[i % LABELS.len()]
 }
 
+/// The labels a record carries, for the Chrome-name check.
+fn labels_of(event: &TraceEvent) -> Vec<Label> {
+    match *event {
+        TraceEvent::PacketArrival { nic, .. }
+        | TraceEvent::PacketTx { nic, .. }
+        | TraceEvent::RxInterrupt { nic, .. } => vec![nic],
+        TraceEvent::GuardEval { event, .. } => vec![event],
+        TraceEvent::HandlerEnter { event, domain, .. }
+        | TraceEvent::HandlerExit { event, domain, .. } => vec![event, domain],
+        TraceEvent::Drop { layer, reason } => vec![layer, reason],
+        TraceEvent::LatencySample { hist, .. } => vec![hist],
+        TraceEvent::TimerFire | TraceEvent::Crossing { .. } => vec![],
+    }
+}
+
 /// One synthetic step per packet: enter/exit pairs interleaved with
 /// guards, drops, crossings, and timers, driven by small integers.
 fn populate(rec: &Recorder, steps: &[(usize, usize, u64)]) {
     let mut at = 0u64;
-    let mut open: Vec<(plexus_trace::Label, plexus_trace::Label, u64)> = Vec::new();
-    rec.packet_arrival(at, "Ethernet", "", 60, None);
+    let mut open: Vec<(Label, Label, u64)> = Vec::new();
+    rec.packet_arrival(at, rec.intern("Ethernet"), rec.intern(""), 60, None);
     for &(kind, which, dt) in steps {
         at += dt;
         let ev = rec.intern(label(which));
         let dom = rec.intern(label(which + 1));
-        match kind % 8 {
+        match kind % 9 {
             0 => {
                 let span = rec.handler_enter(at, ev, dom);
                 open.push((ev, dom, span));
@@ -52,7 +74,7 @@ fn populate(rec: &Recorder, steps: &[(usize, usize, u64)]) {
             3 => rec.packet_drop(at, label(which), label(which + 2)),
             4 => rec.crossing(at, CrossDir::UserToKernel, which),
             5 => rec.sample(at, ev, dt),
-            6 => rec.rx_interrupt(at, "Ethernet", "", which + 1, which),
+            6 => rec.rx_interrupt(at, rec.intern("Ethernet"), rec.intern(""), which + 1, which),
             _ => rec.timer_fire(at),
         }
     }
@@ -63,30 +85,116 @@ fn populate(rec: &Recorder, steps: &[(usize, usize, u64)]) {
     rec.packet_done();
 }
 
+/// Every name a `populate` run can emit: the labels, the layers derived
+/// from them, and the structural names the profiler adds. A name that
+/// comes back from `json::parse` outside this set was escaped wrongly.
+fn vocabulary() -> Vec<String> {
+    let mut names: Vec<String> = LABELS.iter().map(|l| l.to_string()).collect();
+    names.extend(
+        LABELS
+            .iter()
+            .map(|l| l.split('.').next().unwrap().to_ascii_lowercase()),
+    );
+    let structural = [
+        "Ethernet",
+        "kernel",
+        "guard",
+        "dispatch",
+        "boundary",
+        "driver",
+        "tx",
+        "engine",
+        "timer",
+        "tail",
+        "arrival",
+        "user->kernel",
+        "kernel->user",
+        "world",
+        "",
+    ];
+    names.extend(structural.map(String::from));
+    names
+}
+
+/// Collects every string found under a member named by `keys`.
+fn names_under<'a>(v: &'a Value, keys: &[&str], inside: bool, out: &mut Vec<&'a str>) {
+    match v {
+        Value::Str(s) if inside => out.push(s),
+        Value::Arr(items) => items.iter().for_each(|i| names_under(i, keys, inside, out)),
+        Value::Obj(members) => {
+            for (k, v) in members {
+                names_under(v, keys, inside || keys.contains(&k.as_str()), out);
+            }
+        }
+        _ => {}
+    }
+}
+
+/// Parses `body` and checks that every name under `keys` reads back as
+/// one of the names that went in.
+fn names_round_trip(what: &str, body: &str, keys: &[&str]) -> Result<Value, TestCaseError> {
+    let doc = json::parse(body);
+    prop_assert!(doc.is_ok(), "{} JSON invalid:\n{}", what, body);
+    let doc = doc.unwrap();
+    let (vocabulary, mut names) = (vocabulary(), Vec::new());
+    names_under(&doc, keys, false, &mut names);
+    for name in names {
+        prop_assert!(
+            vocabulary.iter().any(|v| v == name),
+            "{}: {:?} is no name that was recorded",
+            what,
+            name
+        );
+    }
+    Ok(doc)
+}
+
 proptest! {
     #[test]
     fn every_export_of_a_random_event_mix_round_trips_the_validator(
-        steps in prop::collection::vec((0usize..8, 0usize..6, 0u64..10_000), 0..64),
+        steps in prop::collection::vec((0usize..9, 0usize..9, 0u64..10_000), 0..64),
         ring_cap in 1usize..128,
     ) {
         let rec = Recorder::new(ring_cap);
         populate(&rec, &steps);
-        prop_assert!(json::parse(&chrome_trace(&rec)).is_ok());
-        prop_assert!(json::parse(&stats_json(&rec)).is_ok());
+        // Chrome event names are composed: each must contain, unescaped,
+        // the name of every label its record carries.
+        let trace = names_round_trip("trace", &chrome_trace(&rec), &["host"])?;
+        let events = trace.get("traceEvents").and_then(Value::as_arr).unwrap();
+        prop_assert_eq!(events.len(), rec.events().len());
+        for (event, record) in events.iter().zip(rec.events()) {
+            let name = event.get("name").and_then(Value::as_str).unwrap();
+            for label in labels_of(&record.event) {
+                prop_assert!(name.contains(&*rec.name(label)), "{:?} lost {:?}", name, label);
+            }
+        }
+        // Every counter is there under its flattened key, by value.
+        let stats = names_round_trip("stats", &stats_json(&rec), &[])?;
+        for (key, value) in rec.registry().counters() {
+            let flat = format!("{}.{}.{}", key.scope.name(), rec.name(key.label), key.metric);
+            let read = stats.get("counters").and_then(|c| c.get(&flat));
+            prop_assert_eq!(read.and_then(Value::as_u64), Some(value), "{}", flat);
+        }
         let profile = Profile::build(&rec);
-        let body = profile_json(&profile, None, 4);
-        prop_assert!(json::parse(&body).is_ok(), "profile JSON invalid:\n{}", body);
-        // Folded lines always parse back as "<stack> <ns>".
+        let named = ["layer", "domain", "handler", "event", "nic", "drops"];
+        names_round_trip("profile", &profile_json(&profile, None, 4), &named)?;
+        let journeys = journeys_json(&journey::build(&profile), 4);
+        names_round_trip("journeys", &journeys, &["machine", "nic", "origin_machine"])?;
+        let timeline = timeline::timeline_json(&timeline::build(&rec, 1 << 12));
+        names_round_trip("timeline", &timeline, &["layer", "reason"])?;
+        // Folded lines always parse back as "<stack> <ns>", names intact.
+        let vocabulary = vocabulary();
         for line in folded(&profile).lines() {
             let (stack, ns) = line.rsplit_once(' ').expect("folded line shape");
             prop_assert_eq!(stack.split(';').count(), 3);
+            prop_assert!(stack.split(';').all(|name| vocabulary.iter().any(|v| v == name)));
             prop_assert!(ns.parse::<u64>().is_ok());
         }
     }
 
     #[test]
     fn profile_slices_tile_each_window_even_under_wraparound(
-        steps in prop::collection::vec((0usize..8, 0usize..6, 0u64..10_000), 0..64),
+        steps in prop::collection::vec((0usize..9, 0usize..9, 0u64..10_000), 0..64),
         ring_cap in 1usize..32,
     ) {
         // Tiny rings force truncation; the invariant must hold for
@@ -109,7 +217,7 @@ proptest! {
 
     #[test]
     fn live_windows_are_value_identical_to_the_posthoc_timeline(
-        steps in prop::collection::vec((0usize..8, 0usize..6, 0u64..10_000), 0..64),
+        steps in prop::collection::vec((0usize..9, 0usize..9, 0u64..10_000), 0..64),
         window_exp in 10u32..20,
     ) {
         // On a truncation-free run (ring sized to the step count), the
@@ -130,10 +238,10 @@ proptest! {
         // Same values, same bytes: the live export reuses the timeline's
         // per-window serializer.
         for (lw, tw) in live.windows.iter().zip(&tl.windows) {
-            prop_assert_eq!(
-                timeline::window_json(lw, window_ns),
-                timeline::window_json(tw, window_ns)
-            );
+            let (mut live_bytes, mut tl_bytes) = (String::new(), String::new());
+            timeline::window_json(&mut live_bytes, lw, window_ns);
+            timeline::window_json(&mut tl_bytes, tw, window_ns);
+            prop_assert_eq!(live_bytes, tl_bytes);
         }
         // The scope roll-up invariant holds for arbitrary event mixes.
         let mut sum = plexus_trace::live::ScopeCounters::default();
@@ -142,8 +250,8 @@ proptest! {
         }
         sum.add(&live.unattributed.counters);
         prop_assert_eq!(sum, live.world.counters);
-        // And the live document itself always round-trips the validator.
-        prop_assert!(json::parse(&live_json(&live, 4)).is_ok());
+        // And the live document itself always parses, names intact.
+        names_round_trip("live", &live_json(&live, 4), &["name", "layer", "reason"])?;
     }
 
     #[test]
@@ -200,6 +308,132 @@ proptest! {
             .and_then(|c| c.get("app.dup.label.hits"))
             .and_then(Value::as_u64);
         prop_assert_eq!(hits, Some(n as u64));
+    }
+}
+
+const NIC: &str = "Ethérnet-ß";
+
+/// A recorder with every event kind, a wrapped ring (the oldest packet
+/// keeps an exit whose enter is gone), an unattributed transmit and two
+/// unattributed drops, a two-hop journey whose transmits queued behind
+/// their own tx rings, a filtered broadcast copy, an enter that never
+/// exits, and names that need every kind of escape.
+fn fixture() -> Rc<Recorder> {
+    let rec = Recorder::new(30);
+    let mut cfg = LiveConfig::new(1_000);
+    cfg.sample_every = 2;
+    cfg.slo = Some(Slo {
+        p99_ceiling_ns: Some(50),
+        drop_ppm_ceiling: Some(100_000),
+        goodput_floor: Some(1),
+        skip_head: 1,
+    });
+    rec.enable_live(cfg);
+    let quoted = rec.intern("Udp.\"quoted\"\\Recv");
+    let tabbed = rec.intern("tab\text");
+    let eth = rec.intern("Ethernet.PacketRecv");
+    let ip = rec.intern("ip");
+    let arrival = |at, host: &str, bytes, journey| {
+        rec.packet_arrival(at, rec.intern(NIC), rec.intern(host), bytes, journey)
+    };
+
+    // Packet 0: its arrival and enter are the two records the ring loses.
+    arrival(100, "old", 60, None);
+    let lost = rec.handler_enter(150, quoted, tabbed);
+    rec.guard_eval(180, quoted, GuardKind::Closure, false);
+    rec.handler_exit(300, quoted, tabbed, lost);
+    rec.packet_done();
+
+    // Outside any packet: two drops, a timer, a trap.
+    rec.packet_drop(400, "arp", "resolution_fäiled");
+    rec.timer_fire(450);
+    rec.crossing(460, CrossDir::UserToKernel, 0);
+    rec.packet_drop(470, "arp", "Abandoned");
+
+    // Origin send from engine context, 40 of its 100 ns wait behind its
+    // own tx ring.
+    let j = rec.tx_journey();
+    let (nic, origin) = (rec.intern(NIC), rec.intern("mach\u{1}ine"));
+    rec.packet_tx(1_000, nic, origin, 60, 40, 100, 500, 90, Some(j));
+
+    // Hop 1 on "fwd": the wire delivers at 1 690, the coalesced interrupt
+    // stamps the arrival at 1 700.
+    let fwd = rec.intern("fwd");
+    rec.rx_interrupt(1_700, nic, fwd, 2, 1);
+    arrival(1_700, "fwd", 60, Some(j));
+    rec.guard_eval(1_750, eth, GuardKind::Verified, true);
+    let outer = rec.handler_enter(1_800, eth, ip);
+    rec.crossing(1_850, CrossDir::KernelToUser, 8);
+    let inner = rec.handler_enter(1_900, quoted, tabbed);
+    rec.packet_tx(2_000, nic, fwd, 60, 25, 25, 500, 100, rec.current_journey());
+    rec.handler_exit(2_100, quoted, tabbed, inner);
+    rec.handler_terminated(2_100, quoted, tabbed);
+    rec.handler_exit(2_200, eth, ip, outer);
+    rec.packet_done();
+
+    // Hop 2 on "backend": arrives exactly when the wire says.
+    rec.rx_interrupt(2_625, nic, rec.intern("backend"), 1, 0);
+    arrival(2_625, "backend", 60, Some(j));
+    rec.guard_eval(2_650, quoted, GuardKind::Verified, false);
+    let span = rec.handler_enter(2_700, quoted, tabbed);
+    rec.packet_drop(2_800, "udp", "no_port");
+    rec.handler_exit(2_900, quoted, tabbed, span);
+    let rtt = rec.intern("rtt \"ns\"");
+    rec.sample(3_000, rtt, 2_000);
+    rec.packet_done();
+
+    // A broadcast copy of hop 2 that the MAC filter shed.
+    arrival(2_625, "bystander", 60, Some(j));
+    rec.packet_drop(2_625, "ether", "mac_filter");
+    rec.packet_done();
+
+    // A packet on an unnamed machine whose handler never returns.
+    arrival(4_100, "", 40, None);
+    rec.handler_enter(4_200, eth, ip);
+    rec.timer_fire(4_300);
+    rec.sample(4_400, rtt, 30);
+    rec.packet_done();
+    rec
+}
+
+/// The seven artifacts of [`fixture`] are, byte for byte, what the string-
+/// keyed folds wrote before they were rewritten to work on labels
+/// (`tests/expected/` was captured from that commit).
+#[test]
+fn every_artifact_of_the_fixture_is_the_expected_bytes() {
+    let rec = fixture();
+    assert_eq!((rec.recorded(), rec.overwritten()), (32, 2));
+    let profile = Profile::build(&rec);
+    assert_eq!(profile.truncation.orphan_packets, vec![0]);
+    assert_eq!(profile.truncation.unmatched_exits, 1);
+    assert_eq!(profile.truncation.unmatched_enters, 1);
+    assert_eq!(profile.unattributed_txs.len(), 1);
+    assert_eq!(profile.unattributed_drops.len(), 2);
+    assert!(pingpong_waterfall(&profile, "tab\text").is_err());
+    let journeys = journey::build(&profile);
+    let timeline = timeline::build(&rec, 1_000);
+    macro_rules! expected {
+        ($file:literal) => {
+            ($file, include_str!(concat!("expected/fixture.", $file)))
+        };
+    }
+    for ((file, expected), got) in [
+        (expected!("trace.json"), chrome_trace(&rec)),
+        (expected!("stats.json"), stats_json(&rec)),
+        (expected!("profile.json"), profile_json(&profile, None, 16)),
+        (expected!("journeys.json"), journeys_json(&journeys, 16)),
+        (
+            expected!("timeline.json"),
+            timeline::timeline_json(&timeline),
+        ),
+        (expected!("folded"), folded(&profile)),
+        // Last: the report seals the trailing windows, which the stats count.
+        (
+            expected!("live.json"),
+            live_json(&rec.live_report().unwrap(), 16),
+        ),
+    ] {
+        assert!(got == expected, "fixture.{file} drifted; got:\n{got}");
     }
 }
 

@@ -216,7 +216,10 @@ fn guard_and_dispatch_cost_is_separated_from_handler_bodies() {
         .iter()
         .flat_map(|p| &p.slices)
         .filter(|s: &&Slice| {
-            s.at.domain == "kernel" && matches!(s.at.handler.as_str(), "guard" | "dispatch")
+            matches!(
+                profile.triple_names(&s.at),
+                [_, "kernel", "guard" | "dispatch"]
+            )
         })
         .map(Slice::ns)
         .sum();
@@ -224,7 +227,7 @@ fn guard_and_dispatch_cost_is_separated_from_handler_bodies() {
         .packets
         .iter()
         .flat_map(|p| &p.slices)
-        .filter(|s: &&Slice| s.at.domain == "rtt-bench")
+        .filter(|s: &&Slice| profile.name(s.at.domain) == "rtt-bench")
         .map(Slice::ns)
         .sum();
     assert!(kernel_overhead > 0, "demux/guard work must be visible");
