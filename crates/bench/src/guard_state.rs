@@ -281,6 +281,6 @@ pub(crate) fn figure(out: &mut String, report: &mut BenchReport) {
          on verdicts and simulated cycles. Over-rate packets die in the guard, never\n\
          paying handler dispatch or the table work — and the guard's state is\n\
          a verified bounded map the kernel admitted against a static cycle\n\
-         bound, not an unbounded heap table (DESIGN.md §9.2).\n",
+         bound, not an unbounded heap table (DESIGN.md §8.2).\n",
     );
 }

@@ -180,8 +180,8 @@ fn guard_scaling(out: &mut String, report: &mut BenchReport) {
     out.push_str(
         "The linear walk grows at ~0.3 us per guard; the hash index probes\n\
          once per raise and stays flat no matter how many endpoints bind\n\
-         (DESIGN.md §9.5). Compiled and interpreted guard tiers land on\n\
+         (DESIGN.md §8.5). Compiled and interpreted guard tiers land on\n\
          identical simulated RTTs: the tier only changes host time\n\
-         (DESIGN.md §9.3).\n",
+         (DESIGN.md §8.3).\n",
     );
 }

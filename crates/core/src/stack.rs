@@ -29,15 +29,16 @@
 //! [`DispatchMode`] — the two Plexus bars of Figure 5.
 
 use std::cell::{Cell, RefCell};
-use std::collections::{BTreeMap, HashSet};
+use std::collections::btree_map::{BTreeMap, Entry};
+use std::collections::{HashMap, HashSet};
 use std::net::Ipv4Addr;
 use std::rc::Rc;
 
-use plexus_filter::{Field, FieldKey, Policy};
+use plexus_filter::{Field, FieldKey, Policy, PortSet};
 use plexus_kernel::dispatcher::{
     Dispatcher, Event, EventBatch, Guard, HandlerId, HandlerSpec, RaiseCtx,
 };
-use plexus_kernel::domain::{Domain, ExtensionSpec, Interface, LinkedExtension};
+use plexus_kernel::domain::{Domain, ExtensionSpec, Interface, LinkError, LinkedExtension};
 use plexus_kernel::ephemeral::Ephemeral;
 use plexus_sim::nic::{DriverConfig, Nic};
 use plexus_sim::time::SimDuration;
@@ -177,11 +178,44 @@ pub(crate) struct StackEvents {
     pub(crate) tcp_recv: Event<TcpRecv>,
 }
 
-/// A teardown action an extension's unload will run, unless the extension
-/// undoes the install itself first.
-struct Cleanup {
-    ext: String,
-    undo: Box<dyn Fn()>,
+/// Owner names the stack's own layers run under; an extension may not
+/// take one (the recorder bills handler time per owner).
+const KERNEL_OWNERS: [&str; 6] = ["kernel", "arp", "ip", "icmp", "udp", "tcp"];
+
+/// Where an extension's handler sits and which ports it claims there —
+/// the whole of what [`StackShared::release`] needs to give it back.
+pub(crate) enum Hold {
+    /// On `Ethernet.PacketRecv`; no port.
+    Ether,
+    /// On `Udp.PacketRecv`, above the standard UDP node: this UDP port.
+    Udp(u16),
+    /// On `Ip.PacketRecv`, beside the standard UDP node, whose guard
+    /// excludes this UDP port (a special implementation or a redirector).
+    UdpSpecial(u16),
+    /// On `Tcp.PacketRecv`, above the standard TCP node: a listener on
+    /// this TCP port.
+    Listen(u16),
+    /// On `Ip.PacketRecv`, beside the standard TCP node, whose guard
+    /// excludes these TCP ports.
+    TcpSpecial(Vec<u16>),
+}
+
+/// One transport's ports as extensions hold them.
+#[derive(Default)]
+pub(crate) struct PortTable {
+    /// Every held port, and the handler holding it.
+    holders: RefCell<HashMap<u16, HandlerId>>,
+    /// Of those, the ports claimed beside the standard node. The set is
+    /// shared with that node's guard *program* (via `JInSet`), so a claim
+    /// takes effect without reinstalling the node.
+    pub(crate) special: PortSet,
+}
+
+impl PortTable {
+    /// The handler holding `port`, if an extension does.
+    pub(crate) fn holder(&self, port: u16) -> Option<HandlerId> {
+        self.holders.borrow().get(&port).copied()
+    }
 }
 
 /// Shared stack state, reachable from every installed handler.
@@ -203,12 +237,18 @@ pub(crate) struct StackShared {
     ip_ident: ip::Ident,
     pub(crate) stats: Cell<StackStats>,
     ext_domain: Rc<Domain>,
-    /// Teardown actions for the extensions' live installs, each keyed by
-    /// the handler it undoes and run when its extension unloads (runtime
-    /// adaptation: extensions "come and go with their corresponding
-    /// applications"). An explicit close retracts its entry, so the
-    /// registry holds only what extensions still hold.
-    ext_cleanup: RefCell<BTreeMap<HandlerId, Cleanup>>,
+    /// What the extensions hold, by handler (so in install order): who,
+    /// and what. Written by [`StackShared::install_held`] alone and read
+    /// back by [`StackShared::release`] alone, whether the extension lets
+    /// go of one install or unloads with all of them (runtime adaptation:
+    /// extensions "come and go with their corresponding applications").
+    held: RefCell<BTreeMap<HandlerId, (LinkedExtension, Hold)>>,
+    /// How many holdings have been given back. While it stands still no
+    /// record has gone, so an endpoint need not look its own up again on
+    /// every send ([`StackShared::still_holds`]).
+    releases: Cell<u64>,
+    pub(crate) udp_ports: PortTable,
+    pub(crate) tcp_ports: PortTable,
     /// True while the NIC rx glue should deliver (promiscuous snooping is
     /// structurally impossible: the filter runs before any extension code).
     promiscuous: Cell<bool>,
@@ -268,15 +308,52 @@ impl StackShared {
         )
     }
 
-    /// Installs an *application* handler: interrupt-level only when the app
-    /// provided certified-ephemeral code (§3.3), thread otherwise.
-    pub(crate) fn install_app<T: 'static>(
+    /// Kernel-written code that runs for an extension (a redirector, a
+    /// listener), delivered per the stack's dispatch mode.
+    pub(crate) fn per_mode<T, F>(&self, f: F) -> AppHandler<T>
+    where
+        F: Fn(&mut RaiseCtx<'_>, &T) + 'static,
+    {
+        match self.mode {
+            DispatchMode::Interrupt => AppHandler::interrupt(f),
+            DispatchMode::Thread => AppHandler::thread(f),
+        }
+    }
+
+    /// The port table `hold` claims in, the ports, and whether the
+    /// standard node's guard must exclude them.
+    fn claim<'a>(&'a self, hold: &'a Hold) -> Option<(&'a PortTable, &'a [u16], bool)> {
+        use std::slice::from_ref;
+        match hold {
+            Hold::Ether => None,
+            Hold::Udp(port) => Some((&self.udp_ports, from_ref(port), false)),
+            Hold::UdpSpecial(port) => Some((&self.udp_ports, from_ref(port), true)),
+            Hold::Listen(port) => Some((&self.tcp_ports, from_ref(port), false)),
+            Hold::TcpSpecial(ports) => Some((&self.tcp_ports, ports, true)),
+        }
+    }
+
+    /// Installs `handler` on `event` for extension `ext` and writes down
+    /// what it holds — the one way a handler comes to be owned by an
+    /// extension, so nothing an extension holds is missing from `held`.
+    /// `hold` names `event` and the ports claimed; a port some extension
+    /// holds already refuses the install. Interrupt-level only when the
+    /// handler is certified ephemeral (§3.3), under `ext_time_limit`.
+    pub(crate) fn install_held<T: 'static>(
         &self,
+        ext: &LinkedExtension,
         event: Event<T>,
-        guard: Option<Guard<T>>,
+        guard: Guard<T>,
         handler: AppHandler<T>,
-        owner: &str,
-    ) -> HandlerId {
+        hold: Hold,
+    ) -> Result<HandlerId, PlexusError> {
+        let claim = self.claim(&hold);
+        if let Some((table, ports, _)) = claim {
+            let holders = table.holders.borrow();
+            if let Some(taken) = ports.iter().find(|p| holders.contains_key(p)) {
+                return Err(PlexusError::PortInUse(*taken));
+            }
+        }
         let spec = match handler {
             AppHandler::Interrupt(eph) => {
                 let f = eph.into_inner();
@@ -287,29 +364,58 @@ impl StackShared {
             }
             AppHandler::Thread(f) => HandlerSpec::new(f),
         };
-        self.dispatcher
-            .install(event, spec.guard_opt(guard).owner(owner))
+        let id = self
+            .dispatcher
+            .install(event, spec.guard(guard).owner(ext.name()));
+        if let Some((table, ports, special)) = claim {
+            let mut holders = table.holders.borrow_mut();
+            for port in ports {
+                holders.insert(*port, id);
+                if special {
+                    table.special.insert(*port);
+                }
+            }
+        }
+        self.held.borrow_mut().insert(id, (ext.clone(), hold));
+        Ok(id)
     }
 
-    /// Registers `undo`, which uninstalls handler `id`, to run when
-    /// extension `ext` unloads.
-    pub(crate) fn register_cleanup<F: Fn() + 'static>(
-        &self,
-        ext: &LinkedExtension,
-        id: HandlerId,
-        undo: F,
-    ) {
-        let cleanup = Cleanup {
-            ext: ext.name().to_string(),
-            undo: Box::new(undo),
+    /// Gives back what handler `id` holds, if `admit` passes its record:
+    /// uninstalls it from its event and frees its ports. `false` when no
+    /// extension holds `id` (any more).
+    pub(crate) fn release(&self, id: HandlerId, admit: fn(&Hold) -> bool) -> bool {
+        let hold = match self.held.borrow_mut().entry(id) {
+            Entry::Occupied(record) if admit(&record.get().1) => record.remove().1,
+            _ => return false,
         };
-        self.ext_cleanup.borrow_mut().insert(id, cleanup);
+        self.releases.set(self.releases.get() + 1);
+        let (d, ev) = (&self.dispatcher, &self.events);
+        match hold {
+            Hold::Ether => d.uninstall(ev.eth_recv, id),
+            Hold::Udp(_) => d.uninstall(ev.udp_recv, id),
+            Hold::Listen(_) => d.uninstall(ev.tcp_recv, id),
+            Hold::UdpSpecial(_) | Hold::TcpSpecial(_) => d.uninstall(ev.ip_recv, id),
+        };
+        if let Some((table, ports, _)) = self.claim(&hold) {
+            let mut holders = table.holders.borrow_mut();
+            for port in ports {
+                holders.remove(port);
+                table.special.remove(*port);
+            }
+        }
+        true
     }
 
-    /// Forgets the teardown action for handler `id`: its owner undid the
-    /// install itself.
-    pub(crate) fn retract_cleanup(&self, id: HandlerId) {
-        self.ext_cleanup.borrow_mut().remove(&id);
+    /// Whether an extension still holds handler `id`. `seen` is the
+    /// caller's note of the release count at which that was last true:
+    /// the record is looked up only if something was released since.
+    pub(crate) fn still_holds(&self, id: HandlerId, seen: &Cell<u64>) -> bool {
+        let releases = self.releases.get();
+        let held = seen.get() == releases || self.held.borrow().contains_key(&id);
+        if held {
+            seen.set(releases);
+        }
+        held
     }
 
     /// One received frame, on the interrupt's lease: pay `rx_cost`, apply
@@ -510,7 +616,10 @@ impl PlexusStack {
             ip_ident: ip::Ident::starting_at(1),
             stats: Cell::new(StackStats::default()),
             ext_domain,
-            ext_cleanup: RefCell::new(BTreeMap::new()),
+            held: RefCell::new(BTreeMap::new()),
+            releases: Cell::new(0),
+            udp_ports: PortTable::default(),
+            tcp_ports: PortTable::default(),
             promiscuous: Cell::new(false),
             csum_offload: nic.profile().checksum_offload && !config.tx_flatten,
             tx_flatten: config.tx_flatten,
@@ -792,26 +901,37 @@ impl PlexusStack {
 
     /// Dynamically links an application extension against the public
     /// extension domain. Fails — rejecting the extension — if it imports
-    /// any symbol outside that domain (§2).
+    /// any symbol outside that domain (§2), or goes by a name that a
+    /// linked extension or one of the stack's own layers already has.
     pub fn link_extension(&self, spec: &ExtensionSpec) -> Result<LinkedExtension, PlexusError> {
+        if KERNEL_OWNERS.contains(&spec.name.as_str()) {
+            return Err(LinkError::NameTaken(spec.name.clone()).into());
+        }
         Ok(self.shared.ext_domain.link(spec)?)
     }
 
-    /// Unloads an extension completely: every endpoint, listener, and raw
-    /// handler it installed is torn down, and its symbols are unlinked —
-    /// the full "extensions come and go with their corresponding
-    /// applications" lifecycle. Returns whether the extension was linked.
+    /// Unloads an extension completely: everything it still holds — UDP
+    /// endpoints (standard and special), UDP and TCP redirectors, TCP
+    /// listeners and special-port claims, raw Ethernet handlers — is
+    /// released in install order, and its symbols are unlinked: the full
+    /// "extensions come and go with their corresponding applications"
+    /// lifecycle. Returns whether the extension was linked.
+    ///
+    /// TCP *connections* opened or accepted for the extension are the
+    /// kernel's and outlive it, as they outlive
+    /// [`TcpManager::unlisten`](crate::TcpManager::unlisten); aborting
+    /// them is ROADMAP item 7.
     pub fn unload_extension(&self, name: &str) -> bool {
-        // Take the extension's actions out before running any: each one
-        // closes through the public path, which retracts its own entry.
-        let mine: Vec<_> = self
+        let mine: Vec<HandlerId> = self
             .shared
-            .ext_cleanup
-            .borrow_mut()
-            .extract_if(.., |_, cleanup| cleanup.ext == name)
+            .held
+            .borrow()
+            .iter()
+            .filter(|(_, (ext, _))| ext.name() == name)
+            .map(|(id, _)| *id)
             .collect();
-        for (_, cleanup) in &mine {
-            (cleanup.undo)();
+        for id in mine {
+            self.shared.release(id, |_| true);
         }
         self.shared.ext_domain.unlink(name)
     }
@@ -846,30 +966,19 @@ impl PlexusStack {
             &policy,
             guards::ETHER_GUARD_CYCLES,
         ));
-        let id = self.shared.install_app(
+        self.shared.install_held(
+            ext,
             self.shared.events.eth_recv,
-            Some(guard),
+            guard,
             handler,
-            ext.name(),
-        );
-        let shared = self.shared.clone();
-        self.shared.register_cleanup(ext, id, move || {
-            shared.dispatcher.uninstall(shared.events.eth_recv, id);
-        });
-        Ok(id)
+            Hold::Ether,
+        )
     }
 
     /// Detaches a raw Ethernet extension (runtime adaptation: extensions
     /// "come and go with their corresponding applications").
     pub fn detach_ether(&self, id: HandlerId) -> bool {
-        let detached = self
-            .shared
-            .dispatcher
-            .uninstall(self.shared.events.eth_recv, id);
-        if detached {
-            self.shared.retract_cleanup(id);
-        }
-        detached
+        self.shared.release(id, |hold| matches!(hold, Hold::Ether))
     }
 
     /// Sends a raw Ethernet frame on behalf of an extension. The manager

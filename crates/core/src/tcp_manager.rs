@@ -16,7 +16,7 @@ use std::collections::HashMap;
 use std::net::Ipv4Addr;
 use std::rc::Rc;
 
-use plexus_filter::{conjunction, EventKind, Field, FieldKey, Operand, Policy, PortSet, Test};
+use plexus_filter::{conjunction, EventKind, Field, FieldKey, Operand, Policy, Test};
 use plexus_kernel::dispatcher::{Guard, HandlerId, RaiseCtx};
 use plexus_kernel::domain::LinkedExtension;
 use plexus_net::ip::{self, encapsulate as ip_encapsulate, proto, Hop, IpHeader};
@@ -26,7 +26,7 @@ use plexus_sim::time::SimDuration;
 use plexus_sim::Engine;
 
 use crate::guards;
-use crate::stack::StackShared;
+use crate::stack::{Hold, StackShared};
 use crate::types::{IpRecv, IpSendReq, PlexusError, TcpRecv};
 
 /// A connection-event callback (connected, closed, peer-closed).
@@ -53,18 +53,10 @@ pub struct TcpCallbacks {
 
 type ConnKey = (u16, Ipv4Addr, u16);
 
-struct ListenerState {
-    handler: HandlerId,
-}
-
 /// The TCP protocol manager for one stack.
 pub struct TcpManager {
     shared: Rc<StackShared>,
     conns: Rc<RefCell<HashMap<ConnKey, Rc<TcpConn>>>>,
-    listeners: RefCell<HashMap<u16, Rc<ListenerState>>>,
-    /// Ports claimed by special implementations or redirects; shared with
-    /// the standard node's guard program, so claims apply immediately.
-    special_ports: PortSet,
     iss: Cell<u32>,
     next_ephemeral: Cell<u16>,
     segments_in: Cell<u64>,
@@ -72,12 +64,9 @@ pub struct TcpManager {
 
 impl TcpManager {
     pub(crate) fn install(shared: &Rc<StackShared>) -> Rc<TcpManager> {
-        let special_ports = PortSet::new();
         let mgr = Rc::new(TcpManager {
             shared: shared.clone(),
             conns: Rc::new(RefCell::new(HashMap::new())),
-            listeners: RefCell::new(HashMap::new()),
-            special_ports: special_ports.clone(),
             iss: Cell::new(1000),
             next_ephemeral: Cell::new(40_000),
             segments_in: Cell::new(0),
@@ -94,7 +83,7 @@ impl TcpManager {
                     op: guards::TRANSPORT_DST_PORT,
                     set: 0,
                 }),
-                vec![special_ports],
+                vec![shared.tcp_ports.special.clone()],
             ),
             &Policy::new(),
             guards::TRANSPORT_GUARD_CYCLES,
@@ -150,17 +139,12 @@ impl TcpManager {
         loop {
             let p = self.next_ephemeral.get();
             self.next_ephemeral.set(p.wrapping_add(1).max(40_000));
-            let taken = self.listeners.borrow().contains_key(&p)
-                || self.special_ports.contains(p)
+            let taken = self.shared.tcp_ports.holder(p).is_some()
                 || self.conns.borrow().keys().any(|(lp, _, _)| *lp == p);
             if !taken {
                 return p;
             }
         }
-    }
-
-    fn port_in_use(&self, port: u16) -> bool {
-        self.listeners.borrow().contains_key(&port) || self.special_ports.contains(port)
     }
 
     /// Passive open: accept connections on `port`. `on_accept` runs for
@@ -174,9 +158,6 @@ impl TcpManager {
     where
         F: Fn(&mut RaiseCtx<'_>, &Rc<TcpConn>) + 'static,
     {
-        if self.port_in_use(port) {
-            return Err(PlexusError::PortInUse(port));
-        }
         // Listener guard: initial SYNs for our port. Locality of `dst` was
         // already enforced by the IP layer (host address, broadcast, or
         // configured alias). Whether the segment belongs to an existing
@@ -197,52 +178,43 @@ impl TcpManager {
             &policy,
             guards::TRANSPORT_GUARD_CYCLES,
         );
-        let mgr2 = self.clone();
-        let handler = self.shared.install_layer(
-            self.shared.events.tcp_recv,
-            Some(Guard::verified(guard)),
-            move |ctx, ev: &TcpRecv| {
-                let key = (port, ev.src, ev.segment.src_port);
-                if mgr2.conns.borrow().contains_key(&key) {
-                    // A retransmitted SYN for a live connection: that
-                    // connection's own node handles it.
-                    return;
-                }
-                let tcb = Tcb::listen((ev.dst, port), mgr2.next_iss());
-                let conn = TcpConn::register(&mgr2, key, ev.dst, tcb);
-                // Let the application attach callbacks before the handshake
-                // proceeds.
-                on_accept(ctx, &conn);
-                let actions = conn.tcb.borrow_mut().on_segment(
-                    &ev.segment,
-                    (ev.src, ev.segment.src_port),
-                    now_ns(ctx),
-                );
-                conn.process_actions(ctx, actions);
-            },
-            ext.name(),
-        );
-        self.listeners
-            .borrow_mut()
-            .insert(port, Rc::new(ListenerState { handler }));
         let mgr = self.clone();
-        self.shared.register_cleanup(ext, handler, move || {
-            mgr.unlisten(port);
+        let listener = self.shared.per_mode(move |ctx, ev: &TcpRecv| {
+            let key = (port, ev.src, ev.segment.src_port);
+            if mgr.conns.borrow().contains_key(&key) {
+                // A retransmitted SYN for a live connection: that
+                // connection's own node handles it.
+                return;
+            }
+            let tcb = Tcb::listen((ev.dst, port), mgr.next_iss());
+            let conn = TcpConn::register(&mgr, key, ev.dst, tcb);
+            // Let the application attach callbacks before the handshake
+            // proceeds.
+            on_accept(ctx, &conn);
+            let actions = conn.tcb.borrow_mut().on_segment(
+                &ev.segment,
+                (ev.src, ev.segment.src_port),
+                now_ns(ctx),
+            );
+            conn.process_actions(ctx, actions);
         });
+        self.shared.install_held(
+            ext,
+            self.shared.events.tcp_recv,
+            Guard::verified(guard),
+            listener,
+            Hold::Listen(port),
+        )?;
         Ok(())
     }
 
     /// Stops listening on `port` (existing connections continue).
     pub fn unlisten(&self, port: u16) -> bool {
-        if let Some(l) = self.listeners.borrow_mut().remove(&port) {
-            self.shared.retract_cleanup(l.handler);
+        let holder = self.shared.tcp_ports.holder(port);
+        holder.is_some_and(|id| {
             self.shared
-                .dispatcher
-                .uninstall(self.shared.events.tcp_recv, l.handler);
-            true
-        } else {
-            false
-        }
+                .release(id, |hold| matches!(hold, Hold::Listen(_)))
+        })
     }
 
     /// Active open to `remote`. Returns the connection; attach callbacks
@@ -285,14 +257,6 @@ impl TcpManager {
                 "a special TCP implementation must claim at least one port",
             ));
         }
-        for p in ports {
-            if self.port_in_use(*p) {
-                return Err(PlexusError::PortInUse(*p));
-            }
-        }
-        for p in ports {
-            self.special_ports.insert(*p);
-        }
         let claimed: Vec<u64> = ports.iter().map(|p| u64::from(*p)).collect();
         let policy = Policy::new()
             .require_eq(FieldKey::Field(Field::IpProto), u64::from(proto::TCP))
@@ -307,12 +271,13 @@ impl TcpManager {
             &policy,
             guards::MULTIPORT_GUARD_CYCLES,
         );
-        Ok(self.shared.install_layer(
+        self.shared.install_held(
+            ext,
             self.shared.events.ip_recv,
-            Some(Guard::verified(guard)),
-            handler,
-            ext.name(),
-        ))
+            Guard::verified(guard),
+            self.shared.per_mode(handler),
+            Hold::TcpSpecial(ports.to_vec()),
+        )
     }
 
     /// Installs a TCP port redirector (§5.2): segments for `port` —
@@ -329,40 +294,20 @@ impl TcpManager {
         port: u16,
         new_dst: Ipv4Addr,
     ) -> Result<HandlerId, PlexusError> {
-        if self.port_in_use(port) {
-            return Err(PlexusError::PortInUse(port));
-        }
-        self.special_ports.insert(port);
         let shared = self.shared.clone();
-        let policy = Policy::new()
-            .require_eq(FieldKey::Field(Field::IpProto), u64::from(proto::TCP))
-            .require_eq(guards::TRANSPORT_DST_PORT_KEY, u64::from(port));
-        let guard = guards::build_bounded(
-            guards::transport_over_ip(
-                proto::TCP,
-                None,
-                Some(Test::eq(guards::TRANSPORT_DST_PORT, u64::from(port))),
-                vec![],
-            ),
-            &policy,
-            guards::TRANSPORT_GUARD_CYCLES,
-        );
         // Redirected datagrams are re-originated here, in their own ident
         // space, clear of the host's.
         let ident = ip::Ident::starting_at(0x8000);
-        Ok(self.shared.install_layer(
-            self.shared.events.ip_recv,
-            Some(Guard::verified(guard)),
-            move |ctx, ev: &IpRecv| {
-                ctx.lease.charge(ctx.lease.model().proc_call);
-                // Rebuild the datagram with its original addressing and
-                // hand it to the target's link address.
-                let hdr = IpHeader::simple(ev.src, ev.dst, proto::TCP, ident.take());
-                let dgram = ip_encapsulate(&hdr, ev.payload.share());
-                shared.link_output(ctx, Hop::Via(new_dst), dgram);
-            },
-            ext.name(),
-        ))
+        // To the graph a redirector is a special implementation of one
+        // port whose handler the kernel wrote.
+        self.claim_special(ext, &[port], move |ctx, ev| {
+            ctx.lease.charge(ctx.lease.model().proc_call);
+            // Rebuild the datagram with its original addressing and
+            // hand it to the target's link address.
+            let hdr = IpHeader::simple(ev.src, ev.dst, proto::TCP, ident.take());
+            let dgram = ip_encapsulate(&hdr, ev.payload.share());
+            shared.link_output(ctx, Hop::Via(new_dst), dgram);
+        })
     }
 }
 

@@ -19,12 +19,11 @@
 //!   re-emits it below the transport layer, fixing the checksum
 //!   incrementally.
 
-use std::cell::{Cell, RefCell};
-use std::collections::HashMap;
+use std::cell::Cell;
 use std::net::Ipv4Addr;
 use std::rc::Rc;
 
-use plexus_filter::{conjunction, EventKind, Field, FieldKey, Operand, Policy, PortSet, Test};
+use plexus_filter::{conjunction, EventKind, Field, FieldKey, Operand, Policy, Test};
 use plexus_kernel::dispatcher::{Guard, HandlerId, RaiseCtx};
 use plexus_kernel::domain::LinkedExtension;
 use plexus_net::checksum::incremental_update;
@@ -34,26 +33,12 @@ use plexus_net::udp::{self, UdpConfig, UDP_HDR_LEN};
 use plexus_sim::Engine;
 
 use crate::guards;
-use crate::stack::StackShared;
+use crate::stack::{Hold, StackShared};
 use crate::types::{AppHandler, IpRecv, IpSendReq, PlexusError, SourcePolicy, UdpRecv};
-
-/// How a port is occupied.
-#[derive(Clone, Copy, Debug, PartialEq, Eq)]
-enum PortUse {
-    Standard,
-    Special,
-    Redirect,
-}
 
 /// The UDP protocol manager for one stack.
 pub struct UdpManager {
     shared: Rc<StackShared>,
-    ports: RefCell<HashMap<u16, PortUse>>,
-    /// Ports claimed by special implementations or redirects; the standard
-    /// UDP node's guard excludes them. The set is shared with the installed
-    /// guard *program* (via `JInSet`), so claims take effect without
-    /// reinstalling the node.
-    special_ports: PortSet,
     delivered: Cell<u64>,
     spoofs_blocked: Cell<u64>,
     unreachable: Cell<u64>,
@@ -63,18 +48,16 @@ impl UdpManager {
     /// Installs the standard UDP implementation node and returns the
     /// manager.
     pub(crate) fn install(shared: &Rc<StackShared>) -> Rc<UdpManager> {
-        let special_ports = PortSet::new();
         let mgr = Rc::new(UdpManager {
             shared: shared.clone(),
-            ports: RefCell::new(HashMap::new()),
-            special_ports: special_ports.clone(),
             delivered: Cell::new(0),
             spoofs_blocked: Cell::new(0),
             unreachable: Cell::new(0),
         });
 
         // Standard UDP node: IP payloads whose protocol is UDP and whose
-        // destination port is not claimed by a special implementation.
+        // destination port is not claimed by a special implementation or
+        // a redirector.
         let guard = guards::build_bounded(
             guards::transport_over_ip(
                 proto::UDP,
@@ -83,7 +66,7 @@ impl UdpManager {
                     op: guards::TRANSPORT_DST_PORT,
                     set: 0,
                 }),
-                vec![special_ports],
+                vec![shared.udp_ports.special.clone()],
             ),
             &Policy::new(),
             guards::TRANSPORT_GUARD_CYCLES,
@@ -155,15 +138,6 @@ impl UdpManager {
         self.unreachable.get()
     }
 
-    fn claim_port(&self, port: u16, kind: PortUse) -> Result<(), PlexusError> {
-        let mut ports = self.ports.borrow_mut();
-        if ports.contains_key(&port) {
-            return Err(PlexusError::PortInUse(port));
-        }
-        ports.insert(port, kind);
-        Ok(())
-    }
-
     /// Binds `port` for an application extension.
     ///
     /// The *manager* builds the guard (destination port and address match),
@@ -177,18 +151,8 @@ impl UdpManager {
         config: UdpConfig,
         handler: AppHandler<UdpRecv>,
     ) -> Result<Rc<UdpEndpoint>, PlexusError> {
-        let standard = config == UdpConfig::default();
-        self.claim_port(
-            port,
-            if standard {
-                PortUse::Standard
-            } else {
-                PortUse::Special
-            },
-        )?;
-
         let my_ip = self.shared.ip;
-        let handler_id = if standard {
+        let handler_id = if config == UdpConfig::default() {
             // Endpoint node on Udp.PacketRecv. The policy makes the §3.1
             // anti-snooping argument a machine-checked theorem: the program
             // provably accepts only this binding's port at this host.
@@ -213,18 +177,18 @@ impl UdpManager {
                 &policy,
                 guards::TRANSPORT_GUARD_CYCLES,
             );
-            self.shared.install_app(
+            self.shared.install_held(
+                ext,
                 self.shared.events.udp_recv,
-                Some(Guard::verified(guard)),
+                Guard::verified(guard),
                 handler,
-                ext.name(),
+                Hold::Udp(port),
             )
         } else {
             // Special implementation: its own node on Ip.PacketRecv, doing
             // its own (cheaper) datagram processing. Its guard reads the
             // port straight out of the raw UDP header, and the policy pins
             // that load to the claimed port.
-            self.special_ports.insert(port);
             let policy = Policy::new()
                 .require_eq(FieldKey::Field(Field::IpProto), u64::from(proto::UDP))
                 .require_eq(guards::TRANSPORT_DST_PORT_KEY, u64::from(port))
@@ -243,30 +207,23 @@ impl UdpManager {
                 guards::TRANSPORT_GUARD_CYCLES,
             );
             let wrapped = wrap_special_udp(config, self.shared.csum_offload, handler);
-            self.shared.install_app(
+            self.shared.install_held(
+                ext,
                 self.shared.events.ip_recv,
-                Some(Guard::verified(guard)),
+                Guard::verified(guard),
                 wrapped,
-                ext.name(),
+                Hold::UdpSpecial(port),
             )
-        };
+        }?;
 
-        let endpoint = Rc::new(UdpEndpoint {
+        Ok(Rc::new(UdpEndpoint {
             manager: self.clone(),
             port,
             config,
             handler_id,
-            standard,
-            closed: Cell::new(false),
-        });
-        // Unloading the owning extension closes the endpoint. The registry
-        // holds a strong reference: the installation outlives the app's
-        // handle (the dispatcher side is what actually receives), and
-        // `close` is idempotent if the app already closed it.
-        let ep = endpoint.clone();
-        self.shared
-            .register_cleanup(ext, handler_id, move || ep.close());
-        Ok(endpoint)
+            // Never a release count: the first send looks the record up.
+            seen_held: Cell::new(u64::MAX),
+        }))
     }
 
     /// Installs a port redirector (the §5.2 forwarding protocol): every
@@ -279,8 +236,6 @@ impl UdpManager {
         port: u16,
         new_dst: Ipv4Addr,
     ) -> Result<HandlerId, PlexusError> {
-        self.claim_port(port, PortUse::Redirect)?;
-        self.special_ports.insert(port);
         let shared = self.shared.clone();
         let policy = Policy::new()
             .require_eq(FieldKey::Field(Field::IpProto), u64::from(proto::UDP))
@@ -296,32 +251,29 @@ impl UdpManager {
             guards::TRANSPORT_GUARD_CYCLES,
         );
         let old_dst = self.shared.ip;
-        Ok(self.shared.install_layer(
+        let redirector = self.shared.per_mode(move |ctx, ev: &IpRecv| {
+            // Header rewrite + incremental checksum fix: a handful of
+            // loads/stores, modeled as one procedure call.
+            ctx.lease.charge(ctx.lease.model().proc_call);
+            let mut fixed = ev.payload.share();
+            fix_udp_checksum_for_dst(&mut fixed, old_dst, new_dst);
+            shared.raise_ip_send(
+                ctx,
+                IpSendReq {
+                    src: ev.src, // Preserved: end-to-end semantics hold.
+                    dst: new_dst,
+                    protocol: proto::UDP,
+                    payload: fixed,
+                },
+            );
+        });
+        self.shared.install_held(
+            ext,
             self.shared.events.ip_recv,
-            Some(Guard::verified(guard)),
-            move |ctx, ev: &IpRecv| {
-                // Header rewrite + incremental checksum fix: a handful of
-                // loads/stores, modeled as one procedure call.
-                ctx.lease.charge(ctx.lease.model().proc_call);
-                let mut fixed = ev.payload.share();
-                fix_udp_checksum_for_dst(&mut fixed, old_dst, new_dst);
-                shared.raise_ip_send(
-                    ctx,
-                    IpSendReq {
-                        src: ev.src, // Preserved: end-to-end semantics hold.
-                        dst: new_dst,
-                        protocol: proto::UDP,
-                        payload: fixed,
-                    },
-                );
-            },
-            ext.name(),
-        ))
-    }
-
-    fn release(&self, port: u16) {
-        self.ports.borrow_mut().remove(&port);
-        self.special_ports.remove(port);
+            Guard::verified(guard),
+            redirector,
+            Hold::UdpSpecial(port),
+        )
     }
 }
 
@@ -390,14 +342,15 @@ fn wrap_special_udp(
 }
 
 /// A legitimate UDP sending/receiving endpoint (§3.1): the object whose
-/// possession is the right to raise the sends for its port.
+/// possession is the right to raise the sends for its port — for as long
+/// as its extension holds the binding.
 pub struct UdpEndpoint {
     manager: Rc<UdpManager>,
     port: u16,
     config: UdpConfig,
     handler_id: HandlerId,
-    standard: bool,
-    closed: Cell<bool>,
+    /// See [`StackShared::still_holds`].
+    seen_held: Cell<u64>,
 }
 
 impl UdpEndpoint {
@@ -428,10 +381,10 @@ impl UdpEndpoint {
         dst_port: u16,
         payload: Mbuf,
     ) -> Result<(), PlexusError> {
-        if self.closed.get() {
+        let shared = &self.manager.shared;
+        if !shared.still_holds(self.handler_id, &self.seen_held) {
             return Err(PlexusError::Revoked);
         }
-        let shared = &self.manager.shared;
         ctx.lease.charge(ctx.lease.model().udp_proc);
         let dgram = if self.config.checksum && shared.csum_offload {
             // The NIC fills the checksum during the DMA gather: stamp the
@@ -498,30 +451,20 @@ impl UdpEndpoint {
     /// Unbinds the endpoint: uninstalls the handler and frees the port
     /// (runtime adaptation). Idempotent.
     pub fn close(&self) {
-        if self.closed.replace(true) {
-            return;
-        }
-        let shared = &self.manager.shared;
-        shared.retract_cleanup(self.handler_id);
-        if self.standard {
-            shared
-                .dispatcher
-                .uninstall(shared.events.udp_recv, self.handler_id);
-        } else {
-            shared
-                .dispatcher
-                .uninstall(shared.events.ip_recv, self.handler_id);
-        }
-        self.manager.release(self.port);
+        self.manager.shared.release(self.handler_id, |_| true);
     }
 }
 
 impl std::fmt::Debug for UdpEndpoint {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
+        let shared = &self.manager.shared;
         f.debug_struct("UdpEndpoint")
             .field("port", &self.port)
             .field("checksum", &self.config.checksum)
-            .field("closed", &self.closed.get())
+            .field(
+                "closed",
+                &!shared.still_holds(self.handler_id, &self.seen_held),
+            )
             .finish()
     }
 }

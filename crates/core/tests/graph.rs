@@ -767,6 +767,39 @@ fn ephemeral_time_limit_terminates_runaway_extension() {
 }
 
 #[test]
+fn special_tcp_handler_runs_under_the_extension_time_limit() {
+    let Testbed {
+        mut world, hosts, ..
+    } = Testbed::new(&Link::ethernet(), 0, &["a", "b"]);
+    let sa = PlexusStack::attach_host(&hosts[0], |ip, mac| {
+        let mut cfg = StackConfig::interrupt(ip, mac);
+        cfg.ext_time_limit = Some(SimDuration::from_micros(50));
+        cfg
+    });
+    let sb = PlexusStack::attach_host(&hosts[1], StackConfig::interrupt);
+    let aext = sa.link_extension(&ext_spec("Runaway")).unwrap();
+    let bext = sb.link_extension(&ext_spec("C")).unwrap();
+
+    // The extension wrote this handler, so it gets the allotment every
+    // other interrupt-level extension handler gets.
+    sa.tcp()
+        .claim_special(&aext, &[9999], |ctx, _| {
+            ctx.lease.charge(SimDuration::from_millis(10));
+        })
+        .unwrap();
+    sb.tcp()
+        .connect(&bext, world.engine_mut(), (sa.ip(), 9999))
+        .unwrap();
+    world.run_for(SimDuration::from_millis(500));
+    assert_eq!(
+        sa.dispatcher().stats().terminations,
+        1,
+        "the SYN's handler overran 50 us and was terminated"
+    );
+    assert!(hosts[0].machine.cpu().busy() < SimDuration::from_millis(1));
+}
+
+#[test]
 fn mac_filter_discards_foreign_frames_unless_promiscuous() {
     // Three machines on one segment; A sends to B; C must filter the frame
     // at the driver (no promiscuous snooping), and the filter is a
@@ -1360,39 +1393,80 @@ fn wire_capture_shows_the_whole_exchange() {
 fn unloading_an_extension_tears_down_everything_it_installed() {
     let (mut world, [client, server]) = plexus_lan(["alpha-a", "alpha-b"], StackConfig::interrupt);
     let cext = client.link_extension(&ext_spec("C")).unwrap();
-    // One extension installs a UDP endpoint, a TCP listener, and a raw
-    // Ethernet handler.
+    let untouched = server.graph_description();
+    // One extension holds one of each of the seven kinds of install: a
+    // standard and a special (checksum-free) UDP endpoint, a UDP and a TCP
+    // redirector, a TCP listener, a special TCP implementation over two
+    // ports, and a raw Ethernet handler.
     let spec = ExtensionSpec::typesafe(
         "KitchenSink",
-        &["UDP.Bind", "TCP.Listen", "Ethernet.Attach"],
+        &[
+            "UDP.Bind",
+            "UDP.Redirect",
+            "TCP.Listen",
+            "TCP.Redirect",
+            "Ethernet.Attach",
+        ],
     );
     let sext = server.link_extension(&spec).unwrap();
-    let udp_hits = Rc::new(Cell::new(0u32));
-    let eth_hits = Rc::new(Cell::new(0u32));
-    let (uh, eh) = (udp_hits.clone(), eth_hits.clone());
-    server
+    let counter = || Rc::new(Cell::new(0u32));
+    let (udp_hits, special_hits, raw_hits, eth_hits) = (counter(), counter(), counter(), counter());
+    let count = |hits: &Rc<Cell<u32>>| {
+        let hits = hits.clone();
+        move || hits.set(hits.get() + 1)
+    };
+    let (on_udp, on_special, on_raw, on_eth) = (
+        count(&udp_hits),
+        count(&special_hits),
+        count(&raw_hits),
+        count(&eth_hits),
+    );
+    let sep = server
         .udp()
         .bind(
             &sext,
             7,
             UdpConfig::default(),
-            AppHandler::interrupt(move |_, _| {
-                uh.set(uh.get() + 1);
-            }),
+            AppHandler::interrupt(move |_, _| on_udp()),
         )
         .unwrap();
+    server
+        .udp()
+        .bind(
+            &sext,
+            9,
+            UdpConfig { checksum: false },
+            AppHandler::interrupt(move |_, _| on_special()),
+        )
+        .unwrap();
+    server.udp().redirect(&sext, 53, client.ip()).unwrap();
     server.tcp().listen(&sext, 80, |_, _| {}).unwrap();
+    server.tcp().redirect(&sext, 8080, client.ip()).unwrap();
+    server
+        .tcp()
+        .claim_special(&sext, &[9000, 9001], move |_, _| on_raw())
+        .unwrap();
     server
         .attach_ether(
             &sext,
             EtherType::ACTIVE_MESSAGE,
-            AppHandler::interrupt(move |_, _| {
-                eh.set(eh.get() + 1);
-            }),
+            AppHandler::interrupt(move |_, _| on_eth()),
         )
         .unwrap();
 
-    // Traffic reaches all of it.
+    // The client counts what the UDP redirector sends its way, and is the
+    // source of everything else.
+    let redirected = counter();
+    let on_redirected = count(&redirected);
+    client
+        .udp()
+        .bind(
+            &cext,
+            53,
+            UdpConfig::default(),
+            AppHandler::interrupt(move |_, _| on_redirected()),
+        )
+        .unwrap();
     let cep = client
         .udp()
         .bind(
@@ -1402,52 +1476,112 @@ fn unloading_an_extension_tears_down_everything_it_installed() {
             AppHandler::interrupt(|_, _| {}),
         )
         .unwrap();
-    cep.send(world.engine_mut(), server.ip(), 7, b"one")
-        .unwrap();
-    client
-        .send_ether(
-            world.engine_mut(),
-            server.mac(),
-            EtherType::ACTIVE_MESSAGE,
-            b"am",
-        )
-        .unwrap();
-    world.run();
+    let offer = |world: &mut World| {
+        for port in [7, 9, 53] {
+            cep.send(world.engine_mut(), server.ip(), port, b"dgram")
+                .unwrap();
+        }
+        client
+            .send_ether(
+                world.engine_mut(),
+                server.mac(),
+                EtherType::ACTIVE_MESSAGE,
+                b"am",
+            )
+            .unwrap();
+        for port in [8080, 9000, 9001] {
+            client
+                .tcp()
+                .connect(&cext, world.engine_mut(), (server.ip(), port))
+                .unwrap();
+        }
+        world.run_for(SimDuration::from_millis(500));
+    };
+
+    // Traffic reaches all of it, and none of it reaches the standard nodes.
+    offer(&mut world);
     assert_eq!(udp_hits.get(), 1);
+    assert_eq!(special_hits.get(), 1);
+    assert_eq!(redirected.get(), 1);
     assert_eq!(eth_hits.get(), 1);
+    assert_eq!(raw_hits.get(), 2, "one SYN for each claimed port");
+    assert_eq!(server.udp().unreachable_sent(), 0);
+    assert_eq!(server.tcp().segments_in(), 0, "8080 redirected at IP");
 
     // Unload: every installation disappears, the symbols unlink, and the
     // resources are reusable by the next application.
     assert!(server.unload_extension("KitchenSink"));
     assert!(!server.unload_extension("KitchenSink"), "idempotent");
-    cep.send(world.engine_mut(), server.ip(), 7, b"two")
-        .unwrap();
-    client
-        .send_ether(
-            world.engine_mut(),
-            server.mac(),
-            EtherType::ACTIVE_MESSAGE,
-            b"am2",
-        )
-        .unwrap();
-    world.run();
+    assert_eq!(server.graph_description(), untouched);
+    assert_eq!(
+        sep.send(world.engine_mut(), client.ip(), 2000, b"late"),
+        Err(PlexusError::Revoked),
+        "the endpoint went with its extension"
+    );
+    let raw_at_unload = raw_hits.get();
+    offer(&mut world);
     assert_eq!(udp_hits.get(), 1, "UDP endpoint gone");
+    assert_eq!(special_hits.get(), 1, "special UDP endpoint gone");
+    assert_eq!(redirected.get(), 1, "UDP redirector gone");
     assert_eq!(eth_hits.get(), 1, "raw handler gone");
+    assert_eq!(raw_hits.get(), raw_at_unload, "special TCP gone");
+    assert_eq!(
+        server.udp().unreachable_sent(),
+        3,
+        "ports 7, 9 and 53 are the standard UDP node's again"
+    );
+    assert!(
+        server.tcp().segments_in() >= 3,
+        "and 8080, 9000 and 9001 the standard TCP node's"
+    );
 
     let next = server.link_extension(&spec).unwrap();
-    server
-        .udp()
-        .bind(
-            &next,
-            7,
-            UdpConfig::default(),
-            AppHandler::interrupt(|_, _| {}),
-        )
-        .expect("port 7 reusable");
-    server
-        .tcp()
-        .listen(&next, 80, |_, _| {})
-        .expect("port 80 reusable");
+    for port in [7, 9, 53] {
+        server
+            .udp()
+            .bind(
+                &next,
+                port,
+                UdpConfig::default(),
+                AppHandler::interrupt(|_, _| {}),
+            )
+            .unwrap_or_else(|e| panic!("UDP port {port} reusable: {e}"));
+    }
+    for port in [80, 8080, 9000, 9001] {
+        server
+            .tcp()
+            .listen(&next, port, |_, _| {})
+            .unwrap_or_else(|e| panic!("TCP port {port} reusable: {e}"));
+    }
+}
+
+#[test]
+fn a_name_in_use_cannot_be_linked_again() {
+    let (_world, [_, server]) = plexus_lan(["alpha-a", "alpha-b"], StackConfig::interrupt);
+    let a = server.link_extension(&ext_spec("A")).unwrap();
+    assert_eq!(
+        server.link_extension(&ext_spec("A")),
+        Err(PlexusError::Link(LinkError::NameTaken("A".to_string()))),
+        "one unload would take both"
+    );
+    // The name comes free with its holder, holdings and all.
+    server.tcp().listen(&a, 80, |_, _| {}).unwrap();
+    assert!(server.unload_extension("A"));
+    let again = server.link_extension(&ext_spec("A")).unwrap();
+    server.tcp().listen(&again, 80, |_, _| {}).unwrap();
+}
+
+#[test]
+fn the_stacks_own_owner_names_cannot_be_linked() {
+    let (_world, [_, server]) = plexus_lan(["alpha-a", "alpha-b"], StackConfig::interrupt);
+    for name in ["kernel", "arp", "ip", "icmp", "udp", "tcp"] {
+        assert_eq!(
+            server.link_extension(&ext_spec(name)),
+            Err(PlexusError::Link(LinkError::NameTaken(name.to_string()))),
+            "the recorder would bill {name:?}'s handlers to the kernel's"
+        );
+    }
+    assert!(!server.unload_extension("udp"), "nothing was linked");
 }
 
 #[test]

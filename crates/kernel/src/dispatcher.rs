@@ -1,10 +1,10 @@
 //! The SPIN dynamic event dispatcher (§2).
 //!
 //! Kernel services and extensions *raise* events; extensions *install*
-//! handlers on them. A handler may carry a **guard** — an arbitrary
-//! predicate evaluated by the dispatcher before the handler is invoked — and
-//! Plexus uses guards as packet filters that demultiplex packets through the
-//! protocol graph. More than one handler may be installed on an event; the
+//! handlers on them. A handler may carry a **guard** — a statically
+//! verified filter program the dispatcher evaluates before the handler is
+//! invoked — and Plexus uses guards as packet filters that demultiplex
+//! packets through the protocol graph. More than one handler may be installed on an event; the
 //! overhead of invoking each is roughly one procedure call, which the
 //! dispatcher charges to the caller's [`CpuLease`].
 //!
@@ -38,17 +38,18 @@ use plexus_trace::{GuardKind, Name, Scope};
 
 use crate::ephemeral::Ephemeral;
 
-/// A guard predicate: packet filter over the event argument.
-pub type GuardFn<T> = Box<dyn Fn(&T) -> bool>;
-
-/// A statically verified guard bound to its event argument type.
+/// A guard attached to a handler: a statically verified filter program
+/// bound to its event argument type.
 ///
-/// Holds the [`VerifiedProgram`] (so managers and tooling can still
-/// inspect the installed filter) plus a monomorphized evaluator; the
+/// Holds the [`VerifiedProgram`] plus monomorphized evaluators; the
 /// `T: Packet` obligation is discharged at construction, so the
 /// dispatcher's raise path needs no bound on `T`.
-pub struct VerifiedGuard<T> {
+pub struct Guard<T> {
     program: Rc<VerifiedProgram>,
+    /// The reference interpreter: verdict and the abstract cycles the
+    /// evaluation spent — never more than
+    /// [`VerifiedProgram::static_bound`]. The `u64` is simulated time,
+    /// which drives token-bucket refill in stateful guards.
     eval: fn(&VerifiedProgram, &T, u64) -> (bool, u32),
     /// The compiled-tier evaluator: same verdicts, state mutations, and
     /// metered cycles as `eval`, via the fused closure chain the verifier
@@ -59,76 +60,18 @@ pub struct VerifiedGuard<T> {
     read: fn(&T, FieldKey) -> Option<u64>,
 }
 
-impl<T: Packet + 'static> VerifiedGuard<T> {
+impl<T> Guard<T> {
     /// Binds a verified program to the event argument type `T`.
-    pub fn new(program: Rc<VerifiedProgram>) -> VerifiedGuard<T> {
-        VerifiedGuard {
+    pub fn verified(program: Rc<VerifiedProgram>) -> Guard<T>
+    where
+        T: Packet + 'static,
+    {
+        Guard {
             program,
             eval: |p, arg, now| plexus_filter::eval_metered(p, arg, now),
             eval_compiled: |p, arg, now| p.compiled().eval(arg, now),
             read: |arg, k| plexus_filter::read_field_key(arg, k),
         }
-    }
-}
-
-impl<T> VerifiedGuard<T> {
-    /// Evaluates the guard against an event argument at simulated time
-    /// `now_ns` (which drives token-bucket refill in stateful guards),
-    /// returning the verdict and the abstract cycles the evaluation spent
-    /// — never more than [`VerifiedProgram::static_bound`].
-    pub fn matches(&self, arg: &T, now_ns: u64) -> (bool, u32) {
-        (self.eval)(&self.program, arg, now_ns)
-    }
-
-    /// [`VerifiedGuard::matches`] on the compiled tier. Observationally
-    /// identical (the differential property suite pins it); the two entry
-    /// points exist so the dispatcher's opt-out can A/B the tiers.
-    pub fn matches_compiled(&self, arg: &T, now_ns: u64) -> (bool, u32) {
-        (self.eval_compiled)(&self.program, arg, now_ns)
-    }
-
-    /// The verified program this guard runs.
-    pub fn program(&self) -> &Rc<VerifiedProgram> {
-        &self.program
-    }
-
-    /// The demux key the verifier proved, if the guard is indexable.
-    pub fn key(&self) -> Option<&KeySpec> {
-        self.program.demux_key()
-    }
-}
-
-/// A guard attached to a handler: either a legacy opaque closure or a
-/// statically verified filter program.
-///
-/// Closures remain available for thread-mode handlers (trusted in-kernel
-/// code and tests), but interrupt-mode installs require
-/// [`Guard::Verified`] — an unverifiable predicate has no business running
-/// in interrupt context.
-pub enum Guard<T> {
-    /// An opaque predicate closure (legacy; thread mode only).
-    Closure(GuardFn<T>),
-    /// A statically verified filter program.
-    Verified(VerifiedGuard<T>),
-}
-
-impl<T> Guard<T> {
-    /// Wraps a predicate closure.
-    pub fn closure(f: impl Fn(&T) -> bool + 'static) -> Guard<T> {
-        Guard::Closure(Box::new(f))
-    }
-
-    /// Wraps a verified program (requires `T: Packet`).
-    pub fn verified(program: Rc<VerifiedProgram>) -> Guard<T>
-    where
-        T: Packet + 'static,
-    {
-        Guard::Verified(VerifiedGuard::new(program))
-    }
-
-    /// Whether this guard carries verifier evidence.
-    pub fn is_verified(&self) -> bool {
-        matches!(self, Guard::Verified(_))
     }
 }
 
@@ -271,11 +214,7 @@ pub enum InstallError {
     /// An interrupt-mode spec whose handler was not certified via
     /// [`HandlerSpec::ephemeral`].
     UncertifiedInterrupt,
-    /// An interrupt-mode spec carrying a [`Guard::Closure`] — an
-    /// unverifiable predicate has no business running in interrupt
-    /// context.
-    ClosureGuardInterrupt,
-    /// An interrupt-mode spec whose verified guard's static worst-case
+    /// An interrupt-mode spec whose guard's static worst-case
     /// cycle bound exceeds the dispatcher's per-event interrupt budget.
     GuardOverBudget {
         /// The guard program's static worst-case bound, in cycles.
@@ -294,10 +233,6 @@ impl fmt::Display for InstallError {
                     "interrupt-mode installs require a certified ephemeral handler"
                 )
             }
-            InstallError::ClosureGuardInterrupt => write!(
-                f,
-                "interrupt-mode installs require a verified guard program (or no guard)"
-            ),
             InstallError::GuardOverBudget { bound, budget } => write!(
                 f,
                 "interrupt-mode install rejected: guard worst-case bound is {bound} cycles \
@@ -340,16 +275,18 @@ pub struct DispatchStats {
     pub raises: u64,
     /// Handlers invoked.
     pub invocations: u64,
-    /// Guards evaluated (closures and verified programs combined).
+    /// Guards evaluated.
     pub guard_evals: u64,
     /// Guards that rejected the argument.
     pub guard_rejects: u64,
-    /// Of `guard_evals`, how many ran a verified filter program.
+    /// Of `guard_evals`, how many ran a verified filter program: all of
+    /// them, now that every guard is one.
     pub verified_guard_evals: u64,
     /// Of `verified_guard_evals`, how many ran on the compiled tier
     /// (fused closure chain) rather than the reference interpreter.
     pub compiled_guard_evals: u64,
-    /// Of `guard_rejects`, how many came from a verified filter program.
+    /// Of `guard_rejects`, how many came from a verified filter program
+    /// (all of them).
     pub verified_guard_rejects: u64,
     /// Ephemeral handlers terminated for exceeding their allotment.
     pub terminations: u64,
@@ -463,10 +400,8 @@ struct Entry<T> {
 impl<T> Entry<T> {
     /// The guard's demux key, when this entry occupies buckets under it.
     fn key(&self) -> Option<&KeySpec> {
-        match &self.guard {
-            Some(Guard::Verified(vg)) if self.indexed => vg.key(),
-            _ => None,
-        }
+        let guard = self.guard.as_ref().filter(|_| self.indexed)?;
+        guard.program.demux_key()
     }
 }
 
@@ -541,7 +476,7 @@ fn remove_id<T>(list: &mut EntryList<T>, id: HandlerId) {
 }
 
 /// One immutable generation of an event table: the live entries and the
-/// demultiplexing index over those whose verified guards have a
+/// demultiplexing index over those whose guards have a
 /// statically bounded acceptance ([`VerifiedProgram::demux_key`]).
 ///
 /// A raise clones the `Rc` of the current generation and walks it
@@ -839,8 +774,7 @@ impl Dispatcher {
     /// Installs a handler described by a [`HandlerSpec`] — the single
     /// installation entry point.
     ///
-    /// When the spec's guard is a verified program with an extractable
-    /// demux key, the handler is also entered into the event's hash index,
+    /// When the spec's guard has an extractable demux key, the handler is also entered into the event's hash index,
     /// so raises can skip its guard whenever the packet's key provably
     /// mismatches.
     ///
@@ -849,9 +783,8 @@ impl Dispatcher {
     /// Panics with the [`InstallError`] message when
     /// [`Dispatcher::try_install`] would refuse the spec: an interrupt-mode
     /// handler not certified via [`HandlerSpec::ephemeral`] (§3.3's
-    /// evidence requirement), an interrupt-mode [`Guard::Closure`], or a
-    /// verified guard whose static worst-case bound exceeds the
-    /// per-event interrupt cycle budget.
+    /// evidence requirement), or a guard whose static worst-case bound
+    /// exceeds the per-event interrupt cycle budget.
     pub fn install<T: 'static>(&self, event: Event<T>, spec: HandlerSpec<T>) -> HandlerId {
         self.try_install(event, spec)
             .unwrap_or_else(|e| panic!("{e}"))
@@ -861,8 +794,8 @@ impl Dispatcher {
     /// the admission-control entry point for specs built from untrusted
     /// extension input.
     ///
-    /// Interrupt-mode admission requires, beyond certification and a
-    /// verified (or absent) guard, that the guard program's
+    /// Interrupt-mode admission requires, beyond certification, that the
+    /// guard program's
     /// [`VerifiedProgram::static_bound`] fits the dispatcher's per-event
     /// interrupt cycle budget: the raising context is the network
     /// interrupt, and the static bound is the proof the filter cannot
@@ -876,16 +809,12 @@ impl Dispatcher {
             if !spec.ephemeral {
                 return Err(InstallError::UncertifiedInterrupt);
             }
-            match &spec.guard {
-                Some(Guard::Closure(_)) => return Err(InstallError::ClosureGuardInterrupt),
-                Some(Guard::Verified(vg)) => {
-                    let bound = vg.program().static_bound();
-                    let budget = DEFAULT_INTERRUPT_CYCLE_BUDGET;
-                    if bound > budget {
-                        return Err(InstallError::GuardOverBudget { bound, budget });
-                    }
+            if let Some(guard) = &spec.guard {
+                let bound = guard.program.static_bound();
+                let budget = DEFAULT_INTERRUPT_CYCLE_BUDGET;
+                if bound > budget {
+                    return Err(InstallError::GuardOverBudget { bound, budget });
                 }
-                None => {}
             }
             HandlerMode::Interrupt {
                 time_limit: spec.time_limit,
@@ -921,10 +850,8 @@ impl Dispatcher {
         // Index the entry if its guard carries a demux key. `indexed` is
         // set only when the index actually accepts it — the raise path's
         // skip test relies on "has a key" implying "is in the buckets".
-        let (key, read) = match &guard {
-            Some(Guard::Verified(vg)) => (vg.key(), Some(vg.read)),
-            _ => (None, None),
-        };
+        let key = guard.as_ref().and_then(|g| g.program.demux_key());
+        let read = guard.as_ref().map(|g| g.read);
         let slots = key.and_then(|spec| {
             let schema = key_schema(spec.kind());
             if schema.len() > KEY_WIDTH || *gen.schema.get_or_insert(schema) != schema {
@@ -1164,45 +1091,35 @@ impl Dispatcher {
             }
             if let Some(guard) = &entry.guard {
                 tally.guard_evals += 1;
+                tally.verified_guard_evals += 1;
                 ctx.lease.charge(guard_cost);
-                let (matched, kind) = match guard {
-                    Guard::Closure(f) => (f(arg), GuardKind::Closure),
-                    Guard::Verified(vg) => {
-                        tally.verified_guard_evals += 1;
-                        // Tier selection: the compiled closure chain by
-                        // default, the reference interpreter on opt-out.
-                        // Identical verdicts, state effects, and metered
-                        // cycles either way; the simulated charge above
-                        // (`model.guard_eval`) is the same by contract.
-                        let compiled = self.compiled_guards.get();
-                        let now_ns = ctx.lease.now().as_nanos();
-                        let (matched, measured) = if compiled {
-                            tally.compiled_guard_evals += 1;
-                            vg.matches_compiled(arg, now_ns)
-                        } else {
-                            vg.matches(arg, now_ns)
-                        };
-                        if let (Some(r), Some(lbl)) = (&rec, ev_label) {
-                            // Static-bound cross-check: counters only, so
-                            // recorder presence never changes behavior.
-                            r.guard_cost(
-                                lbl,
-                                u64::from(measured),
-                                u64::from(vg.program().static_bound()),
-                            );
-                            r.guard_tier(lbl, compiled);
-                        }
-                        (matched, GuardKind::Verified)
-                    }
+                // Tier selection: the compiled closure chain by default,
+                // the reference interpreter on opt-out. Identical
+                // verdicts, state effects, and metered cycles either way;
+                // the simulated charge above (`model.guard_eval`) is the
+                // same by contract.
+                let compiled = self.compiled_guards.get();
+                let now_ns = ctx.lease.now().as_nanos();
+                let (matched, measured) = if compiled {
+                    tally.compiled_guard_evals += 1;
+                    (guard.eval_compiled)(&guard.program, arg, now_ns)
+                } else {
+                    (guard.eval)(&guard.program, arg, now_ns)
                 };
                 if let (Some(r), Some(lbl)) = (&rec, ev_label) {
-                    r.guard_eval(ctx.lease.now().as_nanos(), lbl, kind, matched);
+                    // Static-bound cross-check: counters only, so
+                    // recorder presence never changes behavior.
+                    r.guard_cost(
+                        lbl,
+                        u64::from(measured),
+                        u64::from(guard.program.static_bound()),
+                    );
+                    r.guard_tier(lbl, compiled);
+                    r.guard_eval(now_ns, lbl, GuardKind::Verified, matched);
                 }
                 if !matched {
                     tally.guard_rejects += 1;
-                    if guard.is_verified() {
-                        tally.verified_guard_rejects += 1;
-                    }
+                    tally.verified_guard_rejects += 1;
                     outcome.rejected += 1;
                     continue;
                 }
@@ -1304,6 +1221,67 @@ mod tests {
         (Engine::new(), Cpu::new(CostModel::alpha_3000_400()))
     }
 
+    /// A UdpRecv-shaped event argument for guard tests.
+    #[derive(Debug)]
+    pub(super) struct UdpArg {
+        pub(super) dst_port: u64,
+    }
+
+    impl plexus_filter::Packet for UdpArg {
+        fn kind(&self) -> plexus_filter::EventKind {
+            plexus_filter::EventKind::UdpRecv
+        }
+        fn field(&self, field: plexus_filter::Field) -> Option<u64> {
+            match field {
+                plexus_filter::Field::UdpDstPort => Some(self.dst_port),
+                _ => None,
+            }
+        }
+        fn head(&self) -> &[u8] {
+            &[]
+        }
+    }
+
+    pub(super) fn port_program(port: u64) -> Rc<VerifiedProgram> {
+        let prog = plexus_filter::conjunction(
+            plexus_filter::EventKind::UdpRecv,
+            &[plexus_filter::Test::eq(
+                plexus_filter::Operand::Field(plexus_filter::Field::UdpDstPort),
+                port,
+            )],
+            Vec::new(),
+        );
+        Rc::new(plexus_filter::verify(&prog).expect("builder output verifies"))
+    }
+
+    /// `dst_port > floor`: a range test proves no demux key, so this guard
+    /// stays on the linear path and every raise evaluates it.
+    pub(super) fn above_program(floor: u64) -> Rc<VerifiedProgram> {
+        use plexus_filter::{Insn, Reg, Src};
+        let prog = plexus_filter::FilterProgram {
+            kind: plexus_filter::EventKind::UdpRecv,
+            insns: vec![
+                Insn::Ld {
+                    dst: Reg(0),
+                    field: plexus_filter::Field::UdpDstPort,
+                },
+                Insn::Jgt {
+                    a: Reg(0),
+                    b: Src::Imm(floor),
+                    off: 1,
+                },
+                Insn::Reject,
+                Insn::Accept,
+            ],
+            sets: Vec::new(),
+            maps: Vec::new(),
+            state_budget: 0,
+        };
+        let vp = plexus_filter::verify(&prog).expect("a forward range test verifies");
+        assert!(vp.demux_key().is_none(), "a range proves no key");
+        Rc::new(vp)
+    }
+
     #[test]
     fn raise_invokes_matching_handlers_in_install_order() {
         let (mut engine, cpu) = ctx_parts();
@@ -1333,21 +1311,21 @@ mod tests {
     fn guards_filter_delivery() {
         let (mut engine, cpu) = ctx_parts();
         let d = Dispatcher::new();
-        let ev = d.define_event::<u32>("Guarded");
+        let ev = d.define_event::<UdpArg>("Guarded");
         let hits = Rc::new(Cell::new(0u32));
         let h = hits.clone();
         d.install(
             ev,
             HandlerSpec::new(move |_, _| h.set(h.get() + 1))
-                .guard(Guard::closure(|arg: &u32| arg.is_multiple_of(2))),
+                .guard(Guard::verified(above_program(1023))),
         );
         let mut lease = cpu.begin(SimTime::ZERO);
         let mut ctx = RaiseCtx {
             engine: &mut engine,
             lease: &mut lease,
         };
-        assert_eq!(d.raise(&mut ctx, ev, &4).invoked, 1);
-        let out = d.raise(&mut ctx, ev, &5);
+        assert_eq!(d.raise(&mut ctx, ev, &UdpArg { dst_port: 2000 }).invoked, 1);
+        let out = d.raise(&mut ctx, ev, &UdpArg { dst_port: 7 });
         assert_eq!(out.invoked, 0);
         assert_eq!(out.rejected, 1);
         assert_eq!(hits.get(), 1);
@@ -1359,17 +1337,17 @@ mod tests {
         let (mut engine, cpu) = ctx_parts();
         let model = cpu.model().clone();
         let d = Dispatcher::new();
-        let ev = d.define_event::<u32>("Costed");
+        let ev = d.define_event::<UdpArg>("Costed");
         d.install(
             ev,
-            HandlerSpec::new(|_, _| {}).guard(Guard::closure(|_| true)),
+            HandlerSpec::new(|_, _| {}).guard(Guard::verified(above_program(0))),
         );
         let mut lease = cpu.begin(SimTime::ZERO);
         let mut ctx = RaiseCtx {
             engine: &mut engine,
             lease: &mut lease,
         };
-        d.raise(&mut ctx, ev, &0);
+        d.raise(&mut ctx, ev, &UdpArg { dst_port: 7 });
         let expected = model.dispatch_raise
             + model.guard_eval
             + model.thread_spawn
@@ -1405,10 +1383,10 @@ mod tests {
         let (mut engine, cpu) = ctx_parts();
         let model = cpu.model().clone();
         let d = Dispatcher::new();
-        let ev = d.define_event::<u32>("Batched");
+        let ev = d.define_event::<UdpArg>("Batched");
         d.install(
             ev,
-            HandlerSpec::new(|_, _| {}).guard(Guard::closure(|_| true)),
+            HandlerSpec::new(|_, _| {}).guard(Guard::verified(above_program(0))),
         );
         let per_item =
             model.guard_eval + model.thread_spawn + model.context_switch + model.dispatch_handler;
@@ -1419,11 +1397,11 @@ mod tests {
                 lease: &mut lease,
             };
             let mut batch = d.batch(ev);
-            batch.raise(&mut ctx, &0);
+            batch.raise(&mut ctx, &UdpArg { dst_port: 1 });
             // A batch of one costs exactly what a single raise costs.
             assert_eq!(ctx.lease.elapsed(), model.dispatch_raise + per_item);
-            batch.raise(&mut ctx, &1);
-            batch.raise(&mut ctx, &2);
+            batch.raise(&mut ctx, &UdpArg { dst_port: 2 });
+            batch.raise(&mut ctx, &UdpArg { dst_port: 3 });
         }
         // Later items skip only the fixed dispatch_raise charge.
         assert_eq!(lease.elapsed(), model.dispatch_raise + per_item.times(3));
@@ -1581,39 +1559,6 @@ mod tests {
         assert_eq!(d.is_ephemeral(ev, eph), None);
     }
 
-    /// A UdpRecv-shaped event argument for verified-guard tests.
-    #[derive(Debug)]
-    pub(super) struct UdpArg {
-        pub(super) dst_port: u64,
-    }
-
-    impl plexus_filter::Packet for UdpArg {
-        fn kind(&self) -> plexus_filter::EventKind {
-            plexus_filter::EventKind::UdpRecv
-        }
-        fn field(&self, field: plexus_filter::Field) -> Option<u64> {
-            match field {
-                plexus_filter::Field::UdpDstPort => Some(self.dst_port),
-                _ => None,
-            }
-        }
-        fn head(&self) -> &[u8] {
-            &[]
-        }
-    }
-
-    pub(super) fn port_program(port: u64) -> Rc<VerifiedProgram> {
-        let prog = plexus_filter::conjunction(
-            plexus_filter::EventKind::UdpRecv,
-            &[plexus_filter::Test::eq(
-                plexus_filter::Operand::Field(plexus_filter::Field::UdpDstPort),
-                port,
-            )],
-            Vec::new(),
-        );
-        Rc::new(plexus_filter::verify(&prog).expect("builder output verifies"))
-    }
-
     #[test]
     fn verified_guards_filter_interrupt_delivery() {
         let (mut engine, cpu) = ctx_parts();
@@ -1642,42 +1587,6 @@ mod tests {
     }
 
     #[test]
-    fn stats_distinguish_verified_from_closure_guard_evals() {
-        let (mut engine, cpu) = ctx_parts();
-        let d = Dispatcher::new();
-        let ev = d.define_event::<UdpArg>("Udp.Mixed");
-        // With the index on, the second raise would skip the verified
-        // guard entirely; force the linear scan to pin the historical
-        // counting behavior.
-        d.set_demux_enabled(false);
-        d.install(
-            ev,
-            HandlerSpec::ephemeral(Ephemeral::certify(|_: &mut RaiseCtx, _: &UdpArg| {}))
-                .guard(Guard::verified(port_program(53)))
-                .interrupt(),
-        );
-        d.install(
-            ev,
-            HandlerSpec::new(|_, _| {}).guard(Guard::closure(|arg: &UdpArg| arg.dst_port == 53)),
-        );
-        let mut lease = cpu.begin(SimTime::ZERO);
-        let mut ctx = RaiseCtx {
-            engine: &mut engine,
-            lease: &mut lease,
-        };
-        d.raise(&mut ctx, ev, &UdpArg { dst_port: 53 });
-        d.raise(&mut ctx, ev, &UdpArg { dst_port: 80 });
-        let stats = d.stats();
-        assert_eq!(stats.guard_evals, 4, "both guards, both raises");
-        assert_eq!(
-            stats.verified_guard_evals, 2,
-            "one verified guard, both raises"
-        );
-        assert_eq!(stats.guard_rejects, 2);
-        assert_eq!(stats.verified_guard_rejects, 1);
-    }
-
-    #[test]
     fn verified_guards_count_as_guarded_in_summaries() {
         let d = Dispatcher::new();
         let ev = d.define_event::<UdpArg>("Udp.Summarized");
@@ -1690,19 +1599,6 @@ mod tests {
         let summary = d.event_summary();
         assert_eq!(summary[0].handlers, 1);
         assert_eq!(summary[0].guarded, 1);
-    }
-
-    #[test]
-    #[should_panic(expected = "require a verified guard program")]
-    fn interrupt_installs_reject_closure_guards() {
-        let d = Dispatcher::new();
-        let ev = d.define_event::<UdpArg>("Udp.Strict");
-        d.install(
-            ev,
-            HandlerSpec::ephemeral(Ephemeral::certify(|_: &mut RaiseCtx, _: &UdpArg| {}))
-                .guard(Guard::closure(|arg: &UdpArg| arg.dst_port == 53))
-                .interrupt(),
-        );
     }
 
     #[test]
@@ -1795,16 +1691,6 @@ mod tests {
             d.try_install(ev, HandlerSpec::new(|_, _: &UdpArg| {}).interrupt())
                 .unwrap_err(),
             InstallError::UncertifiedInterrupt
-        );
-        assert_eq!(
-            d.try_install(
-                ev,
-                HandlerSpec::ephemeral(Ephemeral::certify(|_: &mut RaiseCtx, _: &UdpArg| {}))
-                    .guard(Guard::closure(|arg: &UdpArg| arg.dst_port == 53))
-                    .interrupt(),
-            )
-            .unwrap_err(),
-            InstallError::ClosureGuardInterrupt
         );
         assert_eq!(d.handler_count(ev), 0);
         let id = d
@@ -1939,12 +1825,12 @@ mod tests {
                         .guard(Guard::verified(port_program(port))),
                 );
             }
-            // One unindexable closure-guard handler mixed in.
+            // One unindexable guard mixed in.
             let o = order.clone();
             d.install(
                 ev,
                 HandlerSpec::new(move |_, _: &UdpArg| o.borrow_mut().push("z"))
-                    .guard(Guard::closure(|arg: &UdpArg| arg.dst_port == 53)),
+                    .guard(Guard::verified(above_program(60))),
             );
             let mut lease = cpu.begin(SimTime::ZERO);
             let mut ctx = RaiseCtx {
@@ -2028,8 +1914,7 @@ mod tests {
         let ev = d.define_event::<UdpArg>("Udp.Fallback");
         d.install(
             ev,
-            HandlerSpec::new(|_, _: &UdpArg| {})
-                .guard(Guard::closure(|arg: &UdpArg| arg.dst_port == 53)),
+            HandlerSpec::new(|_, _: &UdpArg| {}).guard(Guard::verified(above_program(50))),
         );
         let mut lease = cpu.begin(SimTime::ZERO);
         let mut ctx = RaiseCtx {
@@ -2307,6 +2192,7 @@ mod tests {
 
 #[cfg(test)]
 mod recorder_tests {
+    use super::tests::{above_program, port_program, UdpArg};
     use super::*;
     use plexus_sim::cpu::{CostModel, Cpu};
     use plexus_sim::time::SimTime;
@@ -2320,11 +2206,11 @@ mod recorder_tests {
         cpu.set_recorder(Some(rec.clone()));
 
         let d = Dispatcher::new();
-        let ev = d.define_event::<u32>("Udp.PacketRecv");
+        let ev = d.define_event::<UdpArg>("Udp.PacketRecv");
         d.install(
             ev,
             HandlerSpec::new(|_, _| {})
-                .guard(Guard::closure(|arg: &u32| *arg > 10))
+                .guard(Guard::verified(above_program(10)))
                 .owner("rtt-extension"),
         );
         let mut lease = cpu.begin(SimTime::ZERO);
@@ -2332,8 +2218,8 @@ mod recorder_tests {
             engine: &mut engine,
             lease: &mut lease,
         };
-        d.raise(&mut ctx, ev, &42);
-        d.raise(&mut ctx, ev, &3);
+        d.raise(&mut ctx, ev, &UdpArg { dst_port: 42 });
+        d.raise(&mut ctx, ev, &UdpArg { dst_port: 3 });
         drop(lease);
 
         let lbl = rec.intern("Udp.PacketRecv");
@@ -2346,8 +2232,8 @@ mod recorder_tests {
             })
         };
         assert_eq!(get(Scope::Event, lbl, "raises"), 2);
-        assert_eq!(get(Scope::Guard, lbl, "closure.accepts"), 1);
-        assert_eq!(get(Scope::Guard, lbl, "closure.rejects"), 1);
+        assert_eq!(get(Scope::Guard, lbl, "verified.accepts"), 1);
+        assert_eq!(get(Scope::Guard, lbl, "verified.rejects"), 1);
         assert_eq!(get(Scope::Handler, lbl, "invocations"), 1);
         assert_eq!(get(Scope::Domain, dom, "invocations"), 1);
 
@@ -2402,7 +2288,6 @@ mod recorder_tests {
 
     #[test]
     fn verified_guard_evals_record_the_static_bound_cross_check() {
-        use super::tests::{port_program, UdpArg};
         let mut engine = Engine::new();
         let cpu = Cpu::new(CostModel::alpha_3000_400());
         let rec = Recorder::new(64);
@@ -2456,17 +2341,17 @@ mod recorder_tests {
                 cpu.set_recorder(Some(Recorder::new(16)));
             }
             let d = Dispatcher::new();
-            let ev = d.define_event::<u32>("Same");
+            let ev = d.define_event::<UdpArg>("Same");
             d.install(
                 ev,
-                HandlerSpec::new(|_, _| {}).guard(Guard::closure(|_| true)),
+                HandlerSpec::new(|_, _| {}).guard(Guard::verified(above_program(0))),
             );
             let mut lease = cpu.begin(SimTime::ZERO);
             let mut ctx = RaiseCtx {
                 engine: &mut engine,
                 lease: &mut lease,
             };
-            d.raise(&mut ctx, ev, &0);
+            d.raise(&mut ctx, ev, &UdpArg { dst_port: 7 });
             (lease.elapsed(), d.stats())
         };
         assert_eq!(run(false), run(true));
@@ -2507,7 +2392,6 @@ mod recorder_tests {
     /// distinguishes them.
     #[test]
     fn guard_tiers_agree_on_dispatch() {
-        use super::tests::{port_program, UdpArg};
         let prog = port_program(9);
         let run = |compiled: bool| {
             let mut engine = Engine::new();

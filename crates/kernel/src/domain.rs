@@ -134,6 +134,11 @@ pub enum LinkError {
     /// Imports not visible in the target domain. The extension is rejected;
     /// the unresolved symbols are listed for diagnostics.
     Unresolved(Vec<String>),
+    /// An extension of this name is already linked into the domain (or
+    /// the name is one the domain's owner keeps for itself). Unload and
+    /// per-domain accounting go by name, so two holders of one name would
+    /// be torn down, and billed, as one.
+    NameTaken(String),
 }
 
 impl fmt::Display for LinkError {
@@ -141,6 +146,7 @@ impl fmt::Display for LinkError {
         match self {
             LinkError::BadSignature(sig) => write!(f, "rejected signature {sig:?}"),
             LinkError::Unresolved(syms) => write!(f, "unresolved symbols: {}", syms.join(", ")),
+            LinkError::NameTaken(name) => write!(f, "extension name {name:?} is taken"),
         }
     }
 }
@@ -153,7 +159,9 @@ impl std::error::Error for LinkError {}
 /// installing handlers on an application's behalf.
 #[derive(Clone, Debug, PartialEq, Eq)]
 pub struct LinkedExtension {
-    name: String,
+    /// Shared, so a manager can note who holds an install without copying
+    /// the name.
+    name: Rc<str>,
     domain: DomainId,
 }
 
@@ -256,8 +264,9 @@ impl Domain {
     /// Links a compiler-signed extension against this domain.
     ///
     /// Fails with [`LinkError::BadSignature`] unless the spec is signed by
-    /// the typesafe compiler, or [`LinkError::Unresolved`] if any import is
-    /// not visible here.
+    /// the typesafe compiler, [`LinkError::Unresolved`] if any import is
+    /// not visible here, or [`LinkError::NameTaken`] if an extension of
+    /// that name is linked already.
     pub fn link(&self, spec: &ExtensionSpec) -> Result<LinkedExtension, LinkError> {
         if spec.signature != Signature::TypesafeCompiler {
             return Err(LinkError::BadSignature(spec.signature));
@@ -314,7 +323,9 @@ impl Domain {
         if !unresolved.is_empty() {
             return Err(LinkError::Unresolved(unresolved));
         }
-        self.linked.borrow_mut().insert(spec.name.clone());
+        if !self.linked.borrow_mut().insert(spec.name.clone()) {
+            return Err(LinkError::NameTaken(spec.name.clone()));
+        }
         if !spec.exports.is_empty() {
             // The extension's own exports become a new interface visible in
             // this domain, so later extensions can link against it.
@@ -325,7 +336,7 @@ impl Domain {
             self.add_interface(iface);
         }
         Ok(LinkedExtension {
-            name: spec.name.clone(),
+            name: spec.name.as_str().into(),
             domain: self.id,
         })
     }
@@ -472,6 +483,25 @@ mod tests {
         assert!(!d.unlink("VideoProto"), "double unlink must fail");
         let late = ExtensionSpec::typesafe("LateViewer", &["VideoProto.Send"]);
         assert!(d.link(&late).is_err(), "exports must vanish on unlink");
+    }
+
+    #[test]
+    fn a_linked_name_is_refused_until_it_unlinks() {
+        let d = Domain::new("apps");
+        let spec = ExtensionSpec::typesafe("A", &[]);
+        let first = d.link(&spec).expect("a free name links");
+        assert_eq!(d.link(&spec), Err(LinkError::NameTaken("A".to_string())));
+        assert_eq!(
+            d.link_trusted(&spec),
+            Err(LinkError::NameTaken("A".to_string()))
+        );
+        assert_eq!(
+            d.linked_extensions(),
+            vec!["A"],
+            "the refusal changed nothing"
+        );
+        assert!(d.unlink("A"));
+        assert_eq!(d.link(&spec), Ok(first), "free again once unlinked");
     }
 
     #[test]

@@ -34,7 +34,7 @@ pub mod vm;
 
 pub use dispatcher::{
     Dispatcher, Event, EventSummary, Guard, HandlerId, HandlerMode, InstallError, RaiseCtx,
-    VerifiedGuard, DEFAULT_INTERRUPT_CYCLE_BUDGET,
+    DEFAULT_INTERRUPT_CYCLE_BUDGET,
 };
 pub use domain::{Domain, ExtensionSpec, Interface, LinkError, LinkedExtension, Nameserver};
 pub use ephemeral::Ephemeral;

@@ -204,231 +204,160 @@ pub struct NicProfile {
     pub tso_segs: usize,
 }
 
-/// Fluent constructor for [`NicProfile`]; start from
-/// [`NicProfile::builder`]. Every knob the presets differ in has a setter;
-/// anything left untouched keeps a neutral default (no framing overhead,
-/// zero fixed costs, DMA with free setup, 1500-byte MTU, 128-deep rings,
-/// batches of 16, no offloads).
-#[derive(Clone, Debug)]
-pub struct NicProfileBuilder {
-    p: NicProfile,
-}
-
-macro_rules! builder_setters {
-    ($($(#[$doc:meta])* $field:ident: $ty:ty),* $(,)?) => {
-        $(
-            $(#[$doc])*
-            pub fn $field(mut self, v: $ty) -> Self {
-                self.p.$field = v;
-                self
-            }
-        )*
-    };
-}
-
-impl NicProfileBuilder {
-    builder_setters! {
-        /// Line rate in bits per second.
-        bits_per_sec: u64,
-        /// Minimum wire frame (shorter frames are padded).
-        min_frame: usize,
-        /// Extra serialized bytes per frame (preamble/trailer framing).
-        frame_overhead: usize,
-        /// Mandatory gap after each frame.
-        inter_frame_gap: SimDuration,
-        /// Cell framing: `(payload_per_cell, wire_per_cell, trailer)`.
-        cell: Option<(usize, usize, usize)>,
-        /// Fixed driver CPU cost per transmitted frame.
-        tx_fixed: SimDuration,
-        /// Fixed driver CPU cost per received frame.
-        rx_fixed: SimDuration,
-        /// Per-byte CPU cost of pushing data to the adapter (PIO).
-        pio_write_per_byte: SimDuration,
-        /// Per-byte CPU cost of pulling data from the adapter (PIO).
-        pio_read_per_byte: SimDuration,
-        /// Fixed CPU cost to set up a DMA transfer.
-        dma_setup: SimDuration,
-        /// Largest payload accepted in one frame.
-        mtu: usize,
-        /// Transmit-ring depth in frame-times.
-        tx_ring_frames: usize,
-        /// Receive-ring depth (coalesced mode).
-        rx_ring_frames: usize,
-        /// Most frames one receive interrupt drains.
-        rx_batch: usize,
-        /// Driver CPU cost per coalesced frame after the first.
-        rx_per_frame: SimDuration,
-        /// Most frames one transmit doorbell covers.
-        tx_batch: usize,
-        /// Driver CPU cost per doorbell-batched frame after the first.
-        tx_per_frame: SimDuration,
-        /// Transmit-completion coalescing delay (doorbell mode).
-        tx_coalesce: SimDuration,
-        /// Adapter fills transport checksums during the DMA gather.
-        checksum_offload: bool,
-        /// Largest TSO super-segment factor (1 = none).
-        tso_segs: usize,
-    }
-
-    /// Finalizes the profile.
-    pub fn build(self) -> NicProfile {
-        self.p
-    }
-}
-
 impl NicProfile {
-    /// Starts a profile from neutral defaults; see [`NicProfileBuilder`].
-    pub fn builder(name: &'static str) -> NicProfileBuilder {
-        NicProfileBuilder {
-            p: NicProfile {
-                name,
-                bits_per_sec: 10_000_000,
-                min_frame: 0,
-                frame_overhead: 0,
-                inter_frame_gap: SimDuration::ZERO,
-                cell: None,
-                tx_fixed: SimDuration::ZERO,
-                rx_fixed: SimDuration::ZERO,
-                pio_write_per_byte: SimDuration::ZERO,
-                pio_read_per_byte: SimDuration::ZERO,
-                dma_setup: SimDuration::ZERO,
-                mtu: 1500,
-                tx_ring_frames: 128,
-                rx_ring_frames: 128,
-                rx_batch: 16,
-                rx_per_frame: SimDuration::ZERO,
-                tx_batch: 16,
-                tx_per_frame: SimDuration::ZERO,
-                tx_coalesce: SimDuration::ZERO,
-                checksum_offload: false,
-                tso_segs: 1,
-            },
+    /// The base value the presets refine: no framing overhead, zero fixed
+    /// costs, DMA with free setup, 1500-byte MTU, 128-deep rings, batches
+    /// of 16, no offloads.
+    fn neutral() -> Self {
+        NicProfile {
+            name: "neutral",
+            bits_per_sec: 10_000_000,
+            min_frame: 0,
+            frame_overhead: 0,
+            inter_frame_gap: SimDuration::ZERO,
+            cell: None,
+            tx_fixed: SimDuration::ZERO,
+            rx_fixed: SimDuration::ZERO,
+            pio_write_per_byte: SimDuration::ZERO,
+            pio_read_per_byte: SimDuration::ZERO,
+            dma_setup: SimDuration::ZERO,
+            mtu: 1500,
+            tx_ring_frames: 128,
+            rx_ring_frames: 128,
+            rx_batch: 16,
+            rx_per_frame: SimDuration::ZERO,
+            tx_batch: 16,
+            tx_per_frame: SimDuration::ZERO,
+            tx_coalesce: SimDuration::ZERO,
+            checksum_offload: false,
+            tso_segs: 1,
         }
     }
 
     /// The stock 10 Mb/s LANCE Ethernet with the (slow) DIGITAL UNIX driver
     /// both systems shared in the paper.
     pub fn ethernet_lance() -> Self {
-        NicProfile::builder("Ethernet")
-            .bits_per_sec(10_000_000)
-            .min_frame(64)
-            .frame_overhead(8)
-            .inter_frame_gap(SimDuration::from_nanos(9_600))
-            .tx_fixed(SimDuration::from_micros(88))
-            .rx_fixed(SimDuration::from_micros(80))
-            .rx_per_frame(SimDuration::from_micros(10))
-            .tx_per_frame(SimDuration::from_micros(12))
-            .build()
+        NicProfile {
+            name: "Ethernet",
+            bits_per_sec: 10_000_000,
+            min_frame: 64,
+            frame_overhead: 8,
+            inter_frame_gap: SimDuration::from_nanos(9_600),
+            tx_fixed: SimDuration::from_micros(88),
+            rx_fixed: SimDuration::from_micros(80),
+            rx_per_frame: SimDuration::from_micros(10),
+            tx_per_frame: SimDuration::from_micros(12),
+            ..NicProfile::neutral()
+        }
     }
 
     /// The "faster device driver" variant of §4.1 (337 µs Ethernet RTT).
     pub fn ethernet_fast_driver() -> Self {
-        NicProfileBuilder {
-            p: NicProfile::ethernet_lance(),
+        NicProfile {
+            name: "Ethernet (fast driver)",
+            tx_fixed: SimDuration::from_micros(32),
+            rx_fixed: SimDuration::from_micros(31),
+            rx_per_frame: SimDuration::from_micros(6),
+            tx_per_frame: SimDuration::from_micros(7),
+            ..NicProfile::ethernet_lance()
         }
-        .tx_fixed(SimDuration::from_micros(32))
-        .rx_fixed(SimDuration::from_micros(31))
-        .rx_per_frame(SimDuration::from_micros(6))
-        .tx_per_frame(SimDuration::from_micros(7))
-        .build()
-        .named("Ethernet (fast driver)")
     }
 
     /// The 155 Mb/s Fore TCA-100 ATM adapter. Programmed I/O: the CPU moves
     /// every byte, and TurboChannel reads are slow, capping reliable
     /// driver-to-driver transfers near the paper's 53 Mb/s.
     pub fn fore_atm_tca100() -> Self {
-        NicProfile::builder("Fore ATM")
-            .bits_per_sec(155_520_000)
-            .cell(Some((48, 53, 8)))
-            .tx_fixed(SimDuration::from_micros(50))
-            .rx_fixed(SimDuration::from_micros(58))
-            .pio_write_per_byte(SimDuration::from_nanos(40))
-            .pio_read_per_byte(SimDuration::from_nanos(133))
-            .mtu(9180)
-            .rx_per_frame(SimDuration::from_micros(8))
-            .tx_per_frame(SimDuration::from_micros(9))
-            .build()
+        NicProfile {
+            name: "Fore ATM",
+            bits_per_sec: 155_520_000,
+            cell: Some((48, 53, 8)),
+            tx_fixed: SimDuration::from_micros(50),
+            rx_fixed: SimDuration::from_micros(58),
+            pio_write_per_byte: SimDuration::from_nanos(40),
+            pio_read_per_byte: SimDuration::from_nanos(133),
+            mtu: 9180,
+            rx_per_frame: SimDuration::from_micros(8),
+            tx_per_frame: SimDuration::from_micros(9),
+            ..NicProfile::neutral()
+        }
     }
 
     /// The "faster device driver" ATM variant of §4.1 (241 µs RTT).
     pub fn fore_atm_fast_driver() -> Self {
-        NicProfileBuilder {
-            p: NicProfile::fore_atm_tca100(),
+        NicProfile {
+            name: "Fore ATM (fast driver)",
+            tx_fixed: SimDuration::from_micros(28),
+            rx_fixed: SimDuration::from_micros(31),
+            rx_per_frame: SimDuration::from_micros(6),
+            tx_per_frame: SimDuration::from_micros(7),
+            ..NicProfile::fore_atm_tca100()
         }
-        .tx_fixed(SimDuration::from_micros(28))
-        .rx_fixed(SimDuration::from_micros(31))
-        .rx_per_frame(SimDuration::from_micros(6))
-        .tx_per_frame(SimDuration::from_micros(7))
-        .build()
-        .named("Fore ATM (fast driver)")
     }
 
     /// The experimental 45 Mb/s DEC T3 adapter; DMA, minimal CPU.
     pub fn dec_t3() -> Self {
-        NicProfile::builder("DEC T3")
-            .bits_per_sec(45_000_000)
-            .frame_overhead(4)
-            .tx_fixed(SimDuration::from_micros(45))
-            .rx_fixed(SimDuration::from_micros(48))
-            .dma_setup(SimDuration::from_micros(8))
-            .mtu(4470)
-            .rx_per_frame(SimDuration::from_micros(6))
-            .tx_per_frame(SimDuration::from_micros(7))
-            .build()
+        NicProfile {
+            name: "DEC T3",
+            bits_per_sec: 45_000_000,
+            frame_overhead: 4,
+            tx_fixed: SimDuration::from_micros(45),
+            rx_fixed: SimDuration::from_micros(48),
+            dma_setup: SimDuration::from_micros(8),
+            mtu: 4470,
+            rx_per_frame: SimDuration::from_micros(6),
+            tx_per_frame: SimDuration::from_micros(7),
+            ..NicProfile::neutral()
+        }
     }
 
     /// 100 Mb/s switched Fast Ethernet with a descriptor-ring DMA driver —
     /// the first profile where per-frame driver overhead, not the wire,
     /// limits small-packet throughput.
     pub fn fast_ethernet() -> Self {
-        NicProfile::builder("Fast Ethernet")
-            .bits_per_sec(100_000_000)
-            .min_frame(64)
-            .frame_overhead(8)
-            .inter_frame_gap(SimDuration::from_nanos(960))
-            .tx_fixed(SimDuration::from_micros(12))
-            .rx_fixed(SimDuration::from_micros(12))
-            .dma_setup(SimDuration::from_micros(4))
-            .tx_ring_frames(256)
-            .rx_ring_frames(256)
-            .rx_batch(32)
-            .rx_per_frame(SimDuration::from_micros(3))
-            .tx_batch(32)
-            .tx_per_frame(SimDuration::from_micros(2))
-            .tx_coalesce(SimDuration::from_micros(32))
-            .build()
+        NicProfile {
+            name: "Fast Ethernet",
+            bits_per_sec: 100_000_000,
+            min_frame: 64,
+            frame_overhead: 8,
+            inter_frame_gap: SimDuration::from_nanos(960),
+            tx_fixed: SimDuration::from_micros(12),
+            rx_fixed: SimDuration::from_micros(12),
+            dma_setup: SimDuration::from_micros(4),
+            tx_ring_frames: 256,
+            rx_ring_frames: 256,
+            rx_batch: 32,
+            rx_per_frame: SimDuration::from_micros(3),
+            tx_batch: 32,
+            tx_per_frame: SimDuration::from_micros(2),
+            tx_coalesce: SimDuration::from_micros(32),
+            ..NicProfile::neutral()
+        }
     }
 
     /// 1 Gb/s Ethernet with checksum offload and TSO: at this line rate
     /// the host only keeps up when doorbell batching amortizes the fixed
     /// per-frame driver cost and the adapter absorbs the checksum pass.
     pub fn gigabit() -> Self {
-        NicProfile::builder("Gigabit Ethernet")
-            .bits_per_sec(1_000_000_000)
-            .min_frame(64)
-            .frame_overhead(8)
-            .inter_frame_gap(SimDuration::from_nanos(96))
-            .tx_fixed(SimDuration::from_micros(12))
-            .rx_fixed(SimDuration::from_micros(6))
-            .dma_setup(SimDuration::from_micros(4))
-            .tx_ring_frames(512)
-            .rx_ring_frames(512)
-            .rx_batch(64)
-            .rx_per_frame(SimDuration::from_micros(1))
-            .tx_batch(64)
-            .tx_per_frame(SimDuration::from_micros(1))
-            .tx_coalesce(SimDuration::from_micros(64))
-            .checksum_offload(true)
-            .tso_segs(8)
-            .build()
-    }
-
-    /// Returns the profile with a different display name (used by the
-    /// "fast driver" preset variants).
-    fn named(mut self, name: &'static str) -> Self {
-        self.name = name;
-        self
+        NicProfile {
+            name: "Gigabit Ethernet",
+            bits_per_sec: 1_000_000_000,
+            min_frame: 64,
+            frame_overhead: 8,
+            inter_frame_gap: SimDuration::from_nanos(96),
+            tx_fixed: SimDuration::from_micros(12),
+            rx_fixed: SimDuration::from_micros(6),
+            dma_setup: SimDuration::from_micros(4),
+            tx_ring_frames: 512,
+            rx_ring_frames: 512,
+            rx_batch: 64,
+            rx_per_frame: SimDuration::from_micros(1),
+            tx_batch: 64,
+            tx_per_frame: SimDuration::from_micros(1),
+            tx_coalesce: SimDuration::from_micros(64),
+            checksum_offload: true,
+            tso_segs: 8,
+            ..NicProfile::neutral()
+        }
     }
 
     /// Bytes actually serialized on the wire for a `len`-byte frame.
@@ -1708,8 +1637,7 @@ mod tx_tests {
 
     #[test]
     fn builder_defaults_are_neutral() {
-        let p = NicProfile::builder("Custom").build();
-        assert_eq!(p.name, "Custom");
+        let p = NicProfile::neutral();
         assert_eq!(p.wire_bytes(100), 100, "no framing by default");
         assert_eq!(p.tx_cpu_cost(1000), SimDuration::ZERO);
         assert!(!p.checksum_offload);

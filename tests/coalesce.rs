@@ -1,4 +1,4 @@
-//! End-to-end invariants of the batched receive path (DESIGN.md §13).
+//! End-to-end invariants of the batched receive path (DESIGN.md §10).
 //!
 //! Interrupt coalescing and cluster pooling are pure mechanism: they may
 //! change *when* the driver runs and *where* payload bytes live, but

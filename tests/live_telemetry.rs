@@ -1,5 +1,5 @@
 //! Scenario-level guarantees of the streaming telemetry tier (DESIGN.md
-//! §10): on a truncation-free run the live windows are *value-identical*
+//! §9): on a truncation-free run the live windows are *value-identical*
 //! to the post-hoc timeline fold; on a ring-wrap run the live tier keeps
 //! full-fidelity windows and sampled journeys while the post-hoc
 //! exporters report truncation; and the per-scenario SLO gate that

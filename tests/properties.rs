@@ -512,8 +512,9 @@ proptest! {
 // ---------------------------------------------------------------------------
 // Dispatcher demux index: indexed dispatch must be observationally identical
 // to the linear guard walk — same handlers invoked, in the same order, with
-// the same raise outcomes — for arbitrary mixes of indexable verified
-// guards, unindexable guards, closures, and live port-set mutation.
+// the same raise outcomes — for arbitrary mixes of indexable guards,
+// unindexable guards (range tests, off-schema fields), and live port-set
+// mutation.
 // ---------------------------------------------------------------------------
 
 mod demux_equivalence {
@@ -523,7 +524,8 @@ mod demux_equivalence {
 
     use plexus::kernel::dispatcher::{Dispatcher, Guard, HandlerSpec, RaiseCtx};
     use plexus::kernel::filter::{
-        conjunction, verify, EventKind, Field, Operand, Packet, PortSet, Test,
+        conjunction, verify, EventKind, Field, FilterProgram, Insn, Operand, Packet, PortSet, Reg,
+        Src, Test,
     };
     use plexus::sim::cpu::{CostModel, Cpu};
     use plexus::sim::time::SimTime;
@@ -552,14 +554,14 @@ mod demux_equivalence {
     }
 
     /// One installed handler's guard, spanning every dispatch path: no
-    /// guard, an opaque closure (never indexable), an indexable equality
-    /// or one-of on the schema field, a shared-set test (falls back:
-    /// NotIn alone yields no hash key), and an off-schema equality
-    /// (verified but unindexable).
+    /// guard, a range test on the schema field (proves no key, so never
+    /// indexable), an indexable equality or one-of on the schema field, a
+    /// shared-set test (falls back: NotIn alone yields no hash key), and
+    /// an off-schema equality (unindexable).
     #[derive(Debug, Clone)]
     enum GuardKind {
         None,
-        Closure(u16),
+        BelowDst(u16),
         EqDst(u16),
         OneOfDst(Vec<u16>),
         NotInShared,
@@ -569,7 +571,7 @@ mod demux_equivalence {
     fn guard_kind() -> impl Strategy<Value = GuardKind> {
         prop_oneof![
             Just(GuardKind::None),
-            (0u16..8).prop_map(GuardKind::Closure),
+            (0u16..8).prop_map(GuardKind::BelowDst),
             (0u16..8).prop_map(GuardKind::EqDst),
             proptest::collection::vec(0u16..8, 1..4).prop_map(GuardKind::OneOfDst),
             Just(GuardKind::NotInShared),
@@ -581,9 +583,29 @@ mod demux_equivalence {
         let dst = Operand::Field(Field::UdpDstPort);
         let (tests, sets): (Vec<Test>, Vec<PortSet>) = match kind {
             GuardKind::None => return None,
-            GuardKind::Closure(p) => {
-                let p = *p;
-                return Some(Guard::closure(move |d: &Dgram| d.dst_port == p));
+            GuardKind::BelowDst(p) => {
+                let program = FilterProgram {
+                    kind: EventKind::UdpRecv,
+                    insns: vec![
+                        Insn::Ld {
+                            dst: Reg(0),
+                            field: Field::UdpDstPort,
+                        },
+                        Insn::Jlt {
+                            a: Reg(0),
+                            b: Src::Imm(u64::from(*p)),
+                            off: 1,
+                        },
+                        Insn::Reject,
+                        Insn::Accept,
+                    ],
+                    sets: vec![],
+                    maps: vec![],
+                    state_budget: 0,
+                };
+                let verified = verify(&program).expect("a forward range test verifies");
+                assert!(verified.demux_key().is_none(), "a range proves no key");
+                return Some(Guard::verified(Rc::new(verified)));
             }
             GuardKind::EqDst(p) => (vec![Test::eq(dst, u64::from(*p))], vec![]),
             GuardKind::OneOfDst(ports) => (
@@ -632,9 +654,9 @@ mod demux_equivalence {
             let ev_lin = linear.define_event::<Dgram>("Udp.Equiv");
             let ev_idx = indexed.define_event::<Dgram>("Udp.Equiv");
             for (i, kind) in guards.iter().enumerate() {
-                // Guards are rebuilt per dispatcher from the same spec
-                // (closures are not Clone); NotInShared guards reference
-                // the one shared set either way.
+                // Guards are rebuilt per dispatcher from the same spec;
+                // NotInShared guards reference the one shared set either
+                // way.
                 let l = log_lin.clone();
                 linear.install(
                     ev_lin,
@@ -886,7 +908,8 @@ mod demux_equivalence {
         fn accepts(&self, src: u16, dst: u16, shared: &PortSet) -> bool {
             match &self.kind {
                 GuardKind::None => true,
-                GuardKind::Closure(p) | GuardKind::EqDst(p) => dst == *p,
+                GuardKind::BelowDst(p) => dst < *p,
+                GuardKind::EqDst(p) => dst == *p,
                 GuardKind::OneOfDst(ports) => ports.contains(&dst),
                 GuardKind::NotInShared => !shared.contains(dst),
                 GuardKind::EqSrc(p) => src == *p,

@@ -2,7 +2,7 @@
 //! packet ID comes from the simulated clock and deterministic counters,
 //! tracing the same scenario twice yields *byte-identical* output — the
 //! event streams match record for record, and both exporters emit the
-//! same bytes. See DESIGN.md §10.
+//! same bytes. See DESIGN.md §9.
 
 use std::rc::Rc;
 

@@ -1,5 +1,5 @@
 //! End-to-end invariants of the scatter-gather transmit path (DESIGN.md
-//! §16).
+//! §11).
 //!
 //! The transmit-side redesign — chains handed to the adapter unflattened,
 //! doorbell-batched submission, checksum offload — is pure mechanism: it
