@@ -215,7 +215,7 @@ impl SenderInner {
 
     fn arm_timer(self: &Rc<Self>, engine: &mut Engine) {
         if let Some(t) = self.timer.borrow_mut().take() {
-            t.cancel();
+            engine.cancel(t);
         }
         let me = self.clone();
         let handle = engine.schedule_cancelable(self.config.retry_timeout, move |eng| {
@@ -272,7 +272,7 @@ impl SenderInner {
         if matched {
             self.delivered.set(self.delivered.get() + 1);
             if let Some(t) = self.timer.borrow_mut().take() {
-                t.cancel();
+                ctx.engine.cancel(t);
             }
             self.pump(ctx);
         }

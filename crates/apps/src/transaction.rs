@@ -198,7 +198,7 @@ impl TransactionClient {
                 let id = seg.ack;
                 if let Some(p) = me.pending.borrow_mut().remove(&id) {
                     if let Some(t) = p.timer {
-                        t.cancel();
+                        ctx.engine.cancel(t);
                     }
                     *p.completed.borrow_mut() = Some(seg.payload.clone());
                     p.completed_at.set(Some(ctx.lease.now().as_nanos()));

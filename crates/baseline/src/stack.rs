@@ -239,7 +239,7 @@ impl MonolithicStack {
             let model = lease.model().clone();
             lease.charge(model.interrupt_entry);
             lease.charge(s.nic.profile().rx_cpu_cost(frame.len()));
-            let Some(v) = ether::accept(&frame, s.mac, false) else {
+            let Some(v) = ether::accept(frame, s.mac, false) else {
                 lease.charge(model.interrupt_exit);
                 return;
             };
@@ -259,7 +259,7 @@ impl MonolithicStack {
                     // the packet and the kernel processes it "later" (we
                     // charge the hop; processing continues on this CPU).
                     lease.charge(model.softirq);
-                    let mut pkt = Mbuf::from_wire(&frame);
+                    let mut pkt = Mbuf::from_wire(frame);
                     pkt.trim_front(ETHER_HDR_LEN);
                     Self::ip_input(&s, &tcp_layer, engine, &mut lease, pkt);
                 }

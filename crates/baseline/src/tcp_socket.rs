@@ -292,7 +292,7 @@ impl TcpSocket {
             self.user_callback(engine, lease, UserEvent::PeerClose);
         }
         if actions.closed {
-            self.teardown();
+            self.teardown(engine);
             self.user_callback(engine, lease, UserEvent::Closed);
             return;
         }
@@ -373,7 +373,7 @@ impl TcpSocket {
 
     fn rearm_timer(self: &Rc<Self>, engine: &mut Engine) {
         if let Some(old) = self.timer.borrow_mut().take() {
-            old.cancel();
+            engine.cancel(old);
         }
         let Some(deadline_ns) = self.tcb.borrow().next_timeout() else {
             return;
@@ -393,12 +393,12 @@ impl TcpSocket {
         *self.timer.borrow_mut() = Some(handle);
     }
 
-    fn teardown(&self) {
+    fn teardown(&self, engine: &mut Engine) {
         if self.gone.replace(true) {
             return;
         }
         if let Some(t) = self.timer.borrow_mut().take() {
-            t.cancel();
+            engine.cancel(t);
         }
         self.layer.conns.borrow_mut().remove(&self.key);
     }

@@ -279,7 +279,7 @@ impl<'a> UdpRtt<'a> {
                 lease.charge(sn.profile().rx_cpu_cost(frame.len()));
                 lease.charge(sn.profile().tx_cpu_cost(frame.len()));
                 let at = lease.now();
-                sn.transmit(engine, at, &frame[..]);
+                sn.transmit(engine, at, frame);
                 lease.charge(model.interrupt_exit);
             }));
 
@@ -297,7 +297,7 @@ impl<'a> UdpRtt<'a> {
                 st.sent_at.set(lease.now().as_nanos());
                 lease.charge(cn.profile().tx_cpu_cost(frame.len()));
                 let at = lease.now();
-                cn.transmit(engine, at, &frame[..]);
+                cn.transmit(engine, at, frame);
             }
             lease.charge(model.interrupt_exit);
         }));

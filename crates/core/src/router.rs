@@ -141,11 +141,11 @@ impl IpRouter {
         self.interfaces.iter().any(|i| i.ip == ip_addr)
     }
 
-    fn rx(self: &Rc<Self>, engine: &mut Engine, iface: &Rc<RouterIf>, frame: Vec<u8>) {
+    fn rx(self: &Rc<Self>, engine: &mut Engine, iface: &Rc<RouterIf>, frame: &[u8]) {
         let mut lease = self.machine.cpu().begin(engine.now());
         lease.charge(lease.model().interrupt_entry);
         lease.charge(iface.nic.profile().rx_cpu_cost(frame.len()));
-        if let Some(v) = ether::accept(&frame, iface.mac, false) {
+        if let Some(v) = ether::accept(frame, iface.mac, false) {
             match v.ethertype() {
                 EtherType::ARP => {
                     let now = lease.now().as_nanos();

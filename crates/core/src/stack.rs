@@ -676,7 +676,7 @@ impl PlexusStack {
             lease.charge(lease.model().interrupt_entry);
             let rx_cost = s.nic.profile().rx_cpu_cost(frame.len());
             let mut batch = s.dispatcher.batch(s.events.eth_recv);
-            s.rx_frame(engine, &mut lease, &mut batch, &frame, rx_cost, None);
+            s.rx_frame(engine, &mut lease, &mut batch, frame, rx_cost, None);
             lease.charge(lease.model().interrupt_exit);
         })
     }

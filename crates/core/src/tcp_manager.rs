@@ -519,7 +519,7 @@ impl TcpConn {
             }
         }
         if actions.closed {
-            self.deregister();
+            self.deregister(ctx.engine);
             let cb = self.callbacks.borrow().on_closed.clone();
             if let Some(cb) = cb {
                 cb(ctx, self);
@@ -531,7 +531,7 @@ impl TcpConn {
 
     fn rearm_timer(self: &Rc<Self>, engine: &mut Engine) {
         if let Some(old) = self.timer.borrow_mut().take() {
-            old.cancel();
+            engine.cancel(old);
         }
         let Some(deadline_ns) = self.tcb.borrow().next_timeout() else {
             return;
@@ -560,12 +560,12 @@ impl TcpConn {
         self.process_actions(&mut ctx, actions);
     }
 
-    fn deregister(&self) {
+    fn deregister(&self, engine: &mut Engine) {
         if self.deregistered.replace(true) {
             return;
         }
         if let Some(t) = self.timer.borrow_mut().take() {
-            t.cancel();
+            engine.cancel(t);
         }
         if let Some(id) = self.handler.take() {
             self.manager

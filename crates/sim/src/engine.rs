@@ -1,82 +1,125 @@
 //! The discrete-event execution engine.
 //!
-//! An [`Engine`] owns a priority queue of scheduled actions. Running the
-//! engine repeatedly pops the earliest action, advances the clock to its
-//! timestamp, and invokes it. Actions are arbitrary `FnOnce(&mut Engine)`
-//! closures, so they can schedule further actions; shared simulation state
-//! (machines, devices, protocol stacks) lives outside the engine behind
-//! `Rc<RefCell<_>>` handles that the closures capture.
+//! An [`Engine`] owns the queue of everything that is going to happen.
+//! Running it repeatedly takes the earliest event, advances the clock to
+//! its timestamp, and runs it. Shared simulation state (machines, devices,
+//! protocol stacks) lives outside the engine behind `Rc<RefCell<_>>`
+//! handles that the events capture.
 //!
-//! Determinism: ties at the same instant are broken by insertion order
-//! (a monotonically increasing sequence number), so a given workload always
-//! replays the exact same timeline.
+//! # Slots and keys
+//!
+//! The queue is two structures. A *slab* of slots holds the events
+//! themselves; a binary heap orders small `Copy` keys `(at, seq, slot)`
+//! that point into it. A slot holds one of four things:
+//!
+//! * a boxed `FnOnce(&mut Engine)` closure — what [`Engine::schedule_at`],
+//!   [`Engine::schedule_in`] and [`Engine::schedule_cancelable`] take, so
+//!   an event can do anything, scheduling further events included;
+//! * the same closure marked as a protocol timer (it records a
+//!   `TimerFire` when it runs);
+//! * one of the NIC model's two recurring device events — a frame's
+//!   arrival at a peer, a receive-ring drain — as a typed variant that
+//!   carries its operands. These are scheduled once or twice per frame,
+//!   and as variants they need no box: the wire image rides in the slot.
+//!
+//! Vacated slots go on a free list and are handed out again before the
+//! slab grows, so the slab is as long as the most events that were ever
+//! in flight at once and a steady-state world schedules without touching
+//! the heap allocator for anything but a closure's own box.
+//!
+//! # Generations, cancellation and the sweep
+//!
+//! `seq` counts every event ever scheduled, so it also serves as a slot's
+//! *generation*: a slot remembers the `seq` of the event in it, and a key
+//! or a [`TimerHandle`] — `(slot, seq)`, two integers — refers to that
+//! event only while the two agree. [`Engine::cancel`] empties the slot on
+//! the spot: the closure and whatever it captured are dropped when the
+//! timer is cancelled, not when its deadline comes round. The key is left
+//! behind in the heap (a binary heap cannot delete from the middle); it
+//! no longer matches its slot, and is discarded when it surfaces — or
+//! earlier, because whenever such stale keys outnumber the live ones the
+//! heap is rebuilt without them. A connection that re-arms a 200 ms
+//! retransmit timer on every segment therefore keeps one event and a
+//! handful of keys, not one of each per segment until the deadline.
+//!
+//! # Determinism
+//!
+//! Events run in `(at, seq)` order: by timestamp, and within an instant
+//! in the order they were scheduled. `seq` is unique, so that order is
+//! total, and it is a property of the keys alone — which slot an event
+//! sits in, which slots were reused, and when the heap was last swept
+//! cannot change it. A given workload always replays the exact same
+//! timeline.
 
-use std::cell::Cell;
-use std::cmp::Ordering;
+use std::cmp::Reverse;
 use std::collections::BinaryHeap;
 use std::rc::Rc;
 
 use plexus_trace::Recorder;
 
+use crate::nic::{Frame, Nic};
 use crate::time::{SimDuration, SimTime};
 
 /// A scheduled closure. It receives the engine so it can schedule follow-ups.
 pub type Action = Box<dyn FnOnce(&mut Engine)>;
 
-/// Cancellation handle for a scheduled action (e.g. a retransmit timer).
+/// Names one scheduled action (e.g. a retransmit timer) so that
+/// [`Engine::cancel`] can take it back before it fires.
 ///
-/// Dropping the handle does *not* cancel the action; call
-/// [`TimerHandle::cancel`]. A cancelled action is skipped when its time
-/// comes (the closure is dropped without running).
-#[derive(Clone)]
+/// Dropping the handle does *not* cancel the action. A handle whose action
+/// has run or been cancelled is inert: cancelling through it does nothing.
+#[derive(Clone, Copy, Debug, PartialEq, Eq)]
 pub struct TimerHandle {
-    cancelled: Rc<Cell<bool>>,
-    at: SimTime,
+    slot: u32,
+    seq: u64,
 }
 
-impl TimerHandle {
-    /// Cancels the scheduled action. Idempotent.
-    pub fn cancel(&self) {
-        self.cancelled.set(true);
+/// What a slot holds.
+pub(crate) enum Event {
+    /// Simulation plumbing: a plain scheduled closure.
+    Closure(Action),
+    /// A timer in the protocol sense (retransmits, delays): a cancelable
+    /// closure, recorded as a `TimerFire` when it runs.
+    Timer(Action),
+    /// A frame reaches `to` after serialization and propagation.
+    FrameArrival {
+        to: Rc<Nic>,
+        frame: Frame,
+        journey: Option<u64>,
+    },
+    /// A coalescing NIC's driver is free again: drain its receive ring.
+    RxDrain(Rc<Nic>),
+}
+
+struct Slot {
+    /// The `seq` of the event last put here: the slot's generation.
+    seq: u64,
+    /// `None` once that event has run or been cancelled.
+    event: Option<Event>,
+}
+
+impl Slot {
+    /// Whether the event scheduled as `seq` is still here.
+    fn holds(&self, seq: u64) -> bool {
+        self.seq == seq && self.event.is_some()
     }
 
-    /// True if [`TimerHandle::cancel`] has been called.
-    pub fn is_cancelled(&self) -> bool {
-        self.cancelled.get()
-    }
-
-    /// The instant the action was scheduled for.
-    pub fn deadline(&self) -> SimTime {
-        self.at
+    /// Takes that event out, if it is.
+    fn take(&mut self, seq: u64) -> Option<Event> {
+        if self.seq == seq {
+            self.event.take()
+        } else {
+            None
+        }
     }
 }
 
-struct Entry {
+/// Heap entry: ordered by `(at, seq)`; `slot` never decides, `seq` is unique.
+#[derive(Clone, Copy, PartialEq, Eq, PartialOrd, Ord)]
+struct Key {
     at: SimTime,
     seq: u64,
-    cancelled: Option<Rc<Cell<bool>>>,
-    action: Action,
-}
-
-impl PartialEq for Entry {
-    fn eq(&self, other: &Self) -> bool {
-        self.at == other.at && self.seq == other.seq
-    }
-}
-impl Eq for Entry {}
-
-impl PartialOrd for Entry {
-    fn partial_cmp(&self, other: &Self) -> Option<Ordering> {
-        Some(self.cmp(other))
-    }
-}
-
-impl Ord for Entry {
-    // `BinaryHeap` is a max-heap; invert so the earliest (and, within an
-    // instant, the first-scheduled) entry surfaces first.
-    fn cmp(&self, other: &Self) -> Ordering {
-        (other.at, other.seq).cmp(&(self.at, self.seq))
-    }
+    slot: u32,
 }
 
 /// Discrete-event executor with a deterministic timeline.
@@ -98,7 +141,14 @@ impl Ord for Entry {
 pub struct Engine {
     now: SimTime,
     seq: u64,
-    queue: BinaryHeap<Entry>,
+    slots: Vec<Slot>,
+    /// Vacant slots, reused before `slots` grows.
+    free: Vec<u32>,
+    /// `BinaryHeap` is a max-heap; `Reverse` surfaces the earliest (and,
+    /// within an instant, the first-scheduled) key first.
+    keys: BinaryHeap<Reverse<Key>>,
+    /// Keys in `keys` whose event was cancelled.
+    stale: usize,
     stopped: bool,
     executed: u64,
     recorder: Option<Rc<Recorder>>,
@@ -127,16 +177,49 @@ impl Engine {
         self.now
     }
 
-    /// Number of actions executed so far (skipped cancelled actions do not
-    /// count).
+    /// Number of actions executed so far (cancelled actions do not count).
     pub fn executed(&self) -> u64 {
         self.executed
     }
 
-    /// Number of actions still pending (including cancelled ones that have
-    /// not yet been reaped).
+    /// Number of actions still pending. A cancelled action stops counting
+    /// the moment it is cancelled.
     pub fn pending(&self) -> usize {
-        self.queue.len()
+        self.slots.len() - self.free.len()
+    }
+
+    /// Puts `event` in a slot and its key in the heap.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `at` is in the past.
+    pub(crate) fn schedule_event(&mut self, at: SimTime, event: Event) -> TimerHandle {
+        assert!(at >= self.now, "cannot schedule into the past");
+        let seq = self.seq;
+        self.seq += 1;
+        let filled = Slot {
+            seq,
+            event: Some(event),
+        };
+        let slot = match self.free.pop() {
+            Some(slot) => {
+                self.slots[slot as usize] = filled;
+                slot
+            }
+            None => {
+                let slot = u32::try_from(self.slots.len()).expect("2^32 events in flight");
+                if self.slots.len() == self.slots.capacity() {
+                    // Slots are the fat half of the queue (a key is 24
+                    // bytes, a slot 56): a slab that doubled would be half
+                    // air at its peak, so it grows by a quarter.
+                    self.slots.reserve_exact(self.slots.len() / 4 + 4);
+                }
+                self.slots.push(filled);
+                slot
+            }
+        };
+        self.keys.push(Reverse(Key { at, seq, slot }));
+        TimerHandle { slot, seq }
     }
 
     /// Schedules `action` at the absolute instant `at`.
@@ -148,15 +231,7 @@ impl Engine {
     where
         F: FnOnce(&mut Engine) + 'static,
     {
-        assert!(at >= self.now, "cannot schedule into the past");
-        let seq = self.seq;
-        self.seq += 1;
-        self.queue.push(Entry {
-            at,
-            seq,
-            cancelled: None,
-            action: Box::new(action),
-        });
+        self.schedule_event(at, Event::Closure(Box::new(action)));
     }
 
     /// Schedules `action` to run `delay` from now.
@@ -168,22 +243,31 @@ impl Engine {
     }
 
     /// Schedules `action` at `delay` from now and returns a handle that can
-    /// cancel it before it fires.
+    /// [`cancel`](Engine::cancel) it before it fires.
     pub fn schedule_cancelable<F>(&mut self, delay: SimDuration, action: F) -> TimerHandle
     where
         F: FnOnce(&mut Engine) + 'static,
     {
-        let at = self.now + delay;
-        let cancelled = Rc::new(Cell::new(false));
-        let seq = self.seq;
-        self.seq += 1;
-        self.queue.push(Entry {
-            at,
-            seq,
-            cancelled: Some(cancelled.clone()),
-            action: Box::new(action),
-        });
-        TimerHandle { cancelled, at }
+        self.schedule_event(self.now + delay, Event::Timer(Box::new(action)))
+    }
+
+    /// Cancels the action `handle` names, dropping its closure (and what it
+    /// captured) now. Idempotent; does nothing if the action already ran.
+    pub fn cancel(&mut self, handle: TimerHandle) {
+        let Some(slot) = self.slots.get_mut(handle.slot as usize) else {
+            return;
+        };
+        if slot.take(handle.seq).is_none() {
+            return;
+        }
+        self.free.push(handle.slot);
+        self.stale += 1;
+        if self.stale > self.keys.len() - self.stale {
+            let slots = &self.slots;
+            self.keys
+                .retain(|Reverse(key)| slots[key.slot as usize].holds(key.seq));
+            self.stale = 0;
+        }
     }
 
     /// Requests that the current `run*` call return after the in-flight
@@ -202,26 +286,32 @@ impl Engine {
     pub fn run_until(&mut self, deadline: SimTime) {
         self.stopped = false;
         while !self.stopped {
-            match self.queue.peek() {
-                Some(entry) if entry.at <= deadline => {}
+            let key = match self.keys.peek() {
+                Some(&Reverse(key)) if key.at <= deadline => key,
                 _ => break,
-            }
-            let entry = self.queue.pop().expect("peeked entry vanished");
-            debug_assert!(entry.at >= self.now, "event queue out of order");
-            self.now = entry.at;
-            if let Some(flag) = &entry.cancelled {
-                if flag.get() {
-                    continue;
-                }
-                // Only cancelable entries are timers in the protocol sense
-                // (retransmits, delays); plain scheduled actions are
-                // simulation plumbing.
-                if let Some(rec) = &self.recorder {
-                    rec.timer_fire(self.now.as_nanos());
-                }
-            }
+            };
+            self.keys.pop();
+            let Some(event) = self.slots[key.slot as usize].take(key.seq) else {
+                // Cancelled; the slot was freed (and perhaps reused) then.
+                self.stale -= 1;
+                continue;
+            };
+            // Freed before the event runs, so what it schedules can land here.
+            self.free.push(key.slot);
+            debug_assert!(key.at >= self.now, "event queue out of order");
+            self.now = key.at;
             self.executed += 1;
-            (entry.action)(self);
+            match event {
+                Event::Closure(action) => action(self),
+                Event::Timer(action) => {
+                    if let Some(rec) = &self.recorder {
+                        rec.timer_fire(self.now.as_nanos());
+                    }
+                    action(self)
+                }
+                Event::FrameArrival { to, frame, journey } => to.deliver(self, frame, journey),
+                Event::RxDrain(nic) => nic.drain_rx_ring(self),
+            }
         }
         if deadline != SimTime::MAX && self.now < deadline && !self.stopped {
             self.now = deadline;
@@ -237,7 +327,7 @@ impl Engine {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use std::cell::RefCell;
+    use std::cell::{Cell, RefCell};
 
     #[test]
     fn actions_run_in_time_order() {
@@ -293,11 +383,104 @@ mod tests {
         let handle = engine.schedule_cancelable(SimDuration::from_micros(5), move |_| {
             f.set(true);
         });
-        handle.cancel();
-        assert!(handle.is_cancelled());
+        engine.cancel(handle);
+        engine.cancel(handle);
+        assert_eq!(engine.pending(), 0);
         engine.run();
         assert!(!fired.get());
         assert_eq!(engine.executed(), 0);
+        assert_eq!(engine.now(), SimTime::ZERO, "a dead timer moves no clock");
+    }
+
+    #[test]
+    fn a_handle_whose_timer_fired_cancels_nothing() {
+        let mut engine = Engine::new();
+        let spent = engine.schedule_cancelable(SimDuration::from_micros(1), |_| {});
+        engine.run();
+        // The next event reuses the slot; the spent handle must not reach it.
+        let fired = Rc::new(Cell::new(false));
+        let f = fired.clone();
+        engine.schedule_in(SimDuration::from_micros(1), move |_| f.set(true));
+        engine.cancel(spent);
+        assert_eq!(engine.pending(), 1);
+        engine.run();
+        assert!(fired.get());
+    }
+
+    #[test]
+    fn a_cancelled_timer_releases_what_it_captured() {
+        let mut engine = Engine::new();
+        let conn = Rc::new(());
+        let weak = Rc::downgrade(&conn);
+        let handle = engine.schedule_cancelable(SimDuration::from_secs(64), move |_| {
+            let _keep = &conn;
+        });
+        assert!(weak.upgrade().is_some());
+        engine.cancel(handle);
+        assert!(weak.upgrade().is_none(), "dropped at cancel, not at 64 s");
+    }
+
+    #[test]
+    fn stale_keys_do_not_accumulate() {
+        // A connection re-arming its retransmit timer on every segment,
+        // beside one event that stays live.
+        let mut engine = Engine::new();
+        engine.schedule_in(SimDuration::from_secs(2), |_| {});
+        let mut timer = None;
+        for _ in 0..10_000 {
+            if let Some(old) = timer.take() {
+                engine.cancel(old);
+            }
+            timer = Some(engine.schedule_cancelable(SimDuration::from_secs(1), |_| {}));
+            assert_eq!(engine.pending(), 2);
+            assert!(engine.keys.len() <= 5, "{} keys", engine.keys.len());
+            assert_eq!(engine.slots.len(), 2);
+        }
+        engine.run();
+        assert_eq!(engine.executed(), 2);
+        assert_eq!(
+            (engine.pending(), engine.keys.len(), engine.stale),
+            (0, 0, 0)
+        );
+    }
+
+    #[test]
+    #[cfg(target_pointer_width = "64")]
+    fn a_key_is_24_bytes_and_a_slot_56() {
+        // What the slab's growth policy quotes.
+        assert_eq!(std::mem::size_of::<Reverse<Key>>(), 24);
+        assert_eq!(std::mem::size_of::<Slot>(), 56);
+    }
+
+    #[test]
+    fn slots_are_reused_not_grown() {
+        // Whatever mix of scheduling, cancelling and running: the slab is
+        // exactly as long as the most events ever in flight at once.
+        let mut engine = Engine::new();
+        let mut timers = Vec::new();
+        let mut highwater = 0;
+        let mut x = 0x2545_F491_4F6C_DD1Du64;
+        for _ in 0..5_000 {
+            x ^= x << 13;
+            x ^= x >> 7;
+            x ^= x << 17;
+            let delay = SimDuration::from_micros(x >> 8 & 0xFF);
+            match x & 7 {
+                0..=2 => engine.schedule_in(delay, |_| {}),
+                3..=4 => timers.push(engine.schedule_cancelable(delay, |_| {})),
+                5 if !timers.is_empty() => {
+                    let i = (x >> 16) as usize % timers.len();
+                    engine.cancel(timers.swap_remove(i));
+                }
+                _ => engine.run_for(SimDuration::from_micros(x >> 16 & 0x7F)),
+            }
+            highwater = highwater.max(engine.pending());
+            assert_eq!(engine.slots.len(), highwater);
+            assert!(
+                engine.keys.len() <= 2 * highwater,
+                "the sweep bounds the dead"
+            );
+        }
     }
 
     #[test]

@@ -21,6 +21,19 @@
 //! batches) and the transmit submission mode (one doorbell per frame, or
 //! batched doorbells that amortize the fixed per-transmit driver cost
 //! across a burst — see [`Nic::tx_cpu_charge`]).
+//!
+//! # Who owns a frame
+//!
+//! The wire image [`Nic::transmit`] gathers into is a buffer drawn from a
+//! bounded free list on the [`Medium`]. From then on it belongs to the
+//! simulator: it rides in the engine's arrival event, waits on a receive
+//! ring, sits in the NIC's batch vector — and the driver's handler only
+//! *borrows* it (`&[u8]`, `&[RxFrame]`) for the length of the call,
+//! copying what it keeps into its own storage (an mbuf, for the stacks).
+//! When the handler returns, or the frame ends any other way — eaten by
+//! the fault injector, shed by a full ring, arriving where no driver is
+//! bound — the buffer goes back to the medium. A world in steady state
+//! therefore moves frames between machines without touching the heap.
 
 use std::cell::{Cell, RefCell};
 use std::collections::VecDeque;
@@ -30,7 +43,7 @@ use plexus_trace::{Label, Name, Recorder, Scope};
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
 
-use crate::engine::Engine;
+use crate::engine::{Engine, Event};
 use crate::time::{SimDuration, SimTime};
 
 /// A raw frame on the wire.
@@ -506,19 +519,19 @@ impl FaultInjector {
         self.corruptions.get()
     }
 
-    /// Applies faults to `frame`. Returns `None` if the frame is dropped.
-    fn apply(&self, mut frame: Frame) -> Option<Frame> {
+    /// Applies faults to `frame`. Returns `false` if the frame is dropped.
+    fn apply(&self, frame: &mut Frame) -> bool {
         let mut rng = self.rng.borrow_mut();
         if self.drop_prob > 0.0 && rng.gen::<f64>() < self.drop_prob {
             self.drops.set(self.drops.get() + 1);
-            return None;
+            return false;
         }
         if self.corrupt_prob > 0.0 && !frame.is_empty() && rng.gen::<f64>() < self.corrupt_prob {
             let idx = rng.gen_range(0..frame.len());
             frame[idx] ^= 0xFF;
             self.corruptions.set(self.corruptions.get() + 1);
         }
-        Some(frame)
+        true
     }
 }
 
@@ -531,6 +544,11 @@ pub struct CapturedFrame {
     pub bytes: Frame,
 }
 
+/// Most retired wire images a [`Medium`] keeps for reuse; beyond this a
+/// returned buffer is freed, so a burst that had hundreds of frames in
+/// flight at once cannot pin their memory.
+const WIRE_POOL_CAP: usize = 64;
+
 /// A broadcast domain connecting two or more NICs.
 ///
 /// A point-to-point link is a medium with two members; a shared Ethernet
@@ -542,6 +560,9 @@ pub struct Medium {
     members: RefCell<Vec<Weak<Nic>>>,
     faults: RefCell<FaultInjector>,
     capture: RefCell<Option<Vec<CapturedFrame>>>,
+    /// Retired wire images: empty, capacity as last used. Kept here, not
+    /// per thread, so the buffers die with their world.
+    wire_pool: RefCell<Vec<Frame>>,
 }
 
 impl Medium {
@@ -555,6 +576,7 @@ impl Medium {
             members: RefCell::new(Vec::new()),
             faults: RefCell::new(FaultInjector::none()),
             capture: RefCell::new(None),
+            wire_pool: RefCell::new(Vec::new()),
         })
     }
 
@@ -583,12 +605,28 @@ impl Medium {
     fn attach(self: &Rc<Self>, nic: &Rc<Nic>) {
         self.members.borrow_mut().push(Rc::downgrade(nic));
     }
+
+    /// An empty buffer to assemble a wire image in: a retired one when
+    /// there is one.
+    fn take_wire(&self) -> Frame {
+        self.wire_pool.borrow_mut().pop().unwrap_or_default()
+    }
+
+    /// A frame's life is over, however it ended: its buffer comes back.
+    fn recycle(&self, mut frame: Frame) {
+        let mut pool = self.wire_pool.borrow_mut();
+        if pool.len() < WIRE_POOL_CAP {
+            frame.clear();
+            pool.push(frame);
+        }
+    }
 }
 
-/// Receive callback: invoked (via the engine) when a frame arrives.
-pub type RxHandler = Rc<dyn Fn(&mut Engine, Frame)>;
+/// Receive callback: invoked (via the engine) when a frame arrives. The
+/// frame is lent for the call; the driver copies what it keeps.
+pub type RxHandler = Rc<dyn Fn(&mut Engine, &[u8])>;
 
-/// Batched receive callback (coalesced mode): one interrupt hands the
+/// Batched receive callback (coalesced mode): one interrupt lends the
 /// driver every frame drained from the rx ring. Returns the instant the
 /// driver finished its CPU work for the whole batch — the NIC stays
 /// "busy" until then, so frames arriving in the meantime queue on the
@@ -597,7 +635,7 @@ pub type RxHandler = Rc<dyn Fn(&mut Engine, Frame)>;
 /// Per-frame recorder bookkeeping ([`Recorder::packet_arrival`] /
 /// `packet_done`) is the glue's responsibility in this mode, because only
 /// the glue knows when each frame's CPU work actually starts.
-pub type RxBatchHandler = Rc<dyn Fn(&mut Engine, Vec<RxFrame>) -> SimTime>;
+pub type RxBatchHandler = Rc<dyn Fn(&mut Engine, &[RxFrame]) -> SimTime>;
 
 /// How a driver wants frames handed up from the adapter.
 #[derive(Clone)]
@@ -641,7 +679,7 @@ impl DriverConfig {
     /// Per-frame receive interrupts (see [`RxDispatch::PerFrame`]).
     pub fn per_frame<F>(handler: F) -> DriverConfig
     where
-        F: Fn(&mut Engine, Frame) + 'static,
+        F: Fn(&mut Engine, &[u8]) + 'static,
     {
         DriverConfig {
             rx: RxDispatch::PerFrame(Rc::new(handler)),
@@ -652,7 +690,7 @@ impl DriverConfig {
     /// Coalesced receive batches (see [`RxDispatch::Coalesced`]).
     pub fn coalesced<F>(handler: F) -> DriverConfig
     where
-        F: Fn(&mut Engine, Vec<RxFrame>) -> SimTime + 'static,
+        F: Fn(&mut Engine, &[RxFrame]) -> SimTime + 'static,
     {
         DriverConfig {
             rx: RxDispatch::Coalesced(Rc::new(handler)),
@@ -730,6 +768,9 @@ pub struct Nic {
     /// that rebinds the NIC doesn't alias the borrow.
     rx: RefCell<RxDispatch>,
     rx_ring: RefCell<VecDeque<RxFrame>>,
+    /// The vector a coalesced interrupt's frames are lent to the driver
+    /// in: taken for each interrupt, put back emptied.
+    rx_batch_vec: RefCell<Vec<RxFrame>>,
     /// The names this NIC records under, each with its label in the
     /// installed recorder: the device's, the owning machine's (empty when
     /// unattached), and the batch-size histogram's.
@@ -759,6 +800,7 @@ impl Nic {
             tx_doorbell_until: Cell::new(SimTime::ZERO),
             rx: RefCell::new(RxDispatch::None),
             rx_ring: RefCell::new(VecDeque::new()),
+            rx_batch_vec: RefCell::new(Vec::new()),
             rx_busy_until: Cell::new(SimTime::ZERO),
             rx_drain_pending: Cell::new(false),
             stats: Cell::new(NicStats::default()),
@@ -893,7 +935,8 @@ impl Nic {
         // The gather happens on the adapter: this buffer models the byte
         // stream the DMA engine assembles on the wire, not a host-side
         // flatten (it costs no simulated CPU time and no mbuf clusters).
-        let mut frame = Vec::with_capacity(chain.total_len());
+        let mut frame = self.medium.take_wire();
+        frame.reserve(chain.total_len());
         chain.gather(&mut |seg| frame.extend_from_slice(seg));
         if let Some(req) = chain.tx_csum() {
             let v = req.compute_over(&frame);
@@ -908,7 +951,7 @@ impl Nic {
 
     /// The tail of [`Nic::transmit`]: the gathered wire image, already
     /// known to fit the MTU, goes out verbatim.
-    fn transmit_frame(&self, engine: &mut Engine, ready_at: SimTime, frame: Frame) -> SimTime {
+    fn transmit_frame(&self, engine: &mut Engine, ready_at: SimTime, mut frame: Frame) -> SimTime {
         let mut stats = self.stats.get();
         let backlog_until = self.tx_free_at.get();
         let mut start = backlog_until.max(ready_at).max(engine.now());
@@ -926,6 +969,7 @@ impl Nic {
             stats.tx_ring_drops += 1;
             self.stats.set(stats);
             self.record_drop(engine.now(), "tx_ring_full");
+            self.medium.recycle(frame);
             return start;
         }
         let end = start + ser;
@@ -979,13 +1023,11 @@ impl Nic {
                 bytes: frame.clone(),
             });
         }
-        let frame = match self.medium.faults.borrow().apply(frame) {
-            Some(f) => f,
-            None => {
-                self.record_drop(end, "fault_injected");
-                return end;
-            }
-        };
+        if !self.medium.faults.borrow().apply(&mut frame) {
+            self.record_drop(end, "fault_injected");
+            self.medium.recycle(frame);
+            return end;
+        }
         let arrival = end + self.medium.propagation;
         // One buffer per frame on a two-NIC link: the last peer takes the
         // wire image itself, only the peers before it get copies.
@@ -994,15 +1036,22 @@ impl Nic {
             .iter()
             .filter_map(Weak::upgrade)
             .filter(|n| n.id != self.id);
-        let Some(mut peer) = peers.next() else {
+        let Some(mut to) = peers.next() else {
+            self.medium.recycle(frame);
             return end;
         };
         for next in peers {
-            let copy = frame.clone();
-            engine.schedule_at(arrival, move |eng| peer.deliver(eng, copy, journey));
-            peer = next;
+            let mut copy = self.medium.take_wire();
+            copy.extend_from_slice(&frame);
+            let event = Event::FrameArrival {
+                to,
+                frame: copy,
+                journey,
+            };
+            engine.schedule_event(arrival, event);
+            to = next;
         }
-        engine.schedule_at(arrival, move |eng| peer.deliver(eng, frame, journey));
+        engine.schedule_event(arrival, Event::FrameArrival { to, frame, journey });
         end
     }
 
@@ -1017,7 +1066,13 @@ impl Nic {
         }
     }
 
-    fn deliver(self: Rc<Self>, engine: &mut Engine, frame: Frame, journey: Option<u64>) {
+    /// The engine's `FrameArrival` event: `frame` reaches this NIC.
+    pub(crate) fn deliver(
+        self: &Rc<Self>,
+        engine: &mut Engine,
+        frame: Frame,
+        journey: Option<u64>,
+    ) {
         if matches!(*self.rx.borrow(), RxDispatch::Coalesced(_)) {
             self.deliver_coalesced(engine, frame, journey);
             return;
@@ -1028,6 +1083,7 @@ impl Nic {
             stats.rx_no_handler += 1;
             self.stats.set(stats);
             self.drop_unprocessed(engine.now(), frame.len(), journey, "rx_no_handler");
+            self.medium.recycle(frame);
             return;
         };
         let mut stats = self.stats.get();
@@ -1045,28 +1101,28 @@ impl Nic {
             rec.rx_interrupt(engine.now().as_nanos(), nic, host, 1, 0);
             rec.packet_arrival(engine.now().as_nanos(), nic, host, frame.len(), journey);
         }
-        h(engine, frame);
+        h(engine, &frame);
         if let Some(rec) = &rec {
             rec.packet_done();
         }
+        self.medium.recycle(frame);
     }
 
     /// Coalesced-mode delivery: interrupt immediately when the driver is
     /// idle, otherwise queue on the bounded rx ring (shedding with the
     /// `rx_ring_drop` reason on overflow).
-    fn deliver_coalesced(self: Rc<Self>, engine: &mut Engine, frame: Frame, journey: Option<u64>) {
+    fn deliver_coalesced(self: &Rc<Self>, engine: &mut Engine, frame: Frame, journey: Option<u64>) {
         let now = engine.now();
         let driver_busy = now < self.rx_busy_until.get()
             || self.rx_drain_pending.get()
             || !self.rx_ring.borrow().is_empty();
         if !driver_busy {
-            self.run_rx_interrupt(
-                engine,
-                vec![RxFrame {
-                    bytes: frame,
-                    journey,
-                }],
-            );
+            let mut batch = self.rx_batch_vec.take();
+            batch.push(RxFrame {
+                bytes: frame,
+                journey,
+            });
+            self.run_rx_interrupt(engine, batch);
             return;
         }
         let occupancy = {
@@ -1077,6 +1133,7 @@ impl Nic {
                 stats.rx_ring_drops += 1;
                 self.stats.set(stats);
                 self.drop_unprocessed(now, frame.len(), journey, "rx_ring_drop");
+                self.medium.recycle(frame);
                 return;
             }
             ring.push_back(RxFrame {
@@ -1106,28 +1163,31 @@ impl Nic {
         if !self.rx_drain_pending.get() {
             self.rx_drain_pending.set(true);
             let at = self.rx_busy_until.get().max(now);
-            let me = self.clone();
-            engine.schedule_at(at, move |eng| me.drain_rx_ring(eng));
+            engine.schedule_event(at, Event::RxDrain(self.clone()));
         }
     }
 
-    fn drain_rx_ring(self: Rc<Self>, engine: &mut Engine) {
+    /// The engine's `RxDrain` event: the driver is free, so up to
+    /// `rx_batch` queued frames go up in one interrupt.
+    pub(crate) fn drain_rx_ring(self: &Rc<Self>, engine: &mut Engine) {
         self.rx_drain_pending.set(false);
-        let batch: Vec<RxFrame> = {
+        if self.rx_ring.borrow().is_empty() {
+            return;
+        }
+        let mut batch = self.rx_batch_vec.take();
+        {
             let mut ring = self.rx_ring.borrow_mut();
             let n = ring.len().min(self.profile.rx_batch.max(1));
-            ring.drain(..n).collect()
-        };
-        if batch.is_empty() {
-            return;
+            batch.extend(ring.drain(..n));
         }
         self.run_rx_interrupt(engine, batch);
     }
 
-    /// Takes one receive interrupt for `frames`, invokes the batch
-    /// handler, and reschedules a drain if the ring refilled while the
-    /// driver worked.
-    fn run_rx_interrupt(self: &Rc<Self>, engine: &mut Engine, frames: Vec<RxFrame>) {
+    /// Takes one receive interrupt for `frames` (this NIC's batch vector,
+    /// filled), lends them to the batch handler, and reschedules a drain
+    /// if the ring refilled while the driver worked. Then the wire images
+    /// go back to the medium and the vector back to the NIC.
+    fn run_rx_interrupt(self: &Rc<Self>, engine: &mut Engine, mut frames: Vec<RxFrame>) {
         let mut stats = self.stats.get();
         stats.rx_interrupts += 1;
         stats.rx_frames += frames.len() as u64;
@@ -1156,23 +1216,29 @@ impl Nic {
             );
         }
         let rx = self.rx.borrow().clone();
-        let RxDispatch::Coalesced(h) = rx else {
-            // Mode switched away mid-flight; the frames are unhandled.
+        if let RxDispatch::Coalesced(h) = rx {
+            let done = h(engine, &frames).max(engine.now());
+            self.rx_busy_until.set(done);
+            if !self.rx_ring.borrow().is_empty() && !self.rx_drain_pending.get() {
+                self.rx_drain_pending.set(true);
+                engine.schedule_event(done, Event::RxDrain(self.clone()));
+            }
+        } else {
+            // Mode switched away mid-flight; these frames are unhandled, and
+            // so is whatever still waits on the ring behind them — no drain
+            // will come for it.
+            frames.extend(self.rx_ring.borrow_mut().drain(..));
             let mut stats = self.stats.get();
             stats.rx_no_handler += frames.len() as u64;
             self.stats.set(stats);
             for f in &frames {
                 self.drop_unprocessed(engine.now(), f.bytes.len(), f.journey, "rx_no_handler");
             }
-            return;
-        };
-        let done = h(engine, frames).max(engine.now());
-        self.rx_busy_until.set(done);
-        if !self.rx_ring.borrow().is_empty() && !self.rx_drain_pending.get() {
-            self.rx_drain_pending.set(true);
-            let me = self.clone();
-            engine.schedule_at(done, move |eng| me.drain_rx_ring(eng));
         }
+        for f in frames.drain(..) {
+            self.medium.recycle(f.bytes);
+        }
+        *self.rx_batch_vec.borrow_mut() = frames;
     }
 }
 
@@ -1337,7 +1403,9 @@ mod tests {
         let b = Nic::new(NicProfile::dec_t3(), &medium);
         let got = Rc::new(StdRefCell::new(Vec::new()));
         let g = got.clone();
-        b.attach(DriverConfig::per_frame(move |_, f| g.borrow_mut().push(f)));
+        b.attach(DriverConfig::per_frame(move |_, f| {
+            g.borrow_mut().push(f.to_vec())
+        }));
         let mut engine = Engine::new();
         a.transmit_frame(&mut engine, SimTime::ZERO, vec![0xAA; 32]);
         engine.run();
@@ -1524,7 +1592,7 @@ mod coalesce_tests {
         let seen: Rc<StdRefCell<Vec<u8>>> = Rc::new(StdRefCell::new(Vec::new()));
         let s = seen.clone();
         b.attach(DriverConfig::coalesced(move |eng, frames| {
-            for f in &frames {
+            for f in frames {
                 s.borrow_mut().push(f.bytes[0]);
             }
             eng.now() + SimDuration::from_micros(1_000)
@@ -1609,6 +1677,102 @@ mod coalesce_tests {
             .collect();
         assert_eq!(dropped.len(), 2);
         assert_ne!(dropped[0], dropped[1]);
+    }
+}
+
+#[cfg(test)]
+mod wire_pool_tests {
+    use super::*;
+
+    /// Idle-time census of `medium`'s free list: how many buffers, and the
+    /// smallest capacity among them.
+    fn census(medium: &Medium) -> (usize, usize) {
+        let pool = medium.wire_pool.borrow();
+        let smallest = pool.iter().map(Vec::capacity).min().unwrap_or(0);
+        (pool.len(), smallest)
+    }
+
+    #[test]
+    fn every_way_a_frame_ends_returns_its_buffer_and_the_pool_is_bounded() {
+        // Three members on one medium. `a` floods through an eight-deep
+        // transmit ring; `b` coalesces behind a slow driver and a four-deep
+        // receive ring, and now and then detaches with frames still queued;
+        // `c` never binds a driver. Each frame `a` gets onto the wire is two
+        // wire images, one per listener.
+        let medium = Medium::new(SimDuration::ZERO, false);
+        let flooder = NicProfile {
+            tx_ring_frames: 8,
+            ..NicProfile::dec_t3()
+        };
+        let slow = NicProfile {
+            rx_ring_frames: 4,
+            rx_batch: 2,
+            ..NicProfile::dec_t3()
+        };
+        let a = Nic::new(flooder, &medium);
+        let b = Nic::new(slow, &medium);
+        let c = Nic::new(NicProfile::dec_t3(), &medium);
+        let slow_driver =
+            || DriverConfig::coalesced(|eng, _| eng.now() + SimDuration::from_micros(400));
+        b.attach(slow_driver());
+        let mut engine = Engine::new();
+        let mut burst = |len: usize, detach: bool| {
+            let payload = vec![0xA5u8; len];
+            for _ in 0..16 {
+                let now = engine.now();
+                a.transmit(&mut engine, now, &payload[..]);
+            }
+            if detach {
+                engine.run_for(SimDuration::from_micros(300));
+                b.attach(DriverConfig::tx_only());
+                engine.run();
+                b.attach(slow_driver());
+            } else {
+                engine.run();
+            }
+        };
+
+        // Warm-up, nothing lost on the wire, full-size frames: every buffer
+        // these bursts will ever have in flight at once now exists, and each
+        // has room for 1500 bytes — which marks it.
+        for _ in 0..3 {
+            burst(1500, false);
+        }
+        let (warm, smallest) = census(&medium);
+        assert!((2..WIRE_POOL_CAP).contains(&warm), "{warm} buffers");
+        assert!(smallest >= 1500);
+
+        // 2 000 small frames over the same medium, now lossy. If any ending
+        // dropped its buffer the census would come up one short, and the
+        // fresh buffer that replaced it would be a small one.
+        medium.set_faults(FaultInjector::new(0.3, 0.0, 9));
+        for i in 0..125 {
+            burst(64 + i, i % 5 == 4);
+            let (idle, smallest) = census(&medium);
+            assert_eq!(idle, warm, "burst {i}: the same buffers, all home");
+            assert!(smallest >= 1500, "burst {i}: and none of them new");
+        }
+        // Every ending was among them.
+        assert!(a.stats().tx_ring_drops > 500, "shed at the transmit ring");
+        assert!(medium.fault_drops() > 100, "eaten by the fault injector");
+        assert!(b.stats().rx_frames > 100, "handed to a driver");
+        assert!(b.stats().rx_ring_drops > 100, "shed at the receive ring");
+        assert!(
+            b.stats().rx_no_handler > 10,
+            "queued for a driver that left"
+        );
+        assert!(c.stats().rx_no_handler > 100, "arrived where none is bound");
+
+        // A burst with more frames in flight at once than the free list
+        // keeps: what comes back beyond the cap is freed.
+        medium.set_faults(FaultInjector::none());
+        for _ in 0..100 {
+            let now = engine.now();
+            c.transmit(&mut engine, now, &[0u8; 64][..]);
+        }
+        assert!(engine.pending() > 2 * WIRE_POOL_CAP);
+        engine.run();
+        assert_eq!(census(&medium).0, WIRE_POOL_CAP);
     }
 }
 
@@ -1708,7 +1872,9 @@ mod tx_tests {
         let got: Rc<StdRefCell<Vec<Frame>>> = Rc::new(StdRefCell::new(Vec::new()));
         let g = got.clone();
         let b = Nic::new(NicProfile::gigabit(), &medium);
-        b.attach(DriverConfig::per_frame(move |_, f| g.borrow_mut().push(f)));
+        b.attach(DriverConfig::per_frame(move |_, f| {
+            g.borrow_mut().push(f.to_vec())
+        }));
         let mut engine = Engine::new();
         a.transmit(
             &mut engine,
