@@ -75,11 +75,11 @@ impl TransactionServer {
         stack
             .tcp()
             .claim_special(ext, &[port], move |ctx, ev: &IpRecv| {
-                let model = ctx.lease.model().clone();
                 // One segment in, one out: half of tcp_proc captures the
                 // slimmer per-packet work of the transaction discipline.
-                ctx.lease.charge(model.tcp_proc / 2);
-                ctx.lease.charge(model.checksum(ev.payload.total_len()));
+                ctx.lease.charge(ctx.lease.model().tcp_proc / 2);
+                ctx.lease
+                    .charge(ctx.lease.model().checksum(ev.payload.total_len()));
                 let mut scratch = scratch.borrow_mut();
                 let bytes = ev.payload.contiguous(&mut scratch);
                 let Some(seg) = TcpSegment::parse(ev.src, ev.dst, bytes) else {
@@ -101,9 +101,12 @@ impl TransactionServer {
                     mss: None,
                     payload: response,
                 };
-                ctx.lease.charge(model.tcp_proc / 2);
-                ctx.lease
-                    .charge(model.checksum(reply.payload.len() + plexus_net::tcp::TCP_HDR_LEN));
+                ctx.lease.charge(ctx.lease.model().tcp_proc / 2);
+                ctx.lease.charge(
+                    ctx.lease
+                        .model()
+                        .checksum(reply.payload.len() + plexus_net::tcp::TCP_HDR_LEN),
+                );
                 let wire = reply.to_bytes(ev.dst, ev.src);
                 s.send_raw_ip(ctx, ev.src, proto::TCP, Mbuf::from_payload(64, &wire));
             })?;
@@ -183,9 +186,9 @@ impl TransactionClient {
         stack
             .tcp()
             .claim_special(ext, &[local_port], move |ctx, ev: &IpRecv| {
-                let model = ctx.lease.model().clone();
-                ctx.lease.charge(model.tcp_proc / 2);
-                ctx.lease.charge(model.checksum(ev.payload.total_len()));
+                ctx.lease.charge(ctx.lease.model().tcp_proc / 2);
+                ctx.lease
+                    .charge(ctx.lease.model().checksum(ev.payload.total_len()));
                 let mut scratch = scratch.borrow_mut();
                 let bytes = ev.payload.contiguous(&mut scratch);
                 let Some(seg) = TcpSegment::parse(ev.src, ev.dst, bytes) else {
@@ -269,9 +272,12 @@ impl ClientInner {
         };
         let cpu = me.stack.machine().cpu().clone();
         let mut lease = cpu.begin(engine.now());
-        let model = lease.model().clone();
-        lease.charge(model.tcp_proc / 2);
-        lease.charge(model.checksum(seg.payload.len() + plexus_net::tcp::TCP_HDR_LEN));
+        lease.charge(lease.model().tcp_proc / 2);
+        lease.charge(
+            lease
+                .model()
+                .checksum(seg.payload.len() + plexus_net::tcp::TCP_HDR_LEN),
+        );
         let wire = seg.to_bytes(me.stack.ip(), me.server.0);
         {
             let mut ctx = RaiseCtx {

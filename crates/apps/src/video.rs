@@ -287,12 +287,16 @@ impl PlexusVideoClient {
 
 /// The two §5.1 passes plus the blit, charged to the caller's lease.
 fn display_frame(lease: &mut plexus_sim::CpuLease, fb: &Framebuffer, len: usize, expansion: usize) {
-    let model = lease.model().clone();
     // Pass 1: application-level checksum over the compressed frame.
-    lease.charge(model.checksum(len));
+    lease.charge(lease.model().checksum(len));
     // Pass 2: decompress (reads compressed, writes expanded to RAM).
-    lease.charge(model.decompress_per_byte.times(len as u64));
-    lease.charge(model.ram_write_per_byte.times((len * expansion) as u64));
+    lease.charge(lease.model().decompress_per_byte.times(len as u64));
+    lease.charge(
+        lease
+            .model()
+            .ram_write_per_byte
+            .times((len * expansion) as u64),
+    );
     // Blit the decompressed image to the framebuffer.
     fb.blit(lease, len * expansion);
 }

@@ -109,8 +109,7 @@ impl BaselineShared {
         protocol: u8,
         payload: &Mbuf,
     ) {
-        let model = lease.model().clone();
-        lease.charge(model.ip_proc);
+        lease.charge(lease.model().ip_proc);
         self.bump(|s| s.ip_tx += 1);
         let hdr = IpHeader::simple(self.ip, dst, protocol, self.ip_ident.take());
         let Some(hop) = self.routes.borrow().hop(dst) else {
@@ -126,7 +125,7 @@ impl BaselineShared {
                 self.eth_output(engine, lease, &frame);
                 continue;
             };
-            lease.charge(model.arp_lookup);
+            lease.charge(lease.model().arp_lookup);
             let now = lease.now().as_nanos();
             let resolved = self.arp.borrow_mut().resolve(hop, now, dgram);
             if let Some(frame) = resolved.frame() {
@@ -141,8 +140,7 @@ impl BaselineShared {
         lease: &mut CpuLease,
         out: &Frame,
     ) {
-        let model = lease.model().clone();
-        lease.charge(model.eth_proc);
+        lease.charge(lease.model().eth_proc);
         let mut frame = out.packet.share();
         ether::write_header(
             frame.prepend(ETHER_HDR_LEN),
@@ -169,18 +167,16 @@ impl BaselineShared {
             sock.backlog.borrow_mut().push_back(msg);
             return;
         };
-        let model = lease.model().clone();
         // Socket-layer append + wakeup of the blocked process.
-        lease.charge(model.socket_layer + model.process_wakeup);
+        lease.charge(lease.model().socket_layer + lease.model().process_wakeup);
         let ready = lease.now();
         let cpu = self.cpu.clone();
         let process = sock.process.clone();
         engine.schedule_at(ready, move |eng| {
             let mut user = cpu.begin(eng.now());
-            let model = user.model().clone();
             // The woken process: context switch in, return from the
             // recvfrom trap, copy the data out to user space.
-            user.charge(model.context_switch);
+            user.charge(user.model().context_switch);
             process.trap(&mut user);
             process.copyout(&mut user, msg.data.len());
             cb(eng, &mut user, msg);
@@ -236,16 +232,15 @@ impl MonolithicStack {
         let tcp_layer = tcp;
         nic.attach(DriverConfig::per_frame(move |engine, frame| {
             let mut lease = s.cpu.begin(engine.now());
-            let model = lease.model().clone();
-            lease.charge(model.interrupt_entry);
+            lease.charge(lease.model().interrupt_entry);
             lease.charge(s.nic.profile().rx_cpu_cost(frame.len()));
             let Some(v) = ether::accept(frame, s.mac, false) else {
-                lease.charge(model.interrupt_exit);
+                lease.charge(lease.model().interrupt_exit);
                 return;
             };
             s.bump(|st| st.eth_rx += 1);
             let ethertype = v.ethertype();
-            lease.charge(model.eth_proc);
+            lease.charge(lease.model().eth_proc);
             match ethertype {
                 EtherType::ARP => {
                     let now = lease.now().as_nanos();
@@ -258,14 +253,14 @@ impl MonolithicStack {
                     // The netisr/softirq hop: the interrupt handler queues
                     // the packet and the kernel processes it "later" (we
                     // charge the hop; processing continues on this CPU).
-                    lease.charge(model.softirq);
+                    lease.charge(lease.model().softirq);
                     let mut pkt = Mbuf::from_wire(frame);
                     pkt.trim_front(ETHER_HDR_LEN);
                     Self::ip_input(&s, &tcp_layer, engine, &mut lease, pkt);
                 }
                 _ => {}
             }
-            lease.charge(model.interrupt_exit);
+            lease.charge(lease.model().interrupt_exit);
         }));
         stack
     }
@@ -277,8 +272,7 @@ impl MonolithicStack {
         lease: &mut CpuLease,
         pkt: Mbuf,
     ) {
-        let model = lease.model().clone();
-        lease.charge(model.ip_proc);
+        lease.charge(lease.model().ip_proc);
         let now = lease.now().as_nanos();
         let mut reasm = s.reasm.borrow_mut();
         let evicted = reasm.evicted();
@@ -313,12 +307,11 @@ impl MonolithicStack {
         hdr: &IpHeader,
         payload: &Mbuf,
     ) {
-        let model = lease.model().clone();
         let bytes = payload.to_vec();
-        lease.charge(model.checksum(bytes.len()));
+        lease.charge(lease.model().checksum(bytes.len()));
         if let Some(reply) = icmp::echo_response(&bytes) {
             s.bump(|st| st.icmp_echoes += 1);
-            lease.charge(model.checksum(reply.total_len()));
+            lease.charge(lease.model().checksum(reply.total_len()));
             s.ip_output(engine, lease, hdr.src, ip::proto::ICMP, &reply);
         }
     }
@@ -330,8 +323,7 @@ impl MonolithicStack {
         hdr: &IpHeader,
         payload: &Mbuf,
     ) {
-        let model = lease.model().clone();
-        lease.charge(model.udp_proc);
+        lease.charge(lease.model().udp_proc);
         // Find the socket first so the checksum honours its config.
         let head = payload.head();
         if head.len() < udp::UDP_HDR_LEN {
@@ -347,7 +339,7 @@ impl MonolithicStack {
             checksum: sock.checksum.get(),
         };
         if config.checksum {
-            lease.charge(model.checksum(payload.total_len()));
+            lease.charge(lease.model().checksum(payload.total_len()));
         }
         let Some(dgram) = udp::decapsulate(hdr.src, hdr.dst, config, payload) else {
             return;
@@ -403,8 +395,7 @@ impl MonolithicStack {
         let msg = IcmpMessage::echo_request(ident, seq, data);
         let m = Mbuf::from_payload(64, &msg.to_bytes());
         let mut lease = self.shared.cpu.begin(engine.now());
-        let model = lease.model().clone();
-        lease.charge(model.checksum(m.total_len()));
+        lease.charge(lease.model().checksum(m.total_len()));
         self.shared
             .ip_output(engine, &mut lease, dst, ip::proto::ICMP, &m);
     }
@@ -466,14 +457,17 @@ impl UdpSocket {
         dst_port: u16,
         data: &[u8],
     ) {
-        let model = lease.model().clone();
         self.process.trap(lease);
         self.process.copyin(lease, data.len());
-        lease.charge(model.socket_layer);
-        lease.charge(model.udp_proc);
+        lease.charge(lease.model().socket_layer);
+        lease.charge(lease.model().udp_proc);
         let payload = Mbuf::from_payload(64, data);
         if self.inner.checksum.get() {
-            lease.charge(model.checksum(payload.total_len() + udp::UDP_HDR_LEN));
+            lease.charge(
+                lease
+                    .model()
+                    .checksum(payload.total_len() + udp::UDP_HDR_LEN),
+            );
         }
         let config = UdpConfig {
             checksum: self.inner.checksum.get(),

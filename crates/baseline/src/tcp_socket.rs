@@ -133,9 +133,8 @@ impl TcpLayer {
         hdr: &IpHeader,
         payload: &Mbuf,
     ) {
-        let model = lease.model().clone();
-        lease.charge(model.tcp_proc);
-        lease.charge(model.checksum(payload.total_len()));
+        lease.charge(lease.model().tcp_proc);
+        lease.charge(lease.model().checksum(payload.total_len()));
         let bytes = payload.to_vec();
         let Some(seg) = TcpSegment::parse(hdr.src, hdr.dst, &bytes) else {
             return;
@@ -157,12 +156,11 @@ impl TcpLayer {
                 // The accept runs in user context after a wakeup.
                 let s = sock.clone();
                 let cpu = self.shared.cpu.clone();
-                lease.charge(model.socket_layer + model.process_wakeup);
+                lease.charge(lease.model().socket_layer + lease.model().process_wakeup);
                 let at = lease.now();
                 engine.schedule_at(at, move |eng| {
                     let mut user = cpu.begin(eng.now());
-                    let m = user.model().clone();
-                    user.charge(m.context_switch + m.syscall);
+                    user.charge(user.model().context_switch + user.model().syscall);
                     accept_cb(eng, &mut user, &s);
                 });
                 sock
@@ -228,10 +226,9 @@ impl TcpSocket {
 
     /// [`TcpSocket::send`] on an existing lease (from a receive callback).
     pub fn send_in(self: &Rc<Self>, engine: &mut Engine, lease: &mut CpuLease, data: &[u8]) {
-        let model = lease.model().clone();
         self.process.trap(lease);
         self.process.copyin(lease, data.len());
-        lease.charge(model.socket_layer);
+        lease.charge(lease.model().socket_layer);
         let actions = self.tcb.borrow_mut().send(data, lease.now().as_nanos());
         self.process_actions(engine, lease, actions);
     }
@@ -239,9 +236,8 @@ impl TcpSocket {
     /// `close(2)`.
     pub fn close(self: &Rc<Self>, engine: &mut Engine) {
         let mut lease = self.layer.shared.cpu.begin(engine.now());
-        let model = lease.model().clone();
         self.process.trap(&mut lease);
-        lease.charge(model.socket_layer);
+        lease.charge(lease.model().socket_layer);
         let now = lease.now().as_nanos();
         let actions = self.tcb.borrow_mut().close(now);
         self.process_actions(engine, &mut lease, actions);
@@ -261,11 +257,10 @@ impl TcpSocket {
         lease: &mut CpuLease,
         actions: Actions,
     ) {
-        let model = lease.model().clone();
         let (_, rip, _) = self.key;
         for seg in &actions.segments {
-            lease.charge(model.tcp_proc);
-            lease.charge(model.checksum(seg.payload.len() + TCP_HDR_LEN));
+            lease.charge(lease.model().tcp_proc);
+            lease.charge(lease.model().checksum(seg.payload.len() + TCP_HDR_LEN));
             let bytes = seg.to_bytes(self.layer.shared.ip, rip);
             let m = Mbuf::from_payload(64, &bytes);
             self.layer
@@ -304,21 +299,19 @@ impl TcpSocket {
     /// ride along with it — one boundary crossing drains the whole buffer,
     /// like `soreceive` after a burst of segments.
     fn deliver_data(self: &Rc<Self>, engine: &mut Engine, lease: &mut CpuLease, data: &[u8]) {
-        let model = lease.model().clone();
-        lease.charge(model.socket_layer);
+        lease.charge(lease.model().socket_layer);
         self.pending_data.borrow_mut().extend_from_slice(data);
         if self.wakeup_queued.replace(true) {
             return;
         }
-        lease.charge(model.process_wakeup);
+        lease.charge(lease.model().process_wakeup);
         let at = lease.now();
         let cpu = self.layer.shared.cpu.clone();
         let process = self.process.clone();
         let sock = self.clone();
         engine.schedule_at(at, move |eng| {
             let mut user = cpu.begin(eng.now());
-            let m = user.model().clone();
-            user.charge(m.context_switch);
+            user.charge(user.model().context_switch);
             process.trap(&mut user);
             sock.wakeup_queued.set(false);
             let data = std::mem::take(&mut *sock.pending_data.borrow_mut());
@@ -337,16 +330,14 @@ impl TcpSocket {
     /// then context switch + trap return (+ copyout for data) in the
     /// process before the callback runs.
     fn user_callback(self: &Rc<Self>, engine: &mut Engine, lease: &mut CpuLease, ev: UserEvent) {
-        let model = lease.model().clone();
-        lease.charge(model.socket_layer + model.process_wakeup);
+        lease.charge(lease.model().socket_layer + lease.model().process_wakeup);
         let at = lease.now();
         let cpu = self.layer.shared.cpu.clone();
         let sock = self.clone();
         let process = self.process.clone();
         engine.schedule_at(at, move |eng| {
             let mut user = cpu.begin(eng.now());
-            let m = user.model().clone();
-            user.charge(m.context_switch);
+            user.charge(user.model().context_switch);
             process.trap(&mut user);
             match &ev {
                 UserEvent::Connected => {

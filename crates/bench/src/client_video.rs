@@ -116,7 +116,7 @@ pub fn video_client_utilization(system: ClientSystem, seconds: u64) -> ClientSam
     // Display-path time per frame, straight from the cost model: the
     // application checksum pass, the decompress pass (read + expanded RAM
     // write), and the framebuffer blit.
-    let model = client_m.cpu().model().clone();
+    let model = client_m.cpu().model();
     let per_frame = model.checksum(cfg.frame_bytes)
         + model.decompress_per_byte.times(cfg.frame_bytes as u64)
         + model

@@ -107,7 +107,7 @@ pub const FIGURES: &[Figure] = &[
     },
     Figure {
         name: "tx_overload",
-        help: "the same loads on gigabit, flattened vs. doorbell-batched tx",
+        help: "the same loads on gigabit, software-checksum per-frame vs. offload + doorbell tx",
         run: overload::tx_figure,
     },
 ];

@@ -136,10 +136,9 @@ fn run(flows: u32, guard_based: bool, compiled: bool) -> RunResult {
             ev,
             HandlerSpec::ephemeral(Ephemeral::certify(
                 move |ctx: &mut RaiseCtx<'_>, dg: &Dgram| {
-                    let model = ctx.lease.model().clone();
                     // Table lookup + bucket update: one procedure call each.
-                    ctx.lease.charge(model.proc_call);
-                    ctx.lease.charge(model.proc_call);
+                    ctx.lease.charge(ctx.lease.model().proc_call);
+                    ctx.lease.charge(ctx.lease.model().proc_call);
                     let now_ns = ctx.lease.now().as_nanos();
                     let key = u64::from(dg.src_port) & u64::from(flows - 1);
                     let mut buckets = buckets.borrow_mut();

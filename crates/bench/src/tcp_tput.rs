@@ -176,10 +176,9 @@ pub fn raw_driver_mbps(link: &Link, bytes: usize) -> f64 {
     let rn = rx_nic.clone();
     rx_nic.attach(DriverConfig::per_frame(move |engine, f| {
         let mut lease = rx_cpu.begin(engine.now());
-        let model = lease.model().clone();
-        lease.charge(model.interrupt_entry);
+        lease.charge(lease.model().interrupt_entry);
         lease.charge(rn.profile().rx_cpu_cost(f.len()));
-        lease.charge(model.interrupt_exit);
+        lease.charge(lease.model().interrupt_exit);
         recvd.set(recvd.get() + f.len());
         if recvd.get() >= bytes {
             done.set(lease.now().as_nanos());

@@ -91,17 +91,6 @@ pub fn mean_us(samples_ns: &[u64]) -> f64 {
     samples_ns.iter().sum::<u64>() as f64 / samples_ns.len() as f64 / 1000.0
 }
 
-fn app_handler(
-    interrupt: bool,
-    f: impl Fn(&mut RaiseCtx<'_>, &UdpRecv) + 'static,
-) -> AppHandler<UdpRecv> {
-    if interrupt {
-        AppHandler::interrupt(f)
-    } else {
-        AppHandler::thread(f)
-    }
-}
-
 /// One cell of Figure 5: `rounds` serial `payload`-byte round trips
 /// between a client and a server on `link`.
 pub struct UdpRtt<'a> {
@@ -158,20 +147,7 @@ impl<'a> UdpRtt<'a> {
     }
 
     fn plexus_rtt(&self, mut tb: Testbed, interrupt: bool) -> Vec<u64> {
-        let mode = if interrupt {
-            StackConfig::interrupt
-        } else {
-            StackConfig::thread
-        };
-        let client = PlexusStack::attach_host(&tb.hosts[0], mode);
-        let server = PlexusStack::attach_host(&tb.hosts[1], mode);
-        client.dispatcher().set_compiled_guards(self.compiled);
-        server.dispatcher().set_compiled_guards(self.compiled);
-        let server_ip = server.ip();
-
-        let spec = ExtensionSpec::typesafe("rtt-bench", &["UDP.Bind", "UDP.Send"]);
-        let cext = client.link_extension(&spec).unwrap();
-        let sext = server.link_extension(&spec).unwrap();
+        let server_ip = tb.hosts[1].ip;
 
         // Server: echo.
         let echo_slot: Rc<OnceCell<Rc<UdpEndpoint>>> = Rc::default();
@@ -180,11 +156,6 @@ impl<'a> UdpRtt<'a> {
             let ep = es.get().expect("endpoint installed");
             let _ = ep.send_mbuf_in(ctx, ev.src, ev.src_port, ev.payload.share());
         };
-        let sep = server
-            .udp()
-            .bind(&sext, 7, UdpConfig::default(), app_handler(interrupt, echo))
-            .unwrap();
-        let _ = echo_slot.set(sep);
 
         // Client: record RTT, fire the next round.
         let state = PingState::new(self.rounds);
@@ -210,14 +181,38 @@ impl<'a> UdpRtt<'a> {
                 let _ = ep.send_in(ctx, server_ip, 7, &data2);
             }
         };
+
+        // Figure 5's two Plexus bars: every raise at interrupt level, or a
+        // thread per raise — the application's handlers included.
+        let (mode, echo, pong): (fn(_, _) -> _, _, _) = if interrupt {
+            (
+                StackConfig::interrupt,
+                AppHandler::interrupt(echo),
+                AppHandler::interrupt(pong),
+            )
+        } else {
+            (
+                StackConfig::thread,
+                AppHandler::thread(echo),
+                AppHandler::thread(pong),
+            )
+        };
+        let client = PlexusStack::attach_host(&tb.hosts[0], mode);
+        let server = PlexusStack::attach_host(&tb.hosts[1], mode);
+        client.dispatcher().set_compiled_guards(self.compiled);
+        server.dispatcher().set_compiled_guards(self.compiled);
+
+        let spec = ExtensionSpec::typesafe("rtt-bench", &["UDP.Bind", "UDP.Send"]);
+        let cext = client.link_extension(&spec).unwrap();
+        let sext = server.link_extension(&spec).unwrap();
+        let sep = server
+            .udp()
+            .bind(&sext, 7, UdpConfig::default(), echo)
+            .unwrap();
+        let _ = echo_slot.set(sep);
         let cep = client
             .udp()
-            .bind(
-                &cext,
-                2000,
-                UdpConfig::default(),
-                app_handler(interrupt, pong),
-            )
+            .bind(&cext, 2000, UdpConfig::default(), pong)
             .unwrap();
         let _ = cep_slot.set(cep.clone());
 
@@ -274,13 +269,12 @@ impl<'a> UdpRtt<'a> {
             .nic
             .attach(DriverConfig::per_frame(move |engine, frame| {
                 let mut lease = server_cpu.begin(engine.now());
-                let model = lease.model().clone();
-                lease.charge(model.interrupt_entry);
+                lease.charge(lease.model().interrupt_entry);
                 lease.charge(sn.profile().rx_cpu_cost(frame.len()));
                 lease.charge(sn.profile().tx_cpu_cost(frame.len()));
                 let at = lease.now();
                 sn.transmit(engine, at, frame);
-                lease.charge(model.interrupt_exit);
+                lease.charge(lease.model().interrupt_exit);
             }));
 
         let state = PingState::new(self.rounds);
@@ -289,8 +283,7 @@ impl<'a> UdpRtt<'a> {
         let (cn, cpu, st) = (client_nic.clone(), client_cpu.clone(), state.clone());
         client_nic.attach(DriverConfig::per_frame(move |engine, frame| {
             let mut lease = cpu.begin(engine.now());
-            let model = lease.model().clone();
-            lease.charge(model.interrupt_entry);
+            lease.charge(lease.model().interrupt_entry);
             lease.charge(cn.profile().rx_cpu_cost(frame.len()));
             let now = lease.now().as_nanos();
             if st.complete(now).1 {
@@ -299,7 +292,7 @@ impl<'a> UdpRtt<'a> {
                 let at = lease.now();
                 cn.transmit(engine, at, frame);
             }
-            lease.charge(model.interrupt_exit);
+            lease.charge(lease.model().interrupt_exit);
         }));
 
         state.sent_at.set(tb.world.engine().now().as_nanos());

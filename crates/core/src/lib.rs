@@ -38,7 +38,7 @@ pub use router::{IpRouter, RouterStats};
 pub use stack::{PlexusStack, StackConfig, StackStats};
 pub use tcp_manager::{TcpCallbacks, TcpConn, TcpManager};
 pub use types::{
-    AppHandler, DispatchMode, EthRecv, EthSendReq, IpRecv, IpSendReq, PlexusError, SourcePolicy,
-    TcpRecv, UdpRecv,
+    AppHandler, DispatchMode, EthRecv, IpRecv, IpSendReq, PlexusError, SourcePolicy, TcpRecv,
+    UdpRecv,
 };
 pub use udp_manager::{UdpEndpoint, UdpManager};

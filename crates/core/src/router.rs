@@ -57,7 +57,7 @@ pub struct RouterStats {
 pub struct IpRouter {
     machine: Rc<Machine>,
     interfaces: Vec<Rc<RouterIf>>,
-    routes: RefCell<RouteTable>,
+    routes: RouteTable,
     stats: Cell<RouterStats>,
     ident: ip::Ident,
 }
@@ -92,7 +92,7 @@ impl IpRouter {
         let router = Rc::new(IpRouter {
             machine: machine.clone(),
             interfaces: ifs,
-            routes: RefCell::new(routes),
+            routes,
             stats: Cell::new(RouterStats::default()),
             ident: ip::Ident::starting_at(0x4000),
         });
@@ -108,27 +108,9 @@ impl IpRouter {
         router
     }
 
-    /// Adds a route (e.g. to a network behind another router).
-    pub fn add_route(
-        &self,
-        prefix: Ipv4Addr,
-        prefix_len: u8,
-        iface: usize,
-        gateway: Option<Ipv4Addr>,
-    ) {
-        self.routes
-            .borrow_mut()
-            .add(prefix, prefix_len, iface, gateway);
-    }
-
     /// Counters.
     pub fn stats(&self) -> RouterStats {
         self.stats.get()
-    }
-
-    /// The address of interface `idx`.
-    pub fn iface_ip(&self, idx: usize) -> Ipv4Addr {
-        self.interfaces[idx].ip
     }
 
     fn bump<F: FnOnce(&mut RouterStats)>(&self, f: F) {
@@ -205,7 +187,7 @@ impl IpRouter {
             return;
         }
 
-        let Some((out_idx, next_hop)) = self.routes.borrow().next_hop(dst) else {
+        let Some((out_idx, next_hop)) = self.routes.next_hop(dst) else {
             self.bump(|s| s.no_route += 1);
             return;
         };
@@ -247,7 +229,7 @@ impl IpRouter {
         payload: &Mbuf,
     ) {
         lease.charge(lease.model().ip_proc);
-        let (out_idx, next_hop) = self.routes.borrow().next_hop(dst).unwrap_or((0, dst));
+        let (out_idx, next_hop) = self.routes.next_hop(dst).unwrap_or((0, dst));
         let src = self.interfaces[out_idx].ip;
         let hdr = IpHeader::simple(src, dst, protocol, self.ident.take());
         let dgram = ip::encapsulate(&hdr, payload.share());

@@ -35,11 +35,8 @@ use std::net::Ipv4Addr;
 use std::rc::Rc;
 
 use plexus_filter::{Field, FieldKey, Policy, PortSet};
-use plexus_kernel::dispatcher::{
-    Dispatcher, Event, EventBatch, Guard, HandlerId, HandlerSpec, RaiseCtx,
-};
+use plexus_kernel::dispatcher::{Dispatcher, Event, EventBatch, Guard, HandlerId, RaiseCtx};
 use plexus_kernel::domain::{Domain, ExtensionSpec, Interface, LinkError, LinkedExtension};
-use plexus_kernel::ephemeral::Ephemeral;
 use plexus_sim::nic::{DriverConfig, Nic};
 use plexus_sim::time::SimDuration;
 use plexus_sim::{Cpu, CpuLease, Engine, Machine};
@@ -85,12 +82,6 @@ pub struct StackConfig {
     /// default (one doorbell per frame — the historical cost model the
     /// latency goldens pin).
     pub tx_doorbell: bool,
-    /// Flatten every outgoing frame to contiguous bytes before handing it
-    /// to the adapter instead of letting the DMA engine gather the mbuf
-    /// chain. Strictly worse (an extra copy, and it disables checksum
-    /// offload); exists so benchmarks and tests can A/B the legacy path
-    /// against scatter-gather on identical wire bytes.
-    pub tx_flatten: bool,
 }
 
 impl StackConfig {
@@ -104,7 +95,6 @@ impl StackConfig {
             routes: RouteTable::host(ip, 24),
             coalesce: false,
             tx_doorbell: false,
-            tx_flatten: false,
         }
     }
 
@@ -123,12 +113,6 @@ impl StackConfig {
     /// Enables doorbell-batched transmit submission.
     pub fn doorbell_tx(mut self) -> StackConfig {
         self.tx_doorbell = true;
-        self
-    }
-
-    /// Forces the legacy flatten-before-transmit path (A/B comparison).
-    pub fn flattened_tx(mut self) -> StackConfig {
-        self.tx_flatten = true;
         self
     }
 
@@ -252,14 +236,11 @@ pub(crate) struct StackShared {
     /// True while the NIC rx glue should deliver (promiscuous snooping is
     /// structurally impossible: the filter runs before any extension code).
     promiscuous: Cell<bool>,
-    /// Transport checksums are offloaded to the adapter: the NIC profile
-    /// advertises [`plexus_sim::nic::NicProfile::checksum_offload`] and the
-    /// scatter-gather path is in use (the legacy flatten path bypasses the
-    /// DMA gather, so it cannot offload). When set, UDP/TCP skip the
-    /// software checksum CPU charge and stamp offload descriptors instead.
+    /// Transport checksums are offloaded to the adapter (the NIC profile
+    /// advertises [`plexus_sim::nic::NicProfile::checksum_offload`]):
+    /// UDP/TCP skip the software checksum CPU charge and stamp offload
+    /// descriptors, which the adapter fills during the DMA gather.
     pub(crate) csum_offload: bool,
-    /// Flatten frames to contiguous bytes before transmit (legacy A/B path).
-    tx_flatten: bool,
 }
 
 impl StackShared {
@@ -275,7 +256,7 @@ impl StackShared {
     pub(crate) fn install_layer<T, F>(
         &self,
         event: Event<T>,
-        guard: Option<Guard<T>>,
+        guard: Guard<T>,
         handler: F,
         owner: &str,
     ) -> HandlerId
@@ -283,14 +264,9 @@ impl StackShared {
         T: 'static,
         F: Fn(&mut RaiseCtx<'_>, &T) + 'static,
     {
-        let spec = match self.mode {
-            DispatchMode::Interrupt => {
-                HandlerSpec::ephemeral(Ephemeral::certify(handler)).interrupt()
-            }
-            DispatchMode::Thread => HandlerSpec::new(handler),
-        };
+        let AppHandler(spec) = self.per_mode(handler);
         self.dispatcher
-            .install(event, spec.guard_opt(guard).owner(owner))
+            .install(event, spec.guard(guard).owner(owner))
     }
 
     /// Installs a send-path handler. The send path is always a direct
@@ -302,14 +278,13 @@ impl StackShared {
         T: 'static,
         F: Fn(&mut RaiseCtx<'_>, &T) + 'static,
     {
-        self.dispatcher.install(
-            event,
-            HandlerSpec::ephemeral(Ephemeral::certify(handler)).interrupt(),
-        )
+        let AppHandler(spec) = AppHandler::interrupt(handler);
+        self.dispatcher.install(event, spec)
     }
 
-    /// Kernel-written code that runs for an extension (a redirector, a
-    /// listener), delivered per the stack's dispatch mode.
+    /// Kernel-written code (a protocol layer; a redirector or a listener
+    /// that runs for an extension), delivered per the stack's dispatch
+    /// mode — the one place a [`DispatchMode`] becomes a handler's class.
     pub(crate) fn per_mode<T, F>(&self, f: F) -> AppHandler<T>
     where
         F: Fn(&mut RaiseCtx<'_>, &T) + 'static,
@@ -337,8 +312,8 @@ impl StackShared {
     /// what it holds — the one way a handler comes to be owned by an
     /// extension, so nothing an extension holds is missing from `held`.
     /// `hold` names `event` and the ports claimed; a port some extension
-    /// holds already refuses the install. Interrupt-level only when the
-    /// handler is certified ephemeral (§3.3), under `ext_time_limit`.
+    /// holds already refuses the install. The handler keeps the class it
+    /// was made with; at interrupt level it runs under `ext_time_limit`.
     pub(crate) fn install_held<T: 'static>(
         &self,
         ext: &LinkedExtension,
@@ -354,16 +329,8 @@ impl StackShared {
                 return Err(PlexusError::PortInUse(*taken));
             }
         }
-        let spec = match handler {
-            AppHandler::Interrupt(eph) => {
-                let f = eph.into_inner();
-                HandlerSpec::ephemeral(Ephemeral::certify(
-                    move |ctx: &mut RaiseCtx<'_>, arg: &T| f(ctx, arg),
-                ))
-                .time_limit(self.ext_time_limit)
-            }
-            AppHandler::Thread(f) => HandlerSpec::new(f),
-        };
+        let AppHandler(spec) = handler;
+        let spec = spec.allot(self.ext_time_limit);
         let id = self
             .dispatcher
             .install(event, spec.guard(guard).owner(ext.name()));
@@ -621,8 +588,7 @@ impl PlexusStack {
             udp_ports: PortTable::default(),
             tcp_ports: PortTable::default(),
             promiscuous: Cell::new(false),
-            csum_offload: nic.profile().checksum_offload && !config.tx_flatten,
-            tx_flatten: config.tx_flatten,
+            csum_offload: nic.profile().checksum_offload,
         });
 
         let driver = if config.coalesce {
@@ -710,9 +676,8 @@ impl PlexusStack {
     /// `Ethernet.PacketSend`: prepend the link header, pay the driver TX
     /// submission cost (full per-frame, or amortized under an open
     /// doorbell — [`plexus_sim::nic::Nic::tx_cpu_charge`] decides), and
-    /// hand the mbuf chain to the adapter for the scatter-gather DMA.
-    /// The frame is never flattened on this path; `tx_flatten` keeps the
-    /// legacy copy-to-contiguous behavior for A/B comparisons.
+    /// hand the mbuf chain to the adapter for the scatter-gather DMA —
+    /// the frame is never flattened on its way out.
     fn install_eth_output(shared: &Rc<StackShared>) {
         let s = shared.clone();
         shared.install_send(shared.events.eth_send, move |ctx, req: &Frame| {
@@ -723,12 +688,7 @@ impl PlexusStack {
             let len = frame.total_len();
             ctx.lease.charge(s.nic.tx_cpu_charge(ctx.lease.now(), len));
             let ready = ctx.lease.now();
-            if s.tx_flatten {
-                let bytes = frame.to_vec();
-                s.nic.transmit(ctx.engine, ready, &bytes[..]);
-            } else {
-                s.nic.transmit(ctx.engine, ready, &frame);
-            }
+            s.nic.transmit(ctx.engine, ready, &frame);
         });
     }
 
@@ -741,7 +701,7 @@ impl PlexusStack {
         ));
         shared.install_layer(
             shared.events.eth_recv,
-            Some(guard),
+            guard,
             move |ctx, ev: &EthRecv| {
                 ctx.lease.charge(ctx.lease.model().eth_proc);
                 let bytes = ev.mbuf.to_vec();
@@ -772,7 +732,7 @@ impl PlexusStack {
         ));
         shared.install_layer(
             shared.events.eth_recv,
-            Some(guard),
+            guard,
             move |ctx, ev: &EthRecv| {
                 ctx.lease.charge(ctx.lease.model().ip_proc);
                 let mut pkt = ev.mbuf.share();
@@ -822,7 +782,7 @@ impl PlexusStack {
         ));
         shared.install_layer(
             shared.events.ip_recv,
-            Some(guard),
+            guard,
             move |ctx, ev: &IpRecv| {
                 let bytes = ev.payload.to_vec();
                 ctx.lease.charge(ctx.lease.model().checksum(bytes.len()));

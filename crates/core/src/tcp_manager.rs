@@ -95,7 +95,7 @@ impl TcpManager {
         let scratch = std::cell::RefCell::new(Vec::new());
         shared.install_layer(
             shared.events.ip_recv,
-            Some(Guard::verified(guard)),
+            Guard::verified(guard),
             move |ctx, ev: &IpRecv| {
                 ctx.lease.charge(ctx.lease.model().tcp_proc);
                 if !s.csum_offload {
@@ -382,7 +382,7 @@ impl TcpConn {
         let c = conn.clone();
         let id = mgr.shared.install_layer(
             mgr.shared.events.tcp_recv,
-            Some(Guard::verified(guard)),
+            Guard::verified(guard),
             move |ctx, ev: &TcpRecv| {
                 let actions = c.tcb.borrow_mut().on_segment(
                     &ev.segment,

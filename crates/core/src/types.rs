@@ -4,7 +4,7 @@ use std::fmt;
 use std::net::Ipv4Addr;
 
 use plexus_filter::{EventKind, Field, Packet};
-use plexus_kernel::dispatcher::RaiseCtx;
+use plexus_kernel::dispatcher::{HandlerSpec, RaiseCtx};
 use plexus_kernel::domain::LinkError;
 use plexus_kernel::ephemeral::Ephemeral;
 use plexus_kernel::view::view;
@@ -19,10 +19,6 @@ pub struct EthRecv {
     /// The frame, link header first.
     pub mbuf: Mbuf,
 }
-
-/// Argument of `Ethernet.PacketSend`: a network-layer packet plus the link
-/// addressing the sender resolved.
-pub use plexus_net::ether::Frame as EthSendReq;
 
 /// Argument of `Ip.PacketRecv`: a validated (and, if needed, reassembled)
 /// IP payload.
@@ -178,42 +174,33 @@ impl Packet for TcpRecv {
     }
 }
 
-/// How an application wants its handler delivered (§3.3).
+/// An application's handler and how it wants it delivered (§3.3): made
+/// once, by [`AppHandler::interrupt`] or [`AppHandler::thread`], and
+/// handed to a protocol manager, which installs it as it is.
 ///
-/// Protocol managers *verify* ephemerality before installing at interrupt
-/// level: only a certified [`Ephemeral`] handler can ask for
-/// interrupt-level delivery, so the type system plays the role of the
-/// Modula-3 compiler's `EPHEMERAL` check.
-pub enum AppHandler<T> {
-    /// Run directly in the network interrupt; must be certified ephemeral.
-    Interrupt(Ephemeral<BoxedHandler<T>>),
-    /// Run in a freshly spawned kernel thread per event.
-    Thread(BoxedHandler<T>),
-}
-
-/// A boxed application event handler.
-pub type BoxedHandler<T> = Box<dyn Fn(&mut RaiseCtx<'_>, &T)>;
+/// Interrupt-level delivery is asked for by certifying the handler
+/// [`Ephemeral`], so the type system plays the role of the Modula-3
+/// compiler's `EPHEMERAL` check; the dispatcher verifies the evidence
+/// when the manager installs the handler.
+pub struct AppHandler<T>(pub(crate) HandlerSpec<T>);
 
 impl<T> AppHandler<T> {
-    /// Convenience: certify `f` and request interrupt-level delivery.
+    /// Certifies `f` ephemeral and requests interrupt-level delivery: it
+    /// runs directly in the network interrupt.
     pub fn interrupt<F>(f: F) -> AppHandler<T>
     where
         F: Fn(&mut RaiseCtx<'_>, &T) + 'static,
     {
-        AppHandler::Interrupt(Ephemeral::certify(Box::new(f)))
+        AppHandler(HandlerSpec::ephemeral(Ephemeral::certify(f)).interrupt())
     }
 
-    /// Convenience: request thread delivery for `f`.
+    /// Requests thread delivery for `f`: a freshly spawned kernel thread
+    /// per event.
     pub fn thread<F>(f: F) -> AppHandler<T>
     where
         F: Fn(&mut RaiseCtx<'_>, &T) + 'static,
     {
-        AppHandler::Thread(Box::new(f))
-    }
-
-    /// True for interrupt-level (certified ephemeral) handlers.
-    pub fn is_ephemeral(&self) -> bool {
-        matches!(self, AppHandler::Interrupt(_))
+        AppHandler(HandlerSpec::new(f))
     }
 }
 
@@ -243,9 +230,6 @@ pub enum PlexusError {
     SpoofDetected,
     /// A capability used after revocation (the owning extension unloaded).
     Revoked,
-    /// Interrupt-level delivery requested for a handler the manager could
-    /// not verify as ephemeral.
-    NotEphemeral,
 }
 
 impl fmt::Display for PlexusError {
@@ -256,9 +240,6 @@ impl fmt::Display for PlexusError {
             PlexusError::SnoopDenied(why) => write!(f, "binding denied (would snoop): {why}"),
             PlexusError::SpoofDetected => write!(f, "outgoing source field is not the endpoint's"),
             PlexusError::Revoked => write!(f, "capability revoked"),
-            PlexusError::NotEphemeral => {
-                write!(f, "interrupt-level delivery requires an ephemeral handler")
-            }
         }
     }
 }

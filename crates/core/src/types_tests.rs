@@ -3,16 +3,8 @@
 
 #[cfg(test)]
 mod tests {
-    use crate::types::{AppHandler, DispatchMode, PlexusError, SourcePolicy, UdpRecv};
+    use crate::types::{DispatchMode, PlexusError, SourcePolicy};
     use plexus_kernel::domain::LinkError;
-
-    #[test]
-    fn app_handler_classes_report_ephemerality() {
-        let i: AppHandler<UdpRecv> = AppHandler::interrupt(|_, _| {});
-        let t: AppHandler<UdpRecv> = AppHandler::thread(|_, _| {});
-        assert!(i.is_ephemeral());
-        assert!(!t.is_ephemeral());
-    }
 
     #[test]
     fn errors_render_usable_messages() {
@@ -21,7 +13,6 @@ mod tests {
             (PlexusError::SnoopDenied("x"), "snoop"),
             (PlexusError::SpoofDetected, "source field"),
             (PlexusError::Revoked, "revoked"),
-            (PlexusError::NotEphemeral, "ephemeral"),
             (
                 PlexusError::Link(LinkError::Unresolved(vec!["VM.Map".into()])),
                 "VM.Map",

@@ -26,6 +26,7 @@ use std::rc::Rc;
 use plexus_filter::{conjunction, EventKind, Field, FieldKey, Operand, Policy, Test};
 use plexus_kernel::dispatcher::{Guard, HandlerId, RaiseCtx};
 use plexus_kernel::domain::LinkedExtension;
+use plexus_kernel::ephemeral::Ephemeral;
 use plexus_net::checksum::incremental_update;
 use plexus_net::ip::proto;
 use plexus_net::mbuf::Mbuf;
@@ -75,7 +76,7 @@ impl UdpManager {
         let m = mgr.clone();
         shared.install_layer(
             shared.events.ip_recv,
-            Some(Guard::verified(guard)),
+            Guard::verified(guard),
             move |ctx, ev: &IpRecv| {
                 ctx.lease.charge(ctx.lease.model().udp_proc);
                 if !s.csum_offload {
@@ -301,16 +302,19 @@ fn fix_udp_checksum_for_dst(m: &mut Mbuf, old_dst: Ipv4Addr, new_dst: Ipv4Addr) 
 }
 
 /// Adapts an application's `UdpRecv` handler to run as a special UDP
-/// implementation directly on `Ip.PacketRecv`, preserving its
-/// interrupt/thread class (the certification carries through the adapter —
-/// an ephemeral wrapper around an ephemeral body).
+/// implementation directly on `Ip.PacketRecv`. The handler keeps its
+/// interrupt/thread class: [`HandlerSpec::adapt`] carries it through the
+/// certified adapter — an ephemeral wrapper around an ephemeral body.
+///
+/// [`HandlerSpec::adapt`]: plexus_kernel::dispatcher::HandlerSpec::adapt
 fn wrap_special_udp(
     config: UdpConfig,
     csum_offload: bool,
-    handler: AppHandler<UdpRecv>,
+    AppHandler(handler): AppHandler<UdpRecv>,
 ) -> AppHandler<IpRecv> {
-    let adapt =
-        move |ctx: &mut RaiseCtx<'_>, ev: &IpRecv, inner: &dyn Fn(&mut RaiseCtx<'_>, &UdpRecv)| {
+    type Inner<'a> = &'a dyn Fn(&mut RaiseCtx<'_>, &UdpRecv);
+    AppHandler(handler.adapt(Ephemeral::certify(
+        move |ctx: &mut RaiseCtx<'_>, ev: &IpRecv, inner: Inner<'_>| {
             ctx.lease.charge(ctx.lease.model().udp_proc);
             if config.checksum && !csum_offload {
                 ctx.lease
@@ -327,18 +331,8 @@ fn wrap_special_udp(
                 payload: dgram.payload,
             };
             inner(ctx, &arg);
-        };
-    match handler {
-        AppHandler::Interrupt(eph) => {
-            let f = eph.into_inner();
-            AppHandler::interrupt(move |ctx: &mut RaiseCtx<'_>, ev: &IpRecv| {
-                adapt(ctx, ev, &*f);
-            })
-        }
-        AppHandler::Thread(f) => AppHandler::thread(move |ctx: &mut RaiseCtx<'_>, ev: &IpRecv| {
-            adapt(ctx, ev, &*f);
-        }),
-    }
+        },
+    )))
 }
 
 /// A legitimate UDP sending/receiving endpoint (§3.1): the object whose

@@ -472,6 +472,74 @@ fn checksum_disabled_udp_is_a_special_implementation() {
     );
 }
 
+/// The special-UDP adapter carries the application's handler to
+/// `Ip.PacketRecv` with the class it was made with: a thread-class one
+/// still pays a thread per datagram, an interrupt-class one still runs
+/// under the extension time limit.
+#[test]
+fn the_special_udp_adapter_keeps_the_handlers_class() {
+    const DATAGRAMS: u64 = 3;
+    // One server with a checksum-less binding whose handler burns `burn`;
+    // returns the server CPU's busy time and its terminations.
+    let run = |thread: bool, limit: Option<SimDuration>, burn: SimDuration| {
+        let Testbed {
+            mut world, hosts, ..
+        } = Testbed::new(&Link::ethernet(), 0, &["a", "b"]);
+        let server = PlexusStack::attach_host(&hosts[0], |ip, mac| StackConfig {
+            ext_time_limit: limit,
+            ..StackConfig::interrupt(ip, mac)
+        });
+        let client = PlexusStack::attach_host(&hosts[1], StackConfig::interrupt);
+        let sext = server.link_extension(&ext_spec("S")).unwrap();
+        let cext = client.link_extension(&ext_spec("C")).unwrap();
+        let nocheck = UdpConfig { checksum: false };
+        let got = Rc::new(Cell::new(0u64));
+        let g = got.clone();
+        let recv = move |ctx: &mut plexus_kernel::RaiseCtx<'_>, _: &plexus_core::UdpRecv| {
+            g.set(g.get() + 1);
+            ctx.lease.charge(burn);
+        };
+        let handler = if thread {
+            AppHandler::thread(recv)
+        } else {
+            AppHandler::interrupt(recv)
+        };
+        server.udp().bind(&sext, 7001, nocheck, handler).unwrap();
+        let cep = client
+            .udp()
+            .bind(&cext, 2000, nocheck, AppHandler::interrupt(|_, _| {}))
+            .unwrap();
+        for _ in 0..DATAGRAMS {
+            cep.send(world.engine_mut(), server.ip(), 7001, b"special")
+                .unwrap();
+        }
+        world.run();
+        assert_eq!(got.get(), DATAGRAMS, "every datagram reached the handler");
+        (
+            hosts[0].machine.cpu().busy(),
+            server.dispatcher().stats().terminations,
+        )
+    };
+
+    let model = plexus_sim::CostModel::alpha_3000_400();
+    let (at_interrupt, _) = run(false, None, SimDuration::ZERO);
+    let (in_threads, _) = run(true, None, SimDuration::ZERO);
+    assert_eq!(
+        in_threads - at_interrupt,
+        (model.thread_spawn + model.context_switch).times(DATAGRAMS),
+        "a thread per datagram for the thread-class handler, none for the other"
+    );
+
+    let limit = SimDuration::from_micros(50);
+    let burn = SimDuration::from_millis(10);
+    let (busy, terminations) = run(false, Some(limit), burn);
+    assert_eq!(terminations, DATAGRAMS, "over budget on the special path");
+    assert!(busy < SimDuration::from_millis(1), "charged the allotment");
+    let (busy, terminations) = run(true, Some(limit), burn);
+    assert_eq!(terminations, 0, "the limit binds interrupt delivery only");
+    assert!(busy >= burn.times(DATAGRAMS));
+}
+
 #[test]
 fn tcp_connect_transfer_close_end_to_end() {
     let (mut world, [client, server]) = plexus_lan(["alpha-a", "alpha-b"], StackConfig::interrupt);
@@ -981,9 +1049,7 @@ fn recorder_shows_the_packet_walk() {
                 metric,
             })
         };
-        get(Scope::Guard, "verified.rejects")
-            + get(Scope::Guard, "closure.rejects")
-            + get(Scope::Event, "demux.avoided")
+        get(Scope::Guard, "verified.rejects") + get(Scope::Event, "demux.avoided")
     };
     assert_eq!(turned_away("Ip.PacketRecv"), 2);
     assert_eq!(turned_away("Ethernet.PacketRecv"), 1);

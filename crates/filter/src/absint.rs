@@ -259,6 +259,18 @@ fn split_lt(a: Interval, b: Interval) -> Split {
     Split { yes, no }
 }
 
+/// Joins `incoming` into the state at `target` (the first arrival sets it).
+fn merge(states: &mut [Option<Regs>], target: usize, incoming: Regs) {
+    match &mut states[target] {
+        None => states[target] = Some(incoming),
+        Some(cur) => {
+            for (c, i) in cur.iter_mut().zip(incoming.iter()) {
+                *c = c.join(*i);
+            }
+        }
+    }
+}
+
 /// Runs the interval pass. Precondition: `check_structure` passed (jump
 /// targets in range, register and map/set ids valid); the pass is still
 /// defensive about violations but reports them as errors rather than
@@ -274,17 +286,6 @@ pub fn analyze(program: &FilterProgram) -> Analysis {
     states[0] = Some([Interval::exact(0); NUM_REGS]);
     // Interval-feasible successors per reachable pc; `None` = unreachable.
     let mut succs: Vec<Option<Vec<usize>>> = vec![None; len];
-
-    fn merge(states: &mut [Option<Regs>], target: usize, incoming: Regs) {
-        match &mut states[target] {
-            None => states[target] = Some(incoming),
-            Some(cur) => {
-                for (c, i) in cur.iter_mut().zip(incoming.iter()) {
-                    *c = c.join(*i);
-                }
-            }
-        }
-    }
 
     for pc in 0..len {
         let Some(regs) = states[pc] else {
@@ -507,16 +508,6 @@ fn branch(
     edges: &mut Vec<usize>,
     out: &mut Analysis,
 ) {
-    fn merge(states: &mut [Option<Regs>], target: usize, incoming: Regs) {
-        match &mut states[target] {
-            None => states[target] = Some(incoming),
-            Some(cur) => {
-                for (c, i) in cur.iter_mut().zip(incoming.iter()) {
-                    *c = c.join(*i);
-                }
-            }
-        }
-    }
     let apply = |refined: (Interval, Interval)| -> Regs {
         let mut next = regs;
         if let Some(slot) = next.get_mut(a.0 as usize) {

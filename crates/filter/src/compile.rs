@@ -134,132 +134,6 @@ struct CmpEntry {
     t: usize,
 }
 
-/// The all-pass fast path of an [`Op::Run`]: a contiguous segment of
-/// payload equality tests pre-rendered as a masked byte image of the
-/// head window they cover. One masked comparison decides the whole
-/// segment, and on success both the staged cycles and the registers'
-/// final values are compile-time constants (each register holds exactly
-/// the immediate the test proved it equal to). On mismatch — or a head
-/// too short for the window — the run falls back to its test-by-test
-/// loop, which charges the exact fail-fast cycle prefix the interpreter
-/// would.
-struct Fingerprint {
-    /// Entry range `[from, to)` of the run the image covers.
-    from: usize,
-    to: usize,
-    /// Head byte offset the image starts at.
-    start: usize,
-    expected: Vec<u8>,
-    /// `0xFF` where some test pins the byte, `0` for gap bytes.
-    mask: Vec<u8>,
-    /// Cycles the covered tests charge when they all pass.
-    spent: u32,
-    /// Register writes the covered tests perform when they all pass.
-    regs: Vec<(usize, u64)>,
-}
-
-impl Fingerprint {
-    #[inline(always)]
-    fn matches(&self, head: &[u8]) -> bool {
-        match head.get(self.start..self.start + self.expected.len()) {
-            Some(w) => w
-                .iter()
-                .zip(&self.expected)
-                .zip(&self.mask)
-                .all(|((h, e), m)| h & m == *e),
-            None => false,
-        }
-    }
-}
-
-/// The head window one entry pins, if it is a payload equality test:
-/// `(start offset, expected big-endian bytes)`. The pass condition of a
-/// conjunction entry is `x != v` *not* taken, so only `Cmp::Ne` entries
-/// (with the immediate in range for the width) byte-encode.
-fn pay_eq_bytes(e: &CmpEntry) -> Option<(usize, Vec<u8>)> {
-    if !matches!(e.cmp, Cmp::Ne) {
-        return None;
-    }
-    match e.load {
-        LoadKind::Field(_) => None,
-        LoadKind::Pay8 { start } => u8::try_from(e.v).ok().map(|v| (start, vec![v])),
-        LoadKind::Pay16 { start } => u16::try_from(e.v)
-            .ok()
-            .map(|v| (start, v.to_be_bytes().to_vec())),
-        LoadKind::Pay32 { start } => u32::try_from(e.v)
-            .ok()
-            .map(|v| (start, v.to_be_bytes().to_vec())),
-    }
-}
-
-/// Picks the longest contiguous byte-consistent segment of payload
-/// equality tests in a run (two or more tests) and renders its masked
-/// image. Overlapping tests are fine as long as they pin the same
-/// bytes; a conflicting overlap ends the segment (such tests cannot all
-/// pass, so no all-pass image exists for them).
-fn fingerprint(entries: &[CmpEntry]) -> Option<Box<Fingerprint>> {
-    let mut segs: Vec<(usize, usize)> = Vec::new();
-    let mut k = 0;
-    while k < entries.len() {
-        let Some((s0, b0)) = pay_eq_bytes(&entries[k]) else {
-            k += 1;
-            continue;
-        };
-        let mut bytes: Vec<(usize, u8)> =
-            b0.iter().enumerate().map(|(i, b)| (s0 + i, *b)).collect();
-        let from = k;
-        let mut to = k + 1;
-        while to < entries.len() {
-            let Some((s, bs)) = pay_eq_bytes(&entries[to]) else {
-                break;
-            };
-            let add: Vec<(usize, u8)> = bs.iter().enumerate().map(|(i, b)| (s + i, *b)).collect();
-            let consistent = add
-                .iter()
-                .all(|(o, b)| bytes.iter().all(|(o2, b2)| o != o2 || b == b2));
-            if !consistent {
-                break;
-            }
-            bytes.extend(add);
-            to += 1;
-        }
-        segs.push((from, to));
-        k = to;
-    }
-    let (from, to) = segs
-        .into_iter()
-        .max_by_key(|(f, t)| t - f)
-        .filter(|(f, t)| t - f >= 2)?;
-
-    let (mut lo, mut hi) = (usize::MAX, 0usize);
-    let (mut spent, mut regs) = (0u32, Vec::new());
-    for e in &entries[from..to] {
-        let (s, bs) = pay_eq_bytes(e).expect("segment entries are payload equality tests");
-        lo = lo.min(s);
-        hi = hi.max(s + bs.len());
-        spent += e.lc + 1;
-        regs.push((e.d, e.v));
-    }
-    let mut expected = vec![0u8; hi - lo];
-    let mut mask = vec![0u8; hi - lo];
-    for e in &entries[from..to] {
-        let (s, bs) = pay_eq_bytes(e).expect("segment entries are payload equality tests");
-        for (i, b) in bs.iter().enumerate() {
-            expected[s - lo + i] = *b;
-            mask[s - lo + i] = 0xFF;
-        }
-    }
-    Some(Box::new(Fingerprint {
-        from,
-        to,
-        start: lo,
-        expected,
-        mask,
-        spent,
-        regs,
-    }))
-}
-
 /// A [`StateMap`] slot operation — the same calls the interpreter makes,
 /// so refill arithmetic and saturation are shared, not reimplemented.
 type StateFn = fn(&StateMap, u64, u64) -> Option<u64>;
@@ -329,13 +203,10 @@ enum Op {
         f: usize,
     },
     /// A superinstruction: a fall-through run of fused load-compares
-    /// evaluated by one homogeneous inner loop, with an optional
-    /// [`Fingerprint`] fast path for its payload-equality segment.
-    /// Branch-taken exits to the entry's own target; surviving every
-    /// test continues at `next`.
+    /// evaluated by one homogeneous inner loop. Branch-taken exits to
+    /// the entry's own target; surviving every test continues at `next`.
     Run {
         entries: Vec<CmpEntry>,
-        fp: Option<Box<Fingerprint>>,
         next: usize,
     },
     /// Fused load + set-membership probe + branch.
@@ -414,19 +285,8 @@ impl CompiledProgram {
         let mut pc = 0usize;
         'dispatch: loop {
             match &self.ops[pc] {
-                Op::Run { entries, fp, next } => {
-                    let mut k = 0;
-                    while let Some(e) = entries.get(k) {
-                        if let Some(fp) = fp {
-                            if k == fp.from && fp.matches(head_of(pkt, &mut head)) {
-                                spent += fp.spent;
-                                for (d, v) in &fp.regs {
-                                    regs[*d] = *v;
-                                }
-                                k = fp.to;
-                                continue;
-                            }
-                        }
+                Op::Run { entries, next } => {
+                    for e in entries {
                         spent += e.lc;
                         let Some(x) = e.load.get(pkt, &mut head) else {
                             return (false, spent);
@@ -437,7 +297,6 @@ impl CompiledProgram {
                             pc = e.t;
                             continue 'dispatch;
                         }
-                        k += 1;
                     }
                     pc = *next;
                 }
@@ -747,12 +606,7 @@ fn coalesce_runs(ops: Vec<Op>) -> Vec<Op> {
                 .collect();
             // `j` is never absorbed elsewhere (the run above it stopped
             // here), so its remap entry is a real op.
-            let fp = fingerprint(&entries);
-            out.push(Op::Run {
-                entries,
-                fp,
-                next: j,
-            });
+            out.push(Op::Run { entries, next: j });
             i = j;
         } else {
             out.push(old[i].take().expect("each op moves exactly once"));
@@ -1327,66 +1181,6 @@ mod tests {
                 eval_metered(&vp, &pkt, 0),
                 "port {port}"
             );
-        }
-    }
-
-    #[test]
-    fn fingerprint_fast_path_matches_the_test_by_test_walk() {
-        // Three overlapping payload equality tests render to one masked
-        // image; the byte-image verdicts, cycles, and register effects
-        // must be indistinguishable from the fallback loop (which the
-        // miss and short-head packets take).
-        let pay = |off: u16, width: Width| Operand::Pay { off, width };
-        let prog = conjunction(
-            EventKind::UdpRecv,
-            &[
-                Test::eq(pay(0, Width::W32), 0x1703_0300),
-                Test::eq(pay(2, Width::W16), 0x0300), // overlaps, consistently
-                Test::eq(pay(5, Width::W8), 0x42),    // gap byte at offset 4
-            ],
-            vec![],
-        );
-        let vp = verify(&prog).unwrap();
-        assert_eq!(vp.compiled().ops(), 4);
-        for head in [
-            vec![0x17, 0x03, 0x03, 0x00, 0x99, 0x42], // hit via the image
-            vec![0x17, 0x03, 0x03, 0x00, 0x00, 0x43], // last byte misses
-            vec![0x18, 0x03, 0x03, 0x00, 0x00, 0x42], // first test misses
-            vec![0x17, 0x03, 0x03],                   // short head
-            vec![],                                   // empty head
-        ] {
-            let pkt = Udp {
-                dst_port: 1,
-                src_addr: 1,
-                head,
-            };
-            assert_eq!(vp.compiled().eval(&pkt, 0), eval_metered(&vp, &pkt, 0));
-        }
-    }
-
-    #[test]
-    fn conflicting_overlap_gets_no_all_pass_image_but_stays_exact() {
-        // Offset 0 is pinned to both 0x17 (W8) and 0x99 (high byte of
-        // the W16): the tests can never all pass, so no image forms and
-        // the run's loop must still reject exactly like the interpreter.
-        let pay = |off: u16, width: Width| Operand::Pay { off, width };
-        let prog = conjunction(
-            EventKind::UdpRecv,
-            &[
-                Test::eq(pay(0, Width::W8), 0x17),
-                Test::eq(pay(0, Width::W16), 0x9903),
-            ],
-            vec![],
-        );
-        let vp = verify(&prog).unwrap();
-        for head in [vec![0x17, 0x03], vec![0x99, 0x03], vec![0x17]] {
-            let pkt = Udp {
-                dst_port: 1,
-                src_addr: 1,
-                head,
-            };
-            assert_eq!(vp.compiled().eval(&pkt, 0), eval_metered(&vp, &pkt, 0));
-            assert!(!vp.compiled().eval(&pkt, 0).0);
         }
     }
 

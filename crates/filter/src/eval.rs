@@ -60,19 +60,15 @@ pub fn read_field_key<P: Packet + ?Sized>(pkt: &P, key: FieldKey) -> Option<u64>
 /// Evaluates a verified guard against a packet. Total and fault-free: any
 /// runtime anomaly (kind mismatch, short payload, missing field) rejects.
 ///
-/// Token-bucket maps see time 0; use [`eval_at`] when the program carries
-/// rate-limiting state.
+/// Token-bucket maps see time 0; use [`eval_metered`] when the program
+/// carries rate-limiting state.
 pub fn eval<P: Packet + ?Sized>(vp: &VerifiedProgram, pkt: &P) -> bool {
     run(vp.program(), pkt, 0).0
 }
 
-/// [`eval`] at simulated time `now_ns`, which drives token-bucket refill.
-pub fn eval_at<P: Packet + ?Sized>(vp: &VerifiedProgram, pkt: &P, now_ns: u64) -> bool {
-    run(vp.program(), pkt, now_ns).0
-}
-
-/// [`eval_at`] that also reports the cycles the evaluation actually spent
-/// — the measured side of the static-bound cross-check. For a verified
+/// [`eval`] at simulated time `now_ns`, which drives token-bucket refill,
+/// that also reports the cycles the evaluation actually spent — the
+/// measured side of the static-bound cross-check. For a verified
 /// program the cycle count never exceeds [`VerifiedProgram::static_bound`]
 /// (the dispatcher and the property suite assert exactly that).
 pub fn eval_metered<P: Packet + ?Sized>(vp: &VerifiedProgram, pkt: &P, now_ns: u64) -> (bool, u32) {

@@ -47,7 +47,7 @@ pub use absint::{Interval, Lint};
 pub use builder::{conjunction, conjunction_stateful, Operand, Test};
 pub use compile::{CompileStats, CompiledProgram};
 pub use cost::{insn_cycles, structural_bound};
-pub use eval::{eval, eval_at, eval_metered, eval_unchecked, read_field_key, Packet};
+pub use eval::{eval, eval_metered, eval_unchecked, read_field_key, Packet};
 pub use ir::{
     EventKind, Field, FilterProgram, Insn, MapId, PortSet, Reg, SetId, Src, Width, MAX_COST,
     MAX_INSNS, NUM_REGS, PAY_WINDOW,

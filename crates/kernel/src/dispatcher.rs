@@ -143,13 +143,6 @@ impl<T> HandlerSpec<T> {
         self
     }
 
-    /// Attaches an optional guard (convenience for call sites that already
-    /// hold an `Option<Guard<T>>`).
-    pub fn guard_opt(mut self, guard: Option<Guard<T>>) -> HandlerSpec<T> {
-        self.guard = guard;
-        self
-    }
-
     /// Sets the owning domain for flight-recorder attribution.
     pub fn owner(mut self, owner: &str) -> HandlerSpec<T> {
         self.owner = owner.to_string();
@@ -165,10 +158,40 @@ impl<T> HandlerSpec<T> {
     /// Sets the interrupt-mode termination allotment; implies
     /// [`HandlerSpec::interrupt`]. Accepts a bare [`SimDuration`] or an
     /// `Option` (for call sites with a configured-but-maybe-absent limit).
-    pub fn time_limit(mut self, limit: impl Into<Option<SimDuration>>) -> HandlerSpec<T> {
-        self.time_limit = limit.into();
-        self.interrupt = true;
+    pub fn time_limit(self, limit: impl Into<Option<SimDuration>>) -> HandlerSpec<T> {
+        self.allot(limit.into()).interrupt()
+    }
+
+    /// Sets the termination allotment without asking for interrupt
+    /// delivery: it binds a spec that is delivered at interrupt level and
+    /// means nothing to a thread-mode one. For an installer that applies
+    /// its configured limit to handlers whose class their maker chose.
+    pub fn allot(mut self, limit: Option<SimDuration>) -> HandlerSpec<T> {
+        self.time_limit = limit;
         self
+    }
+
+    /// Carries the handler to another event type with everything but its
+    /// guard (a guard reads the argument, so the result has none): the
+    /// new handler runs `via`, which is handed the event's argument and
+    /// this spec's handler to call. Delivery class, certification,
+    /// allotment and owner travel unchanged, and `via` must itself be
+    /// certified — ephemeral code is built only out of ephemeral pieces
+    /// (§3.3).
+    pub fn adapt<U, G>(self, via: Ephemeral<G>) -> HandlerSpec<U>
+    where
+        T: 'static,
+        G: Fn(&mut RaiseCtx<'_>, &U, &dyn Fn(&mut RaiseCtx<'_>, &T)) + 'static,
+    {
+        let (via, inner) = (via.into_inner(), self.handler);
+        HandlerSpec {
+            guard: None,
+            handler: Box::new(move |ctx, arg| via(ctx, arg, &*inner)),
+            ephemeral: self.ephemeral,
+            interrupt: self.interrupt,
+            time_limit: self.time_limit,
+            owner: self.owner,
+        }
     }
 }
 
@@ -387,7 +410,6 @@ struct Entry<T> {
     guard: Option<Guard<T>>,
     handler: HandlerFn<T>,
     mode: HandlerMode,
-    ephemeral: bool,
     /// Owning domain (extension or kernel subsystem) for per-domain
     /// accounting in the flight recorder.
     owner: Name,
@@ -706,11 +728,6 @@ impl Dispatcher {
         self.compiled_guards.set(enabled);
     }
 
-    /// Whether verified guards run on the compiled tier.
-    pub fn compiled_guards(&self) -> bool {
-        self.compiled_guards.get()
-    }
-
     /// Defines a new event with argument type `T` and returns its handle.
     ///
     /// # Panics
@@ -736,11 +753,6 @@ impl Dispatcher {
             index,
             _arg: PhantomData,
         }
-    }
-
-    /// The name an event was defined with.
-    pub fn event_name<T: 'static>(&self, event: Event<T>) -> String {
-        self.table(event).name.as_str().to_string()
     }
 
     fn table<T: 'static>(&self, event: Event<T>) -> Rc<Table<T>> {
@@ -822,14 +834,7 @@ impl Dispatcher {
         } else {
             HandlerMode::Thread
         };
-        Ok(self.push_entry(
-            event,
-            spec.guard,
-            spec.handler,
-            mode,
-            spec.ephemeral,
-            &spec.owner,
-        ))
+        Ok(self.push_entry(event, spec.guard, spec.handler, mode, &spec.owner))
     }
 
     fn push_entry<T: 'static>(
@@ -838,7 +843,6 @@ impl Dispatcher {
         guard: Option<Guard<T>>,
         handler: HandlerFn<T>,
         mode: HandlerMode,
-        ephemeral: bool,
         owner: &str,
     ) -> HandlerId {
         let id = HandlerId(self.next_handler.get());
@@ -868,7 +872,6 @@ impl Dispatcher {
             guard,
             handler,
             mode,
-            ephemeral,
             owner: Name::new(owner.to_string()),
             indexed: slots.is_some(),
             removed: Cell::new(false),
@@ -937,13 +940,6 @@ impl Dispatcher {
     /// Number of live handlers installed on `event`.
     pub fn handler_count<T: 'static>(&self, event: Event<T>) -> usize {
         self.table(event).gen.borrow().entries.len()
-    }
-
-    /// Whether the installed handler is certified ephemeral.
-    pub fn is_ephemeral<T: 'static>(&self, event: Event<T>, id: HandlerId) -> Option<bool> {
-        let table = self.table(event);
-        let gen = table.gen.borrow();
-        find_id(&gen.entries, id).map(|at| gen.entries[at].ephemeral)
     }
 
     /// Raises `event` with `arg`: evaluates each live handler's guard and
@@ -1545,18 +1541,48 @@ mod tests {
     }
 
     #[test]
-    fn ephemerality_is_queryable_by_managers() {
+    fn an_adapted_handler_keeps_its_class_and_allotment() {
+        let (mut engine, cpu) = ctx_parts();
         let d = Dispatcher::new();
-        let ev = d.define_event::<u32>("Queried");
-        let eph = d.install(
+        let ev = d.define_event::<u64>("Adapted");
+        type Inner<'a> = &'a dyn Fn(&mut RaiseCtx, &u32);
+        let halve = || {
+            Ephemeral::certify(|ctx: &mut RaiseCtx, n: &u64, f: Inner| f(ctx, &((n / 2) as u32)))
+        };
+        let burn =
+            |ctx: &mut RaiseCtx, n: &u32| ctx.lease.charge(SimDuration::from_micros((*n).into()));
+        let limit = SimDuration::from_micros(10);
+        // Certified and limited: the adapter runs inside the allotment.
+        d.install(
             ev,
-            HandlerSpec::ephemeral(Ephemeral::certify(|_: &mut RaiseCtx, _: &u32| {})).interrupt(),
+            HandlerSpec::ephemeral(Ephemeral::certify(burn))
+                .time_limit(limit)
+                .adapt(halve()),
         );
-        let thr = d.install(ev, HandlerSpec::new(|_, _: &u32| {}));
-        assert_eq!(d.is_ephemeral(ev, eph), Some(true));
-        assert_eq!(d.is_ephemeral(ev, thr), Some(false));
-        d.uninstall(ev, eph);
-        assert_eq!(d.is_ephemeral(ev, eph), None);
+        // Thread class: the allotment means nothing to it.
+        d.install(ev, HandlerSpec::new(burn).allot(Some(limit)).adapt(halve()));
+        // Uncertified stays uncertified through a certified adapter.
+        assert_eq!(
+            d.try_install(ev, HandlerSpec::new(burn).adapt(halve()).interrupt())
+                .unwrap_err(),
+            InstallError::UncertifiedInterrupt
+        );
+        let mut lease = cpu.begin(SimTime::ZERO);
+        let mut ctx = RaiseCtx {
+            engine: &mut engine,
+            lease: &mut lease,
+        };
+        let out = d.raise(&mut ctx, ev, &100);
+        assert_eq!((out.invoked, out.terminated), (2, 1));
+        let model = cpu.model();
+        assert_eq!(
+            lease.elapsed(),
+            model.dispatch_raise
+                + model.dispatch_handler.times(2)
+                + limit
+                + (model.thread_spawn + model.context_switch)
+                + SimDuration::from_micros(50)
+        );
     }
 
     #[test]
@@ -2104,18 +2130,18 @@ mod tests {
         // One indexed, one unindexed: both kinds of list must let go.
         for guard in [Some(Guard::verified(port_program(53))), None] {
             let c = captured.clone();
-            ids.push(
-                d.install(
-                    ev,
-                    HandlerSpec::ephemeral(Ephemeral::certify(
-                        move |_: &mut RaiseCtx, _: &UdpArg| {
-                            let _ = &c;
-                        },
-                    ))
-                    .guard_opt(guard)
-                    .interrupt(),
-                ),
-            );
+            let spec =
+                HandlerSpec::ephemeral(Ephemeral::certify(move |_: &mut RaiseCtx, _: &UdpArg| {
+                    let _ = &c;
+                }))
+                .interrupt();
+            ids.push(d.install(
+                ev,
+                match guard {
+                    Some(guard) => spec.guard(guard),
+                    None => spec,
+                },
+            ));
         }
         assert_eq!(Rc::strong_count(&captured), 3);
         let mut lease = cpu.begin(SimTime::ZERO);
@@ -2128,7 +2154,6 @@ mod tests {
             assert!(d.uninstall(ev, id));
             assert_eq!(Rc::strong_count(&captured), 1 + left, "closure dropped");
             assert_eq!(d.handler_count(ev), left);
-            assert_eq!(d.is_ephemeral(ev, id), None);
             assert_eq!(d.event_summary()[0].handlers, left);
         }
         assert_eq!(d.event_summary()[0].guarded, 0);
@@ -2398,7 +2423,6 @@ mod recorder_tests {
             let cpu = Cpu::new(CostModel::alpha_3000_400());
             let d = Dispatcher::new();
             d.set_compiled_guards(compiled);
-            assert_eq!(d.compiled_guards(), compiled);
             // Guards only, no demux shortcut: every raise evaluates.
             d.set_demux_enabled(false);
             let ev = d.define_event::<UdpArg>("Udp.Tiered");

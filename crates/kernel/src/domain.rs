@@ -256,11 +256,6 @@ impl Domain {
         self.interfaces.borrow().values().any(|i| i.exports(symbol))
     }
 
-    /// Names of extensions currently linked into this domain.
-    pub fn linked_extensions(&self) -> Vec<String> {
-        self.linked.borrow().iter().cloned().collect()
-    }
-
     /// Links a compiler-signed extension against this domain.
     ///
     /// Fails with [`LinkError::BadSignature`] unless the spec is signed by
@@ -379,6 +374,14 @@ impl Nameserver {
     /// All registered paths, sorted.
     pub fn paths(&self) -> Vec<String> {
         self.entries.borrow().keys().cloned().collect()
+    }
+}
+
+#[cfg(test)]
+impl Domain {
+    /// Names of extensions currently linked into this domain.
+    fn linked_extensions(&self) -> Vec<String> {
+        self.linked.borrow().iter().cloned().collect()
     }
 }
 

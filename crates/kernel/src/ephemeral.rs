@@ -9,13 +9,13 @@
 //!
 //! Rust has no `EPHEMERAL` keyword, so we mirror the *structure* of the
 //! guarantee with a certification type: an [`Ephemeral<F>`] wraps a value
-//! that has been asserted interrupt-safe. The only ways to obtain one are
-//!
-//! * [`Ephemeral::certify`] — the programmer's explicit assertion, playing
-//!   the role of writing `EPHEMERAL` on the declaration, and
-//! * the composition helpers ([`Ephemeral::map_with`], [`seq`]) — which,
-//!   like the compiler rule, only build ephemeral code out of ephemeral
-//!   pieces.
+//! that has been asserted interrupt-safe. The only way to obtain one is
+//! [`Ephemeral::certify`] — the programmer's explicit assertion, playing
+//! the role of writing `EPHEMERAL` on the declaration. Like the compiler
+//! rule, composition builds ephemeral code only out of ephemeral pieces:
+//! [`HandlerSpec::adapt`](crate::dispatcher::HandlerSpec::adapt) carries
+//! a handler to another event through an adapter that must itself be
+//! certified.
 //!
 //! Managers require `Ephemeral<…>` in their interrupt-level install APIs,
 //! so a plain closure simply does not typecheck there — the moral
@@ -38,38 +38,11 @@ impl<F> Ephemeral<F> {
         Ephemeral(f)
     }
 
-    /// Borrows the certified value.
-    pub fn get(&self) -> &F {
-        &self.0
-    }
-
     /// Unwraps the certified value. The ephemerality evidence is lost, so
     /// the result can no longer be installed at interrupt level.
     pub fn into_inner(self) -> F {
         self.0
     }
-
-    /// Composes with another *ephemeral* function, yielding an ephemeral
-    /// result. Mirrors the compiler rule that ephemeral procedures may call
-    /// only ephemeral procedures: there is no variant of this method that
-    /// accepts an uncertified closure.
-    pub fn map_with<G, H>(self, other: Ephemeral<G>, combine: H) -> Ephemeral<(F, G, H)> {
-        Ephemeral((self.0, other.0, combine))
-    }
-}
-
-/// Sequences two certified handlers over the same argument into one
-/// certified handler: `seq(f, g)` runs `f` then `g`.
-pub fn seq<A, F, G>(f: Ephemeral<F>, g: Ephemeral<G>) -> Ephemeral<impl Fn(&A)>
-where
-    F: Fn(&A),
-    G: Fn(&A),
-{
-    let (f, g) = (f.0, g.0);
-    Ephemeral(move |a: &A| {
-        f(a);
-        g(a);
-    })
 }
 
 #[cfg(test)]
@@ -83,19 +56,8 @@ mod tests {
         let hits = Rc::new(Cell::new(0));
         let h = hits.clone();
         let eph = Ephemeral::certify(move |n: &i32| h.set(h.get() + n));
-        (eph.get())(&5);
+        (eph.into_inner())(&5);
         assert_eq!(hits.get(), 5);
-    }
-
-    #[test]
-    fn seq_composes_in_order() {
-        let log = Rc::new(std::cell::RefCell::new(Vec::new()));
-        let (l1, l2) = (log.clone(), log.clone());
-        let a = Ephemeral::certify(move |x: &i32| l1.borrow_mut().push(*x));
-        let b = Ephemeral::certify(move |x: &i32| l2.borrow_mut().push(x * 10));
-        let both = seq(a, b);
-        (both.get())(&3);
-        assert_eq!(*log.borrow(), vec![3, 30]);
     }
 
     #[test]

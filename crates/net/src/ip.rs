@@ -70,11 +70,6 @@ impl IpView<'_> {
         self.0[6] & 0x20 != 0
     }
 
-    /// True if the Don't Fragment flag is set.
-    pub fn dont_fragment(&self) -> bool {
-        self.0[6] & 0x40 != 0
-    }
-
     /// Fragment offset in bytes.
     pub fn frag_offset(&self) -> usize {
         ((be16(self.0, 6) & 0x1FFF) as usize) * 8

@@ -382,14 +382,6 @@ impl Mbuf {
         self.segments.first().map(Segment::bytes).unwrap_or(&[])
     }
 
-    /// Mutable head bytes; copies the cluster first if shared.
-    pub fn head_mut(&mut self) -> &mut [u8] {
-        match self.segments.first_mut() {
-            Some(s) => s.bytes_mut(),
-            None => &mut [],
-        }
-    }
-
     /// Iterates the chain's segments.
     pub fn segments(&self) -> impl Iterator<Item = &[u8]> {
         self.segments.iter().map(Segment::bytes)
@@ -414,14 +406,6 @@ impl Mbuf {
             segments,
             pkthdr: self.pkthdr.clone(),
         }
-    }
-
-    /// True if any cluster in this chain is shared with another mbuf
-    /// (so an in-place write would need copy-on-write).
-    pub fn is_shared(&self) -> bool {
-        self.segments
-            .iter()
-            .any(|s| Rc::strong_count(&s.cluster) > 1)
     }
 
     /// Grows the front by `n` bytes and returns them for the caller to
@@ -714,6 +698,17 @@ impl std::fmt::Debug for Mbuf {
             self.total_len(),
             self.segment_count()
         )
+    }
+}
+
+#[cfg(test)]
+impl Mbuf {
+    /// True if any cluster in this chain is shared with another mbuf
+    /// (so an in-place write would need copy-on-write).
+    fn is_shared(&self) -> bool {
+        self.segments
+            .iter()
+            .any(|s| Rc::strong_count(&s.cluster) > 1)
     }
 }
 

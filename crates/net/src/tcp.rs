@@ -507,11 +507,6 @@ impl Tcb {
         self.remote
     }
 
-    /// Bytes buffered but not yet acknowledged (or not yet sent).
-    pub fn unacked_len(&self) -> usize {
-        self.send_q.len()
-    }
-
     /// The next instant [`Tcb::on_timer`] should be called, if any.
     pub fn next_timeout(&self) -> Option<u64> {
         match (self.timer_deadline, self.time_wait_deadline) {
@@ -1049,6 +1044,11 @@ impl Tcb {
 
 #[cfg(test)]
 impl Tcb {
+    /// Bytes buffered but not yet acknowledged (or not yet sent).
+    fn unacked_len(&self) -> usize {
+        self.send_q.len()
+    }
+
     /// [`Tcb::swap_received`] into a fresh buffer.
     fn take_received(&mut self) -> Vec<u8> {
         let mut got = Vec::new();

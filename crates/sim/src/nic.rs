@@ -323,30 +323,6 @@ impl NicProfile {
         }
     }
 
-    /// 100 Mb/s switched Fast Ethernet with a descriptor-ring DMA driver —
-    /// the first profile where per-frame driver overhead, not the wire,
-    /// limits small-packet throughput.
-    pub fn fast_ethernet() -> Self {
-        NicProfile {
-            name: "Fast Ethernet",
-            bits_per_sec: 100_000_000,
-            min_frame: 64,
-            frame_overhead: 8,
-            inter_frame_gap: SimDuration::from_nanos(960),
-            tx_fixed: SimDuration::from_micros(12),
-            rx_fixed: SimDuration::from_micros(12),
-            dma_setup: SimDuration::from_micros(4),
-            tx_ring_frames: 256,
-            rx_ring_frames: 256,
-            rx_batch: 32,
-            rx_per_frame: SimDuration::from_micros(3),
-            tx_batch: 32,
-            tx_per_frame: SimDuration::from_micros(2),
-            tx_coalesce: SimDuration::from_micros(32),
-            ..NicProfile::neutral()
-        }
-    }
-
     /// 1 Gb/s Ethernet with checksum offload and TSO: at this line rate
     /// the host only keeps up when doorbell batching amortizes the fixed
     /// per-frame driver cost and the adapter absorbs the checksum pass.
@@ -711,12 +687,6 @@ impl DriverConfig {
         self.tx = TxSubmit::Doorbell;
         self
     }
-
-    /// Sets the transmit submission mode explicitly.
-    pub fn tx(mut self, tx: TxSubmit) -> DriverConfig {
-        self.tx = tx;
-        self
-    }
 }
 
 /// Counters a NIC keeps about its own traffic.
@@ -821,6 +791,12 @@ impl Nic {
         self.stats.get()
     }
 
+    fn bump(&self, f: impl FnOnce(&mut NicStats)) {
+        let mut s = self.stats.get();
+        f(&mut s);
+        self.stats.set(s);
+    }
+
     /// Names the machine this NIC is plugged into ([`crate::World`] does
     /// this on connect). The name rides into every arrival record so
     /// post-hoc journey reconstruction can label hops by machine.
@@ -864,11 +840,6 @@ impl Nic {
         self.tx_doorbell_count.set(0);
     }
 
-    /// The current transmit submission mode.
-    pub fn tx_submit(&self) -> TxSubmit {
-        self.tx_submit.get()
-    }
-
     /// Driver CPU cost to submit one `len`-byte frame under the current
     /// transmit mode — what the stack charges its [`crate::cpu::CpuLease`]
     /// before calling [`Nic::transmit`].
@@ -888,9 +859,7 @@ impl Nic {
                 let batch_full = self.tx_doorbell_count.get() >= self.profile.tx_batch.max(1);
                 if doorbell_closed || batch_full {
                     self.tx_doorbell_count.set(1);
-                    let mut stats = self.stats.get();
-                    stats.tx_doorbells += 1;
-                    self.stats.set(stats);
+                    self.bump(|s| s.tx_doorbells += 1);
                     self.tx_doorbell_until.set(now + self.profile.tx_coalesce);
                     self.profile.tx_cpu_cost(len)
                 } else {
@@ -926,9 +895,7 @@ impl Nic {
         if chain.total_len() > self.profile.mtu + 64 {
             // A little slack for link headers over the payload MTU. Checked
             // before the gather, so a refused chain is never copied.
-            let mut stats = self.stats.get();
-            stats.tx_oversize += 1;
-            self.stats.set(stats);
+            self.bump(|s| s.tx_oversize += 1);
             self.record_drop(engine.now(), "tx_oversize");
             return ready_at;
         }
@@ -942,9 +909,7 @@ impl Nic {
             let v = req.compute_over(&frame);
             let field = frame.len() - req.field_from_end;
             frame[field..field + 2].copy_from_slice(&v.to_be_bytes());
-            let mut stats = self.stats.get();
-            stats.tx_csum_offloads += 1;
-            self.stats.set(stats);
+            self.bump(|s| s.tx_csum_offloads += 1);
         }
         self.transmit_frame(engine, ready_at, frame)
     }
@@ -952,7 +917,6 @@ impl Nic {
     /// The tail of [`Nic::transmit`]: the gathered wire image, already
     /// known to fit the MTU, goes out verbatim.
     fn transmit_frame(&self, engine: &mut Engine, ready_at: SimTime, mut frame: Frame) -> SimTime {
-        let mut stats = self.stats.get();
         let backlog_until = self.tx_free_at.get();
         let mut start = backlog_until.max(ready_at).max(engine.now());
         if self.medium.half_duplex {
@@ -966,8 +930,7 @@ impl Nic {
         if !ser.is_zero()
             && backlog.as_nanos() / ser.as_nanos().max(1) >= self.profile.tx_ring_frames as u64
         {
-            stats.tx_ring_drops += 1;
-            self.stats.set(stats);
+            self.bump(|s| s.tx_ring_drops += 1);
             self.record_drop(engine.now(), "tx_ring_full");
             self.medium.recycle(frame);
             return start;
@@ -984,9 +947,10 @@ impl Nic {
         if self.medium.half_duplex {
             self.medium.busy_until.set(end);
         }
-        stats.tx_frames += 1;
-        stats.tx_wire_bytes += self.profile.wire_bytes(frame.len()) as u64;
-        self.stats.set(stats);
+        self.bump(|s| {
+            s.tx_frames += 1;
+            s.tx_wire_bytes += self.profile.wire_bytes(frame.len()) as u64;
+        });
 
         // The journey ID crosses the wire with the frame: inherited from
         // the packet being forwarded, or freshly allocated when this NIC
@@ -1079,18 +1043,16 @@ impl Nic {
         }
         let rx = self.rx.borrow().clone();
         let RxDispatch::PerFrame(h) = rx else {
-            let mut stats = self.stats.get();
-            stats.rx_no_handler += 1;
-            self.stats.set(stats);
+            self.bump(|s| s.rx_no_handler += 1);
             self.drop_unprocessed(engine.now(), frame.len(), journey, "rx_no_handler");
             self.medium.recycle(frame);
             return;
         };
-        let mut stats = self.stats.get();
-        stats.rx_frames += 1;
-        stats.rx_bytes += frame.len() as u64;
-        stats.rx_interrupts += 1;
-        self.stats.set(stats);
+        self.bump(|s| {
+            s.rx_frames += 1;
+            s.rx_bytes += frame.len() as u64;
+            s.rx_interrupts += 1;
+        });
         // Assign the per-packet ID here, at the moment the frame reaches
         // the host: everything the rx chain records until it returns is
         // attributed to this packet. Per-frame mode is one interrupt per
@@ -1129,9 +1091,7 @@ impl Nic {
             let mut ring = self.rx_ring.borrow_mut();
             if ring.len() >= self.profile.rx_ring_frames {
                 drop(ring);
-                let mut stats = self.stats.get();
-                stats.rx_ring_drops += 1;
-                self.stats.set(stats);
+                self.bump(|s| s.rx_ring_drops += 1);
                 self.drop_unprocessed(now, frame.len(), journey, "rx_ring_drop");
                 self.medium.recycle(frame);
                 return;
@@ -1142,11 +1102,10 @@ impl Nic {
             });
             ring.len() as u64
         };
-        let mut stats = self.stats.get();
-        if occupancy > stats.rx_ring_highwater {
-            let delta = occupancy - stats.rx_ring_highwater;
-            stats.rx_ring_highwater = occupancy;
-            self.stats.set(stats);
+        let highwater = self.stats.get().rx_ring_highwater;
+        if occupancy > highwater {
+            let delta = occupancy - highwater;
+            self.bump(|s| s.rx_ring_highwater = occupancy);
             // Exported as a counter that only ever grows up to the
             // high-water mark, so its value *is* the high-water mark.
             if let Some(rec) = self.recorder.borrow().as_ref() {
@@ -1157,8 +1116,6 @@ impl Nic {
                     delta,
                 );
             }
-        } else {
-            self.stats.set(stats);
         }
         if !self.rx_drain_pending.get() {
             self.rx_drain_pending.set(true);
@@ -1188,11 +1145,11 @@ impl Nic {
     /// if the ring refilled while the driver worked. Then the wire images
     /// go back to the medium and the vector back to the NIC.
     fn run_rx_interrupt(self: &Rc<Self>, engine: &mut Engine, mut frames: Vec<RxFrame>) {
-        let mut stats = self.stats.get();
-        stats.rx_interrupts += 1;
-        stats.rx_frames += frames.len() as u64;
-        stats.rx_bytes += frames.iter().map(|f| f.bytes.len() as u64).sum::<u64>();
-        self.stats.set(stats);
+        self.bump(|s| {
+            s.rx_interrupts += 1;
+            s.rx_frames += frames.len() as u64;
+            s.rx_bytes += frames.iter().map(|f| f.bytes.len() as u64).sum::<u64>();
+        });
         if let Some(rec) = self.recorder.borrow().as_ref() {
             let (nic, host) = self.labels(rec);
             rec.count(Scope::Packet, nic, "rx.interrupts", 1);
@@ -1228,9 +1185,7 @@ impl Nic {
             // so is whatever still waits on the ring behind them — no drain
             // will come for it.
             frames.extend(self.rx_ring.borrow_mut().drain(..));
-            let mut stats = self.stats.get();
-            stats.rx_no_handler += frames.len() as u64;
-            self.stats.set(stats);
+            self.bump(|s| s.rx_no_handler += frames.len() as u64);
             for f in &frames {
                 self.drop_unprocessed(engine.now(), f.bytes.len(), f.journey, "rx_no_handler");
             }
@@ -1812,7 +1767,6 @@ mod tx_tests {
     fn presets_advertise_their_offloads() {
         assert!(NicProfile::gigabit().checksum_offload);
         assert!(NicProfile::gigabit().tso_segs > 1);
-        assert!(!NicProfile::fast_ethernet().checksum_offload);
         assert!(!NicProfile::ethernet_lance().checksum_offload);
     }
 

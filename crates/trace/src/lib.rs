@@ -46,14 +46,12 @@ pub use recorder::{Label, Name, Recorder};
 pub use registry::{CounterKey, Histogram, Registry, Scope};
 pub use ring::Ring;
 
-/// Which flavour of guard the dispatcher evaluated (§2.3 vs PR 1's
-/// verified filter IR).
+/// Which flavour of guard the dispatcher evaluated: every guard is a
+/// statically verified program now, so there is one.
 #[derive(Clone, Copy, Debug, PartialEq, Eq, PartialOrd, Ord)]
 pub enum GuardKind {
     /// A statically verified filter-IR program.
     Verified,
-    /// A native closure (trusted code only).
-    Closure,
 }
 
 impl GuardKind {
@@ -61,7 +59,6 @@ impl GuardKind {
     pub fn name(self) -> &'static str {
         match self {
             GuardKind::Verified => "verified",
-            GuardKind::Closure => "closure",
         }
     }
 }

@@ -86,6 +86,15 @@ impl Slo {
     }
 }
 
+/// Cap on retained records per sampled journey; overflow is counted,
+/// never silent.
+const MAX_JOURNEY_RECORDS: usize = 128;
+
+/// Cap on concurrently buffered *undecided* journeys (scratch space for
+/// promoting a journey to "worst in window" after the fact); the least
+/// recently touched is evicted.
+const MAX_ACTIVE_JOURNEYS: usize = 64;
+
 /// Configuration for the live tier.
 #[derive(Clone, Debug, PartialEq, Eq)]
 pub struct LiveConfig {
@@ -94,27 +103,17 @@ pub struct LiveConfig {
     /// Retain every journey whose ID is `0 mod sample_every` (0 disables
     /// the 1-in-N sample; the per-window worst is kept regardless).
     pub sample_every: u64,
-    /// Cap on retained records per sampled journey; overflow is counted,
-    /// never silent.
-    pub max_journey_records: usize,
-    /// Cap on concurrently buffered *undecided* journeys (scratch space
-    /// for promoting a journey to "worst in window" after the fact); the
-    /// least recently touched is evicted.
-    pub max_active_journeys: usize,
     /// Thresholds evaluated per sealed window (`None`: no health layer).
     pub slo: Option<Slo>,
 }
 
 impl LiveConfig {
-    /// Defaults: 1-in-64 journey sampling, 128 records per journey, 64
-    /// active scratch buffers, no SLO.
+    /// Defaults: 1-in-64 journey sampling, no SLO.
     pub fn new(window_ns: u64) -> LiveConfig {
         assert!(window_ns > 0, "window width must be positive");
         LiveConfig {
             window_ns,
             sample_every: 64,
-            max_journey_records: 128,
-            max_active_journeys: 64,
             slo: None,
         }
     }
@@ -414,7 +413,7 @@ impl LiveAgg {
     fn sample_journey(&mut self, r: &TraceRecord, reg: &Registry) {
         let Some(j) = r.journey else { return };
         if let Some(e) = self.retained.get_mut(&j) {
-            if e.records.len() < self.cfg.max_journey_records {
+            if e.records.len() < MAX_JOURNEY_RECORDS {
                 e.records.push(*r);
             } else {
                 e.dropped += 1;
@@ -428,13 +427,13 @@ impl LiveAgg {
             return;
         }
         let buf = self.scratch.entry(j).or_default();
-        if buf.records.len() < self.cfg.max_journey_records {
+        if buf.records.len() < MAX_JOURNEY_RECORDS {
             buf.records.push(*r);
         } else {
             buf.dropped += 1;
         }
         buf.last_seq = r.seq;
-        if self.scratch.len() > self.cfg.max_active_journeys {
+        if self.scratch.len() > MAX_ACTIVE_JOURNEYS {
             // Evict the least recently touched buffer, deterministically.
             if let Some((&victim, _)) = self.scratch.iter().min_by_key(|(id, b)| (b.last_seq, **id))
             {

@@ -364,8 +364,6 @@ impl Recorder {
         let metric = match (kind, matched) {
             (GuardKind::Verified, true) => "verified.accepts",
             (GuardKind::Verified, false) => "verified.rejects",
-            (GuardKind::Closure, true) => "closure.accepts",
-            (GuardKind::Closure, false) => "closure.rejects",
         };
         self.count(Scope::Guard, event, metric, 1);
     }
@@ -596,7 +594,7 @@ mod tests {
         let ev = rec.intern("udp_recv");
         rec.guard_eval(1, ev, GuardKind::Verified, true);
         rec.guard_eval(2, ev, GuardKind::Verified, false);
-        rec.guard_eval(3, ev, GuardKind::Closure, true);
+        rec.guard_eval(3, ev, GuardKind::Verified, true);
         let get = |metric| {
             rec.registry().get(CounterKey {
                 scope: Scope::Guard,
@@ -604,9 +602,7 @@ mod tests {
                 metric,
             })
         };
-        assert_eq!(get("verified.accepts"), 1);
+        assert_eq!(get("verified.accepts"), 2);
         assert_eq!(get("verified.rejects"), 1);
-        assert_eq!(get("closure.accepts"), 1);
-        assert_eq!(get("closure.rejects"), 0);
     }
 }

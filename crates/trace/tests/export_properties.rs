@@ -340,7 +340,7 @@ fn fixture() -> Rc<Recorder> {
     // Packet 0: its arrival and enter are the two records the ring loses.
     arrival(100, "old", 60, None);
     let lost = rec.handler_enter(150, quoted, tabbed);
-    rec.guard_eval(180, quoted, GuardKind::Closure, false);
+    rec.guard_eval(180, quoted, GuardKind::Verified, false);
     rec.handler_exit(300, quoted, tabbed, lost);
     rec.packet_done();
 

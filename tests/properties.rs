@@ -579,6 +579,13 @@ mod demux_equivalence {
         ]
     }
 
+    fn guarded(spec: HandlerSpec<Dgram>, guard: Option<Guard<Dgram>>) -> HandlerSpec<Dgram> {
+        match guard {
+            Some(guard) => spec.guard(guard),
+            None => spec,
+        }
+    }
+
     fn build_guard(kind: &GuardKind, shared: &PortSet) -> Option<Guard<Dgram>> {
         let dst = Operand::Field(Field::UdpDstPort);
         let (tests, sets): (Vec<Test>, Vec<PortSet>) = match kind {
@@ -660,14 +667,18 @@ mod demux_equivalence {
                 let l = log_lin.clone();
                 linear.install(
                     ev_lin,
-                    HandlerSpec::new(move |_, _: &Dgram| l.borrow_mut().push(i))
-                        .guard_opt(build_guard(kind, &shared)),
+                    guarded(
+                        HandlerSpec::new(move |_, _: &Dgram| l.borrow_mut().push(i)),
+                        build_guard(kind, &shared),
+                    ),
                 );
                 let l = log_idx.clone();
                 indexed.install(
                     ev_idx,
-                    HandlerSpec::new(move |_, _: &Dgram| l.borrow_mut().push(i))
-                        .guard_opt(build_guard(kind, &shared)),
+                    guarded(
+                        HandlerSpec::new(move |_, _: &Dgram| l.borrow_mut().push(i)),
+                        build_guard(kind, &shared),
+                    ),
                 );
             }
 
@@ -732,14 +743,18 @@ mod demux_equivalence {
                 let l = log_one.clone();
                 single.install(
                     ev_one,
-                    HandlerSpec::new(move |_, _: &Dgram| l.borrow_mut().push(i))
-                        .guard_opt(build_guard(kind, &shared)),
+                    guarded(
+                        HandlerSpec::new(move |_, _: &Dgram| l.borrow_mut().push(i)),
+                        build_guard(kind, &shared),
+                    ),
                 );
                 let l = log_bat.clone();
                 batched.install(
                     ev_bat,
-                    HandlerSpec::new(move |_, _: &Dgram| l.borrow_mut().push(i))
-                        .guard_opt(build_guard(kind, &shared)),
+                    guarded(
+                        HandlerSpec::new(move |_, _: &Dgram| l.borrow_mut().push(i)),
+                        build_guard(kind, &shared),
+                    ),
                 );
             }
 
@@ -870,23 +885,22 @@ mod demux_equivalence {
             let slot = self.slots.borrow().len();
             let rig = self.clone();
             let fired = std::cell::Cell::new(false);
-            let id = self.d.install(
-                self.ev,
-                HandlerSpec::new(move |_, _: &Dgram| {
-                    rig.log.borrow_mut().push(slot);
-                    for a in &actions {
-                        match a {
-                            Action::Install(kind) if !fired.get() => rig.install(kind, Vec::new()),
-                            Action::Install(_) => {}
-                            Action::Uninstall(n) => {
-                                rig.uninstall(*n);
-                            }
+            let spec = HandlerSpec::new(move |_, _: &Dgram| {
+                rig.log.borrow_mut().push(slot);
+                for a in &actions {
+                    match a {
+                        Action::Install(kind) if !fired.get() => rig.install(kind, Vec::new()),
+                        Action::Install(_) => {}
+                        Action::Uninstall(n) => {
+                            rig.uninstall(*n);
                         }
                     }
-                    fired.set(true);
-                })
-                .guard_opt(build_guard(kind, &self.shared)),
-            );
+                }
+                fired.set(true);
+            });
+            let id = self
+                .d
+                .install(self.ev, guarded(spec, build_guard(kind, &self.shared)));
             self.slots.borrow_mut().push(id);
         }
 
