@@ -1,129 +1,44 @@
-//! Interval abstract interpretation over the filter IR.
+//! The verifier's one abstract interpretation over the filter IR.
 //!
-//! Runs the program on intervals instead of packets: each register is
-//! tracked as a `[lo, hi]` range seeded from the natural range of what it
-//! loads (a port is ≤ 0xFFFF, a protocol ≤ 0xFF, a flag ≤ 1, ...), branch
-//! edges refine the ranges, and joins at merge points widen them. Control
-//! flow is forward-only, so the CFG is a DAG and one in-order pass *is*
-//! the fixpoint: by the time `pc` is visited every predecessor has
-//! contributed its state and no state is ever revisited.
+//! [`interpret`] runs a structurally checked program on abstract values
+//! instead of packets. Control flow is forward-only, so the CFG is a DAG
+//! and one in-order pass *is* the fixpoint: by the time `pc` is visited
+//! every predecessor has contributed its state, and no state is revisited.
 //!
-//! For a structurally verified program the pass produces:
+//! The state at one instruction holds, for each register, what it holds
+//! — undefined on some path, a constant, a loaded packet field, or
+//! anything — and its interval `[lo, hi]`, seeded from the natural range
+//! of what it loads (a port is ≤ 0xFFFF, a flag ≤ 1, ...); and, for each
+//! packet field, the values it may hold and the shared port sets it is
+//! known to lie outside of. A merge point joins both parts, and each
+//! conditional branch splits both parts along its two edges.
 //!
-//! * a **static worst-case cycle bound** — the longest-cost path through
-//!   the interval-feasible part of the CFG, in the same cycle unit the
-//!   evaluator's fuel meter spends ([`crate::cost`]). Never larger than
-//!   [`FilterProgram::total_cost`], and tighter whenever branches skip
-//!   work or intervals prove edges dead;
-//! * **bounded-state proofs** — every `MBump`/`MLoad`/`MTake` index
-//!   provably below its map's capacity, operations matching the map's
-//!   kind, and the combined map footprint within the program's declared
-//!   byte budget (itself capped by [`crate::state::MAX_STATE_BYTES`]);
-//! * **lints** — instructions no interval-feasible path reaches, stores
-//!   no later instruction reads, and conditional branches that always or
-//!   never take. Lints are advisory (the program still verifies);
-//!   `plexus-verify` surfaces them.
+//! Reachability has two strengths, kept apart so that every verdict is
+//! the one two separate passes gave:
 //!
-//! This analysis complements the verifier's set-based dataflow
-//! ([`crate::verify`]): that pass proves *which values* a field may hold
-//! at an accept (the policy/demux machinery); this one proves *how much*
-//! a program can cost and *how much state* it can touch.
+//! * an edge the value sets refute is not followed: code reached only
+//!   that way is [`VerifyError::Unreachable`], so a contradictory guard
+//!   is rejected;
+//! * an edge only the intervals refute is followed without interval
+//!   facts: code reached only that way is [`Lint::Unreachable`] — the
+//!   program still verifies, and that code adds nothing to the bound.
+//!
+//! The one walk yields the dataflow verdicts (undefined reads, missing
+//! terminators, the policy at every `Accept`), the `Accept` states the
+//! demux key is folded from, the bounded-state proofs (every map index
+//! provably below its map's capacity, every operation fitting its map's
+//! kind), the **static worst-case cycle bound** — the most cycles any
+//! feasible path spends, in the unit of [`Insn::cost`] — and the
+//! always/never-taken lints. One backward pass over the feasible edges it
+//! recorded then finds dead stores. Lints are advisory (the program still
+//! verifies); `plexus-verify` surfaces them.
 
+use std::collections::{BTreeMap, BTreeSet};
 use std::fmt;
 
-use crate::cost;
-use crate::ir::{Field, FilterProgram, Insn, Src, Width, NUM_REGS};
-use crate::state::{MapKind, MAX_STATE_BYTES};
-use crate::verify::VerifyError;
-
-/// An inclusive value range `[lo, hi]`. The abstract value of one
-/// register at one program point.
-#[derive(Clone, Copy, Debug, PartialEq, Eq)]
-pub struct Interval {
-    /// Smallest value the register may hold.
-    pub lo: u64,
-    /// Largest value the register may hold.
-    pub hi: u64,
-}
-
-impl Interval {
-    /// The full `u64` range.
-    pub const TOP: Interval = Interval {
-        lo: 0,
-        hi: u64::MAX,
-    };
-
-    /// The single value `v`.
-    pub const fn exact(v: u64) -> Interval {
-        Interval { lo: v, hi: v }
-    }
-
-    /// The range `[lo, hi]` (callers must keep `lo <= hi`).
-    pub const fn span(lo: u64, hi: u64) -> Interval {
-        Interval { lo, hi }
-    }
-
-    /// Whether the range is a single value.
-    pub fn is_const(self) -> bool {
-        self.lo == self.hi
-    }
-
-    fn join(self, o: Interval) -> Interval {
-        Interval {
-            lo: self.lo.min(o.lo),
-            hi: self.hi.max(o.hi),
-        }
-    }
-}
-
-impl fmt::Display for Interval {
-    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        if self.is_const() {
-            write!(f, "{}", self.lo)
-        } else {
-            write!(f, "[{}, {}]", self.lo, self.hi)
-        }
-    }
-}
-
-/// Natural range of a typed field load — the seed intervals that make the
-/// analysis precise without any branch having run yet.
-fn field_interval(field: Field) -> Interval {
-    use Field::*;
-    match field {
-        EthDst | EthSrc => Interval::span(0, (1 << 48) - 1),
-        EthType => Interval::span(0, 0xFFFF),
-        FrameLen | IpPayloadLen | UdpPayloadLen | TcpPayloadLen => Interval::span(0, 0xFFFF),
-        IpSrc | IpDst | UdpSrcAddr | UdpDstAddr | TcpSrcAddr | TcpDstAddr => {
-            Interval::span(0, u64::from(u32::MAX))
-        }
-        IpProto => Interval::span(0, 0xFF),
-        UdpSrcPort | UdpDstPort | TcpSrcPort | TcpDstPort => Interval::span(0, 0xFFFF),
-        TcpFlagSyn | TcpFlagAck => Interval::span(0, 1),
-    }
-}
-
-fn width_interval(width: Width) -> Interval {
-    Interval::span(
-        0,
-        match width {
-            Width::W8 => 0xFF,
-            Width::W16 => 0xFFFF,
-            Width::W32 => 0xFFFF_FFFF,
-        },
-    )
-}
-
-/// Smallest all-ones mask covering every bit either operand's upper bound
-/// can set — a sound upper bound for bitwise OR.
-fn or_hi(a: u64, b: u64) -> u64 {
-    let m = a | b;
-    if m == 0 {
-        0
-    } else {
-        u64::MAX >> m.leading_zeros()
-    }
-}
+use crate::ir::{Field, FilterProgram, Insn, Reg, SetId, Src, Width, NUM_REGS};
+use crate::state::MapKind;
+use crate::verify::{FieldKey, Policy, VerifyError};
 
 /// An advisory finding: the program verifies, but contains provably
 /// useless code. Surfaced by `plexus-verify` (and its `--lint-all` CI
@@ -183,283 +98,525 @@ impl fmt::Display for Lint {
     }
 }
 
-/// Everything the interval pass derives for one program.
-#[derive(Clone, Debug, Default)]
-pub struct Analysis {
-    /// Static worst-case cycle bound (longest interval-feasible path).
-    pub bound: u32,
-    /// Combined declared map footprint in bytes.
-    pub state_bytes: u32,
-    /// Advisory findings; the program still verifies.
-    pub lints: Vec<Lint>,
-    /// Hard failures (map bounds, kind mismatches, state budget).
-    pub errors: Vec<VerifyError>,
+/// What a register holds.
+#[derive(Clone, Copy, Debug, PartialEq, Eq)]
+enum Sym {
+    /// Not written on some path here.
+    Undef,
+    /// A known constant.
+    Const(u64),
+    /// The current value of a packet field.
+    Field(FieldKey),
+    /// Anything.
+    Unknown,
 }
 
-type Regs = [Interval; NUM_REGS];
+/// An inclusive value range `[lo, hi]`.
+#[derive(Clone, Copy, Debug, PartialEq, Eq)]
+struct Range {
+    lo: u64,
+    hi: u64,
+}
 
-fn src_interval(regs: &Regs, s: Src) -> Interval {
-    match s {
-        Src::Imm(v) => Interval::exact(v),
-        Src::Reg(r) => regs.get(r.0 as usize).copied().unwrap_or(Interval::TOP),
+impl Range {
+    const fn span(lo: u64, hi: u64) -> Range {
+        Range { lo, hi }
+    }
+
+    const fn exact(v: u64) -> Range {
+        Range { lo: v, hi: v }
+    }
+
+    fn is_const(self) -> bool {
+        self.lo == self.hi
     }
 }
 
-/// Feasibility and refinement of one comparison's two outcomes.
-/// Returns `(eq_edge, other_edge)` style pairs per comparison kind below.
-struct Split {
-    /// Refined `(a, b)` if the outcome is possible.
-    yes: Option<(Interval, Interval)>,
-    /// Refined `(a, b)` for the complementary outcome, if possible.
-    no: Option<(Interval, Interval)>,
+/// Natural range of a typed field load — the seed that makes the
+/// intervals precise before any branch has run.
+fn field_range(field: Field) -> Range {
+    use Field::*;
+    let hi = match field {
+        EthDst | EthSrc => (1 << 48) - 1,
+        EthType | FrameLen | IpPayloadLen | UdpPayloadLen | TcpPayloadLen => 0xFFFF,
+        IpSrc | IpDst | UdpSrcAddr | UdpDstAddr | TcpSrcAddr | TcpDstAddr => u64::from(u32::MAX),
+        IpProto => 0xFF,
+        UdpSrcPort | UdpDstPort | TcpSrcPort | TcpDstPort => 0xFFFF,
+        TcpFlagSyn | TcpFlagAck => 1,
+    };
+    Range::span(0, hi)
 }
 
-fn split_eq(a: Interval, b: Interval) -> Split {
-    let meet_lo = a.lo.max(b.lo);
-    let meet_hi = a.hi.min(b.hi);
-    let yes = (meet_lo <= meet_hi).then(|| {
-        let m = Interval::span(meet_lo, meet_hi);
-        (m, m)
-    });
-    // a != b impossible only when both are the same single value.
-    let no = (!(a.is_const() && b.is_const() && a.lo == b.lo)).then(|| {
-        // With one side constant, trim a matching endpoint off the other.
-        let trim = |x: Interval, c: Interval| -> Interval {
-            if !c.is_const() || x.is_const() {
-                return x;
+fn width_range(width: Width) -> Range {
+    let hi = match width {
+        Width::W8 => 0xFF,
+        Width::W16 => 0xFFFF,
+        Width::W32 => 0xFFFF_FFFF,
+    };
+    Range::span(0, hi)
+}
+
+/// Smallest all-ones mask covering every bit either operand's upper bound
+/// can set — a sound upper bound for bitwise OR.
+fn or_hi(a: u64, b: u64) -> u64 {
+    let m = a | b;
+    if m == 0 {
+        0
+    } else {
+        u64::MAX >> m.leading_zeros()
+    }
+}
+
+/// The interval half of a state: each register's range, and the most
+/// cycles any path to here has spent.
+#[derive(Clone, Copy, Debug)]
+struct Bounds {
+    regs: [Range; NUM_REGS],
+    cycles: u32,
+}
+
+impl Bounds {
+    fn src(&self, s: Src) -> Range {
+        match s {
+            Src::Imm(v) => Range::exact(v),
+            Src::Reg(r) => self.regs[r.0 as usize],
+        }
+    }
+
+    fn join(mut self, other: Bounds) -> Bounds {
+        for (mine, theirs) in self.regs.iter_mut().zip(other.regs) {
+            *mine = Range::span(mine.lo.min(theirs.lo), mine.hi.max(theirs.hi));
+        }
+        self.cycles = self.cycles.max(other.cycles);
+        self
+    }
+}
+
+/// The relation one edge of a conditional branch learns: `a rel b`.
+#[derive(Clone, Copy, PartialEq, Eq)]
+enum Rel {
+    Eq,
+    Ne,
+    Lt,
+    Ge,
+    Gt,
+    Le,
+}
+
+impl Rel {
+    /// What the other edge of the same branch learns.
+    fn negate(self) -> Rel {
+        match self {
+            Rel::Eq => Rel::Ne,
+            Rel::Ne => Rel::Eq,
+            Rel::Lt => Rel::Ge,
+            Rel::Ge => Rel::Lt,
+            Rel::Gt => Rel::Le,
+            Rel::Le => Rel::Gt,
+        }
+    }
+
+    fn holds(self, x: u64, y: u64) -> bool {
+        match self {
+            Rel::Eq => x == y,
+            Rel::Ne => x != y,
+            Rel::Lt => x < y,
+            Rel::Ge => x >= y,
+            Rel::Gt => x > y,
+            Rel::Le => x <= y,
+        }
+    }
+
+    /// Narrows `a` and `b` to the values for which `a rel b` can hold, or
+    /// `None` when no values can.
+    fn narrow(self, a: Range, b: Range) -> Option<(Range, Range)> {
+        match self {
+            Rel::Eq => {
+                let meet = Range::span(a.lo.max(b.lo), a.hi.min(b.hi));
+                (meet.lo <= meet.hi).then_some((meet, meet))
             }
-            let mut t = x;
-            if t.lo == c.lo {
-                t.lo += 1;
-            }
-            if t.hi == c.lo {
-                t.hi -= 1;
-            }
-            t
+            // Impossible only when both are the same single value. With
+            // one side constant, trim a matching endpoint off the other.
+            Rel::Ne => (!(a.is_const() && b.is_const() && a.lo == b.lo)).then(|| {
+                let trim = |x: Range, c: Range| {
+                    let mut t = x;
+                    if c.is_const() && !x.is_const() {
+                        if t.lo == c.lo {
+                            t.lo += 1;
+                        }
+                        if t.hi == c.lo {
+                            t.hi -= 1;
+                        }
+                    }
+                    t
+                };
+                (trim(a, b), trim(b, a))
+            }),
+            Rel::Lt => (a.lo < b.hi).then(|| {
+                (
+                    Range::span(a.lo, a.hi.min(b.hi - 1)),
+                    Range::span(b.lo.max(a.lo + 1), b.hi),
+                )
+            }),
+            Rel::Ge => (a.hi >= b.lo).then(|| {
+                (
+                    Range::span(a.lo.max(b.lo), a.hi),
+                    Range::span(b.lo, b.hi.min(a.hi)),
+                )
+            }),
+            Rel::Gt => Rel::Lt.narrow(b, a).map(|(b, a)| (a, b)),
+            Rel::Le => Rel::Ge.narrow(b, a).map(|(b, a)| (a, b)),
+        }
+    }
+}
+
+/// The abstract state at one program point.
+#[derive(Clone, Debug)]
+pub(crate) struct State {
+    regs: [Sym; NUM_REGS],
+    /// `None` where only edges the intervals refute lead.
+    bounds: Option<Bounds>,
+    /// The values each constrained field may hold; a field absent here
+    /// may hold anything.
+    pub(crate) fields: BTreeMap<FieldKey, BTreeSet<u64>>,
+    /// Facts of the form "field ∉ set" (in `JInSet`'s u16-truncated
+    /// membership sense), learned on the fall-through edge of `JInSet`.
+    /// Set contents are dynamic, so the fact names the set rather than its
+    /// values; the dispatcher re-checks membership live at dispatch time.
+    pub(crate) notin: BTreeMap<FieldKey, BTreeSet<SetId>>,
+}
+
+impl State {
+    fn entry() -> State {
+        State {
+            regs: [Sym::Undef; NUM_REGS],
+            bounds: Some(Bounds {
+                regs: [Range::exact(0); NUM_REGS],
+                cycles: 0,
+            }),
+            fields: BTreeMap::new(),
+            notin: BTreeMap::new(),
+        }
+    }
+
+    /// What `r` holds; a read of a register some path leaves unwritten is
+    /// an error.
+    fn read(&self, r: Reg, at: usize, errors: &mut Vec<VerifyError>) -> Sym {
+        let sym = self.regs[r.0 as usize];
+        if sym == Sym::Undef {
+            errors.push(VerifyError::UndefinedRegister { at, reg: r.0 });
+        }
+        sym
+    }
+
+    fn read_src(&self, s: Src, at: usize, errors: &mut Vec<VerifyError>) -> Sym {
+        match s {
+            Src::Imm(v) => Sym::Const(v),
+            Src::Reg(r) => self.read(r, at, errors),
+        }
+    }
+
+    /// Sets `dst` to `sym`, with `range` (ignored where the intervals do
+    /// not reach).
+    fn write(&mut self, dst: Reg, sym: Sym, range: Range) {
+        self.regs[dst.0 as usize] = sym;
+        if let Some(b) = &mut self.bounds {
+            b.regs[dst.0 as usize] = range;
+        }
+    }
+
+    /// Joins the state of another path into this one.
+    fn join(&mut self, other: &State) {
+        for (mine, theirs) in self.regs.iter_mut().zip(other.regs) {
+            *mine = match (*mine, theirs) {
+                (a, b) if a == b => a,
+                (Sym::Undef, _) | (_, Sym::Undef) => Sym::Undef,
+                _ => Sym::Unknown,
+            };
+        }
+        self.bounds = match (self.bounds, other.bounds) {
+            (Some(a), Some(b)) => Some(a.join(b)),
+            (a, b) => a.or(b),
         };
-        (trim(a, b), trim(b, a))
-    });
-    Split { yes, no }
-}
+        self.fields.retain(|key, vals| match other.fields.get(key) {
+            Some(theirs) => {
+                vals.extend(theirs);
+                true
+            }
+            None => false,
+        });
+        // A non-membership fact survives a join only if both paths prove it.
+        self.notin.retain(|key, sets| {
+            match other.notin.get(key) {
+                Some(theirs) => sets.retain(|s| theirs.contains(s)),
+                None => sets.clear(),
+            }
+            !sets.is_empty()
+        });
+    }
 
-/// `yes` = `a < b`, `no` = `a >= b`.
-fn split_lt(a: Interval, b: Interval) -> Split {
-    let yes = (a.lo < b.hi).then(|| {
-        (
-            Interval::span(a.lo, a.hi.min(b.hi - 1)),
-            Interval::span(b.lo.max(a.lo + 1), b.hi),
-        )
-    });
-    let no = (a.hi >= b.lo).then(|| {
-        (
-            Interval::span(a.lo.max(b.lo), a.hi),
-            Interval::span(b.lo, b.hi.min(a.hi)),
-        )
-    });
-    Split { yes, no }
-}
-
-/// Joins `incoming` into the state at `target` (the first arrival sets it).
-fn merge(states: &mut [Option<Regs>], target: usize, incoming: Regs) {
-    match &mut states[target] {
-        None => states[target] = Some(incoming),
-        Some(cur) => {
-            for (c, i) in cur.iter_mut().zip(incoming.iter()) {
-                *c = c.join(*i);
+    /// Narrows this state to the edge of a branch on which `a rel b`
+    /// holds. Returns `false` when the value sets refute the edge; when
+    /// only the intervals do, the state loses its bounds instead.
+    fn assume(&mut self, rel: Rel, a: Reg, b: Src) -> bool {
+        if let Some(bounds) = &mut self.bounds {
+            match rel.narrow(bounds.regs[a.0 as usize], bounds.src(b)) {
+                Some((na, nb)) => {
+                    bounds.regs[a.0 as usize] = na;
+                    if let Src::Reg(r) = b {
+                        bounds.regs[r.0 as usize] = nb;
+                    }
+                }
+                None => self.bounds = None,
+            }
+        }
+        let b = match b {
+            Src::Imm(v) => Sym::Const(v),
+            Src::Reg(r) => self.regs[r.0 as usize],
+        };
+        // A field compared with a constant: `field rel c`, or `c rel field`
+        // for the symmetric relations.
+        let (key, c) = match (self.regs[a.0 as usize], b) {
+            (Sym::Field(key), Sym::Const(c)) => (key, c),
+            (Sym::Const(c), Sym::Field(key)) if matches!(rel, Rel::Eq | Rel::Ne) => (key, c),
+            _ => return true,
+        };
+        match self.fields.get_mut(&key) {
+            Some(vals) => {
+                vals.retain(|&v| rel.holds(v, c));
+                !vals.is_empty()
+            }
+            None => {
+                if rel == Rel::Eq {
+                    self.fields.insert(key, BTreeSet::from([c]));
+                }
+                true
             }
         }
     }
 }
 
-/// Runs the interval pass. Precondition: `check_structure` passed (jump
-/// targets in range, register and map/set ids valid); the pass is still
-/// defensive about violations but reports them as errors rather than
-/// panicking.
-pub fn analyze(program: &FilterProgram) -> Analysis {
-    let len = program.insns.len();
-    let mut out = Analysis::default();
-    if len == 0 {
-        return out;
+/// Flows `st` into `slot`: the first path to arrive sets it, later ones
+/// join it.
+fn flow(slot: &mut Option<State>, st: State) {
+    match slot {
+        None => *slot = Some(st),
+        Some(cur) => cur.join(&st),
     }
+}
 
-    let mut states: Vec<Option<Regs>> = vec![None; len];
-    states[0] = Some([Interval::exact(0); NUM_REGS]);
-    // Interval-feasible successors per reachable pc; `None` = unreachable.
-    let mut succs: Vec<Option<Vec<usize>>> = vec![None; len];
+/// What the walk proves of a program that passed `check_structure`.
+pub(crate) struct Facts {
+    /// The state at each reachable `Accept`, in program order.
+    pub(crate) accepts: Vec<State>,
+    /// The static worst-case cycle bound.
+    pub(crate) bound: u32,
+    /// Advisory findings, in instruction order.
+    pub(crate) lints: Vec<Lint>,
+}
 
-    for pc in 0..len {
-        let Some(regs) = states[pc] else {
-            out.lints.push(Lint::Unreachable { pc });
+/// Per-instruction feasible-edge mask bits, for the dead-store pass: the
+/// intervals reach the instruction, and follow its fall-through edge and
+/// its jump edge.
+const REACHED: u8 = 1;
+const FALLS: u8 = 2;
+const JUMPS: u8 = 4;
+
+fn jump_off(insn: &Insn) -> Option<u16> {
+    match insn {
+        Insn::Jeq { off, .. }
+        | Insn::Jne { off, .. }
+        | Insn::Jlt { off, .. }
+        | Insn::Jgt { off, .. }
+        | Insn::JInSet { off, .. }
+        | Insn::Ja { off } => Some(*off),
+        _ => None,
+    }
+}
+
+/// Runs the one walk over `program`, pushing every violation (and every
+/// `policy` obligation an `Accept` fails) onto `errors`. Precondition:
+/// `check_structure` passed — registers, jump targets and set and map ids
+/// are in range.
+pub(crate) fn interpret(
+    program: &FilterProgram,
+    policy: &Policy,
+    errors: &mut Vec<VerifyError>,
+) -> Facts {
+    let len = program.insns.len();
+    let mut states: Vec<Option<State>> = vec![None; len];
+    states[0] = Some(State::entry());
+    let mut edges = vec![0u8; len];
+    let mut facts = Facts {
+        accepts: Vec::new(),
+        bound: 0,
+        lints: Vec::new(),
+    };
+
+    for (pc, insn) in program.insns.iter().enumerate() {
+        let Some(mut st) = states[pc].take() else {
+            errors.push(VerifyError::Unreachable { at: pc });
             continue;
         };
-        let mut edges: Vec<usize> = Vec::with_capacity(2);
-        let insn = &program.insns[pc];
+        match &mut st.bounds {
+            Some(b) => {
+                b.cycles += insn.cost();
+                facts.bound = facts.bound.max(b.cycles);
+                edges[pc] = REACHED;
+            }
+            None => facts.lints.push(Lint::Unreachable { pc }),
+        }
 
-        // Writes fall through with `dst` set to `val`.
-        let write_fall =
-            |dst: u8, val: Interval, states: &mut Vec<Option<Regs>>, edges: &mut Vec<usize>| {
-                let mut next = regs;
-                if let Some(slot) = next.get_mut(dst as usize) {
-                    *slot = val;
-                }
-                if pc + 1 < len {
-                    merge(states, pc + 1, next);
-                    edges.push(pc + 1);
-                }
-            };
-
+        // The states leaving along the jump edge and the fall-through
+        // edge; `None` for an edge the value sets refute (or that is not
+        // there).
+        let (mut jump, mut fall) = (None, None);
         match insn {
             Insn::Ld { dst, field } => {
-                write_fall(dst.0, field_interval(*field), &mut states, &mut edges)
+                st.write(
+                    *dst,
+                    Sym::Field(FieldKey::Field(*field)),
+                    field_range(*field),
+                );
+                fall = Some(st);
             }
             Insn::LdImm { dst, imm } => {
-                write_fall(dst.0, Interval::exact(*imm), &mut states, &mut edges)
+                st.write(*dst, Sym::Const(*imm), Range::exact(*imm));
+                fall = Some(st);
             }
-            Insn::LdPay { dst, width, .. } => {
-                write_fall(dst.0, width_interval(*width), &mut states, &mut edges)
-            }
-            Insn::And { dst, src } => {
-                let a = regs.get(dst.0 as usize).copied().unwrap_or(Interval::TOP);
-                let b = src_interval(&regs, *src);
-                // a & b never exceeds either operand; exact when both const.
-                let val = if a.is_const() && b.is_const() {
-                    Interval::exact(a.lo & b.lo)
-                } else {
-                    Interval::span(0, a.hi.min(b.hi))
-                };
-                write_fall(dst.0, val, &mut states, &mut edges)
-            }
-            Insn::Or { dst, src } => {
-                let a = regs.get(dst.0 as usize).copied().unwrap_or(Interval::TOP);
-                let b = src_interval(&regs, *src);
-                let val = if a.is_const() && b.is_const() {
-                    Interval::exact(a.lo | b.lo)
-                } else {
-                    // a | b is at least either operand, at most the
-                    // all-ones cover of both upper bounds.
-                    Interval::span(a.lo.max(b.lo), or_hi(a.hi, b.hi))
-                };
-                write_fall(dst.0, val, &mut states, &mut edges)
-            }
-            Insn::Jeq { a, b, off } | Insn::Jne { a, b, off } => {
-                let av = regs.get(a.0 as usize).copied().unwrap_or(Interval::TOP);
-                let bv = src_interval(&regs, *b);
-                let eq_jumps = matches!(insn, Insn::Jeq { .. });
-                let split = split_eq(av, bv);
-                let (taken, fall) = if eq_jumps {
-                    (split.yes, split.no)
-                } else {
-                    (split.no, split.yes)
-                };
-                branch(
-                    pc,
-                    len,
-                    *off,
-                    *a,
-                    *b,
-                    regs,
-                    taken,
-                    fall,
-                    &mut states,
-                    &mut edges,
-                    &mut out,
+            Insn::LdPay { dst, off, width } => {
+                st.write(
+                    *dst,
+                    Sym::Field(FieldKey::Pay(*off, *width)),
+                    width_range(*width),
                 );
+                fall = Some(st);
             }
-            Insn::Jlt { a, b, off } | Insn::Jgt { a, b, off } => {
-                let av = regs.get(a.0 as usize).copied().unwrap_or(Interval::TOP);
-                let bv = src_interval(&regs, *b);
-                // a > b is b < a with the pair swapped back.
-                let (taken, fall) = if matches!(insn, Insn::Jlt { .. }) {
-                    let s = split_lt(av, bv);
-                    (s.yes, s.no)
-                } else {
-                    let s = split_lt(bv, av);
-                    (
-                        s.yes.map(|(b2, a2)| (a2, b2)),
-                        s.no.map(|(b2, a2)| (a2, b2)),
-                    )
+            Insn::And { dst, src } | Insn::Or { dst, src } => {
+                let is_and = matches!(insn, Insn::And { .. });
+                let sym = match (st.read(*dst, pc, errors), st.read_src(*src, pc, errors)) {
+                    (Sym::Const(x), Sym::Const(y)) => {
+                        Sym::Const(if is_and { x & y } else { x | y })
+                    }
+                    _ => Sym::Unknown,
                 };
-                branch(
-                    pc,
-                    len,
-                    *off,
-                    *a,
-                    *b,
-                    regs,
-                    taken,
-                    fall,
-                    &mut states,
-                    &mut edges,
-                    &mut out,
-                );
+                let range = st.bounds.map_or(Range::span(0, u64::MAX), |b| {
+                    let (x, y) = (b.regs[dst.0 as usize], b.src(*src));
+                    if x.is_const() && y.is_const() {
+                        Range::exact(if is_and { x.lo & y.lo } else { x.lo | y.lo })
+                    } else if is_and {
+                        // x & y never exceeds either operand.
+                        Range::span(0, x.hi.min(y.hi))
+                    } else {
+                        // x | y is at least either operand, at most the
+                        // all-ones cover of both upper bounds.
+                        Range::span(x.lo.max(y.lo), or_hi(x.hi, y.hi))
+                    }
+                });
+                st.write(*dst, sym, range);
+                fall = Some(st);
             }
-            Insn::JInSet { off, .. } => {
-                // Set contents are dynamic: both edges stay feasible and
-                // nothing numeric is learned.
-                let target = pc + 1 + *off as usize;
-                if target < len {
-                    merge(&mut states, target, regs);
-                    edges.push(target);
+            Insn::Jeq { a, b, .. }
+            | Insn::Jne { a, b, .. }
+            | Insn::Jlt { a, b, .. }
+            | Insn::Jgt { a, b, .. } => {
+                let rel = match insn {
+                    Insn::Jeq { .. } => Rel::Eq,
+                    Insn::Jne { .. } => Rel::Ne,
+                    Insn::Jlt { .. } => Rel::Lt,
+                    _ => Rel::Gt,
+                };
+                st.read(*a, pc, errors);
+                st.read_src(*b, pc, errors);
+                let mut taken = st.clone();
+                let taken_ok = taken.assume(rel, *a, *b);
+                let fall_ok = st.assume(rel.negate(), *a, *b);
+                if edges[pc] & REACHED != 0 {
+                    if taken.bounds.is_none() {
+                        facts.lints.push(Lint::NeverTaken { pc });
+                    }
+                    if st.bounds.is_none() {
+                        facts.lints.push(Lint::AlwaysTaken { pc });
+                    }
                 }
-                if pc + 1 < len {
-                    merge(&mut states, pc + 1, regs);
-                    edges.push(pc + 1);
-                }
+                jump = taken_ok.then_some(taken);
+                fall = fall_ok.then_some(st);
             }
-            Insn::Ja { off } => {
-                let target = pc + 1 + *off as usize;
-                if target < len {
-                    merge(&mut states, target, regs);
-                    edges.push(target);
+            Insn::JInSet { a, set, .. } => {
+                // Set contents are dynamic, so the taken (member) edge
+                // learns nothing. The fall-through edge learns "tested
+                // value ∉ set"; a packet field records it as a fact.
+                let sym = st.read(*a, pc, errors);
+                jump = Some(st.clone());
+                if let Sym::Field(key) = sym {
+                    st.notin.entry(key).or_default().insert(*set);
                 }
+                fall = Some(st);
             }
+            Insn::Ja { .. } => jump = Some(st),
             Insn::MBump { dst, map, idx }
             | Insn::MLoad { dst, map, idx }
             | Insn::MTake { dst, map, idx } => {
-                let val = check_map_op(program, insn, pc, *map, *idx, &regs, &mut out.errors);
-                write_fall(dst.0, val, &mut states, &mut edges)
+                st.read(*idx, pc, errors);
+                let range = match &st.bounds {
+                    Some(b) => map_op(program, insn, pc, *map, b.regs[idx.0 as usize], errors),
+                    None => Range::span(0, u64::MAX),
+                };
+                st.write(*dst, Sym::Unknown, range);
+                fall = Some(st);
             }
-            Insn::Accept | Insn::Reject => {}
+            Insn::Accept => {
+                for (key, allowed) in &policy.constraints {
+                    let proven = st.fields.get(key);
+                    if !proven.is_some_and(|vals| vals.is_subset(allowed)) {
+                        errors.push(VerifyError::PolicyViolation {
+                            at: pc,
+                            key: *key,
+                            allowed: allowed.clone(),
+                            proven: proven.cloned(),
+                        });
+                    }
+                }
+                facts.accepts.push(st);
+            }
+            Insn::Reject => {}
         }
-        succs[pc] = Some(edges);
+
+        if let (Some(next), Some(off)) = (jump, jump_off(insn)) {
+            if next.bounds.is_some() {
+                edges[pc] |= JUMPS;
+            }
+            flow(&mut states[pc + 1 + off as usize], next);
+        }
+        if let Some(next) = fall {
+            if pc + 1 == len {
+                errors.push(VerifyError::MissingTerminator { at: pc });
+            } else {
+                if next.bounds.is_some() {
+                    edges[pc] |= FALLS;
+                }
+                flow(&mut states[pc + 1], next);
+            }
+        }
     }
 
-    out.bound = cost::longest_path(&program.insns, &succs);
-    dead_stores(program, &succs, &mut out.lints);
-    out.lints.sort_by_key(|l| l.pc());
-
-    out.state_bytes = program.state_bytes();
-    if program.state_budget > MAX_STATE_BYTES {
-        out.errors.push(VerifyError::StateOverBudget {
-            bytes: program.state_budget,
-            budget: MAX_STATE_BYTES,
-        });
-    } else if out.state_bytes > program.state_budget {
-        out.errors.push(VerifyError::StateOverBudget {
-            bytes: out.state_bytes,
-            budget: program.state_budget,
-        });
-    }
-
-    out
+    dead_stores(program, &edges, &mut facts.lints);
+    facts.lints.sort_by_key(Lint::pc);
+    facts
 }
 
-/// Map-op checks: the map exists, the operation fits its kind, and the
-/// index interval is provably in bounds. Returns the result interval for
-/// `dst`.
-fn check_map_op(
+/// The bounded-state proof for one map operation: it fits the map's kind,
+/// and the index range `idx` lies below the map's capacity. Returns the
+/// range of the result.
+fn map_op(
     program: &FilterProgram,
     insn: &Insn,
     pc: usize,
     map: u16,
-    idx: crate::ir::Reg,
-    regs: &Regs,
+    idx: Range,
     errors: &mut Vec<VerifyError>,
-) -> Interval {
-    let Some(decl) = program.maps.get(map as usize) else {
-        errors.push(VerifyError::UnknownMap { at: pc, map });
-        return Interval::TOP;
-    };
+) -> Range {
+    let decl = &program.maps[map as usize];
     let kind_ok = match insn {
         Insn::MBump { .. } => matches!(decl.kind(), MapKind::Counter),
         Insn::MTake { .. } => matches!(decl.kind(), MapKind::TokenBucket { .. }),
@@ -472,92 +629,44 @@ fn check_map_op(
             kind: decl.kind().name(),
         });
     }
-    let iv = regs.get(idx.0 as usize).copied().unwrap_or(Interval::TOP);
-    if iv.hi >= u64::from(decl.capacity()) {
+    if idx.hi >= u64::from(decl.capacity()) {
         errors.push(VerifyError::MapIndexOutOfBounds {
             at: pc,
             map,
-            hi: iv.hi,
+            hi: idx.hi,
             capacity: decl.capacity(),
         });
     }
     match insn {
         // A saturating bump returns at least 1.
-        Insn::MBump { .. } => Interval::span(1, u64::MAX),
-        Insn::MTake { .. } => Interval::span(0, 1),
+        Insn::MBump { .. } => Range::span(1, u64::MAX),
+        Insn::MTake { .. } => Range::span(0, 1),
         _ => match decl.kind() {
-            MapKind::Counter => Interval::span(0, u64::MAX),
-            MapKind::TokenBucket { tokens, .. } => Interval::span(0, u64::from(tokens)),
+            MapKind::Counter => Range::span(0, u64::MAX),
+            MapKind::TokenBucket { tokens, .. } => Range::span(0, u64::from(tokens)),
         },
     }
 }
 
-/// Propagates one conditional branch's refined states along its feasible
-/// edges, recording always/never-taken lints.
-#[allow(clippy::too_many_arguments)]
-fn branch(
-    pc: usize,
-    len: usize,
-    off: u16,
-    a: crate::ir::Reg,
-    b: Src,
-    regs: Regs,
-    taken: Option<(Interval, Interval)>,
-    fall: Option<(Interval, Interval)>,
-    states: &mut [Option<Regs>],
-    edges: &mut Vec<usize>,
-    out: &mut Analysis,
-) {
-    let apply = |refined: (Interval, Interval)| -> Regs {
-        let mut next = regs;
-        if let Some(slot) = next.get_mut(a.0 as usize) {
-            *slot = refined.0;
+/// Backward liveness over the feasible edges `edges` records: a
+/// side-effect-free write whose register no successor reads is a dead
+/// store. Reverse program order is a reverse topological order of the
+/// DAG, so one pass is exact.
+fn dead_stores(program: &FilterProgram, edges: &[u8], lints: &mut Vec<Lint>) {
+    let mut live: Vec<u8> = vec![0; edges.len()];
+    let bit = |r: Reg| 1u8 << (r.0 % 8);
+    for (pc, insn) in program.insns.iter().enumerate().rev() {
+        if edges[pc] & REACHED == 0 {
+            continue;
         }
-        if let Src::Reg(r) = b {
-            if let Some(slot) = next.get_mut(r.0 as usize) {
-                *slot = refined.1;
-            }
-        }
-        next
-    };
-    let target = pc + 1 + off as usize;
-    match &taken {
-        Some(refined) if target < len => {
-            merge(states, target, apply(*refined));
-            edges.push(target);
-        }
-        _ => {}
-    }
-    match &fall {
-        Some(refined) if pc + 1 < len => {
-            merge(states, pc + 1, apply(*refined));
-            edges.push(pc + 1);
-        }
-        _ => {}
-    }
-    if taken.is_none() {
-        out.lints.push(Lint::NeverTaken { pc });
-    }
-    if fall.is_none() {
-        out.lints.push(Lint::AlwaysTaken { pc });
-    }
-}
-
-/// Backward liveness over the feasible edges: a side-effect-free write
-/// whose register no successor reads is a dead store. Reverse program
-/// order is a reverse topological order of the DAG, so one pass is exact.
-fn dead_stores(program: &FilterProgram, succs: &[Option<Vec<usize>>], lints: &mut Vec<Lint>) {
-    let len = program.insns.len();
-    let mut live: Vec<u8> = vec![0; len];
-    let bit = |r: crate::ir::Reg| 1u8 << (r.0 % 8);
-    for pc in (0..len).rev() {
-        let Some(ss) = &succs[pc] else { continue };
         let mut out: u8 = 0;
-        for &s in ss {
-            out |= live[s];
+        if edges[pc] & FALLS != 0 {
+            out |= live[pc + 1];
         }
-        let insn = &program.insns[pc];
-        let (reads, write, pure_store): (u8, Option<crate::ir::Reg>, bool) = match insn {
+        if let Some(off) = jump_off(insn).filter(|_| edges[pc] & JUMPS != 0) {
+            out |= live[pc + 1 + off as usize];
+        }
+        let (reads, write, pure_store): (u8, Option<Reg>, bool) = match insn {
             Insn::Ld { dst, .. } | Insn::LdImm { dst, .. } | Insn::LdPay { dst, .. } => {
                 (0, Some(*dst), true)
             }
@@ -600,11 +709,20 @@ fn dead_stores(program: &FilterProgram, succs: &[Option<Vec<usize>>], lints: &mu
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::ir::{EventKind, Reg};
+    use crate::ir::EventKind;
     use crate::state::StateMap;
+    use crate::verify::{verify, VerifiedProgram};
 
     fn eth(insns: Vec<Insn>) -> FilterProgram {
         FilterProgram::new(EventKind::EthRecv, insns)
+    }
+
+    fn verified(p: &FilterProgram) -> VerifiedProgram {
+        verify(p).unwrap_or_else(|report| panic!("{report}"))
+    }
+
+    fn rejected(p: &FilterProgram) -> Vec<VerifyError> {
+        verify(p).expect_err("must be rejected").errors
     }
 
     #[test]
@@ -630,10 +748,9 @@ mod tests {
             ],
         )
         .with_state(maps, 64 * 8);
-        let a = analyze(&p);
-        assert!(a.errors.is_empty(), "{:?}", a.errors);
-        assert_eq!(a.state_bytes, 512);
-        assert_eq!(a.bound, 1 + 1 + 6 + 1);
+        let vp = verified(&p);
+        assert_eq!(vp.state_bytes(), 512);
+        assert_eq!(vp.static_bound(), 1 + 1 + 6 + 1);
     }
 
     #[test]
@@ -655,8 +772,7 @@ mod tests {
             ],
         )
         .with_state(maps, 64 * 8);
-        let a = analyze(&p);
-        assert!(a.errors.iter().any(|e| matches!(
+        assert!(rejected(&p).iter().any(|e| matches!(
             e,
             VerifyError::MapIndexOutOfBounds {
                 hi: 0xFFFF,
@@ -670,8 +786,7 @@ mod tests {
     fn over_budget_state_is_rejected() {
         let maps = vec![StateMap::new("flows", MapKind::Counter, 64)];
         let p = eth(vec![Insn::Accept]).with_state(maps, 100);
-        let a = analyze(&p);
-        assert!(a.errors.iter().any(|e| matches!(
+        assert!(rejected(&p).iter().any(|e| matches!(
             e,
             VerifyError::StateOverBudget {
                 bytes: 512,
@@ -699,9 +814,7 @@ mod tests {
             ],
         )
         .with_state(maps, 32);
-        let a = analyze(&p);
-        assert!(a
-            .errors
+        assert!(rejected(&p)
             .iter()
             .any(|e| matches!(e, VerifyError::MapKindMismatch { .. })));
     }
@@ -727,13 +840,12 @@ mod tests {
             Insn::Reject,
             Insn::Accept,
         ]);
-        let a = analyze(&p);
-        assert!(a.lints.contains(&Lint::AlwaysTaken { pc: 1 }));
-        assert!(a.lints.contains(&Lint::Unreachable { pc: 2 }));
-        assert!(a.lints.contains(&Lint::Unreachable { pc: 3 }));
+        let vp = verified(&p);
+        assert!(vp.lints().contains(&Lint::AlwaysTaken { pc: 1 }));
+        assert!(vp.lints().contains(&Lint::Unreachable { pc: 2 }));
+        assert!(vp.lints().contains(&Lint::Unreachable { pc: 3 }));
         // Bound counts only the feasible path: LdImm + Jeq + Accept.
-        assert_eq!(a.bound, 3);
-        assert!(a.errors.is_empty());
+        assert_eq!(vp.static_bound(), 3);
     }
 
     #[test]
@@ -755,9 +867,9 @@ mod tests {
                 Insn::Reject,
             ],
         );
-        let a = analyze(&p);
-        assert!(a.lints.contains(&Lint::NeverTaken { pc: 1 }));
-        assert!(a.lints.contains(&Lint::Unreachable { pc: 3 }));
+        let vp = verified(&p);
+        assert!(vp.lints().contains(&Lint::NeverTaken { pc: 1 }));
+        assert!(vp.lints().contains(&Lint::Unreachable { pc: 3 }));
     }
 
     #[test]
@@ -769,14 +881,15 @@ mod tests {
             },
             Insn::Accept,
         ]);
-        let a = analyze(&p);
-        assert!(a.lints.contains(&Lint::DeadStore { pc: 0, reg: 1 }));
+        assert!(verified(&p)
+            .lints()
+            .contains(&Lint::DeadStore { pc: 0, reg: 1 }));
     }
 
     #[test]
     fn range_refinement_follows_lt_chains() {
         // port < 1024 on the taken edge, then a membership bump indexed by
-        // port & 0x3FF stays within a 1024-slot map.
+        // the port stays within a 1024-slot map.
         let maps = vec![StateMap::new("ports", MapKind::Counter, 1024)];
         let p = FilterProgram::new(
             EventKind::UdpRecv,
@@ -800,10 +913,9 @@ mod tests {
             ],
         )
         .with_state(maps, 8192);
-        let a = analyze(&p);
         // The refined [0, 1023] interval proves the access in bounds with
         // no mask instruction at all.
-        assert!(a.errors.is_empty(), "{:?}", a.errors);
+        verified(&p);
     }
 
     #[test]
@@ -821,8 +933,115 @@ mod tests {
             Insn::Accept,
             Insn::Reject,
         ]);
-        let a = analyze(&p);
-        assert!(a.lints.is_empty(), "{:?}", a.lints);
-        assert_eq!(a.bound, 3);
+        let vp = verified(&p);
+        assert!(vp.lints().is_empty(), "{:?}", vp.lints());
+        assert_eq!(vp.static_bound(), 3);
+    }
+
+    /// Which refutation reaches how far: code no CFG path reaches, and
+    /// code only the value sets refute, are `Unreachable` errors; code
+    /// only the intervals refute verifies, is linted, and adds nothing to
+    /// the bound.
+    #[test]
+    fn value_sets_reject_what_they_refute_and_intervals_only_lint() {
+        let ld = |dst, field| Insn::Ld {
+            dst: Reg(dst),
+            field,
+        };
+        // A taken edge only the intervals refute, into the longer path:
+        // the structural bound is Ld + jump + LdPay + Accept = 5 cycles,
+        // the feasible one Ld + jump + Reject = 3.
+        let refuted_by_range = |field, jump| {
+            vec![
+                ld(0, field),
+                jump,
+                Insn::Reject,
+                Insn::LdPay {
+                    dst: Reg(1),
+                    off: 0,
+                    width: Width::W32,
+                },
+                Insn::Accept,
+            ]
+        };
+        let udp = |insns| FilterProgram::new(EventKind::UdpRecv, insns);
+        let tcp = |insns| FilterProgram::new(EventKind::TcpRecv, insns);
+        enum Expect {
+            /// Rejected, with an `Unreachable` error at this instruction.
+            Error(usize),
+            /// Verifies; the `LdPay` at 3 is linted and left out of the bound.
+            Lint,
+        }
+        let table = [
+            (
+                "no CFG path",
+                udp(vec![Insn::Ja { off: 1 }, Insn::Reject, Insn::Accept]),
+                Expect::Error(1),
+            ),
+            (
+                "port == 80, then port != 80 through a second load",
+                udp(vec![
+                    ld(0, Field::UdpDstPort),
+                    Insn::Jne {
+                        a: Reg(0),
+                        b: Src::Imm(80),
+                        off: 4,
+                    },
+                    // r1 is a fresh [0, 0xFFFF] to the intervals, but the
+                    // field's value set is already {80}.
+                    ld(1, Field::UdpDstPort),
+                    Insn::Jne {
+                        a: Reg(1),
+                        b: Src::Imm(80),
+                        off: 1,
+                    },
+                    Insn::Accept,
+                    Insn::Accept,
+                    Insn::Reject,
+                ]),
+                Expect::Error(5),
+            ),
+            (
+                "port < 0",
+                udp(refuted_by_range(
+                    Field::UdpDstPort,
+                    Insn::Jlt {
+                        a: Reg(0),
+                        b: Src::Imm(0),
+                        off: 1,
+                    },
+                )),
+                Expect::Lint,
+            ),
+            (
+                "SYN == 2",
+                tcp(refuted_by_range(
+                    Field::TcpFlagSyn,
+                    Insn::Jeq {
+                        a: Reg(0),
+                        b: Src::Imm(2),
+                        off: 1,
+                    },
+                )),
+                Expect::Lint,
+            ),
+        ];
+        for (name, program, expected) in table {
+            match expected {
+                Expect::Error(at) => assert!(
+                    rejected(&program).contains(&VerifyError::Unreachable { at }),
+                    "{name}: expected insn {at} to be an unreachable error"
+                ),
+                Expect::Lint => {
+                    let vp = verified(&program);
+                    assert!(
+                        vp.lints().contains(&Lint::Unreachable { pc: 3 }),
+                        "{name}: {:?}",
+                        vp.lints()
+                    );
+                    assert_eq!(vp.static_bound(), 3, "{name}");
+                }
+            }
+        }
     }
 }

@@ -99,7 +99,11 @@ enum Fixup {
 }
 
 fn set_off(insn: &mut Insn, at: usize, target: usize) {
-    let delta = u16::try_from(target - at - 1).expect("builder emitted an over-long jump");
+    // A jump longer than `u16` only arises in a program tens of thousands
+    // of instructions past `MAX_INSNS` (a spec file's `in` list can ask
+    // for one), which the verifier rejects on its length before it reads
+    // any jump: saturate rather than panic.
+    let delta = u16::try_from(target - at - 1).unwrap_or(u16::MAX);
     match insn {
         Insn::Jeq { off, .. }
         | Insn::Jne { off, .. }
@@ -116,7 +120,8 @@ fn set_off(insn: &mut Insn, at: usize, target: usize) {
 ///
 /// Panics on malformed input (an `In` test with no values, or a `set` id
 /// with no backing entry) — these are builder-usage bugs, not packet-time
-/// conditions.
+/// conditions. A test list too long for the IR still builds, into a
+/// program [`crate::verify`] rejects as `TooLong`.
 pub fn conjunction(kind: EventKind, tests: &[Test], sets: Vec<PortSet>) -> FilterProgram {
     conjunction_stateful(kind, tests, sets, Vec::new(), 0)
 }

@@ -1,11 +1,13 @@
-//! The static cycle-cost model and worst-case execution bound.
+//! The static cycle-cost model.
 //!
-//! Costs are counted in abstract *guard cycles* — the unit [`Insn::cost`]
-//! charges and the evaluator's fuel meter spends. The same model feeds
-//! four consumers, which is what makes the bound meaningful end to end:
+//! Costs are counted in abstract *guard cycles*: [`Insn::cost`] charges
+//! each instruction, and every consumer counts in that one unit, which is
+//! what makes the bound meaningful end to end:
 //!
-//! * the verifier's per-program **static worst-case bound** (longest-cost
-//!   path through the CFG, computed here);
+//! * the verifier's **static worst-case bound**
+//!   (`VerifiedProgram::static_bound`): the most cycles any feasible path
+//!   through the CFG spends, tracked by the abstract interpretation
+//!   ([`crate::absint`]);
 //! * the checked evaluator's **measured cost** (cycles actually spent on
 //!   one packet, returned by `eval_metered`);
 //! * the **compiled tier**'s staged meter ([`crate::compile`]): every
@@ -15,65 +17,39 @@
 //! * the dispatcher's **admission budget** (interrupt-level installs are
 //!   rejected unless the static bound fits the per-event cycle budget).
 //!
-//! Because control flow is forward-only the CFG is a DAG, so the longest
-//! path is a single reverse-order dynamic program — no iteration needed —
-//! and is always ≤ [`FilterProgram::total_cost`], the sum the legacy
-//! budget check uses.
+//! Because control flow is forward-only each instruction runs at most
+//! once, so [`FilterProgram::total_cost`] — the sum the verifier holds
+//! under [`crate::MAX_COST`] — bounds every path, and the static bound is
+//! never above it.
 
 use crate::ir::{FilterProgram, Insn};
 
-/// Cycles charged for executing `insn` once — the canonical cost model,
-/// shared verbatim by the verifier's bound and the evaluator's meter.
-pub fn insn_cycles(insn: &Insn) -> u32 {
-    insn.cost()
-}
-
-/// Structural successors of the instruction at `pc` (assumes jump targets
-/// already range-checked).
-pub(crate) fn successors(insn: &Insn, pc: usize) -> Vec<usize> {
-    match insn {
-        Insn::Accept | Insn::Reject => Vec::new(),
-        Insn::Ja { off } => vec![pc + 1 + *off as usize],
-        Insn::Jeq { off, .. }
-        | Insn::Jne { off, .. }
-        | Insn::Jlt { off, .. }
-        | Insn::Jgt { off, .. }
-        | Insn::JInSet { off, .. } => vec![pc + 1, pc + 1 + *off as usize],
-        _ => vec![pc + 1],
+impl Insn {
+    /// Static cost of executing this instruction once.
+    pub fn cost(&self) -> u32 {
+        match self {
+            Insn::LdPay { .. } => 2,
+            Insn::JInSet { .. } => 4,
+            Insn::MLoad { .. } => 4,
+            Insn::MBump { .. } => 6,
+            Insn::MTake { .. } => 8,
+            _ => 1,
+        }
     }
 }
 
-/// Longest-cost path from entry over per-pc successor lists (`None` marks
-/// an unreachable pc, excluded from the bound). Reverse order is a
-/// topological order of the forward-only CFG, so one pass is exact.
-pub(crate) fn longest_path(insns: &[Insn], succs: &[Option<Vec<usize>>]) -> u32 {
-    let mut wc: Vec<u32> = vec![0; insns.len()];
-    for pc in (0..insns.len()).rev() {
-        let Some(ss) = &succs[pc] else { continue };
-        let tail = ss.iter().map(|&s| wc[s]).max().unwrap_or(0);
-        wc[pc] = insn_cycles(&insns[pc]).saturating_add(tail);
+impl FilterProgram {
+    /// Total static cost (sound execution bound: forward-only control flow
+    /// means each instruction runs at most once).
+    pub fn total_cost(&self) -> u32 {
+        self.insns.iter().map(Insn::cost).sum()
     }
-    wc.first().copied().unwrap_or(0)
-}
-
-/// The program's worst-case cycle bound from structure alone: every edge
-/// assumed feasible. The interval analysis ([`crate::absint`]) computes
-/// the tighter bound that skips interval-infeasible edges; this is the
-/// fallback (and an upper bound on that).
-pub fn structural_bound(program: &FilterProgram) -> u32 {
-    let succs: Vec<Option<Vec<usize>>> = program
-        .insns
-        .iter()
-        .enumerate()
-        .map(|(pc, i)| Some(successors(i, pc)))
-        .collect();
-    longest_path(&program.insns, &succs)
 }
 
 #[cfg(test)]
 mod tests {
-    use super::*;
-    use crate::ir::{EventKind, Field, Reg, Src};
+    use crate::ir::{EventKind, Field, FilterProgram, Insn, Reg, Src};
+    use crate::verify::verify;
 
     #[test]
     fn longest_path_is_tighter_than_total_cost() {
@@ -96,7 +72,7 @@ mod tests {
             ],
         );
         assert_eq!(p.total_cost(), 4);
-        assert_eq!(structural_bound(&p), 3);
+        assert_eq!(verify(&p).unwrap().static_bound(), 3);
     }
 
     #[test]
@@ -111,6 +87,6 @@ mod tests {
                 Insn::Accept,
             ],
         );
-        assert_eq!(structural_bound(&p), p.total_cost());
+        assert_eq!(verify(&p).unwrap().static_bound(), p.total_cost());
     }
 }

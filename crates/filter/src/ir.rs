@@ -197,20 +197,6 @@ pub enum Insn {
     Reject,
 }
 
-impl Insn {
-    /// Static cost of executing this instruction once.
-    pub fn cost(&self) -> u32 {
-        match self {
-            Insn::LdPay { .. } => 2,
-            Insn::JInSet { .. } => 4,
-            Insn::MLoad { .. } => 4,
-            Insn::MBump { .. } => 6,
-            Insn::MTake { .. } => 8,
-            _ => 1,
-        }
-    }
-}
-
 /// A shared, mutable set of ports referenced by [`Insn::JInSet`].
 ///
 /// The handle is shared between the installed program and its manager, so
@@ -301,11 +287,5 @@ impl FilterProgram {
         self.maps
             .iter()
             .fold(0u32, |acc, m| acc.saturating_add(m.state_bytes()))
-    }
-
-    /// Total static cost (sound execution bound: forward-only control flow
-    /// means each instruction runs at most once).
-    pub fn total_cost(&self) -> u32 {
-        self.insns.iter().map(Insn::cost).sum()
     }
 }

@@ -15,14 +15,21 @@
 //!   payload loads stay inside a static window;
 //! * **termination and bounded cost** — control flow is forward-only and
 //!   total cost is below a budget, so a guard is safe to run at interrupt
-//!   level;
+//!   level; a static worst-case cycle bound and bounded map state are
+//!   proved on top;
 //! * **no dead code, no undefined reads** — every instruction is
 //!   reachable, every path terminates, every register read is preceded by
 //!   a write on all paths;
-//! * **policy compliance** — conservative value-range analysis proves
+//! * **policy compliance** — conservative value-set analysis proves
 //!   that every accepting path constrains the destination port/address to
 //!   the caller's own binding: the anti-snoop guarantee, checked instead
 //!   of assumed.
+//!
+//! Everything but the per-instruction checks comes from one forward
+//! abstract interpretation ([`absint`]): one state per instruction holding
+//! each register's symbolic value and interval and each field's value
+//! set, one join, one refinement per branch edge. The demux key
+//! ([`verify::KeySpec`]) is folded from the states it reaches at `Accept`.
 //!
 //! The same multi-error reporting discipline extends to extension specs:
 //! [`spec::analyze`] computes a spec's import closure against an
@@ -43,10 +50,9 @@ pub mod spec;
 pub mod state;
 pub mod verify;
 
-pub use absint::{Interval, Lint};
+pub use absint::Lint;
 pub use builder::{conjunction, conjunction_stateful, Operand, Test};
 pub use compile::{CompileStats, CompiledProgram};
-pub use cost::{insn_cycles, structural_bound};
 pub use eval::{eval, eval_metered, eval_unchecked, read_field_key, Packet};
 pub use ir::{
     EventKind, Field, FilterProgram, Insn, MapId, PortSet, Reg, SetId, Src, Width, MAX_COST,

@@ -9,24 +9,29 @@
 //! * jumps only to in-range (forward) targets, reaches every instruction,
 //!   and terminates every path with `Accept`/`Reject`;
 //! * stays within the instruction-count and cost budgets (cost is a sound
-//!   per-evaluation bound because control flow is forward-only);
+//!   per-evaluation bound because control flow is forward-only), and
+//!   touches only declared map state within its budget;
 //! * and, under a [`Policy`], can only accept packets whose constrained
 //!   fields provably lie inside the allowed value sets — the "cannot
 //!   snoop" guarantee of §3.1: a guard installed on behalf of an
 //!   application must constrain the destination port/address to that
 //!   application's own binding.
 //!
-//! All violations are collected into one [`FilterReport`]; verification
-//! never stops at the first error.
+//! [`check_structure`] proves the per-instruction facts; everything that
+//! depends on paths comes from one abstract interpretation
+//! ([`crate::absint`]). All violations are collected into one
+//! [`FilterReport`]; verification never stops at the first error, except
+//! that a program over [`MAX_INSNS`] is judged on its length alone.
 
-use std::collections::{BTreeMap, BTreeSet};
+use std::collections::BTreeSet;
 use std::fmt;
 
-use crate::absint::{self, Lint};
+use crate::absint::{self, Lint, State};
 use crate::ir::{
     EventKind, Field, FilterProgram, Insn, PortSet, Reg, SetId, Src, Width, MAX_COST, MAX_INSNS,
     NUM_REGS, PAY_WINDOW,
 };
+use crate::state::MAX_STATE_BYTES;
 
 /// What a value-range constraint or abstract field refers to: a typed
 /// field, or a raw payload load (offset + width).
@@ -51,7 +56,7 @@ impl fmt::Display for FieldKey {
 /// field must provably lie within its allowed set.
 #[derive(Clone, Debug, Default)]
 pub struct Policy {
-    constraints: Vec<(FieldKey, BTreeSet<u64>)>,
+    pub(crate) constraints: Vec<(FieldKey, BTreeSet<u64>)>,
 }
 
 impl Policy {
@@ -345,7 +350,6 @@ impl std::error::Error for FilterReport {}
 pub struct VerifiedProgram {
     program: FilterProgram,
     compiled: std::rc::Rc<crate::compile::CompiledProgram>,
-    cost: u32,
     static_bound: u32,
     state_bytes: u32,
     lints: Vec<Lint>,
@@ -363,18 +367,12 @@ impl VerifiedProgram {
         self.program.kind
     }
 
-    /// The proven worst-case evaluation cost (sum of all instruction
-    /// costs; kept for compatibility — [`VerifiedProgram::static_bound`]
-    /// is the tighter per-evaluation bound).
-    pub fn cost(&self) -> u32 {
-        self.cost
-    }
-
     /// The static worst-case cycle bound: no evaluation of this program
-    /// on any packet spends more cycles than this ([`crate::absint`]'s
-    /// longest feasible path). The dispatcher admits interrupt-level
-    /// installs against this number, and `eval_metered` never reports
-    /// more.
+    /// on any packet spends more cycles than this (the most any feasible
+    /// path spends, [`crate::absint`]). Never more than
+    /// [`FilterProgram::total_cost`]. The dispatcher admits
+    /// interrupt-level installs against this number, and `eval_metered`
+    /// never reports more.
     pub fn static_bound(&self) -> u32 {
         self.static_bound
     }
@@ -424,7 +422,8 @@ pub fn verify_with_policy(
         report.errors.push(VerifyError::EmptyProgram);
         return Err(report);
     }
-    if len > MAX_INSNS {
+    let too_long = len > MAX_INSNS;
+    if too_long {
         report.errors.push(VerifyError::TooLong {
             len,
             max: MAX_INSNS,
@@ -437,42 +436,49 @@ pub fn verify_with_policy(
             max: MAX_COST,
         });
     }
-
-    let structural_ok = check_structure(program, &mut report);
-    let mut abs = absint::Analysis::default();
-    let mut accepts = Vec::new();
-    if structural_ok {
-        accepts = analyze(program, policy, &mut report);
-        // Interval pass: static cycle bound, bounded-state proofs, lints.
-        abs = absint::analyze(program);
-        report.errors.append(&mut abs.errors);
+    // An over-long program is judged on its length alone: a spec file can
+    // ask for any length, and no analysis should scale with that.
+    if too_long || !check_structure(program, &mut report) {
+        return Err(report);
     }
 
-    if report.is_clean() {
-        // Lower the accepted program to the compiled tier here, inside the
-        // verifier's success path: cloning `FilterProgram` shares its port
-        // sets and state maps by handle, so the interpreter and the
-        // compiled closure chain observe (and mutate) identical state.
-        let program = program.clone();
-        let compiled = std::rc::Rc::new(crate::compile::compile(&program));
-        let key = demux_key(&program, &accepts);
-        Ok(VerifiedProgram {
-            program,
-            compiled,
-            cost,
-            static_bound: abs.bound,
-            state_bytes: abs.state_bytes,
-            lints: abs.lints,
-            key,
-        })
-    } else {
-        Err(report)
+    let facts = absint::interpret(program, policy, &mut report.errors);
+    let state_bytes = program.state_bytes();
+    if program.state_budget > MAX_STATE_BYTES {
+        report.errors.push(VerifyError::StateOverBudget {
+            bytes: program.state_budget,
+            budget: MAX_STATE_BYTES,
+        });
+    } else if state_bytes > program.state_budget {
+        report.errors.push(VerifyError::StateOverBudget {
+            bytes: state_bytes,
+            budget: program.state_budget,
+        });
     }
+    if !report.is_clean() {
+        return Err(report);
+    }
+
+    // Lower the accepted program to the compiled tier here, inside the
+    // verifier's success path: cloning `FilterProgram` shares its port
+    // sets and state maps by handle, so the interpreter and the compiled
+    // closure chain observe (and mutate) identical state.
+    let program = program.clone();
+    let compiled = std::rc::Rc::new(crate::compile::compile(&program));
+    let key = demux_key(&program, &facts.accepts);
+    Ok(VerifiedProgram {
+        program,
+        compiled,
+        static_bound: facts.bound,
+        state_bytes,
+        lints: facts.lints,
+        key,
+    })
 }
 
 /// Per-instruction well-formedness: register indices, field kinds, payload
-/// bounds, jump ranges, set ids. Returns whether the program is
-/// structurally sound enough for dataflow analysis.
+/// bounds, jump ranges, set and map ids. Returns whether the program is
+/// structurally sound enough for the abstract interpretation.
 fn check_structure(program: &FilterProgram, report: &mut FilterReport) -> bool {
     let len = program.insns.len();
     let before = report.errors.len();
@@ -567,344 +573,6 @@ fn check_structure(program: &FilterProgram, report: &mut FilterReport) -> bool {
     }
 
     report.errors.len() == before
-}
-
-/// Abstract value of a register.
-#[derive(Clone, Copy, Debug, PartialEq, Eq)]
-enum RegVal {
-    /// Never written on some path.
-    Undef,
-    /// A known constant.
-    Const(u64),
-    /// Holds the current value of a packet field.
-    Field(FieldKey),
-    /// Anything.
-    Unknown,
-}
-
-/// What a field's value may be along a path.
-#[derive(Clone, Debug, PartialEq, Eq)]
-enum ValSet {
-    /// Unconstrained.
-    Top,
-    /// Provably one of these values.
-    In(BTreeSet<u64>),
-}
-
-/// Abstract state at one program point.
-#[derive(Clone, Debug, PartialEq, Eq)]
-struct State {
-    regs: [RegVal; NUM_REGS],
-    fields: BTreeMap<FieldKey, ValSet>,
-    /// Facts of the form "field ∉ set" (in `JInSet`'s u16-truncated
-    /// membership sense), learned on the fall-through edge of `JInSet`.
-    /// Set contents are dynamic, so the fact names the set rather than its
-    /// values; the dispatcher re-checks membership live at dispatch time.
-    notin: BTreeMap<FieldKey, BTreeSet<SetId>>,
-}
-
-impl State {
-    fn entry() -> State {
-        State {
-            regs: [RegVal::Undef; NUM_REGS],
-            fields: BTreeMap::new(),
-            notin: BTreeMap::new(),
-        }
-    }
-
-    fn field_set(&self, key: FieldKey) -> ValSet {
-        self.fields.get(&key).cloned().unwrap_or(ValSet::Top)
-    }
-
-    /// Pointwise join with another state (set union / loss of precision).
-    fn join(&mut self, other: &State) {
-        for (mine, theirs) in self.regs.iter_mut().zip(other.regs.iter()) {
-            *mine = join_reg(*mine, *theirs);
-        }
-        let keys: Vec<FieldKey> = self.fields.keys().copied().collect();
-        for key in keys {
-            let joined = match (self.field_set(key), other.field_set(key)) {
-                (ValSet::In(a), ValSet::In(b)) => ValSet::In(a.union(&b).copied().collect()),
-                _ => ValSet::Top,
-            };
-            match joined {
-                ValSet::Top => {
-                    self.fields.remove(&key);
-                }
-                s => {
-                    self.fields.insert(key, s);
-                }
-            }
-        }
-        // A non-membership fact survives a join only if both paths prove it.
-        self.notin.retain(|key, sets| {
-            match other.notin.get(key) {
-                Some(theirs) => sets.retain(|s| theirs.contains(s)),
-                None => sets.clear(),
-            }
-            !sets.is_empty()
-        });
-    }
-}
-
-fn join_reg(a: RegVal, b: RegVal) -> RegVal {
-    match (a, b) {
-        (a, b) if a == b => a,
-        (RegVal::Undef, _) | (_, RegVal::Undef) => RegVal::Undef,
-        _ => RegVal::Unknown,
-    }
-}
-
-/// Refines `state` with the knowledge `key ∈ keep` ∩ current set. Returns
-/// `false` if the refined set is empty (the edge is infeasible).
-fn refine_in(state: &mut State, key: FieldKey, keep: &BTreeSet<u64>) -> bool {
-    let refined = match state.field_set(key) {
-        ValSet::Top => keep.clone(),
-        ValSet::In(cur) => cur.intersection(keep).copied().collect(),
-    };
-    if refined.is_empty() {
-        return false;
-    }
-    state.fields.insert(key, ValSet::In(refined));
-    true
-}
-
-/// Refines `state` with the knowledge `key != val`. Returns `false` if the
-/// refined set is empty.
-fn refine_not_eq(state: &mut State, key: FieldKey, val: u64) -> bool {
-    if let ValSet::In(mut cur) = state.field_set(key) {
-        cur.remove(&val);
-        if cur.is_empty() {
-            return false;
-        }
-        state.fields.insert(key, ValSet::In(cur));
-    }
-    true
-}
-
-/// Refines with `pred(value)` over an `In` set. `Top` stays `Top`.
-fn refine_filter(state: &mut State, key: FieldKey, pred: impl Fn(u64) -> bool) -> bool {
-    if let ValSet::In(cur) = state.field_set(key) {
-        let kept: BTreeSet<u64> = cur.into_iter().filter(|v| pred(*v)).collect();
-        if kept.is_empty() {
-            return false;
-        }
-        state.fields.insert(key, ValSet::In(kept));
-    }
-    true
-}
-
-/// Single forward dataflow pass (sound because all edges go forward: by the
-/// time `pc` is visited, every predecessor has already contributed its
-/// state). Detects undefined reads, unreachable instructions, missing
-/// terminators, and policy violations. Returns the abstract state at each
-/// reachable `Accept` (the raw material for [`demux_key`]).
-fn analyze(program: &FilterProgram, policy: &Policy, report: &mut FilterReport) -> Vec<State> {
-    let len = program.insns.len();
-    let mut states: Vec<Option<State>> = vec![None; len];
-    states[0] = Some(State::entry());
-    let mut accepts: Vec<State> = Vec::new();
-
-    let merge = |slot: &mut Option<State>, incoming: State| match slot {
-        None => *slot = Some(incoming),
-        Some(existing) => existing.join(&incoming),
-    };
-
-    // Flows `incoming` into the fall-through successor of `at`; falling
-    // off the end of the program is a missing terminator.
-    macro_rules! fall_through {
-        ($at:expr, $incoming:expr) => {
-            if $at + 1 < len {
-                merge(&mut states[$at + 1], $incoming);
-            } else {
-                report
-                    .errors
-                    .push(VerifyError::MissingTerminator { at: $at });
-            }
-        };
-    }
-
-    for at in 0..len {
-        let Some(state) = states[at].clone() else {
-            report.errors.push(VerifyError::Unreachable { at });
-            continue;
-        };
-
-        let read_reg = |r: Reg, state: &State, report: &mut FilterReport| -> RegVal {
-            let v = state.regs[r.0 as usize];
-            if v == RegVal::Undef {
-                report
-                    .errors
-                    .push(VerifyError::UndefinedRegister { at, reg: r.0 });
-                return RegVal::Unknown;
-            }
-            v
-        };
-        let read_src = |s: Src, state: &State, report: &mut FilterReport| -> RegVal {
-            match s {
-                Src::Imm(v) => RegVal::Const(v),
-                Src::Reg(r) => read_reg(r, state, report),
-            }
-        };
-
-        match &program.insns[at] {
-            Insn::Ld { dst, field } => {
-                let mut next = state;
-                next.regs[dst.0 as usize] = RegVal::Field(FieldKey::Field(*field));
-                fall_through!(at, next);
-            }
-            Insn::LdImm { dst, imm } => {
-                let mut next = state;
-                next.regs[dst.0 as usize] = RegVal::Const(*imm);
-                fall_through!(at, next);
-            }
-            Insn::LdPay { dst, off, width } => {
-                let mut next = state;
-                next.regs[dst.0 as usize] = RegVal::Field(FieldKey::Pay(*off, *width));
-                fall_through!(at, next);
-            }
-            Insn::And { dst, src } | Insn::Or { dst, src } => {
-                let a = read_reg(*dst, &state, report);
-                let b = read_src(*src, &state, report);
-                let is_and = matches!(&program.insns[at], Insn::And { .. });
-                let mut next = state;
-                next.regs[dst.0 as usize] = match (a, b) {
-                    (RegVal::Const(x), RegVal::Const(y)) => {
-                        RegVal::Const(if is_and { x & y } else { x | y })
-                    }
-                    _ => RegVal::Unknown,
-                };
-                fall_through!(at, next);
-            }
-            Insn::Jeq { a, b, off } | Insn::Jne { a, b, off } => {
-                let av = read_reg(*a, &state, report);
-                let bv = read_src(*b, &state, report);
-                let eq_jumps = matches!(&program.insns[at], Insn::Jeq { .. });
-                let target = at + 1 + *off as usize;
-
-                // When comparing a field against a constant, refine the
-                // field's value set along each edge.
-                let (field, konst) = match (av, bv) {
-                    (RegVal::Field(k), RegVal::Const(c)) | (RegVal::Const(c), RegVal::Field(k)) => {
-                        (Some(k), c)
-                    }
-                    _ => (None, 0),
-                };
-
-                let mut taken = state.clone();
-                let mut fall = state;
-                let (taken_ok, fall_ok) = match field {
-                    Some(key) => {
-                        let eq_set = BTreeSet::from([konst]);
-                        if eq_jumps {
-                            (
-                                refine_in(&mut taken, key, &eq_set),
-                                refine_not_eq(&mut fall, key, konst),
-                            )
-                        } else {
-                            (
-                                refine_not_eq(&mut taken, key, konst),
-                                refine_in(&mut fall, key, &eq_set),
-                            )
-                        }
-                    }
-                    None => (true, true),
-                };
-                if taken_ok {
-                    merge(&mut states[target], taken);
-                }
-                if fall_ok {
-                    fall_through!(at, fall);
-                }
-            }
-            Insn::Jlt { a, b, off } | Insn::Jgt { a, b, off } => {
-                let av = read_reg(*a, &state, report);
-                let bv = read_src(*b, &state, report);
-                let lt_jumps = matches!(&program.insns[at], Insn::Jlt { .. });
-                let target = at + 1 + *off as usize;
-
-                let (field, konst) = match (av, bv) {
-                    (RegVal::Field(k), RegVal::Const(c)) => (Some(k), c),
-                    _ => (None, 0),
-                };
-                let mut taken = state.clone();
-                let mut fall = state;
-                let (taken_ok, fall_ok) = match field {
-                    Some(key) => {
-                        if lt_jumps {
-                            (
-                                refine_filter(&mut taken, key, |v| v < konst),
-                                refine_filter(&mut fall, key, |v| v >= konst),
-                            )
-                        } else {
-                            (
-                                refine_filter(&mut taken, key, |v| v > konst),
-                                refine_filter(&mut fall, key, |v| v <= konst),
-                            )
-                        }
-                    }
-                    None => (true, true),
-                };
-                if taken_ok {
-                    merge(&mut states[target], taken);
-                }
-                if fall_ok {
-                    fall_through!(at, fall);
-                }
-            }
-            Insn::JInSet { a, set, off } => {
-                let av = read_reg(*a, &state, report);
-                let target = at + 1 + *off as usize;
-                // Set contents are dynamic, so the taken (member) edge
-                // learns nothing static. The fall-through edge learns
-                // "tested value ∉ set"; when the register holds a packet
-                // field, record that as a named-set fact.
-                merge(&mut states[target], state.clone());
-                let mut fall = state;
-                if let RegVal::Field(key) = av {
-                    fall.notin.entry(key).or_default().insert(*set);
-                }
-                fall_through!(at, fall);
-            }
-            Insn::Ja { off } => {
-                let target = at + 1 + *off as usize;
-                merge(&mut states[target], state);
-            }
-            Insn::MBump { dst, idx, .. }
-            | Insn::MLoad { dst, idx, .. }
-            | Insn::MTake { dst, idx, .. } => {
-                // The index must be written on every path; the result is
-                // runtime state, opaque to the value-set analysis (the
-                // interval pass models it more precisely).
-                read_reg(*idx, &state, report);
-                let mut next = state;
-                next.regs[dst.0 as usize] = RegVal::Unknown;
-                fall_through!(at, next);
-            }
-            Insn::Accept => {
-                for (key, allowed) in &policy.constraints {
-                    let ok = match state.field_set(*key) {
-                        ValSet::In(vals) => vals.is_subset(allowed),
-                        ValSet::Top => false,
-                    };
-                    if !ok {
-                        report.errors.push(VerifyError::PolicyViolation {
-                            at,
-                            key: *key,
-                            allowed: allowed.clone(),
-                            proven: match state.field_set(*key) {
-                                ValSet::In(vals) => Some(vals),
-                                ValSet::Top => None,
-                            },
-                        });
-                    }
-                }
-                accepts.push(state);
-            }
-            Insn::Reject => {}
-        }
-    }
-    accepts
 }
 
 /// The declared demultiplexing key schema for each event kind: the ordered
@@ -1009,7 +677,7 @@ fn demux_key(program: &FilterProgram, accepts: &[State]) -> Option<KeySpec> {
         let mut union: Option<BTreeSet<u64>> = Some(BTreeSet::new());
         for st in accepts {
             match (&mut union, st.fields.get(key)) {
-                (Some(u), Some(ValSet::In(vals))) => u.extend(vals),
+                (Some(u), Some(vals)) => u.extend(vals),
                 _ => union = None,
             }
         }

@@ -8,7 +8,9 @@
 //!   produce a non-empty error report;
 //! * programs the verifier rejects for out-of-bounds loads or field type
 //!   mismatches really do fault under an unchecked interpreter — the
-//!   verifier is load-bearing, not ceremonial.
+//!   verifier is load-bearing, not ceremonial;
+//! * on arbitrary decision DAGs, the demux key holds for every accepted
+//!   packet and no packet spends more cycles than the static bound.
 
 use std::panic::{catch_unwind, AssertUnwindSafe};
 
@@ -79,7 +81,13 @@ impl Packet for TestPacket {
         if field.kind() != self.kind {
             return None;
         }
-        Some(self.base.wrapping_add(field_index(field)) % 8)
+        let v = self.base.wrapping_add(field_index(field)) % 8;
+        // A flag is one bit, as on the wire; the verifier's intervals
+        // start from each field's natural range.
+        Some(match field {
+            Field::TcpFlagSyn | Field::TcpFlagAck => v % 2,
+            _ => v,
+        })
     }
 
     fn head(&self) -> &[u8] {
@@ -317,7 +325,7 @@ proptest! {
                 "built guard failed verification: {report}"
             ))),
         };
-        prop_assert!(vp.cost() <= plexus_filter::MAX_COST);
+        prop_assert!(vp.static_bound() <= plexus_filter::MAX_COST);
         // Must return (not fault) whatever the packet looks like.
         let pkt = TestPacket { kind: KINDS[pkt_kind_i], base, head };
         let _ = eval(&vp, &pkt);
@@ -356,7 +364,7 @@ proptest! {
         let prog = FilterProgram::new(KINDS[kind_i], insns);
         match verify(&prog) {
             Ok(vp) => {
-                prop_assert!(vp.cost() <= plexus_filter::MAX_COST);
+                prop_assert!(vp.static_bound() <= plexus_filter::MAX_COST);
                 let pkt = TestPacket { kind: KINDS[pkt_kind_i], base, head };
                 let _ = eval(&vp, &pkt);
             }
@@ -542,6 +550,32 @@ proptest! {
             prop_assert_eq!(
                 format!("{:?}", bare.demux_key()),
                 format!("{:?}", checked.demux_key())
+            );
+        }
+    }
+
+    // The static bound is sound where the analysis does the most work:
+    // ranges, joins, `JInSet` and re-tested fields. No stepped packet
+    // spends more cycles than `static_bound()` promises, hit or miss.
+    #[test]
+    fn metered_spend_stays_within_the_static_bound(
+        kind_i in 0usize..4,
+        pinned in any::<u64>().prop_map(|v| (v % 2 == 0).then_some(v >> 1)),
+        raw_nodes in prop::collection::vec((any::<u8>(), any::<u8>(), any::<u8>(), any::<u64>()), 1..6),
+        tail_accepts in any::<bool>(),
+        base in any::<u64>(),
+        head in prop::collection::vec(any::<u8>(), 0..80),
+    ) {
+        let kind = KINDS[kind_i];
+        let Ok(vp) = verify(&decision_dag(kind, pinned, &raw_nodes, tail_accepts)) else {
+            return Ok(());
+        };
+        for step in 0..8 {
+            let pkt = TestPacket { kind, base: base.wrapping_add(step), head: head.clone() };
+            let (_, spent) = eval_metered(&vp, &pkt, 0);
+            prop_assert!(
+                spent <= vp.static_bound(),
+                "spent {spent} cycles, bound {}", vp.static_bound()
             );
         }
     }

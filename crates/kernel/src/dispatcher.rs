@@ -222,7 +222,7 @@ pub enum HandlerMode {
 pub struct HandlerId(u64);
 
 /// Default per-event cycle budget for interrupt-mode installs, in the
-/// abstract guard cycles of [`plexus_filter::insn_cycles`]. A verified
+/// abstract guard cycles of [`plexus_filter::Insn::cost`]. A verified
 /// guard whose static worst-case bound exceeds the budget is rejected at
 /// install time — admission control, not runtime policing.
 pub const DEFAULT_INTERRUPT_CYCLE_BUDGET: u32 = 64;

@@ -558,18 +558,21 @@ fn rebinder() -> (Testbed, impl Fn(u32)) {
 
 #[test]
 fn a_bind_close_pair_allocates_exactly_the_pinned_count() {
-    // Build, verify (structure, value sets + policy + key, intervals),
-    // compile, install, index; then uninstall and release. Verification
-    // runs its value-set analysis once and the key it proves is held once:
-    // a second analysis run or another copy of the key moves this number
-    // (it was 148 while `core::guards` and the guard's constructor each
-    // re-derived the key and `Entry` cloned it). What the extension holds
-    // is written down as plain data beside a clone of its link token, so
-    // the record costs no heap call of its own (80 while each bind boxed
-    // an undo closure and copied the extension's name). The handler is
-    // boxed once, by `AppHandler::interrupt`, and that box is what the
-    // dispatcher calls (78 while `install_held` boxed a closure around it).
-    const PER_PAIR: u64 = 77;
+    // Build, verify (structure, then one abstract interpretation for value
+    // sets + policy + key, intervals, bound and lints), compile, install,
+    // index; then uninstall and release. Verification walks the program
+    // once and the key it proves is held once: a second analysis run or
+    // another copy of the key moves this number (it was 148 while
+    // `core::guards` and the guard's constructor each re-derived the key
+    // and `Entry` cloned it, and 77 while a value-set walk and an interval
+    // walk each ran, the second building successor lists). What the
+    // extension holds is written down as plain data beside a clone of its
+    // link token, so the record costs no heap call of its own (80 while
+    // each bind boxed an undo closure and copied the extension's name).
+    // The handler is boxed once, by `AppHandler::interrupt`, and that box
+    // is what the dispatcher calls (78 while `install_held` boxed a
+    // closure around it).
+    const PER_PAIR: u64 = 45;
     const N: u32 = 100;
     let (_tb, cycles) = rebinder();
     cycles(10);
