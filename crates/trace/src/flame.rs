@@ -16,7 +16,7 @@ use crate::profile::{Profile, Triple};
 pub fn folded(p: &Profile) -> String {
     let mut sums: BTreeMap<Triple, u64> = BTreeMap::new();
     for pkt in p.packets.iter().filter(|p| !p.orphan) {
-        for s in &pkt.slices {
+        for s in p.slices(pkt) {
             *sums.entry(s.at).or_insert(0) += s.ns();
         }
     }
@@ -58,7 +58,7 @@ mod tests {
             .iter()
             .map(|l| l.rsplit(' ').next().unwrap().parse::<u64>().unwrap())
             .sum();
-        let attributed: u64 = p.packets.iter().map(|p| p.attributed_ns()).sum();
+        let attributed: u64 = p.packets.iter().map(|pkt| p.attributed_ns(pkt)).sum();
         assert_eq!(folded_total, attributed);
         assert_eq!(folded(&Profile::build(&rec)), out, "deterministic");
     }

@@ -1,31 +1,27 @@
 //! Cross-machine packet journeys reconstructed from the profiled ring.
 //!
-//! A *journey* is the causal chain a frame starts: the journey ID is
-//! allocated at the original transmit, carried across the wire with the
-//! frame, inherited by the receive chain it triggers on the next machine,
-//! and passed on by any frame *that* chain transmits — until a receive
-//! handler calls [`crate::Recorder::journey_break`] to start a fresh one.
-//! Per-machine packet IDs restart at every NIC arrival; the journey ID is
-//! the identity that survives the hop, which is what makes a cross-machine
-//! latency waterfall possible at all.
+//! A *journey* is the causal chain a frame starts: its ID is allocated at
+//! the original transmit, crosses the wire with the frame, is inherited by
+//! the receive chain it triggers and by any frame *that* chain transmits,
+//! until a handler calls [`crate::Recorder::journey_break`]. Packet IDs
+//! restart at every NIC; the journey ID is what survives the hop.
 //!
-//! [`build`] stitches the per-packet profiles of one [`Profile`] into
-//! per-journey hop ledgers. Hops are linked by the wire-telescoping
-//! equation the NIC model guarantees —
-//! `tx.at_ns + wait + ser + prop == arrival.at_ns` — with an inequality
-//! fallback for coalesced receive paths where the arrival record is
-//! delayed by rx-ring queueing (the gap becomes the hop's *queue wait*).
-//! The **chain** is the path from the origin transmit to the latest
-//! surviving hop; broadcast copies that a MAC filter discarded are counted
-//! as *filtered hops*, other causal offshoots (ACKs, forwarded copies) as
-//! *branch hops*. Along the chain every nanosecond between the origin
-//! handover and the final hop's last record lands in exactly one named
-//! segment — wire phases, rx-queue waits, and `(machine, layer, domain)`
-//! processing slices — so the segments telescope to the measured
-//! end-to-end time exactly, in the style of
-//! [`crate::profile::pingpong_waterfall`].
+//! [`build`] stitches one [`Profile`]'s packets into per-journey hop
+//! ledgers, linking hops by the wire equation the NIC model guarantees,
+//! `tx.at_ns + wait + ser + prop == arrival.at_ns`, or, on coalesced
+//! receive paths, by the latest earlier wire arrival (the gap becomes the
+//! hop's *queue wait*). The **chain** runs from the origin transmit to the
+//! latest surviving hop; discarded broadcast copies are *filtered hops*,
+//! other offshoots (ACKs, forwarded copies) *branch hops*. Every
+//! nanosecond along the chain lands in exactly one named segment (wire
+//! phases, queue waits, `(machine, layer, domain)` processing), so the
+//! segments telescope to the end-to-end time exactly. Hops and segments
+//! live in two arenas of [`Journeys`], and hop names are shared, not
+//! copied.
 
 use std::collections::HashMap;
+use std::ops::Range;
+use std::sync::Arc;
 
 use crate::json::{escaped, or_null, put};
 use crate::profile::{add, segments_json, PacketProfile, Profile, Segment, TxRecord};
@@ -38,9 +34,9 @@ pub struct ChainHop {
     /// Per-machine packet ID of this hop.
     pub packet: u64,
     /// Receiving machine (NIC name when the world didn't name the host).
-    pub machine: String,
-    /// Receiving NIC.
-    pub nic: String,
+    pub machine: Arc<str>,
+    /// Receiving NIC (empty when the arrival record was lost).
+    pub nic: Arc<str>,
     /// Arrival-record timestamp.
     pub arrival_ns: u64,
     /// Time the frame sat in the rx ring before the arrival record (zero
@@ -68,11 +64,11 @@ pub struct Journey {
     pub end_to_end_ns: u64,
     /// Machine that sent the origin frame (`None` when the origin
     /// transmit ran outside any packet window on an unnamed machine).
-    pub origin_machine: Option<String>,
-    /// The critical-path hops, origin-side first.
-    pub chain: Vec<ChainHop>,
-    /// Ordered waterfall segments summing to `end_to_end_ns`.
-    pub segments: Vec<Segment>,
+    pub origin_machine: Option<Arc<str>>,
+    /// Where the journey's chain ([`Journeys::chain`]) and segments
+    /// ([`Journeys::segments`]) lie in the arenas.
+    chain: Range<usize>,
+    segments: Range<usize>,
     /// Hops causally in this journey but off the chain (ACKs, broadcast
     /// copies that were processed).
     pub branch_hops: u64,
@@ -97,6 +93,23 @@ pub struct Journeys {
     /// Every segment name with its time summed over *all* journeys and
     /// the number of journeys that have it, in first-seen order.
     pub segment_totals: Vec<(Segment, u64)>,
+    /// Every journey's chain hops, then its segments, journey after
+    /// journey; a [`Journey`] holds ranges into them.
+    hops: Vec<ChainHop>,
+    segments: Vec<Segment>,
+}
+
+impl Journeys {
+    /// A journey's critical-path hops, origin-side first.
+    pub fn chain(&self, j: &Journey) -> &[ChainHop] {
+        &self.hops[j.chain.clone()]
+    }
+
+    /// A journey's ordered waterfall segments, summing to its
+    /// `end_to_end_ns`.
+    pub fn segments(&self, j: &Journey) -> &[Segment] {
+        &self.segments[j.segments.clone()]
+    }
 }
 
 /// A transmit that can parent a hop: the record plus where it came from.
@@ -135,14 +148,16 @@ enum SegKey {
 }
 
 impl SegKey {
-    fn name(self, names: &Interner) -> String {
+    /// Writes the key's name over `out`.
+    fn name(self, names: &Interner, out: &mut String) {
         let n = |l| names.get(l);
+        out.clear();
         match self {
-            SegKey::TxQueue(src) => format!("{}.tx_queue", n(src)),
-            SegKey::Wire(src, dst, phase) => format!("{}->{}.wire.{phase}", n(src), n(dst)),
-            SegKey::RxQueue(machine) => format!("{}.rx_queue", n(machine)),
+            SegKey::TxQueue(src) => put!(out, "{}.tx_queue", n(src)),
+            SegKey::Wire(src, dst, phase) => put!(out, "{}->{}.wire.{phase}", n(src), n(dst)),
+            SegKey::RxQueue(machine) => put!(out, "{}.rx_queue", n(machine)),
             SegKey::Processing(machine, layer, domain) => {
-                format!("{}.{}.{}", n(machine), n(layer), n(domain))
+                put!(out, "{}.{}.{}", n(machine), n(layer), n(domain))
             }
         }
     }
@@ -150,10 +165,11 @@ impl SegKey {
 
 /// Reconstructs every journey from a built profile.
 pub fn build(profile: &Profile) -> Journeys {
-    // The profile's names plus the two stand-ins a chain needs, so a
-    // machine is a plain label throughout.
+    // The profile's names plus the stand-ins a chain needs, so a machine
+    // is a plain label throughout.
     let mut names = profile.names.clone();
     let (unknown, origin_label) = (names.intern("?"), names.intern("origin"));
+    let no_nic = names.intern("");
     let machine_of = |p: &PacketProfile| p.host.or(p.nic).unwrap_or(unknown);
     let packets = &profile.packets;
     // `packets` is in packet-ID order, which is what makes an ID an index.
@@ -190,25 +206,27 @@ pub fn build(profile: &Profile) -> Journeys {
     let unattributed = profile.unattributed_txs.iter().map(|tx| (tx, None));
     let attributed = packets.iter().flat_map(|p| {
         let source = move |(i, tx)| (tx, Some((p.packet, i)));
-        p.txs.iter().enumerate().map(source)
+        profile.txs(p).iter().enumerate().map(source)
     });
-    let mut txs: Vec<TxCand<'_>> = unattributed
+    let tagged = unattributed
         .chain(attributed)
-        .filter(|(tx, _)| tx.journey.is_some())
-        .map(|(tx, source)| TxCand { tx, source })
-        .collect();
+        .filter(|(tx, _)| tx.journey.is_some());
+    let mut txs = Vec::with_capacity(profile.unattributed_txs.len() + profile.txs.len());
+    txs.extend(tagged.map(|(tx, source)| TxCand { tx, source }));
     txs.sort_by_key(|c| c.tx.journey);
 
-    let mut journeys = Vec::new();
+    let by_journey = |a: &&PacketProfile, b: &&PacketProfile| a.journey == b.journey;
+    let mut journeys = Vec::with_capacity(hops.chunk_by(by_journey).count());
+    // Every chain hop is a distinct intact packet.
+    let mut all_hops: Vec<ChainHop> = Vec::with_capacity(hops.len());
+    let mut all_segments: Vec<Segment> = Vec::new();
     let mut chain: Vec<(&PacketProfile, Option<usize>)> = Vec::new();
-    let mut keyed: Vec<(SegKey, u64)> = Vec::new();
-    // Where each key's name sits in `segment_totals`: rendered the first
-    // time the key is seen. Two keys that read the same share a slot, as
-    // they would have shared a segment merged by name.
+    // Where each key's name sits in `segment_totals`.
     let mut slot_of: HashMap<SegKey, usize> = HashMap::new();
     let mut segment_totals: Vec<(Segment, u64)> = Vec::new();
     let mut slots: Vec<(usize, u64)> = Vec::new();
-    for hops in hops.chunk_by(|a, b| a.journey == b.journey) {
+    let mut name = String::new();
+    for hops in hops.chunk_by(by_journey) {
         let journey = hops[0].journey;
         let jid = journey.expect("hops carry a journey");
         let cands = &txs[txs.partition_point(|c| c.tx.journey < journey)..];
@@ -276,8 +294,23 @@ pub fn build(profile: &Profile) -> Journeys {
         // processing slices up to the handover that continues the chain —
         // so consecutive pieces share their boundary instants and the
         // total telescopes to `end_ns - start_ns` with nothing left over.
-        keyed.clear();
-        let mut chain_hops: Vec<ChainHop> = Vec::with_capacity(chain.len());
+        // A key's name is rendered the first time the run sees the key;
+        // two keys that read the same share a slot, as they would have
+        // shared a segment merged by name.
+        slots.clear();
+        let mut add_to = |key: SegKey, ns| {
+            let slot = *slot_of.entry(key).or_insert_with(|| {
+                key.name(&names, &mut name);
+                let known = segment_totals.iter().position(|(s, _)| *s.name == name);
+                known.unwrap_or_else(|| {
+                    let name = name.as_str().into();
+                    segment_totals.push((Segment { name, ns: 0 }, 0));
+                    segment_totals.len() - 1
+                })
+            });
+            add(&mut slots, slot, ns);
+        };
+        let first_hop = all_hops.len();
         let mut overlap_total = 0u64;
         for i in 0..chain.len() {
             let (hop, own_tx_idx) = chain[i];
@@ -302,15 +335,15 @@ pub fn build(profile: &Profile) -> Journeys {
                 // segment so a backlogged transmit path is visible.
                 let queue = c.tx.queue_ns.min(c.tx.wait_ns);
                 if queue > 0 {
-                    add(&mut keyed, SegKey::TxQueue(src), queue);
+                    add_to(SegKey::TxQueue(src), queue);
                 }
                 let wire = |phase| SegKey::Wire(src, machine, phase);
-                add(&mut keyed, wire("wait"), c.tx.wait_ns - queue);
-                add(&mut keyed, wire("serialize"), c.tx.ser_ns);
-                add(&mut keyed, wire("propagate"), c.tx.prop_ns);
+                add_to(wire("wait"), c.tx.wait_ns - queue);
+                add_to(wire("serialize"), c.tx.ser_ns);
+                add_to(wire("propagate"), c.tx.prop_ns);
                 queue_wait = hop.first_ns.saturating_sub(c.wire_arrival());
                 if queue_wait > 0 {
-                    add(&mut keyed, SegKey::RxQueue(machine), queue_wait);
+                    add_to(SegKey::RxQueue(machine), queue_wait);
                 }
             }
 
@@ -319,30 +352,25 @@ pub fn build(profile: &Profile) -> Journeys {
             // records and the `driver/tx` slices they produce appear in
             // the same order, so the `k`-th of one is the `k`-th of the
             // other.
+            let slices = profile.slices(hop);
             let (tx_ns, overlap, upto) = match own_tx_idx {
                 Some(k) => {
-                    let tx = &hop.txs[k];
-                    let tx_slices = hop
-                        .slices
-                        .iter()
-                        .enumerate()
-                        .filter(|(_, s)| profile.is_tx(s));
+                    let tx = &profile.txs(hop)[k];
+                    let tx_slices = slices.iter().enumerate().filter(|(_, s)| profile.is_tx(s));
                     let upto = tx_slices.map(|(at, _)| at + 1).nth(k);
                     (Some(tx.at_ns), hop.last_ns.saturating_sub(tx.at_ns), upto)
                 }
-                None => (None, 0, Some(hop.slices.len())),
+                None => (None, 0, Some(slices.len())),
             };
-            for s in &hop.slices[..upto.unwrap_or(0)] {
+            for s in &slices[..upto.unwrap_or(0)] {
                 let key = SegKey::Processing(machine, s.at.layer, s.at.domain);
-                add(&mut keyed, key, s.ns());
+                add_to(key, s.ns());
             }
             overlap_total += overlap;
-            chain_hops.push(ChainHop {
+            all_hops.push(ChainHop {
                 packet: hop.packet,
-                machine: names.get(machine).to_owned(),
-                nic: hop
-                    .nic
-                    .map_or_else(String::new, |nic| names.get(nic).to_owned()),
+                machine: names.shared(machine),
+                nic: names.shared(hop.nic.unwrap_or(no_nic)),
                 arrival_ns: hop.first_ns,
                 queue_wait_ns: queue_wait,
                 tx_ns,
@@ -350,19 +378,6 @@ pub fn build(profile: &Profile) -> Journeys {
             });
         }
 
-        slots.clear();
-        for &(key, ns) in &keyed {
-            let slot = *slot_of.entry(key).or_insert_with(|| {
-                let name = key.name(&names);
-                let known = segment_totals.iter().position(|(s, _)| *s.name == name);
-                known.unwrap_or_else(|| {
-                    let name = name.into();
-                    segment_totals.push((Segment { name, ns: 0 }, 0));
-                    segment_totals.len() - 1
-                })
-            });
-            add(&mut slots, slot, ns);
-        }
         let segment = |&(slot, ns): &(usize, u64)| {
             let (total, journeys) = &mut segment_totals[slot];
             total.ns += ns;
@@ -370,7 +385,8 @@ pub fn build(profile: &Profile) -> Journeys {
             let name = total.name.clone();
             Segment { name, ns }
         };
-        let segments = slots.iter().map(segment).collect();
+        let first_segment = all_segments.len();
+        all_segments.extend(slots.iter().map(segment));
 
         let off_chain = |p: &PacketProfile| !chain.iter().any(|(c, _)| c.packet == p.packet);
         let shed = hops.iter().filter(|p| is_filtered(p) && off_chain(p));
@@ -382,9 +398,9 @@ pub fn build(profile: &Profile) -> Journeys {
             start_ns,
             end_ns,
             end_to_end_ns: end_ns - start_ns,
-            origin_machine: origin_machine.map(|m| names.get(m).to_owned()),
-            chain: chain_hops,
-            segments,
+            origin_machine: origin_machine.map(|m| names.shared(m)),
+            chain: first_hop..all_hops.len(),
+            segments: first_segment..all_segments.len(),
             branch_hops: branches,
             filtered_hops: filtered,
             overlap_ns: overlap_total,
@@ -396,6 +412,8 @@ pub fn build(profile: &Profile) -> Journeys {
         orphan_packets: orphans,
         journeys_truncated,
         segment_totals,
+        hops: all_hops,
+        segments: all_segments,
     }
 }
 
@@ -405,15 +423,13 @@ pub fn build(profile: &Profile) -> Journeys {
 /// the per-segment aggregate covers every journey.
 pub fn journeys_json(j: &Journeys, max_detail: usize) -> String {
     let mut out = String::from("{\n  \"schema\": \"plexus.journey.v1\",\n");
-    put!(out, "  \"journeys_total\": {},\n", j.journeys.len());
-    let detailed = j.journeys.len().min(max_detail);
-    put!(out, "  \"journeys_detailed\": {detailed},\n");
+    let (total, detailed) = (j.journeys.len(), j.journeys.len().min(max_detail));
+    let (orphans, truncated) = (j.orphan_packets, j.journeys_truncated);
     put!(
         out,
-        "  \"orphan_packets_excluded\": {},\n",
-        j.orphan_packets
+        "  \"journeys_total\": {total},\n  \"journeys_detailed\": {detailed},\n  \
+         \"orphan_packets_excluded\": {orphans},\n  \"journeys_truncated\": {truncated},\n"
     );
-    put!(out, "  \"journeys_truncated\": {},\n", j.journeys_truncated);
 
     out.push_str("  \"segments\": [");
     for (i, (total, count)) in j.segment_totals.iter().enumerate() {
@@ -425,21 +441,17 @@ pub fn journeys_json(j: &Journeys, max_detail: usize) -> String {
              \"journeys\": {count}, \"mean_ns\": {mean_ns}}}"
         );
     }
-    let close = if j.segment_totals.is_empty() {
+    out.push_str(if j.segment_totals.is_empty() {
         "],\n"
     } else {
         "\n  ],\n"
-    };
-    out.push_str(close);
+    });
 
     out.push_str("  \"journeys\": [");
     for (i, journey) in j.journeys.iter().take(detailed).enumerate() {
-        let (sep, id, end_to_end_ns) = (
-            if i > 0 { "," } else { "" },
-            journey.journey,
-            journey.end_to_end_ns,
-        );
-        let (start_ns, end_ns) = (journey.start_ns, journey.end_ns);
+        let sep = if i > 0 { "," } else { "" };
+        let (id, start_ns, end_ns) = (journey.journey, journey.start_ns, journey.end_ns);
+        let end_to_end_ns = journey.end_to_end_ns;
         put!(
             out,
             "{sep}\n    {{\"journey\": {id}, \"start_ns\": {start_ns}, \"end_ns\": {end_ns}, \
@@ -449,22 +461,16 @@ pub fn journeys_json(j: &Journeys, max_detail: usize) -> String {
             Some(machine) => put!(out, "\"{}\"", escaped(machine)),
             None => out.push_str("null"),
         }
-        let (branch, filtered, overlap) = (
-            journey.branch_hops,
-            journey.filtered_hops,
-            journey.overlap_ns,
-        );
+        let (branch, filtered) = (journey.branch_hops, journey.filtered_hops);
+        let overlap = journey.overlap_ns;
         put!(
             out,
             ", \"branch_hops\": {branch}, \"filtered_hops\": {filtered}, \
              \"overlap_ns\": {overlap}, \"chain\": ["
         );
-        for (k, h) in journey.chain.iter().enumerate() {
-            let (sep, machine, nic) = (
-                if k > 0 { ", " } else { "" },
-                escaped(&h.machine),
-                escaped(&h.nic),
-            );
+        for (k, h) in j.chain(journey).iter().enumerate() {
+            let sep = if k > 0 { ", " } else { "" };
+            let (machine, nic) = (escaped(&h.machine), escaped(&h.nic));
             let (packet, arrival_ns, queue_wait_ns) = (h.packet, h.arrival_ns, h.queue_wait_ns);
             let (tx_ns, overlap_ns) = (or_null(h.tx_ns), h.overlap_ns);
             put!(
@@ -475,7 +481,7 @@ pub fn journeys_json(j: &Journeys, max_detail: usize) -> String {
             );
         }
         out.push_str("], \"segments\": [");
-        segments_json(&mut out, &journey.segments);
+        segments_json(&mut out, j.segments(journey));
         out.push_str("]}");
     }
     out.push_str(if detailed == 0 {
@@ -553,24 +559,25 @@ mod tests {
         assert_eq!(js.journeys.len(), 1);
         let j = &js.journeys[0];
         assert_eq!(j.journey, 0);
-        assert_eq!(j.chain.len(), 2);
-        assert_eq!(j.chain[0].machine, "fwd");
-        assert_eq!(j.chain[1].machine, "backend");
+        let chain = js.chain(j);
+        assert_eq!(chain.len(), 2);
+        assert_eq!(&*chain[0].machine, "fwd");
+        assert_eq!(&*chain[1].machine, "backend");
         assert_eq!(j.start_ns, 1_000, "clock starts at the origin handover");
         assert_eq!(j.end_ns, 3_000);
         assert_eq!(j.end_to_end_ns, 2_000);
-        let sum: u64 = j.segments.iter().map(|s| s.ns).sum();
+        let sum: u64 = js.segments(j).iter().map(|s| s.ns).sum();
         assert_eq!(sum, j.end_to_end_ns, "zero unattributed nanoseconds");
         // The forwarder's post-handover unwind is off the critical path.
-        assert_eq!(j.chain[0].overlap_ns, 200);
+        assert_eq!(chain[0].overlap_ns, 200);
         assert_eq!(j.overlap_ns, 200);
         // Wire names carry the machine pair.
-        assert!(j
-            .segments
+        assert!(js
+            .segments(j)
             .iter()
             .any(|s| &*s.name == "fwd->backend.wire.serialize"));
-        assert!(j
-            .segments
+        assert!(js
+            .segments(j)
             .iter()
             .any(|s| s.name.starts_with("backend.udp.")));
     }
@@ -591,7 +598,7 @@ mod tests {
         let js = build(&Profile::build(&rec));
         let j = &js.journeys[0];
         assert_eq!(j.filtered_hops, 1);
-        assert_eq!(j.chain.len(), 2, "filtered copy not on the chain");
+        assert_eq!(js.chain(j).len(), 2, "filtered copy not on the chain");
         assert_eq!(j.end_ns, 3_000, "filtered copy doesn't move the end");
     }
 
@@ -615,10 +622,10 @@ mod tests {
         rec.packet_done();
         let js = build(&Profile::build(&rec));
         let jo = &js.journeys[0];
-        assert_eq!(jo.chain[0].queue_wait_ns, 400);
-        let sum: u64 = jo.segments.iter().map(|s| s.ns).sum();
+        assert_eq!(js.chain(jo)[0].queue_wait_ns, 400);
+        let sum: u64 = js.segments(jo).iter().map(|s| s.ns).sum();
         assert_eq!(sum, jo.end_to_end_ns);
-        assert!(jo.segments.iter().any(|s| &*s.name == "dut.rx_queue"));
+        assert!(js.segments(jo).iter().any(|s| &*s.name == "dut.rx_queue"));
     }
 
     #[test]
@@ -641,10 +648,11 @@ mod tests {
         rec.packet_done();
         let js = build(&Profile::build(&rec));
         let jo = &js.journeys[0];
-        let get = |name: &str| jo.segments.iter().find(|s| &*s.name == name).map(|s| s.ns);
+        let segments = js.segments(jo);
+        let get = |name: &str| segments.iter().find(|s| &*s.name == name).map(|s| s.ns);
         assert_eq!(get("origin.tx_queue"), Some(100));
         assert_eq!(get("origin->dut.wire.wait"), Some(50));
-        let sum: u64 = jo.segments.iter().map(|s| s.ns).sum();
+        let sum: u64 = js.segments(jo).iter().map(|s| s.ns).sum();
         assert_eq!(sum, jo.end_to_end_ns, "queue split keeps the telescope");
     }
 

@@ -1,54 +1,38 @@
 //! Streaming telemetry: online windowed aggregation, per-machine scopes,
 //! tail sampling, and SLO health — computed at *record* time.
 //!
-//! Every other exporter is a post-hoc fold over the bounded flight-recorder
-//! ring, so a run longer than the ring loses telemetry to truncation. This
-//! tier is fed from `Recorder::push` itself (see
-//! [`crate::Recorder::enable_live`]): its memory is bounded by *metric
-//! cardinality* — `O(windows × labels)` plus the open window's latency
-//! samples and the bounded sampling buffers — never by event count, which
-//! is the shape production monitoring pipelines need and the ROADMAP's
-//! thousand-host worlds require. The ring and its folds remain the ground
-//! truth: on truncation-free runs the live windows are **value-identical**
-//! to [`crate::timeline::build`] (property-tested), and `live_json` reuses
-//! the timeline's per-window serializer so equal values are equal bytes.
+//! Every other exporter is a post-hoc fold over the bounded ring, so a run
+//! longer than the ring loses telemetry to truncation. This tier is fed
+//! from `Recorder::push` itself ([`crate::Recorder::enable_live`]), and its
+//! memory is bounded by metric cardinality — `O(windows × labels)`, the
+//! open window's latency samples and the bounded sampling buffers — never
+//! by event count. On truncation-free runs its windows are value-identical
+//! to [`crate::timeline::build`] (property-tested) and serialize through
+//! the same writer. Four pieces:
 //!
-//! Four pieces:
-//!
-//! * **Windowed aggregators** — the same per-window arrivals/tx/goodput,
-//!   drops by `(layer, reason)`, interrupt rate, and nearest-rank p50/p99
-//!   the timeline computes, but sealed online: a window closes once the
-//!   watermark (max non-transmit timestamp seen) is a full lag window past
-//!   its end, at which point its percentiles are fixed, its latency-sample
-//!   buffer is freed and its SLO verdict is evaluated. Transmit records
-//!   are future-stamped, so they never advance the watermark; the
-//!   one-window lag absorbs the bounded timestamp skew of cross-machine
-//!   CPU leases. Records that still land behind a sealed
-//!   window are folded into the counts and counted as `late_records`
-//!   (percentiles stay as sealed).
-//! * **Per-machine scopes** — a world → machine → layer roll-up replacing
-//!   the flat registry view: arrivals, transmits, completions, interrupts,
-//!   and drops per machine, handler/guard/drop counts per layer under each
-//!   machine. Records outside any machine attribution land in an explicit
-//!   `unattributed` scope, so `world == Σ machines + unattributed` holds
-//!   exactly. The aggregator state is `Send` (owned maps, `Copy` keys),
-//!   ready for the parallel-engine refactor.
-//! * **Tail sampling** — journey record chains are retained for a
-//!   deterministic 1-in-N of journey IDs plus the running worst latency
-//!   sample per window, with bounded scratch buffers for undecided
-//!   journeys. Retained journeys survive ring wraparound.
-//! * **SLO health** — a declarative [`Slo`] (p99 ceiling, drop-rate
-//!   ceiling, goodput floor) evaluated per sealed window; breaches
-//!   accumulate in the report and in `trace.live.slo_breaches`, which is
-//!   what `plexus-trace --emit health` turns into a CI exit code.
+//! * **Windows**, sealed online: a window closes once the watermark (the
+//!   max non-transmit timestamp; transmits are future-stamped) is a lag
+//!   window past its end, which absorbs cross-machine CPU-lease skew. A
+//!   record that still lands behind a sealed window folds into its counts
+//!   and is counted in `late_records`; the percentiles stay as sealed.
+//! * **Per-machine scopes**: world → machine → layer roll-ups, with an
+//!   explicit `unattributed` scope, so `world == Σ machines + unattributed`
+//!   exactly. The state is `Send` (owned maps, `Copy` keys).
+//! * **Tail sampling**: a deterministic 1-in-N of journey IDs plus each
+//!   window's worst latency sample keep their record chains, which survive
+//!   ring wraparound; undecided journeys wait in a bounded scratch slab.
+//! * **SLO health**: a declarative [`Slo`] judged per sealed window; the
+//!   breaches are in the report and `trace.live.slo_breaches`, which
+//!   `plexus-trace --emit health` turns into an exit code.
 
 use std::cell::RefCell;
-use std::collections::{BTreeMap, BTreeSet};
+use std::collections::{BTreeMap, BTreeSet, HashMap};
+use std::sync::Arc;
 
 use crate::json::{escaped, joined, or_null, put};
 use crate::recorder::{Interner, Label};
 use crate::registry::{CounterKey, Registry, Scope};
-use crate::timeline::{windows_json, worst_windows_json, Pending, Window};
+use crate::timeline::{windows_json, worst_windows_json, Pending, Window, MAX_WINDOWS};
 use crate::{TraceEvent, TraceRecord};
 
 /// Windows are sealed this many full windows behind the watermark, so a
@@ -205,7 +189,7 @@ struct ScopeAgg {
     layers: BTreeMap<Label, LayerCounters>,
 }
 
-/// Scratch buffer for a journey not (yet) selected for retention.
+/// The records kept of one journey, past the per-journey cap counted.
 #[derive(Debug, Default)]
 struct JourneyBuf {
     records: Vec<TraceRecord>,
@@ -213,11 +197,24 @@ struct JourneyBuf {
     last_seq: u64,
 }
 
+impl JourneyBuf {
+    /// Keeps `r`, or counts it dropped past the cap; returns whether kept.
+    fn keep(&mut self, r: &TraceRecord) -> bool {
+        self.last_seq = r.seq;
+        let room = self.records.len() < MAX_JOURNEY_RECORDS;
+        if room {
+            self.records.push(*r);
+        } else {
+            self.dropped += 1;
+        }
+        room
+    }
+}
+
 /// A journey retained by the tail sampler.
 #[derive(Debug)]
 struct Retained {
-    records: Vec<TraceRecord>,
-    dropped: u64,
+    buf: JourneyBuf,
     /// Selected by the deterministic 1-in-N rule.
     nth: bool,
     /// Windows where this journey holds the worst latency sample.
@@ -225,11 +222,10 @@ struct Retained {
     max_sample_ns: u64,
 }
 
-/// The live tier's aggregator state. Owned by the recorder; all state is
-/// `Send`-capable (owned maps, `Copy` keys) so a future parallel engine
-/// can run one per worker and merge.
+/// The live tier's aggregator state, owned by the recorder; `Send`, so a
+/// parallel engine could run one per worker and merge.
 #[derive(Debug)]
-pub struct LiveAgg {
+pub(crate) struct LiveAgg {
     cfg: LiveConfig,
     empty: Label,
     live_label: Label,
@@ -247,7 +243,12 @@ pub struct LiveAgg {
     world: ScopeAgg,
     machines: BTreeMap<Label, ScopeAgg>,
     unattributed: ScopeAgg,
-    scratch: BTreeMap<u64, JourneyBuf>,
+    /// Undecided journeys: a slab of at most `MAX_ACTIVE_JOURNEYS + 1`
+    /// buffers, searched linearly.
+    scratch: Vec<(u64, JourneyBuf)>,
+    /// Evicted journeys' buffers, cleared, for the next new journeys: once
+    /// the slab is warm, a journey costs the heap nothing.
+    free: Vec<JourneyBuf>,
     retained: BTreeMap<u64, Retained>,
     /// window index → (worst sample ns, journey holding it).
     worst_by_window: BTreeMap<u64, (u64, u64)>,
@@ -284,7 +285,8 @@ impl LiveAgg {
             world: ScopeAgg::default(),
             machines: BTreeMap::new(),
             unattributed: ScopeAgg::default(),
-            scratch: BTreeMap::new(),
+            scratch: Vec::new(),
+            free: Vec::new(),
             retained: BTreeMap::new(),
             worst_by_window: BTreeMap::new(),
             scratch_evicted: 0,
@@ -299,44 +301,43 @@ impl LiveAgg {
         self.current_machine = None;
     }
 
-    fn bump_scope(&mut self, machine: Option<Label>, f: impl Fn(&mut ScopeCounters)) {
-        f(&mut self.world.c);
-        match machine {
-            Some(m) => f(&mut self.machines.entry(m).or_default().c),
-            None => f(&mut self.unattributed.c),
-        }
-    }
-
-    fn bump_layer(&mut self, machine: Option<Label>, layer: Label, f: impl Fn(&mut LayerCounters)) {
-        f(self.world.layers.entry(layer).or_default());
+    /// The scopes a record of `machine` counts in: the world's, and the
+    /// machine's or the unattributed one.
+    fn scopes(&mut self, machine: Option<Label>) -> [&mut ScopeAgg; 2] {
         let scope = match machine {
             Some(m) => self.machines.entry(m).or_default(),
             None => &mut self.unattributed,
         };
-        f(scope.layers.entry(layer).or_default());
+        [&mut self.world, scope]
+    }
+
+    fn bump_scope(&mut self, machine: Option<Label>, f: impl Fn(&mut ScopeCounters)) {
+        self.scopes(machine).into_iter().for_each(|s| f(&mut s.c));
+    }
+
+    fn bump_layer(&mut self, machine: Option<Label>, layer: Label, f: impl Fn(&mut LayerCounters)) {
+        let scopes = self.scopes(machine).into_iter();
+        scopes.for_each(|s| f(s.layers.entry(layer).or_default()));
     }
 
     fn machine_or_current(&self, host: Label) -> Option<Label> {
-        if host == self.empty {
-            self.current_machine
-        } else {
-            Some(host)
-        }
+        (host != self.empty)
+            .then_some(host)
+            .or(self.current_machine)
     }
 
-    fn ensure_windows(&mut self, idx: usize) {
-        while self.wins.len() <= idx {
+    /// Folds one record's event into window `idx`, opening the windows up
+    /// to it. Windows are dense from time zero, so none opens at or past
+    /// [`MAX_WINDOWS`]: a record that lands there is counted instead.
+    fn fold_window(&mut self, idx: u64, r: &TraceRecord, reg: &Registry) {
+        if idx >= MAX_WINDOWS {
+            live_count(reg, self.live_label, "records_past_max_windows", 1);
+            return;
+        }
+        while self.wins.len() as u64 <= idx {
             self.wins.push(Pending::open(self.wins.len() as u64));
         }
-    }
-
-    /// Folds one just-pushed record into the aggregators. Called from the
-    /// recorder's push path; interns only the layer of an event name seen
-    /// for the first time, never touches the ring.
-    pub(crate) fn feed(&mut self, r: &TraceRecord, reg: &Registry, interner: &RefCell<Interner>) {
-        let idx = (r.at_ns / self.cfg.window_ns) as usize;
-        self.ensure_windows(idx);
-        let (window, pending) = &mut self.wins[idx];
+        let (window, pending) = &mut self.wins[idx as usize];
         let late = pending.sealed();
         window.update(&r.event, pending);
         if late {
@@ -346,8 +347,18 @@ impl LiveAgg {
             self.late_records += 1;
             live_count(reg, self.live_label, "late_records", 1);
         }
+    }
 
-        // The window is folded; what follows is the per-machine roll-up.
+    /// Folds one just-pushed record into the aggregators. Called from the
+    /// recorder's push path; interns only the layer of an event name seen
+    /// for the first time, never touches the ring.
+    pub(crate) fn feed(&mut self, r: &TraceRecord, reg: &Registry, interner: &RefCell<Interner>) {
+        let idx = r.at_ns / self.cfg.window_ns;
+        self.fold_window(idx, r, reg);
+
+        // The window is folded; what follows is the per-machine roll-up,
+        // inside the current packet's machine unless a record names one.
+        let (machine, layer) = (self.current_machine, |l| interner.borrow_mut().layer(l));
         match r.event {
             TraceEvent::PacketArrival { host, bytes, .. } => {
                 self.current_machine = (host != self.empty).then_some(host);
@@ -357,37 +368,29 @@ impl LiveAgg {
                 });
             }
             TraceEvent::PacketTx { host, bytes, .. } => {
-                let machine = self.machine_or_current(host);
-                self.bump_scope(machine, |c| {
+                self.bump_scope(self.machine_or_current(host), |c| {
                     c.tx_frames += 1;
                     c.tx_bytes += u64::from(bytes);
                 });
             }
             TraceEvent::LatencySample { ns, .. } => {
-                self.bump_scope(self.current_machine, |c| c.completions += 1);
+                self.bump_scope(machine, |c| c.completions += 1);
                 if let Some(j) = r.journey {
-                    self.note_worst(idx as u64, j, ns, reg);
+                    self.note_worst(idx, j, ns, reg);
                 }
             }
             TraceEvent::RxInterrupt { host, .. } => {
-                let machine = self.machine_or_current(host);
-                self.bump_scope(machine, |c| c.interrupts += 1);
+                self.bump_scope(self.machine_or_current(host), |c| c.interrupts += 1);
             }
-            TraceEvent::Drop { layer, .. } => {
-                let machine = self.current_machine;
-                let layer = interner.borrow_mut().layer(layer);
+            TraceEvent::Drop { layer: at, .. } => {
                 self.bump_scope(machine, |c| c.drops += 1);
-                self.bump_layer(machine, layer, |l| l.drops += 1);
+                self.bump_layer(machine, layer(at), |l| l.drops += 1);
             }
             TraceEvent::HandlerEnter { event, .. } => {
-                let machine = self.current_machine;
-                let layer = interner.borrow_mut().layer(event);
-                self.bump_layer(machine, layer, |l| l.handlers += 1);
+                self.bump_layer(machine, layer(event), |l| l.handlers += 1);
             }
             TraceEvent::GuardEval { event, .. } => {
-                let machine = self.current_machine;
-                let layer = interner.borrow_mut().layer(event);
-                self.bump_layer(machine, layer, |l| l.guard_evals += 1);
+                self.bump_layer(machine, layer(event), |l| l.guard_evals += 1);
             }
             TraceEvent::HandlerExit { .. }
             | TraceEvent::TimerFire
@@ -397,11 +400,14 @@ impl LiveAgg {
         self.sample_journey(r, reg);
 
         // Watermark sealing: transmits are stamped at their (possibly
-        // future) handover instant and must not close windows early.
+        // future) handover instant and must not close windows early. Only
+        // windows that exist can seal.
         if !matches!(r.event, TraceEvent::PacketTx { .. }) && r.at_ns > self.watermark {
             self.watermark = r.at_ns;
             let boundary = self.watermark / self.cfg.window_ns;
-            while (self.sealed_upto as u64) + SEAL_LAG_WINDOWS < boundary {
+            while self.sealed_upto < self.wins.len()
+                && (self.sealed_upto as u64) + SEAL_LAG_WINDOWS < boundary
+            {
                 self.seal(self.sealed_upto, true, reg);
                 self.sealed_upto += 1;
             }
@@ -412,56 +418,51 @@ impl LiveAgg {
     /// nth-sample entry (created on first sight), or its scratch buffer.
     fn sample_journey(&mut self, r: &TraceRecord, reg: &Registry) {
         let Some(j) = r.journey else { return };
-        if let Some(e) = self.retained.get_mut(&j) {
-            if e.records.len() < MAX_JOURNEY_RECORDS {
-                e.records.push(*r);
-            } else {
-                e.dropped += 1;
-                self.sampled_records_dropped += 1;
-            }
-            return;
-        }
         if self.cfg.sample_every > 0 && j % self.cfg.sample_every == 0 {
             self.retain(j, true, reg);
-            self.sample_journey(r, reg);
+        }
+        if let Some(e) = self.retained.get_mut(&j) {
+            self.sampled_records_dropped += u64::from(!e.buf.keep(r));
             return;
         }
-        let buf = self.scratch.entry(j).or_default();
-        if buf.records.len() < MAX_JOURNEY_RECORDS {
-            buf.records.push(*r);
-        } else {
-            buf.dropped += 1;
-        }
-        buf.last_seq = r.seq;
+        let at = match self.scratch.iter().position(|&(id, _)| id == j) {
+            Some(at) => at,
+            None => {
+                self.scratch.push((j, self.free.pop().unwrap_or_default()));
+                self.scratch.len() - 1
+            }
+        };
+        self.scratch[at].1.keep(r);
         if self.scratch.len() > MAX_ACTIVE_JOURNEYS {
             // Evict the least recently touched buffer, deterministically.
-            if let Some((&victim, _)) = self.scratch.iter().min_by_key(|(id, b)| (b.last_seq, **id))
-            {
-                self.scratch.remove(&victim);
-                self.scratch_evicted += 1;
-            }
+            let by_age = self.scratch.iter().enumerate();
+            let oldest = by_age.min_by_key(|(_, (id, b))| (b.last_seq, *id));
+            let (_, mut buf) = self.scratch.swap_remove(oldest.expect("over the cap").0);
+            buf.records.clear();
+            buf.dropped = 0;
+            self.free.push(buf);
+            self.scratch_evicted += 1;
         }
     }
 
-    /// Moves journey `j` from scratch to the retained store.
+    /// Moves journey `j` from scratch to the retained store, buffer and
+    /// all.
     fn retain(&mut self, j: u64, nth: bool, reg: &Registry) {
         if self.retained.contains_key(&j) {
             return;
         }
-        let (records, dropped) = match self.scratch.remove(&j) {
-            Some(b) => (b.records, b.dropped),
-            None => (Vec::new(), 0),
+        let buf = match self.scratch.iter().position(|&(id, _)| id == j) {
+            Some(at) => self.scratch.swap_remove(at).1,
+            None => self.free.pop().unwrap_or_default(),
         };
-        self.retained.insert(
-            j,
-            Retained {
-                records,
-                dropped,
-                nth,
-                worst: BTreeSet::new(),
-                max_sample_ns: 0,
-            },
-        );
+        let worst = BTreeSet::new();
+        let kept = Retained {
+            buf,
+            nth,
+            worst,
+            max_sample_ns: 0,
+        };
+        self.retained.insert(j, kept);
         live_count(reg, self.live_label, "journeys_sampled", 1);
     }
 
@@ -469,23 +470,16 @@ impl LiveAgg {
     /// window's new worst, demoting the previous holder.
     fn note_worst(&mut self, window: u64, j: u64, ns: u64, reg: &Registry) {
         let prev = self.worst_by_window.get(&window).copied();
-        if let Some((best, _)) = prev {
-            if ns <= best {
-                return;
-            }
+        if prev.is_some_and(|(worst, _)| ns <= worst) {
+            return;
         }
-        if let Some((_, prev_j)) = prev {
-            if prev_j != j {
-                let remove = match self.retained.get_mut(&prev_j) {
-                    Some(e) => {
-                        e.worst.remove(&window);
-                        e.worst.is_empty() && !e.nth
-                    }
-                    None => false,
-                };
-                if remove {
-                    self.retained.remove(&prev_j);
-                }
+        if let Some((_, prev_j)) = prev.filter(|&(_, prev_j)| prev_j != j) {
+            let demoted = self.retained.get_mut(&prev_j).is_some_and(|e| {
+                e.worst.remove(&window);
+                e.worst.is_empty() && !e.nth
+            });
+            if demoted {
+                self.retained.remove(&prev_j);
             }
         }
         self.worst_by_window.insert(window, (ns, j));
@@ -496,52 +490,47 @@ impl LiveAgg {
     }
 
     fn seal(&mut self, idx: usize, online: bool, reg: &Registry) {
-        let slo = self.cfg.slo.clone();
-        let count = |metric, delta| live_count(reg, self.live_label, metric, delta);
         let (w, pending) = &mut self.wins[idx];
         w.seal(pending);
-        if online {
-            self.windows_sealed_online += 1;
-        }
-        count("windows_sealed", 1);
+        self.windows_sealed_online += u64::from(online);
+        live_count(reg, self.live_label, "windows_sealed", 1);
+        let Some(slo) = &self.cfg.slo else { return };
 
-        let drop_count = pending.drop_count();
-        let mut breaches = Vec::new();
+        let (drop_count, before) = (pending.drop_count(), self.breaches.len());
         let mut breach = |kind, value, limit| {
-            breaches.push(Breach {
-                window: w.index,
+            let window = w.index;
+            self.breaches.push(Breach {
+                window,
                 kind,
                 value,
                 limit,
             });
         };
-        if let Some(slo) = &slo {
-            if let Some(ceil) = slo.p99_ceiling_ns {
-                if w.completions > 0 && w.p99_ns > ceil {
-                    breach(BreachKind::P99Ceiling, w.p99_ns, ceil);
-                }
-            }
-            if let Some(ceil) = slo.drop_ppm_ceiling {
-                // A dropping window with zero arrivals pins the rate at
-                // 1M ppm rather than dividing by zero.
-                let ppm = drop_count
-                    .saturating_mul(1_000_000)
-                    .checked_div(w.arrivals)
-                    .unwrap_or(if drop_count > 0 { 1_000_000 } else { 0 });
-                if ppm > ceil {
-                    breach(BreachKind::DropRate, ppm, ceil);
-                }
-            }
-            if let Some(floor) = slo.goodput_floor {
-                if online && w.index >= slo.skip_head && w.completions < floor {
-                    breach(BreachKind::GoodputFloor, w.completions, floor);
-                }
+        if let Some(ceil) = slo.p99_ceiling_ns {
+            if w.completions > 0 && w.p99_ns > ceil {
+                breach(BreachKind::P99Ceiling, w.p99_ns, ceil);
             }
         }
-        if !breaches.is_empty() {
-            count("slo_breaches", breaches.len() as u64);
+        if let Some(ceil) = slo.drop_ppm_ceiling {
+            // A dropping window with zero arrivals pins the rate at 1M ppm
+            // rather than dividing by zero.
+            let ppm = drop_count
+                .saturating_mul(1_000_000)
+                .checked_div(w.arrivals)
+                .unwrap_or(if drop_count > 0 { 1_000_000 } else { 0 });
+            if ppm > ceil {
+                breach(BreachKind::DropRate, ppm, ceil);
+            }
         }
-        self.breaches.extend(breaches);
+        if let Some(floor) = slo.goodput_floor {
+            if online && w.index >= slo.skip_head && w.completions < floor {
+                breach(BreachKind::GoodputFloor, w.completions, floor);
+            }
+        }
+        let breached = (self.breaches.len() - before) as u64;
+        if breached > 0 {
+            live_count(reg, self.live_label, "slo_breaches", breached);
+        }
     }
 
     /// Seals every remaining window (trailing windows are partial: they
@@ -556,15 +545,10 @@ impl LiveAgg {
     /// Resolves labels and snapshots the aggregators into a report.
     pub(crate) fn report(&self, interner: &RefCell<Interner>) -> LiveReport {
         let names = interner.borrow();
-        let windows: Vec<Window> = self
-            .wins
-            .iter()
-            .map(|(w, pending)| {
-                let mut w = w.clone();
-                w.drops = pending.drops(&names);
-                w
-            })
-            .collect();
+        let resolved = |(w, pending): &(Window, Pending)| Window {
+            drops: pending.drops(&names),
+            ..w.clone()
+        };
         let view = |agg: &ScopeAgg| ScopeView {
             counters: agg.c,
             layers: agg
@@ -579,6 +563,7 @@ impl LiveAgg {
             .map(|(&m, agg)| (names.get(m).to_owned(), view(agg)))
             .collect();
         machines.sort_by(|a, b| a.0.cmp(&b.0));
+        let mut rendered = HashMap::new();
         let sampled = self
             .retained
             .iter()
@@ -587,17 +572,15 @@ impl LiveAgg {
                 nth: e.nth,
                 worst_windows: e.worst.iter().copied().collect(),
                 max_sample_ns: e.max_sample_ns,
-                records_dropped: e.dropped,
-                records: e
-                    .records
-                    .iter()
-                    .map(|r| sampled_record(r, &names))
+                records_dropped: e.buf.dropped,
+                records: (e.buf.records.iter())
+                    .map(|r| sampled_record(r, &names, &mut rendered))
                     .collect(),
             })
             .collect();
         LiveReport {
             window_ns: self.cfg.window_ns,
-            windows,
+            windows: self.wins.iter().map(resolved).collect(),
             windows_sealed_online: self.windows_sealed_online,
             late_records: self.late_records,
             world: view(&self.world),
@@ -612,38 +595,53 @@ impl LiveAgg {
     }
 }
 
-fn sampled_record(r: &TraceRecord, names: &Interner) -> SampledRecord {
-    let (kind, label, detail) = match r.event {
+/// What a sampled record's label names — a recorded name, a drop's
+/// `layer:reason` or a fixed name — rendered once per report and shared
+/// by every record that names it.
+#[derive(Clone, Copy, PartialEq, Eq, Hash)]
+enum Subject {
+    Name(Label),
+    Drop(Label, Label),
+    Fixed(&'static str),
+}
+
+fn sampled_record(
+    r: &TraceRecord,
+    names: &Interner,
+    rendered: &mut HashMap<Subject, Arc<str>>,
+) -> SampledRecord {
+    let (kind, subject, detail) = match r.event {
         TraceEvent::PacketArrival { nic, bytes, .. } => {
-            ("arrival", names.get(nic).to_owned(), u64::from(bytes))
+            ("arrival", Subject::Name(nic), u64::from(bytes))
         }
         TraceEvent::GuardEval { event, matched, .. } => {
-            ("guard", names.get(event).to_owned(), u64::from(matched))
+            ("guard", Subject::Name(event), u64::from(matched))
         }
-        TraceEvent::HandlerEnter { event, .. } => ("handler_enter", names.get(event).to_owned(), 0),
-        TraceEvent::HandlerExit { event, .. } => ("handler_exit", names.get(event).to_owned(), 0),
-        TraceEvent::Drop { layer, reason } => (
-            "drop",
-            format!("{}:{}", names.get(layer), names.get(reason)),
-            0,
-        ),
-        TraceEvent::PacketTx { nic, bytes, .. } => {
-            ("tx", names.get(nic).to_owned(), u64::from(bytes))
-        }
+        TraceEvent::HandlerEnter { event, .. } => ("handler_enter", Subject::Name(event), 0),
+        TraceEvent::HandlerExit { event, .. } => ("handler_exit", Subject::Name(event), 0),
+        TraceEvent::Drop { layer, reason } => ("drop", Subject::Drop(layer, reason), 0),
+        TraceEvent::PacketTx { nic, bytes, .. } => ("tx", Subject::Name(nic), u64::from(bytes)),
         TraceEvent::RxInterrupt { nic, frames, .. } => {
-            ("rx_interrupt", names.get(nic).to_owned(), u64::from(frames))
+            ("rx_interrupt", Subject::Name(nic), u64::from(frames))
         }
-        TraceEvent::LatencySample { hist, ns } => ("sample", names.get(hist).to_owned(), ns),
-        TraceEvent::TimerFire => ("timer", String::new(), 0),
+        TraceEvent::LatencySample { hist, ns } => ("sample", Subject::Name(hist), ns),
+        TraceEvent::TimerFire => ("timer", Subject::Fixed(""), 0),
         TraceEvent::Crossing { dir, bytes } => {
-            ("crossing", dir.name().to_owned(), u64::from(bytes))
+            ("crossing", Subject::Fixed(dir.name()), u64::from(bytes))
         }
     };
+    let label = rendered.entry(subject).or_insert_with(|| match subject {
+        Subject::Name(label) => names.shared(label),
+        Subject::Drop(layer, reason) => {
+            format!("{}:{}", names.get(layer), names.get(reason)).into()
+        }
+        Subject::Fixed(name) => name.into(),
+    });
     SampledRecord {
         at_ns: r.at_ns,
         packet: r.packet,
         kind,
-        label,
+        label: label.clone(),
         detail,
     }
 }
@@ -657,8 +655,9 @@ pub struct SampledRecord {
     pub packet: Option<u64>,
     /// Stable event-kind name.
     pub kind: &'static str,
-    /// The event's subject (NIC, event table, `layer:reason`, histogram).
-    pub label: String,
+    /// The event's subject (NIC, event table, `layer:reason`, histogram),
+    /// shared by every record of the report that names it.
+    pub label: Arc<str>,
     /// Kind-specific magnitude (bytes, frames, sample ns; 0 otherwise).
     pub detail: u64,
 }
@@ -759,13 +758,12 @@ fn scope_json(out: &mut String, name: &str, view: &ScopeView) {
 /// for the first `max_detail` journeys only (the cap is stated).
 pub fn live_json(rep: &LiveReport, max_detail: usize) -> String {
     let mut out = String::from("{\n  \"schema\": \"plexus.live.v1\",\n");
-    put!(out, "  \"window_ns\": {},\n", rep.window_ns);
+    let (window_ns, online, late) = (rep.window_ns, rep.windows_sealed_online, rep.late_records);
     put!(
         out,
-        "  \"windows_sealed_online\": {},\n",
-        rep.windows_sealed_online
+        "  \"window_ns\": {window_ns},\n  \"windows_sealed_online\": {online},\n  \
+         \"late_records\": {late},\n"
     );
-    put!(out, "  \"late_records\": {},\n", rep.late_records);
     worst_windows_json(&mut out, &rep.windows);
 
     out.push_str("  \"scopes\": {\"world\": ");
@@ -779,18 +777,12 @@ pub fn live_json(rep: &LiveReport, max_detail: usize) -> String {
     scope_json(&mut out, "", &rep.unattributed);
     out.push_str("},\n");
 
-    let detailed = rep.sampled.len().min(max_detail);
+    let (total, detailed) = (rep.sampled.len(), rep.sampled.len().min(max_detail));
+    let (evicted, dropped) = (rep.scratch_evicted, rep.sampled_records_dropped);
     put!(
         out,
-        "  \"sampled_journeys_total\": {},\n",
-        rep.sampled.len()
-    );
-    put!(out, "  \"sampled_journeys_detailed\": {detailed},\n");
-    put!(out, "  \"scratch_evicted\": {},\n", rep.scratch_evicted);
-    put!(
-        out,
-        "  \"sampled_records_dropped\": {},\n",
-        rep.sampled_records_dropped
+        "  \"sampled_journeys_total\": {total},\n  \"sampled_journeys_detailed\": {detailed},\n  \
+         \"scratch_evicted\": {evicted},\n  \"sampled_records_dropped\": {dropped},\n"
     );
     out.push_str("  \"sampled_journeys\": [");
     for (i, j) in rep.sampled.iter().take(detailed).enumerate() {
@@ -804,11 +796,8 @@ pub fn live_json(rep: &LiveReport, max_detail: usize) -> String {
             j.records_dropped
         );
         for (k, r) in j.records.iter().enumerate() {
-            let (sep, packet, label) = (
-                if k > 0 { ", " } else { "" },
-                or_null(r.packet),
-                escaped(&r.label),
-            );
+            let sep = if k > 0 { ", " } else { "" };
+            let (packet, label) = (or_null(r.packet), escaped(&r.label));
             let (at_ns, kind, detail) = (r.at_ns, r.kind, r.detail);
             put!(
                 out,
@@ -854,7 +843,7 @@ mod tests {
     use super::*;
     use crate::json::validate;
     use crate::timeline;
-    use crate::Recorder;
+    use crate::{CounterKey, Recorder, Scope};
 
     fn assert_send<T: Send>() {}
 
@@ -1066,6 +1055,27 @@ mod tests {
         windows_json(&mut live_windows, &rep.windows, 1_000);
         windows_json(&mut tl_windows, &tl.windows, 1_000);
         assert_eq!(live_windows, tl_windows);
+    }
+
+    #[test]
+    fn a_record_past_max_windows_is_counted_not_allocated() {
+        // A 1 ns window would need 2 × MAX_WINDOWS dense windows to reach
+        // this record; the post-hoc fold refuses the width, the live tier
+        // folds the record everywhere but the windows.
+        let rec = Recorder::new(8);
+        rec.enable_live(LiveConfig::new(1));
+        let (nic, host) = (rec.intern("eth0"), rec.intern("m"));
+        rec.packet_arrival(2 * MAX_WINDOWS, nic, host, 60, None);
+        rec.packet_done();
+        let rep = rec.live_report().unwrap();
+        assert!(rep.windows.len() as u64 <= MAX_WINDOWS);
+        assert_eq!(rep.world.counters.arrivals, 1, "the scopes still fold it");
+        let past = CounterKey {
+            scope: Scope::Trace,
+            label: rec.intern("live"),
+            metric: "records_past_max_windows",
+        };
+        assert_eq!(rec.registry().get(past), 1);
     }
 
     #[test]

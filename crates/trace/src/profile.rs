@@ -1,43 +1,35 @@
 //! Post-hoc cycle accounting over the flight-recorder ring.
 //!
-//! [`Profile::build`] folds the raw [`TraceRecord`] stream into per-packet
+//! [`Profile::build`] folds the [`TraceRecord`] stream into per-packet
 //! **span trees** (handler enter/exit pairs, correlated by span ID) and
-//! **attribution slices**: every simulated nanosecond between a packet's
-//! arrival and its last record is assigned to exactly one
-//! `(layer, domain, handler)` triple. The slice model is a *gap
-//! attribution*: the interval between two consecutive records belonging to
-//! the same packet is charged to the structural step that produced the
-//! **later** record — the guard evaluation that just finished, the
-//! dispatch work that led to a top-level handler entry (a *nested*
-//! entry's gap is charged to the enclosing handler, whose body ran up to
-//! the point of re-raising), the handler body that just exited, the
-//! driver work that readied a frame for transmission. Slices tile the
-//! packet's window exactly by construction, which is the invariant the
-//! determinism and waterfall tests pin:
+//! **attribution slices**, which assign every simulated nanosecond between
+//! a packet's arrival and its last record to exactly one
+//! `(layer, domain, handler)` triple. The gap between two consecutive
+//! records of a packet is charged to the step that produced the **later**
+//! one: the guard evaluation that just finished, the dispatch that led to
+//! a top-level handler entry (a *nested* entry's gap goes to the enclosing
+//! handler, whose body ran up to the re-raise), the handler body that just
+//! exited, the driver work that readied a frame. So, by construction:
 //!
 //! > sum of slice durations == last record timestamp − arrival timestamp
 //!
-//! Ring wraparound is handled explicitly, never silently: a packet whose
-//! arrival record was overwritten becomes an *orphan* (reported in the
-//! [`TruncationReport`], excluded from aggregates), and enter/exit records
-//! whose partner is missing are counted instead of producing negative or
-//! unbounded durations.
+//! Wraparound is never silent: a packet whose arrival was overwritten is
+//! an *orphan* (in the [`TruncationReport`], out of the aggregates), and
+//! an enter or exit whose partner is missing is counted.
 //!
-//! A profile names things by [`Label`]: the fold compares and copies
-//! symbols, and looks a name up ([`Profile::name`]) only where bytes are
-//! written. It owns its name table — the recorder's plus the layers and
-//! structural steps the rule adds — so its consumers need no recorder.
-//! Sorted output is sorted by resolved name, never by label.
-//!
-//! On top of the per-packet profiles sit [`Profile::aggregate`]
-//! (mean/p50/p99 per attribution triple across packets) and
-//! [`pingpong_waterfall`], which stitches request/reply packet pairs plus
-//! the [`TraceEvent::PacketTx`] wire phases into per-round latency
-//! waterfalls whose segments sum to the measured RTT exactly.
+//! A profile names things by [`Label`] and looks a name up
+//! ([`Profile::name`]) only where bytes are written; it owns its name
+//! table, so its consumers need no recorder, and sorted output is sorted
+//! by name, never by label. Every packet's spans, slices, transmits and
+//! drops live in four arenas of the profile, read through its accessors.
+//! On top sit [`Profile::aggregate`] (mean/p50/p99 per triple) and
+//! [`pingpong_waterfall`], whose per-round segments sum to the measured
+//! RTT exactly.
 
 use std::cmp::Ordering;
 use std::collections::BTreeMap;
-use std::rc::Rc;
+use std::ops::Range;
+use std::sync::Arc;
 
 use crate::json::{escaped, joined, put};
 use crate::recorder::Interner;
@@ -77,8 +69,10 @@ impl Slice {
     }
 }
 
-/// A handler execution span, with nested child spans (handlers invoked by
-/// re-raises from inside this handler's body).
+/// A handler execution span. A packet's spans are stored in pre-order
+/// (enter order): a span's subtree — the handlers invoked by re-raises
+/// from inside its body, and theirs — is the `subtree - 1` spans that
+/// follow it, which [`span_trees`] walks.
 #[derive(Clone, Debug, PartialEq, Eq)]
 pub struct Span {
     /// Span-correlation ID from the enter/exit records.
@@ -103,19 +97,20 @@ pub struct Span {
     /// False when the matching exit record was missing and the span was
     /// closed synthetically.
     pub complete: bool,
-    /// Handlers invoked from inside this one.
-    pub children: Vec<Span>,
+    /// Spans in this one's subtree, itself included.
+    pub subtree: u32,
 }
 
-impl Span {
-    fn finalize(mut self, exit_ns: u64, complete: bool) -> Span {
-        self.exit_ns = exit_ns;
-        self.complete = complete;
-        self.total_ns = exit_ns.saturating_sub(self.enter_ns);
-        self.child_ns = self.children.iter().map(|c| c.total_ns).sum();
-        self.self_ns = self.total_ns.saturating_sub(self.child_ns);
-        self
-    }
+/// The top-level spans of a pre-order run of spans, each with the spans
+/// below it: `span_trees(profile.spans(pkt))` yields a packet's roots,
+/// and `span_trees(below)` a span's children.
+pub fn span_trees(spans: &[Span]) -> impl Iterator<Item = (&Span, &[Span])> {
+    let mut rest = spans;
+    std::iter::from_fn(move || {
+        let (tree, tail) = rest.split_at(rest.first()?.subtree as usize);
+        rest = tail;
+        Some((&tree[0], &tree[1..]))
+    })
 }
 
 /// A [`TraceEvent::PacketTx`] record.
@@ -168,36 +163,15 @@ pub struct PacketProfile {
     pub first_ns: u64,
     /// Last retained record timestamp.
     pub last_ns: u64,
-    /// Root handler spans.
-    pub spans: Vec<Span>,
-    /// Attribution slices tiling `[first_ns, last_ns]`.
-    pub slices: Vec<Slice>,
-    /// Frames this packet's chain handed to a transmitter.
-    pub txs: Vec<TxRecord>,
-    /// Drops recorded during the window, as `(layer, reason)`.
-    pub drops: Vec<(Label, Label)>,
+    /// Where the packet's spans, slices, transmits and drops lie in the
+    /// profile's arenas (read them with [`Profile::spans`] and friends).
+    pub(crate) spans: Range<usize>,
+    pub(crate) slices: Range<usize>,
+    pub(crate) txs: Range<usize>,
+    pub(crate) drops: Range<usize>,
     /// True when ring wraparound ate the packet's arrival — durations for
     /// this packet are untrustworthy and it is excluded from aggregates.
     pub orphan: bool,
-}
-
-impl PacketProfile {
-    /// Total attributed time; equals `last_ns - first_ns` by construction.
-    pub fn attributed_ns(&self) -> u64 {
-        self.slices.iter().map(Slice::ns).sum()
-    }
-
-    /// Entry timestamp of the first span owned by `domain`, in record
-    /// order (`None` matches none).
-    fn first_enter_of(&self, domain: Option<Label>) -> Option<u64> {
-        fn first(spans: &[Span], domain: Label) -> Option<u64> {
-            let enter = |s: &Span| (s.domain == domain).then_some(s.enter_ns);
-            spans
-                .iter()
-                .find_map(|s| enter(s).or_else(|| first(&s.children, domain)))
-        }
-        first(&self.spans, domain?)
-    }
 }
 
 /// What ring wraparound cost this profile, reported instead of silently
@@ -261,6 +235,12 @@ pub struct Profile {
     /// Drops recorded outside any packet window, as
     /// `(layer, reason, count)` sorted by layer name then reason name.
     pub unattributed_drops: Vec<(Label, Label, u64)>,
+    /// Every packet's spans (in pre-order), slices, transmits and drops,
+    /// packet after packet; a [`PacketProfile`] holds ranges into them.
+    spans: Vec<Span>,
+    slices: Vec<Slice>,
+    pub(crate) txs: Vec<TxRecord>,
+    drops: Vec<(Label, Label)>,
     /// The recorder's name table plus the names the fold added.
     pub(crate) names: Interner,
     steps: Steps,
@@ -317,29 +297,12 @@ impl Steps {
     }
 }
 
-/// What [`Profile::build`]'s walk keeps while it is inside a packet's run.
-#[derive(Default)]
-struct Walk {
-    /// The packet the walk is inside, if any: the last of `packets`.
-    inside: Option<u64>,
-    /// That packet's open spans, innermost last.
-    stack: Vec<Span>,
-    /// That packet's slices so far, in a buffer every packet reuses: a
-    /// closed packet takes an exact-size copy, one allocation.
-    slices: Vec<Slice>,
-}
-
-/// Pushes onto a list that holds an item or two at most, asking for that
-/// much room, not for a growth step.
-fn push_exact<T>(list: &mut Vec<T>, item: T) {
-    list.reserve_exact(1);
-    list.push(item);
-}
-
-/// Charges the gap from the last slice's end (or the packet's
+/// Charges the gap from the open packet's last slice's end (or its
 /// `first_ns`) to `end_ns` to `(layer, domain, handler)`.
-fn charge(slices: &mut Vec<Slice>, first_ns: u64, end_ns: u64, to: (Label, Label, Label)) {
-    let (start_ns, (layer, domain, handler)) = (slices.last().map_or(first_ns, |s| s.end_ns), to);
+fn charge(slices: &mut Vec<Slice>, open: &PacketProfile, end_ns: u64, to: (Label, Label, Label)) {
+    let last = slices[open.slices.start..].last();
+    let start_ns = last.map_or(open.first_ns, |s| s.end_ns);
+    let (layer, domain, handler) = to;
     let at = Triple {
         layer,
         domain,
@@ -352,9 +315,18 @@ fn charge(slices: &mut Vec<Slice>, first_ns: u64, end_ns: u64, to: (Label, Label
     });
 }
 
-/// Hangs a finished span on its parent, or on its packet's roots.
-fn hang(stack: &mut [Span], roots: &mut Vec<Span>, sp: Span) {
-    push_exact(stack.last_mut().map_or(roots, |p| &mut p.children), sp);
+/// Closes the span at `at`, the innermost one open: every span after it
+/// in the arena is in its subtree, and closed already.
+fn close_span(spans: &mut [Span], at: usize, exit_ns: u64, complete: bool) {
+    let child_ns = span_trees(&spans[at + 1..]).map(|(c, _)| c.total_ns).sum();
+    let subtree = u32::try_from(spans.len() - at).expect("span subtree overflow");
+    let sp = &mut spans[at];
+    sp.exit_ns = exit_ns;
+    sp.complete = complete;
+    sp.total_ns = exit_ns.saturating_sub(sp.enter_ns);
+    sp.child_ns = child_ns;
+    sp.self_ns = sp.total_ns.saturating_sub(child_ns);
+    sp.subtree = subtree;
 }
 
 impl Profile {
@@ -389,22 +361,29 @@ impl Profile {
             },
             unattributed_txs: Vec::new(),
             unattributed_drops: Vec::new(),
+            spans: Vec::new(),
+            // A record charges one slice at most.
+            slices: Vec::with_capacity(ring.len()),
+            txs: Vec::new(),
+            drops: Vec::new(),
             names,
             steps,
         };
 
-        let mut walk = Walk::default();
+        // The packet the walk is inside, if any (the last of `packets`),
+        // and its open spans, innermost last, as span-arena indices.
+        let (mut inside, mut stack) = (None, Vec::new());
         let mut drops: BTreeMap<(Label, Label), u64> = BTreeMap::new();
         for r in ring.iter() {
-            if walk.inside != r.packet {
-                profile.close_packet(&mut walk);
-                walk.inside = r.packet;
+            if inside != r.packet {
+                profile.close_packet(inside, &mut stack);
+                inside = r.packet;
                 if profile.open_packet(r) {
                     continue;
                 }
             }
             match (r.packet, r.event) {
-                (Some(_), _) => profile.record(&mut walk, r),
+                (Some(_), _) => profile.record(&mut stack, r),
                 (None, TraceEvent::PacketTx { .. }) => {
                     profile.unattributed_txs.extend(steps.tx_record(r));
                 }
@@ -414,11 +393,16 @@ impl Profile {
                 (None, _) => {}
             }
         }
-        profile.close_packet(&mut walk);
+        profile.close_packet(inside, &mut stack);
 
         let mut drops: Vec<_> = drops.into_iter().map(|((l, r), n)| (l, r, n)).collect();
         drops.sort_by_key(|&(layer, reason, _)| (profile.name(layer), profile.name(reason)));
         profile.unattributed_drops = drops;
+        // What the profile keeps is each arena at its size.
+        profile.packets.shrink_to_fit();
+        profile.spans.shrink_to_fit();
+        profile.slices.shrink_to_fit();
+        profile.txs.shrink_to_fit();
         profile
     }
 
@@ -430,6 +414,31 @@ impl Profile {
     /// it was built from.
     pub fn name(&self, label: Label) -> &str {
         self.names.get(label)
+    }
+
+    /// A packet's handler spans, in pre-order (see [`span_trees`]).
+    pub fn spans(&self, p: &PacketProfile) -> &[Span] {
+        &self.spans[p.spans.clone()]
+    }
+
+    /// A packet's attribution slices, tiling `[first_ns, last_ns]`.
+    pub fn slices(&self, p: &PacketProfile) -> &[Slice] {
+        &self.slices[p.slices.clone()]
+    }
+
+    /// The frames a packet's chain handed to a transmitter.
+    pub fn txs(&self, p: &PacketProfile) -> &[TxRecord] {
+        &self.txs[p.txs.clone()]
+    }
+
+    /// The drops recorded during a packet's window, as `(layer, reason)`.
+    pub fn drops(&self, p: &PacketProfile) -> &[(Label, Label)] {
+        &self.drops[p.drops.clone()]
+    }
+
+    /// A packet's attributed time: `last_ns - first_ns`, by construction.
+    pub fn attributed_ns(&self, p: &PacketProfile) -> u64 {
+        self.slices(p).iter().map(Slice::ns).sum()
     }
 
     /// A triple's names, `[layer, domain, handler]`: what it is written
@@ -461,7 +470,7 @@ impl Profile {
         }
         let mut accs: BTreeMap<Triple, Acc> = BTreeMap::new();
         for (i, p) in self.packets.iter().enumerate().filter(|(_, p)| !p.orphan) {
-            for s in &p.slices {
+            for s in self.slices(p) {
                 let acc = accs.entry(s.at).or_default();
                 acc.slices += 1;
                 match &mut acc.open {
@@ -510,6 +519,8 @@ impl Profile {
         if arrival.is_none() {
             self.truncation.orphan_packets.push(packet);
         }
+        // Empty ranges at the arenas' ends; `close_packet` sets the ends.
+        let at = |len: usize| len..len;
         self.packets.push(PacketProfile {
             packet,
             journey: first.journey,
@@ -518,19 +529,19 @@ impl Profile {
             bytes: arrival.map_or(0, |a| a.2),
             first_ns: first.at_ns,
             last_ns: first.at_ns,
-            spans: Vec::new(),
-            slices: Vec::new(),
-            txs: Vec::new(),
-            drops: Vec::new(),
+            spans: at(self.spans.len()),
+            slices: at(self.slices.len()),
+            txs: at(self.txs.len()),
+            drops: at(self.drops.len()),
             orphan: arrival.is_none(),
         });
         arrival.is_some()
     }
 
-    /// Attributes one record of the open packet.
-    fn record(&mut self, walk: &mut Walk, r: &TraceRecord) {
+    /// Attributes one record of the open packet, whose open spans are
+    /// `stack`.
+    fn record(&mut self, stack: &mut Vec<usize>, r: &TraceRecord) {
         let (steps, kernel) = (self.steps, self.steps.kernel);
-        let Walk { stack, slices, .. } = walk;
         let open = self.packets.last_mut().expect("a packet is open");
         if open.orphan {
             // Orphans recover their journey tag from whichever record
@@ -538,7 +549,7 @@ impl Profile {
             open.journey = open.journey.or(r.journey);
         }
         open.last_ns = r.at_ns;
-        let cur_domain = stack.last().map_or(kernel, |s| s.domain);
+        let cur_domain = stack.last().map_or(kernel, |&s| self.spans[s].domain);
         // Who the gap this record closes is charged to, as
         // `(layer, domain, handler)`.
         let charged = match r.event {
@@ -551,17 +562,16 @@ impl Profile {
                 span,
             } => {
                 let layer = self.names.layer(event);
-                // A top-level entry follows pure kernel dispatch work
-                // (thread spawn, context switch, handler lookup). A
-                // *nested* entry's gap is dominated by the enclosing
-                // handler's own body — it ran up to the point of calling
-                // raise() — so the parent is charged, keeping extension
-                // time attributed to the extension's domain.
-                let charged = match stack.last() {
+                // A top-level entry follows kernel dispatch work (thread
+                // spawn, context switch, handler lookup); a nested one
+                // follows the enclosing handler's body, up to its raise(),
+                // so extension time stays in the extension's domain.
+                let charged = match stack.last().map(|&s| &self.spans[s]) {
                     Some(parent) => (parent.layer, parent.domain, parent.event),
                     None => (layer, kernel, steps.dispatch),
                 };
-                stack.push(Span {
+                stack.push(self.spans.len());
+                self.spans.push(Span {
                     span,
                     event,
                     domain,
@@ -572,7 +582,7 @@ impl Profile {
                     child_ns: 0,
                     self_ns: 0,
                     complete: false,
-                    children: Vec::new(),
+                    subtree: 1,
                 });
                 Some(charged)
             }
@@ -581,16 +591,16 @@ impl Profile {
                 domain,
                 span,
             } => {
-                match stack.iter().rposition(|s| s.span == span) {
+                match stack.iter().rposition(|&s| self.spans[s].span == span) {
                     // Anything still open above the match lost its own
                     // exit — close it here rather than leak or nest
                     // wrongly.
                     Some(pos) => {
                         while stack.len() > pos {
-                            let sp = stack.pop().expect("len checked");
+                            let s = stack.pop().expect("len checked");
                             let matched = stack.len() == pos;
                             self.truncation.unmatched_enters += u64::from(!matched);
-                            hang(stack, &mut open.spans, sp.finalize(r.at_ns, matched));
+                            close_span(&mut self.spans, s, r.at_ns, matched);
                         }
                     }
                     None => self.truncation.unmatched_exits += 1,
@@ -598,40 +608,34 @@ impl Profile {
                 Some((self.names.layer(event), domain, event))
             }
             TraceEvent::Drop { layer, reason } => {
-                push_exact(&mut open.drops, (layer, reason));
+                self.drops.push((layer, reason));
                 Some((layer, cur_domain, reason))
             }
             TraceEvent::Crossing { dir, .. } => {
                 Some((steps.boundary, cur_domain, steps.crossings[dir as usize]))
             }
             TraceEvent::PacketTx { .. } => {
-                let tx = steps.tx_record(r).expect("matched PacketTx");
-                push_exact(&mut open.txs, tx);
+                self.txs.extend(steps.tx_record(r));
                 Some((steps.driver, cur_domain, steps.tx))
             }
             TraceEvent::TimerFire => Some((steps.engine, cur_domain, steps.timer)),
-            // Observability events are attribution-neutral: they carry no
-            // CPU work of their own (samples share their neighbor's
-            // timestamp; interrupts are charged by the driver glue), so
-            // they produce no slice and leave the gap to the next
-            // structural record.
+            // Observability events carry no CPU work of their own (the
+            // driver glue charges interrupts): no slice, and the gap is
+            // left to the next structural record.
             TraceEvent::RxInterrupt { .. } | TraceEvent::LatencySample { .. } => None,
             // An arrival takes a fresh ID, so it opens a run and never
             // lands inside one.
             TraceEvent::PacketArrival { .. } => unreachable!("an arrival inside a packet's run"),
         };
         if let Some(to) = charged {
-            charge(slices, open.first_ns, r.at_ns, to);
+            charge(&mut self.slices, open, r.at_ns, to);
         }
     }
 
-    /// Ends the run of the packet the walk is inside, if it is in one.
-    fn close_packet(&mut self, walk: &mut Walk) {
-        let Walk {
-            inside,
-            stack,
-            slices,
-        } = walk;
+    /// Ends the run of the packet the walk is `inside`, if it is in one;
+    /// `stack` holds its open spans.
+    fn close_packet(&mut self, inside: Option<u64>, stack: &mut Vec<usize>) {
+        let steps = self.steps;
         let (Some(_), Some(open)) = (inside, self.packets.last_mut()) else {
             return;
         };
@@ -639,18 +643,21 @@ impl Profile {
         // interrupt) can leave the gap to the window's end uncharged; close
         // it against the innermost open domain so slices still tile
         // `[first_ns, last_ns]`.
-        if slices.last().map_or(open.first_ns, |s| s.end_ns) < open.last_ns {
-            let domain = stack.last().map_or(self.steps.kernel, |s| s.domain);
-            let tail = (self.steps.engine, domain, self.steps.tail);
-            charge(slices, open.first_ns, open.last_ns, tail);
+        let last = self.slices[open.slices.start..].last();
+        if last.map_or(open.first_ns, |s| s.end_ns) < open.last_ns {
+            let domain = stack.last().map_or(steps.kernel, |&s| self.spans[s].domain);
+            let tail = (steps.engine, domain, steps.tail);
+            charge(&mut self.slices, open, open.last_ns, tail);
         }
         // Enters whose exits never made the ring: close at the window's end.
-        while let Some(sp) = stack.pop() {
+        while let Some(s) = stack.pop() {
             self.truncation.unmatched_enters += 1;
-            hang(stack, &mut open.spans, sp.finalize(open.last_ns, false));
+            close_span(&mut self.spans, s, open.last_ns, false);
         }
-        open.slices = slices.to_vec();
-        slices.clear();
+        open.spans.end = self.spans.len();
+        open.slices.end = self.slices.len();
+        open.txs.end = self.txs.len();
+        open.drops.end = self.drops.len();
     }
 }
 
@@ -661,7 +668,7 @@ impl Profile {
 pub struct Segment {
     /// Segment name (`client.send`, `server.udp`, `reply.wire.serialize`,
     /// ...). Shared, not copied, by every journey that has the segment.
-    pub name: Rc<str>,
+    pub name: Arc<str>,
     /// Simulated nanoseconds.
     pub ns: u64,
 }
@@ -763,8 +770,13 @@ pub fn pingpong_waterfall(profile: &Profile, app_domain: &str) -> Result<Waterfa
             p.packet
         ));
     }
-    // `None` (a domain the run never named) matches no span below.
+    // `None` (a domain the run never named) matches no span below. Spans
+    // are in record order, so the first found is the first entered.
     let app = profile.names.lookup(app_domain);
+    let app_enter = |p: &PacketProfile| {
+        let first = profile.spans(p).iter().find(|s| Some(s.domain) == app);
+        first.map(|s| s.enter_ns)
+    };
 
     let rounds_n = packets.len() / 2;
     let mut rounds = Vec::with_capacity(rounds_n);
@@ -784,23 +796,22 @@ pub fn pingpong_waterfall(profile: &Profile, app_domain: &str) -> Result<Waterfa
             (0u64, *tx)
         } else {
             let prev = &packets[2 * k - 1];
-            let enter = prev
-                .first_enter_of(app)
+            let enter = app_enter(prev)
                 .ok_or_else(|| format!("packet {}: no {app_domain} handler", prev.packet))?;
-            let tx = prev
-                .txs
+            let tx = profile
+                .txs(prev)
                 .first()
                 .ok_or_else(|| format!("packet {}: no tx record", prev.packet))?;
             (enter, *tx)
         };
 
-        let server_tx = req
-            .txs
+        let server_tx = profile
+            .txs(req)
             .first()
             .ok_or_else(|| format!("packet {}: no reply tx record", req.packet))?;
-        let reply_enter = rep
-            .first_enter_of(app)
+        let reply_enter = app_enter(rep)
             .ok_or_else(|| format!("packet {}: no {app_domain} handler", rep.packet))?;
+        let (req_slices, rep_slices) = (profile.slices(req), profile.slices(rep));
 
         let mut segments = vec![
             segment("client.send", client_tx.at_ns - send_start),
@@ -808,10 +819,10 @@ pub fn pingpong_waterfall(profile: &Profile, app_domain: &str) -> Result<Waterfa
             segment("request.wire.serialize", client_tx.ser_ns),
             segment("request.wire.propagate", client_tx.prop_ns),
         ];
-        let srv_upto = (req.slices.iter())
+        let srv_upto = (req_slices.iter())
             .position(|s| profile.is_tx(s))
             .ok_or_else(|| format!("packet {}: no tx slice", req.packet))?;
-        segments.extend(layer_sums(profile, &req.slices[..=srv_upto], "server"));
+        segments.extend(layer_sums(profile, &req_slices[..=srv_upto], "server"));
         segments.extend([
             segment("reply.wire.wait", server_tx.wait_ns),
             segment("reply.wire.serialize", server_tx.ser_ns),
@@ -821,10 +832,10 @@ pub fn pingpong_waterfall(profile: &Profile, app_domain: &str) -> Result<Waterfa
         // contiguously, so everything up to it covers exactly
         // `[first_ns, enter_ns]` (later zero-length slices at the same
         // timestamp contribute nothing).
-        let cli_upto = (rep.slices.iter())
+        let cli_upto = (rep_slices.iter())
             .rposition(|s| s.end_ns == reply_enter)
             .ok_or_else(|| format!("packet {}: no app dispatch slice", rep.packet))?;
-        segments.extend(layer_sums(profile, &rep.slices[..=cli_upto], "client"));
+        segments.extend(layer_sums(profile, &rep_slices[..=cli_upto], "client"));
 
         let overlap = (req.last_ns - server_tx.at_ns)
             + if k == 0 {
@@ -843,7 +854,7 @@ pub fn pingpong_waterfall(profile: &Profile, app_domain: &str) -> Result<Waterfa
 
     // Per-segment aggregates, in first-seen order; a segment absent from a
     // round contributes zero (layer mixes can differ between rounds).
-    let mut totals: Vec<(Rc<str>, u64)> = Vec::new();
+    let mut totals: Vec<(Arc<str>, u64)> = Vec::new();
     for s in rounds.iter().flat_map(|r| &r.segments) {
         add(&mut totals, s.name.clone(), s.ns);
     }
@@ -875,22 +886,24 @@ pub fn pingpong_waterfall(profile: &Profile, app_domain: &str) -> Result<Waterfa
 
 // --- JSON export --------------------------------------------------------
 
-fn span_json(p: &Profile, s: &Span, out: &mut String) {
-    let [event, domain, layer] = [s.event, s.domain, s.layer].map(|l| escaped(p.name(l)));
-    let (span, enter_ns, exit_ns, total_ns) = (s.span, s.enter_ns, s.exit_ns, s.total_ns);
-    let (self_ns, child_ns, complete) = (s.self_ns, s.child_ns, s.complete);
-    put!(
-        out,
-        "{{\"span\": {span}, \"event\": \"{event}\", \"domain\": \"{domain}\", \
-         \"layer\": \"{layer}\", \"enter_ns\": {enter_ns}, \"exit_ns\": {exit_ns}, \
-         \"total_ns\": {total_ns}, \"self_ns\": {self_ns}, \"child_ns\": {child_ns}, \
-         \"complete\": {complete}, \"children\": ["
-    );
-    for (i, c) in s.children.iter().enumerate() {
-        out.push_str(if i > 0 { ", " } else { "" });
-        span_json(p, c, out);
+/// Appends the span trees of a pre-order run, comma-separated, each with
+/// its children nested.
+fn spans_json(p: &Profile, spans: &[Span], out: &mut String) {
+    for (i, (s, below)) in span_trees(spans).enumerate() {
+        let sep = if i > 0 { ", " } else { "" };
+        let [event, domain, layer] = [s.event, s.domain, s.layer].map(|l| escaped(p.name(l)));
+        let (span, enter_ns, exit_ns, total_ns) = (s.span, s.enter_ns, s.exit_ns, s.total_ns);
+        let (self_ns, child_ns, complete) = (s.self_ns, s.child_ns, s.complete);
+        put!(
+            out,
+            "{sep}{{\"span\": {span}, \"event\": \"{event}\", \"domain\": \"{domain}\", \
+             \"layer\": \"{layer}\", \"enter_ns\": {enter_ns}, \"exit_ns\": {exit_ns}, \
+             \"total_ns\": {total_ns}, \"self_ns\": {self_ns}, \"child_ns\": {child_ns}, \
+             \"complete\": {complete}, \"children\": ["
+        );
+        spans_json(p, below, out);
+        out.push_str("]}");
     }
-    out.push_str("]}");
 }
 
 /// Appends `{"name": .., "ns": ..}` objects, comma-separated — the one
@@ -1017,34 +1030,23 @@ pub fn profile_json(
             None => out.push_str("null"),
         }
         let (bytes, first_ns, last_ns) = (pkt.bytes, pkt.first_ns, pkt.last_ns);
-        let (attributed_ns, orphan) = (pkt.attributed_ns(), pkt.orphan);
+        let (attributed_ns, orphan) = (p.attributed_ns(pkt), pkt.orphan);
         put!(
             out,
             ", \"bytes\": {bytes}, \"first_ns\": {first_ns}, \"last_ns\": {last_ns}, \
              \"attributed_ns\": {attributed_ns}, \"orphan\": {orphan}, \"drops\": ["
         );
-        for (j, &(layer, reason)) in pkt.drops.iter().enumerate() {
+        for (j, &(layer, reason)) in p.drops(pkt).iter().enumerate() {
             let sep = if j > 0 { ", " } else { "" };
             let (layer, reason) = (escaped(p.name(layer)), escaped(p.name(reason)));
             put!(out, "{sep}[\"{layer}\", \"{reason}\"]");
         }
         out.push_str("], \"spans\": [");
-        for (j, s) in pkt.spans.iter().enumerate() {
-            out.push_str(if j > 0 { ", " } else { "" });
-            span_json(p, s, &mut out);
-        }
+        spans_json(p, p.spans(pkt), &mut out);
         out.push_str("], \"slices\": [");
-        for (
-            j,
-            Slice {
-                start_ns,
-                end_ns,
-                at,
-            },
-        ) in pkt.slices.iter().enumerate()
-        {
-            let sep = if j > 0 { ", " } else { "" };
-            let [layer, domain, handler] = p.triple_names(at).map(escaped);
+        for (j, s) in p.slices(pkt).iter().enumerate() {
+            let (sep, start_ns, end_ns) = (if j > 0 { ", " } else { "" }, s.start_ns, s.end_ns);
+            let [layer, domain, handler] = p.triple_names(&s.at).map(escaped);
             put!(
                 out,
                 "{sep}{{\"start_ns\": {start_ns}, \"end_ns\": {end_ns}, \"layer\": \"{layer}\", \
@@ -1100,8 +1102,8 @@ mod tests {
         let pkt = &p.packets[0];
         assert_eq!(pkt.first_ns, 1_000);
         assert_eq!(pkt.last_ns, 6_000);
-        assert_eq!(pkt.attributed_ns(), 5_000, "every ns attributed");
-        let total: u64 = pkt.slices.iter().map(Slice::ns).sum();
+        assert_eq!(p.attributed_ns(pkt), 5_000, "every ns attributed");
+        let total: u64 = p.slices(pkt).iter().map(Slice::ns).sum();
         assert_eq!(total, pkt.last_ns - pkt.first_ns);
     }
 
@@ -1109,14 +1111,15 @@ mod tests {
     fn span_tree_separates_self_and_child_time() {
         let rec = nested();
         let p = Profile::build(&rec);
-        let pkt = &p.packets[0];
-        assert_eq!(pkt.spans.len(), 1, "one root span");
-        let root = &pkt.spans[0];
+        let roots: Vec<_> = span_trees(p.spans(&p.packets[0])).collect();
+        assert_eq!(roots.len(), 1, "one root span");
+        let (root, below) = roots[0];
         assert_eq!(p.name(root.event), "Ethernet.PacketRecv");
         assert_eq!(p.name(root.layer), "ethernet");
         assert_eq!(root.total_ns, 4_500);
-        assert_eq!(root.children.len(), 1);
-        let child = &root.children[0];
+        let children: Vec<_> = span_trees(below).collect();
+        assert_eq!(children.len(), 1);
+        let (child, _) = children[0];
         assert_eq!(p.name(child.domain), "echo-ext");
         assert_eq!(child.total_ns, 3_000);
         assert_eq!(root.child_ns, 3_000);
@@ -1128,7 +1131,7 @@ mod tests {
     fn attribution_follows_the_gap_rule() {
         let rec = nested();
         let p = Profile::build(&rec);
-        let s = &p.packets[0].slices;
+        let s = p.slices(&p.packets[0]);
         let names = |s: &Slice| p.triple_names(&s.at);
         // arrival -> guard eval: guard work at ethernet.
         assert_eq!(names(&s[0]), ["ethernet", "kernel", "guard"]);
@@ -1169,7 +1172,7 @@ mod tests {
         assert!(orphan.orphan);
         let whole = p.packets.iter().find(|p| p.packet == 1).unwrap();
         assert!(!whole.orphan);
-        assert_eq!(whole.attributed_ns(), 900);
+        assert_eq!(p.attributed_ns(whole), 900);
         // Aggregates exclude the orphan.
         for stat in p.aggregate() {
             assert!(stat.packets <= 1);
@@ -1188,10 +1191,11 @@ mod tests {
         let p = Profile::build(&rec);
         assert_eq!(p.truncation.unmatched_enters, 1);
         let pkt = &p.packets[0];
-        assert_eq!(pkt.spans.len(), 1);
-        assert!(!pkt.spans[0].complete);
-        assert_eq!(pkt.spans[0].exit_ns, 700, "closed at the last record");
-        assert_eq!(pkt.attributed_ns(), pkt.last_ns - pkt.first_ns);
+        let spans = p.spans(pkt);
+        assert_eq!(spans.len(), 1);
+        assert!(!spans[0].complete);
+        assert_eq!(spans[0].exit_ns, 700, "closed at the last record");
+        assert_eq!(p.attributed_ns(pkt), pkt.last_ns - pkt.first_ns);
     }
 
     #[test]

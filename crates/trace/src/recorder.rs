@@ -5,6 +5,7 @@ use std::cell::{Cell, Ref, RefCell};
 use std::collections::HashMap;
 use std::rc::Rc;
 use std::sync::atomic::{AtomicU64, Ordering};
+use std::sync::Arc;
 
 use crate::live::{LiveAgg, LiveConfig, LiveReport};
 use crate::registry::{CounterKey, Registry, Scope};
@@ -18,11 +19,12 @@ use crate::{CrossDir, GuardKind, TraceEvent, TraceRecord};
 pub struct Label(pub(crate) u32);
 
 /// The name table: every fold works on [`Label`]s and comes back here
-/// only when it writes bytes.
+/// only when it writes bytes. A name is one shared allocation: copying
+/// the table, or handing a name out, copies pointers, not strings.
 #[derive(Clone, Debug, Default, PartialEq, Eq)]
 pub(crate) struct Interner {
-    names: Vec<String>,
-    index: HashMap<String, u32>,
+    names: Vec<Arc<str>>,
+    index: HashMap<Arc<str>, u32>,
     /// Event label → layer label, filled by [`Interner::layer`].
     layers: Vec<Option<Label>>,
 }
@@ -33,13 +35,19 @@ impl Interner {
             return Label(i);
         }
         let i = u32::try_from(self.names.len()).expect("interner overflow");
-        self.names.push(s.to_owned());
-        self.index.insert(s.to_owned(), i);
+        let name: Arc<str> = s.into();
+        self.names.push(name.clone());
+        self.index.insert(name, i);
         Label(i)
     }
 
     pub(crate) fn get(&self, label: Label) -> &str {
         &self.names[label.0 as usize]
+    }
+
+    /// The name behind `label`, shared rather than copied.
+    pub(crate) fn shared(&self, label: Label) -> Arc<str> {
+        self.names[label.0 as usize].clone()
     }
 
     /// The label `s` already has, if it was ever interned.

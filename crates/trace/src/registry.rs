@@ -103,7 +103,7 @@ impl Histogram {
     }
 
     /// Records one value.
-    pub fn record(&mut self, v: u64) {
+    pub(crate) fn record(&mut self, v: u64) {
         self.buckets[Self::bucket_of(v)] += 1;
         self.count += 1;
         self.sum += u128::from(v);
@@ -132,7 +132,7 @@ impl Histogram {
 
     /// Integer mean of recorded values (0 when empty). Integer so exports
     /// stay byte-stable.
-    pub fn mean(&self) -> u64 {
+    pub(crate) fn mean(&self) -> u64 {
         if self.count == 0 {
             0
         } else {
@@ -142,7 +142,7 @@ impl Histogram {
 
     /// Approximate `q`-quantile (`0.0..=1.0`): the upper bound of the
     /// bucket where the cumulative count first reaches `q * count`.
-    pub fn quantile(&self, q: f64) -> u64 {
+    pub(crate) fn quantile(&self, q: f64) -> u64 {
         if self.count == 0 {
             return 0;
         }
@@ -160,7 +160,7 @@ impl Histogram {
     }
 
     /// `(floor_of_bucket, count)` for every non-empty bucket, ascending.
-    pub fn nonzero_buckets(&self) -> Vec<(u64, u64)> {
+    pub(crate) fn nonzero_buckets(&self) -> Vec<(u64, u64)> {
         self.buckets
             .iter()
             .enumerate()
@@ -184,7 +184,7 @@ pub struct Registry {
 
 impl Registry {
     /// Adds `delta` to a counter (saturating).
-    pub fn add(&self, key: CounterKey, delta: u64) {
+    pub(crate) fn add(&self, key: CounterKey, delta: u64) {
         let mut by_label = self.counters.borrow_mut();
         let at = key.label.0 as usize;
         if by_label.len() <= at {
@@ -212,7 +212,7 @@ impl Registry {
     }
 
     /// Records a value into the named histogram.
-    pub fn record_hist(&self, name: Label, value_ns: u64) {
+    pub(crate) fn record_hist(&self, name: Label, value_ns: u64) {
         self.hists
             .borrow_mut()
             .entry(name)
@@ -226,7 +226,7 @@ impl Registry {
     }
 
     /// Snapshot of every histogram, in label order.
-    pub fn hists(&self) -> Vec<(Label, Histogram)> {
+    pub(crate) fn hists(&self) -> Vec<(Label, Histogram)> {
         self.hists
             .borrow()
             .iter()

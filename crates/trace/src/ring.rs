@@ -33,11 +33,6 @@ impl Ring {
         }
     }
 
-    /// Maximum number of records retained.
-    pub fn capacity(&self) -> usize {
-        self.capacity
-    }
-
     /// Records currently held (saturates at capacity).
     pub fn len(&self) -> usize {
         self.buf.len()

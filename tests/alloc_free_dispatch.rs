@@ -41,6 +41,7 @@ use plexus::sim::time::{SimDuration, SimTime};
 use plexus::sim::{Engine, World};
 use plexus::trace::export::chrome_trace;
 use plexus::trace::flame::folded;
+use plexus::trace::live::LiveConfig;
 use plexus::trace::profile::Profile;
 use plexus::trace::{journey, CounterKey, Recorder, Scope};
 use plexus_bench::overload::{build_frame, PAYLOAD};
@@ -210,6 +211,9 @@ struct Loop {
     tx: Rc<Nic>,
     rx: Rc<Nic>,
     frame: Vec<u8>,
+    /// The recorder installed across the world, if any: the loop's driver
+    /// starts a fresh journey for every datagram it sends.
+    rec: Option<Rc<Recorder>>,
     _dut: Box<dyn Any>,
 }
 
@@ -238,6 +242,7 @@ fn plexus_echo() -> Loop {
         tx: hosts[0].nic.clone(),
         rx: hosts[0].nic.clone(),
         frame: build_frame(&hosts[0], &hosts[1], PAYLOAD),
+        rec: None,
         _dut: Box::new(stack),
     }
 }
@@ -260,6 +265,7 @@ fn baseline_echo() -> Loop {
         tx: hosts[0].nic.clone(),
         rx: hosts[0].nic.clone(),
         frame: build_frame(&hosts[0], &hosts[1], PAYLOAD),
+        rec: None,
         _dut: Box::new((stack, sock)),
     }
 }
@@ -297,6 +303,7 @@ fn router_forward() -> Loop {
         tx,
         rx,
         frame: frame.to_vec(),
+        rec: None,
         _dut: Box::new(router),
     }
 }
@@ -313,6 +320,7 @@ fn closed_loop(dut: Dut, datagrams: u64, heard: impl Fn(u64) + 'static) -> (u64,
         tx,
         rx,
         frame,
+        rec,
         _dut,
     } = dut();
     let count = Rc::new(Cell::new(0u64));
@@ -320,6 +328,9 @@ fn closed_loop(dut: Dut, datagrams: u64, heard: impl Fn(u64) + 'static) -> (u64,
     rx.attach(DriverConfig::per_frame(move |engine, _| {
         seen.set(seen.get() + 1);
         heard(seen.get());
+        if let Some(rec) = &rec {
+            rec.journey_break();
+        }
         if seen.get() < datagrams {
             let now = engine.now();
             let nic = nic.upgrade().expect("the world outlives its run");
@@ -360,11 +371,30 @@ fn an_echoed_datagram_allocates_exactly_the_pinned_count() {
     assert_pinned(plexus_echo, 0);
 }
 
+/// [`plexus_echo`] with `rec` installed across the world.
+fn recorded(rec: Rc<Recorder>) -> Loop {
+    let mut echo = plexus_echo();
+    echo.world.install_recorder(&rec);
+    echo.rec = Some(rec);
+    echo
+}
+
 /// [`plexus_echo`] with a flight recorder (ring only) across the world.
 fn traced_echo() -> Loop {
-    let mut echo = plexus_echo();
-    echo.world.install_recorder(&Recorder::new(1 << 10));
-    echo
+    recorded(Recorder::new(1 << 10))
+}
+
+/// [`plexus_echo`] with the ring and the live tier: one window for the
+/// whole run, and no 1-in-N sample, so every journey stays undecided in
+/// the tail sampler's scratch until it is evicted.
+fn live_echo() -> Loop {
+    let rec = Recorder::new(1 << 10);
+    rec.enable_live(LiveConfig {
+        window_ns: 1_000_000_000,
+        sample_every: 0,
+        slo: None,
+    });
+    recorded(rec)
 }
 
 #[test]
@@ -375,13 +405,19 @@ fn recording_an_echoed_datagram_allocates_nothing_more() {
     // labels once, not hashed per packet. (The 1 024-record ring wraps
     // many times over; that allocates nothing either.)
     assert_pinned(traced_echo, 0);
+    // With the live tier too. Each datagram is a journey of its own, and
+    // its records go to a scratch buffer an evicted journey left behind,
+    // not to a fresh `Vec` grown record by record (about 4 heap calls per
+    // datagram while the scratch was a map of its own buffers).
+    assert_pinned(live_echo, 0);
 }
 
 /// The folds over a recorded run, per retained record: the exporters that
 /// write per record or per slice grow one buffer and touch the heap for
-/// nothing else; the profile and the journeys allocate what they return —
-/// a packet's span tree, slices and transmits at their exact sizes, a
-/// journey's chain and its segment list — and no string per record.
+/// nothing else; the profile and the journeys keep every packet's spans,
+/// slices and transmits and every journey's hops and segments in arenas
+/// of their own, so they allocate per run — not per packet, per journey
+/// or per name.
 #[test]
 fn the_folds_allocate_per_packet_not_per_record() {
     plexus::net::mbuf::reset_cluster_pool();
@@ -393,6 +429,7 @@ fn the_folds_allocate_per_packet_not_per_record() {
         rx,
         frame,
         _dut,
+        ..
     } = plexus_echo();
     world.install_recorder(&rec);
     let (nic, next) = (Rc::downgrade(&tx), frame.clone());
@@ -422,16 +459,17 @@ fn the_folds_allocate_per_packet_not_per_record() {
     let folded = per_record(&mut || drop(folded(&profile)));
     assert!(folded <= 0.01, "folded: {folded} heap calls per record");
     let journeys = per_record(&mut || drop(journey::build(&profile)));
-    // Measured: 0.483 and 0.229 heap calls per record (9.2 and 4.4 per
-    // echoed datagram of 19 records). When the folds kept names as
-    // `String`s: 4.65 and 2.57, with 9.38 for `chrome_trace` and 2.37 for
-    // `folded`.
+    // Measured: 0.0078 and 0.0067 heap calls per record (59 and 51 for
+    // the whole run of 7 600 records). While every packet and journey had
+    // `Vec`s of its own and every hop `String` copies of its names: 0.483
+    // and 0.229; when the folds kept names as `String`s: 4.65 and 2.57,
+    // with 9.38 for `chrome_trace` and 2.37 for `folded`.
     assert!(
-        build <= 0.5,
+        build <= 0.01,
         "Profile::build: {build} heap calls per record"
     );
     assert!(
-        journeys <= 0.25,
+        journeys <= 0.01,
         "journey::build: {journeys} heap calls per record"
     );
 }

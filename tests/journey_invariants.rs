@@ -61,19 +61,21 @@ fn check_journeys(js: &Journeys, machines: &[&str], label: &str) {
     assert_eq!(js.orphan_packets, 0, "{label}: ring must not wrap");
     for j in &js.journeys {
         assert!(
-            !j.chain.is_empty(),
+            !js.chain(j).is_empty(),
             "{label}: journey {} has no chain",
             j.journey
         );
-        let segment_sum: u64 = j.segments.iter().map(|s| s.ns).sum();
+        let segment_sum: u64 = js.segments(j).iter().map(|s| s.ns).sum();
         assert_eq!(
-            segment_sum, j.end_to_end_ns,
+            segment_sum,
+            j.end_to_end_ns,
             "{label}: journey {}: segments must sum to the end-to-end time \
              exactly (zero unattributed ns); segments: {:?}",
-            j.journey, j.segments
+            j.journey,
+            js.segments(j)
         );
         assert_eq!(j.end_to_end_ns, j.end_ns - j.start_ns);
-        for s in &j.segments {
+        for s in js.segments(j) {
             assert!(
                 segment_is_named(&s.name, machines),
                 "{label}: journey {}: segment {:?} names no known machine",
@@ -82,9 +84,9 @@ fn check_journeys(js: &Journeys, machines: &[&str], label: &str) {
             );
         }
         let mut last_arrival = 0;
-        for h in &j.chain {
+        for h in js.chain(j) {
             assert!(
-                machines.contains(&h.machine.as_str()),
+                machines.contains(&&*h.machine),
                 "{label}: journey {}: hop on unknown machine {:?}",
                 j.journey,
                 h.machine
@@ -115,8 +117,8 @@ fn udp_rtt_journeys_telescope_in_both_delivery_modes() {
         assert_eq!(js.journeys.len(), ROUNDS as usize);
         for j in &js.journeys {
             assert!(
-                j.chain.iter().any(|h| h.machine == "server")
-                    && j.chain.iter().any(|h| h.machine == "client"),
+                js.chain(j).iter().any(|h| &*h.machine == "server")
+                    && js.chain(j).iter().any(|h| &*h.machine == "client"),
                 "{label}: journey {} must cross both machines",
                 j.journey
             );
@@ -142,7 +144,7 @@ fn fig7_forwarding_journeys_cross_three_machines() {
     for j in &js.journeys {
         for m in machines {
             assert!(
-                j.chain.iter().any(|h| h.machine == m),
+                js.chain(j).iter().any(|h| &*h.machine == m),
                 "journey {} never hops on {m}",
                 j.journey
             );
@@ -168,7 +170,7 @@ fn overload_journeys_telescope_on_both_rx_paths() {
         assert!(js
             .journeys
             .iter()
-            .all(|j| j.chain.first().is_some_and(|h| h.machine == "dut")));
+            .all(|j| js.chain(j).first().is_some_and(|h| &*h.machine == "dut")));
     }
 }
 

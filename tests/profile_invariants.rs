@@ -13,7 +13,7 @@
 use std::rc::Rc;
 
 use plexus::trace::flame::folded;
-use plexus::trace::profile::{pingpong_waterfall, profile_json, Profile, Slice};
+use plexus::trace::profile::{pingpong_waterfall, profile_json, span_trees, Profile, Slice, Span};
 use plexus::trace::{json, Recorder};
 use plexus_bench::udp_rtt::{Link, System, UdpRtt};
 
@@ -71,7 +71,7 @@ fn every_simulated_nanosecond_is_attributed_exactly_once() {
         assert!(!pkt.orphan);
         // Slices tile [first_ns, last_ns]: contiguous, in order, no gaps.
         let mut cursor = pkt.first_ns;
-        for s in &pkt.slices {
+        for s in profile.slices(pkt) {
             assert_eq!(
                 s.start_ns, cursor,
                 "packet {}: slice gap/overlap",
@@ -85,7 +85,7 @@ fn every_simulated_nanosecond_is_attributed_exactly_once() {
             "packet {}: window not covered",
             pkt.packet
         );
-        assert_eq!(pkt.attributed_ns(), pkt.last_ns - pkt.first_ns);
+        assert_eq!(profile.attributed_ns(pkt), pkt.last_ns - pkt.first_ns);
     }
 }
 
@@ -93,21 +93,21 @@ fn every_simulated_nanosecond_is_attributed_exactly_once() {
 fn span_trees_conserve_time_between_self_and_children() {
     let (_, recorder) = traced_run(true);
     let profile = Profile::build(&recorder);
-    fn check(span: &plexus::trace::profile::Span) {
+    fn check(span: &Span, below: &[Span]) {
         assert!(span.complete, "no truncated spans in a clean run");
         assert_eq!(span.total_ns, span.exit_ns - span.enter_ns);
-        let child_sum: u64 = span.children.iter().map(|c| c.total_ns).sum();
+        let child_sum: u64 = span_trees(below).map(|(c, _)| c.total_ns).sum();
         assert_eq!(span.child_ns, child_sum);
         assert_eq!(span.self_ns, span.total_ns - span.child_ns);
-        for c in &span.children {
+        for (c, c_below) in span_trees(below) {
             assert!(c.enter_ns >= span.enter_ns && c.exit_ns <= span.exit_ns);
-            check(c);
+            check(c, c_below);
         }
     }
     let mut spans = 0;
     for pkt in &profile.packets {
-        for s in &pkt.spans {
-            check(s);
+        for (s, below) in span_trees(profile.spans(pkt)) {
+            check(s, below);
             spans += 1;
         }
     }
@@ -118,7 +118,11 @@ fn span_trees_conserve_time_between_self_and_children() {
 fn aggregate_and_folded_cover_all_attributed_time() {
     let (_, recorder) = traced_run(true);
     let profile = Profile::build(&recorder);
-    let attributed: u64 = profile.packets.iter().map(|p| p.attributed_ns()).sum();
+    let attributed: u64 = profile
+        .packets
+        .iter()
+        .map(|p| profile.attributed_ns(p))
+        .sum();
     let aggregate_total: u64 = profile.aggregate().iter().map(|s| s.total_ns).sum();
     assert_eq!(aggregate_total, attributed);
     let folded_total: u64 = folded(&profile)
@@ -145,7 +149,10 @@ fn profile_json_validates_and_wire_time_telescopes() {
         if rep.packet != req.packet + 1 || req.packet % 2 != 0 {
             continue;
         }
-        let tx = req.txs.first().expect("request chain transmits the reply");
+        let tx = profile
+            .txs(req)
+            .first()
+            .expect("request chain transmits the reply");
         assert_eq!(
             tx.at_ns + tx.wait_ns + tx.ser_ns + tx.prop_ns,
             rep.first_ns,
@@ -214,7 +221,7 @@ fn guard_and_dispatch_cost_is_separated_from_handler_bodies() {
     let kernel_overhead: u64 = profile
         .packets
         .iter()
-        .flat_map(|p| &p.slices)
+        .flat_map(|p| profile.slices(p))
         .filter(|s: &&Slice| {
             matches!(
                 profile.triple_names(&s.at),
@@ -226,7 +233,7 @@ fn guard_and_dispatch_cost_is_separated_from_handler_bodies() {
     let app_time: u64 = profile
         .packets
         .iter()
-        .flat_map(|p| &p.slices)
+        .flat_map(|p| profile.slices(p))
         .filter(|s: &&Slice| profile.name(s.at.domain) == "rtt-bench")
         .map(Slice::ns)
         .sum();
