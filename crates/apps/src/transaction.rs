@@ -90,7 +90,7 @@ impl TransactionServer {
                     return;
                 }
                 served2.set(served2.get() + 1);
-                let response = handler(&seg.payload);
+                let response = handler(seg.payload);
                 let reply = TcpSegment {
                     src_port: seg.dst_port,
                     dst_port: seg.src_port,
@@ -203,7 +203,7 @@ impl TransactionClient {
                     if let Some(t) = p.timer {
                         ctx.engine.cancel(t);
                     }
-                    *p.completed.borrow_mut() = Some(seg.payload.clone());
+                    *p.completed.borrow_mut() = Some(seg.payload.to_vec());
                     p.completed_at.set(Some(ctx.lease.now().as_nanos()));
                 }
             })?;

@@ -135,8 +135,10 @@ impl TcpLayer {
     ) {
         lease.charge(lease.model().tcp_proc);
         lease.charge(lease.model().checksum(payload.total_len()));
-        let bytes = payload.to_vec();
-        let Some(seg) = TcpSegment::parse(hdr.src, hdr.dst, &bytes) else {
+        // Parsed in place: only a frame that spans clusters is gathered, and
+        // only then does `spill` allocate.
+        let mut spill = Vec::new();
+        let Some(seg) = TcpSegment::parse(hdr.src, hdr.dst, payload.contiguous(&mut spill)) else {
             return;
         };
         let key = (seg.dst_port, hdr.src, seg.src_port);
@@ -255,24 +257,31 @@ impl TcpSocket {
         self: &Rc<Self>,
         engine: &mut Engine,
         lease: &mut CpuLease,
-        actions: Actions,
+        mut actions: Actions,
     ) {
         let (_, rip, _) = self.key;
-        for seg in &actions.segments {
+        for seg in &mut actions.segments {
+            let len = seg.payload.total_len();
             lease.charge(lease.model().tcp_proc);
-            lease.charge(lease.model().checksum(seg.payload.len() + TCP_HDR_LEN));
-            let bytes = seg.to_bytes(self.layer.shared.ip, rip);
-            let m = Mbuf::from_payload(64, &bytes);
+            lease.charge(lease.model().checksum(len + TCP_HDR_LEN));
+            let m = seg.chunk_to_mbuf(0..len, self.layer.shared.ip, rip, false);
             self.layer
                 .shared
                 .ip_output(engine, lease, rip, proto::TCP, &m);
         }
+        self.tcb
+            .borrow_mut()
+            .reclaim(std::mem::take(&mut actions.segments));
         if actions.connected {
             self.user_callback(engine, lease, UserEvent::Connected);
         }
-        if actions.out_of_window {
-            if let Some(rec) = lease.recorder() {
-                rec.packet_drop(lease.now().as_nanos(), "tcp", "tcp_out_of_window");
+        if let Some(rec) = lease.recorder() {
+            let now = lease.now().as_nanos();
+            if actions.out_of_window {
+                rec.packet_drop(now, "tcp", "tcp_out_of_window");
+            }
+            if actions.timed_out {
+                rec.packet_drop(now, "tcp", "tcp_retransmit_limit");
             }
         }
         if actions.data_available {
@@ -362,25 +371,33 @@ impl TcpSocket {
         });
     }
 
+    /// Moves a pending timer to the TCB's deadline; boxes a closure only
+    /// when none is pending.
     fn rearm_timer(self: &Rc<Self>, engine: &mut Engine) {
-        if let Some(old) = self.timer.borrow_mut().take() {
-            engine.cancel(old);
-        }
+        let pending = self.timer.borrow_mut().take();
         let Some(deadline_ns) = self.tcb.borrow().next_timeout() else {
+            if let Some(old) = pending {
+                engine.cancel(old);
+            }
             return;
         };
         let now = engine.now().as_nanos();
         let delay = SimDuration::from_nanos(deadline_ns.saturating_sub(now));
-        let sock = self.clone();
-        let handle = engine.schedule_cancelable(delay, move |eng| {
-            if sock.gone.get() {
-                return;
+        let handle = match pending.and_then(|old| engine.reschedule(old, delay)) {
+            Some(moved) => moved,
+            None => {
+                let sock = self.clone();
+                engine.schedule_cancelable(delay, move |eng| {
+                    if sock.gone.get() {
+                        return;
+                    }
+                    let mut lease = sock.layer.shared.cpu.begin(eng.now());
+                    let now = lease.now().as_nanos();
+                    let actions = sock.tcb.borrow_mut().on_timer(now);
+                    sock.process_actions(eng, &mut lease, actions);
+                })
             }
-            let mut lease = sock.layer.shared.cpu.begin(eng.now());
-            let now = lease.now().as_nanos();
-            let actions = sock.tcb.borrow_mut().on_timer(now);
-            sock.process_actions(eng, &mut lease, actions);
-        });
+        };
         *self.timer.borrow_mut() = Some(handle);
     }
 

@@ -102,14 +102,17 @@ impl TcpManager {
                     ctx.lease
                         .charge(ctx.lease.model().checksum(ev.payload.total_len()));
                 }
-                // The scratch borrow ends with this statement, ahead of the
-                // raise below.
-                let Some(segment) = TcpSegment::parse(
-                    ev.src,
-                    ev.dst,
-                    ev.payload.contiguous(&mut scratch.borrow_mut()),
-                ) else {
-                    return;
+                // The parsed header travels on with a share of the frame's
+                // payload bytes; the scratch borrow ends ahead of the raise.
+                let segment = {
+                    let mut scratch = scratch.borrow_mut();
+                    let Some(view) =
+                        TcpSegment::parse(ev.src, ev.dst, ev.payload.contiguous(&mut scratch))
+                    else {
+                        return;
+                    };
+                    let len = view.payload.len();
+                    view.with_payload(ev.payload.range(ev.payload.total_len() - len, len))
                 };
                 m.segments_in.set(m.segments_in.get() + 1);
                 let arg = TcpRecv {
@@ -459,17 +462,17 @@ impl TcpConn {
 
     /// Applies the state machine's outputs: transmit segments, fire
     /// callbacks, rearm timers, tear down on close.
-    fn process_actions(self: &Rc<Self>, ctx: &mut RaiseCtx<'_>, actions: Actions) {
+    fn process_actions(self: &Rc<Self>, ctx: &mut RaiseCtx<'_>, mut actions: Actions) {
         let (_, rip, _) = self.key;
         let shared = self.manager.shared.clone();
         let mss = self.tcb.borrow().mss;
-        for seg in &actions.segments {
+        for seg in &mut actions.segments {
             // One protocol pass per (super-)segment: with segmentation
             // offload the state machine hands down up to gso_segs * mss
             // bytes here, and the resegmentation below models the
             // adapter-assisted split, not another trip through TCP.
             ctx.lease.charge(ctx.lease.model().tcp_proc);
-            let len = seg.payload.len();
+            let len = seg.payload.total_len();
             // A segment without payload is still one wire segment.
             for off in (0..len.max(1)).step_by(mss) {
                 let end = (off + mss).min(len);
@@ -477,8 +480,7 @@ impl TcpConn {
                     ctx.lease
                         .charge(ctx.lease.model().checksum(end - off + TCP_HDR_LEN));
                 }
-                let payload =
-                    seg.chunk_to_mbuf(off..end, self.local_ip, rip, 64, shared.csum_offload);
+                let payload = seg.chunk_to_mbuf(off..end, self.local_ip, rip, shared.csum_offload);
                 shared.raise_ip_send(
                     ctx,
                     IpSendReq {
@@ -490,6 +492,9 @@ impl TcpConn {
                 );
             }
         }
+        self.tcb
+            .borrow_mut()
+            .reclaim(std::mem::take(&mut actions.segments));
         if actions.connected {
             let cb = self.callbacks.borrow().on_connected.clone();
             if let Some(cb) = cb {
@@ -498,6 +503,9 @@ impl TcpConn {
         }
         if actions.out_of_window {
             StackShared::record_drop(ctx.lease, "tcp", "tcp_out_of_window");
+        }
+        if actions.timed_out {
+            StackShared::record_drop(ctx.lease, "tcp", "tcp_retransmit_limit");
         }
         if actions.data_available {
             // The buffer goes back when the callback returns, so the next
@@ -529,19 +537,26 @@ impl TcpConn {
         self.rearm_timer(ctx.engine);
     }
 
+    /// Puts the engine's timer where the TCB's deadline now is: a pending
+    /// one is moved, closure and all; only when none is pending (it fired,
+    /// or none was armed) is a closure boxed.
     fn rearm_timer(self: &Rc<Self>, engine: &mut Engine) {
-        if let Some(old) = self.timer.borrow_mut().take() {
-            engine.cancel(old);
-        }
+        let pending = self.timer.borrow_mut().take();
         let Some(deadline_ns) = self.tcb.borrow().next_timeout() else {
+            if let Some(old) = pending {
+                engine.cancel(old);
+            }
             return;
         };
         let now = engine.now().as_nanos();
         let delay = SimDuration::from_nanos(deadline_ns.saturating_sub(now));
-        let conn = self.clone();
-        let handle = engine.schedule_cancelable(delay, move |eng| {
-            conn.on_timer_fire(eng);
-        });
+        let handle = match pending.and_then(|old| engine.reschedule(old, delay)) {
+            Some(moved) => moved,
+            None => {
+                let conn = self.clone();
+                engine.schedule_cancelable(delay, move |eng| conn.on_timer_fire(eng))
+            }
+        };
         *self.timer.borrow_mut() = Some(handle);
     }
 

@@ -73,8 +73,9 @@ pub struct TcpRecv {
     pub src: Ipv4Addr,
     /// Destination IP.
     pub dst: Ipv4Addr,
-    /// The parsed segment.
-    pub segment: plexus_net::tcp::TcpSegment,
+    /// The parsed segment. Its payload shares the received frame's
+    /// clusters: nothing is copied between the wire and the connection.
+    pub segment: plexus_net::tcp::TcpSegment<Mbuf>,
 }
 
 /// A MAC address as the 48-bit integer the guard IR compares (big-endian
@@ -164,13 +165,13 @@ impl Packet for TcpRecv {
             Field::TcpDstPort => Some(u64::from(self.segment.dst_port)),
             Field::TcpFlagSyn => Some(u64::from(self.segment.flags.syn)),
             Field::TcpFlagAck => Some(u64::from(self.segment.flags.ack)),
-            Field::TcpPayloadLen => Some(self.segment.payload.len() as u64),
+            Field::TcpPayloadLen => Some(self.segment.payload.total_len() as u64),
             _ => None,
         }
     }
 
     fn head(&self) -> &[u8] {
-        &self.segment.payload
+        self.segment.payload.head()
     }
 }
 

@@ -273,12 +273,13 @@ fn new_chain() -> Vec<Segment> {
 }
 
 /// Retires a chain vector's clusters and offers the emptied vector back to
-/// the pool, which keeps it unless it outgrew what [`new_chain`] hands out.
+/// the pool, which keeps it unless it outgrew what [`new_chain`] hands out
+/// or never had room at all (the husk [`Mbuf::take`] leaves).
 fn retire_chain(mut chain: Vec<Segment>) {
     for seg in chain.drain(..) {
         retire_cluster(seg.cluster);
     }
-    if chain.capacity() > CHAIN_SLOTS {
+    if chain.capacity() == 0 || chain.capacity() > CHAIN_SLOTS {
         return;
     }
     POOL.with(|p| {
@@ -308,28 +309,49 @@ impl Mbuf {
     /// Builds a packet holding `payload`, with `leading` bytes of prepend
     /// room before it. Large payloads span multiple clusters.
     pub fn from_payload(leading: usize, payload: &[u8]) -> Mbuf {
+        Mbuf::from_pieces(leading, payload.len(), [payload])
+    }
+
+    /// [`Mbuf::from_payload`] for a payload of `len` bytes that lies in
+    /// `pieces`, copied in order: the chain is the one the concatenation
+    /// would give, built without concatenating.
+    ///
+    /// # Panics
+    ///
+    /// Panics if the pieces hold fewer than `len` bytes.
+    pub(crate) fn from_pieces<'a>(
+        leading: usize,
+        len: usize,
+        pieces: impl IntoIterator<Item = &'a [u8]>,
+    ) -> Mbuf {
+        let mut pieces = pieces.into_iter();
+        let mut piece: &[u8] = &[];
         let mut segments = new_chain();
-        let first_capacity = MCLBYTES.max(leading + 1) - leading;
-        let first_len = payload.len().min(first_capacity);
-        let mut cluster = new_cluster(leading + first_len);
-        cluster_mut(&mut cluster)[leading..leading + first_len]
-            .copy_from_slice(&payload[..first_len]);
-        segments.push(Segment {
-            cluster,
-            off: leading,
-            len: first_len,
-        });
-        let mut rest = &payload[first_len..];
-        while !rest.is_empty() {
-            let n = rest.len().min(MCLBYTES);
-            let mut cluster = new_cluster(n);
-            cluster_mut(&mut cluster)[..n].copy_from_slice(&rest[..n]);
+        let (mut off, mut n) = (leading, len.min(MCLBYTES.max(leading + 1) - leading));
+        let mut left = len;
+        loop {
+            let mut cluster = new_cluster(off + n);
+            let dst = &mut cluster_mut(&mut cluster)[off..off + n];
+            let mut filled = 0;
+            while filled < n {
+                if piece.is_empty() {
+                    piece = pieces.next().expect("the pieces hold `len` bytes");
+                }
+                let take = piece.len().min(n - filled);
+                dst[filled..filled + take].copy_from_slice(&piece[..take]);
+                piece = &piece[take..];
+                filled += take;
+            }
             segments.push(Segment {
                 cluster,
-                off: 0,
+                off,
                 len: n,
             });
-            rest = &rest[n..];
+            left -= n;
+            if left == 0 {
+                break;
+            }
+            (off, n) = (0, left.min(MCLBYTES));
         }
         let mut m = Mbuf {
             segments,
@@ -337,6 +359,16 @@ impl Mbuf {
         };
         m.stamp_pkthdr();
         m
+    }
+
+    /// Moves the chain out, leaving this mbuf empty with nothing to retire:
+    /// the caller gets the clusters uniquely held, so a header prepended to
+    /// them goes into their leading space.
+    pub(crate) fn take(&mut self) -> Mbuf {
+        Mbuf {
+            segments: std::mem::take(&mut self.segments),
+            pkthdr: self.pkthdr.take(),
+        }
     }
 
     /// Builds a packet from raw received bytes (driver receive path): no
@@ -752,6 +784,38 @@ mod tests {
         let m = Mbuf::from_payload(LEADING_SPACE, &data);
         assert!(m.segment_count() >= 3, "5000 B must span clusters");
         assert_eq!(m.to_vec(), data);
+    }
+
+    #[test]
+    fn a_payload_in_pieces_builds_the_chain_its_concatenation_would() {
+        let data: Vec<u8> = (0..5000u32).map(|i| (i % 253) as u8).collect();
+        let shape = |m: &Mbuf| {
+            let segs: Vec<_> = m.segments.iter().map(|s| (s.off, s.len)).collect();
+            (segs, m.to_vec())
+        };
+        for leading in [0, LEADING_SPACE + 20, MCLBYTES] {
+            for len in [0, 1, 1900, 2048, 5000] {
+                let whole = Mbuf::from_payload(leading, &data[..len]);
+                for cut in [0, len / 3, len] {
+                    let (a, b) = data[..len].split_at(cut);
+                    let pieces = Mbuf::from_pieces(leading, len, [a, &[][..], b]);
+                    assert_eq!(shape(&pieces), shape(&whole), "{leading} {len} {cut}");
+                }
+            }
+        }
+    }
+
+    #[test]
+    fn taking_a_chain_leaves_a_husk_the_pool_does_not_keep() {
+        let mut m = Mbuf::from_payload(LEADING_SPACE, &[5; 300]);
+        let taken = m.take();
+        assert_eq!((m.total_len(), taken.total_len()), (0, 300));
+        let chains = || POOL.with(|p| p.borrow().chains.len());
+        let before = chains();
+        drop(m);
+        assert_eq!(chains(), before, "no zero-capacity chain handed out later");
+        drop(taken);
+        assert_eq!(chains(), before + 1);
     }
 
     #[test]

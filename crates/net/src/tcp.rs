@@ -13,12 +13,13 @@
 
 use std::collections::{BTreeMap, VecDeque};
 use std::net::Ipv4Addr;
+use std::ops::Range;
 
 use plexus_kernel::view::{be16, be32, put_be16, put_be32, WireView};
 
 use crate::checksum::{Checksum, CsumOffload};
 use crate::ip::proto;
-use crate::mbuf::Mbuf;
+use crate::mbuf::{Mbuf, LEADING_SPACE};
 
 /// TCP header length (no options on the wire after the SYN's MSS option is
 /// folded into [`Tcb::mss`]; we keep headers fixed-size for simplicity).
@@ -102,9 +103,12 @@ impl TcpFlags {
     }
 }
 
-/// A TCP segment in parsed form.
+/// A TCP segment in parsed form, generic over how its payload is held: a
+/// parsed segment borrows the frame (`&[u8]`), one the state machine emits
+/// or the stack demultiplexes shares mbuf clusters ([`Mbuf`]), and one built
+/// by hand owns its bytes (`Vec<u8>`, the default).
 #[derive(Clone, Debug, PartialEq, Eq)]
-pub struct TcpSegment {
+pub struct TcpSegment<P = Vec<u8>> {
     /// Source port.
     pub src_port: u16,
     /// Destination port.
@@ -120,10 +124,86 @@ pub struct TcpSegment {
     /// MSS option (present on SYN segments).
     pub mss: Option<u16>,
     /// Payload.
-    pub payload: Vec<u8>,
+    pub payload: P,
 }
 
-impl TcpSegment {
+/// A segment payload as TCP reads it: bytes in one or more chunks, in
+/// order. [`Tcb::on_segment`] takes any of them and walks the chunks, so a
+/// payload spread over mbuf clusters is never gathered first.
+pub trait Payload {
+    /// Payload bytes.
+    fn len(&self) -> usize;
+
+    /// Whether there are none.
+    fn is_empty(&self) -> bool {
+        self.len() == 0
+    }
+
+    /// The bytes, chunk by chunk.
+    fn byte_chunks(&self) -> impl Iterator<Item = &[u8]>;
+}
+
+impl Payload for Vec<u8> {
+    fn len(&self) -> usize {
+        Vec::len(self)
+    }
+
+    fn byte_chunks(&self) -> impl Iterator<Item = &[u8]> {
+        std::iter::once(self.as_slice())
+    }
+}
+
+impl Payload for &[u8] {
+    fn len(&self) -> usize {
+        <[u8]>::len(self)
+    }
+
+    fn byte_chunks(&self) -> impl Iterator<Item = &[u8]> {
+        std::iter::once(*self)
+    }
+}
+
+impl Payload for Mbuf {
+    fn len(&self) -> usize {
+        self.total_len()
+    }
+
+    fn byte_chunks(&self) -> impl Iterator<Item = &[u8]> {
+        self.segments()
+    }
+}
+
+/// Calls `f` on the bytes of `payload` in `range`, chunk by chunk.
+fn for_range<P: Payload>(payload: &P, range: Range<usize>, mut f: impl FnMut(&[u8])) {
+    let mut start = 0;
+    for chunk in payload.byte_chunks() {
+        let end = start + chunk.len();
+        let (lo, hi) = (range.start.max(start), range.end.min(end));
+        if lo < hi {
+            f(&chunk[lo - start..hi - start]);
+        }
+        if end >= range.end {
+            break;
+        }
+        start = end;
+    }
+}
+
+impl<P> TcpSegment<P> {
+    /// This segment's header around another payload.
+    pub fn with_payload<Q>(&self, payload: Q) -> TcpSegment<Q> {
+        TcpSegment {
+            src_port: self.src_port,
+            dst_port: self.dst_port,
+            seq: self.seq,
+            ack: self.ack,
+            flags: self.flags,
+            window: self.window,
+            mss: self.mss,
+            payload,
+        }
+    }
+
     /// Header length on the wire: a SYN carrying an MSS value adds the
     /// kind-2 option (RFC 793 §3.1).
     fn header_len(&self) -> usize {
@@ -150,67 +230,13 @@ impl TcpSegment {
         }
     }
 
-    /// Serializes with a pseudo-header checksum for `src`→`dst`. A SYN
-    /// carrying an MSS value emits the kind-2 option (RFC 793 §3.1).
-    pub fn to_bytes(&self, src: Ipv4Addr, dst: Ipv4Addr) -> Vec<u8> {
+    /// Prepends this header to `m`, the payload, and fills the checksum:
+    /// computed over the chain in place or, with `offload`, deferred to the
+    /// NIC ([`TcpSegment::chunk_to_mbuf`]).
+    fn seal(&self, mut m: Mbuf, src: Ipv4Addr, dst: Ipv4Addr, offload: bool) -> Mbuf {
         let hdr_len = self.header_len();
-        let len = hdr_len + self.payload.len();
-        let mut b = vec![0u8; len];
-        self.write_header(&mut b[..hdr_len]);
-        b[hdr_len..].copy_from_slice(&self.payload);
-        let mut c = Checksum::new();
-        c.add(&src.octets())
-            .add(&dst.octets())
-            .add_u16(proto::TCP as u16)
-            .add_u16(len as u16)
-            .add(&b);
-        let sum = c.finish();
-        put_be16(&mut b, 16, sum);
-        b
-    }
-
-    /// Serializes straight into an mbuf with `leading` spare bytes ahead of
-    /// the TCP header for lower-layer encapsulation. The payload is copied
-    /// once (into the mbuf) instead of the twice [`TcpSegment::to_bytes`] +
-    /// `Mbuf::from_payload` would cost, and the checksum streams over the
-    /// mbuf chain in place.
-    pub fn to_mbuf(&self, src: Ipv4Addr, dst: Ipv4Addr, leading: usize) -> Mbuf {
-        self.chunk_to_mbuf(0..self.payload.len(), src, dst, leading, false)
-    }
-
-    /// [`TcpSegment::to_mbuf`] for the payload bytes in `range` alone: the
-    /// wire segment a segmentation-offload split makes of that part of a
-    /// super-segment, built from a slice of it. The sequence number moves
-    /// up by `range.start`; chunks short of the end are plain ACKs and the
-    /// final one keeps the flags (FIN rides on it).
-    ///
-    /// With `offload` the checksum is deferred to a NIC that advertises
-    /// checksum offload: the field stays zero and a [`CsumOffload`]
-    /// descriptor (pseudo-header partial included) is stamped in the packet
-    /// header for the adapter to fill during the DMA gather. Unlike UDP, a
-    /// computed zero stays zero on the wire.
-    pub fn chunk_to_mbuf(
-        &self,
-        range: std::ops::Range<usize>,
-        src: Ipv4Addr,
-        dst: Ipv4Addr,
-        leading: usize,
-        offload: bool,
-    ) -> Mbuf {
-        let whole = range.len() == self.payload.len();
-        let last = range.end == self.payload.len();
-        let header = TcpSegment {
-            seq: self.seq.wrapping_add(range.start as u32),
-            flags: if last { self.flags } else { TcpFlags::ACK },
-            // Options stay with an unsplit segment: a SYN is never split.
-            mss: self.mss.filter(|_| whole),
-            payload: Vec::new(),
-            ..*self
-        };
-        let hdr_len = header.header_len();
-        let len = hdr_len + range.len();
-        let mut m = Mbuf::from_payload(leading + hdr_len, &self.payload[range]);
-        header.write_header(m.prepend(hdr_len));
+        let len = hdr_len + m.total_len();
+        self.write_header(m.prepend(hdr_len));
         let mut c = Checksum::new();
         c.add(&src.octets())
             .add(&dst.octets())
@@ -233,9 +259,94 @@ impl TcpSegment {
         }
         m
     }
+}
 
+impl<P: Payload> TcpSegment<P> {
+    /// Serializes with a pseudo-header checksum for `src`→`dst`. A SYN
+    /// carrying an MSS value emits the kind-2 option (RFC 793 §3.1).
+    pub fn to_bytes(&self, src: Ipv4Addr, dst: Ipv4Addr) -> Vec<u8> {
+        let hdr_len = self.header_len();
+        let len = hdr_len + self.payload.len();
+        let mut b = vec![0u8; len];
+        self.write_header(&mut b[..hdr_len]);
+        let mut at = hdr_len;
+        for chunk in self.payload.byte_chunks() {
+            b[at..at + chunk.len()].copy_from_slice(chunk);
+            at += chunk.len();
+        }
+        let mut c = Checksum::new();
+        c.add(&src.octets())
+            .add(&dst.octets())
+            .add_u16(proto::TCP as u16)
+            .add_u16(len as u16)
+            .add(&b);
+        let sum = c.finish();
+        put_be16(&mut b, 16, sum);
+        b
+    }
+
+    /// Serializes into a fresh mbuf with `leading` spare bytes ahead of the
+    /// TCP header for lower-layer encapsulation: the payload is copied once,
+    /// and the checksum streams over the chain in place.
+    pub fn to_mbuf(&self, src: Ipv4Addr, dst: Ipv4Addr, leading: usize) -> Mbuf {
+        let m = Mbuf::from_pieces(
+            leading + self.header_len(),
+            self.payload.len(),
+            self.payload.byte_chunks(),
+        );
+        self.seal(m, src, dst, false)
+    }
+
+    /// Sequence space this segment occupies (payload + SYN/FIN).
+    fn seq_len(&self) -> u32 {
+        self.payload.len() as u32 + self.flags.syn as u32 + self.flags.fin as u32
+    }
+}
+
+impl TcpSegment<Mbuf> {
+    /// The wire segment for the payload bytes in `range`, with the TCP
+    /// header in front. When `range` is the whole payload, the payload moves
+    /// out of this segment (leaving it empty) and the header goes into its
+    /// leading space: nothing is copied or shared. A part — what a
+    /// segmentation-offload split makes of a super-segment — is a share of
+    /// those bytes ([`Mbuf::range`]) with the header chained in front; its
+    /// sequence number moves up by `range.start`, parts short of the end
+    /// are plain ACKs and the final one keeps the flags (FIN rides on it).
+    ///
+    /// With `offload` the checksum is deferred to a NIC that advertises
+    /// checksum offload: the field stays zero and a [`CsumOffload`]
+    /// descriptor (pseudo-header partial included) is stamped in the packet
+    /// header for the adapter to fill during the DMA gather. Unlike UDP, a
+    /// computed zero stays zero on the wire.
+    pub fn chunk_to_mbuf(
+        &mut self,
+        range: Range<usize>,
+        src: Ipv4Addr,
+        dst: Ipv4Addr,
+        offload: bool,
+    ) -> Mbuf {
+        let len = self.payload.total_len();
+        let (whole, last) = (range.len() == len, range.end == len);
+        let mut header = self.with_payload(());
+        header.seq = self.seq.wrapping_add(range.start as u32);
+        if !last {
+            header.flags = TcpFlags::ACK;
+        }
+        // Options stay with an unsplit segment: a SYN is never split.
+        header.mss = self.mss.filter(|_| whole);
+        let m = if whole {
+            self.payload.take()
+        } else {
+            self.payload.range(range.start, range.len())
+        };
+        header.seal(m, src, dst, offload)
+    }
+}
+
+impl<'a> TcpSegment<&'a [u8]> {
     /// Parses and verifies the checksum. `None` on malformed/corrupt input.
-    pub fn parse(src: Ipv4Addr, dst: Ipv4Addr, bytes: &[u8]) -> Option<TcpSegment> {
+    /// The payload is a view of `bytes`, not a copy.
+    pub fn parse(src: Ipv4Addr, dst: Ipv4Addr, bytes: &'a [u8]) -> Option<Self> {
         let v: TcpRawView = plexus_kernel::view::view(bytes)?;
         let data_off = ((v.0[12] >> 4) as usize) * 4;
         if data_off < TCP_HDR_LEN || data_off > bytes.len() {
@@ -278,13 +389,8 @@ impl TcpSegment {
             flags: TcpFlags::from_wire(bytes[13]),
             window: be16(bytes, 14),
             mss,
-            payload: bytes[data_off..].to_vec(),
+            payload: &bytes[data_off..],
         })
-    }
-
-    /// Sequence space this segment occupies (payload + SYN/FIN).
-    pub fn seq_len(&self) -> u32 {
-        self.payload.len() as u32 + self.flags.syn as u32 + self.flags.fin as u32
     }
 }
 
@@ -334,11 +440,15 @@ pub enum TcpState {
     TimeWait,
 }
 
-/// What a [`Tcb`] wants done after processing an input.
+/// What a [`Tcb`] wants done after processing an input. Each entry point
+/// fills one of these, every step below it writing into the same one.
 #[derive(Debug, Default)]
 pub struct Actions {
-    /// Segments to transmit, in order.
-    pub segments: Vec<TcpSegment>,
+    /// Segments to transmit, in order. Each payload is an mbuf with room
+    /// ahead for the headers ([`TcpSegment::chunk_to_mbuf`]). The list is
+    /// the TCB's, lent: an owner that drains it and hands it back
+    /// ([`Tcb::reclaim`]) lets the next input reuse its allocation.
+    pub segments: Vec<TcpSegment<Mbuf>>,
     /// The connection just reached `Established`.
     pub connected: bool,
     /// New in-order data is available via [`Tcb::swap_received`].
@@ -353,22 +463,22 @@ pub struct Actions {
     /// Payload bytes beyond the advertised receive window were refused
     /// (and acknowledged, RFC 793 §3.3); the owner records the drop.
     pub out_of_window: bool,
-}
-
-impl Actions {
-    fn merge(&mut self, other: Actions) {
-        self.segments.extend(other.segments);
-        self.connected |= other.connected;
-        self.data_available |= other.data_available;
-        self.closed |= other.closed;
-        self.reset |= other.reset;
-        self.peer_fin |= other.peer_fin;
-        self.out_of_window |= other.out_of_window;
-    }
+    /// The peer stopped answering: the retransmission timer ran out too many
+    /// times in a row and the connection closed (`closed` is set too); the
+    /// owner records the drop.
+    pub timed_out: bool,
 }
 
 const INITIAL_RTO_NS: u64 = 1_000_000_000;
+const MIN_RTO_NS: u64 = 200_000_000;
 const MAX_RTO_NS: u64 = 64_000_000_000;
+/// Retransmission timeouts in a row, without the peer acknowledging new
+/// data or answering a zero-window probe, after which a connection is
+/// given up (BSD's `TCP_MAXRXTSHIFT`). From the smallest RTO, 200 ms,
+/// doubling to the 64 s cap, the thirteenth expiry comes 358 s after the
+/// segment was first sent; from a SYN's 1 s, 511 s. Both exceed the 100 s
+/// (data) and 180 s (SYN) that RFC 1122 §4.2.3.5 asks a TCP to keep trying.
+const MAX_BACKOFFS: u32 = 12;
 /// 2×MSL for TIME_WAIT (shortened from 2×30 s to keep simulations brisk;
 /// still far longer than any segment lifetime in the simulated networks).
 const TIME_WAIT_NS: u64 = 1_000_000_000;
@@ -429,8 +539,13 @@ pub struct Tcb {
     rtt_sample: Option<(u32, u64)>,
     timer_deadline: Option<u64>,
     time_wait_deadline: Option<u64>,
+    /// Retransmission timeouts since the peer last showed progress.
+    backoffs: u32,
     /// Retransmitted segments (statistics; drives the bench reports).
     pub retransmits: u64,
+
+    /// The segment list [`Actions`] lends out, back from its owner empty.
+    spare: Vec<TcpSegment<Mbuf>>,
 }
 
 impl Tcb {
@@ -463,7 +578,9 @@ impl Tcb {
             rtt_sample: None,
             timer_deadline: None,
             time_wait_deadline: None,
+            backoffs: 0,
             retransmits: 0,
+            spare: Vec::new(),
         }
     }
 
@@ -485,7 +602,7 @@ impl Tcb {
         t.remote = Some(remote);
         t.state = TcpState::SynSent;
         t.snd_nxt = iss.wrapping_add(1);
-        let seg = t.make_segment(iss, TcpFlags::SYN, Vec::new());
+        let seg = t.make_segment(iss, TcpFlags::SYN, 0..0);
         t.arm_timer(now_ns);
         let mut a = Actions::default();
         a.segments.push(seg);
@@ -497,14 +614,20 @@ impl Tcb {
         self.state
     }
 
-    /// Local address/port.
-    pub fn local(&self) -> (Ipv4Addr, u16) {
-        self.local
+    /// Takes back the segment list an [`Actions`] lent out, once its owner
+    /// has drained it: the next input fills it again instead of growing a
+    /// fresh one. Whatever it still holds is dropped.
+    pub fn reclaim(&mut self, mut segments: Vec<TcpSegment<Mbuf>>) {
+        segments.clear();
+        self.spare = segments;
     }
 
-    /// Remote address/port, once known.
-    pub fn remote(&self) -> Option<(Ipv4Addr, u16)> {
-        self.remote
+    /// An empty [`Actions`] around the spare segment list.
+    fn actions(&mut self) -> Actions {
+        Actions {
+            segments: std::mem::take(&mut self.spare),
+            ..Actions::default()
+        }
     }
 
     /// The next instant [`Tcb::on_timer`] should be called, if any.
@@ -525,22 +648,12 @@ impl Tcb {
         std::mem::swap(&mut self.recv_ready, buf);
     }
 
-    /// Copies `len` queued bytes that start `off` bytes past `snd_una`.
-    fn queued(&self, off: usize, len: usize) -> Vec<u8> {
-        let (front, back) = self.send_q.as_slices();
-        let mut out = Vec::with_capacity(len);
-        if off < front.len() {
-            let n = len.min(front.len() - off);
-            out.extend_from_slice(&front[off..off + n]);
-            out.extend_from_slice(&back[..len - n]);
-        } else {
-            out.extend_from_slice(&back[off - front.len()..][..len]);
-        }
-        out
-    }
-
-    fn make_segment(&self, seq: u32, flags: TcpFlags, payload: Vec<u8>) -> TcpSegment {
-        TcpSegment {
+    /// A segment from this end carrying the queued bytes `data` (offsets
+    /// past `snd_una`). They are copied once, from the send ring into a
+    /// packet with room ahead for this header and [`LEADING_SPACE`] for the
+    /// ones below it.
+    fn make_segment(&self, seq: u32, flags: TcpFlags, data: Range<usize>) -> TcpSegment<Mbuf> {
+        let header = TcpSegment {
             src_port: self.local.1,
             dst_port: self.remote.map(|r| r.1).unwrap_or(0),
             seq,
@@ -552,8 +665,16 @@ impl Tcb {
             } else {
                 None
             },
-            payload,
-        }
+            payload: (),
+        };
+        let (front, back) = self.send_q.as_slices();
+        let f = front.len();
+        let pieces = [
+            &front[data.start.min(f)..data.end.min(f)],
+            &back[data.start.max(f) - f..data.end.max(f) - f],
+        ];
+        let room = LEADING_SPACE + header.header_len();
+        header.with_payload(Mbuf::from_pieces(room, data.len(), pieces))
     }
 
     /// The window we advertise: buffer capacity minus data the application
@@ -586,14 +707,9 @@ impl Tcb {
         self.gso_segs = segs.max(1);
     }
 
-    /// Current segmentation-offload factor (1 = disabled).
-    pub fn gso_segs(&self) -> usize {
-        self.gso_segs
-    }
-
     /// Takes the smaller of our MSS and the one in the peer's SYN, floored
     /// at [`MIN_MSS`].
-    fn adopt_peer_mss(&mut self, syn: &TcpSegment) {
+    fn adopt_peer_mss<P>(&mut self, syn: &TcpSegment<P>) {
         if let Some(peer_mss) = syn.mss {
             self.mss = self.mss.min((peer_mss as usize).max(MIN_MSS));
         }
@@ -616,12 +732,14 @@ impl Tcb {
             self.state
         );
         self.send_q.extend(data);
-        self.pump_output(now_ns)
+        let mut a = self.actions();
+        self.pump_output(&mut a, now_ns);
+        a
     }
 
     /// Begins an orderly close; a FIN goes out once the send buffer drains.
     pub fn close(&mut self, now_ns: u64) -> Actions {
-        let mut a = Actions::default();
+        let mut a = self.actions();
         match self.state {
             TcpState::Closed | TcpState::Listen => {
                 self.state = TcpState::Closed;
@@ -638,17 +756,18 @@ impl Tcb {
             _ => return a,
         }
         self.fin_pending = true;
-        a.merge(self.pump_output(now_ns));
+        self.pump_output(&mut a, now_ns);
         a
     }
 
     /// Emits as much queued data (and a pending FIN) as the congestion and
     /// peer windows allow.
-    fn pump_output(&mut self, now_ns: u64) -> Actions {
-        let mut a = Actions::default();
+    fn pump_output(&mut self, a: &mut Actions, now_ns: u64) {
         if self.syn_in_flight() {
-            return a; // Nothing but the SYN until the handshake completes.
+            return; // Nothing but the SYN until the handshake completes.
         }
+        // What the caller queued already is not ours to arm a timer for.
+        let earlier = a.segments.len();
         let wnd = self.snd_wnd.min(self.cwnd as u32);
         loop {
             let in_flight = self.snd_nxt.wrapping_sub(self.snd_una);
@@ -659,7 +778,7 @@ impl Tcb {
             if chunk == 0 {
                 break;
             }
-            let seg = self.make_segment(self.snd_nxt, TcpFlags::ACK, self.queued(sent_off, chunk));
+            let seg = self.make_segment(self.snd_nxt, TcpFlags::ACK, sent_off..sent_off + chunk);
             if self.rtt_sample.is_none() {
                 self.rtt_sample = Some((self.snd_nxt, now_ns));
             }
@@ -669,12 +788,12 @@ impl Tcb {
         // FIN once everything queued has been handed to the network.
         let all_sent = self.snd_nxt.wrapping_sub(self.snd_una) as usize >= self.send_q.len();
         if self.fin_pending && all_sent && self.fin_seq.is_none() {
-            let seg = self.make_segment(self.snd_nxt, TcpFlags::FIN_ACK, Vec::new());
+            let seg = self.make_segment(self.snd_nxt, TcpFlags::FIN_ACK, 0..0);
             self.fin_seq = Some(self.snd_nxt);
             self.snd_nxt = self.snd_nxt.wrapping_add(1);
             a.segments.push(seg);
         }
-        if !a.segments.is_empty() && self.timer_deadline.is_none() {
+        if a.segments.len() > earlier && self.timer_deadline.is_none() {
             self.arm_timer(now_ns);
         }
         // Window closed with data waiting and nothing outstanding: keep a
@@ -687,14 +806,13 @@ impl Tcb {
         {
             self.arm_timer(now_ns);
         }
-        a
     }
 
     /// Handles a retransmission or TIME_WAIT timer having (possibly)
     /// expired. Call with the current time whenever [`Tcb::next_timeout`]
     /// passes.
     pub fn on_timer(&mut self, now_ns: u64) -> Actions {
-        let mut a = Actions::default();
+        let mut a = self.actions();
         if let Some(tw) = self.time_wait_deadline {
             if now_ns >= tw {
                 self.time_wait_deadline = None;
@@ -715,7 +833,7 @@ impl Tcb {
         let flight = self.snd_nxt.wrapping_sub(self.snd_una) as usize;
         if flight == 0 && !self.syn_in_flight() {
             if !self.send_q.is_empty() && self.snd_wnd == 0 {
-                let probe = self.make_segment(self.snd_una, TcpFlags::ACK, self.queued(0, 1));
+                let probe = self.make_segment(self.snd_una, TcpFlags::ACK, 0..1);
                 self.snd_nxt = self.snd_una.wrapping_add(1);
                 self.rto_ns = (self.rto_ns * 2).min(MAX_RTO_NS);
                 a.segments.push(probe);
@@ -725,6 +843,15 @@ impl Tcb {
             self.cancel_timer();
             return a;
         }
+        if self.backoffs == MAX_BACKOFFS {
+            // Nobody is answering: give up rather than retransmit forever.
+            self.state = TcpState::Closed;
+            self.cancel_timer();
+            a.closed = true;
+            a.timed_out = true;
+            return a;
+        }
+        self.backoffs += 1;
         self.ssthresh = (flight / 2).max(2 * self.mss);
         self.cwnd = self.mss;
         self.dup_acks = 0;
@@ -737,14 +864,14 @@ impl Tcb {
     }
 
     /// Builds the oldest outstanding segment for retransmission.
-    fn retransmit_head(&self) -> TcpSegment {
+    fn retransmit_head(&self) -> TcpSegment<Mbuf> {
         match self.state {
-            TcpState::SynSent => self.make_segment(self.iss, TcpFlags::SYN, Vec::new()),
-            TcpState::SynRcvd => self.make_segment(self.iss, TcpFlags::SYN_ACK, Vec::new()),
+            TcpState::SynSent => self.make_segment(self.iss, TcpFlags::SYN, 0..0),
+            TcpState::SynRcvd => self.make_segment(self.iss, TcpFlags::SYN_ACK, 0..0),
             _ => {
                 if let Some(fin_seq) = self.fin_seq {
                     if self.snd_una == fin_seq {
-                        return self.make_segment(fin_seq, TcpFlags::FIN_ACK, Vec::new());
+                        return self.make_segment(fin_seq, TcpFlags::FIN_ACK, 0..0);
                     }
                 }
                 let chunk = self
@@ -752,14 +879,20 @@ impl Tcb {
                     .len()
                     .min(self.chunk_cap())
                     .min(self.snd_nxt.wrapping_sub(self.snd_una) as usize);
-                self.make_segment(self.snd_una, TcpFlags::ACK, self.queued(0, chunk))
+                self.make_segment(self.snd_una, TcpFlags::ACK, 0..chunk)
             }
         }
     }
 
-    /// Processes an incoming segment addressed to this connection.
-    pub fn on_segment(&mut self, seg: &TcpSegment, peer: (Ipv4Addr, u16), now_ns: u64) -> Actions {
-        let mut a = Actions::default();
+    /// Processes an incoming segment addressed to this connection, whatever
+    /// holds its payload.
+    pub fn on_segment<P: Payload>(
+        &mut self,
+        seg: &TcpSegment<P>,
+        peer: (Ipv4Addr, u16),
+        now_ns: u64,
+    ) -> Actions {
+        let mut a = self.actions();
         if seg.flags.rst {
             if self.state != TcpState::Listen && self.state != TcpState::Closed {
                 self.state = TcpState::Closed;
@@ -782,7 +915,7 @@ impl Tcb {
                     self.snd_wnd = seg.window as u32;
                     self.state = TcpState::SynRcvd;
                     a.segments
-                        .push(self.make_segment(self.iss, TcpFlags::SYN_ACK, Vec::new()));
+                        .push(self.make_segment(self.iss, TcpFlags::SYN_ACK, 0..0));
                     self.arm_timer(now_ns);
                 }
             }
@@ -795,20 +928,19 @@ impl Tcb {
                     self.state = TcpState::Established;
                     self.cancel_timer();
                     self.rto_ns = INITIAL_RTO_NS;
+                    self.backoffs = 0;
                     a.connected = true;
                     a.segments
-                        .push(self.make_segment(self.snd_nxt, TcpFlags::ACK, Vec::new()));
-                    a.merge(self.pump_output(now_ns));
+                        .push(self.make_segment(self.snd_nxt, TcpFlags::ACK, 0..0));
+                    self.pump_output(&mut a, now_ns);
                 }
             }
-            _ => {
-                a.merge(self.on_synchronized_segment(seg, now_ns));
-            }
+            _ => self.on_synchronized_segment(&mut a, seg, now_ns),
         }
         a
     }
 
-    fn reset_for(&self, seg: &TcpSegment) -> TcpSegment {
+    fn reset_for<P: Payload>(&self, seg: &TcpSegment<P>) -> TcpSegment<Mbuf> {
         TcpSegment {
             src_port: self.local.1,
             dst_port: seg.src_port,
@@ -817,18 +949,22 @@ impl Tcb {
             flags: TcpFlags::RST,
             window: 0,
             mss: None,
-            payload: Vec::new(),
+            payload: Mbuf::from_payload(LEADING_SPACE + TCP_HDR_LEN, &[]),
         }
     }
 
-    fn on_synchronized_segment(&mut self, seg: &TcpSegment, now_ns: u64) -> Actions {
-        let mut a = Actions::default();
-
+    fn on_synchronized_segment<P: Payload>(
+        &mut self,
+        a: &mut Actions,
+        seg: &TcpSegment<P>,
+        now_ns: u64,
+    ) {
         // --- ACK processing -------------------------------------------------
         if seg.flags.ack {
             let ack = seg.ack;
             if seq_lt(self.snd_una, ack) && seq_le(ack, self.snd_nxt) {
-                // New data acknowledged.
+                // New data acknowledged: the peer is making progress.
+                self.backoffs = 0;
                 let mut acked = ack.wrapping_sub(self.snd_una) as usize;
                 if self.state == TcpState::SynRcvd {
                     // Our SYN consumed one sequence number.
@@ -840,7 +976,7 @@ impl Tcb {
                 if let Some(fin_seq) = self.fin_seq {
                     if seq_lt(fin_seq, ack) {
                         acked = acked.saturating_sub(1); // FIN acked too.
-                        a.merge(self.on_fin_acked());
+                        self.on_fin_acked(a);
                     }
                 }
                 // On the ring this drops the acked bytes alone: what is
@@ -883,12 +1019,17 @@ impl Tcb {
                 }
             }
             self.snd_wnd = seg.window as u32;
+            if self.snd_wnd == 0 {
+                // A peer that shuts its window is alive: probing it until
+                // it opens is no failure (RFC 1122 §4.2.2.17).
+                self.backoffs = 0;
+            }
         }
 
         // --- Payload processing ---------------------------------------------
         let had_payload_or_fin = !seg.payload.is_empty() || seg.flags.fin;
         if !seg.payload.is_empty() {
-            a.out_of_window = self.ingest_payload(seg.seq, &seg.payload);
+            a.out_of_window |= self.ingest_payload(seg.seq, &seg.payload);
             if !self.recv_ready.is_empty() {
                 a.data_available = true;
             }
@@ -903,37 +1044,39 @@ impl Tcb {
                 self.rcv_nxt = self.rcv_nxt.wrapping_add(1);
                 self.rcv_off += 1;
                 self.peer_fin_seq = None;
-                a.merge(self.on_peer_fin(now_ns));
+                self.on_peer_fin(a, now_ns);
             }
         }
         if had_payload_or_fin {
             // Acknowledge (immediate ACK; no delayed-ACK timer in the model).
             a.segments
-                .push(self.make_segment(self.snd_nxt, TcpFlags::ACK, Vec::new()));
+                .push(self.make_segment(self.snd_nxt, TcpFlags::ACK, 0..0));
         }
 
         // Window may have opened: push more data.
-        a.merge(self.pump_output(now_ns));
-        a
+        self.pump_output(a, now_ns);
     }
 
     /// Takes in the part of `payload` that lies inside the advertised
     /// window `[rcv_nxt, rcv_nxt + window)`: in-order bytes go to
     /// `recv_ready` along with every stashed run they reach, bytes ahead of
-    /// a hole are stashed. Returns whether bytes beyond the window were
-    /// refused; bytes below `rcv_nxt` are duplicates, dropped silently.
-    fn ingest_payload(&mut self, seq: u32, payload: &[u8]) -> bool {
+    /// a hole are stashed, each straight from the payload's chunks. Returns
+    /// whether bytes beyond the window were refused; bytes below `rcv_nxt`
+    /// are duplicates, dropped silently.
+    fn ingest_payload<P: Payload>(&mut self, seq: u32, payload: &P) -> bool {
         let window = self.advertised_window() as usize;
+        let len = payload.len();
         // Where the segment starts relative to `rcv_nxt`, signed: modular
         // arithmetic, so it holds across sequence wraparound.
         let ahead = seq.wrapping_sub(self.rcv_nxt) as i32;
         if ahead <= 0 {
             let skip = ahead.unsigned_abs() as usize;
-            let Some(fresh) = payload.get(skip..).filter(|f| !f.is_empty()) else {
+            if skip >= len {
                 return false;
-            };
-            let take = fresh.len().min(window);
-            self.deliver(&fresh[..take]);
+            }
+            let fresh = len - skip;
+            let take = fresh.min(window);
+            for_range(payload, skip..skip + take, |bytes| self.deliver(bytes));
             // Stashed runs the new bytes reach (or cover) are now in order.
             while let Some(entry) = self.ooo.first_entry() {
                 if *entry.key() > self.rcv_off {
@@ -944,15 +1087,15 @@ impl Tcb {
                     self.deliver(rest);
                 }
             }
-            take < fresh.len()
+            take < fresh
         } else {
             let ahead = ahead as usize;
             if ahead >= window {
                 return true;
             }
-            let take = payload.len().min(window - ahead);
-            self.stash(self.rcv_off + ahead as u64, &payload[..take]);
-            take < payload.len()
+            let take = len.min(window - ahead);
+            self.stash(self.rcv_off + ahead as u64, payload, take);
+            take < len
         }
     }
 
@@ -963,18 +1106,19 @@ impl Tcb {
         self.rcv_off += bytes.len() as u64;
     }
 
-    /// Merges `data`, which starts at unwrapped sequence `at` past a hole,
-    /// into the reassembly map: it extends the run that reaches `at` (or starts
-    /// one) and swallows every later run it reaches, so runs stay disjoint.
-    fn stash(&mut self, at: u64, data: &[u8]) {
+    /// Merges the first `len` bytes of `payload`, which start at unwrapped
+    /// sequence `at` past a hole, into the reassembly map: they extend the
+    /// run that reaches `at` (or start one) and swallow every later run they
+    /// reach, so runs stay disjoint.
+    fn stash<P: Payload>(&mut self, at: u64, payload: &P, len: usize) {
         let end = |at: u64, run: &Vec<u8>| at + run.len() as u64;
         let (key, mut run) = match self.ooo.range_mut(..=at).next_back() {
             Some((&k, v)) if end(k, v) >= at => (k, std::mem::take(v)),
             _ => (at, Vec::new()),
         };
         let held = (end(key, &run) - at) as usize;
-        if let Some(fresh) = data.get(held..) {
-            run.extend_from_slice(fresh);
+        if held < len {
+            for_range(payload, held..len, |fresh| run.extend_from_slice(fresh));
         }
         while let Some((&k, _)) = self.ooo.range(key + 1..).next() {
             let reach = end(key, &run);
@@ -989,8 +1133,7 @@ impl Tcb {
         self.ooo.insert(key, run);
     }
 
-    fn on_fin_acked(&mut self) -> Actions {
-        let mut a = Actions::default();
+    fn on_fin_acked(&mut self, a: &mut Actions) {
         match self.state {
             TcpState::FinWait1 => self.state = TcpState::FinWait2,
             TcpState::Closing => {
@@ -1004,11 +1147,9 @@ impl Tcb {
             }
             _ => {}
         }
-        a
     }
 
-    fn on_peer_fin(&mut self, now_ns: u64) -> Actions {
-        let mut a = Actions::default();
+    fn on_peer_fin(&mut self, a: &mut Actions, now_ns: u64) {
         match self.state {
             TcpState::Established => self.state = TcpState::CloseWait,
             TcpState::FinWait1 => self.state = TcpState::Closing,
@@ -1020,8 +1161,7 @@ impl Tcb {
             _ => {}
         }
         a.peer_fin = true;
-        a.data_available = !self.recv_ready.is_empty();
-        a
+        a.data_available |= !self.recv_ready.is_empty();
     }
 
     fn update_rtt(&mut self, sample_ns: u64) {
@@ -1038,7 +1178,7 @@ impl Tcb {
             }
         }
         let srtt = self.srtt_ns.expect("just set");
-        self.rto_ns = (srtt + 4 * self.rttvar_ns).clamp(200_000_000, MAX_RTO_NS);
+        self.rto_ns = (srtt + 4 * self.rttvar_ns).clamp(MIN_RTO_NS, MAX_RTO_NS);
     }
 }
 
@@ -1073,8 +1213,8 @@ mod tests {
     /// Returns the number of segments exchanged. `drop_nth` drops the n-th
     /// segment (0-based) crossing the wire, once.
     fn exchange(a: &mut Tcb, b: &mut Tcb, mut now: u64, drop_nth: Option<usize>) -> (usize, u64) {
-        let mut to_b: Vec<TcpSegment> = Vec::new();
-        let mut to_a: Vec<TcpSegment> = Vec::new();
+        let mut to_b: Vec<TcpSegment<Mbuf>> = Vec::new();
+        let mut to_a: Vec<TcpSegment<Mbuf>> = Vec::new();
         let mut count = 0usize;
         let mut dropped = false;
         loop {
@@ -1131,7 +1271,7 @@ mod tests {
         let mut server = Tcb::listen((ip(2), B), 9000);
         let (mut client, syn) = Tcb::connect((ip(1), A), (ip(2), B), 100, 0);
         let mut to_server = syn.segments;
-        let mut to_client: Vec<TcpSegment> = Vec::new();
+        let mut to_client: Vec<TcpSegment<Mbuf>> = Vec::new();
         while !to_server.is_empty() || !to_client.is_empty() {
             for seg in std::mem::take(&mut to_server) {
                 to_client.extend(server.on_segment(&seg, (ip(1), A), 0).segments);
@@ -1185,7 +1325,7 @@ mod tests {
         };
         let bytes = seg.to_bytes(ip(1), ip(2));
         let parsed = TcpSegment::parse(ip(1), ip(2), &bytes).expect("valid");
-        assert_eq!(parsed, seg);
+        assert_eq!(parsed, seg.with_payload(seg.payload.as_slice()));
         // Corruption rejected.
         let mut bad = bytes.clone();
         bad[25] ^= 1;
@@ -1197,7 +1337,7 @@ mod tests {
     #[test]
     fn to_mbuf_matches_to_bytes_exactly() {
         for mss in [None, Some(1460u16)] {
-            let seg = TcpSegment {
+            let seg: TcpSegment = TcpSegment {
                 src_port: 7,
                 dst_port: 9,
                 seq: 0x1000,
@@ -1220,14 +1360,14 @@ mod tests {
             // And the wire form still parses + verifies.
             assert_eq!(
                 TcpSegment::parse(ip(1), ip(2), &m.to_vec()).expect("valid"),
-                seg
+                seg.with_payload(seg.payload.as_slice())
             );
         }
     }
 
     #[test]
     fn offloaded_checksum_matches_the_software_pass_byte_for_byte() {
-        let seg = TcpSegment {
+        let seg: TcpSegment = TcpSegment {
             src_port: 7,
             dst_port: 9,
             seq: 0x1000,
@@ -1238,7 +1378,10 @@ mod tests {
             payload: (0u16..777).map(|x| (x * 5) as u8).collect(),
         };
         let sw = seg.to_mbuf(ip(1), ip(2), 64);
-        let mut hw = seg.chunk_to_mbuf(0..seg.payload.len(), ip(1), ip(2), 64, true);
+        let payload = Mbuf::from_payload(64 + TCP_HDR_LEN, &seg.payload);
+        let mut hw =
+            seg.with_payload(payload)
+                .chunk_to_mbuf(0..seg.payload.len(), ip(1), ip(2), true);
         let req = hw.pkthdr().unwrap().csum.expect("offload stamped");
         let mut wire = hw.to_vec();
         assert_eq!(&wire[16..18], &[0, 0], "field deferred to the NIC");
@@ -1250,7 +1393,7 @@ mod tests {
         hw.write_at(16, &v.to_be_bytes());
         assert_eq!(
             TcpSegment::parse(ip(1), ip(2), &hw.to_vec()).expect("valid"),
-            seg
+            seg.with_payload(seg.payload.as_slice())
         );
     }
 
@@ -1271,21 +1414,18 @@ mod tests {
         // The receiver still reassembles the full stream when a lower
         // layer resegments each super-segment at wire MSS.
         let mut got = Vec::new();
-        for s in &acts.segments {
-            let mut off = 0;
-            while off < s.payload.len() {
-                let take = (s.payload.len() - off).min(client.mss);
-                let wire_seg = TcpSegment {
-                    seq: s.seq.wrapping_add(off as u32),
-                    payload: s.payload[off..off + take].to_vec(),
-                    ..s.clone()
-                };
-                let a = server.on_segment(&wire_seg, (ip(1), client.local().1), 2000);
+        let mss = client.mss;
+        for mut s in acts.segments {
+            let len = s.payload.len();
+            for off in (0..len).step_by(mss) {
+                let part = s.chunk_to_mbuf(off..len.min(off + mss), ip(1), ip(2), false);
+                let wire = part.to_vec();
+                let wire_seg = TcpSegment::parse(ip(1), ip(2), &wire).expect("each part verifies");
+                let a = server.on_segment(&wire_seg, (ip(1), client.local.1), 2000);
                 got.extend(server.take_received());
                 for ack in &a.segments {
-                    client.on_segment(ack, (ip(2), server.local().1), 3000);
+                    client.on_segment(ack, (ip(2), server.local.1), 3000);
                 }
-                off += take;
             }
         }
         assert_eq!(got, data, "stream intact across resegmentation");
@@ -1564,6 +1704,23 @@ mod tests {
     }
 
     #[test]
+    fn a_reclaimed_segment_list_is_lent_out_again() {
+        let (mut client, _server) = established_pair();
+        client.cwnd = 64 * 1024;
+        let acts = client.send(&[3u8; 4 * DEFAULT_MSS], 0);
+        assert_eq!(acts.segments.len(), 4);
+        let lent = (acts.segments.as_ptr(), acts.segments.capacity());
+        client.reclaim(acts.segments);
+        let again = client.send(&[4u8; 100], 0);
+        assert_eq!(again.segments.len(), 1);
+        assert_eq!(
+            (again.segments.as_ptr(), again.segments.capacity()),
+            lent,
+            "the same allocation, not a fresh one"
+        );
+    }
+
+    #[test]
     fn seq_arithmetic_wraps() {
         assert!(seq_lt(u32::MAX, 0));
         assert!(seq_lt(u32::MAX - 5, 5));
@@ -1582,7 +1739,7 @@ mod extension_tests {
 
     #[test]
     fn mss_option_round_trips_on_the_wire() {
-        let seg = TcpSegment {
+        let seg: TcpSegment = TcpSegment {
             src_port: 1,
             dst_port: 2,
             seq: 10,
@@ -1596,7 +1753,7 @@ mod extension_tests {
         assert_eq!(bytes.len(), TCP_HDR_LEN + 4, "SYN carries a 4-byte option");
         let parsed = TcpSegment::parse(ip(1), ip(2), &bytes).expect("valid");
         assert_eq!(parsed.mss, Some(536));
-        assert_eq!(parsed, seg);
+        assert_eq!(parsed, seg.with_payload(&[][..]));
     }
 
     #[test]
@@ -1812,6 +1969,61 @@ mod robustness_tests {
         let gap2 = d3 - d2;
         assert_eq!(gap2, gap1 * 2, "doubling backoff");
         assert_eq!(client.retransmits, 2);
+    }
+
+    /// Fires `t`'s timer at each deadline until it gives up; returns when,
+    /// having checked that every expiry before that retransmitted once.
+    fn time_out(t: &mut Tcb) -> u64 {
+        loop {
+            let at = t.next_timeout().expect("armed until it gives up");
+            let acts = t.on_timer(at);
+            if acts.closed {
+                assert!(acts.timed_out && acts.segments.is_empty());
+                assert_eq!((t.state(), t.next_timeout()), (TcpState::Closed, None));
+                return at;
+            }
+            assert_eq!(acts.segments.len(), 1);
+        }
+    }
+
+    #[test]
+    fn a_silent_peer_is_given_up_after_100_s_of_retransmissions() {
+        // From the smallest RTO and from the initial one.
+        for rto in [MIN_RTO_NS, INITIAL_RTO_NS] {
+            let (mut client, _server) = established_pair();
+            client.rto_ns = rto;
+            client.send(&[1u8; 100], 0);
+            let gave_up = time_out(&mut client);
+            assert_eq!(client.retransmits, u64::from(MAX_BACKOFFS));
+            assert!(gave_up >= 100_000_000_000, "gave up after {gave_up} ns");
+        }
+        // A SYN nobody answers: RFC 1122 asks for three minutes.
+        let (mut client, _syn) = Tcb::connect((ip(1), 4000), (ip(2), 80), 100, 0);
+        let gave_up = time_out(&mut client);
+        assert!(gave_up >= 180_000_000_000, "gave up after {gave_up} ns");
+    }
+
+    #[test]
+    fn a_peer_that_answers_probes_with_its_window_shut_is_kept() {
+        let (mut client, _server) = established_pair();
+        client.snd_wnd = 0;
+        client.send(b"waiting for room", 0);
+        for _ in 0..3 * MAX_BACKOFFS {
+            let at = client.next_timeout().expect("persist timer");
+            assert!(!client.on_timer(at).closed);
+            let still_shut = TcpSegment {
+                src_port: 80,
+                dst_port: 4000,
+                seq: client.rcv_nxt,
+                ack: client.snd_una,
+                flags: TcpFlags::ACK,
+                window: 0,
+                mss: None,
+                payload: Vec::new(),
+            };
+            client.on_segment(&still_shut, (ip(2), 80), at);
+        }
+        assert_eq!(client.state(), TcpState::Established);
     }
 
     #[test]
@@ -2102,8 +2314,9 @@ mod buffer_tests {
         };
         assert!(!back.is_empty() || front.len() == 50_000);
         let head = client.retransmit_head();
-        assert_eq!(head.payload, &stream[..DEFAULT_MSS]);
-        assert_eq!(client.queued(49_000, 1000), &stream[49_000..50_000]);
+        assert_eq!(head.payload.to_vec(), &stream[..DEFAULT_MSS]);
+        let tail = client.make_segment(0, TcpFlags::ACK, 49_000..50_000);
+        assert_eq!(tail.payload.to_vec(), &stream[49_000..50_000]);
     }
 
     /// Complexity guard: acknowledging a long queue MSS by MSS is linear in

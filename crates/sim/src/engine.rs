@@ -38,9 +38,14 @@
 //! behind in the heap (a binary heap cannot delete from the middle); it
 //! no longer matches its slot, and is discarded when it surfaces — or
 //! earlier, because whenever such stale keys outnumber the live ones the
-//! heap is rebuilt without them. A connection that re-arms a 200 ms
-//! retransmit timer on every segment therefore keeps one event and a
-//! handful of keys, not one of each per segment until the deadline.
+//! heap is rebuilt without them. [`Engine::reschedule`] moves a pending
+//! timer instead: its closure stays in the slot, the slot takes the `seq`
+//! that cancelling and scheduling anew would have drawn, and a key under
+//! that `seq` goes into the heap — so the timer runs exactly where the pair
+//! would have run it, and only the old key is left behind, stale. A
+//! connection that re-arms a 200 ms retransmit timer on every segment
+//! therefore keeps one event, one closure and a handful of keys, not one of
+//! each per segment until the deadline, and boxes no closure to re-arm.
 //!
 //! # Determinism
 //!
@@ -64,7 +69,8 @@ use crate::time::{SimDuration, SimTime};
 pub type Action = Box<dyn FnOnce(&mut Engine)>;
 
 /// Names one scheduled action (e.g. a retransmit timer) so that
-/// [`Engine::cancel`] can take it back before it fires.
+/// [`Engine::cancel`] can take it back before it fires, or
+/// [`Engine::reschedule`] move it.
 ///
 /// Dropping the handle does *not* cancel the action. A handle whose action
 /// has run or been cancelled is inert: cancelling through it does nothing.
@@ -261,6 +267,40 @@ impl Engine {
             return;
         }
         self.free.push(handle.slot);
+        self.orphan_key();
+    }
+
+    /// Moves the action `handle` names to `delay` from now, as
+    /// [`cancel`](Engine::cancel) and then
+    /// [`schedule_cancelable`](Engine::schedule_cancelable) would but
+    /// without a new closure: the pending one stays in its slot and takes
+    /// the next `seq`, so it runs where the pair would have put it, and its
+    /// old key goes stale. Returns its new handle, or `None` — moving
+    /// nothing — if the action already ran or was cancelled.
+    pub fn reschedule(&mut self, handle: TimerHandle, delay: SimDuration) -> Option<TimerHandle> {
+        let slot = self.slots.get_mut(handle.slot as usize)?;
+        if !slot.holds(handle.seq) {
+            return None;
+        }
+        let seq = self.seq;
+        self.seq += 1;
+        slot.seq = seq;
+        self.orphan_key();
+        let key = Key {
+            at: self.now + delay,
+            seq,
+            slot: handle.slot,
+        };
+        self.keys.push(Reverse(key));
+        Some(TimerHandle {
+            slot: handle.slot,
+            seq,
+        })
+    }
+
+    /// Counts a key whose event has left it, and sweeps the heap once such
+    /// keys outnumber the live ones.
+    fn orphan_key(&mut self) {
         self.stale += 1;
         if self.stale > self.keys.len() - self.stale {
             let slots = &self.slots;
@@ -442,6 +482,30 @@ mod tests {
             (engine.pending(), engine.keys.len(), engine.stale),
             (0, 0, 0)
         );
+    }
+
+    #[test]
+    fn a_rescheduled_timer_keeps_its_closure_and_slot() {
+        // The same connection, moving its one timer instead.
+        let mut engine = Engine::new();
+        engine.schedule_in(SimDuration::from_secs(2), |_| {});
+        let fired = Rc::new(Cell::new(0u32));
+        let f = fired.clone();
+        let mut timer = engine.schedule_cancelable(SimDuration::from_secs(1), move |eng| {
+            f.set(f.get() + 1);
+            assert_eq!(eng.now(), SimTime::from_micros(1_000_000 + 9_999));
+        });
+        for us in 1..10_000 {
+            engine.run_until(SimTime::from_micros(us));
+            timer = engine
+                .reschedule(timer, SimDuration::from_secs(1))
+                .expect("still pending");
+            assert_eq!((engine.pending(), engine.slots.len()), (2, 2));
+            assert!(engine.keys.len() <= 5, "{} keys", engine.keys.len());
+        }
+        engine.run();
+        assert_eq!((fired.get(), engine.executed()), (1, 2));
+        assert_eq!(engine.reschedule(timer, SimDuration::ZERO), None, "spent");
     }
 
     #[test]

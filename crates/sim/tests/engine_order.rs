@@ -1,14 +1,16 @@
-//! Order property for the engine: whatever a program schedules, cancels and
-//! transmits — from outside the run or from inside an event's own — the
-//! engine runs it exactly as a `Vec` kept stably sorted by timestamp would:
-//! by `(at, insertion)`, with the same `executed()`, `pending()` and `now()`
-//! at every `run_until` cut-off.
+//! Order property for the engine: whatever a program schedules, cancels,
+//! reschedules and transmits — from outside the run or from inside an
+//! event's own — the engine runs it exactly as a `Vec` kept stably sorted by
+//! timestamp would: by `(at, insertion)`, with the same `executed()`,
+//! `pending()` and `now()` at every `run_until` cut-off. A rescheduled timer
+//! is, to the model, taken out and inserted anew: it sorts where a cancel
+//! followed by a fresh schedule would have put it.
 //!
 //! The programs mix the three kinds of slot (plain closures, cancelable
 //! timers, the NIC's typed device events: a frame's arrival, a receive-ring
-//! drain), make equal timestamps common, and cancel often — through handles
-//! that are live, spent or already cancelled, and whose slot has usually
-//! been handed to another event since. The engine sweeps its heap whenever
+//! drain), make equal timestamps common, and cancel and reschedule often —
+//! through handles that are live, spent or already cancelled, and whose slot
+//! has usually been handed to another event since. The engine sweeps its heap whenever
 //! dead keys outnumber live ones, so these programs sweep it many times
 //! over; neither that nor slot reuse may show in the order. (That slots
 //! *are* reused — the slab is as long as the most events ever in flight —
@@ -35,6 +37,9 @@ enum Step {
     /// Cancel the `n`-th handle kept so far (modulo how many there are),
     /// whatever has become of its timer.
     Cancel(usize),
+    /// Move the timer of the `n`-th handle kept so far to `delay_us` ahead;
+    /// if it is still pending, its new handle replaces the old.
+    Reschedule { n: usize, delay_us: u64 },
     /// Transmit a `len`-byte frame from NIC A: an arrival event at B, and
     /// drain events when B's driver is busy.
     Send { len: usize },
@@ -103,7 +108,11 @@ impl Program {
                         delay_us,
                         body: body(rng),
                     },
-                    4 | 5 => Step::Cancel(rng.below(16) as usize),
+                    4 => Step::Cancel(rng.below(16) as usize),
+                    5 => Step::Reschedule {
+                        n: rng.below(16) as usize,
+                        delay_us,
+                    },
                     _ => Step::Send {
                         len: 64 + rng.below(65) as usize,
                     },
@@ -189,6 +198,14 @@ impl Real {
                     };
                     if let Some(handle) = handle {
                         engine.cancel(handle);
+                    }
+                }
+                Step::Reschedule { n, delay_us } => {
+                    let mut handles = self.handles.borrow_mut();
+                    let i = n % handles.len().max(1);
+                    let delay = SimDuration::from_micros(*delay_us);
+                    if let Some(moved) = handles.get(i).and_then(|&h| engine.reschedule(h, delay)) {
+                        handles[i] = moved;
                     }
                 }
                 Step::Send { len } => {
@@ -295,9 +312,12 @@ struct Model {
     rx_drain_pending: bool,
     rx_ring: VecDeque<u32>,
     trace: Trace,
-    /// Coverage: cancels that removed a pending timer, and that found none.
+    /// Coverage: cancels that removed a pending timer, and that found none;
+    /// reschedules that moved one, and that found none.
     cancels_taken: usize,
     cancels_spent: usize,
+    moves_taken: usize,
+    moves_spent: usize,
 }
 
 impl Model {
@@ -331,6 +351,20 @@ impl Model {
                             0 => self.cancels_spent += 1,
                             _ => self.cancels_taken += 1,
                         }
+                    }
+                }
+                Step::Reschedule { n, delay_us } => {
+                    let i = n % self.handles.len().max(1);
+                    let Some(&moving) = self.handles.get(i) else {
+                        continue;
+                    };
+                    match self.queue.iter().position(|&(_, ins, _)| ins == moving) {
+                        Some(at) => {
+                            let (_, _, what) = self.queue.remove(at);
+                            self.handles[i] = self.insert(self.now + delay_us * 1_000, what);
+                            self.moves_taken += 1;
+                        }
+                        None => self.moves_spent += 1,
                     }
                 }
                 Step::Send { len } => {
@@ -421,6 +455,8 @@ fn run_model(program: &Program) -> Model {
         trace: Trace::default(),
         cancels_taken: 0,
         cancels_spent: 0,
+        moves_taken: 0,
+        moves_spent: 0,
     };
     model.exec(&program.setup);
     for &us in &program.cutoffs_us {
@@ -443,11 +479,12 @@ proptest! {
 
 /// The generator reaches what the property is about: across a few hundred
 /// programs there are same-instant pile-ups, cancels that take a timer back
-/// and cancels through spent handles, batched drains, and cut-offs that
-/// leave work pending.
+/// and cancels through spent handles, the same for reschedules, batched
+/// drains, and cut-offs that leave work pending.
 #[test]
 fn the_programs_cover_ties_cancels_drains_and_cutoffs() {
     let (mut ties, mut taken, mut spent, mut drains, mut cut) = (0, 0, 0, 0, 0);
+    let (mut moved, mut stayed) = (0, 0);
     for seed in 0..300 {
         let model = run_model(&Program::generate(seed));
         let Trace { log, checkpoints } = &model.trace;
@@ -462,10 +499,17 @@ fn the_programs_cover_ties_cancels_drains_and_cutoffs() {
             .count();
         taken += model.cancels_taken;
         spent += model.cancels_spent;
+        moved += model.moves_taken;
+        stayed += model.moves_spent;
     }
     assert!(ties > 1_000, "{ties} same-instant neighbours");
     assert!(taken > 300, "{taken} cancels took a timer back");
     assert!(spent > 300, "{spent} cancels found it fired or cancelled");
+    assert!(moved > 250, "{moved} reschedules moved a pending timer");
+    assert!(
+        stayed > 300,
+        "{stayed} reschedules found it fired or cancelled"
+    );
     assert!(drains > 100, "{drains} batched drains");
     assert!(cut > 100, "{cut} cut-offs left work pending");
 }

@@ -13,7 +13,7 @@ use plexus::kernel::view::view;
 use plexus::net::checksum::{checksum, incremental_update, verify, Checksum};
 use plexus::net::ip::{self, IpHeader, IpView, Reassembler};
 use plexus::net::mbuf::Mbuf;
-use plexus::net::tcp::{seq_le, seq_lt, Tcb, TcpSegment};
+use plexus::net::tcp::{seq_le, seq_lt, Payload, Tcb, TcpSegment};
 use plexus::net::udp::{self, UdpConfig};
 use plexus::net::{arp, http, icmp};
 
@@ -301,7 +301,7 @@ proptest! {
         };
         let bytes = seg.to_bytes(a, b);
         let parsed = TcpSegment::parse(a, b, &bytes).expect("round trip");
-        prop_assert_eq!(parsed, seg);
+        prop_assert_eq!(parsed, seg.with_payload(seg.payload.as_slice()));
     }
 
     #[test]
@@ -346,11 +346,11 @@ fn iss() -> impl Strategy<Value = u32> {
 
 /// Applies the next fates to one flight of segments. `budget` bounds the
 /// impairments so that the run terminates.
-fn impair(
-    flight: Vec<TcpSegment>,
+fn impair<S: Clone>(
+    flight: Vec<S>,
     fates: &mut impl Iterator<Item = Fate>,
     budget: &mut u32,
-) -> Vec<TcpSegment> {
+) -> Vec<S> {
     let (mut out, mut late) = (Vec::new(), Vec::new());
     for seg in flight {
         let fate = match fates.next() {
@@ -371,6 +371,107 @@ fn impair(
     out
 }
 
+/// What the wire hands the receiving TCB of a segment the sending one
+/// emitted.
+type Wire<P> = fn(TcpSegment<Mbuf>) -> TcpSegment<P>;
+
+/// The payload as one owned buffer.
+fn contiguous(seg: TcpSegment<Mbuf>) -> TcpSegment<Vec<u8>> {
+    seg.with_payload(seg.payload.to_vec())
+}
+
+/// The payload as a chain of two or three clusters' worth of shares, cut at
+/// even thirds or halves (by the sequence number's parity).
+fn chunked(seg: TcpSegment<Mbuf>) -> TcpSegment<Mbuf> {
+    let (whole, len) = (&seg.payload, seg.payload.total_len());
+    let pieces = 2 + (seg.seq % 2) as usize;
+    let cut = |k: usize| len * k / pieces;
+    let mut chain = whole.range(0, cut(1));
+    for k in 1..pieces {
+        chain.append(whole.range(cut(k), cut(k + 1) - cut(k)));
+    }
+    assert_eq!(chain.segment_count(), pieces.min(len), "{len} bytes");
+    seg.with_payload(chain)
+}
+
+/// Moves `data` from a client to a server TCB across a wire that applies
+/// `fates` (to at most 24 segments) and hands each segment over as `wire`
+/// makes it, firing timers whenever the exchange goes quiet. Returns what
+/// the server delivered.
+fn lossy_transfer<P: Payload + Clone>(
+    data: &[u8],
+    (client_iss, server_iss): (u32, u32),
+    fates: &[Fate],
+    wire: Wire<P>,
+) -> Vec<u8> {
+    let a = Ipv4Addr::new(10, 3, 0, 1);
+    let b = Ipv4Addr::new(10, 3, 0, 2);
+    let mut server = Tcb::listen((b, 80), server_iss);
+    let (mut client, syn) = Tcb::connect((a, 4000), (b, 80), client_iss, 0);
+    let mut to_server: Vec<_> = syn.segments.into_iter().map(wire).collect();
+    let mut to_client: Vec<TcpSegment<P>> = Vec::new();
+    let mut received = Vec::new();
+    let mut rx = Vec::new();
+    let mut now: u64 = 0;
+    let mut sent_data = false;
+    let mut fates = fates.iter().copied().cycle();
+    let mut budget = 24;
+
+    for _round in 0..10_000 {
+        let mut progressed = false;
+        for seg in impair(std::mem::take(&mut to_server), &mut fates, &mut budget) {
+            progressed = true;
+            let acts = server.on_segment(&seg, (a, 4000), now);
+            if acts.data_available {
+                server.swap_received(&mut rx);
+                received.extend_from_slice(&rx);
+            }
+            to_client.extend(acts.segments.into_iter().map(wire));
+        }
+        for seg in impair(std::mem::take(&mut to_client), &mut fates, &mut budget) {
+            progressed = true;
+            let acts = client.on_segment(&seg, (b, 80), now);
+            if acts.connected && !sent_data {
+                sent_data = true;
+                to_server.extend(client.send(data, now).segments.into_iter().map(wire));
+            }
+            to_server.extend(acts.segments.into_iter().map(wire));
+        }
+        if !sent_data && client.state() == plexus::net::tcp::TcpState::Established {
+            sent_data = true;
+            to_server.extend(client.send(data, now).segments.into_iter().map(wire));
+        }
+        if received.len() >= data.len() {
+            break;
+        }
+        if !progressed {
+            // Quiescent: fire timers to recover.
+            let mut fired = false;
+            if let Some(dl) = client.next_timeout() {
+                now = now.max(dl);
+                let acts = client.on_timer(now);
+                fired |= !acts.segments.is_empty();
+                to_server.extend(acts.segments.into_iter().map(wire));
+            }
+            if let Some(dl) = server.next_timeout() {
+                now = now.max(dl);
+                let acts = server.on_timer(now);
+                fired |= !acts.segments.is_empty();
+                to_client.extend(acts.segments.into_iter().map(wire));
+            }
+            if !fired && to_server.is_empty() && to_client.is_empty() {
+                break;
+            }
+        }
+        now += 1_000_000; // 1 ms per round.
+    }
+    received
+}
+
+fn lossy_stream(len: usize) -> Vec<u8> {
+    (0..len).map(|i| (i * 31 % 251) as u8).collect()
+}
+
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(24))]
 
@@ -381,71 +482,32 @@ proptest! {
         server_iss in iss(),
         fates in proptest::collection::vec(fate(), 64),
     ) {
-        let a = Ipv4Addr::new(10, 3, 0, 1);
-        let b = Ipv4Addr::new(10, 3, 0, 2);
-        let data: Vec<u8> = (0..data_len).map(|i| (i * 31 % 251) as u8).collect();
-
-        let mut server = Tcb::listen((b, 80), server_iss);
-        let (mut client, syn) = Tcb::connect((a, 4000), (b, 80), client_iss, 0);
-        let mut to_server: Vec<_> = syn.segments;
-        let mut to_client: Vec<TcpSegment> = Vec::new();
-        let mut received = Vec::new();
-        let mut rx = Vec::new();
-        let mut now: u64 = 0;
-        let mut sent_data = false;
-        let mut fates = fates.iter().copied().cycle();
-        let mut budget = 24;
-
-        for _round in 0..10_000 {
-            let mut progressed = false;
-            for seg in impair(std::mem::take(&mut to_server), &mut fates, &mut budget) {
-                progressed = true;
-                let acts = server.on_segment(&seg, (a, 4000), now);
-                if acts.data_available {
-                    server.swap_received(&mut rx);
-                    received.extend_from_slice(&rx);
-                }
-                to_client.extend(acts.segments);
-            }
-            for seg in impair(std::mem::take(&mut to_client), &mut fates, &mut budget) {
-                progressed = true;
-                let acts = client.on_segment(&seg, (b, 80), now);
-                if acts.connected && !sent_data {
-                    sent_data = true;
-                    to_server.extend(client.send(&data, now).segments);
-                }
-                to_server.extend(acts.segments);
-            }
-            if !sent_data && client.state() == plexus::net::tcp::TcpState::Established {
-                sent_data = true;
-                to_server.extend(client.send(&data, now).segments);
-            }
-            if received.len() >= data.len() {
-                break;
-            }
-            if !progressed {
-                // Quiescent: fire timers to recover.
-                let mut fired = false;
-                if let Some(dl) = client.next_timeout() {
-                    now = now.max(dl);
-                    let acts = client.on_timer(now);
-                    fired |= !acts.segments.is_empty();
-                    to_server.extend(acts.segments);
-                }
-                if let Some(dl) = server.next_timeout() {
-                    now = now.max(dl);
-                    let acts = server.on_timer(now);
-                    fired |= !acts.segments.is_empty();
-                    to_client.extend(acts.segments);
-                }
-                if !fired && to_server.is_empty() && to_client.is_empty() {
-                    break;
-                }
-            }
-            now += 1_000_000; // 1 ms per round.
-        }
+        let data = lossy_stream(data_len);
+        let received = lossy_transfer(&data, (client_iss, server_iss), &fates, contiguous);
         prop_assert_eq!(received.len(), data.len(), "all bytes delivered");
         prop_assert_eq!(received, data, "delivered exactly once, in order");
+    }
+}
+
+// The same transfers with every payload a chain of two or three chunks, as a
+// demultiplexed segment's share of a frame can be: the receiver walks the
+// chunks, and delivers exactly what it delivers from one contiguous buffer.
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(24))]
+
+    #[test]
+    fn tcp_delivers_chunked_payloads_as_it_does_contiguous_ones(
+        data_len in 1usize..30_000,
+        client_iss in iss(),
+        server_iss in iss(),
+        fates in proptest::collection::vec(fate(), 64),
+    ) {
+        let data = lossy_stream(data_len);
+        let iss = (client_iss, server_iss);
+        let whole = lossy_transfer(&data, iss, &fates, contiguous);
+        let pieces = lossy_transfer(&data, iss, &fates, chunked);
+        prop_assert!(pieces == whole, "chunked and contiguous runs differ");
+        prop_assert!(whole == data, "the contiguous run lost bytes");
     }
 }
 
