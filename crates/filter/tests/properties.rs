@@ -10,7 +10,8 @@
 //!   mismatches really do fault under an unchecked interpreter — the
 //!   verifier is load-bearing, not ceremonial;
 //! * on arbitrary decision DAGs, the demux key holds for every accepted
-//!   packet and no packet spends more cycles than the static bound.
+//!   packet, a policy the program verified under holds for every accepted
+//!   packet, and no packet spends more cycles than the static bound.
 
 use std::panic::{catch_unwind, AssertUnwindSafe};
 
@@ -88,6 +89,49 @@ impl Packet for TestPacket {
             Field::TcpFlagSyn | Field::TcpFlagAck => v % 2,
             _ => v,
         })
+    }
+
+    fn head(&self) -> &[u8] {
+        &self.head
+    }
+}
+
+/// A packet whose typed fields and head bytes are each drawn on their own
+/// from a small range (fields 0..8, flags 0..2, bytes 0..4), so that among
+/// a few dozen of them some pass a guard that pins several fields at once
+/// — which [`TestPacket`]'s fields, moving in step, seldom do.
+struct DrawnPacket {
+    kind: EventKind,
+    fields: [u64; ALL_FIELDS.len()],
+    head: [u8; 64],
+}
+
+impl DrawnPacket {
+    /// The next packet of the splitmix64 sequence `seed` stands at.
+    fn draw(kind: EventKind, seed: &mut u64) -> DrawnPacket {
+        let mut next = || {
+            *seed = seed.wrapping_add(0x9E37_79B9_7F4A_7C15);
+            let mut z = *seed;
+            z = (z ^ (z >> 30)).wrapping_mul(0xBF58_476D_1CE4_E5B9);
+            z = (z ^ (z >> 27)).wrapping_mul(0x94D0_49BB_1331_11EB);
+            z ^ (z >> 31)
+        };
+        let fields = std::array::from_fn(|i| match ALL_FIELDS[i] {
+            Field::TcpFlagSyn | Field::TcpFlagAck => next() % 2,
+            _ => next() % 8,
+        });
+        let head = std::array::from_fn(|_| (next() % 4) as u8);
+        DrawnPacket { kind, fields, head }
+    }
+}
+
+impl Packet for DrawnPacket {
+    fn kind(&self) -> EventKind {
+        self.kind
+    }
+
+    fn field(&self, field: Field) -> Option<u64> {
+        (field.kind() == self.kind).then(|| self.fields[field_index(field) as usize])
     }
 
     fn head(&self) -> &[u8] {
@@ -551,6 +595,69 @@ proptest! {
                 format!("{:?}", bare.demux_key()),
                 format!("{:?}", checked.demux_key())
             );
+        }
+    }
+
+    // The anti-snoop theorem, evaluated: whenever a program verifies under
+    // a policy, every packet it accepts satisfies every constraint of that
+    // policy. Constraints name the kind's key-schema fields (which the DAGs
+    // test most; the first one, which `pinned` pins, half the time) and
+    // now and then another field, and most allow the pinned value, so that
+    // programs that accept something verify too. `same_key` adds a second
+    // constraint on the first one's key, and each must hold on its own.
+    // The packets draw every field on its own, so that some of them pass
+    // a program that pins several fields at once.
+    #[test]
+    fn a_program_verified_under_a_policy_accepts_only_what_it_allows(
+        kind_i in 0usize..4,
+        pinned in any::<u64>().prop_map(|v| (v % 2 == 0).then_some(v >> 1)),
+        raw_nodes in prop::collection::vec((any::<u8>(), any::<u8>(), any::<u8>(), any::<u64>()), 1..6),
+        tail_accepts in any::<bool>(),
+        raw_policy in prop::collection::vec((any::<u8>(), any::<u16>()), 1..4),
+        same_key in any::<u32>().prop_map(|v| (v % 2 == 0).then_some((v >> 8) as u16)),
+        seed in any::<u64>(),
+    ) {
+        let kind = KINDS[kind_i];
+        let prog = decision_dag(kind, pinned, &raw_nodes, tail_accepts);
+        let (schema, fields) = (key_schema(kind), fields_of(kind));
+        let key = |sel: u8| match sel % 4 {
+            0 | 1 => schema[0],
+            2 => schema[(sel >> 2) as usize % schema.len()],
+            _ => FieldKey::Field(fields[(sel >> 2) as usize % fields.len()]),
+        };
+        // Bits 0..8 of `mask` allow the values 0..8; bit 8 clear allows
+        // the pinned value as well.
+        let pinned_bit = pinned.map_or(0, |v| 1u16 << (v % 8));
+        let allowed = move |mask: u16| {
+            let mask = mask | if mask & 0x100 == 0 { pinned_bit } else { 0 };
+            (0..8u64).filter(move |v| mask & (1 << v) != 0)
+        };
+        let mut constraints: Vec<(FieldKey, Vec<u64>)> = raw_policy
+            .iter()
+            .map(|&(sel, mask)| (key(sel), allowed(mask).collect()))
+            .collect();
+        if let Some(mask) = same_key {
+            constraints.push((constraints[0].0, allowed(mask).collect()));
+        }
+        let policy = constraints.iter().fold(Policy::new(), |policy, (key, values)| {
+            policy.require_in(*key, values.iter().copied())
+        });
+        let Ok(vp) = verify_with_policy(&prog, &policy) else {
+            return Ok(());
+        };
+        let mut seed = seed;
+        for _ in 0..64 {
+            let pkt = DrawnPacket::draw(kind, &mut seed);
+            if !eval(&vp, &pkt) {
+                continue;
+            }
+            for (key, values) in &constraints {
+                let seen = read_field_key(&pkt, *key);
+                prop_assert!(
+                    seen.is_some_and(|v| values.contains(&v)),
+                    "accepted with {key} = {seen:?}, outside the policy's {values:?}"
+                );
+            }
         }
     }
 
