@@ -258,7 +258,7 @@ impl StackShared {
         event: Event<T>,
         guard: Guard<T>,
         handler: F,
-        owner: &str,
+        owner: &'static str,
     ) -> HandlerId
     where
         T: 'static,
@@ -331,9 +331,7 @@ impl StackShared {
         }
         let AppHandler(spec) = handler;
         let spec = spec.allot(self.ext_time_limit);
-        let id = self
-            .dispatcher
-            .install(event, spec.guard(guard).owner(ext.name()));
+        let id = self.dispatcher.install(event, spec.guard(guard).owner(ext));
         if let Some((table, ports, special)) = claim {
             let mut holders = table.holders.borrow_mut();
             for port in ports {
@@ -753,6 +751,7 @@ impl PlexusStack {
                             dst: hdr.dst,
                             protocol: hdr.protocol,
                             payload,
+                            header: hdr,
                         };
                         s.dispatcher.raise(ctx, s.events.ip_recv, &arg);
                         return;

@@ -9,6 +9,7 @@ use plexus_kernel::domain::LinkError;
 use plexus_kernel::ephemeral::Ephemeral;
 use plexus_kernel::view::view;
 use plexus_net::ether::{EtherView, MacAddr};
+use plexus_net::ip::IpHeader;
 use plexus_net::mbuf::Mbuf;
 
 /// Argument of `Ethernet.PacketRecv`: a whole received frame. Guards use
@@ -33,6 +34,8 @@ pub struct IpRecv {
     /// The transport-layer bytes (IP header already consumed). Transport
     /// guards `VIEW` their headers at offset 0 of this buffer.
     pub payload: Mbuf,
+    /// The header the datagram arrived with, for an ICMP error to quote.
+    pub(crate) header: IpHeader,
 }
 
 /// Argument of `Ip.PacketSend`: a transport packet awaiting an IP header.

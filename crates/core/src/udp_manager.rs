@@ -28,6 +28,7 @@ use plexus_kernel::dispatcher::{Guard, HandlerId, RaiseCtx};
 use plexus_kernel::domain::LinkedExtension;
 use plexus_kernel::ephemeral::Ephemeral;
 use plexus_net::checksum::incremental_update;
+use plexus_net::icmp;
 use plexus_net::ip::proto;
 use plexus_net::mbuf::Mbuf;
 use plexus_net::udp::{self, UdpConfig, UDP_HDR_LEN};
@@ -100,12 +101,10 @@ impl UdpManager {
                 if outcome.invoked == 0 && arg.dst != Ipv4Addr::BROADCAST {
                     // No endpoint claimed the datagram: answer with ICMP
                     // port unreachable (code 3), quoting the offending
-                    // datagram's head, as a period BSD stack would.
+                    // datagram's IP header and UDP header, as a period BSD
+                    // stack would.
                     m.unreachable.set(m.unreachable.get() + 1);
-                    let mut quoted = ev.payload.to_vec();
-                    quoted.truncate(28);
-                    let msg = plexus_net::icmp::IcmpMessage::unreachable(3, &quoted);
-                    let reply = Mbuf::from_payload(64, &msg.to_bytes());
+                    let reply = icmp::unreachable(3, &ev.header, &ev.payload);
                     ctx.lease
                         .charge(ctx.lease.model().checksum(reply.total_len()));
                     s.raise_ip_send(

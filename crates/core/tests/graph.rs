@@ -8,11 +8,14 @@ use std::rc::Rc;
 
 use plexus_core::{AppHandler, PlexusError, PlexusStack, SourcePolicy, StackConfig, TcpCallbacks};
 use plexus_kernel::domain::{ExtensionSpec, LinkError};
-use plexus_net::ether::{EtherType, MacAddr};
+use plexus_net::ether::{self, EtherType, MacAddr};
+use plexus_net::icmp::{IcmpMessage, IcmpType};
+use plexus_net::ip::{self, IpHeader};
+use plexus_net::mbuf::Mbuf;
 use plexus_net::testbed::{Host, Testbed};
-use plexus_net::udp::UdpConfig;
-use plexus_sim::nic::Link;
-use plexus_sim::time::SimDuration;
+use plexus_net::udp::{self, UdpConfig};
+use plexus_sim::nic::{DriverConfig, Link};
+use plexus_sim::time::{SimDuration, SimTime};
 use plexus_sim::World;
 use plexus_trace::{CounterKey, Recorder, Scope, TraceEvent};
 
@@ -1076,6 +1079,59 @@ fn udp_to_unbound_port_elicits_port_unreachable() {
     assert!(client.stats().ip_rx >= 1);
 }
 
+/// RFC 792: a destination-unreachable carries the offending datagram's IP
+/// header and the first 8 bytes of its payload — for UDP, the header with
+/// both ports. Read off the wire at a bare NIC that sent the datagram.
+#[test]
+fn a_port_unreachable_quotes_the_ip_header_and_the_udp_ports() {
+    let Testbed {
+        mut world, hosts, ..
+    } = Testbed::new(&Link::ethernet(), 0, &["sender", "server"]);
+    let (sender, server) = (&hosts[0], &hosts[1]);
+    let _stack = PlexusStack::attach_host(server, StackConfig::interrupt);
+    let heard: Rc<RefCell<Vec<Vec<u8>>>> = Rc::default();
+    let log = heard.clone();
+    sender.nic.attach(DriverConfig::per_frame(move |_, frame| {
+        log.borrow_mut().push(frame.to_vec())
+    }));
+
+    let payload = Mbuf::from_payload(64, b"is anyone listening on this port?");
+    let dgram = udp::encapsulate(
+        sender.ip,
+        server.ip,
+        2000,
+        4444,
+        UdpConfig::default(),
+        payload,
+    );
+    let hdr = IpHeader::simple(sender.ip, server.ip, ip::proto::UDP, 77);
+    let mut frame = ip::encapsulate(&hdr, dgram);
+    ether::write_header(frame.prepend(14), server.mac, sender.mac, EtherType::IPV4);
+    sender
+        .nic
+        .transmit(world.engine_mut(), SimTime::ZERO, &frame);
+    world.run();
+
+    let heard = heard.borrow();
+    assert_eq!(heard.len(), 1, "one reply came back");
+    let reply = &heard[0];
+    assert_eq!(reply[23], ip::proto::ICMP, "an ICMP datagram");
+    let msg = IcmpMessage::parse(&reply[14 + 20..]).expect("a well-formed ICMP message");
+    assert_eq!((msg.kind, msg.code), (IcmpType::DestUnreachable, 3));
+    let quote = &msg.payload;
+    assert_eq!(
+        quote.len(),
+        20 + 8,
+        "the IP header and 8 bytes of its payload"
+    );
+    assert_eq!(quote[0], 0x45, "starts with the original IPv4 header");
+    assert_eq!(quote[9], ip::proto::UDP);
+    assert_eq!(quote[12..16], sender.ip.octets(), "original source");
+    assert_eq!(quote[16..20], server.ip.octets(), "original destination");
+    assert_eq!(quote[20..22], 2000u16.to_be_bytes(), "UDP source port");
+    assert_eq!(quote[22..24], 4444u16.to_be_bytes(), "UDP destination port");
+}
+
 #[test]
 fn unanswered_arp_is_retried_then_abandoned() {
     // A lossy segment that eats every frame: ARP can never resolve.
@@ -1227,9 +1283,6 @@ fn the_arp_queue_is_bounded_and_overflow_is_a_named_drop() {
 
 #[test]
 fn a_stale_fragment_group_expires_instead_of_splicing() {
-    use plexus_net::ip::{self, IpHeader};
-    use plexus_net::mbuf::Mbuf;
-
     // Hand-built fragments from a bare NIC: the head of one datagram,
     // then — 31 s later, past the reassembly timeout — the tail of another
     // that reuses its ident. Nothing calls `expire` for the stack; the

@@ -13,6 +13,18 @@
 //! known to lie outside of. A merge point joins both parts, and each
 //! conditional branch splits both parts along its two edges.
 //!
+//! Every value a field's fact can name is a constant the walk has met (a
+//! branch's immediate, or a register's constant), and every set a
+//! not-in fact names is one a `JInSet` probes; a program that reaches the
+//! walk has at most [`MAX_INSNS`] instructions, each of which loads at most
+//! one field and meets at most one constant or set. So the walk numbers
+//! the fields, constants and sets it meets in tables of its own, and a
+//! field's facts are two `u64` masks over them: a join is an OR (values)
+//! and an AND (sets), a clone is a copy, and a branch edge keeps the
+//! values for which the edge's relation holds. The masks of every state
+//! live in one arena, a slot per instruction; registers and intervals sit
+//! in a fixed array on the stack. The walk's storage is the call's own.
+//!
 //! Reachability has two strengths, kept apart so that every verdict is
 //! the one two separate passes gave:
 //!
@@ -24,21 +36,21 @@
 //!   program still verifies, and that code adds nothing to the bound.
 //!
 //! The one walk yields the dataflow verdicts (undefined reads, missing
-//! terminators, the policy at every `Accept`), the `Accept` states the
-//! demux key is folded from, the bounded-state proofs (every map index
-//! provably below its map's capacity, every operation fitting its map's
-//! kind), the **static worst-case cycle bound** — the most cycles any
-//! feasible path spends, in the unit of [`Insn::cost`] — and the
+//! terminators, the policy at every `Accept`), the fields of the demux key
+//! (folded from the `Accept` states), the bounded-state proofs (every map
+//! index provably below its map's capacity, every operation fitting its
+//! map's kind), the **static worst-case cycle bound** — the most cycles
+//! any feasible path spends, in the unit of [`Insn::cost`] — and the
 //! always/never-taken lints. One backward pass over the feasible edges it
 //! recorded then finds dead stores. Lints are advisory (the program still
 //! verifies); `plexus-verify` surfaces them.
 
-use std::collections::{BTreeMap, BTreeSet};
+use std::collections::BTreeSet;
 use std::fmt;
 
-use crate::ir::{Field, FilterProgram, Insn, Reg, SetId, Src, Width, NUM_REGS};
+use crate::ir::{Field, FilterProgram, Insn, Reg, SetId, Src, Width, MAX_INSNS, NUM_REGS};
 use crate::state::MapKind;
-use crate::verify::{FieldKey, Policy, VerifyError};
+use crate::verify::{key_schema, FieldKey, FieldSpec, Policy, VerifyError};
 
 /// An advisory finding: the program verifies, but contains provably
 /// useless code. Surfaced by `plexus-verify` (and its `--lint-all` CI
@@ -105,8 +117,8 @@ enum Sym {
     Undef,
     /// A known constant.
     Const(u64),
-    /// The current value of a packet field.
-    Field(FieldKey),
+    /// The current value of a packet field: its number in [`Walk::keys`].
+    Field(u8),
     /// Anything.
     Unknown,
 }
@@ -270,32 +282,69 @@ impl Rel {
     }
 }
 
-/// The abstract state at one program point.
-#[derive(Clone, Debug)]
-pub(crate) struct State {
+/// What one walk meets, each once, numbered in the order first met (the
+/// port sets in id order): at most one per instruction, so at most
+/// [`MAX_INSNS`], and any subset of them is a `u64` mask.
+struct Table<T> {
+    items: [T; MAX_INSNS],
+    len: usize,
+}
+
+impl<T: Copy + PartialEq> Table<T> {
+    fn new(fill: T) -> Table<T> {
+        Table {
+            items: [fill; MAX_INSNS],
+            len: 0,
+        }
+    }
+
+    fn find(&self, item: T) -> Option<usize> {
+        self.items[..self.len].iter().position(|x| *x == item)
+    }
+
+    fn intern(&mut self, item: T) -> usize {
+        self.find(item).unwrap_or_else(|| {
+            self.items[self.len] = item;
+            self.len += 1;
+            self.len - 1
+        })
+    }
+}
+
+fn bit(i: usize) -> u64 {
+    1 << i
+}
+
+/// The numbers of the bits set in `mask`, lowest first.
+fn bits(mut mask: u64) -> impl Iterator<Item = usize> {
+    std::iter::from_fn(move || {
+        let i = mask.trailing_zeros() as usize;
+        mask &= mask.wrapping_sub(1);
+        (i < 64).then_some(i)
+    })
+}
+
+/// The abstract state at one program point, but for the fields' facts,
+/// which are masks in the walk's arena ([`Walk::facts`]).
+#[derive(Clone, Copy, Debug)]
+struct Head {
     regs: [Sym; NUM_REGS],
     /// `None` where only edges the intervals refute lead.
     bounds: Option<Bounds>,
-    /// The values each constrained field may hold; a field absent here
-    /// may hold anything.
-    pub(crate) fields: BTreeMap<FieldKey, BTreeSet<u64>>,
-    /// Facts of the form "field ∉ set" (in `JInSet`'s u16-truncated
-    /// membership sense), learned on the fall-through edge of `JInSet`.
-    /// Set contents are dynamic, so the fact names the set rather than its
-    /// values; the dispatcher re-checks membership live at dispatch time.
-    pub(crate) notin: BTreeMap<FieldKey, BTreeSet<SetId>>,
+    /// Bit `k`: field `k` may hold only the values its value mask names. A
+    /// field whose bit is clear may hold anything.
+    known: u64,
 }
 
-impl State {
-    fn entry() -> State {
-        State {
+impl Head {
+    fn entry() -> Head {
+        Head {
             regs: [Sym::Undef; NUM_REGS],
             bounds: Some(Bounds {
                 regs: [Range::exact(0); NUM_REGS],
                 cycles: 0,
             }),
-            fields: BTreeMap::new(),
-            notin: BTreeMap::new(),
+            known: 0,
         }
     }
 
@@ -325,8 +374,9 @@ impl State {
         }
     }
 
-    /// Joins the state of another path into this one.
-    fn join(&mut self, other: &State) {
+    /// Joins the registers, intervals and known fields of another path
+    /// into this one.
+    fn join(&mut self, other: &Head) {
         for (mine, theirs) in self.regs.iter_mut().zip(other.regs) {
             *mine = match (*mine, theirs) {
                 (a, b) if a == b => a,
@@ -338,81 +388,20 @@ impl State {
             (Some(a), Some(b)) => Some(a.join(b)),
             (a, b) => a.or(b),
         };
-        self.fields.retain(|key, vals| match other.fields.get(key) {
-            Some(theirs) => {
-                vals.extend(theirs);
-                true
-            }
-            None => false,
-        });
-        // A non-membership fact survives a join only if both paths prove it.
-        self.notin.retain(|key, sets| {
-            match other.notin.get(key) {
-                Some(theirs) => sets.retain(|s| theirs.contains(s)),
-                None => sets.clear(),
-            }
-            !sets.is_empty()
-        });
-    }
-
-    /// Narrows this state to the edge of a branch on which `a rel b`
-    /// holds. Returns `false` when the value sets refute the edge; when
-    /// only the intervals do, the state loses its bounds instead.
-    fn assume(&mut self, rel: Rel, a: Reg, b: Src) -> bool {
-        if let Some(bounds) = &mut self.bounds {
-            match rel.narrow(bounds.regs[a.0 as usize], bounds.src(b)) {
-                Some((na, nb)) => {
-                    bounds.regs[a.0 as usize] = na;
-                    if let Src::Reg(r) = b {
-                        bounds.regs[r.0 as usize] = nb;
-                    }
-                }
-                None => self.bounds = None,
-            }
-        }
-        let b = match b {
-            Src::Imm(v) => Sym::Const(v),
-            Src::Reg(r) => self.regs[r.0 as usize],
-        };
-        // A field compared with a constant: `field rel c`, or `c rel field`
-        // for the symmetric relations.
-        let (key, c) = match (self.regs[a.0 as usize], b) {
-            (Sym::Field(key), Sym::Const(c)) => (key, c),
-            (Sym::Const(c), Sym::Field(key)) if matches!(rel, Rel::Eq | Rel::Ne) => (key, c),
-            _ => return true,
-        };
-        match self.fields.get_mut(&key) {
-            Some(vals) => {
-                vals.retain(|&v| rel.holds(v, c));
-                !vals.is_empty()
-            }
-            None => {
-                if rel == Rel::Eq {
-                    self.fields.insert(key, BTreeSet::from([c]));
-                }
-                true
-            }
-        }
-    }
-}
-
-/// Flows `st` into `slot`: the first path to arrive sets it, later ones
-/// join it.
-fn flow(slot: &mut Option<State>, st: State) {
-    match slot {
-        None => *slot = Some(st),
-        Some(cur) => cur.join(&st),
+        self.known &= other.known;
     }
 }
 
 /// What the walk proves of a program that passed `check_structure`.
 pub(crate) struct Facts {
-    /// The state at each reachable `Accept`, in program order.
-    pub(crate) accepts: Vec<State>,
     /// The static worst-case cycle bound.
     pub(crate) bound: u32,
     /// Advisory findings, in instruction order.
     pub(crate) lints: Vec<Lint>,
+    /// What every reachable `Accept` proves of each field of the kind's
+    /// [`key_schema`], in schema order; `None` when no `Accept` is
+    /// reachable.
+    pub(crate) key: Option<Vec<FieldSpec>>,
 }
 
 /// Per-instruction feasible-edge mask bits, for the dead-store pass: the
@@ -434,63 +423,248 @@ fn jump_off(insn: &Insn) -> Option<u16> {
     }
 }
 
+/// One walk's storage.
+struct Walk {
+    /// The fields the program loads.
+    keys: Table<FieldKey>,
+    /// The constants the fields' value facts name.
+    consts: Table<u64>,
+    /// The port sets the program probes, in id order.
+    sets: Table<SetId>,
+    /// Each instruction's state, facts aside, once a path reaches it.
+    heads: [Option<Head>; MAX_INSNS],
+    /// The fields' facts, a slot per instruction and a last one for the
+    /// taken edge of the branch being walked. A slot holds a value mask
+    /// (over `consts`) per key, then a not-in mask (over `sets`) per key.
+    facts: Vec<u64>,
+}
+
+impl Walk {
+    fn new(program: &FilterProgram) -> Walk {
+        let mut keys = Table::new(FieldKey::Field(Field::EthType));
+        let mut sets = Table::new(0);
+        for insn in &program.insns {
+            match insn {
+                Insn::Ld { field, .. } => _ = keys.intern(FieldKey::Field(*field)),
+                Insn::LdPay { off, width, .. } => _ = keys.intern(FieldKey::Pay(*off, *width)),
+                Insn::JInSet { set, .. } => _ = sets.intern(*set),
+                _ => {}
+            }
+        }
+        sets.items[..sets.len].sort_unstable();
+        let slots = program.insns.len() + 1;
+        Walk {
+            facts: vec![0; slots * 2 * keys.len],
+            keys,
+            consts: Table::new(0),
+            sets,
+            heads: [None; MAX_INSNS],
+        }
+    }
+
+    /// Where key `k`'s value mask sits in `slot`; its not-in mask is
+    /// `keys.len` further on.
+    fn at(&self, slot: usize, k: usize) -> usize {
+        2 * self.keys.len * slot + k
+    }
+
+    /// What a register holds after loading `key`.
+    fn loaded(&self, key: FieldKey) -> Sym {
+        Sym::Field(self.keys.find(key).expect("tabled before the walk") as u8)
+    }
+
+    /// Copies slot `from`'s facts into slot `to`.
+    fn copy(&mut self, from: usize, to: usize) {
+        let (from, to) = (self.at(from, 0), self.at(to, 0));
+        self.facts.copy_within(from..from + 2 * self.keys.len, to);
+    }
+
+    /// The values `mask` names. Inserted one by one: collecting would sort
+    /// them in a list of its own first.
+    fn values(&self, mask: u64) -> BTreeSet<u64> {
+        let mut values = BTreeSet::new();
+        values.extend(bits(mask).map(|i| self.consts.items[i]));
+        values
+    }
+
+    /// Flows the state `head` + the facts in slot `from` into instruction
+    /// `to`: the first path to arrive sets it, later ones join it.
+    fn flow(&mut self, to: usize, head: Head, from: usize) {
+        match &mut self.heads[to] {
+            Some(cur) => cur.join(&head),
+            slot @ None => {
+                *slot = Some(head);
+                self.copy(from, to);
+                return;
+            }
+        }
+        let (to_at, from_at, n) = (self.at(to, 0), self.at(from, 0), self.keys.len);
+        for k in 0..n {
+            self.facts[to_at + k] |= self.facts[from_at + k];
+            // A non-membership fact survives a join only if both paths
+            // prove it.
+            self.facts[to_at + n + k] &= self.facts[from_at + n + k];
+        }
+    }
+
+    /// Narrows `head` + the facts in `slot` to the edge of a branch on
+    /// which `a rel b` holds. Returns `false` when the value sets refute
+    /// the edge; when only the intervals do, the state loses its bounds
+    /// instead.
+    fn assume(&mut self, head: &mut Head, slot: usize, rel: Rel, a: Reg, b: Src) -> bool {
+        if let Some(bounds) = &mut head.bounds {
+            match rel.narrow(bounds.regs[a.0 as usize], bounds.src(b)) {
+                Some((na, nb)) => {
+                    bounds.regs[a.0 as usize] = na;
+                    if let Src::Reg(r) = b {
+                        bounds.regs[r.0 as usize] = nb;
+                    }
+                }
+                None => head.bounds = None,
+            }
+        }
+        let b = match b {
+            Src::Imm(v) => Sym::Const(v),
+            Src::Reg(r) => head.regs[r.0 as usize],
+        };
+        // A field compared with a constant: `field rel c`, or `c rel field`
+        // for the symmetric relations.
+        let (k, c) = match (head.regs[a.0 as usize], b) {
+            (Sym::Field(k), Sym::Const(c)) => (usize::from(k), c),
+            (Sym::Const(c), Sym::Field(k)) if matches!(rel, Rel::Eq | Rel::Ne) => {
+                (usize::from(k), c)
+            }
+            _ => return true,
+        };
+        let at = self.at(slot, k);
+        if head.known & bit(k) != 0 {
+            let held = bits(self.facts[at]).filter(|&i| rel.holds(self.consts.items[i], c));
+            self.facts[at] = held.fold(0, |mask, i| mask | bit(i));
+            self.facts[at] != 0
+        } else {
+            if rel == Rel::Eq {
+                head.known |= bit(k);
+                self.facts[at] = bit(self.consts.intern(c));
+            }
+            true
+        }
+    }
+
+    /// Checks `policy` at the `Accept` at `pc`, whose state is `head` +
+    /// slot `pc`.
+    fn check_policy(&self, policy: &Policy, pc: usize, head: &Head, errors: &mut Vec<VerifyError>) {
+        for (key, allowed) in policy.constraints() {
+            let proven = (self.keys.find(key))
+                .filter(|&k| head.known & bit(k) != 0)
+                .map(|k| self.facts[self.at(pc, k)]);
+            let allows = |v| allowed.clone().any(|a| a == v);
+            let within = |mask| bits(mask).all(|i| allows(self.consts.items[i]));
+            if !proven.is_some_and(within) {
+                errors.push(VerifyError::PolicyViolation {
+                    at: pc,
+                    key,
+                    allowed: allowed.collect(),
+                    proven: proven.map(|mask| self.values(mask)),
+                });
+            }
+        }
+    }
+
+    /// Folds the states at the `Accept`s in `accepts` (a mask of
+    /// instructions) into what they prove of each key-schema field, per
+    /// schema field:
+    ///
+    /// * if every accept proves `field ∈ S_i`, `In(S_1 ∪ ... ∪ S_n)` — a
+    ///   sound over-approximation;
+    /// * otherwise, if every accept proves `field ∉ set` for some common
+    ///   shared sets, `NotIn` of those sets;
+    /// * otherwise `Any`.
+    ///
+    /// The accept states do not depend on the policy (it is only *checked*
+    /// at `Accept`), so neither does the key.
+    fn key_fields(&self, program: &FilterProgram, accepts: u64) -> Option<Vec<FieldSpec>> {
+        if accepts == 0 {
+            return None;
+        }
+        let fields = key_schema(program.kind).iter().map(|key| {
+            let (mut known, mut vals, mut notin) = (true, 0, u64::MAX);
+            match self.keys.find(*key) {
+                Some(k) => {
+                    for pc in bits(accepts) {
+                        let head = self.heads[pc].as_ref().expect("an accept keeps its state");
+                        known &= head.known & bit(k) != 0;
+                        vals |= self.facts[self.at(pc, k)];
+                        notin &= self.facts[self.at(pc, k) + self.keys.len];
+                    }
+                }
+                None => (known, notin) = (false, 0),
+            }
+            if known {
+                return FieldSpec::In(self.values(vals));
+            }
+            let sets: Vec<_> = bits(notin)
+                .filter_map(|i| program.sets.get(usize::from(self.sets.items[i])).cloned())
+                .collect();
+            if sets.is_empty() {
+                FieldSpec::Any
+            } else {
+                FieldSpec::NotIn(sets)
+            }
+        });
+        Some(fields.collect())
+    }
+}
+
 /// Runs the one walk over `program`, pushing every violation (and every
 /// `policy` obligation an `Accept` fails) onto `errors`. Precondition:
 /// `check_structure` passed — registers, jump targets and set and map ids
-/// are in range.
+/// are in range, and there are at most [`MAX_INSNS`] instructions.
 pub(crate) fn interpret(
     program: &FilterProgram,
     policy: &Policy,
     errors: &mut Vec<VerifyError>,
 ) -> Facts {
     let len = program.insns.len();
-    let mut states: Vec<Option<State>> = vec![None; len];
-    states[0] = Some(State::entry());
-    let mut edges = vec![0u8; len];
-    let mut facts = Facts {
-        accepts: Vec::new(),
-        bound: 0,
-        lints: Vec::new(),
-    };
+    let mut walk = Walk::new(program);
+    walk.heads[0] = Some(Head::entry());
+    // The slot a branch's taken edge is narrowed in; the fall-through edge
+    // narrows the branch's own.
+    let taken_slot = len;
+    let mut edges = [0u8; MAX_INSNS];
+    let (mut bound, mut lints, mut accepts) = (0, Vec::new(), 0u64);
 
     for (pc, insn) in program.insns.iter().enumerate() {
-        let Some(mut st) = states[pc].take() else {
+        let Some(mut st) = walk.heads[pc].take() else {
             errors.push(VerifyError::Unreachable { at: pc });
             continue;
         };
         match &mut st.bounds {
             Some(b) => {
                 b.cycles += insn.cost();
-                facts.bound = facts.bound.max(b.cycles);
+                bound = bound.max(b.cycles);
                 edges[pc] = REACHED;
             }
-            None => facts.lints.push(Lint::Unreachable { pc }),
+            None => lints.push(Lint::Unreachable { pc }),
         }
 
         // The states leaving along the jump edge and the fall-through
-        // edge; `None` for an edge the value sets refute (or that is not
-        // there).
+        // edge, with the slot their facts are in; `None` for an edge the
+        // value sets refute (or that is not there).
         let (mut jump, mut fall) = (None, None);
         match insn {
             Insn::Ld { dst, field } => {
-                st.write(
-                    *dst,
-                    Sym::Field(FieldKey::Field(*field)),
-                    field_range(*field),
-                );
-                fall = Some(st);
+                let sym = walk.loaded(FieldKey::Field(*field));
+                st.write(*dst, sym, field_range(*field));
+                fall = Some((st, pc));
             }
             Insn::LdImm { dst, imm } => {
                 st.write(*dst, Sym::Const(*imm), Range::exact(*imm));
-                fall = Some(st);
+                fall = Some((st, pc));
             }
             Insn::LdPay { dst, off, width } => {
-                st.write(
-                    *dst,
-                    Sym::Field(FieldKey::Pay(*off, *width)),
-                    width_range(*width),
-                );
-                fall = Some(st);
+                let sym = walk.loaded(FieldKey::Pay(*off, *width));
+                st.write(*dst, sym, width_range(*width));
+                fall = Some((st, pc));
             }
             Insn::And { dst, src } | Insn::Or { dst, src } => {
                 let is_and = matches!(insn, Insn::And { .. });
@@ -514,7 +688,7 @@ pub(crate) fn interpret(
                     }
                 });
                 st.write(*dst, sym, range);
-                fall = Some(st);
+                fall = Some((st, pc));
             }
             Insn::Jeq { a, b, .. }
             | Insn::Jne { a, b, .. }
@@ -528,32 +702,36 @@ pub(crate) fn interpret(
                 };
                 st.read(*a, pc, errors);
                 st.read_src(*b, pc, errors);
-                let mut taken = st.clone();
-                let taken_ok = taken.assume(rel, *a, *b);
-                let fall_ok = st.assume(rel.negate(), *a, *b);
+                let mut taken = st;
+                walk.copy(pc, taken_slot);
+                let taken_ok = walk.assume(&mut taken, taken_slot, rel, *a, *b);
+                let fall_ok = walk.assume(&mut st, pc, rel.negate(), *a, *b);
                 if edges[pc] & REACHED != 0 {
                     if taken.bounds.is_none() {
-                        facts.lints.push(Lint::NeverTaken { pc });
+                        lints.push(Lint::NeverTaken { pc });
                     }
                     if st.bounds.is_none() {
-                        facts.lints.push(Lint::AlwaysTaken { pc });
+                        lints.push(Lint::AlwaysTaken { pc });
                     }
                 }
-                jump = taken_ok.then_some(taken);
-                fall = fall_ok.then_some(st);
+                jump = taken_ok.then_some((taken, taken_slot));
+                fall = fall_ok.then_some((st, pc));
             }
             Insn::JInSet { a, set, .. } => {
                 // Set contents are dynamic, so the taken (member) edge
                 // learns nothing. The fall-through edge learns "tested
                 // value ∉ set"; a packet field records it as a fact.
                 let sym = st.read(*a, pc, errors);
-                jump = Some(st.clone());
-                if let Sym::Field(key) = sym {
-                    st.notin.entry(key).or_default().insert(*set);
+                walk.copy(pc, taken_slot);
+                jump = Some((st, taken_slot));
+                if let Sym::Field(k) = sym {
+                    let s = walk.sets.find(*set).expect("tabled before the walk");
+                    let at = walk.at(pc, usize::from(k)) + walk.keys.len;
+                    walk.facts[at] |= bit(s);
                 }
-                fall = Some(st);
+                fall = Some((st, pc));
             }
-            Insn::Ja { .. } => jump = Some(st),
+            Insn::Ja { .. } => jump = Some((st, pc)),
             Insn::MBump { dst, map, idx }
             | Insn::MLoad { dst, map, idx }
             | Insn::MTake { dst, map, idx } => {
@@ -563,46 +741,42 @@ pub(crate) fn interpret(
                     None => Range::span(0, u64::MAX),
                 };
                 st.write(*dst, Sym::Unknown, range);
-                fall = Some(st);
+                fall = Some((st, pc));
             }
             Insn::Accept => {
-                for (key, allowed) in &policy.constraints {
-                    let proven = st.fields.get(key);
-                    if !proven.is_some_and(|vals| vals.is_subset(allowed)) {
-                        errors.push(VerifyError::PolicyViolation {
-                            at: pc,
-                            key: *key,
-                            allowed: allowed.clone(),
-                            proven: proven.cloned(),
-                        });
-                    }
-                }
-                facts.accepts.push(st);
+                walk.check_policy(policy, pc, &st, errors);
+                // The state stays, for the demux key.
+                accepts |= bit(pc);
+                walk.heads[pc] = Some(st);
             }
             Insn::Reject => {}
         }
 
-        if let (Some(next), Some(off)) = (jump, jump_off(insn)) {
+        if let (Some((next, from)), Some(off)) = (jump, jump_off(insn)) {
             if next.bounds.is_some() {
                 edges[pc] |= JUMPS;
             }
-            flow(&mut states[pc + 1 + off as usize], next);
+            walk.flow(pc + 1 + off as usize, next, from);
         }
-        if let Some(next) = fall {
+        if let Some((next, from)) = fall {
             if pc + 1 == len {
                 errors.push(VerifyError::MissingTerminator { at: pc });
             } else {
                 if next.bounds.is_some() {
                     edges[pc] |= FALLS;
                 }
-                flow(&mut states[pc + 1], next);
+                walk.flow(pc + 1, next, from);
             }
         }
     }
 
-    dead_stores(program, &edges, &mut facts.lints);
-    facts.lints.sort_by_key(Lint::pc);
-    facts
+    dead_stores(program, &edges, &mut lints);
+    lints.sort_by_key(Lint::pc);
+    Facts {
+        bound,
+        lints,
+        key: walk.key_fields(program, accepts),
+    }
 }
 
 /// The bounded-state proof for one map operation: it fits the map's kind,
@@ -652,8 +826,8 @@ fn map_op(
 /// side-effect-free write whose register no successor reads is a dead
 /// store. Reverse program order is a reverse topological order of the
 /// DAG, so one pass is exact.
-fn dead_stores(program: &FilterProgram, edges: &[u8], lints: &mut Vec<Lint>) {
-    let mut live: Vec<u8> = vec![0; edges.len()];
+fn dead_stores(program: &FilterProgram, edges: &[u8; MAX_INSNS], lints: &mut Vec<Lint>) {
+    let mut live = [0u8; MAX_INSNS];
     let bit = |r: Reg| 1u8 << (r.0 % 8);
     for (pc, insn) in program.insns.iter().enumerate().rev() {
         if edges[pc] & REACHED == 0 {

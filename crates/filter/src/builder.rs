@@ -89,30 +89,31 @@ impl Test {
             values: values.into_iter().collect(),
         }
     }
-}
 
-enum Fixup {
-    /// Patch the jump at this index to target the failure label.
-    ToFail(usize),
-    /// Patch the jump at this index to target an absolute pc.
-    To(usize, usize),
-}
-
-fn set_off(insn: &mut Insn, at: usize, target: usize) {
-    // A jump longer than `u16` only arises in a program tens of thousands
-    // of instructions past `MAX_INSNS` (a spec file's `in` list can ask
-    // for one), which the verifier rejects on its length before it reads
-    // any jump: saturate rather than panic.
-    let delta = u16::try_from(target - at - 1).unwrap_or(u16::MAX);
-    match insn {
-        Insn::Jeq { off, .. }
-        | Insn::Jne { off, .. }
-        | Insn::Jlt { off, .. }
-        | Insn::Jgt { off, .. }
-        | Insn::JInSet { off, .. }
-        | Insn::Ja { off } => *off = delta,
-        _ => unreachable!("fixup on a non-jump instruction"),
+    /// Instructions the test compiles to.
+    fn len(&self) -> usize {
+        match self {
+            Test::In { values, .. } => 1 + values.len(),
+            Test::InSet { .. } => 3,
+            Test::NotInSet { .. } => 2,
+            Test::TakeToken { .. } => 4,
+            Test::Count { .. } => 3,
+        }
     }
+
+    /// Whether a packet can fail the test (a `Count` never does).
+    fn can_fail(&self) -> bool {
+        !matches!(self, Test::Count { .. })
+    }
+}
+
+/// The offset that takes a jump at `at` to `target`. A jump longer than
+/// `u16` only arises in a program tens of thousands of instructions past
+/// `MAX_INSNS` (a spec file's `in` list can ask for one), which the
+/// verifier rejects on its length before it reads any jump: saturate
+/// rather than panic.
+fn off(at: usize, target: usize) -> u16 {
+    u16::try_from(target - at - 1).unwrap_or(u16::MAX)
 }
 
 /// Compiles the conjunction of `tests` over `kind` events into a
@@ -140,8 +141,13 @@ pub fn conjunction_stateful(
     // Map results land in r1 so they never clobber the operand register
     // mid-test.
     let r1 = Reg(1);
-    let mut insns: Vec<Insn> = Vec::new();
-    let mut fixups: Vec<Fixup> = Vec::new();
+    // Every test's length is known up front, so each jump is emitted with
+    // its final offset: the failure label is the `Reject` after the
+    // closing `Accept`, and a test passes to the instruction after its own.
+    let body: usize = tests.iter().map(Test::len).sum();
+    let fail = body + 1;
+    let rejects = tests.iter().any(Test::can_fail);
+    let mut insns: Vec<Insn> = Vec::with_capacity(fail + usize::from(rejects));
 
     let load = |op: Operand, insns: &mut Vec<Insn>| match op {
         Operand::Field(field) => insns.push(Insn::Ld { dst: r0, field }),
@@ -153,52 +159,44 @@ pub fn conjunction_stateful(
     };
 
     for test in tests {
+        let next = insns.len() + test.len();
         match test {
             Test::In { op, values } => {
                 assert!(!values.is_empty(), "Test::In with no values");
                 load(*op, &mut insns);
                 let (last, rest) = values.split_last().expect("non-empty");
-                let mut to_next: Vec<usize> = Vec::new();
                 for v in rest {
-                    to_next.push(insns.len());
                     insns.push(Insn::Jeq {
                         a: r0,
                         b: Src::Imm(*v),
-                        off: 0,
+                        off: off(insns.len(), next),
                     });
                 }
-                fixups.push(Fixup::ToFail(insns.len()));
                 insns.push(Insn::Jne {
                     a: r0,
                     b: Src::Imm(*last),
-                    off: 0,
+                    off: off(insns.len(), fail),
                 });
-                let next = insns.len();
-                for at in to_next {
-                    fixups.push(Fixup::To(at, next));
-                }
             }
             Test::InSet { op, set } => {
                 assert!((*set as usize) < sets.len(), "Test::InSet names no set");
                 load(*op, &mut insns);
-                let jin = insns.len();
                 insns.push(Insn::JInSet {
                     a: r0,
                     set: *set,
-                    off: 0,
+                    off: off(insns.len(), next),
                 });
-                fixups.push(Fixup::ToFail(insns.len()));
-                insns.push(Insn::Ja { off: 0 });
-                fixups.push(Fixup::To(jin, insns.len()));
+                insns.push(Insn::Ja {
+                    off: off(insns.len(), fail),
+                });
             }
             Test::NotInSet { op, set } => {
                 assert!((*set as usize) < sets.len(), "Test::NotInSet names no set");
                 load(*op, &mut insns);
-                fixups.push(Fixup::ToFail(insns.len()));
                 insns.push(Insn::JInSet {
                     a: r0,
                     set: *set,
-                    off: 0,
+                    off: off(insns.len(), fail),
                 });
             }
             Test::TakeToken { op, mask, map } => {
@@ -213,11 +211,10 @@ pub fn conjunction_stateful(
                     map: *map,
                     idx: r0,
                 });
-                fixups.push(Fixup::ToFail(insns.len()));
                 insns.push(Insn::Jne {
                     a: r1,
                     b: Src::Imm(1),
-                    off: 0,
+                    off: off(insns.len(), fail),
                 });
             }
             Test::Count { op, mask, map } => {
@@ -234,21 +231,12 @@ pub fn conjunction_stateful(
                 });
             }
         }
+        debug_assert_eq!(insns.len(), next, "Test::len agrees with the emitter");
     }
 
     insns.push(Insn::Accept);
-    if !fixups.is_empty() {
-        let fail = insns.len();
+    if rejects {
         insns.push(Insn::Reject);
-        for fixup in fixups {
-            let (at, target) = match fixup {
-                Fixup::ToFail(at) => (at, fail),
-                Fixup::To(at, target) => (at, target),
-            };
-            let mut insn = insns[at].clone();
-            set_off(&mut insn, at, target);
-            insns[at] = insn;
-        }
     }
 
     FilterProgram {

@@ -26,6 +26,10 @@
 //! — the per-op indirect branch, the dominant cost of any threaded
 //! interpreter, is paid once per conjunction instead of once per test.
 //!
+//! A compiled program is one allocation, its op list: a run's tests sit in
+//! the list right after the run, and the passes before it work in arrays
+//! bounded by [`MAX_INSNS`], which no verified program exceeds.
+//!
 //! The tier is *observationally identical* to the interpreter: same
 //! verdicts, same state-map mutations, and the same metered cycle count,
 //! because each op stages exactly the [`crate::ir::Insn::cost`] of the
@@ -41,7 +45,7 @@
 use std::fmt;
 
 use crate::eval::Packet;
-use crate::ir::{EventKind, Field, FilterProgram, Insn, PortSet, Src, Width, NUM_REGS};
+use crate::ir::{EventKind, Field, FilterProgram, Insn, PortSet, Src, Width, MAX_INSNS, NUM_REGS};
 use crate::state::StateMap;
 
 /// The register file a compiled program threads through its ops.
@@ -123,7 +127,7 @@ impl LoadKind {
 
 /// One test of an [`Op::Run`] superinstruction: the payload of a
 /// [`Op::FusedCmp`] minus the fall-through target, which is implicit
-/// (the next entry, or the run's `next` after the last).
+/// (the next test, or the run's `next` after the last).
 struct CmpEntry {
     d: usize,
     load: LoadKind,
@@ -203,12 +207,15 @@ enum Op {
         f: usize,
     },
     /// A superinstruction: a fall-through run of fused load-compares
-    /// evaluated by one homogeneous inner loop. Branch-taken exits to
-    /// the entry's own target; surviving every test continues at `next`.
+    /// evaluated by one homogeneous inner loop — the `tests` ops after it.
+    /// Branch-taken exits to the test's own target; surviving every test
+    /// continues at `next`.
     Run {
-        entries: Vec<CmpEntry>,
+        tests: usize,
         next: usize,
     },
+    /// One test of the [`Op::Run`] before it; never dispatched to.
+    RunTest(CmpEntry),
     /// Fused load + set-membership probe + branch.
     FusedInSet {
         d: usize,
@@ -285,8 +292,11 @@ impl CompiledProgram {
         let mut pc = 0usize;
         'dispatch: loop {
             match &self.ops[pc] {
-                Op::Run { entries, next } => {
-                    for e in entries {
+                Op::Run { tests, next } => {
+                    for op in &self.ops[pc + 1..=pc + tests] {
+                        let Op::RunTest(e) = op else {
+                            unreachable!("a run's tests follow it");
+                        };
                         spent += e.lc;
                         let Some(x) = e.load.get(pkt, &mut head) else {
                             return (false, spent);
@@ -417,6 +427,7 @@ impl CompiledProgram {
                     }
                 }
                 Op::Halt { accept, extra } => return (*accept, spent + extra),
+                Op::RunTest(_) => unreachable!("a run's tests are walked by the run"),
             }
         }
     }
@@ -431,7 +442,9 @@ impl CompiledProgram {
     /// as opposed to [`CompileStats::thunks`] which counts before runs
     /// are coalesced.
     pub fn ops(&self) -> usize {
-        self.ops.len()
+        (self.ops.iter())
+            .filter(|op| !matches!(op, Op::RunTest(_)))
+            .count()
     }
 
     /// The event kind the program filters.
@@ -538,80 +551,98 @@ fn state_op(insn: &Insn) -> StateFn {
 /// the previous member is the *only* way control reaches it; any op some
 /// branch lands on stays addressable (it may head its own run). Indices
 /// shift when runs compress the array, so every surviving target is
-/// remapped through `remap` at the end.
-fn coalesce_runs(ops: Vec<Op>) -> Vec<Op> {
+/// remapped through `remap` at the end. The ops move out of `ops` into the
+/// one list the program keeps, sized exactly.
+fn coalesce_runs(ops: &mut [Option<Op>]) -> Vec<Op> {
     let n = ops.len();
     // Which ops are entered other than by falling through from the
     // fused compare directly above them.
-    let mut entered = vec![false; n];
+    let mut entered = [false; MAX_INSNS + 1];
     for (idx, op) in ops.iter().enumerate() {
         match op {
-            Op::FusedCmp { t, f, .. } => {
+            Some(Op::FusedCmp { t, f, .. }) => {
                 entered[*t] = true;
                 if *f != idx + 1 {
                     entered[*f] = true;
                 }
             }
-            Op::CmpImm { t, f, .. }
-            | Op::CmpReg { t, f, .. }
-            | Op::InSet { t, f, .. }
-            | Op::FusedInSet { t, f, .. } => {
+            Some(
+                Op::CmpImm { t, f, .. }
+                | Op::CmpReg { t, f, .. }
+                | Op::InSet { t, f, .. }
+                | Op::FusedInSet { t, f, .. },
+            ) => {
                 entered[*t] = true;
                 entered[*f] = true;
             }
-            Op::Ja { t } => entered[*t] = true,
+            Some(Op::Ja { t }) => entered[*t] = true,
             _ => {}
         }
     }
 
-    let mut old: Vec<Option<Op>> = ops.into_iter().map(Some).collect();
-    let mut remap = vec![0usize; n + 1];
-    let mut out: Vec<Op> = Vec::with_capacity(n);
+    // The length of the fall-through fused-compare run each op heads, if
+    // it heads one of two or more.
+    let mut run = [0usize; MAX_INSNS + 1];
+    let mut runs = 0;
     let mut i = 0;
     while i < n {
-        remap[i] = out.len();
-        // Extent of the fall-through fused-compare run headed at `i`.
         let mut j = i;
         while j < n
-            && matches!(old[j].as_ref(), Some(Op::FusedCmp { f, .. }) if *f == j + 1)
+            && matches!(&ops[j], Some(Op::FusedCmp { f, .. }) if *f == j + 1)
             && (j == i || !entered[j])
         {
             j += 1;
         }
         if j - i >= 2 {
-            let entries: Vec<CmpEntry> = (i..j)
-                .map(|k| {
-                    remap[k] = remap[i];
-                    let Some(Op::FusedCmp {
-                        d,
-                        load,
-                        lc,
-                        v,
-                        cmp,
-                        t,
-                        ..
-                    }) = old[k].take()
-                    else {
-                        unreachable!("the run extent checked the shape");
-                    };
-                    CmpEntry {
-                        d,
-                        load,
-                        lc,
-                        v,
-                        cmp,
-                        t,
-                    }
-                })
-                .collect();
-            // `j` is never absorbed elsewhere (the run above it stopped
-            // here), so its remap entry is a real op.
-            out.push(Op::Run { entries, next: j });
+            run[i] = j - i;
+            runs += 1;
             i = j;
         } else {
-            out.push(old[i].take().expect("each op moves exactly once"));
             i += 1;
         }
+    }
+
+    let mut remap = [0usize; MAX_INSNS + 2];
+    let mut out: Vec<Op> = Vec::with_capacity(n + runs);
+    let mut i = 0;
+    while i < n {
+        remap[i] = out.len();
+        let tests = run[i];
+        if tests == 0 {
+            out.push(ops[i].take().expect("each op moves exactly once"));
+            i += 1;
+            continue;
+        }
+        // The op after the run is never absorbed elsewhere (the run
+        // stopped there), so its remap entry is a real op.
+        out.push(Op::Run {
+            tests,
+            next: i + tests,
+        });
+        for k in i..i + tests {
+            remap[k] = remap[i];
+            let Some(Op::FusedCmp {
+                d,
+                load,
+                lc,
+                v,
+                cmp,
+                t,
+                ..
+            }) = ops[k].take()
+            else {
+                unreachable!("the run extent checked the shape");
+            };
+            out.push(Op::RunTest(CmpEntry {
+                d,
+                load,
+                lc,
+                v,
+                cmp,
+                t,
+            }));
+        }
+        i += tests;
     }
 
     for op in &mut out {
@@ -625,12 +656,8 @@ fn coalesce_runs(ops: Vec<Op>) -> Vec<Op> {
                 *f = remap[*f];
             }
             Op::Ja { t } => *t = remap[*t],
-            Op::Run { entries, next, .. } => {
-                for e in entries.iter_mut() {
-                    e.t = remap[e.t];
-                }
-                *next = remap[*next];
-            }
+            Op::Run { next, .. } => *next = remap[*next],
+            Op::RunTest(e) => e.t = remap[e.t],
             _ => {}
         }
     }
@@ -654,7 +681,7 @@ pub(crate) fn compile(program: &FilterProgram) -> CompiledProgram {
 
     // Jump-target set: a fusion may swallow `at + 1` only if no branch
     // lands there (fall-through from `at` is the fused path itself).
-    let mut is_target = vec![false; len];
+    let mut is_target = [false; MAX_INSNS];
     for (at, insn) in program.insns.iter().enumerate() {
         let off = match insn {
             Insn::Jeq { off, .. }
@@ -666,7 +693,7 @@ pub(crate) fn compile(program: &FilterProgram) -> CompiledProgram {
             _ => None,
         };
         if let Some(off) = off {
-            if let Some(t) = is_target.get_mut(at + 1 + off) {
+            if let Some(t) = is_target[..len].get_mut(at + 1 + off) {
                 *t = true;
             }
         }
@@ -674,7 +701,7 @@ pub(crate) fn compile(program: &FilterProgram) -> CompiledProgram {
 
     // Pass 1: decide fusions and assign each instruction its op index.
     // `pc_to_op[len]` is the shared fail op appended after the body.
-    let mut pc_to_op = vec![0u32; len + 1];
+    let mut pc_to_op = [0u32; MAX_INSNS + 1];
     let mut n_ops = 0u32;
     let mut at = 0;
     while at < len {
@@ -699,7 +726,12 @@ pub(crate) fn compile(program: &FilterProgram) -> CompiledProgram {
     pc_to_op[len] = n_ops;
 
     // Pass 2: emit the ops with resolved operands and targets.
-    let mut ops: Vec<Op> = Vec::with_capacity(n_ops as usize + 1);
+    let mut ops: [Option<Op>; MAX_INSNS + 1] = [const { None }; MAX_INSNS + 1];
+    let mut n = 0;
+    let mut push = |op: Op| {
+        ops[n] = Some(op);
+        n += 1;
+    };
     let mut stats = CompileStats::default();
     let mut at = 0;
     while at < len {
@@ -728,7 +760,7 @@ pub(crate) fn compile(program: &FilterProgram) -> CompiledProgram {
             };
             stats.folded_consts += 1;
             stats.fused_state_ops += 1;
-            ops.push(Op::FusedMap {
+            push(Op::FusedMap {
                 d: dst.0 as usize,
                 mask: *mask,
                 md: md.0 as usize,
@@ -770,7 +802,7 @@ pub(crate) fn compile(program: &FilterProgram) -> CompiledProgram {
             match (op, next) {
                 (Some((v, cmp, off)), _) => {
                     stats.folded_consts += 1;
-                    ops.push(Op::FusedCmp {
+                    push(Op::FusedCmp {
                         d,
                         load,
                         lc,
@@ -781,7 +813,7 @@ pub(crate) fn compile(program: &FilterProgram) -> CompiledProgram {
                     });
                 }
                 (None, Some(Insn::JInSet { set, off, .. })) => {
-                    ops.push(Op::FusedInSet {
+                    push(Op::FusedInSet {
                         d,
                         load,
                         lc,
@@ -919,13 +951,13 @@ pub(crate) fn compile(program: &FilterProgram) -> CompiledProgram {
                 extra: 1,
             },
         };
-        ops.push(op);
+        push(op);
         at += 1;
     }
     // Falling off the end rejects with the cycles spent so far, exactly
     // like the interpreter's loop exit. Also the entry of the empty
     // program.
-    ops.push(Op::Halt {
+    push(Op::Halt {
         accept: false,
         extra: 0,
     });
@@ -933,7 +965,7 @@ pub(crate) fn compile(program: &FilterProgram) -> CompiledProgram {
     stats.thunks = (len as u32) - stats.fused_state_ops - stats.fused_loads;
     CompiledProgram {
         kind: program.kind,
-        ops: coalesce_runs(ops),
+        ops: coalesce_runs(&mut ops[..n]),
         stats,
     }
 }

@@ -26,10 +26,10 @@
 use std::collections::BTreeSet;
 use std::fmt;
 
-use crate::absint::{self, Lint, State};
+use crate::absint::{self, Lint};
 use crate::ir::{
-    EventKind, Field, FilterProgram, Insn, PortSet, Reg, SetId, Src, Width, MAX_COST, MAX_INSNS,
-    NUM_REGS, PAY_WINDOW,
+    EventKind, Field, FilterProgram, Insn, PortSet, Reg, Src, Width, MAX_COST, MAX_INSNS, NUM_REGS,
+    PAY_WINDOW,
 };
 use crate::state::MAX_STATE_BYTES;
 
@@ -54,10 +54,26 @@ impl fmt::Display for FieldKey {
 
 /// An install-time policy: at every reachable `Accept`, each constrained
 /// field must provably lie within its allowed set.
+///
+/// Every constraint lives in one list: its key, then the values it
+/// allows. Two constraints on one key stay two, so both must hold.
 #[derive(Clone, Debug, Default)]
 pub struct Policy {
-    pub(crate) constraints: Vec<(FieldKey, BTreeSet<u64>)>,
+    entries: Vec<PolicyEntry>,
 }
+
+#[derive(Clone, Copy, Debug)]
+enum PolicyEntry {
+    /// Opens a constraint on this field.
+    Key(FieldKey),
+    /// A value the open constraint allows.
+    Allows(u64),
+}
+
+/// Entries a policy's list has room for from its first constraint on: the
+/// four single-value constraints of a connection's 4-tuple, or a binding's
+/// port and addresses, fit without the list growing again.
+const POLICY_ROOM: usize = 8;
 
 impl Policy {
     /// A policy with no constraints (verification only).
@@ -67,7 +83,12 @@ impl Policy {
 
     /// Requires `key` to be provably within `allowed` at every accept.
     pub fn require_in(mut self, key: FieldKey, allowed: impl IntoIterator<Item = u64>) -> Policy {
-        self.constraints.push((key, allowed.into_iter().collect()));
+        let allowed = allowed.into_iter();
+        let len = self.entries.len();
+        let want = (len + 1 + allowed.size_hint().0).max(POLICY_ROOM);
+        self.entries.reserve(want - len);
+        self.entries.push(PolicyEntry::Key(key));
+        self.entries.extend(allowed.map(PolicyEntry::Allows));
         self
     }
 
@@ -78,7 +99,28 @@ impl Policy {
 
     /// Whether the policy constrains anything.
     pub fn is_empty(&self) -> bool {
-        self.constraints.is_empty()
+        self.entries.is_empty()
+    }
+
+    /// Each constraint in the order it was required: its key, and the
+    /// values it allows (repeats included).
+    pub(crate) fn constraints(
+        &self,
+    ) -> impl Iterator<Item = (FieldKey, impl Iterator<Item = u64> + Clone + '_)> {
+        let entries = &self.entries;
+        entries
+            .iter()
+            .enumerate()
+            .filter_map(|(at, entry)| match entry {
+                PolicyEntry::Key(key) => Some((
+                    *key,
+                    entries[at + 1..].iter().map_while(|entry| match entry {
+                        PolicyEntry::Allows(v) => Some(*v),
+                        PolicyEntry::Key(_) => None,
+                    }),
+                )),
+                PolicyEntry::Allows(_) => None,
+            })
     }
 }
 
@@ -465,7 +507,7 @@ pub fn verify_with_policy(
     // closure chain observe (and mutate) identical state.
     let program = program.clone();
     let compiled = std::rc::Rc::new(crate::compile::compile(&program));
-    let key = demux_key(&program, &facts.accepts);
+    let key = facts.key.and_then(|fields| demux_key(program.kind, fields));
     Ok(VerifiedProgram {
         program,
         compiled,
@@ -652,60 +694,10 @@ impl KeySpec {
     }
 }
 
-/// Folds the abstract states at every reachable `Accept` into the guard's
-/// demux key, or `None` when no schema field is bounded. The accept
-/// states do not depend on the policy (it is only *checked* at `Accept`),
-/// so neither does the key.
-///
-/// Per schema field, across the accept states:
-///
-/// * if every accept proves `field ∈ S_i`, the spec is
-///   `In(S_1 ∪ ... ∪ S_n)` — a sound over-approximation;
-/// * otherwise, if every accept proves `field ∉ set` for some common
-///   shared sets, the spec is `NotIn` of those sets;
-/// * otherwise `Any`.
-///
-/// A guard with no `In` field yields `None`: it would hash nowhere.
-fn demux_key(program: &FilterProgram, accepts: &[State]) -> Option<KeySpec> {
-    if accepts.is_empty() {
-        // The guard provably never accepts; nothing to index.
-        return None;
-    }
-
-    let mut fields: Vec<FieldSpec> = Vec::new();
-    for key in key_schema(program.kind) {
-        let mut union: Option<BTreeSet<u64>> = Some(BTreeSet::new());
-        for st in accepts {
-            match (&mut union, st.fields.get(key)) {
-                (Some(u), Some(vals)) => u.extend(vals),
-                _ => union = None,
-            }
-        }
-        if let Some(vals) = union {
-            fields.push(FieldSpec::In(vals));
-            continue;
-        }
-
-        let mut common: Option<BTreeSet<SetId>> = None;
-        for st in accepts {
-            let theirs = st.notin.get(key).cloned().unwrap_or_default();
-            common = Some(match common {
-                None => theirs,
-                Some(cur) => cur.intersection(&theirs).copied().collect(),
-            });
-        }
-        let sets: Vec<PortSet> = common
-            .unwrap_or_default()
-            .iter()
-            .filter_map(|id| program.sets.get(*id as usize).cloned())
-            .collect();
-        if sets.is_empty() {
-            fields.push(FieldSpec::Any);
-        } else {
-            fields.push(FieldSpec::NotIn(sets));
-        }
-    }
-
+/// The guard's demux key from what its accept states prove of each
+/// schema field ([`absint`]), or `None` when no field is bounded: a guard
+/// with no `In` field would hash nowhere.
+fn demux_key(kind: EventKind, mut fields: Vec<FieldSpec>) -> Option<KeySpec> {
     // Bound the guard's bucket footprint: while the cross product of
     // `In` sizes exceeds the cap, widen the largest `In` to `Any`.
     loop {
@@ -731,9 +723,6 @@ fn demux_key(program: &FilterProgram, accepts: &[State]) -> Option<KeySpec> {
         fields[widest.1] = FieldSpec::Any;
     }
 
-    let spec = KeySpec {
-        kind: program.kind,
-        fields,
-    };
+    let spec = KeySpec { kind, fields };
     spec.is_indexable().then_some(spec)
 }

@@ -24,7 +24,7 @@
 
 use std::any::Any;
 use std::cell::{Cell, RefCell};
-use std::collections::{BTreeMap, HashMap};
+use std::collections::{btree_set, BTreeMap, BTreeSet, HashMap};
 use std::fmt;
 use std::hash::{BuildHasherDefault, Hash, Hasher};
 use std::marker::PhantomData;
@@ -104,7 +104,7 @@ pub struct HandlerSpec<T> {
     ephemeral: bool,
     interrupt: bool,
     time_limit: Option<SimDuration>,
-    owner: String,
+    owner: Name,
 }
 
 impl<T> HandlerSpec<T> {
@@ -116,7 +116,7 @@ impl<T> HandlerSpec<T> {
             ephemeral: false,
             interrupt: false,
             time_limit: None,
-            owner: "kernel".to_string(),
+            owner: Name::new("kernel"),
         }
     }
 
@@ -133,7 +133,7 @@ impl<T> HandlerSpec<T> {
             ephemeral: true,
             interrupt: false,
             time_limit: None,
-            owner: "kernel".to_string(),
+            owner: Name::new("kernel"),
         }
     }
 
@@ -143,9 +143,10 @@ impl<T> HandlerSpec<T> {
         self
     }
 
-    /// Sets the owning domain for flight-recorder attribution.
-    pub fn owner(mut self, owner: &str) -> HandlerSpec<T> {
-        self.owner = owner.to_string();
+    /// Sets the owning domain for flight-recorder attribution: a literal,
+    /// or a name the caller shares (an extension's), taken without a copy.
+    pub fn owner(mut self, owner: impl Into<Name>) -> HandlerSpec<T> {
+        self.owner = owner.into();
         self
     }
 
@@ -564,27 +565,55 @@ impl<T> Clone for Gen<T> {
     }
 }
 
-/// Enumerates the bucket keys a key spec occupies: the bound-field mask
-/// and the cross product of its `In` sets, in schema order. Bounded by
-/// [`plexus_filter::MAX_ENUMERATED_KEYS`] at verification time.
-fn enumerate_keys(spec: &KeySpec) -> (u8, Vec<[u64; KEY_WIDTH]>) {
-    let mut mask = 0u8;
-    let mut combos = vec![[0u64; KEY_WIDTH]];
+/// The fields a key spec binds: bit `i` for each `In` field `i`.
+fn key_mask(spec: &KeySpec) -> u8 {
+    (spec.fields().iter().enumerate())
+        .filter(|(_, field)| matches!(field, FieldSpec::In(_)))
+        .fold(0, |mask, (i, _)| mask | 1 << i)
+}
+
+/// Hands `each` the bucket keys a key spec occupies, one by one: under its
+/// [`key_mask`], every combination of its `In` sets' values, the last field
+/// turning fastest. The combinations are walked like an odometer, one
+/// iterator per field, so no list of them is built; the verifier caps how
+/// many there are at [`plexus_filter::MAX_ENUMERATED_KEYS`]. The spec must
+/// fit a [`BucketKey`] ([`KEY_WIDTH`] fields).
+fn for_each_key(spec: &KeySpec, mut each: impl FnMut(BucketKey)) {
+    let mut key = BucketKey {
+        mask: key_mask(spec),
+        vals: [0; KEY_WIDTH],
+    };
+    // Per `In` field: its set, and the values it has yet to turn through.
+    let mut dials: [Option<(&BTreeSet<u64>, btree_set::Iter<'_, u64>)>; KEY_WIDTH] =
+        Default::default();
     for (i, field) in spec.fields().iter().enumerate() {
         if let FieldSpec::In(vals) = field {
-            mask |= 1 << i;
-            let mut next = Vec::with_capacity(combos.len() * vals.len());
-            for combo in &combos {
-                for v in vals {
-                    let mut c = *combo;
-                    c[i] = *v;
-                    next.push(c);
-                }
-            }
-            combos = next;
+            let mut rest = vals.iter();
+            // A field no value satisfies: no combination at all.
+            let Some(first) = rest.next() else {
+                return;
+            };
+            key.vals[i] = *first;
+            dials[i] = Some((vals, rest));
         }
     }
-    (mask, combos)
+    'keys: loop {
+        each(key);
+        for (i, dial) in dials.iter_mut().enumerate().rev() {
+            let Some((vals, rest)) = dial else {
+                continue;
+            };
+            if let Some(v) = rest.next() {
+                key.vals[i] = *v;
+                continue 'keys;
+            }
+            *rest = vals.iter();
+            if let Some(first) = rest.next() {
+                key.vals[i] = *first;
+            }
+        }
+        return;
+    }
 }
 
 /// Walks id-sorted entry lists as one, by ascending [`HandlerId`].
@@ -834,7 +863,7 @@ impl Dispatcher {
         } else {
             HandlerMode::Thread
         };
-        Ok(self.push_entry(event, spec.guard, spec.handler, mode, &spec.owner))
+        Ok(self.push_entry(event, spec.guard, spec.handler, mode, spec.owner))
     }
 
     fn push_entry<T: 'static>(
@@ -843,7 +872,7 @@ impl Dispatcher {
         guard: Option<Guard<T>>,
         handler: HandlerFn<T>,
         mode: HandlerMode,
-        owner: &str,
+        owner: Name,
     ) -> HandlerId {
         let id = HandlerId(self.next_handler.get());
         self.next_handler.set(id.0 + 1);
@@ -856,36 +885,31 @@ impl Dispatcher {
         // skip test relies on "has a key" implying "is in the buckets".
         let key = guard.as_ref().and_then(|g| g.program.demux_key());
         let read = guard.as_ref().map(|g| g.read);
-        let slots = key.and_then(|spec| {
+        let indexed = key.is_some_and(|spec| {
+            // Wider than a bucket key, or a guard of a different event
+            // kind on the same table (possible only with an exotic
+            // `Packet` impl): leave it on the linear path.
             let schema = key_schema(spec.kind());
-            if schema.len() > KEY_WIDTH || *gen.schema.get_or_insert(schema) != schema {
-                // Wider than a bucket key, or a guard of a different
-                // event kind on the same table (possible only with an
-                // exotic `Packet` impl): leave it on the linear path.
-                return None;
-            }
-            let (mask, combos) = enumerate_keys(spec);
-            (mask != 0).then_some((mask, combos))
+            schema.len() <= KEY_WIDTH
+                && *gen.schema.get_or_insert(schema) == schema
+                && key_mask(spec) != 0
         });
         let entry = Rc::new(Entry {
             id,
             guard,
             handler,
             mode,
-            owner: Name::new(owner.to_string()),
-            indexed: slots.is_some(),
+            owner,
+            indexed,
             removed: Cell::new(false),
         });
-        match slots {
-            Some((mask, combos)) => {
+        match entry.key() {
+            Some(spec) => {
                 gen.read = gen.read.or(read);
-                *gen.mask_counts.entry(mask).or_insert(0) += 1;
-                for vals in combos {
-                    gen.buckets
-                        .entry(BucketKey { mask, vals })
-                        .or_default()
-                        .push(entry.clone());
-                }
+                *gen.mask_counts.entry(key_mask(spec)).or_insert(0) += 1;
+                for_each_key(spec, |bk| {
+                    gen.buckets.entry(bk).or_default().push(entry.clone())
+                });
             }
             None => gen.unindexed.push(entry.clone()),
         }
@@ -911,16 +935,15 @@ impl Dispatcher {
         entry.removed.set(true);
         match entry.key() {
             Some(spec) => {
-                let (mask, combos) = enumerate_keys(spec);
-                for vals in combos {
-                    let bk = BucketKey { mask, vals };
+                for_each_key(spec, |bk| {
                     if let Some(bucket) = gen.buckets.get_mut(&bk) {
                         remove_id(bucket, id);
                         if bucket.is_empty() {
                             gen.buckets.remove(&bk);
                         }
                     }
-                }
+                });
+                let mask = key_mask(spec);
                 if let Some(count) = gen.mask_counts.get_mut(&mask) {
                     *count -= 1;
                     if *count == 0 {

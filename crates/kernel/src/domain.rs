@@ -21,6 +21,8 @@ use std::collections::{BTreeMap, BTreeSet};
 use std::fmt;
 use std::rc::Rc;
 
+use plexus_trace::Name;
+
 /// Who vouches for an extension's safety.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
 pub enum Signature {
@@ -174,6 +176,14 @@ impl LinkedExtension {
     /// The domain it was linked against.
     pub fn domain(&self) -> DomainId {
         self.domain
+    }
+}
+
+/// The extension's name as the owner of what it installs, shared rather
+/// than copied.
+impl From<&LinkedExtension> for Name {
+    fn from(ext: &LinkedExtension) -> Name {
+        Name::from(ext.name.clone())
     }
 }
 

@@ -7,7 +7,8 @@
 use plexus_kernel::view::{be16, put_be16, WireView};
 
 use crate::checksum::checksum;
-use crate::mbuf::Mbuf;
+use crate::ip::{write_header, IpHeader, IP_HDR_LEN};
+use crate::mbuf::{Mbuf, LEADING_SPACE};
 
 /// ICMP header length (for the message types we implement).
 pub const ICMP_HDR_LEN: usize = 8;
@@ -84,18 +85,6 @@ impl IcmpMessage {
         }
     }
 
-    /// Builds a destination-unreachable carrying the offending datagram's
-    /// leading bytes, per RFC 792 (`code` 3 = port unreachable).
-    pub fn unreachable(code: u8, original: &[u8]) -> IcmpMessage {
-        IcmpMessage {
-            kind: IcmpType::DestUnreachable,
-            code,
-            ident: 0,
-            seq: 0,
-            payload: original[..original.len().min(28)].to_vec(),
-        }
-    }
-
     /// Serializes with a correct checksum.
     pub fn to_bytes(&self) -> Vec<u8> {
         let mut b = vec![0u8; ICMP_HDR_LEN + self.payload.len()];
@@ -123,6 +112,28 @@ impl IcmpMessage {
             payload: bytes[ICMP_HDR_LEN..].to_vec(),
         })
     }
+}
+
+/// Payload bytes of the offending datagram an error message quotes after
+/// its IP header (RFC 792: "the first 64 bits").
+const QUOTED: usize = 8;
+
+/// The destination-unreachable (`code` 3 = port unreachable) answering the
+/// datagram received as `header` + `payload`, per RFC 792: it quotes that
+/// IP header and the first 8 bytes of its payload. Built on the stack and
+/// copied once into a pooled mbuf, with room in front for the headers of
+/// its own trip out.
+pub fn unreachable(code: u8, header: &IpHeader, payload: &Mbuf) -> Mbuf {
+    let mut msg = [0u8; ICMP_HDR_LEN + IP_HDR_LEN + QUOTED];
+    let len = ICMP_HDR_LEN + IP_HDR_LEN + payload.total_len().min(QUOTED);
+    msg[0] = IcmpType::DestUnreachable.to_wire();
+    msg[1] = code;
+    let (quote, data) = msg[ICMP_HDR_LEN..len].split_at_mut(IP_HDR_LEN);
+    write_header(quote, header, payload.total_len());
+    payload.read_at(0, data);
+    let c = checksum(&msg[..len]);
+    put_be16(&mut msg, 2, c);
+    Mbuf::from_payload(LEADING_SPACE, &msg[..len])
 }
 
 /// The echo responder: the reply to send back to the source when `bytes`
@@ -171,7 +182,9 @@ mod tests {
         let mut bad = req.clone();
         bad[9] ^= 1;
         assert!(echo_response(&bad).is_none(), "nor corrupt requests");
-        assert!(echo_response(&IcmpMessage::unreachable(3, &[0x45; 28]).to_bytes()).is_none());
+        let hdr = IpHeader::simple([10, 0, 0, 1].into(), [10, 0, 0, 2].into(), 17, 1);
+        let unreachable = unreachable(3, &hdr, &Mbuf::from_payload(0, &[0; 8]));
+        assert!(echo_response(&unreachable.to_vec()).is_none());
     }
 
     #[test]
@@ -184,12 +197,23 @@ mod tests {
 
     #[test]
     fn unreachable_quotes_original_datagram() {
-        let original = vec![0x45u8; 60];
-        let msg = IcmpMessage::unreachable(3, &original);
-        assert_eq!(msg.payload.len(), 28, "IP header + 8 bytes");
-        let parsed = IcmpMessage::parse(&msg.to_bytes()).unwrap();
+        let hdr = IpHeader::simple([10, 0, 0, 1].into(), [10, 0, 0, 2].into(), 17, 9);
+        let payload: Vec<u8> = (0..40).collect();
+        let msg = unreachable(3, &hdr, &Mbuf::from_payload(0, &payload));
+        let parsed = IcmpMessage::parse(&msg.to_vec()).unwrap();
         assert_eq!(parsed.kind, IcmpType::DestUnreachable);
         assert_eq!(parsed.code, 3);
+        assert_eq!(parsed.payload.len(), 28, "IP header + 8 bytes");
+        let mut original = vec![0; 20];
+        write_header(&mut original, &hdr, payload.len());
+        assert_eq!(parsed.payload[..20], original, "the header as received");
+        assert_eq!(parsed.payload[20..], payload[..8]);
+        // A payload shorter than 8 bytes is quoted whole.
+        let short = unreachable(3, &hdr, &Mbuf::from_payload(0, &payload[..3]));
+        assert_eq!(
+            IcmpMessage::parse(&short.to_vec()).unwrap().payload.len(),
+            23
+        );
     }
 
     #[test]

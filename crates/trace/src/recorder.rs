@@ -81,23 +81,44 @@ impl Interner {
 /// asks: a replaced recorder never sees another's label.
 #[derive(Debug, Default)]
 pub struct Name {
-    text: Cow<'static, str>,
+    text: Text,
     label: Cell<Option<(u64, Label)>>,
+}
+
+/// A [`Name`]'s text: borrowed or owned, or shared with whoever else holds
+/// it (an extension's name, held by each handler it installs).
+#[derive(Debug)]
+enum Text {
+    Cow(Cow<'static, str>),
+    Shared(Rc<str>),
+}
+
+impl Default for Text {
+    fn default() -> Text {
+        Text::Cow(Cow::Borrowed(""))
+    }
 }
 
 impl Name {
     /// Wraps `text` (a literal is borrowed, not copied); no recorder is
     /// touched until [`Name::label`].
     pub fn new(text: impl Into<Cow<'static, str>>) -> Name {
+        Name::with(Text::Cow(text.into()))
+    }
+
+    fn with(text: Text) -> Name {
         Name {
-            text: text.into(),
+            text,
             label: Cell::new(None),
         }
     }
 
     /// The name itself.
     pub fn as_str(&self) -> &str {
-        &self.text
+        match &self.text {
+            Text::Cow(text) => text,
+            Text::Shared(text) => text,
+        }
     }
 
     /// This name's label in `rec`.
@@ -105,11 +126,25 @@ impl Name {
         match self.label.get() {
             Some((id, label)) if id == rec.id => label,
             _ => {
-                let label = rec.intern(&self.text);
+                let label = rec.intern(self.as_str());
                 self.label.set(Some((rec.id, label)));
                 label
             }
         }
+    }
+}
+
+/// A literal, borrowed.
+impl From<&'static str> for Name {
+    fn from(text: &'static str) -> Name {
+        Name::new(text)
+    }
+}
+
+/// A shared name, held without a copy.
+impl From<Rc<str>> for Name {
+    fn from(text: Rc<str>) -> Name {
+        Name::with(Text::Shared(text))
     }
 }
 

@@ -1,6 +1,7 @@
 //! Tier-1 allocation gate (DESIGN.md §8, §10): a raise allocates nothing; a
-//! datagram echoed by the Plexus stack or the baseline, or forwarded by the
-//! router, and a bind + close pair allocate exactly what is pinned below; an
+//! datagram echoed (or answered with a port unreachable) by the Plexus
+//! stack, echoed by the baseline or forwarded by the router, a bind + close
+//! pair and a TCP connect + close allocate exactly what is pinned below; an
 //! oversize transmit allocates nothing; rebinding leaves no heap behind, and
 //! neither does a flood of out-of-window TCP segments or of IP fragments
 //! that never complete, on both stacks.
@@ -20,6 +21,7 @@ use std::net::Ipv4Addr;
 use std::rc::Rc;
 
 use plexus::baseline::{MonolithicStack, SocketCallbacks};
+use plexus::core::tcp_manager::ConnCallback;
 use plexus::core::{
     AppHandler, IpRouter, PlexusStack, StackConfig, TcpCallbacks, UdpEndpoint, UdpRecv,
 };
@@ -222,6 +224,19 @@ type Dut = fn() -> Loop;
 
 /// A one-endpoint Plexus stack echoing `ev.payload.share()` to a bare NIC.
 fn plexus_echo() -> Loop {
+    plexus_bound_to(7)
+}
+
+/// [`plexus_echo`] with its endpoint on another port than the one the
+/// generator sends to: every datagram is a miss, answered with an ICMP
+/// port unreachable.
+fn plexus_miss() -> Loop {
+    plexus_bound_to(9)
+}
+
+/// A Plexus stack with one echoing endpoint on `port`, offered datagrams
+/// for port 7.
+fn plexus_bound_to(port: u16) -> Loop {
     let Testbed { world, hosts, .. } = Testbed::new(&Link::t3(), 42, &["generator", "dut"]);
     let stack = PlexusStack::attach_host(&hosts[1], StackConfig::interrupt);
     let spec = ExtensionSpec::typesafe("alloc-gate", &["UDP.Bind", "UDP.Send"]);
@@ -234,7 +249,12 @@ fn plexus_echo() -> Loop {
     };
     let ep = stack
         .udp()
-        .bind(&ext, 7, UdpConfig::default(), AppHandler::interrupt(echo))
+        .bind(
+            &ext,
+            port,
+            UdpConfig::default(),
+            AppHandler::interrupt(echo),
+        )
         .unwrap();
     let _ = slot.set(ep);
     Loop {
@@ -369,6 +389,10 @@ fn an_echoed_datagram_allocates_exactly_the_pinned_count() {
     // Generator NIC tx, wire, DUT rx interrupt, five raises, the endpoint's
     // echo, DUT tx, wire, generator rx.
     assert_pinned(plexus_echo, 0);
+    // A miss: the reply quotes the datagram's IP header and first 8 payload
+    // bytes straight into a pooled mbuf (3 heap calls while it copied the
+    // payload out, built a message `Vec` and serialized it into another).
+    assert_pinned(plexus_miss, 0);
 }
 
 /// [`plexus_echo`] with `rec` installed across the world.
@@ -495,8 +519,9 @@ fn a_forwarded_datagram_allocates_exactly_the_pinned_count() {
 fn print_echo_allocation_ledger() {
     const WARM_UP: u64 = 200;
     const WINDOW: u64 = 64;
-    let loops: [(&str, Dut); 3] = [
+    let loops: [(&str, Dut); 4] = [
         ("Plexus echo", plexus_echo),
+        ("Plexus miss", plexus_miss),
         ("baseline echo", baseline_echo),
         ("router forward", router_forward),
     ];
@@ -524,6 +549,20 @@ fn print_echo_allocation_ledger() {
     let (opened, closed) = frames.get();
     // Empty: a segment's trip through both stacks allocates nothing.
     print_ledger("Plexus TCP bulk", "received frame", closed - opened);
+    // Installing and removing guards: warm pairs and connections only.
+    const PAIRS: u32 = 20;
+    let (_tb, cycles) = rebinder();
+    cycles(10);
+    LEDGER_OPEN.set(true);
+    cycles(PAIRS);
+    LEDGER_OPEN.set(false);
+    print_ledger("bind + close", "pair", u64::from(PAIRS));
+    let mut redial = redialer();
+    redial(10);
+    LEDGER_OPEN.set(true);
+    redial(PAIRS);
+    LEDGER_OPEN.set(false);
+    print_ledger("TCP connect + close", "connection", u64::from(PAIRS));
 }
 
 /// Prints the heap calls `TRACES` caught, per `unit` over `count` of them,
@@ -618,25 +657,84 @@ fn rebinder() -> (Testbed, impl Fn(u32)) {
 
 #[test]
 fn a_bind_close_pair_allocates_exactly_the_pinned_count() {
-    // Build, verify (structure, then one abstract interpretation for value
-    // sets + policy + key, intervals, bound and lints), compile, install,
-    // index; then uninstall and release. Verification walks the program
-    // once and the key it proves is held once: a second analysis run or
-    // another copy of the key moves this number (it was 148 while
-    // `core::guards` and the guard's constructor each re-derived the key
-    // and `Entry` cloned it, and 77 while a value-set walk and an interval
-    // walk each ran, the second building successor lists). What the
-    // extension holds is written down as plain data beside a clone of its
-    // link token, so the record costs no heap call of its own (80 while
-    // each bind boxed an undo closure and copied the extension's name).
-    // The handler is boxed once, by `AppHandler::interrupt`, and that box
-    // is what the dispatcher calls (78 while `install_held` boxed a
-    // closure around it).
-    const PER_PAIR: u64 = 45;
+    // What is left, per pair: the policy's one list; the two tests' value
+    // lists and the program; the walk's one arena of value facts; the
+    // verified program's copy of the instructions, its compiled form and
+    // its demux key (a list and one value set); the compiled op list; the
+    // guard's `Rc`; the dispatcher's entry and its bucket; the endpoint.
+    // Verification is a fixed number of heap calls, however many branches
+    // the guard has: a field's values are a mask over the constants the
+    // walk met, and every state's masks share the arena (45 while each
+    // state held its value sets in `BTreeSet`s, the policy a set per
+    // constraint, the builder and the compiler their scratch lists, and
+    // the dispatcher copied the owner's name and collected the key
+    // combinations; 148 while `core::guards` and the guard's constructor
+    // each re-derived the key and `Entry` cloned it, and 77 while a
+    // value-set walk and an interval walk each ran, the second building
+    // successor lists). What the extension holds is written down as plain
+    // data beside a clone of its link token, so the record costs no heap
+    // call of its own (80 while each bind boxed an undo closure and copied
+    // the extension's name). The handler is boxed once, by
+    // `AppHandler::interrupt`, and that box is what the dispatcher calls
+    // (78 while `install_held` boxed a closure around it).
+    const PER_PAIR: u64 = 14;
     const N: u32 = 100;
     let (_tb, cycles) = rebinder();
     cycles(10);
     assert_eq!(allocs_during(|| cycles(N)), PER_PAIR * u64::from(N));
+}
+
+/// A Plexus client and server on one T3 link, the server listening once,
+/// and a closure that opens `n` connections to it one after another: each
+/// is connected, run to `Established`, closed, and run until both ends
+/// have let it go.
+fn redialer() -> impl FnMut(u32) {
+    let Testbed {
+        mut world, hosts, ..
+    } = Testbed::new(&Link::t3(), 42, &["client", "server"]);
+    let client = PlexusStack::attach_host(&hosts[0], StackConfig::interrupt);
+    let server = PlexusStack::attach_host(&hosts[1], StackConfig::interrupt);
+    let spec = ExtensionSpec::typesafe("redial", &["TCP.Listen", "TCP.Connect"]);
+    let (cext, sext) = (
+        client.link_extension(&spec).unwrap(),
+        server.link_extension(&spec).unwrap(),
+    );
+    // One callback, shared by every accepted connection.
+    let closer: ConnCallback = Rc::new(|ctx, conn| conn.close_in(ctx));
+    server
+        .tcp()
+        .listen(&sext, TCP_PORT, move |_, conn| {
+            conn.set_callbacks(TcpCallbacks {
+                on_peer_close: Some(closer.clone()),
+                ..Default::default()
+            })
+        })
+        .unwrap();
+    let to = (hosts[1].ip, TCP_PORT);
+    move |n| {
+        for _ in 0..n {
+            let conn = client.tcp().connect(&cext, world.engine_mut(), to).unwrap();
+            world.run();
+            assert_eq!(conn.state(), TcpState::Established);
+            conn.close(world.engine_mut());
+            world.run();
+            assert_eq!(conn.state(), TcpState::Closed);
+        }
+    }
+}
+
+#[test]
+fn a_tcp_connect_close_allocates_exactly_the_pinned_count() {
+    // Both ends: each verifies and installs a 4-tuple guard as a bind does
+    // (three key value sets, not one), boxes its handler, registers the
+    // connection and arms a timer; the server's accept and the close
+    // handled from a raise copy the event's generation (`Gen::clone`).
+    // 149 while verification and install cost what a bind's did.
+    const PER_CONNECTION: u64 = 59;
+    const N: u32 = 50;
+    let mut redial = redialer();
+    redial(10);
+    assert_eq!(allocs_during(|| redial(N)), PER_CONNECTION * u64::from(N));
 }
 
 #[test]
