@@ -64,22 +64,6 @@ pub(crate) fn joined(ns: &[u64]) -> impl fmt::Display + '_ {
     })
 }
 
-/// `n` in decimal without the formatter, for the one exporter that writes
-/// a record per ring slot.
-pub(crate) fn push_u64(out: &mut String, mut n: u64) {
-    let mut digits = [0u8; 20];
-    let mut at = digits.len();
-    loop {
-        at -= 1;
-        digits[at] = b'0' + (n % 10) as u8;
-        n /= 10;
-        if n == 0 {
-            break;
-        }
-    }
-    out.extend(digits[at..].iter().map(|&d| char::from(d)));
-}
-
 /// Escapes `s` for inclusion inside a JSON string literal (no surrounding
 /// quotes added).
 pub fn escape(s: &str) -> String {

@@ -908,8 +908,8 @@ fn spans_json(p: &Profile, spans: &[Span], out: &mut String) {
 
 /// Appends `{"name": .., "ns": ..}` objects, comma-separated — the one
 /// segment list the round waterfalls and the journeys both write.
-pub(crate) fn segments_json(out: &mut String, segments: &[Segment]) {
-    for (i, Segment { name, ns }) in segments.iter().enumerate() {
+pub(crate) fn segments_json<'a>(out: &mut String, segments: impl Iterator<Item = (&'a str, u64)>) {
+    for (i, (name, ns)) in segments.enumerate() {
         let (sep, name) = (if i > 0 { ", " } else { "" }, escaped(name));
         put!(out, "{sep}{{\"name\": \"{name}\", \"ns\": {ns}}}");
     }
@@ -929,7 +929,7 @@ fn waterfall_json(w: &Waterfall, out: &mut String) {
             "{sep}\n    {{\"round\": {round}, \"rtt_ns\": {rtt_ns}, \"overlap_ns\": {overlap_ns}, \
              \"segments\": ["
         );
-        segments_json(out, &r.segments);
+        segments_json(out, r.segments.iter().map(|s| (&*s.name, s.ns)));
         out.push_str("]}");
     }
     out.push_str("], \"segments\": [");

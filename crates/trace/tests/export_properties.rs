@@ -13,7 +13,7 @@ use plexus_trace::export::{chrome_trace, stats_json};
 use plexus_trace::flame::folded;
 use plexus_trace::journey::{self, journeys_json};
 use plexus_trace::json::{self, Value};
-use plexus_trace::live::{live_json, LiveConfig, Slo};
+use plexus_trace::live::{live_json, LiveConfig, LiveReport, Slo};
 use plexus_trace::profile::{pingpong_waterfall, profile_json, Profile, Slice};
 use plexus_trace::{
     timeline, CrossDir, GuardKind, Label, Recorder, Scope, TraceEvent, TraceRecord,
@@ -529,6 +529,36 @@ proptest! {
             let got: Vec<_> = s.records.iter().map(|r| (r.at_ns, r.packet, r.kind)).collect();
             let want: Vec<_> = m.records.iter().map(sampled_key).collect();
             prop_assert_eq!(got, want, "journey {} records", s.journey);
+        }
+    }
+
+    #[test]
+    fn the_tail_sampler_does_not_depend_on_the_ring_size(
+        steps in prop::collection::vec((0u64..800, 0usize..6, 0u64..5_000), 300..1_500),
+        sample_every in prop::sample::select(vec![0u64, 3, 5, 7, 64]),
+        window_ns in prop::sample::select(vec![500u64, 5_000, 50_000]),
+    ) {
+        // The sampler keeps ring positions and copies a journey's records
+        // out just before the ring overwrites them: rings that wrap many
+        // times over, or hold less than one hop, keep what one that never
+        // wraps keeps.
+        let report = |capacity| {
+            let rec = Recorder::new(capacity);
+            let mut cfg = LiveConfig::new(window_ns);
+            cfg.sample_every = sample_every;
+            rec.enable_live(cfg);
+            interleave_journeys(&rec, &steps);
+            (rec.overwritten(), rec.live_report().expect("live enabled"))
+        };
+        let (overwritten, whole) = report(1 << 14);
+        prop_assert_eq!(overwritten, 0);
+        for capacity in [5, 40, 300] {
+            let (overwritten, wrapped) = report(capacity);
+            prop_assert!(overwritten > 0, "a ring of {} wraps", capacity);
+            prop_assert_eq!(&wrapped.sampled, &whole.sampled, "ring of {}", capacity);
+            let losses = |r: &LiveReport| (r.scratch_evicted, r.sampled_records_dropped);
+            prop_assert_eq!(losses(&wrapped), losses(&whole), "ring of {}", capacity);
+            prop_assert_eq!(&wrapped, &whole, "ring of {}", capacity);
         }
     }
 }

@@ -1,8 +1,10 @@
-//! Tier-1 allocation gate (DESIGN.md §8, §10): a raise allocates nothing; a
-//! datagram echoed (or answered with a port unreachable) by the Plexus
-//! stack, echoed by the baseline or forwarded by the router, a bind + close
-//! pair and a TCP connect + close allocate exactly what is pinned below; an
-//! oversize transmit allocates nothing; rebinding leaves no heap behind, and
+//! Tier-1 allocation gate (DESIGN.md §8, §9, §10): a raise allocates
+//! nothing; a datagram echoed (or answered with a port unreachable) by the
+//! Plexus stack, recorded, recorded with a live tier that samples it,
+//! echoed by the baseline or forwarded by the router, a bind + close pair
+//! and a TCP connect + close allocate exactly what is pinned below; the
+//! folds over a recorded run allocate per run, not per record; an oversize
+//! transmit allocates nothing; rebinding leaves no heap behind, and
 //! neither does a flood of out-of-window TCP segments or of IP fragments
 //! that never complete, on both stacks.
 //!
@@ -41,11 +43,12 @@ use plexus::sim::cpu::{CostModel, Cpu};
 use plexus::sim::nic::{DriverConfig, Link, Medium, Nic};
 use plexus::sim::time::{SimDuration, SimTime};
 use plexus::sim::{Engine, World};
-use plexus::trace::export::chrome_trace;
+use plexus::trace::export::{chrome_trace, stats_json};
 use plexus::trace::flame::folded;
-use plexus::trace::live::LiveConfig;
-use plexus::trace::profile::Profile;
-use plexus::trace::{journey, CounterKey, Recorder, Scope};
+use plexus::trace::journey::{self, journeys_json};
+use plexus::trace::live::{live_json, LiveConfig};
+use plexus::trace::profile::{profile_json, Profile};
+use plexus::trace::{timeline, CounterKey, Label, Recorder, Scope};
 use plexus_bench::overload::{build_frame, PAYLOAD};
 
 #[allow(dead_code)]
@@ -216,6 +219,9 @@ struct Loop {
     /// The recorder installed across the world, if any: the loop's driver
     /// starts a fresh journey for every datagram it sends.
     rec: Option<Rc<Recorder>>,
+    /// A histogram the driver records a latency sample into for every
+    /// datagram it hears, if any.
+    samples: Option<Label>,
     _dut: Box<dyn Any>,
 }
 
@@ -263,6 +269,7 @@ fn plexus_bound_to(port: u16) -> Loop {
         rx: hosts[0].nic.clone(),
         frame: build_frame(&hosts[0], &hosts[1], PAYLOAD),
         rec: None,
+        samples: None,
         _dut: Box::new(stack),
     }
 }
@@ -286,6 +293,7 @@ fn baseline_echo() -> Loop {
         rx: hosts[0].nic.clone(),
         frame: build_frame(&hosts[0], &hosts[1], PAYLOAD),
         rec: None,
+        samples: None,
         _dut: Box::new((stack, sock)),
     }
 }
@@ -324,6 +332,7 @@ fn router_forward() -> Loop {
         rx,
         frame: frame.to_vec(),
         rec: None,
+        samples: None,
         _dut: Box::new(router),
     }
 }
@@ -341,6 +350,7 @@ fn closed_loop(dut: Dut, datagrams: u64, heard: impl Fn(u64) + 'static) -> (u64,
         rx,
         frame,
         rec,
+        samples,
         _dut,
     } = dut();
     let count = Rc::new(Cell::new(0u64));
@@ -349,6 +359,12 @@ fn closed_loop(dut: Dut, datagrams: u64, heard: impl Fn(u64) + 'static) -> (u64,
         seen.set(seen.get() + 1);
         heard(seen.get());
         if let Some(rec) = &rec {
+            // A sample that grows with every datagram is the new worst of
+            // its window each time: the tail sampler keeps the journey
+            // that completed it and lets the one before go.
+            if let Some(hist) = samples {
+                rec.sample(engine.now().as_nanos(), hist, seen.get());
+            }
             rec.journey_break();
         }
         if seen.get() < datagrams {
@@ -421,6 +437,24 @@ fn live_echo() -> Loop {
     recorded(rec)
 }
 
+/// [`plexus_echo`] with the live tier as the traced benchmark runs it,
+/// 1-in-64 journeys kept, and a latency sample for every datagram that is
+/// its 1 ms window's new worst: journeys are promoted and demoted all the
+/// time, and one per window and one in 64 are kept for good.
+fn sampled_live_echo() -> Loop {
+    let rec = Recorder::new(1 << 10);
+    rec.enable_live(LiveConfig {
+        window_ns: 1_000_000,
+        sample_every: 64,
+        slo: None,
+    });
+    let samples = Some(rec.intern("rtt"));
+    Loop {
+        samples,
+        ..recorded(rec)
+    }
+}
+
 #[test]
 fn recording_an_echoed_datagram_allocates_nothing_more() {
     // The untraced count exactly: every record is a store into the ring,
@@ -436,17 +470,32 @@ fn recording_an_echoed_datagram_allocates_nothing_more() {
     assert_pinned(live_echo, 0);
 }
 
-/// The folds over a recorded run, per retained record: the exporters that
-/// write per record or per slice grow one buffer and touch the heap for
-/// nothing else; the profile and the journeys keep every packet's spans,
-/// slices and transmits and every journey's hops and segments in arenas
-/// of their own, so they allocate per run — not per packet, per journey
-/// or per name.
 #[test]
-fn the_folds_allocate_per_packet_not_per_record() {
+fn a_sampled_live_echo_allocates_exactly_the_pinned_count() {
+    // Over 500 datagrams, about one per datagram: each 1 ms window's
+    // latency samples, and what the journeys kept for good take (a buffer,
+    // the copies of their records the 1 024-record ring overwrites, their
+    // nodes in the sampler's maps). A promoted journey takes its scratch
+    // buffer along and a demoted one gives it back with its capacity
+    // (2 764 while a promotion built a fresh set of worst windows, a
+    // demotion freed the journey's buffer, and a new one grew its copies
+    // record by record).
+    const PER_500: u64 = 538;
+    const N: u64 = 500;
+    let (short, heard) = closed_loop(sampled_live_echo, N, |_| {});
+    assert_eq!(heard, N);
+    let (long, heard) = closed_loop(sampled_live_echo, 2 * N, |_| {});
+    assert_eq!(heard, 2 * N);
+    assert_eq!(long - short, PER_500);
+}
+
+/// `datagrams` echoes by [`plexus_echo`] under a recorder whose ring holds
+/// them all, with the live tier's 10 ms windows: the traced benchmark's
+/// run in small.
+fn traced_run(datagrams: u64) -> Rc<Recorder> {
     plexus::net::mbuf::reset_cluster_pool();
-    const N: u64 = 400;
     let rec = Recorder::new(1 << 15);
+    rec.enable_live(LiveConfig::new(FOLD_WINDOW_NS));
     let Loop {
         mut world,
         tx,
@@ -457,7 +506,7 @@ fn the_folds_allocate_per_packet_not_per_record() {
     } = plexus_echo();
     world.install_recorder(&rec);
     let (nic, next) = (Rc::downgrade(&tx), frame.clone());
-    let left = Cell::new(N - 1);
+    let left = Cell::new(datagrams - 1);
     rx.attach(DriverConfig::per_frame(move |engine, _| {
         if left.get() > 0 {
             left.set(left.get() - 1);
@@ -468,34 +517,84 @@ fn the_folds_allocate_per_packet_not_per_record() {
     tx.transmit(world.engine_mut(), SimTime::ZERO, &frame[..]);
     world.run();
     assert_eq!(rec.overwritten(), 0, "the ring holds the whole run");
+    rec
+}
+
+const FOLD_WINDOW_NS: u64 = 10_000_000;
+
+/// Every fold and writer the traced benchmark runs over `rec`, in its
+/// order, with the heap calls each made.
+fn every_fold(rec: &Recorder) -> Vec<(&'static str, u64)> {
+    const DETAIL: usize = 64;
+    let mut profile = None;
+    let mut journeys = None;
+    let mut calls = vec![(
+        "Profile::build",
+        allocs_during(|| profile = Some(Profile::build(rec))),
+    )];
+    let profile = profile.expect("built");
+    calls.push((
+        "profile_json",
+        allocs_during(|| drop(profile_json(&profile, None, DETAIL))),
+    ));
+    calls.push((
+        "journey::build",
+        allocs_during(|| journeys = Some(journey::build(&profile))),
+    ));
+    let journeys = journeys.expect("built");
+    calls.push((
+        "journeys_json",
+        allocs_during(|| drop(journeys_json(&journeys, DETAIL))),
+    ));
+    let timeline = || {
+        drop(timeline::timeline_json(&timeline::build(
+            rec,
+            FOLD_WINDOW_NS,
+        )))
+    };
+    calls.push(("timeline", allocs_during(timeline)));
+    calls.push(("chrome_trace", allocs_during(|| drop(chrome_trace(rec)))));
+    calls.push(("stats_json", allocs_during(|| drop(stats_json(rec)))));
+    calls.push(("folded", allocs_during(|| drop(folded(&profile)))));
+    let live = || drop(live_json(&rec.live_report().expect("live enabled"), DETAIL));
+    calls.push(("live", allocs_during(live)));
+    calls
+}
+
+/// The folds over a recorded run, per retained record: the exporters that
+/// write per record or per slice grow one buffer and touch the heap for
+/// nothing else; the profile and the journeys keep every packet's spans,
+/// slices and transmits and every journey's hops and segments in arenas
+/// of their own, so they allocate per run — not per packet, per journey
+/// or per name. The other writers allocate per detailed packet or
+/// journey, per window and per counter name.
+#[test]
+fn the_folds_allocate_per_packet_not_per_record() {
+    const N: u64 = 400;
+    let rec = traced_run(N);
     let records = rec.recorded();
     assert!(records > 15 * N, "{records} records for {N} echoes");
-
-    let per_record = |f: &mut dyn FnMut()| allocs_during(f) as f64 / records as f64;
-    let chrome = per_record(&mut || drop(chrome_trace(&rec)));
-    assert!(
-        chrome <= 0.01,
-        "chrome_trace: {chrome} heap calls per record"
-    );
-    let mut profile = None;
-    let build = per_record(&mut || profile = Some(Profile::build(&rec)));
-    let profile = profile.expect("built");
-    let folded = per_record(&mut || drop(folded(&profile)));
-    assert!(folded <= 0.01, "folded: {folded} heap calls per record");
-    let journeys = per_record(&mut || drop(journey::build(&profile)));
-    // Measured: 0.0078 and 0.0067 heap calls per record (59 and 51 for
-    // the whole run of 7 600 records). While every packet and journey had
-    // `Vec`s of its own and every hop `String` copies of its names: 0.483
-    // and 0.229; when the folds kept names as `String`s: 4.65 and 2.57,
-    // with 9.38 for `chrome_trace` and 2.37 for `folded`.
-    assert!(
-        build <= 0.01,
-        "Profile::build: {build} heap calls per record"
-    );
-    assert!(
-        journeys <= 0.01,
-        "journey::build: {journeys} heap calls per record"
-    );
+    // Measured over the run's 7 600 records: `chrome_trace` 0.0016
+    // (its arena of record heads), `Profile::build` 0.0066,
+    // `profile_json` 0.0126, `journey::build` 0.0067, `journeys_json`
+    // 0.0017, the timeline 0.0012, `stats_json` 0.0187, `folded` 0.0012
+    // and the live report with its document 0.0037. While every packet
+    // and journey had `Vec`s of its own and every hop `String` copies of
+    // its names, `Profile::build` and `journey::build` made 0.483 and
+    // 0.229; when the folds kept names as `String`s, 4.65 and 2.57, with
+    // 9.38 for `chrome_trace` and 2.37 for `folded`. One heap call per
+    // packet would be 0.05.
+    for (fold, calls) in every_fold(&rec) {
+        let per_record = calls as f64 / records as f64;
+        let pin = match fold {
+            "chrome_trace" | "Profile::build" | "journey::build" | "folded" => 0.01,
+            _ => 0.02,
+        };
+        assert!(
+            per_record <= pin,
+            "{fold}: {per_record} heap calls per record"
+        );
+    }
 }
 
 #[test]
@@ -519,11 +618,12 @@ fn a_forwarded_datagram_allocates_exactly_the_pinned_count() {
 fn print_echo_allocation_ledger() {
     const WARM_UP: u64 = 200;
     const WINDOW: u64 = 64;
-    let loops: [(&str, Dut); 4] = [
+    let loops: [(&str, Dut); 5] = [
         ("Plexus echo", plexus_echo),
         ("Plexus miss", plexus_miss),
         ("baseline echo", baseline_echo),
         ("router forward", router_forward),
+        ("Plexus live echo, sampled", sampled_live_echo),
     ];
     for (name, dut) in loops {
         let (_, heard) = closed_loop(dut, WARM_UP + WINDOW + 1, |heard| {
@@ -533,6 +633,13 @@ fn print_echo_allocation_ledger() {
         // Empty for Plexus and the router: nothing on their path allocates.
         print_ledger(name, "datagram", WINDOW);
     }
+    // The traced benchmark's folds, over a recorded run of their own.
+    const FOLDED: u64 = 400;
+    let rec = traced_run(FOLDED);
+    LEDGER_OPEN.set(true);
+    every_fold(&rec);
+    LEDGER_OPEN.set(false);
+    print_ledger("every fold", "datagram", FOLDED);
     // The bulk transfer's window is counted in frames received by either
     // side, data and ACKs alike; it opens and closes at a delivery.
     let frames = Rc::new(Cell::new((0, 0)));
