@@ -234,6 +234,15 @@ pub enum PlexusError {
     SpoofDetected,
     /// A capability used after revocation (the owning extension unloaded).
     Revoked,
+    /// A UDP payload longer than one IPv4 datagram can carry: its length
+    /// field and fragment offsets would not fit. Refused before anything
+    /// is charged or sent.
+    DatagramTooLong {
+        /// The payload's length in bytes.
+        len: usize,
+        /// The longest payload a datagram carries (65 507 bytes).
+        max: usize,
+    },
 }
 
 impl fmt::Display for PlexusError {
@@ -244,6 +253,9 @@ impl fmt::Display for PlexusError {
             PlexusError::SnoopDenied(why) => write!(f, "binding denied (would snoop): {why}"),
             PlexusError::SpoofDetected => write!(f, "outgoing source field is not the endpoint's"),
             PlexusError::Revoked => write!(f, "capability revoked"),
+            PlexusError::DatagramTooLong { len, max } => {
+                write!(f, "UDP payload of {len} bytes exceeds the {max}-byte limit")
+            }
         }
     }
 }

@@ -1166,6 +1166,72 @@ fn unanswered_arp_is_retried_then_abandoned() {
 }
 
 #[test]
+fn a_datagram_longer_than_ipv4_carries_is_refused_before_the_wire() {
+    // 65 507 payload bytes fill an IPv4 datagram to its 65 535-byte total
+    // length; one more would need a UDP length and fragment offsets that
+    // do not fit their fields. (T3's MTU: Ethernet's transmit ring holds
+    // fewer than the 45 fragments of the longest datagram.)
+    let Testbed {
+        mut world, hosts, ..
+    } = Testbed::new(&Link::t3(), 0, &["a", "b"]);
+    let [sa, sb] = [0, 1].map(|k| PlexusStack::attach_host(&hosts[k], StackConfig::interrupt));
+    let (aext, bext) = (
+        sa.link_extension(&ext_spec("C")).unwrap(),
+        sb.link_extension(&ext_spec("S")).unwrap(),
+    );
+    let got: Rc<RefCell<Vec<Vec<u8>>>> = Rc::default();
+    let g = got.clone();
+    sb.udp()
+        .bind(
+            &bext,
+            7,
+            UdpConfig::default(),
+            AppHandler::interrupt(move |_, ev: &plexus_core::UdpRecv| {
+                g.borrow_mut().push(ev.payload.to_vec());
+            }),
+        )
+        .unwrap();
+    let ep = sa
+        .udp()
+        .bind(
+            &aext,
+            2000,
+            UdpConfig::default(),
+            AppHandler::interrupt(|_, _| {}),
+        )
+        .unwrap();
+    let longest: Vec<u8> = (0..65_507u32).map(|i| (i % 251) as u8).collect();
+    ep.send(world.engine_mut(), hosts[1].ip, 7, &longest)
+        .unwrap();
+    world.run();
+    assert!(
+        *got.borrow() == [longest],
+        "the longest datagram arrives whole"
+    );
+
+    let (frames, busy) = (
+        hosts[0].nic.stats().tx_frames,
+        hosts[0].machine.cpu().busy(),
+    );
+    assert_eq!(
+        ep.send(world.engine_mut(), hosts[1].ip, 7, &[0x5A; 65_508]),
+        Err(PlexusError::DatagramTooLong {
+            len: 65_508,
+            max: 65_507
+        })
+    );
+    assert_eq!(world.engine().pending(), 0, "nothing scheduled");
+    world.run();
+    assert_eq!(
+        hosts[0].nic.stats().tx_frames,
+        frames,
+        "nothing on the wire"
+    );
+    assert_eq!(hosts[0].machine.cpu().busy(), busy, "nothing charged");
+    assert_eq!(got.borrow().len(), 1);
+}
+
+#[test]
 fn a_failed_resolution_is_asked_again() {
     // The world of `unanswered_arp_is_retried_then_abandoned`, then the
     // segment heals: the abandoned hop must not stay a black hole.

@@ -11,7 +11,9 @@ use crate::mbuf::Mbuf;
 /// Accumulates the one's-complement sum incrementally.
 #[derive(Clone, Copy, Debug, Default)]
 pub struct Checksum {
-    sum: u32,
+    /// The sum of the 16-bit big-endian words fed so far (and the seed),
+    /// folded to 16 bits by every `add`; zero only while every word was.
+    sum: u64,
     /// True if an odd byte is pending (affects alignment of the next chunk).
     odd: bool,
     pending: u8,
@@ -23,37 +25,37 @@ impl Checksum {
         Checksum::default()
     }
 
-    /// Starts from an already-accumulated (unfolded) partial sum — how a
-    /// NIC with checksum offload resumes the pseudo-header partial the
-    /// stack handed down in the packet header.
+    /// Starts from an already-accumulated partial sum — how a NIC with
+    /// checksum offload resumes the pseudo-header partial the stack handed
+    /// down in the packet header.
     pub fn with_partial(sum: u32) -> Checksum {
         Checksum {
-            sum,
+            sum: u64::from(sum),
             ..Checksum::default()
         }
     }
 
-    /// The unfolded partial sum accumulated so far (only meaningful while
-    /// no odd byte is pending).
+    /// The partial sum accumulated so far, folded to 16 bits (only
+    /// meaningful while no odd byte is pending).
     pub fn partial(&self) -> u32 {
         debug_assert!(!self.odd, "partial taken mid-byte");
-        self.sum
+        u32::from(fold(self.sum))
     }
 
     /// Feeds bytes into the sum, handling odd-length chunks across calls.
-    pub fn add(&mut self, bytes: &[u8]) -> &mut Self {
-        let mut i = 0;
-        if self.odd && !bytes.is_empty() {
-            self.sum += u16::from_be_bytes([self.pending, bytes[0]]) as u32;
+    pub fn add(&mut self, mut bytes: &[u8]) -> &mut Self {
+        if self.odd {
+            let Some((&first, rest)) = bytes.split_first() else {
+                return self;
+            };
+            self.sum += u64::from(u16::from_be_bytes([self.pending, first]));
             self.odd = false;
-            i = 1;
+            bytes = rest;
         }
-        while i + 1 < bytes.len() {
-            self.sum += u16::from_be_bytes([bytes[i], bytes[i + 1]]) as u32;
-            i += 2;
-        }
-        if i < bytes.len() {
-            self.pending = bytes[i];
+        let (words, tail) = bytes.split_at(bytes.len() & !1);
+        self.sum = u64::from(fold(self.sum + u64::from(sum_words(words))));
+        if let [last] = tail {
+            self.pending = *last;
             self.odd = true;
         }
         self
@@ -68,13 +70,42 @@ impl Checksum {
     pub fn finish(&self) -> u16 {
         let mut sum = self.sum;
         if self.odd {
-            sum += u16::from_be_bytes([self.pending, 0]) as u32;
+            sum += u64::from(u16::from_be_bytes([self.pending, 0]));
         }
-        while sum >> 16 != 0 {
-            sum = (sum & 0xFFFF) + (sum >> 16);
-        }
-        !(sum as u16)
+        !fold(sum)
     }
+}
+
+/// Folds a one's-complement sum to 16 bits, end-around carries included.
+fn fold(mut sum: u64) -> u16 {
+    while sum >> 16 != 0 {
+        sum = (sum & 0xFFFF) + (sum >> 16);
+    }
+    sum as u16
+}
+
+/// The one's-complement sum of `words` (an even number of bytes) as 16-bit
+/// big-endian words, folded. The bytes are read as native-endian 32-bit
+/// words into a `u64` a block at a time; a 32-bit word is its two 16-bit
+/// halves modulo 0xFFFF, and, by RFC 1071's byte-order independence, the
+/// sum of byte-swapped words is the byte-swapped sum, so reading the
+/// folded native sum's bytes as big-endian gives the sum the 16-bit
+/// big-endian loop would.
+fn sum_words(words: &[u8]) -> u16 {
+    let mut sum = 0u64;
+    // A block's 2^28 words sum to less than 2^60: no length overflows.
+    for block in words.chunks(1 << 30) {
+        let mut block_sum = 0u64;
+        let mut quads = block.chunks_exact(4);
+        for quad in &mut quads {
+            block_sum += u64::from(u32::from_ne_bytes([quad[0], quad[1], quad[2], quad[3]]));
+        }
+        if let [a, b] = quads.remainder() {
+            block_sum += u64::from(u16::from_ne_bytes([*a, *b]));
+        }
+        sum += u64::from(fold(block_sum));
+    }
+    u16::from_be_bytes(fold(sum).to_ne_bytes())
 }
 
 /// One-shot checksum of a contiguous buffer.
@@ -85,7 +116,7 @@ pub fn checksum(bytes: &[u8]) -> u16 {
 }
 
 /// Checksum of the tail of an mbuf chain starting at byte offset `from`,
-/// seeded with an unfolded partial sum (the pseudo-header). This is the
+/// seeded with a partial sum (the pseudo-header). This is the
 /// gather a checksum-offload NIC performs while DMAing the chain: segment
 /// boundaries may fall anywhere, including on odd offsets.
 pub fn checksum_mbuf_from(m: &Mbuf, from: usize, partial: u32) -> u16 {
@@ -253,6 +284,78 @@ mod tests {
         assert!(verify_checksum(&pkt[pkt.len() - seg.len()..], pseudo));
         pkt[field] ^= 0x40;
         assert!(!verify_checksum(&pkt[pkt.len() - seg.len()..], pseudo));
+    }
+
+    /// The accumulator as it was: 16-bit big-endian words, one at a time
+    /// (into a `u64` here, where it was a `u32` that 65 538 words of 0xFFFF
+    /// overflowed).
+    fn word_by_word(seed: u32, chunks: &[&[u8]]) -> u16 {
+        let bytes: Vec<u8> = chunks.concat();
+        let mut sum = u64::from(seed);
+        let mut pairs = bytes.chunks_exact(2);
+        for pair in &mut pairs {
+            sum += u64::from(u16::from_be_bytes([pair[0], pair[1]]));
+        }
+        if let [last] = pairs.remainder() {
+            sum += u64::from(u16::from_be_bytes([*last, 0]));
+        }
+        !fold(sum)
+    }
+
+    #[test]
+    fn more_than_128_kib_does_not_overflow() {
+        // 65 538 words of 0xFFFF: each is zero in one's complement, but the
+        // sum is not zero, so it folds to 0xFFFF and the checksum is 0.
+        let ones = vec![0xFFu8; 131_076];
+        assert_eq!(checksum(&ones), 0);
+        assert_eq!(checksum(&ones), word_by_word(0, &[&ones]));
+        let mut c = Checksum::with_partial(u32::MAX);
+        c.add(&ones[..65_537]).add(&ones[65_537..]).add(&ones);
+        assert_eq!(c.finish(), word_by_word(u32::MAX, &[&ones, &ones]));
+        assert_eq!(checksum(&[0; 131_076]), 0xFFFF, "all zeros stay zero");
+    }
+
+    #[test]
+    fn any_length_split_and_seed_matches_the_16_bit_loop() {
+        use proptest::rng::TestRng;
+        for case in 0..2_000u64 {
+            let rng = &mut TestRng::from_seed(case);
+            let len = match case % 4 {
+                0 => rng.below(16),
+                1 => rng.below(1_600),
+                _ => rng.below(9_000),
+            } as usize;
+            let fill = rng.below(4);
+            let data: Vec<u8> = (0..len)
+                .map(|_| match fill {
+                    0 => 0xFF,
+                    1 => 0,
+                    _ => rng.below(256) as u8,
+                })
+                .collect();
+            let seed = match rng.below(3) {
+                0 => 0,
+                1 => u32::MAX - rng.below(0x1_0000) as u32,
+                _ => rng.below(1 << 32) as u32,
+            };
+            let mut cuts: Vec<usize> = (0..rng.below(5))
+                .map(|_| rng.below(len as u64 + 1) as usize)
+                .collect();
+            cuts.sort_unstable();
+            let mut c = Checksum::with_partial(seed);
+            let mut chunks = Vec::new();
+            let mut from = 0;
+            for cut in cuts.into_iter().chain([len]) {
+                c.add(&data[from..cut]);
+                chunks.push(&data[from..cut]);
+                from = cut;
+            }
+            assert_eq!(
+                c.finish(),
+                word_by_word(seed, &chunks),
+                "case {case}: {len} bytes, seed {seed:#x}"
+            );
+        }
     }
 
     #[test]

@@ -24,8 +24,23 @@
 //!
 //! Vacated slots go on a free list and are handed out again before the
 //! slab grows, so the slab is as long as the most events that were ever
-//! in flight at once and a steady-state world schedules without touching
-//! the heap allocator for anything but a closure's own box.
+//! in flight at once.
+//!
+//! # Closure boxes are reused by type
+//!
+//! A closure's captures have a size only its type knows, and the crate
+//! forbids `unsafe`, so a slot cannot hold one inline: a closure lives in
+//! a box of its own. What the engine saves is the box, not the closure. A
+//! box holds an `Option<F>`; running the closure takes `F` out and files
+//! the emptied box *before* calling it, and cancelling drops `F` (and what
+//! it captured) and files the box the same way. Boxes are filed by the
+//! closure's type, and the next closure of that type scheduled moves into
+//! one instead of a fresh allocation. A closure that schedules its own
+//! successor — a traffic generator, a process's wake-up, a protocol timer
+//! re-armed from its own firing — therefore keeps refilling one box. The
+//! spare boxes of a type never outnumber the most closures of that type
+//! that were pending at once, the bound the slab itself has, so a
+//! steady-state world schedules without touching the heap allocator.
 //!
 //! # Generations, cancellation and the sweep
 //!
@@ -56,6 +71,7 @@
 //! cannot change it. A given workload always replays the exact same
 //! timeline.
 
+use std::any::{Any, TypeId};
 use std::cmp::Reverse;
 use std::collections::BinaryHeap;
 use std::rc::Rc;
@@ -65,8 +81,64 @@ use plexus_trace::Recorder;
 use crate::nic::{Frame, Nic};
 use crate::time::{SimDuration, SimTime};
 
-/// A scheduled closure. It receives the engine so it can schedule follow-ups.
-pub type Action = Box<dyn FnOnce(&mut Engine)>;
+/// A scheduled closure in its reusable box: implemented by `Option<F>`,
+/// which is `Some` from scheduling until the closure runs or is cancelled.
+pub(crate) trait Pending {
+    /// Takes the closure out, files the emptied box, then runs the closure.
+    fn run(self: Box<Self>, engine: &mut Engine);
+    /// Drops the closure and what it captured, then files the emptied box.
+    fn cancel(self: Box<Self>, spares: &mut Spares);
+}
+
+impl<F: FnOnce(&mut Engine) + 'static> Pending for Option<F> {
+    fn run(mut self: Box<Self>, engine: &mut Engine) {
+        let action = self.take().expect("a pending box holds its closure");
+        engine.spares.file(self);
+        action(engine)
+    }
+
+    fn cancel(mut self: Box<Self>, spares: &mut Spares) {
+        *self = None;
+        spares.file(self);
+    }
+}
+
+/// Empty closure boxes, one list per closure type, searched linearly: a
+/// world schedules closures of a handful of types.
+#[derive(Default)]
+pub(crate) struct Spares(Vec<(TypeId, Vec<Box<dyn Any>>)>);
+
+impl Spares {
+    fn list<T: Any>(&mut self) -> &mut Vec<Box<dyn Any>> {
+        let id = TypeId::of::<T>();
+        let at = match self.0.iter().position(|(of, _)| *of == id) {
+            Some(at) => at,
+            None => {
+                self.0.push((id, Vec::new()));
+                self.0.len() - 1
+            }
+        };
+        &mut self.0[at].1
+    }
+
+    fn file<T: Any>(&mut self, emptied: Box<T>) {
+        self.list::<T>().push(emptied);
+    }
+
+    /// Boxes `action`, in a spare box of its type if there is one.
+    fn boxed<F: FnOnce(&mut Engine) + 'static>(&mut self, action: F) -> Box<dyn Pending> {
+        match self.list::<Option<F>>().pop() {
+            Some(spare) => {
+                let mut spare = spare
+                    .downcast::<Option<F>>()
+                    .expect("a spare box is filed by its type");
+                *spare = Some(action);
+                spare
+            }
+            None => Box::new(Some(action)),
+        }
+    }
+}
 
 /// Names one scheduled action (e.g. a retransmit timer) so that
 /// [`Engine::cancel`] can take it back before it fires, or
@@ -83,10 +155,10 @@ pub struct TimerHandle {
 /// What a slot holds.
 pub(crate) enum Event {
     /// Simulation plumbing: a plain scheduled closure.
-    Closure(Action),
+    Closure(Box<dyn Pending>),
     /// A timer in the protocol sense (retransmits, delays): a cancelable
     /// closure, recorded as a `TimerFire` when it runs.
-    Timer(Action),
+    Timer(Box<dyn Pending>),
     /// A frame reaches `to` after serialization and propagation.
     FrameArrival {
         to: Rc<Nic>,
@@ -155,6 +227,8 @@ pub struct Engine {
     keys: BinaryHeap<Reverse<Key>>,
     /// Keys in `keys` whose event was cancelled.
     stale: usize,
+    /// Emptied closure boxes, for the next closure of their type.
+    spares: Spares,
     stopped: bool,
     executed: u64,
     recorder: Option<Rc<Recorder>>,
@@ -237,7 +311,8 @@ impl Engine {
     where
         F: FnOnce(&mut Engine) + 'static,
     {
-        self.schedule_event(at, Event::Closure(Box::new(action)));
+        let action = self.spares.boxed(action);
+        self.schedule_event(at, Event::Closure(action));
     }
 
     /// Schedules `action` to run `delay` from now.
@@ -254,7 +329,8 @@ impl Engine {
     where
         F: FnOnce(&mut Engine) + 'static,
     {
-        self.schedule_event(self.now + delay, Event::Timer(Box::new(action)))
+        let action = self.spares.boxed(action);
+        self.schedule_event(self.now + delay, Event::Timer(action))
     }
 
     /// Cancels the action `handle` names, dropping its closure (and what it
@@ -263,8 +339,11 @@ impl Engine {
         let Some(slot) = self.slots.get_mut(handle.slot as usize) else {
             return;
         };
-        if slot.take(handle.seq).is_none() {
+        let Some(event) = slot.take(handle.seq) else {
             return;
+        };
+        if let Event::Closure(action) | Event::Timer(action) = event {
+            action.cancel(&mut self.spares);
         }
         self.free.push(handle.slot);
         self.orphan_key();
@@ -342,12 +421,12 @@ impl Engine {
             self.now = key.at;
             self.executed += 1;
             match event {
-                Event::Closure(action) => action(self),
+                Event::Closure(action) => action.run(self),
                 Event::Timer(action) => {
                     if let Some(rec) = &self.recorder {
                         rec.timer_fire(self.now.as_nanos());
                     }
-                    action(self)
+                    action.run(self)
                 }
                 Event::FrameArrival { to, frame, journey } => to.deliver(self, frame, journey),
                 Event::RxDrain(nic) => nic.drain_rx_ring(self),
@@ -545,6 +624,86 @@ mod tests {
                 "the sweep bounds the dead"
             );
         }
+    }
+
+    /// Counts itself in its cell while it lives: a closure that captures
+    /// one holds it until the closure has run or been cancelled.
+    struct Token(Rc<Cell<usize>>);
+
+    impl Token {
+        fn new(live: &Rc<Cell<usize>>) -> Token {
+            live.set(live.get() + 1);
+            Token(live.clone())
+        }
+    }
+
+    impl Drop for Token {
+        fn drop(&mut self) {
+            self.0.set(self.0.get() - 1);
+        }
+    }
+
+    /// Every third one to run schedules its successor from inside.
+    fn plain(token: Token) -> impl FnOnce(&mut Engine) + 'static {
+        move |engine| {
+            if engine.executed() % 3 == 0 {
+                let next = plain(Token::new(&token.0));
+                engine.schedule_in(SimDuration::from_micros(3), next);
+            }
+            drop(token);
+        }
+    }
+
+    fn timer(token: Token) -> impl FnOnce(&mut Engine) + 'static {
+        move |_| drop(token)
+    }
+
+    /// The spare boxes of the closures `make` returns.
+    fn spares<F: 'static>(engine: &Engine, _make: fn(Token) -> F) -> usize {
+        let id = TypeId::of::<Option<F>>();
+        let list = engine.spares.0.iter().find(|(of, _)| *of == id);
+        list.map_or(0, |(_, boxes)| boxes.len())
+    }
+
+    #[test]
+    fn spare_boxes_never_outnumber_the_most_pending_of_their_type() {
+        // Two closure types in a random mix of scheduling, cancelling and
+        // running, one of them rescheduling itself: every box of a type is
+        // pending or spare, so a type has exactly as many boxes as it once
+        // had closures pending at once — a box is allocated only when no
+        // spare of its type is left.
+        let mut engine = Engine::new();
+        let (plains, timers) = (Rc::new(Cell::new(0)), Rc::new(Cell::new(0)));
+        let (mut plain_high, mut timer_high) = (0, 0);
+        let mut handles = Vec::new();
+        let mut x = 0x9E37_79B9_7F4A_7C15u64;
+        for _ in 0..5_000 {
+            x ^= x << 13;
+            x ^= x >> 7;
+            x ^= x << 17;
+            let delay = SimDuration::from_micros(x >> 8 & 0xFF);
+            match x & 7 {
+                0..=2 => engine.schedule_in(delay, plain(Token::new(&plains))),
+                3..=4 => {
+                    handles.push(engine.schedule_cancelable(delay, timer(Token::new(&timers))))
+                }
+                5 if !handles.is_empty() => {
+                    let i = (x >> 16) as usize % handles.len();
+                    engine.cancel(handles.swap_remove(i));
+                }
+                _ => engine.run_for(SimDuration::from_micros(x >> 16 & 0x7F)),
+            }
+            assert_eq!(
+                plains.get() + timers.get(),
+                engine.pending(),
+                "a capture drops when its closure runs or is cancelled"
+            );
+            plain_high = plain_high.max(plains.get());
+            timer_high = timer_high.max(timers.get());
+            assert_eq!(spares(&engine, plain) + plains.get(), plain_high);
+            assert_eq!(spares(&engine, timer) + timers.get(), timer_high);
+        }
+        assert!(engine.executed() > 1_000 && plain_high > 10 && timer_high > 10);
     }
 
     #[test]

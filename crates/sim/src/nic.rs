@@ -95,7 +95,7 @@ pub struct TxCsum {
     pub start_from_end: usize,
     /// Distance from the frame end to the checksum field.
     pub field_from_end: usize,
-    /// Pre-accumulated (unfolded) pseudo-header partial sum.
+    /// Pre-accumulated pseudo-header partial sum.
     pub pseudo: u32,
     /// UDP's zero-means-disabled rule: a computed 0 goes out as 0xFFFF.
     pub zero_to_ones: bool,

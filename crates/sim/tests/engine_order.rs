@@ -6,6 +6,13 @@
 //! is, to the model, taken out and inserted anew: it sorts where a cancel
 //! followed by a fresh schedule would have put it.
 //!
+//! Every closure captures a token that counts itself while it lives, and at
+//! every cut-off the live tokens must be exactly the model's pending plain
+//! and timer events: a closure's captures drop when it runs or is
+//! cancelled, and only then, however often the engine has refilled the box
+//! it sits in. Plain events and timers are closures of two types, so two
+//! lists of spare boxes are in play.
+//!
 //! The programs mix the three kinds of slot (plain closures, cancelable
 //! timers, the NIC's typed device events: a frame's arrival, a receive-ring
 //! drain), make equal timestamps common, and cancel and reschedule often —
@@ -153,8 +160,9 @@ impl Program {
 struct Trace {
     /// `(now, what ran)`, in run order.
     log: Vec<(u64, Ran)>,
-    /// `(now, executed, pending)` after each cut-off, and after the last run.
-    checkpoints: Vec<(u64, u64, usize)>,
+    /// `(now, executed, pending, closures)` after each cut-off, and after
+    /// the last run; `closures` counts the plain and timer events pending.
+    checkpoints: Vec<(u64, u64, usize, usize)>,
 }
 
 #[derive(Debug, PartialEq)]
@@ -168,6 +176,22 @@ enum Ran {
 
 // ---------------------------------------------------------------- real ----
 
+/// Counts itself in its cell while it lives.
+struct Token(Rc<Cell<usize>>);
+
+impl Token {
+    fn new(live: &Rc<Cell<usize>>) -> Token {
+        live.set(live.get() + 1);
+        Token(live.clone())
+    }
+}
+
+impl Drop for Token {
+    fn drop(&mut self) {
+        self.0.set(self.0.get() - 1);
+    }
+}
+
 struct Real {
     program: Program,
     a: Rc<Nic>,
@@ -175,6 +199,8 @@ struct Real {
     handles: RefCell<Vec<TimerHandle>>,
     events: Cell<u32>,
     frames: Cell<u32>,
+    /// Tokens captured by closures that have neither run nor been cancelled.
+    live: Rc<Cell<usize>>,
 }
 
 impl Real {
@@ -182,11 +208,11 @@ impl Real {
         for step in steps {
             match step {
                 Step::Plain { delay_us, body } => {
-                    let run = self.event(body);
+                    let run = self.event::<false>(body);
                     engine.schedule_in(SimDuration::from_micros(*delay_us), run);
                 }
                 Step::Timer { delay_us, body } => {
-                    let run = self.event(body);
+                    let run = self.event::<true>(body);
                     let handle =
                         engine.schedule_cancelable(SimDuration::from_micros(*delay_us), run);
                     self.handles.borrow_mut().push(handle);
@@ -219,12 +245,17 @@ impl Real {
         }
     }
 
-    /// Numbers the next event and returns its closure.
-    fn event(self: &Rc<Self>, body: &[Step]) -> impl FnOnce(&mut Engine) + 'static {
+    /// Numbers the next event and returns its closure: one closure type
+    /// for timers, another for plain events.
+    fn event<const TIMER: bool>(
+        self: &Rc<Self>,
+        body: &[Step],
+    ) -> impl FnOnce(&mut Engine) + 'static {
         let n = self.events.get();
         self.events.set(n + 1);
-        let (me, body) = (self.clone(), body.to_vec());
+        let (me, body, token) = (self.clone(), body.to_vec(), Token::new(&self.live));
         move |engine| {
+            let _token = token;
             me.log
                 .borrow_mut()
                 .push((engine.now().as_nanos(), Ran::Event(n)));
@@ -254,6 +285,7 @@ fn run_real(program: &Program) -> Trace {
         handles: RefCell::default(),
         events: Cell::new(0),
         frames: Cell::new(0),
+        live: Rc::default(),
     });
     let r = real.clone();
     b.attach(match program.rx {
@@ -269,7 +301,13 @@ fn run_real(program: &Program) -> Trace {
     real.exec(&mut engine, &program.setup);
     let mut checkpoints = Vec::new();
     let mut checkpoint = |engine: &Engine| {
-        checkpoints.push((engine.now().as_nanos(), engine.executed(), engine.pending()));
+        let closures = real.live.get();
+        checkpoints.push((
+            engine.now().as_nanos(),
+            engine.executed(),
+            engine.pending(),
+            closures,
+        ));
     };
     for &us in &program.cutoffs_us {
         engine.run_until(SimTime::from_micros(us));
@@ -432,9 +470,14 @@ impl Model {
         if let Some(deadline) = deadline {
             self.now = self.now.max(deadline);
         }
+        let closures = self
+            .queue
+            .iter()
+            .filter(|(_, _, what)| matches!(what, Pending::Event { .. }))
+            .count();
         self.trace
             .checkpoints
-            .push((self.now, self.executed, self.queue.len()));
+            .push((self.now, self.executed, self.queue.len(), closures));
     }
 }
 
@@ -495,7 +538,7 @@ fn the_programs_cover_ties_cancels_drains_and_cutoffs() {
             .count();
         cut += checkpoints[..checkpoints.len() - 1]
             .iter()
-            .filter(|&&(_, _, pending)| pending > 0)
+            .filter(|&&(_, _, pending, _)| pending > 0)
             .count();
         taken += model.cancels_taken;
         spent += model.cancels_spent;

@@ -1,7 +1,8 @@
 //! Tier-1 allocation gate (DESIGN.md §8, §9, §10): a raise allocates
 //! nothing; a datagram echoed (or answered with a port unreachable) by the
-//! Plexus stack, recorded, recorded with a live tier that samples it,
-//! echoed by the baseline or forwarded by the router, a bind + close pair
+//! Plexus stack, sent by an open-loop generator, recorded, recorded with a
+//! live tier that samples it, echoed by the baseline or forwarded by the
+//! router, a bind + close pair
 //! and a TCP connect + close allocate exactly what is pinned below; the
 //! folds over a recorded run allocate per run, not per record; an oversize
 //! transmit allocates nothing; rebinding leaves no heap behind, and
@@ -393,12 +394,12 @@ fn assert_pinned(dut: Dut, per_datagram: u64) {
 // What is pinned below is zero for Plexus and the router: mbuf chains,
 // header prepends and the shares between layers come out of the cluster
 // pool, the wire image `Nic::transmit` gathers into comes from its medium's
-// free list and goes back when the receiving driver returns, and the
-// arrival event that carries it is a typed slot in the engine, not a boxed
-// closure. What is left on the baseline is the model's own structure: the
-// boxed event that wakes the receiving process, and the socket layer's
-// copy-out `Vec`. A new per-packet `Vec` or `Box` anywhere on the path
-// moves these numbers.
+// free list and goes back when the receiving driver returns, the arrival
+// event that carries it is a typed slot in the engine, and a scheduled
+// closure moves into a box an earlier closure of its type left behind.
+// What is left on the baseline is the model's own structure: the socket
+// layer's copy-out `Vec`. A new per-packet `Vec` or `Box` anywhere on the
+// path moves these numbers.
 
 #[test]
 fn an_echoed_datagram_allocates_exactly_the_pinned_count() {
@@ -597,10 +598,76 @@ fn the_folds_allocate_per_packet_not_per_record() {
     }
 }
 
+/// The benchmark generator's datagrams: `frames` of `frame`, the `k`-th
+/// sent from `nic` at `k × 200 µs`, a pace the echo keeps up with.
+struct Generator {
+    nic: Rc<Nic>,
+    frame: Vec<u8>,
+    frames: u64,
+}
+
+/// Schedules datagram `k` of `gen`; its event sends it and schedules the
+/// next, whatever the device under test is doing — an open loop in
+/// simulated time, as `perf/src/workloads.rs::schedule_send` runs it.
+fn schedule_send(engine: &mut Engine, gen: Rc<Generator>, k: u64) {
+    if k == gen.frames {
+        return;
+    }
+    let at = SimTime::ZERO + SimDuration::from_micros(200).times(k);
+    engine.schedule_at(at, move |engine| {
+        let now = engine.now();
+        gen.nic.transmit(engine, now, &gen.frame[..]);
+        schedule_send(engine, gen.clone(), k + 1);
+    });
+}
+
+/// Offers `datagrams` frames to a device under test from an open-loop
+/// [`Generator`]. `heard` is told the count of answers heard after each.
+/// Returns the run's heap calls and the answers heard.
+fn open_loop(dut: Dut, datagrams: u64, heard: impl Fn(u64) + 'static) -> (u64, u64) {
+    plexus::net::mbuf::reset_cluster_pool();
+    let Loop {
+        mut world,
+        tx,
+        rx,
+        frame,
+        _dut,
+        ..
+    } = dut();
+    let count = Rc::new(Cell::new(0u64));
+    let seen = count.clone();
+    rx.attach(DriverConfig::per_frame(move |_, _| {
+        seen.set(seen.get() + 1);
+        heard(seen.get());
+    }));
+    let gen = Generator {
+        nic: tx,
+        frame,
+        frames: datagrams,
+    };
+    schedule_send(world.engine_mut(), Rc::new(gen), 0);
+    let allocs = allocs_during(|| world.run());
+    (allocs, count.get())
+}
+
+#[test]
+fn an_open_loop_generator_allocates_nothing_per_datagram() {
+    // Each send's closure moves into the box the one before it ran from:
+    // one heap call per datagram while the engine boxed every closure anew.
+    const N: u64 = 500;
+    let (short, heard) = open_loop(plexus_echo, N, |_| {});
+    assert_eq!(heard, N, "every datagram came back");
+    let (long, heard) = open_loop(plexus_echo, 2 * N, |_| {});
+    assert_eq!(heard, 2 * N);
+    assert_eq!(long - short, 0, "heap calls over {N} more datagrams");
+}
+
 #[test]
 fn a_datagram_echoed_by_the_baseline_allocates_exactly_the_pinned_count() {
-    // The process's wake-up event and its copy-out `Vec`.
-    assert_pinned(baseline_echo, 2);
+    // The socket layer's copy-out `Vec`. The process's wake-up closure
+    // moves into the box the last one ran from (2 while the engine boxed
+    // every closure anew).
+    assert_pinned(baseline_echo, 1);
 }
 
 #[test]
@@ -633,6 +700,12 @@ fn print_echo_allocation_ledger() {
         // Empty for Plexus and the router: nothing on their path allocates.
         print_ledger(name, "datagram", WINDOW);
     }
+    // Empty too: the generator's send closures reuse one box.
+    let (_, heard) = open_loop(plexus_echo, WARM_UP + WINDOW + 1, |heard| {
+        LEDGER_OPEN.set((WARM_UP..WARM_UP + WINDOW).contains(&heard));
+    });
+    assert_eq!(heard, WARM_UP + WINDOW + 1, "the window saw the loop run");
+    print_ledger("Plexus echo, open loop", "datagram", WINDOW);
     // The traced benchmark's folds, over a recorded run of their own.
     const FOLDED: u64 = 400;
     let rec = traced_run(FOLDED);
@@ -833,11 +906,13 @@ fn redialer() -> impl FnMut(u32) {
 #[test]
 fn a_tcp_connect_close_allocates_exactly_the_pinned_count() {
     // Both ends: each verifies and installs a 4-tuple guard as a bind does
-    // (three key value sets, not one), boxes its handler, registers the
-    // connection and arms a timer; the server's accept and the close
-    // handled from a raise copy the event's generation (`Gen::clone`).
-    // 149 while verification and install cost what a bind's did.
-    const PER_CONNECTION: u64 = 59;
+    // (three key value sets, not one), boxes its handler and registers the
+    // connection; the server's accept and the close handled from a raise
+    // copy the event's generation (`Gen::clone`). A timer armed with
+    // `schedule_cancelable` moves into a box a fired or cancelled one left
+    // behind (59 while each of the connection's five took a fresh box; 149
+    // while verification and install cost what a bind's did).
+    const PER_CONNECTION: u64 = 54;
     const N: u32 = 50;
     let mut redial = redialer();
     redial(10);
