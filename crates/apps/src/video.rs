@@ -227,7 +227,8 @@ fn schedule_dunix_frame(
         let frame = vec![0xA5u8; config.frame_bytes];
         for c in &clients2 {
             // One sendto(2) per client: trap + copyin each.
-            s2.sendto_in(eng, &mut lease, *c, config.port, &frame);
+            s2.sendto_in(eng, &mut lease, *c, config.port, &frame)
+                .expect("the payload fits one datagram");
             counter2.set(counter2.get() + 1);
         }
     });

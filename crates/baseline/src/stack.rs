@@ -428,6 +428,16 @@ impl MonolithicStack {
     }
 }
 
+/// `sendto(2)`'s `EMSGSIZE`: a UDP payload longer than one IPv4 datagram
+/// carries. Refused before the trap, so nothing is charged or sent.
+#[derive(Clone, Copy, Debug, PartialEq, Eq)]
+pub struct MessageTooLong {
+    /// The payload's length in bytes.
+    pub len: usize,
+    /// The longest payload a datagram carries ([`udp::MAX_PAYLOAD`]).
+    pub max: usize,
+}
+
 /// A user-process UDP socket on the monolithic stack.
 pub struct UdpSocket {
     shared: Rc<BaselineShared>,
@@ -442,9 +452,15 @@ impl UdpSocket {
     }
 
     /// `sendto(2)`: trap, copy the payload into the kernel, run the stack.
-    pub fn sendto(&self, engine: &mut Engine, dst: Ipv4Addr, dst_port: u16, data: &[u8]) {
+    pub fn sendto(
+        &self,
+        engine: &mut Engine,
+        dst: Ipv4Addr,
+        dst_port: u16,
+        data: &[u8],
+    ) -> Result<(), MessageTooLong> {
         let mut lease = self.shared.cpu.begin(engine.now());
-        self.sendto_in(engine, &mut lease, dst, dst_port, data);
+        self.sendto_in(engine, &mut lease, dst, dst_port, data)
     }
 
     /// [`UdpSocket::sendto`] continuing on an existing lease (e.g. replying
@@ -456,7 +472,13 @@ impl UdpSocket {
         dst: Ipv4Addr,
         dst_port: u16,
         data: &[u8],
-    ) {
+    ) -> Result<(), MessageTooLong> {
+        if data.len() > udp::MAX_PAYLOAD {
+            return Err(MessageTooLong {
+                len: data.len(),
+                max: udp::MAX_PAYLOAD,
+            });
+        }
         self.process.trap(lease);
         self.process.copyin(lease, data.len());
         lease.charge(lease.model().socket_layer);
@@ -482,6 +504,7 @@ impl UdpSocket {
         );
         self.shared
             .ip_output(engine, lease, dst, ip::proto::UDP, &dgram);
+        Ok(())
     }
 
     /// Parks the process in a `recvfrom(2)` loop: `cb` runs (in user

@@ -4,7 +4,7 @@
 use std::cell::{Cell, RefCell};
 use std::rc::Rc;
 
-use plexus_baseline::{MonolithicStack, SocketCallbacks, UserSplice};
+use plexus_baseline::{MessageTooLong, MonolithicStack, SocketCallbacks, UserSplice};
 use plexus_kernel::vm::AddressSpace;
 use plexus_net::testbed::Testbed;
 use plexus_sim::nic::Link;
@@ -31,7 +31,9 @@ fn udp_ping_pong_round_trip_is_slower_than_plexus_target() {
     let echo_sock = Rc::new(server.udp_socket(&sproc, 7, true).expect("bind 7"));
     let echo2 = echo_sock.clone();
     echo_sock.recv_loop(world.engine_mut(), move |eng, user, msg| {
-        echo2.sendto_in(eng, user, msg.src, msg.src_port, &msg.data);
+        echo2
+            .sendto_in(eng, user, msg.src, msg.src_port, &msg.data)
+            .expect("the payload fits one datagram");
     });
 
     let csock = Rc::new(client.udp_socket(&cproc, 2000, true).expect("bind 2000"));
@@ -43,7 +45,9 @@ fn udp_ping_pong_round_trip_is_slower_than_plexus_target() {
     });
 
     let t0 = world.engine().now().as_nanos();
-    csock.sendto(world.engine_mut(), server.ip(), 7, b"12345678");
+    csock
+        .sendto(world.engine_mut(), server.ip(), 7, b"12345678")
+        .expect("the payload fits one datagram");
     world.run();
 
     let rtt_us = (reply_at.get().expect("reply") - t0) as f64 / 1000.0;
@@ -67,7 +71,9 @@ fn backlogged_datagrams_deliver_when_process_blocks() {
     let ssock = Rc::new(server.udp_socket(&sproc, 7, true).unwrap());
     let csock = csock_helper(&client, &cproc);
     // Send before the server process blocks in recvfrom.
-    csock.sendto(world.engine_mut(), server.ip(), 7, b"early");
+    csock
+        .sendto(world.engine_mut(), server.ip(), 7, b"early")
+        .expect("the payload fits one datagram");
     world.run();
     let got = Rc::new(RefCell::new(Vec::new()));
     let g = got.clone();
@@ -83,6 +89,57 @@ fn csock_helper(
     proc_: &Rc<AddressSpace>,
 ) -> Rc<plexus_baseline::UdpSocket> {
     Rc::new(stack.udp_socket(proc_, 2000, true).expect("bind"))
+}
+
+#[test]
+fn a_datagram_longer_than_ipv4_carries_is_refused_before_the_wire() {
+    // T3, as for Plexus in `core/tests/graph.rs`: Ethernet's tx ring drops
+    // one of the longest datagram's 45 fragments.
+    let Testbed {
+        mut world, hosts, ..
+    } = Testbed::new(&Link::t3(), 0, &["a", "b"]);
+    let client = MonolithicStack::attach_host(&hosts[0]);
+    let server = MonolithicStack::attach_host(&hosts[1]);
+    let ssock = server.udp_socket(&AddressSpace::new("s"), 7, true).unwrap();
+    let got: Rc<RefCell<Vec<Vec<u8>>>> = Rc::default();
+    let g = got.clone();
+    ssock.recv_loop(world.engine_mut(), move |_, _, msg| {
+        g.borrow_mut().push(msg.data)
+    });
+    let cproc = AddressSpace::new("c");
+    let csock = csock_helper(&client, &cproc);
+    let longest: Vec<u8> = (0..65_507u32).map(|i| (i % 251) as u8).collect();
+    csock
+        .sendto(world.engine_mut(), server.ip(), 7, &longest)
+        .expect("65 507 bytes fit one datagram");
+    world.run();
+    assert!(
+        *got.borrow() == [longest],
+        "the longest datagram arrives whole"
+    );
+
+    let (frames, busy, traps) = (
+        hosts[0].nic.stats().tx_frames,
+        hosts[0].machine.cpu().busy(),
+        cproc.traps(),
+    );
+    assert_eq!(
+        csock.sendto(world.engine_mut(), server.ip(), 7, &[0x5A; 65_508]),
+        Err(MessageTooLong {
+            len: 65_508,
+            max: 65_507
+        })
+    );
+    assert_eq!(world.engine().pending(), 0, "nothing scheduled");
+    world.run();
+    assert_eq!(
+        hosts[0].nic.stats().tx_frames,
+        frames,
+        "nothing on the wire"
+    );
+    assert_eq!(hosts[0].machine.cpu().busy(), busy, "nothing charged");
+    assert_eq!(cproc.traps(), traps, "refused before the trap");
+    assert_eq!(got.borrow().len(), 1);
 }
 
 #[test]
@@ -229,7 +286,9 @@ fn checksum_disabled_udp_socket_skips_verification() {
         g.borrow_mut().push(msg.data);
     });
     let csock = Rc::new(client.udp_socket(&cproc, 2000, false).unwrap());
-    csock.sendto(world.engine_mut(), server.ip(), 7, b"no integrity");
+    csock
+        .sendto(world.engine_mut(), server.ip(), 7, b"no integrity")
+        .expect("the payload fits one datagram");
     world.run();
     assert_eq!(*got.borrow(), vec![b"no integrity".to_vec()]);
 }
@@ -239,7 +298,9 @@ fn udp_to_unbound_port_is_counted() {
     let (mut world, [client, server]) = monolithic_lan(&Link::ethernet(), ["a", "b"]);
     let cproc = AddressSpace::new("c");
     let csock = Rc::new(client.udp_socket(&cproc, 2000, true).unwrap());
-    csock.sendto(world.engine_mut(), server.ip(), 4444, b"anyone there?");
+    csock
+        .sendto(world.engine_mut(), server.ip(), 4444, b"anyone there?")
+        .expect("the payload fits one datagram");
     world.run();
     assert_eq!(server.stats().udp_no_socket, 1);
     assert_eq!(server.stats().udp_delivered, 0);
@@ -366,13 +427,15 @@ fn a_lost_arp_reply_does_not_strand_the_queue() {
     let (mut tb, sock, got) = cold_pair();
     let dst = tb.hosts[1].ip;
     tb.medium.set_faults(FaultInjector::new(1.0, 0.0, 5));
-    sock.sendto(tb.world.engine_mut(), dst, 7, b"first");
+    sock.sendto(tb.world.engine_mut(), dst, 7, b"first")
+        .expect("the payload fits one datagram");
     tb.world.run();
     assert_eq!(tb.hosts[0].nic.stats().tx_frames, 1, "the who-has, lost");
 
     tb.medium.set_faults(FaultInjector::none());
     tb.world.run_for(SimDuration::from_secs(4));
-    sock.sendto(tb.world.engine_mut(), dst, 7, b"second");
+    sock.sendto(tb.world.engine_mut(), dst, 7, b"second")
+        .expect("the payload fits one datagram");
     tb.world.run();
     assert_eq!(
         tb.hosts[0].nic.stats().tx_frames,
@@ -394,7 +457,8 @@ fn the_arp_queue_is_bounded() {
     let (mut tb, sock, got) = cold_pair();
     let dst = tb.hosts[1].ip;
     for k in 0..MAX_PARKED_PER_HOP + 9 {
-        sock.sendto(tb.world.engine_mut(), dst, 7, &[k as u8]);
+        sock.sendto(tb.world.engine_mut(), dst, 7, &[k as u8])
+            .expect("the payload fits one datagram");
     }
     tb.world.run();
     let want: Vec<Vec<u8>> = (0..MAX_PARKED_PER_HOP).map(|k| vec![k as u8]).collect();

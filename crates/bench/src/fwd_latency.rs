@@ -55,8 +55,8 @@ pub struct FwdLatency<'a> {
     pub payload: usize,
     /// Serial exchanges to measure.
     pub rounds: u32,
-    /// Flight recorder installed across the whole world, so `plexus-trace`
-    /// can attribute the forwarder's cycles.
+    /// Flight recorder installed across the whole world, so the
+    /// `fig7_forwarding` cell can attribute the forwarder's cycles.
     pub recorder: Option<&'a Rc<Recorder>>,
 }
 

@@ -1,10 +1,10 @@
 //! # plexus-bench — experiment harnesses
 //!
 //! One module per paper result. [`figures::FIGURES`] names every figure
-//! and table `plexus-bench` regenerates; [`scenarios::SCENARIOS`] names
-//! every world `plexus-trace` replays under the flight recorder. Host-time
-//! cost of the mechanisms themselves is measured by `perf/`
-//! (`plexus-perf --trace 1`, the layer kernels).
+//! and table `plexus-bench` regenerates, and each figure's cells name the
+//! worlds it replays under the flight recorder. Host-time cost of the
+//! mechanisms themselves is measured by `perf/` (`plexus-perf --trace 1`,
+//! the layer kernels).
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
@@ -29,7 +29,6 @@ mod guard_state;
 mod http_latency;
 pub mod overload;
 pub mod report;
-pub mod scenarios;
 mod sweeps;
 mod table;
 mod tcp_tput;

@@ -358,7 +358,7 @@ pub struct Overload<'a> {
     /// Offered load `num/den` as a multiple of line rate.
     pub offered: (u64, u64),
     /// Flight recorder installed across the whole world, so
-    /// `plexus-trace` can attribute the DUT's cycles under overload and
+    /// the overload cells can attribute the DUT's cycles under overload and
     /// the determinism tests can compare event streams.
     pub recorder: Option<&'a Rc<Recorder>>,
 }

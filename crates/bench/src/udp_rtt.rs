@@ -233,7 +233,8 @@ impl<'a> UdpRtt<'a> {
         let ssock = Rc::new(server.udp_socket(&sproc, 7, true).unwrap());
         let s2 = ssock.clone();
         ssock.recv_loop(tb.world.engine_mut(), move |eng, user, msg| {
-            s2.sendto_in(eng, user, msg.src, msg.src_port, &msg.data);
+            s2.sendto_in(eng, user, msg.src, msg.src_port, &msg.data)
+                .expect("the payload fits one datagram");
         });
 
         let state = PingState::new(self.rounds);
@@ -245,12 +246,15 @@ impl<'a> UdpRtt<'a> {
             let now = user.now().as_nanos();
             if st.complete(now).1 {
                 st.sent_at.set(user.now().as_nanos());
-                c2.sendto_in(eng, user, server_ip, 7, &data2);
+                c2.sendto_in(eng, user, server_ip, 7, &data2)
+                    .expect("the payload fits one datagram");
             }
         });
 
         state.sent_at.set(tb.world.engine().now().as_nanos());
-        csock.sendto(tb.world.engine_mut(), server_ip, 7, &data);
+        csock
+            .sendto(tb.world.engine_mut(), server_ip, 7, &data)
+            .expect("the payload fits one datagram");
         tb.world.run();
         state.samples()
     }

@@ -53,8 +53,8 @@ pub struct VideoCpu<'a> {
     /// Simulated seconds to run.
     pub seconds: u64,
     /// Flight recorder attached to every CPU, NIC, and the engine, so
-    /// `plexus-trace` can attribute the server's cycles per layer and
-    /// domain.
+    /// the `fig6_video` cell can attribute the server's cycles per layer
+    /// and domain.
     pub recorder: Option<&'a Rc<Recorder>>,
 }
 

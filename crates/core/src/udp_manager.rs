@@ -29,7 +29,7 @@ use plexus_kernel::domain::LinkedExtension;
 use plexus_kernel::ephemeral::Ephemeral;
 use plexus_net::checksum::incremental_update;
 use plexus_net::icmp;
-use plexus_net::ip::{proto, IP_HDR_LEN};
+use plexus_net::ip::proto;
 use plexus_net::mbuf::Mbuf;
 use plexus_net::udp::{self, UdpConfig, UDP_HDR_LEN};
 use plexus_sim::Engine;
@@ -334,10 +334,6 @@ fn wrap_special_udp(
     )))
 }
 
-/// The longest UDP payload one IPv4 datagram carries: its 16-bit total
-/// length less the IP and UDP headers.
-const MAX_PAYLOAD: usize = u16::MAX as usize - IP_HDR_LEN - UDP_HDR_LEN;
-
 /// A legitimate UDP sending/receiving endpoint (§3.1): the object whose
 /// possession is the right to raise the sends for its port — for as long
 /// as its extension holds the binding.
@@ -383,10 +379,10 @@ impl UdpEndpoint {
             return Err(PlexusError::Revoked);
         }
         let len = payload.total_len();
-        if len > MAX_PAYLOAD {
+        if len > udp::MAX_PAYLOAD {
             return Err(PlexusError::DatagramTooLong {
                 len,
-                max: MAX_PAYLOAD,
+                max: udp::MAX_PAYLOAD,
             });
         }
         ctx.lease.charge(ctx.lease.model().udp_proc);

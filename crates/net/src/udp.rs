@@ -12,11 +12,15 @@ use std::net::Ipv4Addr;
 use plexus_kernel::view::{be16, put_be16, WireView};
 
 use crate::checksum::{Checksum, CsumOffload};
-use crate::ip::proto;
+use crate::ip::{proto, IP_HDR_LEN};
 use crate::mbuf::Mbuf;
 
 /// UDP header length.
 pub const UDP_HDR_LEN: usize = 8;
+
+/// The longest UDP payload one IPv4 datagram carries: its 16-bit total
+/// length less the IP and UDP headers. Both stacks refuse a longer send.
+pub const MAX_PAYLOAD: usize = u16::MAX as usize - IP_HDR_LEN - UDP_HDR_LEN;
 
 /// Per-endpoint UDP options.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]

@@ -23,7 +23,7 @@
 //!   ring wraparound; undecided journeys wait in a bounded scratch slab.
 //! * **SLO health**: a declarative [`Slo`] judged per sealed window; the
 //!   breaches are in the report and `trace.live.slo_breaches`, which
-//!   `plexus-trace --emit health` turns into an exit code.
+//!   `plexus-bench --emit health` turns into an exit code.
 
 use std::cell::RefCell;
 use std::collections::{BTreeMap, HashMap, VecDeque};

@@ -206,7 +206,7 @@ pub fn percentile(sorted: &[u64], q: f64) -> u64 {
 
 /// The most windows one fold spans. Windows are dense from time zero, so
 /// a width that needs more is refused rather than allocated.
-pub const MAX_WINDOWS: u64 = 1 << 20;
+pub(crate) const MAX_WINDOWS: u64 = 1 << 20;
 
 /// The last timestamp in the ring. Transmit records are stamped at their
 /// (possibly future) handover instant, so the ring is not sorted by
@@ -217,7 +217,7 @@ fn last_ns(rec: &Recorder) -> Option<u64> {
 
 /// The narrowest window [`build`] accepts for `rec`'s retained ring: the
 /// one that spreads it over exactly [`MAX_WINDOWS`].
-pub fn min_window_ns(rec: &Recorder) -> u64 {
+pub(crate) fn min_window_ns(rec: &Recorder) -> u64 {
     last_ns(rec).unwrap_or(0) / MAX_WINDOWS + 1
 }
 

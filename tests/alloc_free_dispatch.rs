@@ -286,7 +286,9 @@ fn baseline_echo() -> Loop {
     let sock = Rc::new(stack.udp_socket(&process, 7, true).unwrap());
     let reply = sock.clone();
     sock.recv_loop(world.engine_mut(), move |eng, user, msg| {
-        reply.sendto_in(eng, user, msg.src, msg.src_port, &msg.data);
+        reply
+            .sendto_in(eng, user, msg.src, msg.src_port, &msg.data)
+            .expect("the payload fits one datagram");
     });
     Loop {
         world,
@@ -1356,7 +1358,10 @@ fn baseline_udp_pair(world: &mut World, hosts: &[Host], sink: &Sink) -> Write {
         .udp_socket(&AddressSpace::new("source"), 2000, true)
         .unwrap();
     let to = hosts[1].ip;
-    Box::new(move |world, data| from.sendto(world.engine_mut(), to, UDP_PORT, data))
+    Box::new(move |world, data| {
+        from.sendto(world.engine_mut(), to, UDP_PORT, data)
+            .expect("the payload fits one datagram")
+    })
 }
 
 /// A bare NIC sends the receiver the first fragment of one datagram after

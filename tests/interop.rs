@@ -52,7 +52,8 @@ fn udp_flows_both_ways_between_the_systems() {
     dsock.recv_loop(world.engine_mut(), move |eng, user, msg| {
         let mut reply = msg.data.clone();
         reply.reverse();
-        d2.sendto_in(eng, user, msg.src, msg.src_port, &reply);
+        d2.sendto_in(eng, user, msg.src, msg.src_port, &reply)
+            .expect("the payload fits one datagram");
     });
 
     let got: Rc<RefCell<Vec<u8>>> = Rc::new(RefCell::new(Vec::new()));
@@ -278,7 +279,8 @@ fn dunix_host_routes_through_the_plexus_router() {
     sock.recv_loop(world.engine_mut(), move |_, _, msg| {
         *g.borrow_mut() = msg.data;
     });
-    sock.sendto(world.engine_mut(), net2(2), 7, b"mixed routed");
+    sock.sendto(world.engine_mut(), net2(2), 7, b"mixed routed")
+        .expect("the payload fits one datagram");
     world.run();
     assert_eq!(*got.borrow(), b"mixed routed");
     assert_eq!(router.stats().forwarded, 2);

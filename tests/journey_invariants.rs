@@ -24,11 +24,15 @@ use plexus::trace::journey::{self, Journeys};
 use plexus::trace::profile::Profile;
 use plexus::trace::timeline;
 use plexus::trace::{Recorder, TraceEvent};
-use plexus_bench::fwd_latency::{FwdLatency, FwdSystem};
-use plexus_bench::overload::{Overload, RxMode, Workload};
-use plexus_bench::udp_rtt::{Link, System, UdpRtt};
+use plexus_bench::figures;
 
+/// The round trips of the `fig5_udp_latency` cells.
 const ROUNDS: u32 = 20;
+
+/// Replays the registered cell `FIGURE/CELL`.
+fn replay(path: &str) -> Rc<Recorder> {
+    figures::cell(path).expect("a registered cell").run()
+}
 
 /// A segment name is fully attributed when every machine it names is a
 /// real machine of the world ("origin" stands for a transmit recorded
@@ -104,11 +108,8 @@ fn check_journeys(js: &Journeys, machines: &[&str], label: &str) {
 
 #[test]
 fn udp_rtt_journeys_telescope_in_both_delivery_modes() {
-    for (system, label) in [
-        (System::PlexusInterrupt, "udp_rtt"),
-        (System::PlexusThread, "udp_rtt_thread"),
-    ] {
-        let recorder = traced_udp_rtt(system);
+    for label in ["udp_rtt", "udp_rtt_thread"] {
+        let recorder = replay(&format!("fig5_udp_latency/{label}"));
         let js = journey::build(&Profile::build(&recorder));
         check_journeys(&js, &["client", "server"], label);
         // One journey per round: the pong handler breaks the chain, so
@@ -128,12 +129,7 @@ fn udp_rtt_journeys_telescope_in_both_delivery_modes() {
 
 #[test]
 fn fig7_forwarding_journeys_cross_three_machines() {
-    let recorder = Recorder::new(1 << 16);
-    FwdLatency {
-        recorder: Some(&recorder),
-        ..FwdLatency::new(FwdSystem::Plexus, &Link::ethernet(), 64, 5)
-    }
-    .run();
+    let recorder = replay("fig7_forwarding/fig7_forwarding");
     let js = journey::build(&Profile::build(&recorder));
     let machines = ["client", "fwd", "backend"];
     check_journeys(&js, &machines, "fig7_forwarding");
@@ -154,16 +150,8 @@ fn fig7_forwarding_journeys_cross_three_machines() {
 
 #[test]
 fn overload_journeys_telescope_on_both_rx_paths() {
-    for (mode, label) in [
-        (RxMode::PerPacket, "overload"),
-        (RxMode::Coalesced, "overload_coalesced"),
-    ] {
-        let recorder = Recorder::new(1 << 18);
-        Overload {
-            recorder: Some(&recorder),
-            ..Overload::new(Workload::UdpEcho, mode, &Link::t3(), (1, 4))
-        }
-        .run();
+    for label in ["overload", "overload_coalesced"] {
+        let recorder = replay(&format!("overload/{label}"));
         let js = journey::build(&Profile::build(&recorder));
         check_journeys(&js, &["generator", "dut", "backend"], label);
         // Echo traffic: every journey's first hop lands on the DUT.
@@ -174,19 +162,9 @@ fn overload_journeys_telescope_on_both_rx_paths() {
     }
 }
 
-fn traced_udp_rtt(system: System) -> Rc<Recorder> {
-    let recorder = Recorder::new(1 << 16);
-    UdpRtt {
-        recorder: Some(&recorder),
-        ..UdpRtt::new(system, &Link::ethernet(), 8, ROUNDS)
-    }
-    .run();
-    recorder
-}
-
 #[test]
 fn timeline_windows_conserve_event_counts() {
-    let recorder = traced_udp_rtt(System::PlexusInterrupt);
+    let recorder = replay("fig5_udp_latency/udp_rtt");
     let t = timeline::build(&recorder, 1_000_000);
     assert_eq!(t.truncated_records, 0);
     for (i, w) in t.windows.iter().enumerate() {
@@ -229,7 +207,7 @@ fn timeline_windows_conserve_event_counts() {
 
 #[test]
 fn window_width_only_rebuckets_never_loses() {
-    let recorder = traced_udp_rtt(System::PlexusInterrupt);
+    let recorder = replay("fig5_udp_latency/udp_rtt");
     let coarse = timeline::build(&recorder, 10_000_000);
     let fine = timeline::build(&recorder, 100_000);
     for get in [

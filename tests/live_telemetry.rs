@@ -2,8 +2,8 @@
 //! §9): on a truncation-free run the live windows are *value-identical*
 //! to the post-hoc timeline fold; on a ring-wrap run the live tier keeps
 //! full-fidelity windows and sampled journeys while the post-hoc
-//! exporters report truncation; and the per-scenario SLO gate that
-//! `plexus-trace --emit health` exposes actually flips on a tightened threshold.
+//! exporters report truncation; and the per-cell SLO gate that
+//! `plexus-bench --emit health` exposes actually flips on a tightened threshold.
 
 use std::rc::Rc;
 
@@ -12,7 +12,7 @@ use plexus::trace::live::{live_json, LiveConfig, ScopeCounters, Slo};
 use plexus::trace::profile::Profile;
 use plexus::trace::timeline;
 use plexus::trace::{json, Recorder};
-use plexus_bench::scenarios;
+use plexus_bench::figures::{self, Cell};
 use plexus_bench::udp_rtt::{Link, System, UdpRtt};
 
 const WINDOW_NS: u64 = 1_000_000;
@@ -36,13 +36,13 @@ fn traced_with_ring(ring: usize) -> Rc<Recorder> {
 
 #[test]
 fn live_windows_match_posthoc_timeline_on_a_full_scenario() {
-    let scenario = scenarios::find("udp_rtt").expect("registered scenario");
-    let rec = scenario.run();
-    let live = rec.live_report().expect("scenario runs enable live");
-    assert_eq!(rec.overwritten(), 0, "scenario ring must capture the run");
+    let cell = figures::cell("fig5_udp_latency/udp_rtt").expect("registered cell");
+    let rec = cell.run();
+    let live = rec.live_report().expect("cell runs enable live");
+    assert_eq!(rec.overwritten(), 0, "the cell's ring must capture the run");
     assert_eq!(live.late_records, 0, "monotone feed is never late");
 
-    let tl = timeline::build(&rec, scenario.window_ns);
+    let tl = timeline::build(&rec, cell.window_ns);
     assert_eq!(tl.truncated_records, 0);
     assert_eq!(
         live.windows, tl.windows,
@@ -131,10 +131,10 @@ fn ring_wrap_leaves_live_correct_while_posthoc_reports_truncation() {
 
 #[test]
 fn declared_slos_pass_and_tightened_slos_breach() {
-    let scenario = scenarios::find("udp_rtt").expect("registered scenario");
+    let cell = figures::cell("fig5_udp_latency/udp_rtt").expect("registered cell");
 
     // The committed envelope holds.
-    let rec = scenario.run();
+    let rec = cell.run();
     let live = rec.live_report().expect("live enabled");
     assert!(
         live.breaches.is_empty(),
@@ -144,12 +144,16 @@ fn declared_slos_pass_and_tightened_slos_breach() {
     assert!(live.windows_sealed_online > 0);
 
     // A deliberately absurd ceiling flips every completing window — the
-    // negative path the CI health gate relies on.
-    let tightened = Slo {
+    // negative path the health gate relies on.
+    let slo = Slo {
         p99_ceiling_ns: Some(1),
-        ..scenario.slo.clone().unwrap_or_else(Slo::none)
+        ..cell.slo.clone()
     };
-    let rec = scenario.run_with_slo(Some(tightened));
+    let rec = Cell {
+        slo,
+        ..cell.clone()
+    }
+    .run();
     let live = rec.live_report().expect("live enabled");
     assert!(
         !live.breaches.is_empty(),
@@ -164,8 +168,8 @@ fn livelocked_overload_self_reports_late_records() {
     // already-sealed windows. The live tier must *say so* (late_records)
     // rather than silently degrade, and the declared goodput floor must
     // flag the collapse.
-    let scenario = scenarios::find("overload").expect("registered scenario");
-    let rec = scenario.run();
+    let cell = figures::cell("overload/overload").expect("registered cell");
+    let rec = cell.run();
     let live = rec.live_report().expect("live enabled");
     assert!(
         live.late_records > 0,

@@ -14,24 +14,28 @@ use std::rc::Rc;
 
 use plexus::trace::flame::folded;
 use plexus::trace::profile::{pingpong_waterfall, profile_json, span_trees, Profile, Slice, Span};
-use plexus::trace::{json, Recorder};
-use plexus_bench::udp_rtt::{Link, System, UdpRtt};
+use plexus::trace::{json, Recorder, TraceEvent};
+use plexus_bench::figures;
 
+/// The round trips of the `fig5_udp_latency` cells.
 const ROUNDS: u32 = 20;
 
+/// Replays the `udp_rtt` (interrupt) or `udp_rtt_thread` cell; returns
+/// the RTTs the ping-pong measured, in order, and the recorder.
 fn traced_run(interrupt: bool) -> (Vec<u64>, Rc<Recorder>) {
-    let recorder = Recorder::new(1 << 16);
-    let system = if interrupt {
-        System::PlexusInterrupt
+    let cell = if interrupt {
+        "udp_rtt"
     } else {
-        System::PlexusThread
+        "udp_rtt_thread"
     };
-    let rtts = UdpRtt {
-        recorder: Some(&recorder),
-        ..UdpRtt::new(system, &Link::ethernet(), 8, ROUNDS)
-    }
-    .run();
-    (rtts, recorder)
+    let recorder = figures::cell(&format!("fig5_udp_latency/{cell}"))
+        .expect("a registered cell")
+        .run();
+    let rtts = recorder.events().into_iter().filter_map(|r| match r.event {
+        TraceEvent::LatencySample { ns, .. } => Some(ns),
+        _ => None,
+    });
+    (rtts.collect(), recorder)
 }
 
 #[test]
