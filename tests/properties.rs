@@ -870,10 +870,11 @@ mod demux_equivalence {
     }
 
     // -----------------------------------------------------------------------
-    // Generation swap: random interleavings of install / uninstall / raise on
-    // one table — installs and uninstalls issued from inside handlers
-    // mid-raise included — run on an indexed dispatcher, on the linear
-    // reference, and on a plain `Vec` model of the live handlers.
+    // Mid-raise visibility: random interleavings of install / uninstall /
+    // raise on one table — installs, uninstalls and nested raises issued
+    // from inside handlers mid-raise included — run on an indexed
+    // dispatcher, on the linear reference, and on a plain `Vec` model of
+    // the live handlers.
     // -----------------------------------------------------------------------
 
     use plexus::kernel::dispatcher::{Event, HandlerId, RaiseOutcome};
@@ -885,6 +886,9 @@ mod demux_equivalence {
         Install(GuardKind),
         /// Uninstalls the `n`-th handler ever installed (mod how many).
         Uninstall(usize),
+        /// Raises the table's event again, from inside the handler, with
+        /// these ports, the first time only.
+        Raise(u16, u16),
     }
 
     #[derive(Debug, Clone)]
@@ -899,6 +903,7 @@ mod demux_equivalence {
         prop_oneof![
             guard_kind().prop_map(Action::Install),
             (0usize..64).prop_map(Action::Uninstall),
+            (0u16..8, 0u16..8).prop_map(|(s, d)| Action::Raise(s, d)),
         ]
     }
 
@@ -920,13 +925,15 @@ mod demux_equivalence {
     }
 
     /// One dispatcher under the script. Handlers are numbered in install
-    /// order ("slots"), mid-raise installs included.
+    /// order ("slots"), mid-raise installs included; `nested` holds the
+    /// outcome of every raise a handler made, in the order they returned.
     struct Rig {
         d: Rc<Dispatcher>,
         ev: Event<Dgram>,
         shared: PortSet,
         slots: RefCell<Vec<HandlerId>>,
         log: RefCell<Vec<usize>>,
+        nested: RefCell<Vec<RaiseOutcome>>,
     }
 
     impl Rig {
@@ -940,6 +947,7 @@ mod demux_equivalence {
                 shared: shared.clone(),
                 slots: RefCell::new(Vec::new()),
                 log: RefCell::new(Vec::new()),
+                nested: RefCell::new(Vec::new()),
             })
         }
 
@@ -947,18 +955,28 @@ mod demux_equivalence {
             let slot = self.slots.borrow().len();
             let rig = self.clone();
             let fired = std::cell::Cell::new(false);
-            let spec = HandlerSpec::new(move |_, _: &Dgram| {
+            let spec = HandlerSpec::new(move |ctx, _: &Dgram| {
                 rig.log.borrow_mut().push(slot);
+                // Set before the actions run: a raise below may reach
+                // this handler again, and only its first run acts.
+                let first = !fired.replace(true);
                 for a in &actions {
                     match a {
-                        Action::Install(kind) if !fired.get() => rig.install(kind, Vec::new()),
-                        Action::Install(_) => {}
+                        Action::Install(kind) if first => rig.install(kind, Vec::new()),
                         Action::Uninstall(n) => {
                             rig.uninstall(*n);
                         }
+                        Action::Raise(src_port, dst_port) if first => {
+                            let pkt = Dgram {
+                                src_port: *src_port,
+                                dst_port: *dst_port,
+                            };
+                            let out = rig.d.raise(ctx, rig.ev, &pkt);
+                            rig.nested.borrow_mut().push(out);
+                        }
+                        Action::Install(_) | Action::Raise(..) => {}
                     }
                 }
-                fired.set(true);
             });
             let id = self
                 .d
@@ -1003,6 +1021,9 @@ mod demux_equivalence {
     struct Model {
         slots: Vec<ModelHandler>,
         log: Vec<usize>,
+        /// Each nested raise's `(linear, indexed)` outcome, in the order
+        /// they returned.
+        nested: Vec<(RaiseOutcome, RaiseOutcome)>,
     }
 
     impl Model {
@@ -1030,11 +1051,14 @@ mod demux_equivalence {
             (live.count(), guarded.count())
         }
 
-        /// Raises over the handlers live *now*, in install order. Returns
-        /// the outcome of the linear walk and of the indexed one: they
-        /// differ only by the indexed, unselected entries an earlier
-        /// handler of this raise uninstalled, which the index has already
-        /// counted as rejected and the linear walk passes over uncounted.
+        /// Raises over the handlers live *now*, in install order: a raise
+        /// a handler makes sees every install made before it starts, and
+        /// an uninstall hides a handler from every raise in flight at
+        /// once. Returns the outcome of the linear walk and of the indexed
+        /// one: they differ only by the indexed, unselected entries an
+        /// earlier handler of this raise uninstalled, which the index has
+        /// already counted as rejected and the linear walk passes over
+        /// uncounted.
         fn raise(&mut self, src: u16, dst: u16, shared: &PortSet) -> (RaiseOutcome, RaiseOutcome) {
             let snapshot: Vec<usize> = (0..self.slots.len())
                 .filter(|&s| self.slots[s].live)
@@ -1064,6 +1088,11 @@ mod demux_equivalence {
                         Action::Uninstall(n) => {
                             self.uninstall(n);
                         }
+                        Action::Raise(src, dst) if first => {
+                            let outs = self.raise(src, dst, shared);
+                            self.nested.push(outs);
+                        }
+                        Action::Raise(..) => {}
                     }
                 }
             }
@@ -1119,6 +1148,9 @@ mod demux_equivalence {
                 }
                 prop_assert_eq!(&*linear.log.borrow(), &model.log, "linear order");
                 prop_assert_eq!(&*indexed.log.borrow(), &model.log, "indexed order");
+                let (lin, idx): (Vec<_>, Vec<_>) = model.nested.iter().copied().unzip();
+                prop_assert_eq!(&*linear.nested.borrow(), &lin, "nested linear outcomes");
+                prop_assert_eq!(&*indexed.nested.borrow(), &idx, "nested indexed outcomes");
                 let (live, guarded) = model.counts();
                 for rig in [&indexed, &linear] {
                     prop_assert_eq!(rig.d.handler_count(rig.ev), live);
