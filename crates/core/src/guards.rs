@@ -14,8 +14,8 @@ use std::net::Ipv4Addr;
 use std::rc::Rc;
 
 use plexus_filter::{
-    conjunction, verify_with_policy, EventKind, Field, FilterProgram, Operand, Policy, PortSet,
-    Test, VerifiedProgram, Width,
+    conjunction, verify_owned, EventKind, Field, FilterProgram, Operand, Policy, PortSet, Test,
+    VerifiedProgram, Width,
 };
 use plexus_net::ether::{EtherType, MacAddr};
 
@@ -100,7 +100,7 @@ pub(crate) fn ether_type_program(
 /// here is a manager bug, not a packet-time condition — it panics with
 /// the full report.
 pub(crate) fn build(program: FilterProgram, policy: &Policy) -> Rc<VerifiedProgram> {
-    match verify_with_policy(&program, policy) {
+    match verify_owned(program, policy) {
         Ok(vp) => Rc::new(vp),
         Err(report) => panic!("manager-built guard failed verification:\n{report}"),
     }

@@ -29,8 +29,7 @@
 //! [`DispatchMode`] — the two Plexus bars of Figure 5.
 
 use std::cell::{Cell, RefCell};
-use std::collections::btree_map::{BTreeMap, Entry};
-use std::collections::{HashMap, HashSet};
+use std::collections::HashSet;
 use std::net::Ipv4Addr;
 use std::rc::Rc;
 
@@ -187,8 +186,13 @@ pub(crate) enum Hold {
 /// One transport's ports as extensions hold them.
 #[derive(Default)]
 pub(crate) struct PortTable {
-    /// Every held port, and the handler holding it.
-    holders: RefCell<HashMap<u16, HandlerId>>,
+    /// Every held port, and the handler holding it, by port. Lists, here
+    /// and in [`StackShared`]'s `held`, rather than maps: binding and
+    /// closing beside many held ports then allocates only when more are
+    /// held than ever before, where a tree takes a node every few binds
+    /// and a hash table's deleted slots make it grow again at a moment
+    /// nothing picks.
+    holders: RefCell<Vec<(u16, HandlerId)>>,
     /// Of those, the ports claimed beside the standard node. The set is
     /// shared with that node's guard *program* (via `JInSet`), so a claim
     /// takes effect without reinstalling the node.
@@ -198,7 +202,9 @@ pub(crate) struct PortTable {
 impl PortTable {
     /// The handler holding `port`, if an extension does.
     pub(crate) fn holder(&self, port: u16) -> Option<HandlerId> {
-        self.holders.borrow().get(&port).copied()
+        let holders = self.holders.borrow();
+        let at = holders.binary_search_by_key(&port, |&(p, _)| p).ok()?;
+        Some(holders[at].1)
     }
 }
 
@@ -221,12 +227,13 @@ pub(crate) struct StackShared {
     ip_ident: ip::Ident,
     pub(crate) stats: Cell<StackStats>,
     ext_domain: Rc<Domain>,
-    /// What the extensions hold, by handler (so in install order): who,
-    /// and what. Written by [`StackShared::install_held`] alone and read
-    /// back by [`StackShared::release`] alone, whether the extension lets
-    /// go of one install or unloads with all of them (runtime adaptation:
-    /// extensions "come and go with their corresponding applications").
-    held: RefCell<BTreeMap<HandlerId, (LinkedExtension, Hold)>>,
+    /// What the extensions hold, by handler (so in install order): which
+    /// handler, who, and what. Written by [`StackShared::install_held`]
+    /// alone and read back by [`StackShared::release`] alone, whether the
+    /// extension lets go of one install or unloads with all of them
+    /// (runtime adaptation: extensions "come and go with their
+    /// corresponding applications").
+    held: RefCell<Vec<(HandlerId, LinkedExtension, Hold)>>,
     /// How many holdings have been given back. While it stands still no
     /// record has gone, so an endpoint need not look its own up again on
     /// every send ([`StackShared::still_holds`]).
@@ -308,40 +315,44 @@ impl StackShared {
         }
     }
 
-    /// Installs `handler` on `event` for extension `ext` and writes down
-    /// what it holds — the one way a handler comes to be owned by an
-    /// extension, so nothing an extension holds is missing from `held`.
-    /// `hold` names `event` and the ports claimed; a port some extension
-    /// holds already refuses the install. The handler keeps the class it
-    /// was made with; at interrupt level it runs under `ext_time_limit`.
+    /// Installs the guarded handler `build` makes on `event` for extension
+    /// `ext` and writes down what it holds — the one way a handler comes
+    /// to be owned by an extension, so nothing an extension holds is
+    /// missing from `held`. `hold` names `event` and the ports claimed; a
+    /// port some extension holds already refuses the install before
+    /// `build` runs, so a refusal verifies no guard and allocates nothing.
+    /// The handler keeps the class it was made with; at interrupt level it
+    /// runs under `ext_time_limit`.
     pub(crate) fn install_held<T: 'static>(
         &self,
         ext: &LinkedExtension,
         event: Event<T>,
-        guard: Guard<T>,
-        handler: AppHandler<T>,
         hold: Hold,
+        build: impl FnOnce() -> (Guard<T>, AppHandler<T>),
     ) -> Result<HandlerId, PlexusError> {
         let claim = self.claim(&hold);
         if let Some((table, ports, _)) = claim {
-            let holders = table.holders.borrow();
-            if let Some(taken) = ports.iter().find(|p| holders.contains_key(p)) {
+            if let Some(taken) = ports.iter().find(|p| table.holder(**p).is_some()) {
                 return Err(PlexusError::PortInUse(*taken));
             }
         }
-        let AppHandler(spec) = handler;
+        let (guard, AppHandler(spec)) = build();
         let spec = spec.allot(self.ext_time_limit);
         let id = self.dispatcher.install(event, spec.guard(guard).owner(ext));
         if let Some((table, ports, special)) = claim {
             let mut holders = table.holders.borrow_mut();
             for port in ports {
-                holders.insert(*port, id);
+                match holders.binary_search_by_key(port, |&(p, _)| p) {
+                    Ok(at) => holders[at].1 = id,
+                    Err(at) => holders.insert(at, (*port, id)),
+                }
                 if special {
                     table.special.insert(*port);
                 }
             }
         }
-        self.held.borrow_mut().insert(id, (ext.clone(), hold));
+        // Ids only grow, so the list stays in id order.
+        self.held.borrow_mut().push((id, ext.clone(), hold));
         Ok(id)
     }
 
@@ -349,10 +360,15 @@ impl StackShared {
     /// uninstalls it from its event and frees its ports. `false` when no
     /// extension holds `id` (any more).
     pub(crate) fn release(&self, id: HandlerId, admit: fn(&Hold) -> bool) -> bool {
-        let hold = match self.held.borrow_mut().entry(id) {
-            Entry::Occupied(record) if admit(&record.get().1) => record.remove().1,
-            _ => return false,
+        let mut held = self.held.borrow_mut();
+        let Ok(at) = held.binary_search_by_key(&id, |&(id, ..)| id) else {
+            return false;
         };
+        if !admit(&held[at].2) {
+            return false;
+        }
+        let (.., hold) = held.remove(at);
+        drop(held);
         self.releases.set(self.releases.get() + 1);
         let (d, ev) = (&self.dispatcher, &self.events);
         match hold {
@@ -364,7 +380,9 @@ impl StackShared {
         if let Some((table, ports, _)) = self.claim(&hold) {
             let mut holders = table.holders.borrow_mut();
             for port in ports {
-                holders.remove(port);
+                if let Ok(at) = holders.binary_search_by_key(port, |&(p, _)| p) {
+                    holders.remove(at);
+                }
                 table.special.remove(*port);
             }
         }
@@ -376,7 +394,10 @@ impl StackShared {
     /// the record is looked up only if something was released since.
     pub(crate) fn still_holds(&self, id: HandlerId, seen: &Cell<u64>) -> bool {
         let releases = self.releases.get();
-        let held = seen.get() == releases || self.held.borrow().contains_key(&id);
+        let held = seen.get() == releases
+            || (self.held.borrow())
+                .binary_search_by_key(&id, |&(id, ..)| id)
+                .is_ok();
         if held {
             seen.set(releases);
         }
@@ -581,7 +602,7 @@ impl PlexusStack {
             ip_ident: ip::Ident::starting_at(1),
             stats: Cell::new(StackStats::default()),
             ext_domain,
-            held: RefCell::new(BTreeMap::new()),
+            held: RefCell::default(),
             releases: Cell::new(0),
             udp_ports: PortTable::default(),
             tcp_ports: PortTable::default(),
@@ -886,8 +907,8 @@ impl PlexusStack {
             .held
             .borrow()
             .iter()
-            .filter(|(_, (ext, _))| ext.name() == name)
-            .map(|(id, _)| *id)
+            .filter(|(_, ext, _)| ext.name() == name)
+            .map(|(id, ..)| *id)
             .collect();
         for id in mine {
             self.shared.release(id, |_| true);
@@ -925,13 +946,8 @@ impl PlexusStack {
             &policy,
             guards::ETHER_GUARD_CYCLES,
         ));
-        self.shared.install_held(
-            ext,
-            self.shared.events.eth_recv,
-            guard,
-            handler,
-            Hold::Ether,
-        )
+        let events = &self.shared.events;
+        (self.shared).install_held(ext, events.eth_recv, Hold::Ether, || (guard, handler))
     }
 
     /// Detaches a raw Ethernet extension (runtime adaptation: extensions

@@ -167,47 +167,45 @@ impl TcpManager {
         // connection is dynamic state the static program cannot consult,
         // so that check moved into the handler below; the policy proves
         // the listener only ever sees its own port (§3.1).
-        let policy = Policy::new().require_eq(FieldKey::Field(Field::TcpDstPort), u64::from(port));
-        let guard = guards::build_bounded(
-            conjunction(
-                EventKind::TcpRecv,
-                &[
-                    Test::eq(Operand::Field(Field::TcpDstPort), u64::from(port)),
-                    Test::eq(Operand::Field(Field::TcpFlagSyn), 1),
-                    Test::eq(Operand::Field(Field::TcpFlagAck), 0),
-                ],
-                vec![],
-            ),
-            &policy,
-            guards::TRANSPORT_GUARD_CYCLES,
-        );
-        let mgr = self.clone();
-        let listener = self.shared.per_mode(move |ctx, ev: &TcpRecv| {
-            let key = (port, ev.src, ev.segment.src_port);
-            if mgr.conns.borrow().contains_key(&key) {
-                // A retransmitted SYN for a live connection: that
-                // connection's own node handles it.
-                return;
-            }
-            let tcb = Tcb::listen((ev.dst, port), mgr.next_iss());
-            let conn = TcpConn::register(&mgr, key, ev.dst, tcb);
-            // Let the application attach callbacks before the handshake
-            // proceeds.
-            on_accept(ctx, &conn);
-            let actions = conn.tcb.borrow_mut().on_segment(
-                &ev.segment,
-                (ev.src, ev.segment.src_port),
-                now_ns(ctx),
+        let shared = &self.shared;
+        shared.install_held(ext, shared.events.tcp_recv, Hold::Listen(port), || {
+            let policy =
+                Policy::new().require_eq(FieldKey::Field(Field::TcpDstPort), u64::from(port));
+            let guard = guards::build_bounded(
+                conjunction(
+                    EventKind::TcpRecv,
+                    &[
+                        Test::eq(Operand::Field(Field::TcpDstPort), u64::from(port)),
+                        Test::eq(Operand::Field(Field::TcpFlagSyn), 1),
+                        Test::eq(Operand::Field(Field::TcpFlagAck), 0),
+                    ],
+                    vec![],
+                ),
+                &policy,
+                guards::TRANSPORT_GUARD_CYCLES,
             );
-            conn.process_actions(ctx, actions);
-        });
-        self.shared.install_held(
-            ext,
-            self.shared.events.tcp_recv,
-            Guard::verified(guard),
-            listener,
-            Hold::Listen(port),
-        )?;
+            let mgr = self.clone();
+            let listener = shared.per_mode(move |ctx, ev: &TcpRecv| {
+                let key = (port, ev.src, ev.segment.src_port);
+                if mgr.conns.borrow().contains_key(&key) {
+                    // A retransmitted SYN for a live connection: that
+                    // connection's own node handles it.
+                    return;
+                }
+                let tcb = Tcb::listen((ev.dst, port), mgr.next_iss());
+                let conn = TcpConn::register(&mgr, key, ev.dst, tcb);
+                // Let the application attach callbacks before the handshake
+                // proceeds.
+                on_accept(ctx, &conn);
+                let actions = conn.tcb.borrow_mut().on_segment(
+                    &ev.segment,
+                    (ev.src, ev.segment.src_port),
+                    now_ns(ctx),
+                );
+                conn.process_actions(ctx, actions);
+            });
+            (Guard::verified(guard), listener)
+        })?;
         Ok(())
     }
 
@@ -260,27 +258,24 @@ impl TcpManager {
                 "a special TCP implementation must claim at least one port",
             ));
         }
-        let claimed: Vec<u64> = ports.iter().map(|p| u64::from(*p)).collect();
-        let policy = Policy::new()
-            .require_eq(FieldKey::Field(Field::IpProto), u64::from(proto::TCP))
-            .require_in(guards::TRANSPORT_DST_PORT_KEY, claimed.iter().copied());
-        let guard = guards::build_bounded(
-            guards::transport_over_ip(
-                proto::TCP,
-                None,
-                Some(Test::one_of(guards::TRANSPORT_DST_PORT, claimed)),
-                vec![],
-            ),
-            &policy,
-            guards::MULTIPORT_GUARD_CYCLES,
-        );
-        self.shared.install_held(
-            ext,
-            self.shared.events.ip_recv,
-            Guard::verified(guard),
-            self.shared.per_mode(handler),
-            Hold::TcpSpecial(ports.to_vec()),
-        )
+        let (shared, hold) = (&self.shared, Hold::TcpSpecial(ports.to_vec()));
+        shared.install_held(ext, shared.events.ip_recv, hold, || {
+            let claimed = ports.iter().map(|p| u64::from(*p));
+            let policy = Policy::new()
+                .require_eq(FieldKey::Field(Field::IpProto), u64::from(proto::TCP))
+                .require_in(guards::TRANSPORT_DST_PORT_KEY, claimed.clone());
+            let guard = guards::build_bounded(
+                guards::transport_over_ip(
+                    proto::TCP,
+                    None,
+                    Some(Test::one_of(guards::TRANSPORT_DST_PORT, claimed)),
+                    vec![],
+                ),
+                &policy,
+                guards::MULTIPORT_GUARD_CYCLES,
+            );
+            (Guard::verified(guard), shared.per_mode(handler))
+        })
     }
 
     /// Installs a TCP port redirector (§5.2): segments for `port` —
@@ -371,12 +366,10 @@ impl TcpConn {
             (Field::TcpSrcAddr, u64::from(u32::from(rip))),
             (Field::TcpSrcPort, u64::from(rport)),
         ];
-        let mut policy = Policy::new();
-        let mut tests = Vec::new();
-        for (field, value) in tuple {
-            policy = policy.require_eq(FieldKey::Field(field), value);
-            tests.push(Test::eq(Operand::Field(field), value));
-        }
+        let policy = (tuple.iter()).fold(Policy::new(), |policy, &(field, value)| {
+            policy.require_eq(FieldKey::Field(field), value)
+        });
+        let tests = tuple.map(|(field, value)| Test::eq(Operand::Field(field), value));
         let guard = guards::build_bounded(
             conjunction(EventKind::TcpRecv, &tests, vec![]),
             &policy,

@@ -151,69 +151,62 @@ impl UdpManager {
         config: UdpConfig,
         handler: AppHandler<UdpRecv>,
     ) -> Result<Rc<UdpEndpoint>, PlexusError> {
-        let my_ip = self.shared.ip;
+        let (shared, my_ip) = (&self.shared, self.shared.ip);
         let handler_id = if config == UdpConfig::default() {
             // Endpoint node on Udp.PacketRecv. The policy makes the §3.1
             // anti-snooping argument a machine-checked theorem: the program
             // provably accepts only this binding's port at this host.
-            let policy = Policy::new()
-                .require_eq(FieldKey::Field(Field::UdpDstPort), u64::from(port))
-                .require_in(
-                    FieldKey::Field(Field::UdpDstAddr),
-                    guards::local_dst_values(my_ip),
+            shared.install_held(ext, shared.events.udp_recv, Hold::Udp(port), || {
+                let policy = Policy::new()
+                    .require_eq(FieldKey::Field(Field::UdpDstPort), u64::from(port))
+                    .require_in(
+                        FieldKey::Field(Field::UdpDstAddr),
+                        guards::local_dst_values(my_ip),
+                    );
+                let guard = guards::build_bounded(
+                    conjunction(
+                        EventKind::UdpRecv,
+                        &[
+                            Test::eq(Operand::Field(Field::UdpDstPort), u64::from(port)),
+                            Test::one_of(
+                                Operand::Field(Field::UdpDstAddr),
+                                guards::local_dst_values(my_ip),
+                            ),
+                        ],
+                        vec![],
+                    ),
+                    &policy,
+                    guards::TRANSPORT_GUARD_CYCLES,
                 );
-            let guard = guards::build_bounded(
-                conjunction(
-                    EventKind::UdpRecv,
-                    &[
-                        Test::eq(Operand::Field(Field::UdpDstPort), u64::from(port)),
-                        Test::one_of(
-                            Operand::Field(Field::UdpDstAddr),
-                            guards::local_dst_values(my_ip),
-                        ),
-                    ],
-                    vec![],
-                ),
-                &policy,
-                guards::TRANSPORT_GUARD_CYCLES,
-            );
-            self.shared.install_held(
-                ext,
-                self.shared.events.udp_recv,
-                Guard::verified(guard),
-                handler,
-                Hold::Udp(port),
-            )
+                (Guard::verified(guard), handler)
+            })
         } else {
             // Special implementation: its own node on Ip.PacketRecv, doing
             // its own (cheaper) datagram processing. Its guard reads the
             // port straight out of the raw UDP header, and the policy pins
             // that load to the claimed port.
-            let policy = Policy::new()
-                .require_eq(FieldKey::Field(Field::IpProto), u64::from(proto::UDP))
-                .require_eq(guards::TRANSPORT_DST_PORT_KEY, u64::from(port))
-                .require_in(
-                    FieldKey::Field(Field::IpDst),
-                    guards::local_dst_values(my_ip),
+            let hold = Hold::UdpSpecial(port);
+            shared.install_held(ext, shared.events.ip_recv, hold, || {
+                let policy = Policy::new()
+                    .require_eq(FieldKey::Field(Field::IpProto), u64::from(proto::UDP))
+                    .require_eq(guards::TRANSPORT_DST_PORT_KEY, u64::from(port))
+                    .require_in(
+                        FieldKey::Field(Field::IpDst),
+                        guards::local_dst_values(my_ip),
+                    );
+                let guard = guards::build_bounded(
+                    guards::transport_over_ip(
+                        proto::UDP,
+                        Some(my_ip),
+                        Some(Test::eq(guards::TRANSPORT_DST_PORT, u64::from(port))),
+                        vec![],
+                    ),
+                    &policy,
+                    guards::TRANSPORT_GUARD_CYCLES,
                 );
-            let guard = guards::build_bounded(
-                guards::transport_over_ip(
-                    proto::UDP,
-                    Some(my_ip),
-                    Some(Test::eq(guards::TRANSPORT_DST_PORT, u64::from(port))),
-                    vec![],
-                ),
-                &policy,
-                guards::TRANSPORT_GUARD_CYCLES,
-            );
-            let wrapped = wrap_special_udp(config, self.shared.csum_offload, handler);
-            self.shared.install_held(
-                ext,
-                self.shared.events.ip_recv,
-                Guard::verified(guard),
-                wrapped,
-                Hold::UdpSpecial(port),
-            )
+                let wrapped = wrap_special_udp(config, shared.csum_offload, handler);
+                (Guard::verified(guard), wrapped)
+            })
         }?;
 
         Ok(Rc::new(UdpEndpoint {
@@ -236,44 +229,40 @@ impl UdpManager {
         port: u16,
         new_dst: Ipv4Addr,
     ) -> Result<HandlerId, PlexusError> {
-        let shared = self.shared.clone();
-        let policy = Policy::new()
-            .require_eq(FieldKey::Field(Field::IpProto), u64::from(proto::UDP))
-            .require_eq(guards::TRANSPORT_DST_PORT_KEY, u64::from(port));
-        let guard = guards::build_bounded(
-            guards::transport_over_ip(
-                proto::UDP,
-                None,
-                Some(Test::eq(guards::TRANSPORT_DST_PORT, u64::from(port))),
-                vec![],
-            ),
-            &policy,
-            guards::TRANSPORT_GUARD_CYCLES,
-        );
-        let old_dst = self.shared.ip;
-        let redirector = self.shared.per_mode(move |ctx, ev: &IpRecv| {
-            // Header rewrite + incremental checksum fix: a handful of
-            // loads/stores, modeled as one procedure call.
-            ctx.lease.charge(ctx.lease.model().proc_call);
-            let mut fixed = ev.payload.share();
-            fix_udp_checksum_for_dst(&mut fixed, old_dst, new_dst);
-            shared.raise_ip_send(
-                ctx,
-                IpSendReq {
-                    src: ev.src, // Preserved: end-to-end semantics hold.
-                    dst: new_dst,
-                    protocol: proto::UDP,
-                    payload: fixed,
-                },
+        let (shared, old_dst) = (&self.shared, self.shared.ip);
+        shared.install_held(ext, shared.events.ip_recv, Hold::UdpSpecial(port), || {
+            let policy = Policy::new()
+                .require_eq(FieldKey::Field(Field::IpProto), u64::from(proto::UDP))
+                .require_eq(guards::TRANSPORT_DST_PORT_KEY, u64::from(port));
+            let guard = guards::build_bounded(
+                guards::transport_over_ip(
+                    proto::UDP,
+                    None,
+                    Some(Test::eq(guards::TRANSPORT_DST_PORT, u64::from(port))),
+                    vec![],
+                ),
+                &policy,
+                guards::TRANSPORT_GUARD_CYCLES,
             );
-        });
-        self.shared.install_held(
-            ext,
-            self.shared.events.ip_recv,
-            Guard::verified(guard),
-            redirector,
-            Hold::UdpSpecial(port),
-        )
+            let s = shared.clone();
+            let redirector = shared.per_mode(move |ctx, ev: &IpRecv| {
+                // Header rewrite + incremental checksum fix: a handful of
+                // loads/stores, modeled as one procedure call.
+                ctx.lease.charge(ctx.lease.model().proc_call);
+                let mut fixed = ev.payload.share();
+                fix_udp_checksum_for_dst(&mut fixed, old_dst, new_dst);
+                s.raise_ip_send(
+                    ctx,
+                    IpSendReq {
+                        src: ev.src, // Preserved: end-to-end semantics hold.
+                        dst: new_dst,
+                        protocol: proto::UDP,
+                        payload: fixed,
+                    },
+                );
+            });
+            (Guard::verified(guard), redirector)
+        })
     }
 }
 

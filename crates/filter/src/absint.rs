@@ -23,7 +23,8 @@
 //! and an AND (sets), a clone is a copy, and a branch edge keeps the
 //! values for which the edge's relation holds. The masks of every state
 //! live in one arena, a slot per instruction; registers and intervals sit
-//! in a fixed array on the stack. The walk's storage is the call's own.
+//! in a fixed array on the stack. The arena is kept per thread from one
+//! walk to the next, so a warm verifier allocates nothing for it.
 //!
 //! Reachability has two strengths, kept apart so that every verdict is
 //! the one two separate passes gave:
@@ -45,12 +46,15 @@
 //! recorded then finds dead stores. Lints are advisory (the program still
 //! verifies); `plexus-verify` surfaces them.
 
+use std::cell::Cell;
 use std::collections::BTreeSet;
 use std::fmt;
 
 use crate::ir::{Field, FilterProgram, Insn, Reg, SetId, Src, Width, MAX_INSNS, NUM_REGS};
 use crate::state::MapKind;
-use crate::verify::{key_schema, FieldKey, FieldSpec, Policy, VerifyError};
+use crate::verify::{
+    key_schema, FieldKey, KeySpec, Policy, Shape, VerifyError, KEY_FIELDS, MAX_ENUMERATED_KEYS,
+};
 
 /// An advisory finding: the program verifies, but contains provably
 /// useless code. Surfaced by `plexus-verify` (and its `--lint-all` CI
@@ -398,10 +402,17 @@ pub(crate) struct Facts {
     pub(crate) bound: u32,
     /// Advisory findings, in instruction order.
     pub(crate) lints: Vec<Lint>,
-    /// What every reachable `Accept` proves of each field of the kind's
-    /// [`key_schema`], in schema order; `None` when no `Accept` is
-    /// reachable.
-    pub(crate) key: Option<Vec<FieldSpec>>,
+    /// The demux key every reachable `Accept` proves: `None` when no
+    /// `Accept` is reachable or none bounds a field of the kind's
+    /// [`key_schema`] to a value set.
+    pub(crate) key: Option<KeySpec>,
+}
+
+thread_local! {
+    /// The fact arena, kept between walks: each walk takes it, clears it
+    /// to its own size and gives it back, so a verification allocates for
+    /// it only when a program needs more room than any before it.
+    static ARENA: Cell<Vec<u64>> = const { Cell::new(Vec::new()) };
 }
 
 /// Per-instruction feasible-edge mask bits, for the dead-store pass: the
@@ -440,7 +451,8 @@ struct Walk {
 }
 
 impl Walk {
-    fn new(program: &FilterProgram) -> Walk {
+    /// The walk over `program`, its facts in `arena`.
+    fn new(program: &FilterProgram, mut arena: Vec<u64>) -> Walk {
         let mut keys = Table::new(FieldKey::Field(Field::EthType));
         let mut sets = Table::new(0);
         for insn in &program.insns {
@@ -453,8 +465,10 @@ impl Walk {
         }
         sets.items[..sets.len].sort_unstable();
         let slots = program.insns.len() + 1;
+        arena.clear();
+        arena.resize(slots * 2 * keys.len, 0);
         Walk {
-            facts: vec![0; slots * 2 * keys.len],
+            facts: arena,
             keys,
             consts: Table::new(0),
             sets,
@@ -571,8 +585,7 @@ impl Walk {
     }
 
     /// Folds the states at the `Accept`s in `accepts` (a mask of
-    /// instructions) into what they prove of each key-schema field, per
-    /// schema field:
+    /// instructions) into the demux key they prove, per schema field:
     ///
     /// * if every accept proves `field ∈ S_i`, `In(S_1 ∪ ... ∪ S_n)` — a
     ///   sound over-approximation;
@@ -580,38 +593,72 @@ impl Walk {
     ///   shared sets, `NotIn` of those sets;
     /// * otherwise `Any`.
     ///
-    /// The accept states do not depend on the policy (it is only *checked*
-    /// at `Accept`), so neither does the key.
-    fn key_fields(&self, program: &FilterProgram, accepts: u64) -> Option<Vec<FieldSpec>> {
+    /// While the cross product of the `In` sizes exceeds
+    /// [`MAX_ENUMERATED_KEYS`], the largest `In` widens to `Any`, which
+    /// bounds the guard's bucket footprint. The accept states do not
+    /// depend on the policy (it is only *checked* at `Accept`), so neither
+    /// does the key.
+    fn key(&self, program: &FilterProgram, accepts: u64) -> Option<KeySpec> {
         if accepts == 0 {
             return None;
         }
-        let fields = key_schema(program.kind).iter().map(|key| {
-            let (mut known, mut vals, mut notin) = (true, 0, u64::MAX);
-            match self.keys.find(*key) {
-                Some(k) => {
-                    for pc in bits(accepts) {
-                        let head = self.heads[pc].as_ref().expect("an accept keeps its state");
-                        known &= head.known & bit(k) != 0;
-                        vals |= self.facts[self.at(pc, k)];
-                        notin &= self.facts[self.at(pc, k) + self.keys.len];
-                    }
-                }
-                None => (known, notin) = (false, 0),
+        let schema = key_schema(program.kind);
+        // Per schema field: the values (over `consts`) every accept bounds
+        // it to, if each does; else the sets (over `sets`) every accept
+        // proves it outside of.
+        let (mut vals, mut notin) = ([None; KEY_FIELDS], [0u64; KEY_FIELDS]);
+        for (f, key) in schema.iter().enumerate() {
+            let Some(k) = self.keys.find(*key) else {
+                continue;
+            };
+            let (mut known, mut v, mut n) = (true, 0, u64::MAX);
+            for pc in bits(accepts) {
+                let head = self.heads[pc].as_ref().expect("an accept keeps its state");
+                known &= head.known & bit(k) != 0;
+                v |= self.facts[self.at(pc, k)];
+                n &= self.facts[self.at(pc, k) + self.keys.len];
             }
             if known {
-                return FieldSpec::In(self.values(vals));
-            }
-            let sets: Vec<_> = bits(notin)
-                .filter_map(|i| program.sets.get(usize::from(self.sets.items[i])).cloned())
-                .collect();
-            if sets.is_empty() {
-                FieldSpec::Any
+                vals[f] = Some(v);
             } else {
-                FieldSpec::NotIn(sets)
+                notin[f] = n;
             }
-        });
-        Some(fields.collect())
+        }
+        let size = |m: &u64| m.count_ones() as usize;
+        while vals.iter().flatten().map(size).product::<usize>() > MAX_ENUMERATED_KEYS {
+            let (_, widest) = (vals.iter().enumerate())
+                .filter_map(|(f, m)| Some((size(m.as_ref()?), f)))
+                .max()?;
+            vals[widest] = None;
+        }
+
+        let mut values = Vec::with_capacity(vals.iter().flatten().map(size).sum());
+        let mut sets = Vec::new();
+        let mut shapes = [Shape::Any; KEY_FIELDS];
+        let end = |len: usize| u8::try_from(len).expect("a key names at most 64 of each");
+        for f in 0..schema.len() {
+            let start = end(values.len());
+            if let Some(mask) = vals[f] {
+                values.extend(bits(mask).map(|i| self.consts.items[i]));
+                values[usize::from(start)..].sort_unstable();
+                shapes[f] = Shape::In(start, end(values.len()));
+                continue;
+            }
+            let start = end(sets.len());
+            sets.extend(
+                bits(notin[f])
+                    .filter_map(|i| program.sets.get(usize::from(self.sets.items[i])).cloned()),
+            );
+            if sets.len() > usize::from(start) {
+                shapes[f] = Shape::NotIn(start, end(sets.len()));
+            }
+        }
+        KeySpec::new(
+            program.kind,
+            shapes,
+            values.into_boxed_slice(),
+            sets.into_boxed_slice(),
+        )
     }
 }
 
@@ -625,7 +672,7 @@ pub(crate) fn interpret(
     errors: &mut Vec<VerifyError>,
 ) -> Facts {
     let len = program.insns.len();
-    let mut walk = Walk::new(program);
+    let mut walk = Walk::new(program, ARENA.take());
     walk.heads[0] = Some(Head::entry());
     // The slot a branch's taken edge is narrowed in; the fall-through edge
     // narrows the branch's own.
@@ -772,11 +819,9 @@ pub(crate) fn interpret(
 
     dead_stores(program, &edges, &mut lints);
     lints.sort_by_key(Lint::pc);
-    Facts {
-        bound,
-        lints,
-        key: walk.key_fields(program, accepts),
-    }
+    let key = walk.key(program, accepts);
+    ARENA.set(walk.facts);
+    Facts { bound, lints, key }
 }
 
 /// The bounded-state proof for one map operation: it fits the map's kind,

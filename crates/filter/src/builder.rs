@@ -28,6 +28,14 @@ pub enum Operand {
 /// One conjunct of a guard predicate.
 #[derive(Clone, Debug)]
 pub enum Test {
+    /// The operand must equal `value` (an [`Test::In`] of one value, held
+    /// inline).
+    Eq {
+        /// What to load.
+        op: Operand,
+        /// The accepted value.
+        value: u64,
+    },
     /// The operand must equal one of `values`.
     In {
         /// What to load.
@@ -76,10 +84,7 @@ pub enum Test {
 impl Test {
     /// `op == value`.
     pub fn eq(op: Operand, value: u64) -> Test {
-        Test::In {
-            op,
-            values: vec![value],
-        }
+        Test::Eq { op, value }
     }
 
     /// `op ∈ values`.
@@ -93,6 +98,7 @@ impl Test {
     /// Instructions the test compiles to.
     fn len(&self) -> usize {
         match self {
+            Test::Eq { .. } => 2,
             Test::In { values, .. } => 1 + values.len(),
             Test::InSet { .. } => 3,
             Test::NotInSet { .. } => 2,
@@ -161,6 +167,14 @@ pub fn conjunction_stateful(
     for test in tests {
         let next = insns.len() + test.len();
         match test {
+            Test::Eq { op, value } => {
+                load(*op, &mut insns);
+                insns.push(Insn::Jne {
+                    a: r0,
+                    b: Src::Imm(*value),
+                    off: off(insns.len(), fail),
+                });
+            }
             Test::In { op, values } => {
                 assert!(!values.is_empty(), "Test::In with no values");
                 load(*op, &mut insns);

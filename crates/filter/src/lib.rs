@@ -60,8 +60,8 @@ pub use ir::{
 };
 pub use state::{MapKind, StateMap, MAX_STATE_BYTES};
 pub use verify::{
-    key_schema, verify, verify_with_policy, FieldKey, FieldSpec, FilterReport, KeySpec, Policy,
-    VerifiedProgram, VerifyError, MAX_ENUMERATED_KEYS,
+    key_schema, verify, verify_owned, verify_with_policy, FieldKey, FieldSpec, FilterReport,
+    KeySpec, Policy, VerifiedProgram, VerifyError, MAX_ENUMERATED_KEYS,
 };
 
 #[cfg(test)]
@@ -426,8 +426,9 @@ mod tests {
         let spec = vp.demux_key().expect("eq guard is indexable");
         assert_eq!(spec.kind(), EventKind::UdpRecv);
         assert_eq!(spec.fields().len(), 1);
-        match &spec.fields()[0] {
-            FieldSpec::In(vals) => assert_eq!(vals.iter().copied().collect::<Vec<_>>(), [53]),
+        let field = spec.fields().next().unwrap();
+        match field {
+            FieldSpec::In(vals) => assert_eq!(vals, [53]),
             other => panic!("expected In, got {other:?}"),
         }
     }
@@ -444,10 +445,9 @@ mod tests {
         );
         let vp = verify(&prog).unwrap();
         let spec = vp.demux_key().expect("indexable");
-        match &spec.fields()[0] {
-            FieldSpec::In(vals) => {
-                assert_eq!(vals.iter().copied().collect::<Vec<_>>(), [53, 67, 68])
-            }
+        let field = spec.fields().next().unwrap();
+        match field {
+            FieldSpec::In(vals) => assert_eq!(vals, [53, 67, 68]),
             other => panic!("expected In, got {other:?}"),
         }
     }
@@ -473,9 +473,10 @@ mod tests {
         );
         let vp = verify(&prog).unwrap();
         let spec = vp.demux_key().expect("indexable via proto");
-        assert_eq!(spec.fields().len(), 2);
-        assert!(matches!(&spec.fields()[0], FieldSpec::In(v) if v.contains(&17)));
-        match &spec.fields()[1] {
+        let fields: Vec<_> = spec.fields().collect();
+        assert_eq!(fields.len(), 2);
+        assert!(matches!(fields[0], FieldSpec::In(v) if v.contains(&17)));
+        match fields[1] {
             FieldSpec::NotIn(sets) => {
                 assert_eq!(sets.len(), 1);
                 // The spec carries the *live* shared set, not a snapshot.
@@ -526,8 +527,9 @@ mod tests {
         prog.sets = vec![PortSet::new()];
         let vp = verify(&prog).unwrap();
         let spec = vp.demux_key().expect("indexable via proto");
-        assert!(matches!(&spec.fields()[0], FieldSpec::In(v) if v.contains(&17)));
-        assert!(matches!(&spec.fields()[1], FieldSpec::Any));
+        let fields: Vec<_> = spec.fields().collect();
+        assert!(matches!(fields[0], FieldSpec::In(v) if v.contains(&17)));
+        assert!(matches!(fields[1], FieldSpec::Any));
     }
 
     #[test]
@@ -569,13 +571,11 @@ mod tests {
         );
         let vp = verify(&prog).unwrap();
         let spec = vp.demux_key().expect("still indexable");
-        assert!(matches!(&spec.fields()[0], FieldSpec::In(v) if v.len() == 9));
+        let fields: Vec<_> = spec.fields().collect();
+        assert!(matches!(fields[0], FieldSpec::In(v) if v.len() == 9));
+        assert!(matches!(fields[1], FieldSpec::Any), "src addr untested");
         assert!(
-            matches!(&spec.fields()[1], FieldSpec::Any),
-            "src addr untested"
-        );
-        assert!(
-            matches!(&spec.fields()[2], FieldSpec::Any),
+            matches!(fields[2], FieldSpec::Any),
             "widest In demoted to fit the cap"
         );
     }

@@ -386,12 +386,12 @@ impl fmt::Display for FilterReport {
 impl std::error::Error for FilterReport {}
 
 /// A program that passed verification. Unforgeable: the only way to obtain
-/// one is through [`verify`] / [`verify_with_policy`], so holding a
-/// `VerifiedProgram` is proof of the verifier's guarantees.
-#[derive(Clone, Debug)]
+/// one is through [`verify`] / [`verify_with_policy`] / [`verify_owned`],
+/// so holding a `VerifiedProgram` is proof of the verifier's guarantees.
+#[derive(Debug)]
 pub struct VerifiedProgram {
     program: FilterProgram,
-    compiled: std::rc::Rc<crate::compile::CompiledProgram>,
+    compiled: crate::compile::CompiledProgram,
     static_bound: u32,
     state_bytes: u32,
     lints: Vec<Lint>,
@@ -457,6 +457,15 @@ pub fn verify_with_policy(
     program: &FilterProgram,
     policy: &Policy,
 ) -> Result<VerifiedProgram, FilterReport> {
+    verify_owned(program.clone(), policy)
+}
+
+/// [`verify_with_policy`] for a program the caller has no further use
+/// for: the verified program keeps it, so nothing is copied.
+pub fn verify_owned(
+    program: FilterProgram,
+    policy: &Policy,
+) -> Result<VerifiedProgram, FilterReport> {
     let mut report = FilterReport::default();
     let len = program.insns.len();
 
@@ -480,11 +489,11 @@ pub fn verify_with_policy(
     }
     // An over-long program is judged on its length alone: a spec file can
     // ask for any length, and no analysis should scale with that.
-    if too_long || !check_structure(program, &mut report) {
+    if too_long || !check_structure(&program, &mut report) {
         return Err(report);
     }
 
-    let facts = absint::interpret(program, policy, &mut report.errors);
+    let facts = absint::interpret(&program, policy, &mut report.errors);
     let state_bytes = program.state_bytes();
     if program.state_budget > MAX_STATE_BYTES {
         report.errors.push(VerifyError::StateOverBudget {
@@ -502,19 +511,17 @@ pub fn verify_with_policy(
     }
 
     // Lower the accepted program to the compiled tier here, inside the
-    // verifier's success path: cloning `FilterProgram` shares its port
-    // sets and state maps by handle, so the interpreter and the compiled
-    // closure chain observe (and mutate) identical state.
-    let program = program.clone();
-    let compiled = std::rc::Rc::new(crate::compile::compile(&program));
-    let key = facts.key.and_then(|fields| demux_key(program.kind, fields));
+    // verifier's success path: the op list shares the program's port sets
+    // and state maps by handle, so the interpreter and the compiled tier
+    // observe (and mutate) identical state.
+    let compiled = crate::compile::compile(&program);
     Ok(VerifiedProgram {
         program,
         compiled,
         static_bound: facts.bound,
         state_bytes,
         lints: facts.lints,
-        key,
+        key: facts.key,
     })
 }
 
@@ -648,17 +655,30 @@ pub fn key_schema(kind: EventKind) -> &'static [FieldKey] {
 /// just less selective.
 pub const MAX_ENUMERATED_KEYS: usize = 64;
 
+/// Most fields a [`key_schema`] has (`TcpRecv`'s).
+pub(crate) const KEY_FIELDS: usize = 3;
+
 /// What a guard provably requires of one schema field at every accept.
-#[derive(Clone, Debug)]
-pub enum FieldSpec {
+#[derive(Clone, Copy, Debug)]
+pub enum FieldSpec<'k> {
     /// No static constraint: the guard may accept any value here.
     Any,
-    /// The guard only accepts packets whose field value is in this set.
-    In(BTreeSet<u64>),
+    /// The guard only accepts packets whose field value is one of these,
+    /// listed once each, ascending.
+    In(&'k [u64]),
     /// The guard only accepts packets whose field value (as a u16 port) is
     /// in none of these shared sets — checked live, since set contents are
     /// dynamic.
-    NotIn(Vec<PortSet>),
+    NotIn(&'k [PortSet]),
+}
+
+/// How a [`KeySpec`] bounds one field: `In` and `NotIn` name their run
+/// of the key's values or sets.
+#[derive(Clone, Copy, Debug)]
+pub(crate) enum Shape {
+    Any,
+    In(u8, u8),
+    NotIn(u8, u8),
 }
 
 /// A guard's extracted demux key: one [`FieldSpec`] per field of its event
@@ -670,59 +690,52 @@ pub enum FieldSpec {
 /// The converse need not hold — a key match does not imply acceptance —
 /// so an index built from key specs can only *narrow* the candidate set,
 /// never admit a handler whose guard would reject.
+///
+/// Every `In` field's values sit in one list, so a key whose fields are
+/// all `In` or `Any` is one allocation.
 #[derive(Clone, Debug)]
 pub struct KeySpec {
     kind: EventKind,
-    fields: Vec<FieldSpec>,
+    shapes: [Shape; KEY_FIELDS],
+    values: Box<[u64]>,
+    sets: Box<[PortSet]>,
 }
 
 impl KeySpec {
+    /// A key over `kind`'s schema from its fields' shapes and the runs
+    /// they name. `None` when no field is `In`: such a guard would hash
+    /// nowhere.
+    pub(crate) fn new(
+        kind: EventKind,
+        shapes: [Shape; KEY_FIELDS],
+        values: Box<[u64]>,
+        sets: Box<[PortSet]>,
+    ) -> Option<KeySpec> {
+        let indexable = shapes[..key_schema(kind).len()]
+            .iter()
+            .any(|s| matches!(s, Shape::In(..)));
+        indexable.then_some(KeySpec {
+            kind,
+            shapes,
+            values,
+            sets,
+        })
+    }
+
     /// The event kind whose schema this key is over.
     pub fn kind(&self) -> EventKind {
         self.kind
     }
 
     /// Per-field specs, aligned with `key_schema(self.kind())`.
-    pub fn fields(&self) -> &[FieldSpec] {
-        &self.fields
-    }
-
-    /// Whether any field is statically enumerable (`In`) — the
-    /// precondition for the guard to occupy hash buckets at all.
-    pub fn is_indexable(&self) -> bool {
-        self.fields.iter().any(|f| matches!(f, FieldSpec::In(_)))
-    }
-}
-
-/// The guard's demux key from what its accept states prove of each
-/// schema field ([`absint`]), or `None` when no field is bounded: a guard
-/// with no `In` field would hash nowhere.
-fn demux_key(kind: EventKind, mut fields: Vec<FieldSpec>) -> Option<KeySpec> {
-    // Bound the guard's bucket footprint: while the cross product of
-    // `In` sizes exceeds the cap, widen the largest `In` to `Any`.
-    loop {
-        let product = fields
+    pub fn fields(&self) -> impl ExactSizeIterator<Item = FieldSpec<'_>> + Clone + '_ {
+        let run = |a: u8, b: u8| usize::from(a)..usize::from(b);
+        self.shapes[..key_schema(self.kind).len()]
             .iter()
-            .map(|f| match f {
-                FieldSpec::In(v) => v.len(),
-                _ => 1,
+            .map(move |shape| match *shape {
+                Shape::Any => FieldSpec::Any,
+                Shape::In(a, b) => FieldSpec::In(&self.values[run(a, b)]),
+                Shape::NotIn(a, b) => FieldSpec::NotIn(&self.sets[run(a, b)]),
             })
-            .try_fold(1usize, usize::checked_mul)
-            .unwrap_or(usize::MAX);
-        if product <= MAX_ENUMERATED_KEYS {
-            break;
-        }
-        let widest = fields
-            .iter()
-            .enumerate()
-            .filter_map(|(i, f)| match f {
-                FieldSpec::In(v) => Some((v.len(), i)),
-                _ => None,
-            })
-            .max()?;
-        fields[widest.1] = FieldSpec::Any;
     }
-
-    let spec = KeySpec { kind, fields };
-    spec.is_indexable().then_some(spec)
 }

@@ -111,10 +111,12 @@ fn record(out: &mut String, name: &str, program: &FilterProgram, constraints: Co
         Some(key) => {
             let fields: Vec<String> = key
                 .fields()
-                .iter()
                 .map(|spec| match spec {
                     FieldSpec::Any => "Any".to_string(),
-                    FieldSpec::In(vals) => format!("In{vals:?}"),
+                    FieldSpec::In(vals) => {
+                        let vals: Vec<_> = vals.iter().map(u64::to_string).collect();
+                        format!("In{{{}}}", vals.join(", "))
+                    }
                     FieldSpec::NotIn(sets) => {
                         let sets: Vec<_> = sets.iter().map(PortSet::snapshot).collect();
                         format!("NotIn{sets:?}")

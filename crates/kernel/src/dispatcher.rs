@@ -24,7 +24,7 @@
 
 use std::any::Any;
 use std::cell::{Cell, RefCell};
-use std::collections::{btree_set, BTreeMap, BTreeSet, HashMap};
+use std::collections::HashMap;
 use std::fmt;
 use std::hash::{BuildHasherDefault, Hash, Hasher};
 use std::marker::PhantomData;
@@ -417,6 +417,9 @@ struct Entry<T> {
     /// Whether this entry occupies hash buckets in the table's index (so
     /// the raise path may skip it when the index does not select it).
     indexed: bool,
+    /// Whether its key has a `NotIn` field, which an indexed raise checks
+    /// live before running the guard.
+    excludes: bool,
     removed: Cell<bool>,
 }
 
@@ -433,9 +436,16 @@ impl<T> Entry<T> {
 /// A guard over a wider schema would stay unindexed.
 const KEY_WIDTH: usize = 3;
 
-/// Most entry lists one raise merges: a bucket per live field mask (the
-/// non-zero masks over `KEY_WIDTH` fields) plus the unindexed list.
-const MAX_LISTS: usize = 1 << KEY_WIDTH;
+/// Field masks a bucket key can have: every subset of `KEY_WIDTH` fields,
+/// the empty one included (an entry without bound fields is unindexed).
+const MASKS: usize = 1 << KEY_WIDTH;
+
+/// Most buckets one raise probes and merges: one per non-zero mask.
+const MAX_BUCKETS: usize = MASKS - 1;
+
+/// The buckets most raises merge: a binding's or a connection's, and a
+/// listener's beside it.
+const FEW_BUCKETS: usize = 2;
 
 /// Hash key of one demux bucket: which schema fields are bound (`mask`,
 /// bit `i` = schema field `i`) and their values (`vals[i]`, 0 where
@@ -483,28 +493,93 @@ impl Hasher for KeyHasher {
     }
 }
 
-/// An id-sorted (= install-ordered) list of entries.
-type EntryList<T> = Vec<Rc<Entry<T>>>;
+/// An id-sorted (= install-ordered) list of entries. A raise walking the
+/// list holds it by its `Rc`; the table then changes it by replacing it
+/// ([`unpinned`]), so the raise walks on over the list as it was.
+type EntryList<T> = Rc<Vec<Rc<Entry<T>>>>;
 
 /// Position of the entry `id` in an id-sorted list.
 fn find_id<T>(list: &[Rc<Entry<T>>], id: HandlerId) -> Option<usize> {
     list.binary_search_by_key(&id.0, |e| e.id.0).ok()
 }
 
+/// The list behind `list`, to change: in place, or — while a raise holds
+/// it — a copy with room for one more entry, which takes its place in the
+/// table. Either way one list, whatever else the table holds.
+fn unpinned<T>(list: &mut EntryList<T>) -> &mut Vec<Rc<Entry<T>>> {
+    if Rc::get_mut(list).is_none() {
+        let mut copy = Vec::with_capacity(list.len() + 1);
+        copy.extend(list.iter().cloned());
+        *list = Rc::new(copy);
+    }
+    Rc::get_mut(list).expect("a fresh copy has no other holder")
+}
+
 /// Removes the entry `id` from an id-sorted list, if present.
 fn remove_id<T>(list: &mut EntryList<T>, id: HandlerId) {
     if let Some(at) = find_id(list, id) {
-        list.remove(at);
+        unpinned(list).remove(at);
     }
 }
 
-/// One immutable generation of an event table: the live entries and the
-/// demultiplexing index over those whose guards have a
-/// statically bounded acceptance ([`VerifiedProgram::demux_key`]).
+/// The entries under one demux key, in install order. Most keys (a
+/// binding's port, a connection's 4-tuple) hold one entry, and hold it
+/// inline.
+enum Bucket<T> {
+    One(Rc<Entry<T>>),
+    Many(EntryList<T>),
+}
+
+impl<T> Bucket<T> {
+    fn entries(&self) -> &[Rc<Entry<T>>] {
+        match self {
+            Bucket::One(entry) => std::slice::from_ref(entry),
+            Bucket::Many(list) => list,
+        }
+    }
+
+    /// Appends `entry`, which was installed after every entry here.
+    fn push(&mut self, entry: Rc<Entry<T>>) {
+        match self {
+            Bucket::One(first) => *self = Bucket::Many(Rc::new(vec![first.clone(), entry])),
+            Bucket::Many(list) => unpinned(list).push(entry),
+        }
+    }
+
+    /// Removes the entry `id`; `false` when that leaves the bucket empty.
+    fn remove(&mut self, id: HandlerId) -> bool {
+        match self {
+            Bucket::One(entry) => entry.id != id,
+            Bucket::Many(list) => {
+                remove_id(list, id);
+                if let [last] = list.as_slice() {
+                    *self = Bucket::One(last.clone());
+                }
+                true
+            }
+        }
+    }
+}
+
+// Not derived: that would ask for `T: Clone`.
+impl<T> Clone for Bucket<T> {
+    fn clone(&self) -> Bucket<T> {
+        match self {
+            Bucket::One(entry) => Bucket::One(entry.clone()),
+            Bucket::Many(list) => Bucket::Many(list.clone()),
+        }
+    }
+}
+
+/// An event table: the live entries and the demultiplexing index over
+/// those whose guards have a statically bounded acceptance
+/// ([`VerifiedProgram::demux_key`]).
 ///
-/// A raise clones the `Rc` of the current generation and walks it
-/// undisturbed; install and uninstall go through `Rc::make_mut`, in place
-/// when no raise holds the generation and copy-on-write when one does.
+/// A raise pins only the lists it walks — the buckets it probed and
+/// `unindexed`, or `entries` on the linear path — by their `Rc`s, and
+/// walks them undisturbed. Install and uninstall change the table in
+/// place; a list a raise has pinned is replaced, not changed, and no
+/// other list is copied.
 ///
 /// Soundness: a bucket only ever *narrows* the candidate set. An indexed
 /// entry appears under every key its guard may accept (the enumerated
@@ -522,52 +597,53 @@ struct Gen<T> {
     read: Option<fn(&T, FieldKey) -> Option<u64>>,
     /// The event kind's key schema, fixed by the first indexed guard.
     schema: Option<&'static [FieldKey]>,
-    /// Live indexed entries per field mask — the masks the probe must
-    /// try. `BTreeMap` so probe order is deterministic.
-    mask_counts: BTreeMap<u8, usize>,
+    /// Live entries per field mask; mask 0, no field bound, counts the
+    /// unindexed ones.
+    mask_counts: [u32; MASKS],
+    /// Bit `m` set while `mask_counts[m]` is not zero: beyond bit 0, the
+    /// masks a probe must try, in ascending order.
+    live_masks: u8,
     /// `(mask, values) -> entries`, in install order per bucket. An entry
     /// sits under exactly one mask, and one probe reads at most one
-    /// bucket per mask, so no raise meets an entry twice.
-    buckets: HashMap<BucketKey, EntryList<T>, BuildHasherDefault<KeyHasher>>,
+    /// bucket per mask, so no raise meets an entry twice. A bucket that
+    /// empties leaves the map.
+    buckets: HashMap<BucketKey, Bucket<T>, BuildHasherDefault<KeyHasher>>,
 }
 
 impl<T> Gen<T> {
-    /// Live entries that occupy buckets.
-    fn indexed(&self) -> usize {
-        self.entries.len() - self.unindexed.len()
+    /// Counts one more (`true`) or one fewer live entry under `mask`.
+    fn count(&mut self, mask: u8, more: bool) {
+        let count = &mut self.mask_counts[usize::from(mask)];
+        *count = if more { *count + 1 } else { *count - 1 };
+        self.live_masks = match *count {
+            0 => self.live_masks & !(1 << mask),
+            _ => self.live_masks | 1 << mask,
+        };
+    }
+
+    /// The masks of live indexed entries, as bits.
+    fn probes(&self) -> u8 {
+        self.live_masks & !1
     }
 }
 
 impl<T> Default for Gen<T> {
     fn default() -> Gen<T> {
         Gen {
-            entries: Vec::new(),
-            unindexed: Vec::new(),
+            entries: Rc::default(),
+            unindexed: Rc::default(),
             read: None,
             schema: None,
-            mask_counts: BTreeMap::new(),
+            mask_counts: [0; MASKS],
+            live_masks: 0,
             buckets: HashMap::default(),
-        }
-    }
-}
-
-// Not derived: that would ask for `T: Clone`.
-impl<T> Clone for Gen<T> {
-    fn clone(&self) -> Gen<T> {
-        Gen {
-            entries: self.entries.clone(),
-            unindexed: self.unindexed.clone(),
-            read: self.read,
-            schema: self.schema,
-            mask_counts: self.mask_counts.clone(),
-            buckets: self.buckets.clone(),
         }
     }
 }
 
 /// The fields a key spec binds: bit `i` for each `In` field `i`.
 fn key_mask(spec: &KeySpec) -> u8 {
-    (spec.fields().iter().enumerate())
+    (spec.fields().enumerate())
         .filter(|(_, field)| matches!(field, FieldSpec::In(_)))
         .fold(0, |mask, (i, _)| mask | 1 << i)
 }
@@ -575,68 +651,71 @@ fn key_mask(spec: &KeySpec) -> u8 {
 /// Hands `each` the bucket keys a key spec occupies, one by one: under its
 /// [`key_mask`], every combination of its `In` sets' values, the last field
 /// turning fastest. The combinations are walked like an odometer, one
-/// iterator per field, so no list of them is built; the verifier caps how
+/// position per field, so no list of them is built; the verifier caps how
 /// many there are at [`plexus_filter::MAX_ENUMERATED_KEYS`]. The spec must
 /// fit a [`BucketKey`] ([`KEY_WIDTH`] fields).
 fn for_each_key(spec: &KeySpec, mut each: impl FnMut(BucketKey)) {
+    // Per field: its `In` values (none for other fields), and the
+    // position the odometer reads.
+    let mut dials: [(&[u64], usize); KEY_WIDTH] = [(&[], 0); KEY_WIDTH];
+    for (dial, field) in dials.iter_mut().zip(spec.fields()) {
+        if let FieldSpec::In(vals) = field {
+            // A field no value satisfies: no combination at all.
+            if vals.is_empty() {
+                return;
+            }
+            dial.0 = vals;
+        }
+    }
     let mut key = BucketKey {
         mask: key_mask(spec),
         vals: [0; KEY_WIDTH],
     };
-    // Per `In` field: its set, and the values it has yet to turn through.
-    let mut dials: [Option<(&BTreeSet<u64>, btree_set::Iter<'_, u64>)>; KEY_WIDTH] =
-        Default::default();
-    for (i, field) in spec.fields().iter().enumerate() {
-        if let FieldSpec::In(vals) = field {
-            let mut rest = vals.iter();
-            // A field no value satisfies: no combination at all.
-            let Some(first) = rest.next() else {
-                return;
-            };
-            key.vals[i] = *first;
-            dials[i] = Some((vals, rest));
-        }
-    }
     'keys: loop {
+        for (v, (vals, at)) in key.vals.iter_mut().zip(&dials) {
+            *v = vals.get(*at).copied().unwrap_or(0);
+        }
         each(key);
-        for (i, dial) in dials.iter_mut().enumerate().rev() {
-            let Some((vals, rest)) = dial else {
-                continue;
-            };
-            if let Some(v) = rest.next() {
-                key.vals[i] = *v;
+        for (vals, at) in dials.iter_mut().rev() {
+            if *at + 1 < vals.len() {
+                *at += 1;
                 continue 'keys;
             }
-            *rest = vals.iter();
-            if let Some(first) = rest.next() {
-                key.vals[i] = *first;
-            }
+            *at = 0;
         }
         return;
     }
 }
 
-/// Walks id-sorted entry lists as one, by ascending [`HandlerId`].
-struct MergeWalk<'g, T> {
-    lists: [&'g [Rc<Entry<T>>]; MAX_LISTS],
+/// Walks up to `L` id-sorted entry lists as one, by ascending
+/// [`HandlerId`].
+struct MergeWalk<'g, T, const L: usize> {
+    lists: [&'g [Rc<Entry<T>>]; L],
     len: usize,
 }
 
-impl<'g, T> MergeWalk<'g, T> {
-    fn new() -> MergeWalk<'g, T> {
-        MergeWalk {
-            lists: [&[]; MAX_LISTS],
+impl<'g, T, const L: usize> MergeWalk<'g, T, L> {
+    fn new(
+        list: Option<&'g EntryList<T>>,
+        buckets: &'g [Option<Bucket<T>>],
+    ) -> MergeWalk<'g, T, L> {
+        let mut walk = MergeWalk {
+            lists: [&[]; L],
             len: 0,
+        };
+        if let Some(list) = list {
+            walk.lists[0] = list;
+            walk.len = 1;
         }
-    }
-
-    fn push(&mut self, list: &'g [Rc<Entry<T>>]) {
-        self.lists[self.len] = list;
-        self.len += 1;
+        for bucket in buckets.iter().flatten() {
+            walk.lists[walk.len] = bucket.entries();
+            walk.len += 1;
+        }
+        walk
     }
 }
 
-impl<'g, T> Iterator for MergeWalk<'g, T> {
+impl<'g, T, const L: usize> Iterator for MergeWalk<'g, T, L> {
     type Item = &'g Entry<T>;
 
     fn next(&mut self) -> Option<&'g Entry<T>> {
@@ -653,7 +732,7 @@ impl<'g, T> Iterator for MergeWalk<'g, T> {
 
 struct Table<T> {
     name: Name,
-    gen: RefCell<Rc<Gen<T>>>,
+    gen: RefCell<Gen<T>>,
 }
 
 /// Type-erased view of a [`Table`] for graph introspection.
@@ -773,7 +852,7 @@ impl Dispatcher {
         let index = tables.len();
         let table = Rc::new(Table::<T> {
             name: Name::new(name.to_string()),
-            gen: RefCell::new(Rc::default()),
+            gen: RefCell::new(Gen::default()),
         });
         tables.push((table.clone() as Rc<dyn Any>, table as Rc<dyn TableInfo>));
         names.insert(name.to_string(), index);
@@ -877,8 +956,7 @@ impl Dispatcher {
         let id = HandlerId(self.next_handler.get());
         self.next_handler.set(id.0 + 1);
         let table = self.table(event);
-        let mut slot = table.gen.borrow_mut();
-        let gen = Rc::make_mut(&mut slot);
+        let mut gen = table.gen.borrow_mut();
 
         // Index the entry if its guard carries a demux key. `indexed` is
         // set only when the index actually accepts it — the raise path's
@@ -894,6 +972,8 @@ impl Dispatcher {
                 && *gen.schema.get_or_insert(schema) == schema
                 && key_mask(spec) != 0
         });
+        let excludes = indexed
+            && key.is_some_and(|spec| spec.fields().any(|f| matches!(f, FieldSpec::NotIn(_))));
         let entry = Rc::new(Entry {
             id,
             guard,
@@ -901,61 +981,51 @@ impl Dispatcher {
             mode,
             owner,
             indexed,
+            excludes,
             removed: Cell::new(false),
         });
+        gen.count(entry.key().map_or(0, key_mask), true);
         match entry.key() {
             Some(spec) => {
                 gen.read = gen.read.or(read);
-                *gen.mask_counts.entry(key_mask(spec)).or_insert(0) += 1;
-                for_each_key(spec, |bk| {
-                    gen.buckets.entry(bk).or_default().push(entry.clone())
+                for_each_key(spec, |bk| match gen.buckets.get_mut(&bk) {
+                    Some(bucket) => bucket.push(entry.clone()),
+                    None => _ = gen.buckets.insert(bk, Bucket::One(entry.clone())),
                 });
             }
-            None => gen.unindexed.push(entry.clone()),
+            None => unpinned(&mut gen.unindexed).push(entry.clone()),
         }
-        gen.entries.push(entry);
+        unpinned(&mut gen.entries).push(entry);
         id
     }
 
     /// Removes a handler (and its demux-index buckets) and releases it:
     /// its closure, guard program and owner label are dropped here, or
-    /// when the last raise still walking an older generation returns.
+    /// when the last raise still walking a list that holds it returns.
     /// Returns `false` if it was not installed (or was already removed).
     /// Safe to call from inside a handler.
     pub fn uninstall<T: 'static>(&self, event: Event<T>, id: HandlerId) -> bool {
         let table = self.table(event);
-        let mut slot = table.gen.borrow_mut();
-        let Some(at) = find_id(&slot.entries, id) else {
+        let mut gen = table.gen.borrow_mut();
+        let Some(at) = find_id(&gen.entries, id) else {
             return false;
         };
-        let gen = Rc::make_mut(&mut slot);
-        let entry = gen.entries.remove(at);
-        // A raise in flight holds the generation that still lists the
-        // entry; the flag is what makes it skip the entry from here on.
+        let entry = unpinned(&mut gen.entries).remove(at);
+        // A raise in flight may hold a list that still names the entry;
+        // the flag is what makes it skip the entry from here on.
         entry.removed.set(true);
+        gen.count(entry.key().map_or(0, key_mask), false);
         match entry.key() {
-            Some(spec) => {
-                for_each_key(spec, |bk| {
-                    if let Some(bucket) = gen.buckets.get_mut(&bk) {
-                        remove_id(bucket, id);
-                        if bucket.is_empty() {
-                            gen.buckets.remove(&bk);
-                        }
-                    }
-                });
-                let mask = key_mask(spec);
-                if let Some(count) = gen.mask_counts.get_mut(&mask) {
-                    *count -= 1;
-                    if *count == 0 {
-                        gen.mask_counts.remove(&mask);
-                    }
+            Some(spec) => for_each_key(spec, |bk| {
+                if gen.buckets.get_mut(&bk).is_some_and(|b| !b.remove(id)) {
+                    gen.buckets.remove(&bk);
                 }
-            }
+            }),
             None => remove_id(&mut gen.unindexed, id),
         }
         // Release the table before the entry: what its closure captured
         // may call back into the dispatcher as it drops.
-        drop(slot);
+        drop(gen);
         drop(entry);
         true
     }
@@ -1000,6 +1070,36 @@ impl Dispatcher {
         arg: &T,
         charge_fixed: bool,
     ) -> RaiseOutcome {
+        // Room on the stack for the buckets the raise may pin, one per
+        // live mask: none on most events, one or two on most others, and
+        // a smaller array is quicker to set up and to let go of.
+        let probes = table.gen.borrow().probes().count_ones() as usize;
+        match probes {
+            0 => self.raise_pinned::<T, 0, 1>(ctx, table, arg, charge_fixed),
+            1..=FEW_BUCKETS => self.raise_pinned::<T, FEW_BUCKETS, { FEW_BUCKETS + 1 }>(
+                ctx,
+                table,
+                arg,
+                charge_fixed,
+            ),
+            _ => self.raise_pinned::<T, MAX_BUCKETS, { MAX_BUCKETS + 1 }>(
+                ctx,
+                table,
+                arg,
+                charge_fixed,
+            ),
+        }
+    }
+
+    /// [`Dispatcher::raise_on_table`], pinning at most `N` buckets and
+    /// merging at most `L` (`N` + 1) lists.
+    fn raise_pinned<T: 'static, const N: usize, const L: usize>(
+        &self,
+        ctx: &mut RaiseCtx<'_>,
+        table: &Table<T>,
+        arg: &T,
+        charge_fixed: bool,
+    ) -> RaiseOutcome {
         // The charges a raise makes, read once.
         let model = ctx.lease.model();
         let (raise_cost, probe_cost) = (model.dispatch_raise, model.demux_probe);
@@ -1016,11 +1116,6 @@ impl Dispatcher {
         let rec = ctx.lease.recorder_handle();
         let ev_label = rec.as_ref().map(|r| table.name.label(r));
 
-        // Hold the current generation for the whole raise: handlers may
-        // install (seen from the next raise on) and uninstall (skipped from
-        // then on via the `removed` flag) without disturbing the walk.
-        let gen = table.gen.borrow().clone();
-
         let mut outcome = RaiseOutcome::default();
         // This raise's own counts: added to the dispatcher's totals and
         // the recorder's per-event counters once, when the walk is done
@@ -1030,17 +1125,23 @@ impl Dispatcher {
             ..DispatchStats::default()
         };
 
+        // Pin the lists this raise walks for the whole raise: handlers may
+        // install (seen from the next raise on) and uninstall (skipped from
+        // then on via the `removed` flag) without disturbing the walk.
+        let mut list = None;
+        let mut buckets: [Option<Bucket<T>>; N] = [const { None }; N];
+        let mut pinned = 0;
+        let gen = table.gen.borrow();
         // Demux fast path: one keyed lookup per live field mask selects
         // the indexed candidates; the walk then merges those buckets with
         // the unindexed entries and never touches the rest.
-        let index = (self.demux_enabled.get() && gen.indexed() > 0).then(|| {
+        let index = (self.demux_enabled.get() && gen.probes() != 0).then(|| {
             (
                 gen.read.expect("indexed entries carry a reader"),
                 gen.schema.expect("indexed entries carry a schema"),
             )
         });
         let mut saw_guard = false;
-        let mut walk = MergeWalk::new();
         if let Some((read, schema)) = index {
             // The probe costs one keyed lookup — the index replaces N
             // guard runs with it. Charged and counted as its own
@@ -1051,9 +1152,14 @@ impl Dispatcher {
                 ctx.lease.charge(probe_cost);
                 tally.demux_probes = 1;
             }
-            walk.push(&gen.unindexed);
-            let mut selected = 0;
-            for &mask in gen.mask_counts.keys() {
+            if gen.live_masks & 1 != 0 {
+                list = Some(gen.unindexed.clone());
+            }
+            let (mut indexed, mut selected, mut live) = (0, 0, gen.probes());
+            while live != 0 {
+                let mask = live.trailing_zeros() as u8;
+                live &= live - 1;
+                indexed += gen.mask_counts[usize::from(mask)] as usize;
                 let mut vals = [0u64; KEY_WIDTH];
                 // Guards under this mask load each bound field; a failed
                 // load rejects in eval, so none of them can match.
@@ -1064,17 +1170,20 @@ impl Dispatcher {
                     continue;
                 }
                 if let Some(bucket) = gen.buckets.get(&BucketKey { mask, vals }) {
-                    selected += bucket.len();
-                    walk.push(bucket);
+                    selected += bucket.entries().len();
+                    buckets[pinned] = Some(bucket.clone());
+                    pinned += 1;
                 }
             }
             // Every indexed entry outside the probed buckets provably
             // rejects: counted here, never visited.
-            tally.demux_skipped = (gen.indexed() - selected) as u64;
+            tally.demux_skipped = (indexed - selected) as u64;
             outcome.rejected = tally.demux_skipped as u32;
         } else {
-            walk.push(&gen.entries);
+            list = Some(gen.entries.clone());
         }
+        drop(gen);
+        let walk = MergeWalk::<T, L>::new(list.as_ref(), &buckets[..pinned]);
 
         for entry in walk {
             if entry.removed.get() {
@@ -1087,8 +1196,9 @@ impl Dispatcher {
             // is skipped without evaluating the guard: the outcome is
             // identical to the linear scan — minus the eval, its charge,
             // and its trace record.
-            if let (Some((read, schema)), Some(spec)) = (index, entry.key()) {
-                let excluded = spec.fields().iter().enumerate().any(|(i, field)| {
+            if let (Some((read, schema)), true) = (index, entry.excludes) {
+                let spec = entry.key().expect("an entry with exclusions is indexed");
+                let excluded = spec.fields().enumerate().any(|(i, field)| {
                     let FieldSpec::NotIn(sets) = field else {
                         return false;
                     };
@@ -1892,6 +2002,94 @@ mod tests {
             (out53, out80, seen)
         };
         assert_eq!(run(true), run(false), "same outcomes, same handler order");
+    }
+
+    /// A TcpRecv-shaped argument: the key schema's three fields.
+    struct TcpArg {
+        dst_port: u64,
+        src_addr: u64,
+        src_port: u64,
+    }
+
+    impl plexus_filter::Packet for TcpArg {
+        fn kind(&self) -> plexus_filter::EventKind {
+            plexus_filter::EventKind::TcpRecv
+        }
+        fn field(&self, field: plexus_filter::Field) -> Option<u64> {
+            match field {
+                plexus_filter::Field::TcpDstPort => Some(self.dst_port),
+                plexus_filter::Field::TcpSrcAddr => Some(self.src_addr),
+                plexus_filter::Field::TcpSrcPort => Some(self.src_port),
+                _ => None,
+            }
+        }
+        fn head(&self) -> &[u8] {
+            &[]
+        }
+    }
+
+    #[test]
+    fn a_raise_merges_a_bucket_per_live_mask_in_install_order() {
+        use plexus_filter::{conjunction, verify, EventKind, Field, Operand, Test};
+        // Guards binding one, two and three of `TcpRecv`'s key fields sit
+        // under three masks, so a raise pins three buckets (more than most
+        // tables need room for) beside the unindexed list.
+        let guard = |fields: &[(Field, u64)]| {
+            let tests: Vec<_> = (fields.iter())
+                .map(|&(f, v)| Test::eq(Operand::Field(f), v))
+                .collect();
+            let program = conjunction(EventKind::TcpRecv, &tests, Vec::new());
+            Guard::verified(Rc::new(verify(&program).expect("a conjunction verifies")))
+        };
+        let listener = [(Field::TcpDstPort, 80)];
+        let peer = [(Field::TcpDstPort, 80), (Field::TcpSrcAddr, 7)];
+        let conn = [
+            (Field::TcpDstPort, 80),
+            (Field::TcpSrcAddr, 7),
+            (Field::TcpSrcPort, 4242),
+        ];
+        let other = [
+            (Field::TcpDstPort, 80),
+            (Field::TcpSrcAddr, 7),
+            (Field::TcpSrcPort, 4243),
+        ];
+        let run = |demux: bool| {
+            let (mut engine, cpu) = ctx_parts();
+            let d = Dispatcher::new();
+            d.set_demux_enabled(demux);
+            let ev = d.define_event::<TcpArg>("Tcp.Merged");
+            let order = Rc::new(RefCell::new(Vec::new()));
+            let install = |tag: &'static str, guard: Option<Guard<TcpArg>>| {
+                let o = order.clone();
+                let spec = HandlerSpec::new(move |_, _: &TcpArg| o.borrow_mut().push(tag));
+                d.install(ev, guard.into_iter().fold(spec, HandlerSpec::guard))
+            };
+            install("conn", Some(guard(&conn)));
+            install("any", None);
+            install("peer", Some(guard(&peer)));
+            install("other", Some(guard(&other)));
+            let gone = install("listener", Some(guard(&listener)));
+            install("listener", Some(guard(&listener)));
+            d.uninstall(ev, gone);
+            let mut lease = cpu.begin(SimTime::ZERO);
+            let mut ctx = RaiseCtx {
+                engine: &mut engine,
+                lease: &mut lease,
+            };
+            let arg = TcpArg {
+                dst_port: 80,
+                src_addr: 7,
+                src_port: 4242,
+            };
+            let out = d.raise(&mut ctx, ev, &arg);
+            let seen = order.borrow().clone();
+            (out, seen, d.stats().demux_skipped)
+        };
+        let (out, seen, skipped) = run(true);
+        assert_eq!(seen, ["conn", "any", "peer", "listener"]);
+        assert_eq!((out.invoked, out.rejected, skipped), (4, 1, 1));
+        let (linear, linear_seen, _) = run(false);
+        assert_eq!((linear, linear_seen), (out, seen), "as the linear scan");
     }
 
     #[test]

@@ -2,10 +2,11 @@
 //! nothing; a datagram echoed (or answered with a port unreachable) by the
 //! Plexus stack, sent by an open-loop generator, recorded, recorded with a
 //! live tier that samples it, echoed by the baseline or forwarded by the
-//! router, a bind + close pair
-//! and a TCP connect + close allocate exactly what is pinned below; the
-//! folds over a recorded run allocate per run, not per record; an oversize
-//! transmit allocates nothing; rebinding leaves no heap behind, and
+//! router, a bind + close pair (alone, or churned beside 128 endpoints)
+//! and a TCP connect + close (beside one live connection or 1 024) allocate
+//! exactly what is pinned below; a bind or listen on a held port allocates
+//! nothing; the folds over a recorded run allocate per run, not per record;
+//! an oversize transmit allocates nothing; rebinding leaves no heap behind, and
 //! neither does a flood of out-of-window TCP segments or of IP fragments
 //! that never complete, on both stacks.
 //!
@@ -19,14 +20,15 @@ use std::alloc::{GlobalAlloc, Layout};
 use std::any::Any;
 use std::backtrace::Backtrace;
 use std::cell::{Cell, OnceCell, RefCell};
-use std::collections::BTreeMap;
+use std::collections::{BTreeMap, VecDeque};
 use std::net::Ipv4Addr;
 use std::rc::Rc;
 
 use plexus::baseline::{MonolithicStack, SocketCallbacks};
 use plexus::core::tcp_manager::ConnCallback;
 use plexus::core::{
-    AppHandler, IpRouter, PlexusStack, StackConfig, TcpCallbacks, UdpEndpoint, UdpRecv,
+    AppHandler, IpRouter, PlexusError, PlexusStack, StackConfig, TcpCallbacks, TcpConn,
+    UdpEndpoint, UdpRecv,
 };
 use plexus::kernel::dispatcher::{Dispatcher, Event, Guard, HandlerSpec, RaiseCtx};
 use plexus::kernel::domain::ExtensionSpec;
@@ -51,6 +53,8 @@ use plexus::trace::live::{live_json, LiveConfig};
 use plexus::trace::profile::{profile_json, Profile};
 use plexus::trace::{timeline, CounterKey, Label, Recorder, Scope};
 use plexus_bench::overload::{build_frame, PAYLOAD};
+use rand::rngs::StdRng;
+use rand::{Rng, SeedableRng};
 
 #[allow(dead_code)]
 #[path = "../perf/src/alloc.rs"]
@@ -739,7 +743,14 @@ fn print_echo_allocation_ledger() {
     cycles(PAIRS);
     LEDGER_OPEN.set(false);
     print_ledger("bind + close", "pair", u64::from(PAIRS));
-    let mut redial = redialer();
+    let (_tb, mut cycle) = churner();
+    let ports = churn_ports(1, 250 + 1_000);
+    ports[..250].iter().for_each(|&port| cycle(port));
+    LEDGER_OPEN.set(true);
+    ports[250..].iter().for_each(|&port| cycle(port));
+    LEDGER_OPEN.set(false);
+    print_ledger("bind + close beside 128", "pair", 1_000);
+    let mut redial = redialer(0);
     redial(10);
     LEDGER_OPEN.set(true);
     redial(PAIRS);
@@ -837,40 +848,136 @@ fn rebinder() -> (Testbed, impl Fn(u32)) {
     (tb, cycles)
 }
 
+/// Heap calls per UDP bind + close pair, however many endpoints are live.
+const PER_PAIR: u64 = 8;
+
 #[test]
 fn a_bind_close_pair_allocates_exactly_the_pinned_count() {
-    // What is left, per pair: the policy's one list; the two tests' value
-    // lists and the program; the walk's one arena of value facts; the
-    // verified program's copy of the instructions, its compiled form and
-    // its demux key (a list and one value set); the compiled op list; the
-    // guard's `Rc`; the dispatcher's entry and its bucket; the endpoint.
-    // Verification is a fixed number of heap calls, however many branches
-    // the guard has: a field's values are a mask over the constants the
-    // walk met, and every state's masks share the arena (45 while each
-    // state held its value sets in `BTreeSet`s, the policy a set per
-    // constraint, the builder and the compiler their scratch lists, and
-    // the dispatcher copied the owner's name and collected the key
-    // combinations; 148 while `core::guards` and the guard's constructor
-    // each re-derived the key and `Entry` cloned it, and 77 while a
-    // value-set walk and an interval walk each ran, the second building
-    // successor lists). What the extension holds is written down as plain
-    // data beside a clone of its link token, so the record costs no heap
-    // call of its own (80 while each bind boxed an undo closure and copied
-    // the extension's name). The handler is boxed once, by
-    // `AppHandler::interrupt`, and that box is what the dispatcher calls
-    // (78 while `install_held` boxed a closure around it).
-    const PER_PAIR: u64 = 14;
+    // What is left, per pair, is what the endpoint keeps: the policy's one
+    // list; the one-of test's value list; the program's instructions; the
+    // demux key (every `In` field's values in one list); the compiled op
+    // list; the guard's `Rc`; the dispatcher's entry, which its one-entry
+    // bucket holds inline; the endpoint. The verifier's fact arena is
+    // kept per thread, the program moves into the verified program, and
+    // the compiled form lives inline in it (14 while verification cloned
+    // the program, the compiled form and each bucket were a heap call of
+    // their own, an equality test held its value in a list, the walk took
+    // a fresh arena and the key was a list plus a set per `In` field; 45
+    // while each state held its value sets in `BTreeSet`s, the policy a
+    // set per constraint, the builder and the compiler their scratch
+    // lists, and the dispatcher copied the owner's name and collected the
+    // key combinations; 148 while `core::guards` and the guard's
+    // constructor each re-derived the key and `Entry` cloned it, and 77
+    // while a value-set walk and an interval walk each ran, the second
+    // building successor lists). Verification is a fixed number of heap
+    // calls, however many branches the guard has. What the extension
+    // holds is written down as plain data beside a clone of its link
+    // token, so the record costs no heap call of its own (80 while each
+    // bind boxed an undo closure and copied the extension's name). The
+    // handler is boxed once, by `AppHandler::interrupt`, and that box is
+    // what the dispatcher calls (78 while `install_held` boxed a closure
+    // around it); a handler that captures nothing boxes nothing.
     const N: u32 = 100;
     let (_tb, cycles) = rebinder();
     cycles(10);
     assert_eq!(allocs_during(|| cycles(N)), PER_PAIR * u64::from(N));
 }
 
-/// A Plexus client and server on one T3 link, the server listening once,
-/// and a closure that opens `n` connections to it one after another: each
-/// is connected, run to `Established`, closed, and run until both ends
-/// have let it go.
-fn redialer() -> impl FnMut(u32) {
+/// `count` distinct ports from 12 000 upward, seeded gaps of 1 to 32 apart:
+/// the shape of the fresh ports `udp_churn_64ep` rebinds on.
+fn churn_ports(seed: u64, count: usize) -> Vec<u16> {
+    let mut rng = StdRng::seed_from_u64(seed);
+    let mut port = 12_000u16;
+    (0..count)
+        .map(|_| {
+            port += 1 + rng.gen_range(0..32) as u16;
+            port
+        })
+        .collect()
+}
+
+/// `udp_churn_64ep`'s rebinding: a stack with 64 live endpoints and a
+/// pool of 64 more, and a closure that closes the pool's oldest and binds
+/// the given port in its place.
+fn churner() -> (Testbed, impl FnMut(u16)) {
+    const LIVE: u16 = 64;
+    const POOL: u16 = 64;
+    let tb = Testbed::new(&Link::t3(), 42, &["peer", "dut"]);
+    let stack = PlexusStack::attach_host(&tb.hosts[1], StackConfig::interrupt);
+    let spec = ExtensionSpec::typesafe("churn", &["UDP.Bind"]);
+    let ext = stack.link_extension(&spec).unwrap();
+    let bind = move |port| {
+        let handler = AppHandler::interrupt(|_: &mut RaiseCtx<'_>, _: &UdpRecv| {});
+        (stack.udp())
+            .bind(&ext, port, UdpConfig::default(), handler)
+            .unwrap()
+    };
+    let live: Vec<_> = (0..LIVE).map(|i| bind(10_000 + i)).collect();
+    let mut pool: VecDeque<_> = (0..POOL).map(|i| bind(11_000 + i)).collect();
+    let cycle = move |port| {
+        pool.pop_front().expect("the pool never empties").close();
+        pool.push_back(bind(port));
+        assert_eq!(live.len(), usize::from(LIVE), "the live endpoints stay");
+    };
+    (tb, cycle)
+}
+
+#[test]
+fn churning_like_the_benchmark_allocates_the_pinned_count_per_pair() {
+    // Every table the pair touches is as large as the benchmark's, so the
+    // table's growth or a cost per live port would show here.
+    const WARM_UP: usize = 250;
+    const CYCLES: usize = 1_000;
+    let (_tb, mut cycle) = churner();
+    let ports = churn_ports(1, WARM_UP + CYCLES);
+    let (warm, measured) = ports.split_at(WARM_UP);
+    warm.iter().for_each(|&port| cycle(port));
+    let allocs = allocs_during(|| measured.iter().for_each(|&port| cycle(port)));
+    assert_eq!(allocs, PER_PAIR * CYCLES as u64);
+}
+
+#[test]
+fn a_bind_to_a_held_port_allocates_nothing() {
+    // The port is checked before the guard is built: a refused bind or
+    // listen verifies nothing and allocates nothing.
+    let tb = Testbed::new(&Link::t3(), 42, &["peer", "dut"]);
+    let stack = PlexusStack::attach_host(&tb.hosts[1], StackConfig::interrupt);
+    let spec = ExtensionSpec::typesafe("squatter", &["UDP.Bind", "TCP.Listen"]);
+    let ext = stack.link_extension(&spec).unwrap();
+    let handler = || AppHandler::interrupt(|_: &mut RaiseCtx<'_>, _: &UdpRecv| {});
+    let special = UdpConfig { checksum: false };
+    let _standard = (stack.udp())
+        .bind(&ext, 7, UdpConfig::default(), handler())
+        .unwrap();
+    let _special = stack.udp().bind(&ext, 9, special, handler()).unwrap();
+    let on_accept = |_: &mut RaiseCtx<'_>, _: &Rc<TcpConn>| {};
+    stack.tcp().listen(&ext, TCP_PORT, on_accept).unwrap();
+    for (path, port, config) in [
+        ("standard on standard", 7, UdpConfig::default()),
+        ("special on standard", 7, special),
+        ("standard on special", 9, UdpConfig::default()),
+        ("special on special", 9, special),
+    ] {
+        let mut refused = None;
+        let allocs = allocs_during(|| {
+            refused = stack.udp().bind(&ext, port, config, handler()).err();
+        });
+        assert_eq!(refused, Some(PlexusError::PortInUse(port)), "{path}");
+        assert_eq!(allocs, 0, "{path}");
+    }
+    let mut refused = None;
+    let allocs = allocs_during(|| {
+        refused = stack.tcp().listen(&ext, TCP_PORT, on_accept).err();
+    });
+    assert_eq!(refused, Some(PlexusError::PortInUse(TCP_PORT)), "listen");
+    assert_eq!(allocs, 0, "listen");
+}
+
+/// A Plexus client and server on one T3 link, the server listening once
+/// with `live` connections open and idle, and a closure that opens `n`
+/// more connections to it one after another: each is connected, run to
+/// `Established`, closed, and run until both ends have let it go.
+fn redialer(live: usize) -> impl FnMut(u32) {
     let Testbed {
         mut world, hosts, ..
     } = Testbed::new(&Link::t3(), 42, &["client", "server"]);
@@ -893,6 +1000,11 @@ fn redialer() -> impl FnMut(u32) {
         })
         .unwrap();
     let to = (hosts[1].ip, TCP_PORT);
+    let idle: Vec<_> = (0..live)
+        .map(|_| client.tcp().connect(&cext, world.engine_mut(), to).unwrap())
+        .collect();
+    world.run();
+    assert!(idle.iter().all(|c| c.state() == TcpState::Established));
     move |n| {
         for _ in 0..n {
             let conn = client.tcp().connect(&cext, world.engine_mut(), to).unwrap();
@@ -902,23 +1014,46 @@ fn redialer() -> impl FnMut(u32) {
             world.run();
             assert_eq!(conn.state(), TcpState::Closed);
         }
+        assert_eq!(idle.len(), live, "the idle connections stay open");
     }
 }
+
+/// Heap calls per TCP connect + close, both ends, however many
+/// connections are live.
+const PER_CONNECTION: u64 = 18;
 
 #[test]
 fn a_tcp_connect_close_allocates_exactly_the_pinned_count() {
     // Both ends: each verifies and installs a 4-tuple guard as a bind does
-    // (three key value sets, not one), boxes its handler and registers the
-    // connection; the server's accept and the close handled from a raise
-    // copy the event's generation (`Gen::clone`). A timer armed with
-    // `schedule_cancelable` moves into a box a fired or cancelled one left
-    // behind (59 while each of the connection's five took a fresh box; 149
-    // while verification and install cost what a bind's did).
-    const PER_CONNECTION: u64 = 54;
+    // (its key's three values in the one list), boxes its handler and
+    // registers the connection; the client's TCB takes a send buffer and
+    // the server's a receive buffer. The server's accept and the close are
+    // handled from inside a raise, which pins only the lists it walks, so
+    // installing and removing there copies no part of the table (54 while
+    // the raise pinned the whole generation, which each of them then
+    // copied, and verification cost what a bind's did at 14; 59 while each
+    // of the connection's five timers took a fresh box; 149 while
+    // verification and install cost what a bind's did at 45).
     const N: u32 = 50;
-    let mut redial = redialer();
+    let mut redial = redialer(0);
     redial(10);
     assert_eq!(allocs_during(|| redial(N)), PER_CONNECTION * u64::from(N));
+}
+
+#[test]
+fn a_tcp_connect_close_costs_the_same_beside_a_thousand_live_connections() {
+    // Installing a connection from inside the listener's raise, and
+    // removing it from inside its own, touches the lists that raise walks
+    // and the new key's bucket; nothing that grows with the connections
+    // already open (one more heap call per live connection, for each of
+    // the two generation copies, while a raise pinned the whole table).
+    const N: u32 = 20;
+    for live in [1, 1_024] {
+        let mut redial = redialer(live);
+        redial(10);
+        let allocs = allocs_during(|| redial(N));
+        assert_eq!(allocs, PER_CONNECTION * u64::from(N), "{live} live");
+    }
 }
 
 #[test]
