@@ -40,7 +40,7 @@ use plexus_sim::Engine;
 
 /// Extension spec for transaction endpoints.
 pub fn transaction_extension_spec(name: &str) -> ExtensionSpec {
-    ExtensionSpec::typesafe(name, &["TCP.Redirect", "Mbuf.Alloc"]).with_exports(&[])
+    ExtensionSpec::typesafe(name, &["TCP.Redirect", "Mbuf.Alloc"])
 }
 
 /// A request handler: maps the request bytes to the response bytes. Runs

@@ -35,7 +35,7 @@ use std::rc::Rc;
 
 use plexus_filter::{Field, FieldKey, Policy, PortSet};
 use plexus_kernel::dispatcher::{Dispatcher, Event, EventBatch, Guard, HandlerId, RaiseCtx};
-use plexus_kernel::domain::{Domain, ExtensionSpec, Interface, LinkError, LinkedExtension};
+use plexus_kernel::domain::{Domain, ExtensionSpec, LinkedExtension};
 use plexus_sim::nic::{DriverConfig, Nic};
 use plexus_sim::time::SimDuration;
 use plexus_sim::{Cpu, CpuLease, Engine, Machine};
@@ -161,8 +161,9 @@ pub(crate) struct StackEvents {
     pub(crate) tcp_recv: Event<TcpRecv>,
 }
 
-/// Owner names the stack's own layers run under; an extension may not
-/// take one (the recorder bills handler time per owner).
+/// Owner names the stack's own layers run under; the extension domain
+/// keeps them, so no extension takes one (the recorder bills handler time
+/// per owner).
 const KERNEL_OWNERS: [&str; 6] = ["kernel", "arp", "ip", "icmp", "udp", "tcp"];
 
 /// Where an extension's handler sits and which ports it claims there —
@@ -226,7 +227,7 @@ pub(crate) struct StackShared {
     reasm: RefCell<Reassembler>,
     ip_ident: ip::Ident,
     pub(crate) stats: Cell<StackStats>,
-    ext_domain: Rc<Domain>,
+    ext_domain: Domain,
     /// What the extensions hold, by handler (so in install order): which
     /// handler, who, and what. Written by [`StackShared::install_held`]
     /// alone and read back by [`StackShared::release`] alone, whether the
@@ -320,9 +321,10 @@ impl StackShared {
     /// to be owned by an extension, so nothing an extension holds is
     /// missing from `held`. `hold` names `event` and the ports claimed; a
     /// port some extension holds already refuses the install before
-    /// `build` runs, so a refusal verifies no guard and allocates nothing.
-    /// The handler keeps the class it was made with; at interrupt level it
-    /// runs under `ext_time_limit`.
+    /// `build` runs, so a refusal verifies no guard and allocates nothing;
+    /// so does a token this stack's domain does not hold. The handler keeps
+    /// the class it was made with; at interrupt level it runs under
+    /// `ext_time_limit`.
     pub(crate) fn install_held<T: 'static>(
         &self,
         ext: &LinkedExtension,
@@ -330,6 +332,7 @@ impl StackShared {
         hold: Hold,
         build: impl FnOnce() -> (Guard<T>, AppHandler<T>),
     ) -> Result<HandlerId, PlexusError> {
+        self.check_token(ext)?;
         let claim = self.claim(&hold);
         if let Some((table, ports, _)) = claim {
             if let Some(taken) = ports.iter().find(|p| table.holder(**p).is_some()) {
@@ -354,6 +357,17 @@ impl StackShared {
         // Ids only grow, so the list stays in id order.
         self.held.borrow_mut().push((id, ext.clone(), hold));
         Ok(id)
+    }
+
+    /// Refuses a token minted by another stack, or kept past its unload,
+    /// as [`PlexusError::Revoked`]: unload and accounting go by name, so a
+    /// token acts only where its name is linked to it.
+    pub(crate) fn check_token(&self, ext: &LinkedExtension) -> Result<(), PlexusError> {
+        if self.ext_domain.holds(ext) {
+            Ok(())
+        } else {
+            Err(PlexusError::Revoked)
+        }
     }
 
     /// Gives back what handler `id` holds, if `admit` passes its record:
@@ -573,18 +587,12 @@ impl PlexusStack {
         // public manager interfaces only. Internal events/symbols (VM,
         // device, dispatcher internals) are *not* here, so an extension
         // importing them is rejected at link time (§2).
-        let ext_domain = Domain::new("plexus-extensions");
-        ext_domain.add_interface(Interface::new("Mbuf", &["Alloc", "Free", "Prepend", "Adj"]));
-        ext_domain.add_interface(Interface::new("Ethernet", &["Attach", "Detach", "Send"]));
-        ext_domain.add_interface(Interface::new(
-            "UDP",
-            &["Bind", "Unbind", "Send", "Redirect"],
-        ));
-        ext_domain.add_interface(Interface::new(
-            "TCP",
-            &["Listen", "Connect", "Send", "Close", "Redirect"],
-        ));
-        ext_domain.add_interface(Interface::new("ICMP", &["Ping"]));
+        let ext_domain = Domain::new(&KERNEL_OWNERS);
+        ext_domain.add_interface("Mbuf", &["Alloc", "Free", "Prepend", "Adj"]);
+        ext_domain.add_interface("Ethernet", &["Attach", "Detach", "Send"]);
+        ext_domain.add_interface("UDP", &["Bind", "Unbind", "Send", "Redirect"]);
+        ext_domain.add_interface("TCP", &["Listen", "Connect", "Send", "Close", "Redirect"]);
+        ext_domain.add_interface("ICMP", &["Ping"]);
 
         let shared = Rc::new(StackShared {
             cpu: machine.cpu().clone(),
@@ -882,11 +890,9 @@ impl PlexusStack {
     /// Dynamically links an application extension against the public
     /// extension domain. Fails — rejecting the extension — if it imports
     /// any symbol outside that domain (§2), or goes by a name that a
-    /// linked extension or one of the stack's own layers already has.
+    /// linked extension, an interface or one of the stack's own layers
+    /// already has.
     pub fn link_extension(&self, spec: &ExtensionSpec) -> Result<LinkedExtension, PlexusError> {
-        if KERNEL_OWNERS.contains(&spec.name.as_str()) {
-            return Err(LinkError::NameTaken(spec.name.clone()).into());
-        }
         Ok(self.shared.ext_domain.link(spec)?)
     }
 

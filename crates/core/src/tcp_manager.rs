@@ -219,13 +219,15 @@ impl TcpManager {
     }
 
     /// Active open to `remote`. Returns the connection; attach callbacks
-    /// via [`TcpConn::set_callbacks`] before running the engine.
+    /// via [`TcpConn::set_callbacks`] before running the engine. Refused as
+    /// [`PlexusError::Revoked`] unless `ext` is linked on this stack.
     pub fn connect(
         self: &Rc<Self>,
-        _ext: &LinkedExtension,
+        ext: &LinkedExtension,
         engine: &mut Engine,
         remote: (Ipv4Addr, u16),
     ) -> Result<Rc<TcpConn>, PlexusError> {
+        self.shared.check_token(ext)?;
         let port = self.alloc_port();
         let key = (port, remote.0, remote.1);
         let now = engine.now().as_nanos();

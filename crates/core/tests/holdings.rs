@@ -1,9 +1,12 @@
 //! What extensions hold, against a model: random sequences of the seven
-//! installs, the three explicit releases and `unload_extension`, over three
-//! extensions sharing one stack. After every step the stack must grant and
-//! refuse ports exactly as a `BTreeMap<port, owner>` says, and show one
-//! handler per holding; once every extension is unloaded it must look like
-//! a stack nothing was ever installed on.
+//! installs, the three explicit releases, `link_extension` and
+//! `unload_extension`, over three installing extensions sharing one stack
+//! and links under the names of interfaces, of the stack's own layers, and
+//! free ones. After every step the stack must grant and refuse ports
+//! exactly as a `BTreeMap<port, owner>` says, show one handler per holding,
+//! and still link an extension importing every kernel symbol; once every
+//! extension is unloaded it must look like a stack nothing was ever
+//! installed on.
 
 use std::collections::BTreeMap;
 use std::rc::Rc;
@@ -12,13 +15,39 @@ use proptest::prelude::*;
 
 use plexus_core::{AppHandler, PlexusError, PlexusStack, StackConfig, UdpEndpoint};
 use plexus_kernel::dispatcher::{EventSummary, HandlerId};
-use plexus_kernel::domain::{ExtensionSpec, LinkedExtension};
+use plexus_kernel::domain::{ExtensionSpec, LinkError, LinkedExtension};
 use plexus_net::ether::EtherType;
 use plexus_net::testbed::Testbed;
 use plexus_net::udp::UdpConfig;
 use plexus_sim::nic::Link;
 
-const EXTS: [&str; 3] = ["A", "B", "C"];
+/// The names links go by: the first three install, and the first four are
+/// free; an interface or one of the stack's layers has each of the rest.
+const NAMES: [&str; 10] = [
+    "A", "B", "C", "D", "UDP", "TCP", "Mbuf", "Ethernet", "ICMP", "udp",
+];
+const INSTALLERS: usize = 3;
+const FREE: usize = 4;
+/// Every symbol the stack's extension domain exports.
+const KERNEL_SYMBOLS: [&str; 17] = [
+    "Mbuf.Alloc",
+    "Mbuf.Free",
+    "Mbuf.Prepend",
+    "Mbuf.Adj",
+    "Ethernet.Attach",
+    "Ethernet.Detach",
+    "Ethernet.Send",
+    "UDP.Bind",
+    "UDP.Unbind",
+    "UDP.Send",
+    "UDP.Redirect",
+    "TCP.Listen",
+    "TCP.Connect",
+    "TCP.Send",
+    "TCP.Close",
+    "TCP.Redirect",
+    "ICMP.Ping",
+];
 /// Few enough ports that the extensions collide all the time.
 const PORTS: std::ops::Range<u16> = 0..6;
 
@@ -54,11 +83,17 @@ enum Step {
     /// Detaches the `n`-th handler id any install returned (mod how many),
     /// whether or not it is a raw Ethernet handler.
     Detach(usize),
+    /// Links `NAMES[name]`, exporting one bare symbol or none.
+    Link {
+        name: usize,
+        export: bool,
+    },
     Unload(usize),
 }
 
 fn step() -> impl Strategy<Value = Step> {
-    let ext = || 0usize..EXTS.len();
+    let ext = || 0usize..INSTALLERS;
+    let name = || 0usize..NAMES.len();
     prop_oneof![
         (ext(), PORTS, any::<bool>()).prop_map(|(ext, port, special)| Step::Bind {
             ext,
@@ -74,7 +109,8 @@ fn step() -> impl Strategy<Value = Step> {
         (0usize..64).prop_map(Step::Close),
         PORTS.prop_map(Step::Unlisten),
         (0usize..64).prop_map(Step::Detach),
-        ext().prop_map(Step::Unload),
+        (name(), any::<bool>()).prop_map(|(name, export)| Step::Link { name, export }),
+        name().prop_map(Step::Unload),
     ]
 }
 
@@ -162,23 +198,25 @@ impl Model {
     }
 }
 
-/// Extension `ext`'s link token; an unloaded extension comes back under
-/// its old name.
+/// What an installing extension imports.
+const IMPORTS: [&str; 5] = [
+    "UDP.Bind",
+    "UDP.Redirect",
+    "TCP.Listen",
+    "TCP.Redirect",
+    "Ethernet.Attach",
+];
+
+/// Installing extension `ext`'s link token; an unloaded extension comes
+/// back under its old name.
 fn token(
     stack: &PlexusStack,
-    exts: &mut [Option<LinkedExtension>; 3],
+    exts: &mut [Option<LinkedExtension>; NAMES.len()],
     ext: usize,
 ) -> LinkedExtension {
     let link = || {
-        let imports = [
-            "UDP.Bind",
-            "UDP.Redirect",
-            "TCP.Listen",
-            "TCP.Redirect",
-            "Ethernet.Attach",
-        ];
         stack
-            .link_extension(&ExtensionSpec::typesafe(EXTS[ext], &imports))
+            .link_extension(&ExtensionSpec::typesafe(NAMES[ext], &IMPORTS))
             .expect("a name no linked extension has links")
     };
     exts[ext].get_or_insert_with(link).clone()
@@ -221,7 +259,8 @@ proptest! {
         let fresh: Vec<EventSummary> = attach(thread_mode).1.dispatcher().event_summary();
         let peer = tb.hosts[1].ip;
         let mut model = Model::default();
-        let mut exts: [Option<LinkedExtension>; 3] = [None, None, None];
+        // The token of each name linked, by `NAMES` index.
+        let mut exts: [Option<LinkedExtension>; NAMES.len()] = Default::default();
         // What the installs handed back, beside the model holding each is.
         let mut endpoints: Vec<(Rc<UdpEndpoint>, usize)> = Vec::new();
         let mut ids: Vec<(HandlerId, usize)> = Vec::new();
@@ -286,11 +325,24 @@ proptest! {
                         prop_assert_eq!(stack.detach_ether(*id), want);
                     }
                 }
-                Step::Unload(ext) => {
-                    let was_linked = exts[ext].take().is_some();
-                    prop_assert_eq!(stack.unload_extension(EXTS[ext]), was_linked);
+                Step::Link { name, export } => {
+                    let before = stack.dispatcher().event_summary();
+                    let exports: &[&str] = if export { &["Hook"] } else { &[] };
+                    let spec = ExtensionSpec::typesafe(NAMES[name], &IMPORTS).with_exports(exports);
+                    let got = stack.link_extension(&spec);
+                    if exts[name].is_some() || name >= FREE {
+                        let taken = LinkError::NameTaken(NAMES[name].to_string());
+                        prop_assert_eq!(got, Err(PlexusError::Link(taken)));
+                        prop_assert_eq!(stack.dispatcher().event_summary(), before, "a refusal installs nothing");
+                    } else {
+                        exts[name] = Some(got.expect("a free name links"));
+                    }
+                }
+                Step::Unload(name) => {
+                    let was_linked = exts[name].take().is_some();
+                    prop_assert_eq!(stack.unload_extension(NAMES[name]), was_linked);
                     for n in 0..model.holdings.len() {
-                        model.release(n, |h| h.owner == ext);
+                        model.release(n, |h| h.owner == name);
                     }
                 }
             }
@@ -311,10 +363,14 @@ proptest! {
                 let held = model.holdings[*holding].is_some();
                 prop_assert_eq!(sent, if held { Ok(()) } else { Err(PlexusError::Revoked) });
             }
+            // No link or unload took or deleted a kernel interface.
+            let probe = ExtensionSpec::typesafe("Probe", &KERNEL_SYMBOLS);
+            prop_assert!(stack.link_extension(&probe).is_ok(), "every kernel symbol resolves");
+            prop_assert!(stack.unload_extension("Probe"));
         }
 
-        for (ext, linked) in exts.iter_mut().enumerate() {
-            prop_assert_eq!(stack.unload_extension(EXTS[ext]), linked.take().is_some());
+        for (name, linked) in exts.iter_mut().enumerate() {
+            prop_assert_eq!(stack.unload_extension(NAMES[name]), linked.take().is_some());
         }
         prop_assert_eq!(stack.dispatcher().event_summary(), fresh, "as if nothing was ever installed");
         // Every port is free for the next extension, in both transports.

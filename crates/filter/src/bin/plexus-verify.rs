@@ -36,7 +36,7 @@
 
 use std::process::ExitCode;
 
-use plexus_filter::spec::{analyze, InterfaceTable, SpecInfo, SpecSignature};
+use plexus_filter::spec::{analyze, ExtensionSpec, InterfaceTable, Signature};
 use plexus_filter::{
     conjunction_stateful, verify_with_policy, EventKind, Field, FieldKey, MapKind, Operand, Policy,
     StateMap, Test, Width,
@@ -44,7 +44,7 @@ use plexus_filter::{
 
 #[derive(Default)]
 struct ParsedSpec {
-    info: SpecInfo,
+    info: ExtensionSpec,
     table: InterfaceTable,
     guard_kind: Option<EventKind>,
     guard_tests: Vec<Test>,
@@ -157,9 +157,9 @@ fn parse_spec(text: &str) -> Result<ParsedSpec, String> {
             "name" => spec.info.name = rest.to_string(),
             "signature" => {
                 spec.info.signature = match rest {
-                    "typesafe" => SpecSignature::TypesafeCompiler,
-                    "trusted" => SpecSignature::TrustedVendor,
-                    "unsigned" => SpecSignature::Unsigned,
+                    "typesafe" => Signature::TypesafeCompiler,
+                    "trusted" => Signature::TrustedVendor,
+                    "unsigned" => Signature::Unsigned,
                     other => return Err(err(format!("unknown signature {other}"))),
                 }
             }

@@ -34,8 +34,9 @@
 //! The same multi-error reporting discipline extends to extension specs:
 //! [`spec::analyze`] computes a spec's import closure against an
 //! interface table and reports unresolved, unused, duplicate, and
-//! undeclared symbols all at once. The `plexus-verify` binary exposes
-//! both passes as a command-line linter.
+//! undeclared symbols all at once. The kernel's linker admits only specs
+//! it finds clean, and the `plexus-verify` binary exposes both passes as a
+//! command-line linter.
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
@@ -602,7 +603,7 @@ mod tests {
 
     #[test]
     fn spec_analysis_reports_all_issues() {
-        use spec::{analyze, InterfaceTable, SpecInfo, SpecIssue, SpecSignature};
+        use spec::{analyze, ExtensionSpec, InterfaceTable, Signature, SpecIssue};
 
         let mut table = InterfaceTable::new();
         table.insert(
@@ -611,9 +612,9 @@ mod tests {
         );
         table.insert("Video", ["Video.Frame".to_string()]);
 
-        let spec = SpecInfo {
+        let spec = ExtensionSpec {
             name: "Video".into(), // collides with existing interface
-            signature: SpecSignature::Unsigned,
+            signature: Signature::Unsigned,
             imports: vec![
                 "UDP.PacketRecv".into(),
                 "UDP.PacketRecv".into(),   // duplicate

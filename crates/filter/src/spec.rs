@@ -1,44 +1,71 @@
-//! Static analysis of extension specs.
+//! Extension specs and the one analysis every link runs over them.
 //!
-//! The dynamic linker (`kernel::domain`) resolves imports at link time and
-//! reports what is missing. This module is the install-time *lint* pass
-//! over the same data: it computes the import closure of an extension spec
-//! against a table of known interfaces and reports **every** violation —
+//! An [`ExtensionSpec`] is the partially resolved "object file" an
+//! application hands the kernel: its name, who signed it, the symbols it
+//! imports and references, and the symbols it exports. [`analyze`] checks
+//! it against an [`InterfaceTable`] and reports **every** violation —
 //! unresolved imports, imports the body never references (unused), body
 //! references that were never imported (undeclared), duplicates,
-//! self-imports, export collisions, and missing signatures. The same pass
-//! powers `Domain::check_spec` in the kernel and the `plexus-verify`
-//! command-line linter.
+//! self-imports, export collisions, and missing signatures. The kernel's
+//! dynamic linker (`Domain::link` in `plexus-kernel`) admits a spec only
+//! when this report is clean, and the `plexus-verify` command-line linter
+//! prints the same report.
 
 use std::collections::{BTreeMap, BTreeSet};
 use std::fmt;
 
-/// How a spec claims to have been produced (mirrors
-/// `kernel::domain::Signature` without depending on the kernel crate).
+/// Who vouches for an extension's safety.
 #[derive(Clone, Copy, Debug, PartialEq, Eq, Default)]
-pub enum SpecSignature {
-    /// Digitally signed by the type-safe compiler.
+pub enum Signature {
+    /// Signed by the typesafe-language compiler: memory safety is
+    /// machine-checked. The only signature the kernel links.
     TypesafeCompiler,
-    /// Signed by a trusted vendor.
+    /// Not typesafe, but vouched for by a vendor — the paper's one
+    /// exception, the commercial TCP/IP code (§4.2). The linter accepts
+    /// it; the kernel's linker does not.
     TrustedVendor,
     /// No signature at all.
     #[default]
     Unsigned,
 }
 
-/// The linter's view of an extension spec.
+/// A partially resolved extension "object file": what the application
+/// hands the kernel to link.
 #[derive(Clone, Debug, Default)]
-pub struct SpecInfo {
-    /// Extension name (also the interface name its exports would create).
+pub struct ExtensionSpec {
+    /// Extension name (also the interface name its exports create).
     pub name: String,
-    /// Claimed provenance.
-    pub signature: SpecSignature,
+    /// Who signed the object file.
+    pub signature: Signature,
     /// Fully-qualified imported symbols (`"Interface.Symbol"`).
     pub imports: Vec<String>,
-    /// Fully-qualified symbols the extension body references.
+    /// Fully-qualified symbols the extension body references — the
+    /// compiler-reported usage set the import list is checked against.
     pub refs: Vec<String>,
-    /// Symbols the extension exports.
+    /// Symbols the extension exports, bare: others import them as
+    /// `"<name>.<symbol>"`.
     pub exports: Vec<String>,
+}
+
+impl ExtensionSpec {
+    /// A compiler-signed (typesafe) extension whose body references
+    /// exactly what it imports.
+    pub fn typesafe(name: &str, imports: &[&str]) -> ExtensionSpec {
+        let imports: Vec<String> = imports.iter().map(|s| s.to_string()).collect();
+        ExtensionSpec {
+            name: name.to_string(),
+            signature: Signature::TypesafeCompiler,
+            refs: imports.clone(),
+            imports,
+            exports: Vec::new(),
+        }
+    }
+
+    /// Sets the exported symbols.
+    pub fn with_exports(mut self, exports: &[&str]) -> ExtensionSpec {
+        self.exports = exports.iter().map(|s| s.to_string()).collect();
+        self
+    }
 }
 
 /// The set of interfaces a spec may import from: interface name to its
@@ -67,8 +94,13 @@ impl InterfaceTable {
         self.interfaces.contains_key(name)
     }
 
+    /// Removes an interface; returns whether it was present.
+    pub fn remove(&mut self, name: &str) -> bool {
+        self.interfaces.remove(name).is_some()
+    }
+
     /// Whether the fully-qualified symbol resolves.
-    pub fn resolves(&self, qualified: &str) -> bool {
+    fn resolves(&self, qualified: &str) -> bool {
         let Some((iface, _)) = qualified.split_once('.') else {
             return false;
         };
@@ -160,7 +192,7 @@ impl fmt::Display for SpecIssue {
 }
 
 /// Every issue found in one spec, in discovery order.
-#[derive(Clone, Debug, Default)]
+#[derive(Clone, Debug, Default, PartialEq, Eq)]
 pub struct SpecReport {
     /// All findings.
     pub issues: Vec<SpecIssue>,
@@ -188,10 +220,10 @@ impl fmt::Display for SpecReport {
 
 /// Lints `spec` against `table`, reporting every violation (never just the
 /// first).
-pub fn analyze(table: &InterfaceTable, spec: &SpecInfo) -> SpecReport {
+pub fn analyze(table: &InterfaceTable, spec: &ExtensionSpec) -> SpecReport {
     let mut report = SpecReport::default();
 
-    if spec.signature == SpecSignature::Unsigned {
+    if spec.signature == Signature::Unsigned {
         report.issues.push(SpecIssue::BadSignature);
     }
 

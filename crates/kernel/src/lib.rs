@@ -36,7 +36,7 @@ pub use dispatcher::{
     Dispatcher, Event, EventSummary, Guard, HandlerId, HandlerMode, InstallError, RaiseCtx,
     DEFAULT_INTERRUPT_CYCLE_BUDGET,
 };
-pub use domain::{Domain, ExtensionSpec, Interface, LinkError, LinkedExtension, Nameserver};
+pub use domain::{Domain, ExtensionSpec, LinkError, LinkedExtension};
 pub use ephemeral::Ephemeral;
 pub use view::{view, view_at, WireView};
 pub use vm::AddressSpace;
