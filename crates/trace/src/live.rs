@@ -213,7 +213,7 @@ struct Kept {
     /// Records copied out of the ring before it overwrote them.
     copies: Vec<TraceRecord>,
     /// Sequence numbers of the newer records, which the ring still holds
-    /// (the recorder numbers records by push, so `s` is in slot
+    /// (the ring numbers records by push, so `s` is in slot
     /// `s % capacity`).
     seqs: Vec<u64>,
     dropped: u64,
@@ -255,13 +255,13 @@ impl Kept {
 
     /// Copies every kept record the ring still holds out of it.
     fn copy_out(&mut self, ring: &Ring) {
-        let held = self.seqs.drain(..).map(|s| *ring.nth(s).expect(HELD));
+        let held = self.seqs.drain(..).map(|s| ring.nth(s).expect(HELD));
         self.copies.extend(held);
     }
 
-    fn records<'a>(&'a self, ring: &'a Ring) -> impl Iterator<Item = &'a TraceRecord> {
+    fn records<'a>(&'a self, ring: &'a Ring) -> impl Iterator<Item = TraceRecord> + 'a {
         let held = self.seqs.iter().map(|&s| ring.nth(s).expect(HELD));
-        self.copies.iter().chain(held)
+        self.copies.iter().copied().chain(held)
     }
 
     /// Empties the buffer for another journey, keeping its capacity.
@@ -740,7 +740,7 @@ impl LiveAgg {
                 max_sample_ns: e.max_sample_ns,
                 records_dropped: e.dropped,
                 records: (e.records(ring))
-                    .map(|r| sampled_record(r, &names, &mut rendered))
+                    .map(|r| sampled_record(&r, &names, &mut rendered))
                     .collect(),
             })
             .collect();

@@ -34,7 +34,7 @@ use std::sync::Arc;
 use crate::json::{escaped, joined, put};
 use crate::recorder::Interner;
 use crate::timeline::percentile;
-use crate::{CrossDir, Label, Recorder, TraceEvent, TraceRecord};
+use crate::{CrossDir, Label, Recorder, Ring, TraceEvent, TraceRecord};
 
 /// An attribution target: which layer, protection domain, and handler
 /// (or structural step) owns a slice of simulated time. Its derived order
@@ -297,6 +297,60 @@ impl Steps {
     }
 }
 
+/// How many of each thing a profile keeps from a ring: counted in one walk
+/// before the fold, so each arena is reserved once at the size it keeps.
+#[derive(Debug, Default, PartialEq, Eq)]
+struct Sizes {
+    packets: usize,
+    orphans: usize,
+    spans: usize,
+    slices: usize,
+    txs: usize,
+    drops: usize,
+    unattributed_txs: usize,
+}
+
+impl Sizes {
+    /// Walks the ring as [`Profile::build`] does, counting what it keeps.
+    fn of(ring: &Ring) -> Sizes {
+        let mut n = Sizes::default();
+        // The packet whose run the walk is in, the instant its slices
+        // reach so far and its last record's: a run that ends past its
+        // last slice is closed with a tail slice.
+        let (mut inside, mut covered, mut last) = (None, 0, 0);
+        for r in ring.iter() {
+            if inside != r.packet {
+                n.slices += usize::from(inside.is_some() && covered < last);
+                inside = r.packet;
+                (covered, last) = (r.at_ns, r.at_ns);
+                let arrival = matches!(r.event, TraceEvent::PacketArrival { .. });
+                n.packets += usize::from(inside.is_some());
+                n.orphans += usize::from(inside.is_some() && !arrival);
+            }
+            if r.packet.is_none() {
+                let tx = matches!(r.event, TraceEvent::PacketTx { .. });
+                n.unattributed_txs += usize::from(tx);
+                continue;
+            }
+            last = r.at_ns;
+            match r.event {
+                TraceEvent::HandlerEnter { .. } => n.spans += 1,
+                TraceEvent::PacketTx { .. } => n.txs += 1,
+                TraceEvent::Drop { .. } => n.drops += 1,
+                // Neither an arrival nor an observability record charges.
+                TraceEvent::PacketArrival { .. }
+                | TraceEvent::RxInterrupt { .. }
+                | TraceEvent::LatencySample { .. } => continue,
+                _ => {}
+            }
+            covered = r.at_ns;
+            n.slices += 1;
+        }
+        n.slices += usize::from(inside.is_some() && covered < last);
+        n
+    }
+}
+
 /// Charges the gap from the open packet's last slice's end (or its
 /// `first_ns`) to `end_ns` to `(layer, domain, handler)`.
 fn charge(slices: &mut Vec<Slice>, open: &PacketProfile, end_ns: u64, to: (Label, Label, Label)) {
@@ -330,12 +384,14 @@ fn close_span(spans: &mut [Span], at: usize, exit_ns: u64, complete: bool) {
 }
 
 impl Profile {
-    /// Folds the recorder's retained ring into a profile, in one walk.
-    /// A packet's records are one contiguous run of the ring (the
-    /// recorder changes packet only at an arrival, which takes the next
-    /// ID), so nothing is copied or grouped first.
+    /// Folds the recorder's retained ring into a profile, in one walk
+    /// after a counting one that sizes the arenas. A packet's records are
+    /// one contiguous run of the ring (the recorder changes packet only at
+    /// an arrival, which takes the next ID), so nothing is copied or
+    /// grouped first.
     pub fn build(rec: &Recorder) -> Profile {
         let ring = rec.ring();
+        let n = Sizes::of(&ring);
         let mut names = rec.names().clone();
         let unnamed = names.lookup("");
         let mut step = |name| names.intern(name);
@@ -353,19 +409,19 @@ impl Profile {
             unnamed,
         };
         let mut profile = Profile {
-            packets: Vec::new(),
+            packets: Vec::with_capacity(n.packets),
             truncation: TruncationReport {
                 dropped_records: ring.overwritten(),
                 first_retained_seq: ring.iter().next().map_or(0, |r| r.seq),
+                orphan_packets: Vec::with_capacity(n.orphans),
                 ..TruncationReport::default()
             },
-            unattributed_txs: Vec::new(),
+            unattributed_txs: Vec::with_capacity(n.unattributed_txs),
             unattributed_drops: Vec::new(),
-            spans: Vec::new(),
-            // A record charges one slice at most.
-            slices: Vec::with_capacity(ring.len()),
-            txs: Vec::new(),
-            drops: Vec::new(),
+            spans: Vec::with_capacity(n.spans),
+            slices: Vec::with_capacity(n.slices),
+            txs: Vec::with_capacity(n.txs),
+            drops: Vec::with_capacity(n.drops),
             names,
             steps,
         };
@@ -378,14 +434,14 @@ impl Profile {
             if inside != r.packet {
                 profile.close_packet(inside, &mut stack);
                 inside = r.packet;
-                if profile.open_packet(r) {
+                if profile.open_packet(&r) {
                     continue;
                 }
             }
             match (r.packet, r.event) {
-                (Some(_), _) => profile.record(&mut stack, r),
+                (Some(_), _) => profile.record(&mut stack, &r),
                 (None, TraceEvent::PacketTx { .. }) => {
-                    profile.unattributed_txs.extend(steps.tx_record(r));
+                    profile.unattributed_txs.extend(steps.tx_record(&r));
                 }
                 (None, TraceEvent::Drop { layer, reason }) => {
                     *drops.entry((layer, reason)).or_insert(0) += 1;
@@ -398,12 +454,21 @@ impl Profile {
         let mut drops: Vec<_> = drops.into_iter().map(|((l, r), n)| (l, r, n)).collect();
         drops.sort_by_key(|&(layer, reason, _)| (profile.name(layer), profile.name(reason)));
         profile.unattributed_drops = drops;
-        // What the profile keeps is each arena at its size.
-        profile.packets.shrink_to_fit();
-        profile.spans.shrink_to_fit();
-        profile.slices.shrink_to_fit();
-        profile.txs.shrink_to_fit();
+        debug_assert_eq!(profile.sizes(), n, "the counting walk sized every arena");
         profile
+    }
+
+    /// What the fold kept, as [`Sizes::of`] counts it.
+    fn sizes(&self) -> Sizes {
+        Sizes {
+            packets: self.packets.len(),
+            orphans: self.truncation.orphan_packets.len(),
+            spans: self.spans.len(),
+            slices: self.slices.len(),
+            txs: self.txs.len(),
+            drops: self.drops.len(),
+            unattributed_txs: self.unattributed_txs.len(),
+        }
     }
 
     /// The string behind a label found anywhere in this profile.

@@ -165,7 +165,6 @@ pub struct Recorder {
     ring: RefCell<Ring>,
     registry: Registry,
     interner: RefCell<Interner>,
-    next_seq: Cell<u64>,
     next_packet: Cell<u64>,
     next_span: Cell<u64>,
     next_journey: Cell<u64>,
@@ -186,7 +185,6 @@ impl Recorder {
             ring: RefCell::new(Ring::new(capacity)),
             registry: Registry::default(),
             interner: RefCell::new(Interner::default()),
-            next_seq: Cell::new(0),
             next_packet: Cell::new(0),
             next_span: Cell::new(0),
             next_journey: Cell::new(0),
@@ -265,7 +263,7 @@ impl Recorder {
 
     /// Total records ever pushed.
     pub fn recorded(&self) -> u64 {
-        self.next_seq.get()
+        self.ring.borrow().pushed()
     }
 
     fn push(&self, at_ns: u64, event: TraceEvent) {
@@ -273,16 +271,14 @@ impl Recorder {
     }
 
     fn push_with_journey(&self, at_ns: u64, event: TraceEvent, journey: Option<u64>) {
-        let seq = self.next_seq.get();
-        self.next_seq.set(seq + 1);
+        let mut ring = self.ring.borrow_mut();
         let record = TraceRecord {
             at_ns,
-            seq,
+            seq: ring.pushed(),
             packet: self.current_packet.get(),
             journey,
             event,
         };
-        let mut ring = self.ring.borrow_mut();
         // The live tier rides the same push: online aggregation at record
         // time, so its view survives ring wraparound. Its sampler keeps
         // ring positions, so it sees a record off before the ring drops it.
@@ -291,7 +287,7 @@ impl Recorder {
             return ring.push(record);
         };
         if let Some(old) = ring.next_overwritten() {
-            live.before_overwrite(old, &ring);
+            live.before_overwrite(&old, &ring);
         }
         ring.push(record);
         live.feed(&record, &self.registry, &self.interner);

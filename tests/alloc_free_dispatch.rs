@@ -5,10 +5,11 @@
 //! router, a bind + close pair (alone, or churned beside 128 endpoints)
 //! and a TCP connect + close (beside one live connection or 1 024) allocate
 //! exactly what is pinned below; a bind or listen on a held port allocates
-//! nothing; the folds over a recorded run allocate per run, not per record;
-//! an oversize transmit allocates nothing; rebinding leaves no heap behind, and
-//! neither does a flood of out-of-window TCP segments or of IP fragments
-//! that never complete, on both stacks.
+//! nothing; the folds over a recorded run allocate per run, not per record,
+//! and a profile's build the same at any run length; an oversize transmit
+//! allocates nothing; rebinding leaves no heap behind, and neither does a
+//! flood of out-of-window TCP segments or of IP fragments that never
+//! complete, on both stacks.
 //!
 //! The counting allocator is `perf/`'s, mounted by path. Its counters are
 //! thread-local and every `#[test]` runs on a thread of its own, so the
@@ -497,11 +498,11 @@ fn a_sampled_live_echo_allocates_exactly_the_pinned_count() {
 }
 
 /// `datagrams` echoes by [`plexus_echo`] under a recorder whose ring holds
-/// them all, with the live tier's 10 ms windows: the traced benchmark's
-/// run in small.
+/// them all (up to about 3 400), with the live tier's 10 ms windows: the
+/// traced benchmark's run in small.
 fn traced_run(datagrams: u64) -> Rc<Recorder> {
     plexus::net::mbuf::reset_cluster_pool();
-    let rec = Recorder::new(1 << 15);
+    let rec = Recorder::new(1 << 16);
     rec.enable_live(LiveConfig::new(FOLD_WINDOW_NS));
     let Loop {
         mut world,
@@ -582,15 +583,16 @@ fn the_folds_allocate_per_packet_not_per_record() {
     let records = rec.recorded();
     assert!(records > 15 * N, "{records} records for {N} echoes");
     // Measured over the run's 7 600 records: `chrome_trace` 0.0016
-    // (its arena of record heads), `Profile::build` 0.0066,
-    // `profile_json` 0.0126, `journey::build` 0.0067, `journeys_json`
-    // 0.0017, the timeline 0.0012, `stats_json` 0.0187, `folded` 0.0012
-    // and the live report with its document 0.0037. While every packet
-    // and journey had `Vec`s of its own and every hop `String` copies of
-    // its names, `Profile::build` and `journey::build` made 0.483 and
-    // 0.229; when the folds kept names as `String`s, 4.65 and 2.57, with
-    // 9.38 for `chrome_trace` and 2.37 for `folded`. One heap call per
-    // packet would be 0.05.
+    // (its arena of record heads), `Profile::build` 0.0028 (0.0066 while
+    // its arenas grew by doubling), `profile_json` 0.0126,
+    // `journey::build` 0.0067, `journeys_json` 0.0017, the timeline
+    // 0.0012, `stats_json` 0.0187, `folded` 0.0012 and the live report
+    // with its document 0.0037. While every packet and journey had `Vec`s
+    // of its own and every hop `String` copies of its names,
+    // `Profile::build` and `journey::build` made 0.483 and 0.229; when the
+    // folds kept names as `String`s, 4.65 and 2.57, with 9.38 for
+    // `chrome_trace` and 2.37 for `folded`. One heap call per packet would
+    // be 0.05.
     for (fold, calls) in every_fold(&rec) {
         let per_record = calls as f64 / records as f64;
         let pin = match fold {
@@ -602,6 +604,20 @@ fn the_folds_allocate_per_packet_not_per_record() {
             "{fold}: {per_record} heap calls per record"
         );
     }
+}
+
+#[test]
+fn profile_build_allocates_once_per_arena() {
+    // A counting walk sizes the packet, span, slice, transmit and drop
+    // arenas before the fold, so each is allocated once at the size it
+    // keeps: 20 times the run costs no heap call more. While the arenas
+    // grew by doubling and were shrunk to fit, every doubling was one (44
+    // heap calls at 100 datagrams, 57 at 2 000).
+    let build = |datagrams| {
+        let rec = traced_run(datagrams);
+        allocs_during(|| drop(Profile::build(&rec)))
+    };
+    assert_eq!(build(100), build(2_000), "at 100 and 2 000 datagrams");
 }
 
 /// The benchmark generator's datagrams: `frames` of `frame`, the `k`-th
