@@ -60,19 +60,21 @@ pub(crate) fn local_dst_values(my_ip: Ipv4Addr) -> [u64; 2] {
 
 /// The guard shape shared by every transport node on `Ip.PacketRecv`:
 /// `IpProto == proto`, optionally `IpDst ∈ {my_ip, broadcast}`, then the
-/// caller's destination-port test (if any).
+/// caller's destination-port test (if any). The tests sit on the stack:
+/// only the program keeps anything.
 pub(crate) fn transport_over_ip(
     proto: u8,
     local_dst: Option<Ipv4Addr>,
     port_test: Option<Test>,
     sets: Vec<PortSet>,
 ) -> FilterProgram {
-    let mut tests = vec![Test::eq(Operand::Field(Field::IpProto), u64::from(proto))];
-    if let Some(ip) = local_dst {
-        tests.push(local_dst_test(ip));
+    let proto = Test::eq(Operand::Field(Field::IpProto), u64::from(proto));
+    let kind = EventKind::IpRecv;
+    match (local_dst.map(local_dst_test), port_test) {
+        (None, None) => conjunction(kind, &[proto], sets),
+        (Some(test), None) | (None, Some(test)) => conjunction(kind, &[proto, test], sets),
+        (Some(local), Some(port)) => conjunction(kind, &[proto, local, port], sets),
     }
-    tests.extend(port_test);
-    conjunction(EventKind::IpRecv, &tests, sets)
 }
 
 /// An EtherType demultiplexer on `Ethernet.PacketRecv`, optionally
@@ -81,17 +83,17 @@ pub(crate) fn ether_type_program(
     ethertype: EtherType,
     local_dst: Option<MacAddr>,
 ) -> FilterProgram {
-    let mut tests = vec![Test::eq(
-        Operand::Field(Field::EthType),
-        u64::from(ethertype.0),
-    )];
-    if let Some(mac) = local_dst {
-        tests.push(Test::one_of(
-            Operand::Field(Field::EthDst),
-            [mac_to_u64(mac), mac_to_u64(MacAddr::BROADCAST)],
-        ));
+    let ethertype = Test::eq(Operand::Field(Field::EthType), u64::from(ethertype.0));
+    match local_dst {
+        None => conjunction(EventKind::EthRecv, &[ethertype], vec![]),
+        Some(mac) => {
+            let local = Test::one_of(
+                Operand::Field(Field::EthDst),
+                [mac_to_u64(mac), mac_to_u64(MacAddr::BROADCAST)],
+            );
+            conjunction(EventKind::EthRecv, &[ethertype, local], vec![])
+        }
     }
-    conjunction(EventKind::EthRecv, &tests, vec![])
 }
 
 /// Verifies a manager-built program against `policy`; the site installs

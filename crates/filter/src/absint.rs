@@ -53,7 +53,8 @@ use std::fmt;
 use crate::ir::{Field, FilterProgram, Insn, Reg, SetId, Src, Width, MAX_INSNS, NUM_REGS};
 use crate::state::MapKind;
 use crate::verify::{
-    key_schema, FieldKey, KeySpec, Policy, Shape, VerifyError, KEY_FIELDS, MAX_ENUMERATED_KEYS,
+    key_schema, FieldKey, KeySpec, KeyValues, Policy, Shape, VerifyError, KEY_FIELDS,
+    MAX_ENUMERATED_KEYS,
 };
 
 /// An advisory finding: the program verifies, but contains provably
@@ -632,7 +633,7 @@ impl Walk {
             vals[widest] = None;
         }
 
-        let mut values = Vec::with_capacity(vals.iter().flatten().map(size).sum());
+        let mut values = KeyValues::with_capacity(vals.iter().flatten().map(size).sum());
         let mut sets = Vec::new();
         let mut shapes = [Shape::Any; KEY_FIELDS];
         let end = |len: usize| u8::try_from(len).expect("a key names at most 64 of each");
@@ -653,12 +654,7 @@ impl Walk {
                 shapes[f] = Shape::NotIn(start, end(sets.len()));
             }
         }
-        KeySpec::new(
-            program.kind,
-            shapes,
-            values.into_boxed_slice(),
-            sets.into_boxed_slice(),
-        )
+        KeySpec::new(program.kind, shapes, values, sets.into_boxed_slice())
     }
 }
 

@@ -8,6 +8,7 @@
 //! exactly what the verifier's value-range analysis understands — a guard
 //! built with `conjunction` proves its own policy compliance.
 
+use crate::inline::Inline;
 use crate::ir::{EventKind, Field, FilterProgram, Insn, MapId, PortSet, Reg, SetId, Src, Width};
 use crate::state::StateMap;
 
@@ -25,6 +26,10 @@ pub enum Operand {
     },
 }
 
+/// Values a [`Test::In`] holds without a heap call: a binding's
+/// `{address, broadcast}` pair fits, with room to spare.
+const IN_VALUES_INLINE: usize = 4;
+
 /// One conjunct of a guard predicate.
 #[derive(Clone, Debug)]
 pub enum Test {
@@ -40,8 +45,9 @@ pub enum Test {
     In {
         /// What to load.
         op: Operand,
-        /// Accepted values (must be non-empty).
-        values: Vec<u64>,
+        /// Accepted values (must be non-empty); up to four are held in
+        /// place, more on the heap.
+        values: Inline<u64, IN_VALUES_INLINE>,
     },
     /// The operand must be a member of the shared port set.
     InSet {

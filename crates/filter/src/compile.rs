@@ -28,7 +28,9 @@
 //!
 //! A compiled program is one allocation, its op list: a run's tests sit in
 //! the list right after the run, and the passes before it work in arrays
-//! bounded by [`MAX_INSNS`], which no verified program exceeds.
+//! bounded by [`MAX_INSNS`], which no verified program exceeds. That bound
+//! also keeps the list dense: an op names registers as `u8`s and other ops
+//! as `u16` indices, so none is wider than four words.
 //!
 //! The tier is *observationally identical* to the interpreter: same
 //! verdicts, same state-map mutations, and the same metered cycle count,
@@ -95,11 +97,15 @@ impl Cmp {
 /// per evaluation) — specialized per width at compile time, so each is
 /// a constant-length slice check and a `from_be_bytes`, not a
 /// variable-length byte fold.
+///
+/// Four bytes: a payload offset is below [`crate::ir::PAY_WINDOW`], so a
+/// `u16` holds it.
+#[derive(Clone, Copy)]
 enum LoadKind {
     Field(Field),
-    Pay8 { start: usize },
-    Pay16 { start: usize },
-    Pay32 { start: usize },
+    Pay8 { start: u16 },
+    Pay16 { start: u16 },
+    Pay32 { start: u16 },
 }
 
 impl LoadKind {
@@ -111,16 +117,25 @@ impl LoadKind {
     }
 
     #[inline(always)]
-    fn get<'p>(&self, pkt: &'p dyn Packet, head: &mut Option<&'p [u8]>) -> Option<u64> {
+    fn get<'p>(self, pkt: &'p dyn Packet, head: &mut Option<&'p [u8]>) -> Option<u64> {
         match self {
-            LoadKind::Field(f) => pkt.field(*f),
-            LoadKind::Pay8 { start } => head_of(pkt, head).get(*start).map(|b| u64::from(*b)),
-            LoadKind::Pay16 { start } => head_of(pkt, head)
-                .get(*start..*start + 2)
-                .map(|b| u64::from(u16::from_be_bytes(b.try_into().expect("2-byte slice")))),
-            LoadKind::Pay32 { start } => head_of(pkt, head)
-                .get(*start..*start + 4)
-                .map(|b| u64::from(u32::from_be_bytes(b.try_into().expect("4-byte slice")))),
+            LoadKind::Field(f) => pkt.field(f),
+            LoadKind::Pay8 { start } => {
+                let start = usize::from(start);
+                head_of(pkt, head).get(start).map(|b| u64::from(*b))
+            }
+            LoadKind::Pay16 { start } => {
+                let start = usize::from(start);
+                head_of(pkt, head)
+                    .get(start..start + 2)
+                    .map(|b| u64::from(u16::from_be_bytes(b.try_into().expect("2-byte slice"))))
+            }
+            LoadKind::Pay32 { start } => {
+                let start = usize::from(start);
+                head_of(pkt, head)
+                    .get(start..start + 4)
+                    .map(|b| u64::from(u32::from_be_bytes(b.try_into().expect("4-byte slice"))))
+            }
         }
     }
 }
@@ -129,13 +144,13 @@ impl LoadKind {
 /// [`Op::FusedCmp`] minus the fall-through target, which is implicit
 /// (the next test, or the run's `next` after the last).
 struct CmpEntry {
-    d: usize,
+    d: u8,
     load: LoadKind,
     lc: u32,
     v: u64,
     cmp: Cmp,
     /// Branch-taken target, an op index.
-    t: usize,
+    t: u16,
 }
 
 /// A [`StateMap`] slot operation — the same calls the interpreter makes,
@@ -149,95 +164,95 @@ type StateFn = fn(&StateMap, u64, u64) -> Option<u64>;
 enum Op {
     /// Unfused `Ld`/`LdPay`; a missing value rejects with `c` charged.
     Load {
-        d: usize,
+        d: u8,
         load: LoadKind,
         c: u32,
     },
     LdImm {
-        d: usize,
+        d: u8,
         v: u64,
     },
     AndImm {
-        d: usize,
+        d: u8,
         v: u64,
     },
     AndReg {
-        d: usize,
-        r: usize,
+        d: u8,
+        r: u8,
     },
     OrImm {
-        d: usize,
+        d: u8,
         v: u64,
     },
     OrReg {
-        d: usize,
-        r: usize,
+        d: u8,
+        r: u8,
     },
     CmpImm {
-        a: usize,
+        a: u8,
         v: u64,
         cmp: Cmp,
-        t: usize,
-        f: usize,
+        t: u16,
+        f: u16,
     },
     CmpReg {
-        a: usize,
-        r: usize,
+        a: u8,
+        r: u8,
         cmp: Cmp,
-        t: usize,
-        f: usize,
+        t: u16,
+        f: u16,
     },
     InSet {
-        a: usize,
+        a: u8,
         set: PortSet,
-        t: usize,
-        f: usize,
+        t: u16,
+        f: u16,
     },
     Ja {
-        t: usize,
+        t: u16,
     },
     /// Fused load + compare-immediate + branch.
     FusedCmp {
-        d: usize,
+        d: u8,
         load: LoadKind,
         lc: u32,
         v: u64,
         cmp: Cmp,
-        t: usize,
-        f: usize,
+        t: u16,
+        f: u16,
     },
     /// A superinstruction: a fall-through run of fused load-compares
     /// evaluated by one homogeneous inner loop — the `tests` ops after it.
     /// Branch-taken exits to the test's own target; surviving every test
     /// continues at `next`.
     Run {
-        tests: usize,
-        next: usize,
+        tests: u16,
+        next: u16,
     },
     /// One test of the [`Op::Run`] before it; never dispatched to.
     RunTest(CmpEntry),
     /// Fused load + set-membership probe + branch.
     FusedInSet {
-        d: usize,
+        d: u8,
         load: LoadKind,
         lc: u32,
         set: PortSet,
-        t: usize,
-        f: usize,
+        t: u16,
+        f: u16,
     },
     /// Unfused `MBump`/`MLoad`/`MTake` on a resolved map handle.
     Map {
-        d: usize,
-        i: usize,
+        d: u8,
+        i: u8,
         op: StateFn,
         m: StateMap,
         c: u32,
     },
     /// Fused `And #mask` + map op: one direct slot operation.
     FusedMap {
-        d: usize,
+        d: u8,
         mask: u64,
-        md: usize,
+        md: u8,
         op: StateFn,
         m: StateMap,
         c: u32,
@@ -250,6 +265,11 @@ enum Op {
         extra: u32,
     },
 }
+
+// An op is at most four words: registers are `u8`s, op indices `u16`s
+// (a program has at most `MAX_INSNS + 1` ops), a load four bytes, and a
+// port set or state map one shared handle.
+const _: () = assert!(std::mem::size_of::<Op>() <= 32);
 
 /// A verified guard program lowered to threaded code at install time.
 ///
@@ -293,7 +313,7 @@ impl CompiledProgram {
         'dispatch: loop {
             match &self.ops[pc] {
                 Op::Run { tests, next } => {
-                    for op in &self.ops[pc + 1..=pc + tests] {
+                    for op in &self.ops[pc + 1..=pc + usize::from(*tests)] {
                         let Op::RunTest(e) = op else {
                             unreachable!("a run's tests follow it");
                         };
@@ -301,14 +321,14 @@ impl CompiledProgram {
                         let Some(x) = e.load.get(pkt, &mut head) else {
                             return (false, spent);
                         };
-                        regs[e.d] = x;
+                        regs[usize::from(e.d)] = x;
                         spent += 1;
                         if e.cmp.apply(x, e.v) {
-                            pc = e.t;
+                            pc = usize::from(e.t);
                             continue 'dispatch;
                         }
                     }
-                    pc = *next;
+                    pc = usize::from(*next);
                 }
                 Op::FusedCmp {
                     d,
@@ -323,9 +343,9 @@ impl CompiledProgram {
                     let Some(x) = load.get(pkt, &mut head) else {
                         return (false, spent);
                     };
-                    regs[*d] = x;
+                    regs[usize::from(*d)] = x;
                     spent += 1;
-                    pc = if cmp.apply(x, *v) { *t } else { *f };
+                    pc = usize::from(if cmp.apply(x, *v) { *t } else { *f });
                 }
                 Op::FusedInSet {
                     d,
@@ -339,68 +359,67 @@ impl CompiledProgram {
                     let Some(x) = load.get(pkt, &mut head) else {
                         return (false, spent);
                     };
-                    regs[*d] = x;
+                    regs[usize::from(*d)] = x;
                     spent += 4;
-                    pc = if in_set(set, x) { *t } else { *f };
+                    pc = usize::from(if in_set(set, x) { *t } else { *f });
                 }
                 Op::Load { d, load, c } => {
                     spent += c;
                     let Some(x) = load.get(pkt, &mut head) else {
                         return (false, spent);
                     };
-                    regs[*d] = x;
+                    regs[usize::from(*d)] = x;
                     pc += 1;
                 }
                 Op::LdImm { d, v } => {
-                    regs[*d] = *v;
+                    regs[usize::from(*d)] = *v;
                     spent += 1;
                     pc += 1;
                 }
                 Op::AndImm { d, v } => {
-                    regs[*d] &= *v;
+                    regs[usize::from(*d)] &= *v;
                     spent += 1;
                     pc += 1;
                 }
                 Op::AndReg { d, r } => {
-                    regs[*d] &= regs[*r];
+                    regs[usize::from(*d)] &= regs[usize::from(*r)];
                     spent += 1;
                     pc += 1;
                 }
                 Op::OrImm { d, v } => {
-                    regs[*d] |= *v;
+                    regs[usize::from(*d)] |= *v;
                     spent += 1;
                     pc += 1;
                 }
                 Op::OrReg { d, r } => {
-                    regs[*d] |= regs[*r];
+                    regs[usize::from(*d)] |= regs[usize::from(*r)];
                     spent += 1;
                     pc += 1;
                 }
                 Op::CmpImm { a, v, cmp, t, f } => {
                     spent += 1;
-                    pc = if cmp.apply(regs[*a], *v) { *t } else { *f };
+                    let taken = cmp.apply(regs[usize::from(*a)], *v);
+                    pc = usize::from(if taken { *t } else { *f });
                 }
                 Op::CmpReg { a, r, cmp, t, f } => {
                     spent += 1;
-                    pc = if cmp.apply(regs[*a], regs[*r]) {
-                        *t
-                    } else {
-                        *f
-                    };
+                    let taken = cmp.apply(regs[usize::from(*a)], regs[usize::from(*r)]);
+                    pc = usize::from(if taken { *t } else { *f });
                 }
                 Op::InSet { a, set, t, f } => {
                     spent += 4;
-                    pc = if in_set(set, regs[*a]) { *t } else { *f };
+                    let taken = in_set(set, regs[usize::from(*a)]);
+                    pc = usize::from(if taken { *t } else { *f });
                 }
                 Op::Ja { t } => {
                     spent += 1;
-                    pc = *t;
+                    pc = usize::from(*t);
                 }
                 Op::Map { d, i, op, m, c } => {
                     spent += c;
-                    match op(m, regs[*i], now_ns) {
+                    match op(m, regs[usize::from(*i)], now_ns) {
                         Some(v) => {
-                            regs[*d] = v;
+                            regs[usize::from(*d)] = v;
                             pc += 1;
                         }
                         None => return (false, spent),
@@ -415,12 +434,12 @@ impl CompiledProgram {
                     c,
                 } => {
                     spent += 1; // the And
-                    let idx = regs[*d] & mask;
-                    regs[*d] = idx;
+                    let idx = regs[usize::from(*d)] & mask;
+                    regs[usize::from(*d)] = idx;
                     spent += c;
                     match op(m, idx, now_ns) {
                         Some(v) => {
-                            regs[*md] = v;
+                            regs[usize::from(*md)] = v;
                             pc += 1;
                         }
                         None => return (false, spent),
@@ -474,17 +493,17 @@ fn in_set(ports: &PortSet, v: u64) -> bool {
     u16::try_from(v).map(|p| ports.contains(p)).unwrap_or(false)
 }
 
-fn load_op(insn: &Insn) -> Option<(usize, LoadKind)> {
+fn load_op(insn: &Insn) -> Option<(u8, LoadKind)> {
     match insn {
-        Insn::Ld { dst, field } => Some((dst.0 as usize, LoadKind::Field(*field))),
+        Insn::Ld { dst, field } => Some((dst.0, LoadKind::Field(*field))),
         Insn::LdPay { dst, off, width } => {
-            let start = *off as usize;
+            let start = *off;
             let load = match width {
                 Width::W8 => LoadKind::Pay8 { start },
                 Width::W16 => LoadKind::Pay16 { start },
                 Width::W32 => LoadKind::Pay32 { start },
             };
-            Some((dst.0 as usize, load))
+            Some((dst.0, load))
         }
         _ => None,
     }
@@ -526,10 +545,8 @@ fn fuses_load(insn: &Insn, next: &Insn, program: &FilterProgram) -> bool {
         }
         | Insn::Jgt {
             a, b: Src::Imm(_), ..
-        } => a.0 as usize == d,
-        Insn::JInSet { a, set, .. } => {
-            a.0 as usize == d && program.sets.get(*set as usize).is_some()
-        }
+        } => a.0 == d,
+        Insn::JInSet { a, set, .. } => a.0 == d && program.sets.get(*set as usize).is_some(),
         _ => false,
     }
 }
@@ -561,9 +578,9 @@ fn coalesce_runs(ops: &mut [Option<Op>]) -> Vec<Op> {
     for (idx, op) in ops.iter().enumerate() {
         match op {
             Some(Op::FusedCmp { t, f, .. }) => {
-                entered[*t] = true;
-                if *f != idx + 1 {
-                    entered[*f] = true;
+                entered[usize::from(*t)] = true;
+                if usize::from(*f) != idx + 1 {
+                    entered[usize::from(*f)] = true;
                 }
             }
             Some(
@@ -572,10 +589,10 @@ fn coalesce_runs(ops: &mut [Option<Op>]) -> Vec<Op> {
                 | Op::InSet { t, f, .. }
                 | Op::FusedInSet { t, f, .. },
             ) => {
-                entered[*t] = true;
-                entered[*f] = true;
+                entered[usize::from(*t)] = true;
+                entered[usize::from(*f)] = true;
             }
-            Some(Op::Ja { t }) => entered[*t] = true,
+            Some(Op::Ja { t }) => entered[usize::from(*t)] = true,
             _ => {}
         }
     }
@@ -588,7 +605,7 @@ fn coalesce_runs(ops: &mut [Option<Op>]) -> Vec<Op> {
     while i < n {
         let mut j = i;
         while j < n
-            && matches!(&ops[j], Some(Op::FusedCmp { f, .. }) if *f == j + 1)
+            && matches!(&ops[j], Some(Op::FusedCmp { f, .. }) if usize::from(*f) == j + 1)
             && (j == i || !entered[j])
         {
             j += 1;
@@ -602,11 +619,11 @@ fn coalesce_runs(ops: &mut [Option<Op>]) -> Vec<Op> {
         }
     }
 
-    let mut remap = [0usize; MAX_INSNS + 2];
+    let mut remap = [0u16; MAX_INSNS + 2];
     let mut out: Vec<Op> = Vec::with_capacity(n + runs);
     let mut i = 0;
     while i < n {
-        remap[i] = out.len();
+        remap[i] = op_index(out.len());
         let tests = run[i];
         if tests == 0 {
             out.push(ops[i].take().expect("each op moves exactly once"));
@@ -616,8 +633,8 @@ fn coalesce_runs(ops: &mut [Option<Op>]) -> Vec<Op> {
         // The op after the run is never absorbed elsewhere (the run
         // stopped there), so its remap entry is a real op.
         out.push(Op::Run {
-            tests,
-            next: i + tests,
+            tests: op_index(tests),
+            next: op_index(i + tests),
         });
         for k in i..i + tests {
             remap[k] = remap[i];
@@ -652,12 +669,12 @@ fn coalesce_runs(ops: &mut [Option<Op>]) -> Vec<Op> {
             | Op::InSet { t, f, .. }
             | Op::FusedCmp { t, f, .. }
             | Op::FusedInSet { t, f, .. } => {
-                *t = remap[*t];
-                *f = remap[*f];
+                *t = remap[usize::from(*t)];
+                *f = remap[usize::from(*f)];
             }
-            Op::Ja { t } => *t = remap[*t],
-            Op::Run { next, .. } => *next = remap[*next],
-            Op::RunTest(e) => e.t = remap[e.t],
+            Op::Ja { t } => *t = remap[usize::from(*t)],
+            Op::Run { next, .. } => *next = remap[usize::from(*next)],
+            Op::RunTest(e) => e.t = remap[usize::from(e.t)],
             _ => {}
         }
     }
@@ -668,8 +685,15 @@ fn coalesce_runs(ops: &mut [Option<Op>]) -> Vec<Op> {
 /// resolved to an op index. A target past the end behaves like falling
 /// off the end (the fail op), exactly like the interpreter's `pc < len`
 /// loop exit.
-fn target(pc_to_op: &[u32], len: usize, at: usize, off: usize) -> usize {
-    pc_to_op[(at + 1 + off).min(len)] as usize
+fn target(pc_to_op: &[u16], len: usize, at: usize, off: usize) -> u16 {
+    pc_to_op[(at + 1 + off).min(len)]
+}
+
+/// `i` as ops store an op index. A compiled program has at most
+/// `MAX_INSNS + 1` ops (one per instruction, and the fail op), so every
+/// index fits a `u16`; the conversion is checked in every profile.
+fn op_index(i: usize) -> u16 {
+    u16::try_from(i).expect("a verified program's op indices fit a u16")
 }
 
 /// Lowers a program into its op array. Called from the verifier's
@@ -701,8 +725,8 @@ pub(crate) fn compile(program: &FilterProgram) -> CompiledProgram {
 
     // Pass 1: decide fusions and assign each instruction its op index.
     // `pc_to_op[len]` is the shared fail op appended after the body.
-    let mut pc_to_op = [0u32; MAX_INSNS + 1];
-    let mut n_ops = 0u32;
+    let mut pc_to_op = [0u16; MAX_INSNS + 1];
+    let mut n_ops = 0u16;
     let mut at = 0;
     while at < len {
         pc_to_op[at] = n_ops;
@@ -761,9 +785,9 @@ pub(crate) fn compile(program: &FilterProgram) -> CompiledProgram {
             stats.folded_consts += 1;
             stats.fused_state_ops += 1;
             push(Op::FusedMap {
-                d: dst.0 as usize,
+                d: dst.0,
                 mask: *mask,
-                md: md.0 as usize,
+                md: md.0,
                 op: state_op(m_insn),
                 m: program.maps[*map as usize].clone(),
                 c: m_insn.cost(),
@@ -846,35 +870,20 @@ pub(crate) fn compile(program: &FilterProgram) -> CompiledProgram {
             }
             Insn::LdImm { dst, imm } => {
                 stats.folded_consts += 1;
-                Op::LdImm {
-                    d: dst.0 as usize,
-                    v: *imm,
-                }
+                Op::LdImm { d: dst.0, v: *imm }
             }
             Insn::And { dst, src } => match fold_cmp(src) {
-                Some(v) => Op::AndImm {
-                    d: dst.0 as usize,
-                    v,
-                },
+                Some(v) => Op::AndImm { d: dst.0, v },
                 None => {
                     let Src::Reg(r) = src else { unreachable!() };
-                    Op::AndReg {
-                        d: dst.0 as usize,
-                        r: r.0 as usize,
-                    }
+                    Op::AndReg { d: dst.0, r: r.0 }
                 }
             },
             Insn::Or { dst, src } => match fold_cmp(src) {
-                Some(v) => Op::OrImm {
-                    d: dst.0 as usize,
-                    v,
-                },
+                Some(v) => Op::OrImm { d: dst.0, v },
                 None => {
                     let Src::Reg(r) = src else { unreachable!() };
-                    Op::OrReg {
-                        d: dst.0 as usize,
-                        r: r.0 as usize,
-                    }
+                    Op::OrReg { d: dst.0, r: r.0 }
                 }
             },
             Insn::Jeq { a, b, off }
@@ -891,7 +900,7 @@ pub(crate) fn compile(program: &FilterProgram) -> CompiledProgram {
                 let f = target(&pc_to_op, len, at, 0);
                 match fold_cmp(b) {
                     Some(v) => Op::CmpImm {
-                        a: a.0 as usize,
+                        a: a.0,
                         v,
                         cmp,
                         t,
@@ -900,8 +909,8 @@ pub(crate) fn compile(program: &FilterProgram) -> CompiledProgram {
                     None => {
                         let Src::Reg(r) = b else { unreachable!() };
                         Op::CmpReg {
-                            a: a.0 as usize,
-                            r: r.0 as usize,
+                            a: a.0,
+                            r: r.0,
                             cmp,
                             t,
                             f,
@@ -911,7 +920,7 @@ pub(crate) fn compile(program: &FilterProgram) -> CompiledProgram {
             }
             Insn::JInSet { a, set, off } => match program.sets.get(*set as usize) {
                 Some(ports) => Op::InSet {
-                    a: a.0 as usize,
+                    a: a.0,
                     set: ports.clone(),
                     t: target(&pc_to_op, len, at, *off as usize),
                     f: target(&pc_to_op, len, at, 0),
@@ -931,8 +940,8 @@ pub(crate) fn compile(program: &FilterProgram) -> CompiledProgram {
             | Insn::MLoad { dst, map, idx }
             | Insn::MTake { dst, map, idx }) => match program.maps.get(*map as usize) {
                 Some(m) => Op::Map {
-                    d: dst.0 as usize,
-                    i: idx.0 as usize,
+                    d: dst.0,
+                    i: idx.0,
                     op: state_op(m_insn),
                     m: m.clone(),
                     c: m_insn.cost(),

@@ -46,6 +46,7 @@ pub mod builder;
 pub mod compile;
 pub mod cost;
 pub mod eval;
+mod inline;
 pub mod ir;
 pub mod spec;
 pub mod state;
@@ -55,6 +56,7 @@ pub use absint::Lint;
 pub use builder::{conjunction, conjunction_stateful, Operand, Test};
 pub use compile::{CompileStats, CompiledProgram};
 pub use eval::{eval, eval_metered, eval_unchecked, read_field_key, Packet};
+pub use inline::Inline;
 pub use ir::{
     EventKind, Field, FilterProgram, Insn, MapId, PortSet, Reg, SetId, Src, Width, MAX_COST,
     MAX_INSNS, NUM_REGS, PAY_WINDOW,

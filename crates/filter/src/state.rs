@@ -9,9 +9,9 @@
 //! guard at interrupt level therefore cannot admit unbounded kernel state.
 //!
 //! Like [`crate::ir::PortSet`], a [`StateMap`] handle is shared between
-//! the installed program and its manager (`Rc<RefCell<..>>`): the manager
-//! can read counters or reset state without reinstalling, and cloning a
-//! program shares — never copies — its state.
+//! the installed program and its manager (one `Rc`, a word wide): the
+//! manager can read counters or reset state without reinstalling, and
+//! cloning a program shares — never copies — its state.
 
 use std::cell::RefCell;
 use std::fmt;
@@ -82,12 +82,26 @@ struct Slot {
 /// `None` when it is out of bounds or the operation does not fit the map's
 /// kind — the checked evaluator turns `None` into a rejection, and the
 /// verifier proves it never happens for verified programs.
-#[derive(Clone, Debug)]
-pub struct StateMap {
-    name: Rc<str>,
+#[derive(Clone)]
+pub struct StateMap(Rc<Shared>);
+
+/// What every handle to one map shares: its declaration, and its slots.
+struct Shared {
+    name: Box<str>,
     kind: MapKind,
     capacity: u32,
-    slots: Rc<RefCell<Vec<Slot>>>,
+    slots: RefCell<Vec<Slot>>,
+}
+
+impl fmt::Debug for StateMap {
+    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
+        f.debug_struct("StateMap")
+            .field("name", &self.0.name)
+            .field("kind", &self.0.kind)
+            .field("capacity", &self.0.capacity)
+            .field("slots", &self.0.slots)
+            .finish()
+    }
 }
 
 impl StateMap {
@@ -101,53 +115,53 @@ impl StateMap {
                 b: 0,
             },
         };
-        StateMap {
+        StateMap(Rc::new(Shared {
             name: name.into(),
             kind,
             capacity,
-            slots: Rc::new(RefCell::new(vec![init; capacity as usize])),
-        }
+            slots: RefCell::new(vec![init; capacity as usize]),
+        }))
     }
 
     /// The declared name (diagnostics and spec files).
     pub fn name(&self) -> &str {
-        &self.name
+        &self.0.name
     }
 
     /// What each slot holds.
     pub fn kind(&self) -> MapKind {
-        self.kind
+        self.0.kind
     }
 
     /// Number of slots.
     pub fn capacity(&self) -> u32 {
-        self.capacity
+        self.0.capacity
     }
 
     /// Total bytes of state this map pins.
     pub fn state_bytes(&self) -> u32 {
-        self.capacity.saturating_mul(self.kind.slot_bytes())
+        self.0.capacity.saturating_mul(self.0.kind.slot_bytes())
     }
 
     fn slot_index(&self, idx: u64) -> Option<usize> {
-        (idx < u64::from(self.capacity)).then_some(idx as usize)
+        (idx < u64::from(self.0.capacity)).then_some(idx as usize)
     }
 
     /// Reads a slot's primary value: the count of a counter, the current
     /// token balance of a bucket (without refilling).
     pub fn load(&self, idx: u64) -> Option<u64> {
         let i = self.slot_index(idx)?;
-        Some(self.slots.borrow()[i].a)
+        Some(self.0.slots.borrow()[i].a)
     }
 
     /// Bumps a counter slot (saturating); returns the new count. `None`
     /// for token-bucket maps or an out-of-bounds index.
     pub fn bump(&self, idx: u64) -> Option<u64> {
-        if !matches!(self.kind, MapKind::Counter) {
+        if !matches!(self.0.kind, MapKind::Counter) {
             return None;
         }
         let i = self.slot_index(idx)?;
-        let mut slots = self.slots.borrow_mut();
+        let mut slots = self.0.slots.borrow_mut();
         let slot = &mut slots[i];
         slot.a = slot.a.saturating_add(1);
         Some(slot.a)
@@ -164,12 +178,12 @@ impl StateMap {
         let MapKind::TokenBucket {
             tokens: cap,
             refill_per_ms,
-        } = self.kind
+        } = self.0.kind
         else {
             return None;
         };
         let i = self.slot_index(idx)?;
-        let mut slots = self.slots.borrow_mut();
+        let mut slots = self.0.slots.borrow_mut();
         let slot = &mut slots[i];
         let elapsed_ms = now_ns.saturating_sub(slot.b) / 1_000_000;
         if elapsed_ms > 0 {
@@ -187,19 +201,19 @@ impl StateMap {
 
     /// Resets every slot to its initial value (zero / full).
     pub fn reset(&self) {
-        let init = match self.kind {
+        let init = match self.0.kind {
             MapKind::Counter => Slot::default(),
             MapKind::TokenBucket { tokens, .. } => Slot {
                 a: u64::from(tokens),
                 b: 0,
             },
         };
-        self.slots.borrow_mut().fill(init);
+        self.0.slots.borrow_mut().fill(init);
     }
 
     /// Snapshot of every slot's primary value, in index order.
     pub fn snapshot(&self) -> Vec<u64> {
-        self.slots.borrow().iter().map(|s| s.a).collect()
+        self.0.slots.borrow().iter().map(|s| s.a).collect()
     }
 }
 

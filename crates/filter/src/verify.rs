@@ -27,6 +27,7 @@ use std::collections::BTreeSet;
 use std::fmt;
 
 use crate::absint::{self, Lint};
+use crate::inline::Inline;
 use crate::ir::{
     EventKind, Field, FilterProgram, Insn, PortSet, Reg, Src, Width, MAX_COST, MAX_INSNS, NUM_REGS,
     PAY_WINDOW,
@@ -56,10 +57,13 @@ impl fmt::Display for FieldKey {
 /// field must provably lie within its allowed set.
 ///
 /// Every constraint lives in one list: its key, then the values it
-/// allows. Two constraints on one key stay two, so both must hold.
+/// allows. Two constraints on one key stay two, so both must hold. A
+/// policy is verification scratch, dropped when the verifier returns, so
+/// its first eight entries are held in place and only a longer list (a
+/// spec file's) takes a heap call.
 #[derive(Clone, Debug, Default)]
 pub struct Policy {
-    entries: Vec<PolicyEntry>,
+    entries: Inline<PolicyEntry, POLICY_ROOM>,
 }
 
 #[derive(Clone, Copy, Debug)]
@@ -70,9 +74,15 @@ enum PolicyEntry {
     Allows(u64),
 }
 
-/// Entries a policy's list has room for from its first constraint on: the
-/// four single-value constraints of a connection's 4-tuple, or a binding's
-/// port and addresses, fit without the list growing again.
+impl Default for PolicyEntry {
+    /// Fills the unused slots of a policy held in place.
+    fn default() -> PolicyEntry {
+        PolicyEntry::Allows(0)
+    }
+}
+
+/// Entries a policy holds in place: the four single-value constraints of
+/// a connection's 4-tuple, or a binding's port and addresses, fit.
 const POLICY_ROOM: usize = 8;
 
 impl Policy {
@@ -83,12 +93,9 @@ impl Policy {
 
     /// Requires `key` to be provably within `allowed` at every accept.
     pub fn require_in(mut self, key: FieldKey, allowed: impl IntoIterator<Item = u64>) -> Policy {
-        let allowed = allowed.into_iter();
-        let len = self.entries.len();
-        let want = (len + 1 + allowed.size_hint().0).max(POLICY_ROOM);
-        self.entries.reserve(want - len);
         self.entries.push(PolicyEntry::Key(key));
-        self.entries.extend(allowed.map(PolicyEntry::Allows));
+        self.entries
+            .extend(allowed.into_iter().map(PolicyEntry::Allows));
         self
     }
 
@@ -691,15 +698,23 @@ pub(crate) enum Shape {
 /// so an index built from key specs can only *narrow* the candidate set,
 /// never admit a handler whose guard would reject.
 ///
-/// Every `In` field's values sit in one list, so a key whose fields are
-/// all `In` or `Any` is one allocation.
+/// Every `In` field's values sit in one list, held in place up to four
+/// (a UDP binding's key holds one, a connection's three): a key whose
+/// fields are all `In` or `Any` and that names at most four values takes
+/// no heap call of its own.
 #[derive(Clone, Debug)]
 pub struct KeySpec {
     kind: EventKind,
     shapes: [Shape; KEY_FIELDS],
-    values: Box<[u64]>,
+    values: KeyValues,
     sets: Box<[PortSet]>,
 }
+
+/// `In` values a [`KeySpec`] holds without a heap call.
+const KEY_VALUES_INLINE: usize = 4;
+
+/// A key's `In` values, every field's run in one list.
+pub(crate) type KeyValues = Inline<u64, KEY_VALUES_INLINE>;
 
 impl KeySpec {
     /// A key over `kind`'s schema from its fields' shapes and the runs
@@ -708,7 +723,7 @@ impl KeySpec {
     pub(crate) fn new(
         kind: EventKind,
         shapes: [Shape; KEY_FIELDS],
-        values: Box<[u64]>,
+        values: KeyValues,
         sets: Box<[PortSet]>,
     ) -> Option<KeySpec> {
         let indexable = shapes[..key_schema(kind).len()]

@@ -5,7 +5,8 @@
 //! router, a bind + close pair (alone, or churned beside 128 endpoints)
 //! and a TCP connect + close (beside one live connection or 1 024) allocate
 //! exactly what is pinned below; a bind or listen on a held port allocates
-//! nothing; the folds over a recorded run allocate per run, not per record,
+//! nothing, and an install keeps every byte it asks for (no scratch on the
+//! heap); the folds over a recorded run allocate per run, not per record,
 //! and a profile's build the same at any run length; an oversize transmit
 //! allocates nothing; rebinding leaves no heap behind, and neither does a
 //! flood of out-of-window TCP segments or of IP fragments that never
@@ -865,34 +866,36 @@ fn rebinder() -> (Testbed, impl Fn(u32)) {
 }
 
 /// Heap calls per UDP bind + close pair, however many endpoints are live.
-const PER_PAIR: u64 = 8;
+const PER_PAIR: u64 = 5;
 
 #[test]
 fn a_bind_close_pair_allocates_exactly_the_pinned_count() {
-    // What is left, per pair, is what the endpoint keeps: the policy's one
-    // list; the one-of test's value list; the program's instructions; the
-    // demux key (every `In` field's values in one list); the compiled op
-    // list; the guard's `Rc`; the dispatcher's entry, which its one-entry
-    // bucket holds inline; the endpoint. The verifier's fact arena is
-    // kept per thread, the program moves into the verified program, and
-    // the compiled form lives inline in it (14 while verification cloned
-    // the program, the compiled form and each bucket were a heap call of
-    // their own, an equality test held its value in a list, the walk took
-    // a fresh arena and the key was a list plus a set per `In` field; 45
-    // while each state held its value sets in `BTreeSet`s, the policy a
-    // set per constraint, the builder and the compiler their scratch
-    // lists, and the dispatcher copied the owner's name and collected the
-    // key combinations; 148 while `core::guards` and the guard's
-    // constructor each re-derived the key and `Entry` cloned it, and 77
-    // while a value-set walk and an interval walk each ran, the second
-    // building successor lists). Verification is a fixed number of heap
-    // calls, however many branches the guard has. What the extension
-    // holds is written down as plain data beside a clone of its link
-    // token, so the record costs no heap call of its own (80 while each
-    // bind boxed an undo closure and copied the extension's name). The
-    // handler is boxed once, by `AppHandler::interrupt`, and that box is
-    // what the dispatcher calls (78 while `install_held` boxed a closure
-    // around it); a handler that captures nothing boxes nothing.
+    // What is left, per pair, is what the endpoint keeps: the program's
+    // instructions; the compiled op list (32 bytes an op); the guard's
+    // `Rc`, whose demux key holds its one port in place; the dispatcher's
+    // entry, which its one-entry bucket holds inline; the endpoint. The
+    // policy and the one-of test's values are verification scratch held
+    // in place on the stack, the verifier's fact arena is kept per
+    // thread, the program moves into the verified program, and the
+    // compiled form lives inline in it (8 while the policy's list, the
+    // one-of test's values and the key's values were each a heap list; 14
+    // while verification cloned the program, the compiled form and each
+    // bucket were a heap call of their own, an equality test held its
+    // value in a list, the walk took a fresh arena and the key was a list
+    // plus a set per `In` field; 45 while each state held its value sets
+    // in `BTreeSet`s, the policy a set per constraint, the builder and the
+    // compiler their scratch lists, and the dispatcher copied the owner's
+    // name and collected the key combinations; 148 while `core::guards`
+    // and the guard's constructor each re-derived the key and `Entry`
+    // cloned it, and 77 while a value-set walk and an interval walk each
+    // ran, the second building successor lists). Verification is a fixed
+    // number of heap calls, however many branches the guard has. What the
+    // extension holds is written down as plain data beside a clone of its
+    // link token, so the record costs no heap call of its own (80 while
+    // each bind boxed an undo closure and copied the extension's name).
+    // The handler is boxed once, by `AppHandler::interrupt`, and that box
+    // is what the dispatcher calls (78 while `install_held` boxed a
+    // closure around it); a handler that captures nothing boxes nothing.
     const N: u32 = 100;
     let (_tb, cycles) = rebinder();
     cycles(10);
@@ -1036,20 +1039,22 @@ fn redialer(live: usize) -> impl FnMut(u32) {
 
 /// Heap calls per TCP connect + close, both ends, however many
 /// connections are live.
-const PER_CONNECTION: u64 = 18;
+const PER_CONNECTION: u64 = 14;
 
 #[test]
 fn a_tcp_connect_close_allocates_exactly_the_pinned_count() {
     // Both ends: each verifies and installs a 4-tuple guard as a bind does
-    // (its key's three values in the one list), boxes its handler and
-    // registers the connection; the client's TCB takes a send buffer and
-    // the server's a receive buffer. The server's accept and the close are
-    // handled from inside a raise, which pins only the lists it walks, so
-    // installing and removing there copies no part of the table (54 while
-    // the raise pinned the whole generation, which each of them then
-    // copied, and verification cost what a bind's did at 14; 59 while each
-    // of the connection's five timers took a fresh box; 149 while
-    // verification and install cost what a bind's did at 45).
+    // (its policy's four equalities on the stack, its key's three values
+    // held in place), boxes its handler and registers the connection; the
+    // client's TCB takes a send buffer and the server's a receive buffer.
+    // The server's accept and the close are handled from inside a raise,
+    // which pins only the lists it walks, so installing and removing there
+    // copies no part of the table (18 while each end's policy and key
+    // values were heap lists; 54 while the raise pinned the whole
+    // generation, which each of them then copied, and verification cost
+    // what a bind's did at 14; 59 while each of the connection's five
+    // timers took a fresh box; 149 while verification and install cost
+    // what a bind's did at 45).
     const N: u32 = 50;
     let mut redial = redialer(0);
     redial(10);
@@ -1070,6 +1075,89 @@ fn a_tcp_connect_close_costs_the_same_beside_a_thousand_live_connections() {
         let allocs = allocs_during(|| redial(N));
         assert_eq!(allocs, PER_CONNECTION * u64::from(N), "{live} live");
     }
+}
+
+/// Heap bytes asked for inside `f`, and how far the live heap grew.
+fn kept_during(f: impl FnOnce()) -> (i64, i64) {
+    let (_, asked, live, _) = alloc::snapshot();
+    f();
+    let (_, asked_after, live_after, _) = alloc::snapshot();
+    ((asked_after - asked) as i64, live_after - live)
+}
+
+#[test]
+fn an_install_keeps_every_byte_it_asks_for() {
+    // An install asks the allocator only for what the installed binding
+    // keeps: every byte asked for while it runs is still live when it
+    // returns. A policy and a one-of test's values are verification
+    // scratch, held in place on the stack (each UDP bind freed 144 B of
+    // them before it returned while they were heap lists). Each install
+    // is made and undone once beforehand, so the tables it lands in
+    // already have room and none of them grows.
+    let Testbed {
+        mut world, hosts, ..
+    } = Testbed::new(&Link::t3(), 42, &["client", "server"]);
+    let client = PlexusStack::attach_host(&hosts[0], StackConfig::interrupt);
+    let server = PlexusStack::attach_host(&hosts[1], StackConfig::interrupt);
+    let spec = ExtensionSpec::typesafe("keeper", &["UDP.Bind", "TCP.Listen", "TCP.Connect"]);
+    let (cext, sext) = (
+        client.link_extension(&spec).unwrap(),
+        server.link_extension(&spec).unwrap(),
+    );
+    let special = UdpConfig { checksum: false };
+    for (name, config) in [
+        ("UDP bind", UdpConfig::default()),
+        ("special UDP bind", special),
+    ] {
+        let bind = || {
+            let handler = AppHandler::interrupt(|_: &mut RaiseCtx<'_>, _: &UdpRecv| {});
+            server.udp().bind(&sext, 7, config, handler).unwrap()
+        };
+        bind().close();
+        let mut endpoint = None;
+        let (asked, grew) = kept_during(|| endpoint = Some(bind()));
+        assert!(asked > 0, "{name}: the install was measured");
+        assert_eq!(asked, grew, "{name}");
+        endpoint.expect("bound").close();
+    }
+
+    let listen = || {
+        let closer: ConnCallback = Rc::new(|ctx, conn| conn.close_in(ctx));
+        let on_accept = move |_: &mut RaiseCtx<'_>, conn: &Rc<TcpConn>| {
+            conn.set_callbacks(TcpCallbacks {
+                on_peer_close: Some(closer.clone()),
+                ..Default::default()
+            })
+        };
+        server.tcp().listen(&sext, TCP_PORT, on_accept).unwrap();
+    };
+    listen();
+    assert!(server.tcp().unlisten(TCP_PORT));
+    let (asked, grew) = kept_during(listen);
+    assert!(asked > 0, "listen: the install was measured");
+    assert_eq!(asked, grew, "listen");
+
+    // The client's install, then the server's from inside the raise that
+    // delivers the SYN; the handshake's other heap calls are the TCBs'
+    // buffers, which the connection keeps too. A few connections first
+    // also grow the medium's recycled wire buffers to the handshake's
+    // frame sizes, so that none is reallocated inside the window.
+    let to = (hosts[1].ip, TCP_PORT);
+    for _ in 0..4 {
+        let warm = client.tcp().connect(&cext, world.engine_mut(), to).unwrap();
+        world.run();
+        warm.close(world.engine_mut());
+        world.run();
+        assert_eq!(warm.state(), TcpState::Closed);
+    }
+    let mut conn = None;
+    let (asked, grew) = kept_during(|| {
+        conn = Some(client.tcp().connect(&cext, world.engine_mut(), to).unwrap());
+        world.run();
+    });
+    assert_eq!(conn.expect("dialled").state(), TcpState::Established);
+    assert!(asked > 0, "connect: the installs were measured");
+    assert_eq!(asked, grew, "connect and accept");
 }
 
 #[test]
