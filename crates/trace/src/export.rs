@@ -152,82 +152,83 @@ struct Heads<'a> {
 }
 
 impl Heads<'_> {
-    /// Appends `head`'s text to `out`, rendering it on first use.
+    /// Appends `head`'s text to `out`. Inlined: it runs once or twice per
+    /// record, and a call cost the Chrome fold a tenth of its time.
+    #[inline(always)]
     fn push(&mut self, head: Head, out: &mut String) {
         let (tag, a, b) = head.parts();
         let mix = (u64::from(tag) << 40 ^ u64::from(a) << 20 ^ u64::from(b)).wrapping_mul(K);
-        let recent = &mut self.recent[(mix >> 56) as usize];
-        if self.spans.get(*recent).is_none_or(|(h, ..)| *h != head) {
-            let known = self.spans.iter().position(|(h, ..)| *h == head);
-            *recent = known.unwrap_or_else(|| {
-                let start = self.text.len();
-                head.render(self.names, &mut self.text);
-                self.spans.push((head, start, self.text.len()));
-                self.spans.len() - 1
-            });
+        let slot = (mix >> 56) as usize;
+        let mut at = self.recent[slot];
+        if self.spans.get(at).is_none_or(|(h, ..)| *h != head) {
+            at = self.find(head);
+            self.recent[slot] = at;
         }
-        let (_, start, end) = self.spans[*recent];
+        let (_, start, end) = self.spans[at];
         out.push_str(&self.text[start..end]);
+    }
+
+    /// Where `head` lies in `spans`, rendering it on first use.
+    #[cold]
+    fn find(&mut self, head: Head) -> usize {
+        let known = self.spans.iter().position(|(h, ..)| *h == head);
+        known.unwrap_or_else(|| {
+            let start = self.text.len();
+            head.render(self.names, &mut self.text);
+            self.spans.push((head, start, self.text.len()));
+            self.spans.len() - 1
+        })
     }
 }
 
 /// The multiplier of the `FxHasher` recipe.
 const K: u64 = 0x517c_c1b7_2722_0a95;
 
-/// `"00"` to `"99"`, back to back.
-const PAIRS: [u8; 200] = {
-    let mut pairs = [0; 200];
-    let mut i = 0;
-    while i < 100 {
-        pairs[2 * i] = b'0' + (i / 10) as u8;
-        pairs[2 * i + 1] = b'0' + (i % 10) as u8;
-        i += 1;
+/// `"00"` to `"99"`, back to back: a number is pushed two digits at a
+/// time as slices of it, so its text is `str` by type and never checked.
+const PAIRS: &str = {
+    const DIGITS: [u8; 200] = {
+        let mut pairs = [0; 200];
+        let mut i = 0;
+        while i < 100 {
+            pairs[2 * i] = b'0' + (i / 10) as u8;
+            pairs[2 * i + 1] = b'0' + (i % 10) as u8;
+            i += 1;
+        }
+        pairs
+    };
+    match std::str::from_utf8(&DIGITS) {
+        Ok(pairs) => pairs,
+        Err(_) => panic!("digits are ASCII"),
     }
-    pairs
 };
 
-/// A record's text after its head — timestamp, row and arguments: digits
-/// and punctuation, built on the stack and appended with one `push_str`.
-struct Tail {
-    buf: [u8; 256],
-    len: usize,
+/// Appends `n` in decimal: its two-digit groups are split off from the
+/// right, then pushed from the left, a leading lone digit as a `char`.
+fn push_num(out: &mut String, n: u64) {
+    let mut pairs = [0u8; 10];
+    let (mut k, mut m) = (0, n);
+    while m >= 100 {
+        pairs[k] = (m % 100) as u8;
+        m /= 100;
+        k += 1;
+    }
+    if m >= 10 {
+        let at = 2 * m as usize;
+        out.push_str(&PAIRS[at..at + 2]);
+    } else {
+        out.push(char::from(b'0' + m as u8));
+    }
+    for &p in pairs[..k].iter().rev() {
+        let at = 2 * p as usize;
+        out.push_str(&PAIRS[at..at + 2]);
+    }
 }
 
-impl Tail {
-    fn text(&mut self, s: &str) {
-        self.buf[self.len..self.len + s.len()].copy_from_slice(s.as_bytes());
-        self.len += s.len();
-    }
-
-    /// `n` in decimal, two digits at a time, written in place.
-    fn num(&mut self, mut n: u64) {
-        let end = self.len + n.checked_ilog10().map_or(1, |d| d as usize + 1);
-        let mut at = end;
-        while n >= 100 {
-            let pair = 2 * (n % 100) as usize;
-            n /= 100;
-            at -= 2;
-            self.buf[at..at + 2].copy_from_slice(&PAIRS[pair..pair + 2]);
-        }
-        if n >= 10 {
-            let pair = 2 * n as usize;
-            self.buf[at - 2..at].copy_from_slice(&PAIRS[pair..pair + 2]);
-        } else {
-            self.buf[at - 1] = b'0' + n as u8;
-        }
-        self.len = end;
-    }
-
-    fn key_num(&mut self, key: &str, n: u64) {
-        self.text(key);
-        self.num(n);
-    }
-
-    /// Appends what the tail holds to `out` and empties it.
-    fn flush(&mut self, out: &mut String) {
-        out.push_str(std::str::from_utf8(&self.buf[..self.len]).expect("ASCII"));
-        self.len = 0;
-    }
+/// Appends `key` and then `n`.
+fn push_key_num(out: &mut String, key: &str, n: u64) {
+    out.push_str(key);
+    push_num(out, n);
 }
 
 /// Renders the retained trace as Chrome `trace_event` JSON (the "JSON
@@ -239,8 +240,8 @@ impl Tail {
 /// handler spans, and drops line up on one timeline track.
 ///
 /// This is the one exporter that writes per ring record, so it copies each
-/// record's head from its arena and builds the rest on the stack instead
-/// of going through `fmt`.
+/// record's head from its arena and pushes the rest — fixed text and
+/// digits — straight into the output instead of going through `fmt`.
 pub fn chrome_trace(rec: &Recorder) -> String {
     let ring = rec.ring();
     let names = rec.names();
@@ -250,41 +251,44 @@ pub fn chrome_trace(rec: &Recorder) -> String {
         spans: Vec::new(),
         recent: [usize::MAX; 256],
     };
-    let mut tail = Tail {
-        buf: [0; 256],
-        len: 0,
-    };
     let mut out = String::with_capacity(64 + ring.len() * CHROME_BYTES_PER_RECORD);
     out.push_str("{\"displayTimeUnit\": \"ns\", \"traceEvents\": [");
+    // A row's text is at most 51 bytes (a 20-digit tid).
+    let (mut row, mut row_of) = (String::with_capacity(64), None);
     for (i, r) in ring.iter().enumerate() {
         heads.push(Head::of(&r.event), &mut out);
         // Microseconds with fixed 3-decimal precision from integer
         // nanoseconds — no floating point, so formatting is byte-stable.
         let ns = r.at_ns % 1_000;
-        tail.num(r.at_ns / 1_000);
-        tail.text(".");
+        push_num(&mut out, r.at_ns / 1_000);
+        out.push('.');
         for digit in [ns / 100, ns / 10 % 10, ns % 10] {
-            tail.num(digit);
+            out.push(char::from(b'0' + digit as u8));
         }
-        tail.key_num(", \"pid\": 1, \"tid\": ", r.packet.map_or(0, |p| p + 1));
-        tail.text(", \"args\": {");
+        // A packet's records are one run of the ring, so the text of its
+        // row (pid, tid, the opening of the arguments) is written once per
+        // run and copied.
+        if row_of != Some(r.packet) {
+            row_of = Some(r.packet);
+            row.clear();
+            row.push_str(", \"pid\": 1, \"tid\": ");
+            push_num(&mut row, r.packet.map_or(0, |p| p + 1));
+            row.push_str(", \"args\": {");
+        }
+        out.push_str(&row);
         // The host, where a record names one, is a head of its own.
-        let mut push_host = |tail: &mut Tail, host| {
-            tail.flush(&mut out);
-            heads.push(Head::Host(host), &mut out);
-        };
         match r.event {
             TraceEvent::PacketArrival { host, bytes, .. } => {
-                tail.key_num("\"bytes\": ", bytes.into());
-                tail.text(", ");
-                push_host(&mut tail, host);
+                push_key_num(&mut out, "\"bytes\": ", bytes.into());
+                out.push_str(", ");
+                heads.push(Head::Host(host), &mut out);
                 match r.journey {
-                    Some(journey) => tail.key_num("\"journey\": ", journey),
-                    None => tail.text("\"journey\": null"),
+                    Some(journey) => push_key_num(&mut out, "\"journey\": ", journey),
+                    None => out.push_str("\"journey\": null"),
                 }
             }
             TraceEvent::HandlerEnter { span, .. } | TraceEvent::HandlerExit { span, .. } => {
-                tail.key_num("\"span\": ", span);
+                push_key_num(&mut out, "\"span\": ", span);
             }
             TraceEvent::PacketTx {
                 host,
@@ -295,13 +299,13 @@ pub fn chrome_trace(rec: &Recorder) -> String {
                 prop_ns,
                 ..
             } => {
-                tail.key_num("\"bytes\": ", bytes.into());
-                tail.text(", ");
-                push_host(&mut tail, host);
-                tail.key_num("\"queue_ns\": ", queue_ns);
-                tail.key_num(", \"wait_ns\": ", wait_ns);
-                tail.key_num(", \"ser_ns\": ", ser_ns);
-                tail.key_num(", \"prop_ns\": ", prop_ns);
+                push_key_num(&mut out, "\"bytes\": ", bytes.into());
+                out.push_str(", ");
+                heads.push(Head::Host(host), &mut out);
+                push_key_num(&mut out, "\"queue_ns\": ", queue_ns);
+                push_key_num(&mut out, ", \"wait_ns\": ", wait_ns);
+                push_key_num(&mut out, ", \"ser_ns\": ", ser_ns);
+                push_key_num(&mut out, ", \"prop_ns\": ", prop_ns);
             }
             TraceEvent::RxInterrupt {
                 host,
@@ -309,17 +313,18 @@ pub fn chrome_trace(rec: &Recorder) -> String {
                 ring_after,
                 ..
             } => {
-                tail.key_num("\"frames\": ", frames.into());
-                tail.text(", ");
-                push_host(&mut tail, host);
-                tail.key_num("\"ring_after\": ", ring_after.into());
+                push_key_num(&mut out, "\"frames\": ", frames.into());
+                out.push_str(", ");
+                heads.push(Head::Host(host), &mut out);
+                push_key_num(&mut out, "\"ring_after\": ", ring_after.into());
             }
-            TraceEvent::LatencySample { ns, .. } => tail.key_num("\"ns\": ", ns),
-            TraceEvent::Crossing { bytes, .. } => tail.key_num("\"bytes\": ", bytes.into()),
+            TraceEvent::LatencySample { ns, .. } => push_key_num(&mut out, "\"ns\": ", ns),
+            TraceEvent::Crossing { bytes, .. } => {
+                push_key_num(&mut out, "\"bytes\": ", bytes.into());
+            }
             TraceEvent::GuardEval { .. } | TraceEvent::Drop { .. } | TraceEvent::TimerFire => {}
         }
-        tail.text(if i + 1 < ring.len() { "}}," } else { "}}" });
-        tail.flush(&mut out);
+        out.push_str(if i + 1 < ring.len() { "}}," } else { "}}" });
     }
     out.push_str("\n]}\n");
     out

@@ -6,26 +6,19 @@
 //! `flamegraph.pl --countname=ns` or paste it into
 //! <https://www.speedscope.app>.
 
-use std::collections::BTreeMap;
-
 use crate::json::put;
-use crate::profile::{Profile, Triple};
+use crate::profile::Profile;
 
-/// Renders the profile as folded stacks, sorted by the triples' names so
-/// the output is byte-deterministic.
+/// Renders the profile as folded stacks: the per-triple totals
+/// [`Profile::aggregate`] reports too, from the same walk, sorted by the
+/// triples' names so the output is byte-deterministic.
 pub fn folded(p: &Profile) -> String {
-    let mut sums: BTreeMap<Triple, u64> = BTreeMap::new();
-    for pkt in p.packets.iter().filter(|p| !p.orphan) {
-        for s in p.slices(pkt) {
-            *sums.entry(s.at).or_insert(0) += s.ns();
-        }
-    }
-    let mut rows: Vec<(Triple, u64)> = sums.into_iter().collect();
-    rows.sort_by(|a, b| p.by_name(&a.0, &b.0));
+    let mut rows = p.triple_sums(false);
+    rows.sort_by(|a, b| p.by_name(&a.at, &b.at));
     let mut out = String::new();
-    for (t, ns) in rows {
-        let [layer, domain, handler] = p.triple_names(&t);
-        put!(out, "{layer};{domain};{handler} {ns}\n");
+    for row in rows {
+        let [layer, domain, handler] = p.triple_names(&row.at);
+        put!(out, "{layer};{domain};{handler} {}\n", row.total_ns);
     }
     out
 }

@@ -23,7 +23,7 @@ use std::ops::Range;
 use std::sync::Arc;
 
 use crate::json::{escaped, or_null, put};
-use crate::profile::{segments_json, PacketProfile, Profile, Segment, TxRecord};
+use crate::profile::{segments_json, PacketProfile, Profile, Segment, Slice, TxRecord};
 use crate::recorder::Interner;
 use crate::Label;
 
@@ -209,6 +209,97 @@ impl SegKey {
     }
 }
 
+/// A chain hop as the segment pass reads it.
+#[derive(Clone, Copy)]
+struct Link<'a> {
+    /// The receiving machine, and the sending one (meaningful only with
+    /// `incoming`).
+    machine: Label,
+    src: Label,
+    /// The transmit that delivered the hop.
+    incoming: Option<&'a TxRecord>,
+    /// The hop's slices up to the handover that continues the chain (all
+    /// of them on the final hop).
+    slices: &'a [Slice],
+}
+
+impl Link<'_> {
+    /// Hands `add` each piece of the hop as a segment key and its
+    /// nanoseconds: the wire phases that delivered it, its rx-queue wait
+    /// (`queue_wait`), and its processing slices.
+    fn segments(&self, queue_wait: u64, mut add: impl FnMut(SegKey, u64)) {
+        if let Some(tx) = self.incoming {
+            let src = self.src;
+            // The tx-ring/doorbell share of the wait is the sender's
+            // queue, not the medium's: surface it as its own hop segment
+            // so a backlogged transmit path is visible.
+            let queue = tx.queue_ns.min(tx.wait_ns);
+            if queue > 0 {
+                add(SegKey::TxQueue(src), queue);
+            }
+            let wire = |phase| SegKey::Wire(src, self.machine, phase);
+            add(wire(Phase::Wait), tx.wait_ns - queue);
+            add(wire(Phase::Serialize), tx.ser_ns);
+            add(wire(Phase::Propagate), tx.prop_ns);
+        }
+        if queue_wait > 0 {
+            add(SegKey::RxQueue(self.machine), queue_wait);
+        }
+        for s in self.slices {
+            let key = SegKey::Processing(self.machine, s.at.layer, s.at.domain);
+            add(key, s.ns());
+        }
+    }
+}
+
+/// The run's segment names: every key seen, the slot of its name, and
+/// per slot where the journey being stitched has it.
+struct Slots<'a> {
+    names: &'a Interner,
+    /// Every key the run has seen, with its name's slot in `totals`: a few
+    /// dozen `Copy` keys, searched in place. Journeys repeat their keys in
+    /// one order, so the search starts at the key after the one found
+    /// last.
+    keys: Vec<(SegKey, usize)>,
+    next_key: usize,
+    /// By slot, the name with its nanoseconds summed over every journey,
+    /// and the number of journeys that have it.
+    totals: Vec<(Segment, u64)>,
+    /// By slot, the last journey that had it, with its segment's place in
+    /// the arena.
+    seen: Vec<(usize, usize)>,
+    /// The name of the key being added, rendered in place.
+    name: String,
+}
+
+impl Slots<'_> {
+    /// The slot of `key`'s name. A key's name is rendered the first time
+    /// the run sees the key; two keys that read the same share a slot, as
+    /// they would have shared a segment merged by name.
+    fn of(&mut self, key: SegKey) -> usize {
+        let at = match self.keys.get(self.next_key) {
+            Some(&(next, _)) if next == key => self.next_key,
+            _ => match self.keys.iter().position(|&(k, _)| k == key) {
+                Some(at) => at,
+                None => {
+                    key.name(self.names, &mut self.name);
+                    let known = self.totals.iter().position(|(s, _)| *s.name == self.name);
+                    let slot = known.unwrap_or_else(|| {
+                        let name = self.name.as_str().into();
+                        self.totals.push((Segment { name, ns: 0 }, 0));
+                        self.seen.push((usize::MAX, 0));
+                        self.totals.len() - 1
+                    });
+                    self.keys.push((key, slot));
+                    self.keys.len() - 1
+                }
+            },
+        };
+        self.next_key = at + 1;
+        self.keys[at].1
+    }
+}
+
 /// Reconstructs every journey from a built profile.
 pub fn build(profile: &Profile) -> Journeys {
     // The profile's names plus the stand-ins a chain needs, so a machine
@@ -267,27 +358,26 @@ pub fn build(profile: &Profile) -> Journeys {
 
     let by_journey = |a: &usize, b: &usize| journey_of(a) == journey_of(b);
     let mut journeys = Vec::with_capacity(hops.chunk_by(by_journey).count());
-    // Every chain hop is a distinct intact packet.
+    // Every chain hop is a distinct intact packet. `links[i]` is what the
+    // segment pass reads of `all_hops[i]`.
     let mut all_hops: Vec<ChainHop> = Vec::with_capacity(hops.len());
-    let mut all_segments: Vec<(usize, u64)> = Vec::new();
+    let mut links: Vec<Link<'_>> = Vec::with_capacity(hops.len());
+    let mut slots = Slots {
+        names: &names,
+        keys: Vec::new(),
+        next_key: 0,
+        totals: Vec::new(),
+        seen: Vec::new(),
+        name: String::new(),
+    };
+    // How many segments the journeys so far have.
+    let mut segment_count = 0;
     // The chain being built: a hop, the index of its transmit that
     // continues the chain, and the transmit that delivered it.
     let mut chain: Vec<(usize, Option<usize>, Option<TxCand<'_>>)> = Vec::new();
     // Whether a packet is on its journey's chain. A packet belongs to one
     // journey, so the marks of the journeys done never need clearing.
     let mut on_chain = vec![false; packets.len()];
-    // Every key the run has seen, with its name's slot in
-    // `segment_totals`: a few dozen `Copy` keys, searched in place.
-    // Journeys repeat their keys in one order, so the search starts past
-    // the key found last.
-    let mut slot_of: Vec<(SegKey, usize)> = Vec::new();
-    let mut next_key = 0;
-    let mut segment_totals: Vec<(Segment, u64)> = Vec::new();
-    // The journey's segments as `(slot, ns)`, and, by slot, the last
-    // journey that had it with its position there.
-    let mut slots: Vec<(usize, u64)> = Vec::new();
-    let mut slot_in: Vec<(usize, usize)> = Vec::new();
-    let mut name = String::new();
     // The candidates of the journeys still to come.
     let mut rest = &txs[..];
     for hops in hops.chunk_by(by_journey) {
@@ -345,74 +435,12 @@ pub fn build(profile: &Profile) -> Journeys {
         let sender_of = |c: &TxCand<'_>| c.source.map(|(s, _)| machine_of(&packets[s]));
         let origin_machine = origin.and_then(|c| sender_of(&c).or(c.tx.host));
 
-        // Stitch the segments hop by hop. Each iteration appends the wire
-        // phases that delivered hop `i`, its rx-queue wait, and its
-        // processing slices up to the handover that continues the chain —
-        // so consecutive pieces share their boundary instants and the
-        // total telescopes to `end_ns - start_ns` with nothing left over.
-        // A key's name is rendered the first time the run sees the key;
-        // two keys that read the same share a slot, as they would have
-        // shared a segment merged by name.
-        slots.clear();
-        let this = journeys.len();
-        let mut add_to = |key: SegKey, ns| {
-            let n = slot_of.len();
-            let found = (next_key..n)
-                .chain(0..next_key)
-                .find(|&at| slot_of[at].0 == key);
-            next_key = found.map_or(n + 1, |at| at + 1);
-            let slot = match found {
-                Some(at) => slot_of[at].1,
-                None => {
-                    key.name(&names, &mut name);
-                    let known = segment_totals.iter().position(|(s, _)| *s.name == name);
-                    let slot = known.unwrap_or_else(|| {
-                        let name = name.as_str().into();
-                        segment_totals.push((Segment { name, ns: 0 }, 0));
-                        slot_in.push((usize::MAX, 0));
-                        segment_totals.len() - 1
-                    });
-                    slot_of.push((key, slot));
-                    slot
-                }
-            };
-            match slot_in[slot] {
-                (journey, at) if journey == this => slots[at].1 += ns,
-                _ => {
-                    slot_in[slot] = (this, slots.len());
-                    slots.push((slot, ns));
-                }
-            }
-        };
         let first_hop = all_hops.len();
         let mut overlap_total = 0u64;
         for &(at, own_tx_idx, incoming) in &chain {
             let hop = &packets[at];
             let machine = machine_of(hop);
-
-            // Wire phases into this hop (from the origin transmit or the
-            // previous chain hop's handover).
-            let mut queue_wait = 0;
-            if let Some(c) = incoming {
-                // An engine/timer-context send is named after its machine
-                // when the NIC knows one, "origin" otherwise.
-                let src = sender_of(&c).unwrap_or(c.tx.host.unwrap_or(origin_label));
-                // The tx-ring/doorbell share of the wait is the sender's
-                // queue, not the medium's: surface it as its own hop
-                // segment so a backlogged transmit path is visible.
-                let queue = c.tx.queue_ns.min(c.tx.wait_ns);
-                if queue > 0 {
-                    add_to(SegKey::TxQueue(src), queue);
-                }
-                let wire = |phase| SegKey::Wire(src, machine, phase);
-                add_to(wire(Phase::Wait), c.tx.wait_ns - queue);
-                add_to(wire(Phase::Serialize), c.tx.ser_ns);
-                add_to(wire(Phase::Propagate), c.tx.prop_ns);
-                queue_wait = hop.first_ns.saturating_sub(c.wire_arrival);
-                if queue_wait > 0 {
-                    add_to(SegKey::RxQueue(machine), queue_wait);
-                }
-            }
+            let queue_wait = incoming.map_or(0, |c| hop.first_ns.saturating_sub(c.wire_arrival));
 
             // Processing on this hop: up to the chain-continuing handover
             // for inner hops, the whole window for the final one. Tx
@@ -429,11 +457,17 @@ pub fn build(profile: &Profile) -> Journeys {
                 }
                 None => (None, 0, Some(slices.len())),
             };
-            for s in &slices[..upto.unwrap_or(0)] {
-                let key = SegKey::Processing(machine, s.at.layer, s.at.domain);
-                add_to(key, s.ns());
-            }
             overlap_total += overlap;
+            links.push(Link {
+                machine,
+                // An engine/timer-context send is named after its machine
+                // when the NIC knows one, "origin" otherwise.
+                src: incoming.map_or(origin_label, |c| {
+                    sender_of(&c).unwrap_or(c.tx.host.unwrap_or(origin_label))
+                }),
+                incoming: incoming.map(|c| c.tx),
+                slices: &slices[..upto.unwrap_or(0)],
+            });
             all_hops.push(ChainHop {
                 packet: hop.packet,
                 machine: names.shared(machine),
@@ -445,13 +479,18 @@ pub fn build(profile: &Profile) -> Journeys {
             });
         }
 
-        for &(slot, ns) in &slots {
-            let (total, journeys) = &mut segment_totals[slot];
-            total.ns += ns;
-            *journeys += 1;
+        // Count the journey's segments, the distinct slots of the keys its
+        // hops hand out, so the segment arena is reserved once below.
+        let this = journeys.len();
+        for (link, hop) in links[first_hop..].iter().zip(&all_hops[first_hop..]) {
+            link.segments(hop.queue_wait_ns, |key, _| {
+                let slot = slots.of(key);
+                if slots.seen[slot].0 != this {
+                    slots.seen[slot].0 = this;
+                    segment_count += 1;
+                }
+            });
         }
-        let first_segment = all_segments.len();
-        all_segments.extend_from_slice(&slots);
 
         let shed = hops
             .iter()
@@ -466,17 +505,52 @@ pub fn build(profile: &Profile) -> Journeys {
             end_to_end_ns: end_ns - start_ns,
             origin_machine: origin_machine.map(|m| names.shared(m)),
             chain: first_hop..all_hops.len(),
-            segments: first_segment..all_segments.len(),
+            segments: 0..0,
             branch_hops: branches,
             filtered_hops: filtered,
             overlap_ns: overlap_total,
         });
     }
+
+    // Stitch each journey's segments hop by hop: the wire phases that
+    // delivered a hop, its rx-queue wait, and its processing slices up to
+    // the handover that continues the chain — so consecutive pieces share
+    // their boundary instants and the total telescopes to `end_ns -
+    // start_ns` with nothing left over.
+    let mut all_segments: Vec<(usize, u64)> = Vec::with_capacity(segment_count);
+    slots.seen.fill((usize::MAX, 0));
+    for (this, journey) in journeys.iter_mut().enumerate() {
+        let first_segment = all_segments.len();
+        let chain = journey.chain.clone();
+        for (link, hop) in links[chain.clone()].iter().zip(&all_hops[chain]) {
+            link.segments(hop.queue_wait_ns, |key, ns| {
+                let slot = slots.of(key);
+                match slots.seen[slot] {
+                    (journey, at) if journey == this => all_segments[at].1 += ns,
+                    _ => {
+                        slots.seen[slot] = (this, all_segments.len());
+                        all_segments.push((slot, ns));
+                    }
+                }
+            });
+        }
+        journey.segments = first_segment..all_segments.len();
+        for &(slot, ns) in &all_segments[journey.segments.clone()] {
+            let (total, journeys) = &mut slots.totals[slot];
+            total.ns += ns;
+            *journeys += 1;
+        }
+    }
+    debug_assert_eq!(
+        all_segments.capacity(),
+        all_segments.len(),
+        "the count sized the arena"
+    );
     Journeys {
         journeys,
         orphan_packets: orphans,
         journeys_truncated,
-        segment_totals,
+        segment_totals: slots.totals,
         hops: all_hops,
         segments: all_segments,
     }

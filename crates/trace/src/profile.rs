@@ -221,6 +221,18 @@ pub struct TripleStat {
     pub p99_ns: u64,
 }
 
+/// One triple's time over the non-orphan packets, as
+/// [`Profile::triple_sums`] adds it up.
+pub(crate) struct TripleSum {
+    pub(crate) at: Triple,
+    pub(crate) total_ns: u64,
+    slices: u64,
+    /// Each packet's sum, in packet order, when they were asked for.
+    per_packet: Vec<u64>,
+    /// The packet (by position) summed last, and its sum so far.
+    open: (usize, u64),
+}
+
 /// The full cycle-accounting profile of a recorded run.
 #[derive(Clone, Debug, PartialEq, Eq)]
 pub struct Profile {
@@ -521,50 +533,74 @@ impl Profile {
         s.at.layer == self.steps.driver && s.at.handler == self.steps.tx
     }
 
+    /// Every triple's time over the non-orphan packets, in one walk over
+    /// their slices, as rows in first-seen order: what [`folded`] prints
+    /// and, with each packet's sum kept (`per_packet`), what
+    /// [`Profile::aggregate`] takes its percentiles of.
+    ///
+    /// [`folded`]: crate::flame::folded
+    pub(crate) fn triple_sums(&self, per_packet: bool) -> Vec<TripleSum> {
+        let mut rows: Vec<TripleSum> = Vec::new();
+        // Packets repeat their triples in one order, so the row after the
+        // one found last is tried first.
+        let mut next = 0;
+        for (i, p) in self.packets.iter().enumerate().filter(|(_, p)| !p.orphan) {
+            for s in self.slices(p) {
+                let at = match rows.get(next) {
+                    Some(row) if row.at == s.at => next,
+                    _ => rows
+                        .iter()
+                        .position(|row| row.at == s.at)
+                        .unwrap_or_else(|| {
+                            rows.push(TripleSum {
+                                at: s.at,
+                                total_ns: 0,
+                                slices: 0,
+                                per_packet: Vec::new(),
+                                open: (i, 0),
+                            });
+                            rows.len() - 1
+                        }),
+                };
+                next = at + 1;
+                let row = &mut rows[at];
+                row.total_ns += s.ns();
+                row.slices += 1;
+                if row.open.0 != i {
+                    if per_packet {
+                        row.per_packet.push(row.open.1);
+                    }
+                    row.open = (i, 0);
+                }
+                row.open.1 += s.ns();
+            }
+        }
+        if per_packet {
+            rows.iter_mut()
+                .for_each(|row| row.per_packet.push(row.open.1));
+        }
+        rows
+    }
+
     /// Per-triple statistics over the non-orphan packets, sorted by the
     /// triples' names.
     pub fn aggregate(&self) -> Vec<TripleStat> {
-        // Per-packet sums first, so the percentiles describe "ns this
-        // triple cost *a packet*", matching Figure 5's per-RTT bars.
-        #[derive(Default)]
-        struct Acc {
-            per_packet: Vec<u64>,
-            slices: u64,
-            /// The packet being summed (by position) and its sum so far.
-            open: Option<(usize, u64)>,
-        }
-        let mut accs: BTreeMap<Triple, Acc> = BTreeMap::new();
-        for (i, p) in self.packets.iter().enumerate().filter(|(_, p)| !p.orphan) {
-            for s in self.slices(p) {
-                let acc = accs.entry(s.at).or_default();
-                acc.slices += 1;
-                match &mut acc.open {
-                    Some((at, sum)) if *at == i => *sum += s.ns(),
-                    open => {
-                        let done = open.replace((i, s.ns()));
-                        acc.per_packet.extend(done.map(|(_, sum)| sum));
-                    }
-                }
+        // Per-packet sums, so the percentiles describe "ns this triple
+        // cost *a packet*", matching Figure 5's per-RTT bars.
+        let stat = |mut row: TripleSum| {
+            row.per_packet.sort_unstable();
+            let packets = row.per_packet.len() as u64;
+            TripleStat {
+                at: row.at,
+                total_ns: row.total_ns,
+                slices: row.slices,
+                packets,
+                mean_ns: row.total_ns / packets,
+                p50_ns: percentile(&row.per_packet, 50.0),
+                p99_ns: percentile(&row.per_packet, 99.0),
             }
-        }
-        let mut stats: Vec<TripleStat> = accs
-            .into_iter()
-            .map(|(at, mut acc)| {
-                acc.per_packet.extend(acc.open.map(|(_, sum)| sum));
-                acc.per_packet.sort_unstable();
-                let total: u64 = acc.per_packet.iter().sum();
-                let n = acc.per_packet.len() as u64;
-                TripleStat {
-                    at,
-                    total_ns: total,
-                    slices: acc.slices,
-                    packets: n,
-                    mean_ns: total / n.max(1),
-                    p50_ns: percentile(&acc.per_packet, 50.0),
-                    p99_ns: percentile(&acc.per_packet, 99.0),
-                }
-            })
-            .collect();
+        };
+        let mut stats: Vec<TripleStat> = self.triple_sums(true).into_iter().map(stat).collect();
         stats.sort_by(|a, b| self.by_name(&a.at, &b.at));
         stats
     }

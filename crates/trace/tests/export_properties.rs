@@ -4,7 +4,9 @@
 //! well-formed and internally consistent — including saturating-counter
 //! extremes, log2-histogram edge buckets, interned-label reuse, and the
 //! empty recorder — and every name must read back as it was recorded.
-//! One hand-built recorder pins all seven artifacts by bytes.
+//! One hand-built recorder pins all seven artifacts by bytes. A plain
+//! `format!` renderer is the Chrome trace's oracle, and the folded stacks
+//! and the profile's aggregate are held to each other.
 
 use std::collections::{BTreeMap, BTreeSet};
 use std::rc::Rc;
@@ -53,17 +55,23 @@ fn labels_of(event: &TraceEvent) -> Vec<Label> {
     }
 }
 
-/// One synthetic step per packet: enter/exit pairs interleaved with
-/// guards, drops, crossings, and timers, driven by small integers.
+/// One synthetic packet: enter/exit pairs interleaved with guards, drops,
+/// crossings, and timers, driven by small integers.
 fn populate(rec: &Recorder, steps: &[(usize, usize, u64)]) {
-    let mut at = 0u64;
+    one_packet(rec, &mut 0, steps);
+}
+
+/// One packet of `steps` from `at` on, as [`populate`] records it; a
+/// step of kind 9 is a transmit.
+fn one_packet(rec: &Recorder, at: &mut u64, steps: &[(usize, usize, u64)]) {
     let mut open: Vec<(Label, Label, u64)> = Vec::new();
-    rec.packet_arrival(at, rec.intern("Ethernet"), rec.intern(""), 60, None);
+    rec.packet_arrival(*at, rec.intern("Ethernet"), rec.intern(""), 60, None);
     for &(kind, which, dt) in steps {
-        at += dt;
+        *at += dt;
+        let at = *at;
         let ev = rec.intern(label(which));
         let dom = rec.intern(label(which + 1));
-        match kind % 9 {
+        match kind % 10 {
             0 => {
                 let span = rec.handler_enter(at, ev, dom);
                 open.push((ev, dom, span));
@@ -78,14 +86,32 @@ fn populate(rec: &Recorder, steps: &[(usize, usize, u64)]) {
             4 => rec.crossing(at, CrossDir::UserToKernel, which),
             5 => rec.sample(at, ev, dt),
             6 => rec.rx_interrupt(at, rec.intern("Ethernet"), rec.intern(""), which + 1, which),
+            9 => {
+                let host = rec.intern(label(which));
+                let (journey, wait) = (rec.current_journey(), dt / 2);
+                rec.packet_tx(at, ev, host, which, wait / 2, wait, dt, 1_000, journey);
+            }
             _ => rec.timer_fire(at),
         }
     }
     while let Some((ev, dom, span)) = open.pop() {
-        at += 1;
-        rec.handler_exit(at, ev, dom, span);
+        *at += 1;
+        rec.handler_exit(*at, ev, dom, span);
     }
     rec.packet_done();
+}
+
+/// Packet after packet, each of [`one_packet`]'s steps, with a timer
+/// and a transmit from engine context between them.
+fn populate_packets(rec: &Recorder, packets: &[Vec<(usize, usize, u64)>]) {
+    let mut at = 0;
+    for (i, steps) in packets.iter().enumerate() {
+        one_packet(rec, &mut at, steps);
+        at += 10;
+        rec.timer_fire(at);
+        let (nic, host, journey) = (rec.intern(label(i)), rec.intern(""), rec.tx_journey());
+        rec.packet_tx(at, nic, host, 60, 0, 5, 10, 20, Some(journey));
+    }
 }
 
 /// Every name a `populate` run can emit: the labels, the layers derived
@@ -152,6 +178,111 @@ fn names_round_trip(what: &str, body: &str, keys: &[&str]) -> Result<Value, Test
     Ok(doc)
 }
 
+/// `chrome_trace` written the plain way, one `format!` per record and
+/// each event name escaped whole: the oracle the exporter's in-place
+/// rendering must equal byte for byte.
+fn chrome_reference(rec: &Recorder) -> String {
+    let name = |l: Label| rec.name(l).to_string();
+    let host = |h: Label| match json::escape(&rec.name(h)) {
+        h if h.is_empty() => h,
+        h => format!("\"host\": \"{h}\", "),
+    };
+    let events: Vec<String> = rec
+        .events()
+        .iter()
+        .map(|r| {
+            let (event, cat, ph) = match r.event {
+                TraceEvent::PacketArrival { nic, .. } => {
+                    (format!("packet arrival ({})", name(nic)), "packet", "i")
+                }
+                TraceEvent::GuardEval {
+                    event,
+                    kind,
+                    matched,
+                } => {
+                    let verdict = if matched { "accept" } else { "reject" };
+                    let event = format!("guard {} {} {verdict}", name(event), kind.name());
+                    (event, "guard", "i")
+                }
+                TraceEvent::HandlerEnter { event, domain, .. }
+                | TraceEvent::HandlerExit { event, domain, .. } => {
+                    let ph = match r.event {
+                        TraceEvent::HandlerEnter { .. } => "B",
+                        _ => "E",
+                    };
+                    (format!("{} [{}]", name(event), name(domain)), "handler", ph)
+                }
+                TraceEvent::Drop { layer, reason } => (
+                    format!("drop {}: {}", name(layer), name(reason)),
+                    "drop",
+                    "i",
+                ),
+                TraceEvent::PacketTx { nic, .. } => {
+                    (format!("packet tx ({})", name(nic)), "packet", "i")
+                }
+                TraceEvent::RxInterrupt { nic, .. } => {
+                    (format!("rx interrupt ({})", name(nic)), "interrupt", "i")
+                }
+                TraceEvent::LatencySample { hist, .. } => {
+                    (format!("sample ({})", name(hist)), "sample", "i")
+                }
+                TraceEvent::TimerFire => (String::from("timer"), "timer", "i"),
+                TraceEvent::Crossing { dir, .. } => {
+                    (format!("crossing {}", dir.name()), "crossing", "i")
+                }
+            };
+            let args = match r.event {
+                TraceEvent::PacketArrival { host: h, bytes, .. } => {
+                    let journey = r.journey.map_or(String::from("null"), |j| j.to_string());
+                    format!("\"bytes\": {bytes}, {}\"journey\": {journey}", host(h))
+                }
+                TraceEvent::HandlerEnter { span, .. } | TraceEvent::HandlerExit { span, .. } => {
+                    format!("\"span\": {span}")
+                }
+                TraceEvent::PacketTx {
+                    host: h,
+                    bytes,
+                    queue_ns,
+                    wait_ns,
+                    ser_ns,
+                    prop_ns,
+                    ..
+                } => format!(
+                    "\"bytes\": {bytes}, {}\"queue_ns\": {queue_ns}, \"wait_ns\": {wait_ns}, \
+                     \"ser_ns\": {ser_ns}, \"prop_ns\": {prop_ns}",
+                    host(h)
+                ),
+                TraceEvent::RxInterrupt {
+                    host: h,
+                    frames,
+                    ring_after,
+                    ..
+                } => format!(
+                    "\"frames\": {frames}, {}\"ring_after\": {ring_after}",
+                    host(h)
+                ),
+                TraceEvent::LatencySample { ns, .. } => format!("\"ns\": {ns}"),
+                TraceEvent::Crossing { bytes, .. } => format!("\"bytes\": {bytes}"),
+                TraceEvent::GuardEval { .. } | TraceEvent::Drop { .. } | TraceEvent::TimerFire => {
+                    String::new()
+                }
+            };
+            format!(
+                "\n  {{\"name\": \"{}\", \"cat\": \"{cat}\", \"ph\": \"{ph}\", \"ts\": {}.{:03}, \
+                 \"pid\": 1, \"tid\": {}, \"args\": {{{args}}}}}",
+                json::escape(&event),
+                r.at_ns / 1_000,
+                r.at_ns % 1_000,
+                r.packet.map_or(0, |p| p + 1)
+            )
+        })
+        .collect();
+    format!(
+        "{{\"displayTimeUnit\": \"ns\", \"traceEvents\": [{}\n]}}\n",
+        events.join(",")
+    )
+}
+
 proptest! {
     #[test]
     fn every_export_of_a_random_event_mix_round_trips_the_validator(
@@ -160,9 +291,11 @@ proptest! {
     ) {
         let rec = Recorder::new(ring_cap);
         populate(&rec, &steps);
+        let chrome = chrome_trace(&rec);
+        prop_assert_eq!(&chrome, &chrome_reference(&rec));
         // Chrome event names are composed: each must contain, unescaped,
         // the name of every label its record carries.
-        let trace = names_round_trip("trace", &chrome_trace(&rec), &["host"])?;
+        let trace = names_round_trip("trace", &chrome, &["host"])?;
         let events = trace.get("traceEvents").and_then(Value::as_arr).unwrap();
         prop_assert_eq!(events.len(), rec.events().len());
         for (event, record) in events.iter().zip(rec.events()) {
@@ -312,6 +445,153 @@ proptest! {
             .and_then(Value::as_u64);
         prop_assert_eq!(hits, Some(n as u64));
     }
+}
+
+/// Each non-orphan packet's sum for `at`, for packets with a slice of it,
+/// and how many slices it has in all.
+fn per_packet_sums(profile: &Profile, at: &plexus_trace::profile::Triple) -> (Vec<u64>, u64) {
+    let (mut sums, mut slices) = (Vec::new(), 0);
+    for p in profile.packets.iter().filter(|p| !p.orphan) {
+        let of: Vec<u64> = (profile.slices(p).iter())
+            .filter(|s| s.at == *at)
+            .map(Slice::ns)
+            .collect();
+        slices += of.len() as u64;
+        if !of.is_empty() {
+            sums.push(of.iter().sum());
+        }
+    }
+    (sums, slices)
+}
+
+/// The nearest-rank `q`-th percentile, read from `values` once sorted.
+fn sorted_nearest_rank(values: &[u64], q: f64) -> u64 {
+    let mut sorted = values.to_vec();
+    sorted.sort_unstable();
+    if sorted.is_empty() {
+        return 0;
+    }
+    let rank = ((q / 100.0) * sorted.len() as f64).ceil() as usize;
+    sorted[rank.clamp(1, sorted.len()) - 1]
+}
+
+proptest! {
+    #[test]
+    fn chrome_trace_of_many_packets_equals_the_plain_renderer(
+        packets in prop::collection::vec(
+            prop::collection::vec((0usize..10, 0usize..9, 0u64..3_000), 0..16),
+            1..12,
+        ),
+        ring_cap in 1usize..256,
+    ) {
+        let rec = Recorder::new(ring_cap);
+        populate_packets(&rec, &packets);
+        prop_assert_eq!(chrome_trace(&rec), chrome_reference(&rec));
+    }
+
+    #[test]
+    fn folded_is_the_aggregate_totals_and_its_percentiles_are_nearest_rank(
+        packets in prop::collection::vec(
+            prop::collection::vec((0usize..10, 0usize..9, 0u64..3_000), 0..8),
+            1..160,
+        ),
+        ring_cap in 1usize..2_048,
+    ) {
+        // Enough packets that a 99th percentile is not the maximum; rings
+        // that wrap, so the oldest packets lose their arrivals and are
+        // orphans, which neither fold may count.
+        let rec = Recorder::new(ring_cap);
+        populate_packets(&rec, &packets);
+        let profile = Profile::build(&rec);
+        let stats = profile.aggregate();
+        let folded = folded(&profile);
+        let lines: Vec<&str> = folded.lines().collect();
+        prop_assert_eq!(lines.len(), stats.len());
+        for (line, stat) in lines.iter().zip(&stats) {
+            let [layer, domain, handler] = profile.triple_names(&stat.at);
+            prop_assert_eq!(*line, format!("{layer};{domain};{handler} {}", stat.total_ns));
+            let (sums, slices) = per_packet_sums(&profile, &stat.at);
+            prop_assert_eq!(stat.packets, sums.len() as u64);
+            prop_assert_eq!(stat.slices, slices);
+            prop_assert_eq!(stat.total_ns, sums.iter().sum::<u64>());
+            prop_assert_eq!(stat.mean_ns, stat.total_ns / stat.packets.max(1));
+            prop_assert_eq!(stat.p50_ns, sorted_nearest_rank(&sums, 50.0));
+            prop_assert_eq!(stat.p99_ns, sorted_nearest_rank(&sums, 99.0));
+        }
+        // Every non-orphan slice's triple has its row.
+        for p in profile.packets.iter().filter(|p| !p.orphan) {
+            for s in profile.slices(p) {
+                prop_assert!(stats.iter().any(|stat| stat.at == s.at));
+            }
+        }
+    }
+}
+
+/// Records at the edges of what `chrome_trace` writes: every sub-µs digit
+/// pattern, every numeric field at its maximum, records outside any
+/// packet, names that need each kind of escape, and an unnamed host.
+#[test]
+fn chrome_trace_of_edge_records_equals_the_plain_renderer() {
+    let rec = Recorder::new(64);
+    let odd = ["quo\"te", "back\\slash", "new\nline", "ctl\u{1}"].map(|n| rec.intern(n));
+    let [quoted, slashed, broken, ctl] = odd;
+    let unnamed = rec.intern("");
+    for at in [1_000_000, 1_000_005, 1_000_050, 1_000_999, 0, 999, u64::MAX] {
+        rec.timer_fire(at);
+    }
+    rec.crossing(u64::MAX, CrossDir::KernelToUser, u32::MAX as usize);
+    rec.packet_drop(7, "la\"yer", "rea\\son\n");
+    rec.packet_tx(8, quoted, unnamed, 0, 0, 0, 0, 0, None);
+    let max = u64::MAX;
+    rec.packet_tx(
+        9,
+        slashed,
+        broken,
+        u32::MAX as usize,
+        max,
+        max,
+        max,
+        max,
+        Some(max - 1),
+    );
+    rec.packet_arrival(max, ctl, quoted, u32::MAX as usize, Some(max - 1));
+    rec.rx_interrupt(max, broken, ctl, u32::MAX as usize, u32::MAX as usize);
+    rec.guard_eval(max, broken, GuardKind::Verified, false);
+    let span = rec.handler_enter(max, quoted, ctl);
+    rec.sample(max, slashed, max);
+    rec.handler_exit(max, quoted, ctl, span);
+    rec.packet_done();
+    rec.packet_arrival(1_001, unnamed, unnamed, 0, None);
+    rec.rx_interrupt(1_002, unnamed, unnamed, 0, 0);
+    rec.packet_done();
+    let chrome = chrome_trace(&rec);
+    assert_eq!(chrome, chrome_reference(&rec));
+    json::validate(&chrome).expect("edge records are valid JSON");
+    for needle in [
+        "\"ts\": 1000.000,",
+        "\"ts\": 1000.005,",
+        "\"ts\": 1000.050,",
+        "\"ts\": 1000.999,",
+        "\"ts\": 0.000,",
+        "\"ts\": 0.999,",
+        "\"ts\": 18446744073709551.615,",
+        "\"tid\": 0,",
+        "\"queue_ns\": 18446744073709551615",
+        "\"bytes\": 4294967295",
+        "\"journey\": 18446744073709551614",
+        "quo\\\"te",
+        "back\\\\slash",
+        "new\\nline",
+        "ctl\\u0001",
+    ] {
+        assert!(chrome.contains(needle), "missing {needle:?} in:\n{chrome}");
+    }
+}
+
+#[test]
+fn chrome_trace_of_the_fixture_equals_the_plain_renderer() {
+    let rec = fixture();
+    assert_eq!(chrome_trace(&rec), chrome_reference(&rec));
 }
 
 /// The tail sampler's caps, as `live.rs` declares them.

@@ -583,11 +583,12 @@ fn the_folds_allocate_per_packet_not_per_record() {
     let rec = traced_run(N);
     let records = rec.recorded();
     assert!(records > 15 * N, "{records} records for {N} echoes");
-    // Measured over the run's 7 600 records: `chrome_trace` 0.0016
-    // (its arena of record heads), `Profile::build` 0.0028 (0.0066 while
-    // its arenas grew by doubling), `profile_json` 0.0126,
-    // `journey::build` 0.0067, `journeys_json` 0.0017, the timeline
-    // 0.0012, `stats_json` 0.0187, `folded` 0.0012 and the live report
+    // Measured over the run's 7 600 records: `chrome_trace` 0.0017
+    // (its arena of record heads and its row buffer), `Profile::build`
+    // 0.0028 (0.0066 while its arenas grew by doubling), `profile_json`
+    // 0.0128, `journey::build` 0.0064 (0.0067 while its segment arena grew
+    // by doubling), `journeys_json` 0.0017, the timeline 0.0012,
+    // `stats_json` 0.0187, `folded` 0.0013 and the live report
     // with its document 0.0037. While every packet and journey had `Vec`s
     // of its own and every hop `String` copies of its names,
     // `Profile::build` and `journey::build` made 0.483 and 0.229; when the
