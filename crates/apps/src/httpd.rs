@@ -11,7 +11,8 @@ use std::collections::HashMap;
 use std::net::Ipv4Addr;
 use std::rc::Rc;
 
-use plexus_core::{PlexusError, PlexusStack, TcpCallbacks};
+use plexus_core::{PlexusError, PlexusStack, TcpCallbacks, TcpConn};
+use plexus_kernel::dispatcher::RaiseCtx;
 use plexus_kernel::domain::{ExtensionSpec, LinkedExtension};
 use plexus_net::http::{self, ParseOutcome};
 use plexus_sim::Engine;
@@ -32,6 +33,61 @@ pub struct HttpdStats {
     pub bad_request: u64,
 }
 
+/// What both servers run on each accepted connection: buffer the request,
+/// answer it from `docs` and close (HTTP/1.0), counting into `stats` and,
+/// for a well-formed request when a recorder is installed, the
+/// `httpd.requests` counter.
+fn on_accept(
+    docs: HashMap<String, Vec<u8>>,
+    stats: &Rc<Cell<HttpdStats>>,
+) -> impl Fn(&mut RaiseCtx<'_>, &Rc<TcpConn>) + 'static {
+    let (docs, st) = (Rc::new(docs), stats.clone());
+    move |_, conn| {
+        let buffer: RefCell<Vec<u8>> = RefCell::new(Vec::new());
+        let (docs, st) = (docs.clone(), st.clone());
+        conn.set_callbacks(TcpCallbacks {
+            on_data: Some(Rc::new(move |ctx, conn, data| {
+                buffer.borrow_mut().extend_from_slice(data);
+                let mut s = st.get();
+                let resp = match http::parse_request(&buffer.borrow()) {
+                    ParseOutcome::Incomplete => return,
+                    ParseOutcome::Malformed => {
+                        s.bad_request += 1;
+                        http::build_response(400, "Bad Request", "text/plain", b"bad")
+                    }
+                    ParseOutcome::Complete { request, .. } => {
+                        if let Some(rec) = ctx.lease.recorder() {
+                            let lbl = rec.intern("httpd");
+                            rec.count(plexus_trace::Scope::App, lbl, "requests", 1);
+                        }
+                        match docs.get(&request.path) {
+                            Some(body) => {
+                                s.ok += 1;
+                                http::build_response(200, "OK", "text/html", body)
+                            }
+                            None => {
+                                s.not_found += 1;
+                                http::build_response(
+                                    404,
+                                    "Not Found",
+                                    "text/plain",
+                                    b"no such document",
+                                )
+                            }
+                        }
+                    }
+                };
+                st.set(s);
+                conn.send_in(ctx, &resp);
+                // HTTP/1.0: close after the response.
+                conn.close_in(ctx);
+            })),
+            on_peer_close: Some(Rc::new(|ctx, conn| conn.close_in(ctx))),
+            ..Default::default()
+        });
+    }
+}
+
 /// An in-kernel HTTP/1.0 server extension.
 pub struct Httpd {
     stats: Rc<Cell<HttpdStats>>,
@@ -46,59 +102,9 @@ impl Httpd {
         documents: HashMap<String, Vec<u8>>,
     ) -> Result<Httpd, PlexusError> {
         let stats = Rc::new(Cell::new(HttpdStats::default()));
-        let docs = Rc::new(documents);
-        let st = stats.clone();
-        stack.tcp().listen(ext, port, move |_, conn| {
-            let buffer: Rc<RefCell<Vec<u8>>> = Rc::new(RefCell::new(Vec::new()));
-            let docs = docs.clone();
-            let st = st.clone();
-            conn.set_callbacks(TcpCallbacks {
-                on_data: Some(Rc::new(move |ctx, conn, data| {
-                    buffer.borrow_mut().extend_from_slice(data);
-                    let outcome = http::parse_request(&buffer.borrow());
-                    match outcome {
-                        ParseOutcome::Incomplete => {}
-                        ParseOutcome::Malformed => {
-                            let mut s = st.get();
-                            s.bad_request += 1;
-                            st.set(s);
-                            let resp =
-                                http::build_response(400, "Bad Request", "text/plain", b"bad");
-                            conn.send_in(ctx, &resp);
-                            conn.close_in(ctx);
-                        }
-                        ParseOutcome::Complete { request, .. } => {
-                            let mut s = st.get();
-                            let resp = match docs.get(&request.path) {
-                                Some(body) => {
-                                    s.ok += 1;
-                                    http::build_response(200, "OK", "text/html", body)
-                                }
-                                None => {
-                                    s.not_found += 1;
-                                    http::build_response(
-                                        404,
-                                        "Not Found",
-                                        "text/plain",
-                                        b"no such document",
-                                    )
-                                }
-                            };
-                            st.set(s);
-                            if let Some(rec) = ctx.lease.recorder() {
-                                let lbl = rec.intern("httpd");
-                                rec.count(plexus_trace::Scope::App, lbl, "requests", 1);
-                            }
-                            conn.send_in(ctx, &resp);
-                            // HTTP/1.0: close after the response.
-                            conn.close_in(ctx);
-                        }
-                    }
-                })),
-                on_peer_close: Some(Rc::new(|ctx, conn| conn.close_in(ctx))),
-                ..Default::default()
-            });
-        })?;
+        stack
+            .tcp()
+            .listen(ext, port, on_accept(documents, &stats))?;
         Ok(Httpd { stats })
     }
 
@@ -187,58 +193,11 @@ impl DunixHttpd {
         port: u16,
         documents: HashMap<String, Vec<u8>>,
     ) -> DunixHttpd {
-        use plexus_baseline::SocketCallbacks;
         let process = plexus_kernel::vm::AddressSpace::new("httpd");
         let stats = Rc::new(Cell::new(HttpdStats::default()));
-        let docs = Rc::new(documents);
-        let st = stats.clone();
         stack
             .tcp()
-            .listen(&process, port, move |_eng, _user, sock| {
-                let buffer: Rc<RefCell<Vec<u8>>> = Rc::new(RefCell::new(Vec::new()));
-                let docs = docs.clone();
-                let st = st.clone();
-                sock.set_callbacks(SocketCallbacks {
-                    on_data: Some(Rc::new(move |eng, user, sock, data| {
-                        buffer.borrow_mut().extend_from_slice(data);
-                        match http::parse_request(&buffer.borrow()) {
-                            ParseOutcome::Incomplete => {}
-                            ParseOutcome::Malformed => {
-                                let mut s = st.get();
-                                s.bad_request += 1;
-                                st.set(s);
-                                let resp =
-                                    http::build_response(400, "Bad Request", "text/plain", b"bad");
-                                sock.send_in(eng, user, &resp);
-                                sock.close_in(eng, user);
-                            }
-                            ParseOutcome::Complete { request, .. } => {
-                                let mut s = st.get();
-                                let resp = match docs.get(&request.path) {
-                                    Some(body) => {
-                                        s.ok += 1;
-                                        http::build_response(200, "OK", "text/html", body)
-                                    }
-                                    None => {
-                                        s.not_found += 1;
-                                        http::build_response(
-                                            404,
-                                            "Not Found",
-                                            "text/plain",
-                                            b"no such document",
-                                        )
-                                    }
-                                };
-                                st.set(s);
-                                sock.send_in(eng, user, &resp);
-                                sock.close_in(eng, user);
-                            }
-                        }
-                    })),
-                    on_peer_close: Some(Rc::new(|eng, user, sock| sock.close_in(eng, user))),
-                    ..Default::default()
-                });
-            });
+            .listen(&process, port, on_accept(documents, &stats));
         DunixHttpd { stats }
     }
 

@@ -10,7 +10,7 @@
 //! paper's claim about Figure 5.
 //!
 //! * [`stack`] — the monolithic kernel path and UDP sockets.
-//! * [`tcp_socket`] — TCP sockets over the shared `Tcb` state machine.
+//! * [`tcp_socket`] — the socket structure around the shared `TcpConn`.
 //! * [`splice`] — the user-level TCP forwarder of §5.2 (two spliced
 //!   sockets; breaks end-to-end semantics, doubles the protocol work).
 
@@ -23,4 +23,4 @@ pub mod tcp_socket;
 
 pub use splice::UserSplice;
 pub use stack::{BaselineStats, MessageTooLong, MonolithicStack, UdpMessage, UdpSocket};
-pub use tcp_socket::{SocketCallbacks, TcpLayer, TcpSocket};
+pub use tcp_socket::TcpLayer;

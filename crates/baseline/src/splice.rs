@@ -20,14 +20,14 @@ use std::net::Ipv4Addr;
 use std::rc::Rc;
 
 use plexus_kernel::vm::AddressSpace;
+use plexus_net::tcp::{TcpCallbacks, TcpConn};
 use plexus_sim::Engine;
 
 use crate::stack::MonolithicStack;
-use crate::tcp_socket::{SocketCallbacks, TcpSocket};
 
 /// A user-level port forwarder process on the monolithic stack.
 /// The spliced socket pairs, keyed by the client's source port.
-type PairMap = Rc<RefCell<HashMap<u16, (Rc<TcpSocket>, Rc<TcpSocket>)>>>;
+type PairMap = Rc<RefCell<HashMap<u16, (Rc<TcpConn>, Rc<TcpConn>)>>>;
 
 /// A user-level port forwarder process on the monolithic stack.
 pub struct UserSplice {
@@ -52,43 +52,21 @@ impl UserSplice {
         let stack2 = stack.clone();
         let process2 = process.clone();
         let pairs2 = pairs.clone();
-        stack
-            .tcp()
-            .listen(&process, port, move |eng, _user, client_sock| {
-                // A client connected: open the outgoing socket.
-                let backend_sock = stack2.tcp().connect(eng, &process2, backend);
-                pairs2.borrow_mut().insert(
-                    client_sock.remote().1,
-                    (client_sock.clone(), backend_sock.clone()),
-                );
+        stack.tcp().listen(&process, port, move |ctx, client_sock| {
+            // A client connected: open the outgoing socket (or refuse
+            // the client when no port is free).
+            let Ok(backend_sock) = stack2.tcp().connect(ctx.engine, &process2, backend) else {
+                client_sock.close_in(ctx);
+                return;
+            };
+            pairs2.borrow_mut().insert(
+                client_sock.remote().1,
+                (client_sock.clone(), backend_sock.clone()),
+            );
 
-                // client -> backend: each chunk was copied out to the splice
-                // process by the receive path; send() copies it back in.
-                let toward_backend = backend_sock.clone();
-                client_sock.set_callbacks(SocketCallbacks {
-                    on_data: Some(Rc::new(move |eng, user, _sock, data| {
-                        toward_backend.send_in(eng, user, data);
-                    })),
-                    on_peer_close: Some(Rc::new({
-                        let b = backend_sock.clone();
-                        move |eng, user, _sock| b.close_in(eng, user)
-                    })),
-                    ..Default::default()
-                });
-
-                // backend -> client.
-                let toward_client = client_sock.clone();
-                let toward_client_close = client_sock.clone();
-                backend_sock.set_callbacks(SocketCallbacks {
-                    on_data: Some(Rc::new(move |eng, user, _sock, data| {
-                        toward_client.send_in(eng, user, data);
-                    })),
-                    on_peer_close: Some(Rc::new(move |eng, user, _sock| {
-                        toward_client_close.close_in(eng, user)
-                    })),
-                    ..Default::default()
-                });
-            });
+            forward(client_sock, &backend_sock);
+            forward(&backend_sock, client_sock);
+        });
 
         UserSplice { pairs }
     }
@@ -97,4 +75,16 @@ impl UserSplice {
     pub fn pair_count(&self) -> usize {
         self.pairs.borrow().len()
     }
+}
+
+/// One direction of the splice: each chunk `from` delivers was copied out
+/// to the splice process by the receive path, and writing it to `to`
+/// copies it back in; `from`'s peer closing closes `to`.
+fn forward(from: &Rc<TcpConn>, to: &Rc<TcpConn>) {
+    let (data_to, close_to) = (to.clone(), to.clone());
+    from.set_callbacks(TcpCallbacks {
+        on_data: Some(Rc::new(move |ctx, _, data| data_to.send_in(ctx, data))),
+        on_peer_close: Some(Rc::new(move |ctx, _| close_to.close_in(ctx))),
+        ..Default::default()
+    });
 }

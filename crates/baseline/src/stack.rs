@@ -278,9 +278,7 @@ impl MonolithicStack {
         let evicted = reasm.evicted();
         let verdict = reasm.input(&pkt, now, |dst| dst == s.ip || dst == Ipv4Addr::BROADCAST);
         for _ in evicted..reasm.evicted() {
-            if let Some(rec) = lease.recorder() {
-                rec.packet_drop(now, "ip", "ip_reassembly_full");
-            }
+            lease.record_drop("ip", "ip_reassembly_full");
         }
         drop(reasm);
         let (hdr, payload) = match verdict {

@@ -4,8 +4,10 @@
 use std::cell::{Cell, RefCell};
 use std::rc::Rc;
 
-use plexus_baseline::{MessageTooLong, MonolithicStack, SocketCallbacks, UserSplice};
+use plexus_baseline::{MessageTooLong, MonolithicStack, UserSplice};
+use plexus_kernel::dispatcher::RaiseCtx;
 use plexus_kernel::vm::AddressSpace;
+use plexus_net::tcp::{TcpCallbacks, TcpConn, TcpState};
 use plexus_net::testbed::Testbed;
 use plexus_sim::nic::Link;
 use plexus_sim::time::SimDuration;
@@ -164,14 +166,14 @@ fn tcp_connect_transfer_close() {
     let cproc = AddressSpace::new("c");
     let sproc = AddressSpace::new("s");
 
-    server.tcp().listen(&sproc, 80, |_eng, _user, sock| {
-        sock.set_callbacks(SocketCallbacks {
-            on_data: Some(Rc::new(|eng, user, sock, data| {
+    server.tcp().listen(&sproc, 80, |_, sock| {
+        sock.set_callbacks(TcpCallbacks {
+            on_data: Some(Rc::new(|ctx, sock, data| {
                 let mut out = b"re:".to_vec();
                 out.extend_from_slice(data);
-                sock.send_in(eng, user, &out);
+                sock.send_in(ctx, &out);
             })),
-            on_peer_close: Some(Rc::new(|eng, user, sock| sock.close_in(eng, user))),
+            on_peer_close: Some(Rc::new(|ctx, sock| sock.close_in(ctx))),
             ..Default::default()
         });
     });
@@ -180,16 +182,17 @@ fn tcp_connect_transfer_close() {
     let closed = Rc::new(Cell::new(false));
     let conn = client
         .tcp()
-        .connect(world.engine_mut(), &cproc, (server.ip(), 80));
+        .connect(world.engine_mut(), &cproc, (server.ip(), 80))
+        .unwrap();
     let (g, cl) = (got.clone(), closed.clone());
-    conn.set_callbacks(SocketCallbacks {
-        on_connected: Some(Rc::new(|eng, user, sock| {
-            sock.send_in(eng, user, b"payload");
+    conn.set_callbacks(TcpCallbacks {
+        on_connected: Some(Rc::new(|ctx, sock| {
+            sock.send_in(ctx, b"payload");
         })),
-        on_data: Some(Rc::new(move |_, _, _, data| {
+        on_data: Some(Rc::new(move |_, _, data| {
             g.borrow_mut().extend_from_slice(data);
         })),
-        on_closed: Some(Rc::new(move |_, _, _| cl.set(true))),
+        on_closed: Some(Rc::new(move |_, _| cl.set(true))),
         ..Default::default()
     });
     world.run_for(SimDuration::from_millis(500));
@@ -206,10 +209,10 @@ fn tcp_bulk_transfer_is_intact() {
     let sproc = AddressSpace::new("s");
     let received = Rc::new(RefCell::new(Vec::new()));
     let r = received.clone();
-    server.tcp().listen(&sproc, 5001, move |_eng, _user, sock| {
+    server.tcp().listen(&sproc, 5001, move |_, sock| {
         let r = r.clone();
-        sock.set_callbacks(SocketCallbacks {
-            on_data: Some(Rc::new(move |_, _, _, data| {
+        sock.set_callbacks(TcpCallbacks {
+            on_data: Some(Rc::new(move |_, _, data| {
                 r.borrow_mut().extend_from_slice(data);
             })),
             ..Default::default()
@@ -218,11 +221,12 @@ fn tcp_bulk_transfer_is_intact() {
     let data: Vec<u8> = (0u32..80_000).map(|x| (x % 249) as u8).collect();
     let conn = client
         .tcp()
-        .connect(world.engine_mut(), &cproc, (server.ip(), 5001));
+        .connect(world.engine_mut(), &cproc, (server.ip(), 5001))
+        .unwrap();
     let payload = data.clone();
-    conn.set_callbacks(SocketCallbacks {
-        on_connected: Some(Rc::new(move |eng, user, sock| {
-            sock.send_in(eng, user, &payload);
+    conn.set_callbacks(TcpCallbacks {
+        on_connected: Some(Rc::new(move |ctx, sock| {
+            sock.send_in(ctx, &payload);
         })),
         ..Default::default()
     });
@@ -238,12 +242,12 @@ fn user_splice_forwards_but_breaks_end_to_end() {
         monolithic_lan(&Link::ethernet(), ["client", "fwd", "backend"]);
 
     let bproc = AddressSpace::new("backend-proc");
-    backend.tcp().listen(&bproc, 80, |_eng, _user, sock| {
-        sock.set_callbacks(SocketCallbacks {
-            on_data: Some(Rc::new(|eng, user, sock, data| {
+    backend.tcp().listen(&bproc, 80, |_, sock| {
+        sock.set_callbacks(TcpCallbacks {
+            on_data: Some(Rc::new(|ctx, sock, data| {
                 let mut out = b"srv:".to_vec();
                 out.extend_from_slice(data);
-                sock.send_in(eng, user, &out);
+                sock.send_in(ctx, &out);
             })),
             ..Default::default()
         });
@@ -255,11 +259,12 @@ fn user_splice_forwards_but_breaks_end_to_end() {
     let got = Rc::new(RefCell::new(Vec::new()));
     let conn = client
         .tcp()
-        .connect(world.engine_mut(), &cproc, (fwd.ip(), 8080));
+        .connect(world.engine_mut(), &cproc, (fwd.ip(), 8080))
+        .unwrap();
     let g = got.clone();
-    conn.set_callbacks(SocketCallbacks {
-        on_connected: Some(Rc::new(|eng, user, sock| sock.send_in(eng, user, b"ping"))),
-        on_data: Some(Rc::new(move |_, _, _, data| {
+    conn.set_callbacks(TcpCallbacks {
+        on_connected: Some(Rc::new(|ctx, sock| sock.send_in(ctx, b"ping"))),
+        on_data: Some(Rc::new(move |_, _, data| {
             g.borrow_mut().extend_from_slice(data);
         })),
         ..Default::default()
@@ -318,10 +323,10 @@ fn wakeups_coalesce_under_tcp_bursts() {
     let sproc = AddressSpace::new("recv");
     let received = Rc::new(Cell::new(0usize));
     let r = received.clone();
-    server.tcp().listen(&sproc, 5001, move |_, _, sock| {
+    server.tcp().listen(&sproc, 5001, move |_, sock| {
         let r = r.clone();
-        sock.set_callbacks(SocketCallbacks {
-            on_data: Some(Rc::new(move |_, _, _, data| {
+        sock.set_callbacks(TcpCallbacks {
+            on_data: Some(Rc::new(move |_, _, data| {
                 r.set(r.get() + data.len());
             })),
             ..Default::default()
@@ -330,10 +335,11 @@ fn wakeups_coalesce_under_tcp_bursts() {
     let total = 200 * 1460;
     let conn = client
         .tcp()
-        .connect(world.engine_mut(), &cproc, (server.ip(), 5001));
-    conn.set_callbacks(SocketCallbacks {
-        on_connected: Some(Rc::new(move |eng, user, sock| {
-            sock.send_in(eng, user, &vec![3u8; total]);
+        .connect(world.engine_mut(), &cproc, (server.ip(), 5001))
+        .unwrap();
+    conn.set_callbacks(TcpCallbacks {
+        on_connected: Some(Rc::new(move |ctx, sock| {
+            sock.send_in(ctx, &vec![3u8; total]);
         })),
         ..Default::default()
     });
@@ -354,12 +360,12 @@ fn splice_handles_multiple_concurrent_clients() {
     let (mut world, [client, fwd, backend]) =
         monolithic_lan(&Link::ethernet(), ["clients", "fwd", "backend"]);
     let bproc = AddressSpace::new("svc");
-    backend.tcp().listen(&bproc, 80, |_eng, _user, sock| {
-        sock.set_callbacks(SocketCallbacks {
-            on_data: Some(Rc::new(|eng, user, sock, data| {
-                sock.send_in(eng, user, data);
+    backend.tcp().listen(&bproc, 80, |_, sock| {
+        sock.set_callbacks(TcpCallbacks {
+            on_data: Some(Rc::new(|ctx, sock, data| {
+                sock.send_in(ctx, data);
             })),
-            on_peer_close: Some(Rc::new(|eng, user, sock| sock.close_in(eng, user))),
+            on_peer_close: Some(Rc::new(|ctx, sock| sock.close_in(ctx))),
             ..Default::default()
         });
     });
@@ -371,15 +377,16 @@ fn splice_handles_multiple_concurrent_clients() {
     for i in 0..N {
         let conn = client
             .tcp()
-            .connect(world.engine_mut(), &cproc, (fwd.ip(), 8080));
+            .connect(world.engine_mut(), &cproc, (fwd.ip(), 8080))
+            .unwrap();
         let res = results.clone();
         let body = vec![i as u8 + 1; 24];
         let b2 = body.clone();
-        conn.set_callbacks(SocketCallbacks {
-            on_connected: Some(Rc::new(move |eng, user, sock| {
-                sock.send_in(eng, user, &b2);
+        conn.set_callbacks(TcpCallbacks {
+            on_connected: Some(Rc::new(move |ctx, sock| {
+                sock.send_in(ctx, &b2);
             })),
-            on_data: Some(Rc::new(move |_, _, _, data| {
+            on_data: Some(Rc::new(move |_, _, data| {
                 res.borrow_mut()[i] = Some(data.to_vec());
             })),
             ..Default::default()
@@ -463,4 +470,60 @@ fn the_arp_queue_is_bounded() {
     tb.world.run();
     let want: Vec<Vec<u8>> = (0..MAX_PARKED_PER_HOP).map(|k| vec![k as u8]).collect();
     assert_eq!(*got.borrow(), want, "the first cap's worth, in order");
+}
+
+#[test]
+fn a_redial_skips_a_port_a_live_connection_holds() {
+    // `b` dials `a`'s listener on 30 000 from its own first ephemeral port,
+    // 30 000, so `a`'s accepted connection holds (30 000, b, 30 000). When
+    // `a` then dials `b`'s listener on 30 000, its first ephemeral port
+    // would make the same 4-tuple: the allocator must pass it over rather
+    // than register a second connection on top of the live one.
+    let (mut world, [a, b]) = monolithic_lan(&Link::ethernet(), ["a", "b"]);
+    let (pa, pb) = (AddressSpace::new("a"), AddressSpace::new("b"));
+    let echo = |tag: &'static [u8]| {
+        move |_: &mut RaiseCtx<'_>, conn: &Rc<TcpConn>| {
+            conn.set_callbacks(TcpCallbacks {
+                on_data: Some(Rc::new(move |ctx, conn, data| {
+                    conn.send_in(ctx, &[tag, data].concat());
+                })),
+                ..Default::default()
+            });
+        }
+    };
+    let heard = |conn: &Rc<TcpConn>, ask: &'static [u8]| {
+        let got = Rc::new(RefCell::new(Vec::new()));
+        let g = got.clone();
+        conn.set_callbacks(TcpCallbacks {
+            on_connected: Some(Rc::new(move |ctx, conn| conn.send_in(ctx, ask))),
+            on_data: Some(Rc::new(move |_, _, data| {
+                g.borrow_mut().extend_from_slice(data)
+            })),
+            ..Default::default()
+        });
+        got
+    };
+    assert!(a.tcp().listen(&pa, 30_000, echo(b"a:")));
+    let first = b
+        .tcp()
+        .connect(world.engine_mut(), &pb, (a.ip(), 30_000))
+        .unwrap();
+    assert_eq!(first.local_port(), 30_000);
+    let first_got = heard(&first, b"one");
+    world.run_for(SimDuration::from_millis(500));
+    assert_eq!(*first_got.borrow(), b"a:one");
+
+    assert!(b.tcp().listen(&pb, 30_000, echo(b"b:")));
+    let second = a
+        .tcp()
+        .connect(world.engine_mut(), &pa, (b.ip(), 30_000))
+        .unwrap();
+    assert_eq!(second.local_port(), 30_001, "30 000 is held and in use");
+    let second_got = heard(&second, b"two");
+    world.run_for(SimDuration::from_millis(500));
+    assert_eq!(*second_got.borrow(), b"b:two");
+    assert_eq!(first.state(), TcpState::Established, "the first lives on");
+    first.send(world.engine_mut(), b"three");
+    world.run_for(SimDuration::from_millis(500));
+    assert_eq!(*first_got.borrow(), b"a:onea:three");
 }

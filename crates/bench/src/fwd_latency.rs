@@ -17,8 +17,9 @@ use std::cell::Cell;
 use std::rc::Rc;
 
 use plexus_apps::forward::{forwarder_extension_spec, InKernelForwarder};
-use plexus_baseline::{MonolithicStack, SocketCallbacks, UserSplice};
-use plexus_core::{PlexusStack, StackConfig, TcpCallbacks};
+use plexus_baseline::{MonolithicStack, UserSplice};
+use plexus_core::{PlexusStack, StackConfig, TcpCallbacks, TcpConn};
+use plexus_kernel::dispatcher::RaiseCtx;
 use plexus_kernel::vm::AddressSpace;
 use plexus_net::testbed::Testbed;
 use plexus_sim::nic::Link;
@@ -105,59 +106,10 @@ impl<'a> FwdLatency<'a> {
         let spec = forwarder_extension_spec("echo");
         let cext = client.link_extension(&spec).unwrap();
         let bext = backend.link_extension(&spec).unwrap();
-        backend
-            .tcp()
-            .listen(&bext, PORT, |_, conn| {
-                conn.set_callbacks(TcpCallbacks {
-                    on_data: Some(Rc::new(|ctx, conn, data| {
-                        conn.send_in(ctx, data);
-                    })),
-                    on_peer_close: Some(Rc::new(|ctx, conn| conn.close_in(ctx))),
-                    ..Default::default()
-                });
-            })
-            .unwrap();
-
-        let conn = client
-            .tcp()
-            .connect(&cext, tb.world.engine_mut(), (target, PORT))
-            .unwrap();
-        let payload = self.payload;
-        let st = state.clone();
-        let req = vec![0x42u8; payload];
-        let req2 = req.clone();
-        let pending = Cell::new(0usize);
-        conn.set_callbacks(TcpCallbacks {
-            on_connected: Some(Rc::new(move |ctx, conn| {
-                st.sent_at.set(ctx.lease.now().as_nanos());
-                conn.send_in(ctx, &req2);
-            })),
-            on_data: Some(Rc::new({
-                let st = state.clone();
-                move |ctx, conn, data| {
-                    // Wait for the whole response before scoring the round.
-                    pending.set(pending.get() + data.len());
-                    if pending.get() >= payload {
-                        pending.set(0);
-                        let now = ctx.lease.now().as_nanos();
-                        let (rtt, more) = st.complete(now);
-                        if let Some(rec) = ctx.lease.recorder() {
-                            let hist = rec.intern("fwd.rtt_ns");
-                            // Completion sample for the windowed timeline,
-                            // and a journey break so the next request's
-                            // ledger starts fresh at this send.
-                            rec.sample(now, hist, rtt);
-                            rec.journey_break();
-                        }
-                        if more {
-                            st.sent_at.set(ctx.lease.now().as_nanos());
-                            conn.send_in(ctx, &req);
-                        }
-                    }
-                }
-            })),
-            ..Default::default()
-        });
+        backend.tcp().listen(&bext, PORT, echo).unwrap();
+        let to = (target, PORT);
+        let conn = client.tcp().connect(&cext, tb.world.engine_mut(), to);
+        self.ping(&conn.unwrap(), state);
         tb.world.run_for(SimDuration::from_secs(120));
     }
 
@@ -165,52 +117,64 @@ impl<'a> FwdLatency<'a> {
     /// the forwarder.
     fn splice(&self, mut tb: Testbed, state: &Rc<PingState>) {
         let [client, fwd, backend] = [0, 1, 2].map(|k| MonolithicStack::attach_host(&tb.hosts[k]));
-
-        let bproc = AddressSpace::new("backend");
-        backend.tcp().listen(&bproc, PORT, |_, _, sock| {
-            sock.set_callbacks(SocketCallbacks {
-                on_data: Some(Rc::new(|eng, user, sock, data| {
-                    sock.send_in(eng, user, data);
-                })),
-                on_peer_close: Some(Rc::new(|eng, user, sock| sock.close_in(eng, user))),
-                ..Default::default()
-            });
-        });
-
-        let _splice = UserSplice::start(&fwd, tb.world.engine_mut(), PORT, (backend.ip(), PORT));
-
-        let cproc = AddressSpace::new("client");
-        let conn = client
+        backend
             .tcp()
-            .connect(tb.world.engine_mut(), &cproc, (fwd.ip(), PORT));
+            .listen(&AddressSpace::new("backend"), PORT, echo);
+        let _splice = UserSplice::start(&fwd, tb.world.engine_mut(), PORT, (backend.ip(), PORT));
+        let cproc = AddressSpace::new("client");
+        let to = (fwd.ip(), PORT);
+        let conn = client.tcp().connect(tb.world.engine_mut(), &cproc, to);
+        self.ping(&conn.unwrap(), state);
+        tb.world.run_for(SimDuration::from_secs(120));
+    }
+
+    /// The client, the same on every stack: one request on connect, and
+    /// the next once the whole response is in, until `state` has its
+    /// rounds. A recorder, when installed, gets each round trip as a
+    /// sample and a journey break, so the next request's ledger starts
+    /// fresh at its send.
+    fn ping(&self, conn: &Rc<TcpConn>, state: &Rc<PingState>) {
         let payload = self.payload;
-        let st = state.clone();
-        let req = vec![0x42u8; payload];
-        let req2 = req.clone();
+        let req = Rc::new(vec![0x42u8; payload]);
         let pending = Cell::new(0usize);
-        conn.set_callbacks(SocketCallbacks {
-            on_connected: Some(Rc::new(move |eng, user, sock| {
-                st.sent_at.set(user.now().as_nanos());
-                sock.send_in(eng, user, &req2);
+        let (st, first) = (state.clone(), req.clone());
+        let st2 = state.clone();
+        conn.set_callbacks(TcpCallbacks {
+            on_connected: Some(Rc::new(move |ctx, conn| {
+                st.sent_at.set(ctx.lease.now().as_nanos());
+                conn.send_in(ctx, &first);
             })),
-            on_data: Some(Rc::new({
-                let st = state.clone();
-                move |eng, user, sock, data| {
-                    pending.set(pending.get() + data.len());
-                    if pending.get() >= payload {
-                        pending.set(0);
-                        let now = user.now().as_nanos();
-                        if st.complete(now).1 {
-                            st.sent_at.set(user.now().as_nanos());
-                            sock.send_in(eng, user, &req);
-                        }
-                    }
+            on_data: Some(Rc::new(move |ctx, conn, data| {
+                // Wait for the whole response before scoring the round.
+                pending.set(pending.get() + data.len());
+                if pending.get() < payload {
+                    return;
+                }
+                pending.set(0);
+                let now = ctx.lease.now().as_nanos();
+                let (rtt, more) = st2.complete(now);
+                if let Some(rec) = ctx.lease.recorder() {
+                    rec.sample(now, rec.intern("fwd.rtt_ns"), rtt);
+                    rec.journey_break();
+                }
+                if more {
+                    st2.sent_at.set(now);
+                    conn.send_in(ctx, &req);
                 }
             })),
             ..Default::default()
         });
-        tb.world.run_for(SimDuration::from_secs(120));
     }
+}
+
+/// The backend's service on every stack: echo what arrives, and close
+/// when the peer has.
+fn echo(_: &mut RaiseCtx<'_>, conn: &Rc<TcpConn>) {
+    conn.set_callbacks(TcpCallbacks {
+        on_data: Some(Rc::new(|ctx, conn, data| conn.send_in(ctx, data))),
+        on_peer_close: Some(Rc::new(|ctx, conn| conn.close_in(ctx))),
+        ..Default::default()
+    });
 }
 
 /// Figure 7: request/response round trips through a port forwarder — the

@@ -9,8 +9,9 @@
 use std::cell::Cell;
 use std::rc::Rc;
 
-use plexus_baseline::{MonolithicStack, SocketCallbacks};
-use plexus_core::{PlexusStack, StackConfig, TcpCallbacks};
+use plexus_baseline::MonolithicStack;
+use plexus_core::{PlexusStack, StackConfig, TcpCallbacks, TcpConn};
+use plexus_kernel::dispatcher::RaiseCtx;
 use plexus_kernel::domain::ExtensionSpec;
 use plexus_kernel::vm::AddressSpace;
 use plexus_net::testbed::Testbed;
@@ -30,114 +31,77 @@ pub enum TputSystem {
     Dunix,
 }
 
-/// Measures one bulk transfer of `bytes` and returns Mb/s of application
-/// payload delivered (timed from first byte sent to last byte received).
-pub fn tcp_throughput_mbps(system: TputSystem, link: &Link, bytes: usize) -> f64 {
-    match system {
-        TputSystem::Plexus => plexus_tput(link, bytes),
-        TputSystem::Dunix => dunix_tput(link, bytes),
-    }
-}
-
-/// Chunk size the sending application writes per call (socket-buffer
+/// Chunk size the user-process sender writes per call (socket-buffer
 /// sized, like ttcp).
 const WRITE_CHUNK: usize = 16 * 1024;
 
-fn plexus_tput(link: &Link, bytes: usize) -> f64 {
+/// Measures one bulk transfer of `bytes` and returns Mb/s of application
+/// payload delivered (timed from first byte sent to last byte received).
+pub fn tcp_throughput_mbps(system: TputSystem, link: &Link, bytes: usize) -> f64 {
     let Testbed {
         mut world, hosts, ..
     } = Testbed::new(link, 0, &["sender", "receiver"]);
-    let sender = PlexusStack::attach_host(&hosts[0], StackConfig::interrupt);
-    let receiver = PlexusStack::attach_host(&hosts[1], StackConfig::interrupt);
-    let spec = ExtensionSpec::typesafe("ttcp", &["TCP.Listen", "TCP.Connect", "TCP.Send"]);
-    let sext = sender.link_extension(&spec).unwrap();
-    let rext = receiver.link_extension(&spec).unwrap();
 
+    // The receiver, the same on both systems: count the bytes, note when
+    // the last arrived, and close when the sender has.
     let received = Rc::new(Cell::new(0usize));
     let done_at = Rc::new(Cell::new(0u64));
     let (recvd, done) = (received.clone(), done_at.clone());
-    receiver
-        .tcp()
-        .listen(&rext, 5001, move |_, conn| {
-            let (recvd, done) = (recvd.clone(), done.clone());
-            conn.set_callbacks(TcpCallbacks {
-                on_data: Some(Rc::new(move |ctx, _, data| {
-                    recvd.set(recvd.get() + data.len());
-                    if recvd.get() >= bytes {
-                        done.set(ctx.lease.now().as_nanos());
-                    }
-                })),
-                on_peer_close: Some(Rc::new(|ctx, conn| conn.close_in(ctx))),
-                ..Default::default()
-            });
-        })
-        .unwrap();
+    let on_accept = move |_: &mut RaiseCtx<'_>, conn: &Rc<TcpConn>| {
+        let (recvd, done) = (recvd.clone(), done.clone());
+        conn.set_callbacks(TcpCallbacks {
+            on_data: Some(Rc::new(move |ctx, _, data| {
+                recvd.set(recvd.get() + data.len());
+                if recvd.get() >= bytes {
+                    done.set(ctx.lease.now().as_nanos());
+                }
+            })),
+            on_peer_close: Some(Rc::new(|ctx, conn| conn.close_in(ctx))),
+            ..Default::default()
+        });
+    };
 
+    // The in-kernel sender queues the whole clip at once (the data is
+    // already in kernel buffers; the window paces the wire). The user ttcp
+    // write loop makes one write(2) per chunk, each paying its trap +
+    // copyin before the kernel queues it.
+    let conn = match system {
+        TputSystem::Plexus => {
+            let sender = PlexusStack::attach_host(&hosts[0], StackConfig::interrupt);
+            let receiver = PlexusStack::attach_host(&hosts[1], StackConfig::interrupt);
+            let spec = ExtensionSpec::typesafe("ttcp", &["TCP.Listen", "TCP.Connect", "TCP.Send"]);
+            let sext = sender.link_extension(&spec).unwrap();
+            let rext = receiver.link_extension(&spec).unwrap();
+            receiver.tcp().listen(&rext, 5001, on_accept).unwrap();
+            let to = (receiver.ip(), 5001);
+            sender.tcp().connect(&sext, world.engine_mut(), to).unwrap()
+        }
+        TputSystem::Dunix => {
+            let sender = MonolithicStack::attach_host(&hosts[0]);
+            let receiver = MonolithicStack::attach_host(&hosts[1]);
+            let sproc = AddressSpace::new("ttcp-send");
+            let rproc = AddressSpace::new("ttcp-recv");
+            receiver.tcp().listen(&rproc, 5001, on_accept);
+            let to = (receiver.ip(), 5001);
+            sender
+                .tcp()
+                .connect(world.engine_mut(), &sproc, to)
+                .unwrap()
+        }
+    };
+    let chunk = match system {
+        TputSystem::Plexus => bytes,
+        TputSystem::Dunix => WRITE_CHUNK,
+    };
     let start_at = Rc::new(Cell::new(0u64));
-    let conn = sender
-        .tcp()
-        .connect(&sext, world.engine_mut(), (receiver.ip(), 5001))
-        .unwrap();
     let st = start_at.clone();
     conn.set_callbacks(TcpCallbacks {
         on_connected: Some(Rc::new(move |ctx, conn| {
             st.set(ctx.lease.now().as_nanos());
-            // In-kernel sender: the whole clip is queued at once (the data
-            // is already in kernel buffers); the window paces the wire.
-            conn.send_in(ctx, &vec![0xAAu8; bytes]);
-        })),
-        ..Default::default()
-    });
-    world.run_for(SimDuration::from_secs(600));
-    assert!(
-        received.get() >= bytes,
-        "transfer incomplete: {}",
-        received.get()
-    );
-    let elapsed_ns = done_at.get() - start_at.get();
-    bytes as f64 * 8.0 / (elapsed_ns as f64 / 1e9) / 1e6
-}
-
-fn dunix_tput(link: &Link, bytes: usize) -> f64 {
-    let Testbed {
-        mut world, hosts, ..
-    } = Testbed::new(link, 0, &["sender", "receiver"]);
-    let sender = MonolithicStack::attach_host(&hosts[0]);
-    let receiver = MonolithicStack::attach_host(&hosts[1]);
-    let sproc = AddressSpace::new("ttcp-send");
-    let rproc = AddressSpace::new("ttcp-recv");
-
-    let received = Rc::new(Cell::new(0usize));
-    let done_at = Rc::new(Cell::new(0u64));
-    let (recvd, done) = (received.clone(), done_at.clone());
-    receiver.tcp().listen(&rproc, 5001, move |_, _, sock| {
-        let (recvd, done) = (recvd.clone(), done.clone());
-        sock.set_callbacks(SocketCallbacks {
-            on_data: Some(Rc::new(move |_, user, _, data| {
-                recvd.set(recvd.get() + data.len());
-                if recvd.get() >= bytes {
-                    done.set(user.now().as_nanos());
-                }
-            })),
-            on_peer_close: Some(Rc::new(|eng, user, sock| sock.close_in(eng, user))),
-            ..Default::default()
-        });
-    });
-
-    let start_at = Rc::new(Cell::new(0u64));
-    let conn = sender
-        .tcp()
-        .connect(world.engine_mut(), &sproc, (receiver.ip(), 5001));
-    let st = start_at.clone();
-    conn.set_callbacks(SocketCallbacks {
-        on_connected: Some(Rc::new(move |eng, user, sock| {
-            st.set(user.now().as_nanos());
-            // The user ttcp write loop: one write(2) per chunk, each paying
-            // its trap + copyin before the kernel queues it.
             let mut remaining = bytes;
             while remaining > 0 {
-                let n = WRITE_CHUNK.min(remaining);
-                sock.send_in(eng, user, &vec![0xAAu8; n]);
+                let n = chunk.min(remaining);
+                conn.send_in(ctx, &vec![0xAAu8; n]);
                 remaining -= n;
             }
         })),

@@ -449,17 +449,10 @@ impl StackShared {
             batch.raise(&mut RaiseCtx { engine, lease }, &EthRecv { mbuf });
         } else {
             self.bump(|st| st.eth_filtered += 1);
-            Self::record_drop(lease, "ether", "mac_filter");
+            lease.record_drop("ether", "mac_filter");
         }
         if let Some(rec) = stamped {
             rec.packet_done();
-        }
-    }
-
-    /// Records a drop at `layer` for `reason`, if a recorder is installed.
-    pub(crate) fn record_drop(lease: &CpuLease, layer: &str, reason: &str) {
-        if let Some(rec) = lease.recorder() {
-            rec.packet_drop(lease.now().as_nanos(), layer, reason);
         }
     }
 
@@ -472,7 +465,7 @@ impl StackShared {
         let hdr = IpHeader::simple(req.src, req.dst, req.protocol, self.ip_ident.take());
         let Some(hop) = self.routes.hop(req.dst) else {
             self.bump(|s| s.no_route += 1);
-            Self::record_drop(ctx.lease, "ip", "no_route");
+            ctx.lease.record_drop("ip", "no_route");
             return;
         };
         for dgram in ip::datagrams(&hdr, &req.payload, self.nic.profile().mtu) {
@@ -507,7 +500,7 @@ impl StackShared {
                 self.schedule_arp_retry(ctx.engine, hop, now, 1);
             }
             Resolve::ParkedQuiet => self.bump(|s| s.arp_queued += 1),
-            Resolve::Refused => Self::record_drop(ctx.lease, "arp", "arp_queue_full"),
+            Resolve::Refused => ctx.lease.record_drop("arp", "arp_queue_full"),
         }
     }
 
@@ -769,7 +762,7 @@ impl PlexusStack {
                 let evicted = reasm.evicted();
                 let verdict = reasm.input(&pkt, now, |dst| s.is_local_ip(dst));
                 for _ in evicted..reasm.evicted() {
-                    StackShared::record_drop(ctx.lease, "ip", "ip_reassembly_full");
+                    ctx.lease.record_drop("ip", "ip_reassembly_full");
                 }
                 drop(reasm);
                 let reason = match verdict {
@@ -790,7 +783,7 @@ impl PlexusStack {
                     Verdict::BadOrFragment => "bad_or_fragment",
                 };
                 s.bump(|st| st.ip_dropped += 1);
-                StackShared::record_drop(ctx.lease, "ip", reason);
+                ctx.lease.record_drop("ip", reason);
             },
             "ip",
         );

@@ -243,6 +243,8 @@ pub enum PlexusError {
         /// The longest payload a datagram carries (65 507 bytes).
         max: usize,
     },
+    /// An active open found every ephemeral port held or in use.
+    PortsExhausted,
 }
 
 impl fmt::Display for PlexusError {
@@ -256,6 +258,7 @@ impl fmt::Display for PlexusError {
             PlexusError::DatagramTooLong { len, max } => {
                 write!(f, "UDP payload of {len} bytes exceeds the {max}-byte limit")
             }
+            PlexusError::PortsExhausted => write!(f, "no ephemeral port is free"),
         }
     }
 }

@@ -26,6 +26,11 @@
 //! ([`icmp::echo_response`]) each exist once here. A stack supplies only
 //! structure: which costs it charges around these calls, its counters and
 //! drop reasons, and how an [`ether::Frame`] reaches the wire.
+//!
+//! One piece runs on the engine and a CPU lease all the same:
+//! [`tcp::TcpConn`], which applies a `Tcb`'s outputs, so that a TCP
+//! connection too exists once. A stack hands it its structure as a
+//! [`tcp::TcpHost`].
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]

@@ -21,6 +21,11 @@ use crate::checksum::{Checksum, CsumOffload};
 use crate::ip::proto;
 use crate::mbuf::{Mbuf, LEADING_SPACE};
 
+mod conn;
+pub use conn::{
+    ConnCallback, ConnEvent, ConnIds, DataCallback, PortsExhausted, TcpCallbacks, TcpConn, TcpHost,
+};
+
 /// TCP header length (no options on the wire after the SYN's MSS option is
 /// folded into [`Tcb::mss`]; we keep headers fixed-size for simplicity).
 pub const TCP_HDR_LEN: usize = 20;
@@ -318,7 +323,7 @@ impl TcpSegment<Mbuf> {
     /// descriptor (pseudo-header partial included) is stamped in the packet
     /// header for the adapter to fill during the DMA gather. Unlike UDP, a
     /// computed zero stays zero on the wire.
-    pub fn chunk_to_mbuf(
+    pub(crate) fn chunk_to_mbuf(
         &mut self,
         range: Range<usize>,
         src: Ipv4Addr,
@@ -445,9 +450,9 @@ pub enum TcpState {
 #[derive(Debug, Default)]
 pub struct Actions {
     /// Segments to transmit, in order. Each payload is an mbuf with room
-    /// ahead for the headers ([`TcpSegment::chunk_to_mbuf`]). The list is
-    /// the TCB's, lent: an owner that drains it and hands it back
-    /// ([`Tcb::reclaim`]) lets the next input reuse its allocation.
+    /// ahead for the headers. The list is the TCB's, lent:
+    /// [`TcpConn::apply`] drains it and hands it back, so the next input
+    /// reuses its allocation.
     pub segments: Vec<TcpSegment<Mbuf>>,
     /// The connection just reached `Established`.
     pub connected: bool,
@@ -617,7 +622,7 @@ impl Tcb {
     /// Takes back the segment list an [`Actions`] lent out, once its owner
     /// has drained it: the next input fills it again instead of growing a
     /// fresh one. Whatever it still holds is dropped.
-    pub fn reclaim(&mut self, mut segments: Vec<TcpSegment<Mbuf>>) {
+    pub(crate) fn reclaim(&mut self, mut segments: Vec<TcpSegment<Mbuf>>) {
         segments.clear();
         self.spare = segments;
     }

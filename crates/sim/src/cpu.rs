@@ -292,6 +292,14 @@ impl CpuLease {
         self.recorder.as_deref()
     }
 
+    /// Records a packet dropped at `layer` for `reason`, now, if a recorder
+    /// was captured.
+    pub fn record_drop(&self, layer: &str, reason: &str) {
+        if let Some(rec) = self.recorder() {
+            rec.packet_drop(self.now().as_nanos(), layer, reason);
+        }
+    }
+
     /// Owned handle to the captured recorder (for callers that must hold
     /// it across a re-entrant borrow of the lease, like the dispatcher).
     pub fn recorder_handle(&self) -> Option<Rc<Recorder>> {

@@ -13,8 +13,9 @@ use std::cell::Cell;
 use std::rc::Rc;
 
 use plexus::apps::forward::{forwarder_extension_spec, InKernelForwarder};
-use plexus::baseline::{MonolithicStack, SocketCallbacks, UserSplice};
-use plexus::core::{PlexusStack, StackConfig, TcpCallbacks};
+use plexus::baseline::{MonolithicStack, UserSplice};
+use plexus::core::{PlexusStack, StackConfig, TcpCallbacks, TcpConn};
+use plexus::kernel::dispatcher::RaiseCtx;
 use plexus::kernel::vm::AddressSpace;
 use plexus::net::Testbed;
 use plexus::sim::nic::Link;
@@ -41,6 +42,34 @@ fn main() {
     println!("end-to-end semantics, because it terminates the client's connection.");
 }
 
+/// The backend's service on either stack: echo, and close after the peer.
+fn echo(_: &mut RaiseCtx<'_>, conn: &Rc<TcpConn>) {
+    conn.set_callbacks(TcpCallbacks {
+        on_data: Some(Rc::new(|ctx, conn, data| conn.send_in(ctx, data))),
+        on_peer_close: Some(Rc::new(|ctx, conn| conn.close_in(ctx))),
+        ..Default::default()
+    });
+}
+
+/// The client on either stack: one request on connect; the round trip, in
+/// nanoseconds, lands in the returned cell when the response does.
+fn request(conn: &Rc<TcpConn>) -> Rc<Cell<u64>> {
+    let sent_at = Rc::new(Cell::new(0u64));
+    let rtt_ns = Rc::new(Cell::new(0u64));
+    let (s2, r2) = (sent_at.clone(), rtt_ns.clone());
+    conn.set_callbacks(TcpCallbacks {
+        on_connected: Some(Rc::new(move |ctx, conn| {
+            s2.set(ctx.lease.now().as_nanos());
+            conn.send_in(ctx, b"GET /balance");
+        })),
+        on_data: Some(Rc::new(move |ctx, _, _| {
+            r2.set(ctx.lease.now().as_nanos() - sent_at.get());
+        })),
+        ..Default::default()
+    });
+    rtt_ns
+}
+
 /// Plexus: DSR-style in-kernel redirection; one TCP connection end-to-end.
 fn plexus_redirect() -> f64 {
     let Testbed {
@@ -56,38 +85,17 @@ fn plexus_redirect() -> f64 {
     let bext = backend
         .link_extension(&forwarder_extension_spec("svc"))
         .unwrap();
-    backend
-        .tcp()
-        .listen(&bext, PORT, |_, conn| {
-            conn.set_callbacks(TcpCallbacks {
-                on_data: Some(Rc::new(|ctx, conn, data| conn.send_in(ctx, data))),
-                on_peer_close: Some(Rc::new(|ctx, conn| conn.close_in(ctx))),
-                ..Default::default()
-            });
-        })
-        .unwrap();
+    backend.tcp().listen(&bext, PORT, echo).unwrap();
 
     let cext = client
         .link_extension(&forwarder_extension_spec("cli"))
         .unwrap();
-    let sent_at = Rc::new(Cell::new(0u64));
-    let rtt_ns = Rc::new(Cell::new(0u64));
     // The client connects to the FORWARDER's address; the backend answers.
     let conn = client
         .tcp()
         .connect(&cext, world.engine_mut(), (fwd.ip(), PORT))
         .unwrap();
-    let (s2, r2) = (sent_at.clone(), rtt_ns.clone());
-    conn.set_callbacks(TcpCallbacks {
-        on_connected: Some(Rc::new(move |ctx, conn| {
-            s2.set(ctx.lease.now().as_nanos());
-            conn.send_in(ctx, b"GET /balance");
-        })),
-        on_data: Some(Rc::new(move |ctx, _, _| {
-            r2.set(ctx.lease.now().as_nanos() - sent_at.get());
-        })),
-        ..Default::default()
-    });
+    let rtt_ns = request(&conn);
     world.run_for(SimDuration::from_secs(10));
     assert!(rtt_ns.get() > 0, "response arrived");
     println!(
@@ -103,37 +111,17 @@ fn user_splice() -> f64 {
         mut world, hosts, ..
     } = three_hosts();
     let [client, fwd, backend] = [0, 1, 2].map(|k| MonolithicStack::attach_host(&hosts[k]));
-
-    let bproc = AddressSpace::new("svc");
-    backend.tcp().listen(&bproc, PORT, |_, _, sock| {
-        sock.set_callbacks(SocketCallbacks {
-            on_data: Some(Rc::new(|eng, user, sock, data| {
-                sock.send_in(eng, user, data)
-            })),
-            on_peer_close: Some(Rc::new(|eng, user, sock| sock.close_in(eng, user))),
-            ..Default::default()
-        });
-    });
-
+    backend.tcp().listen(&AddressSpace::new("svc"), PORT, echo);
     let splice = UserSplice::start(&fwd, world.engine_mut(), PORT, (backend.ip(), PORT));
-
-    let cproc = AddressSpace::new("cli");
-    let sent_at = Rc::new(Cell::new(0u64));
-    let rtt_ns = Rc::new(Cell::new(0u64));
     let conn = client
         .tcp()
-        .connect(world.engine_mut(), &cproc, (fwd.ip(), PORT));
-    let (s2, r2) = (sent_at.clone(), rtt_ns.clone());
-    conn.set_callbacks(SocketCallbacks {
-        on_connected: Some(Rc::new(move |eng, user, sock| {
-            s2.set(user.now().as_nanos());
-            sock.send_in(eng, user, b"GET /balance");
-        })),
-        on_data: Some(Rc::new(move |_, user, _, _| {
-            r2.set(user.now().as_nanos() - sent_at.get());
-        })),
-        ..Default::default()
-    });
+        .connect(
+            world.engine_mut(),
+            &AddressSpace::new("cli"),
+            (fwd.ip(), PORT),
+        )
+        .unwrap();
+    let rtt_ns = request(&conn);
     world.run_for(SimDuration::from_secs(10));
     assert!(rtt_ns.get() > 0, "response arrived");
     println!(

@@ -26,7 +26,7 @@ use std::collections::{BTreeMap, VecDeque};
 use std::net::Ipv4Addr;
 use std::rc::Rc;
 
-use plexus::baseline::{MonolithicStack, SocketCallbacks};
+use plexus::baseline::MonolithicStack;
 use plexus::core::tcp_manager::ConnCallback;
 use plexus::core::{
     AppHandler, IpRouter, PlexusError, PlexusStack, StackConfig, TcpCallbacks, TcpConn,
@@ -1207,19 +1207,9 @@ fn plexus_pair(world: &mut World, hosts: &[Host], sink: &Sink) -> Client {
         client.link_extension(&spec).unwrap(),
         server.link_extension(&spec).unwrap(),
     );
-    let sink = sink.clone();
     server
         .tcp()
-        .listen(&sext, TCP_PORT, move |_, conn| {
-            let sink = sink.clone();
-            conn.set_callbacks(TcpCallbacks {
-                on_data: Some(Rc::new(move |_, _, data| {
-                    sink.borrow_mut().extend_from_slice(data)
-                })),
-                on_peer_close: Some(Rc::new(|ctx, conn| conn.close_in(ctx))),
-                ..Default::default()
-            });
-        })
+        .listen(&sext, TCP_PORT, sink_into(sink))
         .unwrap();
     let conn = client
         .tcp()
@@ -1233,28 +1223,37 @@ fn plexus_pair(world: &mut World, hosts: &[Host], sink: &Sink) -> Client {
     }
 }
 
+/// The server's side on either stack: append what arrives to `sink`, and
+/// close when the peer has.
+fn sink_into(sink: &Sink) -> impl Fn(&mut RaiseCtx<'_>, &Rc<TcpConn>) + 'static {
+    let sink = sink.clone();
+    move |_, conn| {
+        let sink = sink.clone();
+        conn.set_callbacks(TcpCallbacks {
+            on_data: Some(Rc::new(move |_, _, data| {
+                sink.borrow_mut().extend_from_slice(data)
+            })),
+            on_peer_close: Some(Rc::new(|ctx, conn| conn.close_in(ctx))),
+            ..Default::default()
+        });
+    }
+}
+
 /// [`plexus_pair`] on the monolithic baseline.
 fn baseline_pair(world: &mut World, hosts: &[Host], sink: &Sink) -> Client {
     let client = MonolithicStack::attach_host(&hosts[0]);
     let server = MonolithicStack::attach_host(&hosts[1]);
-    let sink = sink.clone();
     server
         .tcp()
-        .listen(&AddressSpace::new("sink"), TCP_PORT, move |_, _, sock| {
-            let sink = sink.clone();
-            sock.set_callbacks(SocketCallbacks {
-                on_data: Some(Rc::new(move |_, _, _, data| {
-                    sink.borrow_mut().extend_from_slice(data)
-                })),
-                on_peer_close: Some(Rc::new(|eng, user, sock| sock.close_in(eng, user))),
-                ..Default::default()
-            });
-        });
-    let sock = client.tcp().connect(
-        world.engine_mut(),
-        &AddressSpace::new("source"),
-        (hosts[1].ip, TCP_PORT),
-    );
+        .listen(&AddressSpace::new("sink"), TCP_PORT, sink_into(sink));
+    let sock = client
+        .tcp()
+        .connect(
+            world.engine_mut(),
+            &AddressSpace::new("source"),
+            (hosts[1].ip, TCP_PORT),
+        )
+        .unwrap();
     let closer = sock.clone();
     Client {
         port: sock.local_port(),
@@ -1418,11 +1417,14 @@ fn plexus_dial(world: &mut World, hosts: &[Host]) -> Box<dyn Fn() -> (TcpState, 
 
 fn baseline_dial(world: &mut World, hosts: &[Host]) -> Box<dyn Fn() -> (TcpState, usize)> {
     let stack = MonolithicStack::attach_host(&hosts[0]);
-    let sock = stack.tcp().connect(
-        world.engine_mut(),
-        &AddressSpace::new("dialer"),
-        (hosts[1].ip, TCP_PORT),
-    );
+    let sock = stack
+        .tcp()
+        .connect(
+            world.engine_mut(),
+            &AddressSpace::new("dialer"),
+            (hosts[1].ip, TCP_PORT),
+        )
+        .unwrap();
     Box::new(move || (sock.state(), Rc::strong_count(&sock) - 1))
 }
 

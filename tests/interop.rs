@@ -8,7 +8,7 @@ use std::cell::{Cell, RefCell};
 use std::net::Ipv4Addr;
 use std::rc::Rc;
 
-use plexus::baseline::{MonolithicStack, SocketCallbacks};
+use plexus::baseline::MonolithicStack;
 use plexus::core::{AppHandler, PlexusStack, StackConfig, TcpCallbacks, UdpRecv};
 use plexus::kernel::domain::ExtensionSpec;
 use plexus::kernel::vm::AddressSpace;
@@ -87,14 +87,14 @@ fn plexus_client_talks_tcp_to_dunix_server() {
         .unwrap();
 
     let dproc = AddressSpace::new("server");
-    dunix.tcp().listen(&dproc, 80, |_, _, sock| {
-        sock.set_callbacks(SocketCallbacks {
-            on_data: Some(Rc::new(|eng, user, sock, data| {
+    dunix.tcp().listen(&dproc, 80, |_, sock| {
+        sock.set_callbacks(TcpCallbacks {
+            on_data: Some(Rc::new(|ctx, sock, data| {
                 let mut out = b"dunix:".to_vec();
                 out.extend_from_slice(data);
-                sock.send_in(eng, user, &out);
+                sock.send_in(ctx, &out);
             })),
-            on_peer_close: Some(Rc::new(|eng, user, sock| sock.close_in(eng, user))),
+            on_peer_close: Some(Rc::new(|ctx, sock| sock.close_in(ctx))),
             ..Default::default()
         });
     });
@@ -134,18 +134,19 @@ fn dunix_client_talks_tcp_to_plexus_httpd() {
     let done = Rc::new(Cell::new(false));
     let conn = dunix
         .tcp()
-        .connect(world.engine_mut(), &dproc, (plexus.ip(), 80));
+        .connect(world.engine_mut(), &dproc, (plexus.ip(), 80))
+        .unwrap();
     let (g, d) = (got.clone(), done.clone());
-    conn.set_callbacks(SocketCallbacks {
-        on_connected: Some(Rc::new(|eng, user, sock| {
-            sock.send_in(eng, user, b"GET / HTTP/1.0\r\n\r\n");
+    conn.set_callbacks(TcpCallbacks {
+        on_connected: Some(Rc::new(|ctx, sock| {
+            sock.send_in(ctx, b"GET / HTTP/1.0\r\n\r\n");
         })),
-        on_data: Some(Rc::new(move |_, _, _, data| {
+        on_data: Some(Rc::new(move |_, _, data| {
             g.borrow_mut().extend_from_slice(data);
         })),
-        on_peer_close: Some(Rc::new(move |eng, user, sock| {
+        on_peer_close: Some(Rc::new(move |ctx, sock| {
             d.set(true);
-            sock.close_in(eng, user);
+            sock.close_in(ctx);
         })),
         ..Default::default()
     });
