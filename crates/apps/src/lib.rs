@@ -1,15 +1,17 @@
 //! # plexus-apps — the paper's application-specific protocols
 //!
-//! The applications of §5 and §3.3, each built twice where the paper
-//! compares systems:
+//! The applications of §5 and §3.3. Where the paper compares systems, an
+//! application is written once over the transports both stacks share (one
+//! `TcpConn`, one UDP `Endpoint`); each system adds only an entry point
+//! for its own structure:
 //!
-//! * [`video`] — the network video system (§5.1): in-kernel multicast UDP
-//!   server vs. user-level socket server; display-bound clients.
-//! * [`forward`] — protocol forwarding (§5.2): in-kernel redirection vs.
-//!   the user-level socket splice.
+//! * [`video`] — the network video system (§5.1): a multicast UDP server
+//!   and display-bound clients, in-kernel or in user processes.
+//! * [`forward`] — protocol forwarding (§5.2): in-kernel redirection (the
+//!   user-level socket splice is the baseline's).
 //! * [`active_messages`] — active messages over Ethernet at interrupt
 //!   level (§3.3, Figure 2).
-//! * [`httpd`] — HTTP service as a Plexus TCP extension (§7).
+//! * [`httpd`] — HTTP service (§7), in-kernel or behind sockets.
 //! * [`reliable`] — a stop-and-wait reliable datagram protocol as an
 //!   application extension over checksum-free UDP (§1.1 taken further).
 //! * [`transaction`] — "TCP-special" (§3.1): a transaction transport that
@@ -31,6 +33,4 @@ pub use forward::InKernelForwarder;
 pub use httpd::{DunixHttpd, HttpGet, Httpd};
 pub use reliable::{ReliableConfig, ReliableReceiver, ReliableSender};
 pub use transaction::{TransactionCall, TransactionClient, TransactionServer};
-pub use video::{
-    DunixVideoClient, DunixVideoServer, PlexusVideoClient, PlexusVideoServer, VideoConfig,
-};
+pub use video::{VideoClient, VideoConfig, VideoServer};

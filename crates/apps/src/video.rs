@@ -1,40 +1,40 @@
 //! The network video system (§5.1).
 //!
 //! A server multicasts video clips to a set of clients at 30 frames/s.
-//! Two implementations of the same application:
+//! The application is written once, over either stack's UDP endpoint; the
+//! systems differ only in the structure around it:
 //!
-//! * **Plexus** ([`PlexusVideoServer`]): an in-kernel extension reads each
-//!   frame off the (simulated) disk and pushes it to every subscribed
+//! * **Plexus** ([`VideoServer::plexus`]): an in-kernel extension reads
+//!   each frame off the (simulated) disk and pushes it to every subscribed
 //!   client through the UDP send path — *multicast semantics for UDP*,
 //!   with no user/kernel copies, exactly the structure the paper credits
 //!   for halving server CPU utilization.
-//! * **DIGITAL UNIX** ([`DunixVideoServer`]): a user process `read(2)`s
+//! * **DIGITAL UNIX** ([`VideoServer::dunix`]): a user process `read(2)`s
 //!   each frame (copyout) and issues one `sendto(2)` per client (trap +
 //!   copyin each), over the same disk/NIC models.
 //!
 //! The video protocol itself follows §1.1's advice: UDP checksum disabled
 //! (the application runs its own integrity pass on the client).
 //!
-//! Clients ([`PlexusVideoClient`], [`DunixVideoClient`]) do the paper's
-//! two passes over each frame — checksum, then decompress — and blit the
-//! decompressed image to the framebuffer, whose writes are 10× slower than
-//! RAM; the experiment shows the client is display-bound either way.
+//! A [`VideoClient`] does the paper's two passes over each frame —
+//! checksum, then decompress — and blits the decompressed image to the
+//! framebuffer, whose writes are 10× slower than RAM; the experiment shows
+//! the client is display-bound either way.
 
 use std::cell::Cell;
 use std::net::Ipv4Addr;
 use std::rc::Rc;
 
-use plexus_core::{AppHandler, PlexusError, PlexusStack, UdpRecv};
+use plexus_baseline::MonolithicStack;
+use plexus_core::{AppHandler, PlexusError, PlexusStack};
 use plexus_kernel::domain::{ExtensionSpec, LinkedExtension};
+use plexus_kernel::vm::AddressSpace;
 use plexus_kernel::RaiseCtx;
 use plexus_net::mbuf::Mbuf;
-use plexus_net::udp::UdpConfig;
+use plexus_net::udp::{Endpoint, UdpConfig, UdpRecv};
 use plexus_sim::framebuffer::Framebuffer;
 use plexus_sim::time::{SimDuration, SimTime};
-use plexus_sim::{Engine, Machine};
-
-use plexus_baseline::{MonolithicStack, UdpSocket};
-use plexus_kernel::vm::AddressSpace;
+use plexus_sim::{CpuLease, Engine, Machine};
 
 /// Parameters of the video workload.
 #[derive(Clone, Copy, Debug)]
@@ -78,35 +78,62 @@ pub fn video_extension_spec(name: &str) -> ExtensionSpec {
     ExtensionSpec::typesafe(name, &["UDP.Bind", "UDP.Send", "Mbuf.Alloc"])
 }
 
-/// The in-kernel Plexus video server extension.
-pub struct PlexusVideoServer {
+/// A video server streaming to its clients, on either stack.
+pub struct VideoServer {
     frames_sent: Rc<Cell<u64>>,
 }
 
-impl PlexusVideoServer {
-    /// Starts streaming to `clients` until `until`. The server machine
-    /// must have a disk attached.
-    pub fn start(
+impl VideoServer {
+    /// The in-kernel Plexus extension: starts streaming to `clients` until
+    /// `until`. The server machine must have a disk attached.
+    pub fn plexus(
         stack: &Rc<PlexusStack>,
         ext: &LinkedExtension,
         engine: &mut Engine,
         clients: Vec<Ipv4Addr>,
         config: VideoConfig,
         until: SimTime,
-    ) -> Result<PlexusVideoServer, PlexusError> {
+    ) -> Result<VideoServer, PlexusError> {
         // A server-side endpoint to send from (port `config.port` on the
         // server side as well; it never receives).
-        let ep = stack.udp().bind(
-            ext,
-            config.port,
-            config.udp(),
-            AppHandler::interrupt(|_, _: &UdpRecv| {}),
-        )?;
-        let frames_sent = Rc::new(Cell::new(0u64));
-        let machine = stack.machine().clone();
-        let counter = frames_sent.clone();
-        schedule_plexus_frame(engine, machine, ep, clients, config, until, counter);
-        Ok(PlexusVideoServer { frames_sent })
+        let ignore = AppHandler::interrupt(|_, _: &UdpRecv| {});
+        let ep = stack.udp().bind(ext, config.port, config.udp(), ignore)?;
+        Ok(stream(
+            engine,
+            stack.machine(),
+            ep,
+            clients,
+            config,
+            until,
+            |_| {},
+        ))
+    }
+
+    /// The DIGITAL UNIX server, a user process over a socket: it returns
+    /// from `read(2)` with each frame, paying a trap and the copyout, before
+    /// its sends. Starts streaming to `clients` until `until`.
+    pub fn dunix(
+        stack: &Rc<MonolithicStack>,
+        engine: &mut Engine,
+        clients: Vec<Ipv4Addr>,
+        config: VideoConfig,
+        until: SimTime,
+    ) -> Option<VideoServer> {
+        let process = AddressSpace::new("video-server");
+        let sock = stack.udp_socket(&process, config.port, config.udp(), |_, _| {})?;
+        let read = move |lease: &mut CpuLease| {
+            process.trap(lease);
+            process.copyout(lease, config.frame_bytes);
+        };
+        Some(stream(
+            engine,
+            stack.machine(),
+            sock,
+            clients,
+            config,
+            until,
+            read,
+        ))
     }
 
     /// Frames pushed to the network (frame × client fan-out counted once
@@ -116,127 +143,69 @@ impl PlexusVideoServer {
     }
 }
 
-fn schedule_plexus_frame(
+/// The server application, written once: each frame tick it reads the
+/// frame off the disk and sends it to every client. `read` is what having
+/// the frame in memory costs beyond the disk's DMA: the system's own
+/// structure.
+fn stream<E: Endpoint + 'static>(
     engine: &mut Engine,
-    machine: Rc<Machine>,
-    ep: Rc<plexus_core::UdpEndpoint>,
+    machine: &Rc<Machine>,
+    ep: Rc<E>,
     clients: Vec<Ipv4Addr>,
     config: VideoConfig,
     until: SimTime,
-    counter: Rc<Cell<u64>>,
-) {
-    if engine.now() >= until {
-        return;
-    }
-    // This frame: read it off the disk (DMA: cheap in CPU, occupies the
-    // spindle), then fan it out in-kernel.
-    let disk = machine.disk();
-    let cpu_cost = disk.cpu_cost;
-    let ep2 = ep.clone();
-    let clients2 = clients.clone();
-    let m2 = machine.clone();
-    let counter2 = counter.clone();
-    disk.read(engine, engine.now(), config.frame_bytes, move |eng| {
-        let mut lease = m2.cpu().begin(eng.now());
-        lease.charge(cpu_cost);
-        let frame = Mbuf::from_payload(64, &vec![0xA5u8; config.frame_bytes]);
-        let mut ctx = RaiseCtx {
-            engine: eng,
-            lease: &mut lease,
-        };
-        for c in &clients2 {
-            // Zero-copy fan-out: every client's datagram shares the
-            // frame's clusters.
-            let _ = ep2.send_mbuf_in(&mut ctx, *c, config.port, frame.share());
-            counter2.set(counter2.get() + 1);
-        }
-    });
-    // The next frame tick.
-    let next = engine.now() + config.period();
-    if next < until {
-        engine.schedule_at(next, move |eng| {
-            schedule_plexus_frame(eng, machine, ep, clients, config, until, counter);
-        });
-    }
+    read: impl Fn(&mut CpuLease) + 'static,
+) -> VideoServer {
+    let frames_sent = Rc::new(Cell::new(0));
+    let stream = Stream {
+        machine: machine.clone(),
+        ep,
+        clients,
+        config,
+        until,
+        read,
+        sent: frames_sent.clone(),
+    };
+    Rc::new(stream).tick(engine);
+    VideoServer { frames_sent }
 }
 
-/// The DIGITAL UNIX video server: a user process over sockets.
-pub struct DunixVideoServer {
-    frames_sent: Rc<Cell<u64>>,
-}
-
-impl DunixVideoServer {
-    /// Starts streaming to `clients` until `until`.
-    pub fn start(
-        stack: &Rc<MonolithicStack>,
-        engine: &mut Engine,
-        clients: Vec<Ipv4Addr>,
-        config: VideoConfig,
-        until: SimTime,
-    ) -> Option<DunixVideoServer> {
-        let process = AddressSpace::new("video-server");
-        let sock = Rc::new(stack.udp_socket(&process, config.port, false)?);
-        let frames_sent = Rc::new(Cell::new(0u64));
-        let machine = stack.machine().clone();
-        schedule_dunix_frame(
-            engine,
-            machine,
-            process,
-            sock,
-            clients,
-            config,
-            until,
-            frames_sent.clone(),
-        );
-        Some(DunixVideoServer { frames_sent })
-    }
-
-    /// Frames pushed to the network.
-    pub fn frames_sent(&self) -> u64 {
-        self.frames_sent.get()
-    }
-}
-
-#[allow(clippy::too_many_arguments)]
-fn schedule_dunix_frame(
-    engine: &mut Engine,
+struct Stream<E, R> {
     machine: Rc<Machine>,
-    process: Rc<AddressSpace>,
-    sock: Rc<UdpSocket>,
+    ep: Rc<E>,
     clients: Vec<Ipv4Addr>,
     config: VideoConfig,
     until: SimTime,
-    counter: Rc<Cell<u64>>,
-) {
-    if engine.now() >= until {
-        return;
-    }
-    let disk = machine.disk();
-    let cpu_cost = disk.cpu_cost;
-    let m2 = machine.clone();
-    let p2 = process.clone();
-    let s2 = sock.clone();
-    let clients2 = clients.clone();
-    let counter2 = counter.clone();
-    disk.read(engine, engine.now(), config.frame_bytes, move |eng| {
-        let mut lease = m2.cpu().begin(eng.now());
-        lease.charge(cpu_cost);
-        // The user process returns from read(2): trap + copyout.
-        p2.trap(&mut lease);
-        p2.copyout(&mut lease, config.frame_bytes);
-        let frame = vec![0xA5u8; config.frame_bytes];
-        for c in &clients2 {
-            // One sendto(2) per client: trap + copyin each.
-            s2.sendto_in(eng, &mut lease, *c, config.port, &frame)
-                .expect("the payload fits one datagram");
-            counter2.set(counter2.get() + 1);
+    read: R,
+    sent: Rc<Cell<u64>>,
+}
+
+impl<E: Endpoint + 'static, R: Fn(&mut CpuLease) + 'static> Stream<E, R> {
+    fn tick(self: Rc<Self>, engine: &mut Engine) {
+        if engine.now() >= self.until {
+            return;
         }
-    });
-    let next = engine.now() + config.period();
-    if next < until {
-        engine.schedule_at(next, move |eng| {
-            schedule_dunix_frame(eng, machine, process, sock, clients, config, until, counter);
+        // This frame: read it off the disk (DMA: cheap in CPU, occupies the
+        // spindle), then fan it out.
+        let (disk, len) = (self.machine.disk(), self.config.frame_bytes);
+        let (cpu_cost, s) = (disk.cpu_cost, self.clone());
+        disk.read(engine, engine.now(), len, move |engine| {
+            let lease = &mut s.machine.cpu().begin(engine.now());
+            lease.charge(cpu_cost);
+            (s.read)(lease);
+            let frame = Mbuf::from_payload(64, &vec![0xA5u8; len]);
+            let ctx = &mut RaiseCtx { engine, lease };
+            for &c in &s.clients {
+                // Every client's datagram shares the frame's clusters.
+                let sent = s.ep.send_mbuf_in(ctx, c, s.config.port, frame.share());
+                s.sent.set(s.sent.get() + u64::from(sent.is_ok()));
+            }
         });
+        // The next frame tick.
+        let next = engine.now() + self.config.period();
+        if next < self.until {
+            engine.schedule_at(next, move |engine| self.tick(engine));
+        }
     }
 }
 
@@ -249,35 +218,53 @@ pub struct ClientStats {
     pub bytes: u64,
 }
 
-/// The Plexus video client extension: checksum pass + decompress pass +
-/// framebuffer blit, all in-kernel.
-pub struct PlexusVideoClient {
+/// A video client: checksum pass + decompress pass + framebuffer blit per
+/// frame, in-kernel on Plexus and in a user process on DIGITAL UNIX.
+pub struct VideoClient {
     stats: Rc<Cell<ClientStats>>,
 }
 
-impl PlexusVideoClient {
-    /// Subscribes on the client stack. The machine must have a framebuffer.
-    pub fn start(
+impl VideoClient {
+    /// Subscribes in-kernel on a Plexus stack. The machine must have a
+    /// framebuffer.
+    pub fn plexus(
         stack: &Rc<PlexusStack>,
         ext: &LinkedExtension,
         config: VideoConfig,
-    ) -> Result<PlexusVideoClient, PlexusError> {
+    ) -> Result<VideoClient, PlexusError> {
+        let (client, view) = VideoClient::viewer(stack.machine(), config);
+        let handler = AppHandler::interrupt(view);
+        stack.udp().bind(ext, config.port, config.udp(), handler)?;
+        Ok(client)
+    }
+
+    /// Subscribes a user process on the monolithic stack: each frame
+    /// reaches it after the socket's wakeup and copyout. The machine must
+    /// have a framebuffer.
+    pub fn dunix(stack: &Rc<MonolithicStack>, config: VideoConfig) -> Option<VideoClient> {
+        let (client, view) = VideoClient::viewer(stack.machine(), config);
+        let process = AddressSpace::new("video-client");
+        stack.udp_socket(&process, config.port, config.udp(), view)?;
+        Some(client)
+    }
+
+    /// The client application: displays each frame it receives.
+    fn viewer(
+        machine: &Machine,
+        config: VideoConfig,
+    ) -> (VideoClient, impl Fn(&mut RaiseCtx<'_>, &UdpRecv) + 'static) {
         let stats = Rc::new(Cell::new(ClientStats::default()));
         let st = stats.clone();
-        let fb: Rc<Framebuffer> = stack.machine().framebuffer();
-        stack.udp().bind(
-            ext,
-            config.port,
-            config.udp(),
-            AppHandler::interrupt(move |ctx, ev: &UdpRecv| {
-                display_frame(ctx.lease, &fb, ev.payload.total_len(), config.expansion);
-                let mut s = st.get();
-                s.frames += 1;
-                s.bytes += ev.payload.total_len() as u64;
-                st.set(s);
-            }),
-        )?;
-        Ok(PlexusVideoClient { stats })
+        let fb: Rc<Framebuffer> = machine.framebuffer();
+        let view = move |ctx: &mut RaiseCtx<'_>, ev: &UdpRecv| {
+            let len = ev.payload.total_len();
+            display_frame(ctx.lease, &fb, len, config.expansion);
+            let mut s = st.get();
+            s.frames += 1;
+            s.bytes += len as u64;
+            st.set(s);
+        };
+        (VideoClient { stats }, view)
     }
 
     /// Receive statistics.
@@ -287,7 +274,7 @@ impl PlexusVideoClient {
 }
 
 /// The two §5.1 passes plus the blit, charged to the caller's lease.
-fn display_frame(lease: &mut plexus_sim::CpuLease, fb: &Framebuffer, len: usize, expansion: usize) {
+fn display_frame(lease: &mut CpuLease, fb: &Framebuffer, len: usize, expansion: usize) {
     // Pass 1: application-level checksum over the compressed frame.
     lease.charge(lease.model().checksum(len));
     // Pass 2: decompress (reads compressed, writes expanded to RAM).
@@ -300,40 +287,4 @@ fn display_frame(lease: &mut plexus_sim::CpuLease, fb: &Framebuffer, len: usize,
     );
     // Blit the decompressed image to the framebuffer.
     fb.blit(lease, len * expansion);
-}
-
-/// The DIGITAL UNIX video client: same display code, user-level socket.
-pub struct DunixVideoClient {
-    stats: Rc<Cell<ClientStats>>,
-}
-
-impl DunixVideoClient {
-    /// Subscribes on the client stack. The machine must have a framebuffer.
-    pub fn start(
-        stack: &Rc<MonolithicStack>,
-        engine: &mut Engine,
-        config: VideoConfig,
-    ) -> Option<DunixVideoClient> {
-        let process = AddressSpace::new("video-client");
-        let sock = stack.udp_socket(&process, config.port, false)?;
-        let stats = Rc::new(Cell::new(ClientStats::default()));
-        let st = stats.clone();
-        let fb: Rc<Framebuffer> = stack.machine().framebuffer();
-        sock.recv_loop(engine, move |_eng, user, msg| {
-            display_frame(user, &fb, msg.data.len(), config.expansion);
-            let mut s = st.get();
-            s.frames += 1;
-            s.bytes += msg.data.len() as u64;
-            st.set(s);
-        });
-        // The socket registration lives in the stack; dropping the local
-        // handle is fine (close() is explicit).
-        drop(sock);
-        Some(DunixVideoClient { stats })
-    }
-
-    /// Receive statistics.
-    pub fn stats(&self) -> ClientStats {
-        self.stats.get()
-    }
 }

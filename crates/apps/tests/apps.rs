@@ -7,9 +7,7 @@ use std::rc::Rc;
 
 use plexus_apps::active_messages::{am_extension_spec, ActiveMessages};
 use plexus_apps::httpd::{httpd_extension_spec, HttpGet, Httpd};
-use plexus_apps::video::{
-    video_extension_spec, DunixVideoServer, PlexusVideoClient, PlexusVideoServer, VideoConfig,
-};
+use plexus_apps::video::{video_extension_spec, VideoClient, VideoConfig, VideoServer};
 use plexus_baseline::MonolithicStack;
 use plexus_core::{PlexusStack, StackConfig};
 use plexus_net::testbed::Testbed;
@@ -180,13 +178,13 @@ fn plexus_video_server_streams_to_clients() {
     for host in client_hosts {
         let st = PlexusStack::attach_host(host, StackConfig::interrupt);
         let ext = st.link_extension(&video_extension_spec("viewer")).unwrap();
-        let client = PlexusVideoClient::start(&st, &ext, VideoConfig::default()).unwrap();
+        let client = VideoClient::plexus(&st, &ext, VideoConfig::default()).unwrap();
         clients.push((st, client));
     }
 
     let cfg = VideoConfig::default();
     let until = SimTime::ZERO + SimDuration::from_secs(1);
-    let server = PlexusVideoServer::start(
+    let server = VideoServer::plexus(
         &server_stack,
         &sext,
         tb.world.engine_mut(),
@@ -230,13 +228,11 @@ fn dunix_video_server_uses_more_cpu_than_plexus() {
             let st = PlexusStack::attach_host(server, StackConfig::interrupt);
             let ext = st.link_extension(&video_extension_spec("vs")).unwrap();
             let _srv =
-                PlexusVideoServer::start(&st, &ext, tb.world.engine_mut(), addrs, cfg, until)
-                    .unwrap();
+                VideoServer::plexus(&st, &ext, tb.world.engine_mut(), addrs, cfg, until).unwrap();
             tb.world.run_for(SimDuration::from_secs(1));
         } else {
             let st = MonolithicStack::attach_host(server);
-            let _srv =
-                DunixVideoServer::start(&st, tb.world.engine_mut(), addrs, cfg, until).unwrap();
+            let _srv = VideoServer::dunix(&st, tb.world.engine_mut(), addrs, cfg, until).unwrap();
             tb.world.run_for(SimDuration::from_secs(1));
         }
         cpu.utilization(busy0, SimDuration::from_secs(1))

@@ -22,5 +22,5 @@ pub mod stack;
 pub mod tcp_socket;
 
 pub use splice::UserSplice;
-pub use stack::{BaselineStats, MessageTooLong, MonolithicStack, UdpMessage, UdpSocket};
+pub use stack::{BaselineStats, MonolithicStack, UdpSocket};
 pub use tcp_socket::TcpLayer;

@@ -16,7 +16,7 @@
 //! between the systems is pure OS structure, as the paper argues.
 
 use std::cell::{Cell, RefCell};
-use std::collections::{HashMap, VecDeque};
+use std::collections::HashMap;
 use std::net::Ipv4Addr;
 use std::rc::Rc;
 
@@ -26,37 +26,14 @@ use plexus_net::icmp::{self, IcmpMessage};
 use plexus_net::ip::{self, Hop, IpHeader, Reassembler, RouteTable, Verdict};
 use plexus_net::mbuf::Mbuf;
 use plexus_net::testbed::Host;
-use plexus_net::udp::{self, UdpConfig};
+use plexus_net::udp::{self, Endpoint, UdpConfig, UdpRecv};
 use plexus_sim::nic::{DriverConfig, Nic};
 use plexus_sim::{Cpu, CpuLease, Engine, Machine};
 
+use plexus_kernel::dispatcher::RaiseCtx;
 use plexus_kernel::vm::AddressSpace;
 
 use crate::tcp_socket::TcpLayer;
-
-/// A datagram delivered to a user process.
-#[derive(Debug)]
-pub struct UdpMessage {
-    /// Sender address.
-    pub src: Ipv4Addr,
-    /// Sender port.
-    pub src_port: u16,
-    /// Payload (already copied out to user space; the copy was charged).
-    pub data: Vec<u8>,
-}
-
-/// User-process receive callback (runs after wakeup/copyout, i.e. "in the
-/// process").
-pub type UdpRecvCallback = Rc<dyn Fn(&mut Engine, &mut CpuLease, UdpMessage)>;
-
-struct UdpSocketInner {
-    process: Rc<AddressSpace>,
-    port: u16,
-    recv_cb: RefCell<Option<UdpRecvCallback>>,
-    /// Datagrams queued while no process is blocked in `recvfrom`.
-    backlog: RefCell<VecDeque<UdpMessage>>,
-    checksum: Cell<bool>,
-}
 
 /// Counters for the monolithic stack.
 #[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
@@ -86,7 +63,7 @@ pub(crate) struct BaselineShared {
     arp: RefCell<ArpCache>,
     reasm: RefCell<Reassembler>,
     ip_ident: ip::Ident,
-    udp_socks: RefCell<HashMap<u16, Rc<UdpSocketInner>>>,
+    udp_socks: RefCell<HashMap<u16, Rc<UdpSocket>>>,
     pub(crate) stats: Cell<BaselineStats>,
     routes: RefCell<RouteTable>,
 }
@@ -113,7 +90,9 @@ impl BaselineShared {
         self.bump(|s| s.ip_tx += 1);
         let hdr = IpHeader::simple(self.ip, dst, protocol, self.ip_ident.take());
         let Some(hop) = self.routes.borrow().hop(dst) else {
-            return; // No route; silently dropped, as sendto would EHOSTUNREACH.
+            // No route: dropped, as sendto would EHOSTUNREACH.
+            lease.record_drop("ip", "no_route");
+            return;
         };
         for dgram in ip::datagrams(&hdr, payload, self.nic.profile().mtu) {
             let Hop::Via(hop) = hop else {
@@ -151,36 +130,6 @@ impl BaselineShared {
         lease.charge(self.nic.profile().tx_cpu_cost(frame.total_len()));
         let ready = lease.now();
         self.nic.transmit(engine, ready, &frame);
-    }
-
-    /// Wakes the process blocked on `sock` (or queues the message).
-    fn deliver_udp(
-        self: &Rc<Self>,
-        engine: &mut Engine,
-        lease: &mut CpuLease,
-        sock: &Rc<UdpSocketInner>,
-        msg: UdpMessage,
-    ) {
-        self.bump(|s| s.udp_delivered += 1);
-        let cb = sock.recv_cb.borrow().clone();
-        let Some(cb) = cb else {
-            sock.backlog.borrow_mut().push_back(msg);
-            return;
-        };
-        // Socket-layer append + wakeup of the blocked process.
-        lease.charge(lease.model().socket_layer + lease.model().process_wakeup);
-        let ready = lease.now();
-        let cpu = self.cpu.clone();
-        let process = sock.process.clone();
-        engine.schedule_at(ready, move |eng| {
-            let mut user = cpu.begin(eng.now());
-            // The woken process: context switch in, return from the
-            // recvfrom trap, copy the data out to user space.
-            user.charge(user.model().context_switch);
-            process.trap(&mut user);
-            process.copyout(&mut user, msg.data.len());
-            cb(eng, &mut user, msg);
-        });
     }
 }
 
@@ -284,7 +233,14 @@ impl MonolithicStack {
         let (hdr, payload) = match verdict {
             Verdict::Deliver(hdr, payload) => (hdr, payload),
             Verdict::Runt => return,
-            Verdict::NotLocal | Verdict::BadOrFragment => {
+            Verdict::NotLocal => {
+                s.bump(|st| st.ip_dropped += 1);
+                lease.record_drop("ip", "not_local");
+                return;
+            }
+            // Counted, but not named: this verdict is also a fragment held
+            // until its group completes, which is not a loss.
+            Verdict::BadOrFragment => {
                 s.bump(|st| st.ip_dropped += 1);
                 return;
             }
@@ -314,6 +270,9 @@ impl MonolithicStack {
         }
     }
 
+    /// The receive path with the socket lookup as its claim; then the socket
+    /// layer, a wakeup, and in the process a context switch, the return from
+    /// `recvfrom(2)` and the copyout.
     fn udp_input(
         s: &Rc<BaselineShared>,
         engine: &mut Engine,
@@ -321,33 +280,27 @@ impl MonolithicStack {
         hdr: &IpHeader,
         payload: &Mbuf,
     ) {
-        lease.charge(lease.model().udp_proc);
         // Find the socket first so the checksum honours its config.
-        let head = payload.head();
-        if head.len() < udp::UDP_HDR_LEN {
-            return;
-        }
-        let dst_port = u16::from_be_bytes([head[2], head[3]]);
-        let sock = s.udp_socks.borrow().get(&dst_port).cloned();
-        let Some(sock) = sock else {
-            s.bump(|st| st.udp_no_socket += 1);
-            return;
+        let claim = |port| {
+            let sock = s.udp_socks.borrow().get(&port).cloned();
+            if sock.is_none() {
+                s.bump(|st| st.udp_no_socket += 1);
+            }
+            sock.map(|sock| (sock.config, sock))
         };
-        let config = UdpConfig {
-            checksum: sock.checksum.get(),
-        };
-        if config.checksum {
-            lease.charge(lease.model().checksum(payload.total_len()));
-        }
-        let Some(dgram) = udp::decapsulate(hdr.src, hdr.dst, config, payload) else {
+        let Some((recv, sock)) = udp::receive(lease, hdr.src, hdr.dst, payload, false, claim)
+        else {
             return;
         };
-        let msg = UdpMessage {
-            src: hdr.src,
-            src_port: dgram.src_port,
-            data: dgram.payload.to_vec(),
-        };
-        s.deliver_udp(engine, lease, &sock, msg);
+        s.bump(|st| st.udp_delivered += 1);
+        lease.charge(lease.model().socket_layer + lease.model().process_wakeup);
+        engine.schedule_at(lease.now(), move |engine| {
+            let lease = &mut sock.shared.cpu.begin(engine.now());
+            lease.charge(lease.model().context_switch);
+            sock.process.trap(lease);
+            sock.process.copyout(lease, recv.payload.total_len());
+            (sock.on_recv)(&mut RaiseCtx { engine, lease }, &recv);
+        });
     }
 
     /// The machine this stack runs on.
@@ -398,136 +351,78 @@ impl MonolithicStack {
             .ip_output(engine, &mut lease, dst, ip::proto::ICMP, &m);
     }
 
-    /// Opens a UDP socket for a user process. Returns `None` if the port
-    /// is taken.
+    /// Opens a UDP socket for a user process, parked in a `recvfrom(2)`
+    /// loop: `on_recv` runs in the process for every datagram that arrives,
+    /// as a Plexus `bind`'s handler runs for its own. Returns `None` if the
+    /// port is taken.
     pub fn udp_socket(
         &self,
         process: &Rc<AddressSpace>,
         port: u16,
-        checksum: bool,
-    ) -> Option<UdpSocket> {
+        config: UdpConfig,
+        on_recv: impl Fn(&mut RaiseCtx<'_>, &UdpRecv) + 'static,
+    ) -> Option<Rc<UdpSocket>> {
         let mut socks = self.shared.udp_socks.borrow_mut();
         if socks.contains_key(&port) {
             return None;
         }
-        let inner = Rc::new(UdpSocketInner {
-            process: process.clone(),
-            port,
-            recv_cb: RefCell::new(None),
-            backlog: RefCell::new(VecDeque::new()),
-            checksum: Cell::new(checksum),
-        });
-        socks.insert(port, inner.clone());
-        Some(UdpSocket {
+        let sock = Rc::new(UdpSocket {
             shared: self.shared.clone(),
             process: process.clone(),
-            inner,
-        })
+            port,
+            config,
+            on_recv: Box::new(on_recv),
+        });
+        socks.insert(port, sock.clone());
+        Some(sock)
     }
 }
 
-/// `sendto(2)`'s `EMSGSIZE`: a UDP payload longer than one IPv4 datagram
-/// carries. Refused before the trap, so nothing is charged or sent.
-#[derive(Clone, Copy, Debug, PartialEq, Eq)]
-pub struct MessageTooLong {
-    /// The payload's length in bytes.
-    pub len: usize,
-    /// The longest payload a datagram carries ([`udp::MAX_PAYLOAD`]).
-    pub max: usize,
-}
+/// A socket's receive handler: the same shape as a Plexus binding's.
+type OnRecv = Box<dyn Fn(&mut RaiseCtx<'_>, &UdpRecv)>;
 
 /// A user-process UDP socket on the monolithic stack.
 pub struct UdpSocket {
     shared: Rc<BaselineShared>,
     process: Rc<AddressSpace>,
-    inner: Rc<UdpSocketInner>,
+    port: u16,
+    config: UdpConfig,
+    on_recv: OnRecv,
 }
 
 impl UdpSocket {
-    /// The bound port.
-    pub fn port(&self) -> u16 {
-        self.inner.port
-    }
-
-    /// `sendto(2)`: trap, copy the payload into the kernel, run the stack.
-    pub fn sendto(
-        &self,
-        engine: &mut Engine,
-        dst: Ipv4Addr,
-        dst_port: u16,
-        data: &[u8],
-    ) -> Result<(), MessageTooLong> {
-        let mut lease = self.shared.cpu.begin(engine.now());
-        self.sendto_in(engine, &mut lease, dst, dst_port, data)
-    }
-
-    /// [`UdpSocket::sendto`] continuing on an existing lease (e.g. replying
-    /// from within a receive callback).
-    pub fn sendto_in(
-        &self,
-        engine: &mut Engine,
-        lease: &mut CpuLease,
-        dst: Ipv4Addr,
-        dst_port: u16,
-        data: &[u8],
-    ) -> Result<(), MessageTooLong> {
-        if data.len() > udp::MAX_PAYLOAD {
-            return Err(MessageTooLong {
-                len: data.len(),
-                max: udp::MAX_PAYLOAD,
-            });
-        }
-        self.process.trap(lease);
-        self.process.copyin(lease, data.len());
-        lease.charge(lease.model().socket_layer);
-        lease.charge(lease.model().udp_proc);
-        let payload = Mbuf::from_payload(64, data);
-        if self.inner.checksum.get() {
-            lease.charge(
-                lease
-                    .model()
-                    .checksum(payload.total_len() + udp::UDP_HDR_LEN),
-            );
-        }
-        let config = UdpConfig {
-            checksum: self.inner.checksum.get(),
-        };
-        let dgram = udp::encapsulate(
-            self.shared.ip,
-            dst,
-            self.inner.port,
-            dst_port,
-            config,
-            payload,
-        );
-        self.shared
-            .ip_output(engine, lease, dst, ip::proto::UDP, &dgram);
-        Ok(())
-    }
-
-    /// Parks the process in a `recvfrom(2)` loop: `cb` runs (in user
-    /// context, after wakeup + copyout) for every arriving datagram.
-    /// Backlogged datagrams are delivered immediately.
-    pub fn recv_loop<F>(&self, engine: &mut Engine, cb: F)
-    where
-        F: Fn(&mut Engine, &mut CpuLease, UdpMessage) + 'static,
-    {
-        *self.inner.recv_cb.borrow_mut() = Some(Rc::new(cb));
-        // Drain anything that arrived before the process blocked.
-        let backlog: Vec<UdpMessage> = self.inner.backlog.borrow_mut().drain(..).collect();
-        if !backlog.is_empty() {
-            let shared = self.shared.clone();
-            let sock = self.inner.clone();
-            let mut lease = shared.cpu.begin(engine.now());
-            for msg in backlog {
-                shared.deliver_udp(engine, &mut lease, &sock, msg);
-            }
-        }
-    }
-
     /// Closes the socket, freeing the port.
     pub fn close(&self) {
-        self.shared.udp_socks.borrow_mut().remove(&self.inner.port);
-        *self.inner.recv_cb.borrow_mut() = None;
+        self.shared.udp_socks.borrow_mut().remove(&self.port);
+    }
+}
+
+/// The monolithic structure around the one send path: `sendto(2)` traps
+/// and copies the payload in, then the socket layer runs and the datagram
+/// goes straight to the kernel's IP output.
+impl Endpoint for UdpSocket {
+    type Error = udp::DatagramTooLong;
+
+    fn cpu(&self) -> &Rc<Cpu> {
+        &self.shared.cpu
+    }
+
+    fn local(&self) -> (Ipv4Addr, u16, UdpConfig) {
+        (self.shared.ip, self.port, self.config)
+    }
+
+    fn csum_offload(&self) -> bool {
+        false
+    }
+
+    fn enter_send(&self, lease: &mut CpuLease, len: usize) {
+        self.process.trap(lease);
+        self.process.copyin(lease, len);
+        lease.charge(lease.model().socket_layer);
+    }
+
+    fn output(&self, ctx: &mut RaiseCtx<'_>, dst: Ipv4Addr, dgram: Mbuf) {
+        self.shared
+            .ip_output(ctx.engine, ctx.lease, dst, ip::proto::UDP, &dgram);
     }
 }

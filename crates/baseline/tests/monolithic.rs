@@ -1,14 +1,15 @@
 //! End-to-end tests of the monolithic baseline stack, including the
 //! user-level splice forwarder.
 
-use std::cell::{Cell, RefCell};
+use std::cell::{Cell, OnceCell, RefCell};
 use std::rc::Rc;
 
-use plexus_baseline::{MessageTooLong, MonolithicStack, UserSplice};
+use plexus_baseline::{MonolithicStack, UdpSocket, UserSplice};
 use plexus_kernel::dispatcher::RaiseCtx;
 use plexus_kernel::vm::AddressSpace;
 use plexus_net::tcp::{TcpCallbacks, TcpConn, TcpState};
 use plexus_net::testbed::Testbed;
+use plexus_net::udp::{DatagramTooLong, Endpoint, UdpConfig, UdpRecv};
 use plexus_sim::nic::Link;
 use plexus_sim::time::SimDuration;
 use plexus_sim::World;
@@ -24,31 +25,53 @@ fn monolithic_lan<const N: usize>(
     (tb.world, stacks)
 }
 
+type Received = Rc<RefCell<Vec<Vec<u8>>>>;
+
+/// A socket on `port` whose process keeps every payload it receives.
+fn collecting(stack: &MonolithicStack, port: u16, config: UdpConfig) -> Received {
+    let got = Received::default();
+    let g = got.clone();
+    let keep = move |_: &mut RaiseCtx<'_>, ev: &UdpRecv| g.borrow_mut().push(ev.payload.to_vec());
+    let process = AddressSpace::new("sink");
+    stack.udp_socket(&process, port, config, keep).unwrap();
+    got
+}
+
+/// A socket on port 2000 that only sends.
+fn sender(stack: &MonolithicStack, process: &Rc<AddressSpace>) -> Rc<UdpSocket> {
+    let ignore = |_: &mut RaiseCtx<'_>, _: &UdpRecv| {};
+    let config = UdpConfig::default();
+    stack.udp_socket(process, 2000, config, ignore).unwrap()
+}
+
 #[test]
 fn udp_ping_pong_round_trip_is_slower_than_plexus_target() {
     let (mut world, [client, server]) = monolithic_lan(&Link::ethernet(), ["a", "b"]);
     let cproc = AddressSpace::new("client-proc");
     let sproc = AddressSpace::new("server-proc");
 
-    let echo_sock = Rc::new(server.udp_socket(&sproc, 7, true).expect("bind 7"));
-    let echo2 = echo_sock.clone();
-    echo_sock.recv_loop(world.engine_mut(), move |eng, user, msg| {
-        echo2
-            .sendto_in(eng, user, msg.src, msg.src_port, &msg.data)
+    let slot: Rc<OnceCell<Rc<UdpSocket>>> = Rc::default();
+    let echo2 = slot.clone();
+    let echo = move |ctx: &mut RaiseCtx<'_>, ev: &UdpRecv| {
+        let sock = echo2.get().expect("socket open");
+        sock.send_mbuf_in(ctx, ev.src, ev.src_port, ev.payload.share())
             .expect("the payload fits one datagram");
-    });
+    };
+    let echo_sock = server.udp_socket(&sproc, 7, UdpConfig::default(), echo);
+    let _ = slot.set(echo_sock.expect("bind 7"));
 
-    let csock = Rc::new(client.udp_socket(&cproc, 2000, true).expect("bind 2000"));
     let reply_at: Rc<Cell<Option<u64>>> = Rc::new(Cell::new(None));
     let ra = reply_at.clone();
-    csock.recv_loop(world.engine_mut(), move |_eng, user, msg| {
-        assert_eq!(msg.data, b"12345678");
-        ra.set(Some(user.now().as_nanos()));
-    });
+    let pong = move |ctx: &mut RaiseCtx<'_>, ev: &UdpRecv| {
+        assert_eq!(ev.payload.to_vec(), b"12345678");
+        ra.set(Some(ctx.lease.now().as_nanos()));
+    };
+    let csock = client.udp_socket(&cproc, 2000, UdpConfig::default(), pong);
 
     let t0 = world.engine().now().as_nanos();
     csock
-        .sendto(world.engine_mut(), server.ip(), 7, b"12345678")
+        .expect("bind 2000")
+        .send(world.engine_mut(), server.ip(), 7, b"12345678")
         .expect("the payload fits one datagram");
     world.run();
 
@@ -66,34 +89,6 @@ fn udp_ping_pong_round_trip_is_slower_than_plexus_target() {
 }
 
 #[test]
-fn backlogged_datagrams_deliver_when_process_blocks() {
-    let (mut world, [client, server]) = monolithic_lan(&Link::ethernet(), ["a", "b"]);
-    let cproc = AddressSpace::new("c");
-    let sproc = AddressSpace::new("s");
-    let ssock = Rc::new(server.udp_socket(&sproc, 7, true).unwrap());
-    let csock = csock_helper(&client, &cproc);
-    // Send before the server process blocks in recvfrom.
-    csock
-        .sendto(world.engine_mut(), server.ip(), 7, b"early")
-        .expect("the payload fits one datagram");
-    world.run();
-    let got = Rc::new(RefCell::new(Vec::new()));
-    let g = got.clone();
-    ssock.recv_loop(world.engine_mut(), move |_, _, msg| {
-        g.borrow_mut().push(msg.data);
-    });
-    world.run();
-    assert_eq!(*got.borrow(), vec![b"early".to_vec()]);
-}
-
-fn csock_helper(
-    stack: &Rc<MonolithicStack>,
-    proc_: &Rc<AddressSpace>,
-) -> Rc<plexus_baseline::UdpSocket> {
-    Rc::new(stack.udp_socket(proc_, 2000, true).expect("bind"))
-}
-
-#[test]
 fn a_datagram_longer_than_ipv4_carries_is_refused_before_the_wire() {
     // T3, as for Plexus in `core/tests/graph.rs`: Ethernet's tx ring drops
     // one of the longest datagram's 45 fragments.
@@ -102,17 +97,12 @@ fn a_datagram_longer_than_ipv4_carries_is_refused_before_the_wire() {
     } = Testbed::new(&Link::t3(), 0, &["a", "b"]);
     let client = MonolithicStack::attach_host(&hosts[0]);
     let server = MonolithicStack::attach_host(&hosts[1]);
-    let ssock = server.udp_socket(&AddressSpace::new("s"), 7, true).unwrap();
-    let got: Rc<RefCell<Vec<Vec<u8>>>> = Rc::default();
-    let g = got.clone();
-    ssock.recv_loop(world.engine_mut(), move |_, _, msg| {
-        g.borrow_mut().push(msg.data)
-    });
+    let got = collecting(&server, 7, UdpConfig::default());
     let cproc = AddressSpace::new("c");
-    let csock = csock_helper(&client, &cproc);
+    let csock = sender(&client, &cproc);
     let longest: Vec<u8> = (0..65_507u32).map(|i| (i % 251) as u8).collect();
     csock
-        .sendto(world.engine_mut(), server.ip(), 7, &longest)
+        .send(world.engine_mut(), server.ip(), 7, &longest)
         .expect("65 507 bytes fit one datagram");
     world.run();
     assert!(
@@ -126,8 +116,8 @@ fn a_datagram_longer_than_ipv4_carries_is_refused_before_the_wire() {
         cproc.traps(),
     );
     assert_eq!(
-        csock.sendto(world.engine_mut(), server.ip(), 7, &[0x5A; 65_508]),
-        Err(MessageTooLong {
+        csock.send(world.engine_mut(), server.ip(), 7, &[0x5A; 65_508]),
+        Err(DatagramTooLong {
             len: 65_508,
             max: 65_507
         })
@@ -148,8 +138,11 @@ fn a_datagram_longer_than_ipv4_carries_is_refused_before_the_wire() {
 fn port_collision_returns_none() {
     let (_world, [_c, server]) = monolithic_lan(&Link::ethernet(), ["a", "b"]);
     let p = AddressSpace::new("p");
-    let _a = server.udp_socket(&p, 9, true).expect("first bind");
-    assert!(server.udp_socket(&p, 9, true).is_none());
+    let _a = sender(&server, &p);
+    let ignore = |_: &mut RaiseCtx<'_>, _: &UdpRecv| {};
+    assert!(server
+        .udp_socket(&p, 2000, UdpConfig::default(), ignore)
+        .is_none());
 }
 
 #[test]
@@ -281,18 +274,14 @@ fn user_splice_forwards_but_breaks_end_to_end() {
 fn checksum_disabled_udp_socket_skips_verification() {
     let (mut world, [client, server]) = monolithic_lan(&Link::ethernet(), ["a", "b"]);
     let cproc = AddressSpace::new("c");
-    let sproc = AddressSpace::new("s");
     // Both ends opt out of the UDP checksum (§1.1's media-traffic knob,
     // available to DIGITAL UNIX sockets too).
-    let ssock = Rc::new(server.udp_socket(&sproc, 7, false).unwrap());
-    let got = Rc::new(RefCell::new(Vec::new()));
-    let g = got.clone();
-    ssock.recv_loop(world.engine_mut(), move |_, _, msg| {
-        g.borrow_mut().push(msg.data);
-    });
-    let csock = Rc::new(client.udp_socket(&cproc, 2000, false).unwrap());
+    let nocheck = UdpConfig { checksum: false };
+    let got = collecting(&server, 7, nocheck);
+    let ignore = |_: &mut RaiseCtx<'_>, _: &UdpRecv| {};
+    let csock = client.udp_socket(&cproc, 2000, nocheck, ignore).unwrap();
     csock
-        .sendto(world.engine_mut(), server.ip(), 7, b"no integrity")
+        .send(world.engine_mut(), server.ip(), 7, b"no integrity")
         .expect("the payload fits one datagram");
     world.run();
     assert_eq!(*got.borrow(), vec![b"no integrity".to_vec()]);
@@ -302,9 +291,8 @@ fn checksum_disabled_udp_socket_skips_verification() {
 fn udp_to_unbound_port_is_counted() {
     let (mut world, [client, server]) = monolithic_lan(&Link::ethernet(), ["a", "b"]);
     let cproc = AddressSpace::new("c");
-    let csock = Rc::new(client.udp_socket(&cproc, 2000, true).unwrap());
-    csock
-        .sendto(world.engine_mut(), server.ip(), 4444, b"anyone there?")
+    sender(&client, &cproc)
+        .send(world.engine_mut(), server.ip(), 4444, b"anyone there?")
         .expect("the payload fits one datagram");
     world.run();
     assert_eq!(server.stats().udp_no_socket, 1);
@@ -405,23 +393,14 @@ fn splice_handles_multiple_concurrent_clients() {
 
 /// Two monolithic hosts with *cold* ARP caches; `b` collects what arrives
 /// on UDP port 7, `a` holds a socket to send from.
-fn cold_pair() -> (
-    Testbed,
-    plexus_baseline::UdpSocket,
-    Rc<RefCell<Vec<Vec<u8>>>>,
-) {
-    let mut tb = Testbed::new(&Link::ethernet(), 0, &["a", "b"]);
+fn cold_pair() -> (Testbed, Rc<UdpSocket>, Received) {
+    let tb = Testbed::new(&Link::ethernet(), 0, &["a", "b"]);
     let [a, b] = [0, 1].map(|k| {
         let h = &tb.hosts[k];
         MonolithicStack::attach(&h.machine, &h.nic, h.ip, h.mac)
     });
-    let got = Rc::new(RefCell::new(Vec::new()));
-    let g = got.clone();
-    let sink = b.udp_socket(&AddressSpace::new("sink"), 7, true).unwrap();
-    sink.recv_loop(tb.world.engine_mut(), move |_, _, msg| {
-        g.borrow_mut().push(msg.data);
-    });
-    let sock = a.udp_socket(&AddressSpace::new("src"), 2000, true).unwrap();
+    let got = collecting(&b, 7, UdpConfig::default());
+    let sock = sender(&a, &AddressSpace::new("src"));
     (tb, sock, got)
 }
 
@@ -434,14 +413,14 @@ fn a_lost_arp_reply_does_not_strand_the_queue() {
     let (mut tb, sock, got) = cold_pair();
     let dst = tb.hosts[1].ip;
     tb.medium.set_faults(FaultInjector::new(1.0, 0.0, 5));
-    sock.sendto(tb.world.engine_mut(), dst, 7, b"first")
+    sock.send(tb.world.engine_mut(), dst, 7, b"first")
         .expect("the payload fits one datagram");
     tb.world.run();
     assert_eq!(tb.hosts[0].nic.stats().tx_frames, 1, "the who-has, lost");
 
     tb.medium.set_faults(FaultInjector::none());
     tb.world.run_for(SimDuration::from_secs(4));
-    sock.sendto(tb.world.engine_mut(), dst, 7, b"second")
+    sock.send(tb.world.engine_mut(), dst, 7, b"second")
         .expect("the payload fits one datagram");
     tb.world.run();
     assert_eq!(
@@ -464,7 +443,7 @@ fn the_arp_queue_is_bounded() {
     let (mut tb, sock, got) = cold_pair();
     let dst = tb.hosts[1].ip;
     for k in 0..MAX_PARKED_PER_HOP + 9 {
-        sock.sendto(tb.world.engine_mut(), dst, 7, &[k as u8])
+        sock.send(tb.world.engine_mut(), dst, 7, &[k as u8])
             .expect("the payload fits one datagram");
     }
     tb.world.run();

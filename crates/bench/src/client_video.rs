@@ -8,9 +8,7 @@
 //! bandwidth of the framebuffer hardware" — with >90 % of client time in
 //! the display path. This harness reproduces both halves of that claim.
 
-use plexus_apps::video::{
-    video_extension_spec, DunixVideoClient, PlexusVideoClient, PlexusVideoServer, VideoConfig,
-};
+use plexus_apps::video::{video_extension_spec, VideoClient, VideoConfig, VideoServer};
 use plexus_baseline::MonolithicStack;
 use plexus_core::{PlexusStack, StackConfig};
 use plexus_net::testbed::Testbed;
@@ -65,7 +63,6 @@ pub fn video_client_utilization(system: ClientSystem, seconds: u64) -> ClientSam
     server_host.machine.set_disk(Disk::video_era());
     let client_m = &client_host.machine;
     client_m.set_framebuffer(Framebuffer::new());
-    let client_ip = client_host.ip;
 
     let server = PlexusStack::attach_host(server_host, StackConfig::interrupt);
     let sext = server
@@ -73,43 +70,24 @@ pub fn video_client_utilization(system: ClientSystem, seconds: u64) -> ClientSam
         .unwrap();
 
     let busy0 = client_m.cpu().busy();
-    let fb = client_m.framebuffer();
     let until = SimTime::ZERO + SimDuration::from_secs(seconds);
-    let frames = match system {
+    let viewer = match system {
         ClientSystem::Spin => {
             let stack = PlexusStack::attach_host(client_host, StackConfig::interrupt);
             let ext = stack
                 .link_extension(&video_extension_spec("viewer"))
                 .unwrap();
-            let viewer = PlexusVideoClient::start(&stack, &ext, cfg).unwrap();
-            let _srv = PlexusVideoServer::start(
-                &server,
-                &sext,
-                world.engine_mut(),
-                vec![client_ip],
-                cfg,
-                until,
-            )
-            .unwrap();
-            world.run_for(SimDuration::from_secs(seconds));
-            viewer.stats().frames
+            VideoClient::plexus(&stack, &ext, cfg).unwrap()
         }
         ClientSystem::Dunix => {
-            let stack = MonolithicStack::attach_host(client_host);
-            let viewer = DunixVideoClient::start(&stack, world.engine_mut(), cfg).unwrap();
-            let _srv = PlexusVideoServer::start(
-                &server,
-                &sext,
-                world.engine_mut(),
-                vec![client_ip],
-                cfg,
-                until,
-            )
-            .unwrap();
-            world.run_for(SimDuration::from_secs(seconds));
-            viewer.stats().frames
+            VideoClient::dunix(&MonolithicStack::attach_host(client_host), cfg).unwrap()
         }
     };
+    let clients = vec![client_host.ip];
+    let _srv =
+        VideoServer::plexus(&server, &sext, world.engine_mut(), clients, cfg, until).unwrap();
+    world.run_for(SimDuration::from_secs(seconds));
+    let frames = viewer.stats().frames;
 
     let window = SimDuration::from_secs(seconds);
     let utilization = client_m.cpu().utilization(busy0, window);
@@ -128,7 +106,6 @@ pub fn video_client_utilization(system: ClientSystem, seconds: u64) -> ClientSam
     let display_time = per_frame.times(frames).as_secs_f64();
     let busy = (client_m.cpu().busy() - busy0).as_secs_f64();
     let display_share = if busy > 0.0 { display_time / busy } else { 0.0 };
-    let _ = fb;
     ClientSample {
         utilization,
         display_share,

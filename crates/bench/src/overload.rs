@@ -20,11 +20,11 @@
 //! line rate; each point reports goodput, latency percentiles, and a
 //! drop-cause breakdown taken from the NIC counters.
 
-use std::cell::{Cell, OnceCell, RefCell};
+use std::cell::{Cell, RefCell};
 use std::rc::Rc;
 
 use plexus_apps::forward::{forwarder_extension_spec, InKernelForwarder};
-use plexus_core::{AppHandler, PlexusStack, StackConfig, UdpEndpoint, UdpRecv};
+use plexus_core::{AppHandler, PlexusStack, StackConfig};
 use plexus_kernel::domain::ExtensionSpec;
 use plexus_net::ip::{encapsulate as ip_encapsulate, proto, IpHeader};
 use plexus_net::mbuf::Mbuf;
@@ -39,6 +39,7 @@ use plexus_trace::Recorder;
 
 use crate::report::BenchReport;
 use crate::table;
+use crate::udp_rtt;
 
 /// Which receive path the device under test runs.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
@@ -419,29 +420,15 @@ impl<'a> Overload<'a> {
             Workload::UdpEcho | Workload::UdpFanout => {
                 let spec = ExtensionSpec::typesafe("overload-echo", &["UDP.Bind", "UDP.Send"]);
                 let ext = dut.link_extension(&spec).unwrap();
-                let slot: Rc<OnceCell<Rc<UdpEndpoint>>> = Rc::default();
-                let s = slot.clone();
+                let slot = Rc::default();
                 let copies = if workload == Workload::UdpFanout {
                     FANOUT
                 } else {
                     1
                 };
-                let echo = move |ctx: &mut plexus_kernel::RaiseCtx<'_>, ev: &UdpRecv| {
-                    let ep = s.get().expect("endpoint installed");
-                    for _ in 0..copies {
-                        let _ = ep.send_mbuf_in(ctx, ev.src, ev.src_port, ev.payload.share());
-                    }
-                };
-                let ep = dut
-                    .udp()
-                    .bind(
-                        &ext,
-                        PORT,
-                        UdpConfig::default(),
-                        AppHandler::interrupt(echo),
-                    )
-                    .unwrap();
-                let _ = slot.set(ep);
+                let echo = AppHandler::interrupt(udp_rtt::echo(&slot, copies));
+                let ep = dut.udp().bind(&ext, PORT, UdpConfig::default(), echo);
+                let _ = slot.set(ep.unwrap());
                 install_sink(gen, &meter, recorder);
             }
             Workload::UdpForward => {

@@ -10,13 +10,10 @@
 //!    \[MRA87\]) asked of the Plexus dispatcher in simulated time — and
 //!    the hash index's answer: a flat line.
 
-use std::cell::{Cell, OnceCell};
-use std::rc::Rc;
-
 use crate::report::BenchReport;
 use crate::table;
-use crate::udp_rtt::{device_key, mean_us, paper_links, Link, System, UdpRtt};
-use plexus_core::{AppHandler, PlexusStack, StackConfig, UdpEndpoint, UdpRecv};
+use crate::udp_rtt::{device_key, mean_us, paper_links, Link, PingPong, System, UdpRtt};
+use plexus_core::{AppHandler, PlexusStack, StackConfig};
 use plexus_kernel::domain::ExtensionSpec;
 use plexus_net::testbed::Testbed;
 use plexus_net::udp::UdpConfig;
@@ -61,11 +58,9 @@ fn payload_sweep(out: &mut String, report: &mut BenchReport) {
 /// the guard tier on both hosts; simulated time charges the same static
 /// cycle model either way, so the RTT must not depend on it.
 fn rtt_with_endpoints(extra: usize, demux: bool, compiled: bool) -> f64 {
-    let Testbed {
-        mut world, hosts, ..
-    } = Testbed::new(&Link::ethernet(), 0, &["client", "server"]);
-    let client = PlexusStack::attach_host(&hosts[0], StackConfig::interrupt);
-    let server = PlexusStack::attach_host(&hosts[1], StackConfig::interrupt);
+    let mut tb = Testbed::new(&Link::ethernet(), 0, &["client", "server"]);
+    let client = PlexusStack::attach_host(&tb.hosts[0], StackConfig::interrupt);
+    let server = PlexusStack::attach_host(&tb.hosts[1], StackConfig::interrupt);
     for stack in [&client, &server] {
         stack.dispatcher().set_demux_enabled(demux);
         stack.dispatcher().set_compiled_guards(compiled);
@@ -76,52 +71,21 @@ fn rtt_with_endpoints(extra: usize, demux: bool, compiled: bool) -> f64 {
 
     // The bystander endpoints: installed first, so the echo endpoint's
     // guard is evaluated last — worst case for the filter walk.
+    let config = UdpConfig::default();
     for i in 0..extra {
+        let idle = AppHandler::interrupt(|_, _| {});
         server
             .udp()
-            .bind(
-                &sext,
-                10_000 + i as u16,
-                UdpConfig::default(),
-                AppHandler::interrupt(|_, _| {}),
-            )
+            .bind(&sext, 10_000 + i as u16, config, idle)
             .unwrap();
     }
 
-    let echo_slot: Rc<OnceCell<Rc<UdpEndpoint>>> = Rc::default();
-    let es = echo_slot.clone();
-    let sep = server
-        .udp()
-        .bind(
-            &sext,
-            7,
-            UdpConfig::default(),
-            AppHandler::interrupt(move |ctx, ev: &UdpRecv| {
-                let ep = es.get().expect("endpoint installed");
-                let _ = ep.send_mbuf_in(ctx, ev.src, ev.src_port, ev.payload.share());
-            }),
-        )
-        .unwrap();
-    let _ = echo_slot.set(sep);
-
-    let done: Rc<Cell<Option<u64>>> = Rc::default();
-    let d = done.clone();
-    let cep = client
-        .udp()
-        .bind(
-            &cext,
-            2000,
-            UdpConfig::default(),
-            AppHandler::interrupt(move |ctx, _: &UdpRecv| {
-                d.set(Some(ctx.lease.now().as_nanos()));
-            }),
-        )
-        .unwrap();
-    let t0 = world.engine().now().as_nanos();
-    cep.send(world.engine_mut(), hosts[1].ip, 7, &[0u8; 8])
-        .unwrap();
-    world.run();
-    (done.get().expect("reply") - t0) as f64 / 1000.0
+    let pp = PingPong::new(1, 8, tb.hosts[1].ip);
+    let echo = AppHandler::interrupt(pp.echo());
+    let sep = server.udp().bind(&sext, 7, config, echo).unwrap();
+    let pong = AppHandler::interrupt(pp.pong());
+    let cep = client.udp().bind(&cext, 2000, config, pong).unwrap();
+    mean_us(&pp.run(&mut tb, sep, cep))
 }
 
 fn guard_scaling(out: &mut String, report: &mut BenchReport) {

@@ -7,15 +7,16 @@
 //! DIGITAL UNIX, and the raw driver-to-driver floor.
 
 use std::cell::{Cell, OnceCell, RefCell};
+use std::net::Ipv4Addr;
 use std::rc::Rc;
 
 use plexus_baseline::MonolithicStack;
-use plexus_core::{AppHandler, PlexusStack, StackConfig, UdpEndpoint, UdpRecv};
+use plexus_core::{AppHandler, PlexusStack, StackConfig};
 use plexus_kernel::domain::ExtensionSpec;
 use plexus_kernel::vm::AddressSpace;
 use plexus_kernel::RaiseCtx;
 use plexus_net::testbed::Testbed;
-use plexus_net::udp::UdpConfig;
+use plexus_net::udp::{Endpoint, UdpConfig, UdpRecv};
 use plexus_sim::cpu::CostModel;
 use plexus_sim::nic::DriverConfig;
 use plexus_sim::time::SimDuration;
@@ -86,6 +87,85 @@ impl PingState {
     }
 }
 
+/// A UDP echo server's handler, on either stack: it sends each datagram
+/// back to its source `copies` times, from the endpoint `slot` holds.
+pub(crate) fn echo<E: Endpoint + 'static>(
+    slot: &Rc<OnceCell<Rc<E>>>,
+    copies: usize,
+) -> impl Fn(&mut RaiseCtx<'_>, &UdpRecv) + 'static {
+    let slot = slot.clone();
+    move |ctx: &mut RaiseCtx<'_>, ev: &UdpRecv| {
+        let ep = slot.get().expect("endpoint installed");
+        for _ in 0..copies {
+            let _ = ep.send_mbuf_in(ctx, ev.src, ev.src_port, ev.payload.share());
+        }
+    }
+}
+
+/// Figure 5's two application functions, written once over either stack's
+/// endpoint: the server echoes each datagram back, and the client records
+/// the round trip and starts the next.
+pub(crate) struct PingPong<E> {
+    state: Rc<PingState>,
+    server_ip: Ipv4Addr,
+    data: Rc<[u8]>,
+    server: Rc<OnceCell<Rc<E>>>,
+    client: Rc<OnceCell<Rc<E>>>,
+}
+
+impl<E: Endpoint + 'static> PingPong<E> {
+    /// `rounds` round trips of `payload` bytes to port 7 at `server_ip`.
+    pub(crate) fn new(rounds: u32, payload: usize, server_ip: Ipv4Addr) -> PingPong<E> {
+        PingPong {
+            state: PingState::new(rounds),
+            server_ip,
+            data: vec![0x55u8; payload].into(),
+            server: Rc::default(),
+            client: Rc::default(),
+        }
+    }
+
+    /// The server's handler.
+    pub(crate) fn echo(&self) -> impl Fn(&mut RaiseCtx<'_>, &UdpRecv) + 'static {
+        echo(&self.server, 1)
+    }
+
+    /// The client's handler.
+    pub(crate) fn pong(&self) -> impl Fn(&mut RaiseCtx<'_>, &UdpRecv) + 'static {
+        let (st, client) = (self.state.clone(), self.client.clone());
+        let (server_ip, data) = (self.server_ip, self.data.clone());
+        move |ctx: &mut RaiseCtx<'_>, _: &UdpRecv| {
+            let now = ctx.lease.now().as_nanos();
+            let (rtt, more) = st.complete(now);
+            if let Some(rec) = ctx.lease.recorder() {
+                let hist = rec.intern("udp.rtt_ns");
+                // A completion sample (ring record + histogram) so the
+                // windowed timeline sees per-round RTTs, and a journey break
+                // so the next round's request starts a fresh ledger instead
+                // of chaining onto the reply's.
+                rec.sample(now, hist, rtt);
+                rec.journey_break();
+            }
+            if more {
+                st.sent_at.set(ctx.lease.now().as_nanos());
+                let ep = client.get().expect("endpoint installed");
+                let _ = ep.send_in(ctx, server_ip, 7, &data);
+            }
+        }
+    }
+
+    /// Sends the first round from `client` to `server` and runs every round.
+    pub(crate) fn run(self, tb: &mut Testbed, server: Rc<E>, client: Rc<E>) -> Vec<u64> {
+        let _ = self.server.set(server);
+        let _ = self.client.set(client.clone());
+        self.state.sent_at.set(tb.world.engine().now().as_nanos());
+        let sent = client.send(tb.world.engine_mut(), self.server_ip, 7, &self.data);
+        assert!(sent.is_ok(), "the payload fits one datagram");
+        tb.world.run();
+        self.state.samples()
+    }
+}
+
 /// Mean of round-trip samples, in microseconds.
 pub fn mean_us(samples_ns: &[u64]) -> f64 {
     samples_ns.iter().sum::<u64>() as f64 / samples_ns.len() as f64 / 1000.0
@@ -106,8 +186,9 @@ pub struct UdpRtt<'a> {
     /// harness zeroes one structural cost at a time.
     pub model: CostModel,
     /// Flight recorder installed across the whole world (both machines'
-    /// CPUs and NICs, and the engine). Each completed Plexus round trip
-    /// also lands in its `udp.rtt_ns` histogram.
+    /// CPUs and NICs, and the engine). Each completed round trip, on any
+    /// system but the raw driver floor, also lands in its `udp.rtt_ns`
+    /// histogram.
     pub recorder: Option<&'a Rc<Recorder>>,
     /// Guard tier on both Plexus dispatchers (default: compiled). The
     /// tiers charge the same simulated cycles, so traces must be
@@ -147,54 +228,20 @@ impl<'a> UdpRtt<'a> {
     }
 
     fn plexus_rtt(&self, mut tb: Testbed, interrupt: bool) -> Vec<u64> {
-        let server_ip = tb.hosts[1].ip;
-
-        // Server: echo.
-        let echo_slot: Rc<OnceCell<Rc<UdpEndpoint>>> = Rc::default();
-        let es = echo_slot.clone();
-        let echo = move |ctx: &mut RaiseCtx<'_>, ev: &UdpRecv| {
-            let ep = es.get().expect("endpoint installed");
-            let _ = ep.send_mbuf_in(ctx, ev.src, ev.src_port, ev.payload.share());
-        };
-
-        // Client: record RTT, fire the next round.
-        let state = PingState::new(self.rounds);
-        let cep_slot: Rc<OnceCell<Rc<UdpEndpoint>>> = Rc::default();
-        let (st, cs) = (state.clone(), cep_slot.clone());
-        let data = vec![0x55u8; self.payload];
-        let data2 = data.clone();
-        let pong = move |ctx: &mut RaiseCtx<'_>, _ev: &UdpRecv| {
-            let now = ctx.lease.now().as_nanos();
-            let (rtt, more) = st.complete(now);
-            if let Some(rec) = ctx.lease.recorder() {
-                let hist = rec.intern("udp.rtt_ns");
-                // A completion sample (ring record + histogram) so the
-                // windowed timeline sees per-round RTTs, and a journey break
-                // so the next round's request starts a fresh ledger instead
-                // of chaining onto the reply's.
-                rec.sample(now, hist, rtt);
-                rec.journey_break();
-            }
-            if more {
-                st.sent_at.set(ctx.lease.now().as_nanos());
-                let ep = cs.get().expect("endpoint installed");
-                let _ = ep.send_in(ctx, server_ip, 7, &data2);
-            }
-        };
-
+        let pp = PingPong::new(self.rounds, self.payload, tb.hosts[1].ip);
         // Figure 5's two Plexus bars: every raise at interrupt level, or a
         // thread per raise — the application's handlers included.
         let (mode, echo, pong): (fn(_, _) -> _, _, _) = if interrupt {
             (
                 StackConfig::interrupt,
-                AppHandler::interrupt(echo),
-                AppHandler::interrupt(pong),
+                AppHandler::interrupt(pp.echo()),
+                AppHandler::interrupt(pp.pong()),
             )
         } else {
             (
                 StackConfig::thread,
-                AppHandler::thread(echo),
-                AppHandler::thread(pong),
+                AppHandler::thread(pp.echo()),
+                AppHandler::thread(pp.pong()),
             )
         };
         let client = PlexusStack::attach_host(&tb.hosts[0], mode);
@@ -205,58 +252,22 @@ impl<'a> UdpRtt<'a> {
         let spec = ExtensionSpec::typesafe("rtt-bench", &["UDP.Bind", "UDP.Send"]);
         let cext = client.link_extension(&spec).unwrap();
         let sext = server.link_extension(&spec).unwrap();
-        let sep = server
-            .udp()
-            .bind(&sext, 7, UdpConfig::default(), echo)
-            .unwrap();
-        let _ = echo_slot.set(sep);
-        let cep = client
-            .udp()
-            .bind(&cext, 2000, UdpConfig::default(), pong)
-            .unwrap();
-        let _ = cep_slot.set(cep.clone());
-
-        state.sent_at.set(tb.world.engine().now().as_nanos());
-        cep.send(tb.world.engine_mut(), server_ip, 7, &data)
-            .unwrap();
-        tb.world.run();
-        state.samples()
+        let config = UdpConfig::default();
+        let sep = server.udp().bind(&sext, 7, config, echo).unwrap();
+        let cep = client.udp().bind(&cext, 2000, config, pong).unwrap();
+        pp.run(&mut tb, sep, cep)
     }
 
     fn dunix_rtt(&self, mut tb: Testbed) -> Vec<u64> {
         let client = MonolithicStack::attach_host(&tb.hosts[0]);
         let server = MonolithicStack::attach_host(&tb.hosts[1]);
-        let server_ip = server.ip();
-
+        let pp = PingPong::new(self.rounds, self.payload, server.ip());
         let cproc = AddressSpace::new("client");
         let sproc = AddressSpace::new("server");
-        let ssock = Rc::new(server.udp_socket(&sproc, 7, true).unwrap());
-        let s2 = ssock.clone();
-        ssock.recv_loop(tb.world.engine_mut(), move |eng, user, msg| {
-            s2.sendto_in(eng, user, msg.src, msg.src_port, &msg.data)
-                .expect("the payload fits one datagram");
-        });
-
-        let state = PingState::new(self.rounds);
-        let csock = Rc::new(client.udp_socket(&cproc, 2000, true).unwrap());
-        let (st, c2) = (state.clone(), csock.clone());
-        let data = vec![0x55u8; self.payload];
-        let data2 = data.clone();
-        csock.recv_loop(tb.world.engine_mut(), move |eng, user, _msg| {
-            let now = user.now().as_nanos();
-            if st.complete(now).1 {
-                st.sent_at.set(user.now().as_nanos());
-                c2.sendto_in(eng, user, server_ip, 7, &data2)
-                    .expect("the payload fits one datagram");
-            }
-        });
-
-        state.sent_at.set(tb.world.engine().now().as_nanos());
-        csock
-            .sendto(tb.world.engine_mut(), server_ip, 7, &data)
-            .expect("the payload fits one datagram");
-        tb.world.run();
-        state.samples()
+        let config = UdpConfig::default();
+        let sep = server.udp_socket(&sproc, 7, config, pp.echo()).unwrap();
+        let cep = client.udp_socket(&cproc, 2000, config, pp.pong()).unwrap();
+        pp.run(&mut tb, sep, cep)
     }
 
     /// Driver-to-driver floor: the server's receive interrupt immediately

@@ -8,7 +8,7 @@
 
 use std::rc::Rc;
 
-use plexus_apps::video::{video_extension_spec, DunixVideoServer, PlexusVideoServer, VideoConfig};
+use plexus_apps::video::{video_extension_spec, VideoConfig, VideoServer};
 use plexus_baseline::MonolithicStack;
 use plexus_core::{PlexusStack, StackConfig};
 use plexus_net::testbed::Testbed;
@@ -82,9 +82,9 @@ impl VideoCpu<'_> {
         let (server, clients) = tb.hosts.split_first().expect("the server is host 1");
         server.machine.set_disk(Disk::video_era());
 
-        // Client sinks: the monolithic stack absorbs the frames; no process
-        // is blocked, so datagrams land in the socket backlog at no extra
-        // cost — we are measuring the *server's* CPU, as the paper does.
+        // Client sinks: the monolithic stack absorbs the frames. No socket
+        // is bound, so each frame ends in the kernel as `udp_no_socket` —
+        // we are measuring the *server's* CPU, as the paper does.
         let _sinks: Vec<_> = clients.iter().map(MonolithicStack::attach_host).collect();
         let addrs: Vec<_> = clients.iter().map(|c| c.ip).collect();
 
@@ -93,31 +93,21 @@ impl VideoCpu<'_> {
         let cpu = server.machine.cpu().clone();
         let nic = server.nic.clone();
         let busy0 = cpu.busy();
-        match self.system {
+        let engine = tb.world.engine_mut();
+        let _server = match self.system {
             VideoSystem::Spin => {
                 let stack = PlexusStack::attach_host(server, StackConfig::interrupt);
-                let ext = stack
-                    .link_extension(&video_extension_spec("video-server"))
-                    .expect("video extension links");
-                let _server = PlexusVideoServer::start(
-                    &stack,
-                    &ext,
-                    tb.world.engine_mut(),
-                    addrs,
-                    config,
-                    until,
-                )
-                .expect("server starts");
-                tb.world.run_for(span);
+                let spec = video_extension_spec("video-server");
+                let ext = stack.link_extension(&spec).expect("video extension links");
+                VideoServer::plexus(&stack, &ext, engine, addrs, config, until).ok()
             }
             VideoSystem::Dunix => {
                 let stack = MonolithicStack::attach_host(server);
-                let _server =
-                    DunixVideoServer::start(&stack, tb.world.engine_mut(), addrs, config, until)
-                        .expect("server starts");
-                tb.world.run_for(span);
+                VideoServer::dunix(&stack, engine, addrs, config, until)
             }
         }
+        .expect("server starts");
+        tb.world.run_for(span);
         let stream_bps = config.frame_bytes as f64 * 8.0 * config.fps as f64;
         let nic_stats = nic.stats();
         let attempted = nic_stats.tx_frames + nic_stats.tx_ring_drops;

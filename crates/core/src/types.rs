@@ -11,6 +11,7 @@ use plexus_kernel::view::view;
 use plexus_net::ether::{EtherView, MacAddr};
 use plexus_net::ip::IpHeader;
 use plexus_net::mbuf::Mbuf;
+use plexus_net::udp::DatagramTooLong;
 
 /// Argument of `Ethernet.PacketRecv`: a whole received frame. Guards use
 /// `VIEW` on [`Mbuf::head`] (the driver pulls the link header up front),
@@ -52,21 +53,10 @@ pub struct IpSendReq {
     pub payload: Mbuf,
 }
 
-/// Argument of `Udp.PacketRecv`: a validated datagram. Per-endpoint guards
-/// match on the port/address fields.
-#[derive(Debug)]
-pub struct UdpRecv {
-    /// Source IP.
-    pub src: Ipv4Addr,
-    /// Destination IP.
-    pub dst: Ipv4Addr,
-    /// Source port.
-    pub src_port: u16,
-    /// Destination port.
-    pub dst_port: u16,
-    /// Application payload.
-    pub payload: Mbuf,
-}
+/// Argument of `Udp.PacketRecv`: a validated datagram, the one receive
+/// value both stacks hand their applications. Per-endpoint guards match on
+/// the port/address fields.
+pub use plexus_net::udp::UdpRecv;
 
 /// Argument of `Tcp.PacketRecv`: a verified TCP segment with its
 /// addressing. Connection guards match the 4-tuple.
@@ -125,27 +115,6 @@ impl Packet for IpRecv {
             Field::IpDst => Some(u64::from(u32::from(self.dst))),
             Field::IpProto => Some(u64::from(self.protocol)),
             Field::IpPayloadLen => Some(self.payload.total_len() as u64),
-            _ => None,
-        }
-    }
-
-    fn head(&self) -> &[u8] {
-        self.payload.head()
-    }
-}
-
-impl Packet for UdpRecv {
-    fn kind(&self) -> EventKind {
-        EventKind::UdpRecv
-    }
-
-    fn field(&self, field: Field) -> Option<u64> {
-        match field {
-            Field::UdpSrcAddr => Some(u64::from(u32::from(self.src))),
-            Field::UdpDstAddr => Some(u64::from(u32::from(self.dst))),
-            Field::UdpSrcPort => Some(u64::from(self.src_port)),
-            Field::UdpDstPort => Some(u64::from(self.dst_port)),
-            Field::UdpPayloadLen => Some(self.payload.total_len() as u64),
             _ => None,
         }
     }
@@ -234,15 +203,9 @@ pub enum PlexusError {
     SpoofDetected,
     /// A capability used after revocation (the owning extension unloaded).
     Revoked,
-    /// A UDP payload longer than one IPv4 datagram can carry: its length
-    /// field and fragment offsets would not fit. Refused before anything
-    /// is charged or sent.
-    DatagramTooLong {
-        /// The payload's length in bytes.
-        len: usize,
-        /// The longest payload a datagram carries (65 507 bytes).
-        max: usize,
-    },
+    /// A UDP payload longer than one IPv4 datagram can carry, refused
+    /// before anything is charged or sent.
+    DatagramTooLong(DatagramTooLong),
     /// An active open found every ephemeral port held or in use.
     PortsExhausted,
 }
@@ -255,9 +218,7 @@ impl fmt::Display for PlexusError {
             PlexusError::SnoopDenied(why) => write!(f, "binding denied (would snoop): {why}"),
             PlexusError::SpoofDetected => write!(f, "outgoing source field is not the endpoint's"),
             PlexusError::Revoked => write!(f, "capability revoked"),
-            PlexusError::DatagramTooLong { len, max } => {
-                write!(f, "UDP payload of {len} bytes exceeds the {max}-byte limit")
-            }
+            PlexusError::DatagramTooLong(e) => e.fmt(f),
             PlexusError::PortsExhausted => write!(f, "no ephemeral port is free"),
         }
     }
@@ -268,6 +229,12 @@ impl std::error::Error for PlexusError {}
 impl From<LinkError> for PlexusError {
     fn from(e: LinkError) -> Self {
         PlexusError::Link(e)
+    }
+}
+
+impl From<DatagramTooLong> for PlexusError {
+    fn from(e: DatagramTooLong) -> Self {
+        PlexusError::DatagramTooLong(e)
     }
 }
 

@@ -31,8 +31,8 @@ use plexus_net::checksum::incremental_update;
 use plexus_net::icmp;
 use plexus_net::ip::proto;
 use plexus_net::mbuf::Mbuf;
-use plexus_net::udp::{self, UdpConfig, UDP_HDR_LEN};
-use plexus_sim::Engine;
+use plexus_net::udp::{self, Endpoint, UdpConfig};
+use plexus_sim::{Cpu, Engine};
 
 use crate::guards;
 use crate::stack::{Hold, StackShared};
@@ -79,24 +79,14 @@ impl UdpManager {
             shared.events.ip_recv,
             Guard::verified(guard),
             move |ctx, ev: &IpRecv| {
-                ctx.lease.charge(ctx.lease.model().udp_proc);
-                if !s.csum_offload {
-                    ctx.lease
-                        .charge(ctx.lease.model().checksum(ev.payload.total_len()));
-                }
-                let Some(dgram) =
-                    udp::decapsulate(ev.src, ev.dst, UdpConfig::default(), &ev.payload)
+                let claim = |_| Some((UdpConfig::default(), ()));
+                let offload = s.csum_offload;
+                let Some((arg, ())) =
+                    udp::receive(ctx.lease, ev.src, ev.dst, &ev.payload, offload, claim)
                 else {
                     return;
                 };
                 m.delivered.set(m.delivered.get() + 1);
-                let arg = UdpRecv {
-                    src: ev.src,
-                    dst: ev.dst,
-                    src_port: dgram.src_port,
-                    dst_port: dgram.dst_port,
-                    payload: dgram.payload,
-                };
                 let outcome = s.dispatcher.raise(ctx, s.events.udp_recv, &arg);
                 if outcome.invoked == 0 && arg.dst != Ipv4Addr::BROADCAST {
                     // No endpoint claimed the datagram: answer with ICMP
@@ -303,22 +293,12 @@ fn wrap_special_udp(
     type Inner<'a> = &'a dyn Fn(&mut RaiseCtx<'_>, &UdpRecv);
     AppHandler(handler.adapt(Ephemeral::certify(
         move |ctx: &mut RaiseCtx<'_>, ev: &IpRecv, inner: Inner<'_>| {
-            ctx.lease.charge(ctx.lease.model().udp_proc);
-            if config.checksum && !csum_offload {
-                ctx.lease
-                    .charge(ctx.lease.model().checksum(ev.payload.total_len()));
+            let claim = |_| Some((config, ()));
+            if let Some((arg, ())) =
+                udp::receive(ctx.lease, ev.src, ev.dst, &ev.payload, csum_offload, claim)
+            {
+                inner(ctx, &arg);
             }
-            let Some(dgram) = udp::decapsulate(ev.src, ev.dst, config, &ev.payload) else {
-                return;
-            };
-            let arg = UdpRecv {
-                src: ev.src,
-                dst: ev.dst,
-                src_port: dgram.src_port,
-                dst_port: dgram.dst_port,
-                payload: dgram.payload,
-            };
-            inner(ctx, &arg);
         },
     )))
 }
@@ -336,14 +316,8 @@ pub struct UdpEndpoint {
 }
 
 impl UdpEndpoint {
-    /// The bound port.
-    pub fn port(&self) -> u16 {
-        self.port
-    }
-
-    /// Sends `payload` from this endpoint. The source address/port are the
-    /// endpoint's own — the manager stamps them, so spoofing is
-    /// structurally impossible. Use inside an event handler.
+    /// [`Endpoint::send_in`] without the trait in scope. The manager
+    /// stamps the source, so spoofing is structurally impossible.
     pub fn send_in(
         &self,
         ctx: &mut RaiseCtx<'_>,
@@ -351,11 +325,10 @@ impl UdpEndpoint {
         dst_port: u16,
         payload: &[u8],
     ) -> Result<(), PlexusError> {
-        self.send_mbuf_in(ctx, dst, dst_port, Mbuf::from_payload(64, payload))
+        Endpoint::send_in(self, ctx, dst, dst_port, payload)
     }
 
-    /// [`UdpEndpoint::send_in`] taking an existing mbuf (zero-copy path,
-    /// used by the video server to send disk blocks directly).
+    /// [`Endpoint::send_mbuf_in`] without the trait in scope.
     pub fn send_mbuf_in(
         &self,
         ctx: &mut RaiseCtx<'_>,
@@ -363,43 +336,10 @@ impl UdpEndpoint {
         dst_port: u16,
         payload: Mbuf,
     ) -> Result<(), PlexusError> {
-        let shared = &self.manager.shared;
-        if !shared.still_holds(self.handler_id, &self.seen_held) {
-            return Err(PlexusError::Revoked);
-        }
-        let len = payload.total_len();
-        if len > udp::MAX_PAYLOAD {
-            return Err(PlexusError::DatagramTooLong {
-                len,
-                max: udp::MAX_PAYLOAD,
-            });
-        }
-        ctx.lease.charge(ctx.lease.model().udp_proc);
-        let dgram = if self.config.checksum && shared.csum_offload {
-            // The NIC fills the checksum during the DMA gather: stamp the
-            // deferred-checksum descriptor and skip the software pass.
-            udp::encapsulate_offload(shared.ip, dst, self.port, dst_port, payload)
-        } else {
-            if self.config.checksum {
-                let covered = payload.total_len() + UDP_HDR_LEN;
-                ctx.lease.charge(ctx.lease.model().checksum(covered));
-            }
-            udp::encapsulate(shared.ip, dst, self.port, dst_port, self.config, payload)
-        };
-        shared.raise_ip_send(
-            ctx,
-            IpSendReq {
-                src: shared.ip, // Manager-stamped source (Overwrite policy).
-                dst,
-                protocol: proto::UDP,
-                payload: dgram,
-            },
-        );
-        Ok(())
+        Endpoint::send_mbuf_in(self, ctx, dst, dst_port, payload)
     }
 
-    /// Top-level send (opens its own CPU lease): for code running outside
-    /// any event handler, e.g. a benchmark driver kicking off a ping.
+    /// [`Endpoint::send`] without the trait in scope.
     pub fn send(
         &self,
         engine: &mut Engine,
@@ -407,13 +347,7 @@ impl UdpEndpoint {
         dst_port: u16,
         payload: &[u8],
     ) -> Result<(), PlexusError> {
-        let cpu = self.manager.shared.cpu.clone();
-        let mut lease = cpu.begin(engine.now());
-        let mut ctx = RaiseCtx {
-            engine,
-            lease: &mut lease,
-        };
-        self.send_in(&mut ctx, dst, dst_port, payload)
+        Endpoint::send(self, engine, dst, dst_port, payload)
     }
 
     /// Debugging variant with [`SourcePolicy::Verify`] (§3.1): the caller
@@ -441,6 +375,44 @@ impl UdpEndpoint {
     /// (runtime adaptation). Idempotent.
     pub fn close(&self) {
         self.manager.shared.release(self.handler_id, |_| true);
+    }
+}
+
+/// Plexus's structure around the send path: the binding must still be
+/// held, and the datagram goes down as a raise of `Ip.PacketSend`.
+impl Endpoint for UdpEndpoint {
+    type Error = PlexusError;
+
+    fn cpu(&self) -> &Rc<Cpu> {
+        &self.manager.shared.cpu
+    }
+
+    fn local(&self) -> (Ipv4Addr, u16, UdpConfig) {
+        (self.manager.shared.ip, self.port, self.config)
+    }
+
+    fn csum_offload(&self) -> bool {
+        self.manager.shared.csum_offload
+    }
+
+    fn admit(&self) -> Result<(), PlexusError> {
+        let shared = &self.manager.shared;
+        if shared.still_holds(self.handler_id, &self.seen_held) {
+            Ok(())
+        } else {
+            Err(PlexusError::Revoked)
+        }
+    }
+
+    fn output(&self, ctx: &mut RaiseCtx<'_>, dst: Ipv4Addr, dgram: Mbuf) {
+        let shared = &self.manager.shared;
+        let req = IpSendReq {
+            src: shared.ip,
+            dst,
+            protocol: proto::UDP,
+            payload: dgram,
+        };
+        shared.raise_ip_send(ctx, req);
     }
 }
 

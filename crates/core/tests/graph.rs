@@ -1215,10 +1215,10 @@ fn a_datagram_longer_than_ipv4_carries_is_refused_before_the_wire() {
     );
     assert_eq!(
         ep.send(world.engine_mut(), hosts[1].ip, 7, &[0x5A; 65_508]),
-        Err(PlexusError::DatagramTooLong {
+        Err(PlexusError::DatagramTooLong(udp::DatagramTooLong {
             len: 65_508,
             max: 65_507
-        })
+        }))
     );
     assert_eq!(world.engine().pending(), 0, "nothing scheduled");
     world.run();

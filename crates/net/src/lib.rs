@@ -27,10 +27,11 @@
 //! structure: which costs it charges around these calls, its counters and
 //! drop reasons, and how an [`ether::Frame`] reaches the wire.
 //!
-//! One piece runs on the engine and a CPU lease all the same:
-//! [`tcp::TcpConn`], which applies a `Tcb`'s outputs, so that a TCP
-//! connection too exists once. A stack hands it its structure as a
-//! [`tcp::TcpHost`].
+//! The transports run on the engine and a CPU lease all the same, so
+//! that each exists once: [`tcp::TcpConn`] applies a `Tcb`'s outputs, and
+//! a stack hands it its structure as a [`tcp::TcpHost`]; a UDP datagram
+//! is sent through a [`udp::Endpoint`], whose required methods are a
+//! stack's structure, and received through [`udp::receive`].
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]

@@ -1,4 +1,4 @@
-//! UDP, with the checksum optional.
+//! UDP, with the checksum optional, and its one send and receive path.
 //!
 //! §1.1's motivating example: "applications where data integrity is
 //! optional, such as audio and some flavors of video, might use an
@@ -6,10 +6,19 @@
 //! legitimate optimization when both ends agree. [`UdpConfig::checksum`]
 //! is that knob; the network-video protocol (§5.1) and the `custom_udp`
 //! example exercise it.
+//!
+//! Both stacks send through [`Endpoint`] and receive through [`receive`]
+//! into one [`UdpRecv`], as they share one [`crate::tcp::TcpConn`]; a stack
+//! adds only its structure around them.
 
+use std::fmt;
 use std::net::Ipv4Addr;
+use std::rc::Rc;
 
+use plexus_kernel::dispatcher::RaiseCtx;
+use plexus_kernel::filter::{EventKind, Field, Packet};
 use plexus_kernel::view::{be16, put_be16, WireView};
+use plexus_sim::{Cpu, CpuLease, Engine};
 
 use crate::checksum::{Checksum, CsumOffload};
 use crate::ip::{proto, IP_HDR_LEN};
@@ -21,6 +30,24 @@ pub const UDP_HDR_LEN: usize = 8;
 /// The longest UDP payload one IPv4 datagram carries: its 16-bit total
 /// length less the IP and UDP headers. Both stacks refuse a longer send.
 pub const MAX_PAYLOAD: usize = u16::MAX as usize - IP_HDR_LEN - UDP_HDR_LEN;
+
+/// A send refused for a payload longer than [`MAX_PAYLOAD`]: its length
+/// field and fragment offsets would not fit. Refused before anything is
+/// charged or sent, on either stack.
+#[derive(Clone, Copy, Debug, PartialEq, Eq)]
+pub struct DatagramTooLong {
+    /// The payload's length in bytes.
+    pub len: usize,
+    /// The longest payload a datagram carries ([`MAX_PAYLOAD`]).
+    pub max: usize,
+}
+
+impl fmt::Display for DatagramTooLong {
+    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
+        let DatagramTooLong { len, max } = self;
+        write!(f, "UDP payload of {len} bytes exceeds the {max}-byte limit")
+    }
+}
 
 /// Per-endpoint UDP options.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
@@ -145,17 +172,6 @@ pub fn encapsulate_offload(
     payload
 }
 
-/// A decapsulated datagram.
-#[derive(Debug)]
-pub struct UdpDatagram {
-    /// Source port.
-    pub src_port: u16,
-    /// Destination port.
-    pub dst_port: u16,
-    /// Payload (shares the input's storage).
-    pub payload: Mbuf,
-}
-
 /// Parses a UDP datagram (the payload of an IP packet from `src`→`dst`).
 /// Verifies the checksum when present and `config.checksum` is set.
 /// Returns `None` on malformed or corrupt datagrams.
@@ -164,7 +180,7 @@ pub fn decapsulate(
     dst: Ipv4Addr,
     config: UdpConfig,
     packet: &Mbuf,
-) -> Option<UdpDatagram> {
+) -> Option<UdpRecv> {
     // Only the 8-byte header needs to be contiguous: peek it into a stack
     // buffer; the checksum walks the mbuf chain in place rather than
     // flattening the datagram.
@@ -191,11 +207,174 @@ pub fn decapsulate(
             return None;
         }
     }
-    Some(UdpDatagram {
+    Some(UdpRecv {
+        src,
+        dst,
         src_port: v.src_port(),
         dst_port: v.dst_port(),
         payload: packet.range(UDP_HDR_LEN, udp_len - UDP_HDR_LEN),
     })
+}
+
+/// A datagram as an application receives it, on either stack: Plexus
+/// raises it as `Udp.PacketRecv` (its endpoint guards match the port and
+/// address fields), and the baseline hands it to the socket's process.
+#[derive(Debug)]
+pub struct UdpRecv {
+    /// Source IP.
+    pub src: Ipv4Addr,
+    /// Destination IP.
+    pub dst: Ipv4Addr,
+    /// Source port.
+    pub src_port: u16,
+    /// Destination port.
+    pub dst_port: u16,
+    /// Application payload (shares the received datagram's storage).
+    pub payload: Mbuf,
+}
+
+// Inlined: every guard and demux probe on `Udp.PacketRecv` reads a field,
+// and the dispatcher that does is compiled in another crate.
+impl Packet for UdpRecv {
+    #[inline]
+    fn kind(&self) -> EventKind {
+        EventKind::UdpRecv
+    }
+
+    #[inline]
+    fn field(&self, field: Field) -> Option<u64> {
+        match field {
+            Field::UdpSrcAddr => Some(u64::from(u32::from(self.src))),
+            Field::UdpDstAddr => Some(u64::from(u32::from(self.dst))),
+            Field::UdpSrcPort => Some(u64::from(self.src_port)),
+            Field::UdpDstPort => Some(u64::from(self.dst_port)),
+            Field::UdpPayloadLen => Some(self.payload.total_len() as u64),
+            _ => None,
+        }
+    }
+
+    #[inline]
+    fn head(&self) -> &[u8] {
+        self.payload.head()
+    }
+}
+
+/// The receive path: `udp_proc`; `claim`, the stack's demultiplexing by
+/// destination port, which yields the port's options and what the stack
+/// delivers to, or `None` for its own miss; the checksum charge unless the
+/// options skip it or the adapter verified it (`offload`); decapsulation.
+/// A datagram that does not parse or verify is dropped as
+/// `udp_bad_datagram`.
+pub fn receive<T>(
+    lease: &mut CpuLease,
+    src: Ipv4Addr,
+    dst: Ipv4Addr,
+    packet: &Mbuf,
+    offload: bool,
+    claim: impl FnOnce(u16) -> Option<(UdpConfig, T)>,
+) -> Option<(UdpRecv, T)> {
+    lease.charge(lease.model().udp_proc);
+    let mut port = [0u8; 2];
+    let bad = |lease: &CpuLease| lease.record_drop("udp", "udp_bad_datagram");
+    if !packet.read_at(2, &mut port) {
+        bad(lease);
+        return None;
+    }
+    let (config, to) = claim(u16::from_be_bytes(port))?;
+    if config.checksum && !offload {
+        lease.charge(lease.model().checksum(packet.total_len()));
+    }
+    let Some(recv) = decapsulate(src, dst, config, packet) else {
+        bad(lease);
+        return None;
+    };
+    Some((recv, to))
+}
+
+/// A bound UDP port, on either stack. The provided methods are the one send
+/// path; a stack supplies only its structure through the others.
+pub trait Endpoint {
+    /// What a refused send reports; an over-long payload is one.
+    type Error: From<DatagramTooLong>;
+
+    /// The CPU a top-level [`Endpoint::send`] runs on.
+    fn cpu(&self) -> &Rc<Cpu>;
+
+    /// The address and port a datagram leaves from, and the port's options.
+    fn local(&self) -> (Ipv4Addr, u16, UdpConfig);
+
+    /// Transport checksums are left to the adapter.
+    fn csum_offload(&self) -> bool;
+
+    /// Whether the port may send at all. Yes by default.
+    fn admit(&self) -> Result<(), Self::Error> {
+        Ok(())
+    }
+
+    /// What an accepted send of `len` bytes pays on entry. Nothing by default.
+    fn enter_send(&self, _lease: &mut CpuLease, _len: usize) {}
+
+    /// Hands the framed datagram for `dst` down the stack.
+    fn output(&self, ctx: &mut RaiseCtx<'_>, dst: Ipv4Addr, dgram: Mbuf);
+
+    /// Sends `payload` to `dst_port` at `dst` from inside a handler, with
+    /// the port's own address and port as the source.
+    fn send_mbuf_in(
+        &self,
+        ctx: &mut RaiseCtx<'_>,
+        dst: Ipv4Addr,
+        dst_port: u16,
+        payload: Mbuf,
+    ) -> Result<(), Self::Error> {
+        self.admit()?;
+        let len = payload.total_len();
+        if len > MAX_PAYLOAD {
+            return Err(DatagramTooLong {
+                len,
+                max: MAX_PAYLOAD,
+            }
+            .into());
+        }
+        self.enter_send(ctx.lease, len);
+        let lease = &mut *ctx.lease;
+        lease.charge(lease.model().udp_proc);
+        let (src, src_port, config) = self.local();
+        let dgram = if config.checksum && self.csum_offload() {
+            // The NIC fills the checksum during the DMA gather: stamp the
+            // deferred-checksum descriptor and skip the software pass.
+            encapsulate_offload(src, dst, src_port, dst_port, payload)
+        } else {
+            if config.checksum {
+                lease.charge(lease.model().checksum(len + UDP_HDR_LEN));
+            }
+            encapsulate(src, dst, src_port, dst_port, config, payload)
+        };
+        self.output(ctx, dst, dgram);
+        Ok(())
+    }
+
+    /// [`Endpoint::send_mbuf_in`] copying `payload` into a fresh mbuf.
+    fn send_in(
+        &self,
+        ctx: &mut RaiseCtx<'_>,
+        dst: Ipv4Addr,
+        dst_port: u16,
+        payload: &[u8],
+    ) -> Result<(), Self::Error> {
+        self.send_mbuf_in(ctx, dst, dst_port, Mbuf::from_payload(64, payload))
+    }
+
+    /// [`Endpoint::send_in`] on a lease of its own, outside any handler.
+    fn send(
+        &self,
+        engine: &mut Engine,
+        dst: Ipv4Addr,
+        dst_port: u16,
+        payload: &[u8],
+    ) -> Result<(), Self::Error> {
+        let lease = &mut self.cpu().begin(engine.now());
+        self.send_in(&mut RaiseCtx { engine, lease }, dst, dst_port, payload)
+    }
 }
 
 #[cfg(test)]

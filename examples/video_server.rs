@@ -5,9 +5,7 @@
 //!
 //! Run with `cargo run --example video_server`.
 
-use plexus::apps::video::{
-    video_extension_spec, DunixVideoServer, PlexusVideoClient, PlexusVideoServer, VideoConfig,
-};
+use plexus::apps::video::{video_extension_spec, VideoClient, VideoConfig, VideoServer};
 use plexus::baseline::MonolithicStack;
 use plexus::core::{PlexusStack, StackConfig};
 use plexus::net::Testbed;
@@ -42,7 +40,7 @@ fn main() {
         for host in clients {
             let cst = PlexusStack::attach_host(host, StackConfig::interrupt);
             let ext = cst.link_extension(&video_extension_spec("viewer")).unwrap();
-            let viewer = PlexusVideoClient::start(&cst, &ext, cfg).unwrap();
+            let viewer = VideoClient::plexus(&cst, &ext, cfg).unwrap();
             viewers.push((cst, viewer));
         }
 
@@ -51,7 +49,7 @@ fn main() {
             .unwrap();
         let cpu = server_host.machine.cpu().clone();
         let busy0 = cpu.busy();
-        let server = PlexusVideoServer::start(
+        let server = VideoServer::plexus(
             &stack,
             &ext,
             tb.world.engine_mut(),
@@ -79,7 +77,7 @@ fn main() {
         let _sinks: Vec<_> = clients.iter().map(MonolithicStack::attach_host).collect();
         let cpu = server_host.machine.cpu().clone();
         let busy0 = cpu.busy();
-        let server = DunixVideoServer::start(
+        let server = VideoServer::dunix(
             &stack,
             tb.world.engine_mut(),
             clients.iter().map(|c| c.ip).collect(),

@@ -26,7 +26,7 @@ use std::collections::{BTreeMap, VecDeque};
 use std::net::Ipv4Addr;
 use std::rc::Rc;
 
-use plexus::baseline::MonolithicStack;
+use plexus::baseline::{MonolithicStack, UdpSocket};
 use plexus::core::tcp_manager::ConnCallback;
 use plexus::core::{
     AppHandler, IpRouter, PlexusError, PlexusStack, StackConfig, TcpCallbacks, TcpConn,
@@ -42,7 +42,7 @@ use plexus::net::ip::{self, IpHeader};
 use plexus::net::mbuf::Mbuf;
 use plexus::net::tcp::{TcpFlags, TcpSegment, TcpState};
 use plexus::net::testbed::Host;
-use plexus::net::udp::{self, UdpConfig};
+use plexus::net::udp::{self, Endpoint, UdpConfig};
 use plexus::net::Testbed;
 use plexus::sim::cpu::{CostModel, Cpu};
 use plexus::sim::nic::{DriverConfig, Link, Medium, Nic};
@@ -282,20 +282,20 @@ fn plexus_bound_to(port: u16) -> Loop {
 }
 
 /// [`plexus_echo`] on the monolithic baseline: a process in a `recvfrom` /
-/// `sendto` loop.
+/// `sendto` loop, echoing what its socket hands it.
 fn baseline_echo() -> Loop {
-    let Testbed {
-        mut world, hosts, ..
-    } = Testbed::new(&Link::t3(), 42, &["generator", "dut"]);
+    let Testbed { world, hosts, .. } = Testbed::new(&Link::t3(), 42, &["generator", "dut"]);
     let stack = MonolithicStack::attach_host(&hosts[1]);
     let process = AddressSpace::new("echo");
-    let sock = Rc::new(stack.udp_socket(&process, 7, true).unwrap());
-    let reply = sock.clone();
-    sock.recv_loop(world.engine_mut(), move |eng, user, msg| {
-        reply
-            .sendto_in(eng, user, msg.src, msg.src_port, &msg.data)
+    let slot: Rc<OnceCell<Rc<UdpSocket>>> = Rc::default();
+    let sl = slot.clone();
+    let echo = move |ctx: &mut RaiseCtx<'_>, ev: &UdpRecv| {
+        let sock = sl.get().expect("socket open");
+        sock.send_mbuf_in(ctx, ev.src, ev.src_port, ev.payload.share())
             .expect("the payload fits one datagram");
-    });
+    };
+    let sock = stack.udp_socket(&process, 7, UdpConfig::default(), echo);
+    let sock = slot.get_or_init(|| sock.unwrap()).clone();
     Loop {
         world,
         tx: hosts[0].nic.clone(),
@@ -399,14 +399,15 @@ fn assert_pinned(dut: Dut, per_datagram: u64) {
     assert_eq!(long - short, per_datagram * N);
 }
 
-// What is pinned below is zero for Plexus and the router: mbuf chains,
-// header prepends and the shares between layers come out of the cluster
-// pool, the wire image `Nic::transmit` gathers into comes from its medium's
-// free list and goes back when the receiving driver returns, the arrival
-// event that carries it is a typed slot in the engine, and a scheduled
-// closure moves into a box an earlier closure of its type left behind.
-// What is left on the baseline is the model's own structure: the socket
-// layer's copy-out `Vec`. A new per-packet `Vec` or `Box` anywhere on the
+// What is pinned below is zero for Plexus, the baseline and the router:
+// mbuf chains, header prepends and the shares between layers come out of
+// the cluster pool, the wire image `Nic::transmit` gathers into comes from
+// its medium's free list and goes back when the receiving driver returns,
+// the arrival event that carries it is a typed slot in the engine, and a
+// scheduled closure moves into a box an earlier closure of its type left
+// behind. The baseline's socket hands its process a share of the received
+// mbuf, as Plexus hands its handler one: the copyout is a charge of the
+// model, not a host copy. A new per-packet `Vec` or `Box` anywhere on the
 // path moves these numbers.
 
 #[test]
@@ -688,10 +689,11 @@ fn an_open_loop_generator_allocates_nothing_per_datagram() {
 
 #[test]
 fn a_datagram_echoed_by_the_baseline_allocates_exactly_the_pinned_count() {
-    // The socket layer's copy-out `Vec`. The process's wake-up closure
-    // moves into the box the last one ran from (2 while the engine boxed
-    // every closure anew).
-    assert_pinned(baseline_echo, 1);
+    // The process's wake-up closure moves into the box the last one ran
+    // from (2 while the engine boxed every closure anew), and the socket
+    // hands the process a share of the datagram (1 while it copied the
+    // payload out into a `Vec`).
+    assert_pinned(baseline_echo, 0);
 }
 
 #[test]
@@ -1586,22 +1588,19 @@ fn plexus_udp_pair(_: &mut World, hosts: &[Host], sink: &Sink) -> Write {
     Box::new(move |world, data| from.send(world.engine_mut(), to, UDP_PORT, data).unwrap())
 }
 
-fn baseline_udp_pair(world: &mut World, hosts: &[Host], sink: &Sink) -> Write {
+fn baseline_udp_pair(_: &mut World, hosts: &[Host], sink: &Sink) -> Write {
     let client = MonolithicStack::attach_host(&hosts[0]);
     let server = MonolithicStack::attach_host(&hosts[1]);
-    let listener = server
-        .udp_socket(&AddressSpace::new("sink"), UDP_PORT, true)
-        .unwrap();
     let sink = sink.clone();
-    listener.recv_loop(world.engine_mut(), move |_, _, msg| {
-        sink.borrow_mut().extend(msg.data)
-    });
-    let from = client
-        .udp_socket(&AddressSpace::new("source"), 2000, true)
-        .unwrap();
+    let keep =
+        move |_: &mut RaiseCtx<'_>, ev: &UdpRecv| sink.borrow_mut().extend(ev.payload.to_vec());
+    let (config, ignore) = (UdpConfig::default(), |_: &mut RaiseCtx<'_>, _: &UdpRecv| {});
+    let (reader, writer) = (AddressSpace::new("sink"), AddressSpace::new("source"));
+    server.udp_socket(&reader, UDP_PORT, config, keep).unwrap();
+    let from = client.udp_socket(&writer, 2000, config, ignore).unwrap();
     let to = hosts[1].ip;
     Box::new(move |world, data| {
-        from.sendto(world.engine_mut(), to, UDP_PORT, data)
+        from.send(world.engine_mut(), to, UDP_PORT, data)
             .expect("the payload fits one datagram")
     })
 }

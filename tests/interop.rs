@@ -4,16 +4,17 @@
 //! the paper's testbed, where SPIN and DIGITAL UNIX hosts exchanged
 //! packets using the same drivers and protocol definitions.
 
-use std::cell::{Cell, RefCell};
+use std::cell::{Cell, OnceCell, RefCell};
 use std::net::Ipv4Addr;
 use std::rc::Rc;
 
-use plexus::baseline::MonolithicStack;
+use plexus::baseline::{MonolithicStack, UdpSocket};
 use plexus::core::{AppHandler, PlexusStack, StackConfig, TcpCallbacks, UdpRecv};
+use plexus::kernel::dispatcher::RaiseCtx;
 use plexus::kernel::domain::ExtensionSpec;
 use plexus::kernel::vm::AddressSpace;
 use plexus::net::ether::MacAddr;
-use plexus::net::udp::UdpConfig;
+use plexus::net::udp::{Endpoint, UdpConfig};
 use plexus::net::Testbed;
 use plexus::sim::nic::{Link, NicProfile};
 use plexus::sim::time::SimDuration;
@@ -47,14 +48,17 @@ fn udp_flows_both_ways_between_the_systems() {
 
     // DUNIX process echoes; Plexus extension initiates and verifies.
     let dproc = AddressSpace::new("echo");
-    let dsock = Rc::new(dunix.udp_socket(&dproc, 7, true).unwrap());
-    let d2 = dsock.clone();
-    dsock.recv_loop(world.engine_mut(), move |eng, user, msg| {
-        let mut reply = msg.data.clone();
+    let slot: Rc<OnceCell<Rc<UdpSocket>>> = Rc::default();
+    let d2 = slot.clone();
+    let echo = move |ctx: &mut RaiseCtx<'_>, ev: &UdpRecv| {
+        let mut reply = ev.payload.to_vec();
         reply.reverse();
-        d2.sendto_in(eng, user, msg.src, msg.src_port, &reply)
+        let sock = d2.get().expect("socket open");
+        sock.send_in(ctx, ev.src, ev.src_port, &reply)
             .expect("the payload fits one datagram");
-    });
+    };
+    let dsock = dunix.udp_socket(&dproc, 7, UdpConfig::default(), echo);
+    let _ = slot.set(dsock.unwrap());
 
     let got: Rc<RefCell<Vec<u8>>> = Rc::new(RefCell::new(Vec::new()));
     let g = got.clone();
@@ -274,13 +278,12 @@ fn dunix_host_routes_through_the_plexus_router() {
     *echo_slot.borrow_mut() = Some(pep);
 
     let proc_ = AddressSpace::new("client");
-    let sock = Rc::new(dunix.udp_socket(&proc_, 2000, true).unwrap());
     let got: Rc<RefCell<Vec<u8>>> = Rc::new(RefCell::new(Vec::new()));
     let g = got.clone();
-    sock.recv_loop(world.engine_mut(), move |_, _, msg| {
-        *g.borrow_mut() = msg.data;
-    });
-    sock.sendto(world.engine_mut(), net2(2), 7, b"mixed routed")
+    let keep = move |_: &mut RaiseCtx<'_>, ev: &UdpRecv| *g.borrow_mut() = ev.payload.to_vec();
+    let sock = dunix.udp_socket(&proc_, 2000, UdpConfig::default(), keep);
+    sock.unwrap()
+        .send(world.engine_mut(), net2(2), 7, b"mixed routed")
         .expect("the payload fits one datagram");
     world.run();
     assert_eq!(*got.borrow(), b"mixed routed");

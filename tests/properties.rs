@@ -118,30 +118,65 @@ proptest! {
 // Checksum properties.
 // ---------------------------------------------------------------------------
 
+/// Pads `data` to a 16-bit boundary and appends its checksum, then XORs
+/// the byte at `index(len)` with `flip`: whether the whole checksummed
+/// buffer verifies, and whether the flipped one does.
+fn checksummed_then_flipped(
+    mut data: Vec<u8>,
+    index: impl FnOnce(usize) -> usize,
+    flip: u8,
+) -> (bool, bool) {
+    // Real protocols keep the checksum field 16-bit aligned (odd
+    // payloads are padded, as RFC 1071 requires) — an odd-offset
+    // checksum would not verify, which this suite originally caught.
+    if data.len() % 2 == 1 {
+        data.push(0);
+    }
+    let c = checksum(&data);
+    data.extend_from_slice(&c.to_be_bytes());
+    let whole = verify(&data);
+    // A single-byte XOR changes some 16-bit word by a nonzero delta
+    // strictly less than 0xFFFF, so the one's-complement sum always
+    // catches it.
+    let i = index(data.len());
+    data[i] ^= flip;
+    (whole, verify(&data))
+}
+
+/// The one case `checksum_detects_any_single_byte_change` ever saved, as
+/// proptest shrank it (a 223-byte buffer, mostly zeros ahead of a noisy
+/// tail), replayed on every run.
+#[test]
+fn checksum_detects_the_saved_single_byte_change() {
+    let data = vec![
+        0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 1, 0, 0, 15, 0, 0, 0, 0, 0, 0, 0, 119, 0, 0, 0,
+        0, 0, 11, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0,
+        0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 29, 124, 241, 34, 82,
+        140, 112, 150, 153, 172, 180, 243, 110, 5, 58, 228, 144, 12, 97, 14, 70, 202, 11, 200, 24,
+        64, 99, 85, 91, 158, 182, 231, 220, 193, 239, 248, 198, 79, 83, 110, 54, 41, 97, 25, 240,
+        223, 153, 53, 210, 148, 66, 83, 180, 4, 12, 71, 184, 38, 166, 221, 235, 89, 116, 248, 206,
+        133, 143, 64, 60, 129, 168, 21, 244, 196, 27, 98, 70, 193, 80, 236, 107, 179, 140, 173, 74,
+        220, 221, 7, 234, 4, 17, 43, 1, 4, 174, 253, 94, 73, 255, 43, 189, 7, 251, 35, 102, 46,
+        101, 183, 244, 145, 165, 171, 252, 186, 231, 238, 122, 242, 211, 92, 164, 41, 48, 198, 182,
+        73, 254, 60, 200, 77, 250, 75, 215, 53, 198, 159, 43, 91, 172, 213, 142,
+    ];
+    // `Index(10771536609128610302)`, projected as `Index::index` projects it.
+    let index = |len: usize| (10771536609128610302u64 % len as u64) as usize;
+    assert_eq!(checksummed_then_flipped(data, index, 101), (true, false));
+}
+
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(256))]
 
     #[test]
     fn checksum_detects_any_single_byte_change(
-        mut data in proptest::collection::vec(any::<u8>(), 2..600),
+        data in proptest::collection::vec(any::<u8>(), 2..600),
         idx in any::<prop::sample::Index>(),
         flip in 1u8..=255,
     ) {
-        // Real protocols keep the checksum field 16-bit aligned (odd
-        // payloads are padded, as RFC 1071 requires) — an odd-offset
-        // checksum would not verify, which this suite originally caught.
-        if data.len() % 2 == 1 {
-            data.push(0);
-        }
-        let c = checksum(&data);
-        data.extend_from_slice(&c.to_be_bytes());
-        prop_assert!(verify(&data));
-        // A single-byte XOR changes some 16-bit word by a nonzero delta
-        // strictly less than 0xFFFF, so the one's-complement sum always
-        // catches it.
-        let i = idx.index(data.len());
-        data[i] ^= flip;
-        prop_assert!(!verify(&data), "undetected corruption flip={flip:#x}");
+        let (whole, flipped) = checksummed_then_flipped(data, |len| idx.index(len), flip);
+        prop_assert!(whole);
+        prop_assert!(!flipped, "undetected corruption flip={flip:#x}");
     }
 
     #[test]
