@@ -9,17 +9,18 @@
 //! `plexus-core` is therefore pure OS structure, which is exactly the
 //! paper's claim about Figure 5.
 //!
-//! * [`stack`] — the monolithic kernel path and UDP sockets.
-//! * [`tcp_socket`] — the socket structure around the shared `TcpConn`.
-//! * [`splice`] — the user-level TCP forwarder of §5.2 (two spliced
+//! * [`MonolithicStack`] — the monolithic kernel path over `net`'s one
+//!   link and IP path, and UDP sockets ([`UdpSocket`]).
+//! * [`TcpLayer`] — the socket structure around the shared `TcpConn`.
+//! * [`UserSplice`] — the user-level TCP forwarder of §5.2 (two spliced
 //!   sockets; breaks end-to-end semantics, doubles the protocol work).
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
 
-pub mod splice;
-pub mod stack;
-pub mod tcp_socket;
+mod splice;
+mod stack;
+mod tcp_socket;
 
 pub use splice::UserSplice;
 pub use stack::{BaselineStats, MonolithicStack, UdpSocket};

@@ -20,10 +20,9 @@ use std::collections::HashMap;
 use std::net::Ipv4Addr;
 use std::rc::Rc;
 
-use plexus_net::arp::ArpCache;
-use plexus_net::ether::{self, EtherType, Frame, MacAddr, ETHER_HDR_LEN};
-use plexus_net::icmp::{self, IcmpMessage};
-use plexus_net::ip::{self, Hop, IpHeader, Reassembler, RouteTable, Verdict};
+use plexus_net::ether::{self, EtherType, MacAddr, ETHER_HDR_LEN};
+use plexus_net::ip::{self, IpHeader, RouteTable};
+use plexus_net::link::{Interface, LinkHost};
 use plexus_net::mbuf::Mbuf;
 use plexus_net::testbed::Host;
 use plexus_net::udp::{self, Endpoint, UdpConfig, UdpRecv};
@@ -56,80 +55,20 @@ pub struct BaselineStats {
 
 /// Shared monolithic-kernel state for one machine.
 pub(crate) struct BaselineShared {
-    pub(crate) cpu: Rc<Cpu>,
-    pub(crate) nic: Rc<Nic>,
-    pub(crate) ip: Ipv4Addr,
-    pub(crate) mac: MacAddr,
-    arp: RefCell<ArpCache>,
-    reasm: RefCell<Reassembler>,
-    ip_ident: ip::Ident,
+    /// The NIC, addresses and L2/L3 state, driven by direct calls: the
+    /// interface is its own [`LinkHost`].
+    pub(crate) link: Rc<Interface>,
     udp_socks: RefCell<HashMap<u16, Rc<UdpSocket>>>,
-    pub(crate) stats: Cell<BaselineStats>,
-    routes: RefCell<RouteTable>,
+    /// The driver glue's and the sockets' counters; [`MonolithicStack::stats`]
+    /// adds the interface's.
+    stats: Cell<BaselineStats>,
 }
 
 impl BaselineShared {
-    pub(crate) fn bump<F: FnOnce(&mut BaselineStats)>(&self, f: F) {
+    fn bump<F: FnOnce(&mut BaselineStats)>(&self, f: F) {
         let mut s = self.stats.get();
         f(&mut s);
         self.stats.set(s);
-    }
-
-    /// Kernel IP output path: header, next hop, fragments, ARP, driver TX.
-    /// Direct procedure calls — no dispatcher — over the same protocol
-    /// routines, charging the same protocol costs, as Plexus.
-    pub(crate) fn ip_output(
-        self: &Rc<Self>,
-        engine: &mut Engine,
-        lease: &mut CpuLease,
-        dst: Ipv4Addr,
-        protocol: u8,
-        payload: &Mbuf,
-    ) {
-        lease.charge(lease.model().ip_proc);
-        self.bump(|s| s.ip_tx += 1);
-        let hdr = IpHeader::simple(self.ip, dst, protocol, self.ip_ident.take());
-        let Some(hop) = self.routes.borrow().hop(dst) else {
-            // No route: dropped, as sendto would EHOSTUNREACH.
-            lease.record_drop("ip", "no_route");
-            return;
-        };
-        for dgram in ip::datagrams(&hdr, payload, self.nic.profile().mtu) {
-            let Hop::Via(hop) = hop else {
-                let frame = Frame {
-                    dst: MacAddr::BROADCAST,
-                    ethertype: EtherType::IPV4,
-                    packet: dgram,
-                };
-                self.eth_output(engine, lease, &frame);
-                continue;
-            };
-            lease.charge(lease.model().arp_lookup);
-            let now = lease.now().as_nanos();
-            let resolved = self.arp.borrow_mut().resolve(hop, now, dgram);
-            if let Some(frame) = resolved.frame() {
-                self.eth_output(engine, lease, frame);
-            }
-        }
-    }
-
-    pub(crate) fn eth_output(
-        self: &Rc<Self>,
-        engine: &mut Engine,
-        lease: &mut CpuLease,
-        out: &Frame,
-    ) {
-        lease.charge(lease.model().eth_proc);
-        let mut frame = out.packet.share();
-        ether::write_header(
-            frame.prepend(ETHER_HDR_LEN),
-            out.dst,
-            self.mac,
-            out.ethertype,
-        );
-        lease.charge(self.nic.profile().tx_cpu_cost(frame.total_len()));
-        let ready = lease.now();
-        self.nic.transmit(engine, ready, &frame);
     }
 }
 
@@ -159,16 +98,9 @@ impl MonolithicStack {
         mac: MacAddr,
     ) -> Rc<MonolithicStack> {
         let shared = Rc::new(BaselineShared {
-            cpu: machine.cpu().clone(),
-            nic: nic.clone(),
-            ip: ip_addr,
-            mac,
-            arp: RefCell::new(ArpCache::new(ip_addr, mac)),
-            reasm: RefCell::new(Reassembler::new()),
-            ip_ident: ip::Ident::starting_at(1),
+            link: Rc::new(Interface::new(machine.cpu(), nic, ip_addr, mac)),
             udp_socks: RefCell::new(HashMap::new()),
             stats: Cell::new(BaselineStats::default()),
-            routes: RefCell::new(RouteTable::host(ip_addr, 24)),
         });
         let tcp = TcpLayer::new(&shared);
         let stack = Rc::new(MonolithicStack {
@@ -178,95 +110,49 @@ impl MonolithicStack {
         });
 
         let s = shared.clone();
-        let tcp_layer = tcp;
         nic.attach(DriverConfig::per_frame(move |engine, frame| {
-            let mut lease = s.cpu.begin(engine.now());
+            let link = &s.link;
+            let mut lease = link.cpu.begin(engine.now());
             lease.charge(lease.model().interrupt_entry);
-            lease.charge(s.nic.profile().rx_cpu_cost(frame.len()));
-            let Some(v) = ether::accept(frame, s.mac, false) else {
-                lease.charge(lease.model().interrupt_exit);
-                return;
+            lease.charge(link.nic.profile().rx_cpu_cost(frame.len()));
+            let ctx = &mut RaiseCtx {
+                engine,
+                lease: &mut lease,
             };
-            s.bump(|st| st.eth_rx += 1);
-            let ethertype = v.ethertype();
-            lease.charge(lease.model().eth_proc);
-            match ethertype {
-                EtherType::ARP => {
-                    let now = lease.now().as_nanos();
-                    let input = s.arp.borrow_mut().input(&frame[ETHER_HDR_LEN..], now);
-                    for out in input.into_iter().flat_map(|i| i.frames()) {
-                        s.eth_output(engine, &mut lease, &out);
-                    }
+            if let Some(v) = ether::accept(frame, link.mac(), false) {
+                s.bump(|st| st.eth_rx += 1);
+                ctx.lease.charge(ctx.lease.model().eth_proc);
+                match v.ethertype() {
+                    EtherType::ARP => link.arp_input(ctx, &frame[ETHER_HDR_LEN..]),
+                    EtherType::IPV4 => Self::ip_input(&s, &tcp, ctx, frame),
+                    _ => {}
                 }
-                EtherType::IPV4 => {
-                    // The netisr/softirq hop: the interrupt handler queues
-                    // the packet and the kernel processes it "later" (we
-                    // charge the hop; processing continues on this CPU).
-                    lease.charge(lease.model().softirq);
-                    let mut pkt = Mbuf::from_wire(frame);
-                    pkt.trim_front(ETHER_HDR_LEN);
-                    Self::ip_input(&s, &tcp_layer, engine, &mut lease, pkt);
-                }
-                _ => {}
             }
-            lease.charge(lease.model().interrupt_exit);
+            ctx.lease.charge(ctx.lease.model().interrupt_exit);
         }));
         stack
     }
 
-    fn ip_input(
-        s: &Rc<BaselineShared>,
-        tcp: &Rc<TcpLayer>,
-        engine: &mut Engine,
-        lease: &mut CpuLease,
-        pkt: Mbuf,
-    ) {
-        lease.charge(lease.model().ip_proc);
-        let now = lease.now().as_nanos();
-        let mut reasm = s.reasm.borrow_mut();
-        let evicted = reasm.evicted();
-        let verdict = reasm.input(&pkt, now, |dst| dst == s.ip || dst == Ipv4Addr::BROADCAST);
-        for _ in evicted..reasm.evicted() {
-            lease.record_drop("ip", "ip_reassembly_full");
-        }
-        drop(reasm);
-        let (hdr, payload) = match verdict {
-            Verdict::Deliver(hdr, payload) => (hdr, payload),
-            Verdict::Runt => return,
-            Verdict::NotLocal => {
-                s.bump(|st| st.ip_dropped += 1);
-                lease.record_drop("ip", "not_local");
-                return;
-            }
-            // Counted, but not named: this verdict is also a fragment held
-            // until its group completes, which is not a loss.
-            Verdict::BadOrFragment => {
-                s.bump(|st| st.ip_dropped += 1);
-                return;
-            }
+    /// The netisr/softirq hop — the interrupt handler queues the packet and
+    /// the kernel processes it "later" (the hop is charged; processing
+    /// continues on this CPU) — then IP input, and each protocol's input by
+    /// direct call.
+    fn ip_input(s: &Rc<BaselineShared>, tcp: &Rc<TcpLayer>, ctx: &mut RaiseCtx<'_>, frame: &[u8]) {
+        ctx.lease.charge(ctx.lease.model().softirq);
+        let mut pkt = Mbuf::from_wire(frame);
+        pkt.trim_front(ETHER_HDR_LEN);
+        let Some((hdr, payload)) = s.link.ip_input(ctx.lease, &pkt) else {
+            return;
         };
-        s.bump(|st| st.ip_rx += 1);
         match hdr.protocol {
-            ip::proto::ICMP => Self::icmp_input(s, engine, lease, &hdr, &payload),
-            ip::proto::UDP => Self::udp_input(s, engine, lease, &hdr, &payload),
-            ip::proto::TCP => tcp.input(engine, lease, &hdr, &payload),
+            ip::proto::ICMP => {
+                let bytes = payload.to_vec();
+                ctx.lease.charge(ctx.lease.model().checksum(bytes.len()));
+                s.link.echo(ctx, hdr.src, &bytes);
+            }
+            ip::proto::UDP => Self::udp_input(s, ctx.engine, ctx.lease, &hdr, &payload),
+            ip::proto::TCP => tcp.input(ctx.engine, ctx.lease, &hdr, &payload),
             _ => {}
-        }
-    }
-
-    fn icmp_input(
-        s: &Rc<BaselineShared>,
-        engine: &mut Engine,
-        lease: &mut CpuLease,
-        hdr: &IpHeader,
-        payload: &Mbuf,
-    ) {
-        let bytes = payload.to_vec();
-        lease.charge(lease.model().checksum(bytes.len()));
-        if let Some(reply) = icmp::echo_response(&bytes) {
-            s.bump(|st| st.icmp_echoes += 1);
-            lease.charge(lease.model().checksum(reply.total_len()));
-            s.ip_output(engine, lease, hdr.src, ip::proto::ICMP, &reply);
         }
     }
 
@@ -295,7 +181,7 @@ impl MonolithicStack {
         s.bump(|st| st.udp_delivered += 1);
         lease.charge(lease.model().socket_layer + lease.model().process_wakeup);
         engine.schedule_at(lease.now(), move |engine| {
-            let lease = &mut sock.shared.cpu.begin(engine.now());
+            let lease = &mut sock.shared.link.cpu.begin(engine.now());
             lease.charge(lease.model().context_switch);
             sock.process.trap(lease);
             sock.process.copyout(lease, recv.payload.total_len());
@@ -310,17 +196,24 @@ impl MonolithicStack {
 
     /// This host's address.
     pub fn ip(&self) -> Ipv4Addr {
-        self.shared.ip
+        self.shared.link.ip()
     }
 
     /// This host's MAC.
     pub fn mac(&self) -> MacAddr {
-        self.shared.mac
+        self.shared.link.mac()
     }
 
     /// Stack counters.
     pub fn stats(&self) -> BaselineStats {
-        self.shared.stats.get()
+        let l = self.shared.link.stats();
+        BaselineStats {
+            ip_rx: l.ip_rx,
+            ip_dropped: l.ip_dropped,
+            ip_tx: l.ip_tx,
+            icmp_echoes: l.icmp_echoes,
+            ..self.shared.stats.get()
+        }
     }
 
     /// The TCP socket layer.
@@ -330,25 +223,20 @@ impl MonolithicStack {
 
     /// Pre-seeds the ARP cache.
     pub fn seed_arp(&self, ip_addr: Ipv4Addr, mac: MacAddr) {
-        self.shared.arp.borrow_mut().learn(ip_addr, mac, 0);
+        self.shared.link.seed_arp(ip_addr, mac);
     }
 
     /// Configures the default gateway (and subnet prefix) so off-subnet
     /// destinations route through an IP router (see `plexus-core`).
     pub fn set_gateway(&self, gateway: Ipv4Addr, prefix_len: u8) {
-        let mut routes = RouteTable::host(self.shared.ip, prefix_len);
+        let mut routes = RouteTable::host(self.shared.link.ip(), prefix_len);
         routes.set_default(gateway);
-        *self.shared.routes.borrow_mut() = routes;
+        self.shared.link.set_routes(routes);
     }
 
     /// Sends an ICMP echo request from the kernel (diagnostics).
     pub fn ping(&self, engine: &mut Engine, dst: Ipv4Addr, ident: u16, seq: u16, data: &[u8]) {
-        let msg = IcmpMessage::echo_request(ident, seq, data);
-        let m = Mbuf::from_payload(64, &msg.to_bytes());
-        let mut lease = self.shared.cpu.begin(engine.now());
-        lease.charge(lease.model().checksum(m.total_len()));
-        self.shared
-            .ip_output(engine, &mut lease, dst, ip::proto::ICMP, &m);
+        self.shared.link.ping(engine, dst, ident, seq, data);
     }
 
     /// Opens a UDP socket for a user process, parked in a `recvfrom(2)`
@@ -404,11 +292,11 @@ impl Endpoint for UdpSocket {
     type Error = udp::DatagramTooLong;
 
     fn cpu(&self) -> &Rc<Cpu> {
-        &self.shared.cpu
+        &self.shared.link.cpu
     }
 
     fn local(&self) -> (Ipv4Addr, u16, UdpConfig) {
-        (self.shared.ip, self.port, self.config)
+        (self.shared.link.ip(), self.port, self.config)
     }
 
     fn csum_offload(&self) -> bool {
@@ -422,7 +310,7 @@ impl Endpoint for UdpSocket {
     }
 
     fn output(&self, ctx: &mut RaiseCtx<'_>, dst: Ipv4Addr, dgram: Mbuf) {
-        self.shared
-            .ip_output(ctx.engine, ctx.lease, dst, ip::proto::UDP, &dgram);
+        let link = &self.shared.link;
+        link.ip_output(ctx, link.ip(), dst, ip::proto::UDP, &dgram);
     }
 }

@@ -14,6 +14,7 @@ use std::rc::Rc;
 use plexus_kernel::dispatcher::RaiseCtx;
 use plexus_kernel::vm::AddressSpace;
 use plexus_net::ip::{proto, IpHeader};
+use plexus_net::link::LinkHost;
 use plexus_net::mbuf::Mbuf;
 use plexus_net::tcp::{
     ConnCallback, ConnEvent, ConnIds, PortsExhausted, Tcb, TcpConn, TcpHost, TcpSegment,
@@ -69,11 +70,11 @@ impl TcpLayer {
             self.listeners.borrow().contains_key(&p)
                 || self.conns.borrow().keys().any(|&(lp, ..)| lp == p)
         })?;
-        let lease = &mut self.shared.cpu.begin(engine.now());
+        let lease = &mut self.shared.link.cpu.begin(engine.now());
         process.trap(lease);
         let now = lease.now().as_nanos();
         let iss = self.ids.next_iss();
-        let (tcb, actions) = Tcb::connect((self.shared.ip, port), remote, iss, now);
+        let (tcb, actions) = Tcb::connect((self.shared.link.ip(), port), remote, iss, now);
         let conn = self.register(process, (port, remote.0, remote.1), tcb);
         conn.apply(&mut RaiseCtx { engine, lease }, actions);
         Ok(conn)
@@ -91,7 +92,7 @@ impl TcpLayer {
             pending_data: RefCell::new(Vec::new()),
             wakeup_queued: Cell::new(false),
         });
-        let conn = TcpConn::new(socket, (self.shared.ip, key.0), (key.1, key.2), tcb);
+        let conn = TcpConn::new(socket, (self.shared.link.ip(), key.0), (key.1, key.2), tcb);
         self.conns.borrow_mut().insert(key, conn.clone());
         conn
     }
@@ -124,11 +125,11 @@ impl TcpLayer {
                 if !seg.flags.syn || seg.flags.ack {
                     return;
                 }
-                let tcb = Tcb::listen((self.shared.ip, seg.dst_port), self.ids.next_iss());
+                let tcb = Tcb::listen((self.shared.link.ip(), seg.dst_port), self.ids.next_iss());
                 let conn = self.register(&process, key, tcb);
                 // The accept runs in user context after a wakeup.
                 let c = conn.clone();
-                let cpu = self.shared.cpu.clone();
+                let cpu = self.shared.link.cpu.clone();
                 lease.charge(lease.model().socket_layer + lease.model().process_wakeup);
                 engine.schedule_at(lease.now(), move |engine| {
                     let lease = &mut cpu.begin(engine.now());
@@ -156,7 +157,7 @@ struct Socket {
 
 impl TcpHost for Socket {
     fn cpu(&self) -> &Rc<Cpu> {
-        &self.layer.shared.cpu
+        &self.layer.shared.link.cpu
     }
 
     /// `write(2)`: trap, copyin, socket layer, then the kernel TCP path.
@@ -180,9 +181,8 @@ impl TcpHost for Socket {
     }
 
     fn output(&self, ctx: &mut RaiseCtx<'_>, _src: Ipv4Addr, dst: Ipv4Addr, segment: Mbuf) {
-        self.layer
-            .shared
-            .ip_output(ctx.engine, ctx.lease, dst, proto::TCP, &segment);
+        let link = &self.layer.shared.link;
+        link.ip_output(ctx, link.ip(), dst, proto::TCP, &segment);
     }
 
     /// Appends to the socket buffer and wakes the blocked reader. If a

@@ -406,8 +406,9 @@ fn cold_pair() -> (Testbed, Rc<UdpSocket>, Received) {
 
 #[test]
 fn a_lost_arp_reply_does_not_strand_the_queue() {
-    // The monolithic stack has no ARP retry timer: a who-has the segment
-    // ate must not leave every later send to that hop parked forever
+    // The monolithic stack runs the shared ARP policy: a who-has the
+    // segment eats is asked again at 1 s and 2 s and abandoned at 3 s, and
+    // a later send to that hop asks afresh instead of parking forever
     // behind a question nobody is asking.
     use plexus_sim::nic::FaultInjector;
     let (mut tb, sock, got) = cold_pair();
@@ -416,7 +417,11 @@ fn a_lost_arp_reply_does_not_strand_the_queue() {
     sock.send(tb.world.engine_mut(), dst, 7, b"first")
         .expect("the payload fits one datagram");
     tb.world.run();
-    assert_eq!(tb.hosts[0].nic.stats().tx_frames, 1, "the who-has, lost");
+    assert_eq!(
+        tb.hosts[0].nic.stats().tx_frames,
+        3,
+        "the who-has and its two re-asks, all lost"
+    );
 
     tb.medium.set_faults(FaultInjector::none());
     tb.world.run_for(SimDuration::from_secs(4));
@@ -425,8 +430,8 @@ fn a_lost_arp_reply_does_not_strand_the_queue() {
     tb.world.run();
     assert_eq!(
         tb.hosts[0].nic.stats().tx_frames,
-        3,
-        "asked again, then sent what was parked behind the new question"
+        5,
+        "asked afresh, then sent what was parked behind the new question"
     );
     assert_eq!(
         *got.borrow(),

@@ -4,20 +4,22 @@
 //! high performance with customized protocols." This crate is the paper's
 //! primary contribution, rebuilt on the simulated SPIN substrate:
 //!
-//! * [`stack`] — the protocol graph of Figure 1: driver glue, Ethernet,
-//!   ARP, IP (with fragmentation/reassembly), ICMP; raw-Ethernet extension
-//!   attach for things like active messages; dynamic extension linking.
-//! * [`udp_manager`] / [`tcp_manager`] — the protocol managers of §3.1:
+//! * [`PlexusStack`] — the protocol graph of Figure 1: driver glue,
+//!   Ethernet, ARP, IP (with fragmentation/reassembly), ICMP over `net`'s
+//!   one link and IP path; raw-Ethernet extension attach for things like
+//!   active messages; dynamic extension linking.
+//! * [`UdpManager`] / [`TcpManager`] — the protocol managers of §3.1:
 //!   they install guards and handlers *on behalf of* untrusted extensions,
 //!   preventing snooping (manager-built guards) and spoofing
 //!   (manager-stamped sources); they support multiple implementations of
 //!   one protocol and in-kernel port redirection (§5.2).
-//! * [`types`] — event argument types, [`types::AppHandler`] (interrupt vs.
-//!   thread delivery, §3.3), and errors.
+//! * [`IpRouter`] — an in-kernel router over the same path.
+//! * Event argument types, [`AppHandler`] (interrupt vs. thread delivery,
+//!   §3.3), and errors.
 //!
 //! ## Quick start
 //!
-//! Build a [`plexus_sim::World`], attach a [`stack::PlexusStack`] per
+//! Build a [`plexus_sim::World`], attach a [`PlexusStack`] per
 //! machine, link an extension, bind a UDP endpoint, and run the engine —
 //! see `examples/quickstart.rs` at the workspace root for a complete
 //! two-machine ping-pong.
@@ -26,13 +28,13 @@
 #![warn(missing_docs)]
 
 mod guards;
-pub mod router;
-pub mod stack;
+mod router;
+mod stack;
 pub mod tcp_manager;
-pub mod types;
+mod types;
 #[cfg(test)]
 mod types_tests;
-pub mod udp_manager;
+mod udp_manager;
 
 pub use router::{IpRouter, RouterStats};
 pub use stack::{PlexusStack, StackConfig, StackStats};

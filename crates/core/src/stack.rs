@@ -29,7 +29,6 @@
 //! [`DispatchMode`] — the two Plexus bars of Figure 5.
 
 use std::cell::{Cell, RefCell};
-use std::collections::HashSet;
 use std::net::Ipv4Addr;
 use std::rc::Rc;
 
@@ -38,12 +37,11 @@ use plexus_kernel::dispatcher::{Dispatcher, Event, EventBatch, Guard, HandlerId,
 use plexus_kernel::domain::{Domain, ExtensionSpec, LinkedExtension};
 use plexus_sim::nic::{DriverConfig, Nic};
 use plexus_sim::time::SimDuration;
-use plexus_sim::{Cpu, CpuLease, Engine, Machine};
+use plexus_sim::{CpuLease, Engine, Machine};
 
-use plexus_net::arp::{ArpCache, Resolve};
 use plexus_net::ether::{self, EtherType, Frame, MacAddr, ETHER_HDR_LEN};
-use plexus_net::icmp::{self, IcmpMessage};
-use plexus_net::ip::{self, Hop, IpHeader, Reassembler, RouteTable, Verdict};
+use plexus_net::ip::{self, RouteTable};
+use plexus_net::link::{Interface, LinkHost};
 use plexus_net::mbuf::Mbuf;
 use plexus_net::testbed::Host;
 
@@ -124,7 +122,8 @@ impl StackConfig {
     }
 }
 
-/// Counters the stack keeps (beyond the dispatcher's own).
+/// Counters the stack keeps (beyond the dispatcher's own): the driver
+/// glue's, then its [`Interface`]'s.
 #[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
 pub struct StackStats {
     /// Frames delivered to `Ethernet.PacketRecv`.
@@ -211,22 +210,17 @@ impl PortTable {
 
 /// Shared stack state, reachable from every installed handler.
 pub(crate) struct StackShared {
-    pub(crate) cpu: Rc<Cpu>,
-    pub(crate) nic: Rc<Nic>,
+    /// The NIC, addresses and L2/L3 state; the ARP, IP and ICMP nodes and
+    /// both `PacketSend` handlers run its one path.
+    pub(crate) link: Interface,
     pub(crate) dispatcher: Rc<Dispatcher>,
     pub(crate) mode: DispatchMode,
-    pub(crate) ip: Ipv4Addr,
-    pub(crate) mac: MacAddr,
     pub(crate) ext_time_limit: Option<SimDuration>,
-    routes: RouteTable,
     pub(crate) events: StackEvents,
-    arp: RefCell<ArpCache>,
-    /// Additional local addresses (e.g. a load-balancer VIP a backend
-    /// accepts after DSR-style redirection, §5.2).
-    ip_aliases: RefCell<HashSet<Ipv4Addr>>,
-    reasm: RefCell<Reassembler>,
-    ip_ident: ip::Ident,
-    pub(crate) stats: Cell<StackStats>,
+    /// The driver glue's counters, frames accepted and filtered;
+    /// [`PlexusStack::stats`] adds the interface's.
+    eth_rx: Cell<u64>,
+    eth_filtered: Cell<u64>,
     ext_domain: Domain,
     /// What the extensions hold, by handler (so in install order): which
     /// handler, who, and what. Written by [`StackShared::install_held`]
@@ -252,12 +246,6 @@ pub(crate) struct StackShared {
 }
 
 impl StackShared {
-    pub(crate) fn bump<F: FnOnce(&mut StackStats)>(&self, f: F) {
-        let mut s = self.stats.get();
-        f(&mut s);
-        self.stats.set(s);
-    }
-
     /// Installs a protocol-layer handler per the stack's dispatch mode.
     /// `owner` names the protection domain the handler runs for, so the
     /// flight recorder can attribute work per-domain.
@@ -436,122 +424,53 @@ impl StackShared {
         let stamped = stamp.and_then(|journey| {
             let rec = lease.recorder_handle()?;
             let at = lease.now().as_nanos();
-            self.nic.record_arrival(&rec, at, frame.len(), journey);
+            self.link.nic.record_arrival(&rec, at, frame.len(), journey);
             Some(rec)
         });
         lease.charge(rx_cost);
-        if ether::accept(frame, self.mac, self.promiscuous.get()).is_some() {
-            self.bump(|st| st.eth_rx += 1);
+        if ether::accept(frame, self.link.mac(), self.promiscuous.get()).is_some() {
+            self.eth_rx.set(self.eth_rx.get() + 1);
             let mut mbuf = Mbuf::from_wire(frame);
             mbuf.pkthdr_mut().rcvif = Some(0);
             mbuf.pkthdr_mut().packet_id = lease.recorder().and_then(|r| r.current_packet());
             mbuf.pkthdr_mut().journey_id = lease.recorder().and_then(|r| r.current_journey());
             batch.raise(&mut RaiseCtx { engine, lease }, &EthRecv { mbuf });
         } else {
-            self.bump(|st| st.eth_filtered += 1);
+            self.eth_filtered.set(self.eth_filtered.get() + 1);
             lease.record_drop("ether", "mac_filter");
         }
         if let Some(rec) = stamped {
             rec.packet_done();
         }
     }
+}
 
-    /// The full IP send path: header, next hop, fragments, each handed to
-    /// [`StackShared::link_output`]. Runs on the caller's CPU lease.
-    pub(crate) fn ip_output(self: &Rc<Self>, ctx: &mut RaiseCtx<'_>, req: &IpSendReq) {
-        let ip_proc = ctx.lease.model().ip_proc;
-        ctx.lease.charge(ip_proc);
-        self.bump(|s| s.ip_tx += 1);
-        let hdr = IpHeader::simple(req.src, req.dst, req.protocol, self.ip_ident.take());
-        let Some(hop) = self.routes.hop(req.dst) else {
-            self.bump(|s| s.no_route += 1);
-            ctx.lease.record_drop("ip", "no_route");
-            return;
-        };
-        for dgram in ip::datagrams(&hdr, &req.payload, self.nic.profile().mtu) {
-            self.link_output(ctx, hop, dgram);
-        }
+/// Plexus's structure around the one L2/L3 path: a datagram goes down by
+/// raising `Ip.PacketSend`, a frame by raising `Ethernet.PacketSend`.
+impl LinkHost for StackShared {
+    fn link(&self) -> &Interface {
+        &self.link
     }
 
-    /// Sends one datagram to `hop`: an ARP lookup, then whatever the cache
-    /// says goes on the wire now (the datagram, or the who-has it is parked
-    /// behind) through `Ethernet.PacketSend`.
-    pub(crate) fn link_output(self: &Rc<Self>, ctx: &mut RaiseCtx<'_>, hop: Hop, dgram: Mbuf) {
-        let Hop::Via(hop) = hop else {
-            let frame = Frame {
-                dst: MacAddr::BROADCAST,
-                ethertype: EtherType::IPV4,
-                packet: dgram,
-            };
-            self.raise_eth_send(ctx, &frame);
-            return;
-        };
-        let arp_lookup = ctx.lease.model().arp_lookup;
-        ctx.lease.charge(arp_lookup);
-        let now = ctx.lease.now().as_nanos();
-        let resolved = self.arp.borrow_mut().resolve(hop, now, dgram);
-        if let Some(frame) = resolved.frame() {
-            self.raise_eth_send(ctx, frame);
-        }
-        match resolved {
-            Resolve::Send(_) => {}
-            Resolve::ParkedAsk(_) => {
-                self.bump(|s| s.arp_queued += 1);
-                self.schedule_arp_retry(ctx.engine, hop, now, 1);
-            }
-            Resolve::ParkedQuiet => self.bump(|s| s.arp_queued += 1),
-            Resolve::Refused => ctx.lease.record_drop("arp", "arp_queue_full"),
-        }
-    }
-
-    /// Repeats the who-has first sent at `asked_ns` twice at one-second
-    /// intervals, then abandons the resolution — lost ARP replies must not
-    /// strand packets (and their senders) forever.
-    fn schedule_arp_retry(
+    fn send_ip(
         self: &Rc<Self>,
-        engine: &mut Engine,
-        hop: Ipv4Addr,
-        asked_ns: u64,
-        attempt: u32,
+        ctx: &mut RaiseCtx<'_>,
+        src: Ipv4Addr,
+        dst: Ipv4Addr,
+        protocol: u8,
+        payload: Mbuf,
     ) {
-        let me = self.clone();
-        engine.schedule_in(SimDuration::from_secs(1), move |eng| {
-            if me.arp.borrow().asked_at(hop) != Some(asked_ns) {
-                return; // Answered, or abandoned and asked afresh, in the meantime.
-            }
-            if attempt >= 3 {
-                me.arp.borrow_mut().abandon(hop);
-                me.bump(|s| s.arp_failures += 1);
-                if let Some(rec) = eng.recorder() {
-                    rec.packet_drop(eng.now().as_nanos(), "arp", "resolution_failed");
-                }
-                return;
-            }
-            let mut lease = me.cpu.begin(eng.now());
-            let mut ctx = RaiseCtx {
-                engine: eng,
-                lease: &mut lease,
-            };
-            let request = me.arp.borrow().request(hop);
-            me.raise_eth_send(&mut ctx, &request);
-            let eng = ctx.engine;
-            me.schedule_arp_retry(eng, hop, asked_ns, attempt + 1);
-        });
-    }
-
-    /// True if `dst` is one of this host's addresses (or broadcast).
-    pub(crate) fn is_local_ip(&self, dst: Ipv4Addr) -> bool {
-        dst == self.ip || dst == Ipv4Addr::BROADCAST || self.ip_aliases.borrow().contains(&dst)
-    }
-
-    pub(crate) fn raise_eth_send(self: &Rc<Self>, ctx: &mut RaiseCtx<'_>, frame: &Frame) {
-        self.dispatcher.raise(ctx, self.events.eth_send, frame);
-    }
-
-    /// Raises `Ip.PacketSend` — the entry point managers use after stamping
-    /// the legitimate source (§3.1).
-    pub(crate) fn raise_ip_send(self: &Rc<Self>, ctx: &mut RaiseCtx<'_>, req: IpSendReq) {
+        let req = IpSendReq {
+            src,
+            dst,
+            protocol,
+            payload,
+        };
         self.dispatcher.raise(ctx, self.events.ip_send, &req);
+    }
+
+    fn send_frame(&self, ctx: &mut RaiseCtx<'_>, frame: &Frame) {
+        self.dispatcher.raise(ctx, self.events.eth_send, frame);
     }
 }
 
@@ -587,21 +506,16 @@ impl PlexusStack {
         ext_domain.add_interface("TCP", &["Listen", "Connect", "Send", "Close", "Redirect"]);
         ext_domain.add_interface("ICMP", &["Ping"]);
 
+        let link = Interface::new(machine.cpu(), nic, config.ip, config.mac);
+        link.set_routes(config.routes);
         let shared = Rc::new(StackShared {
-            cpu: machine.cpu().clone(),
-            nic: nic.clone(),
+            link,
             dispatcher: dispatcher.clone(),
             mode: config.mode,
-            ip: config.ip,
-            mac: config.mac,
             ext_time_limit: config.ext_time_limit,
-            routes: config.routes,
             events,
-            arp: RefCell::new(ArpCache::new(config.ip, config.mac)),
-            ip_aliases: RefCell::new(HashSet::new()),
-            reasm: RefCell::new(Reassembler::new()),
-            ip_ident: ip::Ident::starting_at(1),
-            stats: Cell::new(StackStats::default()),
+            eth_rx: Cell::new(0),
+            eth_filtered: Cell::new(0),
             ext_domain,
             held: RefCell::default(),
             releases: Cell::new(0),
@@ -616,15 +530,12 @@ impl PlexusStack {
         } else {
             Self::driver_glue(&shared)
         };
-        shared.nic.attach(if config.tx_doorbell {
+        nic.attach(if config.tx_doorbell {
             driver.doorbell()
         } else {
             driver
         });
-        Self::install_eth_output(&shared);
-        Self::install_arp(&shared);
-        Self::install_ip(&shared);
-        Self::install_icmp(&shared);
+        Self::install_l2_l3(&shared);
         let udp = UdpManager::install(&shared);
         let tcp = TcpManager::install(&shared);
 
@@ -658,9 +569,9 @@ impl PlexusStack {
     fn driver_glue(shared: &Rc<StackShared>) -> DriverConfig {
         let s = shared.clone();
         DriverConfig::per_frame(move |engine, frame| {
-            let mut lease = s.cpu.begin(engine.now());
+            let mut lease = s.link.cpu.begin(engine.now());
             lease.charge(lease.model().interrupt_entry);
-            let rx_cost = s.nic.profile().rx_cpu_cost(frame.len());
+            let rx_cost = s.link.nic.profile().rx_cpu_cost(frame.len());
             let mut batch = s.dispatcher.batch(s.events.eth_recv);
             s.rx_frame(engine, &mut lease, &mut batch, frame, rx_cost, None);
             lease.charge(lease.model().interrupt_exit);
@@ -677,12 +588,11 @@ impl PlexusStack {
     fn driver_glue_coalesced(shared: &Rc<StackShared>) -> DriverConfig {
         let s = shared.clone();
         DriverConfig::coalesced(move |engine, frames| {
-            let mut lease = s.cpu.begin(engine.now());
+            let mut lease = s.link.cpu.begin(engine.now());
             lease.charge(lease.model().interrupt_entry);
             let mut batch = s.dispatcher.batch(s.events.eth_recv);
             for (i, frame) in frames.iter().enumerate() {
-                let rx_cost = s
-                    .nic
+                let rx_cost = (s.link.nic)
                     .profile()
                     .rx_cpu_cost_coalesced(frame.bytes.len(), i == 0);
                 let stamp = Some(frame.journey);
@@ -693,138 +603,63 @@ impl PlexusStack {
         })
     }
 
-    /// `Ethernet.PacketSend`: prepend the link header, pay the driver TX
-    /// submission cost (full per-frame, or amortized under an open
-    /// doorbell — [`plexus_sim::nic::Nic::tx_cpu_charge`] decides), and
-    /// hand the mbuf chain to the adapter for the scatter-gather DMA —
-    /// the frame is never flattened on its way out.
-    fn install_eth_output(shared: &Rc<StackShared>) {
+    /// The graph's link and IP nodes over [`Interface`]'s one path:
+    /// `Ethernet.PacketSend` is link tx; ARP and IP are guarded nodes on
+    /// `Ethernet.PacketRecv` and ICMP one on `Ip.PacketRecv`;
+    /// `Ip.PacketSend` is IP output. The IP node charges no `eth_proc`
+    /// (the ARP node does): ROADMAP item 8.
+    fn install_l2_l3(shared: &Rc<StackShared>) {
+        let ether_guard = |ethertype| {
+            Guard::verified(guards::build_bounded(
+                guards::ether_type_program(ethertype, None),
+                &Policy::new(),
+                guards::ETHER_GUARD_CYCLES,
+            ))
+        };
+        let (s, events) = (shared.clone(), &shared.events);
+        let tx = move |ctx: &mut RaiseCtx<'_>, frame: &Frame| s.link.transmit(ctx, frame);
+        shared.install_send(events.eth_send, tx);
+
         let s = shared.clone();
-        shared.install_send(shared.events.eth_send, move |ctx, req: &Frame| {
+        let arp = move |ctx: &mut RaiseCtx<'_>, ev: &EthRecv| {
             ctx.lease.charge(ctx.lease.model().eth_proc);
-            let mut frame = req.packet.share();
-            let hdr = frame.prepend(ETHER_HDR_LEN);
-            ether::write_header(hdr, req.dst, s.mac, req.ethertype);
-            let len = frame.total_len();
-            ctx.lease.charge(s.nic.tx_cpu_charge(ctx.lease.now(), len));
-            let ready = ctx.lease.now();
-            s.nic.transmit(ctx.engine, ready, &frame);
-        });
-    }
+            s.arp_input(ctx, &ev.mbuf.to_vec()[ETHER_HDR_LEN..]);
+        };
+        shared.install_layer(events.eth_recv, ether_guard(EtherType::ARP), arp, "arp");
 
-    fn install_arp(shared: &Rc<StackShared>) {
         let s = shared.clone();
-        let guard = Guard::verified(guards::build_bounded(
-            guards::ether_type_program(EtherType::ARP, None),
-            &Policy::new(),
-            guards::ETHER_GUARD_CYCLES,
-        ));
-        shared.install_layer(
-            shared.events.eth_recv,
-            guard,
-            move |ctx, ev: &EthRecv| {
-                ctx.lease.charge(ctx.lease.model().eth_proc);
-                let bytes = ev.mbuf.to_vec();
-                let now = ctx.lease.now().as_nanos();
-                let input = s.arp.borrow_mut().input(&bytes[ETHER_HDR_LEN..], now);
-                let Some(input) = input else {
-                    return;
+        let ip = move |ctx: &mut RaiseCtx<'_>, ev: &EthRecv| {
+            let mut pkt = ev.mbuf.share();
+            pkt.trim_front(ETHER_HDR_LEN);
+            if let Some((header, payload)) = s.link.ip_input(ctx.lease, &pkt) {
+                let arg = IpRecv {
+                    src: header.src,
+                    dst: header.dst,
+                    protocol: header.protocol,
+                    payload,
+                    header,
                 };
-                if input.reply.is_some() {
-                    s.bump(|st| st.arp_replies += 1);
-                }
-                for frame in input.frames() {
-                    s.raise_eth_send(ctx, &frame);
-                }
-            },
-            "arp",
-        );
-    }
-
-    /// The standard IP implementation: validate, reassemble, raise
-    /// `Ip.PacketRecv`; plus the `Ip.PacketSend` output handler.
-    fn install_ip(shared: &Rc<StackShared>) {
+                s.dispatcher.raise(ctx, s.events.ip_recv, &arg);
+            }
+        };
+        shared.install_layer(events.eth_recv, ether_guard(EtherType::IPV4), ip, "ip");
         let s = shared.clone();
-        let guard = Guard::verified(guards::build_bounded(
-            guards::ether_type_program(EtherType::IPV4, None),
-            &Policy::new(),
-            guards::ETHER_GUARD_CYCLES,
-        ));
-        shared.install_layer(
-            shared.events.eth_recv,
-            guard,
-            move |ctx, ev: &EthRecv| {
-                ctx.lease.charge(ctx.lease.model().ip_proc);
-                let mut pkt = ev.mbuf.share();
-                pkt.trim_front(ETHER_HDR_LEN);
-                let now = ctx.lease.now().as_nanos();
-                let mut reasm = s.reasm.borrow_mut();
-                let evicted = reasm.evicted();
-                let verdict = reasm.input(&pkt, now, |dst| s.is_local_ip(dst));
-                for _ in evicted..reasm.evicted() {
-                    ctx.lease.record_drop("ip", "ip_reassembly_full");
-                }
-                drop(reasm);
-                let reason = match verdict {
-                    Verdict::Deliver(hdr, payload) => {
-                        s.bump(|st| st.ip_rx += 1);
-                        let arg = IpRecv {
-                            src: hdr.src,
-                            dst: hdr.dst,
-                            protocol: hdr.protocol,
-                            payload,
-                            header: hdr,
-                        };
-                        s.dispatcher.raise(ctx, s.events.ip_recv, &arg);
-                        return;
-                    }
-                    Verdict::Runt => return,
-                    Verdict::NotLocal => "not_local",
-                    Verdict::BadOrFragment => "bad_or_fragment",
-                };
-                s.bump(|st| st.ip_dropped += 1);
-                ctx.lease.record_drop("ip", reason);
-            },
-            "ip",
-        );
-
-        let s = shared.clone();
-        shared.install_send(shared.events.ip_send, move |ctx, req: &IpSendReq| {
-            s.ip_output(ctx, req);
+        shared.install_send(events.ip_send, move |ctx, req: &IpSendReq| {
+            s.ip_output(ctx, req.src, req.dst, req.protocol, &req.payload);
         });
-    }
 
-    fn install_icmp(shared: &Rc<StackShared>) {
         let s = shared.clone();
-        let guard = Guard::verified(guards::build_bounded(
+        let icmp_guard = Guard::verified(guards::build_bounded(
             guards::transport_over_ip(ip::proto::ICMP, None, None, vec![]),
             &Policy::new(),
             guards::TRANSPORT_GUARD_CYCLES,
         ));
-        shared.install_layer(
-            shared.events.ip_recv,
-            guard,
-            move |ctx, ev: &IpRecv| {
-                let bytes = ev.payload.to_vec();
-                ctx.lease.charge(ctx.lease.model().checksum(bytes.len()));
-                let Some(payload) = icmp::echo_response(&bytes) else {
-                    return;
-                };
-                s.bump(|st| st.icmp_echoes += 1);
-                ctx.lease
-                    .charge(ctx.lease.model().checksum(payload.total_len()));
-                s.raise_ip_send(
-                    ctx,
-                    IpSendReq {
-                        src: s.ip,
-                        dst: ev.src,
-                        protocol: ip::proto::ICMP,
-                        payload,
-                    },
-                );
-            },
-            "icmp",
-        );
+        let icmp = move |ctx: &mut RaiseCtx<'_>, ev: &IpRecv| {
+            let bytes = ev.payload.to_vec();
+            ctx.lease.charge(ctx.lease.model().checksum(bytes.len()));
+            s.echo(ctx, ev.src, &bytes);
+        };
+        shared.install_layer(events.ip_recv, icmp_guard, icmp, "icmp");
     }
 
     /// The machine this stack runs on.
@@ -834,12 +669,12 @@ impl PlexusStack {
 
     /// This stack's IP address.
     pub fn ip(&self) -> Ipv4Addr {
-        self.shared.ip
+        self.shared.link.ip()
     }
 
     /// This stack's MAC address.
     pub fn mac(&self) -> MacAddr {
-        self.shared.mac
+        self.shared.link.mac()
     }
 
     /// The stack's dispatcher (for inspection in tests/benches).
@@ -849,7 +684,19 @@ impl PlexusStack {
 
     /// Stack counters.
     pub fn stats(&self) -> StackStats {
-        self.shared.stats.get()
+        let l = self.shared.link.stats();
+        StackStats {
+            eth_rx: self.shared.eth_rx.get(),
+            eth_filtered: self.shared.eth_filtered.get(),
+            ip_rx: l.ip_rx,
+            ip_dropped: l.ip_dropped,
+            ip_tx: l.ip_tx,
+            icmp_echoes: l.icmp_echoes,
+            arp_replies: l.arp_replies,
+            arp_queued: l.arp_queued,
+            no_route: l.no_route,
+            arp_failures: l.arp_failures,
+        }
     }
 
     /// Renders the live protocol graph — Figure 1 as the kernel actually
@@ -859,7 +706,8 @@ impl PlexusStack {
         let mut out = String::new();
         out.push_str(&format!(
             "protocol graph on {} ({}):\n",
-            self.shared.ip, self.shared.mac
+            self.shared.link.ip(),
+            self.shared.link.mac()
         ));
         for ev in self.shared.dispatcher.event_summary() {
             out.push_str(&format!(
@@ -930,7 +778,7 @@ impl PlexusStack {
                 "EtherType belongs to the system protocol stack",
             ));
         }
-        let my_mac = self.shared.mac;
+        let my_mac = self.shared.link.mac();
         // The guard is manager-built *and* policy-checked: the verifier
         // proves it only accepts the claimed EtherType addressed to this
         // host, so the extension provably cannot snoop (§3.1).
@@ -965,7 +813,7 @@ impl PlexusStack {
         ethertype: EtherType,
         payload: &[u8],
     ) -> Result<(), PlexusError> {
-        let mut lease = self.shared.cpu.begin(engine.now());
+        let mut lease = self.shared.link.cpu.begin(engine.now());
         let mut ctx = RaiseCtx {
             engine,
             lease: &mut lease,
@@ -993,7 +841,7 @@ impl PlexusStack {
             ethertype,
             packet: Mbuf::from_payload(ETHER_HDR_LEN, payload),
         };
-        self.shared.raise_eth_send(ctx, &frame);
+        self.shared.send_frame(ctx, &frame);
         Ok(())
     }
 
@@ -1003,49 +851,25 @@ impl PlexusStack {
     /// source address is stamped with this host's own (the managers'
     /// Overwrite anti-spoofing policy applies here too).
     pub fn send_raw_ip(&self, ctx: &mut RaiseCtx<'_>, dst: Ipv4Addr, protocol: u8, payload: Mbuf) {
-        self.shared.raise_ip_send(
-            ctx,
-            IpSendReq {
-                src: self.shared.ip,
-                dst,
-                protocol,
-                payload,
-            },
-        );
+        (self.shared).send_ip(ctx, self.shared.link.ip(), dst, protocol, payload);
     }
 
     /// Sends an ICMP echo request (used by examples/tests).
     pub fn ping(&self, engine: &mut Engine, dst: Ipv4Addr, ident: u16, seq: u16, data: &[u8]) {
-        let msg = IcmpMessage::echo_request(ident, seq, data);
-        let payload = Mbuf::from_payload(64, &msg.to_bytes());
-        let mut lease = self.shared.cpu.begin(engine.now());
-        lease.charge(lease.model().checksum(payload.total_len()));
-        let mut ctx = RaiseCtx {
-            engine,
-            lease: &mut lease,
-        };
-        self.shared.raise_ip_send(
-            &mut ctx,
-            IpSendReq {
-                src: self.shared.ip,
-                dst,
-                protocol: ip::proto::ICMP,
-                payload,
-            },
-        );
+        self.shared.ping(engine, dst, ident, seq, data);
     }
 
     /// Pre-seeds the ARP cache (lets latency benches measure steady-state
     /// round trips, as the paper's do).
     pub fn seed_arp(&self, ip: Ipv4Addr, mac: MacAddr) {
-        self.shared.arp.borrow_mut().learn(ip, mac, 0);
+        self.shared.link.seed_arp(ip, mac);
     }
 
     /// Adds a local IP alias (privileged): the stack accepts datagrams for
     /// `ip` as its own. Used by a redirection target to take over the
     /// forwarder's address (§5.2) while preserving end-to-end semantics.
     pub fn add_ip_alias(&self, ip: Ipv4Addr) {
-        self.shared.ip_aliases.borrow_mut().insert(ip);
+        self.shared.link.add_alias(ip);
     }
 
     /// Enables promiscuous delivery on the driver glue. Only the privileged

@@ -20,13 +20,14 @@ use plexus_filter::{conjunction, EventKind, Field, FieldKey, Operand, Policy, Te
 use plexus_kernel::dispatcher::{Guard, HandlerId, RaiseCtx};
 use plexus_kernel::domain::LinkedExtension;
 use plexus_net::ip::{self, encapsulate as ip_encapsulate, proto, Hop, IpHeader};
+use plexus_net::link::LinkHost;
 use plexus_net::mbuf::Mbuf;
 use plexus_net::tcp::{ConnIds, Tcb, TcpHost, TcpSegment};
 use plexus_sim::{Cpu, Engine};
 
 use crate::guards;
 use crate::stack::{Hold, StackShared};
-use crate::types::{IpRecv, IpSendReq, PlexusError, TcpRecv};
+use crate::types::{IpRecv, PlexusError, TcpRecv};
 
 pub use plexus_net::tcp::{ConnCallback, DataCallback, TcpCallbacks, TcpConn};
 
@@ -193,9 +194,9 @@ impl TcpManager {
         let key = (port, remote.0, remote.1);
         let now = engine.now().as_nanos();
         let iss = self.ids.next_iss();
-        let (tcb, actions) = Tcb::connect((self.shared.ip, port), remote, iss, now);
-        let conn = self.register(key, self.shared.ip, tcb);
-        let lease = &mut self.shared.cpu.begin(engine.now());
+        let (tcb, actions) = Tcb::connect((self.shared.link.ip(), port), remote, iss, now);
+        let conn = self.register(key, self.shared.link.ip(), tcb);
+        let lease = &mut self.shared.link.cpu.begin(engine.now());
         conn.apply(&mut RaiseCtx { engine, lease }, actions);
         Ok(conn)
     }
@@ -206,7 +207,7 @@ impl TcpManager {
         // When the adapter advertises segmentation offload, let the state
         // machine emit super-segments; the connection resegments them at
         // wire MSS on the way to the driver.
-        let tso = self.shared.nic.profile().tso_segs;
+        let tso = self.shared.link.nic.profile().tso_segs;
         if tso > 1 {
             tcb.set_gso_segs(tso);
         }
@@ -304,7 +305,7 @@ impl TcpManager {
             // hand it to the target's link address.
             let hdr = IpHeader::simple(ev.src, ev.dst, proto::TCP, ident.take());
             let dgram = ip_encapsulate(&hdr, ev.payload.share());
-            shared.link_output(ctx, Hop::Via(new_dst), dgram);
+            shared.output(ctx, Hop::Via(new_dst), dgram);
         })
     }
 }
@@ -314,7 +315,7 @@ impl TcpManager {
 /// delivery), and the connection's handler uninstalled when it closes.
 impl TcpHost for TcpManager {
     fn cpu(&self) -> &Rc<Cpu> {
-        &self.shared.cpu
+        &self.shared.link.cpu
     }
 
     fn csum_offload(&self) -> bool {
@@ -322,13 +323,7 @@ impl TcpHost for TcpManager {
     }
 
     fn output(&self, ctx: &mut RaiseCtx<'_>, src: Ipv4Addr, dst: Ipv4Addr, payload: Mbuf) {
-        let req = IpSendReq {
-            src,
-            dst,
-            protocol: proto::TCP,
-            payload,
-        };
-        self.shared.raise_ip_send(ctx, req);
+        self.shared.send_ip(ctx, src, dst, proto::TCP, payload);
     }
 
     fn unregister(&self, conn: &TcpConn) {

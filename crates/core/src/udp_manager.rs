@@ -30,13 +30,14 @@ use plexus_kernel::ephemeral::Ephemeral;
 use plexus_net::checksum::incremental_update;
 use plexus_net::icmp;
 use plexus_net::ip::proto;
+use plexus_net::link::LinkHost;
 use plexus_net::mbuf::Mbuf;
 use plexus_net::udp::{self, Endpoint, UdpConfig};
 use plexus_sim::{Cpu, Engine};
 
 use crate::guards;
 use crate::stack::{Hold, StackShared};
-use crate::types::{AppHandler, IpRecv, IpSendReq, PlexusError, SourcePolicy, UdpRecv};
+use crate::types::{AppHandler, IpRecv, PlexusError, SourcePolicy, UdpRecv};
 
 /// The UDP protocol manager for one stack.
 pub struct UdpManager {
@@ -97,15 +98,7 @@ impl UdpManager {
                     let reply = icmp::unreachable(3, &ev.header, &ev.payload);
                     ctx.lease
                         .charge(ctx.lease.model().checksum(reply.total_len()));
-                    s.raise_ip_send(
-                        ctx,
-                        IpSendReq {
-                            src: s.ip,
-                            dst: ev.src,
-                            protocol: proto::ICMP,
-                            payload: reply,
-                        },
-                    );
+                    s.send_ip(ctx, s.link.ip(), ev.src, proto::ICMP, reply);
                 }
             },
             "udp",
@@ -141,7 +134,7 @@ impl UdpManager {
         config: UdpConfig,
         handler: AppHandler<UdpRecv>,
     ) -> Result<Rc<UdpEndpoint>, PlexusError> {
-        let (shared, my_ip) = (&self.shared, self.shared.ip);
+        let (shared, my_ip) = (&self.shared, self.shared.link.ip());
         let handler_id = if config == UdpConfig::default() {
             // Endpoint node on Udp.PacketRecv. The policy makes the §3.1
             // anti-snooping argument a machine-checked theorem: the program
@@ -219,7 +212,7 @@ impl UdpManager {
         port: u16,
         new_dst: Ipv4Addr,
     ) -> Result<HandlerId, PlexusError> {
-        let (shared, old_dst) = (&self.shared, self.shared.ip);
+        let (shared, old_dst) = (&self.shared, self.shared.link.ip());
         shared.install_held(ext, shared.events.ip_recv, Hold::UdpSpecial(port), || {
             let policy = Policy::new()
                 .require_eq(FieldKey::Field(Field::IpProto), u64::from(proto::UDP))
@@ -241,15 +234,8 @@ impl UdpManager {
                 ctx.lease.charge(ctx.lease.model().proc_call);
                 let mut fixed = ev.payload.share();
                 fix_udp_checksum_for_dst(&mut fixed, old_dst, new_dst);
-                s.raise_ip_send(
-                    ctx,
-                    IpSendReq {
-                        src: ev.src, // Preserved: end-to-end semantics hold.
-                        dst: new_dst,
-                        protocol: proto::UDP,
-                        payload: fixed,
-                    },
-                );
+                // The source is preserved: end-to-end semantics hold.
+                s.send_ip(ctx, ev.src, new_dst, proto::UDP, fixed);
             });
             (Guard::verified(guard), redirector)
         })
@@ -362,7 +348,7 @@ impl UdpEndpoint {
         payload: &[u8],
         policy: SourcePolicy,
     ) -> Result<(), PlexusError> {
-        if policy == SourcePolicy::Verify && claimed_src != self.manager.shared.ip {
+        if policy == SourcePolicy::Verify && claimed_src != self.manager.shared.link.ip() {
             self.manager
                 .spoofs_blocked
                 .set(self.manager.spoofs_blocked.get() + 1);
@@ -384,11 +370,11 @@ impl Endpoint for UdpEndpoint {
     type Error = PlexusError;
 
     fn cpu(&self) -> &Rc<Cpu> {
-        &self.manager.shared.cpu
+        &self.manager.shared.link.cpu
     }
 
     fn local(&self) -> (Ipv4Addr, u16, UdpConfig) {
-        (self.manager.shared.ip, self.port, self.config)
+        (self.manager.shared.link.ip(), self.port, self.config)
     }
 
     fn csum_offload(&self) -> bool {
@@ -406,13 +392,7 @@ impl Endpoint for UdpEndpoint {
 
     fn output(&self, ctx: &mut RaiseCtx<'_>, dst: Ipv4Addr, dgram: Mbuf) {
         let shared = &self.manager.shared;
-        let req = IpSendReq {
-            src: shared.ip,
-            dst,
-            protocol: proto::UDP,
-            payload: dgram,
-        };
-        shared.raise_ip_send(ctx, req);
+        shared.send_ip(ctx, shared.link.ip(), dst, proto::UDP, dgram);
     }
 }
 

@@ -361,8 +361,9 @@ fn cold_far_side() -> ColdFarSide {
 
 #[test]
 fn a_lost_arp_reply_does_not_strand_the_routers_queue() {
-    // The router has no ARP retry timer: one who-has eaten by the far
-    // segment must not park every later datagram for that hop forever.
+    // The router runs the shared ARP policy: once the who-has the far
+    // segment eats has been re-asked and abandoned, a later datagram for
+    // that hop asks afresh instead of parking forever.
     use plexus_sim::nic::FaultInjector;
     let mut t = cold_far_side();
     t.seg2.set_faults(FaultInjector::new(1.0, 0.0, 5));
@@ -391,9 +392,10 @@ fn the_routers_arp_queue_is_bounded() {
     use plexus_net::arp::MAX_PARKED_PER_HOP;
     use plexus_sim::nic::FaultInjector;
     // While the far segment eats the router's who-has, a burst well past
-    // the cap arrives for one hop. Then the hop itself speaks (its own
-    // who-has for the gateway teaches the router its MAC): exactly the
-    // cap's worth comes out, oldest first.
+    // the cap arrives for one hop. Then, before the first re-ask at 1 s,
+    // the segment heals and the hop itself speaks (its own who-has for the
+    // gateway teaches the router its MAC): exactly the cap's worth comes
+    // out, oldest first.
     let mut t = cold_far_side();
     t.seg2.set_faults(FaultInjector::new(1.0, 0.0, 5));
     for k in 0..MAX_PARKED_PER_HOP + 9 {
@@ -401,7 +403,7 @@ fn the_routers_arp_queue_is_bounded() {
             .send(t.world.engine_mut(), net2(2), 7, &[k as u8])
             .unwrap();
     }
-    t.world.run();
+    t.world.run_for(SimDuration::from_millis(500));
     t.seg2.set_faults(FaultInjector::none());
     t.host_b.ping(t.world.engine_mut(), net2(1), 1, 1, b"hello");
     t.world.run();
@@ -436,4 +438,59 @@ fn a_header_longer_than_its_datagram_is_a_bad_header() {
     t.nic_a.transmit(t.world.engine_mut(), at, &frame[..]);
     t.world.run();
     assert_eq!(t.router.stats().bad_header, 1);
+}
+
+#[test]
+fn the_routers_losses_are_named_as_the_hosts_name_theirs() {
+    // A datagram for a subnet the router has no route to, a TTL-1 one and
+    // one whose header checksum is off: each is counted, and each is a
+    // drop record with the reason a host gives it (layer `ip`).
+    use plexus_net::ether::{write_header, EtherType};
+    use plexus_net::ip::{encapsulate, proto, IpHeader};
+    use plexus_net::mbuf::Mbuf;
+    use plexus_trace::{CounterKey, Recorder, Scope};
+    let mut t = build(NicProfile::ethernet_lance(), NicProfile::ethernet_lance());
+    let rec = Recorder::new(1024);
+    t.world.install_recorder(&rec);
+    let to_router = |dst, ttl, bend: bool| {
+        let hdr = IpHeader {
+            ttl,
+            ..IpHeader::simple(net1(2), dst, proto::UDP, 5)
+        };
+        let mut dgram = encapsulate(&hdr, Mbuf::from_payload(64, b"lost"));
+        if bend {
+            dgram.write_at(10, &[0, 0]);
+        }
+        write_header(
+            dgram.prepend(14),
+            MacAddr::local(101),
+            MacAddr::local(1),
+            EtherType::IPV4,
+        );
+        dgram
+    };
+    let far_subnet = Ipv4Addr::new(10, 0, 3, 9);
+    for frame in [
+        to_router(far_subnet, 64, false),
+        to_router(net2(2), 1, false),
+        to_router(net2(2), 64, true),
+    ] {
+        let at = t.world.engine().now();
+        t.nic_a.transmit(t.world.engine_mut(), at, &frame);
+        t.world.run();
+    }
+    let stats = t.router.stats();
+    assert_eq!(
+        (stats.no_route, stats.ttl_expired, stats.bad_header),
+        (1, 1, 1)
+    );
+    assert_eq!(stats.forwarded, 0);
+    for reason in ["no_route", "ttl_expired", "ip_bad_header"] {
+        let key = CounterKey {
+            scope: Scope::Drop,
+            label: rec.intern(reason),
+            metric: "count",
+        };
+        assert_eq!(rec.registry().get(key), 1, "{reason}");
+    }
 }

@@ -1,6 +1,6 @@
 //! The verifier's one abstract interpretation over the filter IR.
 //!
-//! [`interpret`] runs a structurally checked program on abstract values
+//! `interpret` runs a structurally checked program on abstract values
 //! instead of packets. Control flow is forward-only, so the CFG is a DAG
 //! and one in-order pass *is* the fixpoint: by the time `pc` is visited
 //! every predecessor has contributed its state, and no state is revisited.

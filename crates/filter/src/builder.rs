@@ -134,7 +134,7 @@ fn off(at: usize, target: usize) -> u16 {
 /// Panics on malformed input (an `In` test with no values, or a `set` id
 /// with no backing entry) — these are builder-usage bugs, not packet-time
 /// conditions. A test list too long for the IR still builds, into a
-/// program [`crate::verify`] rejects as `TooLong`.
+/// program [`crate::verify()`] rejects as `TooLong`.
 pub fn conjunction(kind: EventKind, tests: &[Test], sets: Vec<PortSet>) -> FilterProgram {
     conjunction_stateful(kind, tests, sets, Vec::new(), 0)
 }

@@ -1,8 +1,8 @@
 //! Install-time guard compilation: the fused, direct-threaded tier.
 //!
-//! After [`crate::verify`] accepts a program, [`compile`] lowers the IR
+//! After [`crate::verify()`] accepts a program, `compile` lowers the IR
 //! into a flat array of pre-resolved op thunks (threaded code): every
-//! instruction becomes one [`Op`] that already knows its operands —
+//! instruction becomes one `Op` that already knows its operands —
 //! immediates folded, payload load ranges pre-computed, port sets and
 //! state maps resolved to their shared handles, branch targets resolved
 //! to op indices — so evaluation is a tight dispatch loop with no
@@ -21,7 +21,7 @@
 //!
 //! A third pass forms *superinstructions*: a maximal fall-through run of
 //! fused load-compares (the shape every conjunction compiles to) is
-//! collapsed into a single [`Op::Run`] evaluated by a homogeneous inner
+//! collapsed into a single `Op::Run` evaluated by a homogeneous inner
 //! loop. A whole `a == x && b == y && …` guard then costs one dispatch
 //! — the per-op indirect branch, the dominant cost of any threaded
 //! interpreter, is paid once per conjunction instead of once per test.
@@ -53,7 +53,7 @@ use crate::state::StateMap;
 /// The register file a compiled program threads through its ops.
 type Regs = [u64; NUM_REGS];
 
-/// What [`compile`] did to a program — reported by `plexus-verify
+/// What `compile` did to a program — reported by `plexus-verify
 /// --explain` and useful for asserting fusion actually fires.
 #[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
 pub struct CompileStats {
@@ -273,7 +273,7 @@ const _: () = assert!(std::mem::size_of::<Op>() <= 32);
 
 /// A verified guard program lowered to threaded code at install time.
 ///
-/// Constructed only by [`crate::verify`] (every
+/// Constructed only by [`crate::verify()`] (every
 /// [`crate::verify::VerifiedProgram`] carries one); evaluated by the
 /// dispatcher's compiled tier. [`CompiledProgram::eval`] returns exactly
 /// what [`crate::eval::eval_metered`] returns for the same packet, time,

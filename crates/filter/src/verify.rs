@@ -17,7 +17,7 @@
 //!   application must constrain the destination port/address to that
 //!   application's own binding.
 //!
-//! [`check_structure`] proves the per-instruction facts; everything that
+//! `check_structure` proves the per-instruction facts; everything that
 //! depends on paths comes from one abstract interpretation
 //! ([`crate::absint`]). All violations are collected into one
 //! [`FilterReport`]; verification never stops at the first error, except

@@ -5,9 +5,9 @@
 //! [`ArpCache`], the per-interface state every stack resolves through: a
 //! datagram for an unresolved hop is parked *in the cache* until the reply
 //! arrives, the resolution is abandoned, or the bounded queue refuses it.
-//! The cache is pure state — addresses and times in, [`Resolve`] /
-//! [`ArpInput`] out — so the stacks differ only in what they charge and
-//! how a [`Frame`] reaches the wire.
+//! The cache is pure state — addresses and times in, `Resolve` /
+//! `ArpInput` out — and [`crate::link`] is its one user, so every stack
+//! resolves, re-asks and abandons the same way.
 
 use std::collections::HashMap;
 use std::net::Ipv4Addr;
@@ -140,13 +140,13 @@ pub const MAX_PARKED_PER_HOP: usize = 32;
 pub const MAX_PARKED: usize = 128;
 
 /// How long a who-has may go unanswered before the resolution is abandoned
-/// and its parked datagrams dropped (three one-second asks, as the Plexus
-/// retry timer makes them).
+/// and its parked datagrams dropped (three one-second asks, as
+/// [`crate::link`]'s re-ask timer makes them).
 pub const PENDING_TTL_NS: u64 = 3_000_000_000;
 
-/// What became of a datagram offered to [`ArpCache::resolve`].
+/// What became of a datagram offered to `ArpCache::resolve`.
 #[derive(Debug)]
-pub enum Resolve {
+pub(crate) enum Resolve {
     /// The hop's MAC is known: send the datagram there.
     Send(Frame),
     /// Parked, and nothing was asking for this hop yet: broadcast this
@@ -163,7 +163,7 @@ impl Resolve {
     /// What this outcome puts on the wire now: the datagram to the hop's
     /// MAC, the who-has broadcast, or nothing.
     #[inline]
-    pub fn frame(&self) -> Option<&Frame> {
+    pub(crate) fn frame(&self) -> Option<&Frame> {
         match self {
             Resolve::Send(frame) | Resolve::ParkedAsk(frame) => Some(frame),
             Resolve::ParkedQuiet | Resolve::Refused => None,
@@ -171,9 +171,9 @@ impl Resolve {
     }
 }
 
-/// What an arriving ARP packet asks of the stack ([`ArpCache::input`]).
+/// What an arriving ARP packet asks of the stack (`ArpCache::input`).
 #[derive(Debug)]
-pub struct ArpInput {
+pub(crate) struct ArpInput {
     /// The sender's MAC, just learned: where `released` and `reply` go.
     pub to: MacAddr,
     /// Datagrams that were parked on the sender's address, oldest first.
@@ -185,7 +185,7 @@ pub struct ArpInput {
 impl ArpInput {
     /// Everything to put on the wire, in order: the released datagrams,
     /// then the reply.
-    pub fn frames(self) -> impl Iterator<Item = Frame> {
+    pub(crate) fn frames(self) -> impl Iterator<Item = Frame> {
         let dst = self.to;
         let frame = move |ethertype, packet| Frame {
             dst,
@@ -241,7 +241,7 @@ impl ArpCache {
     /// parks it otherwise. Only the first miss per hop asks; a resolution
     /// abandoned since ([`ArpCache::abandon`], or [`PENDING_TTL_NS`]
     /// without an answer) is asked again.
-    pub fn resolve(&mut self, hop: Ipv4Addr, now_ns: u64, dgram: Mbuf) -> Resolve {
+    pub(crate) fn resolve(&mut self, hop: Ipv4Addr, now_ns: u64, dgram: Mbuf) -> Resolve {
         if let Some(&(mac, stamped)) = self.entries.get(&hop) {
             if now_ns.saturating_sub(stamped) < self.ttl_ns {
                 return Resolve::Send(Frame {
@@ -276,7 +276,7 @@ impl ArpCache {
     /// Learns a binding (from a reply, opportunistically from a request's
     /// sender fields, or seeded). Returns the datagrams that were parked
     /// on it, oldest first.
-    pub fn learn(&mut self, ip: Ipv4Addr, mac: MacAddr, now_ns: u64) -> Vec<Mbuf> {
+    pub(crate) fn learn(&mut self, ip: Ipv4Addr, mac: MacAddr, now_ns: u64) -> Vec<Mbuf> {
         self.entries.insert(ip, (mac, now_ns));
         self.expire_pending(now_ns);
         let released = self.pending.remove(&ip).map_or(Vec::new(), |p| p.parked);
@@ -287,7 +287,7 @@ impl ArpCache {
     /// Processes one received ARP packet (`bytes` starts after the link
     /// header): learns the sender's binding and answers a who-has for this
     /// interface. `None` for a malformed packet.
-    pub fn input(&mut self, bytes: &[u8], now_ns: u64) -> Option<ArpInput> {
+    pub(crate) fn input(&mut self, bytes: &[u8], now_ns: u64) -> Option<ArpInput> {
         let pkt = ArpPacket::parse(bytes)?;
         let released = self.learn(pkt.sender_ip, pkt.sender_mac, now_ns);
         let reply = (pkt.op == ArpOp::Request && pkt.target_ip == self.ip)
@@ -301,7 +301,7 @@ impl ArpCache {
 
     /// The who-has broadcast for `hop` from this interface (what
     /// [`Resolve::ParkedAsk`] carries; a retry timer sends it again).
-    pub fn request(&self, hop: Ipv4Addr) -> Frame {
+    pub(crate) fn request(&self, hop: Ipv4Addr) -> Frame {
         Frame {
             dst: MacAddr::BROADCAST,
             ethertype: EtherType::ARP,
@@ -310,14 +310,14 @@ impl ArpCache {
     }
 
     /// When the outstanding who-has for `hop` was first sent, if one is.
-    pub fn asked_at(&self, hop: Ipv4Addr) -> Option<u64> {
+    pub(crate) fn asked_at(&self, hop: Ipv4Addr) -> Option<u64> {
         self.pending.get(&hop).map(|p| p.asked_ns)
     }
 
     /// Gives up on `hop`: drops what was parked on it and forgets the
     /// resolution, so the next [`ArpCache::resolve`] asks afresh. Returns
     /// how many datagrams were dropped.
-    pub fn abandon(&mut self, hop: Ipv4Addr) -> usize {
+    pub(crate) fn abandon(&mut self, hop: Ipv4Addr) -> usize {
         let dropped = self.pending.remove(&hop).map_or(0, |p| p.parked.len());
         self.parked -= dropped;
         dropped

@@ -2,7 +2,8 @@
 //!
 //! A leaf of the IP node in Figure 1's protocol graph. The Plexus ICMP
 //! handler, the router and the baseline's monolithic input path all answer
-//! echo requests in-kernel through [`echo_response`].
+//! echo requests in-kernel through one responder,
+//! [`crate::link::LinkHost::echo`].
 
 use plexus_kernel::view::{be16, put_be16, WireView};
 
@@ -138,7 +139,7 @@ pub fn unreachable(code: u8, header: &IpHeader, payload: &Mbuf) -> Mbuf {
 
 /// The echo responder: the reply to send back to the source when `bytes`
 /// is a valid echo request, nothing for any other message.
-pub fn echo_response(bytes: &[u8]) -> Option<Mbuf> {
+pub(crate) fn echo_response(bytes: &[u8]) -> Option<Mbuf> {
     let msg = IcmpMessage::parse(bytes)?;
     (msg.kind == IcmpType::EchoRequest)
         .then(|| Mbuf::from_payload(64, &IcmpMessage::echo_reply(&msg).to_bytes()))

@@ -1,10 +1,11 @@
 //! IPv4: header handling, fragmentation/reassembly, and routing.
 //!
-//! The middle of Figure 1's protocol graph. The Plexus graph, the in-kernel
-//! router and the monolithic baseline all send through [`RouteTable::hop`] /
-//! [`datagrams`] and receive through [`Reassembler::input`], mirroring the
-//! paper's "same TCP/IP implementation" methodology: what differs between
-//! them is what they charge and count around these calls.
+//! The middle of Figure 1's protocol graph. A host sends through its
+//! [`RouteTable`] and [`datagrams`] and receives through a [`Reassembler`]
+//! and the local-address check, each run once, by [`crate::link`],
+//! mirroring the paper's "same TCP/IP implementation" methodology; the
+//! in-kernel router forwards with [`RouteTable::next_hop`] and
+//! [`datagrams`].
 
 use std::cell::Cell;
 use std::collections::VecDeque;
@@ -288,16 +289,17 @@ pub const MAX_FRAG_GROUPS: usize = 64;
 /// exceed it evicts the oldest groups until it fits.
 pub const MAX_FRAG_BYTES: usize = 256 * 1024;
 
-/// What [`Reassembler::input`] made of one received datagram. Each stack
-/// maps the verdicts to its own counters and drop reasons.
-#[derive(Debug)]
-pub enum Verdict {
-    /// A whole (if needed, reassembled) datagram for a local address.
-    Deliver(IpHeader, Mbuf),
+/// Why [`Reassembler::input`] delivered nothing for one received datagram;
+/// [`crate::link::Interface::ip_input`] maps it to a counter and a drop
+/// reason.
+#[derive(Debug, PartialEq, Eq)]
+pub(crate) enum Undelivered {
     /// Valid, but addressed to someone else.
     NotLocal,
-    /// A bad header, or a fragment now held until its group completes.
-    BadOrFragment,
+    /// A header that does not verify: checksum, version or lengths.
+    BadHeader,
+    /// A fragment, held until its group completes: not a loss.
+    Held,
     /// Shorter than an IP header.
     Runt,
 }
@@ -346,8 +348,8 @@ impl Reassembler {
     }
 
     /// Groups dropped to stay under [`MAX_FRAG_GROUPS`] and
-    /// [`MAX_FRAG_BYTES`] so far. A stack reads it around
-    /// [`Reassembler::input`] to name the drop (`ip_reassembly_full`).
+    /// [`MAX_FRAG_BYTES`] so far. [`crate::link::Interface::ip_input`]
+    /// reads it around reassembly to name the drop (`ip_reassembly_full`).
     pub fn evicted(&self) -> u64 {
         self.evicted
     }
@@ -363,7 +365,14 @@ impl Reassembler {
     /// Offers one datagram. Non-fragments pass straight through as
     /// `(header, payload)`. Fragments are held until their group completes,
     /// at which point the reassembled `(header, payload)` is returned.
+    #[inline]
     pub fn offer(&mut self, dgram: &Mbuf, now_ns: u64) -> Option<(IpHeader, Mbuf)> {
+        self.take(dgram, now_ns).ok()
+    }
+
+    /// [`Reassembler::offer`], saying why nothing came out: a runt, a bad
+    /// header, or a fragment now held.
+    fn take(&mut self, dgram: &Mbuf, now_ns: u64) -> Result<(IpHeader, Mbuf), Undelivered> {
         // Only the header is inspected up front: peek at most the largest
         // legal IP header into a stack buffer instead of flattening the
         // datagram (the receive path offers every packet, so this runs
@@ -371,14 +380,17 @@ impl Reassembler {
         let mut bytes = [0u8; MAX_IP_HDR_LEN];
         let peek = dgram.total_len().min(MAX_IP_HDR_LEN);
         dgram.read_at(0, &mut bytes[..peek]);
-        let v: IpView = plexus_kernel::view::view(&bytes[..peek])?;
+        let v: IpView = plexus_kernel::view::view(&bytes[..peek]).ok_or(Undelivered::Runt)?;
         if !v.checksum_ok() || v.version() != 4 {
-            return None;
+            return Err(Undelivered::BadHeader);
         }
         let hlen = v.header_len();
-        let data_len = v.total_len().checked_sub(hlen)?;
+        let data_len = v
+            .total_len()
+            .checked_sub(hlen)
+            .ok_or(Undelivered::BadHeader)?;
         if dgram.total_len() < hlen + data_len {
-            return None;
+            return Err(Undelivered::BadHeader);
         }
         let hdr = IpHeader {
             src: v.src(),
@@ -390,7 +402,7 @@ impl Reassembler {
             frag_offset: 0,
         };
         if !v.is_fragment() {
-            return Some((hdr, dgram.range(hlen, data_len)));
+            return Ok((hdr, dgram.range(hlen, data_len)));
         }
         // Stale groups go before this fragment can join one, so a reused
         // ident never splices into a datagram abandoned long ago.
@@ -436,14 +448,14 @@ impl Reassembler {
             self.held += data_len;
         }
         // Check completeness: contiguous coverage of [0, total).
-        let total = group.total?;
+        let total = group.total.ok_or(Undelivered::Held)?;
         if group.covered_from(0) < total {
-            return None; // Hole remains.
+            return Err(Undelivered::Held); // Hole remains.
         }
         // Complete: splice the payload together (overlaps take the bytes of
         // the piece at the greater offset, and nothing lands past `total`,
         // wherever a hostile piece claimed to reach).
-        let group = self.groups.remove(at)?;
+        let group = self.groups.remove(at).ok_or(Undelivered::Held)?;
         self.held -= group.bytes();
         let mut data = vec![0u8; total];
         for (o, d) in &group.pieces {
@@ -453,24 +465,21 @@ impl Reassembler {
             let n = d.len().min(room.len());
             room[..n].copy_from_slice(&d[..n]);
         }
-        Some((hdr, Mbuf::from_payload(0, &data)))
+        Ok((hdr, Mbuf::from_payload(0, &data)))
     }
 
     /// The receive side of IP for a host: [`Reassembler::offer`], then the
     /// local-address check (`is_local` is asked about a whole datagram's
     /// destination).
-    pub fn input(
+    pub(crate) fn input(
         &mut self,
         dgram: &Mbuf,
         now_ns: u64,
         is_local: impl FnOnce(Ipv4Addr) -> bool,
-    ) -> Verdict {
-        match self.offer(dgram, now_ns) {
-            Some((hdr, payload)) if is_local(hdr.dst) => Verdict::Deliver(hdr, payload),
-            Some(_) => Verdict::NotLocal,
-            None if dgram.total_len() >= IP_HDR_LEN => Verdict::BadOrFragment,
-            None => Verdict::Runt,
-        }
+    ) -> Result<(IpHeader, Mbuf), Undelivered> {
+        let (hdr, payload) = self.take(dgram, now_ns)?;
+        let local = is_local(hdr.dst);
+        local.then_some((hdr, payload)).ok_or(Undelivered::NotLocal)
     }
 
     /// Drops groups older than the timeout. Returns how many were dropped.
@@ -587,7 +596,7 @@ impl RouteTable {
     /// [`RouteTable::next_hop`] for a host's own sends, where the limited
     /// broadcast address needs no route.
     #[inline]
-    pub fn hop(&self, dst: Ipv4Addr) -> Option<Hop> {
+    pub(crate) fn hop(&self, dst: Ipv4Addr) -> Option<Hop> {
         if dst == Ipv4Addr::BROADCAST {
             return Some(Hop::Broadcast);
         }
@@ -803,18 +812,24 @@ mod tests {
         let hdr = IpHeader::simple(addr(1), addr(2), proto::UDP, 1);
         let whole = encapsulate(&hdr, Mbuf::from_payload(64, b"hello"));
         match r.input(&whole, 0, mine) {
-            Verdict::Deliver(h, p) => {
+            Ok((h, p)) => {
                 assert_eq!((h.src, h.dst), (addr(1), addr(2)));
                 assert_eq!(p.to_vec(), b"hello");
             }
             other => panic!("expected delivery, got {other:?}"),
         }
-        assert!(matches!(r.input(&whole, 0, |_| false), Verdict::NotLocal));
+        assert_eq!(
+            r.input(&whole, 0, |_| false).err(),
+            Some(Undelivered::NotLocal)
+        );
         let mut corrupt = whole.share();
         corrupt.write_at(8, &[0]); // TTL no longer matches the checksum.
-        assert!(matches!(r.input(&corrupt, 0, mine), Verdict::BadOrFragment));
+        assert_eq!(
+            r.input(&corrupt, 0, mine).err(),
+            Some(Undelivered::BadHeader)
+        );
         let runt = Mbuf::from_payload(0, &[0x45; IP_HDR_LEN - 1]);
-        assert!(matches!(r.input(&runt, 0, mine), Verdict::Runt));
+        assert_eq!(r.input(&runt, 0, mine).err(), Some(Undelivered::Runt));
         // Fragments are held, then the completing one delivers the whole;
         // the local check sees only the reassembled datagram.
         let data = vec![7u8; 3000];
@@ -825,11 +840,11 @@ mod tests {
                 asked += 1;
                 true
             });
-            assert!(matches!(v, Verdict::BadOrFragment));
+            assert_eq!(v.err(), Some(Undelivered::Held));
         }
         assert_eq!(asked, 0);
         match r.input(&frags[frags.len() - 1], 0, mine) {
-            Verdict::Deliver(_, p) => assert_eq!(p.to_vec(), data),
+            Ok((_, p)) => assert_eq!(p.to_vec(), data),
             other => panic!("expected the reassembled datagram, got {other:?}"),
         }
     }

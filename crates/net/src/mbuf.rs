@@ -14,8 +14,8 @@
 //! and multiple graph nodes can view the same packet. Handlers receive
 //! `&Mbuf` and cannot mutate through
 //! it; a handler that wants to modify data must hold its own `Mbuf` and
-//! write through [`Mbuf::write_at`]/[`Mbuf::head_mut`], which perform an
-//! explicit copy-on-write when the cluster is shared — the Rust rendering
+//! write through [`Mbuf::write_at`], which performs an explicit
+//! copy-on-write when the cluster is shared — the Rust rendering
 //! of Figure 4's `GoodPacketRecv`.
 
 use std::cell::RefCell;

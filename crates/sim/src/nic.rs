@@ -207,7 +207,7 @@ pub struct NicProfile {
     /// drains (no completion coalescing).
     pub tx_coalesce: SimDuration,
     /// The adapter computes transport checksums during the DMA gather
-    /// ([`plexus_net::checksum::CsumOffload`] descriptors stamped in the
+    /// (`plexus_net::checksum::CsumOffload` descriptors stamped in the
     /// packet header are filled on the way out); the stack skips its
     /// software checksum pass when this is set.
     pub checksum_offload: bool,
@@ -718,7 +718,7 @@ pub struct NicStats {
     /// along for only [`NicProfile::tx_per_frame`].
     pub tx_doorbells: u64,
     /// Frames whose transport checksum the adapter filled during the DMA
-    /// gather (a [`plexus_net::checksum::CsumOffload`] descriptor was
+    /// gather (a `plexus_net::checksum::CsumOffload` descriptor was
     /// stamped in the packet header).
     pub tx_csum_offloads: u64,
 }

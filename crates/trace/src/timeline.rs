@@ -225,7 +225,7 @@ pub(crate) fn min_window_ns(rec: &Recorder) -> u64 {
 ///
 /// # Panics
 ///
-/// Panics if `window_ns` is zero or narrower than [`min_window_ns`].
+/// Panics if `window_ns` is zero or narrower than `min_window_ns`.
 pub fn build(rec: &Recorder, window_ns: u64) -> Timeline {
     assert!(window_ns > 0, "window width must be positive");
     let n_windows = last_ns(rec).map_or(0, |last_ns| last_ns / window_ns + 1);
