@@ -342,28 +342,27 @@ impl ArpCache {
     }
 
     /// Datagrams parked right now, over all unresolved hops.
-    pub fn parked(&self) -> usize {
+    #[cfg(test)]
+    pub(crate) fn parked(&self) -> usize {
         self.parked
     }
 
     /// Datagrams refused because the parked queue was full.
-    pub fn refused(&self) -> u64 {
+    #[cfg(test)]
+    pub(crate) fn refused(&self) -> u64 {
         self.refused
     }
 
     /// Parked datagrams dropped because their who-has went unanswered for
     /// [`PENDING_TTL_NS`].
-    pub fn expired(&self) -> u64 {
+    #[cfg(test)]
+    pub(crate) fn expired(&self) -> u64 {
         self.expired
     }
 
-    /// Number of live entries.
-    pub fn len(&self) -> usize {
-        self.entries.len()
-    }
-
     /// True if the cache is empty.
-    pub fn is_empty(&self) -> bool {
+    #[cfg(test)]
+    pub(crate) fn is_empty(&self) -> bool {
         self.entries.is_empty()
     }
 }

@@ -6,14 +6,9 @@
 //! Each writes straight into its one output `String`, resolving a label
 //! to its name at the point the name's bytes are copied.
 
-use crate::json::{escape_into, escaped, put};
+use crate::json::{escape_into, escaped, exact, put, Len, Sink};
 use crate::recorder::Interner;
-use crate::{CrossDir, GuardKind, Label, Recorder, TraceEvent};
-
-/// What one Chrome event takes in the scenarios under `results/` (they
-/// average 150 to 165 bytes): the buffer is sized from the ring once and
-/// grows, as any `String` does, if a run's names are longer.
-const CHROME_BYTES_PER_RECORD: usize = 168;
+use crate::{CounterKey, CrossDir, GuardKind, Histogram, Label, Recorder, Ring, TraceEvent};
 
 /// What a Chrome event's text up to its timestamp — `\n  {"name": "...",
 /// "cat": ..., "ph": ..., "ts": ` — depends on: the record's variant, its
@@ -155,7 +150,7 @@ impl Heads<'_> {
     /// Appends `head`'s text to `out`. Inlined: it runs once or twice per
     /// record, and a call cost the Chrome fold a tenth of its time.
     #[inline(always)]
-    fn push(&mut self, head: Head, out: &mut String) {
+    fn push(&mut self, head: Head, out: &mut impl Sink) {
         let (tag, a, b) = head.parts();
         let mix = (u64::from(tag) << 40 ^ u64::from(a) << 20 ^ u64::from(b)).wrapping_mul(K);
         let slot = (mix >> 56) as usize;
@@ -184,51 +179,10 @@ impl Heads<'_> {
 /// The multiplier of the `FxHasher` recipe.
 const K: u64 = 0x517c_c1b7_2722_0a95;
 
-/// `"00"` to `"99"`, back to back: a number is pushed two digits at a
-/// time as slices of it, so its text is `str` by type and never checked.
-const PAIRS: &str = {
-    const DIGITS: [u8; 200] = {
-        let mut pairs = [0; 200];
-        let mut i = 0;
-        while i < 100 {
-            pairs[2 * i] = b'0' + (i / 10) as u8;
-            pairs[2 * i + 1] = b'0' + (i % 10) as u8;
-            i += 1;
-        }
-        pairs
-    };
-    match std::str::from_utf8(&DIGITS) {
-        Ok(pairs) => pairs,
-        Err(_) => panic!("digits are ASCII"),
-    }
-};
-
-/// Appends `n` in decimal: its two-digit groups are split off from the
-/// right, then pushed from the left, a leading lone digit as a `char`.
-fn push_num(out: &mut String, n: u64) {
-    let mut pairs = [0u8; 10];
-    let (mut k, mut m) = (0, n);
-    while m >= 100 {
-        pairs[k] = (m % 100) as u8;
-        m /= 100;
-        k += 1;
-    }
-    if m >= 10 {
-        let at = 2 * m as usize;
-        out.push_str(&PAIRS[at..at + 2]);
-    } else {
-        out.push(char::from(b'0' + m as u8));
-    }
-    for &p in pairs[..k].iter().rev() {
-        let at = 2 * p as usize;
-        out.push_str(&PAIRS[at..at + 2]);
-    }
-}
-
 /// Appends `key` and then `n`.
-fn push_key_num(out: &mut String, key: &str, n: u64) {
+fn push_key_num(out: &mut impl Sink, key: &str, n: u64) {
     out.push_str(key);
-    push_num(out, n);
+    out.push_num(n);
 }
 
 /// Renders the retained trace as Chrome `trace_event` JSON (the "JSON
@@ -251,16 +205,28 @@ pub fn chrome_trace(rec: &Recorder) -> String {
         spans: Vec::new(),
         recent: [usize::MAX; 256],
     };
-    let mut out = String::with_capacity(64 + ring.len() * CHROME_BYTES_PER_RECORD);
-    out.push_str("{\"displayTimeUnit\": \"ns\", \"traceEvents\": [");
     // A row's text is at most 51 bytes (a 20-digit tid).
-    let (mut row, mut row_of) = (String::with_capacity(64), None);
+    let mut row = String::with_capacity(64);
+    // A counting pass first, so the document is reserved at its length.
+    let mut len = Len::default();
+    chrome_events(&ring, &mut heads, &mut row, &mut len);
+    let mut out = String::with_capacity(len.0);
+    chrome_events(&ring, &mut heads, &mut row, &mut out);
+    debug_assert_eq!(out.len(), len.0, "the counting pass measured the trace");
+    out
+}
+
+/// Writes the Chrome document of `ring` into `out`: its text, or its
+/// length. `row` holds the text of the row being written.
+fn chrome_events(ring: &Ring, heads: &mut Heads<'_>, row: &mut String, out: &mut impl Sink) {
+    out.push_str("{\"displayTimeUnit\": \"ns\", \"traceEvents\": [");
+    let mut row_of = None;
     for (i, r) in ring.iter().enumerate() {
-        heads.push(Head::of(&r.event), &mut out);
+        heads.push(Head::of(&r.event), out);
         // Microseconds with fixed 3-decimal precision from integer
         // nanoseconds — no floating point, so formatting is byte-stable.
         let ns = r.at_ns % 1_000;
-        push_num(&mut out, r.at_ns / 1_000);
+        out.push_num(r.at_ns / 1_000);
         out.push('.');
         for digit in [ns / 100, ns / 10 % 10, ns % 10] {
             out.push(char::from(b'0' + digit as u8));
@@ -272,23 +238,23 @@ pub fn chrome_trace(rec: &Recorder) -> String {
             row_of = Some(r.packet);
             row.clear();
             row.push_str(", \"pid\": 1, \"tid\": ");
-            push_num(&mut row, r.packet.map_or(0, |p| p + 1));
+            Sink::push_num(row, r.packet.map_or(0, |p| p + 1));
             row.push_str(", \"args\": {");
         }
-        out.push_str(&row);
+        out.push_str(row);
         // The host, where a record names one, is a head of its own.
         match r.event {
             TraceEvent::PacketArrival { host, bytes, .. } => {
-                push_key_num(&mut out, "\"bytes\": ", bytes.into());
+                push_key_num(out, "\"bytes\": ", bytes.into());
                 out.push_str(", ");
-                heads.push(Head::Host(host), &mut out);
+                heads.push(Head::Host(host), out);
                 match r.journey {
-                    Some(journey) => push_key_num(&mut out, "\"journey\": ", journey),
+                    Some(journey) => push_key_num(out, "\"journey\": ", journey),
                     None => out.push_str("\"journey\": null"),
                 }
             }
             TraceEvent::HandlerEnter { span, .. } | TraceEvent::HandlerExit { span, .. } => {
-                push_key_num(&mut out, "\"span\": ", span);
+                push_key_num(out, "\"span\": ", span);
             }
             TraceEvent::PacketTx {
                 host,
@@ -299,13 +265,13 @@ pub fn chrome_trace(rec: &Recorder) -> String {
                 prop_ns,
                 ..
             } => {
-                push_key_num(&mut out, "\"bytes\": ", bytes.into());
+                push_key_num(out, "\"bytes\": ", bytes.into());
                 out.push_str(", ");
-                heads.push(Head::Host(host), &mut out);
-                push_key_num(&mut out, "\"queue_ns\": ", queue_ns);
-                push_key_num(&mut out, ", \"wait_ns\": ", wait_ns);
-                push_key_num(&mut out, ", \"ser_ns\": ", ser_ns);
-                push_key_num(&mut out, ", \"prop_ns\": ", prop_ns);
+                heads.push(Head::Host(host), out);
+                push_key_num(out, "\"queue_ns\": ", queue_ns);
+                push_key_num(out, ", \"wait_ns\": ", wait_ns);
+                push_key_num(out, ", \"ser_ns\": ", ser_ns);
+                push_key_num(out, ", \"prop_ns\": ", prop_ns);
             }
             TraceEvent::RxInterrupt {
                 host,
@@ -313,21 +279,29 @@ pub fn chrome_trace(rec: &Recorder) -> String {
                 ring_after,
                 ..
             } => {
-                push_key_num(&mut out, "\"frames\": ", frames.into());
+                push_key_num(out, "\"frames\": ", frames.into());
                 out.push_str(", ");
-                heads.push(Head::Host(host), &mut out);
-                push_key_num(&mut out, "\"ring_after\": ", ring_after.into());
+                heads.push(Head::Host(host), out);
+                push_key_num(out, "\"ring_after\": ", ring_after.into());
             }
-            TraceEvent::LatencySample { ns, .. } => push_key_num(&mut out, "\"ns\": ", ns),
+            TraceEvent::LatencySample { ns, .. } => push_key_num(out, "\"ns\": ", ns),
             TraceEvent::Crossing { bytes, .. } => {
-                push_key_num(&mut out, "\"bytes\": ", bytes.into());
+                push_key_num(out, "\"bytes\": ", bytes.into());
             }
             TraceEvent::GuardEval { .. } | TraceEvent::Drop { .. } | TraceEvent::TimerFire => {}
         }
         out.push_str(if i + 1 < ring.len() { "}}," } else { "}}" });
     }
     out.push_str("\n]}\n");
-    out
+}
+
+/// The bytes of the counter key `<scope>.<label>.<metric>`, which sorts
+/// as they do, without writing the key out.
+fn dotted<'a>([scope, label, metric]: [&'a str; 3]) -> impl Iterator<Item = u8> + 'a {
+    let dot = || std::iter::once(b'.');
+    (scope.bytes().chain(dot()).chain(label.bytes()))
+        .chain(dot())
+        .chain(metric.bytes())
 }
 
 /// Renders counters and histograms as compact stats JSON.
@@ -337,59 +311,67 @@ pub fn chrome_trace(rec: &Recorder) -> String {
 /// non-empty log2 buckets as `[bucket_floor_ns, count]` pairs.
 pub fn stats_json(rec: &Recorder) -> String {
     let names = rec.names();
-    let mut counters: Vec<(String, u64)> = rec
-        .registry()
-        .counters()
-        .into_iter()
-        .map(|(k, v)| {
-            let key = format!("{}.{}.{}", k.scope.name(), names.get(k.label), k.metric);
-            (key, v)
-        })
-        .collect();
+    let registry = rec.registry();
+    let (table, hist_table) = (registry.counter_table(), registry.hist_table());
     // Ring truncation is easy to miss in a wall of healthy counters, so a
-    // wrapped ring surfaces as an explicit synthesized counter: any
-    // profile/timeline built from this recorder excluded orphan packets.
-    if rec.overwritten() > 0 {
-        counters.push((String::from("trace.truncated.records"), rec.overwritten()));
+    // wrapped ring surfaces as an explicit synthesized counter (`None`
+    // below): any profile/timeline built from this recorder excluded
+    // orphan packets.
+    let truncated = rec.overwritten();
+    let len = table.iter().map(Vec::len).sum::<usize>() + usize::from(truncated > 0);
+    let mut counters: Vec<Option<&(CounterKey, u64)>> = Vec::with_capacity(len);
+    counters.extend(table.iter().flatten().map(Some));
+    if truncated > 0 {
+        counters.push(None);
     }
-    counters.sort();
-
-    let mut hists = rec.registry().hists();
-    hists.sort_by_key(|(label, _)| names.get(*label));
-
-    let mut out = String::from("{\n");
-    put!(out, "  \"events_recorded\": {},\n", rec.recorded());
-    put!(out, "  \"events_retained\": {},\n", rec.ring().len());
-    put!(out, "  \"events_overwritten\": {},\n", rec.overwritten());
-    out.push_str("  \"counters\": {");
-    for (i, (k, v)) in counters.iter().enumerate() {
-        let sep = if i > 0 { "," } else { "" };
-        put!(out, "{sep}\n    \"{}\": {v}", escaped(k));
-    }
-    out.push_str(if counters.is_empty() {
-        "},\n"
-    } else {
-        "\n  },\n"
+    let key = |c: Option<&(CounterKey, u64)>| match c {
+        Some(&(k, n)) => ([k.scope.name(), names.get(k.label), k.metric], n),
+        None => (["trace", "truncated", "records"], truncated),
+    };
+    // In the order of the flattened keys, then of the values.
+    counters.sort_unstable_by(|&a, &b| {
+        let ((a, m), (b, n)) = (key(a), key(b));
+        dotted(a).cmp(dotted(b)).then(m.cmp(&n))
     });
-    out.push_str("  \"histograms\": {");
-    for (i, (label, h)) in hists.iter().enumerate() {
-        let (sep, name) = (if i > 0 { "," } else { "" }, escaped(names.get(*label)));
-        let (count, min, max, mean) = (h.count(), h.min(), h.max(), h.mean());
-        let (p50, p99) = (h.quantile(0.5), h.quantile(0.99));
-        put!(
-            out,
-            "{sep}\n    \"{name}\": {{\"count\": {count}, \"min_ns\": {min}, \"max_ns\": {max}, \
-             \"mean_ns\": {mean}, \"p50_ns\": {p50}, \"p99_ns\": {p99}, \"buckets\": ["
-        );
-        for (j, (floor, n)) in h.nonzero_buckets().into_iter().enumerate() {
-            let sep = if j > 0 { ", " } else { "" };
-            put!(out, "{sep}[{floor}, {n}]");
+    let mut hists: Vec<(&str, &Histogram)> = Vec::with_capacity(hist_table.len());
+    hists.extend(hist_table.iter().map(|(&label, h)| (names.get(label), h)));
+    hists.sort_unstable_by_key(|&(name, _)| name);
+
+    exact(|out| {
+        out.push_str("{\n");
+        put!(out, "  \"events_recorded\": {},\n", rec.recorded());
+        put!(out, "  \"events_retained\": {},\n", rec.ring().len());
+        put!(out, "  \"events_overwritten\": {},\n", truncated);
+        out.push_str("  \"counters\": {");
+        for (i, &c) in counters.iter().enumerate() {
+            let (sep, ([scope, label, metric], v)) = (if i > 0 { "," } else { "" }, key(c));
+            let [scope, label, metric] = [scope, label, metric].map(escaped);
+            put!(out, "{sep}\n    \"{scope}.{label}.{metric}\": {v}");
         }
-        out.push_str("]}");
-    }
-    out.push_str(if hists.is_empty() { "}\n" } else { "\n  }\n" });
-    out.push_str("}\n");
-    out
+        out.push_str(if counters.is_empty() {
+            "},\n"
+        } else {
+            "\n  },\n"
+        });
+        out.push_str("  \"histograms\": {");
+        for (i, &(name, h)) in hists.iter().enumerate() {
+            let (sep, name) = (if i > 0 { "," } else { "" }, escaped(name));
+            let (count, min, max, mean) = (h.count(), h.min(), h.max(), h.mean());
+            let (p50, p99) = (h.quantile(0.5), h.quantile(0.99));
+            put!(
+                out,
+                "{sep}\n    \"{name}\": {{\"count\": {count}, \"min_ns\": {min}, \"max_ns\": {max}, \
+                 \"mean_ns\": {mean}, \"p50_ns\": {p50}, \"p99_ns\": {p99}, \"buckets\": ["
+            );
+            for (j, (floor, n)) in h.nonzero_buckets().enumerate() {
+                let sep = if j > 0 { ", " } else { "" };
+                put!(out, "{sep}[{floor}, {n}]");
+            }
+            out.push_str("]}");
+        }
+        out.push_str(if hists.is_empty() { "}\n" } else { "\n  }\n" });
+        out.push_str("}\n");
+    })
 }
 
 #[cfg(test)]

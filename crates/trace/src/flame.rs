@@ -6,21 +6,21 @@
 //! `flamegraph.pl --countname=ns` or paste it into
 //! <https://www.speedscope.app>.
 
-use crate::json::put;
+use crate::json::{exact, put};
 use crate::profile::Profile;
 
 /// Renders the profile as folded stacks: the per-triple totals
 /// [`Profile::aggregate`] reports too, from the same walk, sorted by the
 /// triples' names so the output is byte-deterministic.
 pub fn folded(p: &Profile) -> String {
-    let mut rows = p.triple_sums(false);
-    rows.sort_by(|a, b| p.by_name(&a.at, &b.at));
-    let mut out = String::new();
-    for row in rows {
-        let [layer, domain, handler] = p.triple_names(&row.at);
-        put!(out, "{layer};{domain};{handler} {}\n", row.total_ns);
-    }
-    out
+    let mut rows = p.triple_sums();
+    rows.sort_unstable_by(|a, b| p.by_name(&a.at, &b.at));
+    exact(|out| {
+        for row in &rows {
+            let [layer, domain, handler] = p.triple_names(&row.at);
+            put!(out, "{layer};{domain};{handler} {}\n", row.total_ns);
+        }
+    })
 }
 
 #[cfg(test)]

@@ -15,15 +15,18 @@
 //! other offshoots (ACKs, forwarded copies) *branch hops*. Every
 //! nanosecond along the chain lands in exactly one named segment (wire
 //! phases, queue waits, `(machine, layer, domain)` processing), so the
-//! segments telescope to the end-to-end time exactly. Hops and segments
-//! live in two arenas of [`Journeys`], and hop names are shared, not
-//! copied.
+//! segments telescope to the end-to-end time exactly.
+//!
+//! [`Journeys`] reads its profile in place. It keeps each journey's hops
+//! as indices into the profile's packets, sorted once, with the transmit
+//! that delivered each chain hop; a chain hop's fields and a journey's
+//! segments are derived from the profile when they are read, not copied.
 
 use std::ops::Range;
 use std::sync::Arc;
 
-use crate::json::{escaped, or_null, put};
-use crate::profile::{segments_json, PacketProfile, Profile, Segment, Slice, TxRecord};
+use crate::json::{escaped, exact, or_null, put};
+use crate::profile::{segments_json, PacketProfile, Profile, Segment, TxRecord};
 use crate::recorder::Interner;
 use crate::Label;
 
@@ -64,10 +67,8 @@ pub struct Journey {
     /// Machine that sent the origin frame (`None` when the origin
     /// transmit ran outside any packet window on an unnamed machine).
     pub origin_machine: Option<Arc<str>>,
-    /// Where the journey's chain ([`Journeys::chain`]) and segments
-    /// ([`Journeys::segments`]) lie in the arenas.
-    chain: Range<usize>,
-    segments: Range<usize>,
+    /// Where the journey's hops lie in [`Journeys`]' hop index.
+    hops: Range<u32>,
     /// Hops causally in this journey but off the chain (ACKs, broadcast
     /// copies that were processed).
     pub branch_hops: u64,
@@ -78,8 +79,8 @@ pub struct Journey {
 }
 
 /// All journeys of one profiled run, in journey-ID order.
-#[derive(Clone, Debug, Default, PartialEq, Eq)]
-pub struct Journeys {
+#[derive(Clone, Debug, PartialEq, Eq)]
+pub struct Journeys<'a> {
     /// One entry per journey that produced at least one non-orphan hop.
     pub journeys: Vec<Journey>,
     /// Packets excluded because ring wraparound ate their arrival.
@@ -89,83 +90,136 @@ pub struct Journeys {
     /// ledger could be built. Post-hoc analysis lost these — the live
     /// tier's retained samples are where to look for them.
     pub journeys_truncated: u64,
-    /// Every segment name with its time summed over *all* journeys and
-    /// the number of journeys that have it, in first-seen order.
-    pub segment_totals: Vec<(Segment, u64)>,
-    /// Every journey's chain hops, then its segments, journey after
-    /// journey; a [`Journey`] holds ranges into them. A segment is its
-    /// name's index in `segment_totals` and its nanoseconds.
-    hops: Vec<ChainHop>,
-    segments: Vec<(usize, u64)>,
+    /// The profile the journeys were stitched from.
+    profile: &'a Profile,
+    /// Every intact hop, grouped by journey, each group in arrival order;
+    /// a [`Journey`] holds where its group lies.
+    hops: Vec<Hop>,
+    /// Every transmit a journey tag names ([`Txs`] numbers them), grouped
+    /// by journey and, within one, by wire arrival: where a hop's parent
+    /// was found, and where a chain hop's [`Link::By`] points.
+    cands: Vec<u32>,
 }
 
-impl Journeys {
-    /// A journey's critical-path hops, origin-side first.
-    pub fn chain(&self, j: &Journey) -> &[ChainHop] {
-        &self.hops[j.chain.clone()]
-    }
-
-    /// A journey's ordered waterfall segments, summing to its
-    /// `end_to_end_ns`.
-    pub fn segments(&self, j: &Journey) -> Vec<Segment> {
-        let name = |slot: usize| self.segment_totals[slot].0.name.clone();
-        let segments = self.segments[j.segments.clone()].iter();
-        segments
-            .map(|&(slot, ns)| Segment {
-                name: name(slot),
-                ns,
-            })
-            .collect()
-    }
+/// An intact hop: its packet's position in the profile, and how it joins
+/// its journey's chain.
+#[derive(Clone, Copy, Debug, PartialEq, Eq)]
+struct Hop {
+    packet: u32,
+    link: Link,
 }
 
-/// A transmit that can parent a hop: the record plus where it came from.
-#[derive(Clone, Copy)]
-struct TxCand<'a> {
-    tx: &'a TxRecord,
-    /// `(packet's index in the profile, index in that packet's txs)`;
-    /// `None` for a transmit recorded outside any packet window.
-    source: Option<(usize, usize)>,
-    /// When the wire delivers it: `at_ns + wait + ser + prop`.
-    wire_arrival: u64,
+/// How a hop joins its journey's chain.
+#[derive(Clone, Copy, Debug, PartialEq, Eq)]
+enum Link {
+    /// It does not: a branch hop or a filtered one.
+    Off,
+    /// It starts the chain, and no recorded transmit delivered it.
+    Head,
+    /// It was delivered by the transmit at this place among the
+    /// candidates ([`Journeys`]' `cands`).
+    By(u32),
 }
 
-impl<'a> TxCand<'a> {
-    fn new(tx: &'a TxRecord, source: Option<(usize, usize)>) -> TxCand<'a> {
-        let wire_arrival = tx.at_ns + tx.wait_ns + tx.ser_ns + tx.prop_ns;
-        TxCand {
-            tx,
-            source,
-            wire_arrival,
+impl Link {
+    fn by(self) -> Option<u32> {
+        match self {
+            Link::By(t) => Some(t),
+            Link::Off | Link::Head => None,
         }
     }
 }
 
-/// The parent transmit of hop `at` among one journey's candidates, which
-/// are sorted by wire arrival and, within one instant, in candidate order
-/// (engine/timer-context sends first, then per-packet transmits in packet
-/// order): the first exact wire-telescoping match, otherwise the last of
-/// the latest handovers whose wire arrival does not postdate the hop's
-/// arrival record (rx-ring queueing delays the record past the wire
+/// A chain hop as the readers derive it: its packet's position in the
+/// profile, the transmit that delivered it and the one that continues
+/// the chain from it.
+struct ChainLink {
+    packet: usize,
+    incoming: Option<u32>,
+    onward: Option<u32>,
+}
+
+/// A profile's transmits by number — the unattributed ones first, then
+/// the arena's, packet after packet: the candidate order in which parents
+/// that tie are chosen.
+#[derive(Clone, Copy)]
+struct Txs<'a> {
+    profile: &'a Profile,
+}
+
+impl<'a> Txs<'a> {
+    fn len(self) -> usize {
+        self.profile.unattributed_txs.len() + self.profile.txs.len()
+    }
+
+    fn get(self, t: u32) -> &'a TxRecord {
+        let (t, outside) = (t as usize, &self.profile.unattributed_txs);
+        outside
+            .get(t)
+            .unwrap_or_else(|| &self.profile.txs[t - outside.len()])
+    }
+
+    /// Where transmit `t` lies in the profile's arena; `None` for a
+    /// transmit recorded outside any packet window.
+    fn in_arena(self, t: u32) -> Option<usize> {
+        (t as usize).checked_sub(self.profile.unattributed_txs.len())
+    }
+
+    /// The packet (by position) whose window sent transmit `t`, and where
+    /// `t` is among that packet's transmits.
+    fn sender(self, t: u32) -> Option<(usize, usize)> {
+        self.in_arena(t).map(|k| self.profile.tx_owner(k))
+    }
+
+    /// Whether the packet at position `at` sent transmit `t`.
+    fn sent_by(self, t: u32, at: usize) -> bool {
+        let k = self.in_arena(t);
+        k.is_some_and(|k| self.profile.tx_run(at).contains(&k))
+    }
+
+    /// When the wire delivers transmit `t`: `at_ns + wait + ser + prop`.
+    fn wire_arrival(self, t: u32) -> u64 {
+        let tx = self.get(t);
+        tx.at_ns + tx.wait_ns + tx.ser_ns + tx.prop_ns
+    }
+}
+
+/// Where the parent transmit of the hop `hop` (the profile's packet `at`)
+/// lies among `cands`, whose range `of_journey` holds the hop's journey's
+/// candidates, sorted by wire arrival and, within one instant, in
+/// candidate order: the first exact wire-telescoping match, otherwise the
+/// last of the latest handovers whose wire arrival does not postdate the
+/// hop's arrival record (rx-ring queueing delays the record past the wire
 /// arrival on the coalesced path). A hop's own transmits never parent it.
-fn parent_of<'a>(cands: &[TxCand<'a>], at: usize, hop: &PacketProfile) -> Option<TxCand<'a>> {
-    let not_self = |c: &&TxCand<'_>| c.source.map(|(p, _)| p) != Some(at);
-    let earlier = &cands[..cands.partition_point(|c| c.wire_arrival <= hop.first_ns)];
-    let exact = &earlier[earlier.partition_point(|c| c.wire_arrival < hop.first_ns)..];
-    let found = exact.iter().find(not_self);
-    found
-        .or_else(|| earlier.iter().rev().find(not_self))
-        .copied()
+fn parent_of(
+    txs: Txs<'_>,
+    cands: &[u32],
+    of_journey: Range<usize>,
+    at: usize,
+    hop: &PacketProfile,
+) -> Option<usize> {
+    let not_self = |&c: &usize| !txs.sent_by(cands[c], at);
+    let of = &cands[of_journey.clone()];
+    let earlier = of_journey.start + of.partition_point(|&t| txs.wire_arrival(t) <= hop.first_ns);
+    let exact = of_journey.start + of.partition_point(|&t| txs.wire_arrival(t) < hop.first_ns);
+    let found = (exact..earlier).find(not_self);
+    found.or_else(|| (of_journey.start..earlier).rev().find(not_self))
+}
+
+/// The machine that received `p`: its host, else its NIC, else `?`.
+fn machine_of(profile: &Profile, p: &PacketProfile) -> Label {
+    let (unknown, _, _) = profile.stand_ins();
+    p.host.or(p.nic).unwrap_or(unknown)
 }
 
 /// A hop that arrived but was discarded without running any handler —
 /// a broadcast copy the MAC filter (or an overflowing rx ring) shed.
-fn is_filtered(p: &PacketProfile) -> bool {
-    p.spans.is_empty() && p.txs.is_empty() && !p.drops.is_empty()
+fn is_filtered(profile: &Profile, p: &PacketProfile) -> bool {
+    profile.spans(p).is_empty() && profile.txs(p).is_empty() && !profile.drops(p).is_empty()
 }
 
 /// What a chain segment is, by symbol: slices and wire phases merge on
-/// these, and a name is rendered once per distinct key of a run.
+/// these, and a name is rendered once per distinct key.
 #[derive(Clone, Copy, PartialEq, Eq)]
 enum SegKey {
     /// `{src}.tx_queue`
@@ -187,10 +241,9 @@ enum Phase {
 }
 
 impl SegKey {
-    /// Writes the key's name over `out`.
+    /// Appends the key's name to `out`.
     fn name(self, names: &Interner, out: &mut String) {
         let n = |l| names.get(l);
-        out.clear();
         match self {
             SegKey::TxQueue(src) => put!(out, "{}.tx_queue", n(src)),
             SegKey::Wire(src, dst, phase) => {
@@ -209,87 +262,53 @@ impl SegKey {
     }
 }
 
-/// A chain hop as the segment pass reads it.
-#[derive(Clone, Copy)]
-struct Link<'a> {
-    /// The receiving machine, and the sending one (meaningful only with
-    /// `incoming`).
-    machine: Label,
-    src: Label,
-    /// The transmit that delivered the hop.
-    incoming: Option<&'a TxRecord>,
-    /// The hop's slices up to the handover that continues the chain (all
-    /// of them on the final hop).
-    slices: &'a [Slice],
-}
-
-impl Link<'_> {
-    /// Hands `add` each piece of the hop as a segment key and its
-    /// nanoseconds: the wire phases that delivered it, its rx-queue wait
-    /// (`queue_wait`), and its processing slices.
-    fn segments(&self, queue_wait: u64, mut add: impl FnMut(SegKey, u64)) {
-        if let Some(tx) = self.incoming {
-            let src = self.src;
-            // The tx-ring/doorbell share of the wait is the sender's
-            // queue, not the medium's: surface it as its own hop segment
-            // so a backlogged transmit path is visible.
-            let queue = tx.queue_ns.min(tx.wait_ns);
-            if queue > 0 {
-                add(SegKey::TxQueue(src), queue);
-            }
-            let wire = |phase| SegKey::Wire(src, self.machine, phase);
-            add(wire(Phase::Wait), tx.wait_ns - queue);
-            add(wire(Phase::Serialize), tx.ser_ns);
-            add(wire(Phase::Propagate), tx.prop_ns);
-        }
-        if queue_wait > 0 {
-            add(SegKey::RxQueue(self.machine), queue_wait);
-        }
-        for s in self.slices {
-            let key = SegKey::Processing(self.machine, s.at.layer, s.at.domain);
-            add(key, s.ns());
-        }
-    }
-}
-
-/// The run's segment names: every key seen, the slot of its name, and
-/// per slot where the journey being stitched has it.
+/// Segment names by slot: every key seen, and the slot of its name, in
+/// first-seen order. Two keys that read the same share a slot, as they
+/// would have shared a segment merged by name.
 struct Slots<'a> {
     names: &'a Interner,
-    /// Every key the run has seen, with its name's slot in `totals`: a few
-    /// dozen `Copy` keys, searched in place. Journeys repeat their keys in
-    /// one order, so the search starts at the key after the one found
-    /// last.
+    /// Every key seen, with its name's slot: a few dozen `Copy` keys,
+    /// searched in place. Journeys repeat their keys in one order, so the
+    /// search starts at the key after the one found last.
     keys: Vec<(SegKey, usize)>,
     next_key: usize,
-    /// By slot, the name with its nanoseconds summed over every journey,
-    /// and the number of journeys that have it.
-    totals: Vec<(Segment, u64)>,
-    /// By slot, the last journey that had it, with its segment's place in
-    /// the arena.
-    seen: Vec<(usize, usize)>,
-    /// The name of the key being added, rendered in place.
-    name: String,
+    /// Every slot's name, back to back, and where each ends.
+    text: String,
+    ends: Vec<usize>,
 }
 
-impl Slots<'_> {
-    /// The slot of `key`'s name. A key's name is rendered the first time
-    /// the run sees the key; two keys that read the same share a slot, as
-    /// they would have shared a segment merged by name.
+impl<'a> Slots<'a> {
+    fn new(names: &'a Interner) -> Slots<'a> {
+        Slots {
+            names,
+            keys: Vec::new(),
+            next_key: 0,
+            text: String::new(),
+            ends: Vec::new(),
+        }
+    }
+
+    /// The slot of `key`'s name, rendered the first time `key` is seen.
     fn of(&mut self, key: SegKey) -> usize {
         let at = match self.keys.get(self.next_key) {
             Some(&(next, _)) if next == key => self.next_key,
             _ => match self.keys.iter().position(|&(k, _)| k == key) {
                 Some(at) => at,
                 None => {
-                    key.name(self.names, &mut self.name);
-                    let known = self.totals.iter().position(|(s, _)| *s.name == self.name);
-                    let slot = known.unwrap_or_else(|| {
-                        let name = self.name.as_str().into();
-                        self.totals.push((Segment { name, ns: 0 }, 0));
-                        self.seen.push((usize::MAX, 0));
-                        self.totals.len() - 1
-                    });
+                    let start = self.text.len();
+                    key.name(self.names, &mut self.text);
+                    let known =
+                        (0..self.ends.len()).find(|&slot| self.name(slot) == &self.text[start..]);
+                    let slot = match known {
+                        Some(slot) => {
+                            self.text.truncate(start);
+                            slot
+                        }
+                        None => {
+                            self.ends.push(self.text.len());
+                            self.ends.len() - 1
+                        }
+                    };
                     self.keys.push((key, slot));
                     self.keys.len() - 1
                 }
@@ -298,341 +317,426 @@ impl Slots<'_> {
         self.next_key = at + 1;
         self.keys[at].1
     }
+
+    fn name(&self, slot: usize) -> &str {
+        let start = slot.checked_sub(1).map_or(0, |before| self.ends[before]);
+        &self.text[start..self.ends[slot]]
+    }
 }
 
-/// Reconstructs every journey from a built profile.
-pub fn build(profile: &Profile) -> Journeys {
-    // The profile's names plus the stand-ins a chain needs, so a machine
-    // is a plain label throughout.
-    let mut names = profile.names.clone();
-    let (unknown, origin_label) = (names.intern("?"), names.intern("origin"));
-    let no_nic = names.intern("");
-    let machine_of = |p: &PacketProfile| p.host.or(p.nic).unwrap_or(unknown);
-    let packets = &profile.packets;
-
-    // Intact hops, as indices into `packets`, grouped by journey (one
-    // sort, then runs of equal journey), each group in arrival order.
-    let mut orphans = 0u64;
-    let mut orphan_journeys: Vec<u64> = Vec::new();
-    let mut hops: Vec<usize> = Vec::with_capacity(packets.len());
-    for (at, p) in packets.iter().enumerate() {
-        if p.journey.is_some() && !p.orphan {
-            hops.push(at);
-        } else {
-            orphans += 1;
-            orphan_journeys.extend(p.journey);
+impl Journeys<'_> {
+    fn txs(&self) -> Txs<'_> {
+        Txs {
+            profile: self.profile,
         }
     }
-    let journey_of = |&at: &usize| packets[at].journey;
-    hops.sort_unstable_by_key(|&at| {
-        let p = &packets[at];
+
+    /// A journey's chain, origin side first.
+    fn links(&self, j: &Journey) -> impl Iterator<Item = ChainLink> + '_ {
+        let run = &self.hops[j.hops.start as usize..j.hops.end as usize];
+        let mut on = run.iter().filter(|h| h.link != Link::Off).peekable();
+        std::iter::from_fn(move || {
+            let hop = on.next()?;
+            let tx = |link: Link| link.by().map(|c| self.cands[c as usize]);
+            Some(ChainLink {
+                packet: hop.packet as usize,
+                incoming: tx(hop.link),
+                onward: on.peek().and_then(|next| tx(next.link)),
+            })
+        })
+    }
+
+    fn queue_wait(&self, link: &ChainLink) -> u64 {
+        let first_ns = self.profile.packets[link.packet].first_ns;
+        let arrived = link.incoming.map(|t| self.txs().wire_arrival(t));
+        arrived.map_or(0, |at| first_ns.saturating_sub(at))
+    }
+
+    fn chain_hop(&self, link: &ChainLink) -> ChainHop {
+        let (names, p) = (&self.profile.names, &self.profile.packets[link.packet]);
+        let (_, _, no_nic) = self.profile.stand_ins();
+        let onward = link.onward.map(|t| self.txs().get(t));
+        ChainHop {
+            packet: p.packet,
+            machine: names.shared(machine_of(self.profile, p)),
+            nic: names.shared(p.nic.unwrap_or(no_nic)),
+            arrival_ns: p.first_ns,
+            queue_wait_ns: self.queue_wait(link),
+            tx_ns: onward.map(|tx| tx.at_ns),
+            overlap_ns: onward.map_or(0, |tx| p.last_ns.saturating_sub(tx.at_ns)),
+        }
+    }
+
+    /// A journey's critical-path hops, origin-side first.
+    pub fn chain(&self, j: &Journey) -> Vec<ChainHop> {
+        self.links(j).map(|link| self.chain_hop(&link)).collect()
+    }
+
+    /// Hands `add` each piece of `j`'s chain as a segment key and its
+    /// nanoseconds, hop by hop: the wire phases that delivered a hop, its
+    /// rx-queue wait, and its processing slices up to the handover that
+    /// continues the chain (all of them on the final hop) — so
+    /// consecutive pieces share their boundary instants and the total
+    /// telescopes to `end_ns - start_ns` with nothing left over.
+    fn pieces(&self, j: &Journey, mut add: impl FnMut(SegKey, u64)) {
+        let (profile, txs) = (self.profile, self.txs());
+        let (_, origin, _) = profile.stand_ins();
+        // The hop before on the chain, which sent the frame that delivered
+        // this one, unless the chain starts here.
+        let mut before = None;
+        for link in self.links(j) {
+            let hop = &profile.packets[link.packet];
+            let machine = machine_of(profile, hop);
+            if let Some(t) = link.incoming {
+                let tx = txs.get(t);
+                let sender = match before {
+                    Some(s) if txs.sent_by(t, s) => Some(s),
+                    _ => txs.sender(t).map(|(s, _)| s),
+                };
+                // An engine/timer-context send is named after its machine
+                // when the NIC knows one, "origin" otherwise.
+                let sent_by = sender.map(|s| machine_of(profile, &profile.packets[s]));
+                let src = sent_by.or(tx.host).unwrap_or(origin);
+                // The tx-ring/doorbell share of the wait is the sender's
+                // queue, not the medium's: surface it as its own hop
+                // segment so a backlogged transmit path is visible.
+                let queue = tx.queue_ns.min(tx.wait_ns);
+                if queue > 0 {
+                    add(SegKey::TxQueue(src), queue);
+                }
+                let wire = |phase| SegKey::Wire(src, machine, phase);
+                add(wire(Phase::Wait), tx.wait_ns - queue);
+                add(wire(Phase::Serialize), tx.ser_ns);
+                add(wire(Phase::Propagate), tx.prop_ns);
+            }
+            let queue_wait = self.queue_wait(&link);
+            if queue_wait > 0 {
+                add(SegKey::RxQueue(machine), queue_wait);
+            }
+            // The hop sent the transmit that continues the chain. Tx
+            // records and the `driver/tx` slices they produce appear in the
+            // same order, so the `k`-th of one is the `k`-th of the other.
+            let slices = profile.slices_at(link.packet);
+            let onward = link.onward.and_then(|t| txs.in_arena(t));
+            let upto = match onward.map(|k| k - profile.tx_run(link.packet).start) {
+                Some(k) => {
+                    let tx_slices = slices.iter().enumerate().filter(|(_, s)| profile.is_tx(s));
+                    tx_slices.map(|(at, _)| at + 1).nth(k)
+                }
+                None => Some(slices.len()),
+            };
+            for s in &slices[..upto.unwrap_or(0)] {
+                add(SegKey::Processing(machine, s.at.layer, s.at.domain), s.ns());
+            }
+            before = Some(link.packet);
+        }
+    }
+
+    /// A journey's ordered waterfall segments, summing to its
+    /// `end_to_end_ns`.
+    pub fn segments(&self, j: &Journey) -> Vec<Segment> {
+        // Slots of a table of this journey's own come in first-seen
+        // order, so a new one is the next segment.
+        let mut slots = Slots::new(&self.profile.names);
+        let mut segments: Vec<Segment> = Vec::new();
+        self.pieces(j, |key, ns| {
+            let slot = slots.of(key);
+            match segments.get_mut(slot) {
+                Some(segment) => segment.ns += ns,
+                None => segments.push(Segment {
+                    name: slots.name(slot).into(),
+                    ns,
+                }),
+            }
+        });
+        segments
+    }
+}
+
+/// Reconstructs every journey from a built profile. It asks the allocator
+/// only for what the journeys keep: their list and the two sorted index
+/// arrays.
+pub fn build(profile: &Profile) -> Journeys<'_> {
+    let packets = &profile.packets;
+    let txs = Txs { profile };
+    let at = |i: usize| u32::try_from(i).expect("a profile holds fewer than 2^32 packets");
+    let pkt = |h: &Hop| &packets[h.packet as usize];
+
+    // Intact hops, grouped by journey (one sort, then runs of equal
+    // journey), each group in arrival order.
+    let intact = |p: &&PacketProfile| p.journey.is_some() && !p.orphan;
+    let mut hops = Vec::with_capacity(packets.iter().filter(intact).count());
+    let hop = |(i, _)| Hop {
+        packet: at(i),
+        link: Link::Off,
+    };
+    hops.extend(
+        packets
+            .iter()
+            .enumerate()
+            .filter(|(_, p)| intact(p))
+            .map(hop),
+    );
+    hops.sort_unstable_by_key(|h| {
+        let p = pkt(h);
         (p.journey, p.first_ns, p.packet)
     });
+    let journey_of = |h: &Hop| pkt(h).journey;
+
     // A journey is *truncated* when wraparound left it nothing but
-    // orphaned hops: its tag is known, its ledger is not.
-    orphan_journeys.sort_unstable();
-    orphan_journeys.dedup();
-    let journeys_truncated = orphan_journeys
-        .iter()
-        .filter(|&&j| hops.binary_search_by_key(&Some(j), journey_of).is_err())
+    // orphaned hops: its tag is known, its ledger is not. Orphans are the
+    // few packets whose run the ring's start cut, so each is checked
+    // against those before it.
+    let orphan_journeys = || {
+        let orphans = profile.truncation.orphan_packets.iter();
+        let journey = |&id| {
+            let at = packets.binary_search_by_key(&id, |p| p.packet).ok()?;
+            packets[at].journey
+        };
+        orphans.filter_map(journey)
+    };
+    let lost = |j: u64| hops.binary_search_by_key(&Some(j), journey_of).is_err();
+    let journeys_truncated = orphan_journeys()
+        .enumerate()
+        .filter(|&(i, j)| lost(j) && !orphan_journeys().take(i).any(|k| k == j))
         .count() as u64;
 
     // Candidate parent transmits grouped the same way, each group by wire
-    // arrival; the sort is stable, so transmits that reach the wire at one
-    // instant stay in candidate order: engine/timer-context sends first,
-    // then per-packet transmits in packet order. A transmit's journey tag
-    // names the chain its *delivery* joins, which may differ from the
-    // journey of the packet being processed when it was sent (that is
-    // exactly what `journey_break` arranges).
-    let unattributed = profile.unattributed_txs.iter().map(|tx| (tx, None));
-    let attributed = packets.iter().enumerate().flat_map(|(at, p)| {
-        let source = move |(i, tx)| (tx, Some((at, i)));
-        profile.txs(p).iter().enumerate().map(source)
-    });
-    let tagged = unattributed
-        .chain(attributed)
-        .filter(|(tx, _)| tx.journey.is_some());
-    let mut txs = Vec::with_capacity(profile.unattributed_txs.len() + profile.txs.len());
-    txs.extend(tagged.map(|(tx, source)| TxCand::new(tx, source)));
-    txs.sort_by_key(|c| (c.tx.journey, c.wire_arrival));
+    // arrival, ties in candidate order. A transmit's journey tag names
+    // the chain its *delivery* joins, which may differ from the journey
+    // of the packet being processed when it was sent (that is exactly
+    // what `journey_break` arranges).
+    let tagged = |&t: &u32| txs.get(t).journey.is_some();
+    let numbers = 0..at(txs.len());
+    let mut cands = Vec::with_capacity(numbers.clone().filter(tagged).count());
+    cands.extend(numbers.filter(tagged));
+    cands.sort_unstable_by_key(|&t| (txs.get(t).journey, txs.wire_arrival(t), t));
 
-    let by_journey = |a: &usize, b: &usize| journey_of(a) == journey_of(b);
+    let by_journey = |a: &Hop, b: &Hop| journey_of(a) == journey_of(b);
     let mut journeys = Vec::with_capacity(hops.chunk_by(by_journey).count());
-    // Every chain hop is a distinct intact packet. `links[i]` is what the
-    // segment pass reads of `all_hops[i]`.
-    let mut all_hops: Vec<ChainHop> = Vec::with_capacity(hops.len());
-    let mut links: Vec<Link<'_>> = Vec::with_capacity(hops.len());
-    let mut slots = Slots {
-        names: &names,
-        keys: Vec::new(),
-        next_key: 0,
-        totals: Vec::new(),
-        seen: Vec::new(),
-        name: String::new(),
-    };
-    // How many segments the journeys so far have.
-    let mut segment_count = 0;
-    // The chain being built: a hop, the index of its transmit that
-    // continues the chain, and the transmit that delivered it.
-    let mut chain: Vec<(usize, Option<usize>, Option<TxCand<'_>>)> = Vec::new();
-    // Whether a packet is on its journey's chain. A packet belongs to one
-    // journey, so the marks of the journeys done never need clearing.
-    let mut on_chain = vec![false; packets.len()];
-    // The candidates of the journeys still to come.
-    let mut rest = &txs[..];
-    for hops in hops.chunk_by(by_journey) {
-        let journey = journey_of(&hops[0]);
+    // Where the candidates of the journeys still to come lie, and where
+    // the journey's hops start.
+    let (mut rest, mut first) = (0..cands.len(), 0);
+    for run in hops.chunk_by_mut(by_journey) {
+        let journey = pkt(&run[0]).journey;
         let jid = journey.expect("hops carry a journey");
-        let before = rest.iter().take_while(|c| c.tx.journey < journey).count();
-        let of_journey = rest[before..]
+        let skipped = cands[rest.clone()]
             .iter()
-            .take_while(|c| c.tx.journey == journey);
-        let (cands, later) = rest[before..].split_at(of_journey.count());
-        rest = later;
+            .take_while(|&&t| txs.get(t).journey < journey);
+        let of_journey = rest.start + skipped.count()..rest.end;
+        let count = (cands[of_journey.clone()].iter())
+            .take_while(|&&t| txs.get(t).journey == journey)
+            .count();
+        let of_journey = of_journey.start..of_journey.start + count;
+        rest = of_journey.end..rest.end;
 
         // The chain ends at the latest hop that actually ran (falling
         // back to the latest filtered hop for journeys that died on
         // arrival), and is walked backwards via parent transmits.
-        let ran = hops.iter().filter(|&&at| !is_filtered(&packets[at]));
-        let end = *ran
-            .max_by_key(|&&at| {
-                let p = &packets[at];
+        let ran = run
+            .iter()
+            .enumerate()
+            .filter(|(_, h)| !is_filtered(profile, pkt(h)));
+        let end = ran
+            .max_by_key(|(_, h)| {
+                let p = pkt(h);
                 (p.last_ns, p.first_ns, p.packet)
             })
             .or_else(|| {
-                hops.iter()
-                    .max_by_key(|&&at| (packets[at].last_ns, packets[at].packet))
+                run.iter()
+                    .enumerate()
+                    .max_by_key(|(_, h)| (pkt(h).last_ns, pkt(h).packet))
             })
+            .map(|(i, _)| i)
             .expect("journey group is non-empty");
 
-        chain.clear();
-        on_chain[end] = true;
-        let mut hop = (end, None);
+        let (mut hop, mut chain, mut overlap) = (end, 0u64, 0u64);
         let origin = loop {
-            let (at, own_tx_idx) = hop;
-            let parent = parent_of(cands, at, &packets[at]);
-            chain.push((at, own_tx_idx, parent));
-            let Some(parent) = parent else { break None };
-            let sender = parent.source.filter(|&(s, _)| {
+            let p = pkt(&run[hop]);
+            let parent = parent_of(txs, &cands, of_journey.clone(), run[hop].packet as usize, p);
+            run[hop].link = parent.map_or(Link::Head, |c| Link::By(at(c)));
+            chain += 1;
+            let Some(t) = parent.map(|c| cands[c]) else {
+                break None;
+            };
+            let sender = txs.sender(t).filter(|&(s, _)| {
                 let p = &packets[s];
-                p.journey == journey && !p.orphan && !on_chain[s]
+                p.journey == journey && !p.orphan
             });
-            match sender {
-                Some((s, tx_idx)) => {
-                    on_chain[s] = true;
-                    hop = (s, Some(tx_idx));
+            // The run is in arrival order, so the sender is found by its
+            // arrival; it is on the chain already if it has a link.
+            let on_run = sender.and_then(|(s, _)| {
+                let arrival = (packets[s].first_ns, packets[s].packet);
+                let found =
+                    run.binary_search_by_key(&arrival, |h| (pkt(h).first_ns, pkt(h).packet));
+                found.ok().filter(|&i| run[i].link == Link::Off)
+            });
+            match on_run {
+                Some(i) => {
+                    let p = pkt(&run[i]);
+                    overlap += p.last_ns.saturating_sub(txs.get(t).at_ns);
+                    hop = i;
                 }
                 // Sent from another journey's window (a broken chain's
-                // origin) or from engine/timer context: the journey
-                // starts here.
-                None => break Some(parent),
+                // origin), from engine/timer context, or from a hop
+                // already on the chain: the journey starts here.
+                None => break Some(t),
             }
         };
-        chain.reverse();
 
-        let start_ns = origin.map_or(packets[chain[0].0].first_ns, |c| c.tx.at_ns);
-        let end_ns = packets[end].last_ns;
-        let sender_of = |c: &TxCand<'_>| c.source.map(|(s, _)| machine_of(&packets[s]));
-        let origin_machine = origin.and_then(|c| sender_of(&c).or(c.tx.host));
+        let start_ns = origin.map_or(pkt(&run[hop]).first_ns, |t| txs.get(t).at_ns);
+        let end_ns = pkt(&run[end]).last_ns;
+        let sent_from = |t: u32| {
+            let machine = txs.sender(t).map(|(s, _)| machine_of(profile, &packets[s]));
+            machine.or(txs.get(t).host)
+        };
+        let origin_machine = origin.and_then(sent_from);
 
-        let first_hop = all_hops.len();
-        let mut overlap_total = 0u64;
-        for &(at, own_tx_idx, incoming) in &chain {
-            let hop = &packets[at];
-            let machine = machine_of(hop);
-            let queue_wait = incoming.map_or(0, |c| hop.first_ns.saturating_sub(c.wire_arrival));
-
-            // Processing on this hop: up to the chain-continuing handover
-            // for inner hops, the whole window for the final one. Tx
-            // records and the `driver/tx` slices they produce appear in
-            // the same order, so the `k`-th of one is the `k`-th of the
-            // other.
-            let slices = profile.slices(hop);
-            let (tx_ns, overlap, upto) = match own_tx_idx {
-                Some(k) => {
-                    let tx = &profile.txs(hop)[k];
-                    let tx_slices = slices.iter().enumerate().filter(|(_, s)| profile.is_tx(s));
-                    let upto = tx_slices.map(|(at, _)| at + 1).nth(k);
-                    (Some(tx.at_ns), hop.last_ns.saturating_sub(tx.at_ns), upto)
-                }
-                None => (None, 0, Some(slices.len())),
-            };
-            overlap_total += overlap;
-            links.push(Link {
-                machine,
-                // An engine/timer-context send is named after its machine
-                // when the NIC knows one, "origin" otherwise.
-                src: incoming.map_or(origin_label, |c| {
-                    sender_of(&c).unwrap_or(c.tx.host.unwrap_or(origin_label))
-                }),
-                incoming: incoming.map(|c| c.tx),
-                slices: &slices[..upto.unwrap_or(0)],
-            });
-            all_hops.push(ChainHop {
-                packet: hop.packet,
-                machine: names.shared(machine),
-                nic: names.shared(hop.nic.unwrap_or(no_nic)),
-                arrival_ns: hop.first_ns,
-                queue_wait_ns: queue_wait,
-                tx_ns,
-                overlap_ns: overlap,
-            });
-        }
-
-        // Count the journey's segments, the distinct slots of the keys its
-        // hops hand out, so the segment arena is reserved once below.
-        let this = journeys.len();
-        for (link, hop) in links[first_hop..].iter().zip(&all_hops[first_hop..]) {
-            link.segments(hop.queue_wait_ns, |key, _| {
-                let slot = slots.of(key);
-                if slots.seen[slot].0 != this {
-                    slots.seen[slot].0 = this;
-                    segment_count += 1;
-                }
-            });
-        }
-
-        let shed = hops
+        let shed = run
             .iter()
-            .filter(|&&at| is_filtered(&packets[at]) && !on_chain[at]);
+            .filter(|h| h.link == Link::Off && is_filtered(profile, pkt(h)));
         let filtered = shed.count() as u64;
-        let branches = hops.len() as u64 - filtered - chain.len() as u64;
-
+        let branches = run.len() as u64 - filtered - chain;
+        let hops = at(first)..at(first + run.len());
+        first += run.len();
         journeys.push(Journey {
             journey: jid,
             start_ns,
             end_ns,
             end_to_end_ns: end_ns - start_ns,
-            origin_machine: origin_machine.map(|m| names.shared(m)),
-            chain: first_hop..all_hops.len(),
-            segments: 0..0,
+            origin_machine: origin_machine.map(|m| profile.names.shared(m)),
+            hops,
             branch_hops: branches,
             filtered_hops: filtered,
-            overlap_ns: overlap_total,
+            overlap_ns: overlap,
         });
     }
-
-    // Stitch each journey's segments hop by hop: the wire phases that
-    // delivered a hop, its rx-queue wait, and its processing slices up to
-    // the handover that continues the chain — so consecutive pieces share
-    // their boundary instants and the total telescopes to `end_ns -
-    // start_ns` with nothing left over.
-    let mut all_segments: Vec<(usize, u64)> = Vec::with_capacity(segment_count);
-    slots.seen.fill((usize::MAX, 0));
-    for (this, journey) in journeys.iter_mut().enumerate() {
-        let first_segment = all_segments.len();
-        let chain = journey.chain.clone();
-        for (link, hop) in links[chain.clone()].iter().zip(&all_hops[chain]) {
-            link.segments(hop.queue_wait_ns, |key, ns| {
-                let slot = slots.of(key);
-                match slots.seen[slot] {
-                    (journey, at) if journey == this => all_segments[at].1 += ns,
-                    _ => {
-                        slots.seen[slot] = (this, all_segments.len());
-                        all_segments.push((slot, ns));
-                    }
-                }
-            });
-        }
-        journey.segments = first_segment..all_segments.len();
-        for &(slot, ns) in &all_segments[journey.segments.clone()] {
-            let (total, journeys) = &mut slots.totals[slot];
-            total.ns += ns;
-            *journeys += 1;
-        }
-    }
-    debug_assert_eq!(
-        all_segments.capacity(),
-        all_segments.len(),
-        "the count sized the arena"
-    );
     Journeys {
         journeys,
-        orphan_packets: orphans,
+        orphan_packets: (packets.len() - hops.len()) as u64,
         journeys_truncated,
-        segment_totals: slots.totals,
-        hops: all_hops,
-        segments: all_segments,
+        profile,
+        hops,
+        cands,
     }
+}
+
+/// A segment name's time summed over every journey, and the number of
+/// journeys that have it; `seen` is the journey (by position) summed last.
+#[derive(Clone, Copy)]
+struct Total {
+    ns: u64,
+    journeys: u64,
+    seen: usize,
 }
 
 /// Renders the journeys as deterministic JSON (schema
 /// `plexus.journey.v1`). Per-journey detail is emitted for the first
 /// `max_detail` journeys only — the cap is stated, never silent — while
 /// the per-segment aggregate covers every journey.
-pub fn journeys_json(j: &Journeys, max_detail: usize) -> String {
-    let mut out = String::from("{\n  \"schema\": \"plexus.journey.v1\",\n");
-    let (total, detailed) = (j.journeys.len(), j.journeys.len().min(max_detail));
-    let (orphans, truncated) = (j.orphan_packets, j.journeys_truncated);
-    put!(
-        out,
-        "  \"journeys_total\": {total},\n  \"journeys_detailed\": {detailed},\n  \
-         \"orphan_packets_excluded\": {orphans},\n  \"journeys_truncated\": {truncated},\n"
-    );
-
-    out.push_str("  \"segments\": [");
-    for (i, (total, count)) in j.segment_totals.iter().enumerate() {
-        let (sep, name) = (if i > 0 { "," } else { "" }, escaped(&total.name));
-        let (total_ns, mean_ns) = (total.ns, total.ns / count.max(&1));
-        put!(
-            out,
-            "{sep}\n    {{\"name\": \"{name}\", \"total_ns\": {total_ns}, \
-             \"journeys\": {count}, \"mean_ns\": {mean_ns}}}"
-        );
+pub fn journeys_json(j: &Journeys<'_>, max_detail: usize) -> String {
+    // Every segment name with its totals, in first-seen order.
+    let mut slots = Slots::new(&j.profile.names);
+    let mut totals: Vec<Total> = Vec::new();
+    for (this, journey) in j.journeys.iter().enumerate() {
+        j.pieces(journey, |key, ns| {
+            let slot = slots.of(key);
+            if slot == totals.len() {
+                totals.push(Total {
+                    ns: 0,
+                    journeys: 0,
+                    seen: usize::MAX,
+                });
+            }
+            let total = &mut totals[slot];
+            total.ns += ns;
+            if total.seen != this {
+                total.seen = this;
+                total.journeys += 1;
+            }
+        });
     }
-    out.push_str(if j.segment_totals.is_empty() {
-        "],\n"
-    } else {
-        "\n  ],\n"
-    });
+    // A detailed journey's segments, as slots with their nanoseconds in
+    // first-seen order: a few, searched in place.
+    let mut segments: Vec<(usize, u64)> = Vec::new();
+    exact(|out| {
+        let (total, detailed) = (j.journeys.len(), j.journeys.len().min(max_detail));
+        let (orphans, truncated) = (j.orphan_packets, j.journeys_truncated);
+        put!(
+            out,
+            "{{\n  \"schema\": \"plexus.journey.v1\",\n  \"journeys_total\": {total},\n  \
+             \"journeys_detailed\": {detailed},\n  \"orphan_packets_excluded\": {orphans},\n  \
+             \"journeys_truncated\": {truncated},\n"
+        );
 
-    out.push_str("  \"journeys\": [");
-    for (i, journey) in j.journeys.iter().take(detailed).enumerate() {
-        let sep = if i > 0 { "," } else { "" };
-        let (id, start_ns, end_ns) = (journey.journey, journey.start_ns, journey.end_ns);
-        let end_to_end_ns = journey.end_to_end_ns;
-        put!(
-            out,
-            "{sep}\n    {{\"journey\": {id}, \"start_ns\": {start_ns}, \"end_ns\": {end_ns}, \
-             \"end_to_end_ns\": {end_to_end_ns}, \"origin_machine\": "
-        );
-        match &journey.origin_machine {
-            Some(machine) => put!(out, "\"{}\"", escaped(machine)),
-            None => out.push_str("null"),
-        }
-        let (branch, filtered) = (journey.branch_hops, journey.filtered_hops);
-        let overlap = journey.overlap_ns;
-        put!(
-            out,
-            ", \"branch_hops\": {branch}, \"filtered_hops\": {filtered}, \
-             \"overlap_ns\": {overlap}, \"chain\": ["
-        );
-        for (k, h) in j.chain(journey).iter().enumerate() {
-            let sep = if k > 0 { ", " } else { "" };
-            let (machine, nic) = (escaped(&h.machine), escaped(&h.nic));
-            let (packet, arrival_ns, queue_wait_ns) = (h.packet, h.arrival_ns, h.queue_wait_ns);
-            let (tx_ns, overlap_ns) = (or_null(h.tx_ns), h.overlap_ns);
+        out.push_str("  \"segments\": [");
+        for (slot, t) in totals.iter().enumerate() {
+            let (sep, name) = (if slot > 0 { "," } else { "" }, escaped(slots.name(slot)));
+            let (total_ns, count, mean_ns) = (t.ns, t.journeys, t.ns / t.journeys.max(1));
             put!(
                 out,
-                "{sep}{{\"packet\": {packet}, \"machine\": \"{machine}\", \"nic\": \"{nic}\", \
-                 \"arrival_ns\": {arrival_ns}, \"queue_wait_ns\": {queue_wait_ns}, \
-                 \"tx_ns\": {tx_ns}, \"overlap_ns\": {overlap_ns}}}"
+                "{sep}\n    {{\"name\": \"{name}\", \"total_ns\": {total_ns}, \
+                 \"journeys\": {count}, \"mean_ns\": {mean_ns}}}"
             );
         }
-        out.push_str("], \"segments\": [");
-        let names = |&(slot, ns): &(usize, u64)| (&*j.segment_totals[slot].0.name, ns);
-        segments_json(
-            &mut out,
-            j.segments[journey.segments.clone()].iter().map(names),
-        );
-        out.push_str("]}");
-    }
-    out.push_str(if detailed == 0 {
-        "]\n}\n"
-    } else {
-        "\n  ]\n}\n"
-    });
-    out
+        out.push_str(if totals.is_empty() {
+            "],\n"
+        } else {
+            "\n  ],\n"
+        });
+
+        out.push_str("  \"journeys\": [");
+        for (i, journey) in j.journeys.iter().take(detailed).enumerate() {
+            let sep = if i > 0 { "," } else { "" };
+            let (id, start_ns, end_ns) = (journey.journey, journey.start_ns, journey.end_ns);
+            let end_to_end_ns = journey.end_to_end_ns;
+            put!(
+                out,
+                "{sep}\n    {{\"journey\": {id}, \"start_ns\": {start_ns}, \"end_ns\": {end_ns}, \
+                 \"end_to_end_ns\": {end_to_end_ns}, \"origin_machine\": "
+            );
+            match &journey.origin_machine {
+                Some(machine) => put!(out, "\"{}\"", escaped(machine)),
+                None => out.push_str("null"),
+            }
+            let (branch, filtered) = (journey.branch_hops, journey.filtered_hops);
+            let overlap = journey.overlap_ns;
+            put!(
+                out,
+                ", \"branch_hops\": {branch}, \"filtered_hops\": {filtered}, \
+                 \"overlap_ns\": {overlap}, \"chain\": ["
+            );
+            for (k, link) in j.links(journey).enumerate() {
+                let (sep, h) = (if k > 0 { ", " } else { "" }, j.chain_hop(&link));
+                let (machine, nic) = (escaped(&h.machine), escaped(&h.nic));
+                let (packet, arrival_ns, queue_wait_ns) = (h.packet, h.arrival_ns, h.queue_wait_ns);
+                let (tx_ns, overlap_ns) = (or_null(h.tx_ns), h.overlap_ns);
+                put!(
+                    out,
+                    "{sep}{{\"packet\": {packet}, \"machine\": \"{machine}\", \"nic\": \"{nic}\", \
+                     \"arrival_ns\": {arrival_ns}, \"queue_wait_ns\": {queue_wait_ns}, \
+                     \"tx_ns\": {tx_ns}, \"overlap_ns\": {overlap_ns}}}"
+                );
+            }
+            out.push_str("], \"segments\": [");
+            segments.clear();
+            j.pieces(journey, |key, ns| {
+                let slot = slots.of(key);
+                match segments.iter_mut().find(|(s, _)| *s == slot) {
+                    Some((_, sum)) => *sum += ns,
+                    None => segments.push((slot, ns)),
+                }
+            });
+            let named = segments.iter().map(|&(slot, ns)| (slots.name(slot), ns));
+            segments_json(out, named);
+            out.push_str("]}");
+        }
+        out.push_str(if detailed == 0 {
+            "]\n}\n"
+        } else {
+            "\n  ]\n}\n"
+        });
+    })
 }
 
 #[cfg(test)]
@@ -698,7 +802,8 @@ mod tests {
     #[test]
     fn chain_links_hops_and_segments_telescope_exactly() {
         let rec = two_hop();
-        let js = build(&Profile::build(&rec));
+        let profile = Profile::build(&rec);
+        let js = build(&profile);
         assert_eq!(js.journeys.len(), 1);
         let j = &js.journeys[0];
         assert_eq!(j.journey, 0);
@@ -738,7 +843,8 @@ mod tests {
         );
         rec.packet_drop(2_600, "ether", "mac_filter");
         rec.packet_done();
-        let js = build(&Profile::build(&rec));
+        let profile = Profile::build(&rec);
+        let js = build(&profile);
         let j = &js.journeys[0];
         assert_eq!(j.filtered_hops, 1);
         assert_eq!(js.chain(j).len(), 2, "filtered copy not on the chain");
@@ -763,7 +869,8 @@ mod tests {
         // Arrival record 400 ns after the wire arrival (rx-ring wait).
         rec.packet_arrival(2_000, rec.intern("eth0"), rec.intern("dut"), 60, Some(j));
         rec.packet_done();
-        let js = build(&Profile::build(&rec));
+        let profile = Profile::build(&rec);
+        let js = build(&profile);
         let jo = &js.journeys[0];
         assert_eq!(js.chain(jo)[0].queue_wait_ns, 400);
         let sum: u64 = js.segments(jo).iter().map(|s| s.ns).sum();
@@ -789,7 +896,8 @@ mod tests {
         );
         rec.packet_arrival(1_750, rec.intern("eth0"), rec.intern("dut"), 60, Some(j));
         rec.packet_done();
-        let js = build(&Profile::build(&rec));
+        let profile = Profile::build(&rec);
+        let js = build(&profile);
         let jo = &js.journeys[0];
         let segments = js.segments(jo);
         let get = |name: &str| segments.iter().find(|s| &*s.name == name).map(|s| s.ns);
@@ -816,7 +924,8 @@ mod tests {
             rec.packet_done();
         }
         assert!(rec.overwritten() > 0, "ring must have wrapped");
-        let js = build(&Profile::build(&rec));
+        let profile = Profile::build(&rec);
+        let js = build(&profile);
         assert!(js.orphan_packets > 0);
         assert!(
             js.journeys_truncated > 0,
@@ -839,7 +948,8 @@ mod tests {
     #[test]
     fn journeys_json_is_valid_and_caps_are_stated() {
         let rec = two_hop();
-        let js = build(&Profile::build(&rec));
+        let profile = Profile::build(&rec);
+        let js = build(&profile);
         let body = journeys_json(&js, 0);
         validate(&body).expect("journey JSON well-formed");
         assert!(body.contains("\"schema\": \"plexus.journey.v1\""));
@@ -878,7 +988,8 @@ mod tests {
     }
 
     fn chain_machines(rec: &Recorder) -> Vec<String> {
-        let js = build(&Profile::build(rec));
+        let profile = Profile::build(rec);
+        let js = build(&profile);
         let j = &js.journeys[0];
         js.chain(j).iter().map(|h| h.machine.to_string()).collect()
     }
@@ -938,7 +1049,8 @@ mod tests {
         // chain hop scanned the journey's transmits and the chain built so
         // far; the debug build of this test would have run for minutes.
         let rec = relay(16_000);
-        let js = build(&Profile::build(&rec));
+        let profile = Profile::build(&rec);
+        let js = build(&profile);
         assert_eq!(js.journeys.len(), 1);
         let j = &js.journeys[0];
         assert_eq!(js.chain(j).len(), 16_000);

@@ -5,15 +5,117 @@
 
 use std::fmt;
 
-/// `write!` into a `String`, which cannot fail: every exporter renders
-/// straight into its one output buffer with this.
+/// `write!` into a [`Sink`], which cannot fail: every exporter renders
+/// straight into its one output with this.
 macro_rules! put {
     ($out:expr, $($arg:tt)*) => {{
+        // Unused where `$out` is a `dyn Sink`, whose supertrait it is.
+        #[allow(unused_imports)]
         use std::fmt::Write as _;
-        let _ = write!($out, $($arg)*);
+        let _ = $out.write_fmt(format_args!($($arg)*));
     }};
 }
 pub(crate) use put;
+
+/// Where a writer's text goes: its document, or a [`Len`] that counts the
+/// bytes the document will take. Each writer runs once into each
+/// ([`exact`]), so its `String` is reserved at its length and never grows.
+pub(crate) trait Sink: fmt::Write {
+    fn push_str(&mut self, s: &str);
+
+    fn push(&mut self, c: char);
+
+    /// Appends `n` in decimal.
+    fn push_num(&mut self, n: u64);
+}
+
+impl Sink for String {
+    fn push_str(&mut self, s: &str) {
+        String::push_str(self, s);
+    }
+
+    fn push(&mut self, c: char) {
+        String::push(self, c);
+    }
+
+    /// Splits off `n`'s two-digit groups from the right, then pushes them
+    /// from the left as slices of [`PAIRS`], a leading lone digit as a
+    /// `char`.
+    fn push_num(&mut self, n: u64) {
+        let mut pairs = [0u8; 10];
+        let (mut k, mut m) = (0, n);
+        while m >= 100 {
+            pairs[k] = (m % 100) as u8;
+            m /= 100;
+            k += 1;
+        }
+        if m >= 10 {
+            let at = 2 * m as usize;
+            self.push_str(&PAIRS[at..at + 2]);
+        } else {
+            self.push(char::from(b'0' + m as u8));
+        }
+        for &p in pairs[..k].iter().rev() {
+            let at = 2 * p as usize;
+            self.push_str(&PAIRS[at..at + 2]);
+        }
+    }
+}
+
+/// The length of what is written to it.
+#[derive(Default)]
+pub(crate) struct Len(pub(crate) usize);
+
+impl fmt::Write for Len {
+    fn write_str(&mut self, s: &str) -> fmt::Result {
+        self.0 += s.len();
+        Ok(())
+    }
+}
+
+impl Sink for Len {
+    fn push_str(&mut self, s: &str) {
+        self.0 += s.len();
+    }
+
+    fn push(&mut self, c: char) {
+        self.0 += c.len_utf8();
+    }
+
+    fn push_num(&mut self, n: u64) {
+        self.0 += n.checked_ilog10().map_or(1, |log| log as usize + 1);
+    }
+}
+
+/// Runs `write` into a [`Len`], then into a `String` reserved at the length
+/// it counted: the document asks the allocator once, for its own bytes.
+pub(crate) fn exact(mut write: impl FnMut(&mut dyn Sink)) -> String {
+    let mut len = Len::default();
+    write(&mut len);
+    let mut out = String::with_capacity(len.0);
+    write(&mut out);
+    debug_assert_eq!(out.len(), len.0, "the counting pass measured the document");
+    out
+}
+
+/// `"00"` to `"99"`, back to back: a number is pushed two digits at a
+/// time as slices of it, so its text is `str` by type and never checked.
+const PAIRS: &str = {
+    const DIGITS: [u8; 200] = {
+        let mut pairs = [0; 200];
+        let mut i = 0;
+        while i < 100 {
+            pairs[2 * i] = b'0' + (i / 10) as u8;
+            pairs[2 * i + 1] = b'0' + (i % 10) as u8;
+            i += 1;
+        }
+        pairs
+    };
+    match std::str::from_utf8(&DIGITS) {
+        Ok(pairs) => pairs,
+        Err(_) => panic!("digits are ASCII"),
+    }
+};
 
 /// Writes `s` as it reads inside a JSON string literal (no surrounding
 /// quotes): the runs that need no escape are copied whole, the escapes go
@@ -391,6 +493,27 @@ impl Parser<'_> {
 #[cfg(test)]
 mod tests {
     use super::*;
+
+    #[test]
+    fn a_count_is_the_length_of_what_is_written() {
+        let powers = (0..20).map(|e| 10u64.pow(e));
+        let mut edges: Vec<u64> = powers.flat_map(|p| [p - 1, p, p + 1]).collect();
+        edges.extend([0, 2, u64::MAX - 1, u64::MAX]);
+        for n in edges {
+            let (mut text, mut len) = (String::new(), Len::default());
+            Sink::push_num(&mut text, n);
+            len.push_num(n);
+            assert_eq!(text, n.to_string());
+            assert_eq!(len.0, text.len(), "{n}");
+        }
+        let doc = exact(|out| {
+            out.push_str("{\"n\": ");
+            out.push_num(12_345);
+            put!(out, ", \"s\": \"{}\"}}", escaped("a\"b"));
+        });
+        assert_eq!(doc, r#"{"n": 12345, "s": "a\"b"}"#);
+        assert_eq!(doc.capacity(), doc.len(), "reserved at its length");
+    }
 
     #[test]
     fn accepts_well_formed_documents() {

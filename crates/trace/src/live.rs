@@ -29,7 +29,7 @@ use std::cell::RefCell;
 use std::collections::{BTreeMap, HashMap, VecDeque};
 use std::sync::Arc;
 
-use crate::json::{escaped, joined, or_null, put};
+use crate::json::{escaped, exact, joined, or_null, put, Sink};
 use crate::recorder::{Interner, Label};
 use crate::registry::{CounterKey, Registry, Scope};
 use crate::ring::Ring;
@@ -187,20 +187,18 @@ pub struct LayerCounters {
 #[derive(Debug, Default)]
 struct ScopeAgg {
     c: ScopeCounters,
-    /// In first-seen order; a report orders them by label.
+    /// In label order, as a report lists them.
     layers: Vec<(Label, LayerCounters)>,
 }
 
-/// The value of `label` in a short list of `(label, value)`, added with
-/// its default on first sight.
+/// The value of `label` in a short list of `(label, value)` in label
+/// order, added with its default on first sight.
 fn entry<V: Default>(list: &mut Vec<(Label, V)>, label: Label) -> &mut V {
-    let at = match list.iter().position(|(l, _)| *l == label) {
-        Some(at) => at,
-        None => {
-            list.push((label, V::default()));
-            list.len() - 1
-        }
-    };
+    let at = list.iter().position(|&(l, _)| l >= label);
+    let at = at.unwrap_or(list.len());
+    if list.get(at).is_none_or(|&(l, _)| l != label) {
+        list.insert(at, (label, V::default()));
+    }
     &mut list[at].1
 }
 
@@ -713,22 +711,19 @@ impl LiveAgg {
             drops: pending.drops(&names),
             ..w.clone()
         };
-        let view = |agg: &ScopeAgg| {
-            let mut layers = agg.layers.clone();
-            layers.sort_unstable_by_key(|&(l, _)| l);
-            ScopeView {
-                counters: agg.c,
-                layers: (layers.into_iter())
-                    .map(|(l, c)| (names.get(l).to_owned(), c))
-                    .collect(),
-            }
+        // Names are shared with the recorder's table, not copied.
+        let view = |agg: &ScopeAgg| ScopeView {
+            counters: agg.c,
+            layers: (agg.layers.iter())
+                .map(|&(l, c)| (names.shared(l), c))
+                .collect(),
         };
-        let mut machines: Vec<(String, ScopeView)> = self
+        let mut machines: Vec<(Arc<str>, ScopeView)> = self
             .machines
             .iter()
-            .map(|(m, agg)| (names.get(*m).to_owned(), view(agg)))
+            .map(|(m, agg)| (names.shared(*m), view(agg)))
             .collect();
-        machines.sort_by(|a, b| a.0.cmp(&b.0));
+        machines.sort_unstable_by(|a, b| a.0.cmp(&b.0));
         let mut rendered = HashMap::new();
         let sampled = self
             .retained
@@ -851,8 +846,9 @@ pub struct SampledJourney {
 pub struct ScopeView {
     /// The flat counters at this level.
     pub counters: ScopeCounters,
-    /// Per-layer counters, sorted by layer name.
-    pub layers: Vec<(String, LayerCounters)>,
+    /// Per-layer counters, in the order the layers' names were first
+    /// recorded.
+    pub layers: Vec<(Arc<str>, LayerCounters)>,
 }
 
 /// Snapshot of the live tier after [`crate::Recorder::live_report`].
@@ -872,7 +868,7 @@ pub struct LiveReport {
     /// World-level roll-up (everything).
     pub world: ScopeView,
     /// Per-machine scopes, sorted by machine name.
-    pub machines: Vec<(String, ScopeView)>,
+    pub machines: Vec<(Arc<str>, ScopeView)>,
     /// Records attributable to no machine (engine/timer context).
     /// `world == Σ machines + unattributed`, field for field.
     pub unattributed: ScopeView,
@@ -896,7 +892,7 @@ impl LiveReport {
     }
 }
 
-fn scope_json(out: &mut String, name: &str, view: &ScopeView) {
+fn scope_json(out: &mut dyn Sink, name: &str, view: &ScopeView) {
     let (name, c) = (escaped(name), &view.counters);
     let (arrivals, arrival_bytes, completions) = (c.arrivals, c.arrival_bytes, c.completions);
     let (tx_frames, tx_bytes, interrupts, drops) = (c.tx_frames, c.tx_bytes, c.interrupts, c.drops);
@@ -923,24 +919,29 @@ fn scope_json(out: &mut String, name: &str, view: &ScopeView) {
 /// timeline's on a truncation-free run; sampled-journey detail is emitted
 /// for the first `max_detail` journeys only (the cap is stated).
 pub fn live_json(rep: &LiveReport, max_detail: usize) -> String {
-    let mut out = String::from("{\n  \"schema\": \"plexus.live.v1\",\n");
+    exact(|out| live_doc(rep, max_detail, out))
+}
+
+/// Writes [`live_json`]'s document.
+fn live_doc(rep: &LiveReport, max_detail: usize, out: &mut dyn Sink) {
+    out.push_str("{\n  \"schema\": \"plexus.live.v1\",\n");
     let (window_ns, online, late) = (rep.window_ns, rep.windows_sealed_online, rep.late_records);
     put!(
         out,
         "  \"window_ns\": {window_ns},\n  \"windows_sealed_online\": {online},\n  \
          \"late_records\": {late},\n"
     );
-    worst_windows_json(&mut out, &rep.windows);
+    worst_windows_json(out, &rep.windows);
 
     out.push_str("  \"scopes\": {\"world\": ");
-    scope_json(&mut out, "world", &rep.world);
+    scope_json(out, "world", &rep.world);
     out.push_str(", \"machines\": [");
     for (i, (name, view)) in rep.machines.iter().enumerate() {
         out.push_str(if i > 0 { ", " } else { "" });
-        scope_json(&mut out, name, view);
+        scope_json(out, name, view);
     }
     out.push_str("], \"unattributed\": ");
-    scope_json(&mut out, "", &rep.unattributed);
+    scope_json(out, "", &rep.unattributed);
     out.push_str("},\n");
 
     let (total, detailed) = (rep.sampled.len(), rep.sampled.len().min(max_detail));
@@ -1000,8 +1001,7 @@ pub fn live_json(rep: &LiveReport, max_detail: usize) -> String {
     }
     out.push_str("],\n");
 
-    windows_json(&mut out, &rep.windows, rep.window_ns);
-    out
+    windows_json(out, &rep.windows, rep.window_ns);
 }
 
 #[cfg(test)]
@@ -1084,7 +1084,7 @@ mod tests {
         let rep = rec.live_report().unwrap();
         assert_eq!(rep.world.counters.arrivals, 5);
         assert_eq!(rep.machines.len(), 2);
-        assert_eq!(rep.machines[0].0, "client");
+        assert_eq!(&*rep.machines[0].0, "client");
         assert_eq!(rep.machines[0].1.counters.arrivals, 2);
         assert_eq!(rep.machines[1].1.counters.arrivals, 3);
         assert_eq!(rep.unattributed.counters.tx_frames, 1);
@@ -1097,7 +1097,7 @@ mod tests {
         assert_eq!(sum, rep.world.counters);
         // Layer breakdown under a machine.
         let client = &rep.machines[0].1;
-        let udp = client.layers.iter().find(|(l, _)| l == "udp").unwrap();
+        let udp = client.layers.iter().find(|(l, _)| &**l == "udp").unwrap();
         assert_eq!(udp.1.handlers, 2);
         assert_eq!(udp.1.drops, 2);
     }

@@ -21,17 +21,17 @@
 //! ([`Profile::name`]) only where bytes are written; it owns its name
 //! table, so its consumers need no recorder, and sorted output is sorted
 //! by name, never by label. Every packet's spans, slices, transmits and
-//! drops live in four arenas of the profile, read through its accessors.
+//! drops live in four arenas of the profile, read through its accessors;
+//! a packet keeps where its runs end, and starts where the one before it
+//! ends. The build asks the allocator only for what the profile keeps.
 //! On top sit [`Profile::aggregate`] (mean/p50/p99 per triple) and
 //! [`pingpong_waterfall`], whose per-round segments sum to the measured
 //! RTT exactly.
 
 use std::cmp::Ordering;
-use std::collections::BTreeMap;
-use std::ops::Range;
 use std::sync::Arc;
 
-use crate::json::{escaped, joined, put};
+use crate::json::{escaped, exact, joined, put, Sink};
 use crate::recorder::Interner;
 use crate::timeline::percentile;
 use crate::{CrossDir, Label, Recorder, Ring, TraceEvent, TraceRecord};
@@ -163,15 +163,36 @@ pub struct PacketProfile {
     pub first_ns: u64,
     /// Last retained record timestamp.
     pub last_ns: u64,
-    /// Where the packet's spans, slices, transmits and drops lie in the
+    /// Where the packet's spans, slices, transmits and drops end in the
     /// profile's arenas (read them with [`Profile::spans`] and friends).
-    pub(crate) spans: Range<usize>,
-    pub(crate) slices: Range<usize>,
-    pub(crate) txs: Range<usize>,
-    pub(crate) drops: Range<usize>,
+    pub(crate) ends: Ends,
     /// True when ring wraparound ate the packet's arrival — durations for
     /// this packet are untrustworthy and it is excluded from aggregates.
     pub orphan: bool,
+}
+
+/// Where a packet's runs end in the four arenas of its profile; they start
+/// where the previous packet's end. While the build has the packet open,
+/// they hold where its runs start.
+#[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
+pub(crate) struct Ends {
+    spans: u32,
+    slices: u32,
+    txs: u32,
+    drops: u32,
+}
+
+impl Ends {
+    /// The four arenas' lengths.
+    fn of(p: &Profile) -> Ends {
+        let at = |len: usize| u32::try_from(len).expect("a profile arena holds fewer than 2^32");
+        Ends {
+            spans: at(p.spans.len()),
+            slices: at(p.slices.len()),
+            txs: at(p.txs.len()),
+            drops: at(p.drops.len()),
+        }
+    }
 }
 
 /// What ring wraparound cost this profile, reported instead of silently
@@ -227,10 +248,12 @@ pub(crate) struct TripleSum {
     pub(crate) at: Triple,
     pub(crate) total_ns: u64,
     slices: u64,
-    /// Each packet's sum, in packet order, when they were asked for.
-    per_packet: Vec<u64>,
-    /// The packet (by position) summed last, and its sum so far.
-    open: (usize, u64),
+    /// Packets with a slice of it, and the one (by position) seen last.
+    packets: u64,
+    last: usize,
+    /// Where, in [`Profile::aggregate`]'s buffer, the packet seen last
+    /// adds up.
+    sum_at: usize,
 }
 
 /// The full cycle-accounting profile of a recorded run.
@@ -248,7 +271,7 @@ pub struct Profile {
     /// `(layer, reason, count)` sorted by layer name then reason name.
     pub unattributed_drops: Vec<(Label, Label, u64)>,
     /// Every packet's spans (in pre-order), slices, transmits and drops,
-    /// packet after packet; a [`PacketProfile`] holds ranges into them.
+    /// packet after packet; a [`PacketProfile`] holds where its runs end.
     spans: Vec<Span>,
     slices: Vec<Slice>,
     pub(crate) txs: Vec<TxRecord>,
@@ -274,6 +297,11 @@ struct Steps {
     tail: Label,
     /// The label of `""` (an unnamed host), if the recorder ever saw it.
     unnamed: Option<Label>,
+    /// The stand-ins the journey pass names an unknown machine, an origin
+    /// outside any machine and a lost NIC by: `?`, `origin` and `""`.
+    unknown: Label,
+    origin: Label,
+    no_nic: Label,
 }
 
 impl Steps {
@@ -309,6 +337,9 @@ impl Steps {
     }
 }
 
+/// How many names [`Profile::build`] adds as its [`Steps`].
+const STEPS: usize = 14;
+
 /// How many of each thing a profile keeps from a ring: counted in one walk
 /// before the fold, so each arena is reserved once at the size it keeps.
 #[derive(Debug, Default, PartialEq, Eq)]
@@ -320,6 +351,7 @@ struct Sizes {
     txs: usize,
     drops: usize,
     unattributed_txs: usize,
+    unattributed_drops: usize,
 }
 
 impl Sizes {
@@ -342,6 +374,8 @@ impl Sizes {
             if r.packet.is_none() {
                 let tx = matches!(r.event, TraceEvent::PacketTx { .. });
                 n.unattributed_txs += usize::from(tx);
+                let drop = matches!(r.event, TraceEvent::Drop { .. });
+                n.unattributed_drops += usize::from(drop);
                 continue;
             }
             last = r.at_ns;
@@ -366,7 +400,7 @@ impl Sizes {
 /// Charges the gap from the open packet's last slice's end (or its
 /// `first_ns`) to `end_ns` to `(layer, domain, handler)`.
 fn charge(slices: &mut Vec<Slice>, open: &PacketProfile, end_ns: u64, to: (Label, Label, Label)) {
-    let last = slices[open.slices.start..].last();
+    let last = slices[open.ends.slices as usize..].last();
     let start_ns = last.map_or(open.first_ns, |s| s.end_ns);
     let (layer, domain, handler) = to;
     let at = Triple {
@@ -379,6 +413,17 @@ fn charge(slices: &mut Vec<Slice>, open: &PacketProfile, end_ns: u64, to: (Label
         end_ns,
         at,
     });
+}
+
+/// While a span is open, its `child_ns` holds the arena index of the open
+/// span around it, or this: the open spans are a stack threaded through
+/// the arena, innermost first.
+const OUTERMOST: u64 = u64::MAX;
+
+/// The open span around the open span `at`.
+fn enclosing(spans: &[Span], at: usize) -> Option<usize> {
+    let up = spans[at].child_ns;
+    (up != OUTERMOST).then_some(up as usize)
 }
 
 /// Closes the span at `at`, the innermost one open: every span after it
@@ -404,7 +449,11 @@ impl Profile {
     pub fn build(rec: &Recorder) -> Profile {
         let ring = rec.ring();
         let n = Sizes::of(&ring);
-        let mut names = rec.names().clone();
+        // Room for the steps below and a layer name per recorded name.
+        let mut names = {
+            let recorded = rec.names();
+            recorded.with_room(STEPS + recorded.len())
+        };
         let unnamed = names.lookup("");
         let mut step = |name| names.intern(name);
         let steps = Steps {
@@ -419,6 +468,9 @@ impl Profile {
             timer: step("timer"),
             tail: step("tail"),
             unnamed,
+            unknown: step("?"),
+            origin: step("origin"),
+            no_nic: step(""),
         };
         let mut profile = Profile {
             packets: Vec::with_capacity(n.packets),
@@ -429,7 +481,7 @@ impl Profile {
                 ..TruncationReport::default()
             },
             unattributed_txs: Vec::with_capacity(n.unattributed_txs),
-            unattributed_drops: Vec::new(),
+            unattributed_drops: Vec::with_capacity(n.unattributed_drops),
             spans: Vec::with_capacity(n.spans),
             slices: Vec::with_capacity(n.slices),
             txs: Vec::with_capacity(n.txs),
@@ -439,32 +491,42 @@ impl Profile {
         };
 
         // The packet the walk is inside, if any (the last of `packets`),
-        // and its open spans, innermost last, as span-arena indices.
-        let (mut inside, mut stack) = (None, Vec::new());
-        let mut drops: BTreeMap<(Label, Label), u64> = BTreeMap::new();
+        // and its innermost open span (see [`enclosing`]).
+        let (mut inside, mut innermost) = (None, None);
         for r in ring.iter() {
             if inside != r.packet {
-                profile.close_packet(inside, &mut stack);
+                profile.close_packet(inside, &mut innermost);
                 inside = r.packet;
                 if profile.open_packet(&r) {
                     continue;
                 }
             }
             match (r.packet, r.event) {
-                (Some(_), _) => profile.record(&mut stack, &r),
+                (Some(_), _) => profile.record(&mut innermost, &r),
                 (None, TraceEvent::PacketTx { .. }) => {
                     profile.unattributed_txs.extend(steps.tx_record(&r));
                 }
                 (None, TraceEvent::Drop { layer, reason }) => {
-                    *drops.entry((layer, reason)).or_insert(0) += 1;
+                    profile.unattributed_drops.push((layer, reason, 1));
                 }
                 (None, _) => {}
             }
         }
-        profile.close_packet(inside, &mut stack);
+        profile.close_packet(inside, &mut innermost);
 
-        let mut drops: Vec<_> = drops.into_iter().map(|((l, r), n)| (l, r, n)).collect();
-        drops.sort_by_key(|&(layer, reason, _)| (profile.name(layer), profile.name(reason)));
+        // One entry per drop record so far, counted in place: sorted by
+        // name, each run of one `(layer, reason)` becomes its first entry.
+        let mut drops = std::mem::take(&mut profile.unattributed_drops);
+        drops.sort_unstable_by_key(|&(layer, reason, _)| {
+            (profile.name(layer), profile.name(reason))
+        });
+        drops.dedup_by(|next, kept| {
+            let same = (next.0, next.1) == (kept.0, kept.1);
+            if same {
+                kept.2 += next.2;
+            }
+            same
+        });
         profile.unattributed_drops = drops;
         debug_assert_eq!(profile.sizes(), n, "the counting walk sized every arena");
         profile
@@ -480,6 +542,7 @@ impl Profile {
             txs: self.txs.len(),
             drops: self.drops.len(),
             unattributed_txs: self.unattributed_txs.len(),
+            unattributed_drops: self.unattributed_drops.capacity(),
         }
     }
 
@@ -493,24 +556,76 @@ impl Profile {
         self.names.get(label)
     }
 
+    /// Where `p`'s runs start: where the packet before it ends theirs.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `p` is not one of this profile's `packets`.
+    fn starts(&self, p: &PacketProfile) -> Ends {
+        self.starts_at(
+            self.packets
+                .element_offset(p)
+                .expect("a packet of this profile"),
+        )
+    }
+
+    /// Where the runs of the packet at position `at` start.
+    fn starts_at(&self, at: usize) -> Ends {
+        at.checked_sub(1)
+            .map_or(Ends::default(), |before| self.packets[before].ends)
+    }
+
+    /// The slices of the packet at position `at`.
+    pub(crate) fn slices_at(&self, at: usize) -> &[Slice] {
+        &self.slices[self.starts_at(at).slices as usize..self.packets[at].ends.slices as usize]
+    }
+
     /// A packet's handler spans, in pre-order (see [`span_trees`]).
     pub fn spans(&self, p: &PacketProfile) -> &[Span] {
-        &self.spans[p.spans.clone()]
+        &self.spans[self.starts(p).spans as usize..p.ends.spans as usize]
     }
 
     /// A packet's attribution slices, tiling `[first_ns, last_ns]`.
     pub fn slices(&self, p: &PacketProfile) -> &[Slice] {
-        &self.slices[p.slices.clone()]
+        &self.slices[self.starts(p).slices as usize..p.ends.slices as usize]
     }
 
     /// The frames a packet's chain handed to a transmitter.
     pub fn txs(&self, p: &PacketProfile) -> &[TxRecord] {
-        &self.txs[p.txs.clone()]
+        &self.txs[self.starts(p).txs as usize..p.ends.txs as usize]
     }
 
     /// The drops recorded during a packet's window, as `(layer, reason)`.
     pub fn drops(&self, p: &PacketProfile) -> &[(Label, Label)] {
-        &self.drops[p.drops.clone()]
+        &self.drops[self.starts(p).drops as usize..p.ends.drops as usize]
+    }
+
+    /// The packet (by position) that handed the arena's `k`-th transmit
+    /// to a NIC, and where it is among that packet's.
+    pub(crate) fn tx_owner(&self, k: usize) -> (usize, usize) {
+        let at = self.packets.partition_point(|p| p.ends.txs as usize <= k);
+        (at, k - self.tx_run(at).start)
+    }
+
+    /// Where the transmits of the packet at position `at` lie in the arena.
+    pub(crate) fn tx_run(&self, at: usize) -> std::ops::Range<usize> {
+        self.starts_at(at).txs as usize..self.packets[at].ends.txs as usize
+    }
+
+    /// The stand-in names of the journey pass (see [`Steps`]).
+    pub(crate) fn stand_ins(&self) -> (Label, Label, Label) {
+        (self.steps.unknown, self.steps.origin, self.steps.no_nic)
+    }
+
+    /// Every packet with its slices, in one walk of the arena.
+    pub(crate) fn packet_slices(&self) -> impl Iterator<Item = (&PacketProfile, &[Slice])> {
+        let mut start = 0;
+        self.packets.iter().map(move |p| {
+            let end = p.ends.slices as usize;
+            let run = &self.slices[start..end];
+            start = end;
+            (p, run)
+        })
     }
 
     /// A packet's attributed time: `last_ns - first_ns`, by construction.
@@ -533,19 +648,20 @@ impl Profile {
         s.at.layer == self.steps.driver && s.at.handler == self.steps.tx
     }
 
-    /// Every triple's time over the non-orphan packets, in one walk over
-    /// their slices, as rows in first-seen order: what [`folded`] prints
-    /// and, with each packet's sum kept (`per_packet`), what
-    /// [`Profile::aggregate`] takes its percentiles of.
-    ///
-    /// [`folded`]: crate::flame::folded
-    pub(crate) fn triple_sums(&self, per_packet: bool) -> Vec<TripleSum> {
-        let mut rows: Vec<TripleSum> = Vec::new();
+    /// Walks the non-orphan packets' slices, handing `visit` each with the
+    /// row of its triple in `rows` (added, in first-seen order, the first
+    /// time the triple is seen) and the position of its packet.
+    fn walk_triples(
+        &self,
+        rows: &mut Vec<TripleSum>,
+        mut visit: impl FnMut(&mut TripleSum, usize, &Slice),
+    ) {
         // Packets repeat their triples in one order, so the row after the
         // one found last is tried first.
         let mut next = 0;
-        for (i, p) in self.packets.iter().enumerate().filter(|(_, p)| !p.orphan) {
-            for s in self.slices(p) {
+        let packets = self.packet_slices().enumerate();
+        for (i, (_, slices)) in packets.filter(|(_, (p, _))| !p.orphan) {
+            for s in slices {
                 let at = match rows.get(next) {
                     Some(row) if row.at == s.at => next,
                     _ => rows
@@ -556,52 +672,75 @@ impl Profile {
                                 at: s.at,
                                 total_ns: 0,
                                 slices: 0,
-                                per_packet: Vec::new(),
-                                open: (i, 0),
+                                packets: 0,
+                                last: usize::MAX,
+                                sum_at: 0,
                             });
                             rows.len() - 1
                         }),
                 };
                 next = at + 1;
-                let row = &mut rows[at];
-                row.total_ns += s.ns();
-                row.slices += 1;
-                if row.open.0 != i {
-                    if per_packet {
-                        row.per_packet.push(row.open.1);
-                    }
-                    row.open = (i, 0);
-                }
-                row.open.1 += s.ns();
+                visit(&mut rows[at], i, s);
             }
         }
-        if per_packet {
-            rows.iter_mut()
-                .for_each(|row| row.per_packet.push(row.open.1));
-        }
+    }
+
+    /// Every triple's time over the non-orphan packets, in one walk over
+    /// their slices, as rows in first-seen order: what [`folded`] prints
+    /// and what [`Profile::aggregate`] takes its percentiles over.
+    ///
+    /// [`folded`]: crate::flame::folded
+    pub(crate) fn triple_sums(&self) -> Vec<TripleSum> {
+        let mut rows = Vec::new();
+        self.walk_triples(&mut rows, |row, i, s| {
+            row.total_ns += s.ns();
+            row.slices += 1;
+            if row.last != i {
+                row.last = i;
+                row.packets += 1;
+            }
+        });
         rows
     }
 
     /// Per-triple statistics over the non-orphan packets, sorted by the
     /// triples' names.
     pub fn aggregate(&self) -> Vec<TripleStat> {
+        let mut rows = self.triple_sums();
         // Per-packet sums, so the percentiles describe "ns this triple
-        // cost *a packet*", matching Figure 5's per-RTT bars.
-        let stat = |mut row: TripleSum| {
-            row.per_packet.sort_unstable();
-            let packets = row.per_packet.len() as u64;
-            TripleStat {
+        // cost *a packet*", matching Figure 5's per-RTT bars: a second
+        // walk adds each packet's up in one buffer, reserved once, where
+        // every triple has a run as long as its packet count.
+        let mut sums = vec![0u64; rows.iter().map(|row| row.packets as usize).sum()];
+        let mut start = 0;
+        for row in &mut rows {
+            (row.last, row.sum_at) = (usize::MAX, start);
+            start += row.packets as usize;
+        }
+        self.walk_triples(&mut rows, |row, i, s| {
+            if row.last != i {
+                row.sum_at += usize::from(row.last != usize::MAX);
+                row.last = i;
+            }
+            sums[row.sum_at] += s.ns();
+        });
+        let mut stats: Vec<TripleStat> = Vec::with_capacity(rows.len());
+        let mut start = 0;
+        for row in &rows {
+            let run = &mut sums[start..start + row.packets as usize];
+            start += run.len();
+            run.sort_unstable();
+            stats.push(TripleStat {
                 at: row.at,
                 total_ns: row.total_ns,
                 slices: row.slices,
-                packets,
-                mean_ns: row.total_ns / packets,
-                p50_ns: percentile(&row.per_packet, 50.0),
-                p99_ns: percentile(&row.per_packet, 99.0),
-            }
-        };
-        let mut stats: Vec<TripleStat> = self.triple_sums(true).into_iter().map(stat).collect();
-        stats.sort_by(|a, b| self.by_name(&a.at, &b.at));
+                packets: row.packets,
+                mean_ns: row.total_ns / row.packets,
+                p50_ns: percentile(run, 50.0),
+                p99_ns: percentile(run, 99.0),
+            });
+        }
+        stats.sort_unstable_by(|a, b| self.by_name(&a.at, &b.at));
         stats
     }
 
@@ -620,8 +759,8 @@ impl Profile {
         if arrival.is_none() {
             self.truncation.orphan_packets.push(packet);
         }
-        // Empty ranges at the arenas' ends; `close_packet` sets the ends.
-        let at = |len: usize| len..len;
+        // Runs that start at the arenas' ends; `close_packet` ends them.
+        let ends = Ends::of(self);
         self.packets.push(PacketProfile {
             packet,
             journey: first.journey,
@@ -630,18 +769,15 @@ impl Profile {
             bytes: arrival.map_or(0, |a| a.2),
             first_ns: first.at_ns,
             last_ns: first.at_ns,
-            spans: at(self.spans.len()),
-            slices: at(self.slices.len()),
-            txs: at(self.txs.len()),
-            drops: at(self.drops.len()),
+            ends,
             orphan: arrival.is_none(),
         });
         arrival.is_some()
     }
 
-    /// Attributes one record of the open packet, whose open spans are
-    /// `stack`.
-    fn record(&mut self, stack: &mut Vec<usize>, r: &TraceRecord) {
+    /// Attributes one record of the open packet, whose innermost open span
+    /// is `innermost`.
+    fn record(&mut self, innermost: &mut Option<usize>, r: &TraceRecord) {
         let (steps, kernel) = (self.steps, self.steps.kernel);
         let open = self.packets.last_mut().expect("a packet is open");
         if open.orphan {
@@ -650,7 +786,7 @@ impl Profile {
             open.journey = open.journey.or(r.journey);
         }
         open.last_ns = r.at_ns;
-        let cur_domain = stack.last().map_or(kernel, |&s| self.spans[s].domain);
+        let cur_domain = innermost.map_or(kernel, |s| self.spans[s].domain);
         // Who the gap this record closes is charged to, as
         // `(layer, domain, handler)`.
         let charged = match r.event {
@@ -667,11 +803,12 @@ impl Profile {
                 // spawn, context switch, handler lookup); a nested one
                 // follows the enclosing handler's body, up to its raise(),
                 // so extension time stays in the extension's domain.
-                let charged = match stack.last().map(|&s| &self.spans[s]) {
+                let charged = match innermost.map(|s| &self.spans[s]) {
                     Some(parent) => (parent.layer, parent.domain, parent.event),
                     None => (layer, kernel, steps.dispatch),
                 };
-                stack.push(self.spans.len());
+                let around = innermost.map_or(OUTERMOST, |s| s as u64);
+                *innermost = Some(self.spans.len());
                 self.spans.push(Span {
                     span,
                     event,
@@ -680,7 +817,7 @@ impl Profile {
                     enter_ns: r.at_ns,
                     exit_ns: r.at_ns,
                     total_ns: 0,
-                    child_ns: 0,
+                    child_ns: around,
                     self_ns: 0,
                     complete: false,
                     subtree: 1,
@@ -692,18 +829,23 @@ impl Profile {
                 domain,
                 span,
             } => {
-                match stack.iter().rposition(|&s| self.spans[s].span == span) {
-                    // Anything still open above the match lost its own
+                let mut open = *innermost;
+                while let Some(s) = open.filter(|&s| self.spans[s].span != span) {
+                    open = enclosing(&self.spans, s);
+                }
+                match open {
+                    // Anything still open inside the match lost its own
                     // exit — close it here rather than leak or nest
                     // wrongly.
-                    Some(pos) => {
-                        while stack.len() > pos {
-                            let s = stack.pop().expect("len checked");
-                            let matched = stack.len() == pos;
-                            self.truncation.unmatched_enters += u64::from(!matched);
-                            close_span(&mut self.spans, s, r.at_ns, matched);
+                    Some(matched) => loop {
+                        let s = innermost.expect("the match is open");
+                        *innermost = enclosing(&self.spans, s);
+                        self.truncation.unmatched_enters += u64::from(s != matched);
+                        close_span(&mut self.spans, s, r.at_ns, s == matched);
+                        if s == matched {
+                            break;
                         }
-                    }
+                    },
                     None => self.truncation.unmatched_exits += 1,
                 }
                 Some((self.names.layer(event), domain, event))
@@ -734,8 +876,8 @@ impl Profile {
     }
 
     /// Ends the run of the packet the walk is `inside`, if it is in one;
-    /// `stack` holds its open spans.
-    fn close_packet(&mut self, inside: Option<u64>, stack: &mut Vec<usize>) {
+    /// `innermost` is its innermost open span.
+    fn close_packet(&mut self, inside: Option<u64>, innermost: &mut Option<usize>) {
         let steps = self.steps;
         let (Some(_), Some(open)) = (inside, self.packets.last_mut()) else {
             return;
@@ -744,21 +886,20 @@ impl Profile {
         // interrupt) can leave the gap to the window's end uncharged; close
         // it against the innermost open domain so slices still tile
         // `[first_ns, last_ns]`.
-        let last = self.slices[open.slices.start..].last();
+        let last = self.slices[open.ends.slices as usize..].last();
         if last.map_or(open.first_ns, |s| s.end_ns) < open.last_ns {
-            let domain = stack.last().map_or(steps.kernel, |&s| self.spans[s].domain);
+            let domain = innermost.map_or(steps.kernel, |s| self.spans[s].domain);
             let tail = (steps.engine, domain, steps.tail);
             charge(&mut self.slices, open, open.last_ns, tail);
         }
         // Enters whose exits never made the ring: close at the window's end.
-        while let Some(s) = stack.pop() {
+        while let Some(s) = *innermost {
+            *innermost = enclosing(&self.spans, s);
             self.truncation.unmatched_enters += 1;
             close_span(&mut self.spans, s, open.last_ns, false);
         }
-        open.spans.end = self.spans.len();
-        open.slices.end = self.slices.len();
-        open.txs.end = self.txs.len();
-        open.drops.end = self.drops.len();
+        let ends = Ends::of(self);
+        self.packets.last_mut().expect("a packet is open").ends = ends;
     }
 }
 
@@ -989,7 +1130,7 @@ pub fn pingpong_waterfall(profile: &Profile, app_domain: &str) -> Result<Waterfa
 
 /// Appends the span trees of a pre-order run, comma-separated, each with
 /// its children nested.
-fn spans_json(p: &Profile, spans: &[Span], out: &mut String) {
+fn spans_json(p: &Profile, spans: &[Span], out: &mut dyn Sink) {
     for (i, (s, below)) in span_trees(spans).enumerate() {
         let sep = if i > 0 { ", " } else { "" };
         let [event, domain, layer] = [s.event, s.domain, s.layer].map(|l| escaped(p.name(l)));
@@ -1009,14 +1150,17 @@ fn spans_json(p: &Profile, spans: &[Span], out: &mut String) {
 
 /// Appends `{"name": .., "ns": ..}` objects, comma-separated — the one
 /// segment list the round waterfalls and the journeys both write.
-pub(crate) fn segments_json<'a>(out: &mut String, segments: impl Iterator<Item = (&'a str, u64)>) {
+pub(crate) fn segments_json<'a>(
+    out: &mut dyn Sink,
+    segments: impl Iterator<Item = (&'a str, u64)>,
+) {
     for (i, (name, ns)) in segments.enumerate() {
         let (sep, name) = (if i > 0 { ", " } else { "" }, escaped(name));
         put!(out, "{sep}{{\"name\": \"{name}\", \"ns\": {ns}}}");
     }
 }
 
-fn waterfall_json(w: &Waterfall, out: &mut String) {
+fn waterfall_json(w: &Waterfall, out: &mut dyn Sink) {
     put!(
         out,
         "{{\"app_domain\": \"{}\", \"rounds\": [",
@@ -1058,8 +1202,20 @@ pub fn profile_json(
     waterfall: Option<&Waterfall>,
     max_packet_detail: usize,
 ) -> String {
+    let aggregate = p.aggregate();
+    exact(|out| profile_doc(p, &aggregate, waterfall, max_packet_detail, out))
+}
+
+/// Writes [`profile_json`]'s document, with `aggregate` the profile's.
+fn profile_doc(
+    p: &Profile,
+    aggregate: &[TripleStat],
+    waterfall: Option<&Waterfall>,
+    max_packet_detail: usize,
+    out: &mut dyn Sink,
+) {
     let t = &p.truncation;
-    let mut out = String::from("{\n  \"schema\": \"plexus.profile.v1\",\n");
+    out.push_str("{\n  \"schema\": \"plexus.profile.v1\",\n");
     put!(
         out,
         "  \"truncation\": {{\"dropped_records\": {}, \"first_retained_seq\": {}, \
@@ -1101,7 +1257,7 @@ pub fn profile_json(
     out.push_str("],\n");
 
     out.push_str("  \"aggregate\": [");
-    for (i, s) in p.aggregate().iter().enumerate() {
+    for (i, s) in aggregate.iter().enumerate() {
         let sep = if i > 0 { "," } else { "" };
         let [layer, domain, handler] = p.triple_names(&s.at).map(escaped);
         let (total_ns, slices, packets) = (s.total_ns, s.slices, s.packets);
@@ -1118,7 +1274,7 @@ pub fn profile_json(
 
     if let Some(w) = waterfall {
         out.push_str("  \"waterfall\": ");
-        waterfall_json(w, &mut out);
+        waterfall_json(w, out);
         out.push_str(",\n");
     }
 
@@ -1143,7 +1299,7 @@ pub fn profile_json(
             put!(out, "{sep}[\"{layer}\", \"{reason}\"]");
         }
         out.push_str("], \"spans\": [");
-        spans_json(p, p.spans(pkt), &mut out);
+        spans_json(p, p.spans(pkt), out);
         out.push_str("], \"slices\": [");
         for (j, s) in p.slices(pkt).iter().enumerate() {
             let (sep, start_ns, end_ns) = (if j > 0 { ", " } else { "" }, s.start_ns, s.end_ns);
@@ -1157,7 +1313,6 @@ pub fn profile_json(
         out.push_str("]}");
     }
     out.push_str("\n  ]\n}\n");
-    out
 }
 
 #[cfg(test)]

@@ -30,6 +30,29 @@ pub(crate) struct Interner {
 }
 
 impl Interner {
+    /// A copy with room for `extra` more names, and for the layer of every
+    /// name, so a fold that interns no more than that into it never grows
+    /// a table.
+    pub(crate) fn with_room(&self, extra: usize) -> Interner {
+        let room = self.names.len() + extra;
+        let mut names = Vec::with_capacity(room);
+        names.extend(self.names.iter().cloned());
+        let mut index = HashMap::with_capacity(room);
+        index.extend(self.index.iter().map(|(name, &i)| (name.clone(), i)));
+        let mut layers = Vec::with_capacity(room);
+        layers.extend_from_slice(&self.layers);
+        Interner {
+            names,
+            index,
+            layers,
+        }
+    }
+
+    /// How many names the table holds.
+    pub(crate) fn len(&self) -> usize {
+        self.names.len()
+    }
+
     pub(crate) fn intern(&mut self, s: &str) -> Label {
         if let Some(&i) = self.index.get(s) {
             return Label(i);

@@ -1,6 +1,6 @@
 //! Counters and latency histograms.
 
-use std::cell::RefCell;
+use std::cell::{Ref, RefCell};
 use std::collections::BTreeMap;
 
 use crate::recorder::Label;
@@ -160,13 +160,12 @@ impl Histogram {
     }
 
     /// `(floor_of_bucket, count)` for every non-empty bucket, ascending.
-    pub(crate) fn nonzero_buckets(&self) -> Vec<(u64, u64)> {
+    pub(crate) fn nonzero_buckets(&self) -> impl Iterator<Item = (u64, u64)> + '_ {
         self.buckets
             .iter()
             .enumerate()
             .filter(|(_, &n)| n > 0)
             .map(|(i, &n)| (if i == 0 { 0 } else { 1u64 << i }, n))
-            .collect()
     }
 }
 
@@ -225,13 +224,14 @@ impl Registry {
         self.hists.borrow().get(&name).cloned()
     }
 
-    /// Snapshot of every histogram, in label order.
-    pub(crate) fn hists(&self) -> Vec<(Label, Histogram)> {
-        self.hists
-            .borrow()
-            .iter()
-            .map(|(k, v)| (*k, v.clone()))
-            .collect()
+    /// Every counter in place, by label, in first-touch order under each.
+    pub(crate) fn counter_table(&self) -> Ref<'_, [Vec<(CounterKey, u64)>]> {
+        Ref::map(self.counters.borrow(), Vec::as_slice)
+    }
+
+    /// Every histogram in place, by label.
+    pub(crate) fn hist_table(&self) -> Ref<'_, BTreeMap<Label, Histogram>> {
+        self.hists.borrow()
     }
 }
 
@@ -266,7 +266,7 @@ mod tests {
         assert_eq!(h.count(), 7);
         assert_eq!(h.min(), 0);
         assert_eq!(h.max(), 1024);
-        let buckets = h.nonzero_buckets();
+        let buckets: Vec<_> = h.nonzero_buckets().collect();
         // 0,1 -> bucket 0; 2,3 -> bucket 1; 4 -> bucket 2; 1000 -> bucket 9
         // (floor 512); 1024 -> bucket 10.
         assert_eq!(buckets, vec![(0, 2), (2, 2), (4, 1), (512, 1), (1024, 1)]);

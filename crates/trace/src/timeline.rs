@@ -18,8 +18,9 @@
 //! contract every other exporter honors.
 
 use std::collections::BTreeMap;
+use std::fmt;
 
-use crate::json::{escaped, or_null, put};
+use crate::json::{escaped, exact, or_null, put, Sink};
 use crate::recorder::Interner;
 use crate::{Label, Recorder, TraceEvent};
 
@@ -262,17 +263,18 @@ pub fn build(rec: &Recorder, window_ns: u64) -> Timeline {
 /// `plexus.timeline.v1`): integers only, fixed key order, windows dense
 /// from time zero.
 pub fn timeline_json(t: &Timeline) -> String {
-    let mut out = String::from("{\n  \"schema\": \"plexus.timeline.v1\",\n");
-    put!(out, "  \"window_ns\": {},\n", t.window_ns);
-    put!(out, "  \"truncated_records\": {},\n", t.truncated_records);
-    worst_windows_json(&mut out, &t.windows);
-    windows_json(&mut out, &t.windows, t.window_ns);
-    out
+    exact(|out| {
+        out.push_str("{\n  \"schema\": \"plexus.timeline.v1\",\n");
+        put!(out, "  \"window_ns\": {},\n", t.window_ns);
+        put!(out, "  \"truncated_records\": {},\n", t.truncated_records);
+        worst_windows_json(out, &t.windows);
+        windows_json(out, &t.windows, t.window_ns);
+    })
 }
 
 /// The `worst_p99_window` / `worst_drop_window` lines the timeline and
 /// the live document share.
-pub(crate) fn worst_windows_json(out: &mut String, windows: &[Window]) {
+pub(crate) fn worst_windows_json(out: &mut dyn Sink, windows: &[Window]) {
     let worst_p99 = or_null(worst_p99_window(windows).map(|w| w.index));
     put!(out, "  \"worst_p99_window\": {worst_p99},\n");
     let worst_drop = or_null(worst_drop_window(windows).map(|w| w.index));
@@ -280,7 +282,7 @@ pub(crate) fn worst_windows_json(out: &mut String, windows: &[Window]) {
 }
 
 /// The closing `windows` array of both documents, one window per line.
-pub(crate) fn windows_json(out: &mut String, windows: &[Window], window_ns: u64) {
+pub(crate) fn windows_json(out: &mut dyn Sink, windows: &[Window], window_ns: u64) {
     out.push_str("  \"windows\": [");
     for (i, w) in windows.iter().enumerate() {
         out.push_str(if i > 0 { ",\n    " } else { "\n    " });
@@ -296,7 +298,7 @@ pub(crate) fn windows_json(out: &mut String, windows: &[Window], window_ns: u64)
 /// Appends one window as a JSON object — shared by [`timeline_json`] and
 /// the live tier's `plexus.live.v1` emitter, so value-identical windows
 /// are also byte-identical on the wire.
-pub fn window_json(out: &mut String, w: &Window, window_ns: u64) {
+pub fn window_json(out: &mut (impl fmt::Write + ?Sized), w: &Window, window_ns: u64) {
     let (index, start_ns, arrivals, arrival_bytes) =
         (w.index, w.index * window_ns, w.arrivals, w.arrival_bytes);
     let (tx_frames, tx_bytes, tx_wait, tx_queue) =
@@ -324,7 +326,7 @@ pub fn window_json(out: &mut String, w: &Window, window_ns: u64) {
             "{sep}{{\"layer\": \"{layer}\", \"reason\": \"{reason}\", \"count\": {n}}}"
         );
     }
-    out.push_str("]}");
+    let _ = out.write_str("]}");
 }
 
 #[cfg(test)]

@@ -7,7 +7,8 @@
 //! exactly what is pinned below; a bind or listen on a held port allocates
 //! nothing, and an install keeps every byte it asks for (no scratch on the
 //! heap); the folds over a recorded run allocate per run, not per record,
-//! and a profile's build the same at any run length; an oversize transmit
+//! ask the allocator only for what they return, and a profile's build
+//! allocates the same at any run length; an oversize transmit
 //! allocates nothing; rebinding leaves no heap behind, and neither does a
 //! flood of out-of-window TCP segments or of IP fragments that never
 //! complete, on both stacks.
@@ -532,71 +533,104 @@ fn traced_run(datagrams: u64) -> Rc<Recorder> {
 
 const FOLD_WINDOW_NS: u64 = 10_000_000;
 
-/// Every fold and writer the traced benchmark runs over `rec`, in its
-/// order, with the heap calls each made.
-fn every_fold(rec: &Recorder) -> Vec<(&'static str, u64)> {
-    const DETAIL: usize = 64;
-    let mut profile = None;
-    let mut journeys = None;
-    let mut calls = vec![(
-        "Profile::build",
-        allocs_during(|| profile = Some(Profile::build(rec))),
-    )];
-    let profile = profile.expect("built");
-    calls.push((
-        "profile_json",
-        allocs_during(|| drop(profile_json(&profile, None, DETAIL))),
-    ));
-    calls.push((
-        "journey::build",
-        allocs_during(|| journeys = Some(journey::build(&profile))),
-    ));
-    let journeys = journeys.expect("built");
-    calls.push((
-        "journeys_json",
-        allocs_during(|| drop(journeys_json(&journeys, DETAIL))),
-    ));
-    let timeline = || {
-        drop(timeline::timeline_json(&timeline::build(
-            rec,
-            FOLD_WINDOW_NS,
-        )))
-    };
-    calls.push(("timeline", allocs_during(timeline)));
-    calls.push(("chrome_trace", allocs_during(|| drop(chrome_trace(rec)))));
-    calls.push(("stats_json", allocs_during(|| drop(stats_json(rec)))));
-    calls.push(("folded", allocs_during(|| drop(folded(&profile)))));
-    let live = || drop(live_json(&rec.live_report().expect("live enabled"), DETAIL));
-    calls.push(("live", allocs_during(live)));
-    calls
+/// What one fold over a recorded run cost the allocator: heap calls, bytes
+/// asked for, how far the live heap grew while it ran, and the bytes it
+/// hands back.
+struct FoldCost {
+    fold: &'static str,
+    calls: u64,
+    asked: u64,
+    grew: i64,
+    returned: u64,
 }
 
-/// The folds over a recorded run, per retained record: the exporters that
-/// write per record or per slice grow one buffer and touch the heap for
-/// nothing else; the profile and the journeys keep every packet's spans,
-/// slices and transmits and every journey's hops and segments in arenas
-/// of their own, so they allocate per run — not per packet, per journey
-/// or per name. The other writers allocate per detailed packet or
-/// journey, per window and per counter name.
+/// Runs the build `f` and prices it; what it returns is what it kept, the
+/// live heap's growth.
+fn build_cost<T>(fold: &'static str, f: impl FnOnce() -> T) -> (FoldCost, T) {
+    let (calls, asked, live, _) = alloc::snapshot();
+    let value = f();
+    let (calls_after, asked_after, live_after, _) = alloc::snapshot();
+    let grew = live_after - live;
+    let cost = FoldCost {
+        fold,
+        calls: calls_after - calls,
+        asked: asked_after - asked,
+        grew,
+        returned: grew.max(0) as u64,
+    };
+    (cost, value)
+}
+
+/// Runs the writer `f` and prices it; what it returns is its document's
+/// capacity.
+fn write_cost(fold: &'static str, f: impl FnOnce() -> String) -> FoldCost {
+    let (mut cost, doc) = build_cost(fold, f);
+    cost.returned = doc.capacity() as u64;
+    cost
+}
+
+/// Every fold and writer the traced benchmark runs over `rec`, in its
+/// order, each priced.
+fn every_fold(rec: &Recorder) -> Vec<FoldCost> {
+    const DETAIL: usize = 64;
+    let (profile_cost, profile) = build_cost("Profile::build", || Profile::build(rec));
+    let profile_doc = write_cost("profile_json", || profile_json(&profile, None, DETAIL));
+    let (journeys_cost, journeys) = build_cost("journey::build", || journey::build(&profile));
+    let journeys_doc = write_cost("journeys_json", || journeys_json(&journeys, DETAIL));
+    drop(journeys);
+    let (timeline_cost, timeline) =
+        build_cost("timeline::build", || timeline::build(rec, FOLD_WINDOW_NS));
+    let timeline_doc = write_cost("timeline_json", || timeline::timeline_json(&timeline));
+    drop(timeline);
+    let chrome = write_cost("chrome_trace", || chrome_trace(rec));
+    let stats = write_cost("stats_json", || stats_json(rec));
+    let flame = write_cost("folded", || folded(&profile));
+    let (live_cost, report) =
+        build_cost("live_report", || rec.live_report().expect("live enabled"));
+    let live_doc = write_cost("live_json", || live_json(&report, DETAIL));
+    vec![
+        profile_cost,
+        profile_doc,
+        journeys_cost,
+        journeys_doc,
+        timeline_cost,
+        timeline_doc,
+        chrome,
+        stats,
+        flame,
+        live_cost,
+        live_doc,
+    ]
+}
+
+/// The folds over a recorded run, per retained record: every writer asks
+/// for its document once, at its length, and for a few tables of names
+/// or rows besides; the profile keeps every packet's spans, slices and
+/// transmits in arenas of its own and the journeys keep two sorted index
+/// arrays, so both allocate per run — not per packet, per journey, per
+/// window or per name.
 #[test]
 fn the_folds_allocate_per_packet_not_per_record() {
     const N: u64 = 400;
     let rec = traced_run(N);
     let records = rec.recorded();
     assert!(records > 15 * N, "{records} records for {N} echoes");
-    // Measured over the run's 7 600 records: `chrome_trace` 0.0017
-    // (its arena of record heads and its row buffer), `Profile::build`
-    // 0.0028 (0.0066 while its arenas grew by doubling), `profile_json`
-    // 0.0128, `journey::build` 0.0064 (0.0067 while its segment arena grew
-    // by doubling), `journeys_json` 0.0017, the timeline 0.0012,
-    // `stats_json` 0.0187, `folded` 0.0013 and the live report
-    // with its document 0.0037. While every packet and journey had `Vec`s
-    // of its own and every hop `String` copies of its names,
-    // `Profile::build` and `journey::build` made 0.483 and 0.229; when the
-    // folds kept names as `String`s, 4.65 and 2.57, with 9.38 for
+    // Measured over the run's 7 600 records: `Profile::build` 0.0026,
+    // `profile_json` 0.0008, `journey::build` 0.0004, `journeys_json`
+    // 0.0026 (its table of segment names), the timeline 0.0004,
+    // `chrome_trace` 0.0017 (its arena of record heads and its row
+    // buffer), `stats_json` 0.0004, `folded` 0.0005 and the live report
+    // with its document 0.0012. While the writers grew their documents by
+    // doubling and `stats_json` wrote each counter's key out, `profile_json`
+    // made 0.0128, `stats_json` 0.0187 and the live report with its
+    // document 0.0037; while the journeys copied their hops and segments
+    // into arenas, `journey::build` made 0.0064. While every packet and
+    // journey had `Vec`s of its own and every hop `String` copies of its
+    // names, `Profile::build` and `journey::build` made 0.483 and 0.229;
+    // when the folds kept names as `String`s, 4.65 and 2.57, with 9.38 for
     // `chrome_trace` and 2.37 for `folded`. One heap call per packet would
     // be 0.05.
-    for (fold, calls) in every_fold(&rec) {
+    for FoldCost { fold, calls, .. } in every_fold(&rec) {
         let per_record = calls as f64 / records as f64;
         let pin = match fold {
             "chrome_trace" | "Profile::build" | "journey::build" | "folded" => 0.01,
@@ -606,6 +640,72 @@ fn the_folds_allocate_per_packet_not_per_record() {
             per_record <= pin,
             "{fold}: {per_record} heap calls per record"
         );
+    }
+}
+
+/// The folds ask the allocator only for what they hand back, which
+/// `every_fold` prices. `Profile::build` and `journey::build` keep every
+/// byte they ask for: the live heap grows by exactly that much, as an
+/// install's does. Each writer counts its document's bytes before it
+/// writes them and reserves that, once, so it asks for the returned
+/// `String`'s capacity and its scratch: `profile_json` one buffer of
+/// per-packet sums for its percentiles, 8 bytes per triple a packet has,
+/// and every writer at most `SCRATCH` besides (the Chrome writer's
+/// arena of event heads and row buffer, the journeys' table of segment
+/// names, the sorted lists of counters, histograms and triples). Prints
+/// the ledger: CI runs this file with `--nocapture`.
+#[test]
+fn the_folds_ask_for_what_they_return() {
+    const SCRATCH: u64 = 8 << 10;
+    let rec = traced_run(400);
+    let costs = every_fold(&rec);
+    println!("what the folds over {} records ask for:", rec.recorded());
+    println!(
+        "{:<16} {:>10} {:>12} {:>14}",
+        "fold", "heap calls", "bytes asked", "bytes returned"
+    );
+    for c in &costs {
+        println!(
+            "{:<16} {:>10} {:>12} {:>14}",
+            c.fold, c.calls, c.asked, c.returned
+        );
+    }
+    let total = |of: fn(&FoldCost) -> u64| costs.iter().map(of).sum::<u64>();
+    println!(
+        "{:<16} {:>10} {:>12} {:>14}",
+        "total",
+        total(|c| c.calls),
+        total(|c| c.asked),
+        total(|c| c.returned)
+    );
+
+    let pairs: u64 = Profile::build(&rec)
+        .aggregate()
+        .iter()
+        .map(|s| s.packets)
+        .sum();
+    for c in &costs {
+        match c.fold {
+            "Profile::build" | "journey::build" => {
+                assert!(c.asked > 0, "{}: the build was measured", c.fold);
+                assert_eq!(c.asked as i64, c.grew, "{}: keeps what it asks for", c.fold);
+            }
+            // Builds that keep their own scratch for now; in the ledger only.
+            "timeline::build" | "live_report" => {}
+            writer => {
+                let sums = if writer == "profile_json" {
+                    8 * pairs
+                } else {
+                    0
+                };
+                assert!(
+                    c.asked <= c.returned + sums + SCRATCH,
+                    "{writer}: asked for {} bytes to return {}",
+                    c.asked,
+                    c.returned
+                );
+            }
+        }
     }
 }
 

@@ -110,7 +110,8 @@ fn check_journeys(js: &Journeys, machines: &[&str], label: &str) {
 fn udp_rtt_journeys_telescope_in_both_delivery_modes() {
     for label in ["udp_rtt", "udp_rtt_thread"] {
         let recorder = replay(&format!("fig5_udp_latency/{label}"));
-        let js = journey::build(&Profile::build(&recorder));
+        let profile = Profile::build(&recorder);
+        let js = journey::build(&profile);
         check_journeys(&js, &["client", "server"], label);
         // One journey per round: the pong handler breaks the chain, so
         // each request/reply pair is its own ledger with hops on both
@@ -130,7 +131,8 @@ fn udp_rtt_journeys_telescope_in_both_delivery_modes() {
 #[test]
 fn fig7_forwarding_journeys_cross_three_machines() {
     let recorder = replay("fig7_forwarding/fig7_forwarding");
-    let js = journey::build(&Profile::build(&recorder));
+    let profile = Profile::build(&recorder);
+    let js = journey::build(&profile);
     let machines = ["client", "fwd", "backend"];
     check_journeys(&js, &machines, "fig7_forwarding");
     assert_eq!(js.journeys.len(), 5, "one journey per request round");
@@ -152,7 +154,8 @@ fn fig7_forwarding_journeys_cross_three_machines() {
 fn overload_journeys_telescope_on_both_rx_paths() {
     for label in ["overload", "overload_coalesced"] {
         let recorder = replay(&format!("overload/{label}"));
-        let js = journey::build(&Profile::build(&recorder));
+        let profile = Profile::build(&recorder);
+        let js = journey::build(&profile);
         check_journeys(&js, &["generator", "dut", "backend"], label);
         // Echo traffic: every journey's first hop lands on the DUT.
         assert!(js

@@ -51,7 +51,7 @@ fn live_windows_match_posthoc_timeline_on_a_full_scenario() {
 
     // Machine scopes carry the two hosts of the ping-pong, and the
     // roll-up invariant holds at scenario scale.
-    let names: Vec<&str> = live.machines.iter().map(|(n, _)| n.as_str()).collect();
+    let names: Vec<&str> = live.machines.iter().map(|(n, _)| &**n).collect();
     assert_eq!(names, ["client", "server"]);
     let mut sum = ScopeCounters::default();
     for (_, m) in &live.machines {
@@ -86,8 +86,10 @@ fn ring_wrap_leaves_live_correct_while_posthoc_reports_truncation() {
         arrivals(&tl_tiny),
         arrivals(&tl_full)
     );
-    let jo_full = journey::build(&Profile::build(&full));
-    let jo_tiny = journey::build(&Profile::build(&tiny));
+    let profile_full = Profile::build(&full);
+    let jo_full = journey::build(&profile_full);
+    let profile_tiny = Profile::build(&tiny);
+    let jo_tiny = journey::build(&profile_tiny);
     assert!(
         jo_tiny.journeys.len() < jo_full.journeys.len()
             || jo_tiny.journeys_truncated > 0
