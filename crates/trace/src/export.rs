@@ -66,12 +66,12 @@ impl Head {
         }
     }
 
-    /// Appends the head's text, names escaped.
-    fn render(self, names: &Interner, out: &mut String) {
+    /// Appends the head's text, names escaped, or counts it.
+    fn render<S: Sink>(self, names: &impl Names<S>, out: &mut S) {
         // `{before}{name}{after}`.
         let mut named = |before: &str, name: Label, after: &str| {
             out.push_str(before);
-            let _ = escape_into(out, names.get(name));
+            names.write(name, out);
             out.push_str(after);
         };
         // Each arm writes the event's name; the fixed text up to its
@@ -120,13 +120,57 @@ impl Head {
             }
             // `"host": "<name>", ` for a named machine, nothing for `""`.
             Head::Host(host) => {
-                if !names.get(host).is_empty() {
+                if !names.is_empty(host) {
                     named("\"host\": \"", host, "\", ");
                 }
                 ""
             }
         };
         out.push_str(cat_ph);
+    }
+}
+
+/// How a head's names are written: escaped from the name table into the
+/// arena of heads, or counted from their escaped lengths.
+trait Names<S: Sink> {
+    fn write(&self, name: Label, out: &mut S);
+
+    fn is_empty(&self, name: Label) -> bool;
+}
+
+impl Names<String> for Interner {
+    fn write(&self, name: Label, out: &mut String) {
+        let _ = escape_into(out, self.get(name));
+    }
+
+    fn is_empty(&self, name: Label) -> bool {
+        self.get(name).is_empty()
+    }
+}
+
+/// Every name's escaped length, by label.
+struct NameLens(Vec<usize>);
+
+impl NameLens {
+    fn of(names: &Interner) -> NameLens {
+        let len = |i| {
+            let mut len = Len::default();
+            let _ = escape_into(&mut len, names.get(Label(i)));
+            len.0
+        };
+        let count = u32::try_from(names.len()).expect("labels are u32");
+        NameLens((0..count).map(len).collect())
+    }
+}
+
+impl Names<Len> for NameLens {
+    fn write(&self, name: Label, out: &mut Len) {
+        out.0 += self.0[name.0 as usize];
+    }
+
+    /// Only the empty name escapes to nothing.
+    fn is_empty(&self, name: Label) -> bool {
+        self.0[name.0 as usize] == 0
     }
 }
 
@@ -146,11 +190,25 @@ struct Heads<'a> {
     recent: [usize; 256],
 }
 
-impl Heads<'_> {
+/// How the Chrome walk writes a record's heads into its output.
+trait PushHead<S> {
+    fn push(&mut self, head: Head, out: &mut S);
+}
+
+/// The counting pass adds each head up from its names' lengths, so it
+/// finds no head's text.
+impl PushHead<Len> for NameLens {
+    #[inline(always)]
+    fn push(&mut self, head: Head, out: &mut Len) {
+        head.render(&*self, out);
+    }
+}
+
+impl PushHead<String> for Heads<'_> {
     /// Appends `head`'s text to `out`. Inlined: it runs once or twice per
     /// record, and a call cost the Chrome fold a tenth of its time.
     #[inline(always)]
-    fn push(&mut self, head: Head, out: &mut impl Sink) {
+    fn push(&mut self, head: Head, out: &mut String) {
         let (tag, a, b) = head.parts();
         let mix = (u64::from(tag) << 40 ^ u64::from(a) << 20 ^ u64::from(b)).wrapping_mul(K);
         let slot = (mix >> 56) as usize;
@@ -162,7 +220,9 @@ impl Heads<'_> {
         let (_, start, end) = self.spans[at];
         out.push_str(&self.text[start..end]);
     }
+}
 
+impl Heads<'_> {
     /// Where `head` lies in `spans`, rendering it on first use.
     #[cold]
     fn find(&mut self, head: Head) -> usize {
@@ -178,6 +238,28 @@ impl Heads<'_> {
 
 /// The multiplier of the `FxHasher` recipe.
 const K: u64 = 0x517c_c1b7_2722_0a95;
+
+/// `".000"` to `".999"`, back to back: a timestamp's fraction of a
+/// microsecond is pushed as one four-byte slice of it.
+const FRACTIONS: &str = {
+    const TEXT: [u8; 4000] = {
+        let mut text = [0; 4000];
+        let mut i = 0;
+        while i < 1000 {
+            let at = 4 * i;
+            text[at] = b'.';
+            text[at + 1] = b'0' + (i / 100) as u8;
+            text[at + 2] = b'0' + (i / 10 % 10) as u8;
+            text[at + 3] = b'0' + (i % 10) as u8;
+            i += 1;
+        }
+        text
+    };
+    match std::str::from_utf8(&TEXT) {
+        Ok(fractions) => fractions,
+        Err(_) => panic!("digits are ASCII"),
+    }
+};
 
 /// Appends `key` and then `n`.
 fn push_key_num(out: &mut impl Sink, key: &str, n: u64) {
@@ -199,17 +281,17 @@ fn push_key_num(out: &mut impl Sink, key: &str, n: u64) {
 pub fn chrome_trace(rec: &Recorder) -> String {
     let ring = rec.ring();
     let names = rec.names();
+    // A row's text is at most 51 bytes (a 20-digit tid).
+    let mut row = String::with_capacity(64);
+    // A counting pass first, so the document is reserved at its length.
+    let mut len = Len::default();
+    chrome_events(&ring, &mut NameLens::of(&names), &mut row, &mut len);
     let mut heads = Heads {
         names: &names,
         text: String::new(),
         spans: Vec::new(),
         recent: [usize::MAX; 256],
     };
-    // A row's text is at most 51 bytes (a 20-digit tid).
-    let mut row = String::with_capacity(64);
-    // A counting pass first, so the document is reserved at its length.
-    let mut len = Len::default();
-    chrome_events(&ring, &mut heads, &mut row, &mut len);
     let mut out = String::with_capacity(len.0);
     chrome_events(&ring, &mut heads, &mut row, &mut out);
     debug_assert_eq!(out.len(), len.0, "the counting pass measured the trace");
@@ -218,19 +300,21 @@ pub fn chrome_trace(rec: &Recorder) -> String {
 
 /// Writes the Chrome document of `ring` into `out`: its text, or its
 /// length. `row` holds the text of the row being written.
-fn chrome_events(ring: &Ring, heads: &mut Heads<'_>, row: &mut String, out: &mut impl Sink) {
+fn chrome_events<S: Sink>(
+    ring: &Ring,
+    heads: &mut impl PushHead<S>,
+    row: &mut String,
+    out: &mut S,
+) {
     out.push_str("{\"displayTimeUnit\": \"ns\", \"traceEvents\": [");
     let mut row_of = None;
     for (i, r) in ring.iter().enumerate() {
         heads.push(Head::of(&r.event), out);
         // Microseconds with fixed 3-decimal precision from integer
         // nanoseconds — no floating point, so formatting is byte-stable.
-        let ns = r.at_ns % 1_000;
         out.push_num(r.at_ns / 1_000);
-        out.push('.');
-        for digit in [ns / 100, ns / 10 % 10, ns % 10] {
-            out.push(char::from(b'0' + digit as u8));
-        }
+        let at = 4 * (r.at_ns % 1_000) as usize;
+        out.push_str(&FRACTIONS[at..at + 4]);
         // A packet's records are one run of the ring, so the text of its
         // row (pid, tid, the opening of the arguments) is written once per
         // run and copied.
@@ -290,7 +374,12 @@ fn chrome_events(ring: &Ring, heads: &mut Heads<'_>, row: &mut String, out: &mut
             }
             TraceEvent::GuardEval { .. } | TraceEvent::Drop { .. } | TraceEvent::TimerFire => {}
         }
-        out.push_str(if i + 1 < ring.len() { "}}," } else { "}}" });
+        // Two fixed pushes, which copy inline, where one of two lengths
+        // would call `memcpy`.
+        out.push_str("}}");
+        if i + 1 < ring.len() {
+            out.push(',');
+        }
     }
     out.push_str("\n]}\n");
 }

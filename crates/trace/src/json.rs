@@ -82,10 +82,25 @@ impl Sink for Len {
         self.0 += c.len_utf8();
     }
 
+    /// Counts `n`'s digits from its bit length: `⌊log10 2^bits⌋`, plus one
+    /// if `n` reaches the next power of ten (`n | 1`, so 0 has a digit).
     fn push_num(&mut self, n: u64) {
-        self.0 += n.checked_ilog10().map_or(1, |log| log as usize + 1);
+        let bits = (n | 1).ilog2() as usize + 1;
+        let digits = (bits * 1233) >> 12;
+        self.0 += digits + usize::from((n | 1) >= POW10[digits]);
     }
 }
+
+/// `10^k` for every `k` a `u64` reaches.
+const POW10: [u64; 20] = {
+    let mut pow = [1; 20];
+    let mut k = 1;
+    while k < pow.len() {
+        pow[k] = pow[k - 1] * 10;
+        k += 1;
+    }
+    pow
+};
 
 /// Runs `write` into a [`Len`], then into a `String` reserved at the length
 /// it counted: the document asks the allocator once, for its own bytes.
@@ -120,7 +135,7 @@ const PAIRS: &str = {
 /// Writes `s` as it reads inside a JSON string literal (no surrounding
 /// quotes): the runs that need no escape are copied whole, the escapes go
 /// between them. `out` is an exporter's buffer itself, or a formatter.
-pub(crate) fn escape_into(out: &mut impl fmt::Write, s: &str) -> fmt::Result {
+pub(crate) fn escape_into(out: &mut (impl fmt::Write + ?Sized), s: &str) -> fmt::Result {
     let mut clean = 0;
     for (i, b) in s.bytes().enumerate() {
         let esc = match b {

@@ -74,7 +74,7 @@ pub enum CrossDir {
 
 impl CrossDir {
     /// Stable name, used in counter labels and exports.
-    pub fn name(self) -> &'static str {
+    pub const fn name(self) -> &'static str {
         match self {
             CrossDir::UserToKernel => "user->kernel",
             CrossDir::KernelToUser => "kernel->user",

@@ -29,7 +29,7 @@ use std::cell::RefCell;
 use std::collections::{BTreeMap, HashMap, VecDeque};
 use std::sync::Arc;
 
-use crate::json::{escaped, exact, joined, or_null, put, Sink};
+use crate::json::{escape_into, escaped, exact, joined, or_null, put, Sink};
 use crate::recorder::{Interner, Label};
 use crate::registry::{CounterKey, Registry, Scope};
 use crate::ring::Ring;
@@ -964,13 +964,23 @@ fn live_doc(rep: &LiveReport, max_detail: usize, out: &mut dyn Sink) {
         );
         for (k, r) in j.records.iter().enumerate() {
             let sep = if k > 0 { ", " } else { "" };
-            let (packet, label) = (or_null(r.packet), escaped(&r.label));
-            let (at_ns, kind, detail) = (r.at_ns, r.kind, r.detail);
-            put!(
-                out,
-                "{sep}{{\"at_ns\": {at_ns}, \"packet\": {packet}, \"kind\": \"{kind}\", \
-                 \"label\": \"{label}\", \"detail\": {detail}}}"
-            );
+            // Pushed piece by piece, not through `fmt`: the one line per
+            // sampled record, and most of the document's rendering.
+            out.push_str(sep);
+            out.push_str("{\"at_ns\": ");
+            out.push_num(r.at_ns);
+            out.push_str(", \"packet\": ");
+            match r.packet {
+                Some(packet) => out.push_num(packet),
+                None => out.push_str("null"),
+            }
+            out.push_str(", \"kind\": \"");
+            out.push_str(r.kind);
+            out.push_str("\", \"label\": \"");
+            let _ = escape_into(out, &r.label);
+            out.push_str("\", \"detail\": ");
+            out.push_num(r.detail);
+            out.push('}');
         }
         out.push_str("]}");
     }

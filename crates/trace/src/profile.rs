@@ -31,7 +31,7 @@
 use std::cmp::Ordering;
 use std::sync::Arc;
 
-use crate::json::{escaped, exact, joined, put, Sink};
+use crate::json::{escape_into, escaped, exact, joined, put, Sink};
 use crate::recorder::Interner;
 use crate::timeline::percentile;
 use crate::{CrossDir, Label, Recorder, Ring, TraceEvent, TraceRecord};
@@ -164,7 +164,8 @@ pub struct PacketProfile {
     /// Last retained record timestamp.
     pub last_ns: u64,
     /// Where the packet's spans, slices, transmits and drops end in the
-    /// profile's arenas (read them with [`Profile::spans`] and friends).
+    /// profile's arenas (read them with [`Profile::spans`] and friends,
+    /// which find a packet by its ID).
     pub(crate) ends: Ends,
     /// True when ring wraparound ate the packet's arrival — durations for
     /// this packet are untrustworthy and it is excluded from aggregates.
@@ -337,8 +338,24 @@ impl Steps {
     }
 }
 
-/// How many names [`Profile::build`] adds as its [`Steps`].
-const STEPS: usize = 14;
+/// The names [`Profile::build`] interns as its [`Steps`], in the order
+/// it binds them.
+const STEP_NAMES: [&str; 14] = [
+    "kernel",
+    "guard",
+    "dispatch",
+    "boundary",
+    CrossDir::UserToKernel.name(),
+    CrossDir::KernelToUser.name(),
+    "driver",
+    "tx",
+    "engine",
+    "timer",
+    "tail",
+    "?",
+    "origin",
+    "",
+];
 
 /// How many of each thing a profile keeps from a ring: counted in one walk
 /// before the fold, so each arena is reserved once at the size it keeps.
@@ -452,25 +469,26 @@ impl Profile {
         // Room for the steps below and a layer name per recorded name.
         let mut names = {
             let recorded = rec.names();
-            recorded.with_room(STEPS + recorded.len())
+            recorded.with_room(STEP_NAMES.len() + recorded.len())
         };
         let unnamed = names.lookup("");
-        let mut step = |name| names.intern(name);
+        let [kernel, guard, dispatch, boundary, user_to_kernel, kernel_to_user, driver, tx, engine, timer, tail, unknown, origin, no_nic] =
+            STEP_NAMES.map(|name| names.intern(name));
         let steps = Steps {
-            kernel: step("kernel"),
-            guard: step("guard"),
-            dispatch: step("dispatch"),
-            boundary: step("boundary"),
-            crossings: [CrossDir::UserToKernel, CrossDir::KernelToUser].map(|d| step(d.name())),
-            driver: step("driver"),
-            tx: step("tx"),
-            engine: step("engine"),
-            timer: step("timer"),
-            tail: step("tail"),
+            kernel,
+            guard,
+            dispatch,
+            boundary,
+            crossings: [user_to_kernel, kernel_to_user],
+            driver,
+            tx,
+            engine,
+            timer,
+            tail,
             unnamed,
-            unknown: step("?"),
-            origin: step("origin"),
-            no_nic: step(""),
+            unknown,
+            origin,
+            no_nic,
         };
         let mut profile = Profile {
             packets: Vec::with_capacity(n.packets),
@@ -556,17 +574,22 @@ impl Profile {
         self.names.get(label)
     }
 
-    /// Where `p`'s runs start: where the packet before it ends theirs.
+    /// Where `p`'s runs start (where the packet before it ends theirs) and
+    /// end. `p` is found by where it lies in `packets`, or else by its ID,
+    /// which the packets are sorted by (the recorder numbers arrivals in
+    /// order): a clone of a packet, or the same packet of an equal
+    /// profile, reads the same runs.
     ///
     /// # Panics
     ///
-    /// Panics if `p` is not one of this profile's `packets`.
-    fn starts(&self, p: &PacketProfile) -> Ends {
-        self.starts_at(
-            self.packets
-                .element_offset(p)
-                .expect("a packet of this profile"),
-        )
+    /// Panics if no packet of this profile has `p`'s ID.
+    fn runs(&self, p: &PacketProfile) -> (Ends, Ends) {
+        let at = self.packets.element_offset(p).or_else(|| {
+            let by_id = self.packets.binary_search_by_key(&p.packet, |q| q.packet);
+            by_id.ok()
+        });
+        let at = at.expect("a packet of this profile");
+        (self.starts_at(at), self.packets[at].ends)
     }
 
     /// Where the runs of the packet at position `at` start.
@@ -582,22 +605,26 @@ impl Profile {
 
     /// A packet's handler spans, in pre-order (see [`span_trees`]).
     pub fn spans(&self, p: &PacketProfile) -> &[Span] {
-        &self.spans[self.starts(p).spans as usize..p.ends.spans as usize]
+        let (start, end) = self.runs(p);
+        &self.spans[start.spans as usize..end.spans as usize]
     }
 
     /// A packet's attribution slices, tiling `[first_ns, last_ns]`.
     pub fn slices(&self, p: &PacketProfile) -> &[Slice] {
-        &self.slices[self.starts(p).slices as usize..p.ends.slices as usize]
+        let (start, end) = self.runs(p);
+        &self.slices[start.slices as usize..end.slices as usize]
     }
 
     /// The frames a packet's chain handed to a transmitter.
     pub fn txs(&self, p: &PacketProfile) -> &[TxRecord] {
-        &self.txs[self.starts(p).txs as usize..p.ends.txs as usize]
+        let (start, end) = self.runs(p);
+        &self.txs[start.txs as usize..end.txs as usize]
     }
 
     /// The drops recorded during a packet's window, as `(layer, reason)`.
     pub fn drops(&self, p: &PacketProfile) -> &[(Label, Label)] {
-        &self.drops[self.starts(p).drops as usize..p.ends.drops as usize]
+        let (start, end) = self.runs(p);
+        &self.drops[start.drops as usize..end.drops as usize]
     }
 
     /// The packet (by position) that handed the arena's `k`-th transmit
@@ -656,14 +683,16 @@ impl Profile {
         rows: &mut Vec<TripleSum>,
         mut visit: impl FnMut(&mut TripleSum, usize, &Slice),
     ) {
-        // Packets repeat their triples in one order, so the row after the
-        // one found last is tried first.
-        let mut next = 0;
+        // Packets repeat one order of triples, which revisits rows: the
+        // row of the slice at the same place in the packet before is tried
+        // first (for the first 64 places, which hold a traced echo's).
+        let mut trail = [usize::MAX; 64];
         let packets = self.packet_slices().enumerate();
         for (i, (_, slices)) in packets.filter(|(_, (p, _))| !p.orphan) {
-            for s in slices {
-                let at = match rows.get(next) {
-                    Some(row) if row.at == s.at => next,
+            for (k, s) in slices.iter().enumerate() {
+                let seen = trail.get(k).copied().unwrap_or(usize::MAX);
+                let at = match rows.get(seen) {
+                    Some(row) if row.at == s.at => seen,
                     _ => rows
                         .iter()
                         .position(|row| row.at == s.at)
@@ -679,7 +708,9 @@ impl Profile {
                             rows.len() - 1
                         }),
                 };
-                next = at + 1;
+                if let Some(seen) = trail.get_mut(k) {
+                    *seen = at;
+                }
                 visit(&mut rows[at], i, s);
             }
         }
@@ -1155,8 +1186,12 @@ pub(crate) fn segments_json<'a>(
     segments: impl Iterator<Item = (&'a str, u64)>,
 ) {
     for (i, (name, ns)) in segments.enumerate() {
-        let (sep, name) = (if i > 0 { ", " } else { "" }, escaped(name));
-        put!(out, "{sep}{{\"name\": \"{name}\", \"ns\": {ns}}}");
+        out.push_str(if i > 0 { ", " } else { "" });
+        out.push_str("{\"name\": \"");
+        let _ = escape_into(out, name);
+        out.push_str("\", \"ns\": ");
+        out.push_num(ns);
+        out.push('}');
     }
 }
 
@@ -1452,6 +1487,35 @@ mod tests {
         assert!(!spans[0].complete);
         assert_eq!(spans[0].exit_ns, 700, "closed at the last record");
         assert_eq!(p.attributed_ns(pkt), pkt.last_ns - pkt.first_ns);
+    }
+
+    #[test]
+    fn a_cloned_packet_reads_the_runs_of_its_original() {
+        let rec = Recorder::new(64);
+        let ev = rec.intern("Udp.PacketRecv");
+        let dom = rec.intern("udp");
+        for i in 0..3 {
+            rec.packet_arrival(i * 1_000, rec.intern("Ethernet"), rec.intern(""), 60, None);
+            for k in 0..i {
+                let s = rec.handler_enter(i * 1_000 + 100 * k + 100, ev, dom);
+                rec.handler_exit(i * 1_000 + 100 * k + 150, ev, dom, s);
+            }
+            rec.packet_drop(i * 1_000 + 900, "udp", "no_port");
+            rec.packet_done();
+        }
+        let p = Profile::build(&rec);
+        let copy = p.clone();
+        for (pkt, same) in p.packets.iter().zip(&copy.packets) {
+            let clone = pkt.clone();
+            for q in [&clone, same] {
+                assert_eq!(p.spans(q), p.spans(pkt));
+                assert_eq!(p.slices(q), p.slices(pkt));
+                assert_eq!(p.txs(q), p.txs(pkt));
+                assert_eq!(p.drops(q), p.drops(pkt));
+                assert_eq!(copy.slices(pkt), p.slices(pkt));
+            }
+        }
+        assert_eq!(p.spans(&p.packets[2].clone()).len(), 2);
     }
 
     #[test]

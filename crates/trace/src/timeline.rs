@@ -229,17 +229,30 @@ pub(crate) fn min_window_ns(rec: &Recorder) -> u64 {
 /// Panics if `window_ns` is zero or narrower than `min_window_ns`.
 pub fn build(rec: &Recorder, window_ns: u64) -> Timeline {
     assert!(window_ns > 0, "window width must be positive");
-    let n_windows = last_ns(rec).map_or(0, |last_ns| last_ns / window_ns + 1);
-    // (The message's walk over the ring happens only on failure.)
-    assert!(
-        n_windows <= MAX_WINDOWS,
-        "window width {window_ns} ns is below {} ns",
-        min_window_ns(rec)
-    );
     let ring = rec.ring();
-    let mut open: Vec<(Window, Pending)> = (0..n_windows).map(Pending::open).collect();
+    // A window past the cap is refused before the list grows to it. (The
+    // message's walk over the ring happens only on failure.)
+    let window = |at_ns: u64| {
+        let at = at_ns / window_ns;
+        assert!(
+            at < MAX_WINDOWS,
+            "window width {window_ns} ns is below {} ns",
+            min_window_ns(rec)
+        );
+        at as usize
+    };
+    // The windows run to the latest timestamp, which is nearly always the
+    // last record's: that many are reserved, and a transmit stamped at a
+    // later handover grows the list to its own.
+    let last = ring.last().map_or(0, |r| window(r.at_ns) + 1);
+    let mut open: Vec<(Window, Pending)> = Vec::with_capacity(last);
     for r in ring.iter() {
-        let (w, pending) = &mut open[(r.at_ns / window_ns) as usize];
+        let at = window(r.at_ns);
+        if at >= open.len() {
+            open.reserve_exact(at + 1 - open.len());
+            open.extend((open.len() as u64..=at as u64).map(Pending::open));
+        }
+        let (w, pending) = &mut open[at];
         w.update(&r.event, pending);
     }
     let names = rec.names();
