@@ -327,7 +327,7 @@ fn wakeups_coalesce_under_tcp_bursts() {
         .unwrap();
     conn.set_callbacks(TcpCallbacks {
         on_connected: Some(Rc::new(move |ctx, sock| {
-            sock.send_in(ctx, &vec![3u8; total]);
+            sock.send_in(ctx, vec![3u8; total]);
         })),
         ..Default::default()
     });
@@ -469,7 +469,7 @@ fn a_redial_skips_a_port_a_live_connection_holds() {
         move |_: &mut RaiseCtx<'_>, conn: &Rc<TcpConn>| {
             conn.set_callbacks(TcpCallbacks {
                 on_data: Some(Rc::new(move |ctx, conn, data| {
-                    conn.send_in(ctx, &[tag, data].concat());
+                    conn.send_in(ctx, [tag, data].concat());
                 })),
                 ..Default::default()
             });

@@ -101,7 +101,7 @@ pub fn tcp_throughput_mbps(system: TputSystem, link: &Link, bytes: usize) -> f64
             let mut remaining = bytes;
             while remaining > 0 {
                 let n = chunk.min(remaining);
-                conn.send_in(ctx, &vec![0xAAu8; n]);
+                conn.send_in(ctx, vec![0xAAu8; n]);
                 remaining -= n;
             }
         })),

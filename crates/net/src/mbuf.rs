@@ -17,6 +17,14 @@
 //! write through [`Mbuf::write_at`], which performs an explicit
 //! copy-on-write when the cluster is shared — the Rust rendering
 //! of Figure 4's `GoodPacketRecv`.
+//!
+//! A cluster need not come from the pool. An application's own
+//! `Rc<Vec<u8>>` becomes one as it is (BSD `M_EXT`, an external cluster):
+//! `Mbuf::from(buf)` shares the buffer instead of copying it, and the
+//! copy-on-write above protects both sides — an application that writes to
+//! its buffer while a packet still views it gets a private copy, and the
+//! packet keeps the bytes it was built from. A borrowed slice is copied
+//! once, into one cluster ([`Mbuf`]'s `From` impls).
 
 use std::cell::RefCell;
 use std::rc::Rc;
@@ -237,13 +245,15 @@ fn cluster_mut(cluster: &mut Rc<Vec<u8>>) -> &mut Vec<u8> {
 /// the *last* reference (respecting `Rc` sharing: a cluster still viewed
 /// by another mbuf must not be handed out again) and the size is a pool
 /// class with free-list room.
-fn retire_cluster(cluster: Rc<Vec<u8>>) {
+fn retire_cluster(mut cluster: Rc<Vec<u8>>) {
     POOL.with(|p| {
         let mut p = p.borrow_mut();
         if !p.enabled {
             return;
         }
-        if Rc::strong_count(&cluster) != 1 {
+        // Held elsewhere, strongly or weakly (an application's external
+        // cluster may be): the pool hands out only what nobody else can see.
+        if Rc::get_mut(&mut cluster).is_none() {
             p.stats.shared_at_drop += 1;
             return;
         }
@@ -274,7 +284,8 @@ fn new_chain() -> Vec<Segment> {
 
 /// Retires a chain vector's clusters and offers the emptied vector back to
 /// the pool, which keeps it unless it outgrew what [`new_chain`] hands out
-/// or never had room at all (the husk [`Mbuf::take`] leaves).
+/// or never had room at all (an empty `Mbuf::default()`, the husk
+/// `std::mem::take` leaves of a chain moved out).
 fn retire_chain(mut chain: Vec<Segment>) {
     for seg in chain.drain(..) {
         retire_cluster(seg.cluster);
@@ -361,13 +372,20 @@ impl Mbuf {
         m
     }
 
-    /// Moves the chain out, leaving this mbuf empty with nothing to retire:
-    /// the caller gets the clusters uniquely held, so a header prepended to
-    /// them goes into their leading space.
-    pub(crate) fn take(&mut self) -> Mbuf {
+    /// A packet of one segment: the first `len` bytes of `cluster`.
+    fn of_cluster(cluster: Rc<Vec<u8>>, len: usize) -> Mbuf {
+        let mut segments = new_chain();
+        segments.push(Segment {
+            cluster,
+            off: 0,
+            len,
+        });
         Mbuf {
-            segments: std::mem::take(&mut self.segments),
-            pkthdr: self.pkthdr.take(),
+            segments,
+            pkthdr: Some(PktHdr {
+                len,
+                ..PktHdr::default()
+            }),
         }
     }
 
@@ -401,7 +419,7 @@ impl Mbuf {
 
     /// True if the packet holds no bytes.
     pub fn is_empty(&self) -> bool {
-        self.total_len() == 0
+        self.segments.iter().all(|s| s.len == 0)
     }
 
     /// Number of segments in the chain.
@@ -476,19 +494,25 @@ impl Mbuf {
     /// Panics if `n` exceeds the packet length.
     pub fn trim_front(&mut self, mut n: usize) {
         assert!(n <= self.total_len(), "trim_front past end of packet");
-        while n > 0 {
-            let s = &mut self.segments[0];
-            if s.len > n {
-                s.off += n;
-                s.len -= n;
-                n = 0;
-            } else {
-                n -= s.len;
-                let seg = self.segments.remove(0);
-                retire_cluster(seg.cluster);
-            }
+        let emptied = self
+            .segments
+            .iter()
+            .take_while(|s| {
+                let gone = s.len <= n;
+                if gone {
+                    n -= s.len;
+                }
+                gone
+            })
+            .count();
+        // What is left moves up once, however many segments went.
+        for seg in self.segments.drain(..emptied) {
+            retire_cluster(seg.cluster);
         }
-        self.segments.retain(|s| s.len > 0);
+        if let Some(s) = self.segments.first_mut() {
+            s.off += n;
+            s.len -= n;
+        }
     }
 
     /// Removes `n` bytes from the back (BSD `m_adj(m, -n)`).
@@ -556,6 +580,31 @@ impl Mbuf {
     /// appended packet's header is discarded.
     pub fn append(&mut self, mut other: Mbuf) {
         self.segments.append(&mut other.segments);
+    }
+
+    /// [`Mbuf::append`] for a queue of writes (BSD `m_cat`, as `sbcompress`
+    /// uses it): a segment of `other` that only `other` holds and that fits
+    /// the room after this chain's last segment, in a cluster only this
+    /// chain holds, is copied there and its cluster let go. A run of small
+    /// writes so fills clusters instead of taking one each; a shared buffer
+    /// is never copied.
+    pub(crate) fn append_compact(&mut self, mut other: Mbuf) {
+        for seg in other.segments.drain(..) {
+            if let Some(last) = self.segments.last_mut() {
+                let end = last.off + last.len;
+                let unshared = Rc::strong_count(&seg.cluster) == 1;
+                if let Some(room) = Rc::get_mut(&mut last.cluster)
+                    .and_then(|c| c.get_mut(end..end + seg.len))
+                    .filter(|_| unshared)
+                {
+                    room.copy_from_slice(seg.bytes());
+                    last.len += seg.len;
+                    retire_cluster(seg.cluster);
+                    continue;
+                }
+            }
+            self.segments.push(seg);
+        }
     }
 
     /// Copies `buf.len()` bytes starting at `off` into `buf`
@@ -679,6 +728,73 @@ impl Mbuf {
         };
         m.stamp_pkthdr();
         m
+    }
+}
+
+impl Default for Mbuf {
+    /// An empty chain: no segment, no packet header and no heap memory. A
+    /// header prepended to it goes into a fresh header mbuf.
+    fn default() -> Mbuf {
+        Mbuf {
+            segments: Vec::new(),
+            pkthdr: None,
+        }
+    }
+}
+
+/// A copy of the bytes in one cluster: a pooled one when they fit a size
+/// class, one sized to them otherwise. No leading space is left, so a
+/// header prepended later is chained in front. No bytes, no cluster.
+impl From<&[u8]> for Mbuf {
+    fn from(bytes: &[u8]) -> Mbuf {
+        if bytes.is_empty() {
+            return Mbuf::default();
+        }
+        let mut cluster = new_cluster(bytes.len());
+        cluster_mut(&mut cluster)[..bytes.len()].copy_from_slice(bytes);
+        Mbuf::of_cluster(cluster, bytes.len())
+    }
+}
+
+impl<const N: usize> From<&[u8; N]> for Mbuf {
+    fn from(bytes: &[u8; N]) -> Mbuf {
+        Mbuf::from(&bytes[..])
+    }
+}
+
+impl From<&Vec<u8>> for Mbuf {
+    fn from(bytes: &Vec<u8>) -> Mbuf {
+        Mbuf::from(bytes.as_slice())
+    }
+}
+
+/// The buffer itself as an external cluster (BSD `M_EXT`): no byte is
+/// copied, and the buffer is shared until the packet and every share of it
+/// are gone. Writing to it through the `Rc` meanwhile (`Rc::make_mut`)
+/// copies it for the writer; the packet keeps the original bytes.
+impl From<Rc<Vec<u8>>> for Mbuf {
+    fn from(buf: Rc<Vec<u8>>) -> Mbuf {
+        if buf.is_empty() {
+            return Mbuf::default();
+        }
+        let len = buf.len();
+        Mbuf::of_cluster(buf, len)
+    }
+}
+
+impl From<&Rc<Vec<u8>>> for Mbuf {
+    fn from(buf: &Rc<Vec<u8>>) -> Mbuf {
+        Mbuf::from(buf.clone())
+    }
+}
+
+/// The vector as an external cluster: moved, not copied.
+impl From<Vec<u8>> for Mbuf {
+    fn from(bytes: Vec<u8>) -> Mbuf {
+        if bytes.is_empty() {
+            return Mbuf::default();
+        }
+        Mbuf::from(Rc::new(bytes))
     }
 }
 
@@ -806,9 +922,32 @@ mod tests {
     }
 
     #[test]
+    fn an_application_buffer_is_shared_and_pooled_only_once_nobody_sees_it() {
+        reset_cluster_pool();
+        let mut app = Rc::new(vec![3u8; MCLBYTES]);
+        let before = allocs();
+        let m = Mbuf::from(&app);
+        assert_eq!(allocs(), before, "the buffer is the cluster");
+        assert_eq!((Rc::strong_count(&app), m.segment_count()), (2, 1));
+        // The application writes: it gets a copy, the packet keeps its bytes.
+        Rc::make_mut(&mut app).fill(4);
+        assert_eq!((Rc::strong_count(&app), m.to_vec()), (1, vec![3; MCLBYTES]));
+        drop(m);
+        assert_eq!(cluster_pool_stats().recycled, 1, "nobody else sees it");
+        // Seen through a `Weak`, a buffer is not handed out again.
+        let buf = Rc::new(vec![5u8; MCLBYTES]);
+        let seen = Rc::downgrade(&buf);
+        drop(Mbuf::from(buf));
+        assert_eq!(cluster_pool_stats().shared_at_drop, 1);
+        assert_eq!(seen.upgrade().map(|b| b[0]), None);
+        let _next = Mbuf::from_payload(0, &[1; 1000]);
+        assert_eq!(cluster_pool_stats().reused, 1);
+    }
+
+    #[test]
     fn taking_a_chain_leaves_a_husk_the_pool_does_not_keep() {
         let mut m = Mbuf::from_payload(LEADING_SPACE, &[5; 300]);
-        let taken = m.take();
+        let taken = std::mem::take(&mut m);
         assert_eq!((m.total_len(), taken.total_len()), (0, 300));
         let chains = || POOL.with(|p| p.borrow().chains.len());
         let before = chains();

@@ -11,7 +11,7 @@
 //!
 //! Time is a bare `u64` of nanoseconds supplied by the caller.
 
-use std::collections::{BTreeMap, VecDeque};
+use std::collections::BTreeMap;
 use std::net::Ipv4Addr;
 use std::ops::Range;
 
@@ -311,8 +311,10 @@ impl<P: Payload> TcpSegment<P> {
 impl TcpSegment<Mbuf> {
     /// The wire segment for the payload bytes in `range`, with the TCP
     /// header in front. When `range` is the whole payload, the payload moves
-    /// out of this segment (leaving it empty) and the header goes into its
-    /// leading space: nothing is copied or shared. A part — what a
+    /// out of this segment (leaving it empty), nothing is copied, and the
+    /// header goes in front of it ([`Mbuf::prepend`]): into a header mbuf
+    /// chained there when the payload is a share of the send queue, into
+    /// its leading space when its cluster is its own. A part — what a
     /// segmentation-offload split makes of a super-segment — is a share of
     /// those bytes ([`Mbuf::range`]) with the header chained in front; its
     /// sequence number moves up by `range.start`, parts short of the end
@@ -340,7 +342,7 @@ impl TcpSegment<Mbuf> {
         // Options stay with an unsplit segment: a SYN is never split.
         header.mss = self.mss.filter(|_| whole);
         let m = if whole {
-            self.payload.take()
+            std::mem::take(&mut self.payload)
         } else {
             self.payload.range(range.start, range.len())
         };
@@ -499,9 +501,11 @@ pub struct Tcb {
     snd_una: u32,
     snd_nxt: u32,
     snd_wnd: u32,
-    /// Unacked + unsent bytes, a ring trimmed at the front by each ACK; its
-    /// first byte is sequence `snd_una` (+1 while our SYN is unacked).
-    send_q: VecDeque<u8>,
+    /// Unacked + unsent bytes: what the application handed [`Tcb::send`],
+    /// held as it came (shares of its buffers, or the one copy of a borrowed
+    /// slice) and trimmed at the front by each ACK. Its first byte is
+    /// sequence `snd_una` (+1 while our SYN is unacked).
+    send_q: Mbuf,
     fin_pending: bool,
     fin_seq: Option<u32>,
 
@@ -563,7 +567,7 @@ impl Tcb {
             snd_una: iss,
             snd_nxt: iss,
             snd_wnd: DEFAULT_WINDOW as u32,
-            send_q: VecDeque::new(),
+            send_q: Mbuf::default(),
             fin_pending: false,
             fin_seq: None,
             rcv_nxt: 0,
@@ -654,9 +658,9 @@ impl Tcb {
     }
 
     /// A segment from this end carrying the queued bytes `data` (offsets
-    /// past `snd_una`). They are copied once, from the send ring into a
-    /// packet with room ahead for this header and [`LEADING_SPACE`] for the
-    /// ones below it.
+    /// past `snd_una`): a share of the send queue's clusters, so no byte is
+    /// copied. The queue still holds them, so the headers go into a header
+    /// mbuf chained in front ([`Mbuf::prepend`]).
     fn make_segment(&self, seq: u32, flags: TcpFlags, data: Range<usize>) -> TcpSegment<Mbuf> {
         let header = TcpSegment {
             src_port: self.local.1,
@@ -672,14 +676,7 @@ impl Tcb {
             },
             payload: (),
         };
-        let (front, back) = self.send_q.as_slices();
-        let f = front.len();
-        let pieces = [
-            &front[data.start.min(f)..data.end.min(f)],
-            &back[data.start.max(f) - f..data.end.max(f) - f],
-        ];
-        let room = LEADING_SPACE + header.header_len();
-        header.with_payload(Mbuf::from_pieces(room, data.len(), pieces))
+        header.with_payload(self.send_q.range(data.start, data.len()))
     }
 
     /// The window we advertise: buffer capacity minus data the application
@@ -726,8 +723,13 @@ impl Tcb {
         self.mss * self.gso_segs
     }
 
-    /// Queues application data; emits whatever the windows allow.
-    pub fn send(&mut self, data: &[u8], now_ns: u64) -> Actions {
+    /// Queues application data; emits whatever the windows allow. An owned
+    /// or shared buffer (`Vec<u8>`, `Rc<Vec<u8>>`, an [`Mbuf`]) is queued
+    /// as it is; a borrowed one is copied once, into one cluster (the `From`
+    /// impls on [`Mbuf`]), and when it fits the room after the bytes queued
+    /// before it, it is copied on into that room (BSD's `sbcompress`),
+    /// so small writes share clusters.
+    pub fn send(&mut self, data: impl Into<Mbuf>, now_ns: u64) -> Actions {
         assert!(
             matches!(
                 self.state,
@@ -736,7 +738,12 @@ impl Tcb {
             "send in state {:?}",
             self.state
         );
-        self.send_q.extend(data);
+        let data = data.into();
+        if self.send_q.is_empty() {
+            self.send_q = data;
+        } else {
+            self.send_q.append_compact(data);
+        }
         let mut a = self.actions();
         self.pump_output(&mut a, now_ns);
         a
@@ -774,10 +781,12 @@ impl Tcb {
         // What the caller queued already is not ours to arm a timer for.
         let earlier = a.segments.len();
         let wnd = self.snd_wnd.min(self.cwnd as u32);
+        // Measured once: summing the chain walks its segments.
+        let queued = self.send_q.total_len();
         loop {
             let in_flight = self.snd_nxt.wrapping_sub(self.snd_una);
             let sent_off = in_flight as usize; // Bytes of send_q already in flight.
-            let remaining = self.send_q.len().saturating_sub(sent_off);
+            let remaining = queued.saturating_sub(sent_off);
             let room = wnd.saturating_sub(in_flight) as usize;
             let chunk = remaining.min(room).min(self.chunk_cap());
             if chunk == 0 {
@@ -791,7 +800,7 @@ impl Tcb {
             a.segments.push(seg);
         }
         // FIN once everything queued has been handed to the network.
-        let all_sent = self.snd_nxt.wrapping_sub(self.snd_una) as usize >= self.send_q.len();
+        let all_sent = self.snd_nxt.wrapping_sub(self.snd_una) as usize >= queued;
         if self.fin_pending && all_sent && self.fin_seq.is_none() {
             let seg = self.make_segment(self.snd_nxt, TcpFlags::FIN_ACK, 0..0);
             self.fin_seq = Some(self.snd_nxt);
@@ -805,7 +814,7 @@ impl Tcb {
         // persist timer running.
         let in_flight = self.snd_nxt.wrapping_sub(self.snd_una);
         if in_flight == 0
-            && !self.send_q.is_empty()
+            && queued > 0
             && self.snd_wnd.min(self.cwnd as u32) == 0
             && self.timer_deadline.is_none()
         {
@@ -881,7 +890,7 @@ impl Tcb {
                 }
                 let chunk = self
                     .send_q
-                    .len()
+                    .total_len()
                     .min(self.chunk_cap())
                     .min(self.snd_nxt.wrapping_sub(self.snd_una) as usize);
                 self.make_segment(self.snd_una, TcpFlags::ACK, 0..chunk)
@@ -984,9 +993,10 @@ impl Tcb {
                         self.on_fin_acked(a);
                     }
                 }
-                // On the ring this drops the acked bytes alone: what is
-                // still queued stays where it is.
-                self.send_q.drain(..acked.min(self.send_q.len()));
+                // Trimming drops the acked bytes' shares alone: what is
+                // still queued is not moved, and a buffer nothing views any
+                // more goes back to its owner (or the pool).
+                self.send_q.trim_front(acked.min(self.send_q.total_len()));
                 self.snd_una = ack;
                 self.dup_acks = 0;
                 // RTT sampling (Karn-compliant: sample only set on fresh data).
@@ -1191,7 +1201,7 @@ impl Tcb {
 impl Tcb {
     /// Bytes buffered but not yet acknowledged (or not yet sent).
     fn unacked_len(&self) -> usize {
-        self.send_q.len()
+        self.send_q.total_len()
     }
 
     /// [`Tcb::swap_received`] into a fresh buffer.
@@ -1561,7 +1571,7 @@ mod tests {
     fn rto_collapses_cwnd() {
         let (mut client, mut _server) = established_pair();
         client.cwnd = 32 * 1024;
-        let acts = client.send(&vec![0u8; 8 * 1024], 0);
+        let acts = client.send(vec![0u8; 8 * 1024], 0);
         assert!(!acts.segments.is_empty());
         let deadline = client.next_timeout().expect("rexmit timer armed");
         let acts = client.on_timer(deadline);
@@ -1664,7 +1674,7 @@ mod tests {
         let (mut client, _server) = established_pair();
         client.cwnd = 1 << 20;
         client.snd_wnd = 2000; // Peer advertised a tiny window.
-        let acts = client.send(&vec![0u8; 10_000], 0);
+        let acts = client.send(vec![0u8; 10_000], 0);
         let sent: usize = acts.segments.iter().map(|s| s.payload.len()).sum();
         assert!(
             sent <= 2000,
@@ -1778,7 +1788,7 @@ mod extension_tests {
         // Data now segments at the negotiated size.
         client.cwnd = 1 << 20;
         client.snd_wnd = 1 << 16;
-        let acts = client.send(&vec![0u8; 2000], 0);
+        let acts = client.send(vec![0u8; 2000], 0);
         assert!(acts.segments.iter().all(|s| s.payload.len() <= 536));
     }
 
@@ -1828,7 +1838,7 @@ mod extension_tests {
         // Client sends 10 KB; the server app never reads.
         client.snd_wnd = 1 << 16;
         client.cwnd = 1 << 20;
-        let acts = client.send(&vec![7u8; 10_000], 0);
+        let acts = client.send(vec![7u8; 10_000], 0);
         let mut last_window = DEFAULT_WINDOW;
         for seg in &acts.segments {
             let sa = server.on_segment(seg, (ip(1), 4000), 0);
@@ -2070,7 +2080,10 @@ mod robustness_tests {
 
 #[cfg(test)]
 mod buffer_tests {
+    use std::rc::Rc;
+
     use super::*;
+    use crate::mbuf::MLEN;
 
     const CLIENT: (Ipv4Addr, u16) = (Ipv4Addr::new(10, 12, 0, 1), 4000);
     const SERVER: (Ipv4Addr, u16) = (Ipv4Addr::new(10, 12, 0, 2), 80);
@@ -2286,55 +2299,135 @@ mod buffer_tests {
         }
     }
 
+    /// Carries `to_server` to the server and every answer back and forth
+    /// until neither side has more to send, one microsecond a round trip.
+    /// Returns what the server delivered.
+    fn exchange(
+        client: &mut Tcb,
+        server: &mut Tcb,
+        mut to_server: Vec<TcpSegment<Mbuf>>,
+        now: &mut u64,
+    ) -> Vec<u8> {
+        let mut got = Vec::new();
+        while !to_server.is_empty() {
+            let mut to_client = Vec::new();
+            for seg in to_server.drain(..) {
+                to_client.extend(server.on_segment(&seg, CLIENT, *now).segments);
+                got.extend(server.take_received());
+            }
+            for seg in &to_client {
+                to_server.extend(client.on_segment(seg, SERVER, *now).segments);
+            }
+            *now += 1000;
+        }
+        got
+    }
+
     #[test]
-    fn send_queue_reads_survive_ring_wrap() {
-        // Sends and ACKs interleave so that the ring's head passes its
-        // physical end; the retransmission and the fresh segments must
-        // still read the right bytes.
+    fn small_sends_fill_clusters_instead_of_taking_one_each() {
+        // Ten thousand one-byte writes into a shut window: each is copied
+        // into the room after the bytes queued before it, so the queue
+        // holds a few pooled clusters, not ten thousand.
+        let (mut client, mut server) = established_pair(100, 9000);
+        client.cwnd = 1 << 20;
+        client.snd_wnd = 0;
+        let stream: Vec<u8> = (0..10_000u32).map(|i| (i % 241) as u8).collect();
+        for byte in stream.chunks(1) {
+            assert!(client.send(byte, 0).segments.is_empty());
+        }
+        assert_eq!(client.send_q.segment_count(), stream.len().div_ceil(MLEN));
+        // A shared buffer is queued as it is, even when it would fit.
+        let shared = Rc::new(vec![0x5A; 16]);
+        drop(client.send(&shared, 0));
+        assert_eq!(Rc::strong_count(&shared), 2);
+
+        // The window opens and the bytes leave in order.
+        let update = TcpSegment {
+            src_port: SERVER.1,
+            dst_port: CLIENT.1,
+            seq: server.snd_nxt,
+            ack: client.snd_una,
+            flags: TcpFlags::ACK,
+            window: DEFAULT_WINDOW,
+            mss: None,
+            payload: Vec::new(),
+        };
+        let mut now = 0;
+        let segments = client.on_segment(&update, SERVER, now).segments;
+        let got = exchange(&mut client, &mut server, segments, &mut now);
+        assert_eq!(got[..stream.len()], stream);
+        assert_eq!(got[stream.len()..], *shared);
+        assert_eq!(client.unacked_len(), 0);
+    }
+
+    #[test]
+    fn send_queue_reads_span_clusters_and_trimmed_heads() {
+        // Sends and ACKs interleave so that segments start and end inside
+        // the queue's clusters and span the seams between them; the
+        // retransmission and the fresh segments must still read the right
+        // bytes.
         let (mut client, mut server) = established_pair(100, 9000);
         client.cwnd = 1 << 20;
         let stream: Vec<u8> = (0..200_000u32).map(|i| (i % 241) as u8).collect();
         let mut got = Vec::new();
         let mut now = 0;
         for piece in stream.chunks(7001) {
-            let mut to_server = client.send(piece, now).segments;
-            while !to_server.is_empty() {
-                let mut to_client = Vec::new();
-                for seg in to_server.drain(..) {
-                    to_client.extend(server.on_segment(&seg, CLIENT, now).segments);
-                    got.extend(server.take_received());
-                }
-                for seg in &to_client {
-                    to_server.extend(client.on_segment(seg, SERVER, now).segments);
-                }
-                now += 1000;
-            }
+            let segments = client.send(piece, now).segments;
+            got.extend(exchange(&mut client, &mut server, segments, &mut now));
         }
         assert_eq!(client.unacked_len(), 0);
         assert_eq!(got, stream);
-        // And a retransmission read from a wrapped ring.
-        let (front, back) = {
-            client.send(&stream[..50_000], now);
-            client.send_q.as_slices()
+
+        // A borrowed, an empty and a shared send, the head then trimmed
+        // into the first cluster by a partial ACK.
+        let shared = Rc::new(stream[3000..50_000].to_vec());
+        drop(client.send(&stream[..3000], now));
+        drop(client.send(&[][..], now));
+        drop(client.send(&shared, now));
+        assert_eq!(client.send_q.segment_count(), 2);
+        assert_eq!(Rc::strong_count(&shared), 2, "queued, not copied");
+        let ack = TcpSegment {
+            src_port: SERVER.1,
+            dst_port: CLIENT.1,
+            seq: server.snd_nxt,
+            ack: client.snd_una.wrapping_add(1000),
+            flags: TcpFlags::ACK,
+            window: DEFAULT_WINDOW,
+            mss: None,
+            payload: Vec::new(),
         };
-        assert!(!back.is_empty() || front.len() == 50_000);
+        drop(client.on_segment(&ack, SERVER, now));
         let head = client.retransmit_head();
-        assert_eq!(head.payload.to_vec(), &stream[..DEFAULT_MSS]);
-        let tail = client.make_segment(0, TcpFlags::ACK, 49_000..50_000);
+        assert_eq!(head.payload.to_vec(), &stream[1000..1000 + DEFAULT_MSS]);
+        let seam = client.make_segment(0, TcpFlags::ACK, 1500..2500);
+        assert_eq!(seam.payload.segment_count(), 2);
+        assert_eq!(seam.payload.to_vec(), &stream[2500..3500]);
+        let tail = client.make_segment(0, TcpFlags::ACK, 48_000..49_000);
         assert_eq!(tail.payload.to_vec(), &stream[49_000..50_000]);
+        drop((head, seam, tail));
+
+        // Acknowledging the rest lets go of the shared buffer.
+        let ack = TcpSegment {
+            ack: client.snd_nxt,
+            ..ack
+        };
+        drop(client.on_segment(&ack, SERVER, now));
+        assert_eq!(client.unacked_len(), 0);
+        assert_eq!(Rc::strong_count(&shared), 1);
     }
 
     /// Complexity guard: acknowledging a long queue MSS by MSS is linear in
     /// the bytes acknowledged. A queue that moves what is still queued on
-    /// every ACK (32 MB, ~23 000 times) takes tens of seconds here; the ring
-    /// takes tens of milliseconds. The bound is 50x from either.
+    /// every ACK (32 MB, ~23 000 times) takes tens of seconds here; trimming
+    /// the chain's head takes tens of milliseconds. The bound is 50x from
+    /// either.
     #[test]
     fn acking_a_32mb_queue_mss_by_mss_is_linear() {
         const QUEUED: usize = 32 << 20;
         let isn = 1000;
         let (mut client, server) = established_pair(isn, 9000);
         let started = std::time::Instant::now();
-        client.send(&vec![0x11u8; QUEUED], 0);
+        client.send(vec![0x11u8; QUEUED], 0);
         let mut ack = TcpSegment {
             src_port: SERVER.1,
             dst_port: CLIENT.1,

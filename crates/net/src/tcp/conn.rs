@@ -194,15 +194,20 @@ impl TcpConn {
         self.tcb.borrow().retransmits
     }
 
-    /// Queues `data` for transmission (from inside an event handler).
-    pub fn send_in(self: &Rc<Self>, ctx: &mut RaiseCtx<'_>, data: &[u8]) {
-        self.host.enter_send(ctx.lease, data.len());
+    /// Queues `data` for transmission (from inside an event handler). An
+    /// owned or shared buffer (`Vec<u8>`, `Rc<Vec<u8>>`, an [`Mbuf`]) is
+    /// queued without a copy and a borrowed one is copied once
+    /// ([`Tcb::send`]); what the stack charges for the send is the same
+    /// either way.
+    pub fn send_in(self: &Rc<Self>, ctx: &mut RaiseCtx<'_>, data: impl Into<Mbuf>) {
+        let data = data.into();
+        self.host.enter_send(ctx.lease, data.total_len());
         let actions = self.tcb.borrow_mut().send(data, now_ns(ctx));
         self.apply(ctx, actions);
     }
 
     /// Queues `data` for transmission (top-level entry; opens a lease).
-    pub fn send(self: &Rc<Self>, engine: &mut Engine, data: &[u8]) {
+    pub fn send(self: &Rc<Self>, engine: &mut Engine, data: impl Into<Mbuf>) {
         self.on_lease(engine, |ctx| self.send_in(ctx, data));
     }
 

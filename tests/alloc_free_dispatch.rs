@@ -11,7 +11,9 @@
 //! allocates the same at any run length; an oversize transmit
 //! allocates nothing; rebinding leaves no heap behind, and neither does a
 //! flood of out-of-window TCP segments or of IP fragments that never
-//! complete, on both stacks.
+//! complete, on both stacks; and a TCP send of an application's shared
+//! buffer queues that buffer, copying nothing and asking for no heap, on
+//! both stacks.
 //!
 //! The counting allocator is `perf/`'s, mounted by path. Its counters are
 //! thread-local and every `#[test]` runs on a thread of its own, so the
@@ -1301,23 +1303,16 @@ const TCP_PORT: u16 = 80;
 /// Where a server puts the stream it receives.
 type Sink = Rc<RefCell<Vec<u8>>>;
 
-/// Builds a connected client and server of one stack kind on `hosts[0]` and
-/// `hosts[1]`.
-type Pair = fn(&mut World, &[Host], &Sink) -> Client;
+/// Builds a client and a server of one stack kind on `hosts[0]` and
+/// `hosts[1]`, and returns the client's connection, opening.
+type Pair = fn(&mut World, &[Host], &Sink) -> Rc<TcpConn>;
 
-/// An application write on the client's connection.
+/// An application write.
 type Write = Box<dyn Fn(&mut World, &[u8])>;
-
-/// The client's side of one established connection, whichever stack runs it.
-struct Client {
-    port: u16,
-    send: Write,
-    close: Box<dyn Fn(&mut World)>,
-}
 
 /// A client and a server on the Plexus stack; the server appends what it
 /// receives to `sink` and closes when its peer has.
-fn plexus_pair(world: &mut World, hosts: &[Host], sink: &Sink) -> Client {
+fn plexus_pair(world: &mut World, hosts: &[Host], sink: &Sink) -> Rc<TcpConn> {
     let client = PlexusStack::attach_host(&hosts[0], StackConfig::interrupt);
     let server = PlexusStack::attach_host(&hosts[1], StackConfig::interrupt);
     let spec = ExtensionSpec::typesafe("flood", &["TCP.Listen", "TCP.Connect", "TCP.Send"]);
@@ -1329,16 +1324,10 @@ fn plexus_pair(world: &mut World, hosts: &[Host], sink: &Sink) -> Client {
         .tcp()
         .listen(&sext, TCP_PORT, sink_into(sink))
         .unwrap();
-    let conn = client
+    client
         .tcp()
         .connect(&cext, world.engine_mut(), (hosts[1].ip, TCP_PORT))
-        .unwrap();
-    let closer = conn.clone();
-    Client {
-        port: conn.local_port(),
-        send: Box::new(move |world, data| conn.send(world.engine_mut(), data)),
-        close: Box::new(move |world| closer.close(world.engine_mut())),
-    }
+        .unwrap()
 }
 
 /// The server's side on either stack: append what arrives to `sink`, and
@@ -1358,26 +1347,20 @@ fn sink_into(sink: &Sink) -> impl Fn(&mut RaiseCtx<'_>, &Rc<TcpConn>) + 'static 
 }
 
 /// [`plexus_pair`] on the monolithic baseline.
-fn baseline_pair(world: &mut World, hosts: &[Host], sink: &Sink) -> Client {
+fn baseline_pair(world: &mut World, hosts: &[Host], sink: &Sink) -> Rc<TcpConn> {
     let client = MonolithicStack::attach_host(&hosts[0]);
     let server = MonolithicStack::attach_host(&hosts[1]);
     server
         .tcp()
         .listen(&AddressSpace::new("sink"), TCP_PORT, sink_into(sink));
-    let sock = client
+    client
         .tcp()
         .connect(
             world.engine_mut(),
             &AddressSpace::new("source"),
             (hosts[1].ip, TCP_PORT),
         )
-        .unwrap();
-    let closer = sock.clone();
-    Client {
-        port: sock.local_port(),
-        send: Box::new(move |world, data| sock.send(world.engine_mut(), data)),
-        close: Box::new(move |world| closer.close(world.engine_mut())),
-    }
+        .unwrap()
 }
 
 /// Half a stream crosses an established connection; a bare NIC then floods
@@ -1395,7 +1378,7 @@ fn flood_is_refused(pair: Pair) {
     let client = pair(&mut world, &hosts, &received);
     let stream: Vec<u8> = (0..200_000u32).map(|i| (i % 239) as u8).collect();
     let (first, second) = stream.split_at(stream.len() / 2);
-    (client.send)(&mut world, first);
+    client.send(world.engine_mut(), first);
     world.run();
     assert_eq!(*received.borrow(), first);
 
@@ -1403,7 +1386,7 @@ fn flood_is_refused(pair: Pair) {
     let flood = |world: &mut World, range: std::ops::Range<u32>| {
         for k in range {
             let seg = TcpSegment {
-                src_port: client.port,
+                src_port: client.local_port(),
                 dst_port: TCP_PORT,
                 // Both stacks draw their first ISS below 2^16: this is
                 // hundreds of megabytes ahead of the stream, and moves.
@@ -1442,8 +1425,8 @@ fn flood_is_refused(pair: Pair) {
         "every flood segment is a named drop"
     );
 
-    (client.send)(&mut world, second);
-    (client.close)(&mut world);
+    client.send(world.engine_mut(), second);
+    client.close(world.engine_mut());
     world.run();
     assert!(
         *received.borrow() == stream,
@@ -1469,7 +1452,7 @@ fn a_zero_mss_syn_is_survived(pair: Pair) {
     let segs = [(TcpFlags::SYN, 7, Some(0)), (TcpFlags::RST, 8, None)];
     for (k, (flags, seq, mss)) in segs.into_iter().enumerate() {
         let seg = TcpSegment {
-            src_port: client.port.wrapping_add(1),
+            src_port: client.local_port().wrapping_add(1),
             dst_port: TCP_PORT,
             seq,
             ack: 0,
@@ -1487,8 +1470,8 @@ fn a_zero_mss_syn_is_survived(pair: Pair) {
     }
 
     let stream: Vec<u8> = (0..50_000u32).map(|i| (i % 239) as u8).collect();
-    (client.send)(&mut world, &stream);
-    (client.close)(&mut world);
+    client.send(world.engine_mut(), &stream);
+    client.close(world.engine_mut());
     world.run();
     assert!(
         *received.borrow() == stream,
@@ -1578,6 +1561,67 @@ fn a_silent_peer_is_given_up_on_the_baseline() {
 }
 
 // ---------------------------------------------------------------------------
+// A send of a shared buffer (ROADMAP item 4), on both stacks.
+// ---------------------------------------------------------------------------
+
+/// The application hands the connection its `Rc<Vec<u8>>` and the TCB
+/// queues that buffer: on a warm connection a send of [`BULK`] bytes, with
+/// the window's worth of segments it emits at once, asks the allocator for
+/// nothing (it asked for the whole megabyte while the TCB copied into a
+/// ring of its own), and the buffer is held beyond the application's own
+/// handle only until the last ACK, so an idle connection keeps no send
+/// buffer. An application that writes to its buffer after the send gets a
+/// private copy, and the receiver still gets the bytes that were sent
+/// (§3.4's read-only packets).
+fn a_shared_send_is_queued_not_copied(pair: Pair) {
+    plexus::net::mbuf::reset_cluster_pool();
+    let Testbed {
+        mut world, hosts, ..
+    } = Testbed::new(&Link::t3(), 42, &["client", "server"]);
+    let received = Sink::default();
+    let client = pair(&mut world, &hosts, &received);
+    world.run();
+    assert_eq!(client.state(), TcpState::Established);
+
+    let bytes: Vec<u8> = (0..BULK).map(|i| (i % 251) as u8).collect();
+    let mut stream = Rc::new(bytes.clone());
+    client.send(world.engine_mut(), &stream);
+    assert!(Rc::strong_count(&stream) > 1, "the queue holds the buffer");
+    world.run();
+    assert_eq!(Rc::strong_count(&stream), 1, "the last ACK let go of it");
+    // Once more, with the window open: a send now emits a window's worth of
+    // segments at once, and this one grows the wire images and the engine's
+    // queue to that burst.
+    client.send(world.engine_mut(), &stream);
+    world.run();
+
+    let (asked, _) = kept_during(|| client.send(world.engine_mut(), &stream));
+    assert_eq!(
+        asked, 0,
+        "heap bytes a send of {BULK} shared bytes asked for"
+    );
+    Rc::make_mut(&mut stream).fill(0xA5);
+    assert_eq!(Rc::strong_count(&stream), 1, "the writer's copy is its own");
+    client.close(world.engine_mut());
+    world.run();
+    let received = received.borrow();
+    assert!(
+        received.chunks(BULK).eq([&bytes[..]; 3]),
+        "the receiver got the bytes that were sent, not the ones written after"
+    );
+}
+
+#[test]
+fn a_shared_send_is_queued_not_copied_on_plexus() {
+    a_shared_send_is_queued_not_copied(plexus_pair);
+}
+
+#[test]
+fn a_shared_send_is_queued_not_copied_on_the_baseline() {
+    a_shared_send_is_queued_not_copied(baseline_pair);
+}
+
+// ---------------------------------------------------------------------------
 // A Plexus TCP bulk transfer (ROADMAP item 4).
 // ---------------------------------------------------------------------------
 
@@ -1646,8 +1690,8 @@ fn plexus_bulk(delivered: impl Fn(u64) + 'static) -> (Rc<Vec<u8>>, Vec<u8>) {
 
 #[test]
 fn a_plexus_bulk_transfer_allocates_nothing_per_frame() {
-    // Each segment's trip through both stacks — the data segment out of the
-    // send ring, its ACK, the retransmit timer moved — touches the heap no
+    // Each segment's trip through both stacks — the data segment a share of
+    // the send queue, its ACK, the retransmit timer moved — touches the heap no
     // more than an echoed datagram's does. About 4.0 heap calls per frame
     // while each layer handed segments on in `Vec`s of their own and the
     // timer was re-boxed at every ACK.

@@ -6,6 +6,7 @@
 #![recursion_limit = "256"]
 
 use std::net::Ipv4Addr;
+use std::rc::Rc;
 
 use proptest::prelude::*;
 
@@ -13,7 +14,7 @@ use plexus::kernel::view::view;
 use plexus::net::checksum::{checksum, incremental_update, verify, Checksum};
 use plexus::net::ip::{self, IpHeader, IpView, Reassembler};
 use plexus::net::mbuf::Mbuf;
-use plexus::net::tcp::{seq_le, seq_lt, Payload, Tcb, TcpSegment};
+use plexus::net::tcp::{seq_le, seq_lt, Payload, Tcb, TcpFlags, TcpSegment};
 use plexus::net::udp::{self, UdpConfig};
 use plexus::net::{arp, http, icmp};
 
@@ -543,6 +544,200 @@ proptest! {
         let pieces = lossy_transfer(&data, iss, &fates, chunked);
         prop_assert!(pieces == whole, "chunked and contiguous runs differ");
         prop_assert!(whole == data, "the contiguous run lost bytes");
+    }
+}
+
+// ---------------------------------------------------------------------------
+// The send queue: a chain of shares, read against a byte-queue model.
+// ---------------------------------------------------------------------------
+
+/// One step of an application and a peer around one sending TCB.
+#[derive(Clone, Debug)]
+enum SendStep {
+    /// The application sends this many bytes from a slice of its own (the
+    /// TCB copies them).
+    Borrowed(usize),
+    /// The application sends this many bytes in an `Rc<Vec<u8>>` (the TCB
+    /// queues the buffer itself) and, if the flag is set, then overwrites
+    /// its buffer through `Rc::make_mut`.
+    Shared(usize, bool),
+    /// The peer acknowledges this part of what is in flight (all of it to
+    /// none) and advertises this window; a shut window makes the TCB probe.
+    Ack(prop::sample::Index, u16),
+    /// The next timer expires: a retransmission or a zero-window probe.
+    Timeout,
+}
+
+fn send_step() -> impl Strategy<Value = SendStep> {
+    // Small writes often, so that some fill the room after the queue's tail.
+    let len = || prop_oneof![Just(0usize), 1usize..200, 200usize..6000];
+    prop_oneof![
+        len().prop_map(SendStep::Borrowed),
+        (len(), any::<bool>()).prop_map(|(n, scribble)| SendStep::Shared(n, scribble)),
+        (
+            any::<prop::sample::Index>(),
+            prop_oneof![Just(0u16), any::<u16>()]
+        )
+            .prop_map(|(part, window)| SendStep::Ack(part, window)),
+        Just(SendStep::Timeout),
+    ]
+}
+
+/// A sending TCB beside a model of its queue: the bytes from sequence
+/// `una` on, and where what it has emitted ends.
+struct SendRig {
+    tcb: Tcb,
+    model: std::collections::VecDeque<u8>,
+    una: u32,
+    sent_end: u32,
+    peer_seq: u32,
+    now: u64,
+}
+
+const SENDER: (Ipv4Addr, u16) = (Ipv4Addr::new(10, 4, 0, 1), 4000);
+const PEER: (Ipv4Addr, u16) = (Ipv4Addr::new(10, 4, 0, 2), 80);
+
+impl SendRig {
+    /// A TCB established with a silent peer whose first ISS is `peer_iss`.
+    fn new(iss: u32, peer_iss: u32) -> SendRig {
+        let (mut tcb, _syn) = Tcb::connect(SENDER, PEER, iss, 0);
+        let syn_ack = TcpSegment {
+            src_port: PEER.1,
+            dst_port: SENDER.1,
+            seq: peer_iss,
+            ack: iss.wrapping_add(1),
+            flags: TcpFlags::SYN_ACK,
+            window: u16::MAX,
+            mss: Some(1460),
+            payload: Vec::new(),
+        };
+        assert!(tcb.on_segment(&syn_ack, PEER, 0).connected);
+        SendRig {
+            tcb,
+            model: Default::default(),
+            una: iss.wrapping_add(1),
+            sent_end: iss.wrapping_add(1),
+            peer_seq: peer_iss.wrapping_add(1),
+            now: 0,
+        }
+    }
+
+    /// Checks every emitted payload against the model's bytes for its
+    /// sequence range, and notes how far the emitted bytes reach.
+    fn emitted(&mut self, segments: Vec<TcpSegment<Mbuf>>) -> Result<(), TestCaseError> {
+        for seg in segments {
+            let len = seg.payload.total_len();
+            if len == 0 {
+                continue;
+            }
+            let off = seg.seq.wrapping_sub(self.una) as usize;
+            prop_assert!(off + len <= self.model.len(), "{len} bytes at {off}");
+            let want: Vec<u8> = self.model.range(off..off + len).copied().collect();
+            prop_assert_eq!(seg.payload.to_vec(), want, "the bytes at {}", off);
+            let end = seg.seq.wrapping_add(len as u32);
+            if seq_lt(self.sent_end, end) {
+                self.sent_end = end;
+            }
+        }
+        Ok(())
+    }
+
+    /// The peer acknowledges `acked` more bytes and advertises `window`.
+    fn ack(&mut self, acked: usize, window: u16) -> Result<(), TestCaseError> {
+        let ack = TcpSegment {
+            src_port: PEER.1,
+            dst_port: SENDER.1,
+            seq: self.peer_seq,
+            ack: self.una.wrapping_add(acked as u32),
+            flags: TcpFlags::ACK,
+            window,
+            mss: None,
+            payload: Vec::new(),
+        };
+        let acts = self.tcb.on_segment(&ack, PEER, self.now);
+        self.model.drain(..acked);
+        self.una = ack.ack;
+        self.emitted(acts.segments)
+    }
+
+    fn step(
+        &mut self,
+        step: SendStep,
+        next: &mut u64,
+        kept: &mut Vec<Rc<Vec<u8>>>,
+    ) -> Result<(), TestCaseError> {
+        self.now += 1_000_000;
+        let mut bytes = |n: usize| -> Vec<u8> {
+            (0..n)
+                .map(|_| {
+                    *next += 1;
+                    (*next * 131 % 251) as u8
+                })
+                .collect()
+        };
+        match step {
+            SendStep::Borrowed(n) => {
+                let data = bytes(n);
+                self.model.extend(&data);
+                let acts = self.tcb.send(&data[..], self.now);
+                self.emitted(acts.segments)?;
+            }
+            SendStep::Shared(n, scribble) => {
+                let mut data = Rc::new(bytes(n));
+                self.model.extend(data.iter());
+                let acts = self.tcb.send(&data, self.now);
+                if scribble {
+                    Rc::make_mut(&mut data).fill(0xEE);
+                }
+                kept.push(data);
+                self.emitted(acts.segments)?;
+            }
+            SendStep::Ack(part, window) => {
+                let flight = self.sent_end.wrapping_sub(self.una) as usize;
+                self.ack(part.index(flight + 1), window)?;
+            }
+            SendStep::Timeout => {
+                if let Some(at) = self.tcb.next_timeout() {
+                    self.now = self.now.max(at);
+                    let acts = self.tcb.on_timer(self.now);
+                    self.emitted(acts.segments)?;
+                }
+            }
+        }
+        Ok(())
+    }
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(64))]
+
+    #[test]
+    fn the_send_queue_emits_the_bytes_of_each_sequence_range(
+        iss in iss(),
+        peer_iss in iss(),
+        steps in proptest::collection::vec(send_step(), 1..40),
+    ) {
+        let mut rig = SendRig::new(iss, peer_iss);
+        let (mut next, mut kept) = (0, Vec::new());
+        for step in steps {
+            rig.step(step, &mut next, &mut kept)?;
+        }
+        // The peer opens its window and acknowledges whatever arrives until
+        // nothing is queued; then no buffer is held on the TCB's behalf.
+        for _ in 0..1000 {
+            if rig.model.is_empty() {
+                break;
+            }
+            let flight = rig.sent_end.wrapping_sub(rig.una) as usize;
+            rig.ack(flight, u16::MAX)?;
+            if rig.sent_end == rig.una && !rig.model.is_empty() {
+                rig.step(SendStep::Timeout, &mut next, &mut kept)?;
+            }
+        }
+        prop_assert!(rig.model.is_empty(), "{} bytes never sent", rig.model.len());
+        for buf in &kept {
+            prop_assert_eq!(Rc::strong_count(buf), 1);
+        }
     }
 }
 
