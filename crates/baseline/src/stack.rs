@@ -27,21 +27,27 @@ use plexus_net::mbuf::Mbuf;
 use plexus_net::testbed::Host;
 use plexus_net::udp::{self, Endpoint, UdpConfig, UdpRecv};
 use plexus_sim::nic::{DriverConfig, Nic};
-use plexus_sim::{Cpu, CpuLease, Engine, Machine};
+use plexus_sim::{Cpu, CpuLease, Engine, Loss, Machine};
 
 use plexus_kernel::dispatcher::RaiseCtx;
 use plexus_kernel::vm::AddressSpace;
 
 use crate::tcp_socket::TcpLayer;
 
-/// Counters for the monolithic stack.
+/// Counters for the monolithic stack. The losses among them are read from
+/// the machine's CPU, which counts every [`Loss`] once.
 #[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
 pub struct BaselineStats {
     /// Frames accepted by the MAC filter.
     pub eth_rx: u64,
+    /// Frames refused by the MAC filter ([`Loss::ForeignMac`]).
+    pub eth_filtered: u64,
     /// IP datagrams delivered up.
     pub ip_rx: u64,
-    /// IP datagrams dropped.
+    /// Fragments held until their datagram completes.
+    pub ip_held: u64,
+    /// IP datagrams dropped: [`Loss::IpBadHeader`] and
+    /// [`Loss::NotLocal`].
     pub ip_dropped: u64,
     /// Datagrams sent.
     pub ip_tx: u64,
@@ -49,7 +55,7 @@ pub struct BaselineStats {
     pub icmp_echoes: u64,
     /// UDP datagrams delivered to sockets.
     pub udp_delivered: u64,
-    /// UDP datagrams dropped (no socket bound).
+    /// UDP datagrams dropped: no socket bound ([`Loss::UdpNoSocket`]).
     pub udp_no_socket: u64,
 }
 
@@ -59,17 +65,15 @@ pub(crate) struct BaselineShared {
     /// interface is its own [`LinkHost`].
     pub(crate) link: Rc<Interface>,
     udp_socks: RefCell<HashMap<u16, Rc<UdpSocket>>>,
-    /// The driver glue's and the sockets' counters; [`MonolithicStack::stats`]
-    /// adds the interface's.
-    stats: Cell<BaselineStats>,
+    /// The driver glue's frames accepted and the sockets' datagrams
+    /// delivered; [`MonolithicStack::stats`] adds the interface's counts
+    /// and the CPU's losses.
+    eth_rx: Cell<u64>,
+    udp_delivered: Cell<u64>,
 }
 
-impl BaselineShared {
-    fn bump<F: FnOnce(&mut BaselineStats)>(&self, f: F) {
-        let mut s = self.stats.get();
-        f(&mut s);
-        self.stats.set(s);
-    }
+fn bump(count: &Cell<u64>) {
+    count.set(count.get() + 1);
 }
 
 /// The monolithic stack bound to one machine + NIC.
@@ -100,7 +104,8 @@ impl MonolithicStack {
         let shared = Rc::new(BaselineShared {
             link: Rc::new(Interface::new(machine.cpu(), nic, ip_addr, mac)),
             udp_socks: RefCell::new(HashMap::new()),
-            stats: Cell::new(BaselineStats::default()),
+            eth_rx: Cell::new(0),
+            udp_delivered: Cell::new(0),
         });
         let tcp = TcpLayer::new(&shared);
         let stack = Rc::new(MonolithicStack {
@@ -120,13 +125,15 @@ impl MonolithicStack {
                 lease: &mut lease,
             };
             if let Some(v) = ether::accept(frame, link.mac(), false) {
-                s.bump(|st| st.eth_rx += 1);
+                bump(&s.eth_rx);
                 ctx.lease.charge(ctx.lease.model().eth_proc);
                 match v.ethertype() {
                     EtherType::ARP => link.arp_input(ctx, &frame[ETHER_HDR_LEN..]),
                     EtherType::IPV4 => Self::ip_input(&s, &tcp, ctx, frame),
-                    _ => {}
+                    _ => ctx.lease.lose(Loss::UnknownEthertype),
                 }
+            } else {
+                ctx.lease.lose(Loss::ForeignMac);
             }
             ctx.lease.charge(ctx.lease.model().interrupt_exit);
         }));
@@ -152,7 +159,7 @@ impl MonolithicStack {
             }
             ip::proto::UDP => Self::udp_input(s, ctx.engine, ctx.lease, &hdr, &payload),
             ip::proto::TCP => tcp.input(ctx.engine, ctx.lease, &hdr, &payload),
-            _ => {}
+            _ => ctx.lease.lose(Loss::UnknownProtocol),
         }
     }
 
@@ -167,18 +174,20 @@ impl MonolithicStack {
         payload: &Mbuf,
     ) {
         // Find the socket first so the checksum honours its config.
+        let mut unbound = false;
         let claim = |port| {
             let sock = s.udp_socks.borrow().get(&port).cloned();
-            if sock.is_none() {
-                s.bump(|st| st.udp_no_socket += 1);
-            }
+            unbound = sock.is_none();
             sock.map(|sock| (sock.config, sock))
         };
         let Some((recv, sock)) = udp::receive(lease, hdr.src, hdr.dst, payload, false, claim)
         else {
+            if unbound {
+                lease.lose(Loss::UdpNoSocket);
+            }
             return;
         };
-        s.bump(|st| st.udp_delivered += 1);
+        bump(&s.udp_delivered);
         lease.charge(lease.model().socket_layer + lease.model().process_wakeup);
         engine.schedule_at(lease.now(), move |engine| {
             let lease = &mut sock.shared.link.cpu.begin(engine.now());
@@ -207,12 +216,17 @@ impl MonolithicStack {
     /// Stack counters.
     pub fn stats(&self) -> BaselineStats {
         let l = self.shared.link.stats();
+        let lost = |loss| self.shared.link.cpu.lost(loss);
         BaselineStats {
+            eth_rx: self.shared.eth_rx.get(),
+            eth_filtered: lost(Loss::ForeignMac),
             ip_rx: l.ip_rx,
-            ip_dropped: l.ip_dropped,
+            ip_held: l.ip_held,
+            ip_dropped: lost(Loss::IpBadHeader) + lost(Loss::NotLocal),
             ip_tx: l.ip_tx,
             icmp_echoes: l.icmp_echoes,
-            ..self.shared.stats.get()
+            udp_delivered: self.shared.udp_delivered.get(),
+            udp_no_socket: lost(Loss::UdpNoSocket),
         }
     }
 

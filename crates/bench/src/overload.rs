@@ -33,7 +33,7 @@ use plexus_net::udp::UdpConfig;
 use plexus_sim::engine::Engine;
 use plexus_sim::nic::{DriverConfig, Link, Nic, NicStats};
 use plexus_sim::time::{SimDuration, SimTime};
-use plexus_sim::World;
+use plexus_sim::{Loss, World};
 use plexus_trace::timeline::percentile;
 use plexus_trace::Recorder;
 
@@ -301,11 +301,12 @@ fn start_generator(
 /// completion against the timestamp embedded in their payload. Charges no
 /// CPU — the sink machine is not under test. With a recorder, every
 /// completion lands as an `overload.latency_ns` sample (feeding the
-/// windowed timeline) and frames for other hosts are recorded as
-/// `not_for_me` drops so journey reconstruction classifies the broadcast
+/// windowed timeline). Frames for other hosts are [`Loss::NotForMe`] on
+/// the sink's CPU, so journey reconstruction classifies the broadcast
 /// copies as filtered dead ends instead of live hops.
 fn install_sink(host: &Host, meter: &Rc<Meter>, recorder: Option<&Rc<Recorder>>) {
     let mac = host.mac;
+    let cpu = host.machine.cpu().clone();
     let meter = meter.clone();
     let rec = recorder.cloned();
     let hist = rec.as_ref().map(|r| r.intern("overload.latency_ns"));
@@ -313,10 +314,7 @@ fn install_sink(host: &Host, meter: &Rc<Meter>, recorder: Option<&Rc<Recorder>>)
         .attach(DriverConfig::per_frame(move |engine, frame| {
             let now_ns = engine.now().as_nanos();
             if frame.len() < PAYLOAD_OFF + 8 || frame[0..6] != mac.0 {
-                if let Some(rec) = &rec {
-                    rec.packet_drop(now_ns, "sink", "not_for_me");
-                }
-                return;
+                return cpu.lose(engine.now(), Loss::NotForMe);
             }
             let sent_ns =
                 u64::from_be_bytes(frame[PAYLOAD_OFF..PAYLOAD_OFF + 8].try_into().unwrap());

@@ -28,33 +28,39 @@ use plexus_net::ip::{self, Hop, IpHeader, IpView, RouteTable};
 use plexus_net::link::{Interface, LinkHost};
 use plexus_net::mbuf::Mbuf;
 use plexus_sim::nic::{DriverConfig, Nic};
-use plexus_sim::{Engine, Machine};
+use plexus_sim::{Cpu, Engine, Loss, Machine};
 
-/// Router statistics.
+/// Router statistics. The losses among them are read from the machine's
+/// CPU, which counts every [`Loss`] once.
 #[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
 pub struct RouterStats {
     /// Datagrams forwarded.
     pub forwarded: u64,
-    /// Datagrams dropped: no route to the destination (`no_route`).
+    /// Datagrams dropped: no route to the destination
+    /// ([`Loss::NoRoute`]).
     pub no_route: u64,
-    /// Datagrams dropped for TTL expiry (`ttl_expired`; Time Exceeded
-    /// sent).
+    /// Datagrams dropped for TTL expiry ([`Loss::TtlExpired`]; Time
+    /// Exceeded sent).
     pub ttl_expired: u64,
     /// Datagrams re-fragmented for a smaller egress MTU.
     pub refragmented: u64,
     /// ICMP echo requests to the router itself, answered.
     pub echoes: u64,
-    /// Datagrams dropped with a bad header (`ip_bad_header`).
+    /// Datagrams dropped with a bad header ([`Loss::IpBadHeader`]).
     pub bad_header: u64,
 }
 
 /// A multi-interface IP router on one machine.
 pub struct IpRouter {
+    /// The machine's processor, which every port charges and counts its
+    /// losses on.
+    cpu: Rc<Cpu>,
     /// One per port, each its own [`LinkHost`]: frames go straight to
     /// its NIC.
     interfaces: Vec<Rc<Interface>>,
     routes: RouteTable,
-    stats: Cell<RouterStats>,
+    /// Datagrams forwarded, and of those re-fragmented.
+    forwarded: Cell<(u64, u64)>,
 }
 
 impl IpRouter {
@@ -79,9 +85,10 @@ impl IpRouter {
             })
             .collect();
         let router = Rc::new(IpRouter {
+            cpu: machine.cpu().clone(),
             interfaces: ifs,
             routes,
-            stats: Cell::new(RouterStats::default()),
+            forwarded: Cell::default(),
         });
         for iface in &router.interfaces {
             let (r, port) = (router.clone(), iface.clone());
@@ -94,22 +101,22 @@ impl IpRouter {
     /// Counters.
     pub fn stats(&self) -> RouterStats {
         let echoes = self.interfaces.iter().map(|i| i.stats().icmp_echoes);
+        let (forwarded, refragmented) = self.forwarded.get();
+        let lost = |loss| self.cpu.lost(loss);
         RouterStats {
+            forwarded,
+            no_route: lost(Loss::NoRoute),
+            ttl_expired: lost(Loss::TtlExpired),
+            refragmented,
             echoes: echoes.sum(),
-            ..self.stats.get()
+            bad_header: lost(Loss::IpBadHeader),
         }
     }
 
-    /// Counts a lost datagram and names it (layer `ip`).
-    fn lose(&self, ctx: &RaiseCtx<'_>, count: fn(&mut RouterStats) -> &mut u64, reason: &str) {
-        let mut s = self.stats.get();
-        *count(&mut s) += 1;
-        self.stats.set(s);
-        ctx.lease.record_drop("ip", reason);
-    }
-
     /// One received frame: driver costs, then ARP input (no `eth_proc`:
-    /// ROADMAP item 8) or `eth_proc` and IP input.
+    /// ROADMAP item 8) or `eth_proc` and IP input. A frame for another MAC
+    /// is [`Loss::ForeignMac`], one of another ethertype
+    /// [`Loss::UnknownEthertype`].
     fn rx(&self, engine: &mut Engine, iface: &Rc<Interface>, frame: &[u8]) {
         let mut lease = iface.cpu.begin(engine.now());
         lease.charge(lease.model().interrupt_entry);
@@ -124,35 +131,38 @@ impl IpRouter {
                 ctx.lease.charge(ctx.lease.model().eth_proc);
                 self.ip_input(ctx, iface, &frame[ETHER_HDR_LEN..]);
             }
-            _ => {}
+            Some(_) => ctx.lease.lose(Loss::UnknownEthertype),
+            None => ctx.lease.lose(Loss::ForeignMac),
         }
         ctx.lease.charge(ctx.lease.model().interrupt_exit);
     }
 
     fn ip_input(&self, ctx: &mut RaiseCtx<'_>, iface: &Rc<Interface>, bytes: &[u8]) {
         ctx.lease.charge(ctx.lease.model().ip_proc);
-        let Some(v) = view::<IpView>(bytes) else {
-            return;
+        let Some(v) = view::<IpView>(bytes).filter(|v| {
+            v.checksum_ok() && v.version() == 4 && v.header_len() <= v.total_len().min(bytes.len())
+        }) else {
+            return ctx.lease.lose(Loss::IpBadHeader);
         };
         let hlen = v.header_len();
         let total = v.total_len().min(bytes.len());
-        if !v.checksum_ok() || v.version() != 4 || hlen > total {
-            return self.lose(ctx, |s| &mut s.bad_header, "ip_bad_header");
-        }
         let (src, dst, ttl) = (v.src(), v.dst(), v.ttl());
 
         // Addressed to the router itself: answer pings (no checksum of the
-        // request is charged: ROADMAP item 8), drop the rest.
+        // request is charged: ROADMAP item 8); the router runs no other
+        // protocol, and reassembles nothing.
         if self.interfaces.iter().any(|i| i.ip() == dst) {
             if v.protocol() == ip::proto::ICMP && !v.is_fragment() {
                 iface.echo(ctx, src, &bytes[hlen..total]);
+            } else {
+                ctx.lease.lose(Loss::UnknownProtocol);
             }
             return;
         }
 
         // Forwarding path.
         if ttl <= 1 {
-            self.lose(ctx, |s| &mut s.ttl_expired, "ttl_expired");
+            ctx.lease.lose(Loss::TtlExpired);
             let te = IcmpMessage {
                 kind: IcmpType::TimeExceeded,
                 code: 0,
@@ -167,10 +177,8 @@ impl IpRouter {
         }
 
         let Some((out_idx, next_hop)) = self.routes.next_hop(dst) else {
-            return self.lose(ctx, |s| &mut s.no_route, "no_route");
+            return ctx.lease.lose(Loss::NoRoute);
         };
-        let mut s = self.stats.get();
-        s.forwarded += 1;
 
         // Rebuild the datagram with TTL-1 (the header checksum is
         // recomputed by `encapsulate`; a real router would fix it
@@ -190,10 +198,9 @@ impl IpRouter {
         // `hdr.frag_offset`.)
         let out = &self.interfaces[out_idx];
         let egress_mtu = out.nic.profile().mtu;
-        if payload.total_len() + ip::IP_HDR_LEN > egress_mtu {
-            s.refragmented += 1;
-        }
-        self.stats.set(s);
+        let refragment = payload.total_len() + ip::IP_HDR_LEN > egress_mtu;
+        let (forwarded, refragmented) = self.forwarded.get();
+        (self.forwarded).set((forwarded + 1, refragmented + u64::from(refragment)));
         for dgram in ip::datagrams(&hdr, &payload, egress_mtu) {
             out.output(ctx, Hop::Via(next_hop), dgram);
         }

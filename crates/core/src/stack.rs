@@ -37,11 +37,11 @@ use plexus_kernel::dispatcher::{Dispatcher, Event, EventBatch, Guard, HandlerId,
 use plexus_kernel::domain::{Domain, ExtensionSpec, LinkedExtension};
 use plexus_sim::nic::{DriverConfig, Nic};
 use plexus_sim::time::SimDuration;
-use plexus_sim::{CpuLease, Engine, Machine};
+use plexus_sim::{CpuLease, Engine, Loss, Machine};
 
 use plexus_net::ether::{self, EtherType, Frame, MacAddr, ETHER_HDR_LEN};
 use plexus_net::ip::{self, RouteTable};
-use plexus_net::link::{Interface, LinkHost};
+use plexus_net::link::{Interface, LinkHost, LinkStats};
 use plexus_net::mbuf::Mbuf;
 use plexus_net::testbed::Host;
 
@@ -123,16 +123,18 @@ impl StackConfig {
 }
 
 /// Counters the stack keeps (beyond the dispatcher's own): the driver
-/// glue's, then its [`Interface`]'s.
+/// glue's, then its [`Interface`]'s. The losses among them are read from
+/// the machine's CPU, which counts every [`Loss`] once.
 #[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
 pub struct StackStats {
     /// Frames delivered to `Ethernet.PacketRecv`.
     pub eth_rx: u64,
-    /// Frames dropped by the MAC filter.
+    /// Frames dropped by the MAC filter ([`Loss::MacFilter`]).
     pub eth_filtered: u64,
     /// Datagrams delivered to `Ip.PacketRecv`.
     pub ip_rx: u64,
-    /// IP datagrams dropped (bad checksum, not addressed to us).
+    /// IP datagrams dropped: [`Loss::IpBadHeader`] and
+    /// [`Loss::NotLocal`].
     pub ip_dropped: u64,
     /// Datagrams sent through `Ip.PacketSend`.
     pub ip_tx: u64,
@@ -142,7 +144,7 @@ pub struct StackStats {
     pub arp_replies: u64,
     /// Sends queued waiting on ARP resolution.
     pub arp_queued: u64,
-    /// Sends dropped: no route to the destination.
+    /// Sends dropped: no route to the destination ([`Loss::NoRoute`]).
     pub no_route: u64,
     /// ARP resolutions abandoned after retries; their parked packets were
     /// dropped.
@@ -217,10 +219,9 @@ pub(crate) struct StackShared {
     pub(crate) mode: DispatchMode,
     pub(crate) ext_time_limit: Option<SimDuration>,
     pub(crate) events: StackEvents,
-    /// The driver glue's counters, frames accepted and filtered;
-    /// [`PlexusStack::stats`] adds the interface's.
+    /// The driver glue's count of frames accepted; [`PlexusStack::stats`]
+    /// adds the interface's and the CPU's losses.
     eth_rx: Cell<u64>,
-    eth_filtered: Cell<u64>,
     ext_domain: Domain,
     /// What the extensions hold, by handler (so in install order): which
     /// handler, who, and what. Written by [`StackShared::install_held`]
@@ -434,10 +435,12 @@ impl StackShared {
             mbuf.pkthdr_mut().rcvif = Some(0);
             mbuf.pkthdr_mut().packet_id = lease.recorder().and_then(|r| r.current_packet());
             mbuf.pkthdr_mut().journey_id = lease.recorder().and_then(|r| r.current_journey());
-            batch.raise(&mut RaiseCtx { engine, lease }, &EthRecv { mbuf });
+            let outcome = batch.raise(&mut RaiseCtx { engine, lease }, &EthRecv { mbuf });
+            if outcome.invoked == 0 {
+                lease.lose(Loss::UnknownEthertype);
+            }
         } else {
-            self.eth_filtered.set(self.eth_filtered.get() + 1);
-            lease.record_drop("ether", "mac_filter");
+            lease.lose(Loss::MacFilter);
         }
         if let Some(rec) = stamped {
             rec.packet_done();
@@ -515,7 +518,6 @@ impl PlexusStack {
             ext_time_limit: config.ext_time_limit,
             events,
             eth_rx: Cell::new(0),
-            eth_filtered: Cell::new(0),
             ext_domain,
             held: RefCell::default(),
             releases: Cell::new(0),
@@ -639,7 +641,9 @@ impl PlexusStack {
                     payload,
                     header,
                 };
-                s.dispatcher.raise(ctx, s.events.ip_recv, &arg);
+                if s.dispatcher.raise(ctx, s.events.ip_recv, &arg).invoked == 0 {
+                    ctx.lease.lose(Loss::UnknownProtocol);
+                }
             }
         };
         shared.install_layer(events.eth_recv, ether_guard(EtherType::IPV4), ip, "ip");
@@ -685,18 +689,25 @@ impl PlexusStack {
     /// Stack counters.
     pub fn stats(&self) -> StackStats {
         let l = self.shared.link.stats();
+        let lost = |loss| self.shared.link.cpu.lost(loss);
         StackStats {
             eth_rx: self.shared.eth_rx.get(),
-            eth_filtered: self.shared.eth_filtered.get(),
+            eth_filtered: lost(Loss::MacFilter),
             ip_rx: l.ip_rx,
-            ip_dropped: l.ip_dropped,
+            ip_dropped: lost(Loss::IpBadHeader) + lost(Loss::NotLocal),
             ip_tx: l.ip_tx,
             icmp_echoes: l.icmp_echoes,
             arp_replies: l.arp_replies,
             arp_queued: l.arp_queued,
-            no_route: l.no_route,
+            no_route: lost(Loss::NoRoute),
             arp_failures: l.arp_failures,
         }
+    }
+
+    /// The interface's own counters, with the fragments IP input holds
+    /// (`ip_held`), which [`StackStats`] does not carry.
+    pub fn link_stats(&self) -> LinkStats {
+        self.shared.link.stats()
     }
 
     /// Renders the live protocol graph — Figure 1 as the kernel actually

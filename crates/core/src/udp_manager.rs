@@ -33,7 +33,7 @@ use plexus_net::ip::proto;
 use plexus_net::link::LinkHost;
 use plexus_net::mbuf::Mbuf;
 use plexus_net::udp::{self, Endpoint, UdpConfig};
-use plexus_sim::{Cpu, Engine};
+use plexus_sim::{Cpu, Engine, Loss};
 
 use crate::guards;
 use crate::stack::{Hold, StackShared};
@@ -89,7 +89,12 @@ impl UdpManager {
                 };
                 m.delivered.set(m.delivered.get() + 1);
                 let outcome = s.dispatcher.raise(ctx, s.events.udp_recv, &arg);
-                if outcome.invoked == 0 && arg.dst != Ipv4Addr::BROADCAST {
+                if outcome.invoked > 0 {
+                    return;
+                }
+                if arg.dst == Ipv4Addr::BROADCAST {
+                    ctx.lease.lose(Loss::UdpNoSocket);
+                } else {
                     // No endpoint claimed the datagram: answer with ICMP
                     // port unreachable (code 3), quoting the offending
                     // datagram's IP header and UDP header, as a period BSD

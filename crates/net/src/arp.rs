@@ -137,12 +137,12 @@ impl ArpRawView<'_> {
 pub const MAX_PARKED_PER_HOP: usize = 32;
 
 /// Most datagrams the cache may hold over all unresolved hops.
-pub const MAX_PARKED: usize = 128;
+pub(crate) const MAX_PARKED: usize = 128;
 
 /// How long a who-has may go unanswered before the resolution is abandoned
 /// and its parked datagrams dropped (three one-second asks, as
 /// [`crate::link`]'s re-ask timer makes them).
-pub const PENDING_TTL_NS: u64 = 3_000_000_000;
+pub(crate) const PENDING_TTL_NS: u64 = 3_000_000_000;
 
 /// What became of a datagram offered to `ArpCache::resolve`.
 #[derive(Debug)]
@@ -217,7 +217,9 @@ pub struct ArpCache {
     /// Datagrams parked over all of `pending`.
     parked: usize,
     refused: u64,
-    expired: u64,
+    /// Parked datagrams dropped by expiry that the interface has not yet
+    /// counted ([`ArpCache::take_expired`]).
+    expired: usize,
     /// Entry lifetime in nanoseconds (default 20 minutes, as in BSD).
     pub ttl_ns: u64,
 }
@@ -338,7 +340,7 @@ impl ArpCache {
             live
         });
         self.parked -= dropped;
-        self.expired += dropped as u64;
+        self.expired += dropped;
     }
 
     /// Datagrams parked right now, over all unresolved hops.
@@ -353,11 +355,10 @@ impl ArpCache {
         self.refused
     }
 
-    /// Parked datagrams dropped because their who-has went unanswered for
-    /// [`PENDING_TTL_NS`].
-    #[cfg(test)]
-    pub(crate) fn expired(&self) -> u64 {
-        self.expired
+    /// Parked datagrams dropped, since the last call, because their
+    /// who-has went unanswered for [`PENDING_TTL_NS`].
+    pub(crate) fn take_expired(&mut self) -> usize {
+        std::mem::take(&mut self.expired)
     }
 
     /// True if the cache is empty.
@@ -510,12 +511,13 @@ mod tests {
             ),
             "the stale resolution is abandoned and asked afresh"
         );
-        assert_eq!((cache.parked(), cache.expired()), (2, 1));
+        assert_eq!((cache.parked(), cache.take_expired()), (2, 1));
         // A late answer finds its datagram already dropped.
         assert!(cache
             .learn(ip(9), MacAddr::local(9), PENDING_TTL_NS + 10)
             .is_empty());
-        assert_eq!((cache.parked(), cache.expired()), (1, 2));
+        assert_eq!((cache.parked(), cache.take_expired()), (1, 1));
+        assert_eq!(cache.take_expired(), 0, "each expiry is taken once");
         assert_eq!(
             tags(&cache.learn(ip(8), MacAddr::local(8), PENDING_TTL_NS + 20)),
             [4]

@@ -28,7 +28,7 @@ impl Checksum {
     /// Starts from an already-accumulated partial sum — how a NIC with
     /// checksum offload resumes the pseudo-header partial the stack handed
     /// down in the packet header.
-    pub fn with_partial(sum: u32) -> Checksum {
+    pub(crate) fn with_partial(sum: u32) -> Checksum {
         Checksum {
             sum: u64::from(sum),
             ..Checksum::default()
@@ -119,7 +119,7 @@ pub fn checksum(bytes: &[u8]) -> u16 {
 /// seeded with a partial sum (the pseudo-header). This is the
 /// gather a checksum-offload NIC performs while DMAing the chain: segment
 /// boundaries may fall anywhere, including on odd offsets.
-pub fn checksum_mbuf_from(m: &Mbuf, from: usize, partial: u32) -> u16 {
+pub(crate) fn checksum_mbuf_from(m: &Mbuf, from: usize, partial: u32) -> u16 {
     let mut c = Checksum::with_partial(partial);
     let mut skip = from;
     for seg in m.segments() {

@@ -296,12 +296,11 @@ pub const MAX_FRAG_BYTES: usize = 256 * 1024;
 pub(crate) enum Undelivered {
     /// Valid, but addressed to someone else.
     NotLocal,
-    /// A header that does not verify: checksum, version or lengths.
+    /// A header that does not verify: checksum, version or lengths, a
+    /// runt shorter than a header included.
     BadHeader,
     /// A fragment, held until its group completes: not a loss.
     Held,
-    /// Shorter than an IP header.
-    Runt,
 }
 
 /// Reassembles fragmented datagrams. What it holds is bounded: incomplete
@@ -380,7 +379,7 @@ impl Reassembler {
         let mut bytes = [0u8; MAX_IP_HDR_LEN];
         let peek = dgram.total_len().min(MAX_IP_HDR_LEN);
         dgram.read_at(0, &mut bytes[..peek]);
-        let v: IpView = plexus_kernel::view::view(&bytes[..peek]).ok_or(Undelivered::Runt)?;
+        let v: IpView = plexus_kernel::view::view(&bytes[..peek]).ok_or(Undelivered::BadHeader)?;
         if !v.checksum_ok() || v.version() != 4 {
             return Err(Undelivered::BadHeader);
         }
@@ -829,7 +828,7 @@ mod tests {
             Some(Undelivered::BadHeader)
         );
         let runt = Mbuf::from_payload(0, &[0x45; IP_HDR_LEN - 1]);
-        assert_eq!(r.input(&runt, 0, mine).err(), Some(Undelivered::Runt));
+        assert_eq!(r.input(&runt, 0, mine).err(), Some(Undelivered::BadHeader));
         // Fragments are held, then the completing one delivers the whole;
         // the local check sees only the reassembled datagram.
         let data = vec![7u8; 3000];

@@ -15,7 +15,7 @@ use std::rc::Rc;
 use plexus_kernel::dispatcher::RaiseCtx;
 use plexus_sim::nic::Nic;
 use plexus_sim::time::SimDuration;
-use plexus_sim::{Cpu, CpuLease, Engine};
+use plexus_sim::{Cpu, CpuLease, Engine, Loss};
 
 use crate::arp::{ArpCache, Resolve};
 use crate::ether::{self, EtherType, Frame, MacAddr, ETHER_HDR_LEN};
@@ -24,13 +24,14 @@ use crate::ip::{self, Hop, IpHeader, Reassembler, RouteTable, Undelivered};
 use crate::mbuf::Mbuf;
 
 /// What an [`Interface`] counts: the link and IP layers' share of a
-/// stack's counters.
+/// stack's counters. What they lose is counted by reason on the CPU
+/// ([`plexus_sim::Cpu::lost`]).
 #[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
 pub struct LinkStats {
     /// Datagrams delivered up from IP input.
     pub ip_rx: u64,
-    /// Datagrams IP input dropped: a bad header, or not addressed here.
-    pub ip_dropped: u64,
+    /// Fragments IP input holds until their datagram completes.
+    pub ip_held: u64,
     /// Datagrams through IP output.
     pub ip_tx: u64,
     /// ICMP echo requests answered.
@@ -39,8 +40,6 @@ pub struct LinkStats {
     pub arp_replies: u64,
     /// Datagrams parked waiting on ARP resolution.
     pub arp_queued: u64,
-    /// Datagrams IP output dropped: no route to the destination.
-    pub no_route: u64,
     /// ARP resolutions abandoned after their re-asks; what they parked was
     /// dropped.
     pub arp_failures: u64,
@@ -115,6 +114,14 @@ impl Interface {
         self.arp.borrow_mut().learn(ip, mac, 0);
     }
 
+    /// Counts the parked datagrams the ARP cache let expire since it was
+    /// last asked.
+    fn count_expired(&self, lease: &CpuLease) {
+        for _ in 0..self.arp.borrow_mut().take_expired() {
+            lease.lose(Loss::ArpExpired);
+        }
+    }
+
     /// Replaces where sends go.
     pub fn set_routes(&self, routes: RouteTable) {
         *self.routes.borrow_mut() = routes;
@@ -148,8 +155,9 @@ impl Interface {
 
     /// Host IP input for `dgram` (the frame past its link header): `ip_proc`,
     /// reassembly, the local-address check. Returns a whole datagram for
-    /// this host; names every loss (`ip_reassembly_full`, `ip_bad_header`,
-    /// `not_local`, layer `ip`). A held fragment is no loss.
+    /// this host; names every loss ([`Loss::IpReassemblyFull`],
+    /// [`Loss::IpBadHeader`], [`Loss::NotLocal`]). A held fragment is no
+    /// loss.
     #[inline]
     pub fn ip_input(&self, lease: &mut CpuLease, dgram: &Mbuf) -> Option<(IpHeader, Mbuf)> {
         lease.charge(lease.model().ip_proc);
@@ -160,20 +168,18 @@ impl Interface {
             dst == self.ip || dst == Ipv4Addr::BROADCAST || self.aliases.borrow().contains(&dst)
         });
         for _ in evicted..reasm.evicted() {
-            lease.record_drop("ip", "ip_reassembly_full");
+            lease.lose(Loss::IpReassemblyFull);
         }
         drop(reasm);
-        let reason = match verdict {
+        match verdict {
             Ok(whole) => {
                 self.bump(|s| s.ip_rx += 1);
                 return Some(whole);
             }
-            Err(Undelivered::Held | Undelivered::Runt) => return None,
-            Err(Undelivered::NotLocal) => "not_local",
-            Err(Undelivered::BadHeader) => "ip_bad_header",
-        };
-        self.bump(|s| s.ip_dropped += 1);
-        lease.record_drop("ip", reason);
+            Err(Undelivered::Held) => self.bump(|s| s.ip_held += 1),
+            Err(Undelivered::NotLocal) => lease.lose(Loss::NotLocal),
+            Err(Undelivered::BadHeader) => lease.lose(Loss::IpBadHeader),
+        }
         None
     }
 }
@@ -204,8 +210,8 @@ pub trait LinkHost: Sized + 'static {
         self.link().transmit(ctx, frame);
     }
 
-    /// Host IP output: `ip_proc`, the header, the next hop (or the named
-    /// drop `no_route`), and the whole datagram or its fragments, each
+    /// Host IP output: `ip_proc`, the header, the next hop (or
+    /// [`Loss::NoRoute`]), and the whole datagram or its fragments, each
     /// through [`LinkHost::output`].
     fn ip_output(
         self: &Rc<Self>,
@@ -220,9 +226,7 @@ pub trait LinkHost: Sized + 'static {
         link.bump(|s| s.ip_tx += 1);
         let hdr = IpHeader::simple(src, dst, protocol, link.ident.take());
         let Some(hop) = link.routes.borrow().hop(dst) else {
-            link.bump(|s| s.no_route += 1);
-            ctx.lease.record_drop("ip", "no_route");
-            return;
+            return ctx.lease.lose(Loss::NoRoute);
         };
         for dgram in ip::datagrams(&hdr, payload, link.nic.profile().mtu) {
             self.output(ctx, hop, dgram);
@@ -232,8 +236,9 @@ pub trait LinkHost: Sized + 'static {
     /// ARP output for one datagram: to everyone on the segment, or
     /// `arp_lookup` and whatever the cache puts on the wire now. A first
     /// miss parks the datagram behind a who-has, asked again at 1 s and
-    /// 2 s and abandoned at 3 s; a full queue refuses it as
-    /// `arp_queue_full`.
+    /// 2 s and abandoned at 3 s; a full queue refuses it
+    /// ([`Loss::ArpQueueFull`]). Parked datagrams whose resolution expired
+    /// unanswered are [`Loss::ArpExpired`].
     fn output(self: &Rc<Self>, ctx: &mut RaiseCtx<'_>, hop: Hop, dgram: Mbuf) {
         let Hop::Via(hop) = hop else {
             let frame = Frame {
@@ -247,6 +252,7 @@ pub trait LinkHost: Sized + 'static {
         ctx.lease.charge(ctx.lease.model().arp_lookup);
         let now = ctx.lease.now().as_nanos();
         let resolved = link.arp.borrow_mut().resolve(hop, now, dgram);
+        link.count_expired(ctx.lease);
         if let Some(frame) = resolved.frame() {
             self.send_frame(ctx, frame);
         }
@@ -257,7 +263,7 @@ pub trait LinkHost: Sized + 'static {
                 ask_again(self.clone(), ctx.engine, hop, now, 1);
             }
             Resolve::ParkedQuiet => link.bump(|s| s.arp_queued += 1),
-            Resolve::Refused => ctx.lease.record_drop("arp", "arp_queue_full"),
+            Resolve::Refused => ctx.lease.lose(Loss::ArpQueueFull),
         }
     }
 
@@ -266,7 +272,9 @@ pub trait LinkHost: Sized + 'static {
     fn arp_input(&self, ctx: &mut RaiseCtx<'_>, bytes: &[u8]) {
         let link = self.link();
         let now = ctx.lease.now().as_nanos();
-        let Some(input) = link.arp.borrow_mut().input(bytes, now) else {
+        let input = link.arp.borrow_mut().input(bytes, now);
+        link.count_expired(ctx.lease);
+        let Some(input) = input else {
             return;
         };
         if input.reply.is_some() {
@@ -323,7 +331,7 @@ impl LinkHost for Interface {
 /// After [`ASK_INTERVAL`], unless the who-has for `hop` first sent at `at`
 /// (ns) has been answered, or abandoned and asked afresh: ask again, or,
 /// `n` asks made, abandon the resolution, dropping what it parked — one
-/// `resolution_failed` per datagram.
+/// [`Loss::ResolutionFailed`] per datagram.
 fn ask_again<H: LinkHost>(host: Rc<H>, engine: &mut Engine, hop: Ipv4Addr, at: u64, n: u32) {
     engine.schedule_in(ASK_INTERVAL, move |eng| {
         let link = host.link();
@@ -333,10 +341,8 @@ fn ask_again<H: LinkHost>(host: Rc<H>, engine: &mut Engine, hop: Ipv4Addr, at: u
         if n >= ASKS {
             let dropped = link.arp.borrow_mut().abandon(hop);
             link.bump(|s| s.arp_failures += 1);
-            if let Some(rec) = eng.recorder() {
-                for _ in 0..dropped {
-                    rec.packet_drop(eng.now().as_nanos(), "arp", "resolution_failed");
-                }
+            for _ in 0..dropped {
+                link.cpu.lose(eng.now(), Loss::ResolutionFailed);
             }
             return;
         }

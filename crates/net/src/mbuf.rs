@@ -33,7 +33,7 @@ use std::rc::Rc;
 pub const MLEN: usize = 128;
 
 /// Bytes of storage in a large cluster.
-pub const MCLBYTES: usize = 2048;
+pub(crate) const MCLBYTES: usize = 2048;
 
 /// Default leading space reserved for link/network/transport headers when
 /// building a packet from payload (enough for Ethernet+IP+TCP with slack).
@@ -583,19 +583,20 @@ impl Mbuf {
     }
 
     /// [`Mbuf::append`] for a queue of writes (BSD `m_cat`, as `sbcompress`
-    /// uses it): a segment of `other` that only `other` holds and that fits
-    /// the room after this chain's last segment, in a cluster only this
-    /// chain holds, is copied there and its cluster let go. A run of small
-    /// writes so fills clusters instead of taking one each; a shared buffer
-    /// is never copied.
+    /// uses it): a segment of `other` that fits the room after this chain's
+    /// last segment, in a cluster only this chain holds, is copied there
+    /// and its cluster let go. A small segment with no room after it (an
+    /// application's buffer, shared or moved in at its length) is copied
+    /// into a cluster of its own with room, as a borrowed write is. A run
+    /// of small writes so fills clusters instead of taking one each,
+    /// whoever holds their buffers; a larger shared buffer is queued as it
+    /// is.
     pub(crate) fn append_compact(&mut self, mut other: Mbuf) {
         for seg in other.segments.drain(..) {
             if let Some(last) = self.segments.last_mut() {
                 let end = last.off + last.len;
-                let unshared = Rc::strong_count(&seg.cluster) == 1;
-                if let Some(room) = Rc::get_mut(&mut last.cluster)
-                    .and_then(|c| c.get_mut(end..end + seg.len))
-                    .filter(|_| unshared)
+                if let Some(room) =
+                    Rc::get_mut(&mut last.cluster).and_then(|c| c.get_mut(end..end + seg.len))
                 {
                     room.copy_from_slice(seg.bytes());
                     last.len += seg.len;
@@ -603,7 +604,19 @@ impl Mbuf {
                     continue;
                 }
             }
-            self.segments.push(seg);
+            if !(1..MLEN).contains(&seg.len) || seg.off + seg.len < seg.cluster.len() {
+                self.segments.push(seg);
+                continue;
+            }
+            let mut cluster = new_cluster(seg.len);
+            cluster_mut(&mut cluster)[..seg.len].copy_from_slice(seg.bytes());
+            let len = seg.len;
+            retire_cluster(seg.cluster);
+            self.segments.push(Segment {
+                cluster,
+                off: 0,
+                len,
+            });
         }
     }
 

@@ -36,7 +36,7 @@ pub const DEFAULT_MSS: usize = 1460;
 /// Smallest MSS a peer can talk us down to. The option field can carry 0,
 /// and every size derived from the MSS (segment payloads, the congestion
 /// window, the offload split) must stay non-zero.
-pub const MIN_MSS: usize = 64;
+pub(crate) const MIN_MSS: usize = 64;
 
 /// Default receive window.
 pub const DEFAULT_WINDOW: u16 = 65535;
@@ -506,6 +506,9 @@ pub struct Tcb {
     /// slice) and trimmed at the front by each ACK. Its first byte is
     /// sequence `snd_una` (+1 while our SYN is unacked).
     send_q: Mbuf,
+    /// Bytes in `send_q` (BSD `sb_cc`), so no send, emission or ACK sums
+    /// the chain.
+    send_cc: usize,
     fin_pending: bool,
     fin_seq: Option<u32>,
 
@@ -568,6 +571,7 @@ impl Tcb {
             snd_nxt: iss,
             snd_wnd: DEFAULT_WINDOW as u32,
             send_q: Mbuf::default(),
+            send_cc: 0,
             fin_pending: false,
             fin_seq: None,
             rcv_nxt: 0,
@@ -726,9 +730,9 @@ impl Tcb {
     /// Queues application data; emits whatever the windows allow. An owned
     /// or shared buffer (`Vec<u8>`, `Rc<Vec<u8>>`, an [`Mbuf`]) is queued
     /// as it is; a borrowed one is copied once, into one cluster (the `From`
-    /// impls on [`Mbuf`]), and when it fits the room after the bytes queued
-    /// before it, it is copied on into that room (BSD's `sbcompress`),
-    /// so small writes share clusters.
+    /// impls on [`Mbuf`]). A write that fits the room after the bytes
+    /// queued before it, borrowed or shared, is copied on into that room
+    /// (BSD's `sbcompress`), so small writes share clusters.
     pub fn send(&mut self, data: impl Into<Mbuf>, now_ns: u64) -> Actions {
         assert!(
             matches!(
@@ -739,11 +743,8 @@ impl Tcb {
             self.state
         );
         let data = data.into();
-        if self.send_q.is_empty() {
-            self.send_q = data;
-        } else {
-            self.send_q.append_compact(data);
-        }
+        self.send_cc += data.total_len();
+        self.send_q.append_compact(data);
         let mut a = self.actions();
         self.pump_output(&mut a, now_ns);
         a
@@ -781,8 +782,7 @@ impl Tcb {
         // What the caller queued already is not ours to arm a timer for.
         let earlier = a.segments.len();
         let wnd = self.snd_wnd.min(self.cwnd as u32);
-        // Measured once: summing the chain walks its segments.
-        let queued = self.send_q.total_len();
+        let queued = self.send_cc;
         loop {
             let in_flight = self.snd_nxt.wrapping_sub(self.snd_una);
             let sent_off = in_flight as usize; // Bytes of send_q already in flight.
@@ -846,7 +846,7 @@ impl Tcb {
         // update cannot be lost forever (RFC 1122 §4.2.2.17).
         let flight = self.snd_nxt.wrapping_sub(self.snd_una) as usize;
         if flight == 0 && !self.syn_in_flight() {
-            if !self.send_q.is_empty() && self.snd_wnd == 0 {
+            if self.send_cc > 0 && self.snd_wnd == 0 {
                 let probe = self.make_segment(self.snd_una, TcpFlags::ACK, 0..1);
                 self.snd_nxt = self.snd_una.wrapping_add(1);
                 self.rto_ns = (self.rto_ns * 2).min(MAX_RTO_NS);
@@ -888,9 +888,7 @@ impl Tcb {
                         return self.make_segment(fin_seq, TcpFlags::FIN_ACK, 0..0);
                     }
                 }
-                let chunk = self
-                    .send_q
-                    .total_len()
+                let chunk = (self.send_cc)
                     .min(self.chunk_cap())
                     .min(self.snd_nxt.wrapping_sub(self.snd_una) as usize);
                 self.make_segment(self.snd_una, TcpFlags::ACK, 0..chunk)
@@ -996,7 +994,9 @@ impl Tcb {
                 // Trimming drops the acked bytes' shares alone: what is
                 // still queued is not moved, and a buffer nothing views any
                 // more goes back to its owner (or the pool).
-                self.send_q.trim_front(acked.min(self.send_q.total_len()));
+                let acked = acked.min(self.send_cc);
+                self.send_q.trim_front(acked);
+                self.send_cc -= acked;
                 self.snd_una = ack;
                 self.dup_acks = 0;
                 // RTT sampling (Karn-compliant: sample only set on fresh data).
@@ -1201,7 +1201,12 @@ impl Tcb {
 impl Tcb {
     /// Bytes buffered but not yet acknowledged (or not yet sent).
     fn unacked_len(&self) -> usize {
-        self.send_q.total_len()
+        assert_eq!(
+            self.send_cc,
+            self.send_q.total_len(),
+            "the count is the queue's"
+        );
+        self.send_cc
     }
 
     /// [`Tcb::swap_received`] into a fresh buffer.
@@ -2336,10 +2341,11 @@ mod buffer_tests {
             assert!(client.send(byte, 0).segments.is_empty());
         }
         assert_eq!(client.send_q.segment_count(), stream.len().div_ceil(MLEN));
-        // A shared buffer is queued as it is, even when it would fit.
+        // A shared buffer that fits is copied into the room as a borrowed
+        // one is: the queue does not hold on to the application's buffer.
         let shared = Rc::new(vec![0x5A; 16]);
         drop(client.send(&shared, 0));
-        assert_eq!(Rc::strong_count(&shared), 2);
+        assert_eq!(Rc::strong_count(&shared), 1);
 
         // The window opens and the bytes leave in order.
         let update = TcpSegment {
@@ -2358,6 +2364,31 @@ mod buffer_tests {
         assert_eq!(got[..stream.len()], stream);
         assert_eq!(got[stream.len()..], *shared);
         assert_eq!(client.unacked_len(), 0);
+    }
+
+    #[test]
+    fn small_shared_sends_fill_clusters_as_borrowed_ones_do() {
+        // Twenty thousand one-byte writes into a shut window, each an
+        // application's own `Rc<Vec<u8>>`, take the clusters as many
+        // borrowed ones take: each byte is copied into the room after the
+        // bytes before it.
+        let queue = |shared: bool| {
+            let (mut client, _server) = established_pair(100, 9000);
+            client.snd_wnd = 0;
+            for i in 0..20_000u32 {
+                let byte = [(i % 251) as u8];
+                let a = if shared {
+                    client.send(Rc::new(byte.to_vec()), 0)
+                } else {
+                    client.send(&byte, 0)
+                };
+                assert!(a.segments.is_empty());
+            }
+            assert_eq!(client.unacked_len(), 20_000);
+            client.send_q.segment_count()
+        };
+        assert_eq!(queue(true), queue(false));
+        assert_eq!(queue(false), 20_000usize.div_ceil(MLEN));
     }
 
     #[test]

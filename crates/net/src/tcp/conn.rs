@@ -11,7 +11,7 @@ use std::rc::Rc;
 use plexus_kernel::dispatcher::RaiseCtx;
 use plexus_sim::engine::TimerHandle;
 use plexus_sim::time::SimDuration;
-use plexus_sim::{Cpu, CpuLease, Engine};
+use plexus_sim::{Cpu, CpuLease, Engine, Loss};
 
 use super::{Actions, Payload, Tcb, TcpSegment, TcpState, TCP_HDR_LEN};
 use crate::mbuf::Mbuf;
@@ -281,10 +281,10 @@ impl TcpConn {
             self.host.clone().notify(ctx, self, ConnEvent::Connected);
         }
         if actions.out_of_window {
-            ctx.lease.record_drop("tcp", "tcp_out_of_window");
+            ctx.lease.lose(Loss::TcpOutOfWindow);
         }
         if actions.timed_out {
-            ctx.lease.record_drop("tcp", "tcp_retransmit_limit");
+            ctx.lease.lose(Loss::TcpRetransmitLimit);
         }
         if actions.data_available {
             // The buffer goes back when the delivery returns, so the next

@@ -18,7 +18,7 @@ use std::rc::Rc;
 use plexus_kernel::dispatcher::RaiseCtx;
 use plexus_kernel::filter::{EventKind, Field, Packet};
 use plexus_kernel::view::{be16, put_be16, WireView};
-use plexus_sim::{Cpu, CpuLease, Engine};
+use plexus_sim::{Cpu, CpuLease, Engine, Loss};
 
 use crate::checksum::{Checksum, CsumOffload};
 use crate::ip::{proto, IP_HDR_LEN};
@@ -263,8 +263,8 @@ impl Packet for UdpRecv {
 /// destination port, which yields the port's options and what the stack
 /// delivers to, or `None` for its own miss; the checksum charge unless the
 /// options skip it or the adapter verified it (`offload`); decapsulation.
-/// A datagram that does not parse or verify is dropped as
-/// `udp_bad_datagram`.
+/// A datagram that does not parse or verify is lost as
+/// [`Loss::UdpBadDatagram`].
 pub fn receive<T>(
     lease: &mut CpuLease,
     src: Ipv4Addr,
@@ -275,9 +275,8 @@ pub fn receive<T>(
 ) -> Option<(UdpRecv, T)> {
     lease.charge(lease.model().udp_proc);
     let mut port = [0u8; 2];
-    let bad = |lease: &CpuLease| lease.record_drop("udp", "udp_bad_datagram");
     if !packet.read_at(2, &mut port) {
-        bad(lease);
+        lease.lose(Loss::UdpBadDatagram);
         return None;
     }
     let (config, to) = claim(u16::from_be_bytes(port))?;
@@ -285,7 +284,7 @@ pub fn receive<T>(
         lease.charge(lease.model().checksum(packet.total_len()));
     }
     let Some(recv) = decapsulate(src, dst, config, packet) else {
-        bad(lease);
+        lease.lose(Loss::UdpBadDatagram);
         return None;
     };
     Some((recv, to))

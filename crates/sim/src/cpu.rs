@@ -17,7 +17,7 @@
 use std::cell::{Cell, RefCell};
 use std::rc::Rc;
 
-use plexus_trace::Recorder;
+use plexus_trace::{Loss, Recorder};
 
 use crate::time::{SimDuration, SimTime};
 
@@ -141,6 +141,22 @@ impl Default for CostModel {
     }
 }
 
+/// One always-on counter per [`Loss`]: what a machine's CPU, or an
+/// adapter, has lost, whether or not a recorder is installed.
+#[derive(Default)]
+pub(crate) struct Losses([Cell<u64>; Loss::COUNT]);
+
+impl Losses {
+    pub(crate) fn count(&self, loss: Loss) {
+        let n = &self.0[loss as usize];
+        n.set(n.get() + 1);
+    }
+
+    pub(crate) fn get(&self, loss: Loss) -> u64 {
+        self.0[loss as usize].get()
+    }
+}
+
 /// A single simulated processor.
 ///
 /// Interior mutability (`Cell`) lets many `Rc<Cpu>` holders charge work
@@ -151,6 +167,9 @@ pub struct Cpu {
     free_at: Cell<SimTime>,
     busy: Cell<SimDuration>,
     recorder: RefCell<Option<Rc<Recorder>>>,
+    /// Every packet lost by the code that runs here, by reason: the one
+    /// count behind each stack's loss statistics.
+    losses: Losses,
 }
 
 impl Cpu {
@@ -161,6 +180,7 @@ impl Cpu {
             free_at: Cell::new(SimTime::ZERO),
             busy: Cell::new(SimDuration::ZERO),
             recorder: RefCell::new(None),
+            losses: Losses::default(),
         })
     }
 
@@ -198,6 +218,20 @@ impl Cpu {
             return 0.0;
         }
         (self.busy() - busy_at_start).as_secs_f64() / window.as_secs_f64()
+    }
+
+    /// Counts a packet lost for `loss` at `at`, and records it if a
+    /// recorder is installed — for work that holds no lease.
+    pub fn lose(&self, at: SimTime, loss: Loss) {
+        self.losses.count(loss);
+        if let Some(rec) = self.recorder.borrow().as_ref() {
+            rec.lose(at.as_nanos(), loss, None);
+        }
+    }
+
+    /// Packets lost here for `loss` so far.
+    pub fn lost(&self, loss: Loss) -> u64 {
+        self.losses.get(loss)
     }
 
     /// Opens a lease starting no earlier than `now` and no earlier than the
@@ -292,11 +326,12 @@ impl CpuLease {
         self.recorder.as_deref()
     }
 
-    /// Records a packet dropped at `layer` for `reason`, now, if a recorder
-    /// was captured.
-    pub fn record_drop(&self, layer: &str, reason: &str) {
+    /// Counts a packet lost for `loss` on this CPU, and records it now if
+    /// a recorder was captured: the one call a loss site makes.
+    pub fn lose(&self, loss: Loss) {
+        self.cpu.losses.count(loss);
         if let Some(rec) = self.recorder() {
-            rec.packet_drop(self.now().as_nanos(), layer, reason);
+            rec.lose(self.now().as_nanos(), loss, None);
         }
     }
 

@@ -28,5 +28,6 @@ pub mod world;
 
 pub use cpu::{CostModel, Cpu, CpuLease};
 pub use engine::Engine;
+pub use plexus_trace::Loss;
 pub use time::{SimDuration, SimTime};
 pub use world::{Machine, World};

@@ -39,10 +39,11 @@ use std::cell::{Cell, RefCell};
 use std::collections::VecDeque;
 use std::rc::{Rc, Weak};
 
-use plexus_trace::{Label, Name, Recorder, Scope};
+use plexus_trace::{Label, Loss, Name, Recorder, Scope};
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
 
+use crate::cpu::Losses;
 use crate::engine::{Engine, Event};
 use crate::time::{SimDuration, SimTime};
 
@@ -462,7 +463,6 @@ pub struct FaultInjector {
     drop_prob: f64,
     corrupt_prob: f64,
     rng: RefCell<StdRng>,
-    drops: Cell<u64>,
     corruptions: Cell<u64>,
 }
 
@@ -480,14 +480,8 @@ impl FaultInjector {
             drop_prob,
             corrupt_prob,
             rng: RefCell::new(StdRng::seed_from_u64(seed)),
-            drops: Cell::new(0),
             corruptions: Cell::new(0),
         }
-    }
-
-    /// Frames dropped so far.
-    pub fn drops(&self) -> u64 {
-        self.drops.get()
     }
 
     /// Frames corrupted so far.
@@ -499,7 +493,6 @@ impl FaultInjector {
     fn apply(&self, frame: &mut Frame) -> bool {
         let mut rng = self.rng.borrow_mut();
         if self.drop_prob > 0.0 && rng.gen::<f64>() < self.drop_prob {
-            self.drops.set(self.drops.get() + 1);
             return false;
         }
         if self.corrupt_prob > 0.0 && !frame.is_empty() && rng.gen::<f64>() < self.corrupt_prob {
@@ -573,9 +566,12 @@ impl Medium {
         *self.faults.borrow_mut() = f;
     }
 
-    /// Frames dropped by fault injection so far.
+    /// Frames dropped by fault injection so far: each one is counted by
+    /// the NIC that sent it.
     pub fn fault_drops(&self) -> u64 {
-        self.faults.borrow().drops()
+        let members = self.members.borrow();
+        let nics = members.iter().filter_map(Weak::upgrade);
+        nics.map(|nic| nic.losses.get(Loss::FaultInjected)).sum()
     }
 
     fn attach(self: &Rc<Self>, nic: &Rc<Nic>) {
@@ -750,6 +746,8 @@ pub struct Nic {
     rx_busy_until: Cell<SimTime>,
     rx_drain_pending: Cell<bool>,
     stats: Cell<NicStats>,
+    /// The adapter's losses, by reason; [`Nic::stats`] reads its share.
+    losses: Losses,
     recorder: RefCell<Option<Rc<Recorder>>>,
     id: usize,
 }
@@ -774,6 +772,7 @@ impl Nic {
             rx_busy_until: Cell::new(SimTime::ZERO),
             rx_drain_pending: Cell::new(false),
             stats: Cell::new(NicStats::default()),
+            losses: Losses::default(),
             recorder: RefCell::new(None),
             id,
         });
@@ -788,7 +787,14 @@ impl Nic {
 
     /// Traffic counters.
     pub fn stats(&self) -> NicStats {
-        self.stats.get()
+        let lost = |loss| self.losses.get(loss);
+        NicStats {
+            rx_no_handler: lost(Loss::RxNoHandler),
+            tx_oversize: lost(Loss::TxOversize),
+            tx_ring_drops: lost(Loss::TxRingFull),
+            rx_ring_drops: lost(Loss::RxRingDrop),
+            ..self.stats.get()
+        }
     }
 
     fn bump(&self, f: impl FnOnce(&mut NicStats)) {
@@ -824,9 +830,12 @@ impl Nic {
         *self.recorder.borrow_mut() = recorder;
     }
 
-    fn record_drop(&self, now: SimTime, reason: &str) {
+    /// Counts a frame lost for `loss` at `now`, and records it under this
+    /// NIC's name if a recorder is installed.
+    fn lose(&self, now: SimTime, loss: Loss) {
+        self.losses.count(loss);
         if let Some(rec) = self.recorder.borrow().as_ref() {
-            rec.packet_drop(now.as_nanos(), self.profile.name, reason);
+            rec.lose(now.as_nanos(), loss, Some(self.name.label(rec)));
         }
     }
 
@@ -895,8 +904,7 @@ impl Nic {
         if chain.total_len() > self.profile.mtu + 64 {
             // A little slack for link headers over the payload MTU. Checked
             // before the gather, so a refused chain is never copied.
-            self.bump(|s| s.tx_oversize += 1);
-            self.record_drop(engine.now(), "tx_oversize");
+            self.lose(engine.now(), Loss::TxOversize);
             return ready_at;
         }
         // The gather happens on the adapter: this buffer models the byte
@@ -930,8 +938,7 @@ impl Nic {
         if !ser.is_zero()
             && backlog.as_nanos() / ser.as_nanos().max(1) >= self.profile.tx_ring_frames as u64
         {
-            self.bump(|s| s.tx_ring_drops += 1);
-            self.record_drop(engine.now(), "tx_ring_full");
+            self.lose(engine.now(), Loss::TxRingFull);
             self.medium.recycle(frame);
             return start;
         }
@@ -988,7 +995,7 @@ impl Nic {
             });
         }
         if !self.medium.faults.borrow().apply(&mut frame) {
-            self.record_drop(end, "fault_injected");
+            self.lose(end, Loss::FaultInjected);
             self.medium.recycle(frame);
             return end;
         }
@@ -1019,13 +1026,17 @@ impl Nic {
         end
     }
 
-    /// A frame reached the host but nobody will process it: it still gets
-    /// a packet ID, so the drop lands in the recorder's per-packet
-    /// vocabulary instead of surfacing as an orphaned record.
-    fn drop_unprocessed(&self, now: SimTime, len: usize, journey: Option<u64>, reason: &str) {
-        if let Some(rec) = self.recorder.borrow().as_ref() {
+    /// A frame reached the host but nobody will process it: counted as
+    /// `loss`, and given a packet ID when recorded, so the drop lands in
+    /// the recorder's per-packet vocabulary instead of surfacing as an
+    /// orphaned record.
+    fn drop_unprocessed(&self, now: SimTime, len: usize, journey: Option<u64>, loss: Loss) {
+        let rec = self.recorder.borrow().clone();
+        if let Some(rec) = &rec {
             self.record_arrival(rec, now.as_nanos(), len, journey);
-            rec.packet_drop(now.as_nanos(), self.profile.name, reason);
+        }
+        self.lose(now, loss);
+        if let Some(rec) = &rec {
             rec.packet_done();
         }
     }
@@ -1043,8 +1054,7 @@ impl Nic {
         }
         let rx = self.rx.borrow().clone();
         let RxDispatch::PerFrame(h) = rx else {
-            self.bump(|s| s.rx_no_handler += 1);
-            self.drop_unprocessed(engine.now(), frame.len(), journey, "rx_no_handler");
+            self.drop_unprocessed(engine.now(), frame.len(), journey, Loss::RxNoHandler);
             self.medium.recycle(frame);
             return;
         };
@@ -1091,8 +1101,7 @@ impl Nic {
             let mut ring = self.rx_ring.borrow_mut();
             if ring.len() >= self.profile.rx_ring_frames {
                 drop(ring);
-                self.bump(|s| s.rx_ring_drops += 1);
-                self.drop_unprocessed(now, frame.len(), journey, "rx_ring_drop");
+                self.drop_unprocessed(now, frame.len(), journey, Loss::RxRingDrop);
                 self.medium.recycle(frame);
                 return;
             }
@@ -1185,9 +1194,9 @@ impl Nic {
             // so is whatever still waits on the ring behind them — no drain
             // will come for it.
             frames.extend(self.rx_ring.borrow_mut().drain(..));
-            self.bump(|s| s.rx_no_handler += frames.len() as u64);
             for f in &frames {
-                self.drop_unprocessed(engine.now(), f.bytes.len(), f.journey, "rx_no_handler");
+                let (len, journey) = (f.bytes.len(), f.journey);
+                self.drop_unprocessed(engine.now(), len, journey, Loss::RxNoHandler);
             }
         }
         for f in frames.drain(..) {

@@ -490,7 +490,7 @@ mod tests {
         rec.handler_exit(5_600, ev, dom, span);
         rec.crossing(6_000, CrossDir::KernelToUser, 8);
         rec.packet_done();
-        rec.packet_drop(9_000, "ip", "no_route");
+        rec.packet_drop(9_000, rec.intern("ip"), rec.intern("no_route"));
         rec.timer_fire(12_000);
         let hist = rec.intern("udp.rtt_ns");
         rec.record_latency(hist, 560_000);

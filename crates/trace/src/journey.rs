@@ -877,7 +877,7 @@ mod tests {
             60,
             Some(0),
         );
-        rec.packet_drop(2_600, "ether", "mac_filter");
+        rec.packet_drop(2_600, rec.intern("ether"), rec.intern("mac_filter"));
         rec.packet_done();
         let profile = Profile::build(&rec);
         let js = build(&profile);

@@ -38,10 +38,12 @@ pub mod live;
 pub mod profile;
 pub mod timeline;
 
+mod loss;
 mod recorder;
 mod registry;
 mod ring;
 
+pub use loss::Loss;
 pub use recorder::{Label, Name, Recorder};
 pub use registry::{CounterKey, Histogram, Registry, Scope};
 pub use ring::Ring;

@@ -333,6 +333,9 @@ pub(crate) struct LiveAgg {
     /// buffer latency samples, and all of them keep drops by label until
     /// report time.
     wins: Vec<(Window, Pending)>,
+    /// The largest sample buffer a sealed window handed back, emptied: the
+    /// next window to open keeps its samples in it.
+    spare: Vec<u64>,
     /// The window the last record fell in, as `(start_ns, index)`: a record
     /// in the same window costs no division.
     last_window: (u64, u64),
@@ -392,6 +395,7 @@ impl LiveAgg {
             empty,
             live_label,
             wins: Vec::new(),
+            spare: Vec::new(),
             last_window: (0, 0),
             watermark: 0,
             sealed_upto: 0,
@@ -453,11 +457,12 @@ impl LiveAgg {
             return;
         }
         while self.wins.len() as u64 <= idx {
-            self.wins.push(Pending::open(self.wins.len() as u64));
+            let spare = std::mem::take(&mut self.spare);
+            self.wins.push(Pending::open(self.wins.len() as u64, spare));
         }
         let (window, pending) = &mut self.wins[idx as usize];
         let late = pending.sealed();
-        window.update(&r.event, pending);
+        pending.keep(window.update(&r.event));
         if late {
             // Counts still fold (the window struct is retained); the
             // percentiles are already fixed. The lag makes this a
@@ -652,7 +657,10 @@ impl LiveAgg {
 
     fn seal(&mut self, idx: usize, online: bool, reg: &Registry) {
         let (w, pending) = &mut self.wins[idx];
-        w.seal(pending);
+        let freed = w.seal(pending);
+        if freed.capacity() > self.spare.capacity() {
+            self.spare = freed;
+        }
         self.windows_sealed_online += u64::from(online);
         live_count(reg, self.live_label, "windows_sealed", 1);
         let Some(slo) = &self.cfg.slo else { return };
@@ -1034,7 +1042,7 @@ mod tests {
         let rec = Recorder::new(256);
         rec.enable_live(LiveConfig::new(1_000));
         rec.packet_arrival(500, rec.intern("eth0"), rec.intern("client"), 60, None);
-        rec.packet_drop(600, "ip", "no_route");
+        rec.packet_drop(600, rec.intern("ip"), rec.intern("no_route"));
         rec.packet_done();
         let hist = rec.intern("rtt");
         rec.sample(1_500, hist, 42);
@@ -1087,7 +1095,7 @@ mod tests {
                 let dom = rec.intern("kernel");
                 let span = rec.handler_enter(300 + i, ev, dom);
                 rec.handler_exit(400 + i, ev, dom, span);
-                rec.packet_drop(450 + i, "udp", "no_port");
+                rec.packet_drop(450 + i, rec.intern("udp"), rec.intern("no_port"));
                 rec.packet_done();
             }
         }
@@ -1163,7 +1171,7 @@ mod tests {
         // completions, past skip_head). Advance watermark to seal them.
         rec.sample(500, hist, 200);
         rec.packet_arrival(1_200, rec.intern("eth0"), rec.intern(""), 60, None);
-        rec.packet_drop(1_300, "ip", "no_route");
+        rec.packet_drop(1_300, rec.intern("ip"), rec.intern("no_route"));
         rec.packet_done();
         rec.sample(5_000, hist, 50);
         let rep = rec.live_report().unwrap();
@@ -1190,7 +1198,7 @@ mod tests {
             });
             rec.enable_live(cfg);
             rec.packet_arrival(500, rec.intern("eth0"), rec.intern("client"), 60, None);
-            rec.packet_drop(600, "weird \"layer\"", "no_route");
+            rec.packet_drop(600, rec.intern("weird \"layer\""), rec.intern("no_route"));
             rec.packet_done();
             let hist = rec.intern("rtt");
             rec.sample(1_500, hist, 42);
@@ -1221,7 +1229,7 @@ mod tests {
         let rec = Recorder::new(256);
         rec.enable_live(LiveConfig::new(1_000));
         rec.packet_arrival(100, rec.intern("eth0"), rec.intern("m"), 60, None);
-        rec.packet_drop(200, "ip", "no_route");
+        rec.packet_drop(200, rec.intern("ip"), rec.intern("no_route"));
         rec.packet_done();
         let hist = rec.intern("rtt");
         rec.sample(2_500, hist, 77);

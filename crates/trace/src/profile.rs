@@ -1452,7 +1452,7 @@ mod tests {
         let s1 = rec.handler_enter(1_100, ev, dom);
         rec.handler_exit(1_900, ev, dom, s1);
         rec.packet_done();
-        rec.packet_drop(2_500, "ip", "no_route");
+        rec.packet_drop(2_500, rec.intern("ip"), rec.intern("no_route"));
 
         let p = Profile::build(&rec);
         assert_eq!(p.truncation.dropped_records, 2);
@@ -1477,7 +1477,7 @@ mod tests {
         let dom = rec.intern("udp");
         rec.packet_arrival(100, rec.intern("Ethernet"), rec.intern(""), 60, None);
         rec.handler_enter(200, ev, dom);
-        rec.packet_drop(700, "udp", "no_port");
+        rec.packet_drop(700, rec.intern("udp"), rec.intern("no_port"));
         rec.packet_done();
         let p = Profile::build(&rec);
         assert_eq!(p.truncation.unmatched_enters, 1);
@@ -1500,7 +1500,7 @@ mod tests {
                 let s = rec.handler_enter(i * 1_000 + 100 * k + 100, ev, dom);
                 rec.handler_exit(i * 1_000 + 100 * k + 150, ev, dom, s);
             }
-            rec.packet_drop(i * 1_000 + 900, "udp", "no_port");
+            rec.packet_drop(i * 1_000 + 900, rec.intern("udp"), rec.intern("no_port"));
             rec.packet_done();
         }
         let p = Profile::build(&rec);

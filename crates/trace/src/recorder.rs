@@ -10,7 +10,7 @@ use std::sync::Arc;
 use crate::live::{LiveAgg, LiveConfig, LiveReport};
 use crate::registry::{CounterKey, Registry, Scope};
 use crate::ring::Ring;
-use crate::{CrossDir, GuardKind, TraceEvent, TraceRecord};
+use crate::{CrossDir, GuardKind, Loss, TraceEvent, TraceRecord};
 
 /// A handle to an interned string. `Copy`, so trace records carrying names
 /// stay allocation-free; resolve back with [`Recorder::name`] (a label
@@ -198,6 +198,9 @@ pub struct Recorder {
     engine: Name,
     terminated: Name,
     crossings: [Name; 2],
+    /// Each [`Loss`]'s layer and reason labels, interned at its first
+    /// record (in that order, as a drop has always interned them).
+    losses: [Cell<Option<(Label, Label)>>; Loss::COUNT],
 }
 
 impl Recorder {
@@ -218,6 +221,7 @@ impl Recorder {
             terminated: Name::new("handler_terminated"),
             crossings: [CrossDir::UserToKernel, CrossDir::KernelToUser]
                 .map(|d| Name::new(d.name())),
+            losses: Default::default(),
         })
     }
 
@@ -512,10 +516,32 @@ impl Recorder {
         self.count(Scope::Drop, reason, "count", 1);
     }
 
-    /// A packet was dropped at `layer` for `reason`.
-    pub fn packet_drop(&self, at_ns: u64, layer: &str, reason: &str) {
-        let layer = self.intern(layer);
-        let reason = self.intern(reason);
+    /// A packet was lost for `loss`: one drop record, counted by reason,
+    /// under `nic` for an adapter's loss and under the loss's own layer
+    /// otherwise. A count-only loss (see [`Loss`]) is not recorded.
+    /// Each loss's labels are interned at its first record, so a drop
+    /// interns no string.
+    pub fn lose(&self, at_ns: u64, loss: Loss, nic: Option<Label>) {
+        debug_assert_eq!(loss.layer().is_none(), nic.is_some(), "{loss:?}");
+        if !loss.recorded() {
+            return;
+        }
+        let cell = &self.losses[loss as usize];
+        let (layer, reason) = cell.get().unwrap_or_else(|| {
+            let layer = match loss.layer() {
+                Some(layer) => self.intern(layer),
+                None => nic.expect("an adapter's loss names its NIC"),
+            };
+            let labels = (layer, self.intern(loss.name()));
+            cell.set(Some(labels));
+            labels
+        });
+        self.packet_drop(at_ns, nic.unwrap_or(layer), reason);
+    }
+
+    /// A packet was dropped at `layer` for `reason`: the record itself,
+    /// which [`Recorder::lose`] makes for every named loss.
+    pub fn packet_drop(&self, at_ns: u64, layer: Label, reason: Label) {
         self.push(at_ns, TraceEvent::Drop { layer, reason });
         self.count(Scope::Drop, reason, "count", 1);
     }

@@ -128,11 +128,6 @@ impl Ring {
         held.then(|| self.buf[(n % self.capacity as u64) as usize].record(n))
     }
 
-    /// The record pushed last, while the ring holds any.
-    pub(crate) fn last(&self) -> Option<TraceRecord> {
-        self.pushed().checked_sub(1).and_then(|n| self.nth(n))
-    }
-
     /// The record the next push overwrites, once the ring is full.
     pub(crate) fn next_overwritten(&self) -> Option<TraceRecord> {
         let full = self.buf.len() == self.capacity;

@@ -19,6 +19,7 @@
 
 use std::collections::BTreeMap;
 use std::fmt;
+use std::sync::Arc;
 
 use crate::json::{escaped, exact, or_null, put, Sink};
 use crate::recorder::Interner;
@@ -60,11 +61,21 @@ pub struct Window {
     /// Highest rx-ring occupancy seen at any interrupt in this window
     /// (frames taken plus frames still queued).
     pub rx_ring_highwater: u64,
-    /// Drops in this window as `(layer, reason) -> count`.
-    pub drops: BTreeMap<(String, String), u64>,
+    /// Drops in this window as `(layer, reason) -> count`, the names
+    /// shared with the recorder's table.
+    pub drops: BTreeMap<(Arc<str>, Arc<str>), u64>,
 }
 
-/// What a window holds only while it accumulates: the raw material of
+/// What [`Window::update`] leaves to its caller: the part of a record a
+/// window keeps outside its counters.
+pub(crate) enum Extra {
+    /// A latency sample, for the window's percentiles.
+    Sample(u64),
+    /// A drop, by `(layer, reason)` label.
+    Drop(Label, Label),
+}
+
+/// What a live window holds only while it accumulates: the raw material of
 /// the fields [`Window::update`] cannot maintain incrementally.
 #[derive(Debug)]
 pub(crate) struct Pending {
@@ -77,17 +88,35 @@ pub(crate) struct Pending {
 }
 
 impl Pending {
-    /// An empty window `index`, open for [`Window::update`].
-    pub(crate) fn open(index: u64) -> (Window, Pending) {
+    /// An empty window `index`, open for [`Window::update`], keeping its
+    /// samples in `samples` (a sealed window's buffer, emptied, so a run
+    /// of windows reuses buffers rather than growing one each).
+    pub(crate) fn open(index: u64, samples: Vec<u64>) -> (Window, Pending) {
+        debug_assert!(samples.is_empty());
         let window = Window {
             index,
             ..Window::default()
         };
         let pending = Pending {
-            samples: Some(Vec::new()),
+            samples: Some(samples),
             drops: BTreeMap::new(),
         };
         (window, pending)
+    }
+
+    /// Keeps what [`Window::update`] left over.
+    pub(crate) fn keep(&mut self, extra: Option<Extra>) {
+        match extra {
+            Some(Extra::Sample(ns)) => {
+                if let Some(samples) = self.samples.as_mut() {
+                    samples.push(ns);
+                }
+            }
+            Some(Extra::Drop(layer, reason)) => {
+                *self.drops.entry((layer, reason)).or_insert(0) += 1;
+            }
+            None => {}
+        }
     }
 
     /// Whether [`Window::seal`] has fixed this window's percentiles.
@@ -100,9 +129,9 @@ impl Pending {
     }
 
     /// The drops as the `(layer, reason) -> count` map [`Window::drops`]
-    /// reports, with labels resolved through `names`.
-    pub(crate) fn drops(&self, names: &Interner) -> BTreeMap<(String, String), u64> {
-        let name = |l| names.get(l).to_owned();
+    /// reports, the names shared with `names`.
+    pub(crate) fn drops(&self, names: &Interner) -> BTreeMap<(Arc<str>, Arc<str>), u64> {
+        let name = |l| names.shared(l);
         self.drops
             .iter()
             .map(|(&(layer, reason), &n)| ((name(layer), name(reason)), n))
@@ -116,10 +145,11 @@ impl Window {
         self.drops.values().sum()
     }
 
-    /// Folds one record's event into this window — the one per-event
-    /// update, called by the post-hoc [`build`] and by the live tier's
-    /// feed, which is why the two agree window for window.
-    pub(crate) fn update(&mut self, event: &TraceEvent, pending: &mut Pending) {
+    /// Folds one record's event into this window's counters — the one
+    /// per-event update, called by the post-hoc [`build`] and by the live
+    /// tier's feed, which is why the two agree window for window. A sample
+    /// or a drop is left to the caller to keep.
+    pub(crate) fn update(&mut self, event: &TraceEvent) -> Option<Extra> {
         match *event {
             TraceEvent::PacketArrival { bytes, .. } => {
                 self.arrivals += 1;
@@ -138,9 +168,7 @@ impl Window {
             }
             TraceEvent::LatencySample { ns, .. } => {
                 self.completions += 1;
-                if let Some(samples) = pending.samples.as_mut() {
-                    samples.push(ns);
-                }
+                return Some(Extra::Sample(ns));
             }
             TraceEvent::RxInterrupt {
                 frames, ring_after, ..
@@ -151,19 +179,42 @@ impl Window {
                     .rx_ring_highwater
                     .max(u64::from(frames) + u64::from(ring_after));
             }
-            TraceEvent::Drop { layer, reason } => {
-                *pending.drops.entry((layer, reason)).or_insert(0) += 1;
-            }
+            TraceEvent::Drop { layer, reason } => return Some(Extra::Drop(layer, reason)),
             _ => {}
         }
+        None
     }
 
-    /// Fixes the percentiles from the samples seen so far and frees them.
-    pub(crate) fn seal(&mut self, pending: &mut Pending) {
-        let mut samples = pending.samples.take().expect("window sealed twice");
+    /// Fixes the percentiles from `samples`, this window's, sorting them.
+    fn set_percentiles(&mut self, samples: &mut [u64]) {
         samples.sort_unstable();
-        self.p50_ns = percentile(&samples, 50.0);
-        self.p99_ns = percentile(&samples, 99.0);
+        self.p50_ns = percentile(samples, 50.0);
+        self.p99_ns = percentile(samples, 99.0);
+    }
+
+    /// Fixes the percentiles from the samples seen so far and hands their
+    /// buffer back, emptied, for the next window to open with.
+    pub(crate) fn seal(&mut self, pending: &mut Pending) -> Vec<u64> {
+        let mut samples = pending.samples.take().expect("window sealed twice");
+        self.set_percentiles(&mut samples);
+        samples.clear();
+        samples
+    }
+
+    /// Counts one drop under its names in `names`, shared, not copied.
+    fn count_drop(&mut self, names: &Interner, layer: Label, reason: Label) {
+        let same = |name: &Arc<str>, label| std::ptr::eq(&**name, names.get(label));
+        let seen = self
+            .drops
+            .iter_mut()
+            .find(|((l, r), _)| same(l, layer) && same(r, reason));
+        match seen {
+            Some((_, n)) => *n += 1,
+            None => {
+                self.drops
+                    .insert((names.shared(layer), names.shared(reason)), 1);
+            }
+        }
     }
 }
 
@@ -177,6 +228,10 @@ pub struct Timeline {
     /// Records the ring overwrote before the fold — non-zero means early
     /// windows under-report.
     pub truncated_records: u64,
+    /// Every window's latency samples, sorted, window after window: the
+    /// `completions` of window `i` follow those of the windows before it.
+    /// Each window's p50 and p99 are read from its own.
+    pub samples: Vec<u64>,
 }
 
 /// The window with the highest p99 latency (ties go to the earliest
@@ -224,6 +279,10 @@ pub(crate) fn min_window_ns(rec: &Recorder) -> u64 {
 
 /// Folds the recorder's retained ring into fixed `window_ns`-wide windows.
 ///
+/// Three walks over the ring, so that what the timeline keeps is asked
+/// for once, at the size it keeps: the windows; their counters and drops,
+/// with each window's count of samples; then the samples themselves.
+///
 /// # Panics
 ///
 /// Panics if `window_ns` is zero or narrower than `min_window_ns`.
@@ -241,34 +300,48 @@ pub fn build(rec: &Recorder, window_ns: u64) -> Timeline {
         );
         at as usize
     };
-    // The windows run to the latest timestamp, which is nearly always the
-    // last record's: that many are reserved, and a transmit stamped at a
-    // later handover grows the list to its own.
-    let last = ring.last().map_or(0, |r| window(r.at_ns) + 1);
-    let mut open: Vec<(Window, Pending)> = Vec::with_capacity(last);
-    for r in ring.iter() {
-        let at = window(r.at_ns);
-        if at >= open.len() {
-            open.reserve_exact(at + 1 - open.len());
-            open.extend((open.len() as u64..=at as u64).map(Pending::open));
-        }
-        let (w, pending) = &mut open[at];
-        w.update(&r.event, pending);
-    }
-    let names = rec.names();
-    let windows = open
-        .into_iter()
-        .map(|(mut w, mut pending)| {
-            w.seal(&mut pending);
-            w.drops = pending.drops(&names);
-            w
+    // The windows run to the latest timestamp, which need not be the last
+    // record's: a transmit is stamped at its later handover.
+    let len = last_ns(rec).map_or(0, |last| window(last) + 1);
+    let mut windows: Vec<Window> = (0..len as u64)
+        .map(|index| Window {
+            index,
+            ..Window::default()
         })
         .collect();
-
+    let names = rec.names();
+    for r in ring.iter() {
+        let w = &mut windows[window(r.at_ns)];
+        if let Some(Extra::Drop(layer, reason)) = w.update(&r.event) {
+            w.count_drop(&names, layer, reason);
+        }
+    }
+    // Until a window's percentiles are read, its `p99_ns` is where its
+    // next sample goes.
+    let mut next = 0;
+    for w in &mut windows {
+        w.p99_ns = next;
+        next += w.completions;
+    }
+    let mut samples = vec![0; next as usize];
+    for r in ring.iter() {
+        if let TraceEvent::LatencySample { ns, .. } = r.event {
+            let w = &mut windows[window(r.at_ns)];
+            samples[w.p99_ns as usize] = ns;
+            w.p99_ns += 1;
+        }
+    }
+    let mut start = 0;
+    for w in &mut windows {
+        let end = start + w.completions as usize;
+        w.set_percentiles(&mut samples[start..end]);
+        start = end;
+    }
     Timeline {
         window_ns,
         windows,
         truncated_records: rec.overwritten(),
+        samples,
     }
 }
 
@@ -363,7 +436,7 @@ mod tests {
         rec.packet_arrival(500, rec.intern("Ethernet"), rec.intern(""), 60, None);
         rec.packet_done();
         rec.packet_arrival(1_500, rec.intern("Ethernet"), rec.intern(""), 40, None);
-        rec.packet_drop(1_600, "ip", "no_route");
+        rec.packet_drop(1_600, rec.intern("ip"), rec.intern("no_route"));
         rec.packet_done();
         let hist = rec.intern("rtt");
         rec.sample(3_500, hist, 42);
@@ -455,7 +528,7 @@ mod tests {
         let make = || {
             let rec = Recorder::new(64);
             rec.packet_arrival(500, rec.intern("Ethernet"), rec.intern(""), 60, None);
-            rec.packet_drop(700, "udp", "no_port");
+            rec.packet_drop(700, rec.intern("udp"), rec.intern("no_port"));
             rec.packet_done();
             let hist = rec.intern("rtt");
             rec.sample(900, hist, 55);

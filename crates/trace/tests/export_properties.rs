@@ -82,7 +82,7 @@ fn one_packet(rec: &Recorder, at: &mut u64, steps: &[(usize, usize, u64)]) {
                 }
             }
             2 => rec.guard_eval(at, ev, GuardKind::Verified, which % 2 == 0),
-            3 => rec.packet_drop(at, label(which), label(which + 2)),
+            3 => rec.packet_drop(at, rec.intern(label(which)), rec.intern(label(which + 2))),
             4 => rec.crossing(at, CrossDir::UserToKernel, which),
             5 => rec.sample(at, ev, dt),
             6 => rec.rx_interrupt(at, rec.intern("Ethernet"), rec.intern(""), which + 1, which),
@@ -540,7 +540,7 @@ fn chrome_trace_of_edge_records_equals_the_plain_renderer() {
         rec.timer_fire(at);
     }
     rec.crossing(u64::MAX, CrossDir::KernelToUser, u32::MAX as usize);
-    rec.packet_drop(7, "la\"yer", "rea\\son\n");
+    rec.packet_drop(7, rec.intern("la\"yer"), rec.intern("rea\\son\n"));
     rec.packet_tx(8, quoted, unnamed, 0, 0, 0, 0, 0, None);
     let max = u64::MAX;
     rec.packet_tx(
@@ -762,7 +762,7 @@ fn interleave_journeys(rec: &Recorder, steps: &[(u64, usize, u64)]) {
                 rec.guard_eval(tick(), ev, GuardKind::Verified, true);
                 rec.handler_exit(tick(), ev, dom, span);
             }
-            2 => rec.packet_drop(tick(), "udp", "no_port"),
+            2 => rec.packet_drop(tick(), rec.intern("udp"), rec.intern("no_port")),
             3 => {
                 rec.sample(tick(), hist, ns);
                 rec.packet_tx(tick(), nic, host, 60, 0, 0, 10, 10, Some(j));
@@ -877,10 +877,10 @@ fn fixture() -> Rc<Recorder> {
     rec.packet_done();
 
     // Outside any packet: two drops, a timer, a trap.
-    rec.packet_drop(400, "arp", "resolution_fäiled");
+    rec.packet_drop(400, rec.intern("arp"), rec.intern("resolution_fäiled"));
     rec.timer_fire(450);
     rec.crossing(460, CrossDir::UserToKernel, 0);
-    rec.packet_drop(470, "arp", "Abandoned");
+    rec.packet_drop(470, rec.intern("arp"), rec.intern("Abandoned"));
 
     // Origin send from engine context, 40 of its 100 ns wait behind its
     // own tx ring.
@@ -908,7 +908,7 @@ fn fixture() -> Rc<Recorder> {
     arrival(2_625, "backend", 60, Some(j));
     rec.guard_eval(2_650, quoted, GuardKind::Verified, false);
     let span = rec.handler_enter(2_700, quoted, tabbed);
-    rec.packet_drop(2_800, "udp", "no_port");
+    rec.packet_drop(2_800, rec.intern("udp"), rec.intern("no_port"));
     rec.handler_exit(2_900, quoted, tabbed, span);
     let rtt = rec.intern("rtt \"ns\"");
     rec.sample(3_000, rtt, 2_000);
@@ -916,7 +916,7 @@ fn fixture() -> Rc<Recorder> {
 
     // A broadcast copy of hop 2 that the MAC filter shed.
     arrival(2_625, "bystander", 60, Some(j));
-    rec.packet_drop(2_625, "ether", "mac_filter");
+    rec.packet_drop(2_625, rec.intern("ether"), rec.intern("mac_filter"));
     rec.packet_done();
 
     // A packet on an unnamed machine whose handler never returns.

@@ -5,10 +5,12 @@
 //! `plexus_net::link::Interface`, and differ only in what they charge
 //! around it. So the same script, run against each as the device that
 //! resolves one cold hop, must see the same frames on that hop's segment,
-//! the same deliveries in the same order and the same named drops.
+//! the same deliveries in the same order and the same named drops. Fed
+//! hostile frames, each must also balance its books: every frame its NIC
+//! delivers ends in exactly one counted outcome.
 
 use std::any::Any;
-use std::cell::RefCell;
+use std::cell::{Cell, RefCell};
 use std::net::Ipv4Addr;
 use std::rc::Rc;
 
@@ -19,12 +21,14 @@ use plexus::kernel::domain::ExtensionSpec;
 use plexus::kernel::vm::AddressSpace;
 use plexus::net::arp::MAX_PARKED_PER_HOP;
 use plexus::net::ether::{self, EtherType, MacAddr};
+use plexus::net::icmp::IcmpMessage;
 use plexus::net::ip::{self, IpHeader};
 use plexus::net::testbed::{Host, Testbed};
 use plexus::net::udp::{self, Endpoint, UdpConfig};
+use plexus::net::Mbuf;
 use plexus::sim::nic::{DriverConfig, FaultInjector, Link, Medium, Nic, NicProfile};
 use plexus::sim::time::{SimDuration, SimTime};
-use plexus::sim::World;
+use plexus::sim::{Cpu, Loss, World};
 use plexus::trace::{CounterKey, Recorder, Scope};
 
 #[derive(Clone, Copy, Debug)]
@@ -44,22 +48,34 @@ type Send = Box<dyn Fn(&mut World, &[u8])>;
 /// Reads one of a stack's counters.
 type Count = Box<dyn Fn() -> u64>;
 
+/// Teaches the device the MAC of an address on the hop's segment.
+type Learn = Box<dyn Fn(Ipv4Addr, MacAddr)>;
+
 /// A world in which the device under test resolves one cold hop, `peer`,
 /// a Plexus host whose application keeps what arrives on UDP port 7.
 struct Rig {
     world: World,
-    rec: Rc<Recorder>,
-    /// The segment the hop is on, and the device's NIC there.
+    /// The device's CPU, which counts what the device loses.
+    cpu: Rc<Cpu>,
+    /// The segment the hop is on, and the device's NIC there; every NIC
+    /// the device has.
     segment: Rc<Medium>,
     nic: Rc<Nic>,
+    nics: Vec<Rc<Nic>>,
     /// Sends one datagram that the device must put on the hop's segment.
     send: Send,
     /// What the peer's application received.
     seen: Seen,
     peer: Rc<PlexusStack>,
-    /// The device's address on the hop's segment, and its echo count.
+    /// The device's addresses on the hop's segment, and its echo count.
     dut_ip: Ipv4Addr,
+    dut_mac: MacAddr,
     echoes: Count,
+    /// Frames the device kept without loss: delivered to its application
+    /// (UDP port 2000), answered by a kernel responder, forwarded, or held
+    /// by reassembly.
+    kept: Count,
+    learn: Learn,
     _keep: Rc<dyn Any>,
 }
 
@@ -86,8 +102,9 @@ fn peer(host: &Host, seen: &Seen) -> Rc<PlexusStack> {
     stack
 }
 
-fn rig(structure: Structure) -> Rig {
-    let rec = Recorder::new(4096);
+/// The rig for `structure`, with a flight recorder installed or not.
+fn rig(structure: Structure, traced: bool) -> Rig {
+    let rec = traced.then(|| Recorder::new(4096));
     let seen = Seen::default();
     if let Structure::Router = structure {
         return router_rig(rec, seen);
@@ -97,63 +114,86 @@ fn rig(structure: Structure) -> Rig {
         medium,
         hosts,
     } = Testbed::new(&Link::ethernet(), 0, &["dut", "peer"]);
-    world.install_recorder(&rec);
+    if let Some(rec) = &rec {
+        world.install_recorder(rec);
+    }
     let (dut, to) = (&hosts[0], hosts[1].ip);
     let peer = peer(&hosts[1], &seen);
     let config = UdpConfig::default();
-    let (send, echoes, keep): (Send, Count, Rc<dyn Any>) = match structure {
-        Structure::Plexus => {
-            let stack = PlexusStack::attach(
-                &dut.machine,
-                &dut.nic,
-                StackConfig::interrupt(dut.ip, dut.mac),
-            );
-            let ext = stack.link_extension(&spec()).unwrap();
-            let ignore = AppHandler::interrupt(|_, _| {});
-            let from = stack.udp().bind(&ext, 2000, config, ignore).unwrap();
-            let send = move |world: &mut World, data: &[u8]| {
-                from.send(world.engine_mut(), to, 7, data).unwrap();
-            };
-            let s = stack.clone();
-            (
-                Box::new(send),
-                Box::new(move || s.stats().icmp_echoes),
-                stack,
-            )
-        }
-        _ => {
-            let stack = MonolithicStack::attach(&dut.machine, &dut.nic, dut.ip, dut.mac);
-            let ignore = |_: &mut RaiseCtx<'_>, _: &UdpRecv| {};
-            let process = AddressSpace::new("script");
-            let from = stack.udp_socket(&process, 2000, config, ignore).unwrap();
-            let send = move |world: &mut World, data: &[u8]| {
-                from.send(world.engine_mut(), to, 7, data).unwrap();
-            };
-            let s = stack.clone();
-            (
-                Box::new(send),
-                Box::new(move || s.stats().icmp_echoes),
-                stack,
-            )
-        }
-    };
+    let (send, echoes, kept, learn, keep): (Send, Count, Count, Learn, Rc<dyn Any>) =
+        match structure {
+            Structure::Plexus => {
+                let stack = PlexusStack::attach(
+                    &dut.machine,
+                    &dut.nic,
+                    StackConfig::interrupt(dut.ip, dut.mac),
+                );
+                let ext = stack.link_extension(&spec()).unwrap();
+                let heard = Rc::new(Cell::new(0));
+                let h = heard.clone();
+                let count = AppHandler::interrupt(move |_, _| h.set(h.get() + 1));
+                let from = stack.udp().bind(&ext, 2000, config, count).unwrap();
+                let send = move |world: &mut World, data: &[u8]| {
+                    from.send(world.engine_mut(), to, 7, data).unwrap();
+                };
+                let [s, k, l] = [(); 3].map(|_| stack.clone());
+                let kept = move || {
+                    let (st, udp) = (k.stats(), k.udp());
+                    let answered = st.icmp_echoes + st.arp_replies + udp.unreachable_sent();
+                    heard.get() + answered + k.link_stats().ip_held
+                };
+                (
+                    Box::new(send),
+                    Box::new(move || s.stats().icmp_echoes),
+                    Box::new(kept),
+                    Box::new(move |ip, mac| l.seed_arp(ip, mac)),
+                    stack,
+                )
+            }
+            _ => {
+                let stack = MonolithicStack::attach(&dut.machine, &dut.nic, dut.ip, dut.mac);
+                let ignore = |_: &mut RaiseCtx<'_>, _: &UdpRecv| {};
+                let process = AddressSpace::new("script");
+                let from = stack.udp_socket(&process, 2000, config, ignore).unwrap();
+                let send = move |world: &mut World, data: &[u8]| {
+                    from.send(world.engine_mut(), to, 7, data).unwrap();
+                };
+                let [s, k, l] = [(); 3].map(|_| stack.clone());
+                let kept = move || {
+                    let st = k.stats();
+                    st.udp_delivered + st.icmp_echoes + st.ip_held
+                };
+                (
+                    Box::new(send),
+                    Box::new(move || s.stats().icmp_echoes),
+                    Box::new(kept),
+                    Box::new(move |ip, mac| l.seed_arp(ip, mac)),
+                    stack,
+                )
+            }
+        };
     Rig {
         world,
-        rec,
+        cpu: dut.machine.cpu().clone(),
         segment: medium,
         nic: dut.nic.clone(),
+        nics: vec![dut.nic.clone()],
         send,
         seen,
         peer,
         dut_ip: dut.ip,
+        dut_mac: dut.mac,
         echoes,
+        kept,
+        learn,
         _keep: keep,
     }
 }
 
-/// A Plexus sender on segment 1, which knows the router's MAC there; the
-/// router's interface on segment 2 resolves the peer.
-fn router_rig(rec: Rc<Recorder>, seen: Seen) -> Rig {
+/// A Plexus sender on segment 1, which knows the router's MAC there, as the
+/// router knows the sender's; the router's interface on segment 2 resolves
+/// the peer.
+fn router_rig(rec: Option<Rc<Recorder>>, seen: Seen) -> Rig {
     let mut world = World::new();
     let [ma, mr, mb] = ["sender", "router", "peer"].map(|n| world.add_machine(n));
     let [seg1, seg2] = [(); 2].map(|_| Medium::new(SimDuration::from_micros(1), true));
@@ -169,10 +209,11 @@ fn router_rig(rec: Rc<Recorder>, seen: Seen) -> Rig {
     let router = IpRouter::attach(
         &mr,
         &[
-            (nic_r1, net(1, 1), MacAddr::local(101)),
+            (nic_r1.clone(), net(1, 1), MacAddr::local(101)),
             (nic_r2.clone(), net(2, 1), MacAddr::local(102)),
         ],
     );
+    router.seed_arp(0, net(1, 2), MacAddr::local(1));
     let peer_host = Host {
         machine: mb,
         nic: nic_b,
@@ -181,7 +222,9 @@ fn router_rig(rec: Rc<Recorder>, seen: Seen) -> Rig {
         peers: Vec::new(),
     };
     let peer = peer(&peer_host, &seen);
-    world.install_recorder(&rec);
+    if let Some(rec) = &rec {
+        world.install_recorder(rec);
+    }
     let ext = sender.link_extension(&spec()).unwrap();
     let ignore = AppHandler::interrupt(|_, _| {});
     let from = sender
@@ -191,31 +234,43 @@ fn router_rig(rec: Rc<Recorder>, seen: Seen) -> Rig {
     let send = move |world: &mut World, data: &[u8]| {
         from.send(world.engine_mut(), net(2, 2), 7, data).unwrap();
     };
-    let r = router.clone();
+    let [r, k, l] = [(); 3].map(|_| router.clone());
+    let kept = move || {
+        let st = k.stats();
+        st.forwarded + st.echoes
+    };
     Rig {
         world,
-        rec,
+        cpu: mr.cpu().clone(),
         segment: seg2,
-        nic: nic_r2,
+        nic: nic_r2.clone(),
+        nics: vec![nic_r1, nic_r2],
         send: Box::new(send),
         seen,
         peer,
         dut_ip: net(2, 1),
+        dut_mac: MacAddr::local(102),
         echoes: Box::new(move || r.stats().echoes),
+        kept: Box::new(kept),
+        learn: Box::new(move |ip, mac| l.seed_arp(1, ip, mac)),
         _keep: Rc::new((sender, router)),
     }
 }
 
 impl Rig {
-    fn drops(&self, reason: &str) -> u64 {
-        let rec = &self.rec;
-        let label = rec.intern(reason);
-        let key = CounterKey {
-            scope: Scope::Drop,
-            label,
-            metric: "count",
-        };
-        rec.registry().get(key)
+    /// What the device has lost for `loss`.
+    fn drops(&self, loss: Loss) -> u64 {
+        self.cpu.lost(loss)
+    }
+
+    /// Everything the device has lost, whatever the reason.
+    fn losses(&self) -> u64 {
+        Loss::ALL.iter().map(|&loss| self.drops(loss)).sum()
+    }
+
+    /// Frames the device's NICs have handed to its driver.
+    fn heard(&self) -> u64 {
+        self.nics.iter().map(|nic| nic.stats().rx_frames).sum()
     }
 
     /// Frames the device has put on the hop's segment.
@@ -237,7 +292,7 @@ fn tagged(k: usize) -> Vec<u8> {
 #[test]
 fn a_cold_hop_resolves_and_drains_in_order() {
     for structure in ALL {
-        let mut r = rig(structure);
+        let mut r = rig(structure, true);
         for k in 0..3 {
             (r.send)(&mut r.world, &tagged(k));
         }
@@ -245,14 +300,14 @@ fn a_cold_hop_resolves_and_drains_in_order() {
         let want: Vec<Vec<u8>> = (0..3).map(tagged).collect();
         assert_eq!(*r.seen.borrow(), want, "{structure:?}: all three, in order");
         assert_eq!(r.frames(), 4, "{structure:?}: one who-has, then the three");
-        assert_eq!(r.drops("resolution_failed"), 0, "{structure:?}");
+        assert_eq!(r.drops(Loss::ResolutionFailed), 0, "{structure:?}");
     }
 }
 
 #[test]
 fn an_eaten_who_has_is_asked_again_then_abandoned_then_asked_afresh() {
     for structure in ALL {
-        let mut r = rig(structure);
+        let mut r = rig(structure, true);
         r.segment.set_faults(FaultInjector::new(1.0, 0.0, 5));
         (r.send)(&mut r.world, b"first");
         (r.send)(&mut r.world, b"second");
@@ -264,7 +319,7 @@ fn an_eaten_who_has_is_asked_again_then_abandoned_then_asked_afresh() {
         }
         assert_eq!(asks, [1, 2, 3, 3], "{structure:?}: asked at 0, 1 and 2 s");
         assert_eq!(
-            r.drops("resolution_failed"),
+            r.drops(Loss::ResolutionFailed),
             2,
             "{structure:?}: abandoned at 3 s, one drop per parked datagram"
         );
@@ -275,7 +330,7 @@ fn an_eaten_who_has_is_asked_again_then_abandoned_then_asked_afresh() {
         assert_eq!(r.frames(), 5, "{structure:?}: asked afresh, then sent");
         assert_eq!(*r.seen.borrow(), [b"third".to_vec()], "{structure:?}");
         assert_eq!(
-            r.drops("resolution_failed"),
+            r.drops(Loss::ResolutionFailed),
             2,
             "{structure:?}: nothing new"
         );
@@ -285,13 +340,17 @@ fn an_eaten_who_has_is_asked_again_then_abandoned_then_asked_afresh() {
 #[test]
 fn a_burst_past_the_cap_parks_the_cap_and_names_the_rest() {
     for structure in ALL {
-        let mut r = rig(structure);
+        let mut r = rig(structure, true);
         r.segment.set_faults(FaultInjector::new(1.0, 0.0, 5));
         for k in 0..MAX_PARKED_PER_HOP + 9 {
             (r.send)(&mut r.world, &tagged(k));
         }
         r.run_to(0.5);
-        assert_eq!(r.drops("arp_queue_full"), 9, "{structure:?}: past the cap");
+        assert_eq!(
+            r.drops(Loss::ArpQueueFull),
+            9,
+            "{structure:?}: past the cap"
+        );
         assert_eq!(r.frames(), 1, "{structure:?}: one who-has, no storm");
 
         // The segment heals before the first re-ask: what was parked goes.
@@ -299,14 +358,14 @@ fn a_burst_past_the_cap_parks_the_cap_and_names_the_rest() {
         r.world.run();
         let want: Vec<Vec<u8>> = (0..MAX_PARKED_PER_HOP).map(tagged).collect();
         assert_eq!(*r.seen.borrow(), want, "{structure:?}: the cap, in order");
-        assert_eq!(r.drops("resolution_failed"), 0, "{structure:?}");
+        assert_eq!(r.drops(Loss::ResolutionFailed), 0, "{structure:?}");
     }
 }
 
 #[test]
 fn a_ping_is_answered() {
     for structure in ALL {
-        let mut r = rig(structure);
+        let mut r = rig(structure, true);
         let heard = r.peer.stats().ip_rx;
         r.peer
             .ping(r.world.engine_mut(), r.dut_ip, 1, 1, b"anyone?");
@@ -388,7 +447,7 @@ fn a_held_fragment_is_no_loss_and_a_bad_header_is_one_named_drop() {
             2000,
             7,
             config,
-            plexus::net::Mbuf::from_payload(64, b"bent"),
+            Mbuf::from_payload(64, b"bent"),
         );
         let hdr = IpHeader::simple(raw.ip, b.ip, ip::proto::UDP, 9);
         let mut frame = ip::encapsulate(&hdr, payload);
@@ -407,5 +466,118 @@ fn a_held_fragment_is_no_loss_and_a_bad_header_is_one_named_drop() {
         assert_eq!(bad, 1, "{structure:?}: one named drop");
         assert_eq!(dropped(), 1, "{structure:?}: counted as an IP loss");
         assert_eq!(seen.borrow().len(), 1, "{structure:?}: not delivered");
+    }
+}
+
+/// `payload` framed for `dst` as `ethertype` from the bare NIC at `src`.
+fn framed(dst: MacAddr, src: MacAddr, ethertype: EtherType, mut payload: Mbuf) -> Mbuf {
+    ether::write_header(payload.prepend(14), dst, src, ethertype);
+    payload
+}
+
+/// A UDP datagram from `src`, port 2000, to `port` at `dst`, as `hdr`
+/// makes it.
+fn udp_to(hdr: IpHeader, port: u16) -> Mbuf {
+    let config = UdpConfig::default();
+    let payload = Mbuf::from_payload(64, b"hostile");
+    ip::encapsulate(
+        &hdr,
+        udp::encapsulate(hdr.src, hdr.dst, 2000, port, config, payload),
+    )
+}
+
+/// The conservation check, count-based and with no recorder: every frame a
+/// device's NICs hand its driver ends in exactly one outcome — delivered to
+/// its application, answered by a kernel responder, forwarded, held by
+/// reassembly, or one counted [`Loss`] — whatever a bare NIC on the hop's
+/// segment sends it. The device knows the bare NIC's address, so nothing it
+/// answers is lost on the way out.
+#[test]
+fn every_frame_a_device_hears_ends_in_one_outcome() {
+    for structure in ALL {
+        let mut r = rig(structure, false);
+        let (dut_ip, dut_mac) = (r.dut_ip, r.dut_mac);
+        let [a, b, c, _] = dut_ip.octets();
+        let (raw_ip, raw_mac) = (Ipv4Addr::new(a, b, c, 200), MacAddr::local(200));
+        (r.learn)(raw_ip, raw_mac);
+        let raw = Nic::new(NicProfile::ethernet_lance(), &r.segment);
+        raw.attach(DriverConfig::tx_only());
+
+        let to = |dst| IpHeader::simple(raw_ip, dst, ip::proto::UDP, 9);
+        let ipv4 = |dst_mac, dgram| framed(dst_mac, raw_mac, EtherType::IPV4, dgram);
+        let mine = |dgram| ipv4(dut_mac, dgram);
+        let mut bent = udp_to(to(dut_ip), 2000);
+        let mut sum = [0u8; 1];
+        bent.read_at(10, &mut sum);
+        bent.write_at(10, &[sum[0] ^ 0xFF]);
+        let fragment = IpHeader {
+            more_fragments: true,
+            ..to(dut_ip)
+        };
+        let expiring = IpHeader {
+            ttl: 1,
+            ..to(Ipv4Addr::new(10, 0, 1, 2))
+        };
+        let ping_bytes = IcmpMessage::echo_request(1, 1, b"anyone?").to_bytes();
+        let ping = IpHeader::simple(raw_ip, dut_ip, ip::proto::ICMP, 9);
+        let frames = [
+            // For another MAC.
+            ipv4(MacAddr::local(77), udp_to(to(dut_ip), 2000)),
+            // An ethertype nothing here takes.
+            framed(
+                dut_mac,
+                raw_mac,
+                EtherType(0x88B5),
+                Mbuf::from_payload(64, &[0; 46]),
+            ),
+            // A protocol nothing here takes.
+            mine(ip::encapsulate(
+                &IpHeader::simple(raw_ip, dut_ip, 99, 9),
+                Mbuf::from_payload(64, &[0; 26]),
+            )),
+            // A header checksum that does not verify, and a runt.
+            mine(bent),
+            mine(Mbuf::from_payload(64, &[0x45; 10])),
+            // The first fragment of a datagram that never completes.
+            mine(udp_to(fragment, 2000)),
+            // A port nobody holds, and one the device's application does.
+            mine(udp_to(to(dut_ip), 9)),
+            mine(udp_to(to(dut_ip), 2000)),
+            // An echo request.
+            mine(ip::encapsulate(&ping, Mbuf::from_payload(64, &ping_bytes))),
+            // For addresses that are not the device's: a subnet no device
+            // routes to, everyone, and a host beyond the router, twice, the
+            // second time with its TTL run out. (A datagram the router
+            // forwards and then loses on its way out counts twice, as
+            // forwarded and as lost, so none is sent to an address no one
+            // answers ARP for.)
+            mine(udp_to(to(Ipv4Addr::new(10, 0, 3, 99)), 2000)),
+            ipv4(MacAddr::BROADCAST, udp_to(to(Ipv4Addr::BROADCAST), 9)),
+            mine(udp_to(to(Ipv4Addr::new(10, 0, 1, 2)), 2000)),
+            mine(udp_to(expiring, 2000)),
+        ];
+        r.world.run();
+        let (heard, kept, lost) = (r.heard(), (r.kept)(), r.losses());
+        for frame in &frames {
+            let now = r.world.engine().now();
+            raw.transmit(r.world.engine_mut(), now, frame);
+            r.world.run();
+        }
+        let heard = r.heard() - heard;
+        let (kept, lost) = ((r.kept)() - kept, r.losses() - lost);
+        assert!(
+            heard >= frames.len() as u64,
+            "{structure:?}: heard {heard} of {}",
+            frames.len()
+        );
+        assert!(
+            kept > 0 && lost > 0,
+            "{structure:?}: {kept} kept, {lost} lost"
+        );
+        assert_eq!(
+            kept + lost,
+            heard,
+            "{structure:?}: {heard} frames heard, {kept} kept and {lost} lost"
+        );
     }
 }
