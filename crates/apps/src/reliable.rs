@@ -32,7 +32,7 @@ use plexus_kernel::domain::{ExtensionSpec, LinkedExtension};
 use plexus_kernel::view::{be16, be32, put_be16, put_be32};
 use plexus_kernel::RaiseCtx;
 use plexus_net::checksum::checksum;
-use plexus_net::udp::UdpConfig;
+use plexus_net::udp::{Endpoint, UdpConfig};
 use plexus_sim::engine::TimerHandle;
 use plexus_sim::time::SimDuration;
 use plexus_sim::Engine;

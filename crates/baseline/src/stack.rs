@@ -22,12 +22,13 @@ use std::rc::Rc;
 
 use plexus_net::ether::{self, EtherType, MacAddr, ETHER_HDR_LEN};
 use plexus_net::ip::{self, IpHeader, RouteTable};
-use plexus_net::link::{Interface, LinkHost};
+use plexus_net::link::{Interface, Structure};
 use plexus_net::mbuf::Mbuf;
+use plexus_net::tcp::{ConnEvent, TcpConn};
 use plexus_net::testbed::Host;
 use plexus_net::udp::{self, Endpoint, UdpConfig, UdpRecv};
 use plexus_sim::nic::{DriverConfig, Nic};
-use plexus_sim::{Cpu, CpuLease, Engine, Loss, Machine};
+use plexus_sim::{CpuLease, Engine, Loss, Machine};
 
 use plexus_kernel::dispatcher::RaiseCtx;
 use plexus_kernel::vm::AddressSpace;
@@ -59,21 +60,20 @@ pub struct BaselineStats {
     pub udp_no_socket: u64,
 }
 
-/// Shared monolithic-kernel state for one machine.
-pub(crate) struct BaselineShared {
-    /// The NIC, addresses and L2/L3 state, driven by direct calls: the
-    /// interface is its own [`LinkHost`].
-    pub(crate) link: Rc<Interface>,
+/// The kernel's state for one machine, and the DIGITAL UNIX [`Structure`].
+/// (Public only so that the sockets naming it can be; nothing outside the
+/// crate can name it.)
+pub struct BaselineShared {
+    link: Interface,
     udp_socks: RefCell<HashMap<u16, Rc<UdpSocket>>>,
+    /// Each live TCP connection, by (local port, remote address, remote
+    /// port).
+    pub(crate) tcp_conns: RefCell<HashMap<(u16, Ipv4Addr, u16), Rc<TcpConn>>>,
     /// The driver glue's frames accepted and the sockets' datagrams
     /// delivered; [`MonolithicStack::stats`] adds the interface's counts
     /// and the CPU's losses.
     eth_rx: Cell<u64>,
     udp_delivered: Cell<u64>,
-}
-
-fn bump(count: &Cell<u64>) {
-    count.set(count.get() + 1);
 }
 
 /// The monolithic stack bound to one machine + NIC.
@@ -102,8 +102,9 @@ impl MonolithicStack {
         mac: MacAddr,
     ) -> Rc<MonolithicStack> {
         let shared = Rc::new(BaselineShared {
-            link: Rc::new(Interface::new(machine.cpu(), nic, ip_addr, mac)),
-            udp_socks: RefCell::new(HashMap::new()),
+            link: Interface::new(machine.cpu(), nic, ip_addr, mac),
+            udp_socks: RefCell::default(),
+            tcp_conns: RefCell::default(),
             eth_rx: Cell::new(0),
             udp_delivered: Cell::new(0),
         });
@@ -124,11 +125,11 @@ impl MonolithicStack {
                 engine,
                 lease: &mut lease,
             };
-            if let Some(v) = ether::accept(frame, link.mac(), false) {
-                bump(&s.eth_rx);
+            if let Some(v) = ether::accept(frame, link.mac()) {
+                s.eth_rx.set(s.eth_rx.get() + 1);
                 ctx.lease.charge(ctx.lease.model().eth_proc);
                 match v.ethertype() {
-                    EtherType::ARP => link.arp_input(ctx, &frame[ETHER_HDR_LEN..]),
+                    EtherType::ARP => s.arp_input(ctx, &frame[ETHER_HDR_LEN..]),
                     EtherType::IPV4 => Self::ip_input(&s, &tcp, ctx, frame),
                     _ => ctx.lease.lose(Loss::UnknownEthertype),
                 }
@@ -155,24 +156,19 @@ impl MonolithicStack {
             ip::proto::ICMP => {
                 let bytes = payload.to_vec();
                 ctx.lease.charge(ctx.lease.model().checksum(bytes.len()));
-                s.link.echo(ctx, hdr.src, &bytes);
+                s.echo(ctx, hdr.src, &bytes);
             }
-            ip::proto::UDP => Self::udp_input(s, ctx.engine, ctx.lease, &hdr, &payload),
-            ip::proto::TCP => tcp.input(ctx.engine, ctx.lease, &hdr, &payload),
+            ip::proto::UDP => Self::udp_input(s, ctx, &hdr, &payload),
+            ip::proto::TCP => tcp.input(ctx, &hdr, &payload),
             _ => ctx.lease.lose(Loss::UnknownProtocol),
         }
     }
 
     /// The receive path with the socket lookup as its claim; then the socket
-    /// layer, a wakeup, and in the process a context switch, the return from
-    /// `recvfrom(2)` and the copyout.
-    fn udp_input(
-        s: &Rc<BaselineShared>,
-        engine: &mut Engine,
-        lease: &mut CpuLease,
-        hdr: &IpHeader,
-        payload: &Mbuf,
-    ) {
+    /// layer, a wakeup, and in the process the return from `recvfrom(2)` and
+    /// the copyout. A datagram for no socket is [`Loss::UdpNoSocket`],
+    /// counted but not recorded: ROADMAP item 8.
+    fn udp_input(s: &BaselineShared, ctx: &mut RaiseCtx<'_>, hdr: &IpHeader, payload: &Mbuf) {
         // Find the socket first so the checksum honours its config.
         let mut unbound = false;
         let claim = |port| {
@@ -180,21 +176,20 @@ impl MonolithicStack {
             unbound = sock.is_none();
             sock.map(|sock| (sock.config, sock))
         };
-        let Some((recv, sock)) = udp::receive(lease, hdr.src, hdr.dst, payload, false, claim)
+        let lease = &mut *ctx.lease;
+        let offload = s.csum_offload();
+        let Some((recv, sock)) = udp::receive(lease, hdr.src, hdr.dst, payload, offload, claim)
         else {
             if unbound {
                 lease.lose(Loss::UdpNoSocket);
             }
             return;
         };
-        bump(&s.udp_delivered);
+        s.udp_delivered.set(s.udp_delivered.get() + 1);
         lease.charge(lease.model().socket_layer + lease.model().process_wakeup);
-        engine.schedule_at(lease.now(), move |engine| {
-            let lease = &mut sock.shared.link.cpu.begin(engine.now());
-            lease.charge(lease.model().context_switch);
-            sock.process.trap(lease);
-            sock.process.copyout(lease, recv.payload.total_len());
-            (sock.on_recv)(&mut RaiseCtx { engine, lease }, &recv);
+        sock.socket.clone().in_process(ctx, move |so, ctx| {
+            so.process.copyout(ctx.lease, recv.payload.total_len());
+            (sock.on_recv)(ctx, &recv);
         });
     }
 
@@ -250,7 +245,7 @@ impl MonolithicStack {
 
     /// Sends an ICMP echo request from the kernel (diagnostics).
     pub fn ping(&self, engine: &mut Engine, dst: Ipv4Addr, ident: u16, seq: u16, data: &[u8]) {
-        self.shared.link.ping(engine, dst, ident, seq, data);
+        self.shared.ping(engine, dst, ident, seq, data);
     }
 
     /// Opens a UDP socket for a user process, parked in a `recvfrom(2)`
@@ -269,8 +264,7 @@ impl MonolithicStack {
             return None;
         }
         let sock = Rc::new(UdpSocket {
-            shared: self.shared.clone(),
-            process: process.clone(),
+            socket: Socket::new(&self.shared, process),
             port,
             config,
             on_recv: Box::new(on_recv),
@@ -280,13 +274,110 @@ impl MonolithicStack {
     }
 }
 
+/// A socket (BSD's `so`): its process and its receive buffer, whom the
+/// structure charges a send, a close and a delivery to. (Public only
+/// because the structure names it.)
+pub struct Socket {
+    pub(crate) kernel: Rc<BaselineShared>,
+    process: Rc<AddressSpace>,
+    /// Bytes awaiting the woken process (wakeups coalesce: segments
+    /// arriving while a wakeup is queued share one crossing, as with a real
+    /// `soreceive` loop).
+    rcv: RefCell<Vec<u8>>,
+    wakeup_queued: Cell<bool>,
+}
+
+impl Socket {
+    pub(crate) fn new(kernel: &Rc<BaselineShared>, process: &Rc<AddressSpace>) -> Rc<Socket> {
+        Rc::new(Socket {
+            kernel: kernel.clone(),
+            process: process.clone(),
+            rcv: RefCell::default(),
+            wakeup_queued: Cell::new(false),
+        })
+    }
+
+    /// Runs `f` in the socket's process once it is woken, from the time
+    /// `ctx` has reached: after its context switch in and its trap return.
+    fn in_process<F>(self: &Rc<Self>, ctx: &mut RaiseCtx<'_>, f: F)
+    where
+        F: FnOnce(&Socket, &mut RaiseCtx<'_>) + 'static,
+    {
+        let so = self.clone();
+        ctx.engine.schedule_at(ctx.lease.now(), move |engine| {
+            let lease = &mut so.kernel.link.cpu.begin(engine.now());
+            lease.charge(lease.model().context_switch);
+            so.process.trap(lease);
+            f(&so, &mut RaiseCtx { engine, lease });
+        });
+    }
+}
+
+/// The DIGITAL UNIX structure, the crossings listed above; datagrams and
+/// frames go straight down, and no checksum is offloaded (the defaults).
+impl Structure for BaselineShared {
+    type Owner = Rc<Socket>;
+
+    fn link(&self) -> &Interface {
+        &self.link
+    }
+
+    /// `sendto(2)` or `write(2)`: trap, copyin, socket layer.
+    fn enter_send(&self, so: &Rc<Socket>, lease: &mut CpuLease, len: usize) {
+        so.process.trap(lease);
+        so.process.copyin(lease, len);
+        lease.charge(lease.model().socket_layer);
+    }
+
+    /// `close(2)`: a trap, and the socket layer when the process calls it
+    /// outside a callback. From inside one it pays no socket layer, where a
+    /// top-level close does: ROADMAP item 8.
+    fn enter_close(&self, so: &Rc<Socket>, lease: &mut CpuLease, in_callback: bool) {
+        so.process.trap(lease);
+        if !in_callback {
+            lease.charge(lease.model().socket_layer);
+        }
+    }
+
+    /// Appends to the socket buffer and wakes the blocked reader. If a
+    /// wakeup is already queued (the process has not run yet), the bytes
+    /// ride along with it — one boundary crossing drains the whole buffer,
+    /// like `soreceive` after a burst of segments.
+    fn deliver(&self, ctx: &mut RaiseCtx<'_>, so: &Rc<Socket>, conn: &Rc<TcpConn>, data: &[u8]) {
+        let lease = &mut *ctx.lease;
+        lease.charge(lease.model().socket_layer);
+        so.rcv.borrow_mut().extend_from_slice(data);
+        if so.wakeup_queued.replace(true) {
+            return;
+        }
+        lease.charge(lease.model().process_wakeup);
+        let conn = conn.clone();
+        so.in_process(ctx, move |so, ctx| {
+            so.wakeup_queued.set(false);
+            let data = std::mem::take(&mut *so.rcv.borrow_mut());
+            if !data.is_empty() {
+                so.process.copyout(ctx.lease, data.len());
+                conn.upcall_data(ctx, &data);
+            }
+        });
+    }
+
+    /// Crosses into user space: socket layer and wakeup on the kernel side,
+    /// then the process runs the callback.
+    fn notify(&self, ctx: &mut RaiseCtx<'_>, so: &Rc<Socket>, conn: &Rc<TcpConn>, ev: ConnEvent) {
+        let lease = &mut *ctx.lease;
+        lease.charge(lease.model().socket_layer + lease.model().process_wakeup);
+        let conn = conn.clone();
+        so.in_process(ctx, move |_, ctx| conn.upcall(ctx, ev));
+    }
+}
+
 /// A socket's receive handler: the same shape as a Plexus binding's.
 type OnRecv = Box<dyn Fn(&mut RaiseCtx<'_>, &UdpRecv)>;
 
 /// A user-process UDP socket on the monolithic stack.
 pub struct UdpSocket {
-    shared: Rc<BaselineShared>,
-    process: Rc<AddressSpace>,
+    socket: Rc<Socket>,
     port: u16,
     config: UdpConfig,
     on_recv: OnRecv,
@@ -295,36 +386,16 @@ pub struct UdpSocket {
 impl UdpSocket {
     /// Closes the socket, freeing the port.
     pub fn close(&self) {
-        self.shared.udp_socks.borrow_mut().remove(&self.port);
+        self.socket.kernel.udp_socks.borrow_mut().remove(&self.port);
     }
 }
 
-/// The monolithic structure around the one send path: `sendto(2)` traps
-/// and copies the payload in, then the socket layer runs and the datagram
-/// goes straight to the kernel's IP output.
+/// A DIGITAL UNIX port may always send.
 impl Endpoint for UdpSocket {
+    type Structure = BaselineShared;
     type Error = udp::DatagramTooLong;
 
-    fn cpu(&self) -> &Rc<Cpu> {
-        &self.shared.link.cpu
-    }
-
-    fn local(&self) -> (Ipv4Addr, u16, UdpConfig) {
-        (self.shared.link.ip(), self.port, self.config)
-    }
-
-    fn csum_offload(&self) -> bool {
-        false
-    }
-
-    fn enter_send(&self, lease: &mut CpuLease, len: usize) {
-        self.process.trap(lease);
-        self.process.copyin(lease, len);
-        lease.charge(lease.model().socket_layer);
-    }
-
-    fn output(&self, ctx: &mut RaiseCtx<'_>, dst: Ipv4Addr, dgram: Mbuf) {
-        let link = &self.shared.link;
-        link.ip_output(ctx, link.ip(), dst, ip::proto::UDP, &dgram);
+    fn local(&self) -> (&Rc<BaselineShared>, &Rc<Socket>, u16, UdpConfig) {
+        (&self.socket.kernel, &self.socket, self.port, self.config)
     }
 }

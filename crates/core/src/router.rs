@@ -25,7 +25,7 @@ use plexus_kernel::view::view;
 use plexus_net::ether::{self, EtherType, MacAddr, ETHER_HDR_LEN};
 use plexus_net::icmp::{IcmpMessage, IcmpType};
 use plexus_net::ip::{self, Hop, IpHeader, IpView, RouteTable};
-use plexus_net::link::{Interface, LinkHost};
+use plexus_net::link::{Interface, Structure};
 use plexus_net::mbuf::Mbuf;
 use plexus_sim::nic::{DriverConfig, Nic};
 use plexus_sim::{Cpu, Engine, Loss, Machine};
@@ -55,7 +55,7 @@ pub struct IpRouter {
     /// The machine's processor, which every port charges and counts its
     /// losses on.
     cpu: Rc<Cpu>,
-    /// One per port, each its own [`LinkHost`]: frames go straight to
+    /// One per port, each its own [`Structure`]: frames go straight to
     /// its NIC.
     interfaces: Vec<Rc<Interface>>,
     routes: RouteTable,
@@ -125,7 +125,7 @@ impl IpRouter {
             engine,
             lease: &mut lease,
         };
-        match ether::accept(frame, iface.mac(), false).map(|v| v.ethertype()) {
+        match ether::accept(frame, iface.mac()).map(|v| v.ethertype()) {
             Some(EtherType::ARP) => iface.arp_input(ctx, &frame[ETHER_HDR_LEN..]),
             Some(EtherType::IPV4) => {
                 ctx.lease.charge(ctx.lease.model().eth_proc);

@@ -41,7 +41,7 @@ use plexus_sim::{CpuLease, Engine, Loss, Machine};
 
 use plexus_net::ether::{self, EtherType, Frame, MacAddr, ETHER_HDR_LEN};
 use plexus_net::ip::{self, RouteTable};
-use plexus_net::link::{Interface, LinkHost, LinkStats};
+use plexus_net::link::{Interface, LinkStats, Structure};
 use plexus_net::mbuf::Mbuf;
 use plexus_net::testbed::Host;
 
@@ -210,8 +210,10 @@ impl PortTable {
     }
 }
 
-/// Shared stack state, reachable from every installed handler.
-pub(crate) struct StackShared {
+/// Shared stack state, reachable from every installed handler: Plexus's
+/// [`Structure`]. (Public only so that the endpoints and connections which
+/// name it as theirs can be; nothing outside the crate can name it.)
+pub struct StackShared {
     /// The NIC, addresses and L2/L3 state; the ARP, IP and ICMP nodes and
     /// both `PacketSend` handlers run its one path.
     pub(crate) link: Interface,
@@ -236,14 +238,6 @@ pub(crate) struct StackShared {
     releases: Cell<u64>,
     pub(crate) udp_ports: PortTable,
     pub(crate) tcp_ports: PortTable,
-    /// True while the NIC rx glue should deliver (promiscuous snooping is
-    /// structurally impossible: the filter runs before any extension code).
-    promiscuous: Cell<bool>,
-    /// Transport checksums are offloaded to the adapter (the NIC profile
-    /// advertises [`plexus_sim::nic::NicProfile::checksum_offload`]):
-    /// UDP/TCP skip the software checksum CPU charge and stamp offload
-    /// descriptors, which the adapter fills during the DMA gather.
-    pub(crate) csum_offload: bool,
 }
 
 impl StackShared {
@@ -429,7 +423,7 @@ impl StackShared {
             Some(rec)
         });
         lease.charge(rx_cost);
-        if ether::accept(frame, self.link.mac(), self.promiscuous.get()).is_some() {
+        if ether::accept(frame, self.link.mac()).is_some() {
             self.eth_rx.set(self.eth_rx.get() + 1);
             let mut mbuf = Mbuf::from_wire(frame);
             mbuf.pkthdr_mut().rcvif = Some(0);
@@ -448,11 +442,19 @@ impl StackShared {
     }
 }
 
-/// Plexus's structure around the one L2/L3 path: a datagram goes down by
-/// raising `Ip.PacketSend`, a frame by raising `Ethernet.PacketSend`.
-impl LinkHost for StackShared {
+/// Plexus's structure: datagrams and frames go down as raises, and
+/// applications run in the kernel, so entry is free and delivery direct.
+impl Structure for StackShared {
+    type Owner = ();
+
     fn link(&self) -> &Interface {
         &self.link
+    }
+
+    /// Whenever the adapter offers it
+    /// ([`plexus_sim::nic::NicProfile::checksum_offload`]).
+    fn csum_offload(&self) -> bool {
+        self.link.nic.profile().checksum_offload
     }
 
     fn send_ip(
@@ -523,8 +525,6 @@ impl PlexusStack {
             releases: Cell::new(0),
             udp_ports: PortTable::default(),
             tcp_ports: PortTable::default(),
-            promiscuous: Cell::new(false),
-            csum_offload: nic.profile().checksum_offload,
         });
 
         let driver = if config.coalesce {
@@ -881,12 +881,5 @@ impl PlexusStack {
     /// forwarder's address (§5.2) while preserving end-to-end semantics.
     pub fn add_ip_alias(&self, ip: Ipv4Addr) {
         self.shared.link.add_alias(ip);
-    }
-
-    /// Enables promiscuous delivery on the driver glue. Only the privileged
-    /// stack owner can call this (it is not in the extension domain); used
-    /// by tests to show extensions *cannot* obtain it.
-    pub fn set_promiscuous(&self, on: bool) {
-        self.shared.promiscuous.set(on);
     }
 }

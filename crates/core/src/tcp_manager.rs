@@ -7,9 +7,9 @@
 //! where each connection (and each listener) is its own guarded handler.
 //!
 //! Connections are the shared [`plexus_net::tcp::TcpConn`]: the manager is
-//! their [`TcpHost`], so its output segments flow down through
-//! `Ip.PacketSend` with the manager-stamped source, and the application
-//! is called directly, in the raiser's context.
+//! their [`ConnHost`], so under the stack's structure their segments flow
+//! down through `Ip.PacketSend` with the manager-stamped source, and the
+//! application is called directly, in the raiser's context.
 
 use std::cell::{Cell, RefCell};
 use std::collections::HashMap;
@@ -20,10 +20,9 @@ use plexus_filter::{conjunction, EventKind, Field, FieldKey, Operand, Policy, Te
 use plexus_kernel::dispatcher::{Guard, HandlerId, RaiseCtx};
 use plexus_kernel::domain::LinkedExtension;
 use plexus_net::ip::{self, encapsulate as ip_encapsulate, proto, Hop, IpHeader};
-use plexus_net::link::LinkHost;
-use plexus_net::mbuf::Mbuf;
-use plexus_net::tcp::{ConnIds, Tcb, TcpHost, TcpSegment};
-use plexus_sim::{Cpu, Engine};
+use plexus_net::link::Structure;
+use plexus_net::tcp::{ConnHost, ConnIds, Tcb, TcpSegment};
+use plexus_sim::{Engine, Loss};
 
 use crate::guards;
 use crate::stack::{Hold, StackShared};
@@ -77,7 +76,7 @@ impl TcpManager {
             Guard::verified(guard),
             move |ctx, ev: &IpRecv| {
                 ctx.lease.charge(ctx.lease.model().tcp_proc);
-                if !s.csum_offload {
+                if !s.csum_offload() {
                     ctx.lease
                         .charge(ctx.lease.model().checksum(ev.payload.total_len()));
                 }
@@ -88,7 +87,7 @@ impl TcpManager {
                     let Some(view) =
                         TcpSegment::parse(ev.src, ev.dst, ev.payload.contiguous(&mut scratch))
                     else {
-                        return;
+                        return ctx.lease.lose(Loss::TcpBadSegment);
                     };
                     let len = view.payload.len();
                     view.with_payload(ev.payload.range(ev.payload.total_len() - len, len))
@@ -99,7 +98,9 @@ impl TcpManager {
                     dst: ev.dst,
                     segment,
                 };
-                s.dispatcher.raise(ctx, s.events.tcp_recv, &arg);
+                if s.dispatcher.raise(ctx, s.events.tcp_recv, &arg).invoked == 0 {
+                    ctx.lease.lose(Loss::TcpNoConnection);
+                }
             },
             "tcp",
         );
@@ -310,20 +311,12 @@ impl TcpManager {
     }
 }
 
-/// Plexus's structure around a connection: no charge on entry, segments
-/// raised on `Ip.PacketSend`, the application called directly (the default
-/// delivery), and the connection's handler uninstalled when it closes.
-impl TcpHost for TcpManager {
-    fn cpu(&self) -> &Rc<Cpu> {
-        &self.shared.link.cpu
-    }
+/// Every Plexus connection's host; a closed one's handler is uninstalled.
+impl ConnHost for TcpManager {
+    type Structure = StackShared;
 
-    fn csum_offload(&self) -> bool {
-        self.shared.csum_offload
-    }
-
-    fn output(&self, ctx: &mut RaiseCtx<'_>, src: Ipv4Addr, dst: Ipv4Addr, payload: Mbuf) {
-        self.shared.send_ip(ctx, src, dst, proto::TCP, payload);
+    fn host(self: &Rc<Self>) -> (&Rc<StackShared>, ()) {
+        (&self.shared, ())
     }
 
     fn unregister(&self, conn: &TcpConn) {

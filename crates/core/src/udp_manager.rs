@@ -30,10 +30,10 @@ use plexus_kernel::ephemeral::Ephemeral;
 use plexus_net::checksum::incremental_update;
 use plexus_net::icmp;
 use plexus_net::ip::proto;
-use plexus_net::link::LinkHost;
+use plexus_net::link::Structure;
 use plexus_net::mbuf::Mbuf;
 use plexus_net::udp::{self, Endpoint, UdpConfig};
-use plexus_sim::{Cpu, Engine, Loss};
+use plexus_sim::{Engine, Loss};
 
 use crate::guards;
 use crate::stack::{Hold, StackShared};
@@ -81,7 +81,7 @@ impl UdpManager {
             Guard::verified(guard),
             move |ctx, ev: &IpRecv| {
                 let claim = |_| Some((UdpConfig::default(), ()));
-                let offload = s.csum_offload;
+                let offload = s.csum_offload();
                 let Some((arg, ())) =
                     udp::receive(ctx.lease, ev.src, ev.dst, &ev.payload, offload, claim)
                 else {
@@ -192,7 +192,7 @@ impl UdpManager {
                     &policy,
                     guards::TRANSPORT_GUARD_CYCLES,
                 );
-                let wrapped = wrap_special_udp(config, shared.csum_offload, handler);
+                let wrapped = wrap_special_udp(config, shared.csum_offload(), handler);
                 (Guard::verified(guard), wrapped)
             })
         }?;
@@ -307,19 +307,8 @@ pub struct UdpEndpoint {
 }
 
 impl UdpEndpoint {
-    /// [`Endpoint::send_in`] without the trait in scope. The manager
+    /// [`Endpoint::send_mbuf_in`] without the trait in scope. The manager
     /// stamps the source, so spoofing is structurally impossible.
-    pub fn send_in(
-        &self,
-        ctx: &mut RaiseCtx<'_>,
-        dst: Ipv4Addr,
-        dst_port: u16,
-        payload: &[u8],
-    ) -> Result<(), PlexusError> {
-        Endpoint::send_in(self, ctx, dst, dst_port, payload)
-    }
-
-    /// [`Endpoint::send_mbuf_in`] without the trait in scope.
     pub fn send_mbuf_in(
         &self,
         ctx: &mut RaiseCtx<'_>,
@@ -328,17 +317,6 @@ impl UdpEndpoint {
         payload: Mbuf,
     ) -> Result<(), PlexusError> {
         Endpoint::send_mbuf_in(self, ctx, dst, dst_port, payload)
-    }
-
-    /// [`Endpoint::send`] without the trait in scope.
-    pub fn send(
-        &self,
-        engine: &mut Engine,
-        dst: Ipv4Addr,
-        dst_port: u16,
-        payload: &[u8],
-    ) -> Result<(), PlexusError> {
-        Endpoint::send(self, engine, dst, dst_port, payload)
     }
 
     /// Debugging variant with [`SourcePolicy::Verify`] (§3.1): the caller
@@ -359,7 +337,7 @@ impl UdpEndpoint {
                 .set(self.manager.spoofs_blocked.get() + 1);
             return Err(PlexusError::SpoofDetected);
         }
-        self.send(engine, dst, dst_port, payload)
+        Endpoint::send(self, engine, dst, dst_port, payload)
     }
 
     /// Unbinds the endpoint: uninstalls the handler and frees the port
@@ -369,21 +347,13 @@ impl UdpEndpoint {
     }
 }
 
-/// Plexus's structure around the send path: the binding must still be
-/// held, and the datagram goes down as a raise of `Ip.PacketSend`.
+/// A Plexus port may send for as long as its extension holds the binding.
 impl Endpoint for UdpEndpoint {
+    type Structure = StackShared;
     type Error = PlexusError;
 
-    fn cpu(&self) -> &Rc<Cpu> {
-        &self.manager.shared.link.cpu
-    }
-
-    fn local(&self) -> (Ipv4Addr, u16, UdpConfig) {
-        (self.manager.shared.link.ip(), self.port, self.config)
-    }
-
-    fn csum_offload(&self) -> bool {
-        self.manager.shared.csum_offload
+    fn local(&self) -> (&Rc<StackShared>, &(), u16, UdpConfig) {
+        (&self.manager.shared, &(), self.port, self.config)
     }
 
     fn admit(&self) -> Result<(), PlexusError> {
@@ -393,11 +363,6 @@ impl Endpoint for UdpEndpoint {
         } else {
             Err(PlexusError::Revoked)
         }
-    }
-
-    fn output(&self, ctx: &mut RaiseCtx<'_>, dst: Ipv4Addr, dgram: Mbuf) {
-        let shared = &self.manager.shared;
-        shared.send_ip(ctx, shared.link.ip(), dst, proto::UDP, dgram);
     }
 }
 

@@ -13,7 +13,7 @@ use plexus_net::icmp::{IcmpMessage, IcmpType};
 use plexus_net::ip::{self, IpHeader};
 use plexus_net::mbuf::Mbuf;
 use plexus_net::testbed::{Host, Testbed};
-use plexus_net::udp::{self, UdpConfig};
+use plexus_net::udp::{self, Endpoint, UdpConfig};
 use plexus_sim::nic::{DriverConfig, Link};
 use plexus_sim::time::{SimDuration, SimTime};
 use plexus_sim::World;
@@ -871,10 +871,9 @@ fn special_tcp_handler_runs_under_the_extension_time_limit() {
 }
 
 #[test]
-fn mac_filter_discards_foreign_frames_unless_promiscuous() {
+fn mac_filter_discards_foreign_frames() {
     // Three machines on one segment; A sends to B; C must filter the frame
-    // at the driver (no promiscuous snooping), and the filter is a
-    // privileged stack operation, not an extension API.
+    // at the driver: no host, and no extension on it, snoops the wire.
     let (mut world, [sa, sb, sc]) = plexus_lan(["a", "b", "c"], StackConfig::interrupt);
 
     let aext = sa.link_extension(&ext_spec("A")).unwrap();
@@ -912,15 +911,6 @@ fn mac_filter_discards_foreign_frames_unless_promiscuous() {
         sc.stats().eth_filtered >= 2,
         "request + reply filtered at C"
     );
-
-    // With the (privileged) promiscuous switch, C's driver accepts them —
-    // but they die at C's IP layer, which is not their destination.
-    sc.set_promiscuous(true);
-    aep.send(world.engine_mut(), sb.ip(), 7, b"unicast2")
-        .unwrap();
-    world.run();
-    assert!(sc.stats().eth_rx > 0, "promiscuous driver accepts");
-    assert!(sc.stats().ip_dropped > 0, "but IP drops foreign datagrams");
 }
 
 #[test]

@@ -9,7 +9,7 @@ use plexus_core::{AppHandler, IpRouter, PlexusStack, StackConfig, TcpCallbacks, 
 use plexus_kernel::domain::ExtensionSpec;
 use plexus_net::ether::MacAddr;
 use plexus_net::testbed::Testbed;
-use plexus_net::udp::UdpConfig;
+use plexus_net::udp::{Endpoint, UdpConfig};
 use plexus_sim::nic::{Link, Medium, Nic, NicProfile};
 use plexus_sim::time::SimDuration;
 use plexus_sim::World;

@@ -100,12 +100,12 @@ pub fn write_header(buf: &mut [u8], dst: MacAddr, src: MacAddr, ethertype: Ether
 }
 
 /// The receive-side MAC filter: the frame's header, if it parses and the
-/// frame is addressed to `mac` or to everyone (or `promiscuous` is set).
+/// frame is addressed to `mac` or to everyone.
 #[inline]
-pub fn accept(frame: &[u8], mac: MacAddr, promiscuous: bool) -> Option<EtherView<'_>> {
+pub fn accept(frame: &[u8], mac: MacAddr) -> Option<EtherView<'_>> {
     let v: EtherView = view(frame)?;
     let dst = v.dst();
-    (dst == mac || dst.is_broadcast() || promiscuous).then_some(v)
+    (dst == mac || dst.is_broadcast()).then_some(v)
 }
 
 /// A network-layer packet with the link addressing resolved for it: what
@@ -150,18 +150,11 @@ mod tests {
         let mut buf = [0u8; ETHER_HDR_LEN];
         let me = MacAddr::local(1);
         write_header(&mut buf, me, MacAddr::local(2), EtherType::IPV4);
-        assert!(accept(&buf, me, false).is_some(), "unicast to me");
-        assert!(accept(&buf, MacAddr::local(3), false).is_none(), "foreign");
-        assert!(
-            accept(&buf, MacAddr::local(3), true).is_some(),
-            "promiscuous"
-        );
+        assert!(accept(&buf, me).is_some(), "unicast to me");
+        assert!(accept(&buf, MacAddr::local(3)).is_none(), "foreign");
         write_header(&mut buf, MacAddr::BROADCAST, me, EtherType::ARP);
-        assert!(
-            accept(&buf, MacAddr::local(3), false).is_some(),
-            "broadcast"
-        );
-        assert!(accept(&buf[..13], me, true).is_none(), "runt never passes");
+        assert!(accept(&buf, MacAddr::local(3)).is_some(), "broadcast");
+        assert!(accept(&buf[..13], me).is_none(), "runt never passes");
     }
 
     #[test]

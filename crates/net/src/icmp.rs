@@ -3,7 +3,7 @@
 //! A leaf of the IP node in Figure 1's protocol graph. The Plexus ICMP
 //! handler, the router and the baseline's monolithic input path all answer
 //! echo requests in-kernel through one responder,
-//! [`crate::link::LinkHost::echo`].
+//! [`crate::link::Structure::echo`].
 
 use plexus_kernel::view::{be16, put_be16, WireView};
 

@@ -25,14 +25,13 @@
 //! responder each exist once here.
 //!
 //! The layers that apply them run on the engine and a CPU lease all the
-//! same, so that each exists once, and a stack supplies only structure:
-//! [`link::Interface`] is one host attachment's link tx, ARP output and
-//! input, IP input and output and echo responder, and a stack hands it its
-//! structure as a [`link::LinkHost`]; [`tcp::TcpConn`] applies a
-//! [`tcp::Tcb`]'s outputs, and a stack hands it its structure as a
-//! [`tcp::TcpHost`]; a UDP datagram is sent through a [`udp::Endpoint`],
-//! whose required methods are a stack's structure, and received through
-//! [`udp::receive`].
+//! same, so that each exists once, and a stack supplies only structure, as
+//! one [`link::Structure`]: [`link::Interface`] is one host attachment's
+//! link tx, ARP output and input, IP input and output and echo responder;
+//! [`tcp::TcpConn`] applies a [`tcp::Tcb`]'s outputs and reaches its
+//! stack's structure through a [`tcp::ConnHost`]; a UDP datagram is sent
+//! through a [`udp::Endpoint`], which says only where its port is and
+//! whether it may send, and received through [`udp::receive`].
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]

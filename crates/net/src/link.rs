@@ -1,12 +1,14 @@
-//! One host's link and IP layers, whichever stack runs them.
+//! One host's link and IP layers, whichever stack runs them, and the
+//! [`Structure`] a stack puts around them.
 //!
 //! An [`Interface`] holds one attachment's NIC, addresses, [`ArpCache`],
 //! [`ip::Ident`], [`Reassembler`] and routes. Its methods and
-//! [`LinkHost`]'s provided ones are the one copy of each L2/L3 step: link
+//! [`Structure`]'s provided ones are the one copy of each L2/L3 step: link
 //! tx, ARP output and input, host IP input and output, the echo responder.
-//! A stack's `LinkHost` says only how a datagram reaches IP output and a
-//! frame the wire: Plexus raises `Ip.PacketSend` and `Ethernet.PacketSend`;
-//! the baseline and the router call straight through ([`Interface`]'s own).
+//! A stack's `Structure` says how a datagram reaches IP output and a frame
+//! the wire — Plexus raises `Ip.PacketSend` and `Ethernet.PacketSend`; the
+//! baseline and the router call straight through — and what an
+//! application's send, close and delivery pay on the way.
 
 use std::cell::{Cell, RefCell};
 use std::net::Ipv4Addr;
@@ -22,6 +24,7 @@ use crate::ether::{self, EtherType, Frame, MacAddr, ETHER_HDR_LEN};
 use crate::icmp::{self, IcmpMessage};
 use crate::ip::{self, Hop, IpHeader, Reassembler, RouteTable, Undelivered};
 use crate::mbuf::Mbuf;
+use crate::tcp::{ConnEvent, TcpConn};
 
 /// What an [`Interface`] counts: the link and IP layers' share of a
 /// stack's counters. What they lose is counted by reason on the CPU
@@ -155,18 +158,22 @@ impl Interface {
 
     /// Host IP input for `dgram` (the frame past its link header): `ip_proc`,
     /// reassembly, the local-address check. Returns a whole datagram for
-    /// this host; names every loss ([`Loss::IpReassemblyFull`],
-    /// [`Loss::IpBadHeader`], [`Loss::NotLocal`]). A held fragment is no
-    /// loss.
+    /// this host; names every loss ([`Loss::IpBadHeader`],
+    /// [`Loss::NotLocal`], and one [`Loss::IpReassemblyTimeout`] or
+    /// [`Loss::IpReassemblyFull`] per fragment group reassembly gives up
+    /// on). A held fragment is no loss.
     #[inline]
     pub fn ip_input(&self, lease: &mut CpuLease, dgram: &Mbuf) -> Option<(IpHeader, Mbuf)> {
         lease.charge(lease.model().ip_proc);
         let now = lease.now().as_nanos();
         let mut reasm = self.reasm.borrow_mut();
-        let evicted = reasm.evicted();
+        let (expired, evicted) = (reasm.expired(), reasm.evicted());
         let verdict = reasm.input(dgram, now, |dst| {
             dst == self.ip || dst == Ipv4Addr::BROADCAST || self.aliases.borrow().contains(&dst)
         });
+        for _ in expired..reasm.expired() {
+            lease.lose(Loss::IpReassemblyTimeout);
+        }
         for _ in evicted..reasm.evicted() {
             lease.lose(Loss::IpReassemblyFull);
         }
@@ -184,15 +191,29 @@ impl Interface {
     }
 }
 
-/// A stack's structure around its [`Interface`]. The provided methods are
-/// the one L2/L3 path; a stack supplies only how a datagram reaches IP
-/// output and how a frame reaches the wire, both direct calls by default.
-pub trait LinkHost: Sized + 'static {
-    /// The interface this host sends and receives by.
+/// A stack's structure: one hook for each point where the stacks really
+/// differ, each defaulting to the direct call. Each stack implements it
+/// once (Plexus on its graph's shared state, DIGITAL UNIX on its kernel
+/// state, the router on each [`Interface`]); the provided methods are the
+/// one L2/L3 path.
+pub trait Structure: Sized + 'static {
+    /// Whom a UDP port or a TCP connection runs for: `()` where applications
+    /// run in the kernel, the socket where they run in a process.
+    type Owner;
+
+    /// The interface this stack sends and receives by, and through it the
+    /// CPU every charge runs on.
     fn link(&self) -> &Interface;
 
-    /// Hands a datagram's payload, `src` to `dst`, to IP output:
-    /// [`LinkHost::ip_output`] directly by default.
+    /// Transport checksums are left to the adapter: a segment goes down with
+    /// an offload descriptor and no software checksum is charged. No by
+    /// default.
+    fn csum_offload(&self) -> bool {
+        false
+    }
+
+    /// The one L4→L3 hand-down, `src` to `dst`: [`Structure::ip_output`]
+    /// directly by default.
     fn send_ip(
         self: &Rc<Self>,
         ctx: &mut RaiseCtx<'_>,
@@ -210,9 +231,28 @@ pub trait LinkHost: Sized + 'static {
         self.link().transmit(ctx, frame);
     }
 
+    /// What `owner`'s send of `len` bytes pays on entry. Nothing by default.
+    fn enter_send(&self, _owner: &Self::Owner, _lease: &mut CpuLease, _len: usize) {}
+
+    /// What `owner`'s close pays on entry, `in_callback` when made from one
+    /// of the connection's callbacks. Nothing by default.
+    fn enter_close(&self, _owner: &Self::Owner, _lease: &mut CpuLease, _in_callback: bool) {}
+
+    /// Brings a connection's in-order `data` to the application: directly
+    /// by default.
+    fn deliver(&self, ctx: &mut RaiseCtx<'_>, _: &Self::Owner, conn: &Rc<TcpConn>, data: &[u8]) {
+        conn.upcall_data(ctx, data);
+    }
+
+    /// Brings a connection's `event` to the application: directly by
+    /// default.
+    fn notify(&self, ctx: &mut RaiseCtx<'_>, _: &Self::Owner, conn: &Rc<TcpConn>, ev: ConnEvent) {
+        conn.upcall(ctx, ev);
+    }
+
     /// Host IP output: `ip_proc`, the header, the next hop (or
     /// [`Loss::NoRoute`]), and the whole datagram or its fragments, each
-    /// through [`LinkHost::output`].
+    /// through [`Structure::output`].
     fn ip_output(
         self: &Rc<Self>,
         ctx: &mut RaiseCtx<'_>,
@@ -287,7 +327,7 @@ pub trait LinkHost: Sized + 'static {
 
     /// The echo responder for an ICMP message `request` from `from`: a
     /// valid echo request is answered, `checksum(reply)` charged, through
-    /// [`LinkHost::send_ip`].
+    /// [`Structure::send_ip`].
     fn echo(self: &Rc<Self>, ctx: &mut RaiseCtx<'_>, from: Ipv4Addr, request: &[u8]) {
         let Some(reply) = icmp::echo_response(request) else {
             return;
@@ -321,8 +361,11 @@ pub trait LinkHost: Sized + 'static {
     }
 }
 
-/// The interface as its own host: datagrams and frames go straight down.
-impl LinkHost for Interface {
+/// The router's structure: each port is its own, and everything goes
+/// straight down.
+impl Structure for Interface {
+    type Owner = ();
+
     fn link(&self) -> &Interface {
         self
     }
@@ -332,7 +375,7 @@ impl LinkHost for Interface {
 /// (ns) has been answered, or abandoned and asked afresh: ask again, or,
 /// `n` asks made, abandon the resolution, dropping what it parked — one
 /// [`Loss::ResolutionFailed`] per datagram.
-fn ask_again<H: LinkHost>(host: Rc<H>, engine: &mut Engine, hop: Ipv4Addr, at: u64, n: u32) {
+fn ask_again<S: Structure>(host: Rc<S>, engine: &mut Engine, hop: Ipv4Addr, at: u64, n: u32) {
     engine.schedule_in(ASK_INTERVAL, move |eng| {
         let link = host.link();
         if link.arp.borrow().asked_at(hop) != Some(at) {

@@ -130,7 +130,6 @@ const POOL_CAP: usize = 1024;
 const CHAIN_SLOTS: usize = 4;
 
 struct Pool {
-    enabled: bool,
     small: Vec<Rc<Vec<u8>>>,
     large: Vec<Rc<Vec<u8>>>,
     /// Retired chain vectors: empty, capacity `CHAIN_SLOTS`.
@@ -150,7 +149,6 @@ impl Pool {
 
 thread_local! {
     static POOL: RefCell<Pool> = RefCell::new(Pool {
-        enabled: true,
         small: Vec::new(),
         large: Vec::new(),
         chains: Vec::new(),
@@ -158,28 +156,13 @@ thread_local! {
     });
 }
 
-/// Enables or disables the pool of clusters and chain vectors (default:
-/// enabled). Disabling drops the free lists. Returns the previous setting.
-pub fn set_cluster_pool_enabled(on: bool) -> bool {
-    POOL.with(|p| {
-        let mut p = p.borrow_mut();
-        let was = p.enabled;
-        p.enabled = on;
-        if !on {
-            p.clear();
-        }
-        was
-    })
-}
-
 /// Snapshot of the pool counters.
 pub fn cluster_pool_stats() -> PoolStats {
     POOL.with(|p| p.borrow().stats)
 }
 
-/// Clears the free lists and zeroes the counters (leaves enablement
-/// as-is). Benchmarks call this between phases so "allocations after
-/// warmup" is well-defined.
+/// Clears the free lists and zeroes the counters. Benchmarks call this
+/// between phases so "allocations after warmup" is well-defined.
 pub fn reset_cluster_pool() {
     POOL.with(|p| {
         let mut p = p.borrow_mut();
@@ -206,9 +189,6 @@ fn new_cluster(min: usize) -> Rc<Vec<u8>> {
     let size = class_for(min);
     let pooled = POOL.with(|p| {
         let mut p = p.borrow_mut();
-        if !p.enabled {
-            return None;
-        }
         let hit = match size {
             MLEN => p.small.pop(),
             MCLBYTES => p.large.pop(),
@@ -248,9 +228,6 @@ fn cluster_mut(cluster: &mut Rc<Vec<u8>>) -> &mut Vec<u8> {
 fn retire_cluster(mut cluster: Rc<Vec<u8>>) {
     POOL.with(|p| {
         let mut p = p.borrow_mut();
-        if !p.enabled {
-            return;
-        }
         // Held elsewhere, strongly or weakly (an application's external
         // cluster may be): the pool hands out only what nobody else can see.
         if Rc::get_mut(&mut cluster).is_none() {
@@ -295,7 +272,7 @@ fn retire_chain(mut chain: Vec<Segment>) {
     }
     POOL.with(|p| {
         let mut p = p.borrow_mut();
-        if p.enabled && p.chains.len() < POOL_CAP {
+        if p.chains.len() < POOL_CAP {
             p.chains.push(chain);
         }
     })
@@ -1165,7 +1142,7 @@ mod tests {
     }
 
     #[test]
-    fn pooled_and_unpooled_runs_build_identical_packets() {
+    fn warm_and_cold_pools_build_identical_packets() {
         let build = || {
             let mut m = Mbuf::from_payload(
                 LEADING_SPACE,
@@ -1180,11 +1157,21 @@ mod tests {
             out
         };
         reset_cluster_pool();
-        let pooled: Vec<Vec<u8>> = (0..8).map(|_| build()).collect();
-        let was = set_cluster_pool_enabled(false);
-        let unpooled: Vec<Vec<u8>> = (0..8).map(|_| build()).collect();
-        set_cluster_pool_enabled(was);
-        assert_eq!(pooled, unpooled, "pooling must not change packet bytes");
+        let cold = build();
+        assert_eq!(
+            cluster_pool_stats().reused,
+            0,
+            "a cold pool hands out fresh clusters"
+        );
+        // Leave clusters that last held other bytes on the free lists.
+        drop(Mbuf::from_payload(LEADING_SPACE, &[0xEE; 300]));
+        let reused = cluster_pool_stats().reused;
+        let warm = build();
+        assert!(
+            cluster_pool_stats().reused > reused,
+            "the warm build reused clusters"
+        );
+        assert_eq!(cold, warm, "pooling must not change packet bytes");
     }
 
     #[test]
@@ -1235,33 +1222,5 @@ mod tests {
         assert_eq!(shared.to_vec(), [7u8; 3000]);
         let part = shared.range(2900, 100);
         assert_eq!((part.segment_count(), part.to_vec()), (1, vec![7u8; 100]));
-    }
-
-    #[test]
-    fn a_disabled_pool_retains_no_chain_vector() {
-        reset_cluster_pool();
-        drop(Mbuf::from_payload(0, &[1u8; 16]));
-        assert_eq!(retained_chains(), 1);
-        let was = set_cluster_pool_enabled(false);
-        assert_eq!(retained_chains(), 0, "disabling drops the free lists");
-        let m = Mbuf::from_payload(0, &[1u8; 16]);
-        drop(m.share());
-        drop(m);
-        assert_eq!(retained_chains(), 0);
-        set_cluster_pool_enabled(was);
-    }
-
-    #[test]
-    fn disabled_pool_neither_recycles_nor_reuses() {
-        reset_cluster_pool();
-        let was = set_cluster_pool_enabled(false);
-        let m = Mbuf::from_payload(0, &[1u8; 16]);
-        drop(m);
-        let before = allocs();
-        let _m2 = Mbuf::from_payload(0, &[2u8; 16]);
-        assert_eq!(allocs(), before + 1);
-        assert_eq!(cluster_pool_stats().recycled, 0);
-        assert_eq!(cluster_pool_stats().reused, 0);
-        set_cluster_pool_enabled(was);
     }
 }

@@ -23,7 +23,7 @@ use crate::mbuf::{Mbuf, LEADING_SPACE};
 
 mod conn;
 pub use conn::{
-    ConnCallback, ConnEvent, ConnIds, DataCallback, PortsExhausted, TcpCallbacks, TcpConn, TcpHost,
+    ConnCallback, ConnEvent, ConnHost, ConnIds, DataCallback, PortsExhausted, TcpCallbacks, TcpConn,
 };
 
 /// TCP header length (no options on the wire after the SYN's MSS option is

@@ -1,8 +1,8 @@
 //! One TCP connection, whichever stack runs it: a [`TcpConn`] applies its
-//! [`Tcb`]'s [`Actions`] the same way on every stack, and the stack adds
-//! only its structure, as a [`TcpHost`]. Plexus raises `Ip.PacketSend` and
-//! calls the application directly; the monolithic baseline calls its IP
-//! output and crosses into the user process.
+//! [`Tcb`]'s [`Actions`] the same way on every stack, and reaches its
+//! stack's [`Structure`] through a [`ConnHost`]. Plexus raises
+//! `Ip.PacketSend` and calls the application directly; the monolithic
+//! baseline calls its IP output and crosses into the user process.
 
 use std::cell::{Cell, RefCell};
 use std::net::Ipv4Addr;
@@ -14,6 +14,8 @@ use plexus_sim::time::SimDuration;
 use plexus_sim::{Cpu, CpuLease, Engine, Loss};
 
 use super::{Actions, Payload, Tcb, TcpSegment, TcpState, TCP_HDR_LEN};
+use crate::ip::proto;
+use crate::link::Structure;
 use crate::mbuf::Mbuf;
 
 /// A connection-event callback (connected, closed, peer-closed).
@@ -50,40 +52,55 @@ pub enum ConnEvent {
     Closed,
 }
 
-/// A stack's structure around its connections. The connection decides
-/// everything else; the hook only charges, carries and removes.
-pub trait TcpHost {
-    /// The CPU a timer expiry or a top-level call runs on.
-    fn cpu(&self) -> &Rc<Cpu>;
+/// A connection's place in its stack: the [`Structure`], whom it runs for,
+/// and the table it leaves when it closes — Plexus's TCP manager for every
+/// connection, a DIGITAL UNIX connection's own socket.
+pub trait ConnHost: 'static {
+    /// The stack's structure.
+    type Structure: Structure;
 
-    /// What an application's send of `len` bytes pays on entry, before the
-    /// state machine runs. Nothing by default.
-    fn enter_send(&self, _lease: &mut CpuLease, _len: usize) {}
-
-    /// What an application's close pays on entry; `in_callback` when it is
-    /// made from inside one of the connection's callbacks. Nothing by
-    /// default.
-    fn enter_close(&self, _lease: &mut CpuLease, _in_callback: bool) {}
-
-    /// Transport checksums are left to the adapter: a segment goes down
-    /// with an offload descriptor and no software checksum is charged.
-    fn csum_offload(&self) -> bool;
-
-    /// Hands one wire segment, `src` to `dst`, down the stack.
-    fn output(&self, ctx: &mut RaiseCtx<'_>, src: Ipv4Addr, dst: Ipv4Addr, segment: Mbuf);
-
-    /// Brings in-order `data` to the application: directly by default.
-    fn deliver(self: Rc<Self>, ctx: &mut RaiseCtx<'_>, conn: &Rc<TcpConn>, data: &[u8]) {
-        conn.upcall_data(ctx, data);
-    }
-
-    /// Brings `event` to the application: directly by default.
-    fn notify(self: Rc<Self>, ctx: &mut RaiseCtx<'_>, conn: &Rc<TcpConn>, event: ConnEvent) {
-        conn.upcall(ctx, event);
-    }
+    /// The structure, and whom the connection runs for.
+    fn host(self: &Rc<Self>) -> (&Rc<Self::Structure>, <Self::Structure as Structure>::Owner);
 
     /// Removes a closed `conn` from the stack's tables.
     fn unregister(&self, conn: &TcpConn);
+}
+
+/// A [`ConnHost`] with its structure's type erased: a connection is one
+/// type on every stack (applications and their callbacks name `TcpConn`
+/// whichever stack runs them), so it holds its host as `Rc<dyn Host>`. Each
+/// method is written once, here, for every stack.
+trait Host {
+    fn cpu(self: Rc<Self>) -> Rc<Cpu>;
+    fn enter_send(self: Rc<Self>, lease: &mut CpuLease, len: usize);
+    fn enter_close(self: Rc<Self>, lease: &mut CpuLease, in_callback: bool);
+    fn apply(self: Rc<Self>, ctx: &mut RaiseCtx<'_>, conn: &Rc<TcpConn>, actions: Actions);
+    fn unregister(&self, conn: &TcpConn);
+}
+
+impl<H: ConnHost> Host for H {
+    fn cpu(self: Rc<Self>) -> Rc<Cpu> {
+        self.host().0.link().cpu.clone()
+    }
+
+    fn enter_send(self: Rc<Self>, lease: &mut CpuLease, len: usize) {
+        let (s, owner) = self.host();
+        s.enter_send(&owner, lease, len);
+    }
+
+    fn enter_close(self: Rc<Self>, lease: &mut CpuLease, in_callback: bool) {
+        let (s, owner) = self.host();
+        s.enter_close(&owner, lease, in_callback);
+    }
+
+    fn apply(self: Rc<Self>, ctx: &mut RaiseCtx<'_>, conn: &Rc<TcpConn>, actions: Actions) {
+        let (s, owner) = self.host();
+        conn.apply_under(s, &owner, ctx, actions);
+    }
+
+    fn unregister(&self, conn: &TcpConn) {
+        ConnHost::unregister(self, conn);
+    }
 }
 
 /// No ephemeral port was free: every one was held or in use.
@@ -132,9 +149,9 @@ impl ConnIds {
 }
 
 /// One TCP connection: the state machine, the application's callbacks,
-/// the retransmit timer, and the stack's [`TcpHost`].
+/// the retransmit timer, and its stack's [`ConnHost`].
 pub struct TcpConn {
-    host: Rc<dyn TcpHost>,
+    host: Rc<dyn Host>,
     /// The local address this connection answers on: normally the host
     /// address, but a DSR redirection target answers on the forwarder's
     /// alias, preserving end-to-end addressing (§5.2).
@@ -152,7 +169,7 @@ impl TcpConn {
     /// A connection of `host`'s between `local` and `remote`, run by `tcb`.
     /// The stack registers it in its tables and then feeds it segments.
     pub fn new(
-        host: Rc<dyn TcpHost>,
+        host: Rc<impl ConnHost>,
         local: (Ipv4Addr, u16),
         remote: (Ipv4Addr, u16),
         tcb: Tcb,
@@ -201,7 +218,7 @@ impl TcpConn {
     /// either way.
     pub fn send_in(self: &Rc<Self>, ctx: &mut RaiseCtx<'_>, data: impl Into<Mbuf>) {
         let data = data.into();
-        self.host.enter_send(ctx.lease, data.total_len());
+        self.host.clone().enter_send(ctx.lease, data.total_len());
         let actions = self.tcb.borrow_mut().send(data, now_ns(ctx));
         self.apply(ctx, actions);
     }
@@ -223,12 +240,12 @@ impl TcpConn {
 
     /// Runs `f` on a lease of the host's CPU that begins now.
     fn on_lease(&self, engine: &mut Engine, f: impl FnOnce(&mut RaiseCtx<'_>)) {
-        let lease = &mut self.host.cpu().begin(engine.now());
+        let lease = &mut self.host.clone().cpu().begin(engine.now());
         f(&mut RaiseCtx { engine, lease });
     }
 
     fn close_from(self: &Rc<Self>, ctx: &mut RaiseCtx<'_>, in_callback: bool) {
-        self.host.enter_close(ctx.lease, in_callback);
+        self.host.clone().enter_close(ctx.lease, in_callback);
         let actions = self.tcb.borrow_mut().close(now_ns(ctx));
         self.apply(ctx, actions);
     }
@@ -252,9 +269,20 @@ impl TcpConn {
     /// segments, tell the application it connected, name the drops,
     /// deliver data, tell it the peer closed, then either tear down and
     /// tell it the connection closed, or re-arm the timer.
-    pub fn apply(self: &Rc<Self>, ctx: &mut RaiseCtx<'_>, mut actions: Actions) {
+    pub fn apply(self: &Rc<Self>, ctx: &mut RaiseCtx<'_>, actions: Actions) {
+        self.host.clone().apply(ctx, self, actions);
+    }
+
+    /// [`TcpConn::apply`] under the stack's structure `s`, for `owner`.
+    fn apply_under<S: Structure>(
+        self: &Rc<Self>,
+        s: &Rc<S>,
+        owner: &S::Owner,
+        ctx: &mut RaiseCtx<'_>,
+        mut actions: Actions,
+    ) {
         let ((lip, _), (rip, _)) = (self.local, self.remote);
-        let offload = self.host.csum_offload();
+        let offload = s.csum_offload();
         let mss = self.tcb.borrow().mss;
         for seg in &mut actions.segments {
             // One protocol pass per (super-)segment: with segmentation
@@ -271,14 +299,14 @@ impl TcpConn {
                         .charge(ctx.lease.model().checksum(end - off + TCP_HDR_LEN));
                 }
                 let payload = seg.chunk_to_mbuf(off..end, lip, rip, offload);
-                self.host.output(ctx, lip, rip, payload);
+                s.send_ip(ctx, lip, rip, proto::TCP, payload);
             }
         }
         self.tcb
             .borrow_mut()
             .reclaim(std::mem::take(&mut actions.segments));
         if actions.connected {
-            self.host.clone().notify(ctx, self, ConnEvent::Connected);
+            s.notify(ctx, owner, self, ConnEvent::Connected);
         }
         if actions.out_of_window {
             ctx.lease.lose(Loss::TcpOutOfWindow);
@@ -292,16 +320,16 @@ impl TcpConn {
             let mut data = self.rx_buf.take();
             self.tcb.borrow_mut().swap_received(&mut data);
             if !data.is_empty() {
-                self.host.clone().deliver(ctx, self, &data);
+                s.deliver(ctx, owner, self, &data);
             }
             self.rx_buf.replace(data);
         }
         if actions.peer_fin {
-            self.host.clone().notify(ctx, self, ConnEvent::PeerClose);
+            s.notify(ctx, owner, self, ConnEvent::PeerClose);
         }
         if actions.closed {
             self.teardown(ctx.engine);
-            self.host.clone().notify(ctx, self, ConnEvent::Closed);
+            s.notify(ctx, owner, self, ConnEvent::Closed);
             return;
         }
         self.rearm_timer(ctx.engine);

@@ -9,7 +9,7 @@
 //!
 //! Both stacks send through [`Endpoint`] and receive through [`receive`]
 //! into one [`UdpRecv`], as they share one [`crate::tcp::TcpConn`]; a stack
-//! adds only its structure around them.
+//! adds only its [`Structure`] around them.
 
 use std::fmt;
 use std::net::Ipv4Addr;
@@ -18,10 +18,11 @@ use std::rc::Rc;
 use plexus_kernel::dispatcher::RaiseCtx;
 use plexus_kernel::filter::{EventKind, Field, Packet};
 use plexus_kernel::view::{be16, put_be16, WireView};
-use plexus_sim::{Cpu, CpuLease, Engine, Loss};
+use plexus_sim::{CpuLease, Engine, Loss};
 
 use crate::checksum::{Checksum, CsumOffload};
 use crate::ip::{proto, IP_HDR_LEN};
+use crate::link::Structure;
 use crate::mbuf::Mbuf;
 
 /// UDP header length.
@@ -290,31 +291,28 @@ pub fn receive<T>(
     Some((recv, to))
 }
 
+/// Whom an endpoint's stack says it sends for.
+type OwnerOf<E> = <<E as Endpoint>::Structure as Structure>::Owner;
+
 /// A bound UDP port, on either stack. The provided methods are the one send
-/// path; a stack supplies only its structure through the others.
+/// path, under the stack's [`Structure`]; a port says only where it is and
+/// whether it may send.
 pub trait Endpoint {
+    /// The stack's structure.
+    type Structure: Structure;
+
     /// What a refused send reports; an over-long payload is one.
     type Error: From<DatagramTooLong>;
 
-    /// The CPU a top-level [`Endpoint::send`] runs on.
-    fn cpu(&self) -> &Rc<Cpu>;
-
-    /// The address and port a datagram leaves from, and the port's options.
-    fn local(&self) -> (Ipv4Addr, u16, UdpConfig);
-
-    /// Transport checksums are left to the adapter.
-    fn csum_offload(&self) -> bool;
+    /// Where the port is: its stack's structure (datagrams leave from the
+    /// structure's interface address), whom it sends for, and its number
+    /// and options.
+    fn local(&self) -> (&Rc<Self::Structure>, &OwnerOf<Self>, u16, UdpConfig);
 
     /// Whether the port may send at all. Yes by default.
     fn admit(&self) -> Result<(), Self::Error> {
         Ok(())
     }
-
-    /// What an accepted send of `len` bytes pays on entry. Nothing by default.
-    fn enter_send(&self, _lease: &mut CpuLease, _len: usize) {}
-
-    /// Hands the framed datagram for `dst` down the stack.
-    fn output(&self, ctx: &mut RaiseCtx<'_>, dst: Ipv4Addr, dgram: Mbuf);
 
     /// Sends `payload` to `dst_port` at `dst` from inside a handler, with
     /// the port's own address and port as the source.
@@ -334,11 +332,12 @@ pub trait Endpoint {
             }
             .into());
         }
-        self.enter_send(ctx.lease, len);
+        let (stack, owner, src_port, config) = self.local();
+        stack.enter_send(owner, ctx.lease, len);
         let lease = &mut *ctx.lease;
         lease.charge(lease.model().udp_proc);
-        let (src, src_port, config) = self.local();
-        let dgram = if config.checksum && self.csum_offload() {
+        let src = stack.link().ip();
+        let dgram = if config.checksum && stack.csum_offload() {
             // The NIC fills the checksum during the DMA gather: stamp the
             // deferred-checksum descriptor and skip the software pass.
             encapsulate_offload(src, dst, src_port, dst_port, payload)
@@ -348,7 +347,7 @@ pub trait Endpoint {
             }
             encapsulate(src, dst, src_port, dst_port, config, payload)
         };
-        self.output(ctx, dst, dgram);
+        stack.send_ip(ctx, src, dst, proto::UDP, dgram);
         Ok(())
     }
 
@@ -371,7 +370,7 @@ pub trait Endpoint {
         dst_port: u16,
         payload: &[u8],
     ) -> Result<(), Self::Error> {
-        let lease = &mut self.cpu().begin(engine.now());
+        let lease = &mut self.local().0.link().cpu.begin(engine.now());
         self.send_in(&mut RaiseCtx { engine, lease }, dst, dst_port, payload)
     }
 }

@@ -29,6 +29,8 @@ pub enum Loss {
     NotLocal,
     /// A fragment group evicted to keep reassembly within its bounds.
     IpReassemblyFull,
+    /// A fragment group that did not complete within reassembly's timeout.
+    IpReassemblyTimeout,
     /// A datagram for this host that no transport here takes.
     UnknownProtocol,
     /// A datagram with no route to its destination.
@@ -45,6 +47,11 @@ pub enum Loss {
     UdpBadDatagram,
     /// A UDP datagram for a port no socket or endpoint is bound to.
     UdpNoSocket,
+    /// A TCP segment that does not parse or verify.
+    TcpBadSegment,
+    /// A TCP segment no connection takes: for a port nobody listens on, or
+    /// a listener's port but not an opening SYN.
+    TcpNoConnection,
     /// A TCP segment outside the receive window.
     TcpOutOfWindow,
     /// A connection's queued data, given up after its retransmit limit.
@@ -68,13 +75,14 @@ impl Loss {
     pub const COUNT: usize = Loss::ALL.len();
 
     /// Every reason, in declaration order (`ALL[l as usize] == l`).
-    pub const ALL: [Loss; 22] = [
+    pub const ALL: [Loss; 25] = [
         Loss::MacFilter,
         Loss::ForeignMac,
         Loss::UnknownEthertype,
         Loss::IpBadHeader,
         Loss::NotLocal,
         Loss::IpReassemblyFull,
+        Loss::IpReassemblyTimeout,
         Loss::UnknownProtocol,
         Loss::NoRoute,
         Loss::TtlExpired,
@@ -83,6 +91,8 @@ impl Loss {
         Loss::ArpExpired,
         Loss::UdpBadDatagram,
         Loss::UdpNoSocket,
+        Loss::TcpBadSegment,
+        Loss::TcpNoConnection,
         Loss::TcpOutOfWindow,
         Loss::TcpRetransmitLimit,
         Loss::TxOversize,
@@ -102,6 +112,7 @@ impl Loss {
             Loss::IpBadHeader => "ip_bad_header",
             Loss::NotLocal => "not_local",
             Loss::IpReassemblyFull => "ip_reassembly_full",
+            Loss::IpReassemblyTimeout => "ip_reassembly_timeout",
             Loss::UnknownProtocol => "unknown_protocol",
             Loss::NoRoute => "no_route",
             Loss::TtlExpired => "ttl_expired",
@@ -110,6 +121,8 @@ impl Loss {
             Loss::ArpExpired => "arp_expired",
             Loss::UdpBadDatagram => "udp_bad_datagram",
             Loss::UdpNoSocket => "udp_no_socket",
+            Loss::TcpBadSegment => "tcp_bad_segment",
+            Loss::TcpNoConnection => "tcp_no_connection",
             Loss::TcpOutOfWindow => "tcp_out_of_window",
             Loss::TcpRetransmitLimit => "tcp_retransmit_limit",
             Loss::TxOversize => "tx_oversize",
@@ -129,12 +142,16 @@ impl Loss {
             Loss::IpBadHeader
             | Loss::NotLocal
             | Loss::IpReassemblyFull
+            | Loss::IpReassemblyTimeout
             | Loss::UnknownProtocol
             | Loss::NoRoute
             | Loss::TtlExpired => Some("ip"),
             Loss::ArpQueueFull | Loss::ResolutionFailed | Loss::ArpExpired => Some("arp"),
             Loss::UdpBadDatagram | Loss::UdpNoSocket => Some("udp"),
-            Loss::TcpOutOfWindow | Loss::TcpRetransmitLimit => Some("tcp"),
+            Loss::TcpBadSegment
+            | Loss::TcpNoConnection
+            | Loss::TcpOutOfWindow
+            | Loss::TcpRetransmitLimit => Some("tcp"),
             Loss::TxOversize
             | Loss::TxRingFull
             | Loss::FaultInjected

@@ -9,7 +9,7 @@ use std::rc::Rc;
 
 use plexus::core::{AppHandler, PlexusStack, StackConfig, UdpEndpoint, UdpRecv};
 use plexus::kernel::domain::ExtensionSpec;
-use plexus::net::udp::UdpConfig;
+use plexus::net::udp::{Endpoint, UdpConfig};
 use plexus::net::Testbed;
 use plexus::sim::nic::Link;
 

@@ -18,7 +18,7 @@ use std::rc::Rc;
 use plexus::core::{AppHandler, IpRouter, PlexusStack, StackConfig, UdpRecv};
 use plexus::kernel::domain::ExtensionSpec;
 use plexus::net::ether::MacAddr;
-use plexus::net::udp::UdpConfig;
+use plexus::net::udp::{Endpoint, UdpConfig};
 use plexus::sim::nic::{Medium, Nic, NicProfile};
 use plexus::sim::time::SimDuration;
 use plexus::sim::World;

@@ -23,6 +23,7 @@ use plexus::net::arp::MAX_PARKED_PER_HOP;
 use plexus::net::ether::{self, EtherType, MacAddr};
 use plexus::net::icmp::IcmpMessage;
 use plexus::net::ip::{self, IpHeader};
+use plexus::net::tcp::{TcpFlags, TcpSegment};
 use plexus::net::testbed::{Host, Testbed};
 use plexus::net::udp::{self, Endpoint, UdpConfig};
 use plexus::net::Mbuf;
@@ -41,6 +42,9 @@ enum Structure {
 const ALL: [Structure; 3] = [Structure::Plexus, Structure::Dunix, Structure::Router];
 
 type Seen = Rc<RefCell<Vec<Vec<u8>>>>;
+
+/// The TCP port a host device listens on.
+const LISTENING: u16 = 2001;
 
 /// Sends one datagram from the script's side.
 type Send = Box<dyn Fn(&mut World, &[u8])>;
@@ -80,7 +84,7 @@ struct Rig {
 }
 
 fn spec() -> ExtensionSpec {
-    ExtensionSpec::typesafe("script", &["UDP.Bind", "UDP.Send"])
+    ExtensionSpec::typesafe("script", &["UDP.Bind", "UDP.Send", "TCP.Listen"])
 }
 
 /// A Plexus host with a cold ARP cache, keeping what arrives on port 7.
@@ -133,6 +137,7 @@ fn rig(structure: Structure, traced: bool) -> Rig {
                 let h = heard.clone();
                 let count = AppHandler::interrupt(move |_, _| h.set(h.get() + 1));
                 let from = stack.udp().bind(&ext, 2000, config, count).unwrap();
+                stack.tcp().listen(&ext, LISTENING, |_, _| {}).unwrap();
                 let send = move |world: &mut World, data: &[u8]| {
                     from.send(world.engine_mut(), to, 7, data).unwrap();
                 };
@@ -155,6 +160,7 @@ fn rig(structure: Structure, traced: bool) -> Rig {
                 let ignore = |_: &mut RaiseCtx<'_>, _: &UdpRecv| {};
                 let process = AddressSpace::new("script");
                 let from = stack.udp_socket(&process, 2000, config, ignore).unwrap();
+                assert!(stack.tcp().listen(&process, LISTENING, |_, _| {}));
                 let send = move |world: &mut World, data: &[u8]| {
                     from.send(world.engine_mut(), to, 7, data).unwrap();
                 };
@@ -491,7 +497,9 @@ fn udp_to(hdr: IpHeader, port: u16) -> Mbuf {
 /// its application, answered by a kernel responder, forwarded, held by
 /// reassembly, or one counted [`Loss`] — whatever a bare NIC on the hop's
 /// segment sends it. The device knows the bare NIC's address, so nothing it
-/// answers is lost on the way out.
+/// answers is lost on the way out. A fragment group reassembly gives up on
+/// adds one loss of its own on top of its fragments, each already counted
+/// as held.
 #[test]
 fn every_frame_a_device_hears_ends_in_one_outcome() {
     for structure in ALL {
@@ -510,7 +518,8 @@ fn every_frame_a_device_hears_ends_in_one_outcome() {
         let mut sum = [0u8; 1];
         bent.read_at(10, &mut sum);
         bent.write_at(10, &[sum[0] ^ 0xFF]);
-        let fragment = IpHeader {
+        let fragment = |ident| IpHeader {
+            ident,
             more_fragments: true,
             ..to(dut_ip)
         };
@@ -520,6 +529,20 @@ fn every_frame_a_device_hears_ends_in_one_outcome() {
         };
         let ping_bytes = IcmpMessage::echo_request(1, 1, b"anyone?").to_bytes();
         let ping = IpHeader::simple(raw_ip, dut_ip, ip::proto::ICMP, 9);
+        let tcp = IpHeader::simple(raw_ip, dut_ip, ip::proto::TCP, 9);
+        let segment = |port, flags| {
+            let seg = TcpSegment {
+                src_port: 3000,
+                dst_port: port,
+                seq: 1,
+                ack: 1,
+                flags,
+                window: 0,
+                mss: None,
+                payload: Vec::new(),
+            };
+            mine(ip::encapsulate(&tcp, seg.to_mbuf(raw_ip, dut_ip, 64)))
+        };
         let frames = [
             // For another MAC.
             ipv4(MacAddr::local(77), udp_to(to(dut_ip), 2000)),
@@ -539,12 +562,17 @@ fn every_frame_a_device_hears_ends_in_one_outcome() {
             mine(bent),
             mine(Mbuf::from_payload(64, &[0x45; 10])),
             // The first fragment of a datagram that never completes.
-            mine(udp_to(fragment, 2000)),
+            mine(udp_to(fragment(9), 2000)),
             // A port nobody holds, and one the device's application does.
             mine(udp_to(to(dut_ip), 9)),
             mine(udp_to(to(dut_ip), 2000)),
             // An echo request.
             mine(ip::encapsulate(&ping, Mbuf::from_payload(64, &ping_bytes))),
+            // A TCP segment that does not parse, an ACK to a port nobody
+            // holds, and one to a port the device listens on.
+            mine(ip::encapsulate(&tcp, Mbuf::from_payload(64, &[0x45; 26]))),
+            segment(9, TcpFlags::ACK),
+            segment(LISTENING, TcpFlags::ACK),
             // For addresses that are not the device's: a subnet no device
             // routes to, everyone, and a host beyond the router, twice, the
             // second time with its TTL run out. (A datagram the router
@@ -558,17 +586,29 @@ fn every_frame_a_device_hears_ends_in_one_outcome() {
         ];
         r.world.run();
         let (heard, kept, lost) = (r.heard(), (r.kept)(), r.losses());
+        let drops = |r: &Rig| Loss::ALL.map(|loss| r.drops(loss));
+        let before = drops(&r);
         for frame in &frames {
             let now = r.world.engine().now();
             raw.transmit(r.world.engine_mut(), now, frame);
             r.world.run();
         }
+        // A fragment of another datagram, after reassembly's 30 s: the
+        // first group expires as it arrives.
+        r.world.run_for(SimDuration::from_secs(31));
+        let now = r.world.engine().now();
+        raw.transmit(r.world.engine_mut(), now, &mine(udp_to(fragment(10), 2000)));
+        r.world.run();
+
         let heard = r.heard() - heard;
         let (kept, lost) = ((r.kept)() - kept, r.losses() - lost);
+        let after = drops(&r);
+        let dropped = |loss: Loss| after[loss as usize] - before[loss as usize];
+        let groups = dropped(Loss::IpReassemblyTimeout) + dropped(Loss::IpReassemblyFull);
         assert!(
-            heard >= frames.len() as u64,
+            heard > frames.len() as u64,
             "{structure:?}: heard {heard} of {}",
-            frames.len()
+            frames.len() + 1
         );
         assert!(
             kept > 0 && lost > 0,
@@ -576,8 +616,22 @@ fn every_frame_a_device_hears_ends_in_one_outcome() {
         );
         assert_eq!(
             kept + lost,
-            heard,
-            "{structure:?}: {heard} frames heard, {kept} kept and {lost} lost"
+            heard + groups,
+            "{structure:?}: {heard} frames heard, {kept} kept and {lost} lost, \
+             {groups} fragment groups given up on"
         );
+        if let Structure::Plexus | Structure::Dunix = structure {
+            let named = [
+                Loss::IpReassemblyTimeout,
+                Loss::TcpBadSegment,
+                Loss::TcpNoConnection,
+            ]
+            .map(dropped);
+            assert_eq!(named, [1, 1, 2], "{structure:?}: expiry and TCP losses");
+            assert!(
+                dropped(Loss::NotLocal) > 0,
+                "{structure:?}: IP drops foreign datagrams"
+            );
+        }
     }
 }

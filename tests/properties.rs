@@ -15,7 +15,7 @@ use plexus::net::checksum::{checksum, incremental_update, verify, Checksum};
 use plexus::net::ip::{self, IpHeader, IpView, Reassembler};
 use plexus::net::mbuf::Mbuf;
 use plexus::net::tcp::{seq_le, seq_lt, Payload, Tcb, TcpFlags, TcpSegment};
-use plexus::net::udp::{self, UdpConfig};
+use plexus::net::udp::{self, Endpoint, UdpConfig};
 use plexus::net::{arp, http, icmp};
 
 // ---------------------------------------------------------------------------
