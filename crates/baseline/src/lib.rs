@@ -23,5 +23,5 @@ mod stack;
 mod tcp_socket;
 
 pub use splice::UserSplice;
-pub use stack::{BaselineStats, MonolithicStack, UdpSocket};
+pub use stack::{MonolithicStack, UdpSocket};
 pub use tcp_socket::TcpLayer;

@@ -28,37 +28,12 @@ use plexus_net::tcp::{ConnEvent, TcpConn};
 use plexus_net::testbed::Host;
 use plexus_net::udp::{self, Endpoint, UdpConfig, UdpRecv};
 use plexus_sim::nic::{DriverConfig, Nic};
-use plexus_sim::{CpuLease, Engine, Loss, Machine};
+use plexus_sim::{CpuLease, Engine, Loss, Machine, Outcome};
 
 use plexus_kernel::dispatcher::RaiseCtx;
 use plexus_kernel::vm::AddressSpace;
 
 use crate::tcp_socket::TcpLayer;
-
-/// Counters for the monolithic stack. The losses among them are read from
-/// the machine's CPU, which counts every [`Loss`] once.
-#[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
-pub struct BaselineStats {
-    /// Frames accepted by the MAC filter.
-    pub eth_rx: u64,
-    /// Frames refused by the MAC filter ([`Loss::ForeignMac`]).
-    pub eth_filtered: u64,
-    /// IP datagrams delivered up.
-    pub ip_rx: u64,
-    /// Fragments held until their datagram completes.
-    pub ip_held: u64,
-    /// IP datagrams dropped: [`Loss::IpBadHeader`] and
-    /// [`Loss::NotLocal`].
-    pub ip_dropped: u64,
-    /// Datagrams sent.
-    pub ip_tx: u64,
-    /// ICMP echoes answered.
-    pub icmp_echoes: u64,
-    /// UDP datagrams delivered to sockets.
-    pub udp_delivered: u64,
-    /// UDP datagrams dropped: no socket bound ([`Loss::UdpNoSocket`]).
-    pub udp_no_socket: u64,
-}
 
 /// The kernel's state for one machine, and the DIGITAL UNIX [`Structure`].
 /// (Public only so that the sockets naming it can be; nothing outside the
@@ -69,11 +44,6 @@ pub struct BaselineShared {
     /// Each live TCP connection, by (local port, remote address, remote
     /// port).
     pub(crate) tcp_conns: RefCell<HashMap<(u16, Ipv4Addr, u16), Rc<TcpConn>>>,
-    /// The driver glue's frames accepted and the sockets' datagrams
-    /// delivered; [`MonolithicStack::stats`] adds the interface's counts
-    /// and the CPU's losses.
-    eth_rx: Cell<u64>,
-    udp_delivered: Cell<u64>,
 }
 
 /// The monolithic stack bound to one machine + NIC.
@@ -105,8 +75,6 @@ impl MonolithicStack {
             link: Interface::new(machine.cpu(), nic, ip_addr, mac),
             udp_socks: RefCell::default(),
             tcp_conns: RefCell::default(),
-            eth_rx: Cell::new(0),
-            udp_delivered: Cell::new(0),
         });
         let tcp = TcpLayer::new(&shared);
         let stack = Rc::new(MonolithicStack {
@@ -126,7 +94,7 @@ impl MonolithicStack {
                 lease: &mut lease,
             };
             if let Some(v) = ether::accept(frame, link.mac()) {
-                s.eth_rx.set(s.eth_rx.get() + 1);
+                ctx.lease.count(Outcome::EthIn);
                 ctx.lease.charge(ctx.lease.model().eth_proc);
                 match v.ethertype() {
                     EtherType::ARP => s.arp_input(ctx, &frame[ETHER_HDR_LEN..]),
@@ -149,7 +117,7 @@ impl MonolithicStack {
         ctx.lease.charge(ctx.lease.model().softirq);
         let mut pkt = Mbuf::from_wire(frame);
         pkt.trim_front(ETHER_HDR_LEN);
-        let Some((hdr, payload)) = s.link.ip_input(ctx.lease, &pkt) else {
+        let Some((hdr, payload)) = s.ip_input(ctx, &pkt) else {
             return;
         };
         match hdr.protocol {
@@ -185,7 +153,7 @@ impl MonolithicStack {
             }
             return;
         };
-        s.udp_delivered.set(s.udp_delivered.get() + 1);
+        lease.count(Outcome::Delivered);
         lease.charge(lease.model().socket_layer + lease.model().process_wakeup);
         sock.socket.clone().in_process(ctx, move |so, ctx| {
             so.process.copyout(ctx.lease, recv.payload.total_len());
@@ -206,23 +174,6 @@ impl MonolithicStack {
     /// This host's MAC.
     pub fn mac(&self) -> MacAddr {
         self.shared.link.mac()
-    }
-
-    /// Stack counters.
-    pub fn stats(&self) -> BaselineStats {
-        let l = self.shared.link.stats();
-        let lost = |loss| self.shared.link.cpu.lost(loss);
-        BaselineStats {
-            eth_rx: self.shared.eth_rx.get(),
-            eth_filtered: lost(Loss::ForeignMac),
-            ip_rx: l.ip_rx,
-            ip_held: l.ip_held,
-            ip_dropped: lost(Loss::IpBadHeader) + lost(Loss::NotLocal),
-            ip_tx: l.ip_tx,
-            icmp_echoes: l.icmp_echoes,
-            udp_delivered: self.shared.udp_delivered.get(),
-            udp_no_socket: lost(Loss::UdpNoSocket),
-        }
     }
 
     /// The TCP socket layer.

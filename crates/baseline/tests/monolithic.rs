@@ -12,7 +12,7 @@ use plexus_net::testbed::Testbed;
 use plexus_net::udp::{DatagramTooLong, Endpoint, UdpConfig, UdpRecv};
 use plexus_sim::nic::Link;
 use plexus_sim::time::SimDuration;
-use plexus_sim::World;
+use plexus_sim::{Loss, Outcome, World};
 
 /// The monolithic stack on each of `names`, all on one `link` segment
 /// with the ARP mesh seeded.
@@ -150,7 +150,8 @@ fn icmp_echo_is_answered_in_kernel() {
     let (mut world, [client, server]) = monolithic_lan(&Link::ethernet(), ["a", "b"]);
     client.ping(world.engine_mut(), server.ip(), 1, 1, b"hello");
     world.run();
-    assert_eq!(server.stats().icmp_echoes, 1);
+    let books = server.machine().books();
+    assert_eq!(books.outcome(Outcome::Echoed), 1);
 }
 
 #[test]
@@ -295,8 +296,9 @@ fn udp_to_unbound_port_is_counted() {
         .send(world.engine_mut(), server.ip(), 4444, b"anyone there?")
         .expect("the payload fits one datagram");
     world.run();
-    assert_eq!(server.stats().udp_no_socket, 1);
-    assert_eq!(server.stats().udp_delivered, 0);
+    let books = server.machine().books();
+    assert_eq!(books.lost(Loss::UdpNoSocket), 1);
+    assert_eq!(books.outcome(Outcome::Delivered), 0);
 }
 
 #[test]

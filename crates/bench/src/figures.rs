@@ -14,6 +14,7 @@ use std::collections::BTreeSet;
 use std::rc::Rc;
 
 use plexus_sim::nic::Link;
+use plexus_sim::{Books, Machine};
 use plexus_trace::export::{chrome_trace, stats_json};
 use plexus_trace::flame::folded;
 use plexus_trace::journey::{self, journeys_json, Journeys};
@@ -88,8 +89,9 @@ pub struct Cell {
     /// envelope documents a known-bad configuration (the per-packet
     /// `overload` cell livelocks by design).
     pub slo: Slo,
-    /// Builds and runs the world with the recorder installed across it.
-    pub world: fn(&Rc<Recorder>),
+    /// Builds and runs the world with the recorder installed across it,
+    /// and hands back its machines.
+    pub world: fn(&Rc<Recorder>) -> Vec<Rc<Machine>>,
 }
 
 impl Cell {
@@ -99,16 +101,21 @@ impl Cell {
     /// flushed into the registry, so every exporter sees `trace.live.*`
     /// health.
     pub fn run(&self) -> Rc<Recorder> {
+        self.replay().0
+    }
+
+    /// [`Cell::run`], with the world's machines.
+    fn replay(&self) -> (Rc<Recorder>, Vec<Rc<Machine>>) {
         let recorder = Recorder::new(self.ring);
         let mut cfg = LiveConfig::new(self.window_ns);
         cfg.slo = Some(self.slo.clone());
         recorder.enable_live(cfg);
-        (self.world)(&recorder);
+        let machines = (self.world)(&recorder);
         // Seal the trailing windows now so `trace.live.*` counters are
         // complete in the registry; `live_report` stays idempotent for
         // callers that want the full report.
         recorder.live_report();
-        recorder
+        (recorder, machines)
     }
 
     /// Replays the cell once and folds every kind in `emit` from that one
@@ -116,7 +123,7 @@ impl Cell {
     /// most once.
     pub fn observe(&self, emit: &[&str]) -> Result<Observation, String> {
         let name = self.name;
-        let rec = self.run();
+        let (rec, machines) = self.replay();
         let profile = LazyCell::new(|| Profile::build(&rec));
         let journeys = LazyCell::new(|| journey::build(&profile));
         let timeline = LazyCell::new(|| timeline::build(&rec, self.window_ns));
@@ -159,6 +166,10 @@ impl Cell {
             overwritten: rec.overwritten(),
             files,
             breached,
+            books: machines
+                .iter()
+                .map(|m| (m.name().to_string(), m.books()))
+                .collect(),
         })
     }
 }
@@ -189,6 +200,8 @@ pub struct Observation {
     pub files: Vec<(String, String)>,
     /// `health` was requested and a sealed window breached the SLO.
     pub breached: bool,
+    /// Each machine's name and its books at the end of the run.
+    pub books: Vec<(String, Books)>,
 }
 
 /// The worst-window metrics of the `bench` kind: a transient regression
@@ -293,32 +306,35 @@ const fn slo(p99_ceiling_ns: Option<u64>, drop_ppm: u64, goodput_floor: Option<u
 }
 
 /// Figure 5's ping-pong over Ethernet, 20 rounds.
-fn ping_pong(system: System, rec: &Rc<Recorder>) {
+fn ping_pong(system: System, rec: &Rc<Recorder>) -> Vec<Rc<Machine>> {
     UdpRtt {
         recorder: Some(rec),
         ..UdpRtt::new(system, &Link::ethernet(), 8, 20)
     }
-    .run();
+    .run_on()
+    .1
 }
 
 /// UDP echo at a quarter of T3 line rate on the `rx` receive path.
-fn rx_overload(rx: RxMode, rec: &Rc<Recorder>) {
+fn rx_overload(rx: RxMode, rec: &Rc<Recorder>) -> Vec<Rc<Machine>> {
     Overload {
         recorder: Some(rec),
         ..Overload::new(Workload::UdpEcho, rx, &Link::t3(), (1, 4))
     }
-    .run();
+    .run_on()
+    .1
 }
 
 /// `workload` at `offered` × gigabit line rate on the doorbell-batched
 /// transmit path.
-fn tx_overload(workload: Workload, offered: (u64, u64), rec: &Rc<Recorder>) {
+fn tx_overload(workload: Workload, offered: (u64, u64), rec: &Rc<Recorder>) -> Vec<Rc<Machine>> {
     Overload {
         tx: TxMode::Doorbell,
         recorder: Some(rec),
         ..Overload::new(workload, RxMode::Coalesced, &Link::gigabit(), offered)
     }
-    .run();
+    .run_on()
+    .1
 }
 
 /// Every figure `plexus-bench` can regenerate, with its cells.
@@ -385,7 +401,8 @@ pub const FIGURES: &[Figure] = &[
                     recorder: Some(rec),
                     ..VideoCpu::new(VideoSystem::Spin, 15, 1)
                 }
-                .run();
+                .run_on()
+                .1
             },
         }],
     },
@@ -406,7 +423,8 @@ pub const FIGURES: &[Figure] = &[
                     recorder: Some(rec),
                     ..FwdLatency::new(FwdSystem::Plexus, &Link::ethernet(), 64, 5)
                 }
-                .run();
+                .run_on()
+                .1
             },
         }],
     },

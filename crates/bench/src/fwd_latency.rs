@@ -24,6 +24,7 @@ use plexus_kernel::vm::AddressSpace;
 use plexus_net::testbed::Testbed;
 use plexus_sim::nic::Link;
 use plexus_sim::time::SimDuration;
+use plexus_sim::Machine;
 use plexus_trace::Recorder;
 
 use crate::report::BenchReport;
@@ -76,14 +77,20 @@ impl<'a> FwdLatency<'a> {
     /// Runs the exchanges; returns the mean request/response latency in
     /// microseconds.
     pub fn run(&self) -> f64 {
+        self.run_on().0
+    }
+
+    /// [`FwdLatency::run`], handing back the machines it ran on too.
+    pub(crate) fn run_on(&self) -> (f64, Vec<Rc<Machine>>) {
         let tb = Testbed::new(self.link, 2, &["client", "fwd", "backend"]).traced(self.recorder);
+        let machines = tb.world.machines().to_vec();
         let state = PingState::new(self.rounds);
         match self.system {
             FwdSystem::Plexus => self.plexus(tb, &state, true),
             FwdSystem::Direct => self.plexus(tb, &state, false),
             FwdSystem::DunixSplice => self.splice(tb, &state),
         }
-        mean_us(&state.samples())
+        (mean_us(&state.samples()), machines)
     }
 
     /// Plexus stacks on all three hosts; with `forward` the client talks

@@ -33,7 +33,7 @@ use plexus_net::udp::UdpConfig;
 use plexus_sim::engine::Engine;
 use plexus_sim::nic::{DriverConfig, Link, Nic, NicStats};
 use plexus_sim::time::{SimDuration, SimTime};
-use plexus_sim::{Loss, World};
+use plexus_sim::{Loss, Machine, Outcome, World};
 use plexus_trace::timeline::percentile;
 use plexus_trace::Recorder;
 
@@ -298,7 +298,8 @@ fn start_generator(
 }
 
 /// Installs a raw sink on `host`'s NIC: frames addressed to it score a
-/// completion against the timestamp embedded in their payload. Charges no
+/// completion against the timestamp embedded in their payload, each
+/// [`Outcome::Delivered`] on the sink's CPU. Charges no
 /// CPU — the sink machine is not under test. With a recorder, every
 /// completion lands as an `overload.latency_ns` sample (feeding the
 /// windowed timeline). Frames for other hosts are [`Loss::NotForMe`] on
@@ -322,6 +323,7 @@ fn install_sink(host: &Host, meter: &Rc<Meter>, recorder: Option<&Rc<Recorder>>)
                 rec.sample(now_ns, hist, now_ns - sent_ns);
             }
             meter.complete(now_ns, sent_ns);
+            cpu.count(Outcome::Delivered);
         }));
 }
 
@@ -378,6 +380,11 @@ impl<'a> Overload<'a> {
     /// Runs the point. Deterministic: everything derives from the
     /// simulated clock.
     pub fn run(&self) -> LoadPoint {
+        self.run_on().0
+    }
+
+    /// [`Overload::run`], handing back the machines it ran on too.
+    pub(crate) fn run_on(&self) -> (LoadPoint, Vec<Rc<Machine>>) {
         let Overload {
             workload,
             recorder,
@@ -463,7 +470,7 @@ impl<'a> Overload<'a> {
         let dut_stats = stats_delta(dut_nic.stats(), warmup_dut.get());
         let latency_ns = meter.latency_ns.borrow().clone();
         let completed = meter.completed.get();
-        LoadPoint {
+        let point = LoadPoint {
             offered,
             sent: meter.sent.get(),
             completed,
@@ -478,7 +485,8 @@ impl<'a> Overload<'a> {
             dut_tx_frames: dut_stats.tx_frames,
             dut_tx_ring_drops: dut_stats.tx_ring_drops,
             tx_doorbells: dut_stats.tx_doorbells,
-        }
+        };
+        (point, tb.world.machines().to_vec())
     }
 }
 

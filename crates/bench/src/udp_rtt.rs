@@ -20,6 +20,7 @@ use plexus_net::udp::{Endpoint, UdpConfig, UdpRecv};
 use plexus_sim::cpu::CostModel;
 use plexus_sim::nic::DriverConfig;
 use plexus_sim::time::SimDuration;
+use plexus_sim::Machine;
 use plexus_trace::Recorder;
 
 use crate::report::BenchReport;
@@ -214,17 +215,24 @@ impl<'a> UdpRtt<'a> {
     /// Runs the ping-pong; returns the per-round round-trip times in
     /// nanoseconds ([`mean_us`] reduces them to the figure's number).
     pub fn run(&self) -> Vec<u64> {
+        self.run_on().0
+    }
+
+    /// [`UdpRtt::run`], handing back the machines it ran on too.
+    pub(crate) fn run_on(&self) -> (Vec<u64>, Vec<Rc<Machine>>) {
         let hosts = [
             ("client", self.model.clone()),
             ("server", self.model.clone()),
         ];
         let tb = Testbed::with_models(self.link, 0, &hosts).traced(self.recorder);
-        match self.system {
+        let machines = tb.world.machines().to_vec();
+        let samples = match self.system {
             System::PlexusInterrupt => self.plexus_rtt(tb, true),
             System::PlexusThread => self.plexus_rtt(tb, false),
             System::Dunix => self.dunix_rtt(tb),
             System::RawDriver => self.raw_rtt(tb),
-        }
+        };
+        (samples, machines)
     }
 
     fn plexus_rtt(&self, mut tb: Testbed, interrupt: bool) -> Vec<u64> {

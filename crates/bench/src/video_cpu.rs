@@ -15,6 +15,7 @@ use plexus_net::testbed::Testbed;
 use plexus_sim::disk::Disk;
 use plexus_sim::nic::Link;
 use plexus_sim::time::{SimDuration, SimTime};
+use plexus_sim::Machine;
 use plexus_trace::Recorder;
 
 use crate::report::BenchReport;
@@ -71,6 +72,11 @@ impl VideoCpu<'_> {
 
     /// Runs the server and returns its CPU utilization.
     pub fn run(&self) -> VideoSample {
+        self.run_on().0
+    }
+
+    /// [`VideoCpu::run`], handing back the machines it ran on too.
+    pub(crate) fn run_on(&self) -> (VideoSample, Vec<Rc<Machine>>) {
         let VideoCpu {
             streams, seconds, ..
         } = *self;
@@ -111,7 +117,7 @@ impl VideoCpu<'_> {
         let stream_bps = config.frame_bytes as f64 * 8.0 * config.fps as f64;
         let nic_stats = nic.stats();
         let attempted = nic_stats.tx_frames + nic_stats.tx_ring_drops;
-        VideoSample {
+        let sample = VideoSample {
             utilization: cpu.utilization(busy0, span),
             offered_load: stream_bps * streams as f64 / nic.profile().bits_per_sec as f64,
             delivered_fraction: if attempted == 0 {
@@ -119,7 +125,8 @@ impl VideoCpu<'_> {
             } else {
                 nic_stats.tx_frames as f64 / attempted as f64
             },
-        }
+        };
+        (sample, tb.world.machines().to_vec())
     }
 }
 

@@ -45,7 +45,9 @@ fn figure(name: &str) {
     assert_goldens(&[(figure.golden_file(), report.to_json() + "\n")]);
 }
 
-/// One replay, folded into every kind of it `results/` holds.
+/// One replay, folded into every kind of it `results/` holds; and every
+/// machine's books balance at the end of it, what reassembly still holds
+/// counted as held.
 fn cell(figure: &str, name: &str) {
     let cell = figures::cell(&format!("{figure}/{name}")).expect("a registered cell");
     let committed = |kind: &&str| results().join(artifact_file(name, kind)).is_file();
@@ -53,6 +55,9 @@ fn cell(figure: &str, name: &str) {
     let seen = cell.observe(&kinds).expect("the cell folds");
     assert_eq!(seen.overwritten, 0, "{name}: the ring wrapped");
     assert_goldens(&seen.files);
+    for (machine, books) in &seen.books {
+        assert_eq!(books.balance(), 0, "{name}: {machine}: {books}");
+    }
 }
 
 /// One test per figure in `mod figure`, one per cell in `mod scenario`,

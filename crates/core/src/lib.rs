@@ -36,7 +36,7 @@ mod types;
 mod types_tests;
 mod udp_manager;
 
-pub use router::{IpRouter, RouterStats};
+pub use router::IpRouter;
 pub use stack::{PlexusStack, StackConfig, StackStats};
 pub use tcp_manager::{TcpCallbacks, TcpConn, TcpManager};
 pub use types::{

@@ -16,7 +16,6 @@
 //! Hosts reach other subnets by configuring a gateway
 //! ([`crate::StackConfig::with_gateway`]).
 
-use std::cell::Cell;
 use std::net::Ipv4Addr;
 use std::rc::Rc;
 
@@ -28,39 +27,14 @@ use plexus_net::ip::{self, Hop, IpHeader, IpView, RouteTable};
 use plexus_net::link::{Interface, Structure};
 use plexus_net::mbuf::Mbuf;
 use plexus_sim::nic::{DriverConfig, Nic};
-use plexus_sim::{Cpu, Engine, Loss, Machine};
-
-/// Router statistics. The losses among them are read from the machine's
-/// CPU, which counts every [`Loss`] once.
-#[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
-pub struct RouterStats {
-    /// Datagrams forwarded.
-    pub forwarded: u64,
-    /// Datagrams dropped: no route to the destination
-    /// ([`Loss::NoRoute`]).
-    pub no_route: u64,
-    /// Datagrams dropped for TTL expiry ([`Loss::TtlExpired`]; Time
-    /// Exceeded sent).
-    pub ttl_expired: u64,
-    /// Datagrams re-fragmented for a smaller egress MTU.
-    pub refragmented: u64,
-    /// ICMP echo requests to the router itself, answered.
-    pub echoes: u64,
-    /// Datagrams dropped with a bad header ([`Loss::IpBadHeader`]).
-    pub bad_header: u64,
-}
+use plexus_sim::{Engine, Loss, Machine, Outcome};
 
 /// A multi-interface IP router on one machine.
 pub struct IpRouter {
-    /// The machine's processor, which every port charges and counts its
-    /// losses on.
-    cpu: Rc<Cpu>,
     /// One per port, each its own [`Structure`]: frames go straight to
     /// its NIC.
     interfaces: Vec<Rc<Interface>>,
     routes: RouteTable,
-    /// Datagrams forwarded, and of those re-fragmented.
-    forwarded: Cell<(u64, u64)>,
 }
 
 impl IpRouter {
@@ -85,10 +59,8 @@ impl IpRouter {
             })
             .collect();
         let router = Rc::new(IpRouter {
-            cpu: machine.cpu().clone(),
             interfaces: ifs,
             routes,
-            forwarded: Cell::default(),
         });
         for iface in &router.interfaces {
             let (r, port) = (router.clone(), iface.clone());
@@ -96,21 +68,6 @@ impl IpRouter {
             iface.nic.attach(DriverConfig::per_frame(rx));
         }
         router
-    }
-
-    /// Counters.
-    pub fn stats(&self) -> RouterStats {
-        let echoes = self.interfaces.iter().map(|i| i.stats().icmp_echoes);
-        let (forwarded, refragmented) = self.forwarded.get();
-        let lost = |loss| self.cpu.lost(loss);
-        RouterStats {
-            forwarded,
-            no_route: lost(Loss::NoRoute),
-            ttl_expired: lost(Loss::TtlExpired),
-            refragmented,
-            echoes: echoes.sum(),
-            bad_header: lost(Loss::IpBadHeader),
-        }
     }
 
     /// One received frame: driver costs, then ARP input (no `eth_proc`:
@@ -198,9 +155,10 @@ impl IpRouter {
         // `hdr.frag_offset`.)
         let out = &self.interfaces[out_idx];
         let egress_mtu = out.nic.profile().mtu;
-        let refragment = payload.total_len() + ip::IP_HDR_LEN > egress_mtu;
-        let (forwarded, refragmented) = self.forwarded.get();
-        (self.forwarded).set((forwarded + 1, refragmented + u64::from(refragment)));
+        ctx.lease.count(Outcome::Forwarded);
+        if payload.total_len() + ip::IP_HDR_LEN > egress_mtu {
+            ctx.lease.count(Outcome::Refragmented);
+        }
         for dgram in ip::datagrams(&hdr, &payload, egress_mtu) {
             out.output(ctx, Hop::Via(next_hop), dgram);
         }

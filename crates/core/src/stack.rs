@@ -37,11 +37,11 @@ use plexus_kernel::dispatcher::{Dispatcher, Event, EventBatch, Guard, HandlerId,
 use plexus_kernel::domain::{Domain, ExtensionSpec, LinkedExtension};
 use plexus_sim::nic::{DriverConfig, Nic};
 use plexus_sim::time::SimDuration;
-use plexus_sim::{CpuLease, Engine, Loss, Machine};
+use plexus_sim::{CpuLease, Engine, Loss, Machine, Outcome};
 
 use plexus_net::ether::{self, EtherType, Frame, MacAddr, ETHER_HDR_LEN};
 use plexus_net::ip::{self, RouteTable};
-use plexus_net::link::{Interface, LinkStats, Structure};
+use plexus_net::link::{Interface, Structure};
 use plexus_net::mbuf::Mbuf;
 use plexus_net::testbed::Host;
 
@@ -122,32 +122,33 @@ impl StackConfig {
     }
 }
 
-/// Counters the stack keeps (beyond the dispatcher's own): the driver
-/// glue's, then its [`Interface`]'s. The losses among them are read from
-/// the machine's CPU, which counts every [`Loss`] once.
+/// The stack's counters under the names they once had, now ten reads of
+/// the machine's books ([`Machine::books`]). It stays only because `perf/`
+/// compiles against it and its digest pins this `Debug` text; ROADMAP
+/// item 1, which folds `perf/` into the workspace, deletes it.
 #[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
 pub struct StackStats {
-    /// Frames delivered to `Ethernet.PacketRecv`.
+    /// Frames delivered to `Ethernet.PacketRecv` ([`Outcome::EthIn`]).
     pub eth_rx: u64,
     /// Frames dropped by the MAC filter ([`Loss::MacFilter`]).
     pub eth_filtered: u64,
-    /// Datagrams delivered to `Ip.PacketRecv`.
+    /// Datagrams delivered to `Ip.PacketRecv` ([`Outcome::IpIn`]).
     pub ip_rx: u64,
     /// IP datagrams dropped: [`Loss::IpBadHeader`] and
     /// [`Loss::NotLocal`].
     pub ip_dropped: u64,
-    /// Datagrams sent through `Ip.PacketSend`.
+    /// Datagrams sent through `Ip.PacketSend` ([`Outcome::IpOut`]).
     pub ip_tx: u64,
-    /// ICMP echo requests answered.
+    /// ICMP echo requests answered ([`Outcome::Echoed`]).
     pub icmp_echoes: u64,
-    /// ARP requests answered.
+    /// ARP requests answered ([`Outcome::ArpReplied`]).
     pub arp_replies: u64,
-    /// Sends queued waiting on ARP resolution.
+    /// Sends queued waiting on ARP resolution ([`Outcome::ArpParked`]).
     pub arp_queued: u64,
-    /// Sends dropped: no route to the destination ([`Loss::NoRoute`]).
+    /// Sends dropped: no route to the destination ([`Loss::NoRouteOut`]).
     pub no_route: u64,
-    /// ARP resolutions abandoned after retries; their parked packets were
-    /// dropped.
+    /// ARP resolutions abandoned after retries
+    /// ([`Outcome::ArpAbandoned`]).
     pub arp_failures: u64,
 }
 
@@ -221,9 +222,6 @@ pub struct StackShared {
     pub(crate) mode: DispatchMode,
     pub(crate) ext_time_limit: Option<SimDuration>,
     pub(crate) events: StackEvents,
-    /// The driver glue's count of frames accepted; [`PlexusStack::stats`]
-    /// adds the interface's and the CPU's losses.
-    eth_rx: Cell<u64>,
     ext_domain: Domain,
     /// What the extensions hold, by handler (so in install order): which
     /// handler, who, and what. Written by [`StackShared::install_held`]
@@ -402,7 +400,10 @@ impl StackShared {
     }
 
     /// One received frame, on the interrupt's lease: pay `rx_cost`, apply
-    /// the MAC filter, raise `Ethernet.PacketRecv` through `batch`. `stamp`
+    /// the MAC filter, raise `Ethernet.PacketRecv` through `batch`. A frame
+    /// no node takes is [`Loss::UnknownEthertype`]; one of another type
+    /// than IP or ARP ends at the extensions that took it
+    /// ([`Outcome::Delivered`]). `stamp`
     /// is the frame's journey when this glue must stamp the packet ID
     /// itself — in coalesced mode the NIC cannot, since
     /// only the glue knows when each frame's CPU work begins inside the
@@ -423,8 +424,8 @@ impl StackShared {
             Some(rec)
         });
         lease.charge(rx_cost);
-        if ether::accept(frame, self.link.mac()).is_some() {
-            self.eth_rx.set(self.eth_rx.get() + 1);
+        if let Some(v) = ether::accept(frame, self.link.mac()) {
+            lease.count(Outcome::EthIn);
             let mut mbuf = Mbuf::from_wire(frame);
             mbuf.pkthdr_mut().rcvif = Some(0);
             mbuf.pkthdr_mut().packet_id = lease.recorder().and_then(|r| r.current_packet());
@@ -432,6 +433,8 @@ impl StackShared {
             let outcome = batch.raise(&mut RaiseCtx { engine, lease }, &EthRecv { mbuf });
             if outcome.invoked == 0 {
                 lease.lose(Loss::UnknownEthertype);
+            } else if !matches!(v.ethertype(), EtherType::IPV4 | EtherType::ARP) {
+                lease.count(Outcome::Delivered);
             }
         } else {
             lease.lose(Loss::MacFilter);
@@ -519,7 +522,6 @@ impl PlexusStack {
             mode: config.mode,
             ext_time_limit: config.ext_time_limit,
             events,
-            eth_rx: Cell::new(0),
             ext_domain,
             held: RefCell::default(),
             releases: Cell::new(0),
@@ -633,7 +635,7 @@ impl PlexusStack {
         let ip = move |ctx: &mut RaiseCtx<'_>, ev: &EthRecv| {
             let mut pkt = ev.mbuf.share();
             pkt.trim_front(ETHER_HDR_LEN);
-            if let Some((header, payload)) = s.link.ip_input(ctx.lease, &pkt) {
+            if let Some((header, payload)) = s.ip_input(ctx, &pkt) {
                 let arg = IpRecv {
                     src: header.src,
                     dst: header.dst,
@@ -686,28 +688,23 @@ impl PlexusStack {
         &self.shared.dispatcher
     }
 
-    /// Stack counters.
+    /// [`StackStats`], read from the machine's books (ROADMAP item 1
+    /// deletes it).
     pub fn stats(&self) -> StackStats {
-        let l = self.shared.link.stats();
-        let lost = |loss| self.shared.link.cpu.lost(loss);
+        let books = self.machine.books();
+        let (n, lost) = (|o| books.outcome(o), |l| books.lost(l));
         StackStats {
-            eth_rx: self.shared.eth_rx.get(),
+            eth_rx: n(Outcome::EthIn),
             eth_filtered: lost(Loss::MacFilter),
-            ip_rx: l.ip_rx,
+            ip_rx: n(Outcome::IpIn),
             ip_dropped: lost(Loss::IpBadHeader) + lost(Loss::NotLocal),
-            ip_tx: l.ip_tx,
-            icmp_echoes: l.icmp_echoes,
-            arp_replies: l.arp_replies,
-            arp_queued: l.arp_queued,
-            no_route: lost(Loss::NoRoute),
-            arp_failures: l.arp_failures,
+            ip_tx: n(Outcome::IpOut),
+            icmp_echoes: n(Outcome::Echoed),
+            arp_replies: n(Outcome::ArpReplied),
+            arp_queued: n(Outcome::ArpParked),
+            no_route: lost(Loss::NoRouteOut),
+            arp_failures: n(Outcome::ArpAbandoned),
         }
-    }
-
-    /// The interface's own counters, with the fragments IP input holds
-    /// (`ip_held`), which [`StackStats`] does not carry.
-    pub fn link_stats(&self) -> LinkStats {
-        self.shared.link.stats()
     }
 
     /// Renders the live protocol graph — Figure 1 as the kernel actually

@@ -11,7 +11,7 @@
 //! down through `Ip.PacketSend` with the manager-stamped source, and the
 //! application is called directly, in the raiser's context.
 
-use std::cell::{Cell, RefCell};
+use std::cell::RefCell;
 use std::collections::HashMap;
 use std::net::Ipv4Addr;
 use std::rc::Rc;
@@ -22,7 +22,7 @@ use plexus_kernel::domain::LinkedExtension;
 use plexus_net::ip::{self, encapsulate as ip_encapsulate, proto, Hop, IpHeader};
 use plexus_net::link::Structure;
 use plexus_net::tcp::{ConnHost, ConnIds, Tcb, TcpSegment};
-use plexus_sim::{Engine, Loss};
+use plexus_sim::{Engine, Loss, Outcome};
 
 use crate::guards;
 use crate::stack::{Hold, StackShared};
@@ -38,7 +38,6 @@ pub struct TcpManager {
     /// Each live connection and its guarded handler.
     conns: RefCell<HashMap<ConnKey, (Rc<TcpConn>, HandlerId)>>,
     ids: ConnIds,
-    segments_in: Cell<u64>,
 }
 
 impl TcpManager {
@@ -47,7 +46,6 @@ impl TcpManager {
             shared: shared.clone(),
             conns: RefCell::new(HashMap::new()),
             ids: ConnIds::new(40_000, 1_000),
-            segments_in: Cell::new(0),
         });
 
         // The standard TCP implementation node: all TCP except ports owned
@@ -67,7 +65,6 @@ impl TcpManager {
             guards::TRANSPORT_GUARD_CYCLES,
         );
         let s = shared.clone();
-        let m = mgr.clone();
         // Scratch buffer reused across segments: parsing needs contiguous
         // bytes, and a frame that spans clusters is copied here to get them.
         let scratch = std::cell::RefCell::new(Vec::new());
@@ -92,7 +89,7 @@ impl TcpManager {
                     let len = view.payload.len();
                     view.with_payload(ev.payload.range(ev.payload.total_len() - len, len))
                 };
-                m.segments_in.set(m.segments_in.get() + 1);
+                ctx.lease.count(Outcome::TcpIn);
                 let arg = TcpRecv {
                     src: ev.src,
                     dst: ev.dst,
@@ -107,9 +104,11 @@ impl TcpManager {
         mgr
     }
 
-    /// Verified segments received by the standard implementation.
+    /// Verified segments received by the standard implementation: the
+    /// machine's [`Outcome::TcpIn`]. It stays only because `perf/` pins
+    /// it; ROADMAP item 1 deletes it.
     pub fn segments_in(&self) -> u64 {
-        self.segments_in.get()
+        self.shared.link.cpu.counted(Outcome::TcpIn)
     }
 
     /// Passive open: accept connections on `port`. `on_accept` runs for
@@ -245,7 +244,8 @@ impl TcpManager {
 
     /// Claims `ports` for a special TCP implementation: raw segments for
     /// those ports bypass the standard node and arrive at `handler`
-    /// (which implements whatever transport discipline it wants).
+    /// (which implements whatever transport discipline it wants), where
+    /// each ends ([`Outcome::Delivered`]).
     pub fn claim_special<F>(
         self: &Rc<Self>,
         ext: &LinkedExtension,
@@ -255,6 +255,19 @@ impl TcpManager {
     where
         F: Fn(&mut RaiseCtx<'_>, &IpRecv) + 'static,
     {
+        self.special(ext, ports, move |ctx, ev| {
+            handler(ctx, ev);
+            ctx.lease.count(Outcome::Delivered);
+        })
+    }
+
+    /// Installs `handler` as the node for `ports` beside the standard one.
+    fn special(
+        self: &Rc<Self>,
+        ext: &LinkedExtension,
+        ports: &[u16],
+        handler: impl Fn(&mut RaiseCtx<'_>, &IpRecv) + 'static,
+    ) -> Result<HandlerId, PlexusError> {
         if ports.is_empty() {
             return Err(PlexusError::SnoopDenied(
                 "a special TCP implementation must claim at least one port",
@@ -300,12 +313,13 @@ impl TcpManager {
         let ident = ip::Ident::starting_at(0x8000);
         // To the graph a redirector is a special implementation of one
         // port whose handler the kernel wrote.
-        self.claim_special(ext, &[port], move |ctx, ev| {
+        self.special(ext, &[port], move |ctx, ev| {
             ctx.lease.charge(ctx.lease.model().proc_call);
             // Rebuild the datagram with its original addressing and
             // hand it to the target's link address.
             let hdr = IpHeader::simple(ev.src, ev.dst, proto::TCP, ident.take());
             let dgram = ip_encapsulate(&hdr, ev.payload.share());
+            ctx.lease.count(Outcome::Forwarded);
             shared.output(ctx, Hop::Via(new_dst), dgram);
         })
     }

@@ -33,7 +33,7 @@ use plexus_net::ip::proto;
 use plexus_net::link::Structure;
 use plexus_net::mbuf::Mbuf;
 use plexus_net::udp::{self, Endpoint, UdpConfig};
-use plexus_sim::{Engine, Loss};
+use plexus_sim::{Engine, Loss, Outcome};
 
 use crate::guards;
 use crate::stack::{Hold, StackShared};
@@ -42,9 +42,9 @@ use crate::types::{AppHandler, IpRecv, PlexusError, SourcePolicy, UdpRecv};
 /// The UDP protocol manager for one stack.
 pub struct UdpManager {
     shared: Rc<StackShared>,
-    delivered: Cell<u64>,
+    /// Sends refused for a forged source: calls turned away before any
+    /// datagram was built, so no packet's fate.
     spoofs_blocked: Cell<u64>,
-    unreachable: Cell<u64>,
 }
 
 impl UdpManager {
@@ -53,9 +53,7 @@ impl UdpManager {
     pub(crate) fn install(shared: &Rc<StackShared>) -> Rc<UdpManager> {
         let mgr = Rc::new(UdpManager {
             shared: shared.clone(),
-            delivered: Cell::new(0),
             spoofs_blocked: Cell::new(0),
-            unreachable: Cell::new(0),
         });
 
         // Standard UDP node: IP payloads whose protocol is UDP and whose
@@ -75,7 +73,6 @@ impl UdpManager {
             guards::TRANSPORT_GUARD_CYCLES,
         );
         let s = shared.clone();
-        let m = mgr.clone();
         shared.install_layer(
             shared.events.ip_recv,
             Guard::verified(guard),
@@ -87,10 +84,10 @@ impl UdpManager {
                 else {
                     return;
                 };
-                m.delivered.set(m.delivered.get() + 1);
+                ctx.lease.count(Outcome::UdpIn);
                 let outcome = s.dispatcher.raise(ctx, s.events.udp_recv, &arg);
                 if outcome.invoked > 0 {
-                    return;
+                    return ctx.lease.count(Outcome::Delivered);
                 }
                 if arg.dst == Ipv4Addr::BROADCAST {
                     ctx.lease.lose(Loss::UdpNoSocket);
@@ -99,7 +96,7 @@ impl UdpManager {
                     // port unreachable (code 3), quoting the offending
                     // datagram's IP header and UDP header, as a period BSD
                     // stack would.
-                    m.unreachable.set(m.unreachable.get() + 1);
+                    ctx.lease.count(Outcome::PortUnreachable);
                     let reply = icmp::unreachable(3, &ev.header, &ev.payload);
                     ctx.lease
                         .charge(ctx.lease.model().checksum(reply.total_len()));
@@ -111,9 +108,11 @@ impl UdpManager {
         mgr
     }
 
-    /// Datagrams the standard node delivered upward.
+    /// Datagrams the standard node delivered upward: the machine's
+    /// [`Outcome::UdpIn`]. It stays only because `perf/` pins it; ROADMAP
+    /// item 1 deletes it.
     pub fn delivered(&self) -> u64 {
-        self.delivered.get()
+        self.shared.link.cpu.counted(Outcome::UdpIn)
     }
 
     /// Sends rejected for carrying a forged source (Verify policy).
@@ -121,9 +120,11 @@ impl UdpManager {
         self.spoofs_blocked.get()
     }
 
-    /// Datagrams answered with ICMP port unreachable (no endpoint bound).
+    /// Datagrams answered with ICMP port unreachable (no endpoint bound):
+    /// the machine's [`Outcome::PortUnreachable`]. It stays only because
+    /// `perf/` pins it; ROADMAP item 1 deletes it.
     pub fn unreachable_sent(&self) -> u64 {
-        self.unreachable.get()
+        self.shared.link.cpu.counted(Outcome::PortUnreachable)
     }
 
     /// Binds `port` for an application extension.
@@ -240,6 +241,7 @@ impl UdpManager {
                 let mut fixed = ev.payload.share();
                 fix_udp_checksum_for_dst(&mut fixed, old_dst, new_dst);
                 // The source is preserved: end-to-end semantics hold.
+                ctx.lease.count(Outcome::Forwarded);
                 s.send_ip(ctx, ev.src, new_dst, proto::UDP, fixed);
             });
             (Guard::verified(guard), redirector)
@@ -289,6 +291,7 @@ fn wrap_special_udp(
                 udp::receive(ctx.lease, ev.src, ev.dst, &ev.payload, csum_offload, claim)
             {
                 inner(ctx, &arg);
+                ctx.lease.count(Outcome::Delivered);
             }
         },
     )))

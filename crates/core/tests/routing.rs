@@ -12,7 +12,7 @@ use plexus_net::testbed::Testbed;
 use plexus_net::udp::{Endpoint, UdpConfig};
 use plexus_sim::nic::{Link, Medium, Nic, NicProfile};
 use plexus_sim::time::SimDuration;
-use plexus_sim::World;
+use plexus_sim::{Loss, Machine, Outcome, World};
 
 fn net1(last: u8) -> Ipv4Addr {
     Ipv4Addr::new(10, 0, 1, last)
@@ -27,7 +27,9 @@ struct Topology {
     world: World,
     host_a: Rc<PlexusStack>,
     host_b: Rc<PlexusStack>,
-    router: Rc<IpRouter>,
+    /// The router's machine, whose books the tests read.
+    router: Rc<Machine>,
+    _ip_router: Rc<IpRouter>,
     nic_a: Rc<Nic>,
 }
 
@@ -54,7 +56,7 @@ fn build(profile_a: NicProfile, profile_b: NicProfile) -> Topology {
         &nic_b,
         StackConfig::interrupt(net2(2), MacAddr::local(2)).with_gateway(net2(1)),
     );
-    let router = IpRouter::attach(
+    let ip_router = IpRouter::attach(
         &mr,
         &[
             (nic_r1, net1(1), MacAddr::local(101)),
@@ -65,7 +67,8 @@ fn build(profile_a: NicProfile, profile_b: NicProfile) -> Topology {
         world,
         host_a,
         host_b,
-        router,
+        router: mr,
+        _ip_router: ip_router,
         nic_a,
     }
 }
@@ -127,11 +130,11 @@ fn udp_crosses_the_router_and_back() {
     assert_eq!(*got.borrow(), b"over the hill");
     assert_eq!(src_seen.get(), Some(net2(2)), "source survives forwarding");
     assert_eq!(
-        t.router.stats().forwarded,
+        t.router.books().outcome(Outcome::Forwarded),
         2,
         "request + reply each forwarded"
     );
-    assert_eq!(t.router.stats().no_route, 0);
+    assert_eq!(t.router.books().lost(Loss::NoRoute), 0);
 }
 
 #[test]
@@ -170,7 +173,10 @@ fn tcp_works_across_subnets() {
     });
     t.world.run_for(SimDuration::from_secs(10));
     assert_eq!(*got.borrow(), b"routed:hello");
-    assert!(t.router.stats().forwarded >= 6, "handshake + data + acks");
+    assert!(
+        t.router.books().outcome(Outcome::Forwarded) >= 6,
+        "handshake + data + acks"
+    );
 }
 
 #[test]
@@ -179,9 +185,10 @@ fn router_answers_pings_on_both_interfaces() {
     t.host_a.ping(t.world.engine_mut(), net1(1), 1, 1, b"hi");
     t.host_b.ping(t.world.engine_mut(), net2(1), 1, 1, b"hi");
     t.world.run();
-    assert_eq!(t.router.stats().echoes, 2);
-    assert!(t.host_a.stats().ip_rx >= 1, "reply reached host-a");
-    assert!(t.host_b.stats().ip_rx >= 1, "reply reached host-b");
+    assert_eq!(t.router.books().outcome(Outcome::Echoed), 2);
+    let ip_in = |host: &PlexusStack| host.machine().books().outcome(Outcome::IpIn);
+    assert!(ip_in(&t.host_a) >= 1, "reply reached host-a");
+    assert!(ip_in(&t.host_b) >= 1, "reply reached host-b");
 }
 
 #[test]
@@ -219,7 +226,7 @@ fn large_datagrams_refragment_for_a_smaller_egress_mtu() {
     aep.send(t.world.engine_mut(), net2(2), 7, &data).unwrap();
     t.world.run();
     assert_eq!(*got.borrow(), data, "payload reassembled at the far host");
-    assert!(t.router.stats().refragmented >= 1);
+    assert!(t.router.books().outcome(Outcome::Refragmented) >= 1);
 }
 
 #[test]
@@ -264,8 +271,12 @@ fn ttl_expiry_generates_time_exceeded() {
     t.nic_a.transmit(t.world.engine_mut(), at, &dgram);
     t.world.run();
 
-    assert_eq!(t.router.stats().ttl_expired, 1);
-    assert_eq!(t.router.stats().forwarded, 0, "nothing was forwarded");
+    assert_eq!(t.router.books().lost(Loss::TtlExpired), 1);
+    assert_eq!(
+        t.router.books().outcome(Outcome::Forwarded),
+        0,
+        "nothing was forwarded"
+    );
 }
 
 #[test]
@@ -289,7 +300,7 @@ fn off_subnet_without_gateway_is_counted_as_no_route() {
     ep.send(world.engine_mut(), net2(9), 7, b"nowhere to go")
         .unwrap();
     world.run();
-    assert_eq!(sa.stats().no_route, 1);
+    assert_eq!(sa.machine().books().lost(Loss::NoRouteOut), 1);
 }
 
 /// [`build`]'s topology with segment 2 exposed for fault injection, host-a
@@ -301,7 +312,8 @@ struct ColdFarSide {
     host_b: Rc<PlexusStack>,
     send: Rc<plexus_core::UdpEndpoint>,
     got: Rc<RefCell<Vec<Vec<u8>>>>,
-    router: Rc<IpRouter>,
+    router: Rc<Machine>,
+    _ip_router: Rc<IpRouter>,
 }
 
 fn cold_far_side() -> ColdFarSide {
@@ -322,7 +334,7 @@ fn cold_far_side() -> ColdFarSide {
         &nic_b,
         StackConfig::interrupt(net2(2), MacAddr::local(2)).with_gateway(net2(1)),
     );
-    let router = IpRouter::attach(
+    let ip_router = IpRouter::attach(
         &mr,
         &[
             (nic_r1, net1(1), MacAddr::local(101)),
@@ -355,7 +367,8 @@ fn cold_far_side() -> ColdFarSide {
         host_b,
         send,
         got,
-        router,
+        router: mr,
+        _ip_router: ip_router,
     }
 }
 
@@ -384,7 +397,7 @@ fn a_lost_arp_reply_does_not_strand_the_routers_queue() {
         vec![b"second".to_vec()],
         "asked again: the stale datagram dropped, the fresh one forwarded"
     );
-    assert_eq!(t.router.stats().forwarded, 2);
+    assert_eq!(t.router.books().outcome(Outcome::Forwarded), 2);
 }
 
 #[test]
@@ -409,7 +422,7 @@ fn the_routers_arp_queue_is_bounded() {
     t.world.run();
     let want: Vec<Vec<u8>> = (0..MAX_PARKED_PER_HOP).map(|k| vec![k as u8]).collect();
     assert_eq!(*t.got.borrow(), want);
-    assert_eq!(t.router.stats().echoes, 1);
+    assert_eq!(t.router.books().outcome(Outcome::Echoed), 1);
 }
 
 #[test]
@@ -437,7 +450,7 @@ fn a_header_longer_than_its_datagram_is_a_bad_header() {
     let at = t.world.engine().now();
     t.nic_a.transmit(t.world.engine_mut(), at, &frame[..]);
     t.world.run();
-    assert_eq!(t.router.stats().bad_header, 1);
+    assert_eq!(t.router.books().lost(Loss::IpBadHeader), 1);
 }
 
 #[test]
@@ -479,12 +492,10 @@ fn the_routers_losses_are_named_as_the_hosts_name_theirs() {
         t.nic_a.transmit(t.world.engine_mut(), at, &frame);
         t.world.run();
     }
-    let stats = t.router.stats();
-    assert_eq!(
-        (stats.no_route, stats.ttl_expired, stats.bad_header),
-        (1, 1, 1)
-    );
-    assert_eq!(stats.forwarded, 0);
+    let books = t.router.books();
+    let lost = [Loss::NoRoute, Loss::TtlExpired, Loss::IpBadHeader].map(|l| books.lost(l));
+    assert_eq!(lost, [1, 1, 1]);
+    assert_eq!(books.outcome(Outcome::Forwarded), 0);
     for reason in ["no_route", "ttl_expired", "ip_bad_header"] {
         let key = CounterKey {
             scope: Scope::Drop,

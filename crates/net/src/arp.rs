@@ -216,7 +216,6 @@ pub struct ArpCache {
     pending: HashMap<Ipv4Addr, Pending>,
     /// Datagrams parked over all of `pending`.
     parked: usize,
-    refused: u64,
     /// Parked datagrams dropped by expiry that the interface has not yet
     /// counted ([`ArpCache::take_expired`]).
     expired: usize,
@@ -233,7 +232,6 @@ impl ArpCache {
             entries: HashMap::new(),
             pending: HashMap::new(),
             parked: 0,
-            refused: 0,
             expired: 0,
             ttl_ns: 20 * 60 * 1_000_000_000,
         }
@@ -257,7 +255,6 @@ impl ArpCache {
         self.expire_pending(now_ns);
         let held = self.pending.get(&hop).map_or(0, |p| p.parked.len());
         if held >= MAX_PARKED_PER_HOP || self.parked >= MAX_PARKED {
-            self.refused += 1;
             return Resolve::Refused;
         }
         self.parked += 1;
@@ -347,12 +344,6 @@ impl ArpCache {
     #[cfg(test)]
     pub(crate) fn parked(&self) -> usize {
         self.parked
-    }
-
-    /// Datagrams refused because the parked queue was full.
-    #[cfg(test)]
-    pub(crate) fn refused(&self) -> u64 {
-        self.refused
     }
 
     /// Parked datagrams dropped, since the last call, because their
@@ -537,7 +528,7 @@ mod tests {
             cache.resolve(ip(9), 0, dgram(0xFF)),
             Resolve::Refused
         ));
-        assert_eq!((cache.parked(), cache.refused()), (MAX_PARKED_PER_HOP, 1));
+        assert_eq!(cache.parked(), MAX_PARKED_PER_HOP);
         // Other hops still park, until the total is reached.
         let mut hop = 10;
         while cache.parked() < MAX_PARKED {
@@ -551,7 +542,6 @@ mod tests {
             cache.resolve(ip(hop), 0, dgram(hop)),
             Resolve::Refused
         ));
-        assert_eq!(cache.refused(), 2);
         assert_eq!(cache.asked_at(ip(hop)), None, "a refused hop is not asked");
         // The answer releases exactly what was accepted, and frees the room.
         let released = cache.learn(ip(9), MacAddr::local(9), 1);

@@ -12,6 +12,7 @@ use std::collections::VecDeque;
 use std::net::Ipv4Addr;
 
 use plexus_kernel::view::{be16, be32, put_be16, WireView};
+use plexus_sim::Loss;
 
 use crate::checksum::checksum;
 use crate::mbuf::Mbuf;
@@ -290,8 +291,7 @@ pub const MAX_FRAG_GROUPS: usize = 64;
 pub const MAX_FRAG_BYTES: usize = 256 * 1024;
 
 /// Why [`Reassembler::input`] delivered nothing for one received datagram;
-/// [`crate::link::Interface::ip_input`] maps it to a counter and a drop
-/// reason.
+/// [`crate::link::Structure::ip_input`] maps it to an outcome or a loss.
 #[derive(Debug, PartialEq, Eq)]
 pub(crate) enum Undelivered {
     /// Valid, but addressed to someone else.
@@ -312,8 +312,6 @@ pub struct Reassembler {
     groups: VecDeque<FragGroup>,
     /// Lifetime of an incomplete group, in nanoseconds (default 30 s).
     pub timeout_ns: u64,
-    expired: u64,
-    evicted: u64,
     /// Payload bytes held across all groups.
     held: usize,
 }
@@ -330,8 +328,6 @@ impl Reassembler {
         Reassembler {
             groups: VecDeque::new(),
             timeout_ns: 30_000_000_000,
-            expired: 0,
-            evicted: 0,
             held: 0,
         }
     }
@@ -341,23 +337,20 @@ impl Reassembler {
         self.groups.len()
     }
 
-    /// Groups dropped by expiry so far.
-    pub fn expired(&self) -> u64 {
-        self.expired
+    /// When the group held longest expires, in nanoseconds, if any is
+    /// held.
+    pub(crate) fn deadline(&self) -> Option<u64> {
+        let oldest = self.groups.front()?;
+        Some(oldest.born_ns.saturating_add(self.timeout_ns))
     }
 
-    /// Groups dropped to stay under [`MAX_FRAG_GROUPS`] and
-    /// [`MAX_FRAG_BYTES`] so far. [`crate::link::Interface::ip_input`]
-    /// reads it around reassembly to name the drop (`ip_reassembly_full`).
-    pub fn evicted(&self) -> u64 {
-        self.evicted
-    }
-
-    /// Drops the group that has been held longest.
-    fn evict_oldest(&mut self) {
+    /// Drops the group that has been held longest, to stay under
+    /// [`MAX_FRAG_GROUPS`] and [`MAX_FRAG_BYTES`]: one
+    /// [`Loss::IpReassemblyFull`].
+    fn evict_oldest(&mut self, lose: &mut impl FnMut(Loss)) {
         if let Some(group) = self.groups.pop_front() {
             self.held -= group.bytes();
-            self.evicted += 1;
+            lose(Loss::IpReassemblyFull);
         }
     }
 
@@ -366,12 +359,18 @@ impl Reassembler {
     /// at which point the reassembled `(header, payload)` is returned.
     #[inline]
     pub fn offer(&mut self, dgram: &Mbuf, now_ns: u64) -> Option<(IpHeader, Mbuf)> {
-        self.take(dgram, now_ns).ok()
+        self.take(dgram, now_ns, &mut |_| {}).ok()
     }
 
     /// [`Reassembler::offer`], saying why nothing came out: a runt, a bad
-    /// header, or a fragment now held.
-    fn take(&mut self, dgram: &Mbuf, now_ns: u64) -> Result<(IpHeader, Mbuf), Undelivered> {
+    /// header, or a fragment now held; and telling `lose` of each group it
+    /// gives up on.
+    fn take(
+        &mut self,
+        dgram: &Mbuf,
+        now_ns: u64,
+        lose: &mut impl FnMut(Loss),
+    ) -> Result<(IpHeader, Mbuf), Undelivered> {
         // Only the header is inspected up front: peek at most the largest
         // legal IP header into a stack buffer instead of flattening the
         // datagram (the receive path offers every packet, so this runs
@@ -405,7 +404,9 @@ impl Reassembler {
         }
         // Stale groups go before this fragment can join one, so a reused
         // ident never splices into a datagram abandoned long ago.
-        self.expire(now_ns);
+        for _ in 0..self.expire(now_ns) {
+            lose(Loss::IpReassemblyTimeout);
+        }
         let key = FragKey {
             src: hdr.src,
             dst: hdr.dst,
@@ -423,7 +424,7 @@ impl Reassembler {
             && (self.held + data_len > MAX_FRAG_BYTES
                 || (at.is_none() && self.groups.len() >= MAX_FRAG_GROUPS))
         {
-            self.evict_oldest();
+            self.evict_oldest(lose);
             at = at.and_then(|i| i.checked_sub(1));
         }
         let at = at.unwrap_or_else(|| {
@@ -467,16 +468,17 @@ impl Reassembler {
         Ok((hdr, Mbuf::from_payload(0, &data)))
     }
 
-    /// The receive side of IP for a host: [`Reassembler::offer`], then the
-    /// local-address check (`is_local` is asked about a whole datagram's
-    /// destination).
+    /// The receive side of IP for a host: [`Reassembler::offer`], telling
+    /// `lose` of each group given up on, then the local-address check
+    /// (`is_local` is asked about a whole datagram's destination).
     pub(crate) fn input(
         &mut self,
         dgram: &Mbuf,
         now_ns: u64,
         is_local: impl FnOnce(Ipv4Addr) -> bool,
+        mut lose: impl FnMut(Loss),
     ) -> Result<(IpHeader, Mbuf), Undelivered> {
-        let (hdr, payload) = self.take(dgram, now_ns)?;
+        let (hdr, payload) = self.take(dgram, now_ns, &mut lose)?;
         let local = is_local(hdr.dst);
         local.then_some((hdr, payload)).ok_or(Undelivered::NotLocal)
     }
@@ -494,9 +496,7 @@ impl Reassembler {
             }
             live
         });
-        let dropped = before - self.groups.len();
-        self.expired += dropped as u64;
-        dropped
+        before - self.groups.len()
     }
 }
 
@@ -736,7 +736,6 @@ mod tests {
         assert_eq!(r.expire(2_000), 0, "too early to expire");
         assert_eq!(r.expire(40_000_000_000), 1);
         assert_eq!(r.pending(), 0);
-        assert_eq!(r.expired(), 1);
     }
 
     #[test]
@@ -808,9 +807,10 @@ mod tests {
     fn input_names_its_verdicts() {
         let mut r = Reassembler::new();
         let mine = |dst| dst == addr(2);
+        let lose = |loss| panic!("nothing is given up, but {loss:?}");
         let hdr = IpHeader::simple(addr(1), addr(2), proto::UDP, 1);
         let whole = encapsulate(&hdr, Mbuf::from_payload(64, b"hello"));
-        match r.input(&whole, 0, mine) {
+        match r.input(&whole, 0, mine, lose) {
             Ok((h, p)) => {
                 assert_eq!((h.src, h.dst), (addr(1), addr(2)));
                 assert_eq!(p.to_vec(), b"hello");
@@ -818,31 +818,35 @@ mod tests {
             other => panic!("expected delivery, got {other:?}"),
         }
         assert_eq!(
-            r.input(&whole, 0, |_| false).err(),
+            r.input(&whole, 0, |_| false, lose).err(),
             Some(Undelivered::NotLocal)
         );
         let mut corrupt = whole.share();
         corrupt.write_at(8, &[0]); // TTL no longer matches the checksum.
         assert_eq!(
-            r.input(&corrupt, 0, mine).err(),
+            r.input(&corrupt, 0, mine, lose).err(),
             Some(Undelivered::BadHeader)
         );
         let runt = Mbuf::from_payload(0, &[0x45; IP_HDR_LEN - 1]);
-        assert_eq!(r.input(&runt, 0, mine).err(), Some(Undelivered::BadHeader));
+        assert_eq!(
+            r.input(&runt, 0, mine, lose).err(),
+            Some(Undelivered::BadHeader)
+        );
         // Fragments are held, then the completing one delivers the whole;
         // the local check sees only the reassembled datagram.
         let data = vec![7u8; 3000];
         let frags = fragment(&hdr, &Mbuf::from_payload(0, &data), 1500);
         let mut asked = 0;
         for f in &frags[..frags.len() - 1] {
-            let v = r.input(f, 0, |_| {
+            let local = |_| {
                 asked += 1;
                 true
-            });
+            };
+            let v = r.input(f, 0, local, lose);
             assert_eq!(v.err(), Some(Undelivered::Held));
         }
         assert_eq!(asked, 0);
-        match r.input(&frags[frags.len() - 1], 0, mine) {
+        match r.input(&frags[frags.len() - 1], 0, mine, lose) {
             Ok((_, p)) => assert_eq!(p.to_vec(), data),
             other => panic!("expected the reassembled datagram, got {other:?}"),
         }
@@ -858,10 +862,12 @@ mod tests {
         let mut r = Reassembler::new();
         assert!(r.offer(&old[0], 0).is_none());
         let later = 31_000_000_000;
+        let mut lost = Vec::new();
         for f in &new[1..] {
-            assert!(r.offer(f, later).is_none(), "the old head is gone");
+            let held = r.take(f, later, &mut |loss| lost.push(loss));
+            assert_eq!(held.err(), Some(Undelivered::Held), "the old head is gone");
         }
-        assert_eq!((r.pending(), r.expired()), (1, 1));
+        assert_eq!((r.pending(), lost), (1, vec![Loss::IpReassemblyTimeout]));
         let (_, payload) = r.offer(&new[0], later).expect("now complete");
         assert_eq!(payload.to_vec(), vec![0xBB; 3000]);
     }
@@ -879,20 +885,28 @@ mod tests {
     #[test]
     fn what_a_reassembler_holds_is_bounded() {
         let mut r = Reassembler::new();
+        let evicted = Cell::new(0);
+        let held = |r: &mut Reassembler, m: Mbuf| {
+            let count = &mut |loss| {
+                assert_eq!(loss, Loss::IpReassemblyFull);
+                evicted.set(evicted.get() + 1);
+            };
+            r.take(&m, 0, count).err() == Some(Undelivered::Held)
+        };
         // A duplicate, or a piece inside what is held, adds nothing.
         for _ in 0..100 {
-            assert!(r.offer(&piece(1, 0, true, &[1; 800]), 0).is_none());
-            assert!(r.offer(&piece(1, 80, true, &[1; 80]), 0).is_none());
+            assert!(held(&mut r, piece(1, 0, true, &[1; 800])));
+            assert!(held(&mut r, piece(1, 80, true, &[1; 80])));
         }
-        assert_eq!((r.pending(), r.held, r.evicted()), (1, 800, 0));
+        assert_eq!((r.pending(), r.held, evicted.get()), (1, 800, 0));
         // One group too many evicts the oldest, which was ident 1's.
         for ident in 2..=MAX_FRAG_GROUPS as u16 + 1 {
-            assert!(r.offer(&piece(ident, 0, true, &[2; 8]), 0).is_none());
+            assert!(held(&mut r, piece(ident, 0, true, &[2; 8])));
         }
-        assert_eq!((r.pending(), r.evicted()), (MAX_FRAG_GROUPS, 1));
+        assert_eq!((r.pending(), evicted.get()), (MAX_FRAG_GROUPS, 1));
         assert_eq!(r.held, 8 * MAX_FRAG_GROUPS);
-        assert!(r.offer(&piece(1, 800, false, &[1; 8]), 0).is_none());
-        assert_eq!(r.evicted(), 2, "ident 1 started over, without its head");
+        assert!(held(&mut r, piece(1, 800, false, &[1; 8])));
+        assert_eq!(evicted.get(), 2, "ident 1 started over, without its head");
         // Bytes are capped across groups, oldest out first; the newest
         // group is whole once its tail arrives.
         let big = vec![3u8; 60_000];

@@ -15,9 +15,10 @@ use std::net::Ipv4Addr;
 use std::rc::Rc;
 
 use plexus_kernel::dispatcher::RaiseCtx;
+use plexus_sim::engine::TimerHandle;
 use plexus_sim::nic::Nic;
-use plexus_sim::time::SimDuration;
-use plexus_sim::{Cpu, CpuLease, Engine, Loss};
+use plexus_sim::time::{SimDuration, SimTime};
+use plexus_sim::{Cpu, CpuLease, Engine, Loss, Outcome};
 
 use crate::arp::{ArpCache, Resolve};
 use crate::ether::{self, EtherType, Frame, MacAddr, ETHER_HDR_LEN};
@@ -25,28 +26,6 @@ use crate::icmp::{self, IcmpMessage};
 use crate::ip::{self, Hop, IpHeader, Reassembler, RouteTable, Undelivered};
 use crate::mbuf::Mbuf;
 use crate::tcp::{ConnEvent, TcpConn};
-
-/// What an [`Interface`] counts: the link and IP layers' share of a
-/// stack's counters. What they lose is counted by reason on the CPU
-/// ([`plexus_sim::Cpu::lost`]).
-#[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
-pub struct LinkStats {
-    /// Datagrams delivered up from IP input.
-    pub ip_rx: u64,
-    /// Fragments IP input holds until their datagram completes.
-    pub ip_held: u64,
-    /// Datagrams through IP output.
-    pub ip_tx: u64,
-    /// ICMP echo requests answered.
-    pub icmp_echoes: u64,
-    /// ARP requests answered.
-    pub arp_replies: u64,
-    /// Datagrams parked waiting on ARP resolution.
-    pub arp_queued: u64,
-    /// ARP resolutions abandoned after their re-asks; what they parked was
-    /// dropped.
-    pub arp_failures: u64,
-}
 
 /// How long an unanswered who-has waits before it is asked again.
 const ASK_INTERVAL: SimDuration = SimDuration::from_secs(1);
@@ -69,7 +48,8 @@ pub struct Interface {
     routes: RefCell<RouteTable>,
     /// Further local addresses (a DSR redirection target's VIP, §5.2).
     aliases: RefCell<Vec<Ipv4Addr>>,
-    stats: Cell<LinkStats>,
+    /// Reassembly's slow timer, armed while a fragment group is held.
+    slow_timer: Cell<Option<TimerHandle>>,
 }
 
 impl Interface {
@@ -86,7 +66,7 @@ impl Interface {
             reasm: RefCell::new(Reassembler::new()),
             routes: RefCell::new(RouteTable::host(ip, 24)),
             aliases: RefCell::default(),
-            stats: Cell::default(),
+            slow_timer: Cell::new(None),
         }
     }
 
@@ -98,17 +78,6 @@ impl Interface {
     /// This attachment's MAC.
     pub fn mac(&self) -> MacAddr {
         self.mac
-    }
-
-    /// Counters.
-    pub fn stats(&self) -> LinkStats {
-        self.stats.get()
-    }
-
-    fn bump(&self, f: impl FnOnce(&mut LinkStats)) {
-        let mut s = self.stats.get();
-        f(&mut s);
-        self.stats.set(s);
     }
 
     /// Pre-seeds the ARP cache with `ip` at `mac` (what a testbed host's
@@ -142,8 +111,8 @@ impl Interface {
     /// driver's submission charge (full per frame, or amortized under an
     /// open doorbell — [`Nic::tx_cpu_charge`] decides), and the mbuf chain
     /// handed to the adapter for the scatter-gather DMA. Inlined, as are
-    /// `ip_input` and the generic provided methods: every frame runs them,
-    /// from a stack compiled in another crate.
+    /// the generic provided methods: every frame runs them, from a stack
+    /// compiled in another crate.
     #[inline]
     pub fn transmit(&self, ctx: &mut RaiseCtx<'_>, frame: &Frame) {
         ctx.lease.charge(ctx.lease.model().eth_proc);
@@ -154,40 +123,6 @@ impl Interface {
         ctx.lease.charge(submit);
         let ready = ctx.lease.now();
         self.nic.transmit(ctx.engine, ready, &wire);
-    }
-
-    /// Host IP input for `dgram` (the frame past its link header): `ip_proc`,
-    /// reassembly, the local-address check. Returns a whole datagram for
-    /// this host; names every loss ([`Loss::IpBadHeader`],
-    /// [`Loss::NotLocal`], and one [`Loss::IpReassemblyTimeout`] or
-    /// [`Loss::IpReassemblyFull`] per fragment group reassembly gives up
-    /// on). A held fragment is no loss.
-    #[inline]
-    pub fn ip_input(&self, lease: &mut CpuLease, dgram: &Mbuf) -> Option<(IpHeader, Mbuf)> {
-        lease.charge(lease.model().ip_proc);
-        let now = lease.now().as_nanos();
-        let mut reasm = self.reasm.borrow_mut();
-        let (expired, evicted) = (reasm.expired(), reasm.evicted());
-        let verdict = reasm.input(dgram, now, |dst| {
-            dst == self.ip || dst == Ipv4Addr::BROADCAST || self.aliases.borrow().contains(&dst)
-        });
-        for _ in expired..reasm.expired() {
-            lease.lose(Loss::IpReassemblyTimeout);
-        }
-        for _ in evicted..reasm.evicted() {
-            lease.lose(Loss::IpReassemblyFull);
-        }
-        drop(reasm);
-        match verdict {
-            Ok(whole) => {
-                self.bump(|s| s.ip_rx += 1);
-                return Some(whole);
-            }
-            Err(Undelivered::Held) => self.bump(|s| s.ip_held += 1),
-            Err(Undelivered::NotLocal) => lease.lose(Loss::NotLocal),
-            Err(Undelivered::BadHeader) => lease.lose(Loss::IpBadHeader),
-        }
-        None
     }
 }
 
@@ -250,8 +185,38 @@ pub trait Structure: Sized + 'static {
         conn.upcall(ctx, ev);
     }
 
+    /// Host IP input for `dgram` (the frame past its link header): `ip_proc`,
+    /// reassembly, the local-address check. Returns a whole datagram for
+    /// this host ([`Outcome::IpIn`]); a held fragment is
+    /// [`Outcome::Held`]; names every loss ([`Loss::IpBadHeader`],
+    /// [`Loss::NotLocal`], and one [`Loss::IpReassemblyTimeout`] or
+    /// [`Loss::IpReassemblyFull`] per fragment group reassembly gives up
+    /// on), and keeps reassembly's slow timer armed while a group is held.
+    #[inline]
+    fn ip_input(self: &Rc<Self>, ctx: &mut RaiseCtx<'_>, dgram: &Mbuf) -> Option<(IpHeader, Mbuf)> {
+        let (link, lease) = (self.link(), &mut *ctx.lease);
+        lease.charge(lease.model().ip_proc);
+        let now = lease.now().as_nanos();
+        let is_local = |dst| {
+            dst == link.ip || dst == Ipv4Addr::BROADCAST || link.aliases.borrow().contains(&dst)
+        };
+        let lose = |loss| lease.lose(loss);
+        let verdict = link.reasm.borrow_mut().input(dgram, now, is_local, lose);
+        slow_timer(self, ctx.engine);
+        match verdict {
+            Ok(whole) => {
+                lease.count(Outcome::IpIn);
+                return Some(whole);
+            }
+            Err(Undelivered::Held) => lease.count(Outcome::Held),
+            Err(Undelivered::NotLocal) => lease.lose(Loss::NotLocal),
+            Err(Undelivered::BadHeader) => lease.lose(Loss::IpBadHeader),
+        }
+        None
+    }
+
     /// Host IP output: `ip_proc`, the header, the next hop (or
-    /// [`Loss::NoRoute`]), and the whole datagram or its fragments, each
+    /// [`Loss::NoRouteOut`]), and the whole datagram or its fragments, each
     /// through [`Structure::output`].
     fn ip_output(
         self: &Rc<Self>,
@@ -263,10 +228,10 @@ pub trait Structure: Sized + 'static {
     ) {
         let link = self.link();
         ctx.lease.charge(ctx.lease.model().ip_proc);
-        link.bump(|s| s.ip_tx += 1);
+        ctx.lease.count(Outcome::IpOut);
         let hdr = IpHeader::simple(src, dst, protocol, link.ident.take());
         let Some(hop) = link.routes.borrow().hop(dst) else {
-            return ctx.lease.lose(Loss::NoRoute);
+            return ctx.lease.lose(Loss::NoRouteOut);
         };
         for dgram in ip::datagrams(&hdr, payload, link.nic.profile().mtu) {
             self.output(ctx, hop, dgram);
@@ -299,41 +264,49 @@ pub trait Structure: Sized + 'static {
         match resolved {
             Resolve::Send(_) => {}
             Resolve::ParkedAsk(_) => {
-                link.bump(|s| s.arp_queued += 1);
+                ctx.lease.count(Outcome::ArpParked);
                 ask_again(self.clone(), ctx.engine, hop, now, 1);
             }
-            Resolve::ParkedQuiet => link.bump(|s| s.arp_queued += 1),
+            Resolve::ParkedQuiet => ctx.lease.count(Outcome::ArpParked),
             Resolve::Refused => ctx.lease.lose(Loss::ArpQueueFull),
         }
     }
 
     /// ARP input for `bytes` (past the link header): learn the sender,
-    /// send what was parked on it, then the reply to a who-has for us.
+    /// send what was parked on it, then the reply to a who-has for us
+    /// ([`Outcome::ArpReplied`]; [`Outcome::Absorbed`] when there is none
+    /// to send, [`Loss::ArpBadPacket`] when the packet does not parse).
     fn arp_input(&self, ctx: &mut RaiseCtx<'_>, bytes: &[u8]) {
         let link = self.link();
         let now = ctx.lease.now().as_nanos();
         let input = link.arp.borrow_mut().input(bytes, now);
         link.count_expired(ctx.lease);
         let Some(input) = input else {
-            return;
+            return ctx.lease.lose(Loss::ArpBadPacket);
         };
-        if input.reply.is_some() {
-            link.bump(|s| s.arp_replies += 1);
-        }
+        ctx.lease.count(match input.reply {
+            Some(_) => Outcome::ArpReplied,
+            None => Outcome::Absorbed,
+        });
         for frame in input.frames() {
             self.send_frame(ctx, &frame);
         }
     }
 
     /// The echo responder for an ICMP message `request` from `from`: a
-    /// valid echo request is answered, `checksum(reply)` charged, through
-    /// [`Structure::send_ip`].
+    /// valid echo request is answered ([`Outcome::Echoed`]),
+    /// `checksum(reply)` charged, through [`Structure::send_ip`]. Any other
+    /// valid message is [`Outcome::Absorbed`], one that does not parse
+    /// [`Loss::IcmpBadMessage`].
     fn echo(self: &Rc<Self>, ctx: &mut RaiseCtx<'_>, from: Ipv4Addr, request: &[u8]) {
         let Some(reply) = icmp::echo_response(request) else {
-            return;
+            return match IcmpMessage::parse(request) {
+                Some(_) => ctx.lease.count(Outcome::Absorbed),
+                None => ctx.lease.lose(Loss::IcmpBadMessage),
+            };
         };
         let link = self.link();
-        link.bump(|s| s.icmp_echoes += 1);
+        ctx.lease.count(Outcome::Echoed);
         let sum = ctx.lease.model().checksum(reply.total_len());
         ctx.lease.charge(sum);
         self.send_ip(ctx, link.ip(), from, ip::proto::ICMP, reply);
@@ -383,7 +356,7 @@ fn ask_again<S: Structure>(host: Rc<S>, engine: &mut Engine, hop: Ipv4Addr, at: 
         }
         if n >= ASKS {
             let dropped = link.arp.borrow_mut().abandon(hop);
-            link.bump(|s| s.arp_failures += 1);
+            link.cpu.count(Outcome::ArpAbandoned);
             for _ in 0..dropped {
                 link.cpu.lose(eng.now(), Loss::ResolutionFailed);
             }
@@ -397,4 +370,33 @@ fn ask_again<S: Structure>(host: Rc<S>, engine: &mut Engine, hop: Ipv4Addr, at: 
         host.send_frame(ctx, &request);
         ask_again(host.clone(), ctx.engine, hop, at, n + 1);
     });
+}
+
+/// BSD's `ip_slowtimo` for one interface: armed at the oldest fragment
+/// group's deadline while reassembly holds any, cancelled once it holds
+/// none. When it fires it charges no CPU time, drops each group past its
+/// deadline as one [`Loss::IpReassemblyTimeout`], and arms again.
+fn slow_timer<S: Structure>(host: &Rc<S>, engine: &mut Engine) {
+    let link = host.link();
+    let deadline = link.reasm.borrow().deadline();
+    match (deadline, link.slow_timer.get()) {
+        (Some(at), None) => {
+            let h = host.clone();
+            let delay = SimTime::from_nanos(at).saturating_since(engine.now());
+            let timer = engine.schedule_cancelable(delay, move |eng| {
+                let (link, now) = (h.link(), eng.now());
+                link.slow_timer.set(None);
+                for _ in 0..link.reasm.borrow_mut().expire(now.as_nanos()) {
+                    link.cpu.lose(now, Loss::IpReassemblyTimeout);
+                }
+                slow_timer(&h, eng);
+            });
+            link.slow_timer.set(Some(timer));
+        }
+        (None, Some(timer)) => {
+            engine.cancel(timer);
+            link.slow_timer.set(None);
+        }
+        _ => {}
+    }
 }

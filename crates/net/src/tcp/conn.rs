@@ -11,7 +11,7 @@ use std::rc::Rc;
 use plexus_kernel::dispatcher::RaiseCtx;
 use plexus_sim::engine::TimerHandle;
 use plexus_sim::time::SimDuration;
-use plexus_sim::{Cpu, CpuLease, Engine, Loss};
+use plexus_sim::{Cpu, CpuLease, Engine, Loss, Outcome};
 
 use super::{Actions, Payload, Tcb, TcpSegment, TcpState, TCP_HDR_LEN};
 use crate::ip::proto;
@@ -251,7 +251,8 @@ impl TcpConn {
     }
 
     /// Runs a segment from `src` addressed to this connection through the
-    /// state machine.
+    /// state machine: the segment's walk ends here, [`Outcome::Delivered`]
+    /// unless it falls outside the window ([`Loss::TcpOutOfWindow`]).
     pub fn input<P: Payload>(
         self: &Rc<Self>,
         ctx: &mut RaiseCtx<'_>,
@@ -262,6 +263,9 @@ impl TcpConn {
             .tcb
             .borrow_mut()
             .on_segment(seg, (src, seg.src_port), now_ns(ctx));
+        if !actions.out_of_window {
+            ctx.lease.count(Outcome::Delivered);
+        }
         self.apply(ctx, actions);
     }
 

@@ -17,7 +17,7 @@
 use std::cell::{Cell, RefCell};
 use std::rc::Rc;
 
-use plexus_trace::{Loss, Recorder};
+use plexus_trace::{Loss, Outcome, Recorder};
 
 use crate::time::{SimDuration, SimTime};
 
@@ -141,21 +141,33 @@ impl Default for CostModel {
     }
 }
 
-/// One always-on counter per [`Loss`]: what a machine's CPU, or an
-/// adapter, has lost, whether or not a recorder is installed.
-#[derive(Default)]
-pub(crate) struct Losses([Cell<u64>; Loss::COUNT]);
+/// One always-on counter per entry of a vocabulary, indexed by the
+/// entry's ordinal: a fixed table, whether or not a recorder is installed.
+pub(crate) struct Tally<const N: usize>([Cell<u64>; N]);
 
-impl Losses {
-    pub(crate) fn count(&self, loss: Loss) {
-        let n = &self.0[loss as usize];
+impl<const N: usize> Default for Tally<N> {
+    fn default() -> Self {
+        Tally(std::array::from_fn(|_| Cell::new(0)))
+    }
+}
+
+impl<const N: usize> Tally<N> {
+    pub(crate) fn count(&self, at: usize) {
+        let n = &self.0[at];
         n.set(n.get() + 1);
     }
 
-    pub(crate) fn get(&self, loss: Loss) -> u64 {
-        self.0[loss as usize].get()
+    pub(crate) fn get(&self, at: usize) -> u64 {
+        self.0[at].get()
+    }
+
+    pub(crate) fn read(&self) -> [u64; N] {
+        self.0.each_ref().map(Cell::get)
     }
 }
+
+/// What a machine's CPU, or an adapter, has lost, by [`Loss`].
+pub(crate) type Losses = Tally<{ Loss::COUNT }>;
 
 /// A single simulated processor.
 ///
@@ -167,9 +179,11 @@ pub struct Cpu {
     free_at: Cell<SimTime>,
     busy: Cell<SimDuration>,
     recorder: RefCell<Option<Rc<Recorder>>>,
-    /// Every packet lost by the code that runs here, by reason: the one
-    /// count behind each stack's loss statistics.
-    losses: Losses,
+    /// Every packet lost by the code that runs here, by reason, and every
+    /// other fate, by [`Outcome`]: the one count behind each stack's
+    /// statistics ([`crate::Machine::books`]).
+    pub(crate) losses: Losses,
+    pub(crate) outcomes: Tally<{ Outcome::COUNT }>,
 }
 
 impl Cpu {
@@ -181,6 +195,7 @@ impl Cpu {
             busy: Cell::new(SimDuration::ZERO),
             recorder: RefCell::new(None),
             losses: Losses::default(),
+            outcomes: Tally::default(),
         })
     }
 
@@ -223,15 +238,20 @@ impl Cpu {
     /// Counts a packet lost for `loss` at `at`, and records it if a
     /// recorder is installed — for work that holds no lease.
     pub fn lose(&self, at: SimTime, loss: Loss) {
-        self.losses.count(loss);
+        self.losses.count(loss as usize);
         if let Some(rec) = self.recorder.borrow().as_ref() {
             rec.lose(at.as_nanos(), loss, None);
         }
     }
 
-    /// Packets lost here for `loss` so far.
-    pub fn lost(&self, loss: Loss) -> u64 {
-        self.losses.get(loss)
+    /// Counts one `outcome` here — for work that holds no lease.
+    pub fn count(&self, outcome: Outcome) {
+        self.outcomes.count(outcome as usize);
+    }
+
+    /// Packets that came to `outcome` here so far.
+    pub fn counted(&self, outcome: Outcome) -> u64 {
+        self.outcomes.get(outcome as usize)
     }
 
     /// Opens a lease starting no earlier than `now` and no earlier than the
@@ -329,10 +349,16 @@ impl CpuLease {
     /// Counts a packet lost for `loss` on this CPU, and records it now if
     /// a recorder was captured: the one call a loss site makes.
     pub fn lose(&self, loss: Loss) {
-        self.cpu.losses.count(loss);
+        self.cpu.losses.count(loss as usize);
         if let Some(rec) = self.recorder() {
             rec.lose(self.now().as_nanos(), loss, None);
         }
+    }
+
+    /// Counts one `outcome` on this CPU: the one call an outcome site
+    /// makes. Nothing is recorded.
+    pub fn count(&self, outcome: Outcome) {
+        self.cpu.count(outcome);
     }
 
     /// Owned handle to the captured recorder (for callers that must hold

@@ -28,6 +28,6 @@ pub mod world;
 
 pub use cpu::{CostModel, Cpu, CpuLease};
 pub use engine::Engine;
-pub use plexus_trace::Loss;
+pub use plexus_trace::{Loss, Outcome};
 pub use time::{SimDuration, SimTime};
-pub use world::{Machine, World};
+pub use world::{Books, Machine, World};

@@ -571,7 +571,8 @@ impl Medium {
     pub fn fault_drops(&self) -> u64 {
         let members = self.members.borrow();
         let nics = members.iter().filter_map(Weak::upgrade);
-        nics.map(|nic| nic.losses.get(Loss::FaultInjected)).sum()
+        nics.map(|nic| nic.losses.get(Loss::FaultInjected as usize))
+            .sum()
     }
 
     fn attach(self: &Rc<Self>, nic: &Rc<Nic>) {
@@ -787,7 +788,7 @@ impl Nic {
 
     /// Traffic counters.
     pub fn stats(&self) -> NicStats {
-        let lost = |loss| self.losses.get(loss);
+        let lost = |loss: Loss| self.losses.get(loss as usize);
         NicStats {
             rx_no_handler: lost(Loss::RxNoHandler),
             tx_oversize: lost(Loss::TxOversize),
@@ -833,7 +834,7 @@ impl Nic {
     /// Counts a frame lost for `loss` at `now`, and records it under this
     /// NIC's name if a recorder is installed.
     fn lose(&self, now: SimTime, loss: Loss) {
-        self.losses.count(loss);
+        self.losses.count(loss as usize);
         if let Some(rec) = self.recorder.borrow().as_ref() {
             rec.lose(now.as_nanos(), loss, Some(self.name.label(rec)));
         }

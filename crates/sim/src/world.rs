@@ -7,7 +7,10 @@
 //! these machines.
 
 use std::cell::RefCell;
+use std::fmt;
 use std::rc::Rc;
+
+use plexus_trace::{Loss, Outcome};
 
 use crate::cpu::{CostModel, Cpu};
 use crate::disk::Disk;
@@ -61,6 +64,17 @@ impl Machine {
         self.nics.borrow().len()
     }
 
+    /// The machine's books as they stand: what its NICs handed its
+    /// driver, and what its CPU counted of every fate.
+    pub fn books(&self) -> Books {
+        let nics = self.nics.borrow();
+        Books {
+            heard: nics.iter().map(|nic| nic.stats().rx_frames).sum(),
+            outcomes: self.cpu.outcomes.read(),
+            losses: self.cpu.losses.read(),
+        }
+    }
+
     /// Attaches a disk (replacing any previous one).
     pub fn set_disk(&self, disk: Rc<Disk>) {
         *self.disk.borrow_mut() = Some(disk);
@@ -90,6 +104,58 @@ impl Machine {
             .borrow()
             .clone()
             .expect("machine has no framebuffer")
+    }
+}
+
+/// One machine's books: every frame its NICs handed its driver, and every
+/// fate its CPU counted, outcome or loss. Read with [`Machine::books`].
+#[derive(Clone, Copy, Debug, PartialEq, Eq)]
+pub struct Books {
+    /// Frames the machine's NICs handed to its driver.
+    pub heard: u64,
+    /// Each [`Outcome`]'s count, at its ordinal.
+    pub outcomes: [u64; Outcome::COUNT],
+    /// Each [`Loss`]'s count, at its ordinal.
+    pub losses: [u64; Loss::COUNT],
+}
+
+impl Books {
+    /// How many packets came to `outcome`.
+    pub fn outcome(&self, outcome: Outcome) -> u64 {
+        self.outcomes[outcome as usize]
+    }
+
+    /// How many packets were lost for `loss`.
+    pub fn lost(&self, loss: Loss) -> u64 {
+        self.losses[loss as usize]
+    }
+
+    /// The one equation: frames heard, less the frames that ended, each in
+    /// one outcome or one loss that ends a frame. Zero when every frame the
+    /// machine heard has ended exactly once; above zero when some have not
+    /// ended (in flight, or dropped uncounted); below when a frame ended
+    /// twice.
+    pub fn balance(&self) -> i64 {
+        let outcomes = Outcome::ALL.into_iter().filter(|o| o.ends_frame());
+        let losses = Loss::ALL.into_iter().filter(|l| l.ends_frame());
+        let ended = outcomes
+            .map(|o| self.outcome(o))
+            .chain(losses.map(|l| self.lost(l)));
+        self.heard as i64 - ended.sum::<u64>() as i64
+    }
+}
+
+/// `heard N`, then every outcome and every loss that is not zero, by name,
+/// and the balance.
+impl fmt::Display for Books {
+    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
+        write!(f, "heard {}", self.heard)?;
+        let outcomes = Outcome::ALL.map(|o| (o.name(), self.outcome(o)));
+        let losses = Loss::ALL.map(|l| (l.name(), self.lost(l)));
+        for (name, n) in outcomes.iter().chain(&losses).filter(|(_, n)| *n > 0) {
+            write!(f, ", {name} {n}")?;
+        }
+        write!(f, "; balance {}", self.balance())
     }
 }
 

@@ -43,7 +43,7 @@ mod recorder;
 mod registry;
 mod ring;
 
-pub use loss::Loss;
+pub use loss::{Loss, Outcome};
 pub use recorder::{Label, Name, Recorder};
 pub use registry::{CounterKey, Histogram, Registry, Scope};
 pub use ring::Ring;

@@ -1,139 +1,116 @@
-//! The loss vocabulary: every reason a packet is lost, in one enum.
+//! The outcome vocabulary: every reason a packet is lost, and everything
+//! else that becomes of one, each in one enum.
 //!
 //! A loss site names one [`Loss`]; the simulated CPU or NIC it happens on
 //! counts it in a fixed table, always, and hands it to the installed
 //! recorder, if any, as one [`crate::TraceEvent::Drop`] under
 //! [`Loss::layer`] and [`Loss::name`]. The names are the strings the
 //! traces have always carried, so a trace is the same bytes whichever way
-//! the drop was named.
+//! the drop was named. Every other fate is one [`Outcome`], counted in a
+//! second fixed table on the CPU and never recorded. The two
+//! `ends_frame` functions say which entries end the walk of a frame the
+//! machine heard: each such frame ends in exactly one of them.
 
-/// Why a packet was lost. One variant per reason; [`Loss::name`] is the
-/// reason a drop record carries, and its layer is the protocol's (`ether`,
-/// `ip`, `arp`, `udp`, `tcp`, or a benchmark's `sink`), or the NIC's own
-/// name for an adapter's loss. `UdpNoSocket` and `ForeignMac` are counted
-/// but not yet recorded: recording them would move committed golden
-/// traces.
-#[derive(Clone, Copy, Debug, PartialEq, Eq, PartialOrd, Ord, Hash)]
-pub enum Loss {
-    /// A frame for another MAC, refused by Plexus's receive filter.
-    MacFilter,
-    /// A frame for another MAC, refused by the DIGITAL UNIX stack's or
-    /// the router's receive check: [`Loss::MacFilter`] on the other
-    /// structures.
-    ForeignMac,
-    /// A frame for this host whose ethertype nothing here takes.
-    UnknownEthertype,
-    /// An IP header that does not verify: checksum, version or lengths.
-    IpBadHeader,
-    /// A valid datagram addressed to another host.
-    NotLocal,
-    /// A fragment group evicted to keep reassembly within its bounds.
-    IpReassemblyFull,
-    /// A fragment group that did not complete within reassembly's timeout.
-    IpReassemblyTimeout,
-    /// A datagram for this host that no transport here takes.
-    UnknownProtocol,
-    /// A datagram with no route to its destination.
-    NoRoute,
-    /// A datagram to forward whose TTL ran out (Time Exceeded sent).
-    TtlExpired,
-    /// A datagram refused because the ARP parked queue was full.
-    ArpQueueFull,
-    /// A datagram parked on a resolution abandoned after its re-asks.
-    ResolutionFailed,
-    /// A datagram parked on a resolution that expired unanswered.
-    ArpExpired,
-    /// A UDP datagram that does not parse or verify.
-    UdpBadDatagram,
-    /// A UDP datagram for a port no socket or endpoint is bound to.
-    UdpNoSocket,
-    /// A TCP segment that does not parse or verify.
-    TcpBadSegment,
-    /// A TCP segment no connection takes: for a port nobody listens on, or
-    /// a listener's port but not an opening SYN.
-    TcpNoConnection,
-    /// A TCP segment outside the receive window.
-    TcpOutOfWindow,
-    /// A connection's queued data, given up after its retransmit limit.
-    TcpRetransmitLimit,
-    /// A frame longer than the adapter's MTU, refused at transmit.
-    TxOversize,
-    /// A frame refused because the transmit ring was full.
-    TxRingFull,
-    /// A frame eaten by the medium's fault injector.
-    FaultInjected,
-    /// A frame that arrived at an adapter with no receive handler.
-    RxNoHandler,
-    /// A frame shed because the receive ring was full.
-    RxRingDrop,
-    /// A frame a benchmark sink heard for another host.
-    NotForMe,
+/// Declares a vocabulary whose entries are each written once, with their
+/// names: the enum, `ALL` in declaration order (`ALL[e as usize] == e`),
+/// `COUNT` (the size of a table of them) and `name`.
+macro_rules! vocabulary {
+    ($(#[$doc:meta])* pub enum $ty:ident { $($(#[$vdoc:meta])* $v:ident = $name:literal,)* }) => {
+        $(#[$doc])*
+        #[derive(Clone, Copy, Debug, PartialEq, Eq, PartialOrd, Ord, Hash)]
+        pub enum $ty {
+            $($(#[$vdoc])* $v,)*
+        }
+
+        impl $ty {
+            /// Every entry, in declaration order.
+            pub const ALL: [$ty; [$($ty::$v),*].len()] = [$($ty::$v),*];
+
+            /// How many entries there are.
+            pub const COUNT: usize = $ty::ALL.len();
+
+            /// The entry's name; a [`Loss`]'s is the reason a drop record
+            /// carries.
+            pub const fn name(self) -> &'static str {
+                match self {
+                    $($ty::$v => $name,)*
+                }
+            }
+        }
+    };
+}
+
+vocabulary! {
+    /// Why a packet was lost. One variant per reason; [`Loss::name`] is the
+    /// reason a drop record carries, and its layer is the protocol's (`ether`,
+    /// `ip`, `arp`, `udp`, `tcp`, or a benchmark's `sink`), or the NIC's own
+    /// name for an adapter's loss. `UdpNoSocket` and `ForeignMac` are counted
+    /// but not yet recorded: recording them would move committed golden
+    /// traces.
+    pub enum Loss {
+        /// A frame for another MAC, refused by Plexus's receive filter.
+        MacFilter = "mac_filter",
+        /// A frame for another MAC, refused by the DIGITAL UNIX stack's or
+        /// the router's receive check: [`Loss::MacFilter`] on the other
+        /// structures.
+        ForeignMac = "foreign_mac",
+        /// A frame for this host whose ethertype nothing here takes.
+        UnknownEthertype = "unknown_ethertype",
+        /// An IP header that does not verify: checksum, version or lengths.
+        IpBadHeader = "ip_bad_header",
+        /// A valid datagram addressed to another host.
+        NotLocal = "not_local",
+        /// A fragment group evicted to keep reassembly within its bounds.
+        IpReassemblyFull = "ip_reassembly_full",
+        /// A fragment group that did not complete within reassembly's timeout.
+        IpReassemblyTimeout = "ip_reassembly_timeout",
+        /// A datagram for this host that no transport here takes.
+        UnknownProtocol = "unknown_protocol",
+        /// A datagram to forward with no route to its destination.
+        NoRoute = "no_route",
+        /// A datagram to send with no route to its destination.
+        NoRouteOut = "no_route_out",
+        /// A datagram to forward whose TTL ran out (Time Exceeded sent).
+        TtlExpired = "ttl_expired",
+        /// A datagram refused because the ARP parked queue was full.
+        ArpQueueFull = "arp_queue_full",
+        /// A datagram parked on a resolution abandoned after its re-asks.
+        ResolutionFailed = "resolution_failed",
+        /// A datagram parked on a resolution that expired unanswered.
+        ArpExpired = "arp_expired",
+        /// An ARP packet that does not parse.
+        ArpBadPacket = "arp_bad_packet",
+        /// An ICMP message for this host that does not parse or verify.
+        IcmpBadMessage = "icmp_bad_message",
+        /// A UDP datagram that does not parse or verify.
+        UdpBadDatagram = "udp_bad_datagram",
+        /// A UDP datagram for a port no socket or endpoint is bound to.
+        UdpNoSocket = "udp_no_socket",
+        /// A TCP segment that does not parse or verify.
+        TcpBadSegment = "tcp_bad_segment",
+        /// A TCP segment no connection takes: for a port nobody listens on, or
+        /// a listener's port but not an opening SYN.
+        TcpNoConnection = "tcp_no_connection",
+        /// A TCP segment outside the receive window.
+        TcpOutOfWindow = "tcp_out_of_window",
+        /// A connection's queued data, given up after its retransmit limit.
+        TcpRetransmitLimit = "tcp_retransmit_limit",
+        /// A frame longer than the adapter's MTU, refused at transmit.
+        TxOversize = "tx_oversize",
+        /// A frame refused because the transmit ring was full.
+        TxRingFull = "tx_ring_full",
+        /// A frame eaten by the medium's fault injector.
+        FaultInjected = "fault_injected",
+        /// A frame that arrived at an adapter with no receive handler.
+        RxNoHandler = "rx_no_handler",
+        /// A frame shed because the receive ring was full.
+        RxRingDrop = "rx_ring_drop",
+        /// A frame a benchmark sink heard for another host.
+        NotForMe = "not_for_me",
+    }
 }
 
 impl Loss {
-    /// How many reasons there are: the size of a loss table.
-    pub const COUNT: usize = Loss::ALL.len();
-
-    /// Every reason, in declaration order (`ALL[l as usize] == l`).
-    pub const ALL: [Loss; 25] = [
-        Loss::MacFilter,
-        Loss::ForeignMac,
-        Loss::UnknownEthertype,
-        Loss::IpBadHeader,
-        Loss::NotLocal,
-        Loss::IpReassemblyFull,
-        Loss::IpReassemblyTimeout,
-        Loss::UnknownProtocol,
-        Loss::NoRoute,
-        Loss::TtlExpired,
-        Loss::ArpQueueFull,
-        Loss::ResolutionFailed,
-        Loss::ArpExpired,
-        Loss::UdpBadDatagram,
-        Loss::UdpNoSocket,
-        Loss::TcpBadSegment,
-        Loss::TcpNoConnection,
-        Loss::TcpOutOfWindow,
-        Loss::TcpRetransmitLimit,
-        Loss::TxOversize,
-        Loss::TxRingFull,
-        Loss::FaultInjected,
-        Loss::RxNoHandler,
-        Loss::RxRingDrop,
-        Loss::NotForMe,
-    ];
-
-    /// The reason a drop record carries.
-    pub const fn name(self) -> &'static str {
-        match self {
-            Loss::MacFilter => "mac_filter",
-            Loss::ForeignMac => "foreign_mac",
-            Loss::UnknownEthertype => "unknown_ethertype",
-            Loss::IpBadHeader => "ip_bad_header",
-            Loss::NotLocal => "not_local",
-            Loss::IpReassemblyFull => "ip_reassembly_full",
-            Loss::IpReassemblyTimeout => "ip_reassembly_timeout",
-            Loss::UnknownProtocol => "unknown_protocol",
-            Loss::NoRoute => "no_route",
-            Loss::TtlExpired => "ttl_expired",
-            Loss::ArpQueueFull => "arp_queue_full",
-            Loss::ResolutionFailed => "resolution_failed",
-            Loss::ArpExpired => "arp_expired",
-            Loss::UdpBadDatagram => "udp_bad_datagram",
-            Loss::UdpNoSocket => "udp_no_socket",
-            Loss::TcpBadSegment => "tcp_bad_segment",
-            Loss::TcpNoConnection => "tcp_no_connection",
-            Loss::TcpOutOfWindow => "tcp_out_of_window",
-            Loss::TcpRetransmitLimit => "tcp_retransmit_limit",
-            Loss::TxOversize => "tx_oversize",
-            Loss::TxRingFull => "tx_ring_full",
-            Loss::FaultInjected => "fault_injected",
-            Loss::RxNoHandler => "rx_no_handler",
-            Loss::RxRingDrop => "rx_ring_drop",
-            Loss::NotForMe => "not_for_me",
-        }
-    }
-
     /// The layer a drop record carries; `None` for an adapter's loss,
     /// which is recorded under the NIC's own profile name.
     pub(crate) const fn layer(self) -> Option<&'static str> {
@@ -145,8 +122,12 @@ impl Loss {
             | Loss::IpReassemblyTimeout
             | Loss::UnknownProtocol
             | Loss::NoRoute
+            | Loss::NoRouteOut
             | Loss::TtlExpired => Some("ip"),
-            Loss::ArpQueueFull | Loss::ResolutionFailed | Loss::ArpExpired => Some("arp"),
+            Loss::ArpQueueFull | Loss::ResolutionFailed | Loss::ArpExpired | Loss::ArpBadPacket => {
+                Some("arp")
+            }
+            Loss::IcmpBadMessage => Some("icmp"),
             Loss::UdpBadDatagram | Loss::UdpNoSocket => Some("udp"),
             Loss::TcpBadSegment
             | Loss::TcpNoConnection
@@ -169,6 +150,82 @@ impl Loss {
     pub(crate) const fn recorded(self) -> bool {
         !matches!(self, Loss::UdpNoSocket | Loss::ForeignMac)
     }
+
+    /// Whether this loss ends the walk of a frame the machine's driver
+    /// heard. The others are losses of what the machine sends (its own
+    /// datagrams, its answers, what it forwards, after the frame that
+    /// caused them has ended), of a fragment group whose fragments each
+    /// ended as [`Outcome::Held`], or an adapter's, of frames no driver
+    /// heard.
+    pub const fn ends_frame(self) -> bool {
+        !matches!(
+            self,
+            Loss::IpReassemblyFull
+                | Loss::IpReassemblyTimeout
+                | Loss::NoRouteOut
+                | Loss::ArpQueueFull
+                | Loss::ResolutionFailed
+                | Loss::ArpExpired
+                | Loss::TcpRetransmitLimit
+                | Loss::TxOversize
+                | Loss::TxRingFull
+                | Loss::FaultInjected
+                | Loss::RxNoHandler
+                | Loss::RxRingDrop
+        )
+    }
+}
+
+vocabulary! {
+    /// What became of a packet that was not lost. The first eight are steps a
+    /// frame passes on its way up, or a datagram on its way down; the rest
+    /// each end the walk of a frame the machine heard
+    /// ([`Outcome::ends_frame`]), counted where that walk ends.
+    pub enum Outcome {
+        /// A frame the link layer accepted for this host.
+        EthIn = "eth_in",
+        /// A whole datagram IP input passed up.
+        IpIn = "ip_in",
+        /// A datagram through IP output.
+        IpOut = "ip_out",
+        /// A datagram parked on an ARP resolution.
+        ArpParked = "arp_parked",
+        /// An ARP resolution given up after its re-asks; each datagram it
+        /// parked is a [`Loss::ResolutionFailed`].
+        ArpAbandoned = "arp_abandoned",
+        /// A valid datagram the UDP layer passed up to its ports.
+        UdpIn = "udp_in",
+        /// A valid segment the TCP layer passed up to its connections and
+        /// listeners.
+        TcpIn = "tcp_in",
+        /// A forwarded datagram split for a smaller egress MTU.
+        Refragmented = "refragmented",
+        /// Handed to its endpoint: an application's port, socket or raw-frame
+        /// handler, a connection that takes the segment, or a benchmark sink.
+        Delivered = "delivered",
+        /// A fragment reassembly holds until its datagram completes.
+        Held = "held",
+        /// An ICMP echo request answered.
+        Echoed = "echoed",
+        /// An ARP request for this host answered.
+        ArpReplied = "arp_replied",
+        /// A UDP datagram for a port nobody holds, answered with ICMP port
+        /// unreachable.
+        PortUnreachable = "port_unreachable",
+        /// A datagram forwarded, or redirected, to another host.
+        Forwarded = "forwarded",
+        /// Taken for the kernel's own state with nothing to answer: an ARP
+        /// packet that only teaches the cache, an ICMP message other than an
+        /// echo request.
+        Absorbed = "absorbed",
+    }
+}
+
+impl Outcome {
+    /// Whether this outcome ends the walk of a frame the machine heard.
+    pub const fn ends_frame(self) -> bool {
+        self as usize >= Outcome::Delivered as usize
+    }
 }
 
 #[cfg(test)]
@@ -184,5 +241,8 @@ mod tests {
         names.sort_unstable();
         names.dedup();
         assert_eq!(names.len(), Loss::COUNT, "no two reasons share a name");
+        for (i, outcome) in Outcome::ALL.into_iter().enumerate() {
+            assert_eq!(outcome as usize, i, "{outcome:?}");
+        }
     }
 }

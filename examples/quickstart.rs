@@ -87,7 +87,7 @@ fn main() {
     );
     println!("(paper, Figure 5: under 600 us on Ethernet for Plexus at interrupt level)");
     println!();
-    println!("server stack stats: {:?}", server.stats());
+    println!("server books:      {}", server.machine().books());
     println!("server dispatcher:  {:?}", server.dispatcher().stats());
     println!();
     print!("{}", server.graph_description());

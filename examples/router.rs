@@ -19,7 +19,7 @@ use plexus::core::{AppHandler, IpRouter, PlexusStack, StackConfig, UdpRecv};
 use plexus::kernel::domain::ExtensionSpec;
 use plexus::net::ether::MacAddr;
 use plexus::net::udp::{Endpoint, UdpConfig};
-use plexus::sim::nic::{Medium, Nic, NicProfile};
+use plexus::sim::nic::NicProfile;
 use plexus::sim::time::SimDuration;
 use plexus::sim::World;
 
@@ -32,6 +32,7 @@ fn net2(last: u8) -> Ipv4Addr {
 }
 
 fn main() {
+    let us = SimDuration::from_micros;
     let mut world = World::new();
     let ma = world.add_machine("host-a");
     let mr = world.add_machine("router");
@@ -39,28 +40,25 @@ fn main() {
 
     // Segment 1 is a T3 (MTU 4470); segment 2 an Ethernet (MTU 1500) —
     // big datagrams must be re-fragmented in flight.
-    let seg1 = Medium::new(SimDuration::from_micros(2), false);
-    let seg2 = Medium::new(SimDuration::from_micros(1), true);
-    let nic_a = Nic::new(NicProfile::dec_t3(), &seg1);
-    let nic_r1 = Nic::new(NicProfile::dec_t3(), &seg1);
-    let nic_r2 = Nic::new(NicProfile::ethernet_lance(), &seg2);
-    let nic_b = Nic::new(NicProfile::ethernet_lance(), &seg2);
+    let (_, seg1) = world.connect(&[&ma, &mr], NicProfile::dec_t3(), us(2), false);
+    let (_, seg2) = world.connect(&[&mr, &mb], NicProfile::ethernet_lance(), us(1), true);
+    let [nic_a, nic_r1, nic_r2, nic_b] = [&seg1[0], &seg1[1], &seg2[0], &seg2[1]];
 
     let host_a = PlexusStack::attach(
         &ma,
-        &nic_a,
+        nic_a,
         StackConfig::interrupt(net1(2), MacAddr::local(1)).with_gateway(net1(1)),
     );
     let host_b = PlexusStack::attach(
         &mb,
-        &nic_b,
+        nic_b,
         StackConfig::interrupt(net2(2), MacAddr::local(2)).with_gateway(net2(1)),
     );
-    let router = IpRouter::attach(
+    let _router = IpRouter::attach(
         &mr,
         &[
-            (nic_r1, net1(1), MacAddr::local(101)),
-            (nic_r2, net2(1), MacAddr::local(102)),
+            (nic_r1.clone(), net1(1), MacAddr::local(101)),
+            (nic_r2.clone(), net2(1), MacAddr::local(102)),
         ],
     );
 
@@ -112,7 +110,7 @@ fn main() {
         "  {len}-byte payload round trip: {:.0} us (simulated)",
         (at - t0) as f64 / 1000.0
     );
-    println!("  router stats: {:?}", router.stats());
+    println!("  router books: {}", mr.books());
     println!();
     println!("The 4000-byte datagram left the T3 whole (MTU 4470) and was");
     println!("re-fragmented by the router for the Ethernet side (MTU 1500);");

@@ -1767,8 +1767,9 @@ fn baseline_udp_pair(_: &mut World, hosts: &[Host], sink: &Sink) -> Write {
 }
 
 /// A bare NIC sends the receiver the first fragment of one datagram after
-/// another, each twice and none ever completed; then a real datagram that
-/// needs reassembling crosses.
+/// another, each twice and none ever completed, and each burst drains
+/// through reassembly's slow timer; then a real datagram that needs
+/// reassembling crosses.
 fn a_fragment_flood_is_bounded(pair: UdpPair) {
     const WARM_UP: u16 = 200; // More groups than a reassembler holds.
     const FLOOD: u16 = 1000;
@@ -1804,15 +1805,19 @@ fn a_fragment_flood_is_bounded(pair: UdpPair) {
         grown, 0,
         "{FLOOD} abandoned datagrams left {grown} bytes of heap behind"
     );
-    let evicted = rec.registry().get(CounterKey {
-        scope: Scope::Drop,
-        label: rec.intern("ip_reassembly_full"),
-        metric: "count",
-    });
+    let drops = |reason| {
+        rec.registry().get(CounterKey {
+            scope: Scope::Drop,
+            label: rec.intern(reason),
+            metric: "count",
+        })
+    };
+    let (evicted, expired) = (drops("ip_reassembly_full"), drops("ip_reassembly_timeout"));
+    let held = 2 * ip::MAX_FRAG_GROUPS as u64;
     assert_eq!(
-        evicted,
-        u64::from(WARM_UP + FLOOD) - ip::MAX_FRAG_GROUPS as u64,
-        "every group pushed out is a named drop"
+        (evicted, expired),
+        (u64::from(WARM_UP + FLOOD) - held, held),
+        "every group pushed out, or left to expire after a burst, is a named drop"
     );
 
     let datagram: Vec<u8> = (0..4000u32).map(|i| (i % 239) as u8).collect();

@@ -18,7 +18,7 @@ use plexus::net::udp::{Endpoint, UdpConfig};
 use plexus::net::Testbed;
 use plexus::sim::nic::{Link, NicProfile};
 use plexus::sim::time::SimDuration;
-use plexus::sim::World;
+use plexus::sim::{Machine, Outcome, World};
 
 /// A Plexus host and a DIGITAL UNIX host on one Ethernet segment, each
 /// knowing the other's MAC.
@@ -168,8 +168,9 @@ fn icmp_ping_crosses_system_boundaries() {
     plexus.ping(world.engine_mut(), dunix.ip(), 1, 1, b"x");
     dunix.ping(world.engine_mut(), plexus.ip(), 2, 1, b"y");
     world.run();
-    assert_eq!(dunix.stats().icmp_echoes, 1, "DUNIX answered SPIN's ping");
-    assert_eq!(plexus.stats().icmp_echoes, 1, "SPIN answered DUNIX's ping");
+    let echoes = |machine: &Machine| machine.books().outcome(Outcome::Echoed);
+    assert_eq!(echoes(dunix.machine()), 1, "DUNIX answered SPIN's ping");
+    assert_eq!(echoes(plexus.machine()), 1, "SPIN answered DUNIX's ping");
 }
 
 #[test]
@@ -207,14 +208,12 @@ fn a_mixed_lan_is_a_full_arp_mesh() {
         let eth = view::<EtherView>(&f.bytes).expect("ethernet frame");
         assert_eq!(eth.ethertype(), EtherType::IPV4, "no ARP on the wire");
     }
-    for answered in [
-        spin_a.stats().icmp_echoes,
-        dunix.stats().icmp_echoes,
-        spin_b.stats().icmp_echoes,
-    ] {
+    let books = [spin_a.machine(), dunix.machine(), spin_b.machine()].map(|m| m.books());
+    for answered in books.map(|b| b.outcome(Outcome::Echoed)) {
         assert_eq!(answered, 2, "each host answered both of the others");
     }
-    assert_eq!(spin_a.stats().arp_queued + spin_b.stats().arp_queued, 0);
+    let parked = books.map(|b| b.outcome(Outcome::ArpParked));
+    assert_eq!(parked[0] + parked[2], 0);
 }
 
 #[test]
@@ -249,7 +248,7 @@ fn dunix_host_routes_through_the_plexus_router() {
         &nic_b,
         StackConfig::interrupt(net2(2), MacAddr::local(2)).with_gateway(net2(1)),
     );
-    let router = IpRouter::attach(
+    let _router = IpRouter::attach(
         &mr,
         &[
             (nic_r1, net1(1), MacAddr::local(101)),
@@ -287,7 +286,7 @@ fn dunix_host_routes_through_the_plexus_router() {
         .expect("the payload fits one datagram");
     world.run();
     assert_eq!(*got.borrow(), b"mixed routed");
-    assert_eq!(router.stats().forwarded, 2);
+    assert_eq!(mr.books().outcome(Outcome::Forwarded), 2);
 }
 
 #[test]

@@ -6,11 +6,11 @@
 //! around it. So the same script, run against each as the device that
 //! resolves one cold hop, must see the same frames on that hop's segment,
 //! the same deliveries in the same order and the same named drops. Fed
-//! hostile frames, each must also balance its books: every frame its NIC
-//! delivers ends in exactly one counted outcome.
+//! hostile frames, each must also balance its books: every frame its NICs
+//! deliver ends in exactly one counted outcome or loss.
 
 use std::any::Any;
-use std::cell::{Cell, RefCell};
+use std::cell::RefCell;
 use std::net::Ipv4Addr;
 use std::rc::Rc;
 
@@ -29,7 +29,7 @@ use plexus::net::udp::{self, Endpoint, UdpConfig};
 use plexus::net::Mbuf;
 use plexus::sim::nic::{DriverConfig, FaultInjector, Link, Medium, Nic, NicProfile};
 use plexus::sim::time::{SimDuration, SimTime};
-use plexus::sim::{Cpu, Loss, World};
+use plexus::sim::{Books, Loss, Machine, Outcome, World};
 use plexus::trace::{CounterKey, Recorder, Scope};
 
 #[derive(Clone, Copy, Debug)]
@@ -49,9 +49,6 @@ const LISTENING: u16 = 2001;
 /// Sends one datagram from the script's side.
 type Send = Box<dyn Fn(&mut World, &[u8])>;
 
-/// Reads one of a stack's counters.
-type Count = Box<dyn Fn() -> u64>;
-
 /// Teaches the device the MAC of an address on the hop's segment.
 type Learn = Box<dyn Fn(Ipv4Addr, MacAddr)>;
 
@@ -59,26 +56,19 @@ type Learn = Box<dyn Fn(Ipv4Addr, MacAddr)>;
 /// a Plexus host whose application keeps what arrives on UDP port 7.
 struct Rig {
     world: World,
-    /// The device's CPU, which counts what the device loses.
-    cpu: Rc<Cpu>,
-    /// The segment the hop is on, and the device's NIC there; every NIC
-    /// the device has.
+    /// The device's machine, whose books count every fate.
+    machine: Rc<Machine>,
+    /// The segment the hop is on, and the device's NIC there.
     segment: Rc<Medium>,
     nic: Rc<Nic>,
-    nics: Vec<Rc<Nic>>,
     /// Sends one datagram that the device must put on the hop's segment.
     send: Send,
     /// What the peer's application received.
     seen: Seen,
     peer: Rc<PlexusStack>,
-    /// The device's addresses on the hop's segment, and its echo count.
+    /// The device's addresses on the hop's segment.
     dut_ip: Ipv4Addr,
     dut_mac: MacAddr,
-    echoes: Count,
-    /// Frames the device kept without loss: delivered to its application
-    /// (UDP port 2000), answered by a kernel responder, forwarded, or held
-    /// by reassembly.
-    kept: Count,
     learn: Learn,
     _keep: Rc<dyn Any>,
 }
@@ -124,73 +114,48 @@ fn rig(structure: Structure, traced: bool) -> Rig {
     let (dut, to) = (&hosts[0], hosts[1].ip);
     let peer = peer(&hosts[1], &seen);
     let config = UdpConfig::default();
-    let (send, echoes, kept, learn, keep): (Send, Count, Count, Learn, Rc<dyn Any>) =
-        match structure {
-            Structure::Plexus => {
-                let stack = PlexusStack::attach(
-                    &dut.machine,
-                    &dut.nic,
-                    StackConfig::interrupt(dut.ip, dut.mac),
-                );
-                let ext = stack.link_extension(&spec()).unwrap();
-                let heard = Rc::new(Cell::new(0));
-                let h = heard.clone();
-                let count = AppHandler::interrupt(move |_, _| h.set(h.get() + 1));
-                let from = stack.udp().bind(&ext, 2000, config, count).unwrap();
-                stack.tcp().listen(&ext, LISTENING, |_, _| {}).unwrap();
-                let send = move |world: &mut World, data: &[u8]| {
-                    from.send(world.engine_mut(), to, 7, data).unwrap();
-                };
-                let [s, k, l] = [(); 3].map(|_| stack.clone());
-                let kept = move || {
-                    let (st, udp) = (k.stats(), k.udp());
-                    let answered = st.icmp_echoes + st.arp_replies + udp.unreachable_sent();
-                    heard.get() + answered + k.link_stats().ip_held
-                };
-                (
-                    Box::new(send),
-                    Box::new(move || s.stats().icmp_echoes),
-                    Box::new(kept),
-                    Box::new(move |ip, mac| l.seed_arp(ip, mac)),
-                    stack,
-                )
-            }
-            _ => {
-                let stack = MonolithicStack::attach(&dut.machine, &dut.nic, dut.ip, dut.mac);
-                let ignore = |_: &mut RaiseCtx<'_>, _: &UdpRecv| {};
-                let process = AddressSpace::new("script");
-                let from = stack.udp_socket(&process, 2000, config, ignore).unwrap();
-                assert!(stack.tcp().listen(&process, LISTENING, |_, _| {}));
-                let send = move |world: &mut World, data: &[u8]| {
-                    from.send(world.engine_mut(), to, 7, data).unwrap();
-                };
-                let [s, k, l] = [(); 3].map(|_| stack.clone());
-                let kept = move || {
-                    let st = k.stats();
-                    st.udp_delivered + st.icmp_echoes + st.ip_held
-                };
-                (
-                    Box::new(send),
-                    Box::new(move || s.stats().icmp_echoes),
-                    Box::new(kept),
-                    Box::new(move |ip, mac| l.seed_arp(ip, mac)),
-                    stack,
-                )
-            }
-        };
+    let (send, learn, keep): (Send, Learn, Rc<dyn Any>) = match structure {
+        Structure::Plexus => {
+            let stack = PlexusStack::attach(
+                &dut.machine,
+                &dut.nic,
+                StackConfig::interrupt(dut.ip, dut.mac),
+            );
+            let ext = stack.link_extension(&spec()).unwrap();
+            let ignore = AppHandler::interrupt(|_, _| {});
+            let from = stack.udp().bind(&ext, 2000, config, ignore).unwrap();
+            stack.tcp().listen(&ext, LISTENING, |_, _| {}).unwrap();
+            let send = move |world: &mut World, data: &[u8]| {
+                from.send(world.engine_mut(), to, 7, data).unwrap();
+            };
+            let l = stack.clone();
+            let learn = move |ip, mac| l.seed_arp(ip, mac);
+            (Box::new(send), Box::new(learn), stack)
+        }
+        _ => {
+            let stack = MonolithicStack::attach(&dut.machine, &dut.nic, dut.ip, dut.mac);
+            let ignore = |_: &mut RaiseCtx<'_>, _: &UdpRecv| {};
+            let process = AddressSpace::new("script");
+            let from = stack.udp_socket(&process, 2000, config, ignore).unwrap();
+            assert!(stack.tcp().listen(&process, LISTENING, |_, _| {}));
+            let send = move |world: &mut World, data: &[u8]| {
+                from.send(world.engine_mut(), to, 7, data).unwrap();
+            };
+            let l = stack.clone();
+            let learn = move |ip, mac| l.seed_arp(ip, mac);
+            (Box::new(send), Box::new(learn), stack)
+        }
+    };
     Rig {
         world,
-        cpu: dut.machine.cpu().clone(),
+        machine: dut.machine.clone(),
         segment: medium,
         nic: dut.nic.clone(),
-        nics: vec![dut.nic.clone()],
         send,
         seen,
         peer,
         dut_ip: dut.ip,
         dut_mac: dut.mac,
-        echoes,
-        kept,
         learn,
         _keep: keep,
     }
@@ -202,9 +167,17 @@ fn rig(structure: Structure, traced: bool) -> Rig {
 fn router_rig(rec: Option<Rc<Recorder>>, seen: Seen) -> Rig {
     let mut world = World::new();
     let [ma, mr, mb] = ["sender", "router", "peer"].map(|n| world.add_machine(n));
-    let [seg1, seg2] = [(); 2].map(|_| Medium::new(SimDuration::from_micros(1), true));
-    let nic = |medium: &Rc<Medium>| Nic::new(NicProfile::ethernet_lance(), medium);
-    let (nic_a, nic_r1, nic_r2, nic_b) = (nic(&seg1), nic(&seg1), nic(&seg2), nic(&seg2));
+    let mut segment = |pair: [&Rc<Machine>; 2]| {
+        let (medium, nics) = world.connect(
+            &pair,
+            NicProfile::ethernet_lance(),
+            SimDuration::from_micros(1),
+            true,
+        );
+        (medium, nics[0].clone(), nics[1].clone())
+    };
+    let (_, nic_a, nic_r1) = segment([&ma, &mr]);
+    let (seg2, nic_r2, nic_b) = segment([&mr, &mb]);
     let net = |subnet, last| Ipv4Addr::new(10, 0, subnet, last);
     let sender = PlexusStack::attach(
         &ma,
@@ -240,43 +213,31 @@ fn router_rig(rec: Option<Rc<Recorder>>, seen: Seen) -> Rig {
     let send = move |world: &mut World, data: &[u8]| {
         from.send(world.engine_mut(), net(2, 2), 7, data).unwrap();
     };
-    let [r, k, l] = [(); 3].map(|_| router.clone());
-    let kept = move || {
-        let st = k.stats();
-        st.forwarded + st.echoes
-    };
+    let l = router.clone();
     Rig {
         world,
-        cpu: mr.cpu().clone(),
+        machine: mr,
         segment: seg2,
-        nic: nic_r2.clone(),
-        nics: vec![nic_r1, nic_r2],
+        nic: nic_r2,
         send: Box::new(send),
         seen,
         peer,
         dut_ip: net(2, 1),
         dut_mac: MacAddr::local(102),
-        echoes: Box::new(move || r.stats().echoes),
-        kept: Box::new(kept),
         learn: Box::new(move |ip, mac| l.seed_arp(1, ip, mac)),
         _keep: Rc::new((sender, router)),
     }
 }
 
 impl Rig {
+    /// The device's books as they stand.
+    fn books(&self) -> Books {
+        self.machine.books()
+    }
+
     /// What the device has lost for `loss`.
     fn drops(&self, loss: Loss) -> u64 {
-        self.cpu.lost(loss)
-    }
-
-    /// Everything the device has lost, whatever the reason.
-    fn losses(&self) -> u64 {
-        Loss::ALL.iter().map(|&loss| self.drops(loss)).sum()
-    }
-
-    /// Frames the device's NICs have handed to its driver.
-    fn heard(&self) -> u64 {
-        self.nics.iter().map(|nic| nic.stats().rx_frames).sum()
+        self.books().lost(loss)
     }
 
     /// Frames the device has put on the hop's segment.
@@ -372,12 +333,14 @@ fn a_burst_past_the_cap_parks_the_cap_and_names_the_rest() {
 fn a_ping_is_answered() {
     for structure in ALL {
         let mut r = rig(structure, true);
-        let heard = r.peer.stats().ip_rx;
+        let ip_in = |r: &Rig| r.peer.machine().books().outcome(Outcome::IpIn);
+        let heard = ip_in(&r);
         r.peer
             .ping(r.world.engine_mut(), r.dut_ip, 1, 1, b"anyone?");
         r.world.run();
-        assert_eq!((r.echoes)(), 1, "{structure:?}: one echo answered");
-        assert_eq!(r.peer.stats().ip_rx, heard + 1, "{structure:?}: the reply");
+        let echoes = r.books().outcome(Outcome::Echoed);
+        assert_eq!(echoes, 1, "{structure:?}: one echo answered");
+        assert_eq!(ip_in(&r), heard + 1, "{structure:?}: the reply");
     }
 }
 
@@ -404,7 +367,7 @@ fn a_held_fragment_is_no_loss_and_a_bad_header_is_one_named_drop() {
         raw.nic.attach(DriverConfig::per_frame(|_, _| {}));
         let s = seen.clone();
         let config = UdpConfig::default();
-        let (send, dropped): (Send, Count) = match structure {
+        let (send, _b): (Send, Rc<dyn Any>) = match structure {
             Structure::Plexus => {
                 let [sa, sb] = [a, b].map(|h| PlexusStack::attach_host(h, StackConfig::interrupt));
                 let keep = AppHandler::interrupt(move |_: &mut RaiseCtx<'_>, ev: &UdpRecv| {
@@ -418,7 +381,7 @@ fn a_held_fragment_is_no_loss_and_a_bad_header_is_one_named_drop() {
                 let send = move |world: &mut World, data: &[u8]| {
                     from.send(world.engine_mut(), to, 7, data).unwrap();
                 };
-                (Box::new(send), Box::new(move || sb.stats().ip_dropped))
+                (Box::new(send), sb)
             }
             _ => {
                 let [sa, sb] = [a, b].map(MonolithicStack::attach_host);
@@ -435,8 +398,12 @@ fn a_held_fragment_is_no_loss_and_a_bad_header_is_one_named_drop() {
                 let send = move |world: &mut World, data: &[u8]| {
                     from.send(world.engine_mut(), to, 7, data).unwrap();
                 };
-                (Box::new(send), Box::new(move || sb.stats().ip_dropped))
+                (Box::new(send), sb)
             }
+        };
+        let dropped = || {
+            let books = b.machine.books();
+            books.lost(Loss::IpBadHeader) + books.lost(Loss::NotLocal)
         };
         // Three fragments over Ethernet, held until the last completes.
         let data: Vec<u8> = (0..4000u32).map(|i| (i % 251) as u8).collect();
@@ -492,18 +459,15 @@ fn udp_to(hdr: IpHeader, port: u16) -> Mbuf {
     )
 }
 
-/// The conservation check, count-based and with no recorder: every frame a
+/// The conservation check, with the recorder off and on: every frame a
 /// device's NICs hand its driver ends in exactly one outcome — delivered to
 /// its application, answered by a kernel responder, forwarded, held by
-/// reassembly, or one counted [`Loss`] — whatever a bare NIC on the hop's
-/// segment sends it. The device knows the bare NIC's address, so nothing it
-/// answers is lost on the way out. A fragment group reassembly gives up on
-/// adds one loss of its own on top of its fragments, each already counted
-/// as held.
+/// reassembly — or one loss, whatever a bare NIC on the hop's segment sends
+/// it: its books balance ([`Books::balance`]).
 #[test]
 fn every_frame_a_device_hears_ends_in_one_outcome() {
-    for structure in ALL {
-        let mut r = rig(structure, false);
+    for (structure, traced) in ALL.into_iter().flat_map(|s| [(s, false), (s, true)]) {
+        let mut r = rig(structure, traced);
         let (dut_ip, dut_mac) = (r.dut_ip, r.dut_mac);
         let [a, b, c, _] = dut_ip.octets();
         let (raw_ip, raw_mac) = (Ipv4Addr::new(a, b, c, 200), MacAddr::local(200));
@@ -574,62 +538,49 @@ fn every_frame_a_device_hears_ends_in_one_outcome() {
             segment(9, TcpFlags::ACK),
             segment(LISTENING, TcpFlags::ACK),
             // For addresses that are not the device's: a subnet no device
-            // routes to, everyone, and a host beyond the router, twice, the
-            // second time with its TTL run out. (A datagram the router
-            // forwards and then loses on its way out counts twice, as
-            // forwarded and as lost, so none is sent to an address no one
-            // answers ARP for.)
+            // routes to, everyone, a host beyond the router, twice, the
+            // second time with its TTL run out, and an address beyond the
+            // router that no one answers ARP for. (The router forwards that
+            // one, and its loss on the way out is of what it sends.)
             mine(udp_to(to(Ipv4Addr::new(10, 0, 3, 99)), 2000)),
             ipv4(MacAddr::BROADCAST, udp_to(to(Ipv4Addr::BROADCAST), 9)),
             mine(udp_to(to(Ipv4Addr::new(10, 0, 1, 2)), 2000)),
             mine(udp_to(expiring, 2000)),
+            mine(udp_to(to(Ipv4Addr::new(10, 0, 1, 77)), 2000)),
         ];
         r.world.run();
-        let (heard, kept, lost) = (r.heard(), (r.kept)(), r.losses());
-        let drops = |r: &Rig| Loss::ALL.map(|loss| r.drops(loss));
-        let before = drops(&r);
         for frame in &frames {
             let now = r.world.engine().now();
             raw.transmit(r.world.engine_mut(), now, frame);
             r.world.run();
         }
-        // A fragment of another datagram, after reassembly's 30 s: the
-        // first group expires as it arrives.
-        r.world.run_for(SimDuration::from_secs(31));
-        let now = r.world.engine().now();
-        raw.transmit(r.world.engine_mut(), now, &mine(udp_to(fragment(10), 2000)));
-        r.world.run();
 
-        let heard = r.heard() - heard;
-        let (kept, lost) = ((r.kept)() - kept, r.losses() - lost);
-        let after = drops(&r);
-        let dropped = |loss: Loss| after[loss as usize] - before[loss as usize];
-        let groups = dropped(Loss::IpReassemblyTimeout) + dropped(Loss::IpReassemblyFull);
-        assert!(
-            heard > frames.len() as u64,
-            "{structure:?}: heard {heard} of {}",
-            frames.len() + 1
-        );
-        assert!(
-            kept > 0 && lost > 0,
-            "{structure:?}: {kept} kept, {lost} lost"
-        );
+        let books = r.books();
         assert_eq!(
-            kept + lost,
-            heard + groups,
-            "{structure:?}: {heard} frames heard, {kept} kept and {lost} lost, \
-             {groups} fragment groups given up on"
+            books.heard,
+            frames.len() as u64,
+            "{structure:?}: every frame heard"
+        );
+        let ends = Outcome::ALL.into_iter().filter(|o| o.ends_frame());
+        let ended: u64 = ends.map(|o| books.outcome(o)).sum();
+        assert!(ended > 0, "{structure:?}: {books}");
+        assert_eq!(
+            books.balance(),
+            0,
+            "{structure:?}, traced {traced}: {books}"
         );
         if let Structure::Plexus | Structure::Dunix = structure {
+            // The fragment's group expires on reassembly's slow timer, as
+            // the run drains.
             let named = [
                 Loss::IpReassemblyTimeout,
                 Loss::TcpBadSegment,
                 Loss::TcpNoConnection,
             ]
-            .map(dropped);
+            .map(|loss| books.lost(loss));
             assert_eq!(named, [1, 1, 2], "{structure:?}: expiry and TCP losses");
             assert!(
-                dropped(Loss::NotLocal) > 0,
+                books.lost(Loss::NotLocal) > 0,
                 "{structure:?}: IP drops foreign datagrams"
             );
         }
