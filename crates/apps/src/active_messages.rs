@@ -27,10 +27,10 @@ use plexus_net::ether::{EtherType, EtherView, MacAddr, ETHER_HDR_LEN};
 use plexus_sim::Engine;
 
 /// Active-message header length (after the Ethernet header).
-pub const AM_HDR_LEN: usize = 10;
+pub(crate) const AM_HDR_LEN: usize = 10;
 
 /// Zero-copy view of an active-message header.
-pub struct AmView<'a>(&'a [u8]);
+pub(crate) struct AmView<'a>(&'a [u8]);
 
 impl<'a> WireView<'a> for AmView<'a> {
     const WIRE_SIZE: usize = AM_HDR_LEN;
@@ -41,12 +41,12 @@ impl<'a> WireView<'a> for AmView<'a> {
 
 impl AmView<'_> {
     /// Handler-table index.
-    pub fn index(&self) -> u16 {
+    pub(crate) fn index(&self) -> u16 {
         be16(self.0, 0)
     }
 
     /// The 64-bit argument word.
-    pub fn argument(&self) -> u64 {
+    pub(crate) fn argument(&self) -> u64 {
         u64::from_be_bytes(self.0[2..10].try_into().expect("length checked"))
     }
 }
@@ -66,7 +66,7 @@ pub struct ActiveMessage {
 
 /// An active-message handler: must be quick and non-blocking; it runs at
 /// interrupt level.
-pub type AmHandler = Rc<dyn Fn(&mut RaiseCtx<'_>, &ActiveMessage)>;
+pub(crate) type AmHandler = Rc<dyn Fn(&mut RaiseCtx<'_>, &ActiveMessage)>;
 
 /// The extension spec an active-message module links with.
 pub fn am_extension_spec(name: &str) -> ExtensionSpec {
@@ -182,7 +182,7 @@ impl ActiveMessages {
 }
 
 /// Serializes an AM header + payload (without the Ethernet header).
-pub fn encode(index: u16, argument: u64, payload: &[u8]) -> Vec<u8> {
+pub(crate) fn encode(index: u16, argument: u64, payload: &[u8]) -> Vec<u8> {
     let mut out = vec![0u8; AM_HDR_LEN + payload.len()];
     put_be16(&mut out, 0, index);
     out[2..10].copy_from_slice(&argument.to_be_bytes());

@@ -5,13 +5,11 @@
 //! * [`InKernelForwarder`] — the Plexus extension: TCP and/or UDP
 //!   redirection nodes installed in the forwarder's protocol graph, below
 //!   the transport layer, preserving end-to-end semantics.
-//! * The DIGITAL UNIX side is [`plexus_baseline::UserSplice`], re-exported
-//!   here for symmetry.
+//! * The DIGITAL UNIX side is [`plexus_baseline::UserSplice`].
 
 use std::net::Ipv4Addr;
 use std::rc::Rc;
 
-pub use plexus_baseline::UserSplice;
 use plexus_core::{PlexusError, PlexusStack};
 use plexus_kernel::domain::{ExtensionSpec, LinkedExtension};
 

@@ -14,7 +14,7 @@ use std::rc::Rc;
 use plexus_core::{PlexusError, PlexusStack, TcpCallbacks, TcpConn};
 use plexus_kernel::dispatcher::RaiseCtx;
 use plexus_kernel::domain::{ExtensionSpec, LinkedExtension};
-use plexus_net::http::{self, ParseOutcome};
+use plexus_net::{build_response, parse_request, parse_response, ParseOutcome};
 use plexus_sim::Engine;
 
 /// The linker spec an HTTP server extension uses.
@@ -49,11 +49,11 @@ fn on_accept(
             on_data: Some(Rc::new(move |ctx, conn, data| {
                 buffer.borrow_mut().extend_from_slice(data);
                 let mut s = st.get();
-                let resp = match http::parse_request(&buffer.borrow()) {
+                let resp = match parse_request(&buffer.borrow()) {
                     ParseOutcome::Incomplete => return,
                     ParseOutcome::Malformed => {
                         s.bad_request += 1;
-                        http::build_response(400, "Bad Request", "text/plain", b"bad")
+                        build_response(400, "Bad Request", "text/plain", b"bad")
                     }
                     ParseOutcome::Complete { request, .. } => {
                         if let Some(rec) = ctx.lease.recorder() {
@@ -63,16 +63,11 @@ fn on_accept(
                         match docs.get(&request.path) {
                             Some(body) => {
                                 s.ok += 1;
-                                http::build_response(200, "OK", "text/html", body)
+                                build_response(200, "OK", "text/html", body)
                             }
                             None => {
                                 s.not_found += 1;
-                                http::build_response(
-                                    404,
-                                    "Not Found",
-                                    "text/plain",
-                                    b"no such document",
-                                )
+                                build_response(404, "Not Found", "text/plain", b"no such document")
                             }
                         }
                     }
@@ -155,7 +150,7 @@ impl HttpGet {
             })),
             on_peer_close: Some(Rc::new(move |ctx, conn| {
                 // Response complete (HTTP/1.0 framing by close).
-                *res.borrow_mut() = http::parse_response(&buffer.borrow());
+                *res.borrow_mut() = parse_response(&buffer.borrow());
                 done_at.set(Some(ctx.lease.now().as_nanos()));
                 conn.close_in(ctx);
             })),
@@ -182,9 +177,7 @@ impl HttpGet {
 /// The same HTTP service as a DIGITAL UNIX user process (for the §7
 /// comparison): every request crosses the user/kernel boundary at least
 /// four times (accept wakeup, read copyout, write copyin, close).
-pub struct DunixHttpd {
-    stats: Rc<Cell<HttpdStats>>,
-}
+pub struct DunixHttpd;
 
 impl DunixHttpd {
     /// Serves `documents` on `stack`:`port` from a user process.
@@ -193,16 +186,11 @@ impl DunixHttpd {
         port: u16,
         documents: HashMap<String, Vec<u8>>,
     ) -> DunixHttpd {
-        let process = plexus_kernel::vm::AddressSpace::new("httpd");
+        let process = plexus_kernel::AddressSpace::new();
         let stats = Rc::new(Cell::new(HttpdStats::default()));
         stack
             .tcp()
             .listen(&process, port, on_accept(documents, &stats));
-        DunixHttpd { stats }
-    }
-
-    /// Server statistics.
-    pub fn stats(&self) -> HttpdStats {
-        self.stats.get()
+        DunixHttpd
     }
 }

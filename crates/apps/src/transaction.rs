@@ -45,7 +45,7 @@ pub fn transaction_extension_spec(name: &str) -> ExtensionSpec {
 
 /// A request handler: maps the request bytes to the response bytes. Runs
 /// at interrupt level; must be quick, non-blocking, and idempotent.
-pub type TransactionHandler = Rc<dyn Fn(&[u8]) -> Vec<u8>>;
+pub(crate) type TransactionHandler = Rc<dyn Fn(&[u8]) -> Vec<u8>>;
 
 /// The server side: one handler per claimed port.
 pub struct TransactionServer {

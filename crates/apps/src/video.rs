@@ -28,13 +28,11 @@ use std::rc::Rc;
 use plexus_baseline::MonolithicStack;
 use plexus_core::{AppHandler, PlexusError, PlexusStack};
 use plexus_kernel::domain::{ExtensionSpec, LinkedExtension};
-use plexus_kernel::vm::AddressSpace;
-use plexus_kernel::RaiseCtx;
+use plexus_kernel::{AddressSpace, RaiseCtx};
 use plexus_net::mbuf::Mbuf;
 use plexus_net::udp::{Endpoint, UdpConfig, UdpRecv};
-use plexus_sim::framebuffer::Framebuffer;
 use plexus_sim::time::{SimDuration, SimTime};
-use plexus_sim::{CpuLease, Engine, Machine};
+use plexus_sim::{CpuLease, Engine, Framebuffer, Machine};
 
 /// Parameters of the video workload.
 #[derive(Clone, Copy, Debug)]
@@ -63,12 +61,12 @@ impl Default for VideoConfig {
 
 impl VideoConfig {
     /// The frame period.
-    pub fn period(&self) -> SimDuration {
+    pub(crate) fn period(&self) -> SimDuration {
         SimDuration::from_nanos(1_000_000_000 / self.fps as u64)
     }
 
     /// UDP options for the video protocol: checksum disabled (§1.1).
-    pub fn udp(&self) -> UdpConfig {
+    pub(crate) fn udp(&self) -> UdpConfig {
         UdpConfig { checksum: false }
     }
 }
@@ -119,7 +117,7 @@ impl VideoServer {
         config: VideoConfig,
         until: SimTime,
     ) -> Option<VideoServer> {
-        let process = AddressSpace::new("video-server");
+        let process = AddressSpace::new();
         let sock = stack.udp_socket(&process, config.port, config.udp(), |_, _| {})?;
         let read = move |lease: &mut CpuLease| {
             process.trap(lease);
@@ -243,7 +241,7 @@ impl VideoClient {
     /// have a framebuffer.
     pub fn dunix(stack: &Rc<MonolithicStack>, config: VideoConfig) -> Option<VideoClient> {
         let (client, view) = VideoClient::viewer(stack.machine(), config);
-        let process = AddressSpace::new("video-client");
+        let process = AddressSpace::new();
         stack.udp_socket(&process, config.port, config.udp(), view)?;
         Some(client)
     }

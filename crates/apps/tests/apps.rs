@@ -5,16 +5,16 @@ use std::collections::HashMap;
 use std::net::Ipv4Addr;
 use std::rc::Rc;
 
-use plexus_apps::active_messages::{am_extension_spec, ActiveMessages};
-use plexus_apps::httpd::{httpd_extension_spec, HttpGet, Httpd};
-use plexus_apps::video::{video_extension_spec, VideoClient, VideoConfig, VideoServer};
+use plexus_apps::{
+    am_extension_spec, httpd_extension_spec, video_extension_spec, ActiveMessages, HttpGet, Httpd,
+    VideoClient, VideoConfig, VideoServer,
+};
 use plexus_baseline::MonolithicStack;
 use plexus_core::{PlexusStack, StackConfig};
-use plexus_net::testbed::Testbed;
-use plexus_sim::disk::Disk;
-use plexus_sim::framebuffer::Framebuffer;
+use plexus_net::Testbed;
 use plexus_sim::nic::{Link, NicProfile};
 use plexus_sim::time::{SimDuration, SimTime};
+use plexus_sim::{Disk, Framebuffer};
 
 /// Plexus on both hosts of a private Ethernet segment, ARP seeded.
 fn plexus_pair(names: [&str; 2]) -> (Testbed, Rc<PlexusStack>, Rc<PlexusStack>) {
@@ -248,9 +248,7 @@ fn dunix_video_server_uses_more_cpu_than_plexus() {
 
 mod reliable_protocol {
     use super::*;
-    use plexus_apps::reliable::{
-        reliable_extension_spec, ReliableConfig, ReliableReceiver, ReliableSender,
-    };
+    use plexus_apps::{reliable_extension_spec, ReliableConfig, ReliableReceiver, ReliableSender};
     use plexus_sim::nic::FaultInjector;
 
     #[test]
@@ -337,9 +335,7 @@ mod reliable_protocol {
 
 mod transaction_protocol {
     use super::*;
-    use plexus_apps::transaction::{
-        transaction_extension_spec, TransactionClient, TransactionServer,
-    };
+    use plexus_apps::{transaction_extension_spec, TransactionClient, TransactionServer};
     use plexus_core::TcpCallbacks;
     use plexus_sim::nic::FaultInjector;
 

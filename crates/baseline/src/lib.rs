@@ -14,6 +14,9 @@
 //! * [`TcpLayer`] — the socket structure around the shared `TcpConn`.
 //! * [`UserSplice`] — the user-level TCP forwarder of §5.2 (two spliced
 //!   sockets; breaks end-to-end semantics, doubles the protocol work).
+//!
+//! Every module is private; the root re-exports these three and
+//! [`UdpSocket`].
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]

@@ -19,7 +19,7 @@ use std::collections::HashMap;
 use std::net::Ipv4Addr;
 use std::rc::Rc;
 
-use plexus_kernel::vm::AddressSpace;
+use plexus_kernel::AddressSpace;
 use plexus_net::tcp::{TcpCallbacks, TcpConn};
 use plexus_sim::Engine;
 
@@ -46,7 +46,7 @@ impl UserSplice {
         backend: (Ipv4Addr, u16),
     ) -> UserSplice {
         let _ = engine;
-        let process = AddressSpace::new("user-splice");
+        let process = AddressSpace::new();
         let pairs: PairMap = Rc::new(RefCell::new(HashMap::new()));
 
         let stack2 = stack.clone();

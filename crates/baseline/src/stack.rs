@@ -22,16 +22,15 @@ use std::rc::Rc;
 
 use plexus_net::ether::{self, EtherType, MacAddr, ETHER_HDR_LEN};
 use plexus_net::ip::{self, IpHeader, RouteTable};
-use plexus_net::link::{Interface, Structure};
 use plexus_net::mbuf::Mbuf;
 use plexus_net::tcp::{ConnEvent, TcpConn};
-use plexus_net::testbed::Host;
 use plexus_net::udp::{self, Endpoint, UdpConfig, UdpRecv};
+use plexus_net::{Host, Interface, Structure};
 use plexus_sim::nic::{DriverConfig, Nic};
 use plexus_sim::{CpuLease, Engine, Loss, Machine, Outcome};
 
 use plexus_kernel::dispatcher::RaiseCtx;
-use plexus_kernel::vm::AddressSpace;
+use plexus_kernel::AddressSpace;
 
 use crate::tcp_socket::TcpLayer;
 
@@ -72,7 +71,7 @@ impl MonolithicStack {
         mac: MacAddr,
     ) -> Rc<MonolithicStack> {
         let shared = Rc::new(BaselineShared {
-            link: Interface::new(machine.cpu(), nic, ip_addr, mac),
+            link: Interface::new(machine, nic, ip_addr, mac),
             udp_socks: RefCell::default(),
             tcp_conns: RefCell::default(),
         });
@@ -169,11 +168,6 @@ impl MonolithicStack {
     /// This host's address.
     pub fn ip(&self) -> Ipv4Addr {
         self.shared.link.ip()
-    }
-
-    /// This host's MAC.
-    pub fn mac(&self) -> MacAddr {
-        self.shared.link.mac()
     }
 
     /// The TCP socket layer.
@@ -332,13 +326,6 @@ pub struct UdpSocket {
     port: u16,
     config: UdpConfig,
     on_recv: OnRecv,
-}
-
-impl UdpSocket {
-    /// Closes the socket, freeing the port.
-    pub fn close(&self) {
-        self.socket.kernel.udp_socks.borrow_mut().remove(&self.port);
-    }
 }
 
 /// A DIGITAL UNIX port may always send.

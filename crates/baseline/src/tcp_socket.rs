@@ -7,11 +7,11 @@ use std::net::Ipv4Addr;
 use std::rc::Rc;
 
 use plexus_kernel::dispatcher::RaiseCtx;
-use plexus_kernel::vm::AddressSpace;
+use plexus_kernel::AddressSpace;
 use plexus_net::ip::IpHeader;
-use plexus_net::link::Structure;
 use plexus_net::mbuf::Mbuf;
 use plexus_net::tcp::{ConnCallback, ConnHost, ConnIds, PortsExhausted, Tcb, TcpConn, TcpSegment};
+use plexus_net::Structure;
 use plexus_sim::{Engine, Loss};
 
 use crate::stack::{BaselineShared, Socket};

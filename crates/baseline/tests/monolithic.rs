@@ -6,10 +6,10 @@ use std::rc::Rc;
 
 use plexus_baseline::{MonolithicStack, UdpSocket, UserSplice};
 use plexus_kernel::dispatcher::RaiseCtx;
-use plexus_kernel::vm::AddressSpace;
+use plexus_kernel::AddressSpace;
 use plexus_net::tcp::{TcpCallbacks, TcpConn, TcpState};
-use plexus_net::testbed::Testbed;
 use plexus_net::udp::{DatagramTooLong, Endpoint, UdpConfig, UdpRecv};
+use plexus_net::Testbed;
 use plexus_sim::nic::Link;
 use plexus_sim::time::SimDuration;
 use plexus_sim::{Loss, Outcome, World};
@@ -32,7 +32,7 @@ fn collecting(stack: &MonolithicStack, port: u16, config: UdpConfig) -> Received
     let got = Received::default();
     let g = got.clone();
     let keep = move |_: &mut RaiseCtx<'_>, ev: &UdpRecv| g.borrow_mut().push(ev.payload.to_vec());
-    let process = AddressSpace::new("sink");
+    let process = AddressSpace::new();
     stack.udp_socket(&process, port, config, keep).unwrap();
     got
 }
@@ -47,8 +47,8 @@ fn sender(stack: &MonolithicStack, process: &Rc<AddressSpace>) -> Rc<UdpSocket> 
 #[test]
 fn udp_ping_pong_round_trip_is_slower_than_plexus_target() {
     let (mut world, [client, server]) = monolithic_lan(&Link::ethernet(), ["a", "b"]);
-    let cproc = AddressSpace::new("client-proc");
-    let sproc = AddressSpace::new("server-proc");
+    let cproc = AddressSpace::new();
+    let sproc = AddressSpace::new();
 
     let slot: Rc<OnceCell<Rc<UdpSocket>>> = Rc::default();
     let echo2 = slot.clone();
@@ -98,7 +98,7 @@ fn a_datagram_longer_than_ipv4_carries_is_refused_before_the_wire() {
     let client = MonolithicStack::attach_host(&hosts[0]);
     let server = MonolithicStack::attach_host(&hosts[1]);
     let got = collecting(&server, 7, UdpConfig::default());
-    let cproc = AddressSpace::new("c");
+    let cproc = AddressSpace::new();
     let csock = sender(&client, &cproc);
     let longest: Vec<u8> = (0..65_507u32).map(|i| (i % 251) as u8).collect();
     csock
@@ -137,7 +137,7 @@ fn a_datagram_longer_than_ipv4_carries_is_refused_before_the_wire() {
 #[test]
 fn port_collision_returns_none() {
     let (_world, [_c, server]) = monolithic_lan(&Link::ethernet(), ["a", "b"]);
-    let p = AddressSpace::new("p");
+    let p = AddressSpace::new();
     let _a = sender(&server, &p);
     let ignore = |_: &mut RaiseCtx<'_>, _: &UdpRecv| {};
     assert!(server
@@ -157,8 +157,8 @@ fn icmp_echo_is_answered_in_kernel() {
 #[test]
 fn tcp_connect_transfer_close() {
     let (mut world, [client, server]) = monolithic_lan(&Link::ethernet(), ["a", "b"]);
-    let cproc = AddressSpace::new("c");
-    let sproc = AddressSpace::new("s");
+    let cproc = AddressSpace::new();
+    let sproc = AddressSpace::new();
 
     server.tcp().listen(&sproc, 80, |_, sock| {
         sock.set_callbacks(TcpCallbacks {
@@ -199,8 +199,8 @@ fn tcp_connect_transfer_close() {
 #[test]
 fn tcp_bulk_transfer_is_intact() {
     let (mut world, [client, server]) = monolithic_lan(&Link::ethernet(), ["a", "b"]);
-    let cproc = AddressSpace::new("c");
-    let sproc = AddressSpace::new("s");
+    let cproc = AddressSpace::new();
+    let sproc = AddressSpace::new();
     let received = Rc::new(RefCell::new(Vec::new()));
     let r = received.clone();
     server.tcp().listen(&sproc, 5001, move |_, sock| {
@@ -235,7 +235,7 @@ fn user_splice_forwards_but_breaks_end_to_end() {
     let (mut world, [client, fwd, backend]) =
         monolithic_lan(&Link::ethernet(), ["client", "fwd", "backend"]);
 
-    let bproc = AddressSpace::new("backend-proc");
+    let bproc = AddressSpace::new();
     backend.tcp().listen(&bproc, 80, |_, sock| {
         sock.set_callbacks(TcpCallbacks {
             on_data: Some(Rc::new(|ctx, sock, data| {
@@ -249,7 +249,7 @@ fn user_splice_forwards_but_breaks_end_to_end() {
 
     let splice = UserSplice::start(&fwd, world.engine_mut(), 8080, (backend.ip(), 80));
 
-    let cproc = AddressSpace::new("client-proc");
+    let cproc = AddressSpace::new();
     let got = Rc::new(RefCell::new(Vec::new()));
     let conn = client
         .tcp()
@@ -274,7 +274,7 @@ fn user_splice_forwards_but_breaks_end_to_end() {
 #[test]
 fn checksum_disabled_udp_socket_skips_verification() {
     let (mut world, [client, server]) = monolithic_lan(&Link::ethernet(), ["a", "b"]);
-    let cproc = AddressSpace::new("c");
+    let cproc = AddressSpace::new();
     // Both ends opt out of the UDP checksum (§1.1's media-traffic knob,
     // available to DIGITAL UNIX sockets too).
     let nocheck = UdpConfig { checksum: false };
@@ -291,7 +291,7 @@ fn checksum_disabled_udp_socket_skips_verification() {
 #[test]
 fn udp_to_unbound_port_is_counted() {
     let (mut world, [client, server]) = monolithic_lan(&Link::ethernet(), ["a", "b"]);
-    let cproc = AddressSpace::new("c");
+    let cproc = AddressSpace::new();
     sender(&client, &cproc)
         .send(world.engine_mut(), server.ip(), 4444, b"anyone there?")
         .expect("the payload fits one datagram");
@@ -309,8 +309,8 @@ fn wakeups_coalesce_under_tcp_bursts() {
     // the PIO ATM profile, where the receive CPU is the bottleneck and
     // segments genuinely queue behind the woken process.
     let (mut world, [client, server]) = monolithic_lan(&Link::atm(), ["a", "b"]);
-    let cproc = AddressSpace::new("send");
-    let sproc = AddressSpace::new("recv");
+    let cproc = AddressSpace::new();
+    let sproc = AddressSpace::new();
     let received = Rc::new(Cell::new(0usize));
     let r = received.clone();
     server.tcp().listen(&sproc, 5001, move |_, sock| {
@@ -349,7 +349,7 @@ fn splice_handles_multiple_concurrent_clients() {
     // spliced sockets and its own bytes back.
     let (mut world, [client, fwd, backend]) =
         monolithic_lan(&Link::ethernet(), ["clients", "fwd", "backend"]);
-    let bproc = AddressSpace::new("svc");
+    let bproc = AddressSpace::new();
     backend.tcp().listen(&bproc, 80, |_, sock| {
         sock.set_callbacks(TcpCallbacks {
             on_data: Some(Rc::new(|ctx, sock, data| {
@@ -362,7 +362,7 @@ fn splice_handles_multiple_concurrent_clients() {
     let splice = UserSplice::start(&fwd, world.engine_mut(), 8080, (backend.ip(), 80));
 
     const N: usize = 8;
-    let cproc = AddressSpace::new("cli");
+    let cproc = AddressSpace::new();
     let results: Rc<RefCell<Vec<Option<Vec<u8>>>>> = Rc::new(RefCell::new(vec![None; N]));
     for i in 0..N {
         let conn = client
@@ -402,7 +402,7 @@ fn cold_pair() -> (Testbed, Rc<UdpSocket>, Received) {
         MonolithicStack::attach(&h.machine, &h.nic, h.ip, h.mac)
     });
     let got = collecting(&b, 7, UdpConfig::default());
-    let sock = sender(&a, &AddressSpace::new("src"));
+    let sock = sender(&a, &AddressSpace::new());
     (tb, sock, got)
 }
 
@@ -444,7 +444,7 @@ fn a_lost_arp_reply_does_not_strand_the_queue() {
 
 #[test]
 fn the_arp_queue_is_bounded() {
-    use plexus_net::arp::MAX_PARKED_PER_HOP;
+    use plexus_net::MAX_PARKED_PER_HOP;
     // A burst to one cold hop, all sent before the is-at can come back:
     // the cache parks up to its cap and refuses the rest.
     let (mut tb, sock, got) = cold_pair();
@@ -466,7 +466,7 @@ fn a_redial_skips_a_port_a_live_connection_holds() {
     // would make the same 4-tuple: the allocator must pass it over rather
     // than register a second connection on top of the live one.
     let (mut world, [a, b]) = monolithic_lan(&Link::ethernet(), ["a", "b"]);
-    let (pa, pb) = (AddressSpace::new("a"), AddressSpace::new("b"));
+    let (pa, pb) = (AddressSpace::new(), AddressSpace::new());
     let echo = |tag: &'static [u8]| {
         move |_: &mut RaiseCtx<'_>, conn: &Rc<TcpConn>| {
             conn.set_callbacks(TcpCallbacks {

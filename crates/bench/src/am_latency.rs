@@ -11,9 +11,9 @@ use std::rc::Rc;
 use crate::report::BenchReport;
 use crate::table;
 use crate::udp_rtt::{mean_us, Link, System, UdpRtt};
-use plexus_apps::active_messages::{am_extension_spec, ActiveMessages};
+use plexus_apps::{am_extension_spec, ActiveMessages};
 use plexus_core::{PlexusStack, StackConfig};
-use plexus_net::testbed::Testbed;
+use plexus_net::Testbed;
 
 fn am_rtt_us(rounds: u32) -> f64 {
     let Testbed {

@@ -38,7 +38,7 @@ use std::path::PathBuf;
 use std::process::ExitCode;
 use std::slice;
 
-use plexus_bench::figures::{self, Cell, Figure, FIGURES, KINDS};
+use plexus_bench::{Cell, Figure, FIGURES, KINDS};
 
 /// Every name the command line takes, with its help line.
 fn names() -> impl Iterator<Item = (String, &'static str)> {
@@ -107,9 +107,9 @@ fn parse(mut args: impl Iterator<Item = String>) -> Result<Opts, String> {
             "all" => opts.targets.extend(FIGURES.iter().map(figure)),
             flag if flag.starts_with('-') => return Err(format!("unknown flag {flag}")),
             name => {
-                let target = figures::find(name)
+                let target = plexus_bench::figure(name)
                     .map(figure)
-                    .or_else(|| figures::cell(name).map(|c| (None, slice::from_ref(c))));
+                    .or_else(|| plexus_bench::cell(name).map(|c| (None, slice::from_ref(c))));
                 opts.targets
                     .push(target.ok_or(format!("unknown name: {name} (try --list)"))?);
             }

@@ -8,21 +8,20 @@
 //! bandwidth of the framebuffer hardware" — with >90 % of client time in
 //! the display path. This harness reproduces both halves of that claim.
 
-use plexus_apps::video::{video_extension_spec, VideoClient, VideoConfig, VideoServer};
+use plexus_apps::{video_extension_spec, VideoClient, VideoConfig, VideoServer};
 use plexus_baseline::MonolithicStack;
 use plexus_core::{PlexusStack, StackConfig};
-use plexus_net::testbed::Testbed;
-use plexus_sim::disk::Disk;
-use plexus_sim::framebuffer::Framebuffer;
+use plexus_net::Testbed;
 use plexus_sim::nic::Link;
 use plexus_sim::time::{SimDuration, SimTime};
+use plexus_sim::{Disk, Framebuffer};
 
 use crate::report::BenchReport;
 use crate::table;
 
 /// Which client implementation receives the stream.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
-pub enum ClientSystem {
+pub(crate) enum ClientSystem {
     /// The in-kernel Plexus viewer extension.
     Spin,
     /// The user-process viewer over sockets.
@@ -31,7 +30,7 @@ pub enum ClientSystem {
 
 impl ClientSystem {
     /// Label used in tables.
-    pub fn label(&self) -> &'static str {
+    pub(crate) fn label(&self) -> &'static str {
         match self {
             ClientSystem::Spin => "SPIN",
             ClientSystem::Dunix => "DIGITAL UNIX",
@@ -41,7 +40,7 @@ impl ClientSystem {
 
 /// Measurement of one client run.
 #[derive(Clone, Copy, Debug)]
-pub struct ClientSample {
+pub(crate) struct ClientSample {
     /// Client CPU utilization over the window.
     pub utilization: f64,
     /// Fraction of client CPU time spent in the display path (checksum +
@@ -54,7 +53,7 @@ pub struct ClientSample {
 /// Streams one video to a single client for `seconds` and measures the
 /// client's CPU. A SPIN server feeds both client types (the server side is
 /// Figure 6's experiment; here it is just the source).
-pub fn video_client_utilization(system: ClientSystem, seconds: u64) -> ClientSample {
+pub(crate) fn video_client_utilization(system: ClientSystem, seconds: u64) -> ClientSample {
     let cfg = VideoConfig::default();
     let Testbed {
         mut world, hosts, ..

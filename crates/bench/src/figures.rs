@@ -521,14 +521,14 @@ pub const FIGURES: &[Figure] = &[
 ];
 
 /// Looks up a figure by name.
-pub fn find(name: &str) -> Option<&'static Figure> {
+pub fn figure(name: &str) -> Option<&'static Figure> {
     FIGURES.iter().find(|f| f.name == name)
 }
 
 /// Looks up a cell by `FIGURE/CELL`.
 pub fn cell(path: &str) -> Option<&'static Cell> {
-    let (figure, cell) = path.split_once('/')?;
-    find(figure)?.cells.iter().find(|c| c.name == cell)
+    let (name, cell) = path.split_once('/')?;
+    figure(name)?.cells.iter().find(|c| c.name == cell)
 }
 
 #[cfg(test)]
@@ -555,12 +555,12 @@ mod tests {
 
     #[test]
     fn a_bare_name_is_a_figure_and_figure_slash_cell_is_a_cell() {
-        assert_eq!(find("overload").unwrap().name, "overload");
+        assert_eq!(figure("overload").unwrap().name, "overload");
         let coalesced = cell("overload/overload_coalesced").unwrap();
         assert_eq!(coalesced.name, "overload_coalesced");
         assert_eq!(cell("overload/overload").unwrap().name, "overload");
         for unknown in ["overload_coalesced", "overload/overload", "nonsense"] {
-            assert!(find(unknown).is_none(), "{unknown}");
+            assert!(figure(unknown).is_none(), "{unknown}");
         }
         for unknown in ["overload", "fig5_udp_latency/overload", "nonsense/udp_rtt"] {
             assert!(cell(unknown).is_none(), "{unknown}");

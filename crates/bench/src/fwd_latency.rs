@@ -16,12 +16,12 @@
 use std::cell::Cell;
 use std::rc::Rc;
 
-use plexus_apps::forward::{forwarder_extension_spec, InKernelForwarder};
+use plexus_apps::{forwarder_extension_spec, InKernelForwarder};
 use plexus_baseline::{MonolithicStack, UserSplice};
 use plexus_core::{PlexusStack, StackConfig, TcpCallbacks, TcpConn};
 use plexus_kernel::dispatcher::RaiseCtx;
-use plexus_kernel::vm::AddressSpace;
-use plexus_net::testbed::Testbed;
+use plexus_kernel::AddressSpace;
+use plexus_net::Testbed;
 use plexus_sim::nic::Link;
 use plexus_sim::time::SimDuration;
 use plexus_sim::Machine;
@@ -33,7 +33,7 @@ use crate::udp_rtt::{mean_us, PingState};
 
 /// The forwarding system measured.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
-pub enum FwdSystem {
+pub(crate) enum FwdSystem {
     /// Plexus in-kernel redirection.
     Plexus,
     /// The DIGITAL UNIX user-level splice.
@@ -48,7 +48,7 @@ const PORT: u16 = 8080;
 /// One Figure 7 cell: `rounds` serial `payload`-byte request/response
 /// exchanges from a client, through a forwarder, to a backend, all three
 /// on `link`.
-pub struct FwdLatency<'a> {
+pub(crate) struct FwdLatency<'a> {
     /// The forwarding configuration.
     pub system: FwdSystem,
     /// The segment all three hosts sit on.
@@ -64,7 +64,7 @@ pub struct FwdLatency<'a> {
 
 impl<'a> FwdLatency<'a> {
     /// The experiment, untraced.
-    pub fn new(system: FwdSystem, link: &'a Link, payload: usize, rounds: u32) -> Self {
+    pub(crate) fn new(system: FwdSystem, link: &'a Link, payload: usize, rounds: u32) -> Self {
         FwdLatency {
             system,
             link,
@@ -76,7 +76,7 @@ impl<'a> FwdLatency<'a> {
 
     /// Runs the exchanges; returns the mean request/response latency in
     /// microseconds.
-    pub fn run(&self) -> f64 {
+    pub(crate) fn run(&self) -> f64 {
         self.run_on().0
     }
 
@@ -124,11 +124,9 @@ impl<'a> FwdLatency<'a> {
     /// the forwarder.
     fn splice(&self, mut tb: Testbed, state: &Rc<PingState>) {
         let [client, fwd, backend] = [0, 1, 2].map(|k| MonolithicStack::attach_host(&tb.hosts[k]));
-        backend
-            .tcp()
-            .listen(&AddressSpace::new("backend"), PORT, echo);
+        backend.tcp().listen(&AddressSpace::new(), PORT, echo);
         let _splice = UserSplice::start(&fwd, tb.world.engine_mut(), PORT, (backend.ip(), PORT));
-        let cproc = AddressSpace::new("client");
+        let cproc = AddressSpace::new();
         let to = (fwd.ip(), PORT);
         let conn = client.tcp().connect(tb.world.engine_mut(), &cproc, to);
         self.ping(&conn.unwrap(), state);

@@ -13,10 +13,10 @@ use std::collections::HashMap;
 use std::net::Ipv4Addr;
 use std::rc::Rc;
 
-use plexus_apps::httpd::{httpd_extension_spec, DunixHttpd, HttpGet, Httpd};
+use plexus_apps::{httpd_extension_spec, DunixHttpd, HttpGet, Httpd};
 use plexus_baseline::MonolithicStack;
 use plexus_core::{PlexusStack, StackConfig};
-use plexus_net::testbed::Testbed;
+use plexus_net::Testbed;
 use plexus_sim::nic::Link;
 use plexus_sim::time::SimDuration;
 use plexus_sim::World;
@@ -26,7 +26,7 @@ use crate::table;
 
 /// The server's OS structure.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
-pub enum HttpSystem {
+pub(crate) enum HttpSystem {
     /// In-kernel Plexus extension.
     Plexus,
     /// User process over sockets.
@@ -35,7 +35,7 @@ pub enum HttpSystem {
 
 /// Measures the complete GET latency (connect → response body → close
 /// observed) in microseconds for a document of `body_bytes`.
-pub fn http_get_latency_us(system: HttpSystem, link: &Link, body_bytes: usize) -> f64 {
+pub(crate) fn http_get_latency_us(system: HttpSystem, link: &Link, body_bytes: usize) -> f64 {
     let Testbed {
         mut world, hosts, ..
     } = Testbed::new(link, 4, &["client", "server"]);

@@ -23,13 +23,13 @@
 use std::cell::{Cell, RefCell};
 use std::rc::Rc;
 
-use plexus_apps::forward::{forwarder_extension_spec, InKernelForwarder};
+use plexus_apps::{forwarder_extension_spec, InKernelForwarder};
 use plexus_core::{AppHandler, PlexusStack, StackConfig};
 use plexus_kernel::domain::ExtensionSpec;
 use plexus_net::ip::{encapsulate as ip_encapsulate, proto, IpHeader};
 use plexus_net::mbuf::Mbuf;
-use plexus_net::testbed::{Host, Testbed};
 use plexus_net::udp::UdpConfig;
+use plexus_net::{Host, Testbed};
 use plexus_sim::engine::Engine;
 use plexus_sim::nic::{DriverConfig, Link, Nic, NicStats};
 use plexus_sim::time::{SimDuration, SimTime};
@@ -52,7 +52,7 @@ pub enum RxMode {
 
 impl RxMode {
     /// Key used in metric names.
-    pub fn key(&self) -> &'static str {
+    pub(crate) fn key(&self) -> &'static str {
         match self {
             RxMode::PerPacket => "perpkt",
             RxMode::Coalesced => "coalesced",
@@ -80,7 +80,7 @@ pub enum TxMode {
 
 impl TxMode {
     /// Key used in metric names.
-    pub fn key(&self) -> &'static str {
+    pub(crate) fn key(&self) -> &'static str {
         match self {
             TxMode::PerFrame => "sgpf",
             TxMode::Flattened => "flat",
@@ -90,7 +90,7 @@ impl TxMode {
 }
 
 /// Copies the fan-out workload sends per received datagram.
-pub const FANOUT: usize = 4;
+pub(crate) const FANOUT: usize = 4;
 
 /// The traffic pattern offered to the device under test.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
@@ -101,14 +101,14 @@ pub enum Workload {
     /// DUT redirects each datagram to a backend sink (§5.2 forwarding);
     /// latency is one-way generator→backend.
     UdpForward,
-    /// DUT answers each datagram with [`FANOUT`] copies — the fig6-style
+    /// DUT answers each datagram with `FANOUT` (4) copies — the fig6-style
     /// fan-out, transmit-bound, which is what doorbell batching helps.
     UdpFanout,
 }
 
 impl Workload {
     /// Key used in metric names.
-    pub fn key(&self) -> &'static str {
+    pub(crate) fn key(&self) -> &'static str {
         match self {
             Workload::UdpEcho => "echo",
             Workload::UdpForward => "fwd",
@@ -118,7 +118,7 @@ impl Workload {
 }
 
 /// The standard sweep: offered load as a fraction `num/den` of line rate.
-pub const FACTORS: &[(u64, u64)] = &[(1, 10), (1, 4), (1, 2), (1, 1), (2, 1), (4, 1)];
+pub(crate) const FACTORS: &[(u64, u64)] = &[(1, 10), (1, 4), (1, 2), (1, 1), (2, 1), (4, 1)];
 
 /// Results for one offered-load point.
 #[derive(Clone, Debug)]
@@ -158,17 +158,17 @@ pub struct LoadPoint {
 
 impl LoadPoint {
     /// Offered load as a float multiple of line rate.
-    pub fn factor(&self) -> f64 {
+    pub(crate) fn factor(&self) -> f64 {
         self.offered.0 as f64 / self.offered.1 as f64
     }
 
     /// Label like `x0.10` / `x2.00`, stable for metric names.
-    pub fn label(&self) -> String {
+    pub(crate) fn label(&self) -> String {
         format!("x{:.2}", self.factor())
     }
 
     /// Mean frames drained per receive interrupt.
-    pub fn frames_per_interrupt(&self) -> f64 {
+    pub(crate) fn frames_per_interrupt(&self) -> f64 {
         if self.rx_interrupts == 0 {
             0.0
         } else {
@@ -185,9 +185,9 @@ const PAYLOAD_OFF: usize = 14 + 20 + 8;
 /// wire time, which is what makes receive overload visible.
 pub const PAYLOAD: usize = 32;
 /// Settling time before the measurement window opens.
-pub const WARMUP: SimDuration = SimDuration::from_micros(20_000);
+pub(crate) const WARMUP: SimDuration = SimDuration::from_micros(20_000);
 /// Length of the measurement window.
-pub const MEASURE: SimDuration = SimDuration::from_micros(200_000);
+pub(crate) const MEASURE: SimDuration = SimDuration::from_micros(200_000);
 
 /// Builds a complete wire frame from `src` to `dst`: Ethernet + IPv4 +
 /// UDP (checksum disabled so the payload can carry a varying timestamp

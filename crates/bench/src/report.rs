@@ -42,7 +42,7 @@ pub struct BenchReport {
 
 impl BenchReport {
     /// Starts a report for the figure (or worst-window fold) `name`.
-    pub fn new(name: &str) -> BenchReport {
+    pub(crate) fn new(name: &str) -> BenchReport {
         BenchReport {
             name: name.to_string(),
             metrics: Vec::new(),
@@ -51,7 +51,7 @@ impl BenchReport {
     }
 
     /// Adds a latency metric from per-event samples in simulated ns.
-    pub fn latency_from_ns(&mut self, name: &str, samples_ns: &[u64]) {
+    pub(crate) fn latency_from_ns(&mut self, name: &str, samples_ns: &[u64]) {
         assert!(!samples_ns.is_empty(), "metric {name} has no samples");
         let mut sorted = samples_ns.to_vec();
         sorted.sort_unstable();
@@ -69,7 +69,7 @@ impl BenchReport {
     }
 
     /// Adds a single-valued latency (benches that only compute a mean).
-    pub fn latency_us(&mut self, name: &str, mean_us: f64) {
+    pub(crate) fn latency_us(&mut self, name: &str, mean_us: f64) {
         self.metrics.push(Metric {
             name: name.to_string(),
             latency: Some((mean_us, mean_us, mean_us)),
@@ -80,7 +80,7 @@ impl BenchReport {
 
     /// Adds a scalar metric with an explicit unit (e.g. `"percent"`,
     /// `"mbit_s"`).
-    pub fn scalar(&mut self, name: &str, value: f64, unit: &'static str) {
+    pub(crate) fn scalar(&mut self, name: &str, value: f64, unit: &'static str) {
         self.metrics.push(Metric {
             name: name.to_string(),
             scalar: Some((value, unit)),
@@ -91,7 +91,13 @@ impl BenchReport {
     /// Adds a worst-window metric: a scalar plus the timeline window
     /// index it was observed in, so a regression that merely *moves* the
     /// transient (without changing its magnitude) still changes the file.
-    pub fn scalar_windowed(&mut self, name: &str, value: f64, unit: &'static str, window: u64) {
+    pub(crate) fn scalar_windowed(
+        &mut self,
+        name: &str,
+        value: f64,
+        unit: &'static str,
+        window: u64,
+    ) {
         self.metrics.push(Metric {
             name: name.to_string(),
             scalar: Some((value, unit)),
@@ -101,7 +107,7 @@ impl BenchReport {
     }
 
     /// Adds an event count.
-    pub fn count(&mut self, name: &str, value: u64) {
+    pub(crate) fn count(&mut self, name: &str, value: u64) {
         self.counts.push((name.to_string(), value));
     }
 

@@ -15,8 +15,8 @@ use crate::table;
 use crate::udp_rtt::{device_key, mean_us, paper_links, Link, PingPong, System, UdpRtt};
 use plexus_core::{AppHandler, PlexusStack, StackConfig};
 use plexus_kernel::domain::ExtensionSpec;
-use plexus_net::testbed::Testbed;
 use plexus_net::udp::UdpConfig;
+use plexus_net::Testbed;
 
 /// Both sweeps, payload first.
 pub(crate) fn figure(out: &mut String, report: &mut BenchReport) {

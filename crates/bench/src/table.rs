@@ -2,7 +2,7 @@
 
 /// Appends rows to `out` as an aligned text table with a header rule,
 /// followed by a blank line.
-pub fn render(out: &mut String, headers: &[&str], rows: &[Vec<String>]) {
+pub(crate) fn render(out: &mut String, headers: &[&str], rows: &[Vec<String>]) {
     let mut widths: Vec<usize> = headers.iter().map(|h| h.len()).collect();
     for row in rows {
         for (i, cell) in row.iter().enumerate() {

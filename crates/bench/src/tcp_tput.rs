@@ -13,8 +13,8 @@ use plexus_baseline::MonolithicStack;
 use plexus_core::{PlexusStack, StackConfig, TcpCallbacks, TcpConn};
 use plexus_kernel::dispatcher::RaiseCtx;
 use plexus_kernel::domain::ExtensionSpec;
-use plexus_kernel::vm::AddressSpace;
-use plexus_net::testbed::Testbed;
+use plexus_kernel::AddressSpace;
+use plexus_net::Testbed;
 use plexus_sim::nic::{DriverConfig, Link};
 use plexus_sim::time::SimDuration;
 
@@ -24,7 +24,7 @@ use crate::udp_rtt::device_key;
 
 /// The system under test (TCP throughput compares two).
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
-pub enum TputSystem {
+pub(crate) enum TputSystem {
     /// Plexus (interrupt-level graph).
     Plexus,
     /// The monolithic baseline.
@@ -37,7 +37,7 @@ const WRITE_CHUNK: usize = 16 * 1024;
 
 /// Measures one bulk transfer of `bytes` and returns Mb/s of application
 /// payload delivered (timed from first byte sent to last byte received).
-pub fn tcp_throughput_mbps(system: TputSystem, link: &Link, bytes: usize) -> f64 {
+pub(crate) fn tcp_throughput_mbps(system: TputSystem, link: &Link, bytes: usize) -> f64 {
     let Testbed {
         mut world, hosts, ..
     } = Testbed::new(link, 0, &["sender", "receiver"]);
@@ -79,8 +79,8 @@ pub fn tcp_throughput_mbps(system: TputSystem, link: &Link, bytes: usize) -> f64
         TputSystem::Dunix => {
             let sender = MonolithicStack::attach_host(&hosts[0]);
             let receiver = MonolithicStack::attach_host(&hosts[1]);
-            let sproc = AddressSpace::new("ttcp-send");
-            let rproc = AddressSpace::new("ttcp-recv");
+            let sproc = AddressSpace::new();
+            let rproc = AddressSpace::new();
             receiver.tcp().listen(&rproc, 5001, on_accept);
             let to = (receiver.ip(), 5001);
             sender
@@ -121,7 +121,7 @@ pub fn tcp_throughput_mbps(system: TputSystem, link: &Link, bytes: usize) -> f64
 /// 53 Mb/sec when transferring data reliably between two device drivers"):
 /// stream MTU-sized frames with only interrupt + driver costs and measure
 /// delivered bandwidth.
-pub fn raw_driver_mbps(link: &Link, bytes: usize) -> f64 {
+pub(crate) fn raw_driver_mbps(link: &Link, bytes: usize) -> f64 {
     // This harness pre-queues the whole transfer at t=0 (no transport to
     // pace it), so give the adapter an unbounded ring.
     let mut unbounded = link.clone();

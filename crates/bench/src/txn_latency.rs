@@ -14,9 +14,9 @@
 use std::cell::Cell;
 use std::rc::Rc;
 
-use plexus_apps::transaction::{transaction_extension_spec, TransactionClient, TransactionServer};
+use plexus_apps::{transaction_extension_spec, TransactionClient, TransactionServer};
 use plexus_core::{PlexusStack, StackConfig, TcpCallbacks};
-use plexus_net::testbed::Testbed;
+use plexus_net::Testbed;
 use plexus_sim::nic::Link;
 use plexus_sim::time::SimDuration;
 
@@ -27,7 +27,7 @@ use crate::table;
 
 /// The exchange discipline measured.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
-pub enum TxnSystem {
+pub(crate) enum TxnSystem {
     /// Full TCP connection per exchange.
     TcpStandard,
     /// The transaction transport (TCP-special).
@@ -38,7 +38,7 @@ pub enum TxnSystem {
 
 impl TxnSystem {
     /// Label used in tables.
-    pub fn label(&self) -> &'static str {
+    pub(crate) fn label(&self) -> &'static str {
         match self {
             TxnSystem::TcpStandard => "TCP-standard (connect/close)",
             TxnSystem::TcpSpecial => "TCP-special (transaction)",
@@ -49,7 +49,7 @@ impl TxnSystem {
 
 /// Mean latency (µs) of one complete `payload`-byte request/response
 /// exchange, over `rounds` serial exchanges.
-pub fn txn_latency_us(system: TxnSystem, link: &Link, payload: usize, rounds: u32) -> f64 {
+pub(crate) fn txn_latency_us(system: TxnSystem, link: &Link, payload: usize, rounds: u32) -> f64 {
     match system {
         TxnSystem::Udp => {
             mean_us(&UdpRtt::new(System::PlexusInterrupt, link, payload, rounds).run())

@@ -13,10 +13,9 @@ use std::rc::Rc;
 use plexus_baseline::MonolithicStack;
 use plexus_core::{AppHandler, PlexusStack, StackConfig};
 use plexus_kernel::domain::ExtensionSpec;
-use plexus_kernel::vm::AddressSpace;
-use plexus_kernel::RaiseCtx;
-use plexus_net::testbed::Testbed;
+use plexus_kernel::{AddressSpace, RaiseCtx};
 use plexus_net::udp::{Endpoint, UdpConfig, UdpRecv};
+use plexus_net::Testbed;
 use plexus_sim::cpu::CostModel;
 use plexus_sim::nic::DriverConfig;
 use plexus_sim::time::SimDuration;
@@ -43,7 +42,7 @@ pub enum System {
 
 impl System {
     /// Label used in tables.
-    pub fn label(&self) -> &'static str {
+    pub(crate) fn label(&self) -> &'static str {
         match self {
             System::PlexusInterrupt => "Plexus (interrupt)",
             System::PlexusThread => "Plexus (thread)",
@@ -168,7 +167,7 @@ impl<E: Endpoint + 'static> PingPong<E> {
 }
 
 /// Mean of round-trip samples, in microseconds.
-pub fn mean_us(samples_ns: &[u64]) -> f64 {
+pub(crate) fn mean_us(samples_ns: &[u64]) -> f64 {
     samples_ns.iter().sum::<u64>() as f64 / samples_ns.len() as f64 / 1000.0
 }
 
@@ -213,7 +212,7 @@ impl<'a> UdpRtt<'a> {
     }
 
     /// Runs the ping-pong; returns the per-round round-trip times in
-    /// nanoseconds ([`mean_us`] reduces them to the figure's number).
+    /// nanoseconds (`mean_us` reduces them to the figure's number).
     pub fn run(&self) -> Vec<u64> {
         self.run_on().0
     }
@@ -270,8 +269,8 @@ impl<'a> UdpRtt<'a> {
         let client = MonolithicStack::attach_host(&tb.hosts[0]);
         let server = MonolithicStack::attach_host(&tb.hosts[1]);
         let pp = PingPong::new(self.rounds, self.payload, server.ip());
-        let cproc = AddressSpace::new("client");
-        let sproc = AddressSpace::new("server");
+        let cproc = AddressSpace::new();
+        let sproc = AddressSpace::new();
         let config = UdpConfig::default();
         let sep = server.udp_socket(&sproc, 7, config, pp.echo()).unwrap();
         let cep = client.udp_socket(&cproc, 2000, config, pp.pong()).unwrap();

@@ -8,14 +8,13 @@
 
 use std::rc::Rc;
 
-use plexus_apps::video::{video_extension_spec, VideoConfig, VideoServer};
+use plexus_apps::{video_extension_spec, VideoConfig, VideoServer};
 use plexus_baseline::MonolithicStack;
 use plexus_core::{PlexusStack, StackConfig};
-use plexus_net::testbed::Testbed;
-use plexus_sim::disk::Disk;
+use plexus_net::Testbed;
 use plexus_sim::nic::Link;
 use plexus_sim::time::{SimDuration, SimTime};
-use plexus_sim::Machine;
+use plexus_sim::{Disk, Machine};
 use plexus_trace::Recorder;
 
 use crate::report::BenchReport;
@@ -23,7 +22,7 @@ use crate::table;
 
 /// Which server implementation to run.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
-pub enum VideoSystem {
+pub(crate) enum VideoSystem {
     /// The in-kernel Plexus extension (SPIN).
     Spin,
     /// The user-level socket server (DIGITAL UNIX).
@@ -32,7 +31,7 @@ pub enum VideoSystem {
 
 /// One Figure 6 sample point.
 #[derive(Clone, Copy, Debug)]
-pub struct VideoSample {
+pub(crate) struct VideoSample {
     /// Server CPU utilization over the measurement window (0..=1).
     pub utilization: f64,
     /// Network offered load as a fraction of the T3 line rate.
@@ -46,7 +45,7 @@ pub struct VideoSample {
 /// One Figure 6 point: a video server streaming the default
 /// [`VideoConfig`] to `streams` clients over the T3 for `seconds` of
 /// simulated time.
-pub struct VideoCpu<'a> {
+pub(crate) struct VideoCpu<'a> {
     /// The server implementation.
     pub system: VideoSystem,
     /// Number of client streams.
@@ -61,7 +60,7 @@ pub struct VideoCpu<'a> {
 
 impl VideoCpu<'_> {
     /// The point, untraced.
-    pub fn new(system: VideoSystem, streams: usize, seconds: u64) -> Self {
+    pub(crate) fn new(system: VideoSystem, streams: usize, seconds: u64) -> Self {
         VideoCpu {
             system,
             streams,
@@ -71,7 +70,7 @@ impl VideoCpu<'_> {
     }
 
     /// Runs the server and returns its CPU utilization.
-    pub fn run(&self) -> VideoSample {
+    pub(crate) fn run(&self) -> VideoSample {
         self.run_on().0
     }
 

@@ -16,7 +16,7 @@ use std::collections::BTreeSet;
 use std::fs;
 use std::path::{Path, PathBuf};
 
-use plexus_bench::figures::{self, artifact_file, Figure, FIGURES, KINDS};
+use plexus_bench::{artifact_file, Figure, FIGURES, KINDS};
 
 fn results() -> PathBuf {
     Path::new(env!("CARGO_MANIFEST_DIR")).join("../../results")
@@ -40,7 +40,7 @@ fn assert_goldens(fresh: &[(String, String)]) {
 }
 
 fn figure(name: &str) {
-    let figure = figures::find(name).expect("a registered figure");
+    let figure = plexus_bench::figure(name).expect("a registered figure");
     let (_, report) = figure.run();
     assert_goldens(&[(figure.golden_file(), report.to_json() + "\n")]);
 }
@@ -49,7 +49,7 @@ fn figure(name: &str) {
 /// machine's books balance at the end of it, what reassembly still holds
 /// counted as held.
 fn cell(figure: &str, name: &str) {
-    let cell = figures::cell(&format!("{figure}/{name}")).expect("a registered cell");
+    let cell = plexus_bench::cell(&format!("{figure}/{name}")).expect("a registered cell");
     let committed = |kind: &&str| results().join(artifact_file(name, kind)).is_file();
     let kinds: Vec<&str> = KINDS.iter().copied().filter(committed).collect();
     let seen = cell.observe(&kinds).expect("the cell folds");

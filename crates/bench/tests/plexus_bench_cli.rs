@@ -7,7 +7,7 @@ use std::fs;
 use std::path::{Path, PathBuf};
 use std::process::{Command, Output};
 
-use plexus_bench::figures::{self, FIGURES};
+use plexus_bench::FIGURES;
 
 fn plexus_bench(args: &[&str]) -> Output {
     Command::new(env!("CARGO_BIN_EXE_plexus-bench"))
@@ -58,7 +58,7 @@ fn all_kinds_come_from_one_replay_and_match_the_goldens() {
     // The CLI reports what its recorder holds once per replay: a second
     // replay would print a second line, one into the same recorder would
     // double the count.
-    let one_run = figures::cell(target).unwrap().run().recorded();
+    let one_run = plexus_bench::cell(target).unwrap().run().recorded();
     assert_eq!(replays(&out), [format!("udp_rtt: {one_run} records")]);
 
     for golden in [

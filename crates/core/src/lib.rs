@@ -23,6 +23,10 @@
 //! machine, link an extension, bind a UDP endpoint, and run the engine —
 //! see `examples/quickstart.rs` at the workspace root for a complete
 //! two-machine ping-pong.
+//!
+//! Every module is private but [`tcp_manager`], which stays public because
+//! the host-clock benchmark (`perf/`) imports `tcp_manager::ConnCallback`
+//! by that path; the root re-exports what the rest of the workspace names.
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]

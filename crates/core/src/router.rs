@@ -22,10 +22,9 @@ use std::rc::Rc;
 use plexus_kernel::dispatcher::RaiseCtx;
 use plexus_kernel::view::view;
 use plexus_net::ether::{self, EtherType, MacAddr, ETHER_HDR_LEN};
-use plexus_net::icmp::{IcmpMessage, IcmpType};
 use plexus_net::ip::{self, Hop, IpHeader, IpView, RouteTable};
-use plexus_net::link::{Interface, Structure};
 use plexus_net::mbuf::Mbuf;
+use plexus_net::{IcmpMessage, IcmpType, Interface, Structure};
 use plexus_sim::nic::{DriverConfig, Nic};
 use plexus_sim::{Engine, Loss, Machine, Outcome};
 
@@ -55,7 +54,7 @@ impl IpRouter {
             .enumerate()
             .map(|(idx, (nic, ip_addr, mac))| {
                 routes.add(*ip_addr, 24, idx, None);
-                Rc::new(Interface::new(machine.cpu(), nic, *ip_addr, *mac))
+                Rc::new(Interface::new(machine, nic, *ip_addr, *mac))
             })
             .collect();
         let router = Rc::new(IpRouter {

@@ -41,9 +41,8 @@ use plexus_sim::{CpuLease, Engine, Loss, Machine, Outcome};
 
 use plexus_net::ether::{self, EtherType, Frame, MacAddr, ETHER_HDR_LEN};
 use plexus_net::ip::{self, RouteTable};
-use plexus_net::link::{Interface, Structure};
 use plexus_net::mbuf::Mbuf;
-use plexus_net::testbed::Host;
+use plexus_net::{Host, Interface, Structure};
 
 use crate::guards;
 use crate::tcp_manager::TcpManager;
@@ -74,7 +73,7 @@ pub struct StackConfig {
     /// latency goldens pin.
     pub coalesce: bool,
     /// Submit transmits through the NIC's doorbell-batching tier
-    /// ([`plexus_sim::nic::TxSubmit::Doorbell`]): while the adapter is
+    /// ([`plexus_sim::nic::DriverConfig::doorbell`]): while the adapter is
     /// draining, follow-on frames share one fixed driver charge. Off by
     /// default (one doorbell per frame — the historical cost model the
     /// latency goldens pin).
@@ -514,7 +513,7 @@ impl PlexusStack {
         ext_domain.add_interface("TCP", &["Listen", "Connect", "Send", "Close", "Redirect"]);
         ext_domain.add_interface("ICMP", &["Ping"]);
 
-        let link = Interface::new(machine.cpu(), nic, config.ip, config.mac);
+        let link = Interface::new(machine, nic, config.ip, config.mac);
         link.set_routes(config.routes);
         let shared = Rc::new(StackShared {
             link,

@@ -20,8 +20,8 @@ use plexus_filter::{conjunction, EventKind, Field, FieldKey, Operand, Policy, Te
 use plexus_kernel::dispatcher::{Guard, HandlerId, RaiseCtx};
 use plexus_kernel::domain::LinkedExtension;
 use plexus_net::ip::{self, encapsulate as ip_encapsulate, proto, Hop, IpHeader};
-use plexus_net::link::Structure;
 use plexus_net::tcp::{ConnHost, ConnIds, Tcb, TcpSegment};
+use plexus_net::Structure;
 use plexus_sim::{Engine, Loss, Outcome};
 
 use crate::guards;

@@ -28,11 +28,10 @@ use plexus_kernel::dispatcher::{Guard, HandlerId, RaiseCtx};
 use plexus_kernel::domain::LinkedExtension;
 use plexus_kernel::ephemeral::Ephemeral;
 use plexus_net::checksum::incremental_update;
-use plexus_net::icmp;
 use plexus_net::ip::proto;
-use plexus_net::link::Structure;
 use plexus_net::mbuf::Mbuf;
 use plexus_net::udp::{self, Endpoint, UdpConfig};
+use plexus_net::{icmp_unreachable, Structure};
 use plexus_sim::{Engine, Loss, Outcome};
 
 use crate::guards;
@@ -97,7 +96,7 @@ impl UdpManager {
                     // datagram's IP header and UDP header, as a period BSD
                     // stack would.
                     ctx.lease.count(Outcome::PortUnreachable);
-                    let reply = icmp::unreachable(3, &ev.header, &ev.payload);
+                    let reply = icmp_unreachable(3, &ev.header, &ev.payload);
                     ctx.lease
                         .charge(ctx.lease.model().checksum(reply.total_len()));
                     s.send_ip(ctx, s.link.ip(), ev.src, proto::ICMP, reply);

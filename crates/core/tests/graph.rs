@@ -9,11 +9,10 @@ use std::rc::Rc;
 use plexus_core::{AppHandler, PlexusError, PlexusStack, SourcePolicy, StackConfig, TcpCallbacks};
 use plexus_kernel::domain::{ExtensionSpec, LinkError};
 use plexus_net::ether::{self, EtherType, MacAddr};
-use plexus_net::icmp::{IcmpMessage, IcmpType};
 use plexus_net::ip::{self, IpHeader};
 use plexus_net::mbuf::Mbuf;
-use plexus_net::testbed::{Host, Testbed};
 use plexus_net::udp::{self, Endpoint, UdpConfig};
+use plexus_net::{Host, IcmpMessage, IcmpType, Testbed};
 use plexus_sim::nic::{DriverConfig, Link};
 use plexus_sim::time::{SimDuration, SimTime};
 use plexus_sim::{Loss, Outcome, World};
@@ -1292,7 +1291,7 @@ fn a_failed_resolution_is_asked_again() {
 
 #[test]
 fn the_arp_queue_is_bounded_and_overflow_is_a_named_drop() {
-    use plexus_net::arp::MAX_PARKED_PER_HOP;
+    use plexus_net::MAX_PARKED_PER_HOP;
 
     // Every frame is lost while a burst far larger than the cap is sent to
     // one cold hop: the cache parks up to its cap, refuses the rest as

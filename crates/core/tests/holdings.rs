@@ -17,8 +17,8 @@ use plexus_core::{AppHandler, PlexusError, PlexusStack, StackConfig, UdpEndpoint
 use plexus_kernel::dispatcher::{EventSummary, HandlerId};
 use plexus_kernel::domain::{ExtensionSpec, LinkError, LinkedExtension};
 use plexus_net::ether::EtherType;
-use plexus_net::testbed::Testbed;
 use plexus_net::udp::{Endpoint, UdpConfig};
+use plexus_net::Testbed;
 use plexus_sim::nic::Link;
 
 /// The names links go by: the first three install, and the first four are

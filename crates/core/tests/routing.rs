@@ -8,8 +8,8 @@ use std::rc::Rc;
 use plexus_core::{AppHandler, IpRouter, PlexusStack, StackConfig, TcpCallbacks, UdpRecv};
 use plexus_kernel::domain::ExtensionSpec;
 use plexus_net::ether::MacAddr;
-use plexus_net::testbed::Testbed;
 use plexus_net::udp::{Endpoint, UdpConfig};
+use plexus_net::Testbed;
 use plexus_sim::nic::{Link, Medium, Nic, NicProfile};
 use plexus_sim::time::SimDuration;
 use plexus_sim::{Loss, Machine, Outcome, World};
@@ -70,6 +70,16 @@ fn build(profile_a: NicProfile, profile_b: NicProfile) -> Topology {
         router: mr,
         _ip_router: ip_router,
         nic_a,
+    }
+}
+
+/// Every machine of `world` has ended each frame it heard exactly once:
+/// the hosts' NICs and the router's, which `Nic::new` made, are on their
+/// machines' books.
+fn assert_every_machine_balances(world: &World) {
+    for m in world.machines() {
+        let books = m.books();
+        assert_eq!(books.balance(), 0, "{}: {books}", m.name());
     }
 }
 
@@ -135,6 +145,7 @@ fn udp_crosses_the_router_and_back() {
         "request + reply each forwarded"
     );
     assert_eq!(t.router.books().lost(Loss::NoRoute), 0);
+    assert_every_machine_balances(&t.world);
 }
 
 #[test]
@@ -177,6 +188,7 @@ fn tcp_works_across_subnets() {
         t.router.books().outcome(Outcome::Forwarded) >= 6,
         "handshake + data + acks"
     );
+    assert_every_machine_balances(&t.world);
 }
 
 #[test]
@@ -189,6 +201,7 @@ fn router_answers_pings_on_both_interfaces() {
     let ip_in = |host: &PlexusStack| host.machine().books().outcome(Outcome::IpIn);
     assert!(ip_in(&t.host_a) >= 1, "reply reached host-a");
     assert!(ip_in(&t.host_b) >= 1, "reply reached host-b");
+    assert_every_machine_balances(&t.world);
 }
 
 #[test]
@@ -227,6 +240,7 @@ fn large_datagrams_refragment_for_a_smaller_egress_mtu() {
     t.world.run();
     assert_eq!(*got.borrow(), data, "payload reassembled at the far host");
     assert!(t.router.books().outcome(Outcome::Refragmented) >= 1);
+    assert_every_machine_balances(&t.world);
 }
 
 #[test]
@@ -277,6 +291,7 @@ fn ttl_expiry_generates_time_exceeded() {
         0,
         "nothing was forwarded"
     );
+    assert_every_machine_balances(&t.world);
 }
 
 #[test]
@@ -398,11 +413,12 @@ fn a_lost_arp_reply_does_not_strand_the_routers_queue() {
         "asked again: the stale datagram dropped, the fresh one forwarded"
     );
     assert_eq!(t.router.books().outcome(Outcome::Forwarded), 2);
+    assert_every_machine_balances(&t.world);
 }
 
 #[test]
 fn the_routers_arp_queue_is_bounded() {
-    use plexus_net::arp::MAX_PARKED_PER_HOP;
+    use plexus_net::MAX_PARKED_PER_HOP;
     use plexus_sim::nic::FaultInjector;
     // While the far segment eats the router's who-has, a burst well past
     // the cap arrives for one hop. Then, before the first re-ask at 1 s,
@@ -423,6 +439,7 @@ fn the_routers_arp_queue_is_bounded() {
     let want: Vec<Vec<u8>> = (0..MAX_PARKED_PER_HOP).map(|k| vec![k as u8]).collect();
     assert_eq!(*t.got.borrow(), want);
     assert_eq!(t.router.books().outcome(Outcome::Echoed), 1);
+    assert_every_machine_balances(&t.world);
 }
 
 #[test]
@@ -451,6 +468,7 @@ fn a_header_longer_than_its_datagram_is_a_bad_header() {
     t.nic_a.transmit(t.world.engine_mut(), at, &frame[..]);
     t.world.run();
     assert_eq!(t.router.books().lost(Loss::IpBadHeader), 1);
+    assert_every_machine_balances(&t.world);
 }
 
 #[test]
@@ -504,4 +522,5 @@ fn the_routers_losses_are_named_as_the_hosts_name_theirs() {
         };
         assert_eq!(rec.registry().get(key), 1, "{reason}");
     }
+    assert_every_machine_balances(&t.world);
 }

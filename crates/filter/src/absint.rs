@@ -88,7 +88,7 @@ pub enum Lint {
 
 impl Lint {
     /// The instruction the lint is anchored to.
-    pub fn pc(&self) -> usize {
+    pub(crate) fn pc(&self) -> usize {
         match self {
             Lint::Unreachable { pc }
             | Lint::DeadStore { pc, .. }
@@ -927,6 +927,16 @@ mod tests {
     use crate::ir::EventKind;
     use crate::state::StateMap;
     use crate::verify::{verify, VerifiedProgram};
+
+    impl FilterProgram {
+        /// Attaches declared state maps under a total byte budget (the
+        /// program "header" declaration the verifier checks against).
+        fn with_state(mut self, maps: Vec<crate::state::StateMap>, state_budget: u32) -> Self {
+            self.maps = maps;
+            self.state_budget = state_budget;
+            self
+        }
+    }
 
     fn eth(insns: Vec<Insn>) -> FilterProgram {
         FilterProgram::new(EventKind::EthRecv, insns)

@@ -36,10 +36,9 @@
 
 use std::process::ExitCode;
 
-use plexus_filter::spec::{analyze, ExtensionSpec, InterfaceTable, Signature};
 use plexus_filter::{
-    conjunction_stateful, verify_with_policy, EventKind, Field, FieldKey, MapKind, Operand, Policy,
-    StateMap, Test, Width,
+    analyze, conjunction_stateful, verify_with_policy, EventKind, ExtensionSpec, Field, FieldKey,
+    InterfaceTable, MapKind, Operand, Policy, Signature, StateMap, Test, Width,
 };
 
 #[derive(Default)]

@@ -465,11 +465,6 @@ impl CompiledProgram {
             .filter(|op| !matches!(op, Op::RunTest(_)))
             .count()
     }
-
-    /// The event kind the program filters.
-    pub fn kind(&self) -> EventKind {
-        self.kind
-    }
 }
 
 /// The per-eval payload-head cache: one virtual `head()` call on first

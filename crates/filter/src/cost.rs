@@ -26,7 +26,7 @@ use crate::ir::{FilterProgram, Insn};
 
 impl Insn {
     /// Static cost of executing this instruction once.
-    pub fn cost(&self) -> u32 {
+    pub(crate) fn cost(&self) -> u32 {
         match self {
             Insn::LdPay { .. } => 2,
             Insn::JInSet { .. } => 4,
@@ -41,7 +41,7 @@ impl Insn {
 impl FilterProgram {
     /// Total static cost (sound execution bound: forward-only control flow
     /// means each instruction runs at most once).
-    pub fn total_cost(&self) -> u32 {
+    pub(crate) fn total_cost(&self) -> u32 {
         self.insns.iter().map(Insn::cost).sum()
     }
 }

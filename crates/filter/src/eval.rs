@@ -8,10 +8,10 @@
 //! code ([`crate::compile`]), which the dispatcher prefers on the hot
 //! path; the interpreter remains the semantic ground truth the compiled
 //! tier is differentially tested against, and the opt-out
-//! (`set_compiled_guards(false)`) falls back here. [`eval_unchecked`]
-//! interprets a *raw* [`FilterProgram`] with no safety net; it exists to
-//! demonstrate (in tests) that programs the verifier rejects really
-//! would fault.
+//! (`set_compiled_guards(false)`) falls back here. Only verified programs
+//! run: the interpreter with no safety net that shows rejected programs
+//! really would fault lives with the property tests that use it
+//! (`tests/properties.rs`), not in the product.
 
 use crate::ir::{EventKind, Field, FilterProgram, Insn, Src, Width, MAX_COST};
 use crate::verify::{FieldKey, VerifiedProgram};
@@ -210,99 +210,4 @@ fn run<P: Packet + ?Sized>(program: &FilterProgram, pkt: &P, now_ns: u64) -> (bo
     }
     // Fell off the end: verified programs never do, reject defensively.
     (false, spent)
-}
-
-/// Interprets a **raw, unverified** program with no safety checks: field
-/// type mismatches, short payloads, bad registers, unknown sets, and
-/// out-of-range jumps all panic, and falling off the end panics too.
-///
-/// This is deliberately an evaluator a kernel must never run — it exists
-/// so tests can demonstrate that programs rejected by the verifier
-/// actually fault without it. Note it is *not* how unverified programs
-/// would reach the fast path either: the compiled tier
-/// ([`crate::compile`]) is only constructed by the verifier, so there is
-/// no unchecked variant of it to misuse.
-pub fn eval_unchecked<P: Packet + ?Sized>(program: &FilterProgram, pkt: &P) -> bool {
-    let mut regs = [0u64; crate::ir::NUM_REGS];
-    let mut pc = 0usize;
-
-    loop {
-        let insn = program
-            .insns
-            .get(pc)
-            .unwrap_or_else(|| panic!("fell off the end of the program at pc {pc}"));
-
-        let src = |s: &Src, regs: &[u64]| match s {
-            Src::Imm(v) => *v,
-            Src::Reg(r) => regs[r.0 as usize],
-        };
-
-        match insn {
-            Insn::Ld { dst, field } => {
-                regs[dst.0 as usize] = pkt
-                    .field(*field)
-                    .unwrap_or_else(|| panic!("field {field} absent on {} packet", pkt.kind()));
-            }
-            Insn::LdImm { dst, imm } => regs[dst.0 as usize] = *imm,
-            Insn::LdPay { dst, off, width } => {
-                let start = *off as usize;
-                let bytes = &pkt.head()[start..start + width.bytes() as usize];
-                regs[dst.0 as usize] = load_be(bytes, *width);
-            }
-            Insn::And { dst, src: s } => {
-                let b = src(s, &regs);
-                regs[dst.0 as usize] &= b;
-            }
-            Insn::Or { dst, src: s } => {
-                let b = src(s, &regs);
-                regs[dst.0 as usize] |= b;
-            }
-            Insn::Jeq { a, b, off }
-            | Insn::Jne { a, b, off }
-            | Insn::Jlt { a, b, off }
-            | Insn::Jgt { a, b, off } => {
-                let av = regs[a.0 as usize];
-                let bv = src(b, &regs);
-                let taken = match insn {
-                    Insn::Jeq { .. } => av == bv,
-                    Insn::Jne { .. } => av != bv,
-                    Insn::Jlt { .. } => av < bv,
-                    _ => av > bv,
-                };
-                if taken {
-                    pc += *off as usize;
-                }
-            }
-            Insn::JInSet { a, set, off } => {
-                let av = regs[a.0 as usize];
-                let ports = &program.sets[*set as usize];
-                if ports.contains(av as u16) {
-                    pc += *off as usize;
-                }
-            }
-            Insn::Ja { off } => pc += *off as usize,
-            Insn::MBump { dst, map, idx } => {
-                let i = regs[idx.0 as usize];
-                regs[dst.0 as usize] = program.maps[*map as usize]
-                    .bump(i)
-                    .unwrap_or_else(|| panic!("bump faulted on map #{map} index {i}"));
-            }
-            Insn::MLoad { dst, map, idx } => {
-                let i = regs[idx.0 as usize];
-                regs[dst.0 as usize] = program.maps[*map as usize]
-                    .load(i)
-                    .unwrap_or_else(|| panic!("load faulted on map #{map} index {i}"));
-            }
-            Insn::MTake { dst, map, idx } => {
-                let i = regs[idx.0 as usize];
-                let took = program.maps[*map as usize]
-                    .take(i, 0)
-                    .unwrap_or_else(|| panic!("take faulted on map #{map} index {i}"));
-                regs[dst.0 as usize] = u64::from(took);
-            }
-            Insn::Accept => return true,
-            Insn::Reject => return false,
-        }
-        pc += 1;
-    }
 }

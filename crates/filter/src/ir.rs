@@ -129,7 +129,7 @@ pub enum Width {
 
 impl Width {
     /// Load width in bytes.
-    pub fn bytes(self) -> u16 {
+    pub(crate) fn bytes(self) -> u16 {
         match self {
             Width::W8 => 1,
             Width::W16 => 2,
@@ -227,16 +227,6 @@ impl PortSet {
         self.0.borrow().contains(&port)
     }
 
-    /// Number of ports currently in the set.
-    pub fn len(&self) -> usize {
-        self.0.borrow().len()
-    }
-
-    /// Whether the set is empty.
-    pub fn is_empty(&self) -> bool {
-        self.0.borrow().is_empty()
-    }
-
     /// Snapshot of the current contents.
     pub fn snapshot(&self) -> BTreeSet<u16> {
         self.0.borrow().clone()
@@ -274,16 +264,8 @@ impl FilterProgram {
         }
     }
 
-    /// Attaches declared state maps under a total byte budget (the
-    /// program "header" declaration the verifier checks against).
-    pub fn with_state(mut self, maps: Vec<crate::state::StateMap>, state_budget: u32) -> Self {
-        self.maps = maps;
-        self.state_budget = state_budget;
-        self
-    }
-
     /// Combined footprint of the declared maps, in bytes.
-    pub fn state_bytes(&self) -> u32 {
+    pub(crate) fn state_bytes(&self) -> u32 {
         self.maps
             .iter()
             .fold(0u32, |acc, m| acc.saturating_add(m.state_bytes()))

@@ -8,8 +8,8 @@
 //! must be trusted to have built the right predicate; nothing checks it.
 //!
 //! This crate makes guards *data*: a BPF-style straight-line program over
-//! typed packet fields ([`ir::FilterProgram`]), plus a static verifier
-//! ([`verify::verify_with_policy`]) that proves, at install time:
+//! typed packet fields ([`FilterProgram`]), plus a static verifier
+//! ([`verify_with_policy`]) that proves, at install time:
 //!
 //! * **memory safety** — field loads are typed against the event kind and
 //!   payload loads stay inside a static window;
@@ -26,41 +26,48 @@
 //!   of assumed.
 //!
 //! Everything but the per-instruction checks comes from one forward
-//! abstract interpretation ([`absint`]): one state per instruction holding
-//! each register's symbolic value and interval and each field's value
-//! set, one join, one refinement per branch edge. The demux key
-//! ([`verify::KeySpec`]) is folded from the states it reaches at `Accept`.
+//! abstract interpretation (the private `absint` module): one state per
+//! instruction holding each register's symbolic value and interval and
+//! each field's value set, one join, one refinement per branch edge. The
+//! demux key ([`KeySpec`]) is folded from the states it reaches at
+//! `Accept`.
 //!
 //! The same multi-error reporting discipline extends to extension specs:
-//! [`spec::analyze`] computes a spec's import closure against an
-//! interface table and reports unresolved, unused, duplicate, and
+//! [`analyze`] computes a spec's import closure against an
+//! [`InterfaceTable`] and reports unresolved, unused, duplicate, and
 //! undeclared symbols all at once. The kernel's linker admits only specs
 //! it finds clean, and the `plexus-verify` binary exposes both passes as a
 //! command-line linter.
+//!
+//! Every module is private: the IR, the builder, the verifier, the two
+//! evaluation tiers, state maps and spec analysis are reached through the
+//! items re-exported here, which are what the kernel, the managers, the
+//! binary and the tests name.
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
 
-pub mod absint;
-pub mod builder;
-pub mod compile;
-pub mod cost;
-pub mod eval;
+mod absint;
+mod builder;
+mod compile;
+mod cost;
+mod eval;
 mod inline;
-pub mod ir;
-pub mod spec;
-pub mod state;
-pub mod verify;
+mod ir;
+mod spec;
+mod state;
+mod verify;
 
 pub use absint::Lint;
 pub use builder::{conjunction, conjunction_stateful, Operand, Test};
 pub use compile::{CompileStats, CompiledProgram};
-pub use eval::{eval, eval_metered, eval_unchecked, read_field_key, Packet};
+pub use eval::{eval, eval_metered, read_field_key, Packet};
 pub use inline::Inline;
 pub use ir::{
     EventKind, Field, FilterProgram, Insn, MapId, PortSet, Reg, SetId, Src, Width, MAX_COST,
     MAX_INSNS, NUM_REGS, PAY_WINDOW,
 };
+pub use spec::{analyze, ExtensionSpec, InterfaceTable, Signature, SpecIssue, SpecReport};
 pub use state::{MapKind, StateMap, MAX_STATE_BYTES};
 pub use verify::{
     key_schema, verify, verify_owned, verify_with_policy, FieldKey, FieldSpec, FilterReport,
@@ -71,6 +78,15 @@ pub use verify::{
 mod tests {
     use super::ir::{MAX_COST, MAX_INSNS};
     use super::*;
+
+    impl FilterReport {
+        /// Whether any error is a [`VerifyError::PolicyViolation`].
+        fn has_policy_violation(&self) -> bool {
+            self.errors
+                .iter()
+                .any(|e| matches!(e, VerifyError::PolicyViolation { .. }))
+        }
+    }
 
     /// A minimal UdpRecv-shaped packet for tests.
     struct TestUdp {
@@ -607,7 +623,7 @@ mod tests {
     fn spec_analysis_reports_all_issues() {
         use spec::{analyze, ExtensionSpec, InterfaceTable, Signature, SpecIssue};
 
-        let mut table = InterfaceTable::new();
+        let mut table = InterfaceTable::default();
         table.insert(
             "UDP",
             ["UDP.PacketRecv".to_string(), "UDP.Send".to_string()],

@@ -76,11 +76,6 @@ pub struct InterfaceTable {
 }
 
 impl InterfaceTable {
-    /// An empty table.
-    pub fn new() -> InterfaceTable {
-        InterfaceTable::default()
-    }
-
     /// Registers an interface and its fully-qualified symbols.
     pub fn insert(&mut self, name: impl Into<String>, symbols: impl IntoIterator<Item = String>) {
         self.interfaces

@@ -39,7 +39,7 @@ pub enum MapKind {
 
 impl MapKind {
     /// Bytes of state one slot occupies.
-    pub fn slot_bytes(self) -> u32 {
+    pub(crate) fn slot_bytes(self) -> u32 {
         match self {
             MapKind::Counter => 8,
             MapKind::TokenBucket { .. } => 16,
@@ -47,7 +47,7 @@ impl MapKind {
     }
 
     /// Stable lowercase name used in diagnostics and spec files.
-    pub fn name(self) -> &'static str {
+    pub(crate) fn name(self) -> &'static str {
         match self {
             MapKind::Counter => "counter",
             MapKind::TokenBucket { .. } => "bucket",
@@ -149,14 +149,14 @@ impl StateMap {
 
     /// Reads a slot's primary value: the count of a counter, the current
     /// token balance of a bucket (without refilling).
-    pub fn load(&self, idx: u64) -> Option<u64> {
+    pub(crate) fn load(&self, idx: u64) -> Option<u64> {
         let i = self.slot_index(idx)?;
         Some(self.0.slots.borrow()[i].a)
     }
 
     /// Bumps a counter slot (saturating); returns the new count. `None`
     /// for token-bucket maps or an out-of-bounds index.
-    pub fn bump(&self, idx: u64) -> Option<u64> {
+    pub(crate) fn bump(&self, idx: u64) -> Option<u64> {
         if !matches!(self.0.kind, MapKind::Counter) {
             return None;
         }
@@ -174,7 +174,7 @@ impl StateMap {
     /// Refill is credited in whole milliseconds and the refill timestamp
     /// advances by exactly the credited time, so fractional progress is
     /// never lost and the long-run rate is exact.
-    pub fn take(&self, idx: u64, now_ns: u64) -> Option<bool> {
+    pub(crate) fn take(&self, idx: u64, now_ns: u64) -> Option<bool> {
         let MapKind::TokenBucket {
             tokens: cap,
             refill_per_ms,
@@ -199,18 +199,6 @@ impl StateMap {
         }
     }
 
-    /// Resets every slot to its initial value (zero / full).
-    pub fn reset(&self) {
-        let init = match self.0.kind {
-            MapKind::Counter => Slot::default(),
-            MapKind::TokenBucket { tokens, .. } => Slot {
-                a: u64::from(tokens),
-                b: 0,
-            },
-        };
-        self.0.slots.borrow_mut().fill(init);
-    }
-
     /// Snapshot of every slot's primary value, in index order.
     pub fn snapshot(&self) -> Vec<u64> {
         self.0.slots.borrow().iter().map(|s| s.a).collect()
@@ -220,6 +208,20 @@ impl StateMap {
 #[cfg(test)]
 mod tests {
     use super::*;
+
+    impl StateMap {
+        /// Resets every slot to its initial value (zero / full).
+        fn reset(&self) {
+            let init = match self.0.kind {
+                MapKind::Counter => Slot::default(),
+                MapKind::TokenBucket { tokens, .. } => Slot {
+                    a: u64::from(tokens),
+                    b: 0,
+                },
+            };
+            self.0.slots.borrow_mut().fill(init);
+        }
+    }
 
     #[test]
     fn counters_bump_and_share_state() {

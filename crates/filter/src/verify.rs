@@ -104,11 +104,6 @@ impl Policy {
         self.require_in(key, [value])
     }
 
-    /// Whether the policy constrains anything.
-    pub fn is_empty(&self) -> bool {
-        self.entries.is_empty()
-    }
-
     /// Each constraint in the order it was required: its key, and the
     /// values it allows (repeats included).
     pub(crate) fn constraints(
@@ -364,15 +359,8 @@ pub struct FilterReport {
 
 impl FilterReport {
     /// Whether verification found no violations.
-    pub fn is_clean(&self) -> bool {
+    pub(crate) fn is_clean(&self) -> bool {
         self.errors.is_empty()
-    }
-
-    /// Whether any error is a [`VerifyError::PolicyViolation`].
-    pub fn has_policy_violation(&self) -> bool {
-        self.errors
-            .iter()
-            .any(|e| matches!(e, VerifyError::PolicyViolation { .. }))
     }
 }
 
@@ -411,15 +399,10 @@ impl VerifiedProgram {
         &self.program
     }
 
-    /// The event kind this guard filters.
-    pub fn kind(&self) -> EventKind {
-        self.program.kind
-    }
-
     /// The static worst-case cycle bound: no evaluation of this program
     /// on any packet spends more cycles than this (the most any feasible
-    /// path spends, [`crate::absint`]). Never more than
-    /// [`FilterProgram::total_cost`]. The dispatcher admits
+    /// path spends, by the abstract interpretation). Never more than the
+    /// program's summed instruction costs. The dispatcher admits
     /// interrupt-level installs against this number, and `eval_metered`
     /// never reports more.
     pub fn static_bound(&self) -> u32 {

@@ -16,11 +16,93 @@
 use std::panic::{catch_unwind, AssertUnwindSafe};
 
 use plexus_filter::{
-    conjunction, eval, eval_metered, eval_unchecked, key_schema, read_field_key, verify,
-    verify_with_policy, EventKind, Field, FieldKey, FieldSpec, FilterProgram, Insn, Operand,
-    Packet, Policy, PortSet, Reg, Src, Test, VerifyError, Width,
+    conjunction, eval, eval_metered, key_schema, read_field_key, verify, verify_with_policy,
+    EventKind, Field, FieldKey, FieldSpec, FilterProgram, Insn, Operand, Packet, Policy, PortSet,
+    Reg, Src, Test, VerifyError, Width,
 };
 use proptest::prelude::*;
+
+/// Interprets a **raw, unverified** program with no safety checks: field
+/// type mismatches, short payloads, bad registers, unknown sets, and
+/// out-of-range jumps all panic, and falling off the end panics too.
+///
+/// This is deliberately an evaluator a kernel must never run, so it lives
+/// here and not in the crate: it shows that programs the verifier rejects
+/// actually fault without it. The programs these properties run carry no
+/// state maps, so the map instructions are not interpreted.
+fn eval_unchecked<P: Packet + ?Sized>(program: &FilterProgram, pkt: &P) -> bool {
+    let mut regs = [0u64; plexus_filter::NUM_REGS];
+    let mut pc = 0usize;
+
+    loop {
+        let insn = program
+            .insns
+            .get(pc)
+            .unwrap_or_else(|| panic!("fell off the end of the program at pc {pc}"));
+
+        let src = |s: &Src, regs: &[u64]| match s {
+            Src::Imm(v) => *v,
+            Src::Reg(r) => regs[r.0 as usize],
+        };
+
+        match insn {
+            Insn::Ld { dst, field } => {
+                regs[dst.0 as usize] = pkt
+                    .field(*field)
+                    .unwrap_or_else(|| panic!("field {field} absent on {} packet", pkt.kind()));
+            }
+            Insn::LdImm { dst, imm } => regs[dst.0 as usize] = *imm,
+            Insn::LdPay { dst, off, width } => {
+                let start = *off as usize;
+                let len = match width {
+                    Width::W8 => 1,
+                    Width::W16 => 2,
+                    Width::W32 => 4,
+                };
+                let bytes = &pkt.head()[start..start + len];
+                regs[dst.0 as usize] = bytes.iter().fold(0u64, |acc, b| (acc << 8) | *b as u64);
+            }
+            Insn::And { dst, src: s } => {
+                let b = src(s, &regs);
+                regs[dst.0 as usize] &= b;
+            }
+            Insn::Or { dst, src: s } => {
+                let b = src(s, &regs);
+                regs[dst.0 as usize] |= b;
+            }
+            Insn::Jeq { a, b, off }
+            | Insn::Jne { a, b, off }
+            | Insn::Jlt { a, b, off }
+            | Insn::Jgt { a, b, off } => {
+                let av = regs[a.0 as usize];
+                let bv = src(b, &regs);
+                let taken = match insn {
+                    Insn::Jeq { .. } => av == bv,
+                    Insn::Jne { .. } => av != bv,
+                    Insn::Jlt { .. } => av < bv,
+                    _ => av > bv,
+                };
+                if taken {
+                    pc += *off as usize;
+                }
+            }
+            Insn::JInSet { a, set, off } => {
+                let av = regs[a.0 as usize];
+                let ports = &program.sets[*set as usize];
+                if ports.contains(av as u16) {
+                    pc += *off as usize;
+                }
+            }
+            Insn::Ja { off } => pc += *off as usize,
+            Insn::MBump { .. } | Insn::MLoad { .. } | Insn::MTake { .. } => {
+                panic!("no state map is interpreted unchecked")
+            }
+            Insn::Accept => return true,
+            Insn::Reject => return false,
+        }
+        pc += 1;
+    }
+}
 
 const KINDS: [EventKind; 4] = [
     EventKind::EthRecv,

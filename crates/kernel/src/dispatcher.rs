@@ -76,7 +76,7 @@ impl<T> Guard<T> {
 }
 
 /// An event handler body.
-pub type HandlerFn<T> = Box<dyn Fn(&mut RaiseCtx<'_>, &T)>;
+pub(crate) type HandlerFn<T> = Box<dyn Fn(&mut RaiseCtx<'_>, &T)>;
 
 /// Everything [`Dispatcher::install`] needs to install one handler, built
 /// fluently:
@@ -154,13 +154,6 @@ impl<T> HandlerSpec<T> {
     pub fn interrupt(mut self) -> HandlerSpec<T> {
         self.interrupt = true;
         self
-    }
-
-    /// Sets the interrupt-mode termination allotment; implies
-    /// [`HandlerSpec::interrupt`]. Accepts a bare [`SimDuration`] or an
-    /// `Option` (for call sites with a configured-but-maybe-absent limit).
-    pub fn time_limit(self, limit: impl Into<Option<SimDuration>>) -> HandlerSpec<T> {
-        self.allot(limit.into()).interrupt()
     }
 
     /// Sets the termination allotment without asking for interrupt
@@ -1345,6 +1338,15 @@ mod tests {
     use super::*;
     use plexus_sim::cpu::{CostModel, Cpu};
     use plexus_sim::time::SimTime;
+
+    impl<T> HandlerSpec<T> {
+        /// Sets the interrupt-mode termination allotment; implies
+        /// [`HandlerSpec::interrupt`]. Accepts a bare [`SimDuration`] or an
+        /// `Option` (for call sites with a configured-but-maybe-absent limit).
+        pub(crate) fn time_limit(self, limit: impl Into<Option<SimDuration>>) -> HandlerSpec<T> {
+            self.allot(limit.into()).interrupt()
+        }
+    }
 
     fn ctx_parts() -> (Engine, Rc<Cpu>) {
         (Engine::new(), Cpu::new(CostModel::alpha_3000_400()))

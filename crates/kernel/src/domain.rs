@@ -7,7 +7,7 @@
 //! against, the link fails and the extension is rejected.
 //!
 //! Here a [`Domain`] is one [`InterfaceTable`] plus the names linked
-//! against it. [`Domain::link`] runs the same [`spec::analyze`] pass the
+//! against it. [`Domain::link`] runs the same [`analyze`] pass the
 //! `plexus-verify` linter prints over an [`ExtensionSpec`], and admits the
 //! spec only if the report is clean, the typesafe compiler signed it, and
 //! its name is free. What it admits gets a [`LinkedExtension`] proof token;
@@ -22,8 +22,8 @@ use std::collections::BTreeMap;
 use std::fmt;
 use std::rc::Rc;
 
-use plexus_filter::spec::{self, InterfaceTable, SpecIssue, SpecReport};
-pub use plexus_filter::spec::{ExtensionSpec, Signature};
+use plexus_filter::{analyze, InterfaceTable, SpecIssue, SpecReport};
+pub use plexus_filter::{ExtensionSpec, Signature};
 use plexus_trace::Name;
 
 /// Identifies a domain instance, so a token works only where it was minted.
@@ -141,7 +141,7 @@ impl Domain {
     /// [`LinkError::BadSignature`] unless the typesafe compiler signed it,
     /// [`LinkError::NameTaken`] if a linked extension, an interface or the
     /// owner holds its name, [`LinkError::Unresolved`] if an import is not
-    /// visible here, and [`LinkError::Rejected`] if [`spec::analyze`]
+    /// visible here, and [`LinkError::Rejected`] if [`analyze`]
     /// reports anything else. A refusal changes nothing.
     pub fn link(&self, spec: &ExtensionSpec) -> Result<LinkedExtension, LinkError> {
         if spec.signature != Signature::TypesafeCompiler {
@@ -153,7 +153,7 @@ impl Domain {
         if names.contains_key(name) || interfaces.has_interface(name) {
             return Err(LinkError::NameTaken(name.clone()));
         }
-        let report = spec::analyze(&interfaces, spec);
+        let report = analyze(&interfaces, spec);
         // The name is no interface, so an import from it resolves no more
         // than one from any other unknown interface.
         let unresolved: Vec<String> = (report.issues.iter())

@@ -40,7 +40,7 @@ impl<F> Ephemeral<F> {
 
     /// Unwraps the certified value. The ephemerality evidence is lost, so
     /// the result can no longer be installed at interrupt level.
-    pub fn into_inner(self) -> F {
+    pub(crate) fn into_inner(self) -> F {
         self.0
     }
 }

@@ -9,15 +9,19 @@
 //! * [`domain`] — logical protection domains, compiler-signed extension
 //!   specs, and safe dynamic linking/unlinking (the "install" problem).
 //! * [`ephemeral`] — the `EPHEMERAL` certification discipline (§3.3).
-//! * [`vm`] — address spaces and user/kernel boundary costs (used by the
-//!   monolithic baseline).
 //! * [`view`](mod@view) — the `VIEW` operator: safe zero-copy casting of packet
 //!   bytes to typed headers (§3.2).
+//! * [`AddressSpace`] — address spaces and user/kernel boundary costs (used
+//!   by the monolithic baseline), in the private `vm` module.
 //!
 //! The typesafe language itself is played by Rust: extensions are ordinary
 //! Rust values compiled against narrow interfaces, read-only packet access
 //! is `&Mbuf` (§3.4), and the `EPHEMERAL`/`VIEW` extensions are modeled by
 //! the corresponding modules here.
+//!
+//! The four public modules stay public because the host-clock benchmark
+//! (`perf/`) imports items by their module paths; the root re-exports what
+//! the rest of the workspace names.
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
@@ -30,7 +34,7 @@ pub mod dispatcher;
 pub mod domain;
 pub mod ephemeral;
 pub mod view;
-pub mod vm;
+mod vm;
 
 pub use dispatcher::{
     Dispatcher, Event, EventSummary, Guard, HandlerId, HandlerMode, InstallError, RaiseCtx,

@@ -15,7 +15,6 @@ use plexus_trace::CrossDir;
 
 /// A user address space.
 pub struct AddressSpace {
-    name: String,
     traps: Cell<u64>,
     bytes_copied_in: Cell<u64>,
     bytes_copied_out: Cell<u64>,
@@ -23,18 +22,12 @@ pub struct AddressSpace {
 
 impl AddressSpace {
     /// Creates an address space for a user program.
-    pub fn new(name: &str) -> Rc<AddressSpace> {
+    pub fn new() -> Rc<AddressSpace> {
         Rc::new(AddressSpace {
-            name: name.to_string(),
             traps: Cell::new(0),
             bytes_copied_in: Cell::new(0),
             bytes_copied_out: Cell::new(0),
         })
-    }
-
-    /// The address space's name.
-    pub fn name(&self) -> &str {
-        &self.name
     }
 
     /// System calls issued from this space.
@@ -95,7 +88,7 @@ mod tests {
     fn boundary_crossings_charge_and_count() {
         let model = CostModel::alpha_3000_400();
         let cpu = Cpu::new(model.clone());
-        let space = AddressSpace::new("ttcp");
+        let space = AddressSpace::new();
         let mut lease = cpu.begin(SimTime::ZERO);
         space.trap(&mut lease);
         space.copyin(&mut lease, 1024);

@@ -18,11 +18,11 @@ use crate::ether::{EtherType, Frame, MacAddr, ETHER_HDR_LEN};
 use crate::mbuf::Mbuf;
 
 /// ARP packet length for IPv4 over Ethernet.
-pub const ARP_LEN: usize = 28;
+pub(crate) const ARP_LEN: usize = 28;
 
 /// ARP operation.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
-pub enum ArpOp {
+pub(crate) enum ArpOp {
     /// Who-has.
     Request,
     /// Is-at.
@@ -31,7 +31,7 @@ pub enum ArpOp {
 
 /// A parsed ARP packet.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
-pub struct ArpPacket {
+pub(crate) struct ArpPacket {
     /// Operation.
     pub op: ArpOp,
     /// Sender hardware address.
@@ -46,7 +46,11 @@ pub struct ArpPacket {
 
 impl ArpPacket {
     /// Builds a who-has request.
-    pub fn request(sender_mac: MacAddr, sender_ip: Ipv4Addr, target_ip: Ipv4Addr) -> ArpPacket {
+    pub(crate) fn request(
+        sender_mac: MacAddr,
+        sender_ip: Ipv4Addr,
+        target_ip: Ipv4Addr,
+    ) -> ArpPacket {
         ArpPacket {
             op: ArpOp::Request,
             sender_mac,
@@ -57,7 +61,7 @@ impl ArpPacket {
     }
 
     /// Builds the reply answering `req` on behalf of `my_mac`/`my_ip`.
-    pub fn reply_to(req: &ArpPacket, my_mac: MacAddr, my_ip: Ipv4Addr) -> ArpPacket {
+    pub(crate) fn reply_to(req: &ArpPacket, my_mac: MacAddr, my_ip: Ipv4Addr) -> ArpPacket {
         ArpPacket {
             op: ArpOp::Reply,
             sender_mac: my_mac,
@@ -68,7 +72,7 @@ impl ArpPacket {
     }
 
     /// Serializes to wire format.
-    pub fn to_bytes(&self) -> Vec<u8> {
+    pub(crate) fn to_bytes(self) -> Vec<u8> {
         let mut b = vec![0u8; ARP_LEN];
         put_be16(&mut b, 0, 1); // Hardware: Ethernet.
         put_be16(&mut b, 2, 0x0800); // Protocol: IPv4.
@@ -90,13 +94,13 @@ impl ArpPacket {
     }
 
     /// Serializes into an mbuf with room for the link header in front.
-    pub fn to_mbuf(&self) -> Mbuf {
+    pub(crate) fn to_mbuf(self) -> Mbuf {
         Mbuf::from_payload(ETHER_HDR_LEN, &self.to_bytes())
     }
 
     /// Parses from wire format. Returns `None` for malformed or non
     /// IPv4-over-Ethernet packets.
-    pub fn parse(bytes: &[u8]) -> Option<ArpPacket> {
+    pub(crate) fn parse(bytes: &[u8]) -> Option<ArpPacket> {
         let v: ArpRawView = plexus_kernel::view::view(bytes)?;
         v.decode()
     }
@@ -209,7 +213,7 @@ struct Pending {
 /// One interface's ARP state: the cache proper (entries expire) and the
 /// datagrams parked on unresolved hops (bounded, and abandoned when the
 /// answer does not come).
-pub struct ArpCache {
+pub(crate) struct ArpCache {
     ip: Ipv4Addr,
     mac: MacAddr,
     entries: HashMap<Ipv4Addr, (MacAddr, u64)>,
@@ -225,7 +229,7 @@ pub struct ArpCache {
 
 impl ArpCache {
     /// Creates an empty cache for the interface `ip`/`mac`.
-    pub fn new(ip: Ipv4Addr, mac: MacAddr) -> ArpCache {
+    pub(crate) fn new(ip: Ipv4Addr, mac: MacAddr) -> ArpCache {
         ArpCache {
             ip,
             mac,
@@ -362,9 +366,21 @@ impl ArpCache {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use proptest::prelude::*;
 
     fn ip(last: u8) -> Ipv4Addr {
         Ipv4Addr::new(10, 0, 0, last)
+    }
+
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(512))]
+
+        // The ARP parser never panics on arbitrary bytes (the other
+        // parsers' totality is `tests/properties.rs`'s `parsers_are_total`).
+        #[test]
+        fn parse_is_total(bytes in proptest::collection::vec(any::<u8>(), 0..200)) {
+            let _ = ArpPacket::parse(&bytes);
+        }
     }
 
     #[test]

@@ -6,8 +6,6 @@
 //! extension (§5.2) uses the incremental form to fix up checksums after
 //! rewriting addresses without rescanning the payload.
 
-use crate::mbuf::Mbuf;
-
 /// Accumulates the one's-complement sum incrementally.
 #[derive(Clone, Copy, Debug, Default)]
 pub struct Checksum {
@@ -62,7 +60,7 @@ impl Checksum {
     }
 
     /// Feeds a big-endian `u16`.
-    pub fn add_u16(&mut self, v: u16) -> &mut Self {
+    pub(crate) fn add_u16(&mut self, v: u16) -> &mut Self {
         self.add(&v.to_be_bytes())
     }
 
@@ -115,24 +113,6 @@ pub fn checksum(bytes: &[u8]) -> u16 {
     c.finish()
 }
 
-/// Checksum of the tail of an mbuf chain starting at byte offset `from`,
-/// seeded with a partial sum (the pseudo-header). This is the
-/// gather a checksum-offload NIC performs while DMAing the chain: segment
-/// boundaries may fall anywhere, including on odd offsets.
-pub(crate) fn checksum_mbuf_from(m: &Mbuf, from: usize, partial: u32) -> u16 {
-    let mut c = Checksum::with_partial(partial);
-    let mut skip = from;
-    for seg in m.segments() {
-        if skip >= seg.len() {
-            skip -= seg.len();
-            continue;
-        }
-        c.add(&seg[skip..]);
-        skip = 0;
-    }
-    c.finish()
-}
-
 /// Verifies a buffer whose checksum field is *included*: the sum over
 /// everything must be zero.
 pub fn verify(bytes: &[u8]) -> bool {
@@ -163,21 +143,6 @@ pub fn verify_checksum(region: &[u8], pseudo: u32) -> bool {
 /// layer down through the driver API to the adapter.
 pub use plexus_sim::nic::TxCsum as CsumOffload;
 
-/// Computes a deferred checksum over `m` (the full frame as it will be
-/// serialized) exactly as the offloading NIC does during the DMA gather —
-/// but walking the mbuf chain in place, for tests and host-side
-/// verification, rather than over the gathered wire image.
-pub fn compute_offload(req: &CsumOffload, m: &Mbuf) -> u16 {
-    let total = m.total_len();
-    debug_assert!(req.start_from_end <= total && req.field_from_end + 2 <= total);
-    let v = checksum_mbuf_from(m, total - req.start_from_end, req.pseudo);
-    if v == 0 && req.zero_to_ones {
-        0xFFFF
-    } else {
-        v
-    }
-}
-
 /// RFC 1624 incremental update: given the old checksum and a 16-bit field
 /// change `old -> new`, returns the new checksum without rescanning.
 pub fn incremental_update(check: u16, old: u16, new: u16) -> u16 {
@@ -190,8 +155,42 @@ pub fn incremental_update(check: u16, old: u16, new: u16) -> u16 {
 }
 
 #[cfg(test)]
-mod tests {
+pub(crate) mod tests {
     use super::*;
+    use crate::mbuf::Mbuf;
+
+    /// Checksum of the tail of an mbuf chain starting at byte offset `from`,
+    /// seeded with a partial sum (the pseudo-header). This is the
+    /// gather a checksum-offload NIC performs while DMAing the chain: segment
+    /// boundaries may fall anywhere, including on odd offsets.
+    pub(crate) fn checksum_mbuf_from(m: &Mbuf, from: usize, partial: u32) -> u16 {
+        let mut c = Checksum::with_partial(partial);
+        let mut skip = from;
+        for seg in m.segments() {
+            if skip >= seg.len() {
+                skip -= seg.len();
+                continue;
+            }
+            c.add(&seg[skip..]);
+            skip = 0;
+        }
+        c.finish()
+    }
+
+    /// Computes a deferred checksum over `m` (the full frame as it will be
+    /// serialized) exactly as the offloading NIC does during the DMA gather —
+    /// but walking the mbuf chain in place, for tests and host-side
+    /// verification, rather than over the gathered wire image.
+    pub(crate) fn compute_offload(req: &CsumOffload, m: &Mbuf) -> u16 {
+        let total = m.total_len();
+        debug_assert!(req.start_from_end <= total && req.field_from_end + 2 <= total);
+        let v = checksum_mbuf_from(m, total - req.start_from_end, req.pseudo);
+        if v == 0 && req.zero_to_ones {
+            0xFFFF
+        } else {
+            v
+        }
+    }
 
     #[test]
     fn rfc1071_worked_example() {

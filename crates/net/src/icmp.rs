@@ -12,7 +12,7 @@ use crate::ip::{write_header, IpHeader, IP_HDR_LEN};
 use crate::mbuf::{Mbuf, LEADING_SPACE};
 
 /// ICMP header length (for the message types we implement).
-pub const ICMP_HDR_LEN: usize = 8;
+pub(crate) const ICMP_HDR_LEN: usize = 8;
 
 /// ICMP message types.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
@@ -76,7 +76,7 @@ impl IcmpMessage {
     }
 
     /// Builds the reply to an echo request (echoes ident/seq/payload).
-    pub fn echo_reply(req: &IcmpMessage) -> IcmpMessage {
+    pub(crate) fn echo_reply(req: &IcmpMessage) -> IcmpMessage {
         IcmpMessage {
             kind: IcmpType::EchoReply,
             code: 0,

@@ -2,7 +2,7 @@
 //!
 //! The middle of Figure 1's protocol graph. A host sends through its
 //! [`RouteTable`] and [`datagrams`] and receives through a [`Reassembler`]
-//! and the local-address check, each run once, by [`crate::link`],
+//! and the local-address check, each run once, by [`crate::Interface`],
 //! mirroring the paper's "same TCP/IP implementation" methodology; the
 //! in-kernel router forwards with [`RouteTable::next_hop`] and
 //! [`datagrams`].
@@ -34,7 +34,7 @@ pub const IP_HDR_LEN: usize = 20;
 const MAX_IP_HDR_LEN: usize = 60;
 
 /// Default initial TTL.
-pub const DEFAULT_TTL: u8 = 64;
+pub(crate) const DEFAULT_TTL: u8 = 64;
 
 /// Zero-copy view of an IPv4 header.
 pub struct IpView<'a>(&'a [u8]);
@@ -85,11 +85,6 @@ impl IpView<'_> {
     /// Payload protocol number.
     pub fn protocol(&self) -> u8 {
         self.0[9]
-    }
-
-    /// Header checksum field.
-    pub fn checksum_field(&self) -> u16 {
-        be16(self.0, 10)
     }
 
     /// Source address.
@@ -153,7 +148,7 @@ impl IpHeader {
 ///
 /// Panics if `buf` is shorter than [`IP_HDR_LEN`] or the fragment offset is
 /// not a multiple of 8.
-pub fn write_header(buf: &mut [u8], hdr: &IpHeader, payload_len: usize) {
+pub(crate) fn write_header(buf: &mut [u8], hdr: &IpHeader, payload_len: usize) {
     assert!(buf.len() >= IP_HDR_LEN);
     assert_eq!(hdr.frag_offset % 8, 0, "fragment offset must be 8-aligned");
     buf[0] = 0x45; // Version 4, IHL 5.
@@ -288,7 +283,7 @@ pub const MAX_FRAG_GROUPS: usize = 64;
 /// Most fragment payload bytes a [`Reassembler`] holds across all groups
 /// (four datagrams of the largest legal size); a fragment that would
 /// exceed it evicts the oldest groups until it fits.
-pub const MAX_FRAG_BYTES: usize = 256 * 1024;
+pub(crate) const MAX_FRAG_BYTES: usize = 256 * 1024;
 
 /// Why [`Reassembler::input`] delivered nothing for one received datagram;
 /// [`crate::link::Structure::ip_input`] maps it to an outcome or a loss.
@@ -305,7 +300,8 @@ pub(crate) enum Undelivered {
 
 /// Reassembles fragmented datagrams. What it holds is bounded: incomplete
 /// groups expire, a fragment that adds nothing to its group is ignored, and
-/// [`MAX_FRAG_GROUPS`] / [`MAX_FRAG_BYTES`] evict the oldest group first.
+/// [`MAX_FRAG_GROUPS`] groups or `MAX_FRAG_BYTES` held bytes evict the
+/// oldest group first.
 pub struct Reassembler {
     /// Incomplete groups in the order their first fragments arrived: few
     /// enough to search, and the front is the one to evict.
@@ -485,7 +481,7 @@ impl Reassembler {
 
     /// Drops groups older than the timeout. Returns how many were dropped.
     /// [`Reassembler::offer`] does this itself whenever a fragment arrives.
-    pub fn expire(&mut self, now_ns: u64) -> usize {
+    pub(crate) fn expire(&mut self, now_ns: u64) -> usize {
         let timeout = self.timeout_ns;
         let before = self.groups.len();
         let held = &mut self.held;
@@ -502,7 +498,7 @@ impl Reassembler {
 
 /// A routing table entry.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
-pub struct Route {
+pub(crate) struct Route {
     /// Destination network.
     pub prefix: Ipv4Addr,
     /// Prefix length in bits (0 = default route).
@@ -569,7 +565,7 @@ impl RouteTable {
     }
 
     /// Looks up the most specific route for `dst`.
-    pub fn lookup(&self, dst: Ipv4Addr) -> Option<Route> {
+    pub(crate) fn lookup(&self, dst: Ipv4Addr) -> Option<Route> {
         let d = u32::from(dst);
         self.routes
             .iter()

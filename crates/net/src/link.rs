@@ -18,7 +18,7 @@ use plexus_kernel::dispatcher::RaiseCtx;
 use plexus_sim::engine::TimerHandle;
 use plexus_sim::nic::Nic;
 use plexus_sim::time::{SimDuration, SimTime};
-use plexus_sim::{Cpu, CpuLease, Engine, Loss, Outcome};
+use plexus_sim::{Cpu, CpuLease, Engine, Loss, Machine, Outcome};
 
 use crate::arp::{ArpCache, Resolve};
 use crate::ether::{self, EtherType, Frame, MacAddr, ETHER_HDR_LEN};
@@ -53,11 +53,14 @@ pub struct Interface {
 }
 
 impl Interface {
-    /// An attachment of `ip`/`mac` on `nic`, charging `cpu`, with a cold
-    /// ARP cache and a route to the /24 it is on.
-    pub fn new(cpu: &Rc<Cpu>, nic: &Rc<Nic>, ip: Ipv4Addr, mac: MacAddr) -> Interface {
+    /// An attachment of `ip`/`mac` on `machine`'s `nic`, charging its
+    /// CPU, with a cold ARP cache and a route to the /24 it is on. The
+    /// machine adopts the NIC, so its books hear what the NIC hands the
+    /// driver however the NIC was made.
+    pub fn new(machine: &Machine, nic: &Rc<Nic>, ip: Ipv4Addr, mac: MacAddr) -> Interface {
+        machine.adopt(nic);
         Interface {
-            cpu: cpu.clone(),
+            cpu: machine.cpu().clone(),
             nic: nic.clone(),
             ip,
             mac,

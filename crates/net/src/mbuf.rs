@@ -30,7 +30,7 @@ use std::cell::RefCell;
 use std::rc::Rc;
 
 /// Bytes of storage in a small mbuf cluster.
-pub const MLEN: usize = 128;
+pub(crate) const MLEN: usize = 128;
 
 /// Bytes of storage in a large cluster.
 pub(crate) const MCLBYTES: usize = 2048;
@@ -279,21 +279,6 @@ fn retire_chain(mut chain: Vec<Segment>) {
 }
 
 impl Mbuf {
-    /// An empty packet with a packet header and `LEADING_SPACE` bytes of
-    /// room to prepend into.
-    pub fn empty() -> Mbuf {
-        let mut segments = new_chain();
-        segments.push(Segment {
-            off: LEADING_SPACE,
-            len: 0,
-            cluster: new_cluster(MLEN),
-        });
-        Mbuf {
-            segments,
-            pkthdr: Some(PktHdr::default()),
-        }
-    }
-
     /// Builds a packet holding `payload`, with `leading` bytes of prepend
     /// room before it. Large payloads span multiple clusters.
     pub fn from_payload(leading: usize, payload: &[u8]) -> Mbuf {
@@ -373,7 +358,7 @@ impl Mbuf {
     }
 
     /// The packet header, if this mbuf leads a packet.
-    pub fn pkthdr(&self) -> Option<&PktHdr> {
+    pub(crate) fn pkthdr(&self) -> Option<&PktHdr> {
         self.pkthdr.as_ref()
     }
 
@@ -383,7 +368,7 @@ impl Mbuf {
     }
 
     /// Re-stamps `pkthdr.len` from the chain. Returns the length.
-    pub fn stamp_pkthdr(&mut self) -> usize {
+    pub(crate) fn stamp_pkthdr(&mut self) -> usize {
         let len = self.total_len();
         self.pkthdr_mut().len = len;
         len
@@ -392,11 +377,6 @@ impl Mbuf {
     /// Total payload bytes across the chain.
     pub fn total_len(&self) -> usize {
         self.segments.iter().map(|s| s.len).sum()
-    }
-
-    /// True if the packet holds no bytes.
-    pub fn is_empty(&self) -> bool {
-        self.segments.iter().all(|s| s.len == 0)
     }
 
     /// Number of segments in the chain.
@@ -410,7 +390,7 @@ impl Mbuf {
     }
 
     /// Iterates the chain's segments.
-    pub fn segments(&self) -> impl Iterator<Item = &[u8]> {
+    pub(crate) fn segments(&self) -> impl Iterator<Item = &[u8]> {
         self.segments.iter().map(Segment::bytes)
     }
 
@@ -853,6 +833,28 @@ impl Mbuf {
 #[cfg(test)]
 mod tests {
     use super::*;
+
+    impl Mbuf {
+        /// An empty packet with a packet header and `LEADING_SPACE` bytes of
+        /// room to prepend into.
+        pub(crate) fn empty() -> Mbuf {
+            let mut segments = new_chain();
+            segments.push(Segment {
+                off: LEADING_SPACE,
+                len: 0,
+                cluster: new_cluster(MLEN),
+            });
+            Mbuf {
+                segments,
+                pkthdr: Some(PktHdr::default()),
+            }
+        }
+
+        /// True if the packet holds no bytes.
+        fn is_empty(&self) -> bool {
+            self.segments.iter().all(|s| s.len == 0)
+        }
+    }
 
     #[cfg(test)]
     fn allocs() -> u64 {

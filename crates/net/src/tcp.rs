@@ -39,7 +39,7 @@ pub const DEFAULT_MSS: usize = 1460;
 pub(crate) const MIN_MSS: usize = 64;
 
 /// Default receive window.
-pub const DEFAULT_WINDOW: u16 = 65535;
+pub(crate) const DEFAULT_WINDOW: u16 = 65535;
 
 /// TCP header flags.
 #[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
@@ -77,7 +77,7 @@ impl TcpFlags {
         rst: false,
     };
     /// FIN+ACK.
-    pub const FIN_ACK: TcpFlags = TcpFlags {
+    pub(crate) const FIN_ACK: TcpFlags = TcpFlags {
         fin: true,
         ack: true,
         syn: false,
@@ -751,7 +751,7 @@ impl Tcb {
     }
 
     /// Begins an orderly close; a FIN goes out once the send buffer drains.
-    pub fn close(&mut self, now_ns: u64) -> Actions {
+    pub(crate) fn close(&mut self, now_ns: u64) -> Actions {
         let mut a = self.actions();
         match self.state {
             TcpState::Closed | TcpState::Listen => {
@@ -1220,7 +1220,7 @@ impl Tcb {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::checksum::compute_offload;
+    use crate::checksum::tests::compute_offload;
 
     fn ip(last: u8) -> Ipv4Addr {
         Ipv4Addr::new(10, 1, 0, last)

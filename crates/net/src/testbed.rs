@@ -19,7 +19,7 @@
 //! directly.
 //!
 //! ```
-//! use plexus_net::testbed::Testbed;
+//! use plexus_net::Testbed;
 //! use plexus_sim::nic::Link;
 //!
 //! let tb = Testbed::new(&Link::ethernet(), 7, &["client", "server"]);

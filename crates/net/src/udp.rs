@@ -26,7 +26,7 @@ use crate::link::Structure;
 use crate::mbuf::Mbuf;
 
 /// UDP header length.
-pub const UDP_HDR_LEN: usize = 8;
+pub(crate) const UDP_HDR_LEN: usize = 8;
 
 /// The longest UDP payload one IPv4 datagram carries: its 16-bit total
 /// length less the IP and UDP headers. Both stacks refuse a longer send.
@@ -65,7 +65,7 @@ impl Default for UdpConfig {
 }
 
 /// Zero-copy view of a UDP header.
-pub struct UdpView<'a>(&'a [u8]);
+pub(crate) struct UdpView<'a>(&'a [u8]);
 
 impl<'a> WireView<'a> for UdpView<'a> {
     const WIRE_SIZE: usize = UDP_HDR_LEN;
@@ -76,27 +76,22 @@ impl<'a> WireView<'a> for UdpView<'a> {
 
 impl UdpView<'_> {
     /// Source port.
-    pub fn src_port(&self) -> u16 {
+    pub(crate) fn src_port(&self) -> u16 {
         be16(self.0, 0)
     }
 
     /// Destination port.
-    pub fn dst_port(&self) -> u16 {
+    pub(crate) fn dst_port(&self) -> u16 {
         be16(self.0, 2)
     }
 
     /// Length field (header + payload).
-    pub fn len(&self) -> usize {
+    pub(crate) fn len(&self) -> usize {
         be16(self.0, 4) as usize
     }
 
-    /// True when the length field claims no payload beyond the header.
-    pub fn is_empty(&self) -> bool {
-        self.len() <= UDP_HDR_LEN
-    }
-
     /// Checksum field (0 = disabled).
-    pub fn checksum_field(&self) -> u16 {
+    pub(crate) fn checksum_field(&self) -> u16 {
         be16(self.0, 6)
     }
 }
@@ -150,7 +145,7 @@ pub fn encapsulate(
 /// descriptor (pseudo-header partial included) is stamped in the packet
 /// header for the adapter to fill during the DMA gather. Once the NIC
 /// patches the field the wire bytes are identical to the software path's.
-pub fn encapsulate_offload(
+pub(crate) fn encapsulate_offload(
     src: Ipv4Addr,
     dst: Ipv4Addr,
     src_port: u16,
@@ -378,7 +373,7 @@ pub trait Endpoint {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::checksum::compute_offload;
+    use crate::checksum::tests::compute_offload;
 
     fn ip(last: u8) -> Ipv4Addr {
         Ipv4Addr::new(192, 168, 1, last)

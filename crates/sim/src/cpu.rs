@@ -266,14 +266,6 @@ impl Cpu {
             committed: false,
         }
     }
-
-    /// Charges a self-contained chunk of work starting at `now` and returns
-    /// its completion instant. Shorthand for begin/charge/finish.
-    pub fn charge(self: &Rc<Self>, now: SimTime, cost: SimDuration) -> SimTime {
-        let mut lease = self.begin(now);
-        lease.charge(cost);
-        lease.finish()
-    }
 }
 
 /// An open stretch of CPU work.
@@ -291,11 +283,6 @@ pub struct CpuLease {
 }
 
 impl CpuLease {
-    /// The instant this lease's work began.
-    pub fn start(&self) -> SimTime {
-        self.start
-    }
-
     /// The simulated instant reached so far within this work.
     pub fn now(&self) -> SimTime {
         self.start + self.elapsed
@@ -391,6 +378,23 @@ impl Drop for CpuLease {
 #[cfg(test)]
 mod tests {
     use super::*;
+
+    impl Cpu {
+        /// Charges a self-contained chunk of work starting at `now` and returns
+        /// its completion instant. Shorthand for begin/charge/finish.
+        fn charge(self: &Rc<Self>, now: SimTime, cost: SimDuration) -> SimTime {
+            let mut lease = self.begin(now);
+            lease.charge(cost);
+            lease.finish()
+        }
+    }
+
+    impl CpuLease {
+        /// The instant this lease's work began.
+        fn start(&self) -> SimTime {
+            self.start
+        }
+    }
 
     fn us(n: u64) -> SimDuration {
         SimDuration::from_micros(n)

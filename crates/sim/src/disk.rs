@@ -30,7 +30,7 @@ impl Disk {
     }
 
     /// Creates a disk with explicit seek time and media rate.
-    pub fn new(seek: SimDuration, bytes_per_sec: u64) -> Rc<Disk> {
+    pub(crate) fn new(seek: SimDuration, bytes_per_sec: u64) -> Rc<Disk> {
         Rc::new(Disk {
             seek,
             bytes_per_sec,
@@ -41,18 +41,8 @@ impl Disk {
         })
     }
 
-    /// Number of reads issued.
-    pub fn reads(&self) -> u64 {
-        self.reads.get()
-    }
-
-    /// Total bytes transferred.
-    pub fn bytes_read(&self) -> u64 {
-        self.bytes_read.get()
-    }
-
     /// Time the media needs to transfer `len` bytes (excluding seek).
-    pub fn transfer_time(&self, len: usize) -> SimDuration {
+    pub(crate) fn transfer_time(&self, len: usize) -> SimDuration {
         let ns = len as u128 * 1_000_000_000 / self.bytes_per_sec as u128;
         SimDuration::from_nanos(ns as u64)
     }
@@ -76,6 +66,18 @@ impl Disk {
 #[cfg(test)]
 mod tests {
     use super::*;
+
+    impl Disk {
+        /// Number of reads issued.
+        pub(crate) fn reads(&self) -> u64 {
+            self.reads.get()
+        }
+
+        /// Total bytes transferred.
+        pub(crate) fn bytes_read(&self) -> u64 {
+            self.bytes_read.get()
+        }
+    }
 
     #[test]
     fn read_completes_after_seek_plus_transfer() {

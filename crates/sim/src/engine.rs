@@ -242,7 +242,7 @@ impl Engine {
 
     /// Installs (or removes) a flight recorder. Cancelable timers record a
     /// `TimerFire` event when they run.
-    pub fn set_recorder(&mut self, recorder: Option<Rc<Recorder>>) {
+    pub(crate) fn set_recorder(&mut self, recorder: Option<Rc<Recorder>>) {
         self.recorder = recorder;
     }
 
@@ -389,13 +389,7 @@ impl Engine {
         }
     }
 
-    /// Requests that the current `run*` call return after the in-flight
-    /// action completes.
-    pub fn stop(&mut self) {
-        self.stopped = true;
-    }
-
-    /// Runs until the queue drains (or [`Engine::stop`] is called).
+    /// Runs until the queue drains.
     pub fn run(&mut self) {
         self.run_until(SimTime::MAX);
     }
@@ -438,7 +432,7 @@ impl Engine {
     }
 
     /// Runs for `span` of simulated time from now.
-    pub fn run_for(&mut self, span: SimDuration) {
+    pub(crate) fn run_for(&mut self, span: SimDuration) {
         self.run_until(self.now + span);
     }
 }
@@ -447,6 +441,14 @@ impl Engine {
 mod tests {
     use super::*;
     use std::cell::{Cell, RefCell};
+
+    impl Engine {
+        /// Requests that the current `run*` call return after the in-flight
+        /// action completes.
+        fn stop(&mut self) {
+            self.stopped = true;
+        }
+    }
 
     #[test]
     fn actions_run_in_time_order() {

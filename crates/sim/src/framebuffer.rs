@@ -28,16 +28,6 @@ impl Framebuffer {
         })
     }
 
-    /// Total bytes written to the device.
-    pub fn bytes_blitted(&self) -> u64 {
-        self.bytes_blitted.get()
-    }
-
-    /// Number of completed frame blits.
-    pub fn frames_displayed(&self) -> u64 {
-        self.frames_displayed.get()
-    }
-
     /// Blits `len` bytes, charging the cost to `lease`. Returns the CPU
     /// cost charged, for callers that want to report the display share.
     pub fn blit(&self, lease: &mut CpuLease, len: usize) -> SimDuration {
@@ -55,6 +45,18 @@ mod tests {
     use super::*;
     use crate::cpu::{CostModel, Cpu};
     use crate::time::SimTime;
+
+    impl Framebuffer {
+        /// Total bytes written to the device.
+        pub(crate) fn bytes_blitted(&self) -> u64 {
+            self.bytes_blitted.get()
+        }
+
+        /// Number of completed frame blits.
+        pub(crate) fn frames_displayed(&self) -> u64 {
+            self.frames_displayed.get()
+        }
+    }
 
     #[test]
     fn blit_is_ten_times_slower_than_ram() {

@@ -48,7 +48,7 @@ use crate::engine::{Engine, Event};
 use crate::time::{SimDuration, SimTime};
 
 /// A raw frame on the wire.
-pub type Frame = Vec<u8>;
+pub(crate) type Frame = Vec<u8>;
 
 /// A scatter-gather transmit buffer: the driver-facing contract the
 /// adapter's DMA engine reads from. The `net` crate's mbuf chains
@@ -105,7 +105,7 @@ pub struct TxCsum {
 impl TxCsum {
     /// The adapter's checksum engine: folds the descriptor's region of the
     /// gathered wire image into the value to patch into the field.
-    pub fn compute_over(&self, frame: &[u8]) -> u16 {
+    pub(crate) fn compute_over(&self, frame: &[u8]) -> u16 {
         let region = &frame[frame.len() - self.start_from_end..];
         let mut sum = self.pseudo;
         let mut chunks = region.chunks_exact(2);
@@ -191,8 +191,8 @@ pub struct NicProfile {
     /// `rx_fixed`; coalescing amortizes only the fixed part — per-byte
     /// PIO costs are still charged per frame.
     pub rx_per_frame: SimDuration,
-    /// Most frames one transmit doorbell covers in [`TxSubmit::Doorbell`]
-    /// mode. The first frame of a doorbell pays the full
+    /// Most frames one transmit doorbell covers in doorbell mode
+    /// ([`DriverConfig::doorbell`]). The first frame of a doorbell pays the full
     /// [`tx_cpu_cost`](Self::tx_cpu_cost); the rest pay only
     /// `tx_per_frame` (plus per-byte PIO) until the batch fills or the
     /// adapter drains.
@@ -266,7 +266,7 @@ impl NicProfile {
     }
 
     /// The "faster device driver" variant of §4.1 (337 µs Ethernet RTT).
-    pub fn ethernet_fast_driver() -> Self {
+    pub(crate) fn ethernet_fast_driver() -> Self {
         NicProfile {
             name: "Ethernet (fast driver)",
             tx_fixed: SimDuration::from_micros(32),
@@ -280,7 +280,7 @@ impl NicProfile {
     /// The 155 Mb/s Fore TCA-100 ATM adapter. Programmed I/O: the CPU moves
     /// every byte, and TurboChannel reads are slow, capping reliable
     /// driver-to-driver transfers near the paper's 53 Mb/s.
-    pub fn fore_atm_tca100() -> Self {
+    pub(crate) fn fore_atm_tca100() -> Self {
         NicProfile {
             name: "Fore ATM",
             bits_per_sec: 155_520_000,
@@ -297,7 +297,7 @@ impl NicProfile {
     }
 
     /// The "faster device driver" ATM variant of §4.1 (241 µs RTT).
-    pub fn fore_atm_fast_driver() -> Self {
+    pub(crate) fn fore_atm_fast_driver() -> Self {
         NicProfile {
             name: "Fore ATM (fast driver)",
             tx_fixed: SimDuration::from_micros(28),
@@ -351,7 +351,7 @@ impl NicProfile {
     }
 
     /// Bytes actually serialized on the wire for a `len`-byte frame.
-    pub fn wire_bytes(&self, len: usize) -> usize {
+    pub(crate) fn wire_bytes(&self, len: usize) -> usize {
         match self.cell {
             Some((payload, wire, trailer)) => {
                 let cells = (len + trailer).div_ceil(payload).max(1);
@@ -484,11 +484,6 @@ impl FaultInjector {
         }
     }
 
-    /// Frames corrupted so far.
-    pub fn corruptions(&self) -> u64 {
-        self.corruptions.get()
-    }
-
     /// Applies faults to `frame`. Returns `false` if the frame is dropped.
     fn apply(&self, frame: &mut Frame) -> bool {
         let mut rng = self.rng.borrow_mut();
@@ -597,7 +592,7 @@ impl Medium {
 
 /// Receive callback: invoked (via the engine) when a frame arrives. The
 /// frame is lent for the call; the driver copies what it keeps.
-pub type RxHandler = Rc<dyn Fn(&mut Engine, &[u8])>;
+pub(crate) type RxHandler = Rc<dyn Fn(&mut Engine, &[u8])>;
 
 /// Batched receive callback (coalesced mode): one interrupt lends the
 /// driver every frame drained from the rx ring. Returns the instant the
@@ -608,11 +603,11 @@ pub type RxHandler = Rc<dyn Fn(&mut Engine, &[u8])>;
 /// Per-frame recorder bookkeeping ([`Recorder::packet_arrival`] /
 /// `packet_done`) is the glue's responsibility in this mode, because only
 /// the glue knows when each frame's CPU work actually starts.
-pub type RxBatchHandler = Rc<dyn Fn(&mut Engine, &[RxFrame]) -> SimTime>;
+pub(crate) type RxBatchHandler = Rc<dyn Fn(&mut Engine, &[RxFrame]) -> SimTime>;
 
 /// How a driver wants frames handed up from the adapter.
 #[derive(Clone)]
-pub enum RxDispatch {
+pub(crate) enum RxDispatch {
     /// Transmit-only attachment: arriving frames count as unhandled.
     None,
     /// One interrupt (and one handler call) per frame.
@@ -624,7 +619,7 @@ pub enum RxDispatch {
 
 /// How the driver submits transmit work to the adapter.
 #[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
-pub enum TxSubmit {
+pub(crate) enum TxSubmit {
     /// Every frame pays the full fixed transmit cost (doorbell write +
     /// DMA mapping). The historical behavior.
     #[default]
@@ -649,7 +644,8 @@ pub struct DriverConfig {
 }
 
 impl DriverConfig {
-    /// Per-frame receive interrupts (see [`RxDispatch::PerFrame`]).
+    /// Per-frame receive interrupts: one interrupt, and one call of
+    /// `handler`, per frame.
     pub fn per_frame<F>(handler: F) -> DriverConfig
     where
         F: Fn(&mut Engine, &[u8]) + 'static,
@@ -660,7 +656,9 @@ impl DriverConfig {
         }
     }
 
-    /// Coalesced receive batches (see [`RxDispatch::Coalesced`]).
+    /// Coalesced receive batches: `handler` takes every frame one
+    /// interrupt drains from the receive ring, and returns when its work
+    /// ends.
     pub fn coalesced<F>(handler: F) -> DriverConfig
     where
         F: Fn(&mut Engine, &[RxFrame]) -> SimTime + 'static,
@@ -710,7 +708,7 @@ pub struct NicStats {
     pub rx_interrupts: u64,
     /// Highest rx-ring occupancy observed (coalesced mode).
     pub rx_ring_highwater: u64,
-    /// Transmit doorbells rung ([`TxSubmit::Doorbell`] mode): each one
+    /// Transmit doorbells rung ([`DriverConfig::doorbell`] mode): each one
     /// paid the full fixed cost; `tx_frames - tx_doorbells` frames rode
     /// along for only [`NicProfile::tx_per_frame`].
     pub tx_doorbells: u64,
@@ -807,7 +805,7 @@ impl Nic {
     /// Names the machine this NIC is plugged into ([`crate::World`] does
     /// this on connect). The name rides into every arrival record so
     /// post-hoc journey reconstruction can label hops by machine.
-    pub fn set_host(&self, host: &str) {
+    pub(crate) fn set_host(&self, host: &str) {
         *self.host.borrow_mut() = Name::new(host.to_string());
     }
 
@@ -854,8 +852,9 @@ impl Nic {
     /// transmit mode — what the stack charges its [`crate::cpu::CpuLease`]
     /// before calling [`Nic::transmit`].
     ///
-    /// [`TxSubmit::PerFrame`] always pays the full
-    /// [`NicProfile::tx_cpu_cost`]. [`TxSubmit::Doorbell`] pays it only
+    /// Per-frame submission always pays the full
+    /// [`NicProfile::tx_cpu_cost`]. Doorbell submission
+    /// ([`DriverConfig::doorbell`]) pays it only
     /// when a new doorbell must be rung — the adapter has drained its
     /// backlog (`tx_free_at <= now`) or the open doorbell already covers
     /// [`NicProfile::tx_batch`] frames; otherwise the frame joins the open
@@ -1155,6 +1154,20 @@ impl Nic {
     /// if the ring refilled while the driver worked. Then the wire images
     /// go back to the medium and the vector back to the NIC.
     fn run_rx_interrupt(self: &Rc<Self>, engine: &mut Engine, mut frames: Vec<RxFrame>) {
+        let rx = self.rx.borrow().clone();
+        let RxDispatch::Coalesced(h) = rx else {
+            // Mode switched away mid-flight: no driver hears these frames,
+            // nor whatever still waits on the ring behind them (no drain
+            // will come for it), so none is counted as handed to a driver.
+            frames.extend(self.rx_ring.borrow_mut().drain(..));
+            for f in frames.drain(..) {
+                let (len, journey) = (f.bytes.len(), f.journey);
+                self.drop_unprocessed(engine.now(), len, journey, Loss::RxNoHandler);
+                self.medium.recycle(f.bytes);
+            }
+            *self.rx_batch_vec.borrow_mut() = frames;
+            return;
+        };
         self.bump(|s| {
             s.rx_interrupts += 1;
             s.rx_frames += frames.len() as u64;
@@ -1182,23 +1195,11 @@ impl Nic {
                 self.rx_ring.borrow().len(),
             );
         }
-        let rx = self.rx.borrow().clone();
-        if let RxDispatch::Coalesced(h) = rx {
-            let done = h(engine, &frames).max(engine.now());
-            self.rx_busy_until.set(done);
-            if !self.rx_ring.borrow().is_empty() && !self.rx_drain_pending.get() {
-                self.rx_drain_pending.set(true);
-                engine.schedule_event(done, Event::RxDrain(self.clone()));
-            }
-        } else {
-            // Mode switched away mid-flight; these frames are unhandled, and
-            // so is whatever still waits on the ring behind them — no drain
-            // will come for it.
-            frames.extend(self.rx_ring.borrow_mut().drain(..));
-            for f in &frames {
-                let (len, journey) = (f.bytes.len(), f.journey);
-                self.drop_unprocessed(engine.now(), len, journey, Loss::RxNoHandler);
-            }
+        let done = h(engine, &frames).max(engine.now());
+        self.rx_busy_until.set(done);
+        if !self.rx_ring.borrow().is_empty() && !self.rx_drain_pending.get() {
+            self.rx_drain_pending.set(true);
+            engine.schedule_event(done, Event::RxDrain(self.clone()));
         }
         for f in frames.drain(..) {
             self.medium.recycle(f.bytes);
@@ -1631,6 +1632,12 @@ mod coalesce_tests {
         b.attach(DriverConfig::tx_only());
         engine.run();
         assert_eq!(b.stats().rx_no_handler, 2);
+        let stats = b.stats();
+        assert_eq!(
+            (stats.rx_interrupts, stats.rx_frames),
+            (1, 1),
+            "no driver heard the stranded frames"
+        );
         let events = rec.events();
         let dropped: Vec<_> = events
             .iter()

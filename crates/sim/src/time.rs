@@ -25,7 +25,7 @@ impl SimTime {
 
     /// The largest representable instant; used as an "infinitely far away"
     /// sentinel for idle devices.
-    pub const MAX: SimTime = SimTime(u64::MAX);
+    pub(crate) const MAX: SimTime = SimTime(u64::MAX);
 
     /// Creates an instant from nanoseconds since the epoch.
     pub const fn from_nanos(ns: u64) -> Self {
@@ -48,31 +48,12 @@ impl SimTime {
     }
 
     /// Microseconds since the epoch, as a float (for reporting).
-    pub fn as_micros_f64(self) -> f64 {
+    pub(crate) fn as_micros_f64(self) -> f64 {
         self.0 as f64 / 1_000.0
     }
 
-    /// Seconds since the epoch, as a float (for reporting).
-    pub fn as_secs_f64(self) -> f64 {
-        self.0 as f64 / 1_000_000_000.0
-    }
-
-    /// The span from `earlier` to `self`.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `earlier` is later than `self`; simulated time never runs
-    /// backwards, so that indicates a scheduling bug.
-    pub fn since(self, earlier: SimTime) -> SimDuration {
-        assert!(
-            earlier.0 <= self.0,
-            "time ran backwards: {earlier} is after {self}"
-        );
-        SimDuration(self.0 - earlier.0)
-    }
-
-    /// Saturating version of [`SimTime::since`]: returns zero when `earlier`
-    /// is later than `self`.
+    /// The span from `earlier` to `self`, or zero when `earlier` is later
+    /// than `self`.
     pub fn saturating_since(self, earlier: SimTime) -> SimDuration {
         SimDuration(self.0.saturating_sub(earlier.0))
     }
@@ -123,7 +104,7 @@ impl SimDuration {
     }
 
     /// Microseconds in the span, as a float (for reporting).
-    pub fn as_micros_f64(self) -> f64 {
+    pub(crate) fn as_micros_f64(self) -> f64 {
         self.0 as f64 / 1_000.0
     }
 
@@ -133,13 +114,8 @@ impl SimDuration {
     }
 
     /// True if the span is empty.
-    pub const fn is_zero(self) -> bool {
+    pub(crate) const fn is_zero(self) -> bool {
         self.0 == 0
-    }
-
-    /// Saturating subtraction.
-    pub fn saturating_sub(self, other: SimDuration) -> SimDuration {
-        SimDuration(self.0.saturating_sub(other.0))
     }
 
     /// Multiplies the span by an integer count (e.g. per-byte costs).
@@ -242,6 +218,22 @@ impl fmt::Display for SimDuration {
 #[cfg(test)]
 mod tests {
     use super::*;
+
+    impl SimTime {
+        /// The span from `earlier` to `self`.
+        ///
+        /// # Panics
+        ///
+        /// Panics if `earlier` is later than `self`; simulated time never runs
+        /// backwards, so that indicates a scheduling bug.
+        fn since(self, earlier: SimTime) -> SimDuration {
+            assert!(
+                earlier.0 <= self.0,
+                "time ran backwards: {earlier} is after {self}"
+            );
+            SimDuration(self.0 - earlier.0)
+        }
+    }
 
     #[test]
     fn time_arithmetic_round_trips() {

@@ -30,7 +30,7 @@ pub struct Machine {
 
 impl Machine {
     /// Creates a machine with the given cost model.
-    pub fn new(name: &str, model: CostModel) -> Rc<Machine> {
+    pub(crate) fn new(name: &str, model: CostModel) -> Rc<Machine> {
         Rc::new(Machine {
             name: name.to_string(),
             cpu: Cpu::new(model),
@@ -62,6 +62,17 @@ impl Machine {
     /// Number of attached NICs.
     pub fn nic_count(&self) -> usize {
         self.nics.borrow().len()
+    }
+
+    /// Counts `nic` among the machine's NICs, once: a NIC that
+    /// [`World::connect`] made for the machine is counted already, and one
+    /// made with [`Nic::new`] is counted when a stack attaches to it. The
+    /// NIC keeps its name and recorder.
+    pub fn adopt(&self, nic: &Rc<Nic>) {
+        let mut nics = self.nics.borrow_mut();
+        if !nics.iter().any(|n| Rc::ptr_eq(n, nic)) {
+            nics.push(nic.clone());
+        }
     }
 
     /// The machine's books as they stand: what its NICs handed its
@@ -211,7 +222,7 @@ impl World {
                 let nic = Nic::new(profile.clone(), &medium);
                 nic.set_host(m.name());
                 nic.set_recorder(recorder.clone());
-                m.nics.borrow_mut().push(nic.clone());
+                m.adopt(&nic);
                 nic
             })
             .collect();
@@ -317,6 +328,33 @@ mod tests {
             .filter(|r| matches!(r.event, plexus_trace::TraceEvent::PacketArrival { .. }))
             .count();
         assert_eq!(arrivals, 1, "the late NIC records its arrival");
+    }
+
+    #[test]
+    fn a_drain_that_finds_its_driver_rebound_keeps_the_books_balanced() {
+        // A coalesced driver absorbs its first frame and is busy while two
+        // more queue on the ring; it is rebound before the drain, which
+        // then loses both as `rx_no_handler`, frames no driver heard.
+        let mut world = World::new();
+        let a = world.add_machine("a");
+        let b = world.add_machine("b");
+        let (_m, nics) = world.connect(&[&a, &b], NicProfile::dec_t3(), SimDuration::ZERO, false);
+        let cpu = b.cpu().clone();
+        nics[1].attach(DriverConfig::coalesced(move |eng, frames| {
+            for _ in frames {
+                cpu.count(Outcome::Absorbed);
+            }
+            eng.now() + SimDuration::from_millis(1)
+        }));
+        for _ in 0..3 {
+            nics[0].transmit(world.engine_mut(), SimTime::ZERO, &[0u8; 64][..]);
+        }
+        world.run_for(SimDuration::from_micros(500));
+        nics[1].attach(DriverConfig::tx_only());
+        world.run();
+        assert_eq!(nics[1].stats().rx_no_handler, 2);
+        let books = b.books();
+        assert_eq!((books.heard, books.balance()), (1, 0), "{books}");
     }
 
     #[test]

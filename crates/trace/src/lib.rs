@@ -26,6 +26,12 @@
 //! The recorder is plumbed as an `Option<Rc<Recorder>>` hung off the
 //! simulated CPU/NIC/engine — **not** a global — so instrumented code pays
 //! one `Option` test when tracing is off.
+//!
+//! The seven fold and export modules ([`export`], [`flame`], [`journey`],
+//! [`json`], [`live`], [`profile`], [`timeline`]) stay public because the
+//! host-clock benchmark (`perf/`) imports items by their module paths; the
+//! recorder, registry, ring and loss vocabulary are private modules whose
+//! items the root re-exports.
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]

@@ -59,17 +59,7 @@ pub struct Slo {
     pub skip_head: u64,
 }
 
-impl Slo {
-    /// An SLO with no thresholds (every window passes).
-    pub const fn none() -> Slo {
-        Slo {
-            p99_ceiling_ns: None,
-            drop_ppm_ceiling: None,
-            goodput_floor: None,
-            skip_head: 0,
-        }
-    }
-}
+impl Slo {}
 
 /// Cap on retained records per sampled journey; overflow is counted,
 /// never silent.
@@ -1028,6 +1018,18 @@ mod tests {
     use crate::json::validate;
     use crate::timeline;
     use crate::{CounterKey, Recorder, Scope};
+
+    impl Slo {
+        /// An SLO with no thresholds (every window passes).
+        const fn none() -> Slo {
+            Slo {
+                p99_ceiling_ns: None,
+                drop_ppm_ceiling: None,
+                goodput_floor: None,
+                skip_head: 0,
+            }
+        }
+    }
 
     fn assert_send<T: Send>() {}
 

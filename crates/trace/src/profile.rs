@@ -622,7 +622,7 @@ impl Profile {
     }
 
     /// The drops recorded during a packet's window, as `(layer, reason)`.
-    pub fn drops(&self, p: &PacketProfile) -> &[(Label, Label)] {
+    pub(crate) fn drops(&self, p: &PacketProfile) -> &[(Label, Label)] {
         let (start, end) = self.runs(p);
         &self.drops[start.drops as usize..end.drops as usize]
     }

@@ -12,7 +12,7 @@
 use std::cell::{Cell, RefCell};
 use std::rc::Rc;
 
-use plexus::apps::active_messages::{am_extension_spec, ActiveMessages};
+use plexus::apps::{am_extension_spec, ActiveMessages};
 use plexus::core::{PlexusStack, StackConfig};
 use plexus::net::Testbed;
 use plexus::sim::nic::Link;

@@ -12,11 +12,11 @@
 use std::cell::Cell;
 use std::rc::Rc;
 
-use plexus::apps::forward::{forwarder_extension_spec, InKernelForwarder};
+use plexus::apps::{forwarder_extension_spec, InKernelForwarder};
 use plexus::baseline::{MonolithicStack, UserSplice};
 use plexus::core::{PlexusStack, StackConfig, TcpCallbacks, TcpConn};
 use plexus::kernel::dispatcher::RaiseCtx;
-use plexus::kernel::vm::AddressSpace;
+use plexus::kernel::AddressSpace;
 use plexus::net::Testbed;
 use plexus::sim::nic::Link;
 use plexus::sim::time::SimDuration;
@@ -111,15 +111,11 @@ fn user_splice() -> f64 {
         mut world, hosts, ..
     } = three_hosts();
     let [client, fwd, backend] = [0, 1, 2].map(|k| MonolithicStack::attach_host(&hosts[k]));
-    backend.tcp().listen(&AddressSpace::new("svc"), PORT, echo);
+    backend.tcp().listen(&AddressSpace::new(), PORT, echo);
     let splice = UserSplice::start(&fwd, world.engine_mut(), PORT, (backend.ip(), PORT));
     let conn = client
         .tcp()
-        .connect(
-            world.engine_mut(),
-            &AddressSpace::new("cli"),
-            (fwd.ip(), PORT),
-        )
+        .connect(world.engine_mut(), &AddressSpace::new(), (fwd.ip(), PORT))
         .unwrap();
     let rtt_ns = request(&conn);
     world.run_for(SimDuration::from_secs(10));

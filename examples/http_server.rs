@@ -8,7 +8,7 @@
 
 use std::collections::HashMap;
 
-use plexus::apps::httpd::{httpd_extension_spec, HttpGet, Httpd};
+use plexus::apps::{httpd_extension_spec, HttpGet, Httpd};
 use plexus::core::{PlexusStack, StackConfig};
 use plexus::net::Testbed;
 use plexus::sim::nic::Link;

@@ -10,9 +10,7 @@
 //!
 //! Run with `cargo run --example reliable_link`.
 
-use plexus::apps::reliable::{
-    reliable_extension_spec, ReliableConfig, ReliableReceiver, ReliableSender,
-};
+use plexus::apps::{reliable_extension_spec, ReliableConfig, ReliableReceiver, ReliableSender};
 use plexus::core::{PlexusStack, StackConfig};
 use plexus::net::Testbed;
 use plexus::sim::nic::{FaultInjector, Link};

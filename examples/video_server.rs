@@ -5,14 +5,13 @@
 //!
 //! Run with `cargo run --example video_server`.
 
-use plexus::apps::video::{video_extension_spec, VideoClient, VideoConfig, VideoServer};
+use plexus::apps::{video_extension_spec, VideoClient, VideoConfig, VideoServer};
 use plexus::baseline::MonolithicStack;
 use plexus::core::{PlexusStack, StackConfig};
 use plexus::net::Testbed;
-use plexus::sim::disk::Disk;
-use plexus::sim::framebuffer::Framebuffer;
 use plexus::sim::nic::Link;
 use plexus::sim::time::{SimDuration, SimTime};
+use plexus::sim::{Disk, Framebuffer};
 
 const STREAMS: usize = 15; // The paper's saturation point on the T3.
 const SECONDS: u64 = 1;

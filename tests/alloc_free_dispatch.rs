@@ -39,14 +39,13 @@ use plexus::kernel::dispatcher::{Dispatcher, Event, Guard, HandlerSpec, RaiseCtx
 use plexus::kernel::domain::ExtensionSpec;
 use plexus::kernel::ephemeral::Ephemeral;
 use plexus::kernel::filter::{conjunction, verify, EventKind, Field, Operand, Packet, Test};
-use plexus::kernel::vm::AddressSpace;
+use plexus::kernel::AddressSpace;
 use plexus::net::ether::{self, EtherType, MacAddr};
 use plexus::net::ip::{self, IpHeader};
 use plexus::net::mbuf::Mbuf;
 use plexus::net::tcp::{TcpFlags, TcpSegment, TcpState};
-use plexus::net::testbed::Host;
 use plexus::net::udp::{self, Endpoint, UdpConfig};
-use plexus::net::Testbed;
+use plexus::net::{Host, Testbed};
 use plexus::sim::cpu::{CostModel, Cpu};
 use plexus::sim::nic::{DriverConfig, Link, Medium, Nic};
 use plexus::sim::time::{SimDuration, SimTime};
@@ -57,11 +56,12 @@ use plexus::trace::journey::{self, journeys_json};
 use plexus::trace::live::{live_json, LiveConfig};
 use plexus::trace::profile::{profile_json, Profile};
 use plexus::trace::{timeline, CounterKey, Label, Recorder, Scope};
-use plexus_bench::overload::{build_frame, PAYLOAD};
+use plexus_bench::{build_frame, PAYLOAD};
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
 
-#[allow(dead_code)]
+// Shared with perf/, whose root reaches what this suite does not name.
+#[allow(dead_code, unreachable_pub)]
 #[path = "../perf/src/alloc.rs"]
 mod alloc;
 
@@ -289,7 +289,7 @@ fn plexus_bound_to(port: u16) -> Loop {
 fn baseline_echo() -> Loop {
     let Testbed { world, hosts, .. } = Testbed::new(&Link::t3(), 42, &["generator", "dut"]);
     let stack = MonolithicStack::attach_host(&hosts[1]);
-    let process = AddressSpace::new("echo");
+    let process = AddressSpace::new();
     let slot: Rc<OnceCell<Rc<UdpSocket>>> = Rc::default();
     let sl = slot.clone();
     let echo = move |ctx: &mut RaiseCtx<'_>, ev: &UdpRecv| {
@@ -1353,12 +1353,12 @@ fn baseline_pair(world: &mut World, hosts: &[Host], sink: &Sink) -> Rc<TcpConn> 
     let server = MonolithicStack::attach_host(&hosts[1]);
     server
         .tcp()
-        .listen(&AddressSpace::new("sink"), TCP_PORT, sink_into(sink));
+        .listen(&AddressSpace::new(), TCP_PORT, sink_into(sink));
     client
         .tcp()
         .connect(
             world.engine_mut(),
-            &AddressSpace::new("source"),
+            &AddressSpace::new(),
             (hosts[1].ip, TCP_PORT),
         )
         .unwrap()
@@ -1523,7 +1523,7 @@ fn baseline_dial(world: &mut World, hosts: &[Host]) -> Box<dyn Fn() -> (TcpState
         .tcp()
         .connect(
             world.engine_mut(),
-            &AddressSpace::new("dialer"),
+            &AddressSpace::new(),
             (hosts[1].ip, TCP_PORT),
         )
         .unwrap();
@@ -1756,7 +1756,7 @@ fn baseline_udp_pair(_: &mut World, hosts: &[Host], sink: &Sink) -> Write {
     let keep =
         move |_: &mut RaiseCtx<'_>, ev: &UdpRecv| sink.borrow_mut().extend(ev.payload.to_vec());
     let (config, ignore) = (UdpConfig::default(), |_: &mut RaiseCtx<'_>, _: &UdpRecv| {});
-    let (reader, writer) = (AddressSpace::new("sink"), AddressSpace::new("source"));
+    let (reader, writer) = (AddressSpace::new(), AddressSpace::new());
     server.udp_socket(&reader, UDP_PORT, config, keep).unwrap();
     let from = client.udp_socket(&writer, 2000, config, ignore).unwrap();
     let to = hosts[1].ip;

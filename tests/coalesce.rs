@@ -28,7 +28,7 @@ use plexus::sim::time::{SimDuration, SimTime};
 use plexus::sim::World;
 use plexus::trace::export::{chrome_trace, stats_json};
 use plexus::trace::{json, Recorder};
-use plexus_bench::overload::{build_frame, LoadPoint, Overload, RxMode, Workload, PAYLOAD};
+use plexus_bench::{build_frame, LoadPoint, Overload, RxMode, Workload, PAYLOAD};
 
 /// Ethernet (14) + IPv4 (20) + UDP (8) headers precede the payload.
 const PAYLOAD_OFF: usize = 42;

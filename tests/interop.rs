@@ -12,7 +12,7 @@ use plexus::baseline::{MonolithicStack, UdpSocket};
 use plexus::core::{AppHandler, PlexusStack, StackConfig, TcpCallbacks, UdpRecv};
 use plexus::kernel::dispatcher::RaiseCtx;
 use plexus::kernel::domain::ExtensionSpec;
-use plexus::kernel::vm::AddressSpace;
+use plexus::kernel::AddressSpace;
 use plexus::net::ether::MacAddr;
 use plexus::net::udp::{Endpoint, UdpConfig};
 use plexus::net::Testbed;
@@ -47,7 +47,7 @@ fn udp_flows_both_ways_between_the_systems() {
         .unwrap();
 
     // DUNIX process echoes; Plexus extension initiates and verifies.
-    let dproc = AddressSpace::new("echo");
+    let dproc = AddressSpace::new();
     let slot: Rc<OnceCell<Rc<UdpSocket>>> = Rc::default();
     let d2 = slot.clone();
     let echo = move |ctx: &mut RaiseCtx<'_>, ev: &UdpRecv| {
@@ -90,7 +90,7 @@ fn plexus_client_talks_tcp_to_dunix_server() {
         ))
         .unwrap();
 
-    let dproc = AddressSpace::new("server");
+    let dproc = AddressSpace::new();
     dunix.tcp().listen(&dproc, 80, |_, sock| {
         sock.set_callbacks(TcpCallbacks {
             on_data: Some(Rc::new(|ctx, sock, data| {
@@ -131,9 +131,9 @@ fn dunix_client_talks_tcp_to_plexus_httpd() {
         .unwrap();
     let mut docs = std::collections::HashMap::new();
     docs.insert("/".to_string(), b"hello from the kernel".to_vec());
-    let _httpd = plexus::apps::httpd::Httpd::serve(&plexus, &ext, 80, docs).unwrap();
+    let _httpd = plexus::apps::Httpd::serve(&plexus, &ext, 80, docs).unwrap();
 
-    let dproc = AddressSpace::new("browser");
+    let dproc = AddressSpace::new();
     let got: Rc<RefCell<Vec<u8>>> = Rc::new(RefCell::new(Vec::new()));
     let done = Rc::new(Cell::new(false));
     let conn = dunix
@@ -156,8 +156,7 @@ fn dunix_client_talks_tcp_to_plexus_httpd() {
     });
     world.run_for(SimDuration::from_secs(10));
     assert!(done.get(), "HTTP/1.0 server closed after responding");
-    let (status, body) =
-        plexus::net::http::parse_response(&got.borrow()).expect("valid HTTP response");
+    let (status, body) = plexus::net::parse_response(&got.borrow()).expect("valid HTTP response");
     assert_eq!(status, 200);
     assert_eq!(body, b"hello from the kernel");
 }
@@ -276,7 +275,7 @@ fn dunix_host_routes_through_the_plexus_router() {
         .unwrap();
     *echo_slot.borrow_mut() = Some(pep);
 
-    let proc_ = AddressSpace::new("client");
+    let proc_ = AddressSpace::new();
     let got: Rc<RefCell<Vec<u8>>> = Rc::new(RefCell::new(Vec::new()));
     let g = got.clone();
     let keep = move |_: &mut RaiseCtx<'_>, ev: &UdpRecv| *g.borrow_mut() = ev.payload.to_vec();
@@ -287,6 +286,10 @@ fn dunix_host_routes_through_the_plexus_router() {
     world.run();
     assert_eq!(*got.borrow(), b"mixed routed");
     assert_eq!(mr.books().outcome(Outcome::Forwarded), 2);
+    // Each machine's NICs, made with `Nic::new`, are on its books.
+    for m in world.machines() {
+        assert_eq!(m.books().balance(), 0, "{}: {}", m.name(), m.books());
+    }
 }
 
 #[test]
@@ -413,5 +416,8 @@ fn the_same_protocol_code_puts_the_same_frames_on_the_wire() {
     for (segment, medium) in [("near", &seg1), ("far", &seg2)] {
         let got = normalized(&bytes_of(medium.stop_capture()));
         assert_eq!(got, want, "{segment} segment of the routed path");
+    }
+    for m in world.machines() {
+        assert_eq!(m.books().balance(), 0, "{}: {}", m.name(), m.books());
     }
 }

@@ -24,14 +24,14 @@ use plexus::trace::journey::{self, Journeys};
 use plexus::trace::profile::Profile;
 use plexus::trace::timeline;
 use plexus::trace::{Recorder, TraceEvent};
-use plexus_bench::figures;
+use plexus_bench::cell;
 
 /// The round trips of the `fig5_udp_latency` cells.
 const ROUNDS: u32 = 20;
 
 /// Replays the registered cell `FIGURE/CELL`.
 fn replay(path: &str) -> Rc<Recorder> {
-    figures::cell(path).expect("a registered cell").run()
+    cell(path).expect("a registered cell").run()
 }
 
 /// A segment name is fully attributed when every machine it names is a

@@ -12,8 +12,8 @@ use plexus::trace::live::{live_json, LiveConfig, ScopeCounters, Slo};
 use plexus::trace::profile::Profile;
 use plexus::trace::timeline;
 use plexus::trace::{json, Recorder};
-use plexus_bench::figures::{self, Cell};
 use plexus_bench::udp_rtt::{Link, System, UdpRtt};
+use plexus_bench::Cell;
 
 const WINDOW_NS: u64 = 1_000_000;
 
@@ -36,7 +36,7 @@ fn traced_with_ring(ring: usize) -> Rc<Recorder> {
 
 #[test]
 fn live_windows_match_posthoc_timeline_on_a_full_scenario() {
-    let cell = figures::cell("fig5_udp_latency/udp_rtt").expect("registered cell");
+    let cell = plexus_bench::cell("fig5_udp_latency/udp_rtt").expect("registered cell");
     let rec = cell.run();
     let live = rec.live_report().expect("cell runs enable live");
     assert_eq!(rec.overwritten(), 0, "the cell's ring must capture the run");
@@ -133,7 +133,7 @@ fn ring_wrap_leaves_live_correct_while_posthoc_reports_truncation() {
 
 #[test]
 fn declared_slos_pass_and_tightened_slos_breach() {
-    let cell = figures::cell("fig5_udp_latency/udp_rtt").expect("registered cell");
+    let cell = plexus_bench::cell("fig5_udp_latency/udp_rtt").expect("registered cell");
 
     // The committed envelope holds.
     let rec = cell.run();
@@ -170,7 +170,7 @@ fn livelocked_overload_self_reports_late_records() {
     // already-sealed windows. The live tier must *say so* (late_records)
     // rather than silently degrade, and the declared goodput floor must
     // flag the collapse.
-    let cell = figures::cell("overload/overload").expect("registered cell");
+    let cell = plexus_bench::cell("overload/overload").expect("registered cell");
     let rec = cell.run();
     let live = rec.live_report().expect("live enabled");
     assert!(

@@ -17,10 +17,9 @@ use plexus::baseline::MonolithicStack;
 use plexus::core::{PlexusStack, StackConfig, TcpCallbacks, TcpConn};
 use plexus::kernel::dispatcher::RaiseCtx;
 use plexus::kernel::domain::ExtensionSpec;
-use plexus::kernel::vm::AddressSpace;
+use plexus::kernel::AddressSpace;
 use plexus::net::tcp::TcpState;
-use plexus::net::testbed::Host;
-use plexus::net::Testbed;
+use plexus::net::{Host, Testbed};
 use plexus::sim::nic::{DriverConfig, Link};
 use plexus::sim::time::SimDuration;
 use plexus::sim::World;
@@ -116,7 +115,7 @@ fn stack_on(
         }
         Structure::Dunix => {
             let stack = MonolithicStack::attach_host(host);
-            let process = AddressSpace::new("script");
+            let process = AddressSpace::new();
             assert!(stack.tcp().listen(&process, PORT, on_accept));
             let s = stack.clone();
             let dial: Dialer = Box::new(move |world, to| {

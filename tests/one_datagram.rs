@@ -16,13 +16,12 @@ use plexus::baseline::MonolithicStack;
 use plexus::core::{AppHandler, PlexusError, PlexusStack, StackConfig};
 use plexus::kernel::dispatcher::RaiseCtx;
 use plexus::kernel::domain::ExtensionSpec;
-use plexus::kernel::vm::AddressSpace;
+use plexus::kernel::AddressSpace;
 use plexus::net::ether::{self, EtherType};
 use plexus::net::ip::{self, IpHeader};
 use plexus::net::mbuf::Mbuf;
-use plexus::net::testbed::Host;
 use plexus::net::udp::{self, DatagramTooLong, Endpoint, UdpConfig, UdpRecv};
-use plexus::net::Testbed;
+use plexus::net::{Host, Testbed};
 use plexus::sim::nic::Link;
 use plexus::sim::time::SimTime;
 use plexus::sim::World;
@@ -75,9 +74,9 @@ fn pair(structure: Structure, client: &Host, server: &Host, seen: &Seen) -> (Rc<
         }
         Structure::Dunix => {
             let [c, s] = [client, server].map(MonolithicStack::attach_host);
-            let server_proc = AddressSpace::new("server");
+            let server_proc = AddressSpace::new();
             s.udp_socket(&server_proc, PORT, config, keep).unwrap();
-            let client_proc = AddressSpace::new("client");
+            let client_proc = AddressSpace::new();
             let from = c.udp_socket(&client_proc, 2000, config, ignore).unwrap();
             let send: Sender = Box::new(move |world, to, port, data| {
                 from.send(world.engine_mut(), to, port, data)

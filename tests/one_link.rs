@@ -2,7 +2,7 @@
 //!
 //! A Plexus host, a DIGITAL UNIX host and a router interface resolve, park,
 //! re-ask, abandon, refuse, frame and answer through the same
-//! `plexus_net::link::Interface`, and differ only in what they charge
+//! `plexus_net::Interface`, and differ only in what they charge
 //! around it. So the same script, run against each as the device that
 //! resolves one cold hop, must see the same frames on that hop's segment,
 //! the same deliveries in the same order and the same named drops. Fed
@@ -18,15 +18,12 @@ use plexus::baseline::MonolithicStack;
 use plexus::core::{AppHandler, IpRouter, PlexusStack, StackConfig, UdpRecv};
 use plexus::kernel::dispatcher::RaiseCtx;
 use plexus::kernel::domain::ExtensionSpec;
-use plexus::kernel::vm::AddressSpace;
-use plexus::net::arp::MAX_PARKED_PER_HOP;
+use plexus::kernel::AddressSpace;
 use plexus::net::ether::{self, EtherType, MacAddr};
-use plexus::net::icmp::IcmpMessage;
 use plexus::net::ip::{self, IpHeader};
 use plexus::net::tcp::{TcpFlags, TcpSegment};
-use plexus::net::testbed::{Host, Testbed};
 use plexus::net::udp::{self, Endpoint, UdpConfig};
-use plexus::net::Mbuf;
+use plexus::net::{Host, IcmpMessage, Mbuf, Testbed, MAX_PARKED_PER_HOP};
 use plexus::sim::nic::{DriverConfig, FaultInjector, Link, Medium, Nic, NicProfile};
 use plexus::sim::time::{SimDuration, SimTime};
 use plexus::sim::{Books, Loss, Machine, Outcome, World};
@@ -135,7 +132,7 @@ fn rig(structure: Structure, traced: bool) -> Rig {
         _ => {
             let stack = MonolithicStack::attach(&dut.machine, &dut.nic, dut.ip, dut.mac);
             let ignore = |_: &mut RaiseCtx<'_>, _: &UdpRecv| {};
-            let process = AddressSpace::new("script");
+            let process = AddressSpace::new();
             let from = stack.udp_socket(&process, 2000, config, ignore).unwrap();
             assert!(stack.tcp().listen(&process, LISTENING, |_, _| {}));
             let send = move |world: &mut World, data: &[u8]| {
@@ -388,11 +385,11 @@ fn a_held_fragment_is_no_loss_and_a_bad_header_is_one_named_drop() {
                 let keep = move |_: &mut RaiseCtx<'_>, ev: &UdpRecv| {
                     s.borrow_mut().push(ev.payload.to_vec())
                 };
-                sb.udp_socket(&AddressSpace::new("b"), 7, config, keep)
+                sb.udp_socket(&AddressSpace::new(), 7, config, keep)
                     .unwrap();
                 let ignore = |_: &mut RaiseCtx<'_>, _: &UdpRecv| {};
                 let from = sa
-                    .udp_socket(&AddressSpace::new("a"), 2000, config, ignore)
+                    .udp_socket(&AddressSpace::new(), 2000, config, ignore)
                     .unwrap();
                 let to = sb.ip();
                 let send = move |world: &mut World, data: &[u8]| {

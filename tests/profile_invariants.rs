@@ -15,7 +15,7 @@ use std::rc::Rc;
 use plexus::trace::flame::folded;
 use plexus::trace::profile::{pingpong_waterfall, profile_json, span_trees, Profile, Slice, Span};
 use plexus::trace::{json, Recorder, TraceEvent};
-use plexus_bench::figures;
+use plexus_bench::cell;
 
 /// The round trips of the `fig5_udp_latency` cells.
 const ROUNDS: u32 = 20;
@@ -23,12 +23,12 @@ const ROUNDS: u32 = 20;
 /// Replays the `udp_rtt` (interrupt) or `udp_rtt_thread` cell; returns
 /// the RTTs the ping-pong measured, in order, and the recorder.
 fn traced_run(interrupt: bool) -> (Vec<u64>, Rc<Recorder>) {
-    let cell = if interrupt {
+    let name = if interrupt {
         "udp_rtt"
     } else {
         "udp_rtt_thread"
     };
-    let recorder = figures::cell(&format!("fig5_udp_latency/{cell}"))
+    let recorder = cell(&format!("fig5_udp_latency/{name}"))
         .expect("a registered cell")
         .run();
     let rtts = recorder.events().into_iter().filter_map(|r| match r.event {

@@ -16,7 +16,7 @@ use plexus::net::ip::{self, IpHeader, IpView, Reassembler};
 use plexus::net::mbuf::Mbuf;
 use plexus::net::tcp::{seq_le, seq_lt, Payload, Tcb, TcpFlags, TcpSegment};
 use plexus::net::udp::{self, Endpoint, UdpConfig};
-use plexus::net::{arp, http, icmp};
+use plexus::net::{parse_request, parse_response, IcmpMessage};
 
 // ---------------------------------------------------------------------------
 // Mbuf: a random operation sequence must match a plain Vec<u8> model.
@@ -271,11 +271,10 @@ proptest! {
     fn parsers_are_total(bytes in proptest::collection::vec(any::<u8>(), 0..200)) {
         let a = Ipv4Addr::new(1, 2, 3, 4);
         let b = Ipv4Addr::new(5, 6, 7, 8);
-        let _ = arp::ArpPacket::parse(&bytes);
-        let _ = icmp::IcmpMessage::parse(&bytes);
+        let _ = IcmpMessage::parse(&bytes);
         let _ = TcpSegment::parse(a, b, &bytes);
-        let _ = http::parse_request(&bytes);
-        let _ = http::parse_response(&bytes);
+        let _ = parse_request(&bytes);
+        let _ = parse_response(&bytes);
         let _ = view::<IpView>(&bytes);
         let m = Mbuf::from_payload(0, &bytes);
         let _ = udp::decapsulate(a, b, UdpConfig::default(), &m);

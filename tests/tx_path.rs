@@ -38,7 +38,7 @@ use plexus::net::udp::UdpConfig;
 use plexus::net::Testbed;
 use plexus::sim::nic::{Link, NicProfile, NicStats};
 use plexus::sim::time::{SimDuration, SimTime};
-use plexus_bench::overload::{build_frame, Overload, RxMode, TxMode, Workload};
+use plexus_bench::{build_frame, Overload, RxMode, TxMode, Workload};
 use proptest::prelude::*;
 
 const GEN: usize = 0;
