@@ -32,7 +32,7 @@ use plexus_kernel::{AddressSpace, RaiseCtx};
 use plexus_net::mbuf::Mbuf;
 use plexus_net::udp::{Endpoint, UdpConfig, UdpRecv};
 use plexus_sim::time::{SimDuration, SimTime};
-use plexus_sim::{CpuLease, Engine, Framebuffer, Machine};
+use plexus_sim::{CpuLease, Engine, Machine};
 
 /// Parameters of the video workload.
 #[derive(Clone, Copy, Debug)]
@@ -223,24 +223,22 @@ pub struct VideoClient {
 }
 
 impl VideoClient {
-    /// Subscribes in-kernel on a Plexus stack. The machine must have a
-    /// framebuffer.
+    /// Subscribes in-kernel on a Plexus stack.
     pub fn plexus(
         stack: &Rc<PlexusStack>,
         ext: &LinkedExtension,
         config: VideoConfig,
     ) -> Result<VideoClient, PlexusError> {
-        let (client, view) = VideoClient::viewer(stack.machine(), config);
+        let (client, view) = VideoClient::viewer(config);
         let handler = AppHandler::interrupt(view);
         stack.udp().bind(ext, config.port, config.udp(), handler)?;
         Ok(client)
     }
 
     /// Subscribes a user process on the monolithic stack: each frame
-    /// reaches it after the socket's wakeup and copyout. The machine must
-    /// have a framebuffer.
+    /// reaches it after the socket's wakeup and copyout.
     pub fn dunix(stack: &Rc<MonolithicStack>, config: VideoConfig) -> Option<VideoClient> {
-        let (client, view) = VideoClient::viewer(stack.machine(), config);
+        let (client, view) = VideoClient::viewer(config);
         let process = AddressSpace::new();
         stack.udp_socket(&process, config.port, config.udp(), view)?;
         Some(client)
@@ -248,15 +246,13 @@ impl VideoClient {
 
     /// The client application: displays each frame it receives.
     fn viewer(
-        machine: &Machine,
         config: VideoConfig,
     ) -> (VideoClient, impl Fn(&mut RaiseCtx<'_>, &UdpRecv) + 'static) {
         let stats = Rc::new(Cell::new(ClientStats::default()));
         let st = stats.clone();
-        let fb: Rc<Framebuffer> = machine.framebuffer();
         let view = move |ctx: &mut RaiseCtx<'_>, ev: &UdpRecv| {
             let len = ev.payload.total_len();
-            display_frame(ctx.lease, &fb, len, config.expansion);
+            display_frame(ctx.lease, len, config.expansion);
             let mut s = st.get();
             s.frames += 1;
             s.bytes += len as u64;
@@ -272,17 +268,16 @@ impl VideoClient {
 }
 
 /// The two §5.1 passes plus the blit, charged to the caller's lease.
-fn display_frame(lease: &mut CpuLease, fb: &Framebuffer, len: usize, expansion: usize) {
-    // Pass 1: application-level checksum over the compressed frame.
-    lease.charge(lease.model().checksum(len));
-    // Pass 2: decompress (reads compressed, writes expanded to RAM).
-    lease.charge(lease.model().decompress_per_byte.times(len as u64));
-    lease.charge(
-        lease
-            .model()
-            .ram_write_per_byte
-            .times((len * expansion) as u64),
-    );
-    // Blit the decompressed image to the framebuffer.
-    fb.blit(lease, len * expansion);
+fn display_frame(lease: &mut CpuLease, len: usize, expansion: usize) {
+    let (model, image) = (lease.model(), (len * expansion) as u64);
+    let costs = [
+        // Pass 1: application-level checksum over the compressed frame.
+        model.checksum(len),
+        // Pass 2: decompress (reads compressed, writes expanded to RAM).
+        model.decompress_per_byte.times(len as u64),
+        model.ram_write_per_byte.times(image),
+        // The blit of the decompressed image: framebuffer writes, 10× RAM's.
+        model.framebuffer_write_per_byte.times(image),
+    ];
+    costs.into_iter().for_each(|cost| lease.charge(cost));
 }

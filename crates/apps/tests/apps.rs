@@ -14,7 +14,7 @@ use plexus_core::{PlexusStack, StackConfig};
 use plexus_net::Testbed;
 use plexus_sim::nic::{Link, NicProfile};
 use plexus_sim::time::{SimDuration, SimTime};
-use plexus_sim::{Disk, Framebuffer};
+use plexus_sim::Disk;
 
 /// Plexus on both hosts of a private Ethernet segment, ARP seeded.
 fn plexus_pair(names: [&str; 2]) -> (Testbed, Rc<PlexusStack>, Rc<PlexusStack>) {
@@ -152,17 +152,22 @@ fn httpd_serves_documents_over_plexus_tcp() {
 }
 
 /// Builds a T3 video world: one server with a disk (host 0) and N
-/// clients with framebuffers.
+/// clients.
 fn video_world(n_clients: usize) -> Testbed {
     let clients: Vec<String> = (0..n_clients).map(|i| format!("client-{i}")).collect();
     let mut names = vec!["video-server"];
     names.extend(clients.iter().map(String::as_str));
     let tb = Testbed::new(&Link::t3(), 0, &names);
     tb.hosts[0].machine.set_disk(Disk::video_era());
-    for client in &tb.hosts[1..] {
-        client.machine.set_framebuffer(Framebuffer::new());
-    }
     tb
+}
+
+/// Every frame each machine of `tb` heard ended exactly once.
+fn assert_books_balance(tb: &Testbed) {
+    for host in &tb.hosts {
+        let (m, books) = (&host.machine, host.machine.books());
+        assert_eq!(books.balance(), 0, "{}: {books}", m.name());
+    }
 }
 
 #[test]
@@ -208,6 +213,7 @@ fn plexus_video_server_streams_to_clients() {
     }
     // Frames exceed the T3 MTU, so they fragmented and reassembled.
     assert!(cfg.frame_bytes > NicProfile::dec_t3().mtu);
+    assert_books_balance(&tb);
 }
 
 #[test]
@@ -235,7 +241,11 @@ fn dunix_video_server_uses_more_cpu_than_plexus() {
             let _srv = VideoServer::dunix(&st, tb.world.engine_mut(), addrs, cfg, until).unwrap();
             tb.world.run_for(SimDuration::from_secs(1));
         }
-        cpu.utilization(busy0, SimDuration::from_secs(1))
+        let utilization = cpu.utilization(busy0, SimDuration::from_secs(1));
+        // Drain what is still in flight, then close the books.
+        tb.world.run_for(SimDuration::from_secs(1));
+        assert_books_balance(&tb);
+        utilization
     };
     let plexus_util = run(true);
     let dunix_util = run(false);

@@ -14,7 +14,7 @@ use plexus_core::{PlexusStack, StackConfig};
 use plexus_net::Testbed;
 use plexus_sim::nic::Link;
 use plexus_sim::time::{SimDuration, SimTime};
-use plexus_sim::{Disk, Framebuffer};
+use plexus_sim::Disk;
 
 use crate::report::BenchReport;
 use crate::table;
@@ -61,7 +61,6 @@ pub(crate) fn video_client_utilization(system: ClientSystem, seconds: u64) -> Cl
     let (server_host, client_host) = (&hosts[0], &hosts[1]);
     server_host.machine.set_disk(Disk::video_era());
     let client_m = &client_host.machine;
-    client_m.set_framebuffer(Framebuffer::new());
 
     let server = PlexusStack::attach_host(server_host, StackConfig::interrupt);
     let sext = server

@@ -41,9 +41,6 @@ use crate::types::{AppHandler, IpRecv, PlexusError, SourcePolicy, UdpRecv};
 /// The UDP protocol manager for one stack.
 pub struct UdpManager {
     shared: Rc<StackShared>,
-    /// Sends refused for a forged source: calls turned away before any
-    /// datagram was built, so no packet's fate.
-    spoofs_blocked: Cell<u64>,
 }
 
 impl UdpManager {
@@ -52,7 +49,6 @@ impl UdpManager {
     pub(crate) fn install(shared: &Rc<StackShared>) -> Rc<UdpManager> {
         let mgr = Rc::new(UdpManager {
             shared: shared.clone(),
-            spoofs_blocked: Cell::new(0),
         });
 
         // Standard UDP node: IP payloads whose protocol is UDP and whose
@@ -112,11 +108,6 @@ impl UdpManager {
     /// item 1 deletes it.
     pub fn delivered(&self) -> u64 {
         self.shared.link.cpu.counted(Outcome::UdpIn)
-    }
-
-    /// Sends rejected for carrying a forged source (Verify policy).
-    pub fn spoofs_blocked(&self) -> u64 {
-        self.spoofs_blocked.get()
     }
 
     /// Datagrams answered with ICMP port unreachable (no endpoint bound):
@@ -323,7 +314,8 @@ impl UdpEndpoint {
 
     /// Debugging variant with [`SourcePolicy::Verify`] (§3.1): the caller
     /// *claims* a source address; the manager checks it against the
-    /// endpoint's legitimate address and rejects mismatches.
+    /// endpoint's legitimate address and refuses a mismatch, before any
+    /// datagram is built, with [`PlexusError::SpoofDetected`].
     pub fn send_verified(
         &self,
         engine: &mut Engine,
@@ -334,9 +326,6 @@ impl UdpEndpoint {
         policy: SourcePolicy,
     ) -> Result<(), PlexusError> {
         if policy == SourcePolicy::Verify && claimed_src != self.manager.shared.link.ip() {
-            self.manager
-                .spoofs_blocked
-                .set(self.manager.spoofs_blocked.get() + 1);
             return Err(PlexusError::SpoofDetected);
         }
         Endpoint::send(self, engine, dst, dst_port, payload)

@@ -94,12 +94,6 @@ pub struct Mbuf {
     pkthdr: Option<PktHdr>,
 }
 
-// Running count of cluster allocations, for the tests.
-#[cfg(test)]
-thread_local! {
-    static ALLOCS: std::cell::Cell<u64> = const { std::cell::Cell::new(0) };
-}
-
 /// Counters for the cluster free-list pool. All values are cumulative
 /// since the pool was last reset.
 #[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
@@ -207,8 +201,6 @@ fn new_cluster(min: usize) -> Rc<Vec<u8>> {
     if let Some(cluster) = pooled {
         return cluster;
     }
-    #[cfg(test)]
-    ALLOCS.with(|a| a.set(a.get() + 1));
     POOL.with(|p| {
         let mut p = p.borrow_mut();
         p.stats.allocated += 1;
@@ -856,9 +848,10 @@ mod tests {
         }
     }
 
-    #[cfg(test)]
+    /// Clusters this thread's pool has taken from the heap since its last
+    /// reset.
     fn allocs() -> u64 {
-        ALLOCS.with(|a| a.get())
+        cluster_pool_stats().allocated
     }
 
     #[test]

@@ -401,6 +401,16 @@ mod tests {
     }
 
     #[test]
+    fn framebuffer_writes_are_ten_times_slower_than_ram() {
+        let model = CostModel::alpha_3000_400();
+        let (fb, ram) = (model.framebuffer_write_per_byte, model.ram_write_per_byte);
+        assert_eq!(fb.as_nanos(), 10 * ram.as_nanos());
+        let mut lease = Cpu::new(model).begin(SimTime::ZERO);
+        lease.charge(fb.times(1_000));
+        assert_eq!(lease.elapsed(), SimDuration::from_micros(50));
+    }
+
+    #[test]
     fn lease_accumulates_and_commits() {
         let cpu = Cpu::new(CostModel::default());
         let mut lease = cpu.begin(SimTime::from_micros(10));

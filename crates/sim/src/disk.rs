@@ -18,8 +18,6 @@ pub struct Disk {
     /// CPU cost per read (issuing the request + completion interrupt work).
     pub cpu_cost: SimDuration,
     free_at: Cell<SimTime>,
-    reads: Cell<u64>,
-    bytes_read: Cell<u64>,
 }
 
 impl Disk {
@@ -36,8 +34,6 @@ impl Disk {
             bytes_per_sec,
             cpu_cost: SimDuration::from_micros(6),
             free_at: Cell::new(SimTime::ZERO),
-            reads: Cell::new(0),
-            bytes_read: Cell::new(0),
         })
     }
 
@@ -56,8 +52,6 @@ impl Disk {
         let start = self.free_at.get().max(now);
         let end = start + self.seek + self.transfer_time(len);
         self.free_at.set(end);
-        self.reads.set(self.reads.get() + 1);
-        self.bytes_read.set(self.bytes_read.get() + len as u64);
         engine.schedule_at(end, done);
         end
     }
@@ -66,18 +60,6 @@ impl Disk {
 #[cfg(test)]
 mod tests {
     use super::*;
-
-    impl Disk {
-        /// Number of reads issued.
-        pub(crate) fn reads(&self) -> u64 {
-            self.reads.get()
-        }
-
-        /// Total bytes transferred.
-        pub(crate) fn bytes_read(&self) -> u64 {
-            self.bytes_read.get()
-        }
-    }
 
     #[test]
     fn read_completes_after_seek_plus_transfer() {
@@ -91,8 +73,6 @@ mod tests {
         engine.run();
         // 1 ms seek + 4000 B at 4 MB/s = 1 ms transfer.
         assert_eq!(done_at.get(), 2_000);
-        assert_eq!(disk.reads(), 1);
-        assert_eq!(disk.bytes_read(), 4_000);
     }
 
     #[test]

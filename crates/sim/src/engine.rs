@@ -229,7 +229,6 @@ pub struct Engine {
     stale: usize,
     /// Emptied closure boxes, for the next closure of their type.
     spares: Spares,
-    stopped: bool,
     executed: u64,
     recorder: Option<Rc<Recorder>>,
 }
@@ -397,12 +396,7 @@ impl Engine {
     /// Runs actions with timestamps `<= deadline`, then sets the clock to
     /// `deadline` (if the queue drained early and `deadline` is finite).
     pub fn run_until(&mut self, deadline: SimTime) {
-        self.stopped = false;
-        while !self.stopped {
-            let key = match self.keys.peek() {
-                Some(&Reverse(key)) if key.at <= deadline => key,
-                _ => break,
-            };
+        while let Some(&Reverse(key)) = self.keys.peek().filter(|k| k.0.at <= deadline) {
             self.keys.pop();
             let Some(event) = self.slots[key.slot as usize].take(key.seq) else {
                 // Cancelled; the slot was freed (and perhaps reused) then.
@@ -426,7 +420,7 @@ impl Engine {
                 Event::RxDrain(nic) => nic.drain_rx_ring(self),
             }
         }
-        if deadline != SimTime::MAX && self.now < deadline && !self.stopped {
+        if deadline != SimTime::MAX && self.now < deadline {
             self.now = deadline;
         }
     }
@@ -441,14 +435,6 @@ impl Engine {
 mod tests {
     use super::*;
     use std::cell::{Cell, RefCell};
-
-    impl Engine {
-        /// Requests that the current `run*` call return after the in-flight
-        /// action completes.
-        fn stop(&mut self) {
-            self.stopped = true;
-        }
-    }
 
     #[test]
     fn actions_run_in_time_order() {
@@ -727,24 +713,6 @@ mod tests {
         assert_eq!(engine.pending(), 1);
         engine.run();
         assert!(fired.get());
-    }
-
-    #[test]
-    fn stop_halts_the_run() {
-        let count = Rc::new(Cell::new(0u32));
-        let mut engine = Engine::new();
-        for _ in 0..10 {
-            let c = count.clone();
-            engine.schedule_in(SimDuration::from_micros(1), move |eng| {
-                c.set(c.get() + 1);
-                if c.get() == 3 {
-                    eng.stop();
-                }
-            });
-        }
-        engine.run();
-        assert_eq!(count.get(), 3);
-        assert_eq!(engine.pending(), 7);
     }
 
     #[test]

@@ -8,7 +8,9 @@
 //! * a calibrated CPU cost model ([`cpu::CostModel`]) that charges for every
 //!   structural operation the paper's analysis depends on,
 //! * device models ([`nic`]) for the three networks of §4 plus the
-//!   [`Disk`] and [`Framebuffer`] of §5.1, and
+//!   [`Disk`] of §5.1 (§5.1's framebuffer is no device: its writes are a
+//!   per-byte cost of the model, [`CostModel::framebuffer_write_per_byte`]),
+//!   and
 //! * topology wiring: a [`World`] of [`Machine`]s, each with its
 //!   [`Books`].
 //!
@@ -18,7 +20,7 @@
 //!
 //! `cpu`, `engine`, `nic` and `time` stay public modules because the
 //! host-clock benchmark (`perf/`) imports items by their module paths;
-//! `world`, `disk` and `framebuffer` are private, and the root re-exports
+//! `world` and `disk` are private, and the root re-exports
 //! what the rest of the workspace names of them.
 
 #![forbid(unsafe_code)]
@@ -27,7 +29,6 @@
 pub mod cpu;
 mod disk;
 pub mod engine;
-mod framebuffer;
 pub mod nic;
 pub mod time;
 mod world;
@@ -35,7 +36,6 @@ mod world;
 pub use cpu::{CostModel, Cpu, CpuLease};
 pub use disk::Disk;
 pub use engine::Engine;
-pub use framebuffer::Framebuffer;
 pub use plexus_trace::{Loss, Outcome};
 pub use time::{SimDuration, SimTime};
 pub use world::{Books, Machine, World};

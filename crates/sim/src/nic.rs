@@ -463,7 +463,6 @@ pub struct FaultInjector {
     drop_prob: f64,
     corrupt_prob: f64,
     rng: RefCell<StdRng>,
-    corruptions: Cell<u64>,
 }
 
 impl FaultInjector {
@@ -480,7 +479,6 @@ impl FaultInjector {
             drop_prob,
             corrupt_prob,
             rng: RefCell::new(StdRng::seed_from_u64(seed)),
-            corruptions: Cell::new(0),
         }
     }
 
@@ -493,7 +491,6 @@ impl FaultInjector {
         if self.corrupt_prob > 0.0 && !frame.is_empty() && rng.gen::<f64>() < self.corrupt_prob {
             let idx = rng.gen_range(0..frame.len());
             frame[idx] ^= 0xFF;
-            self.corruptions.set(self.corruptions.get() + 1);
         }
         true
     }

@@ -1,7 +1,7 @@
 //! Machines and topology wiring.
 //!
 //! A [`Machine`] bundles the per-host simulated hardware: one CPU, network
-//! interfaces, and optionally a disk and a framebuffer. A [`World`] owns the
+//! interfaces, and optionally a disk. A [`World`] owns the
 //! event engine and the machines, and wires NICs onto shared media. The
 //! protocol stacks (`plexus-core`, `plexus-baseline`) attach on top of
 //! these machines.
@@ -15,7 +15,6 @@ use plexus_trace::{Loss, Outcome};
 use crate::cpu::{CostModel, Cpu};
 use crate::disk::Disk;
 use crate::engine::Engine;
-use crate::framebuffer::Framebuffer;
 use crate::nic::{Medium, Nic, NicProfile};
 use crate::time::SimDuration;
 
@@ -25,7 +24,6 @@ pub struct Machine {
     cpu: Rc<Cpu>,
     nics: RefCell<Vec<Rc<Nic>>>,
     disk: RefCell<Option<Rc<Disk>>>,
-    framebuffer: RefCell<Option<Rc<Framebuffer>>>,
 }
 
 impl Machine {
@@ -36,7 +34,6 @@ impl Machine {
             cpu: Cpu::new(model),
             nics: RefCell::new(Vec::new()),
             disk: RefCell::new(None),
-            framebuffer: RefCell::new(None),
         })
     }
 
@@ -98,23 +95,6 @@ impl Machine {
     /// Panics if no disk is attached.
     pub fn disk(&self) -> Rc<Disk> {
         self.disk.borrow().clone().expect("machine has no disk")
-    }
-
-    /// Attaches a framebuffer (replacing any previous one).
-    pub fn set_framebuffer(&self, fb: Rc<Framebuffer>) {
-        *self.framebuffer.borrow_mut() = Some(fb);
-    }
-
-    /// The attached framebuffer.
-    ///
-    /// # Panics
-    ///
-    /// Panics if no framebuffer is attached.
-    pub fn framebuffer(&self) -> Rc<Framebuffer> {
-        self.framebuffer
-            .borrow()
-            .clone()
-            .expect("machine has no framebuffer")
     }
 }
 
@@ -378,19 +358,20 @@ mod device_tests {
     }
 
     #[test]
-    #[should_panic(expected = "machine has no framebuffer")]
-    fn framebuffer_access_without_attachment_panics() {
-        let m = Machine::new("bare", CostModel::alpha_3000_400());
-        let _ = m.framebuffer();
-    }
-
-    #[test]
     fn devices_are_replaceable() {
         let m = Machine::new("host", CostModel::alpha_3000_400());
         m.set_disk(crate::disk::Disk::video_era());
-        m.set_framebuffer(crate::framebuffer::Framebuffer::new());
-        assert_eq!(m.disk().reads(), 0);
-        assert_eq!(m.framebuffer().frames_displayed(), 0);
+        m.set_disk(crate::disk::Disk::new(
+            SimDuration::from_micros(1_000),
+            4_000_000,
+        ));
+        // The read takes the replacement's timing: 1 ms seek, then 4000 B
+        // at 4 MB/s.
+        let mut engine = Engine::new();
+        let done = m
+            .disk()
+            .read(&mut engine, crate::time::SimTime::ZERO, 4_000, |_| {});
+        assert_eq!(done.as_micros(), 2_000);
         assert_eq!(m.name(), "host");
     }
 }

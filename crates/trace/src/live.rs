@@ -15,18 +15,20 @@
 //!   window past its end, which absorbs cross-machine CPU-lease skew. A
 //!   record that still lands behind a sealed window folds into its counts
 //!   and is counted in `late_records`; the percentiles stay as sealed.
-//! * **Per-machine scopes**: world → machine → layer roll-ups, with an
-//!   explicit `unattributed` scope, so `world == Σ machines + unattributed`
-//!   exactly. The state is `Send` (owned maps, `Copy` keys).
-//! * **Tail sampling**: a deterministic 1-in-N of journey IDs plus each
-//!   window's worst latency sample keep their record chains, which survive
-//!   ring wraparound; undecided journeys wait in a bounded scratch slab.
+//! * **Per-machine scopes**: machine → layer counters, with an explicit
+//!   `unattributed` scope. A record counts in one of them; the world is
+//!   their sum, built at report time, so `world == Σ machines +
+//!   unattributed` exactly. The state is `Send` (owned maps, `Copy` keys).
+//! * **Tail sampling**: a deterministic 1-in-[`SAMPLE_EVERY`] of journey
+//!   IDs plus each window's worst latency sample keep their record chains,
+//!   which survive ring wraparound; undecided journeys wait in a bounded
+//!   scratch slab.
 //! * **SLO health**: a declarative [`Slo`] judged per sealed window; the
 //!   breaches are in the report and `trace.live.slo_breaches`, which
 //!   `plexus-bench --emit health` turns into an exit code.
 
 use std::cell::RefCell;
-use std::collections::{BTreeMap, HashMap, VecDeque};
+use std::collections::{BTreeMap, VecDeque};
 use std::sync::Arc;
 
 use crate::json::{escape_into, escaped, exact, joined, or_null, put, Sink};
@@ -59,8 +61,6 @@ pub struct Slo {
     pub skip_head: u64,
 }
 
-impl Slo {}
-
 /// Cap on retained records per sampled journey; overflow is counted,
 /// never silent.
 const MAX_JOURNEY_RECORDS: usize = 128;
@@ -70,25 +70,25 @@ const MAX_JOURNEY_RECORDS: usize = 128;
 /// recently touched is evicted.
 const MAX_ACTIVE_JOURNEYS: usize = 64;
 
+/// The tail sampler retains every journey whose ID is `0 mod SAMPLE_EVERY`
+/// (and each window's worst, regardless).
+pub const SAMPLE_EVERY: u64 = 64;
+
 /// Configuration for the live tier.
 #[derive(Clone, Debug, PartialEq, Eq)]
 pub struct LiveConfig {
     /// Window width in simulated nanoseconds.
     pub window_ns: u64,
-    /// Retain every journey whose ID is `0 mod sample_every` (0 disables
-    /// the 1-in-N sample; the per-window worst is kept regardless).
-    pub sample_every: u64,
     /// Thresholds evaluated per sealed window (`None`: no health layer).
     pub slo: Option<Slo>,
 }
 
 impl LiveConfig {
-    /// Defaults: 1-in-64 journey sampling, no SLO.
+    /// Windows `window_ns` wide, and no SLO.
     pub fn new(window_ns: u64) -> LiveConfig {
         assert!(window_ns > 0, "window width must be positive");
         LiveConfig {
             window_ns,
-            sample_every: 64,
             slo: None,
         }
     }
@@ -129,7 +129,7 @@ pub struct Breach {
     pub limit: u64,
 }
 
-/// Flat counters kept at every scope level (world, machine, unattributed).
+/// Flat counters of one scope (machine, unattributed, or the world's sum).
 #[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
 pub struct ScopeCounters {
     /// Frames that arrived at any NIC in this scope.
@@ -149,8 +149,8 @@ pub struct ScopeCounters {
 }
 
 impl ScopeCounters {
-    /// Field-wise accumulation — the roll-up primitive a parallel engine
-    /// will use to merge per-worker aggregates.
+    /// Field-wise accumulation: how a report sums the world's scope, and
+    /// how a parallel engine would merge per-worker aggregates.
     pub fn add(&mut self, other: &ScopeCounters) {
         self.arrivals += other.arrivals;
         self.arrival_bytes += other.arrival_bytes;
@@ -336,7 +336,6 @@ pub(crate) struct LiveAgg {
     windows_sealed_online: u64,
     late_records: u64,
     current_machine: Option<Label>,
-    world: ScopeAgg,
     /// In first-seen order; a report orders them by name.
     machines: Vec<(Label, ScopeAgg)>,
     unattributed: ScopeAgg,
@@ -392,7 +391,6 @@ impl LiveAgg {
             windows_sealed_online: 0,
             late_records: 0,
             current_machine: None,
-            world: ScopeAgg::default(),
             machines: Vec::new(),
             unattributed: ScopeAgg::default(),
             scratch: VecDeque::new(),
@@ -413,23 +411,21 @@ impl LiveAgg {
         self.current_machine = None;
     }
 
-    /// The scopes a record of `machine` counts in: the world's, and the
-    /// machine's or the unattributed one.
-    fn scopes(&mut self, machine: Option<Label>) -> [&mut ScopeAgg; 2] {
-        let scope = match machine {
+    /// The scope a record of `machine` counts in: the machine's, or the
+    /// unattributed one.
+    fn scope(&mut self, machine: Option<Label>) -> &mut ScopeAgg {
+        match machine {
             Some(m) => entry(&mut self.machines, m),
             None => &mut self.unattributed,
-        };
-        [&mut self.world, scope]
+        }
     }
 
     fn bump_scope(&mut self, machine: Option<Label>, f: impl Fn(&mut ScopeCounters)) {
-        self.scopes(machine).into_iter().for_each(|s| f(&mut s.c));
+        f(&mut self.scope(machine).c);
     }
 
     fn bump_layer(&mut self, machine: Option<Label>, layer: Label, f: impl Fn(&mut LayerCounters)) {
-        let scopes = self.scopes(machine).into_iter();
-        scopes.for_each(|s| f(entry(&mut s.layers, layer)));
+        f(entry(&mut self.scope(machine).layers, layer));
     }
 
     fn machine_or_current(&self, host: Label) -> Option<Label> {
@@ -563,7 +559,7 @@ impl LiveAgg {
             touched.keep(r, &mut self.firsts);
             return;
         }
-        let nth = self.cfg.sample_every > 0 && j % self.cfg.sample_every == 0;
+        let nth = j % SAMPLE_EVERY == 0;
         if nth {
             self.retain(j, true, reg);
         }
@@ -722,7 +718,18 @@ impl LiveAgg {
             .map(|(m, agg)| (names.shared(*m), view(agg)))
             .collect();
         machines.sort_unstable_by(|a, b| a.0.cmp(&b.0));
-        let mut rendered = HashMap::new();
+        // The world is the sum of the other scopes, layer by layer.
+        let mut world = ScopeAgg::default();
+        let scopes = self.machines.iter().map(|(_, agg)| agg);
+        for agg in scopes.chain([&self.unattributed]) {
+            world.c.add(&agg.c);
+            for &(layer, c) in &agg.layers {
+                let sum = entry(&mut world.layers, layer);
+                sum.handlers += c.handlers;
+                sum.guard_evals += c.guard_evals;
+                sum.drops += c.drops;
+            }
+        }
         let sampled = self
             .retained
             .iter()
@@ -733,7 +740,7 @@ impl LiveAgg {
                 max_sample_ns: e.max_sample_ns,
                 records_dropped: e.dropped,
                 records: (e.records(ring))
-                    .map(|r| sampled_record(&r, &names, &mut rendered))
+                    .map(|r| sampled_record(&r, &names, self.empty))
                     .collect(),
             })
             .collect();
@@ -742,7 +749,7 @@ impl LiveAgg {
             windows: self.wins.iter().map(resolved).collect(),
             windows_sealed_online: self.windows_sealed_online,
             late_records: self.late_records,
-            world: view(&self.world),
+            world: view(&world),
             machines,
             unattributed: view(&self.unattributed),
             sampled,
@@ -754,71 +761,69 @@ impl LiveAgg {
     }
 }
 
-/// What a sampled record's label names — a recorded name, a drop's
-/// `layer:reason` or a fixed name — rendered once per report and shared
-/// by every record that names it.
-#[derive(Clone, Copy, PartialEq, Eq, Hash)]
-enum Subject {
-    Name(Label),
-    Drop(Label, Label),
-    Fixed(&'static str),
-}
-
-fn sampled_record(
-    r: &TraceRecord,
-    names: &Interner,
-    rendered: &mut HashMap<Subject, Arc<str>>,
-) -> SampledRecord {
-    let (kind, subject, detail) = match r.event {
-        TraceEvent::PacketArrival { nic, bytes, .. } => {
-            ("arrival", Subject::Name(nic), u64::from(bytes))
+/// `r` with its names shared from the recorder's table. `empty` is the
+/// interned `""` a timer record names.
+fn sampled_record(r: &TraceRecord, names: &Interner, empty: Label) -> SampledRecord {
+    let named = |kind, label, detail| SampledEvent::Named(kind, names.shared(label), detail);
+    let event = match r.event {
+        TraceEvent::PacketArrival { nic, bytes, .. } => named("arrival", nic, u64::from(bytes)),
+        TraceEvent::GuardEval { event, matched, .. } => named("guard", event, u64::from(matched)),
+        TraceEvent::HandlerEnter { event, .. } => named("handler_enter", event, 0),
+        TraceEvent::HandlerExit { event, .. } => named("handler_exit", event, 0),
+        TraceEvent::Drop { layer, reason } => {
+            SampledEvent::Drop(names.shared(layer), names.shared(reason))
         }
-        TraceEvent::GuardEval { event, matched, .. } => {
-            ("guard", Subject::Name(event), u64::from(matched))
-        }
-        TraceEvent::HandlerEnter { event, .. } => ("handler_enter", Subject::Name(event), 0),
-        TraceEvent::HandlerExit { event, .. } => ("handler_exit", Subject::Name(event), 0),
-        TraceEvent::Drop { layer, reason } => ("drop", Subject::Drop(layer, reason), 0),
-        TraceEvent::PacketTx { nic, bytes, .. } => ("tx", Subject::Name(nic), u64::from(bytes)),
+        TraceEvent::PacketTx { nic, bytes, .. } => named("tx", nic, u64::from(bytes)),
         TraceEvent::RxInterrupt { nic, frames, .. } => {
-            ("rx_interrupt", Subject::Name(nic), u64::from(frames))
+            named("rx_interrupt", nic, u64::from(frames))
         }
-        TraceEvent::LatencySample { hist, ns } => ("sample", Subject::Name(hist), ns),
-        TraceEvent::TimerFire => ("timer", Subject::Fixed(""), 0),
+        TraceEvent::LatencySample { hist, ns } => named("sample", hist, ns),
+        TraceEvent::TimerFire => named("timer", empty, 0),
         TraceEvent::Crossing { dir, bytes } => {
-            ("crossing", Subject::Fixed(dir.name()), u64::from(bytes))
+            let label = names.lookup(dir.name()).expect("interned when recorded");
+            named("crossing", label, u64::from(bytes))
         }
     };
-    let label = rendered.entry(subject).or_insert_with(|| match subject {
-        Subject::Name(label) => names.shared(label),
-        Subject::Drop(layer, reason) => {
-            format!("{}:{}", names.get(layer), names.get(reason)).into()
-        }
-        Subject::Fixed(name) => name.into(),
-    });
     SampledRecord {
         at_ns: r.at_ns,
         packet: r.packet,
-        kind,
-        label: label.clone(),
-        detail,
+        event,
     }
 }
 
-/// One record of a sampled journey, with labels resolved.
+/// One record of a sampled journey, its names shared with the recorder's
+/// table.
 #[derive(Clone, Debug, PartialEq, Eq)]
 pub struct SampledRecord {
     /// Simulated timestamp.
     pub at_ns: u64,
     /// Per-machine packet ID in flight when recorded.
     pub packet: Option<u64>,
+    /// What the record says happened.
+    pub event: SampledEvent,
+}
+
+/// A sampled record's event. A drop names two things and carries no
+/// magnitude; every other kind names one and carries one.
+#[derive(Clone, Debug, PartialEq, Eq)]
+pub enum SampledEvent {
+    /// A stable event-kind name, the event's subject (a NIC, event table,
+    /// histogram or crossing direction; empty for a timer) and its
+    /// kind-specific magnitude (bytes, frames, sample ns; 0 otherwise).
+    Named(&'static str, Arc<str>, u64),
+    /// A packet dropped at a layer for a reason, exported as
+    /// `layer:reason`.
+    Drop(Arc<str>, Arc<str>),
+}
+
+impl SampledEvent {
     /// Stable event-kind name.
-    pub kind: &'static str,
-    /// The event's subject (NIC, event table, `layer:reason`, histogram),
-    /// shared by every record of the report that names it.
-    pub label: Arc<str>,
-    /// Kind-specific magnitude (bytes, frames, sample ns; 0 otherwise).
-    pub detail: u64,
+    pub fn kind(&self) -> &'static str {
+        match self {
+            SampledEvent::Named(kind, ..) => kind,
+            SampledEvent::Drop(..) => "drop",
+        }
+    }
 }
 
 /// One journey retained by the tail sampler, with labels resolved.
@@ -863,7 +868,8 @@ pub struct LiveReport {
     /// Records that landed behind an already-sealed window (counts were
     /// folded; that window's percentiles predate them).
     pub late_records: u64,
-    /// World-level roll-up (everything).
+    /// The sum of the machines and the unattributed scope, built when the
+    /// report is.
     pub world: ScopeView,
     /// Per-machine scopes, sorted by machine name.
     pub machines: Vec<(Arc<str>, ScopeView)>,
@@ -973,11 +979,19 @@ fn live_doc(rep: &LiveReport, max_detail: usize, out: &mut dyn Sink) {
                 None => out.push_str("null"),
             }
             out.push_str(", \"kind\": \"");
-            out.push_str(r.kind);
+            out.push_str(r.event.kind());
             out.push_str("\", \"label\": \"");
-            let _ = escape_into(out, &r.label);
+            let (name, reason, detail) = match &r.event {
+                SampledEvent::Named(_, name, detail) => (name, None, *detail),
+                SampledEvent::Drop(layer, reason) => (layer, Some(reason), 0),
+            };
+            let _ = escape_into(out, name);
+            if let Some(reason) = reason {
+                out.push(':');
+                let _ = escape_into(out, reason);
+            }
             out.push_str("\", \"detail\": ");
-            out.push_num(r.detail);
+            out.push_num(detail);
             out.push('}');
         }
         out.push_str("]}");
@@ -1125,11 +1139,9 @@ mod tests {
     #[test]
     fn nth_and_worst_journeys_are_retained() {
         let rec = Recorder::new(512);
-        let mut cfg = LiveConfig::new(1_000);
-        cfg.sample_every = 4;
-        rec.enable_live(cfg);
+        rec.enable_live(LiveConfig::new(1_000));
         let hist = rec.intern("rtt");
-        for i in 0..6u64 {
+        for i in 0..=SAMPLE_EVERY + 1 {
             let (_, j) =
                 rec.packet_arrival(100 + i * 10, rec.intern("eth0"), rec.intern("m"), 60, None);
             assert_eq!(j, i);
@@ -1140,8 +1152,8 @@ mod tests {
         let rep = rec.live_report().unwrap();
         let ids: Vec<u64> = rep.sampled.iter().map(|s| s.journey).collect();
         assert!(
-            ids.contains(&0) && ids.contains(&4),
-            "1-in-4 sample: {ids:?}"
+            ids.contains(&0) && ids.contains(&SAMPLE_EVERY),
+            "1-in-{SAMPLE_EVERY} sample: {ids:?}"
         );
         let worst = rep
             .sampled
@@ -1151,7 +1163,7 @@ mod tests {
         assert!(!worst.nth);
         assert_eq!(worst.worst_windows, vec![0]);
         assert_eq!(worst.max_sample_ns, 900);
-        assert!(worst.records.iter().any(|r| r.kind == "arrival"));
+        assert!(worst.records.iter().any(|r| r.event.kind() == "arrival"));
         // Journeys 1..=3 were neither nth nor worst: not retained.
         assert!(!ids.contains(&1));
     }
@@ -1193,7 +1205,6 @@ mod tests {
         let make = || {
             let rec = Recorder::new(256);
             let mut cfg = LiveConfig::new(1_000);
-            cfg.sample_every = 2;
             cfg.slo = Some(Slo {
                 p99_ceiling_ns: Some(10),
                 ..Slo::none()

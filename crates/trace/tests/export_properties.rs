@@ -15,7 +15,7 @@ use plexus_trace::export::{chrome_trace, stats_json};
 use plexus_trace::flame::folded;
 use plexus_trace::journey::{self, journeys_json};
 use plexus_trace::json::{self, Value};
-use plexus_trace::live::{live_json, LiveConfig, LiveReport, Slo};
+use plexus_trace::live::{live_json, LiveConfig, LiveReport, Slo, SAMPLE_EVERY};
 use plexus_trace::profile::{pingpong_waterfall, profile_json, Profile, Slice};
 use plexus_trace::{
     timeline, CrossDir, GuardKind, Label, Recorder, Scope, TraceEvent, TraceRecord,
@@ -362,9 +362,7 @@ proptest! {
         // percentiles — across random event mixes and window widths.
         let window_ns = 1u64 << window_exp;
         let rec = Recorder::new(1024);
-        let mut cfg = LiveConfig::new(window_ns);
-        cfg.sample_every = 3;
-        rec.enable_live(cfg);
+        rec.enable_live(LiveConfig::new(window_ns));
         populate(&rec, &steps);
         let live = rec.live_report().expect("live enabled");
         prop_assert_eq!(rec.overwritten(), 0, "ring must not truncate");
@@ -620,7 +618,6 @@ struct ModelRetained {
 /// the recorder's sampler must agree with record for record.
 struct ModelSampler {
     window_ns: u64,
-    sample_every: u64,
     scratch: BTreeMap<u64, ModelBuf>,
     retained: BTreeMap<u64, ModelRetained>,
     /// window index → (worst sample ns, journey holding it).
@@ -630,10 +627,9 @@ struct ModelSampler {
 }
 
 impl ModelSampler {
-    fn new(window_ns: u64, sample_every: u64) -> ModelSampler {
+    fn new(window_ns: u64) -> ModelSampler {
         ModelSampler {
             window_ns,
-            sample_every,
             scratch: BTreeMap::new(),
             retained: BTreeMap::new(),
             worst_by_window: BTreeMap::new(),
@@ -660,7 +656,7 @@ impl ModelSampler {
             }
             return;
         }
-        if self.sample_every > 0 && j % self.sample_every == 0 {
+        if j % SAMPLE_EVERY == 0 {
             self.retain(j, true);
             self.sample_journey(r);
             return;
@@ -778,24 +774,19 @@ proptest! {
     #[test]
     fn the_tail_sampler_agrees_with_its_model(
         steps in prop::collection::vec((0u64..800, 0usize..6, 0u64..5_000), 300..1_500),
-        sample_every in prop::sample::select(vec![0u64, 3, 5, 7, 64]),
         window_ns in prop::sample::select(vec![500u64, 5_000, 50_000]),
     ) {
         let rec = Recorder::new(1 << 14);
-        let mut cfg = LiveConfig::new(window_ns);
-        cfg.sample_every = sample_every;
-        rec.enable_live(cfg);
+        rec.enable_live(LiveConfig::new(window_ns));
         interleave_journeys(&rec, &steps);
         prop_assert_eq!(rec.overwritten(), 0, "the model replays the whole ring");
-        let mut model = ModelSampler::new(window_ns, sample_every);
+        let mut model = ModelSampler::new(window_ns);
         rec.events().iter().for_each(|r| model.feed(r));
 
         let live = rec.live_report().expect("live enabled");
         prop_assert_eq!(live.scratch_evicted, model.scratch_evicted);
         prop_assert_eq!(live.sampled_records_dropped, model.sampled_records_dropped);
-        if sample_every == 0 {
-            prop_assert!(live.scratch_evicted > 0, "200 journeys overflow the scratch");
-        }
+        prop_assert!(live.scratch_evicted > 0, "200 journeys overflow the scratch");
         let ids: Vec<u64> = live.sampled.iter().map(|s| s.journey).collect();
         let model_ids: Vec<u64> = model.retained.keys().copied().collect();
         prop_assert_eq!(ids, model_ids);
@@ -806,7 +797,7 @@ proptest! {
                 (m.nth, &worst, m.max_sample_ns, m.dropped),
                 "journey {}", s.journey
             );
-            let got: Vec<_> = s.records.iter().map(|r| (r.at_ns, r.packet, r.kind)).collect();
+            let got: Vec<_> = s.records.iter().map(|r| (r.at_ns, r.packet, r.event.kind())).collect();
             let want: Vec<_> = m.records.iter().map(sampled_key).collect();
             prop_assert_eq!(got, want, "journey {} records", s.journey);
         }
@@ -815,7 +806,6 @@ proptest! {
     #[test]
     fn the_tail_sampler_does_not_depend_on_the_ring_size(
         steps in prop::collection::vec((0u64..800, 0usize..6, 0u64..5_000), 300..1_500),
-        sample_every in prop::sample::select(vec![0u64, 3, 5, 7, 64]),
         window_ns in prop::sample::select(vec![500u64, 5_000, 50_000]),
     ) {
         // The sampler keeps ring positions and copies a journey's records
@@ -824,9 +814,7 @@ proptest! {
         // wraps keeps.
         let report = |capacity| {
             let rec = Recorder::new(capacity);
-            let mut cfg = LiveConfig::new(window_ns);
-            cfg.sample_every = sample_every;
-            rec.enable_live(cfg);
+            rec.enable_live(LiveConfig::new(window_ns));
             interleave_journeys(&rec, &steps);
             (rec.overwritten(), rec.live_report().expect("live enabled"))
         };
@@ -853,7 +841,6 @@ const NIC: &str = "Ethérnet-ß";
 fn fixture() -> Rc<Recorder> {
     let rec = Recorder::new(30);
     let mut cfg = LiveConfig::new(1_000);
-    cfg.sample_every = 2;
     cfg.slo = Some(Slo {
         p99_ceiling_ns: Some(50),
         drop_ppm_ceiling: Some(100_000),

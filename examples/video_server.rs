@@ -11,7 +11,7 @@ use plexus::core::{PlexusStack, StackConfig};
 use plexus::net::Testbed;
 use plexus::sim::nic::Link;
 use plexus::sim::time::{SimDuration, SimTime};
-use plexus::sim::{Disk, Framebuffer};
+use plexus::sim::Disk;
 
 const STREAMS: usize = 15; // The paper's saturation point on the T3.
 const SECONDS: u64 = 1;
@@ -98,16 +98,13 @@ fn main() {
     println!("but SPIN consumes only half as much of the processor.");
 }
 
-/// The video server (host 0, with a disk) and `STREAMS` clients with
-/// framebuffers, on the T3.
+/// The video server (host 0, with a disk) and `STREAMS` clients, on the
+/// T3.
 fn build_world() -> Testbed {
     let clients: Vec<String> = (0..STREAMS).map(|i| format!("client-{i}")).collect();
     let mut names = vec!["video-server"];
     names.extend(clients.iter().map(String::as_str));
     let tb = Testbed::new(&Link::t3(), 1, &names);
     tb.hosts[0].machine.set_disk(Disk::video_era());
-    for client in &tb.hosts[1..] {
-        client.machine.set_framebuffer(Framebuffer::new());
-    }
     tb
 }

@@ -394,12 +394,17 @@ fn closed_loop(dut: Dut, datagrams: u64, heard: impl Fn(u64) + 'static) -> (u64,
 /// heap calls. The difference between two runs cancels warm-up (pool fill,
 /// table growth); what is left is the steady state.
 fn assert_pinned(dut: Dut, per_datagram: u64) {
+    assert_eq!(allocs_per_500(dut), per_datagram * 500);
+}
+
+/// The heap calls 1 000 echoed datagrams make beyond what 500 make.
+fn allocs_per_500(dut: Dut) -> u64 {
     const N: u64 = 500;
     let (short, heard) = closed_loop(dut, N, |_| {});
     assert_eq!(heard, N, "every datagram came back");
     let (long, heard) = closed_loop(dut, 2 * N, |_| {});
     assert_eq!(heard, 2 * N);
-    assert_eq!(long - short, per_datagram * N);
+    long - short
 }
 
 // What is pinned below is zero for Plexus, the baseline and the router:
@@ -438,15 +443,12 @@ fn traced_echo() -> Loop {
 }
 
 /// [`plexus_echo`] with the ring and the live tier: one window for the
-/// whole run, and no 1-in-N sample, so every journey stays undecided in
-/// the tail sampler's scratch until it is evicted.
+/// whole run and no latency samples, so one journey in `SAMPLE_EVERY` is
+/// kept for good and every other one stays undecided in the tail
+/// sampler's scratch until it is evicted.
 fn live_echo() -> Loop {
     let rec = Recorder::new(1 << 10);
-    rec.enable_live(LiveConfig {
-        window_ns: 1_000_000_000,
-        sample_every: 0,
-        slo: None,
-    });
+    rec.enable_live(LiveConfig::new(1_000_000_000));
     recorded(rec)
 }
 
@@ -456,11 +458,7 @@ fn live_echo() -> Loop {
 /// time, and one per window and one in 64 are kept for good.
 fn sampled_live_echo() -> Loop {
     let rec = Recorder::new(1 << 10);
-    rec.enable_live(LiveConfig {
-        window_ns: 1_000_000,
-        sample_every: 64,
-        slo: None,
-    });
+    rec.enable_live(LiveConfig::new(1_000_000));
     let samples = Some(rec.intern("rtt"));
     Loop {
         samples,
@@ -476,11 +474,13 @@ fn recording_an_echoed_datagram_allocates_nothing_more() {
     // labels once, not hashed per packet. (The 1 024-record ring wraps
     // many times over; that allocates nothing either.)
     assert_pinned(traced_echo, 0);
-    // With the live tier too. Each datagram is a journey of its own, and
-    // its records go to a scratch buffer an evicted journey left behind,
-    // not to a fresh `Vec` grown record by record (about 4 heap calls per
-    // datagram while the scratch was a map of its own buffers).
-    assert_pinned(live_echo, 0);
+    // With the live tier too, but for the 1-in-64 journeys kept for good
+    // (8 of 500 datagrams). Each datagram is a journey of its own, and the
+    // records of one not kept go to a scratch buffer an evicted journey
+    // left behind, not to a fresh `Vec` grown record by record (about 4
+    // heap calls per datagram while the scratch was a map of its own
+    // buffers).
+    assert_eq!(allocs_per_500(live_echo), 18);
 }
 
 #[test]
@@ -494,13 +494,7 @@ fn a_sampled_live_echo_allocates_exactly_the_pinned_count() {
     // window grew a buffer of its own by doubling; 2 764 while a promotion
     // built a fresh set of worst windows, a demotion freed the journey's
     // buffer, and a new one grew its copies record by record).
-    const PER_500: u64 = 368;
-    const N: u64 = 500;
-    let (short, heard) = closed_loop(sampled_live_echo, N, |_| {});
-    assert_eq!(heard, N);
-    let (long, heard) = closed_loop(sampled_live_echo, 2 * N, |_| {});
-    assert_eq!(heard, 2 * N);
-    assert_eq!(long - short, PER_500);
+    assert_eq!(allocs_per_500(sampled_live_echo), 368);
 }
 
 /// `datagrams` echoes by [`plexus_echo`] under a recorder whose ring holds

@@ -23,9 +23,7 @@ const WINDOW_NS: u64 = 1_000_000;
 /// on it.
 fn traced_with_ring(ring: usize) -> Rc<Recorder> {
     let rec = Recorder::new(ring);
-    let mut cfg = LiveConfig::new(WINDOW_NS);
-    cfg.sample_every = 2;
-    rec.enable_live(cfg);
+    rec.enable_live(LiveConfig::new(WINDOW_NS));
     UdpRtt {
         recorder: Some(&rec),
         ..UdpRtt::new(System::PlexusInterrupt, &Link::ethernet(), 8, 20)
@@ -107,7 +105,7 @@ fn ring_wrap_leaves_live_correct_while_posthoc_reports_truncation() {
     assert_eq!(live_full.windows, tl_full.windows);
     assert!(
         !live_tiny.sampled.is_empty(),
-        "1-in-2 sampling saw journeys"
+        "1-in-64 sampling saw journeys"
     );
     assert_eq!(live_json(&live_tiny, 64), live_json(&live_full, 64));
 
