@@ -3,12 +3,13 @@
 //!
 //! Every other exporter is a post-hoc fold over the bounded ring, so a run
 //! longer than the ring loses telemetry to truncation. This tier is fed
-//! from `Recorder::push` itself ([`crate::Recorder::enable_live`]), and its
-//! memory is bounded by metric cardinality — `O(windows × labels)`, the
-//! open window's latency samples and the bounded sampling buffers — never
-//! by event count. On truncation-free runs its windows are value-identical
-//! to [`crate::timeline::build`] (property-tested) and serialize through
-//! the same writer. Four pieces:
+//! from `Recorder::push` itself ([`crate::Recorder::enable_live`]). Its
+//! counters take `O(windows × labels)`. Its sampler holds at most one ring
+//! position per record the ring holds and 128 copies per kept journey, and
+//! keeps up to `journeys / SAMPLE_EVERY + windows` journeys for good: it
+//! grows with the run's journeys. On truncation-free runs its windows are
+//! value-identical to [`crate::timeline::build`] (property-tested) and
+//! serialize through the same writer. Four pieces:
 //!
 //! * **Windows**, sealed online: a window closes once the watermark (the
 //!   max non-transmit timestamp; transmits are future-stamped) is a lag
@@ -22,17 +23,18 @@
 //! * **Tail sampling**: a deterministic 1-in-[`SAMPLE_EVERY`] of journey
 //!   IDs plus each window's worst latency sample keep their record chains,
 //!   which survive ring wraparound; undecided journeys wait in a bounded
-//!   scratch slab.
+//!   scratch slab. Their records are in two shared chunk stores.
 //! * **SLO health**: a declarative [`Slo`] judged per sealed window; the
 //!   breaches are in the report and `trace.live.slo_breaches`, which
 //!   `plexus-bench --emit health` turns into an exit code.
 
 use std::cell::RefCell;
 use std::collections::{BTreeMap, VecDeque};
+use std::ops::Range;
 use std::sync::Arc;
 
 use crate::json::{escape_into, escaped, exact, joined, or_null, put, Sink};
-use crate::recorder::{Interner, Label};
+use crate::recorder::{Interner, Label, Recorder};
 use crate::registry::{CounterKey, Registry, Scope};
 use crate::ring::Ring;
 use crate::timeline::{windows_json, worst_windows_json, Pending, Window, MAX_WINDOWS};
@@ -192,76 +194,125 @@ fn entry<V: Default>(list: &mut Vec<(Label, V)>, label: Label) -> &mut V {
     &mut list[at].1
 }
 
-/// What the tail sampler keeps of one journey: its records, oldest first,
-/// past the per-journey cap counted, and what it decided about the journey.
-/// A record is kept as its ring position and copied out only just before
-/// the ring overwrites it. Recycled whole through the free list.
+/// Values per chunk of a [`Chunks`] store, and the end of its free list.
+const CHUNK: usize = 16;
+const NIL: u32 = u32::MAX;
+
+/// Many journeys' values in one `Vec` of fixed-size chunks, each with the
+/// index of the next in its [`Chain`] or in the free list: a chain given
+/// back goes whole onto the free list for the next journeys, so a journey
+/// costs the heap nothing. Allocated at first use, grown by doubling.
 #[derive(Debug)]
+struct Chunks<T> {
+    chunks: Vec<([T; CHUNK], u32)>,
+    /// The first free chunk, or [`NIL`].
+    free: u32,
+}
+
+/// One journey's `len` values in a [`Chunks`] store, chunk `head` to `tail`.
+#[derive(Clone, Copy, Debug, Default)]
+struct Chain {
+    head: u32,
+    tail: u32,
+    len: u32,
+}
+
+impl<T: Copy> Chunks<T> {
+    const EMPTY: Chunks<T> = Chunks {
+        chunks: Vec::new(),
+        free: NIL,
+    };
+
+    /// Appends `value` to `chain`: in its last chunk, or in the first free
+    /// one, or in a new one.
+    fn push(&mut self, chain: &mut Chain, value: T) {
+        let at = chain.len as usize % CHUNK;
+        if at == 0 {
+            if self.free == NIL {
+                self.free = self.chunks.len() as u32;
+                self.chunks.push(([value; CHUNK], NIL));
+            }
+            let fresh = self.free;
+            self.free = self.chunks[fresh as usize].1;
+            match chain.len {
+                0 => chain.head = fresh,
+                _ => self.chunks[chain.tail as usize].1 = fresh,
+            }
+            chain.tail = fresh;
+        }
+        self.chunks[chain.tail as usize].0[at] = value;
+        chain.len += 1;
+    }
+
+    /// Puts `chain`'s chunks on the free list, and empties it.
+    fn release(&mut self, chain: &mut Chain) {
+        if chain.len > 0 {
+            self.chunks[chain.tail as usize].1 = self.free;
+            self.free = chain.head;
+        }
+        *chain = Chain::default();
+    }
+
+    /// `chain`'s values, oldest first.
+    fn iter(&self, chain: Chain) -> impl Iterator<Item = T> + '_ {
+        let mut chunk = chain.head as usize;
+        (0..chain.len as usize).map(move |i| {
+            if i > 0 && i % CHUNK == 0 {
+                chunk = self.chunks[chunk].1 as usize;
+            }
+            self.chunks[chunk].0[i % CHUNK]
+        })
+    }
+}
+
+/// What the sampler keeps of one journey and decided about it: a record is
+/// kept as its ring position until the ring would overwrite it, then copied.
+#[derive(Clone, Copy, Debug, Default)]
 struct Kept {
     /// Records copied out of the ring before it overwrote them.
-    copies: Vec<TraceRecord>,
+    copies: Chain,
     /// Sequence numbers of the newer records, which the ring still holds
-    /// (the ring numbers records by push, so `s` is in slot
-    /// `s % capacity`).
-    seqs: Vec<u64>,
+    /// (it numbers records by push, so `s` is in slot `s % capacity`).
+    seqs: Chain,
     dropped: u64,
     /// Retained by the deterministic 1-in-N rule.
     nth: bool,
-    /// Windows where this journey holds the worst latency sample,
-    /// ascending.
-    worst: Vec<u64>,
+    /// How many windows this journey holds the worst latency sample of.
+    worst: u64,
     max_sample_ns: u64,
 }
 
-impl Kept {
-    /// An empty buffer with room for a journey's positions up to the cap,
-    /// so keeping one never grows it.
-    fn new() -> Kept {
-        Kept {
-            copies: Vec::new(),
-            seqs: Vec::with_capacity(MAX_JOURNEY_RECORDS),
-            dropped: 0,
-            nth: false,
-            worst: Vec::new(),
-            max_sample_ns: 0,
-        }
-    }
+/// Every journey's kept records: ring positions, at most one per record
+/// the ring holds, and copies, at most `MAX_JOURNEY_RECORDS` a journey.
+#[derive(Debug)]
+struct Journal {
+    seqs: Chunks<u64>,
+    copies: Chunks<TraceRecord>,
+    firsts: Firsts,
+}
 
-    /// Keeps `r`, or counts it dropped past the cap; returns whether kept.
-    fn keep(&mut self, r: &TraceRecord, firsts: &mut Firsts) -> bool {
-        let room = self.copies.len() + self.seqs.len() < MAX_JOURNEY_RECORDS;
+impl Journal {
+    /// Keeps `r` for `e`, or counts it dropped past the cap: whether kept.
+    fn keep(&mut self, e: &mut Kept, r: &TraceRecord) -> bool {
+        let room = ((e.copies.len + e.seqs.len) as usize) < MAX_JOURNEY_RECORDS;
         if room {
-            if self.seqs.is_empty() {
-                firsts.mark(r.seq);
+            if e.seqs.len == 0 {
+                self.firsts.mark(r.seq);
             }
-            self.seqs.push(r.seq);
+            self.seqs.push(&mut e.seqs, r.seq);
         } else {
-            self.dropped += 1;
+            e.dropped += 1;
         }
         room
     }
 
-    /// Copies every kept record the ring still holds out of it.
-    fn copy_out(&mut self, ring: &Ring) {
-        let held = self.seqs.drain(..).map(|s| ring.nth(s).expect(HELD));
-        self.copies.extend(held);
-    }
-
-    fn records<'a>(&'a self, ring: &'a Ring) -> impl Iterator<Item = TraceRecord> + 'a {
-        let held = self.seqs.iter().map(|&s| ring.nth(s).expect(HELD));
-        self.copies.iter().copied().chain(held)
-    }
-
-    /// Empties the buffer for another journey, keeping its capacity.
-    fn recycle(mut self, free: &mut Vec<Kept>, firsts: &mut Firsts) {
-        if let Some(&first) = self.seqs.first() {
-            firsts.take(first);
+    /// Gives back the chunks of a journey the sampler no longer keeps.
+    fn release(&mut self, mut e: Kept) {
+        if let Some(first) = self.seqs.iter(e.seqs).next() {
+            self.firsts.take(first);
         }
-        self.copies.clear();
-        self.seqs.clear();
-        self.worst.clear();
-        (self.dropped, self.nth, self.max_sample_ns) = (0, false, 0);
-        free.push(self);
+        self.seqs.release(&mut e.seqs);
+        self.copies.release(&mut e.copies);
     }
 }
 
@@ -334,23 +385,21 @@ pub(crate) struct LiveAgg {
     /// Index of the first unsealed window.
     sealed_upto: usize,
     windows_sealed_online: u64,
-    late_records: u64,
     current_machine: Option<Label>,
     /// In first-seen order; a report orders them by name.
     machines: Vec<(Label, ScopeAgg)>,
     unattributed: ScopeAgg,
-    /// Undecided journeys with their buffers, at most
-    /// `MAX_ACTIVE_JOURNEYS`, least recently touched first: the one in
-    /// flight is at the back, the one to evict at the front.
+    /// Undecided journeys, at most `MAX_ACTIVE_JOURNEYS`, least recently
+    /// touched first: the one in flight is at the back, the one to evict
+    /// at the front.
     scratch: VecDeque<(u64, Kept)>,
     /// The highest journey the sampler has kept or retained: a higher one
     /// is new, in neither the slab nor the retained store.
     newest: Option<u64>,
-    /// Evicted and demoted journeys' buffers, cleared, for the next new
-    /// journeys: once the slab is warm, a journey costs the heap nothing.
-    free: Vec<Kept>,
-    retained: BTreeMap<u64, Kept>,
-    firsts: Firsts,
+    /// In journey order: a new one is mostly the highest, put at the end.
+    retained: Vec<(u64, Kept)>,
+    /// The records of the undecided and the retained journeys.
+    journal: Journal,
     /// window index → (worst sample ns, journey holding it).
     worst_by_window: BTreeMap<u64, (u64, u64)>,
     scratch_evicted: u64,
@@ -358,14 +407,13 @@ pub(crate) struct LiveAgg {
     breaches: Vec<Breach>,
 }
 
-/// Bumps one of the live tier's own `trace.live.*` health counters.
-fn live_count(reg: &Registry, live: Label, metric: &'static str, delta: u64) {
-    let key = CounterKey {
+/// The key of one of the live tier's own `trace.live.*` health counters.
+fn live_key(live: Label, metric: &'static str) -> CounterKey {
+    CounterKey {
         scope: Scope::Trace,
         label: live,
         metric,
-    };
-    reg.add(key, delta);
+    }
 }
 
 impl LiveAgg {
@@ -389,15 +437,17 @@ impl LiveAgg {
             watermark: 0,
             sealed_upto: 0,
             windows_sealed_online: 0,
-            late_records: 0,
             current_machine: None,
             machines: Vec::new(),
             unattributed: ScopeAgg::default(),
             scratch: VecDeque::new(),
             newest: None,
-            free: Vec::new(),
-            retained: BTreeMap::new(),
-            firsts: Firsts::new(ring_capacity),
+            retained: Vec::new(),
+            journal: Journal {
+                seqs: Chunks::EMPTY,
+                copies: Chunks::EMPTY,
+                firsts: Firsts::new(ring_capacity),
+            },
             worst_by_window: BTreeMap::new(),
             scratch_evicted: 0,
             sampled_records_dropped: 0,
@@ -439,7 +489,7 @@ impl LiveAgg {
     /// [`MAX_WINDOWS`]: a record that lands there is counted instead.
     fn fold_window(&mut self, idx: u64, r: &TraceRecord, reg: &Registry) {
         if idx >= MAX_WINDOWS {
-            live_count(reg, self.live_label, "records_past_max_windows", 1);
+            reg.add(live_key(self.live_label, "records_past_max_windows"), 1);
             return;
         }
         while self.wins.len() as u64 <= idx {
@@ -453,8 +503,7 @@ impl LiveAgg {
             // Counts still fold (the window struct is retained); the
             // percentiles are already fixed. The lag makes this a
             // shouldn't-happen — the counter is the tripwire.
-            self.late_records += 1;
-            live_count(reg, self.live_label, "late_records", 1);
+            reg.add(live_key(self.live_label, "late_records"), 1);
         }
     }
 
@@ -537,6 +586,11 @@ impl LiveAgg {
         idx
     }
 
+    /// Where journey `j` is, or would go, in the retained store.
+    fn retained_at(&self, j: u64) -> Result<usize, usize> {
+        self.retained.binary_search_by_key(&j, |&(id, _)| id)
+    }
+
     /// Where undecided journey `j` sits in the scratch slab, if it does.
     fn undecided_at(&self, j: u64) -> Option<usize> {
         self.scratch.iter().rposition(|&(id, _)| id == j)
@@ -556,43 +610,38 @@ impl LiveAgg {
                 self.scratch.push_back(touched);
             }
             let touched = &mut self.scratch.back_mut().expect("touched").1;
-            touched.keep(r, &mut self.firsts);
+            self.journal.keep(touched, r);
             return;
         }
         let nth = j % SAMPLE_EVERY == 0;
         if nth {
             self.retain(j, true, reg);
         }
-        if let Some(e) = self.retained.get_mut(&j).filter(|_| nth || !new) {
-            self.sampled_records_dropped += u64::from(!e.keep(r, &mut self.firsts));
+        if let Some(at) = self.retained_at(j).ok().filter(|_| nth || !new) {
+            let e = &mut self.retained[at].1;
+            self.sampled_records_dropped += u64::from(!self.journal.keep(e, r));
             return;
         }
         if self.scratch.len() == MAX_ACTIVE_JOURNEYS {
             // Evict the least recently touched buffer.
             let (_, oldest) = self.scratch.pop_front().expect("the slab is full");
-            oldest.recycle(&mut self.free, &mut self.firsts);
+            self.journal.release(oldest);
             self.scratch_evicted += 1;
         }
-        let mut kept = self.free.pop().unwrap_or_else(Kept::new);
-        kept.keep(r, &mut self.firsts);
+        let mut kept = Kept::default();
+        self.journal.keep(&mut kept, r);
         self.scratch.push_back((j, kept));
     }
 
-    /// Moves journey `j` from scratch to the retained store, buffer and
-    /// all.
+    /// Moves journey `j` from scratch to the retained store, records too.
     fn retain(&mut self, j: u64, nth: bool, reg: &Registry) {
-        if self.retained.contains_key(&j) {
-            return;
-        }
+        let Err(at) = self.retained_at(j) else { return };
         let undecided = self.undecided_at(j).and_then(|at| self.scratch.remove(at));
-        let mut kept = match undecided {
-            Some((_, kept)) => kept,
-            None => self.free.pop().unwrap_or_else(Kept::new),
-        };
+        let mut kept = undecided.map_or_else(Kept::default, |(_, kept)| kept);
         kept.nth = nth;
-        self.retained.insert(j, kept);
+        self.retained.insert(at, (j, kept));
         self.newest = self.newest.max(Some(j));
-        live_count(reg, self.live_label, "journeys_sampled", 1);
+        reg.add(live_key(self.live_label, "journeys_sampled"), 1);
     }
 
     /// A latency sample completed for journey `j`: keep it if it is the
@@ -602,24 +651,22 @@ impl LiveAgg {
         if prev.is_some_and(|(worst, _)| ns <= worst) {
             return;
         }
-        if let Some((_, prev_j)) = prev.filter(|&(_, prev_j)| prev_j != j) {
-            let demoted = self.retained.get_mut(&prev_j).is_some_and(|e| {
-                if let Ok(at) = e.worst.binary_search(&window) {
-                    e.worst.remove(at);
-                }
-                e.worst.is_empty() && !e.nth
-            });
-            if demoted {
-                let e = self.retained.remove(&prev_j).expect("demoted");
-                e.recycle(&mut self.free, &mut self.firsts);
+        // The holder of a window's worst is retained until it holds none.
+        let taken = prev.is_none_or(|(_, prev_j)| prev_j != j);
+        if let Some((_, prev_j)) = prev.filter(|_| taken) {
+            let at = self.retained_at(prev_j).expect("a holder is retained");
+            let e = &mut self.retained[at].1;
+            e.worst -= 1;
+            if e.worst == 0 && !e.nth {
+                let (_, e) = self.retained.remove(at);
+                self.journal.release(e);
             }
         }
         self.worst_by_window.insert(window, (ns, j));
         self.retain(j, false, reg);
-        let e = self.retained.get_mut(&j).expect("just retained");
-        if let Err(at) = e.worst.binary_search(&window) {
-            e.worst.insert(at, window);
-        }
+        let at = self.retained_at(j).expect("just retained");
+        let e = &mut self.retained[at].1;
+        e.worst += u64::from(taken);
         e.max_sample_ns = e.max_sample_ns.max(ns);
     }
 
@@ -629,16 +676,23 @@ impl LiveAgg {
     /// be a journey's first, and only a marked first needs the journey's
     /// buffer found: any other overwrite costs one bit test.
     pub(crate) fn before_overwrite(&mut self, old: &TraceRecord, ring: &Ring) {
-        if !self.firsts.take(old.seq) {
+        if !self.journal.firsts.take(old.seq) {
             return;
         }
         let j = old.journey.expect("a kept record has a journey");
         let kept = match self.undecided_at(j) {
             Some(at) => &mut self.scratch[at].1,
-            None => self.retained.get_mut(&j).expect("a marked first is kept"),
+            None => {
+                let at = self.retained_at(j).expect("a marked first is kept");
+                &mut self.retained[at].1
+            }
         };
-        debug_assert_eq!(kept.seqs.first(), Some(&old.seq));
-        kept.copy_out(ring);
+        let Journal { seqs, copies, .. } = &mut self.journal;
+        debug_assert_eq!(seqs.iter(kept.seqs).next(), Some(old.seq));
+        for s in seqs.iter(kept.seqs) {
+            copies.push(&mut kept.copies, ring.nth(s).expect(HELD));
+        }
+        seqs.release(&mut kept.seqs);
     }
 
     fn seal(&mut self, idx: usize, online: bool, reg: &Registry) {
@@ -648,7 +702,7 @@ impl LiveAgg {
             self.spare = freed;
         }
         self.windows_sealed_online += u64::from(online);
-        live_count(reg, self.live_label, "windows_sealed", 1);
+        reg.add(live_key(self.live_label, "windows_sealed"), 1);
         let Some(slo) = &self.cfg.slo else { return };
 
         let (drop_count, before) = (pending.drop_count(), self.breaches.len());
@@ -684,7 +738,7 @@ impl LiveAgg {
         }
         let breached = (self.breaches.len() - before) as u64;
         if breached > 0 {
-            live_count(reg, self.live_label, "slo_breaches", breached);
+            reg.add(live_key(self.live_label, "slo_breaches"), breached);
         }
     }
 
@@ -698,9 +752,10 @@ impl LiveAgg {
     }
 
     /// Resolves labels and snapshots the aggregators into a report, reading
-    /// the retained journeys' records that `ring` still holds in place.
-    pub(crate) fn report(&self, interner: &RefCell<Interner>, ring: &Ring) -> LiveReport {
-        let names = interner.borrow();
+    /// the retained journeys' records that `rec`'s ring still holds in place.
+    /// `crossings` labels the crossing directions recorded so far.
+    pub(crate) fn report(&self, rec: &Recorder, crossings: [Option<Label>; 2]) -> LiveReport {
+        let (names, ring, reg) = (rec.names(), rec.ring(), rec.registry());
         let resolved = |(w, pending): &(Window, Pending)| Window {
             drops: pending.drops(&names),
             ..w.clone()
@@ -730,29 +785,41 @@ impl LiveAgg {
                 sum.drops += c.drops;
             }
         }
-        let sampled = self
-            .retained
-            .iter()
-            .map(|(&j, e)| SampledJourney {
-                journey: j,
+        // All records, counted first, in one vector, and all worst windows by
+        // holder (every holder is retained) in another: a journey names ranges.
+        let mut worst = Vec::with_capacity(self.worst_by_window.len());
+        worst.extend(self.worst_by_window.iter().map(|(&w, &(_, j))| (j, w)));
+        worst.sort_unstable();
+        let total = self.retained.iter().map(|(_, e)| e.copies.len + e.seqs.len);
+        let mut records = Vec::with_capacity(total.sum::<u32>() as usize);
+        let mut sampled: Vec<SampledJourney> = Vec::with_capacity(self.retained.len());
+        let Journal { seqs, copies, .. } = &self.journal;
+        for &(journey, ref e) in &self.retained {
+            let from = records.len();
+            let held = seqs.iter(e.seqs).map(|s| ring.nth(s).expect(HELD));
+            let kept = copies.iter(e.copies).chain(held);
+            records.extend(kept.map(|r| sampled_record(&r, &names, self.empty, crossings)));
+            let worst_from = sampled.last().map_or(0, |s| s.worst_windows.end);
+            sampled.push(SampledJourney {
+                journey,
                 nth: e.nth,
-                worst_windows: e.worst.clone(),
+                worst_windows: worst_from..worst_from + e.worst as usize,
                 max_sample_ns: e.max_sample_ns,
                 records_dropped: e.dropped,
-                records: (e.records(ring))
-                    .map(|r| sampled_record(&r, &names, self.empty))
-                    .collect(),
-            })
-            .collect();
+                records: from..records.len(),
+            });
+        }
         LiveReport {
             window_ns: self.cfg.window_ns,
             windows: self.wins.iter().map(resolved).collect(),
             windows_sealed_online: self.windows_sealed_online,
-            late_records: self.late_records,
+            late_records: reg.get(live_key(self.live_label, "late_records")),
             world: view(&world),
             machines,
             unattributed: view(&self.unattributed),
             sampled,
+            records,
+            worst_windows: worst.iter().map(|&(_, w)| w).collect(),
             scratch_evicted: self.scratch_evicted,
             sampled_records_dropped: self.sampled_records_dropped,
             slo: self.cfg.slo.clone(),
@@ -762,8 +829,13 @@ impl LiveAgg {
 }
 
 /// `r` with its names shared from the recorder's table. `empty` is the
-/// interned `""` a timer record names.
-fn sampled_record(r: &TraceRecord, names: &Interner, empty: Label) -> SampledRecord {
+/// interned `""` a timer record names; `crossings` as in the report.
+fn sampled_record(
+    r: &TraceRecord,
+    names: &Interner,
+    empty: Label,
+    crossings: [Option<Label>; 2],
+) -> SampledRecord {
     let named = |kind, label, detail| SampledEvent::Named(kind, names.shared(label), detail);
     let event = match r.event {
         TraceEvent::PacketArrival { nic, bytes, .. } => named("arrival", nic, u64::from(bytes)),
@@ -780,7 +852,7 @@ fn sampled_record(r: &TraceRecord, names: &Interner, empty: Label) -> SampledRec
         TraceEvent::LatencySample { hist, ns } => named("sample", hist, ns),
         TraceEvent::TimerFire => named("timer", empty, 0),
         TraceEvent::Crossing { dir, bytes } => {
-            let label = names.lookup(dir.name()).expect("interned when recorded");
+            let label = crossings[dir as usize].expect("interned when recorded");
             named("crossing", label, u64::from(bytes))
         }
     };
@@ -833,15 +905,15 @@ pub struct SampledJourney {
     pub journey: u64,
     /// Kept by the deterministic 1-in-N rule.
     pub nth: bool,
-    /// Windows in which this journey holds the worst latency sample.
-    pub worst_windows: Vec<u64>,
+    /// Its windows of worst latency: a range of [`LiveReport::worst_windows`].
+    pub worst_windows: Range<usize>,
     /// The largest latency sample this journey completed (0 when kept by
     /// the 1-in-N rule without a sample).
     pub max_sample_ns: u64,
     /// Records dropped beyond the per-journey cap — stated, never silent.
     pub records_dropped: u64,
-    /// The retained record chain, oldest first.
-    pub records: Vec<SampledRecord>,
+    /// Its records, oldest first: a range of [`LiveReport::records`].
+    pub records: Range<usize>,
 }
 
 /// One scope level's counters plus its per-layer breakdown.
@@ -878,6 +950,11 @@ pub struct LiveReport {
     pub unattributed: ScopeView,
     /// Journeys retained by the tail sampler, in journey order.
     pub sampled: Vec<SampledJourney>,
+    /// Every sampled journey's records, journey after journey.
+    pub records: Vec<SampledRecord>,
+    /// The windows each sampled journey holds the worst latency sample of,
+    /// journey after journey, ascending within one.
+    pub worst_windows: Vec<u64>,
     /// Undecided journey buffers evicted before any retention decision.
     pub scratch_evicted: u64,
     /// Records dropped beyond the per-journey cap, across all journeys.
@@ -957,7 +1034,8 @@ fn live_doc(rep: &LiveReport, max_detail: usize, out: &mut dyn Sink) {
     );
     out.push_str("  \"sampled_journeys\": [");
     for (i, j) in rep.sampled.iter().take(detailed).enumerate() {
-        let (sep, worst_windows) = (if i > 0 { "," } else { "" }, joined(&j.worst_windows));
+        let worst_windows = joined(&rep.worst_windows[j.worst_windows.clone()]);
+        let sep = if i > 0 { "," } else { "" };
         let (journey, nth, max_sample_ns) = (j.journey, j.nth, j.max_sample_ns);
         put!(
             out,
@@ -966,7 +1044,7 @@ fn live_doc(rep: &LiveReport, max_detail: usize, out: &mut dyn Sink) {
              \"records_dropped\": {}, \"records\": [",
             j.records_dropped
         );
-        for (k, r) in j.records.iter().enumerate() {
+        for (k, r) in rep.records[j.records.clone()].iter().enumerate() {
             let sep = if k > 0 { ", " } else { "" };
             // Pushed piece by piece, not through `fmt`: the one line per
             // sampled record, and most of the document's rendering.
@@ -1041,6 +1119,40 @@ mod tests {
                 drop_ppm_ceiling: None,
                 goodput_floor: None,
                 skip_head: 0,
+            }
+        }
+    }
+
+    impl LiveAgg {
+        /// The ring positions the sampler holds, undecided and retained.
+        pub(crate) fn positions(&self) -> usize {
+            let kept = self.scratch.iter().chain(&self.retained);
+            kept.map(|(_, e)| e.seqs.len as usize).sum()
+        }
+    }
+
+    proptest::proptest! {
+        #![proptest_config(proptest::prelude::ProptestConfig::with_cases(64))]
+        #[test]
+        fn the_sampler_holds_no_more_positions_than_the_ring_holds_records(
+            capacity in 1usize..400,
+            hops in proptest::collection::vec((0u64..300, 0u64..4), 1..3_000),
+            window_ns in proptest::sample::select(vec![100u64, 10_000]),
+        ) {
+            // Journeys interleave, outgrow the cap and, with a sample that
+            // rises with the journey ID, take each other's worst windows.
+            let rec = Recorder::new(capacity);
+            rec.enable_live(LiveConfig::new(window_ns));
+            let (nic, host, hist) = (rec.intern("eth0"), rec.intern("m"), rec.intern("rtt"));
+            for (i, &(j, samples)) in hops.iter().enumerate() {
+                let at = 10 * i as u64;
+                rec.packet_arrival(at, nic, host, 60, Some(j));
+                for k in 0..samples {
+                    rec.sample(at + k, hist, j);
+                }
+                rec.packet_done();
+                let held = rec.live_positions();
+                proptest::prop_assert!(held <= capacity, "{} positions, ring of {}", held, capacity);
             }
         }
     }
@@ -1161,9 +1273,10 @@ mod tests {
             .find(|s| s.journey == 5)
             .expect("worst kept");
         assert!(!worst.nth);
-        assert_eq!(worst.worst_windows, vec![0]);
+        assert_eq!(rep.worst_windows[worst.worst_windows.clone()], [0]);
         assert_eq!(worst.max_sample_ns, 900);
-        assert!(worst.records.iter().any(|r| r.event.kind() == "arrival"));
+        let records = &rep.records[worst.records.clone()];
+        assert!(records.iter().any(|r| r.event.kind() == "arrival"));
         // Journeys 1..=3 were neither nth nor worst: not retained.
         assert!(!ids.contains(&1));
     }

@@ -244,7 +244,9 @@ impl Recorder {
         let mut guard = self.live.borrow_mut();
         let agg = guard.as_mut()?;
         agg.finish(&self.registry);
-        Some(agg.report(&self.interner, &self.ring.borrow()))
+        // A crossing's name is interned when the first one is recorded.
+        let crossings = (self.crossings.each_ref()).map(|dir| dir.label.get().map(|(_, l)| l));
+        Some(agg.report(self, crossings))
     }
 
     /// Interns a name; cheap (one hash lookup) after first sight.
@@ -642,6 +644,13 @@ impl Recorder {
 #[cfg(test)]
 mod tests {
     use super::*;
+
+    impl Recorder {
+        /// The ring positions the live tier's sampler holds.
+        pub(crate) fn live_positions(&self) -> usize {
+            self.live.borrow().as_ref().map_or(0, LiveAgg::positions)
+        }
+    }
 
     #[test]
     fn interning_is_stable_and_reversible() {

@@ -624,6 +624,8 @@ struct ModelSampler {
     worst_by_window: BTreeMap<u64, (u64, u64)>,
     scratch_evicted: u64,
     sampled_records_dropped: u64,
+    /// Journeys let go when another took the worst of their last window.
+    demoted: u64,
 }
 
 impl ModelSampler {
@@ -635,6 +637,7 @@ impl ModelSampler {
             worst_by_window: BTreeMap::new(),
             scratch_evicted: 0,
             sampled_records_dropped: 0,
+            demoted: 0,
         }
     }
 
@@ -704,6 +707,7 @@ impl ModelSampler {
             });
             if demoted {
                 self.retained.remove(&prev_j);
+                self.demoted += 1;
             }
         }
         self.worst_by_window.insert(window, (ns, j));
@@ -734,9 +738,11 @@ fn sampled_key(r: &TraceRecord) -> (u64, Option<u64>, &'static str) {
 /// One hop of journey `j` per step: an arrival and a few records of one
 /// shape, or (shape 5) a transmit from engine context that carries `j`.
 /// One step in four goes to one of three hot journeys, which outgrow the
-/// per-journey record cap; the rest spread over 200, which overflows the
-/// scratch buffers and forces evictions.
-fn interleave_journeys(rec: &Recorder, steps: &[(u64, usize, u64)]) {
+/// per-journey record cap in a long run; the rest spread over 200, which
+/// overflows the scratch buffers and forces evictions. With `rising`, every
+/// latency sample is larger than all before it, so each is its window's
+/// new worst and the journey that held it is let go.
+fn interleave_journeys(rec: &Recorder, steps: &[(u64, usize, u64)], rising: bool) {
     let (nic, host, hist) = (rec.intern("eth0"), rec.intern("m"), rec.intern("rtt"));
     let (ev, dom) = (rec.intern("Udp.PacketRecv"), rec.intern("app"));
     let mut at = 0u64;
@@ -744,8 +750,9 @@ fn interleave_journeys(rec: &Recorder, steps: &[(u64, usize, u64)]) {
         at += 7;
         at
     };
-    for &(pick, shape, ns) in steps {
+    for (i, &(pick, shape, ns)) in steps.iter().enumerate() {
         let j = if pick % 4 == 0 { pick % 3 } else { pick % 200 };
+        let ns = if rising { i as u64 } else { ns };
         if shape % 6 == 5 {
             rec.packet_tx(tick(), nic, host, 60, 0, 0, 10, 10, Some(j));
             continue;
@@ -769,16 +776,31 @@ fn interleave_journeys(rec: &Recorder, steps: &[(u64, usize, u64)]) {
     }
 }
 
+/// The steps of [`interleave_journeys`]: half the runs short, half of at
+/// least 5 000 steps, which evict and let go of journeys thousands of times
+/// over, so the sampler's chunks are reused many times each.
+fn journey_steps() -> impl Strategy<Value = Vec<(u64, usize, u64)>> {
+    let step = || (0u64..800, 0usize..6, 0u64..5_000);
+    prop_oneof![
+        prop::collection::vec(step(), 300..1_500),
+        prop::collection::vec(step(), 5_000..6_000),
+    ]
+}
+
+/// A ring that holds a whole run of [`journey_steps`].
+const WHOLE_RUN: usize = 1 << 15;
+
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(64))]
     #[test]
     fn the_tail_sampler_agrees_with_its_model(
-        steps in prop::collection::vec((0u64..800, 0usize..6, 0u64..5_000), 300..1_500),
+        steps in journey_steps(),
         window_ns in prop::sample::select(vec![500u64, 5_000, 50_000]),
+        rising in prop::sample::select(vec![false, true]),
     ) {
-        let rec = Recorder::new(1 << 14);
+        let rec = Recorder::new(WHOLE_RUN);
         rec.enable_live(LiveConfig::new(window_ns));
-        interleave_journeys(&rec, &steps);
+        interleave_journeys(&rec, &steps, rising);
         prop_assert_eq!(rec.overwritten(), 0, "the model replays the whole ring");
         let mut model = ModelSampler::new(window_ns);
         rec.events().iter().for_each(|r| model.feed(r));
@@ -787,17 +809,22 @@ proptest! {
         prop_assert_eq!(live.scratch_evicted, model.scratch_evicted);
         prop_assert_eq!(live.sampled_records_dropped, model.sampled_records_dropped);
         prop_assert!(live.scratch_evicted > 0, "200 journeys overflow the scratch");
+        if steps.len() >= 5_000 {
+            prop_assert!(live.sampled_records_dropped > 0, "a hot journey outgrows the cap");
+        }
+        prop_assert!(!rising || model.demoted > 0, "rising samples let journeys go");
         let ids: Vec<u64> = live.sampled.iter().map(|s| s.journey).collect();
         let model_ids: Vec<u64> = model.retained.keys().copied().collect();
         prop_assert_eq!(ids, model_ids);
         for (s, (_, m)) in live.sampled.iter().zip(&model.retained) {
             let worst: Vec<u64> = m.worst.iter().copied().collect();
             prop_assert_eq!(
-                (s.nth, &s.worst_windows, s.max_sample_ns, s.records_dropped),
-                (m.nth, &worst, m.max_sample_ns, m.dropped),
+                (s.nth, &live.worst_windows[s.worst_windows.clone()], s.max_sample_ns, s.records_dropped),
+                (m.nth, &worst[..], m.max_sample_ns, m.dropped),
                 "journey {}", s.journey
             );
-            let got: Vec<_> = s.records.iter().map(|r| (r.at_ns, r.packet, r.event.kind())).collect();
+            let records = &live.records[s.records.clone()];
+            let got: Vec<_> = records.iter().map(|r| (r.at_ns, r.packet, r.event.kind())).collect();
             let want: Vec<_> = m.records.iter().map(sampled_key).collect();
             prop_assert_eq!(got, want, "journey {} records", s.journey);
         }
@@ -805,8 +832,9 @@ proptest! {
 
     #[test]
     fn the_tail_sampler_does_not_depend_on_the_ring_size(
-        steps in prop::collection::vec((0u64..800, 0usize..6, 0u64..5_000), 300..1_500),
+        steps in journey_steps(),
         window_ns in prop::sample::select(vec![500u64, 5_000, 50_000]),
+        rising in prop::sample::select(vec![false, true]),
     ) {
         // The sampler keeps ring positions and copies a journey's records
         // out just before the ring overwrites them: rings that wrap many
@@ -815,10 +843,10 @@ proptest! {
         let report = |capacity| {
             let rec = Recorder::new(capacity);
             rec.enable_live(LiveConfig::new(window_ns));
-            interleave_journeys(&rec, &steps);
+            interleave_journeys(&rec, &steps, rising);
             (rec.overwritten(), rec.live_report().expect("live enabled"))
         };
-        let (overwritten, whole) = report(1 << 14);
+        let (overwritten, whole) = report(WHOLE_RUN);
         prop_assert_eq!(overwritten, 0);
         for capacity in [5, 40, 300] {
             let (overwritten, wrapped) = report(capacity);

@@ -356,6 +356,11 @@ fn router_forward() -> Loop {
 fn closed_loop(dut: Dut, datagrams: u64, heard: impl Fn(u64) + 'static) -> (u64, u64) {
     // The cluster pool is per thread: start every run equally cold.
     plexus::net::mbuf::reset_cluster_pool();
+    run_loop(dut(), datagrams, heard)
+}
+
+/// [`closed_loop`] over a device under test already built.
+fn run_loop(l: Loop, datagrams: u64, heard: impl Fn(u64) + 'static) -> (u64, u64) {
     let Loop {
         mut world,
         tx,
@@ -364,7 +369,7 @@ fn closed_loop(dut: Dut, datagrams: u64, heard: impl Fn(u64) + 'static) -> (u64,
         rec,
         samples,
         _dut,
-    } = dut();
+    } = l;
     let count = Rc::new(Cell::new(0u64));
     let (seen, nic, next) = (count.clone(), Rc::downgrade(&tx), frame.clone());
     rx.attach(DriverConfig::per_frame(move |engine, _| {
@@ -474,27 +479,31 @@ fn recording_an_echoed_datagram_allocates_nothing_more() {
     // labels once, not hashed per packet. (The 1 024-record ring wraps
     // many times over; that allocates nothing either.)
     assert_pinned(traced_echo, 0);
-    // With the live tier too, but for the 1-in-64 journeys kept for good
-    // (8 of 500 datagrams). Each datagram is a journey of its own, and the
-    // records of one not kept go to a scratch buffer an evicted journey
-    // left behind, not to a fresh `Vec` grown record by record (about 4
-    // heap calls per datagram while the scratch was a map of its own
-    // buffers).
-    assert_eq!(allocs_per_500(live_echo), 18);
+    // With the live tier too, but for one heap call in 500 datagrams. Each
+    // datagram is a journey of its own, and every journey, undecided or
+    // one of the 1-in-64 kept for good, keeps its records in chunks of the
+    // sampler's two shared stores: the one doubling of a store, or of the
+    // kept journeys' list, that 500 more datagrams reach (18 while each
+    // journey kept for good took a 1 KiB buffer of positions and a node of
+    // an ordered map; about 4 per datagram while the scratch was a map of
+    // its own buffers).
+    assert_eq!(allocs_per_500(live_echo), 1);
 }
 
 #[test]
 fn a_sampled_live_echo_allocates_exactly_the_pinned_count() {
-    // Over 500 datagrams, fewer than one per datagram: what the journeys
-    // kept for good take (a buffer, the copies of their records the
-    // 1 024-record ring overwrites, their nodes in the sampler's maps). A
-    // promoted journey takes its scratch buffer along and a demoted one
-    // gives it back with its capacity, and a 1 ms window keeps its latency
-    // samples in the buffer a sealed window handed back (538 while each
-    // window grew a buffer of its own by doubling; 2 764 while a promotion
-    // built a fresh set of worst windows, a demotion freed the journey's
-    // buffer, and a new one grew its copies record by record).
-    assert_eq!(allocs_per_500(sampled_live_echo), 368);
+    // Over 500 datagrams, 18: the doublings of the sampler's two chunk
+    // stores and of its list of kept journeys, and the nodes of its map of
+    // each window's worst journey. A promoted journey takes its chunks
+    // along and a demoted one puts them on the stores' free lists, and a
+    // 1 ms window keeps its latency samples in the buffer a sealed window
+    // handed back (368 while every journey kept for good took a 1 KiB
+    // buffer of positions, grew its copies in a `Vec` of its own and sat
+    // in an ordered map; 538 while each window grew a buffer of its own by
+    // doubling; 2 764 while a promotion built a fresh set of worst
+    // windows, a demotion freed the journey's buffer, and a new one grew
+    // its copies record by record).
+    assert_eq!(allocs_per_500(sampled_live_echo), 18);
 }
 
 /// `datagrams` echoes by [`plexus_echo`] under a recorder whose ring holds
@@ -703,7 +712,7 @@ fn the_folds_ask_for_what_they_return() {
                 assert!(c.asked > 0, "{}: the build was measured", c.fold);
                 assert_eq!(c.asked as i64, c.grew, "{}: keeps what it asks for", c.fold);
             }
-            // A build that keeps its own scratch for now; in the ledger only.
+            // A build that keeps its own scratch: pinned below.
             "live_report" => {}
             writer => {
                 let sums = if writer == "profile_json" {
@@ -720,6 +729,31 @@ fn the_folds_ask_for_what_they_return() {
             }
         }
     }
+
+    // The live report writes every sampled journey's records, and the
+    // windows each holds the worst of, into one vector apiece and names
+    // each journey's ranges of them: its heap calls are the same however
+    // many journeys it reports (one `Vec` of records per journey, and one
+    // of windows per worst journey, while each journey had its own).
+    let live = costs.iter().find(|c| c.fold == "live_report");
+    assert_eq!(live.map(|c| c.calls), Some(7));
+    let report = |datagrams| {
+        plexus::net::mbuf::reset_cluster_pool();
+        let echo = sampled_live_echo();
+        let rec = echo.rec.clone().expect("the sampled echo records");
+        run_loop(echo, datagrams, |_| {});
+        let (cost, report) = build_cost("live_report", || rec.live_report().unwrap());
+        (cost.calls, report.sampled.len())
+    };
+    let ((few, few_journeys), (many, many_journeys)) = (report(500), report(1_000));
+    assert!(
+        many_journeys > few_journeys + 8,
+        "{few_journeys} → {many_journeys}"
+    );
+    assert_eq!(
+        many, few,
+        "{few_journeys} → {many_journeys} sampled journeys"
+    );
 }
 
 #[test]

@@ -117,9 +117,9 @@ fn ring_wrap_leaves_live_correct_while_posthoc_reports_truncation() {
         .map(|r| r.at_ns)
         .expect("ring holds the tail of the run");
     let earliest_sampled = live_tiny
-        .sampled
+        .records
         .iter()
-        .flat_map(|j| j.records.iter().map(|r| r.at_ns))
+        .map(|r| r.at_ns)
         .min()
         .expect("sampled journeys carry records");
     assert!(
